@@ -10,7 +10,7 @@
 //! | `write_guard_across_exec` | a call made under a live shard write guard must not transitively reach an executor entry point (§10) |
 //! | `lock_in_catch_unwind` | a call inside a `catch_unwind` closure must not transitively acquire a shard lock (§11) |
 //! | `lock_order` | a call made under a live shard guard must not transitively acquire the DB master lock (§10) |
-//! | `pin_reaches_blocking_lock` | no function transitively reachable from an epoch pin region may acquire a blocking lock (§14) |
+//! | `pin_reaches_blocking_lock` | no function transitively reachable from an epoch pin region may acquire a blocking lock (§10) |
 //! | `dio_funnel_reach` | production code in `crates/{core,storage,wal}/src` must not transitively reach a raw `std::fs` write except through `wal::dio` (§16) |
 //! | `durable_before_visible` | in any function that publishes the group-commit snapshot, a WAL append (reaching fsync) lexically dominates the publish, and every append error arm reaches `undo_delta_exact` and returns before it (§15–§16) |
 //!
@@ -293,6 +293,9 @@ fn rule_pin_reaches_blocking_lock(
             regions.push((fid, pos, end, format!("epoch pin `{var}`")));
         }
     }
+    // The serving function (`core::serve`) and the store-access methods
+    // that run inside it: trait dispatch hides the latter from the call
+    // graph, so each is a region of its own, found by the shared prefix.
     for f in &ws.fns {
         if f.name.starts_with("run_pinned") && !f.is_test {
             if let Some((open, close)) = f.body {

@@ -231,8 +231,10 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
 
-    fn ws_of(src: &str) -> Workspace {
-        let dir = std::env::temp_dir().join(format!("pmv-sum-{}", std::process::id()));
+    /// Scan `src` as a one-file workspace. `test` names the directory:
+    /// tests run on parallel threads, so each needs its own.
+    fn ws_of(test: &str, src: &str) -> Workspace {
+        let dir = std::env::temp_dir().join(format!("pmv-sum-{test}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let file = dir.join("s.rs");
         std::fs::write(&file, src).unwrap();
@@ -249,7 +251,7 @@ fn middle() { leaf_caller(); }
 fn leaf_caller() { leaf_dummy(); }
 fn leaf_dummy(&self) { self.guard.write(); }
 "#;
-        let ws = ws_of(src);
+        let ws = ws_of("facts", src);
         let s = Summaries::compute(&ws);
         let id = |n: &str| ws.fns.iter().position(|f| f.name == n).unwrap();
         assert_ne!(s.direct[id("leaf")] & BLOCKING, 0);
@@ -266,7 +268,7 @@ fn leaf_dummy(&self) { self.guard.write(); }
 fn runs_exec(db: &Db, q: &Q) { let _ = execute_bounded_arc(db, q, b); }
 fn rolls_back(db: &mut Db) { db.undo_delta_exact("r", &d).unwrap(); }
 "#;
-        let ws = ws_of(src);
+        let ws = ws_of("seeds", src);
         let s = Summaries::compute(&ws);
         assert_ne!(s.direct[0] & EXEC, 0);
         assert_ne!(s.direct[1] & UNDO, 0);

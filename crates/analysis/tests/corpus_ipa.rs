@@ -70,8 +70,10 @@ fn durable_before_visible_interprocedural() {
 
 /// Whole-repo gate: zero unescaped findings, and exactly the escapes
 /// the design documents — four fault-injection/publish sites in the
-/// pin region (DESIGN.md §14; the targeted-upquery refill joined the
-/// executor, fill, and publish sites in §19) and the checkpoint-durable
+/// pin region (DESIGN.md §10: upquery refill and executor in
+/// `serve::run_pinned_scratch`, the write-back fault point
+/// `serve::run_pinned_fault`, and the sharded instance's publish in
+/// `concurrent.rs`) and the checkpoint-durable
 /// setup path (§16). A new escape anywhere must update this census.
 #[test]
 fn repo_is_clean_ipa() {

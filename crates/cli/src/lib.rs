@@ -201,12 +201,14 @@ fn policy_spec_name(p: PolicyKind) -> &'static str {
 /// (`--snapshot-mode={locked,epoch}`).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum SnapshotMode {
-    /// The paper's protocol: S/X locks through the single-threaded
-    /// pipeline against the live database.
+    /// The paper's protocol: a single-owner `Pmv` served under S/X locks
+    /// by [`PmvPipeline::run`], with the live database as the data view.
     #[default]
     Locked,
     /// The lock-free path: each query pins a copy-on-write database
-    /// snapshot and serves wait-free via [`SharedPmv::run_pinned`].
+    /// snapshot and serves a sharded view wait-free via
+    /// [`SharedPmv::run_pinned`]. Both modes run the same O1/O2/O3
+    /// implementation; they differ in the view type and the data view.
     Epoch,
 }
 
@@ -237,8 +239,8 @@ pub struct Session {
     pipeline: PmvPipeline,
     advisor: PmvAdvisor,
     mode: SnapshotMode,
-    /// Per-template workload accounting, shared by every epoch-mode
-    /// view (locked-mode `Pmv` has no accounting hooks).
+    /// Per-template workload accounting; views of either mode record
+    /// into their template's account.
     accounts: Arc<pmv_obs::AccountTable>,
     /// Anomaly flight recorder, present on durable sessions (dumps
     /// spool under `<data-dir>/flight/`).
@@ -373,7 +375,7 @@ impl Session {
             self.instrument_shared(&spec.name, &v);
             self.shared.insert(spec.name.clone(), v);
         } else {
-            self.pmvs.insert(spec.name.clone(), Pmv::new(def, config));
+            self.insert_pmv(&spec.name, Pmv::new(def, config));
         }
         self.view_specs.insert(spec.name.clone(), spec.clone());
         Ok(())
@@ -387,6 +389,12 @@ impl Session {
         if let Some(fr) = &self.flight {
             v.attach_flight(Arc::clone(fr));
         }
+    }
+
+    /// Register one locked-mode view, hooked into its template's account.
+    fn insert_pmv(&mut self, name: &str, mut v: Pmv) {
+        v.attach_account(self.accounts.register(&Arc::from(name)));
+        self.pmvs.insert(name.to_string(), v);
     }
 
     /// Direct access for embedding (tests, examples).
@@ -577,7 +585,7 @@ impl Session {
             self.instrument_shared(name, &v);
             self.shared.insert(name.to_string(), v);
         } else {
-            self.pmvs.insert(name.to_string(), Pmv::new(def, config));
+            self.insert_pmv(name, Pmv::new(def, config));
         }
         self.view_specs.insert(name.to_string(), spec);
         Ok(summary)
@@ -971,9 +979,11 @@ impl Session {
         }
         let (contention, pipeline) = pmv_obs::profile::split_phases(&merged);
 
-        for (name, v) in &self.shared {
+        let shared = self.shared.iter().map(|(n, v)| (n, v.byte_size()));
+        let single = self.pmvs.iter().map(|(n, v)| (n, v.store().byte_size()));
+        for (name, bytes) in shared.chain(single) {
             if let Some(acct) = self.accounts.get(name) {
-                acct.set_bytes_resident(v.byte_size() as u64);
+                acct.set_bytes_resident(bytes as u64);
             }
         }
         let templates = self

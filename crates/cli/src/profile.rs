@@ -315,7 +315,7 @@ mod tests {
                 ("o2_probe", phase(&[40, 60])),
                 ("lock_master_commit", phase(&[800, 9_000])),
                 ("ttfr", phase(&[100])),
-                ("lock_shard_probe", HistSnapshot::empty()),
+                ("lock_shard_fill", HistSnapshot::empty()),
             ],
         );
         let dump = compose_dump(
@@ -392,7 +392,7 @@ mod tests {
             "profile":{"contention":[
                 {"site":"lock_master_commit","count":40,"wait_p50_us":90,
                  "wait_p99_us":4000,"wait_max_us":9000,"total_wait_us":52000},
-                {"site":"lock_shard_probe","count":800,"wait_p50_us":2,
+                {"site":"lock_shard_fill","count":800,"wait_p50_us":2,
                  "wait_p99_us":40,"wait_max_us":90,"total_wait_us":4000}],
              "templates":[{"template":"t1","queries":5000,"hit_rate":0.82,
                  "ttfr_p50_us":30,"ttfr_p99_us":400,"full_p99_us":2000,

@@ -1,46 +1,56 @@
 //! Sharded, thread-safe PMV embedding.
 //!
 //! [`crate::pipeline::PmvPipeline::run`] takes `&mut Pmv`, which forces
-//! single-writer access; the first multi-threaded embedding wrapped the
-//! whole PMV in one mutex, so every O2 probe serialized against every
-//! other and maintenance stalled all queries. [`SharedPmv`] shards the
-//! store by bcp-key hash instead:
+//! single-writer access. [`SharedPmv`] shards the store by bcp-key hash
+//! instead:
 //!
 //! * The view's `L` entry budget is split over `N` shards (default: the
 //!   machine's available parallelism), each with its own [`PmvStore`] —
 //!   its slice of the bcp entries, its own replacement-policy instance of
 //!   capacity `⌈L/N⌉`, and its own maintenance-filter slice — behind its
 //!   own [`parking_lot::RwLock`].
-//! * A query locks only the shards its condition parts hash to, one short
-//!   write guard per shard for the O2 probe and again for the O3
-//!   fill/update, so concurrent probes on different bcps proceed in
-//!   parallel.
+//! * Each shard also publishes an immutable **shard view** (its bcp
+//!   entries as `Arc`-shared tuples, plus the valid completeness claims)
+//!   through a [`pmv_sync::LeftRight`] cell; mutators republish, under
+//!   the shard's write guard, after changing what the shard serves.
 //! * Maintenance X-locks (write-locks) only the shards its ΔR join rows
-//!   hash to; queries over unaffected shards are never blocked.
+//!   hash to, in ascending index order; queries over other shards are
+//!   never affected.
 //! * Statistics accumulate locally per call and publish via one relaxed
 //!   [`AtomicPmvStats::add`] — no lock is taken for bookkeeping.
 //!
-//! # Locking protocol (the Section 3.6 S/X discipline, sharded)
+//! # Serving
 //!
-//! The paper holds an S lock on the PMV from O2 to the end of O3 so no
-//! maintainer can invalidate already-served partial results before the
-//! full execution re-derives them. Here the same guarantee comes from the
-//! database snapshot plus a visibility rule:
+//! Queries run the one O1 → O2 → O3 implementation in [`crate::serve`]
+//! through this module's *sharded* store-access instance: O2
+//! [`pmv_sync::LeftRight::load`]s the published shard views wait-free and
+//! never touches a shard `RwLock`; policy touches and fills are deferred
+//! to a best-effort write-back that takes `try_write` and is skipped
+//! under contention, so between pinning and the answer no lock is ever
+//! waited on (both analyzers enforce this on every `run_pinned*` body).
+//! The two epoch gates that stand in for the paper's S lock — serve only
+//! `fill_epoch ≤ pin_epoch`, write back only when `pin_epoch ≥
+//! maint_epoch` — are described there and in DESIGN.md "Serving path".
 //!
-//! 1. A query runs against `&Database` — the base data cannot change for
-//!    the duration of [`SharedPmv::run`], because any writer needs
-//!    `&mut Database` (e.g. the write half of an `RwLock<Database>`).
-//! 2. [`SharedPmv::maintain`] **must be called before the delta's new
-//!    database state becomes visible to queries** — i.e. while the caller
-//!    still holds its exclusive database access, reborrowed as
-//!    `&Database`:
+//! [`SharedPmv::run_pinned`] serves against any pinned
+//! [`pmv_query::DataView`] (an epoch snapshot published by
+//! [`crate::epoch::EpochDb`]); [`SharedPmv::run`] is the same call with
+//! the live `&Database` as the view — the *locked* case, where the
+//! caller's borrow (e.g. the read half of an `RwLock<Database>`) is what
+//! pins the base data, because any writer needs `&mut Database`.
 //!
-//!    ```text
-//!    let mut g = db.write();              // exclusive: no query running
-//!    let batches = txn.commit();          // Δ applied to the base data
-//!    shared.maintain(&g, &batches[0])?;   // shards repaired *before*…
-//!    drop(g);                             // …readers can see the new DB
-//!    ```
+//! # Maintenance contract (the Section 3.6 X side)
+//!
+//! [`SharedPmv::maintain`] **must be called before the delta's new
+//! database state becomes visible to queries** — i.e. while the caller
+//! still holds its exclusive database access, reborrowed as `&Database`:
+//!
+//! ```text
+//! let mut g = db.write();              // exclusive: no query running
+//! let batches = txn.commit();          // Δ applied to the base data
+//! shared.maintain(&g, &batches[0])?;   // shards repaired *before*…
+//! drop(g);                             // …readers can see the new DB
+//! ```
 //!
 //! Under that contract every query observes (database state, shard
 //! contents) pairs where the cached tuples are a subset of the true bcp
@@ -52,38 +62,9 @@
 //! `DS must be empty` assertion.)
 //!
 //! Lock ordering is uniform — database access is always acquired before
-//! any shard lock, queries hold at most one shard lock at a time and
-//! never touch database locks while holding one, and maintenance acquires
-//! its affected shards in ascending index order — so the embedding is
-//! deadlock-free.
-//!
-//! # The epoch serving path ([`SharedPmv::run_pinned`])
-//!
-//! [`SharedPmv::run`] still write-locks each probed shard for O2 and
-//! runs O3 against the live database — the *locked* mode. The epoch
-//! mode removes every lock from the read path:
-//!
-//! * Each shard additionally publishes an immutable **shard view** (its
-//!   bcp entries as `Arc`-shared tuples) through a [`pmv_sync::LeftRight`]
-//!   cell. Mutators republish after changing a shard; O2 probes
-//!   [`pmv_sync::LeftRight::load`] the view and never touch the shard
-//!   `RwLock` — the probe is wait-free.
-//! * O3 executes against a pinned [`pmv_query::DataView`] (an epoch
-//!   snapshot published by [`crate::epoch::EpochDb`]), which resolves
-//!   every relation and index to immutable `Arc` versions — no database
-//!   lock either.
-//! * Consistency comes from **epoch gating** instead of the S lock: a
-//!   query pinned at epoch `e` serves a cached tuple only when its
-//!   `fill_epoch ≤ e`, and writes its own results back only when
-//!   `e ≥` the view's last maintenance epoch (`maint_epoch`). Combined
-//!   with the maintain-before-publish commit protocol, every served
-//!   partial is re-derived by the pinned O3 execution and
-//!   `ds_leftover == 0` holds — see DESIGN.md §14 for the full mapping
-//!   onto the paper's Section 3.6 argument.
-//! * Cache **fills and policy touches are best-effort** in epoch mode:
-//!   they take `try_write` and are skipped on contention, so the serving
-//!   path never blocks on a lock (`pmv-lint`'s `lock_in_pin_region` pass
-//!   enforces that no blocking acquisition appears in a pinned region).
+//! any shard lock, queries never wait on a shard lock at all, and
+//! maintenance acquires its affected shards in ascending index order — so
+//! the embedding is deadlock-free.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -95,72 +76,29 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
-use pmv_faultinject::{CaptureGuard, Site};
+use pmv_faultinject::Site;
 use pmv_obs::{
-    EventKind, FlightRecorder, O2Outcome, ObsRegistry, Phase, SpaceSaving, TemplateAccount,
-    TraceKind, TraceScope, TriggerReason, DEFAULT_SKETCH_CAPACITY,
+    EventKind, FlightRecorder, ObsRegistry, Phase, SpaceSaving, TemplateAccount, TraceKind,
+    TriggerReason, DEFAULT_SKETCH_CAPACITY,
 };
 use pmv_query::{
     exec::{join_fixed, join_from},
-    execute_bounded_arc, upquery_fill, DataView, Database, ExecBudget, ExecStats, QueryInstance,
-    QueryTemplate,
+    DataView, Database, QueryInstance, QueryTemplate,
 };
 use pmv_storage::{Delta, DeltaBatch, Tuple};
 use pmv_sync::LeftRight;
 
 use crate::bcp::BcpKey;
-use crate::ds::Ds;
 use crate::fasthash::FxHashMap;
-use crate::health::{
-    CircuitBreaker, Degradation, DegradeReason, ShardReport, ValidationReport, ViewHealth,
-};
+use crate::health::{CircuitBreaker, ShardReport, ValidationReport, VerifiedClock, ViewHealth};
 use crate::maintenance::{cross_delta_combos, relevant_columns, MaintenanceOutcome};
-use crate::o1::decompose;
-use crate::pipeline::{
-    bcp_truths, degrade_reason, flush_faults, probe_parts, remove_stale, QueryOutcome, QueryTimings,
-};
+use crate::o1::ConditionPart;
+use crate::pipeline::{bcp_truths, remove_stale, QueryOutcome};
+use crate::serve::{self, flush_faults, ServeEnv, StoreAccess, WriteBack};
 use crate::stats::{AtomicPmvStats, PmvStats};
-use crate::store::{PmvStore, Residency};
+use crate::store::{CachedTuple, PmvStore};
 use crate::view::{MaintStrategy, PartialViewDef, PmvConfig};
 use crate::Result;
-
-/// Pooled per-thread buffers for the [`SharedPmv::run_pinned`] hot
-/// loop: the DS multiset, the proven-occurrence map, and the
-/// touch/candidate staging vectors. Reusing them across queries keeps
-/// the steady-state epoch read path free of per-query heap allocation
-/// (the returned `QueryOutcome`'s own vectors excepted — those are
-/// handed to the caller).
-#[derive(Default)]
-struct QueryScratch {
-    ds: Ds,
-    /// Occurrences proven per tuple. Keyed by the tuple alone: the `Ls'`
-    /// layout embeds every condition column, so equal tuples always
-    /// belong to the same bcp and the key needs no `BcpKey` component —
-    /// which keeps the hot dedup loop free of per-row key allocation.
-    proven: FxHashMap<Arc<Tuple>, usize>,
-    touches: Vec<(usize, BcpKey, bool)>,
-    write_back: Vec<usize>,
-}
-
-impl QueryScratch {
-    /// Empty every buffer (keeping capacity) and drop the `Arc<Tuple>`
-    /// references, so a pooled scratch never pins tuple or snapshot
-    /// memory between queries.
-    fn clear(&mut self) {
-        self.ds.clear();
-        self.proven.clear();
-        self.touches.clear();
-        self.write_back.clear();
-    }
-}
-
-thread_local! {
-    /// One scratch per thread, held in a `Cell` (taken for the duration
-    /// of each query) so a re-entrant call falls back to fresh buffers
-    /// instead of panicking on a borrow.
-    static QUERY_SCRATCH: std::cell::Cell<Option<Box<QueryScratch>>> =
-        const { std::cell::Cell::new(None) };
-}
 
 /// Immutable snapshot of one shard's cached entries, published through a
 /// [`LeftRight`] cell so epoch-mode O2 probes read it wait-free. Tuples
@@ -170,7 +108,7 @@ pub(crate) struct ShardView {
     /// Bcps whose entries held their full truth at capture time (valid
     /// completeness claims). A pinned reader may serve one of these as
     /// the bcp's *entire* answer — skipping O3 for that slice — under the
-    /// epoch gates checked in `run_pinned_scratch`.
+    /// epoch gates checked in [`crate::serve`].
     complete: HashSet<BcpKey>,
     quarantined: bool,
 }
@@ -196,39 +134,10 @@ impl ShardView {
     }
 }
 
-/// Collect `(shard, item)` pairs into a compact `(shard, items)` list
-/// over only the shards that own at least one item, in first-seen order.
-/// A query touches a handful of shards, so the linear `find` beats
-/// allocating a dense `vec![Vec::new(); N]` per query — with 16 shards
-/// and one bcp that dense walk dominated the 1-thread TTFR tail.
-fn group_by_shard<T>(pairs: impl Iterator<Item = (usize, T)>) -> Vec<(usize, Vec<T>)> {
-    let mut groups: Vec<(usize, Vec<T>)> = Vec::new();
-    for (si, item) in pairs {
-        match groups.iter_mut().find(|(s, _)| *s == si) {
-            Some((_, g)) => g.push(item),
-            None => groups.push((si, vec![item])),
-        }
-    }
-    groups
-}
-
 /// Trace-ring tail length captured in a flight-recorder dump: enough
 /// recent query lifecycles to reconstruct the anomaly's neighbourhood
 /// without spooling the whole ring.
 const FLIGHT_TRACE_TAIL: usize = 16;
-
-/// Classify one query's O2 engagement for per-template accounting:
-/// `Hit` — a condition part found its bcp entry *and* cached tuples were
-/// served; `Partial` — an entry was found but nothing could be served
-/// (select mismatch, epoch gate, or quarantine mid-probe); `Miss` — no
-/// probed bcp was cached at all.
-fn o2_outcome(bcp_hit: bool, served: bool) -> O2Outcome {
-    match (bcp_hit, served) {
-        (true, true) => O2Outcome::Hit,
-        (true, false) => O2Outcome::Partial,
-        (false, _) => O2Outcome::Miss,
-    }
-}
 
 struct Inner {
     def: PartialViewDef,
@@ -246,11 +155,9 @@ struct Inner {
     stats: AtomicPmvStats,
     /// Per-view health state machine; Quarantined disables all serving.
     breaker: CircuitBreaker,
-    /// Construction instant — the epoch for `last_verified_ms`.
-    created: Instant,
-    /// Milliseconds after `created` at which the view last completed
-    /// maintenance or revalidation (staleness reference point).
-    last_verified_ms: AtomicU64,
+    /// When the view last completed maintenance or revalidation
+    /// (staleness reference point).
+    verified: VerifiedClock,
     /// Per-phase latency histograms + lifecycle trace ring. Enabled by
     /// default; when disabled, every record is one relaxed load.
     obs: ObsRegistry,
@@ -278,21 +185,10 @@ struct Inner {
 }
 
 impl Inner {
-    /// Upper bound on how stale served partials can be: time since the
-    /// last completed maintenance/revalidation.
-    fn staleness(&self) -> Duration {
-        // Acquire pairs with the Release in `mark_verified`: a reader
-        // that observed post-maintenance shard state also observes the
-        // timestamp, keeping the reported bound tight. (This is the only
-        // non-stats atomic here; `pmv-lint` bans `Relaxed` outside
-        // designated statistics modules.)
-        let verified = Duration::from_millis(self.last_verified_ms.load(Ordering::Acquire));
-        self.created.elapsed().saturating_sub(verified)
-    }
-
-    fn mark_verified(&self) {
-        self.last_verified_ms
-            .store(self.created.elapsed().as_millis() as u64, Ordering::Release);
+    fn shard_of(&self, bcp: &BcpKey) -> usize {
+        let mut h = DefaultHasher::new();
+        bcp.hash(&mut h);
+        (h.finish() % self.shards.len() as u64) as usize
     }
 
     /// Republish shard `si`'s read view from `store`. Must be called
@@ -302,6 +198,63 @@ impl Inner {
         let t0 = Instant::now();
         self.views[si].publish(Arc::new(ShardView::capture(store)));
         self.obs.record(Phase::snapshot_swap, t0.elapsed());
+    }
+}
+
+/// The sharded [`StoreAccess`] instance: probes read the published
+/// shard views, write-back is `try_write` (declined under contention),
+/// and a shard is republished only when what it serves changed.
+impl StoreAccess for &Inner {
+    fn shard_of(&self, bcp: &BcpKey) -> usize {
+        Inner::shard_of(self, bcp)
+    }
+
+    fn maint_epoch(&self) -> u64 {
+        // Acquire pairs with the Release in `maintain`.
+        self.maint_epoch.load(Ordering::Acquire)
+    }
+
+    fn run_pinned_probe(
+        &self,
+        si: usize,
+        parts: &[&ConditionPart],
+        claims: bool,
+        mut each: impl FnMut(&ConditionPart, Option<&[CachedTuple]>, bool),
+    ) -> bool {
+        // `load` is wait-free (bounded retry over the two left-right
+        // slots); a concurrent publish can at worst hand us the previous
+        // consistent view.
+        let sv = self.views[si].load();
+        if sv.quarantined {
+            return false;
+        }
+        for part in parts {
+            let entries = sv.entries.get(&part.bcp).map(Vec::as_slice);
+            let claimed = claims && entries.is_some() && sv.complete.contains(&part.bcp);
+            each(part, entries, claimed);
+        }
+        true
+    }
+
+    fn run_pinned_write_shard(
+        &mut self,
+        si: usize,
+        apply: impl FnOnce(&mut PmvStore, u64) -> Option<WriteBack>,
+    ) -> Option<WriteBack> {
+        let mut store = self.shards[si].try_write()?;
+        let done = apply(&mut store, StoreAccess::maint_epoch(self))?;
+        if done.changed_view() {
+            // pmv::allow(pin_reaches_blocking_lock): LeftRight::publish
+            // takes the writer-side mutex, which only fills contend on —
+            // never the wait-free reader path. A cold-shard fill is
+            // already the slow path (DESIGN.md "Serving path").
+            self.publish_shard(si, &store);
+        }
+        Some(done)
+    }
+
+    fn add_stats(&mut self, local: &PmvStats) {
+        self.stats.add(local);
     }
 }
 
@@ -347,8 +300,7 @@ impl SharedPmv {
                 maint_epoch: AtomicU64::new(0),
                 stats: AtomicPmvStats::new(),
                 breaker,
-                created: Instant::now(),
-                last_verified_ms: AtomicU64::new(0),
+                verified: VerifiedClock::new(),
                 obs: ObsRegistry::new(),
                 trace_name,
                 account: OnceLock::new(),
@@ -374,1270 +326,40 @@ impl SharedPmv {
         self.inner.shards.len()
     }
 
-    fn shard_of(&self, bcp: &BcpKey) -> usize {
-        let mut h = DefaultHasher::new();
-        bcp.hash(&mut h);
-        (h.finish() % self.inner.shards.len() as u64) as usize
-    }
-
-    /// Run one query through O1/O2/O3, locking only the shards its
-    /// condition parts and result tuples hash to.
+    /// Run one query through O1/O2/O3 against the live database — the
+    /// *locked* case of [`Self::run_pinned`]: `&Database` is the pinned
+    /// view (its epoch is the current version), and the caller's borrow
+    /// keeps the base data still for the duration.
     pub fn run(&self, db: &Database, q: &QueryInstance) -> Result<QueryOutcome> {
-        // Locked mode holds no pin and no shard guard here, so the
-        // anomaly check (which may lock the trace ring and write a spool
-        // dump) is safe on every exit path, degraded ones included.
+        // No pin and no shard guard is held out here, so the anomaly
+        // check (which may lock the trace ring and write a spool dump) is
+        // safe on every exit path, degraded ones included.
         let t_flight = self.flight_attached().then(Instant::now);
-        let out = self.run_locked(db, q);
+        let out = self.run_pinned(db, q);
         if let (Some(t0), Ok(outcome)) = (&t_flight, &out) {
             self.flight_check(outcome, t0.elapsed());
         }
         out
     }
 
-    /// [`SharedPmv::run`] body (everything but the flight-recorder
-    /// anomaly check).
-    fn run_locked(&self, db: &Database, q: &QueryInstance) -> Result<QueryOutcome> {
-        let inner = &*self.inner;
-        let mut local = PmvStats::default();
-        let t_start = Instant::now();
-        // Lifecycle span (publishes into the trace ring on every exit
-        // path, including errors) plus a thread-local fault-capture
-        // scope so injected faults — latency above all, which is
-        // otherwise invisible — surface as trace events.
-        let track = inner.obs.enabled();
-        let mut trace = inner
-            .obs
-            .begin_trace_shared(TraceKind::Query, &inner.trace_name);
-        let mut fault_cap = track.then(pmv_faultinject::capture);
-
-        // ---- Operation O1 ----
-        let t_o1 = Instant::now();
-        let parts = decompose(&inner.def, q)?;
-        let o1 = t_o1.elapsed();
-        inner.obs.record(Phase::o1_decompose, o1);
-        trace.event(EventKind::Decompose {
-            parts: parts.len(),
-            us: o1.as_micros() as u64,
-        });
-
-        // ---- Operation O2: probe shard by shard ----
-        // A quarantined view skips O2/fill entirely: the query still gets
-        // a full, correct answer straight from O3, just without cache
-        // acceleration ("never serve from Quarantined").
-        let serving = inner.breaker.allow_serve();
-        trace.event(EventKind::Breaker {
-            serving,
-            state: inner.breaker.state().as_str(),
-        });
-        let t_o2 = Instant::now();
-        let mut ds = Ds::new();
-        let mut counters: HashMap<BcpKey, usize> = HashMap::with_capacity(parts.len());
-        let mut partial_expanded: Vec<Arc<Tuple>> = Vec::new();
-        let mut bcp_hit = false;
-        // Group the distinct bcps by owning shard — a compact (shard,
-        // parts) list over only the shards that actually own one, so the
-        // probe cost scales with the query's bcp count, not the shard
-        // count (the old dense `vec![Vec::new(); n]` walk made a
-        // 1-thread probe pay for all 16 shards).
-        let parts_by_shard = group_by_shard(
-            parts
-                .iter()
-                .filter({
-                    let mut seen: HashSet<&BcpKey> = HashSet::with_capacity(parts.len());
-                    move |part| seen.insert(&part.bcp)
-                })
-                .map(|part| (self.shard_of(&part.bcp), part)),
-        );
-        if serving {
-            for (si, group) in &parts_by_shard {
-                let si = *si;
-                let t_shard = Instant::now();
-                let mut store = inner.shards[si].write();
-                if track {
-                    // The gap between requesting and holding the guard is
-                    // pure contention — the profiler's per-site wait cost.
-                    inner.obs.record(Phase::lock_shard_probe, t_shard.elapsed());
-                }
-                if store.is_quarantined() {
-                    continue;
-                }
-                let probe = catch_unwind(AssertUnwindSafe(|| {
-                    pmv_faultinject::fire_soft(Site::ShardProbe);
-                    probe_parts(
-                        &mut store,
-                        q,
-                        group,
-                        u64::MAX,
-                        &mut counters,
-                        &mut ds,
-                        &mut partial_expanded,
-                        &mut bcp_hit,
-                    );
-                }));
-                let poisoned = probe.is_err();
-                if poisoned {
-                    // A panic mid-probe may leave the shard's policy or
-                    // entry bookkeeping torn: drain it (removal-only, so
-                    // nothing stale can ever be served from it later).
-                    // Tuples already copied into `ds`/`partial_expanded`
-                    // came from the cache, hence are a sub-multiset of
-                    // the true answer — O3 re-derives them below.
-                    store.quarantine();
-                    local.quarantine_events += 1;
-                    inner.breaker.record_error();
-                    inner.publish_shard(si, &store);
-                }
-                drop(store);
-                // Per-shard probe latency includes the lock wait, so
-                // contention shows up in the `o2_probe` tail.
-                let shard_probe = t_shard.elapsed();
-                inner.obs.record(Phase::o2_probe, shard_probe);
-                trace.event(EventKind::ShardProbe {
-                    shard: si,
-                    parts: group.len(),
-                    served: partial_expanded.len(),
-                    us: shard_probe.as_micros() as u64,
-                });
-                if poisoned {
-                    trace.event(EventKind::Quarantine { shard: si });
-                }
-            }
-        }
-        let o2 = t_o2.elapsed();
-        // The paper's headline quantity: time-to-first-result, query
-        // start → O2 partials available to the caller (§3.3 "within
-        // ~1 ms"). Recorded before O3 so degraded paths count too.
-        let ttfr = t_start.elapsed();
-        inner.obs.record(Phase::ttfr, ttfr);
-        trace.event_at(
-            ttfr.as_micros() as u64,
-            EventKind::FirstResults {
-                tuples: partial_expanded.len(),
-                bcp_hit,
-                us: ttfr.as_micros() as u64,
-            },
-        );
-
-        // ---- Operation O3: full execution (no shard locks held) ----
-        let t_exec = Instant::now();
-        let budget = ExecBudget {
-            deadline: inner.config.o3_deadline.map(|d| Instant::now() + d),
-            max_tuples: inner.config.o3_max_tuples,
-        };
-        let exec_result = catch_unwind(AssertUnwindSafe(|| execute_bounded_arc(db, q, budget)));
-        let (results, exec_stats) = match exec_result {
-            Ok(Ok(ok)) => {
-                inner.breaker.record_ok();
-                ok
-            }
-            Ok(Err(e)) if e.is_budget() || e.is_transient() => {
-                // O3 was cut short (deadline / tuple budget / transient
-                // fault): degrade to the O2 partials instead of failing
-                // the query. Partials are a sub-multiset of the true
-                // answer, so this under-serves but never lies.
-                inner.breaker.record_error();
-                if e.is_budget() {
-                    local.budget_exceeded = 1;
-                } else {
-                    local.exec_errors = 1;
-                }
-                let reason = degrade_reason(&e);
-                return Ok(self.degraded_outcome(
-                    &mut local,
-                    parts.len(),
-                    partial_expanded,
-                    bcp_hit,
-                    o1,
-                    o2,
-                    t_exec.elapsed(),
-                    reason,
-                    &mut trace,
-                    fault_cap.take(),
-                    t_start,
-                ));
-            }
-            Ok(Err(e)) => {
-                inner.breaker.record_error();
-                local.exec_errors = 1;
-                inner.stats.add(&local);
-                inner.obs.record(Phase::o3_exec, t_exec.elapsed());
-                flush_faults(&mut trace, fault_cap.take());
-                return Err(e.into());
-            }
-            Err(_panic) => {
-                // The executor panicked. No shard lock was held during
-                // O3, so no store can be torn — swallow the panic and
-                // degrade to the O2 partials.
-                inner.breaker.record_error();
-                local.exec_panics = 1;
-                return Ok(self.degraded_outcome(
-                    &mut local,
-                    parts.len(),
-                    partial_expanded,
-                    bcp_hit,
-                    o1,
-                    o2,
-                    t_exec.elapsed(),
-                    DegradeReason::ExecPanic,
-                    &mut trace,
-                    fault_cap.take(),
-                    t_start,
-                ));
-            }
-        };
-        let exec = t_exec.elapsed();
-        inner.obs.record(Phase::o3_exec, exec);
-        trace.event(EventKind::Exec {
-            rows: results.len(),
-            tuples_examined: exec_stats.tuples_examined,
-            index_probes: exec_stats.index_probes,
-            us: exec.as_micros() as u64,
-        });
-
-        // ---- Operation O3: dedup + fill/update ----
-        let t_o3 = Instant::now();
-        // Single-part queries dominate steady-state serving; for them
-        // every result row lies in the one probed bcp, so the per-row
-        // `bcp_of_tuple` reconstruction is skipped.
-        let single_bcp = (parts.len() == 1).then(|| parts[0].bcp.clone());
-        // When the template provably emits unique rows, each remaining
-        // result occurs exactly once: the proven map degenerates to
-        // "cap 1" and is skipped entirely.
-        let unique_fast = single_bcp.is_some() && inner.def.template().emits_unique_rows(db);
-        // `proven` counts how many occurrences of each tuple this query
-        // proved to exist: served partials plus remaining execution
-        // results. Keyed by the tuple alone — the `Ls'` layout embeds
-        // every condition column, so equal tuples share a bcp. The fill
-        // below never pushes a tuple's cached count past this bound,
-        // which keeps every entry a sub-multiset of its bcp's true
-        // answer even when several queries fill the same entry
-        // concurrently. Only fills read it, so a non-serving query skips
-        // the bookkeeping altogether.
-        let mut proven: FxHashMap<Arc<Tuple>, usize> = FxHashMap::default();
-        if serving && !unique_fast {
-            for t in &partial_expanded {
-                *proven.entry(Arc::clone(t)).or_insert(0) += 1;
-            }
-        }
-        let mut remaining_expanded: Vec<Arc<Tuple>> = Vec::new();
-        for t in results {
-            // Skip the multiset probe entirely once DS has drained (and
-            // for cold queries, where it was never populated): the
-            // remaining results are provably not duplicates.
-            if !ds.is_empty() && ds.remove_one(&t) {
-                continue; // the user already has this occurrence
-            }
-            if serving && !unique_fast {
-                *proven.entry(Arc::clone(&t)).or_insert(0) += 1;
-            }
-            remaining_expanded.push(t);
-        }
-        // Bcps this query observed in full: a basic condition part covers
-        // its whole bcp, so for such a bcp the proven multiset IS the
-        // bcp's truth at `fill_epoch`. If the entry ends up holding
-        // exactly that many tuples after the fill, it can claim
-        // completeness and later epoch-mode probes may serve it without
-        // executing (the targeted-upquery fast path).
-        let mut completable: HashMap<BcpKey, usize> = HashMap::new();
-        if serving && inner.config.upquery {
-            if unique_fast {
-                // Unique rows: each truth tuple was counted exactly
-                // once, as a served partial or as a remaining result.
-                if parts[0].is_basic {
-                    let total = partial_expanded.len() + remaining_expanded.len();
-                    if total > 0 {
-                        completable.insert(parts[0].bcp.clone(), total);
-                    }
-                }
-            } else {
-                for part in &parts {
-                    if part.is_basic {
-                        completable.entry(part.bcp.clone()).or_insert(0);
-                    }
-                }
-                if !completable.is_empty() {
-                    if let Some(bcp) = &single_bcp {
-                        if let Some(total) = completable.get_mut(bcp) {
-                            *total = proven.values().sum();
-                        }
-                    } else {
-                        for (t, n) in &proven {
-                            if let Some(total) = completable.get_mut(&inner.def.bcp_of_tuple(t)) {
-                                *total += *n;
-                            }
-                        }
-                    }
-                }
-                completable.retain(|_, total| *total > 0);
-            }
-        }
-        // Cache fills are stamped with the database version the tuples
-        // were derived at, so epoch-pinned readers can gate on it.
-        // Fills are grouped per bcp so each group pays one admit and one
-        // length check; tuples carry their proven occurrence cap.
-        let fill_epoch = db.version();
-        let mut fill_groups: Vec<(BcpKey, Vec<(Arc<Tuple>, usize)>)> = Vec::new();
-        if serving {
-            if unique_fast {
-                if let (Some(bcp), false) = (&single_bcp, remaining_expanded.is_empty()) {
-                    fill_groups.push((
-                        bcp.clone(),
-                        remaining_expanded
-                            .iter()
-                            .map(|t| (Arc::clone(t), 1))
-                            .collect(),
-                    ));
-                }
-            } else if let Some(bcp) = &single_bcp {
-                if !proven.is_empty() {
-                    fill_groups.push((bcp.clone(), proven.into_iter().collect()));
-                }
-            } else {
-                let mut by_bcp: FxHashMap<BcpKey, Vec<(Arc<Tuple>, usize)>> = FxHashMap::default();
-                for (t, cap) in proven {
-                    by_bcp
-                        .entry(inner.def.bcp_of_tuple(&t))
-                        .or_default()
-                        .push((t, cap));
-                }
-                fill_groups.extend(by_bcp);
-            }
-        }
-        let fill_by_shard = group_by_shard(
-            fill_groups
-                .into_iter()
-                .map(|(bcp, tuples)| (self.shard_of(&bcp), (bcp, tuples))),
-        );
-        // Fill time (lock wait + shard mutation + publish) is kept out
-        // of `o3_dedup` so that phase measures the dedup/provenance
-        // bookkeeping alone; the lock wait itself still lands under
-        // `lock_shard_fill` as the contention signal.
-        let mut fill_total = Duration::ZERO;
-        for (si, group) in &fill_by_shard {
-            let si = *si;
-            let t_fill = Instant::now();
-            let mut store = inner.shards[si].write();
-            if track {
-                inner.obs.record(Phase::lock_shard_fill, t_fill.elapsed());
-            }
-            if store.is_quarantined() {
-                fill_total += t_fill.elapsed();
-                continue;
-            }
-            let admitted_before = local.tuples_admitted;
-            let evicted_before = store.evictions();
-            let fill = catch_unwind(AssertUnwindSafe(|| {
-                pmv_faultinject::fire_soft(Site::ShardFill);
-                let cap_f = inner.config.f;
-                for (bcp, tuples) in group {
-                    let residency = store.admit(bcp);
-                    if residency == Residency::Probation {
-                        local.probations += 1;
-                    }
-                    if residency != Residency::Resident {
-                        continue;
-                    }
-                    // One length check gates the whole group: an entry
-                    // already at its cap F admits nothing, so the
-                    // per-tuple duplicate scans below are skipped
-                    // entirely in the steady state.
-                    let mut len = store.lookup(bcp).map_or(0, <[_]>::len);
-                    for (t, cap) in tuples {
-                        if len >= cap_f {
-                            break;
-                        }
-                        let have = store
-                            .lookup(bcp)
-                            .map_or(0, |ts| ts.iter().filter(|(x, _)| x == t).count());
-                        if have < *cap && store.push_arc(bcp, Arc::clone(t), fill_epoch) {
-                            local.tuples_admitted += 1;
-                            len += 1;
-                        }
-                    }
-                }
-                // Completeness claims: a basic-part bcp on this shard
-                // whose entry now holds exactly the proven truth — and
-                // with no eviction having raced the fill — is marked so
-                // epoch-mode probes can serve it as the full slice.
-                if store.evictions() == evicted_before {
-                    let at = store.inserts_seen();
-                    for (bcp, total) in &completable {
-                        if self.shard_of(bcp) == si
-                            && store.lookup(bcp).map_or(0, <[_]>::len) == *total
-                        {
-                            store.mark_complete(bcp, at);
-                        }
-                    }
-                }
-            }));
-            let poisoned = fill.is_err();
-            if poisoned {
-                store.quarantine();
-                local.quarantine_events += 1;
-                inner.breaker.record_error();
-            }
-            inner.publish_shard(si, &store);
-            let evicted = store.evictions().saturating_sub(evicted_before);
-            drop(store);
-            let fill_elapsed = t_fill.elapsed();
-            fill_total += fill_elapsed;
-            trace.event(EventKind::Fill {
-                shard: si,
-                admitted: local.tuples_admitted - admitted_before,
-                evicted,
-                us: fill_elapsed.as_micros() as u64,
-            });
-            if poisoned {
-                trace.event(EventKind::Quarantine { shard: si });
-            }
-        }
-        let ds_leftover = ds.len();
-        debug_assert_eq!(ds_leftover, 0, "DS must be empty after O3");
-        let o3_overhead = t_o3.elapsed().saturating_sub(fill_total);
-        inner.obs.record(Phase::o3_dedup, o3_overhead);
-
-        // ---- Bookkeeping ----
-        local.queries = 1;
-        local.condition_parts = parts.len() as u64;
-        if bcp_hit {
-            local.bcp_hit_queries = 1;
-        }
-        if !partial_expanded.is_empty() {
-            local.serving_queries = 1;
-            local.partial_tuples_served = partial_expanded.len() as u64;
-        }
-        inner.stats.add(&local);
-        inner.obs.record(Phase::full, t_start.elapsed());
-        if track {
-            if let Some(acct) = inner.account.get() {
-                acct.record_query(
-                    o2_outcome(bcp_hit, !partial_expanded.is_empty()),
-                    ttfr,
-                    t_start.elapsed(),
-                    exec_stats.tuples_examined as u64,
-                );
-            }
-        }
-        flush_faults(&mut trace, fault_cap.take());
-
-        let template = inner.def.template();
-        let partial = partial_expanded
-            .iter()
-            .map(|t| template.user_tuple(t))
-            .collect();
-        let remaining = remaining_expanded
-            .iter()
-            .map(|t| template.user_tuple(t))
-            .collect();
-        Ok(QueryOutcome {
-            partial,
-            remaining,
-            partial_expanded,
-            remaining_expanded,
-            bcp_hit,
-            parts: parts.len(),
-            timings: QueryTimings {
-                o1,
-                o2,
-                exec,
-                o3_overhead,
-            },
-            exec_stats,
-            ds_leftover,
-            degraded: None,
-        })
-    }
-
-    /// Run one query on the **epoch serving path**: O2 reads the
-    /// published shard views wait-free, O3 executes against the pinned
-    /// `view` snapshot, and every cache write-back (fills *and* policy
-    /// touches) is best-effort — `try_write`, skipped under contention —
-    /// so between pinning and the answer no lock is ever waited on.
-    ///
-    /// Consistency without the S lock: a cached tuple is served only when
-    /// its fill epoch is ≤ the pin epoch (`view.view_epoch()`), and
-    /// results are written back only when the pin epoch is ≥ the last
-    /// completed maintenance epoch. Together with the
-    /// maintain-before-publish commit protocol this preserves the
-    /// end-of-O3 `ds_leftover == 0` invariant — see the module docs and
-    /// DESIGN.md §14 for the full argument.
+    /// Run one query through O1/O2/O3 ([`crate::serve`]) against a pinned
+    /// `view`: O2 reads the published shard views wait-free, O3 executes
+    /// against the snapshot, and every cache write-back (fills *and*
+    /// policy touches) is best-effort — `try_write`, skipped under
+    /// contention — so between pinning and the answer no lock is ever
+    /// waited on.
     pub fn run_pinned<V: DataView>(&self, view: &V, q: &QueryInstance) -> Result<QueryOutcome> {
-        QUERY_SCRATCH.with(|tls| {
-            let mut scratch = tls.take().unwrap_or_default();
-            let out = self.run_pinned_scratch(view, q, &mut scratch);
-            scratch.clear();
-            tls.set(Some(scratch));
-            out
-        })
-    }
-
-    /// [`SharedPmv::run_pinned`] body, running over this thread's pooled
-    /// scratch buffers (cleared by the wrapper after every query).
-    fn run_pinned_scratch<V: DataView>(
-        &self,
-        view: &V,
-        q: &QueryInstance,
-        scratch: &mut QueryScratch,
-    ) -> Result<QueryOutcome> {
-        let QueryScratch {
-            ds,
-            proven,
-            touches,
-            write_back,
-        } = scratch;
         let inner = &*self.inner;
-        let pin_epoch = view.view_epoch();
-        let mut local = PmvStats::default();
-        let t_start = Instant::now();
-        let track = inner.obs.enabled();
-        let mut trace = inner
-            .obs
-            .begin_trace_shared(TraceKind::Query, &inner.trace_name);
-        let mut fault_cap = track.then(pmv_faultinject::capture);
-
-        // ---- Operation O1 ----
-        let t_o1 = Instant::now();
-        let parts = decompose(&inner.def, q)?;
-        let o1 = t_o1.elapsed();
-        inner.obs.record(Phase::o1_decompose, o1);
-        trace.event(EventKind::Decompose {
-            parts: parts.len(),
-            us: o1.as_micros() as u64,
-        });
-
-        // ---- Operation O2: wait-free probe of the published views ----
-        let serving = inner.breaker.allow_serve();
-        trace.event(EventKind::Breaker {
-            serving,
-            state: inner.breaker.state().as_str(),
-        });
-        let t_o2 = Instant::now();
-        let mut partial_expanded: Vec<Arc<Tuple>> = Vec::new();
-        let mut bcp_hit = false;
-        let upquery_on = serving && inner.config.upquery;
-        // Slices served straight from a completeness claim. They do NOT
-        // enter DS: if every probed slice is complete, nothing executes
-        // and nothing re-produces them; if a targeted upquery later
-        // falls back to the full O3, they are re-seeded into DS first.
-        let mut complete_served: Vec<Arc<Tuple>> = Vec::new();
-        let mut complete_ok: HashSet<BcpKey> = HashSet::new();
-        // Policy touches observed during the probe land in the pooled
-        // `touches` buffer, deferred to the best-effort write-back below
-        // — the probe itself never takes the shard lock.
-        let parts_by_shard = group_by_shard(
-            parts
-                .iter()
-                .filter({
-                    let mut seen: HashSet<&BcpKey> = HashSet::with_capacity(parts.len());
-                    move |part| seen.insert(&part.bcp)
-                })
-                .map(|part| (self.shard_of(&part.bcp), part)),
-        );
-        if serving {
-            for (si, group) in &parts_by_shard {
-                let si = *si;
-                let t_shard = Instant::now();
-                // `load` is wait-free (bounded retry over the two
-                // left-right slots); a concurrent publish can at worst
-                // hand us the previous consistent view.
-                let sv = inner.views[si].load();
-                if sv.quarantined {
-                    continue;
-                }
-                // Completeness gate, checked AFTER loading the view: a
-                // reader pinned after a maintenance pass also observes
-                // that pass's republished views (maintain stores the
-                // fence before touching any shard, and the commit
-                // publishes the new epoch only after maintain returns),
-                // so a claim seen together with `pin_epoch >=
-                // maint_epoch` reflects every change up to the pin.
-                let maint_ok =
-                    upquery_on && pin_epoch >= inner.maint_epoch.load(Ordering::Acquire);
-                for part in group {
-                    let Some(entries) = sv.entries.get(&part.bcp) else {
-                        touches.push((si, part.bcp.clone(), false));
-                        continue;
-                    };
-                    bcp_hit = true;
-                    let mut served = false;
-                    // A complete slice (claim valid, no tuple filled
-                    // after the pin) IS the bcp's entire answer at the
-                    // pin: serve its matching tuples and exempt the bcp
-                    // from O3 entirely.
-                    if maint_ok
-                        && sv.complete.contains(&part.bcp)
-                        && entries.iter().all(|(_, fe)| *fe <= pin_epoch)
-                    {
-                        for (t, _) in entries {
-                            if part.is_basic || q.matches_select(t) {
-                                partial_expanded.push(Arc::clone(t));
-                                complete_served.push(Arc::clone(t));
-                                served = true;
-                            }
-                        }
-                        complete_ok.insert(part.bcp.clone());
-                        local.complete_serves += 1;
-                        touches.push((si, part.bcp.clone(), served));
-                        continue;
-                    }
-                    for (t, fill_epoch) in entries {
-                        // Epoch gate: never serve a tuple filled after
-                        // this query's pin — it may reflect database
-                        // state the pinned O3 execution cannot see.
-                        if *fill_epoch > pin_epoch {
-                            continue;
-                        }
-                        if part.is_basic || q.matches_select(t) {
-                            ds.insert_arc(Arc::clone(t));
-                            partial_expanded.push(Arc::clone(t));
-                            served = true;
-                        }
-                    }
-                    touches.push((si, part.bcp.clone(), served));
-                }
-                let shard_probe = t_shard.elapsed();
-                inner.obs.record(Phase::o2_probe, shard_probe);
-                trace.event(EventKind::ShardProbe {
-                    shard: si,
-                    parts: group.len(),
-                    served: partial_expanded.len(),
-                    us: shard_probe.as_micros() as u64,
-                });
-            }
-        }
-        let o2 = t_o2.elapsed();
-        let ttfr = t_start.elapsed();
-        inner.obs.record(Phase::ttfr, ttfr);
-        trace.event_at(
-            ttfr.as_micros() as u64,
-            EventKind::FirstResults {
-                tuples: partial_expanded.len(),
-                bcp_hit,
-                us: ttfr.as_micros() as u64,
-            },
-        );
-
-        // ---- Complete-serve fast path ----
-        // Every probed slice was served from a completeness claim: the
-        // partials already ARE the full answer. No execution, no dedup —
-        // only the deferred best-effort policy touches.
-        if upquery_on && !parts.is_empty() && parts.iter().all(|p| complete_ok.contains(&p.bcp)) {
-            debug_assert_eq!(ds.len(), 0, "complete slices never enter DS");
-            let touch_by_shard = group_by_shard(
-                touches
-                    .drain(..)
-                    .map(|(si, bcp, served)| (si, (bcp, served))),
-            );
-            for (si, group) in &touch_by_shard {
-                // Touches change only policy state, never the entry set,
-                // so no republish is needed.
-                let Some(mut store) = inner.shards[*si].try_write() else {
-                    continue;
-                };
-                if store.is_quarantined() {
-                    continue;
-                }
-                for (bcp, served) in group {
-                    store.touch(bcp, *served);
-                }
-            }
-            local.queries = 1;
-            local.condition_parts = parts.len() as u64;
-            local.bcp_hit_queries = 1;
-            if !partial_expanded.is_empty() {
-                local.serving_queries = 1;
-                local.partial_tuples_served = partial_expanded.len() as u64;
-            }
-            inner.stats.add(&local);
-            inner.obs.record(Phase::full, t_start.elapsed());
-            if track {
-                if let Some(acct) = inner.account.get() {
-                    acct.record_query(O2Outcome::Hit, ttfr, t_start.elapsed(), 0);
-                }
-            }
-            flush_faults(&mut trace, fault_cap.take());
-            let template = inner.def.template();
-            let partial = partial_expanded
-                .iter()
-                .map(|t| template.user_tuple(t))
-                .collect();
-            return Ok(QueryOutcome {
-                partial,
-                remaining: Vec::new(),
-                partial_expanded,
-                remaining_expanded: Vec::new(),
-                bcp_hit,
-                parts: parts.len(),
-                timings: QueryTimings {
-                    o1,
-                    o2,
-                    exec: Duration::ZERO,
-                    o3_overhead: Duration::ZERO,
-                },
-                exec_stats: Default::default(),
-                ds_leftover: 0,
-                degraded: None,
-            });
-        }
-
-        // ---- Targeted upqueries ----
-        // Some slices are complete but others are open: refill each open
-        // bcp with a bounded keyed upquery against the pinned view
-        // instead of running the full O3 execution. Any failure (budget,
-        // fault, panic) falls back to the classic path below, with the
-        // complete-served partials re-seeded into DS so its dedup drains
-        // them.
-        let mut upq: Option<(Vec<(BcpKey, bool, Vec<Arc<Tuple>>)>, ExecStats, Duration)> = None;
-        if upquery_on && !complete_ok.is_empty() {
-            let t_upq = Instant::now();
-            let mut slices: Vec<(BcpKey, bool, Vec<Arc<Tuple>>)> = Vec::new();
-            let mut total = ExecStats::default();
-            let mut done: HashSet<BcpKey> = complete_ok.clone();
-            let mut ok = true;
-            for part in &parts {
-                if !done.insert(part.bcp.clone()) {
-                    continue;
-                }
-                let qi = match inner.def.bcp_query(&part.bcp) {
-                    Ok(qi) => qi,
-                    Err(_) => {
-                        ok = false;
-                        break;
-                    }
-                };
-                let budget = ExecBudget {
-                    deadline: inner.config.o3_deadline.map(|d| Instant::now() + d),
-                    max_tuples: inner.config.o3_max_tuples,
-                };
-                let t_fill = Instant::now();
-                // pmv::allow(pin_reaches_blocking_lock): the refill reaches the
-                // fault-injection registry lock (fire → fire_disk), which is
-                // taken only while a test campaign is armed; unarmed it is one
-                // relaxed load, so production serving never blocks here.
-                match catch_unwind(AssertUnwindSafe(|| upquery_fill(view, &qi, budget))) {
-                    Ok(Ok((rows, st))) => {
-                        inner.obs.record(Phase::upquery, t_fill.elapsed());
-                        total.index_probes += st.index_probes;
-                        total.range_scans += st.range_scans;
-                        total.fallback_scans += st.fallback_scans;
-                        total.tuples_examined += st.tuples_examined;
-                        total.results += st.results;
-                        local.upqueries += 1;
-                        local.upquery_rows += rows.len() as u64;
-                        slices.push((part.bcp.clone(), part.is_basic, rows));
-                    }
-                    _ => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                inner.breaker.record_ok();
-                upq = Some((slices, total, t_upq.elapsed()));
-            } else {
-                local.upquery_fallbacks += 1;
-                for t in &complete_served {
-                    ds.insert_arc(Arc::clone(t));
-                }
-            }
-        }
-
-        // ---- Operation O3: full execution against the pinned view ----
-        // (skipped when the upqueries above refilled every open slice)
-        let did_upquery = upq.is_some();
-        let mut upq_slices: Option<Vec<(BcpKey, bool, Vec<Arc<Tuple>>)>> = None;
-        let (results, exec_stats, exec) = match upq {
-            Some((slices, total, elapsed)) => {
-                upq_slices = Some(slices);
-                (Vec::new(), total, elapsed)
-            }
-            None => {
-                let t_exec = Instant::now();
-                let budget = ExecBudget {
-                    deadline: inner.config.o3_deadline.map(|d| Instant::now() + d),
-                    max_tuples: inner.config.o3_max_tuples,
-                };
-                // The executor reaches the fault-injection registry lock
-                // (fire → fire_disk), which is taken only while a test
-                // campaign is armed; unarmed it is one relaxed load, so
-                // production serving never blocks here.
-                let exec_result = // pmv::allow(pin_reaches_blocking_lock): see above
-                    catch_unwind(AssertUnwindSafe(|| execute_bounded_arc(view, q, budget)));
-                let (results, exec_stats) = match exec_result {
-                    Ok(Ok(ok)) => {
-                        inner.breaker.record_ok();
-                        ok
-                    }
-                    Ok(Err(e)) if e.is_budget() || e.is_transient() => {
-                        inner.breaker.record_error();
-                        if e.is_budget() {
-                            local.budget_exceeded = 1;
-                        } else {
-                            local.exec_errors = 1;
-                        }
-                        let reason = degrade_reason(&e);
-                        return Ok(self.degraded_outcome(
-                            &mut local,
-                            parts.len(),
-                            partial_expanded,
-                            bcp_hit,
-                            o1,
-                            o2,
-                            t_exec.elapsed(),
-                            reason,
-                            &mut trace,
-                            fault_cap.take(),
-                            t_start,
-                        ));
-                    }
-                    Ok(Err(e)) => {
-                        inner.breaker.record_error();
-                        local.exec_errors = 1;
-                        inner.stats.add(&local);
-                        inner.obs.record(Phase::o3_exec, t_exec.elapsed());
-                        flush_faults(&mut trace, fault_cap.take());
-                        return Err(e.into());
-                    }
-                    Err(_panic) => {
-                        inner.breaker.record_error();
-                        local.exec_panics = 1;
-                        return Ok(self.degraded_outcome(
-                            &mut local,
-                            parts.len(),
-                            partial_expanded,
-                            bcp_hit,
-                            o1,
-                            o2,
-                            t_exec.elapsed(),
-                            DegradeReason::ExecPanic,
-                            &mut trace,
-                            fault_cap.take(),
-                            t_start,
-                        ));
-                    }
-                };
-                let exec = t_exec.elapsed();
-                inner.obs.record(Phase::o3_exec, exec);
-                trace.event(EventKind::Exec {
-                    rows: results.len(),
-                    tuples_examined: exec_stats.tuples_examined,
-                    index_probes: exec_stats.index_probes,
-                    us: exec.as_micros() as u64,
-                });
-                (results, exec_stats, exec)
-            }
+        let env = ServeEnv {
+            def: &inner.def,
+            config: &inner.config,
+            breaker: &inner.breaker,
+            obs: &inner.obs,
+            trace_name: &inner.trace_name,
+            account: inner.account.get(),
+            verified: &inner.verified,
         };
-
-        // ---- Operation O3: dedup + best-effort write-back ----
-        let t_o3 = Instant::now();
-        // Fill gate: results derived at `pin_epoch` may be written back
-        // only if no maintenance completed after the pin — otherwise the
-        // fill could resurrect a tuple a later Δ already evicted.
-        // Acquire pairs with the Release in `maintain`. Known up front,
-        // so a stale pin also skips all fill bookkeeping below.
-        let fills_allowed = serving && pin_epoch >= inner.maint_epoch.load(Ordering::Acquire);
-        // Single-part queries dominate steady-state serving; for them
-        // every result row lies in the one probed bcp, so the per-row
-        // `bcp_of_tuple` reconstruction is skipped.
-        let single_bcp = (parts.len() == 1).then(|| parts[0].bcp.clone());
-        // When the template provably emits unique rows, each remaining
-        // result occurs exactly once: the proven map degenerates to
-        // "cap 1" and is skipped entirely. (A single-part query never
-        // takes the upquery path — an all-complete probe returned
-        // above — so this composes with `single_bcp`.)
-        let unique_fast =
-            !did_upquery && single_bcp.is_some() && inner.def.template().emits_unique_rows(view);
-        // `proven` counts how many occurrences of each tuple this query
-        // proved to exist: served partials plus remaining results. The
-        // fill below never pushes a tuple's cached count past this
-        // bound, which keeps every entry a sub-multiset of its bcp's
-        // true answer even when several queries fill the same entry
-        // concurrently. Only fills read it, so a gated-off fill skips
-        // the bookkeeping altogether.
-        if fills_allowed && !unique_fast {
-            for t in &partial_expanded {
-                *proven.entry(Arc::clone(t)).or_insert(0) += 1;
-            }
-        }
-        let mut remaining_expanded: Vec<Arc<Tuple>> = Vec::new();
-        // Bcps whose full truth this query observed, with the truth's
-        // multiset size: if the entry ends up holding exactly that many
-        // tuples after the fill, it can claim completeness.
-        let mut completable: HashMap<BcpKey, usize> = HashMap::new();
-        if let Some(slices) = upq_slices.take() {
-            // Each upquery slice is its bcp's FULL truth at the pin.
-            // Rows outside the query's select still count toward the
-            // entry (and completeness), but not toward the user's
-            // answer.
-            for (bcp, is_basic, rows) in slices {
-                let total = rows.len();
-                for t in rows {
-                    if !ds.is_empty() && ds.remove_one(&t) {
-                        continue; // already served from the cache
-                    }
-                    if fills_allowed {
-                        *proven.entry(Arc::clone(&t)).or_insert(0) += 1;
-                    }
-                    if is_basic || q.matches_select(&t) {
-                        remaining_expanded.push(t);
-                    }
-                }
-                if fills_allowed && total > 0 {
-                    completable.insert(bcp, total);
-                }
-            }
-        }
-        for t in results {
-            // Skip the multiset probe once DS has drained (and for cold
-            // queries, where it was never populated).
-            if !ds.is_empty() && ds.remove_one(&t) {
-                continue; // the user already has this occurrence
-            }
-            if fills_allowed && !unique_fast {
-                *proven.entry(Arc::clone(&t)).or_insert(0) += 1;
-            }
-            remaining_expanded.push(t);
-        }
-        if fills_allowed && !did_upquery && upquery_on {
-            // Classic full execution: a basic condition part covers its
-            // whole bcp, so the occurrences proven within it are the
-            // bcp's truth.
-            if unique_fast {
-                // Unique rows: each truth tuple was counted exactly
-                // once, as a served partial or as a remaining result.
-                if parts[0].is_basic {
-                    let total = partial_expanded.len() + remaining_expanded.len();
-                    if total > 0 {
-                        completable.insert(parts[0].bcp.clone(), total);
-                    }
-                }
-            } else {
-                for part in &parts {
-                    if part.is_basic {
-                        completable.entry(part.bcp.clone()).or_insert(0);
-                    }
-                }
-                if !completable.is_empty() {
-                    if let Some(bcp) = &single_bcp {
-                        if let Some(total) = completable.get_mut(bcp) {
-                            *total = proven.values().sum();
-                        }
-                    } else {
-                        for (t, n) in proven.iter() {
-                            if let Some(total) = completable.get_mut(&inner.def.bcp_of_tuple(t)) {
-                                *total += *n;
-                            }
-                        }
-                    }
-                }
-                completable.retain(|_, total| *total > 0);
-            }
-        }
-        // Fills are grouped per bcp so each group pays one admit and one
-        // length check; tuples carry their proven occurrence cap.
-        let mut fill_groups: Vec<(BcpKey, Vec<(Arc<Tuple>, usize)>)> = Vec::new();
-        if fills_allowed {
-            if unique_fast {
-                if let (Some(bcp), false) = (&single_bcp, remaining_expanded.is_empty()) {
-                    fill_groups.push((
-                        bcp.clone(),
-                        remaining_expanded
-                            .iter()
-                            .map(|t| (Arc::clone(t), 1))
-                            .collect(),
-                    ));
-                }
-            } else if let Some(bcp) = &single_bcp {
-                if !proven.is_empty() {
-                    fill_groups.push((bcp.clone(), proven.drain().collect()));
-                }
-            } else {
-                let mut by_bcp: FxHashMap<BcpKey, Vec<(Arc<Tuple>, usize)>> = FxHashMap::default();
-                for (t, cap) in proven.drain() {
-                    by_bcp
-                        .entry(inner.def.bcp_of_tuple(&t))
-                        .or_default()
-                        .push((t, cap));
-                }
-                fill_groups.extend(by_bcp);
-            }
-        }
-        let fill_by_shard = group_by_shard(
-            fill_groups
-                .into_iter()
-                .map(|(bcp, tuples)| (self.shard_of(&bcp), (bcp, tuples))),
-        );
-        let touch_by_shard = group_by_shard(
-            touches
-                .drain(..)
-                .map(|(si, bcp, served)| (si, (bcp, served))),
-        );
-        write_back.extend(
-            fill_by_shard
-                .iter()
-                .map(|(s, _)| *s)
-                .chain(touch_by_shard.iter().map(|(s, _)| *s)),
-        );
-        write_back.sort_unstable();
-        write_back.dedup();
-        // Shard write-back is timed apart from the dedup bookkeeping:
-        // it lands under `lock_shard_fill` (the same phase the locked
-        // path uses for its fill loop) and is subtracted from
-        // `o3_dedup`, so that phase measures dedup/provenance work —
-        // not lock waits and LeftRight publishes.
-        let mut fill_total = Duration::ZERO;
-        for &si in write_back.iter() {
-            // Best-effort: the serving path never *waits* on a shard
-            // lock. Skipped touches lose one policy hit; skipped fills
-            // just mean the next identical query re-derives through O3.
-            let Some(mut store) = inner.shards[si].try_write() else {
-                continue;
-            };
-            if store.is_quarantined() {
-                continue;
-            }
-            let t_fill = Instant::now();
-            let admitted_before = local.tuples_admitted;
-            let evicted_before = store.evictions();
-            let mut marked = false;
-            let fill = catch_unwind(AssertUnwindSafe(|| {
-                if let Some((_, group)) = touch_by_shard.iter().find(|(s, _)| *s == si) {
-                    for (bcp, served) in group {
-                        store.touch(bcp, *served);
-                    }
-                }
-                let Some((_, group)) = fill_by_shard.iter().find(|(s, _)| *s == si) else {
-                    return;
-                };
-                // Re-check the fill gate UNDER the shard write lock: a
-                // maintenance pass racing this query stores `maint_epoch`
-                // before touching any shard lock, so if it already
-                // scanned this shard the lock handoff makes that store
-                // visible here and the stale fill is skipped; if this
-                // check still passes, the fill lands before the scan and
-                // maintenance will evict it. (Pre-check above is just the
-                // fast path; locked mode pins `u64::MAX` and always
-                // passes.)
-                if pin_epoch < inner.maint_epoch.load(Ordering::Acquire) {
-                    return;
-                }
-                // pmv::allow(pin_reaches_blocking_lock): fire_soft takes the
-                // fault-injection registry lock only while a test campaign
-                // is armed; unarmed it is one relaxed load.
-                pmv_faultinject::fire_soft(Site::ShardFill);
-                let cap_f = inner.config.f;
-                for (bcp, tuples) in group {
-                    let residency = store.admit(bcp);
-                    if residency == Residency::Probation {
-                        local.probations += 1;
-                    }
-                    if residency != Residency::Resident {
-                        continue;
-                    }
-                    // One length check gates the whole group: an entry
-                    // already at its cap F admits nothing, so the
-                    // per-tuple duplicate scans below are skipped
-                    // entirely in the steady state.
-                    let mut len = store.lookup(bcp).map_or(0, <[_]>::len);
-                    for (t, cap) in tuples {
-                        if len >= cap_f {
-                            break;
-                        }
-                        let have = store
-                            .lookup(bcp)
-                            .map_or(0, |ts| ts.iter().filter(|(x, _)| x == t).count());
-                        if have < *cap && store.push_arc(bcp, Arc::clone(t), pin_epoch) {
-                            local.tuples_admitted += 1;
-                            len += 1;
-                        }
-                    }
-                }
-                // Completeness claims: observed-in-full bcps on this
-                // shard whose entry now holds exactly the proven truth —
-                // with no eviction racing the fill, and the maint-epoch
-                // gate above re-checked under this write lock, so the
-                // pin reflects every change the claim must cover.
-                if store.evictions() == evicted_before {
-                    let at = store.inserts_seen();
-                    for (bcp, total) in &completable {
-                        if self.shard_of(bcp) == si
-                            && store.lookup(bcp).map_or(0, <[_]>::len) == *total
-                            && store.mark_complete(bcp, at)
-                        {
-                            marked = true;
-                        }
-                    }
-                }
-            }));
-            let poisoned = fill.is_err();
-            if poisoned {
-                store.quarantine();
-                local.quarantine_events += 1;
-                inner.breaker.record_error();
-            }
-            let admitted = local.tuples_admitted - admitted_before;
-            let evicted = store.evictions().saturating_sub(evicted_before);
-            // Touches change only policy state, not what the view
-            // serves; republish only when the entry set or a
-            // completeness claim did change.
-            if poisoned || admitted > 0 || evicted > 0 || marked {
-                // pmv::allow(pin_reaches_blocking_lock): LeftRight::publish
-                // takes the writer-side mutex, which only fills contend on —
-                // never the wait-free reader path. A cold-shard fill is
-                // already the slow path (DESIGN.md §14).
-                inner.publish_shard(si, &store);
-            }
-            drop(store);
-            let fill_elapsed = t_fill.elapsed();
-            fill_total += fill_elapsed;
-            inner.obs.record(Phase::lock_shard_fill, fill_elapsed);
-            trace.event(EventKind::Fill {
-                shard: si,
-                admitted,
-                evicted,
-                us: fill_elapsed.as_micros() as u64,
-            });
-            if poisoned {
-                trace.event(EventKind::Quarantine { shard: si });
-            }
-        }
-        let ds_leftover = ds.len();
-        debug_assert_eq!(ds_leftover, 0, "DS must be empty after O3");
-        let o3_overhead = t_o3.elapsed().saturating_sub(fill_total);
-        inner.obs.record(Phase::o3_dedup, o3_overhead);
-
-        // ---- Bookkeeping ----
-        local.queries = 1;
-        local.condition_parts = parts.len() as u64;
-        if bcp_hit {
-            local.bcp_hit_queries = 1;
-        }
-        if !partial_expanded.is_empty() {
-            local.serving_queries = 1;
-            local.partial_tuples_served = partial_expanded.len() as u64;
-        }
-        inner.stats.add(&local);
-        inner.obs.record(Phase::full, t_start.elapsed());
-        if track {
-            if let Some(acct) = inner.account.get() {
-                acct.record_query(
-                    o2_outcome(bcp_hit, !partial_expanded.is_empty()),
-                    ttfr,
-                    t_start.elapsed(),
-                    exec_stats.tuples_examined as u64,
-                );
-            }
-        }
-        flush_faults(&mut trace, fault_cap.take());
-
-        let template = inner.def.template();
-        let partial = partial_expanded
-            .iter()
-            .map(|t| template.user_tuple(t))
-            .collect();
-        let remaining = remaining_expanded
-            .iter()
-            .map(|t| template.user_tuple(t))
-            .collect();
-        Ok(QueryOutcome {
-            partial,
-            remaining,
-            partial_expanded,
-            remaining_expanded,
-            bcp_hit,
-            parts: parts.len(),
-            timings: QueryTimings {
-                o1,
-                o2,
-                exec,
-                o3_overhead,
-            },
-            exec_stats,
-            ds_leftover,
-            degraded: None,
-        })
-    }
-
-    /// Build the `Degraded` outcome for a query whose O3 did not
-    /// complete: only the already-served O2 partials, explicitly flagged
-    /// with the reason and a staleness upper bound.
-    #[allow(clippy::too_many_arguments)]
-    fn degraded_outcome(
-        &self,
-        local: &mut PmvStats,
-        parts_len: usize,
-        partial_expanded: Vec<Arc<Tuple>>,
-        bcp_hit: bool,
-        o1: Duration,
-        o2: Duration,
-        exec: Duration,
-        reason: DegradeReason,
-        trace: &mut TraceScope<'_>,
-        fault_cap: Option<CaptureGuard>,
-        t_start: Instant,
-    ) -> QueryOutcome {
-        let inner = &*self.inner;
-        let staleness = inner.staleness();
-        inner.obs.record(Phase::o3_exec, exec);
-        inner.obs.record(Phase::degraded, t_start.elapsed());
-        trace.event(EventKind::Degraded {
-            reason: reason.to_string(),
-            staleness_us: staleness.as_micros() as u64,
-        });
-        flush_faults(trace, fault_cap);
-        local.queries = 1;
-        local.degraded_queries = 1;
-        local.condition_parts = parts_len as u64;
-        if bcp_hit {
-            local.bcp_hit_queries = 1;
-        }
-        if !partial_expanded.is_empty() {
-            local.serving_queries = 1;
-            local.partial_tuples_served = partial_expanded.len() as u64;
-        }
-        inner.stats.add(local);
-        // Degraded queries still count toward the template's workload;
-        // `o1 + o2` stands in for TTFR (recorded from the same phases)
-        // and O3 scanned nothing it could report.
-        if inner.obs.enabled() {
-            if let Some(acct) = inner.account.get() {
-                acct.record_query(
-                    o2_outcome(bcp_hit, !partial_expanded.is_empty()),
-                    o1 + o2,
-                    t_start.elapsed(),
-                    0,
-                );
-            }
-        }
-        let template = inner.def.template();
-        let partial = partial_expanded
-            .iter()
-            .map(|t| template.user_tuple(t))
-            .collect();
-        QueryOutcome {
-            partial,
-            remaining: Vec::new(),
-            partial_expanded,
-            remaining_expanded: Vec::new(),
-            bcp_hit,
-            parts: parts_len,
-            timings: QueryTimings {
-                o1,
-                o2,
-                exec,
-                o3_overhead: Duration::ZERO,
-            },
-            exec_stats: Default::default(),
-            // Nothing stale was served: the remaining results are simply
-            // absent, and the partials came straight from the cache.
-            ds_leftover: 0,
-            degraded: Some(Degradation {
-                reason,
-                partial_only: true,
-                staleness,
-            }),
-        }
+        serve::run_pinned(&env, inner, view, q)
     }
 
     /// Apply one relation's delta batch, write-locking only the shards
@@ -1812,7 +534,7 @@ impl SharedPmv {
                     local.maint_join_rows += rows.len() as u64;
                     for row in rows {
                         let bcp = inner.def.bcp_of_tuple(&row);
-                        removals.push((self.shard_of(&bcp), bcp, row, false));
+                        removals.push((inner.shard_of(&bcp), bcp, row, false));
                     }
                 }
                 Ok(None) => self.drain_affected(rel_idx, tuple, &mut out, &mut local),
@@ -1850,7 +572,7 @@ impl SharedPmv {
                     local.maint_join_rows += (rows.len() * occurrences) as u64;
                     for row in rows {
                         let bcp = inner.def.bcp_of_tuple(&row);
-                        let si = self.shard_of(&bcp);
+                        let si = inner.shard_of(&bcp);
                         for _ in 0..occurrences {
                             removals.push((si, bcp.clone(), row.clone(), false));
                         }
@@ -1921,7 +643,7 @@ impl SharedPmv {
                 }
             }
         }
-        inner.mark_verified();
+        inner.verified.mark();
         inner.stats.add(&local);
         inner.obs.record(Phase::maint_join, t_start.elapsed());
         if inner.obs.enabled() {
@@ -2030,7 +752,7 @@ impl SharedPmv {
                 local.maint_join_rows += rows.len() as u64;
                 for row in rows {
                     let bcp = inner.def.bcp_of_tuple(&row);
-                    removals.push((self.shard_of(&bcp), bcp, row));
+                    removals.push((inner.shard_of(&bcp), bcp, row));
                 }
             }
             let mut shards_touched: Vec<usize> = removals.iter().map(|(s, _, _)| *s).collect();
@@ -2051,7 +773,7 @@ impl SharedPmv {
             }
             inner.stats.add(&local);
             inner.obs.record(Phase::maint_join, t0.elapsed());
-            inner.mark_verified();
+            inner.verified.mark();
         }
         // Per-batch relevance is reported on the individual outcomes;
         // the transaction-level total keeps the historical `false`.
@@ -2113,7 +835,7 @@ impl SharedPmv {
         };
         inner.stats.add(&local);
         inner.breaker.reset();
-        inner.mark_verified();
+        inner.verified.mark();
         inner.obs.record(Phase::revalidate, t_start.elapsed());
         trace.event(EventKind::Revalidated { removed });
         Ok(removed)
@@ -2231,7 +953,7 @@ impl SharedPmv {
     /// Upper bound on partial-result staleness: time since the view last
     /// completed maintenance or revalidation.
     pub fn staleness(&self) -> Duration {
-        self.inner.staleness()
+        self.inner.verified.staleness()
     }
 
     /// Number of currently quarantined (drained) shards.
@@ -2405,6 +1127,119 @@ mod tests {
         shared.debug_validate();
     }
 
+    /// A store's full observable state: bcp → (tuple multiset, valid
+    /// completeness claim), in key order.
+    fn contents(store: &PmvStore) -> Vec<(BcpKey, Vec<Tuple>, bool)> {
+        let mut out: Vec<_> = store
+            .iter()
+            .map(|(bcp, ts)| {
+                let mut tuples: Vec<Tuple> = ts.iter().map(|(t, _)| (**t).clone()).collect();
+                tuples.sort();
+                (bcp.clone(), tuples, store.entry_complete(bcp))
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// The direct and the sharded store-access instance run the same
+    /// algorithm: a `Pmv` and a 1-shard `SharedPmv` driven by one script
+    /// (one- and two-part queries, inserts, deletes, updates; 6 bcps
+    /// over L = 4, so evictions too) hold identical entries and
+    /// completeness claims after every step.
+    #[test]
+    fn single_owner_and_one_shard_stores_stay_identical() {
+        let mut db = Database::new();
+        db.create_relation(Schema::new(
+            "r",
+            vec![
+                Column::new("a", ColumnType::Int),
+                Column::new("f", ColumnType::Int),
+            ],
+        ))
+        .unwrap();
+        for i in 0..36i64 {
+            db.insert("r", tuple![i, i % 6]).unwrap();
+        }
+        db.create_index(IndexDef::btree("r", vec![1])).unwrap();
+        db.create_index(IndexDef::btree("r", vec![0])).unwrap();
+        db.declare_unique_key("r", &["a"]).unwrap();
+        let t = TemplateBuilder::new("t")
+            .relation(db.schema("r").unwrap())
+            .select("r", "a")
+            .unwrap()
+            .cond_eq("r", "f")
+            .unwrap()
+            .build()
+            .unwrap();
+        assert!(t.emits_unique_rows(&db));
+        let config = PmvConfig::new(8, 4, PolicyKind::Clock);
+        let def = |name: &str| PartialViewDef::all_equality(name, t.clone()).unwrap();
+        let mut single = crate::pipeline::Pmv::new(def("single"), config.clone());
+        let shared = SharedPmv::with_shards(def("one_shard"), config, 1);
+        let pipeline = crate::pipeline::PmvPipeline::new();
+
+        let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut next = |n: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((rng >> 33) % n) as i64
+        };
+        for step in 0..400i64 {
+            let f = next(6);
+            let kind = next(20);
+            if kind < 17 {
+                let mut values = vec![Value::Int(f)];
+                if kind < 6 {
+                    values.push(Value::Int((f + 1 + next(5)) % 6));
+                }
+                let q = t.bind(vec![Condition::Equality(values)]).unwrap();
+                let a = pipeline.run(&db, &mut single, &q).unwrap();
+                let b = shared.run(&db, &q).unwrap();
+                assert_eq!(a.partial.len(), b.partial.len(), "step {step}");
+                assert_eq!((a.ds_leftover, b.ds_leftover), (0, 0), "step {step}");
+            } else {
+                let row = db
+                    .relation("r")
+                    .unwrap()
+                    .read()
+                    .iter()
+                    .find(|(_, tu)| tu.get(1) == &Value::Int(f))
+                    .map(|(r, _)| r);
+                let mut txn = Transaction::begin(&mut db);
+                match (kind, row) {
+                    (17, _) => drop(txn.insert("r", tuple![1000 + step, f]).unwrap()),
+                    (18, Some(row)) => drop(txn.delete("r", row).unwrap()),
+                    (19, Some(row)) => {
+                        let a = txn.get("r", row).unwrap().get(0).clone();
+                        let moved = Tuple::new(vec![a, Value::Int(next(6))]);
+                        drop(txn.update("r", row, moved).unwrap());
+                    }
+                    _ => {}
+                }
+                let batches = txn.commit();
+                pipeline.maintain_all(&db, &mut single, &batches).unwrap();
+                shared.maintain_all(&db, &batches).unwrap();
+            }
+            assert_eq!(
+                contents(single.store()),
+                contents(&shared.inner.shards[0].read()),
+                "stores diverged at step {step}"
+            );
+        }
+        let stats = single.stats();
+        assert!(
+            stats.complete_serves > 0 && stats.upqueries > 0,
+            "{stats:?}"
+        );
+        assert_eq!(
+            single.stats().complete_serves,
+            shared.stats().complete_serves
+        );
+        assert!(single.store().evictions() > 0);
+    }
+
     #[test]
     fn per_shard_capacity_splits_l() {
         let (_db, shared) = setup(4);
@@ -2430,7 +1265,7 @@ mod tests {
         // Hold a read lock on a shard that f=3's bcp does NOT hash to;
         // maintenance for a row with f=3 must not block on it.
         let bcp3 = BcpKey::new(vec![crate::bcp::BcpDim::Eq(Value::Int(3))]);
-        let affected = shared.shard_of(&bcp3);
+        let affected = shared.inner.shard_of(&bcp3);
         let other = (affected + 1) % shared.shard_count();
         let _outside_guard = shared.inner.shards[other].read();
 

@@ -17,7 +17,7 @@
 //! §15): each committer enqueues a request, then races for the master
 //! write lock. Whichever committer holds the lock — the *combiner* —
 //! drains the whole queue and runs the three steps the correctness
-//! argument (DESIGN.md §14) needs, once for the entire batch:
+//! argument (DESIGN.md §10) needs, once for the entire batch:
 //!
 //! 1. **Mutate**: apply every drained transaction's closure under the
 //!    write lock (each bumping the database version — the epoch).
@@ -37,7 +37,7 @@
 //! Because maintenance over the merged batch completes *before* the
 //! coalesced snapshot publishes, any reader pinned at epoch `e` sees
 //! shard views whose surviving tuples with `fill_epoch ≤ e` are true
-//! results at `e` — exactly the §14 argument, unchanged: intermediate
+//! results at `e` — exactly the §10 argument, unchanged: intermediate
 //! epochs inside a combine round are simply never published, and
 //! maintenance is removal-only, so later commits can only make a
 //! pinned reader under-serve, never lie. That is the paper's

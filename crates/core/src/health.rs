@@ -33,7 +33,7 @@
 //! "never serve from Quarantined" holds under any interleaving.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Health of one view (or one shard group) as seen by the breaker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -258,6 +258,41 @@ pub struct Degradation {
     /// maintain-before-visibility contract this is an upper bound, not an
     /// observed staleness.
     pub staleness: Duration,
+}
+
+/// When a view last completed maintenance or revalidation: the one source
+/// of the staleness bound a degraded answer declares
+/// ([`Degradation::staleness`]) and of the health reports' "last
+/// verified" age, for single-owner and sharded views alike.
+pub(crate) struct VerifiedClock {
+    created: Instant,
+    /// Milliseconds after `created` of the last verification.
+    verified_ms: AtomicU64,
+}
+
+impl VerifiedClock {
+    pub(crate) fn new() -> Self {
+        VerifiedClock {
+            created: Instant::now(),
+            verified_ms: AtomicU64::new(0),
+        }
+    }
+
+    /// Upper bound on how stale served partials can be: time since the
+    /// last completed maintenance/revalidation.
+    pub(crate) fn staleness(&self) -> Duration {
+        // Acquire pairs with the Release in `mark`: a reader that
+        // observed post-maintenance store state also observes the
+        // timestamp, keeping the reported bound tight.
+        let verified = Duration::from_millis(self.verified_ms.load(Ordering::Acquire));
+        self.created.elapsed().saturating_sub(verified)
+    }
+
+    /// Record that maintenance or revalidation just completed.
+    pub(crate) fn mark(&self) {
+        self.verified_ms
+            .store(self.created.elapsed().as_millis() as u64, Ordering::Release);
+    }
 }
 
 /// One shard's (or store's) invariant-check result.

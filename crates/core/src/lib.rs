@@ -22,7 +22,11 @@
 //! * [`o1`] — decomposition of `Cselect` into condition parts (3.3, O1)
 //! * [`store`] — the bounded, policy-managed result store (3.2, 3.5)
 //! * [`ds`] — the O2/O3 dedup multiset (3.3)
-//! * [`pipeline`] — Operations O1/O2/O3 with S-locking (3.3, 3.6)
+//! * `serve` — the one O1/O2/O3 serving implementation, generic over the
+//!   data view and a store-access instance (3.3, 3.6)
+//! * [`pipeline`] — the single-owner `Pmv` and its S-locked front end
+//!   (3.6)
+//! * [`concurrent`] — the sharded `SharedPmv` front end
 //! * [`maintenance`] — deferred maintenance under X locks (3.4)
 //! * [`delta_index`] — delta-key index: O(|Δ| · fanout) partial-state
 //!   maintenance with no base-relation join (3.4, DESIGN.md §19)
@@ -56,6 +60,7 @@ pub mod manager;
 pub mod mv;
 pub mod o1;
 pub mod pipeline;
+mod serve;
 pub mod stats;
 pub mod store;
 pub mod verify;

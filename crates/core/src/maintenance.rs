@@ -213,7 +213,7 @@ impl PmvPipeline {
             pmv.obs.record(Phase::maint_join, t_join.elapsed());
         }
 
-        pmv.last_verified = std::time::Instant::now();
+        pmv.verified.mark();
         Ok(out)
     }
 
@@ -251,7 +251,7 @@ impl PmvPipeline {
                 }
             }
             pmv.obs.record(Phase::maint_join, t_join.elapsed());
-            pmv.last_verified = std::time::Instant::now();
+            pmv.verified.mark();
         }
         // Per-batch relevance is reported on the individual outcomes;
         // the transaction-level total keeps the historical `false`.

@@ -1,38 +1,32 @@
-//! The PMV query pipeline: Operations O1, O2, O3 (Section 3.3).
+//! The single-owner PMV and its pipeline front end.
 //!
-//! * **O1** — break the query's `Cselect` into condition parts
-//!   ([`crate::o1::decompose`]).
-//! * **O2** — under an S lock on the PMV, probe the bcp index for each
-//!   part's containing bcp; matching cached tuples are returned to the
-//!   user *immediately* and recorded in the dedup multiset `DS`.
-//! * **O3** — execute the query in full; each produced tuple is either
-//!   matched against `DS` (already served — suppress) or returned now and
-//!   offered to the PMV (fill/update "for free"), respecting the
-//!   per-bcp cap `F` via the counters `c_j`.
-//!
-//! The S lock is held from O2 through the end of O3, so no maintainer
-//! (which takes an X lock) can make the served partial results
-//! inconsistent with the full execution — the paper's Section 3.6
-//! serializability argument. The end-of-O3 invariant "DS must be empty"
-//! is checked and surfaced in the outcome.
+//! [`Pmv`] is one view's definition, bounded store and statistics, owned
+//! by one caller (`&mut Pmv`). [`PmvPipeline::run`] serves a query from it
+//! under the paper's Section 3.6 protocol: it takes an **S lock** on the
+//! view, held from O2 through the end of O3, so no maintainer (which
+//! takes the X lock, see [`crate::maintenance`]) can make the served
+//! partial results inconsistent with the full execution. The O1 → O2 → O3
+//! algorithm itself lives in [`crate::serve`]; this module supplies its
+//! *direct* store-access instance — O2 reads the live store, write-back
+//! is always granted, nothing is published — with the live `Database` as
+//! the [`pmv_query::DataView`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pmv_obs::{EventKind, ObsRegistry, Phase, SpaceSaving, TraceKind, DEFAULT_SKETCH_CAPACITY};
-use pmv_query::{
-    execute, execute_bounded_arc, upquery_fill, Database, ExecBudget, ExecStats, LockManager,
-    QueryInstance,
+use pmv_obs::{
+    EventKind, ObsRegistry, Phase, SpaceSaving, TemplateAccount, TraceKind, DEFAULT_SKETCH_CAPACITY,
 };
+use pmv_query::{execute, Database, ExecStats, LockManager, QueryInstance};
 use pmv_storage::Tuple;
 
 use crate::bcp::BcpKey;
-use crate::ds::Ds;
-use crate::health::{CircuitBreaker, Degradation, DegradeReason, ViewHealth};
-use crate::o1::{decompose, ConditionPart};
+use crate::health::{CircuitBreaker, Degradation, VerifiedClock, ViewHealth};
+use crate::o1::ConditionPart;
+use crate::serve::{self, ServeEnv, StoreAccess, WriteBack};
 use crate::stats::PmvStats;
-use crate::store::{PmvStore, Residency};
+use crate::store::{CachedTuple, PmvStore};
 use crate::view::{PartialViewDef, PmvConfig};
 use crate::Result;
 
@@ -45,9 +39,13 @@ pub struct Pmv {
     pub(crate) breaker: CircuitBreaker,
     /// When the view last completed maintenance or revalidation — the
     /// reference point for the staleness bound in degraded outcomes.
-    pub(crate) last_verified: Instant,
+    pub(crate) verified: VerifiedClock,
     /// Per-phase latency histograms + lifecycle trace ring.
     pub(crate) obs: ObsRegistry,
+    /// View name as a shared `Arc<str>` for query trace spans.
+    trace_name: Arc<str>,
+    /// Per-template workload account, attached by the embedding layer.
+    account: Option<Arc<TemplateAccount>>,
     /// Space-saving sketch over delta-key hashes — the heavy/light
     /// router for [`crate::view::MaintStrategy::HeavyLight`].
     pub(crate) delta_sketch: SpaceSaving,
@@ -61,14 +59,17 @@ impl Pmv {
             store.enable_index(crate::delta_index::DeltaKeyIndex::new(def.template()));
         }
         let breaker = CircuitBreaker::new(config.breaker);
+        let trace_name: Arc<str> = Arc::from(def.name());
         Pmv {
             def,
             config,
             store,
             stats: PmvStats::default(),
             breaker,
-            last_verified: Instant::now(),
+            verified: VerifiedClock::new(),
             obs: ObsRegistry::new(),
+            trace_name,
+            account: None,
             delta_sketch: SpaceSaving::new(DEFAULT_SKETCH_CAPACITY),
         }
     }
@@ -83,7 +84,13 @@ impl Pmv {
     /// Time since the view last completed maintenance or revalidation —
     /// the breaker-state *age* surfaced by health reports.
     pub fn last_verified_age(&self) -> Duration {
-        self.last_verified.elapsed()
+        self.verified.staleness()
+    }
+
+    /// Attach a per-template workload account; queries record into it
+    /// while observability is enabled, exactly as on a sharded view.
+    pub fn attach_account(&mut self, acct: Arc<TemplateAccount>) {
+        self.account = Some(acct);
     }
 
     /// The view definition.
@@ -151,7 +158,7 @@ impl Pmv {
         self.stats.reset_transient();
         self.obs.reset_transient();
         self.stats.revalidations += 1;
-        self.last_verified = Instant::now();
+        self.verified.mark();
         Ok(removed)
     }
 }
@@ -310,501 +317,26 @@ impl PmvPipeline {
         &self.locks
     }
 
-    /// Run one query through O1/O2/O3.
+    /// Run one query through O1/O2/O3 ([`crate::serve`]) under the S
+    /// lock, against the live database.
     pub fn run(&self, db: &Database, pmv: &mut Pmv, q: &QueryInstance) -> Result<QueryOutcome> {
-        let t_start = Instant::now();
-        let mut trace = pmv.obs.begin_trace(TraceKind::Query, pmv.def.name());
-        let mut fault_cap = pmv.obs.enabled().then(pmv_faultinject::capture);
-
-        // ---- Operation O1 ----
-        let t_o1 = Instant::now();
-        let parts = decompose(&pmv.def, q)?;
-        let o1 = t_o1.elapsed();
-        pmv.obs.record(Phase::o1_decompose, o1);
-        trace.event(EventKind::Decompose {
-            parts: parts.len(),
-            us: o1.as_micros() as u64,
-        });
-
-        // ---- Operation O2 (S lock from here to the end of O3) ----
+        // Held to the end of O3: maintenance needs the X lock, so every
+        // served partial is re-derived by this query's own execution.
         let _s_lock = self.locks.lock_shared(pmv.def.name());
-        let t_o2 = Instant::now();
-        let mut ds = Ds::new();
-        let mut counters: HashMap<BcpKey, usize> = HashMap::with_capacity(parts.len());
-        let mut partial_expanded: Vec<Arc<Tuple>> = Vec::new();
-        let mut bcp_hit = false;
-        // A quarantined view serves nothing and caches nothing: the query
-        // still gets its full, correct answer from O3 below.
-        let serving = pmv.breaker.allow_serve();
-        trace.event(EventKind::Breaker {
-            serving,
-            state: pmv.breaker.state().as_str(),
-        });
-        // Targeted-upquery classification: a part whose containing bcp
-        // holds a *complete* answer (stamped at the current insert
-        // watermark) needs no execution at all; the remaining "open"
-        // parts are refilled per-bcp or answered by the full O3 run.
-        let mut open_parts: Vec<&ConditionPart> = Vec::new();
-        let mut complete_parts: Vec<&ConditionPart> = Vec::new();
-        // Tuples served from complete entries stay out of DS — nothing
-        // will re-produce them — unless we fall back to the full O3 run
-        // (which re-produces everything and needs them for dedup).
-        let mut complete_served: Vec<Arc<Tuple>> = Vec::new();
-        if serving {
-            for part in &parts {
-                if pmv.config.upquery && pmv.store.entry_complete(&part.bcp) {
-                    complete_parts.push(part);
-                } else {
-                    open_parts.push(part);
-                }
-            }
-            for part in &complete_parts {
-                if counters.contains_key(&part.bcp) {
-                    continue;
-                }
-                let Some(entries) = pmv.store.lookup(&part.bcp) else {
-                    continue;
-                };
-                let mut served = false;
-                for (t, _) in entries {
-                    if part.is_basic || q.matches_select(t) {
-                        partial_expanded.push(Arc::clone(t));
-                        complete_served.push(Arc::clone(t));
-                        served = true;
-                    }
-                }
-                bcp_hit = true;
-                let cached_count = entries.len();
-                counters.insert(part.bcp.clone(), cached_count);
-                pmv.store.touch(&part.bcp, served);
-                pmv.stats.complete_serves += 1;
-            }
-            // The locked pipeline holds the S lock through O3, so every
-            // cached tuple is consistent regardless of fill epoch: pin
-            // at u64::MAX (serve everything).
-            probe_parts(
-                &mut pmv.store,
-                q,
-                &open_parts,
-                u64::MAX,
-                &mut counters,
-                &mut ds,
-                &mut partial_expanded,
-                &mut bcp_hit,
-            );
-        } else {
-            open_parts = parts.iter().collect();
-        }
-        let o2 = t_o2.elapsed();
-        pmv.obs.record(Phase::o2_probe, o2);
-        // Time-to-first-result: query start → O2 partials available
-        // (the paper's "~1 ms" claim, §3.3). Before O3 on purpose, so
-        // degraded queries count too.
-        let ttfr = t_start.elapsed();
-        pmv.obs.record(Phase::ttfr, ttfr);
-        trace.event_at(
-            ttfr.as_micros() as u64,
-            EventKind::FirstResults {
-                tuples: partial_expanded.len(),
-                bcp_hit,
-                us: ttfr.as_micros() as u64,
-            },
-        );
-
-        // ---- Complete-serve fast path: every probed bcp holds a
-        // complete, current answer — the partials ARE the full answer
-        // and no execution runs at all. ----
-        if serving && pmv.config.upquery && !parts.is_empty() && open_parts.is_empty() {
-            pmv.obs.record(Phase::full, t_start.elapsed());
-            flush_faults(&mut trace, fault_cap.take());
-            pmv.stats.queries += 1;
-            pmv.stats.condition_parts += parts.len() as u64;
-            pmv.stats.bcp_hit_queries += 1;
-            if !partial_expanded.is_empty() {
-                pmv.stats.serving_queries += 1;
-                pmv.stats.partial_tuples_served += partial_expanded.len() as u64;
-            }
-            let template = pmv.def.template();
-            let partial = partial_expanded
-                .iter()
-                .map(|t| template.user_tuple(t))
-                .collect();
-            return Ok(QueryOutcome {
-                partial,
-                remaining: Vec::new(),
-                partial_expanded,
-                remaining_expanded: Vec::new(),
-                bcp_hit,
-                parts: parts.len(),
-                timings: QueryTimings {
-                    o1,
-                    o2,
-                    exec: Duration::ZERO,
-                    o3_overhead: Duration::ZERO,
-                },
-                exec_stats: ExecStats::default(),
-                ds_leftover: 0,
-                degraded: None,
-            });
-        }
-
-        // ---- Targeted upqueries: when part of the probe hit complete
-        // entries, refill only the open bcps with bounded keyed queries
-        // instead of running the full executor. Budget or transient
-        // failures fall back to the full O3 run below. ----
-        if serving && pmv.config.upquery && !complete_parts.is_empty() {
-            let t_exec = Instant::now();
-            let fill_epoch = db.version();
-            let deadline = pmv.config.o3_deadline.map(|d| Instant::now() + d);
-            let evictions_before = pmv.store.evictions();
-            let mut remaining_expanded: Vec<Arc<Tuple>> = Vec::new();
-            let mut exec_total = ExecStats::default();
-            let mut admit_cache: HashMap<BcpKey, Residency> = HashMap::new();
-            let mut done: HashSet<BcpKey> = HashSet::new();
-            let mut upq_ok = true;
-            'upq: for part in &open_parts {
-                if !done.insert(part.bcp.clone()) {
-                    continue;
-                }
-                let qi = pmv.def.bcp_query(&part.bcp)?;
-                let budget = ExecBudget {
-                    deadline,
-                    max_tuples: pmv.config.o3_max_tuples,
-                };
-                let t_u = Instant::now();
-                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    upquery_fill(db, &qi, budget)
-                }));
-                let (rows, es) = match attempt {
-                    Ok(Ok(r)) => r,
-                    _ => {
-                        upq_ok = false;
-                        pmv.stats.upquery_fallbacks += 1;
-                        break 'upq;
-                    }
-                };
-                pmv.obs.record(Phase::upquery, t_u.elapsed());
-                pmv.stats.upqueries += 1;
-                pmv.stats.upquery_rows += rows.len() as u64;
-                exec_total.index_probes += es.index_probes;
-                exec_total.range_scans += es.range_scans;
-                exec_total.fallback_scans += es.fallback_scans;
-                exec_total.tuples_examined += es.tuples_examined;
-                exec_total.results += es.results;
-                // Multiset of occurrences already cached under this bcp:
-                // the refill re-produces them and must not re-push (the
-                // entry would overstate multiplicity).
-                let mut cached = Ds::new();
-                if let Some(entries) = pmv.store.lookup(&part.bcp) {
-                    for (t, _) in entries {
-                        cached.insert_arc(Arc::clone(t));
-                    }
-                }
-                let mut all_cached = true;
-                for t in rows {
-                    if cached.remove_one(&t) {
-                        // Already in the entry; if it was served in O2
-                        // it is in DS too — drain that occurrence.
-                        ds.remove_one(&t);
-                        continue;
-                    }
-                    let in_answer = part.is_basic || q.matches_select(&t);
-                    let cj = counters.entry(part.bcp.clone()).or_insert(0);
-                    let mut cached_now = false;
-                    if *cj < pmv.config.f {
-                        let residency = match admit_cache.get(&part.bcp) {
-                            Some(r) => *r,
-                            None => {
-                                let r = pmv.store.admit(&part.bcp);
-                                if r == Residency::Probation {
-                                    pmv.stats.probations += 1;
-                                }
-                                admit_cache.insert(part.bcp.clone(), r);
-                                r
-                            }
-                        };
-                        if residency == Residency::Resident
-                            && pmv.store.push_arc(&part.bcp, Arc::clone(&t), fill_epoch)
-                        {
-                            *cj += 1;
-                            pmv.stats.tuples_admitted += 1;
-                            cached_now = true;
-                        }
-                    }
-                    if !cached_now {
-                        all_cached = false;
-                    }
-                    if in_answer {
-                        remaining_expanded.push(t);
-                    }
-                }
-                // `cached` drained ⇔ every previously-cached occurrence
-                // was re-derived (the soundness invariant); with every
-                // new row also cached and no eviction racing the fill,
-                // the entry now holds the bcp's entire answer.
-                if all_cached
-                    && cached.is_empty()
-                    && pmv.store.evictions() == evictions_before
-                {
-                    let at = pmv.store.inserts_seen();
-                    pmv.store.mark_complete(&part.bcp, at);
-                }
-            }
-            if upq_ok {
-                pmv.breaker.record_ok();
-                let exec = t_exec.elapsed();
-                pmv.obs.record(Phase::o3_exec, exec);
-                trace.event(EventKind::Exec {
-                    rows: remaining_expanded.len(),
-                    tuples_examined: exec_total.tuples_examined,
-                    index_probes: exec_total.index_probes,
-                    us: exec.as_micros() as u64,
-                });
-                let ds_leftover = ds.len();
-                debug_assert_eq!(ds_leftover, 0, "DS must be empty after upquery refill");
-                pmv.obs.record(Phase::full, t_start.elapsed());
-                flush_faults(&mut trace, fault_cap.take());
-                pmv.stats.queries += 1;
-                pmv.stats.condition_parts += parts.len() as u64;
-                if bcp_hit {
-                    pmv.stats.bcp_hit_queries += 1;
-                }
-                if !partial_expanded.is_empty() {
-                    pmv.stats.serving_queries += 1;
-                    pmv.stats.partial_tuples_served += partial_expanded.len() as u64;
-                }
-                let template = pmv.def.template();
-                let partial = partial_expanded
-                    .iter()
-                    .map(|t| template.user_tuple(t))
-                    .collect();
-                let remaining = remaining_expanded
-                    .iter()
-                    .map(|t| template.user_tuple(t))
-                    .collect();
-                return Ok(QueryOutcome {
-                    partial,
-                    remaining,
-                    partial_expanded,
-                    remaining_expanded,
-                    bcp_hit,
-                    parts: parts.len(),
-                    timings: QueryTimings {
-                        o1,
-                        o2,
-                        exec,
-                        o3_overhead: Duration::ZERO,
-                    },
-                    exec_stats: exec_total,
-                    ds_leftover,
-                    degraded: None,
-                });
-            }
-            // Fallback: the full O3 run below re-produces everything,
-            // including the complete entries' servings — seed DS so they
-            // dedup like any other served partial.
-            for t in complete_served.drain(..) {
-                ds.insert_arc(t);
-            }
-        }
-
-        // ---- Operation O3: full execution under the config's budget ----
-        let t_exec = Instant::now();
-        let budget = ExecBudget {
-            deadline: pmv.config.o3_deadline.map(|d| Instant::now() + d),
-            max_tuples: pmv.config.o3_max_tuples,
+        let env = ServeEnv {
+            def: &pmv.def,
+            config: &pmv.config,
+            breaker: &pmv.breaker,
+            obs: &pmv.obs,
+            trace_name: &pmv.trace_name,
+            account: pmv.account.as_ref(),
+            verified: &pmv.verified,
         };
-        // The executor holds no PMV state, so a panicking operator cannot
-        // tear the store: catch it and degrade exactly like a transient
-        // error.
-        let exec_result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_bounded_arc(db, q, budget)
-        }));
-        let (results, exec_stats) = match exec_result {
-            Ok(Ok(r)) => r,
-            Ok(Err(e)) if !(e.is_budget() || e.is_transient()) => {
-                pmv.breaker.record_error();
-                pmv.obs.record(Phase::o3_exec, t_exec.elapsed());
-                flush_faults(&mut trace, fault_cap.take());
-                return Err(e.into());
-            }
-            faulted => {
-                // Serve what O2 already produced, flagged degraded. The
-                // partials are a sub-multiset of the true answer, so this
-                // under-serves but never lies.
-                let reason = match &faulted {
-                    Ok(Err(e)) => degrade_reason(e),
-                    _ => DegradeReason::ExecPanic,
-                };
-                pmv.breaker.record_error();
-                pmv.stats.queries += 1;
-                pmv.stats.condition_parts += parts.len() as u64;
-                pmv.stats.degraded_queries += 1;
-                match reason {
-                    DegradeReason::Deadline | DegradeReason::TupleBudget => {
-                        pmv.stats.budget_exceeded += 1
-                    }
-                    DegradeReason::ExecPanic => pmv.stats.exec_panics += 1,
-                    _ => pmv.stats.exec_errors += 1,
-                }
-                if bcp_hit {
-                    pmv.stats.bcp_hit_queries += 1;
-                }
-                if !partial_expanded.is_empty() {
-                    pmv.stats.serving_queries += 1;
-                    pmv.stats.partial_tuples_served += partial_expanded.len() as u64;
-                }
-                pmv.obs.record(Phase::o3_exec, t_exec.elapsed());
-                pmv.obs.record(Phase::degraded, t_start.elapsed());
-                trace.event(EventKind::Degraded {
-                    reason: reason.to_string(),
-                    staleness_us: pmv.last_verified.elapsed().as_micros() as u64,
-                });
-                flush_faults(&mut trace, fault_cap.take());
-                let template = pmv.def.template();
-                let partial = partial_expanded
-                    .iter()
-                    .map(|t| template.user_tuple(t))
-                    .collect();
-                return Ok(QueryOutcome {
-                    partial,
-                    remaining: Vec::new(),
-                    partial_expanded,
-                    remaining_expanded: Vec::new(),
-                    bcp_hit,
-                    parts: parts.len(),
-                    timings: QueryTimings {
-                        o1,
-                        o2,
-                        exec: t_exec.elapsed(),
-                        o3_overhead: Duration::ZERO,
-                    },
-                    exec_stats: ExecStats::default(),
-                    ds_leftover: 0,
-                    degraded: Some(Degradation {
-                        reason,
-                        partial_only: true,
-                        staleness: pmv.last_verified.elapsed(),
-                    }),
-                });
-            }
+        let direct = Direct {
+            store: &mut pmv.store,
+            stats: &mut pmv.stats,
         };
-        pmv.breaker.record_ok();
-        let exec = t_exec.elapsed();
-        pmv.obs.record(Phase::o3_exec, exec);
-        trace.event(EventKind::Exec {
-            rows: results.len(),
-            tuples_examined: exec_stats.tuples_examined,
-            index_probes: exec_stats.index_probes,
-            us: exec.as_micros() as u64,
-        });
-
-        // ---- Operation O3: dedup + fill/update ----
-        let t_o3 = Instant::now();
-        let fill_epoch = db.version();
-        let mut remaining_expanded: Vec<Arc<Tuple>> = Vec::new();
-        let mut admit_cache: HashMap<BcpKey, Residency> = HashMap::new();
-        // Basic parts' bcps where this run observes the *entire* answer:
-        // if every produced row lands (or already lives) in the entry,
-        // stamp it complete so later probes skip execution entirely.
-        let evictions_before = pmv.store.evictions();
-        let mut completable: HashMap<BcpKey, bool> = if serving && pmv.config.upquery {
-            parts
-                .iter()
-                .filter(|p| p.is_basic)
-                .map(|p| (p.bcp.clone(), true))
-                .collect()
-        } else {
-            HashMap::new()
-        };
-        for t in results {
-            // `is_empty` is a field read: cold queries (nothing served)
-            // skip the hash probe entirely.
-            if !ds.is_empty() && ds.remove_one(&t) {
-                continue; // the user already has this occurrence
-            }
-            let bcp = pmv.def.bcp_of_tuple(&t);
-            let cj = counters.entry(bcp.clone()).or_insert(0);
-            let mut cached_now = false;
-            if serving && *cj < pmv.config.f {
-                let residency = match admit_cache.get(&bcp) {
-                    Some(r) => *r,
-                    None => {
-                        let r = pmv.store.admit(&bcp);
-                        if r == Residency::Probation {
-                            pmv.stats.probations += 1;
-                        }
-                        admit_cache.insert(bcp.clone(), r);
-                        r
-                    }
-                };
-                if residency == Residency::Resident
-                    && pmv.store.push_arc(&bcp, Arc::clone(&t), fill_epoch)
-                {
-                    *cj += 1;
-                    pmv.stats.tuples_admitted += 1;
-                    cached_now = true;
-                }
-            }
-            if !cached_now {
-                if let Some(flag) = completable.get_mut(&bcp) {
-                    *flag = false;
-                }
-            }
-            remaining_expanded.push(t);
-        }
-        if pmv.store.evictions() == evictions_before {
-            let at = pmv.store.inserts_seen();
-            for (bcp, ok) in &completable {
-                if *ok {
-                    pmv.store.mark_complete(bcp, at);
-                }
-            }
-        }
-        let ds_leftover = ds.len();
-        debug_assert_eq!(ds_leftover, 0, "DS must be empty after O3");
-        let o3_overhead = t_o3.elapsed();
-        pmv.obs.record(Phase::o3_dedup, o3_overhead);
-        pmv.obs.record(Phase::full, t_start.elapsed());
-        flush_faults(&mut trace, fault_cap.take());
-
-        // ---- Bookkeeping ----
-        pmv.stats.queries += 1;
-        pmv.stats.condition_parts += parts.len() as u64;
-        if bcp_hit {
-            pmv.stats.bcp_hit_queries += 1;
-        }
-        if !partial_expanded.is_empty() {
-            pmv.stats.serving_queries += 1;
-            pmv.stats.partial_tuples_served += partial_expanded.len() as u64;
-        }
-
-        let template = pmv.def.template();
-        let partial = partial_expanded
-            .iter()
-            .map(|t| template.user_tuple(t))
-            .collect();
-        let remaining = remaining_expanded
-            .iter()
-            .map(|t| template.user_tuple(t))
-            .collect();
-        Ok(QueryOutcome {
-            partial,
-            remaining,
-            partial_expanded,
-            remaining_expanded,
-            bcp_hit,
-            parts: parts.len(),
-            timings: QueryTimings {
-                o1,
-                o2,
-                exec,
-                o3_overhead,
-            },
-            exec_stats,
-            ds_leftover,
-            degraded: None,
-        })
+        serve::run_pinned(&env, direct, db, q)
     }
 
     /// Baseline: execute the query without any PMV involvement, returning
@@ -822,88 +354,50 @@ impl PmvPipeline {
     }
 }
 
-/// Close a fault-capture scope (if one was opened) and surface every
-/// delivered fault — latency injections above all, which otherwise leave
-/// no visible mark — as `FaultFired` trace events. Shared with the
-/// sharded embedding.
-pub(crate) fn flush_faults(
-    trace: &mut pmv_obs::TraceScope<'_>,
-    cap: Option<pmv_faultinject::CaptureGuard>,
-) {
-    if let Some(cap) = cap {
-        for f in cap.finish() {
-            trace.event(EventKind::FaultFired {
-                site: f.site.to_string(),
-                kind: f.kind_str(),
-            });
-        }
-    }
+/// The direct [`StoreAccess`] instance: exclusive access to a
+/// single-owner [`Pmv`]'s store. One shard, no lock, no published view —
+/// O2 reads the live entries and write-back is always granted.
+struct Direct<'a> {
+    store: &'a mut PmvStore,
+    stats: &'a mut PmvStats,
 }
 
-/// Map an abort-class [`pmv_query::QueryError`] to a degradation reason.
-/// Shared with the sharded embedding.
-pub(crate) fn degrade_reason(e: &pmv_query::QueryError) -> DegradeReason {
-    use pmv_query::{BudgetExceeded, QueryError};
-    match e {
-        QueryError::Budget(BudgetExceeded::Deadline) => DegradeReason::Deadline,
-        QueryError::Budget(BudgetExceeded::Tuples) => DegradeReason::TupleBudget,
-        _ => DegradeReason::ExecError,
+impl StoreAccess for Direct<'_> {
+    fn shard_of(&self, _bcp: &BcpKey) -> usize {
+        0
     }
-}
 
-/// O2 inner loop, shared with the sharded [`crate::concurrent::SharedPmv`]
-/// (which calls it once per shard with that shard's slice of the parts):
-/// probe each distinct containing bcp once, serve matching cached tuples,
-/// fill DS/counters.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn probe_parts(
-    store: &mut PmvStore,
-    q: &QueryInstance,
-    parts: &[&ConditionPart],
-    pin_epoch: u64,
-    counters: &mut HashMap<BcpKey, usize>,
-    ds: &mut Ds,
-    partial_expanded: &mut Vec<Arc<Tuple>>,
-    bcp_hit: &mut bool,
-) {
-    for part in parts {
-        if counters.contains_key(&part.bcp) {
-            // Several condition parts can share one containing bcp (two
-            // query intervals inside one basic interval); the full
-            // Cselect check below already covered its tuples.
-            continue;
+    fn maint_epoch(&self) -> u64 {
+        0
+    }
+
+    fn run_pinned_probe(
+        &self,
+        _si: usize,
+        parts: &[&ConditionPart],
+        claims: bool,
+        mut each: impl FnMut(&ConditionPart, Option<&[CachedTuple]>, bool),
+    ) -> bool {
+        if self.store.is_quarantined() {
+            return false;
         }
-        // Zero-copy: matching tuples are served by cloning their `Arc`s
-        // into DS and the partial list; no tuple data moves.
-        let (hit, served, cached_count) = match store.lookup(&part.bcp) {
-            Some(entries) => {
-                let mut served = false;
-                for (t, fill_epoch) in entries {
-                    // Epoch gate: a reader pinned at epoch e must not see
-                    // tuples computed after e. (The locked pipeline pins
-                    // u64::MAX — it relies on the S lock instead.)
-                    if *fill_epoch > pin_epoch {
-                        continue;
-                    }
-                    // A basic part contains every tuple of its bcp; a
-                    // contained part requires the full Cselect check —
-                    // "this is equivalent to checking whether t satisfies
-                    // the Cselect of query Q".
-                    if part.is_basic || q.matches_select(t) {
-                        ds.insert_arc(Arc::clone(t));
-                        partial_expanded.push(Arc::clone(t));
-                        served = true;
-                    }
-                }
-                (true, served, entries.len())
-            }
-            None => (false, false, 0),
-        };
-        if hit {
-            *bcp_hit = true;
+        for part in parts {
+            let claimed = claims && self.store.entry_complete(&part.bcp);
+            each(part, self.store.lookup(&part.bcp), claimed);
         }
-        counters.insert(part.bcp.clone(), cached_count);
-        store.touch(&part.bcp, served);
+        true
+    }
+
+    fn run_pinned_write_shard(
+        &mut self,
+        _si: usize,
+        apply: impl FnOnce(&mut PmvStore, u64) -> Option<WriteBack>,
+    ) -> Option<WriteBack> {
+        apply(self.store, 0)
+    }
+
+    fn add_stats(&mut self, local: &PmvStats) {
+        self.stats.merge(local);
     }
 }
 

@@ -205,6 +205,15 @@ fn run_stress(seed: u64, iters: i64) {
     let counts = plan.counts();
     assert!(counts.panics > 0, "no panics delivered (seed {seed})");
     assert!(counts.errors > 0, "no errors delivered (seed {seed})");
+    // ... and both serving-path shard sites must still sit on a path
+    // that runs: a site the write-back no longer reaches would stop
+    // injecting silently.
+    for site in [Site::ShardProbe, Site::ShardFill] {
+        assert!(
+            plan.invocations(site) > 0,
+            "{site} never reached (seed {seed})"
+        );
+    }
 
     // Structural invariants hold even with quarantined shards.
     let report = shared.validate();

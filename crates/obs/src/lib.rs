@@ -76,7 +76,6 @@ macro_rules! for_each_phase {
             [keep] wal_fsync,
             [keep] ckpt_write,
             [keep] recovery_replay,
-            [keep] lock_shard_probe,
             [keep] lock_shard_fill,
             [keep] lock_shard_maint,
             [keep] lock_master_commit,
@@ -281,7 +280,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), n);
-        assert_eq!(n, 23);
+        assert_eq!(n, 22);
     }
 
     #[test]

@@ -24,12 +24,8 @@ use std::fmt::Write as _;
 /// Phase names that measure lock *wait* rather than work — the
 /// contention half of the phase enum. Kept in one place so the
 /// classifier in [`split_phases`] and the docs stay in sync.
-pub const CONTENTION_PHASES: [&str; 4] = [
-    "lock_shard_probe",
-    "lock_shard_fill",
-    "lock_shard_maint",
-    "lock_master_commit",
-];
+pub const CONTENTION_PHASES: [&str; 3] =
+    ["lock_shard_fill", "lock_shard_maint", "lock_master_commit"];
 
 /// One ranked contention site.
 #[derive(Clone, Debug, PartialEq)]
@@ -392,7 +388,7 @@ mod tests {
             ("ttfr", hist(&[100])),
             ("o2_probe", hist(&[50, 60])),
             ("lock_master_commit", hist(&[500, 900])),
-            ("lock_shard_probe", HistSnapshot::empty()),
+            ("lock_shard_fill", HistSnapshot::empty()),
             ("wal_fsync", hist(&[2_000])),
         ];
         let (contention, stages) = split_phases(&phases);
@@ -408,7 +404,7 @@ mod tests {
         let mut r = ProfileReport {
             source: "test".into(),
             contention: vec![
-                ContentionSite::from_snapshot("lock_shard_probe", &hist(&[10, 10])),
+                ContentionSite::from_snapshot("lock_shard_fill", &hist(&[10, 10])),
                 ContentionSite::from_snapshot("lock_master_commit", &hist(&[5_000])),
             ],
             pipeline: vec![

@@ -11,7 +11,7 @@
 //!
 //! A [`DbSnapshot`] additionally carries the database's `version` as its
 //! **epoch**: the number the serving path pins, gates cache fills by,
-//! and reasons about staleness with (DESIGN.md §14).
+//! and reasons about staleness with (DESIGN.md §10).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

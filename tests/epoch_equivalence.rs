@@ -1,0 +1,202 @@
+//! Property test: the three front ends of the one serving path
+//! (`pmv_core::serve`) are observationally equivalent. Under an arbitrary
+//! script of queries, inserts, deletes and updates, the same query
+//! answered
+//!
+//! * from a single-owner [`Pmv`] through [`PmvPipeline::run`] (direct
+//!   store access, S/X locks, the live database as the view),
+//! * from a [`SharedPmv`] through [`SharedPmv::run`] (sharded store
+//!   access, the live database as the view — the *locked* case), and
+//! * from a [`SharedPmv`] through [`EpochDb::query`] (sharded store
+//!   access, a pinned snapshot as the view)
+//!
+//! must return exactly the multiset the plain executor returns, with the
+//! end-of-O3 invariant `ds_leftover == 0`. Each front end owns its own
+//! view so cache states evolve independently; equivalence therefore
+//! exercises fills, hits, complete-serves, upqueries, evictions and the
+//! epoch gates, not just cold execution. With `unique` set the relation
+//! declares a key the template covers, so single-part queries take the
+//! duplicate-free fill path; without it every fill goes through the
+//! proven-occurrence caps.
+
+use pmv::cache::PolicyKind;
+use pmv::core::EpochDb;
+use pmv::index::IndexDef;
+use pmv::prelude::*;
+use pmv::query::{execute, Transaction};
+use pmv::storage::{DeltaBatch, RowId};
+use proptest::prelude::*;
+
+struct Fronts {
+    edb: EpochDb,
+    pipeline: PmvPipeline,
+    single: Pmv,
+    locked: SharedPmv,
+    epoch: SharedPmv,
+}
+
+fn setup(unique: bool) -> Fronts {
+    let mut db = Database::new();
+    db.create_relation(Schema::new(
+        "r",
+        vec![
+            Column::new("a", ColumnType::Int),
+            Column::new("f", ColumnType::Int),
+        ],
+    ))
+    .unwrap();
+    for i in 0..40i64 {
+        db.insert("r", tuple![i, i % 8]).unwrap();
+    }
+    db.create_index(IndexDef::btree("r", vec![1])).unwrap();
+    if unique {
+        db.create_index(IndexDef::btree("r", vec![0])).unwrap();
+        db.declare_unique_key("r", &["a"]).unwrap();
+    }
+    let t = TemplateBuilder::new("t")
+        .relation(db.schema("r").unwrap())
+        .select("r", "a")
+        .unwrap()
+        .cond_eq("r", "f")
+        .unwrap()
+        .build()
+        .unwrap();
+    let def = |name: &str| PartialViewDef::all_equality(name, t.clone()).unwrap();
+    // F = 6 exceeds the 5 rows an untouched f holds, so entries can
+    // become complete and the complete-serve/upquery paths are reached.
+    let config = || PmvConfig::new(6, 8, PolicyKind::Clock);
+    Fronts {
+        edb: EpochDb::new(db),
+        pipeline: PmvPipeline::new(),
+        single: Pmv::new(def("single"), config()),
+        locked: SharedPmv::with_shards(def("locked"), config(), 4),
+        epoch: SharedPmv::with_shards(def("epoch"), config(), 4),
+    }
+}
+
+impl Fronts {
+    /// Commit one transaction through the epoch database (which
+    /// maintains both sharded views before publishing), then apply the
+    /// same batches to the single-owner view before anything queries it.
+    fn commit(
+        &mut self,
+        f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<()> + Send + 'static,
+    ) {
+        let batches: Vec<DeltaBatch> = self
+            .edb
+            .commit(&[&self.locked, &self.epoch], move |db| {
+                let mut txn = Transaction::begin(db);
+                // A rejected write (duplicate key) commits nothing.
+                let _ = f(&mut txn);
+                let batches = txn.commit();
+                Ok((batches.clone(), batches))
+            })
+            .unwrap();
+        let guard = self.edb.read();
+        self.pipeline
+            .maintain_all(&guard, &mut self.single, &batches)
+            .unwrap();
+    }
+
+    /// First live row whose `f` equals the selector, if any.
+    fn row_with(&self, f: i64) -> Option<RowId> {
+        let guard = self.edb.read();
+        let handle = guard.relation("r").unwrap();
+        let rel = handle.read();
+        let row = rel
+            .iter()
+            .find(|(_, tu)| tu.get(1) == &Value::Int(f))
+            .map(|(r, _)| r);
+        row
+    }
+}
+
+/// Ops are encoded as `(kind, f, a)`: kind 0–2 = query `f` (and, when
+/// `a` is odd, a second value `a % 8` — a two-part query), kind 3 =
+/// insert `(a, f)`, kind 4 = delete one row with selector `f`, kind 5 =
+/// move one row from `f` to `a % 8`.
+fn ops() -> impl Strategy<Value = Vec<(u8, i64, i64)>> {
+    proptest::collection::vec((0u8..6, 0i64..8, 100i64..200), 1..40)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn three_front_ends_equal_plain_execution(ops in ops(), unique in any::<bool>()) {
+        let mut fx = setup(unique);
+        let t = fx.locked.def().template().clone();
+        for (kind, f, a) in ops {
+            match kind {
+                0..=2 => {
+                    let mut values = vec![Value::Int(f)];
+                    if a % 2 == 1 && a % 8 != f {
+                        values.push(Value::Int(a % 8));
+                    }
+                    let q = t.bind(vec![Condition::Equality(values)]).unwrap();
+                    let pinned = fx.edb.query(&fx.epoch, &q).unwrap();
+                    let guard = fx.edb.read();
+                    let via_lock = fx.locked.run(&guard, &q).unwrap();
+                    let via_pipeline = fx.pipeline.run(&guard, &mut fx.single, &q).unwrap();
+                    let (oracle, _) = execute(&*guard, &q).unwrap();
+                    drop(guard);
+                    // The oracle returns expanded (`Ls'`) tuples; project
+                    // them onto the user-visible select list.
+                    let mut want: Vec<_> = oracle.iter().map(|e| t.user_tuple(e)).collect();
+                    want.sort();
+                    for (name, out) in [
+                        ("epoch", &pinned),
+                        ("locked", &via_lock),
+                        ("pipeline", &via_pipeline),
+                    ] {
+                        prop_assert_eq!(out.ds_leftover, 0, "{} served a stale tuple", name);
+                        prop_assert!(out.is_complete(), "{} degraded", name);
+                        let mut got = out.all_results();
+                        got.sort();
+                        prop_assert_eq!(&got, &want, "{} vs oracle diverged on f={}", name, f);
+                    }
+                }
+                3 => fx.commit(move |txn| txn.insert("r", tuple![a, f]).map(|_| ())),
+                4 => {
+                    let Some(row) = fx.row_with(f) else { continue };
+                    fx.commit(move |txn| txn.delete("r", row).map(|_| ()));
+                }
+                _ => {
+                    let Some(row) = fx.row_with(f) else { continue };
+                    fx.commit(move |txn| {
+                        let old = txn.get("r", row)?;
+                        let moved = Tuple::new(vec![old.get(0).clone(), Value::Int(a % 8)]);
+                        txn.update("r", row, moved).map(|_| ())
+                    });
+                }
+            }
+        }
+        // No run may leave any view serving stale tuples.
+        let guard = fx.edb.read();
+        prop_assert_eq!(fx.single.revalidate(&guard).unwrap(), 0);
+        prop_assert_eq!(fx.locked.revalidate(&guard).unwrap(), 0);
+        prop_assert_eq!(fx.epoch.revalidate(&guard).unwrap(), 0);
+        fx.single.store().validate();
+        fx.locked.debug_validate();
+        fx.epoch.debug_validate();
+    }
+}
+
+/// `SharedPmv::run` is the locked case of the one serving path, so it
+/// serves from completeness claims like the epoch path does: a repeated
+/// basic query whose bcp fits under `F` needs no execution at all.
+#[test]
+fn locked_run_serves_complete_entries() {
+    let fx = setup(false);
+    let t = fx.locked.def().template().clone();
+    let q = t
+        .bind(vec![Condition::Equality(vec![Value::Int(3)])])
+        .unwrap();
+    let guard = fx.edb.read();
+    let cold = fx.locked.run(&guard, &q).unwrap();
+    assert_eq!((cold.partial.len(), cold.remaining.len()), (0, 5));
+    let warm = fx.locked.run(&guard, &q).unwrap();
+    assert_eq!((warm.partial.len(), warm.remaining.len()), (5, 0));
+    assert_eq!(warm.exec_stats.tuples_examined, 0, "O3 must not have run");
+    assert!(fx.locked.stats().complete_serves > 0);
+}
