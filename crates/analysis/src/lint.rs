@@ -10,7 +10,7 @@
 //! | `lock_in_catch_unwind` | no lock acquisition inside a `catch_unwind` closure — guards are acquired *outside* so the quarantine handler can still reach the store after a panic |
 //! | `lock_order` | DB guard before shard guard, never the reverse |
 //! | `relaxed_outside_stats` | `Ordering::Relaxed` only in designated statistics modules (`stats.rs`, anywhere in the `obs` crate, or a file whose docs declare the "statistics, not synchronization" contract) |
-//! | `lock_in_pin_region` | no blocking lock acquisition (`.read()`/`.write()`/`.lock()`) inside an epoch-pinned region — the scope of a `let … = ….pin()` binding or the body of a `run_pinned…` function (the serving function in `core::serve` and both store-access instances' methods). The epoch serving path promises "no lock waited on between pin and answer"; best-effort `try_write()` is allowed |
+//! | `lock_in_pin_region` | no blocking lock acquisition (`.read()`/`.write()`/`.lock()`) inside an epoch-pinned region — the scope of a `let … = ….pin()` binding or the body of a `run_pinned…` function (the serving functions in `core::serve` and the two `concurrent::Inner` methods they call: the shard-view probe and the `try_write` write-back). The epoch serving path promises "no lock waited on between pin and answer"; best-effort `try_write()` is allowed |
 //! | `raw_fs_write` | in `crates/{core,storage,wal}/src`, `pmv_wal::dio` is the *only* module allowed raw `std::fs` write access (`File::create`, `fs::write`, `fs::rename`, …). Everything else must route through `dio` so fault injection and the crash kill-point matrix see every durable write. Test modules (`#[cfg(test)]` and below) are exempt |
 //!
 //! ## Escape hatch
@@ -634,9 +634,9 @@ fn rule_lock_in_pin_region(masked: &str, line_of: &[usize], out: &mut Vec<RawFin
             )
         });
     }
-    // Region form 2: the body of any `fn run_pinned…` — the one serving
-    // function (`core::serve`) and the store-access methods that run
-    // inside it, which must stay wait-free end to end.
+    // Region form 2: the body of any `fn run_pinned…` — the serving
+    // functions (`core::serve`) and the `Inner` probe and write-back
+    // methods that run inside them, which must stay wait-free end to end.
     for pos in find_all(masked, "fn run_pinned") {
         let Some(open_rel) = masked[pos..].find('{') else {
             continue;

@@ -293,9 +293,12 @@ fn rule_pin_reaches_blocking_lock(
             regions.push((fid, pos, end, format!("epoch pin `{var}`")));
         }
     }
-    // The serving function (`core::serve`) and the store-access methods
-    // that run inside it: trait dispatch hides the latter from the call
-    // graph, so each is a region of its own, found by the shared prefix.
+    // The serving functions (`core::serve`) and the two `Inner` methods
+    // that run inside them (shard-view probe, `try_write` write-back).
+    // All are inherent and visible to the call graph; each is still a
+    // region of its own, found by the shared prefix, so a verdict — and
+    // an escape — sits in the body that takes the lock, not at every
+    // caller above it.
     for f in &ws.fns {
         if f.name.starts_with("run_pinned") && !f.is_test {
             if let Some((open, close)) = f.body {

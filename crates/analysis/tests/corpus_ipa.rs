@@ -72,8 +72,8 @@ fn durable_before_visible_interprocedural() {
 /// the design documents — four fault-injection/publish sites in the
 /// pin region (DESIGN.md §10: upquery refill and executor in
 /// `serve::run_pinned_scratch`, the write-back fault point
-/// `serve::run_pinned_fault`, and the sharded instance's publish in
-/// `concurrent.rs`) and the checkpoint-durable
+/// `serve::run_pinned_fault`, and the shard-view publish in
+/// `concurrent::Inner::run_pinned_write_shard`) and the checkpoint-durable
 /// setup path (§16). A new escape anywhere must update this census.
 #[test]
 fn repo_is_clean_ipa() {

@@ -11,9 +11,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use pmv_cache::{PolicyKind, ReplacementPolicy};
-use pmv_core::{
-    decompose, BcpDim, BcpKey, Discretizer, Ds, PartialViewDef, Pmv, PmvConfig, PmvPipeline,
-};
+use pmv_core::{decompose, BcpDim, BcpKey, Discretizer, Ds, PartialViewDef, PmvConfig, SharedPmv};
 use pmv_index::{BTreeIndex, HashIndex, IndexKey, SecondaryIndex};
 use pmv_query::{Condition, Database, TemplateBuilder};
 use pmv_storage::{tuple, Column, ColumnType, RowId, Schema, Tuple, Value};
@@ -62,7 +60,7 @@ fn bench_btree_insert(c: &mut Criterion) {
 }
 
 /// One-relation PMV fixture over equality + interval conditions.
-fn fixture() -> (Database, Pmv, PmvPipeline) {
+fn fixture() -> (Database, SharedPmv) {
     let mut db = Database::new();
     db.create_relation(Schema::new(
         "r",
@@ -105,12 +103,12 @@ fn fixture() -> (Database, Pmv, PmvPipeline) {
         vec![None, Some(Discretizer::int_grid(0, 100, 100))],
     )
     .unwrap();
-    let pmv = Pmv::new(def, PmvConfig::new(3, 20_000, PolicyKind::Clock));
-    (db, pmv, PmvPipeline::new())
+    let pmv = SharedPmv::with_shards(def, PmvConfig::new(3, 20_000, PolicyKind::Clock), 1);
+    (db, pmv)
 }
 
 fn bench_o1_decompose(c: &mut Criterion) {
-    let (_db, pmv, _) = fixture();
+    let (_db, pmv) = fixture();
     let mut group = c.benchmark_group("o1_decompose");
     for h in [1usize, 4, 16] {
         let q = pmv
@@ -129,7 +127,7 @@ fn bench_o1_decompose(c: &mut Criterion) {
 }
 
 fn bench_pipeline_hit(c: &mut Criterion) {
-    let (db, mut pmv, pipe) = fixture();
+    let (db, pmv) = fixture();
     let q = pmv
         .def()
         .template()
@@ -139,9 +137,9 @@ fn bench_pipeline_hit(c: &mut Criterion) {
         ])
         .unwrap();
     // Warm.
-    pipe.run(&db, &mut pmv, &q).unwrap();
+    pmv.run(&db, &q).unwrap();
     c.bench_function("pipeline_warm_query", |b| {
-        b.iter(|| black_box(pipe.run(&db, &mut pmv, &q).unwrap().partial.len()))
+        b.iter(|| black_box(pmv.run(&db, &q).unwrap().partial.len()))
     });
 }
 
@@ -184,7 +182,7 @@ fn bench_policies(c: &mut Criterion) {
 }
 
 fn bench_bcp_recovery(c: &mut Criterion) {
-    let (_db, pmv, _) = fixture();
+    let (_db, pmv) = fixture();
     let t = tuple![5i64, 42i64, 777i64];
     c.bench_function("bcp_of_tuple", |b| {
         b.iter(|| black_box(pmv.def().bcp_of_tuple(&t)))

@@ -11,7 +11,7 @@ use std::time::Instant;
 use pmv_bench::tpcr_harness::{arg_flag, arg_value, build_db};
 use pmv_bench::ExperimentReport;
 use pmv_cache::PolicyKind;
-use pmv_core::{PartialViewDef, Pmv, PmvConfig, PmvPipeline};
+use pmv_core::{PartialViewDef, PmvConfig, SharedPmv};
 use pmv_query::Transaction;
 use pmv_storage::Value;
 use pmv_workload::queries::{t1_query, template_t1};
@@ -39,8 +39,7 @@ fn main() {
         let def = PartialViewDef::all_equality("ablate", t1.clone()).expect("def");
         let mut config = PmvConfig::new(3, 20_000, PolicyKind::Clock);
         config.maint_filter = use_filter;
-        let mut pmv = Pmv::new(def, config);
-        let pipeline = PmvPipeline::new();
+        let pmv = SharedPmv::with_shards(def, config, 1);
         let mut rng = StdRng::seed_from_u64(99);
 
         // Warm the PMV over 200 hot queries.
@@ -49,7 +48,7 @@ fn main() {
             let okey = rng.gen_range(1..=n_orders);
             let (date, supp) = order_combo(&db, okey);
             let q = t1_query(&t1, &[date], &[supp]).expect("bind");
-            pipeline.run(&db, &mut pmv, &q).expect("warm");
+            pmv.run(&db, &q).expect("warm");
         }
 
         // Delete random lineitems, maintaining the PMV each time.
@@ -68,7 +67,7 @@ fn main() {
             let mut txn = Transaction::begin(&mut db);
             txn.delete("lineitem", row).expect("delete");
             for b in txn.commit() {
-                let out = pipeline.maintain(&db, &mut pmv, &b).expect("maintain");
+                let out = pmv.maintain(&db, &b).expect("maintain");
                 joins += out.deletes_joined - out.joins_avoided;
                 avoided += out.joins_avoided;
                 removed += out.view_tuples_removed;

@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use pmv_core::{PartialViewDef, Pmv, PmvConfig, PmvPipeline};
+use pmv_core::{PartialViewDef, PmvConfig, SharedPmv};
 use pmv_query::{Database, QueryInstance};
 use pmv_storage::Value;
 use pmv_workload::queries::{t1_query, t2_query, template_t1, template_t2, values_including};
@@ -144,7 +144,6 @@ pub struct CellConfig {
 /// resident.
 pub fn measure_cell(db: &Database, cfg: &CellConfig) -> OverheadSample {
     let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let pipeline = PmvPipeline::new();
     let (t, def) = match cfg.template {
         Template::T1 => {
             let t = template_t1(db).expect("T1");
@@ -164,21 +163,23 @@ pub fn measure_cell(db: &Database, cfg: &CellConfig) -> OverheadSample {
     let mut execs = Vec::with_capacity(cfg.runs);
     let mut total = OverheadSample::default();
     for run in 0..cfg.runs {
-        let mut pmv = Pmv::new(
+        // One shard: a Fig. 8–10 cell means exactly `entries` bcps.
+        let pmv = SharedPmv::with_shards(
             def.clone(),
             PmvConfig::new(cfg.f_cap, cfg.entries, pmv_cache::PolicyKind::Clock),
+            1,
         );
         let hot = sample_hot(db, &mut rng);
         // Warm: make the hot bcp resident with its (≤ F) tuples.
         let warm_q = build_query(&t, cfg.template, &[hot.date], &[hot.supp], &[hot.nation]);
-        pipeline.run(db, &mut pmv, &warm_q).expect("warm query");
+        pmv.run(db, &warm_q).expect("warm query");
 
         // Measured query: hot value in each dimension + random fillers.
         let dates = values_including(&mut rng, tpcr::NUM_DATES, cfg.e, hot.date);
         let supps = values_including(&mut rng, scale_supp, cfg.f_disjuncts, hot.supp);
         let nations = values_including(&mut rng, tpcr::NUM_NATIONS, cfg.g.max(1), hot.nation);
         let q = build_query(&t, cfg.template, &dates, &supps, &nations);
-        let out = pipeline.run(db, &mut pmv, &q).expect("measured query");
+        let out = pmv.run(db, &q).expect("measured query");
         debug_assert_eq!(out.ds_leftover, 0);
         let _ = run;
         overheads.push(out.timings.overhead());

@@ -29,8 +29,8 @@ use std::sync::Arc;
 
 use pmv_cache::PolicyKind;
 use pmv_core::{
-    AdvisorConfig, CheckpointMeta, Durability, PartialViewDef, Pmv, PmvAdvisor, PmvConfig,
-    PmvPipeline, QueryOutcome, SharedPmv, VerifyOptions, ViewSpec,
+    AdvisorConfig, CheckpointMeta, Durability, PartialViewDef, PmvAdvisor, PmvConfig, QueryOutcome,
+    SharedPmv, VerifyOptions, ViewSpec,
 };
 use pmv_query::{
     parse_template, CondForm, Condition, Database, Interval, QueryInstance, QueryTemplate,
@@ -197,50 +197,18 @@ fn policy_spec_name(p: PolicyKind) -> &'static str {
     }
 }
 
-/// Which serving path `query` uses for PMV-backed templates
-/// (`--snapshot-mode={locked,epoch}`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SnapshotMode {
-    /// The paper's protocol: a single-owner `Pmv` served under S/X locks
-    /// by [`PmvPipeline::run`], with the live database as the data view.
-    #[default]
-    Locked,
-    /// The lock-free path: each query pins a copy-on-write database
-    /// snapshot and serves a sharded view wait-free via
-    /// [`SharedPmv::run_pinned`]. Both modes run the same O1/O2/O3
-    /// implementation; they differ in the view type and the data view.
-    Epoch,
-}
-
-impl std::str::FromStr for SnapshotMode {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "locked" => Ok(SnapshotMode::Locked),
-            "epoch" => Ok(SnapshotMode::Epoch),
-            other => Err(format!(
-                "bad snapshot mode '{other}': expected 'locked' or 'epoch'"
-            )),
-        }
-    }
-}
-
 /// An interactive session: database + templates + PMVs + advisor, with
 /// optional crash durability when opened on a data directory.
 pub struct Session {
     db: Database,
     templates: HashMap<String, Arc<QueryTemplate>>,
     template_sql: HashMap<String, String>,
-    pmvs: HashMap<String, Pmv>,
     shared: HashMap<String, SharedPmv>,
     view_specs: HashMap<String, ViewSpec>,
     durability: Option<Arc<Durability>>,
-    pipeline: PmvPipeline,
     advisor: PmvAdvisor,
-    mode: SnapshotMode,
-    /// Per-template workload accounting; views of either mode record
-    /// into their template's account.
+    /// Per-template workload accounting; every view records into its
+    /// template's account.
     accounts: Arc<pmv_obs::AccountTable>,
     /// Anomaly flight recorder, present on durable sessions (dumps
     /// spool under `<data-dir>/flight/`).
@@ -254,25 +222,17 @@ impl Default for Session {
 }
 
 impl Session {
-    /// Fresh session with an empty database, serving in locked mode.
+    /// Fresh session with an empty database. Pure in-memory: no WAL, no
+    /// checkpoints, zero durability overhead.
     pub fn new() -> Self {
-        Self::with_mode(SnapshotMode::default())
-    }
-
-    /// Fresh session serving PMV queries on the given path. Pure
-    /// in-memory: no WAL, no checkpoints, zero durability overhead.
-    pub fn with_mode(mode: SnapshotMode) -> Self {
         Session {
             db: Database::new(),
             templates: HashMap::new(),
             template_sql: HashMap::new(),
-            pmvs: HashMap::new(),
             shared: HashMap::new(),
             view_specs: HashMap::new(),
             durability: None,
-            pipeline: PmvPipeline::new(),
             advisor: PmvAdvisor::new(),
-            mode,
             accounts: Arc::new(pmv_obs::AccountTable::new()),
             flight: None,
         }
@@ -283,12 +243,9 @@ impl Session {
     /// the checkpoint's view specs, and keep the directory open for
     /// `checkpoint` commands. Returns the session and a one-line
     /// recovery summary for the banner.
-    pub fn with_data_dir(
-        mode: SnapshotMode,
-        data_dir: &std::path::Path,
-    ) -> Result<(Self, String), CliError> {
+    pub fn with_data_dir(data_dir: &std::path::Path) -> Result<(Self, String), CliError> {
         let rec = Durability::open(data_dir).map_err(pmv_core::CoreError::from)?;
-        let mut s = Self::with_mode(mode);
+        let mut s = Self::new();
         s.db = rec.db;
         s.durability = Some(Arc::new(rec.durability));
         // Durable sessions get a flight recorder spooling under
@@ -366,22 +323,20 @@ impl Session {
             .collect();
         let def = PartialViewDef::new(format!("pmv_{}", spec.name), template, discretizers)
             .map_err(CliError::from)?;
-        if self.mode == SnapshotMode::Epoch {
-            let v = if spec.shards > 0 {
-                SharedPmv::with_shards(def, config, spec.shards)
-            } else {
-                SharedPmv::new(def, config)
-            };
-            self.instrument_shared(&spec.name, &v);
-            self.shared.insert(spec.name.clone(), v);
+        // `shards: 0` is a spec written before every view was sharded:
+        // it gets the default shard count.
+        let v = if spec.shards > 0 {
+            SharedPmv::with_shards(def, config, spec.shards)
         } else {
-            self.insert_pmv(&spec.name, Pmv::new(def, config));
-        }
+            SharedPmv::new(def, config)
+        };
+        self.instrument_shared(&spec.name, &v);
+        self.shared.insert(spec.name.clone(), v);
         self.view_specs.insert(spec.name.clone(), spec.clone());
         Ok(())
     }
 
-    /// Hook one epoch-mode view into the session's profiling layer:
+    /// Hook one view into the session's profiling layer:
     /// its per-template account (keyed by template name) and, on
     /// durable sessions, the shared flight recorder.
     fn instrument_shared(&self, name: &str, v: &SharedPmv) {
@@ -389,12 +344,6 @@ impl Session {
         if let Some(fr) = &self.flight {
             v.attach_flight(Arc::clone(fr));
         }
-    }
-
-    /// Register one locked-mode view, hooked into its template's account.
-    fn insert_pmv(&mut self, name: &str, mut v: Pmv) {
-        v.attach_account(self.accounts.register(&Arc::from(name)));
-        self.pmvs.insert(name.to_string(), v);
     }
 
     /// Direct access for embedding (tests, examples).
@@ -558,35 +507,25 @@ impl Session {
             .collect();
         let def = PartialViewDef::new(format!("pmv_{name}"), template, discretizers)?;
         let summary = format!(
-            "PMV for '{}': F={}, L={}, policy={}, maint={}{}",
+            "PMV for '{}': F={}, L={}, policy={}, maint={} (epoch serving)",
             name,
             config.f,
             config.l,
             config.policy.name(),
             config.maint_strategy.as_str(),
-            if self.mode == SnapshotMode::Epoch {
-                " (epoch serving)"
-            } else {
-                ""
-            }
         );
-        let mut spec = ViewSpec {
+        let v = SharedPmv::new(def, config.clone());
+        let spec = ViewSpec {
             name: name.to_string(),
             sql: self.template_sql.get(name).cloned().unwrap_or_default(),
             f: config.f,
             l: config.l,
             policy: policy_spec_name(config.policy).to_string(),
-            shards: 0,
+            shards: v.shard_count(),
             dividers,
         };
-        if self.mode == SnapshotMode::Epoch {
-            let v = SharedPmv::new(def, config);
-            spec.shards = v.shard_count();
-            self.instrument_shared(name, &v);
-            self.shared.insert(name.to_string(), v);
-        } else {
-            self.insert_pmv(name, Pmv::new(def, config));
-        }
+        self.instrument_shared(name, &v);
+        self.shared.insert(name.to_string(), v);
         self.view_specs.insert(name.to_string(), spec);
         Ok(summary)
     }
@@ -696,10 +635,10 @@ impl Session {
         match mode {
             Mode::Explain => Ok(pmv_query::explain(&self.db, &q)),
             Mode::Plain => {
-                let (rows, _, elapsed) = self.pipeline.run_plain(&self.db, &q)?;
+                let (rows, _, elapsed) = pmv_core::run_plain(&self.db, &q)?;
                 Ok(format!("{} row(s) in {elapsed:?} (no PMV)", rows.len()))
             }
-            Mode::Pmv if self.mode == SnapshotMode::Epoch => {
+            Mode::Pmv => {
                 // Publish an incremental snapshot (amortized O(relations
                 // touched since the last one) — untouched entries are
                 // reused) and serve with no database lock.
@@ -711,39 +650,11 @@ impl Session {
                 let out = shared.run_pinned(&snap, &q)?;
                 Ok(format_outcome(&out))
             }
-            Mode::Pmv => {
-                let pmv = self
-                    .pmvs
-                    .get_mut(name)
-                    .ok_or_else(|| usage(format!("no PMV for '{name}' (use: pmv {name})")))?;
-                let out = self.pipeline.run(&self.db, pmv, &q)?;
-                Ok(format_outcome(&out))
-            }
         }
     }
 
     fn cmd_health(&mut self) -> Result<String, CliError> {
         let mut out = String::new();
-        for (name, pmv) in &self.pmvs {
-            let s = pmv.stats();
-            let b = pmv.breaker();
-            let _ = writeln!(
-                out,
-                "{name}: {} (error rate {:.3}, trips {}, degraded queries {}, \
-                 quarantine events {}, last verified {}ms ago{})",
-                pmv.health(),
-                b.error_rate(),
-                b.trip_count(),
-                s.degraded_queries,
-                s.quarantine_events,
-                pmv.last_verified_age().as_millis(),
-                if pmv.store().is_quarantined() {
-                    ", store DRAINED"
-                } else {
-                    ""
-                },
-            );
-        }
         for (name, v) in &self.shared {
             let s = v.stats();
             let b = v.breaker();
@@ -795,60 +706,23 @@ impl Session {
     /// The exportable telemetry for every PMV, sorted by template name
     /// so script output is deterministic.
     fn view_metrics(&self) -> Vec<pmv_obs::ViewMetrics> {
-        let mut names: Vec<&String> = self.pmvs.keys().collect();
+        let mut names: Vec<&String> = self.shared.keys().collect();
         names.sort();
         let mut views: Vec<pmv_obs::ViewMetrics> = names
             .into_iter()
             .map(|name| {
-                let pmv = &self.pmvs[name];
-                let s = pmv.stats();
-                pmv_obs::ViewMetrics {
-                    name: pmv.def().name().to_string(),
-                    health: pmv.health().as_str().to_string(),
-                    error_rate: pmv.breaker().error_rate(),
-                    trips: pmv.breaker().trip_count(),
-                    last_verified_age_ms: pmv.last_verified_age().as_millis() as u64,
-                    counters: s.as_pairs(),
-                    gauges: vec![
-                        ("hit_probability", s.hit_probability()),
-                        ("serving_probability", s.serving_probability()),
-                        ("degraded_query_rate", s.degraded_query_rate()),
-                        ("store_bytes", pmv.store().byte_size() as f64),
-                        ("occupancy", pmv.store().occupancy()),
-                    ],
-                    phases: pmv.obs().snapshots(),
+                let v = &self.shared[name];
+                let mut metrics = v.metrics();
+                // Fold the per-template account into the counter export
+                // (its bytes-resident gauge is refreshed here — sizing
+                // the store is export-time work, not serving-path work).
+                if let Some(acct) = self.accounts.get(name) {
+                    acct.set_bytes_resident(v.byte_size() as u64);
+                    metrics.counters.extend(acct.snapshot().as_pairs());
                 }
+                metrics
             })
             .collect();
-        let mut names: Vec<&String> = self.shared.keys().collect();
-        names.sort();
-        views.extend(names.into_iter().map(|name| {
-            let v = &self.shared[name];
-            let s = v.stats();
-            // Fold the per-template account into the counter export
-            // (its bytes-resident gauge is refreshed here — sizing the
-            // store is export-time work, not serving-path work).
-            let mut counters = s.as_pairs();
-            if let Some(acct) = self.accounts.get(name) {
-                acct.set_bytes_resident(v.byte_size() as u64);
-                counters.extend(acct.snapshot().as_pairs());
-            }
-            pmv_obs::ViewMetrics {
-                name: v.def().name().to_string(),
-                health: v.health().as_str().to_string(),
-                error_rate: v.breaker().error_rate(),
-                trips: v.breaker().trip_count(),
-                last_verified_age_ms: v.staleness().as_millis() as u64,
-                counters,
-                gauges: vec![
-                    ("hit_probability", s.hit_probability()),
-                    ("serving_probability", s.serving_probability()),
-                    ("degraded_query_rate", s.degraded_query_rate()),
-                    ("store_bytes", v.byte_size() as f64),
-                ],
-                phases: v.obs().snapshots(),
-            }
-        }));
         // The durable path exports as a `__db` pseudo-view: WAL /
         // checkpoint / recovery phase timings from the durability
         // engine's registry plus snapshot-publish efficacy gauges.
@@ -964,7 +838,6 @@ impl Session {
     fn live_profile(&self) -> pmv_obs::ProfileReport {
         let mut merged: Vec<(&'static str, pmv_obs::HistSnapshot)> = Vec::new();
         let mut registries: Vec<Vec<(&'static str, pmv_obs::HistSnapshot)>> = Vec::new();
-        registries.extend(self.pmvs.values().map(|p| p.obs().snapshots()));
         registries.extend(self.shared.values().map(|v| v.obs().snapshots()));
         if let Some(dur) = &self.durability {
             registries.push(dur.obs().snapshots());
@@ -979,11 +852,9 @@ impl Session {
         }
         let (contention, pipeline) = pmv_obs::profile::split_phases(&merged);
 
-        let shared = self.shared.iter().map(|(n, v)| (n, v.byte_size()));
-        let single = self.pmvs.iter().map(|(n, v)| (n, v.store().byte_size()));
-        for (name, bytes) in shared.chain(single) {
+        for (name, v) in &self.shared {
             if let Some(acct) = self.accounts.get(name) {
-                acct.set_bytes_resident(bytes as u64);
+                acct.set_bytes_resident(v.byte_size() as u64);
             }
         }
         let templates = self
@@ -1040,22 +911,15 @@ impl Session {
             };
             n = value.parse().map_err(|_| usage("bad tail count"))?;
         }
-        if self.pmvs.is_empty() && self.shared.is_empty() {
+        if self.shared.is_empty() {
             return Ok("(no PMVs yet)\n".to_string());
-        }
-        let mut names: Vec<&String> = self.pmvs.keys().collect();
-        names.sort();
-        let mut out = String::new();
-        for name in names {
-            for trace in self.pmvs[name].obs().trace().tail(n) {
-                // Display already ends each trace with a newline.
-                let _ = write!(out, "{trace}");
-            }
         }
         let mut names: Vec<&String> = self.shared.keys().collect();
         names.sort();
+        let mut out = String::new();
         for name in names {
             for trace in self.shared[name].obs().trace().tail(n) {
+                // Display already ends each trace with a newline.
                 let _ = write!(out, "{trace}");
             }
         }
@@ -1067,20 +931,6 @@ impl Session {
 
     fn cmd_revalidate(&mut self, rest: &str) -> Result<String, CliError> {
         let mut out = String::new();
-        let mut names: Vec<String> = self.pmvs.keys().cloned().collect();
-        names.sort();
-        for name in names {
-            if !rest.is_empty() && rest != name {
-                continue;
-            }
-            let pmv = self.pmvs.get_mut(&name).expect("key from keys()");
-            let removed = pmv.revalidate(&self.db)?;
-            let _ = writeln!(
-                out,
-                "{name}: {removed} stale tuple(s) removed, now {}",
-                pmv.health()
-            );
-        }
         let mut names: Vec<String> = self.shared.keys().cloned().collect();
         names.sort();
         for name in names {
@@ -1137,25 +987,6 @@ impl Session {
 
     fn cmd_stats(&mut self, rest: &str) -> Result<String, CliError> {
         let mut out = String::new();
-        for (name, pmv) in &self.pmvs {
-            if !rest.is_empty() && rest != name {
-                continue;
-            }
-            let s = pmv.stats();
-            let _ = writeln!(
-                out,
-                "{name}: {} queries, hit {:.1}%, {} tuples served early, \
-                 store {} entries / {} tuples / {} bytes, policy {}",
-                s.queries,
-                s.hit_probability() * 100.0,
-                s.partial_tuples_served,
-                pmv.store().entry_count(),
-                pmv.store().tuple_count(),
-                pmv.store().byte_size(),
-                pmv.store().policy_name(),
-            );
-            out.push_str(&maintenance_line(pmv.config(), s));
-        }
         for (name, v) in &self.shared {
             if !rest.is_empty() && rest != name {
                 continue;
@@ -1231,7 +1062,7 @@ enum Mode {
     Explain,
 }
 
-/// Human rendering of a PMV query outcome, shared by both serving paths.
+/// Human rendering of a PMV query outcome.
 fn format_outcome(out: &QueryOutcome) -> String {
     let mut text = format!(
         "{} row(s) immediately in {:?}, {} after execution ({:?}); hit={}",
@@ -1378,7 +1209,7 @@ mod tests {
 
     #[test]
     fn epoch_mode_session_flow() {
-        let mut s = Session::with_mode(SnapshotMode::Epoch);
+        let mut s = Session::new();
         s.execute("load tpcr 0.001").unwrap();
         s.execute(
             "template t1 SELECT * FROM orders, lineitem \
@@ -1431,7 +1262,7 @@ mod tests {
 
     #[test]
     fn profile_command_reports_live_session() {
-        let mut s = Session::with_mode(SnapshotMode::Epoch);
+        let mut s = Session::new();
         s.execute("load tpcr 0.001").unwrap();
         s.execute(
             "template t1 SELECT * FROM orders, lineitem \
@@ -1462,7 +1293,7 @@ mod tests {
 
     #[test]
     fn metrics_export_carries_accounts_and_db_pseudo_view() {
-        let mut s = Session::with_mode(SnapshotMode::Epoch);
+        let mut s = Session::new();
         s.execute("load tpcr 0.001").unwrap();
         s.execute(
             "template t1 SELECT * FROM orders, lineitem \
@@ -1596,7 +1427,7 @@ mod tests {
     fn durable_session_roundtrips_through_checkpoint() {
         let dir = scratch_dir("roundtrip");
         {
-            let (mut s, banner) = Session::with_data_dir(SnapshotMode::Locked, &dir).unwrap();
+            let (mut s, banner) = Session::with_data_dir(&dir).unwrap();
             assert!(banner.contains("initialized"), "{banner}");
             // The load auto-checkpoints so the data survives a crash
             // right after the prompt returns.
@@ -1614,7 +1445,7 @@ mod tests {
         }
         // Reopen: catalog, data, template, and PMV all come back without
         // re-running any setup command.
-        let (mut s, banner) = Session::with_data_dir(SnapshotMode::Locked, &dir).unwrap();
+        let (mut s, banner) = Session::with_data_dir(&dir).unwrap();
         assert!(banner.contains("recovered from"), "{banner}");
         assert!(banner.contains("1 view(s) re-registered"), "{banner}");
         let tables = s.execute("tables").unwrap();
@@ -1634,7 +1465,7 @@ mod tests {
     fn durable_epoch_session_restores_shard_count() {
         let dir = scratch_dir("epoch_shards");
         {
-            let (mut s, _) = Session::with_data_dir(SnapshotMode::Epoch, &dir).unwrap();
+            let (mut s, _) = Session::with_data_dir(&dir).unwrap();
             s.execute("load tpcr 0.001").unwrap();
             s.execute(
                 "template t1 SELECT * FROM orders, lineitem \
@@ -1645,18 +1476,70 @@ mod tests {
             s.execute("pmv t1 f=3 l=1000").unwrap();
             s.execute("checkpoint").unwrap();
         }
-        let (mut s, _) = Session::with_data_dir(SnapshotMode::Epoch, &dir).unwrap();
+        let (mut s, _) = Session::with_data_dir(&dir).unwrap();
         let before = s.execute("stats").unwrap();
-        let (mut s2, _) = Session::with_data_dir(SnapshotMode::Epoch, &dir).unwrap();
+        let (mut s2, _) = Session::with_data_dir(&dir).unwrap();
         assert_eq!(before, s2.execute("stats").unwrap(), "shard count drifted");
         assert!(s.execute("query t1 [100] [1]").is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Data directories written before every view was sharded carry
+    /// `shards: 0` in their view specs (the old locked mode); epoch-mode
+    /// ones carry the shard count. Both reopen, re-register the view and
+    /// answer.
+    #[test]
+    fn view_specs_with_and_without_a_shard_count_reopen() {
+        for shards in [0usize, 4] {
+            let dir = scratch_dir(&format!("spec_shards_{shards}"));
+            {
+                let (mut s, _) = Session::with_data_dir(&dir).unwrap();
+                s.execute("load tpcr 0.001").unwrap();
+                s.execute(
+                    "template t1 SELECT * FROM orders, lineitem \
+                     WHERE orders.orderkey = lineitem.orderkey \
+                     AND orders.orderdate = ? AND lineitem.suppkey = ?",
+                )
+                .unwrap();
+                s.execute("pmv t1 f=3 l=1000").unwrap();
+                s.view_specs.get_mut("t1").unwrap().shards = shards;
+                s.execute("checkpoint").unwrap();
+            }
+            let (mut s, banner) = Session::with_data_dir(&dir).unwrap();
+            assert!(banner.contains("1 view(s) re-registered"), "{banner}");
+            let out = s.execute("query t1 [100] [1]").unwrap();
+            assert!(out.contains("hit="), "{out}");
+            let stats = s.execute("stats").unwrap();
+            assert!(stats.contains("t1: 1 queries"), "{stats}");
+            if shards > 0 {
+                assert!(stats.contains(&format!("{shards} shard(s)")), "{stats}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// One view type, one map: every per-view report names a view once.
+    #[test]
+    fn reports_list_each_view_once() {
+        let mut s = loaded_session();
+        s.execute("pmv t1").unwrap();
+        s.execute("query t1 [100] [1]").unwrap();
+        let count = |text: &str, needle: &str| text.matches(needle).count();
+        assert_eq!(count(&s.execute("health").unwrap(), "t1: "), 1);
+        assert_eq!(count(&s.execute("stats").unwrap(), "t1: "), 1);
+        assert_eq!(count(&s.execute("metrics").unwrap(), "pmv_t1 ["), 1);
+        let json = s.execute("metrics --format json").unwrap();
+        assert_eq!(count(&json, "\"name\":\"pmv_t1\""), 1, "{json}");
+        assert_eq!(count(&s.execute("trace").unwrap(), "query 'pmv_t1'"), 1);
+        assert_eq!(count(&s.execute("revalidate").unwrap(), "t1: "), 1);
+        let profile = s.execute("profile --json").unwrap();
+        assert_eq!(count(&profile, "\"template\":\"t1\""), 1, "{profile}");
+    }
+
     #[test]
     fn durable_session_opens_flight_spool() {
         let dir = scratch_dir("flight_spool");
-        let (mut s, _) = Session::with_data_dir(SnapshotMode::Epoch, &dir).unwrap();
+        let (mut s, _) = Session::with_data_dir(&dir).unwrap();
         assert!(dir.join("flight").is_dir(), "spool dir created at open");
         let out = s.execute("profile").unwrap();
         assert!(

@@ -4,10 +4,11 @@
 //! cargo run --release -p pmv-cli              # interactive
 //! cargo run --release -p pmv-cli script.pmv   # run a command script
 //! cargo run --release -p pmv-cli -- --fault-plan 'seed=42;exec-row:error@0.01' script.pmv
-//! cargo run --release -p pmv-cli -- --snapshot-mode=epoch   # wait-free serving path
 //! cargo run --release -p pmv-cli -- --data-dir ./pmvdata    # durable: WAL + checkpoints
 //! ```
 //!
+//! Every session serves PMV queries the same way: each query pins a
+//! copy-on-write database snapshot and reads a sharded view wait-free.
 //! Without `--data-dir` the session is pure in-memory (no WAL, no
 //! fsync, zero durability overhead). With it, the session recovers the
 //! newest checkpoint plus the WAL tail at startup and the `checkpoint`
@@ -19,13 +20,12 @@
 
 use std::io::{BufRead, Write};
 
-use pmv_cli::{CliError, Session, SnapshotMode};
+use pmv_cli::{CliError, Session};
 
 fn main() {
     let mut script_path: Option<String> = None;
     let mut fault_plan: Option<String> = None;
     let mut data_dir: Option<String> = None;
-    let mut mode = SnapshotMode::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         if let Some(dir) = arg.strip_prefix("--data-dir=") {
@@ -48,23 +48,12 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-        } else if let Some(m) = arg.strip_prefix("--snapshot-mode=") {
-            mode = m.parse().unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(2);
-            });
-        } else if arg == "--snapshot-mode" {
-            match args.next().as_deref().map(str::parse) {
-                Some(Ok(m)) => mode = m,
-                Some(Err(e)) => {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                }
-                None => {
-                    eprintln!("--snapshot-mode needs 'locked' or 'epoch'");
-                    std::process::exit(2);
-                }
-            }
+        } else if arg == "--snapshot-mode" || arg.starts_with("--snapshot-mode=") {
+            eprintln!(
+                "unknown flag '{arg}': --snapshot-mode was removed; every session serves \
+                 pinned snapshots from sharded views (what 'epoch' selected)"
+            );
+            std::process::exit(2);
         } else if arg.starts_with("--") {
             eprintln!("unknown flag '{arg}'");
             std::process::exit(2);
@@ -106,7 +95,7 @@ fn main() {
 
     let mut session = match data_dir {
         Some(dir) => {
-            let (session, banner) = Session::with_data_dir(mode, std::path::Path::new(&dir))
+            let (session, banner) = Session::with_data_dir(std::path::Path::new(&dir))
                 .unwrap_or_else(|e| {
                     eprintln!("error: {e}");
                     std::process::exit(e.exit_code());
@@ -114,7 +103,7 @@ fn main() {
             eprintln!("{banner}");
             session
         }
-        None => Session::with_mode(mode),
+        None => Session::new(),
     };
 
     if let Some(path) = script_path {

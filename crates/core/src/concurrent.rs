@@ -1,34 +1,37 @@
-//! Sharded, thread-safe PMV embedding.
+//! The PMV: one view's definition and its bounded, sharded store
+//! (Section 3.2), as a clonable thread-safe handle.
 //!
-//! [`crate::pipeline::PmvPipeline::run`] takes `&mut Pmv`, which forces
-//! single-writer access. [`SharedPmv`] shards the store by bcp-key hash
-//! instead:
+//! [`SharedPmv`] shards the store by bcp-key hash:
 //!
 //! * The view's `L` entry budget is split over `N` shards (default: the
-//!   machine's available parallelism), each with its own [`PmvStore`] —
-//!   its slice of the bcp entries, its own replacement-policy instance of
-//!   capacity `⌈L/N⌉`, and its own maintenance-filter slice — behind its
-//!   own [`parking_lot::RwLock`].
-//! * Each shard also publishes an immutable **shard view** (its bcp
-//!   entries as `Arc`-shared tuples, plus the valid completeness claims)
-//!   through a [`pmv_sync::LeftRight`] cell; mutators republish, under
-//!   the shard's write guard, after changing what the shard serves.
-//! * Maintenance X-locks (write-locks) only the shards its ΔR join rows
-//!   hash to, in ascending index order; queries over other shards are
-//!   never affected.
+//!   machine's available parallelism; `with_shards(_, _, 1)` is the
+//!   paper's single structure of exactly `L` entries), each with its own
+//!   [`PmvStore`] — its slice of the bcp entries, its own
+//!   replacement-policy instance of capacity `⌈L/N⌉`, and its own
+//!   delta-key index slice — behind its own [`parking_lot::RwLock`].
+//! * Each shard also publishes an immutable **shard view** through a
+//!   [`pmv_sync::LeftRight`] cell: a spine of `Arc`-shared chunk maps
+//!   (entry = cached tuples + completeness stamp) plus the store's insert
+//!   watermark and quarantine flag. Mutators republish, under the
+//!   shard's write guard, after changing what the shard serves; a
+//!   publish costs O(changed bcps), not O(entries) — see
+//!   [`ShardView::next`].
+//! * Maintenance ([`crate::maintenance`]) X-locks (write-locks) only the
+//!   shards its ΔR join rows hash to, in ascending index order; queries
+//!   over other shards are never affected.
 //! * Statistics accumulate locally per call and publish via one relaxed
 //!   [`AtomicPmvStats::add`] — no lock is taken for bookkeeping.
 //!
 //! # Serving
 //!
-//! Queries run the one O1 → O2 → O3 implementation in [`crate::serve`]
-//! through this module's *sharded* store-access instance: O2
-//! [`pmv_sync::LeftRight::load`]s the published shard views wait-free and
-//! never touches a shard `RwLock`; policy touches and fills are deferred
-//! to a best-effort write-back that takes `try_write` and is skipped
-//! under contention, so between pinning and the answer no lock is ever
-//! waited on (both analyzers enforce this on every `run_pinned*` body).
-//! The two epoch gates that stand in for the paper's S lock — serve only
+//! Queries run the one O1 → O2 → O3 implementation in [`crate::serve`]:
+//! O2 [`pmv_sync::LeftRight::load`]s the published shard views wait-free
+//! and never touches a shard `RwLock`; policy touches and fills are
+//! deferred to a best-effort write-back that takes `try_write` and is
+//! skipped under contention (a single thread is never declined), so
+//! between pinning and the answer no lock is ever waited on (both
+//! analyzers enforce this on every `run_pinned*` body). The two epoch
+//! gates that stand in for the paper's S lock — serve only
 //! `fill_epoch ≤ pin_epoch`, write back only when `pin_epoch ≥
 //! maint_epoch` — are described there and in DESIGN.md "Serving path".
 //!
@@ -39,96 +42,133 @@
 //! caller's borrow (e.g. the read half of an `RwLock<Database>`) is what
 //! pins the base data, because any writer needs `&mut Database`.
 //!
-//! # Maintenance contract (the Section 3.6 X side)
-//!
-//! [`SharedPmv::maintain`] **must be called before the delta's new
-//! database state becomes visible to queries** — i.e. while the caller
-//! still holds its exclusive database access, reborrowed as `&Database`:
-//!
-//! ```text
-//! let mut g = db.write();              // exclusive: no query running
-//! let batches = txn.commit();          // Δ applied to the base data
-//! shared.maintain(&g, &batches[0])?;   // shards repaired *before*…
-//! drop(g);                             // …readers can see the new DB
-//! ```
-//!
-//! Under that contract every query observes (database state, shard
-//! contents) pairs where the cached tuples are a subset of the true bcp
-//! answers, so O3 re-derives every served tuple and the end-of-O3
-//! invariant `ds_leftover == 0` holds. (This rule is exactly what the
-//! seed's global-mutex embedding got wrong: it committed, *downgraded*
-//! the database lock, and only then locked the PMV — a reader could slip
-//! into the gap, see the new database with stale shards, and trip the
-//! `DS must be empty` assertion.)
-//!
 //! Lock ordering is uniform — database access is always acquired before
 //! any shard lock, queries never wait on a shard lock at all, and
 //! maintenance acquires its affected shards in ascending index order — so
 //! the embedding is deadlock-free.
 
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
-use pmv_faultinject::Site;
 use pmv_obs::{
     EventKind, FlightRecorder, ObsRegistry, Phase, SpaceSaving, TemplateAccount, TraceKind,
     TriggerReason, DEFAULT_SKETCH_CAPACITY,
 };
-use pmv_query::{
-    exec::{join_fixed, join_from},
-    DataView, Database, QueryInstance, QueryTemplate,
-};
-use pmv_storage::{Delta, DeltaBatch, Tuple};
+use pmv_query::{execute, DataView, Database, QueryInstance};
+use pmv_storage::Tuple;
 use pmv_sync::LeftRight;
 
 use crate::bcp::BcpKey;
-use crate::fasthash::FxHashMap;
 use crate::health::{CircuitBreaker, ShardReport, ValidationReport, VerifiedClock, ViewHealth};
-use crate::maintenance::{cross_delta_combos, relevant_columns, MaintenanceOutcome};
 use crate::o1::ConditionPart;
-use crate::pipeline::{bcp_truths, remove_stale, QueryOutcome};
-use crate::serve::{self, flush_faults, ServeEnv, StoreAccess, WriteBack};
+use crate::pipeline::QueryOutcome;
+use crate::serve::{self, WriteBack};
 use crate::stats::{AtomicPmvStats, PmvStats};
 use crate::store::{CachedTuple, PmvStore};
-use crate::view::{MaintStrategy, PartialViewDef, PmvConfig};
+use crate::view::{PartialViewDef, PmvConfig};
 use crate::Result;
 
-/// Immutable snapshot of one shard's cached entries, published through a
-/// [`LeftRight`] cell so epoch-mode O2 probes read it wait-free. Tuples
-/// are `Arc`-shared with the store — capture copies pointers, not data.
+/// What a shard view holds for one bcp: the cached tuples (`Arc`-shared
+/// with the store — pointers are copied, not data) and the entry's
+/// completeness stamp, valid only while it equals the view's
+/// `inserts_seen`. A pinned reader may serve a validly stamped entry as
+/// the bcp's *entire* answer — skipping O3 for that slice — under the
+/// epoch gates checked in [`crate::serve`].
+#[derive(Debug, PartialEq)]
+struct ViewEntry {
+    bcp: BcpKey,
+    tuples: Vec<CachedTuple>,
+    complete: Option<u64>,
+}
+
+/// The entries whose bcp hash falls in one chunk, each tagged with that
+/// hash: short enough to scan, and copied by bumping one count per
+/// entry.
+type Chunk = Vec<(u64, Arc<ViewEntry>)>;
+
+fn position(chunk: &Chunk, hash: u64, bcp: &BcpKey) -> Option<usize> {
+    chunk.iter().position(|(h, e)| *h == hash && e.bcp == *bcp)
+}
+
+/// Store entries per view chunk the chunk count is derived from. A
+/// publish copies the spine (one `Arc` per chunk) and each dirty chunk
+/// (one `Arc` per entry; a cold fill dirties two), so its cost
+/// `chunks + 2·⌈L/N⌉/chunks` is flattest around `√(2·⌈L/N⌉)` chunks:
+/// 35–70 entries each at the paper's L of 10–20 K, where 16, 32 and 64
+/// measure the same (DESIGN.md §10), and irrelevant for small views.
+/// Derived, not configurable: it trades nothing a user could want
+/// differently.
+const CHUNK_ENTRIES: usize = 32;
+
+/// Immutable snapshot of what one shard serves, published through a
+/// [`LeftRight`] cell so O2 probes read it wait-free: a spine of
+/// `Arc`-shared chunks plus the store's insert watermark and quarantine
+/// flag. Successive views share every chunk no logged change fell into.
 pub(crate) struct ShardView {
-    entries: HashMap<BcpKey, Vec<(Arc<Tuple>, u64)>>,
-    /// Bcps whose entries held their full truth at capture time (valid
-    /// completeness claims). A pinned reader may serve one of these as
-    /// the bcp's *entire* answer — skipping O3 for that slice — under the
-    /// epoch gates checked in [`crate::serve`].
-    complete: HashSet<BcpKey>,
+    chunks: Arc<[Arc<Chunk>]>,
+    inserts_seen: u64,
     quarantined: bool,
 }
 
 impl ShardView {
-    fn empty() -> ShardView {
+    fn empty(chunks: usize) -> ShardView {
         ShardView {
-            entries: HashMap::new(),
-            complete: HashSet::new(),
+            chunks: vec![Arc::default(); chunks].into(),
+            inserts_seen: 0,
             quarantined: false,
         }
     }
 
-    fn capture(store: &PmvStore) -> ShardView {
+    /// The view after the changes `store` logged since `self` was
+    /// built: O(changed bcps + one chunk copy each). With nothing logged
+    /// (an insert batch moved only the watermark) the spine itself is
+    /// shared; when everything changed (quarantine drain or lift) the
+    /// view restarts from empty chunks and every resident bcp counts as
+    /// changed. `slot_of` gives a bcp's chunk and hash.
+    fn next(&self, store: &mut PmvStore, slot_of: impl Fn(&BcpKey) -> (usize, u64)) -> ShardView {
+        let changes = store.take_changes();
+        let chunks = if changes.as_ref().is_some_and(Vec::is_empty) {
+            Arc::clone(&self.chunks)
+        } else {
+            let (mut spine, changed) = match changes {
+                Some(changed) => (self.chunks.to_vec(), changed),
+                None => (
+                    vec![Arc::default(); self.chunks.len()],
+                    store.iter().map(|(bcp, _)| bcp.clone()).collect(),
+                ),
+            };
+            for bcp in changed {
+                let (ci, hash) = slot_of(&bcp);
+                // The first touch of a chunk copies it (the previous
+                // view still holds it); later touches edit the copy.
+                let chunk = Arc::make_mut(&mut spine[ci]);
+                let at = position(chunk, hash, &bcp);
+                let entry = store.served(&bcp).map(|(tuples, complete)| {
+                    let tuples = tuples.to_vec();
+                    Arc::new(ViewEntry {
+                        bcp,
+                        tuples,
+                        complete,
+                    })
+                });
+                match (entry, at) {
+                    (Some(entry), Some(i)) => chunk[i].1 = entry,
+                    (Some(entry), None) => chunk.push((hash, entry)),
+                    (None, Some(i)) => drop(chunk.swap_remove(i)),
+                    (None, None) => {}
+                }
+            }
+            spine.into()
+        };
         ShardView {
-            entries: store
-                .iter()
-                .map(|(k, ts)| (k.clone(), ts.to_vec()))
-                .collect(),
-            complete: store.complete_bcps().into_iter().collect(),
+            chunks,
+            inserts_seen: store.inserts_seen(),
             quarantined: store.is_quarantined(),
         }
     }
@@ -139,35 +179,39 @@ impl ShardView {
 /// without spooling the whole ring.
 const FLIGHT_TRACE_TAIL: usize = 16;
 
-struct Inner {
-    def: PartialViewDef,
-    config: PmvConfig,
-    shards: Vec<RwLock<PmvStore>>,
+/// The state behind a [`SharedPmv`] handle; [`crate::serve`] and
+/// [`crate::maintenance`] work on it directly.
+pub(crate) struct Inner {
+    pub(crate) def: PartialViewDef,
+    pub(crate) config: PmvConfig,
+    pub(crate) shards: Vec<RwLock<PmvStore>>,
     /// Published read views, one per shard, for the wait-free O2 probe.
     /// Republished (under the shard's write guard) after every mutation
     /// that changes what the shard serves.
     views: Vec<LeftRight<ShardView>>,
+    /// Chunks per shard view, `⌈⌈L/N⌉ / CHUNK_ENTRIES⌉`.
+    chunks: usize,
     /// Epoch (database version) of the last completed maintenance.
     /// Epoch-mode fills are gated on `pin_epoch >= maint_epoch`: a query
     /// pinned before the latest maintenance must not write back results
     /// that maintenance may already have evicted.
-    maint_epoch: AtomicU64,
-    stats: AtomicPmvStats,
+    pub(crate) maint_epoch: AtomicU64,
+    pub(crate) stats: AtomicPmvStats,
     /// Per-view health state machine; Quarantined disables all serving.
-    breaker: CircuitBreaker,
+    pub(crate) breaker: CircuitBreaker,
     /// When the view last completed maintenance or revalidation
     /// (staleness reference point).
-    verified: VerifiedClock,
+    pub(crate) verified: VerifiedClock,
     /// Per-phase latency histograms + lifecycle trace ring. Enabled by
     /// default; when disabled, every record is one relaxed load.
-    obs: ObsRegistry,
+    pub(crate) obs: ObsRegistry,
     /// View name as a shared `Arc<str>`: trace spans clone this instead
     /// of copying the name string on every query.
-    trace_name: Arc<str>,
+    pub(crate) trace_name: Arc<str>,
     /// Per-template workload account, attached by the embedding layer
     /// (CLI/bench); the serving path records into it only while `obs` is
     /// enabled, so the disabled cost stays one relaxed load.
-    account: OnceLock<Arc<TemplateAccount>>,
+    pub(crate) account: OnceLock<Arc<TemplateAccount>>,
     /// Anomaly-triggered flight recorder. A dump locks the trace ring
     /// and performs sink IO, so triggers fire only from locked-mode
     /// [`SharedPmv::run`] and from `EpochDb::query` *after* the pin is
@@ -181,43 +225,53 @@ struct Inner {
     /// (the account's sketch is preferred so `pmv-profile` sees the same
     /// hot keys maintenance acts on). Only the maintenance path locks
     /// it — never the serving path, pinned or locked.
-    delta_sketch: Mutex<SpaceSaving>,
+    pub(crate) delta_sketch: Mutex<SpaceSaving>,
 }
 
 impl Inner {
-    fn shard_of(&self, bcp: &BcpKey) -> usize {
+    /// Owning shard of `bcp` and the one hash that placed it there;
+    /// within that shard's view the same hash picks the chunk and tags
+    /// the entry.
+    pub(crate) fn slot_of(&self, bcp: &BcpKey) -> (usize, u64) {
         let mut h = DefaultHasher::new();
         bcp.hash(&mut h);
-        (h.finish() % self.shards.len() as u64) as usize
+        let hash = h.finish();
+        ((hash % self.shards.len() as u64) as usize, hash)
     }
 
-    /// Republish shard `si`'s read view from `store`. Must be called
-    /// while the caller still holds the shard's write guard, so the
-    /// published view always reflects a consistent store state.
-    fn publish_shard(&self, si: usize, store: &PmvStore) {
-        let t0 = Instant::now();
-        self.views[si].publish(Arc::new(ShardView::capture(store)));
-        self.obs.record(Phase::snapshot_swap, t0.elapsed());
-    }
-}
-
-/// The sharded [`StoreAccess`] instance: probes read the published
-/// shard views, write-back is `try_write` (declined under contention),
-/// and a shard is republished only when what it serves changed.
-impl StoreAccess for &Inner {
-    fn shard_of(&self, bcp: &BcpKey) -> usize {
-        Inner::shard_of(self, bcp)
+    fn chunk_of(&self, hash: u64) -> usize {
+        (hash / self.shards.len() as u64 % self.chunks as u64) as usize
     }
 
-    fn maint_epoch(&self) -> u64 {
+    /// Epoch of the last completed maintenance — the fill gate.
+    pub(crate) fn maint_epoch(&self) -> u64 {
         // Acquire pairs with the Release in `maintain`.
         self.maint_epoch.load(Ordering::Acquire)
     }
 
-    fn run_pinned_probe(
+    /// Republish shard `si`'s read view from the changes `store` logged.
+    /// Must be called while the caller still holds the shard's write
+    /// guard, so the published view always reflects a consistent store
+    /// state (and no other publisher of this shard runs).
+    pub(crate) fn publish_shard(&self, si: usize, store: &mut PmvStore) {
+        let t0 = Instant::now();
+        let next = self.views[si].load().next(store, |bcp| {
+            let hash = self.slot_of(bcp).1;
+            (self.chunk_of(hash), hash)
+        });
+        self.views[si].publish(Arc::new(next));
+        self.obs.record(Phase::snapshot_swap, t0.elapsed());
+    }
+
+    /// O2 read side of shard `si`: call `each(part, entries, claimed)`
+    /// for every `(bcp hash, part)`, with the bcp's cached tuples (if
+    /// resident) and, when `claims` is set, whether the entry carries a
+    /// valid completeness claim. Returns `false`, calling nothing, when
+    /// the shard is quarantined.
+    pub(crate) fn run_pinned_probe(
         &self,
         si: usize,
-        parts: &[&ConditionPart],
+        parts: &[(u64, &ConditionPart)],
         claims: bool,
         mut each: impl FnMut(&ConditionPart, Option<&[CachedTuple]>, bool),
     ) -> bool {
@@ -228,44 +282,47 @@ impl StoreAccess for &Inner {
         if sv.quarantined {
             return false;
         }
-        for part in parts {
-            let entries = sv.entries.get(&part.bcp).map(Vec::as_slice);
-            let claimed = claims && entries.is_some() && sv.complete.contains(&part.bcp);
-            each(part, entries, claimed);
+        for &(hash, part) in parts {
+            let chunk = &sv.chunks[self.chunk_of(hash)];
+            let entry = position(chunk, hash, &part.bcp).map(|i| &*chunk[i].1);
+            let claimed = claims && entry.is_some_and(|e| e.complete == Some(sv.inserts_seen));
+            each(part, entry.map(|e| e.tuples.as_slice()), claimed);
         }
         true
     }
 
-    fn run_pinned_write_shard(
-        &mut self,
+    /// Run `apply(store, maint_epoch)` on shard `si`'s store under its
+    /// write guard — `maint_epoch` re-read once the guard is held — and
+    /// republish the shard if the store logged a change to what it
+    /// serves (touches change only policy state). `None` when the guard
+    /// was contended or `apply` itself declined (quarantined store).
+    pub(crate) fn run_pinned_write_shard(
+        &self,
         si: usize,
         apply: impl FnOnce(&mut PmvStore, u64) -> Option<WriteBack>,
     ) -> Option<WriteBack> {
         let mut store = self.shards[si].try_write()?;
-        let done = apply(&mut store, StoreAccess::maint_epoch(self))?;
-        if done.changed_view() {
+        let done = apply(&mut store, self.maint_epoch())?;
+        if store.has_changes() {
             // pmv::allow(pin_reaches_blocking_lock): LeftRight::publish
             // takes the writer-side mutex, which only fills contend on —
             // never the wait-free reader path. A cold-shard fill is
             // already the slow path (DESIGN.md "Serving path").
-            self.publish_shard(si, &store);
+            self.publish_shard(si, &mut store);
         }
         Some(done)
-    }
-
-    fn add_stats(&mut self, local: &PmvStats) {
-        self.stats.add(local);
     }
 }
 
 /// A clonable, thread-safe handle to one bcp-hash-sharded PMV.
 #[derive(Clone)]
 pub struct SharedPmv {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
 }
 
 impl SharedPmv {
-    /// Sharded PMV with one shard per available hardware thread.
+    /// An (initially empty) PMV with one shard per available hardware
+    /// thread.
     pub fn new(def: PartialViewDef, config: PmvConfig) -> Self {
         let n = std::thread::available_parallelism().map_or(4, usize::from);
         SharedPmv::with_shards(def, config, n)
@@ -286,8 +343,9 @@ impl SharedPmv {
                 RwLock::new(store)
             })
             .collect();
+        let chunks = per_shard.div_ceil(CHUNK_ENTRIES);
         let views = (0..n)
-            .map(|_| LeftRight::new(Arc::new(ShardView::empty())))
+            .map(|_| LeftRight::new(Arc::new(ShardView::empty(chunks))))
             .collect();
         let breaker = CircuitBreaker::new(config.breaker);
         let trace_name: Arc<str> = Arc::from(def.name());
@@ -297,6 +355,7 @@ impl SharedPmv {
                 config,
                 shards,
                 views,
+                chunks,
                 maint_epoch: AtomicU64::new(0),
                 stats: AtomicPmvStats::new(),
                 breaker,
@@ -349,441 +408,13 @@ impl SharedPmv {
     /// contention — so between pinning and the answer no lock is ever
     /// waited on.
     pub fn run_pinned<V: DataView>(&self, view: &V, q: &QueryInstance) -> Result<QueryOutcome> {
-        let inner = &*self.inner;
-        let env = ServeEnv {
-            def: &inner.def,
-            config: &inner.config,
-            breaker: &inner.breaker,
-            obs: &inner.obs,
-            trace_name: &inner.trace_name,
-            account: inner.account.get(),
-            verified: &inner.verified,
-        };
-        serve::run_pinned(&env, inner, view, q)
-    }
-
-    /// Apply one relation's delta batch, write-locking only the shards
-    /// the ΔR join rows hash to.
-    ///
-    /// **Contract:** call this while the delta's new database state is
-    /// not yet visible to concurrent queries — in the
-    /// `RwLock<Database>` idiom, while still holding the write guard
-    /// (reborrowed as `&Database`), *before* downgrading or dropping it.
-    /// Violating this reintroduces the stale-partial-result race the
-    /// module docs describe.
-    pub fn maintain(&self, db: &Database, batch: &DeltaBatch) -> Result<MaintenanceOutcome> {
-        let inner = &*self.inner;
-        let mut out = MaintenanceOutcome::default();
-        let mut local = PmvStats::default();
-        let template = inner.def.template().clone();
-        let Some(rel_idx) = template
-            .relations()
-            .iter()
-            .position(|r| r == batch.relation())
-        else {
-            out.unrelated_relation = true;
-            return Ok(out);
-        };
-        let t_start = Instant::now();
-        let mut trace = inner
-            .obs
-            .begin_trace_shared(TraceKind::Maintenance, &inner.trace_name);
-        let mut fault_cap = inner.obs.enabled().then(pmv_faultinject::capture);
-        let relevant = relevant_columns(&template, rel_idx);
-        let strategy = inner.config.effective_strategy();
-
-        // Epoch fence for pinned fills — stored BEFORE this maintenance
-        // touches any shard lock. A query pinned before this Δ may hold
-        // results the Δ evicts; its fill gate re-checks `maint_epoch`
-        // under the shard write lock, so either (a) it sees this store
-        // (the lock handoff orders it after one of our shard accesses)
-        // and skips the fill, or (b) it filled before we looked at the
-        // shard, in which case the `would_affect` scan and phase-2
-        // eviction below see the fill and remove it. Release pairs with
-        // the Acquire in `run_pinned`.
-        inner.maint_epoch.store(db.version(), Ordering::Release);
-
-        // Phase 1: route each delta. Heavy/indexed keys resolve their
-        // affected view tuples straight from the per-shard delta-key
-        // indexes (read locks only, O(fanout) per shard); cold keys
-        // coalesce into one ΔR join per distinct tuple; `DeltaJoin` keeps
-        // the classic per-delta join. The removal's provenance flag
-        // distinguishes index hits for the `index_removals` counters.
-        let mut removals: Vec<(usize, BcpKey, Tuple, bool)> = Vec::new();
-        let mut light_order: Vec<&Tuple> = Vec::new();
-        let mut light_counts: FxHashMap<&Tuple, usize> = FxHashMap::default();
-        let mut any_insert = false;
-        let mut t_index = Duration::ZERO;
-        for delta in batch.deltas() {
-            let tuple = match delta {
-                Delta::Insert { .. } => {
-                    out.inserts_ignored += 1;
-                    local.maint_inserts_ignored += 1;
-                    any_insert = true;
-                    continue;
-                }
-                Delta::Delete { tuple, .. } => {
-                    out.deletes_joined += 1;
-                    local.maint_deletes_joined += 1;
-                    tuple
-                }
-                Delta::Update { old, .. } => {
-                    let changed = delta.changed_columns();
-                    if changed.iter().any(|c| relevant.contains(c)) {
-                        out.updates_joined += 1;
-                        local.maint_updates_joined += 1;
-                        // delete(old) + insert(new): the new image may
-                        // grow some bcp's truth, so completeness claims
-                        // must lapse like for any insert.
-                        any_insert = true;
-                        old
-                    } else {
-                        out.updates_ignored += 1;
-                        local.maint_updates_ignored += 1;
-                        continue;
-                    }
-                }
-            };
-            let mut indexed = match strategy {
-                MaintStrategy::DeltaJoin => false,
-                MaintStrategy::Indexed => true,
-                MaintStrategy::HeavyLight => {
-                    // Every shard shares the template, so shard 0's index
-                    // yields the delta-key hash for the whole view. The
-                    // account's sketch is preferred so the profiler
-                    // reports the same hot keys maintenance acts on; a
-                    // sketch overestimate only routes extra deltas to
-                    // the (equally sound) indexed path.
-                    match inner.shards[0].read().delta_key_hash(rel_idx, tuple) {
-                        None => {
-                            // Unindexable relation (or index disabled):
-                            // coalesce into the light joins below.
-                            let n = light_counts.entry(tuple).or_insert(0);
-                            if *n == 0 {
-                                light_order.push(tuple);
-                            }
-                            *n += 1;
-                            out.light_deltas += 1;
-                            local.maint_light_deltas += 1;
-                            continue;
-                        }
-                        Some(h) => {
-                            let count = match inner.account.get() {
-                                Some(acct) => acct.note_delta_key(h),
-                                None => inner.delta_sketch.lock().note(h),
-                            };
-                            if count >= inner.config.heavy_threshold {
-                                true
-                            } else {
-                                let n = light_counts.entry(tuple).or_insert(0);
-                                if *n == 0 {
-                                    light_order.push(tuple);
-                                }
-                                *n += 1;
-                                out.light_deltas += 1;
-                                local.maint_light_deltas += 1;
-                                continue;
-                            }
-                        }
-                    }
-                }
-            };
-            if indexed {
-                let t0 = Instant::now();
-                let before = removals.len();
-                for (si, s) in inner.shards.iter().enumerate() {
-                    match s.read().supported(rel_idx, tuple) {
-                        Some(sup) => {
-                            for (bcp, t) in sup {
-                                removals.push((si, bcp, (*t).clone(), true));
-                            }
-                        }
-                        None => {
-                            // No usable index for this relation: undo and
-                            // fall back to the classic per-delta join.
-                            removals.truncate(before);
-                            indexed = false;
-                            break;
-                        }
-                    }
-                }
-                t_index += t0.elapsed();
-                if indexed {
-                    out.heavy_deltas += 1;
-                    local.maint_heavy_deltas += 1;
-                    if removals.len() == before {
-                        out.joins_avoided += 1;
-                    }
-                    continue;
-                }
-            }
-            // Section 3.4 / [25]: if no shard's index can match the
-            // deleted tuple, nothing cached is affected and the join is
-            // skipped entirely.
-            let affected = inner
-                .shards
-                .iter()
-                .any(|s| s.read().would_affect(rel_idx, tuple));
-            if !affected {
-                out.joins_avoided += 1;
-                continue;
-            }
-            match self.join_with_retry(db, &template, rel_idx, tuple, &mut out, &mut local) {
-                Ok(Some(rows)) => {
-                    out.join_rows += rows.len();
-                    local.maint_join_rows += rows.len() as u64;
-                    for row in rows {
-                        let bcp = inner.def.bcp_of_tuple(&row);
-                        removals.push((inner.shard_of(&bcp), bcp, row, false));
-                    }
-                }
-                Ok(None) => self.drain_affected(rel_idx, tuple, &mut out, &mut local),
-                Err(e) => {
-                    inner.stats.add(&local);
-                    inner.obs.record(Phase::maint_join, t_start.elapsed());
-                    flush_faults(&mut trace, fault_cap.take());
-                    return Err(e);
-                }
-            }
-        }
-        if t_index > Duration::ZERO {
-            inner.obs.record(Phase::maint_index, t_index);
-        }
-
-        // Light path: one coalesced ΔR join per distinct cold tuple.
-        // Every join runs against the same post-delta base state, so a
-        // tuple deleted `n` times yields `n` identical row sets — the
-        // rows are pushed once per occurrence instead of re-joining.
-        for tuple in light_order {
-            let occurrences = light_counts[tuple];
-            let affected = inner
-                .shards
-                .iter()
-                .any(|s| s.read().would_affect(rel_idx, tuple));
-            if !affected {
-                out.joins_avoided += 1;
-                continue;
-            }
-            match self.join_with_retry(db, &template, rel_idx, tuple, &mut out, &mut local) {
-                Ok(Some(rows)) => {
-                    out.coalesced_joins += 1;
-                    local.maint_coalesced_joins += 1;
-                    out.join_rows += rows.len() * occurrences;
-                    local.maint_join_rows += (rows.len() * occurrences) as u64;
-                    for row in rows {
-                        let bcp = inner.def.bcp_of_tuple(&row);
-                        let si = inner.shard_of(&bcp);
-                        for _ in 0..occurrences {
-                            removals.push((si, bcp.clone(), row.clone(), false));
-                        }
-                    }
-                }
-                Ok(None) => self.drain_affected(rel_idx, tuple, &mut out, &mut local),
-                Err(e) => {
-                    inner.stats.add(&local);
-                    inner.obs.record(Phase::maint_join, t_start.elapsed());
-                    flush_faults(&mut trace, fault_cap.take());
-                    return Err(e);
-                }
-            }
-        }
-
-        // Phase 2: X-lock only the affected shards, in ascending index
-        // order, and evict the joined/indexed view tuples.
-        let mut affected_shards: Vec<usize> = removals.iter().map(|(s, _, _, _)| *s).collect();
-        affected_shards.sort_unstable();
-        affected_shards.dedup();
-        for si in affected_shards {
-            let t_lock = Instant::now();
-            let mut store = inner.shards[si].write();
-            inner.obs.record(Phase::lock_shard_maint, t_lock.elapsed());
-            if store.is_quarantined() {
-                continue; // already drained: nothing cached to evict
-            }
-            let evict = catch_unwind(AssertUnwindSafe(|| {
-                pmv_faultinject::fire_soft(Site::ShardMaint);
-                for (s, bcp, row, via_index) in &removals {
-                    if *s == si && store.remove_tuple(bcp, row) {
-                        out.view_tuples_removed += 1;
-                        local.maint_tuples_removed += 1;
-                        if *via_index {
-                            out.index_removals += 1;
-                            local.maint_index_removals += 1;
-                        }
-                    }
-                }
-            }));
-            let poisoned = evict.is_err();
-            if poisoned {
-                // Mid-eviction panic: some of this shard's removals may
-                // not have been applied, so its cache can no longer be
-                // trusted. Drain it.
-                store.quarantine();
-                local.quarantine_events += 1;
-                inner.breaker.record_error();
-            }
-            inner.publish_shard(si, &store);
-            drop(store);
-            if poisoned {
-                trace.event(EventKind::Quarantine { shard: si });
-            }
-        }
-
-        // Insert watermark: bump every shard so stale completeness
-        // claims lapse (the bcp's truth may have grown). Republish only
-        // shards that actually held claims — insert-heavy batches on a
-        // claim-free view stay O(shards) watermark bumps.
-        if any_insert {
-            for (si, s) in inner.shards.iter().enumerate() {
-                let mut store = s.write();
-                let had_claims = store.any_complete();
-                store.note_insert();
-                if had_claims {
-                    inner.publish_shard(si, &store);
-                }
-            }
-        }
-        inner.verified.mark();
-        inner.stats.add(&local);
-        inner.obs.record(Phase::maint_join, t_start.elapsed());
-        if inner.obs.enabled() {
-            if let Some(acct) = inner.account.get() {
-                acct.record_maintenance(t_start.elapsed(), out.join_rows as u64);
-            }
-        }
-        trace.event(EventKind::MaintBatch {
-            relation: batch.relation().to_string(),
-            joined: out.deletes_joined + out.updates_joined,
-            join_rows: out.join_rows,
-            removed: out.view_tuples_removed,
-            retries: out.retries,
-            fallbacks: out.fallback_invalidations,
-        });
-        flush_faults(&mut trace, fault_cap.take());
-        Ok(out)
-    }
-
-    /// One ΔR join with the transient-retry/backoff loop. `Ok(None)`
-    /// means retries were exhausted (the caller drains the affected
-    /// shards); permanent errors propagate.
-    fn join_with_retry(
-        &self,
-        db: &Database,
-        template: &QueryTemplate,
-        rel_idx: usize,
-        tuple: &Tuple,
-        out: &mut MaintenanceOutcome,
-        local: &mut PmvStats,
-    ) -> Result<Option<Vec<Tuple>>> {
-        let inner = &*self.inner;
-        let mut attempt: u32 = 0;
-        loop {
-            match catch_unwind(AssertUnwindSafe(|| join_from(db, template, rel_idx, tuple))) {
-                Ok(Ok(r)) => return Ok(Some(r)),
-                Ok(Err(e)) if e.is_transient() => {}
-                Ok(Err(e)) => return Err(e.into()),
-                Err(_panic) => {}
-            }
-            if attempt >= inner.config.maint_retries {
-                return Ok(None);
-            }
-            attempt += 1;
-            out.retries += 1;
-            local.maint_retries += 1;
-            std::thread::sleep(inner.config.maint_backoff * (1u32 << (attempt - 1).min(10)));
-        }
-    }
-
-    /// Retry-exhausted fallback: drain (quarantine) every shard the
-    /// tuple may affect — removal-only, so the view under-serves until
-    /// revalidated but never serves a tuple the delete should have
-    /// evicted.
-    fn drain_affected(
-        &self,
-        rel_idx: usize,
-        tuple: &Tuple,
-        out: &mut MaintenanceOutcome,
-        local: &mut PmvStats,
-    ) {
-        let inner = &*self.inner;
-        out.fallback_invalidations += 1;
-        local.maint_fallbacks += 1;
-        inner.breaker.record_error();
-        for (si, s) in inner.shards.iter().enumerate() {
-            let mut store = s.write();
-            if !store.is_quarantined() && store.would_affect(rel_idx, tuple) {
-                store.quarantine();
-                local.quarantine_events += 1;
-                inner.publish_shard(si, &store);
-            }
-        }
-    }
-
-    /// Apply several batches (e.g. a whole transaction's) in order, under
-    /// the same visibility contract as [`Self::maintain`], then run the
-    /// cross-relation union pass: a transaction deleting matching tuples
-    /// from several base relations leaves derivations that no
-    /// single-relation ΔR join rederives (each join sees the *other*
-    /// relation's tuple already gone). Every multi-bound combination of
-    /// the batches' before-images is joined with [`join_fixed`] and its
-    /// rows removed too.
-    pub fn maintain_all(
-        &self,
-        db: &Database,
-        batches: &[DeltaBatch],
-    ) -> Result<MaintenanceOutcome> {
-        let inner = &*self.inner;
-        let mut total = MaintenanceOutcome::default();
-        for b in batches {
-            let o = self.maintain(db, b)?;
-            total.absorb(&o);
-        }
-        let template = inner.def.template().clone();
-        let combos = cross_delta_combos(&template, batches);
-        if !combos.is_empty() {
-            let t0 = Instant::now();
-            let mut local = PmvStats::default();
-            // No shard lock is held during the joins (lint rule: never
-            // an executor call under a shard guard).
-            let mut removals: Vec<(usize, BcpKey, Tuple)> = Vec::new();
-            for combo in &combos {
-                let rows = join_fixed(db, &template, combo)?;
-                total.join_rows += rows.len();
-                local.maint_join_rows += rows.len() as u64;
-                for row in rows {
-                    let bcp = inner.def.bcp_of_tuple(&row);
-                    removals.push((inner.shard_of(&bcp), bcp, row));
-                }
-            }
-            let mut shards_touched: Vec<usize> = removals.iter().map(|(s, _, _)| *s).collect();
-            shards_touched.sort_unstable();
-            shards_touched.dedup();
-            for si in shards_touched {
-                let mut store = inner.shards[si].write();
-                if store.is_quarantined() {
-                    continue;
-                }
-                for (s, bcp, row) in &removals {
-                    if *s == si && store.remove_tuple(bcp, row) {
-                        total.view_tuples_removed += 1;
-                        local.maint_tuples_removed += 1;
-                    }
-                }
-                inner.publish_shard(si, &store);
-            }
-            inner.stats.add(&local);
-            inner.obs.record(Phase::maint_join, t0.elapsed());
-            inner.verified.mark();
-        }
-        // Per-batch relevance is reported on the individual outcomes;
-        // the transaction-level total keeps the historical `false`.
-        total.unrelated_relation = false;
-        Ok(total)
+        serve::run_pinned(&self.inner, view, q)
     }
 
     /// Re-execute each resident bcp's query shard by shard and drop any
-    /// cached tuple not in the current answer (see
-    /// [`crate::pipeline::Pmv::revalidate`]). Returns tuples removed.
+    /// cached tuple not in the current answer. Returns tuples removed.
+    /// Useful after direct base mutations that bypassed maintenance, and
+    /// the oracle the property tests use.
     ///
     /// This is also the repair path: quarantined shards are empty, so
     /// revalidation trivially verifies them, lifts their quarantine (they
@@ -821,7 +452,7 @@ impl SharedPmv {
                 removed += remove_stale(&mut store, &bcp, &mut budget);
             }
             store.lift_quarantine();
-            inner.publish_shard(si, &store);
+            inner.publish_shard(si, &mut store);
         }
         // The sweep closes the failure episode: clear transient
         // panic/quarantine tallies (counters AND `[transient]`-tagged
@@ -1003,6 +634,86 @@ impl SharedPmv {
         self.inner.shards.iter().map(|s| s.read().evictions()).sum()
     }
 
+    /// Resident fraction of the policies' capacity in `[0, 1]`, averaged
+    /// over the shards — the `occupancy` telemetry gauge.
+    pub fn occupancy(&self) -> f64 {
+        let shards = &self.inner.shards;
+        shards.iter().map(|s| s.read().occupancy()).sum::<f64>() / shards.len() as f64
+    }
+
+    /// Tuples cached for `bcp` (with their fill epochs), if resident.
+    /// Reads the owning shard's store; does not touch the policy.
+    pub fn lookup(&self, bcp: &BcpKey) -> Option<Vec<CachedTuple>> {
+        let store = self.inner.shards[self.inner.slot_of(bcp).0].read();
+        store.lookup(bcp).map(<[_]>::to_vec)
+    }
+
+    /// Popularity of `bcp`: number of queries it served (ranking
+    /// extension; see `ext::ranking`).
+    pub fn hit_count(&self, bcp: &BcpKey) -> u64 {
+        let store = self.inner.shards[self.inner.slot_of(bcp).0].read();
+        store.hit_count(bcp)
+    }
+
+    /// Drop one resident entry — the first of the largest shard — for
+    /// the manager's byte-budget shedding. Returns the tuples dropped;
+    /// 0 means the view is empty.
+    pub(crate) fn shed_entry(&self) -> usize {
+        let inner = &*self.inner;
+        let largest = inner.shards.iter().enumerate();
+        let Some((si, shard)) = largest.max_by_key(|(_, s)| s.read().byte_size()) else {
+            return 0;
+        };
+        let mut store = shard.write();
+        let victim = store.iter().next().map(|(k, ts)| (k.clone(), ts.to_vec()));
+        let Some((bcp, tuples)) = victim else {
+            return 0;
+        };
+        for (t, _) in &tuples {
+            store.remove_tuple(&bcp, t);
+        }
+        inner.publish_shard(si, &mut store);
+        tuples.len()
+    }
+
+    /// Every cached `(bcp, tuples)`, bcps and each bcp's tuples in
+    /// ascending order — a canonical dump for state comparison.
+    pub fn dump(&self) -> Vec<(BcpKey, Vec<Tuple>)> {
+        let mut out: Vec<(BcpKey, Vec<Tuple>)> = Vec::new();
+        for shard in &self.inner.shards {
+            for (bcp, cached) in shard.read().iter() {
+                let mut tuples: Vec<Tuple> = cached.iter().map(|(t, _)| (**t).clone()).collect();
+                tuples.sort();
+                out.push((bcp.clone(), tuples));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// Exportable telemetry: every `PmvStats` counter, the derived
+    /// probability gauges, breaker state, and the per-phase latency
+    /// snapshots — the feed for `pmv_obs::to_prometheus` / `to_json`.
+    pub fn metrics(&self) -> pmv_obs::ViewMetrics {
+        let stats = self.stats();
+        pmv_obs::ViewMetrics {
+            name: self.def().name().to_string(),
+            health: self.health().as_str().to_string(),
+            error_rate: self.breaker().error_rate(),
+            trips: self.breaker().trip_count(),
+            last_verified_age_ms: self.staleness().as_millis() as u64,
+            counters: stats.as_pairs(),
+            gauges: vec![
+                ("hit_probability", stats.hit_probability()),
+                ("serving_probability", stats.serving_probability()),
+                ("degraded_query_rate", stats.degraded_query_rate()),
+                ("store_bytes", self.byte_size() as f64),
+                ("occupancy", self.occupancy()),
+            ],
+            phases: self.obs().snapshots(),
+        }
+    }
+
     /// Check every shard's structural invariants, returning a typed
     /// report instead of panicking (safe to call in production).
     pub fn validate(&self) -> ValidationReport {
@@ -1031,6 +742,47 @@ impl SharedPmv {
             "shard invariants violated:\n{report}"
         );
     }
+}
+
+/// Revalidation phase 1: for each cached bcp, re-derive the multiset of
+/// tuples its query produces from current base truth. Pure executor
+/// reads — no store access — so this runs with no shard lock held (repo
+/// lock rule: never hold a shard guard across a call into `query::exec`).
+fn bcp_truths(
+    db: &Database,
+    def: &PartialViewDef,
+    bcps: &[BcpKey],
+) -> Result<Vec<(BcpKey, HashMap<Tuple, usize>)>> {
+    let mut out = Vec::with_capacity(bcps.len());
+    for bcp in bcps {
+        let q = def.bcp_query(bcp)?;
+        let (truth, _) = execute(db, &q)?;
+        let mut budget: HashMap<Tuple, usize> = HashMap::new();
+        for t in truth {
+            *budget.entry(t).or_insert(0) += 1;
+        }
+        out.push((bcp.clone(), budget));
+    }
+    Ok(out)
+}
+
+/// Revalidation phase 2: drop the cached tuples of `bcp` that exceed the
+/// truth multiset. Runs under the store's exclusive guard; removal-only,
+/// hence always sound.
+fn remove_stale(store: &mut PmvStore, bcp: &BcpKey, budget: &mut HashMap<Tuple, usize>) -> usize {
+    // Pointer-copies only: the entries hold `Arc<Tuple>`s.
+    let cached: Vec<CachedTuple> = store.lookup(bcp).map(|s| s.to_vec()).unwrap_or_default();
+    let mut removed = 0;
+    for (t, _) in cached {
+        match budget.get_mut(&*t) {
+            Some(n) if *n > 0 => *n -= 1,
+            _ => {
+                store.remove_tuple(bcp, &t);
+                removed += 1;
+            }
+        }
+    }
+    removed
 }
 
 #[cfg(test)]
@@ -1088,13 +840,12 @@ mod tests {
     fn sharded_matches_plain_execution() {
         let (db, shared) = setup(4);
         let t = shared.def().template().clone();
-        let pipeline = crate::pipeline::PmvPipeline::new();
         for round in 0..3 {
             for f in 0..10i64 {
                 let q = t
                     .bind(vec![Condition::Equality(vec![Value::Int(f)])])
                     .unwrap();
-                let (mut plain, _, _) = pipeline.run_plain(&db, &q).unwrap();
+                let (mut plain, _, _) = crate::pipeline::run_plain(&db, &q).unwrap();
                 let out = shared.run(&db, &q).unwrap();
                 let mut got = out.all_results();
                 got.sort();
@@ -1127,28 +878,64 @@ mod tests {
         shared.debug_validate();
     }
 
-    /// A store's full observable state: bcp → (tuple multiset, valid
-    /// completeness claim), in key order.
-    fn contents(store: &PmvStore) -> Vec<(BcpKey, Vec<Tuple>, bool)> {
-        let mut out: Vec<_> = store
+    /// The reference the incremental shard views are compared with:
+    /// everything a reader can see of a shard, read straight off its
+    /// store — bcp → (cached tuples with fill epochs, completeness
+    /// stamp), the insert watermark, the quarantine flag.
+    type Visible = (Vec<Arc<ViewEntry>>, u64, bool);
+
+    fn capture(store: &PmvStore) -> Visible {
+        let mut entries: Vec<Arc<ViewEntry>> = store
             .iter()
-            .map(|(bcp, ts)| {
-                let mut tuples: Vec<Tuple> = ts.iter().map(|(t, _)| (**t).clone()).collect();
-                tuples.sort();
-                (bcp.clone(), tuples, store.entry_complete(bcp))
+            .map(|(bcp, tuples)| {
+                let (bcp, tuples) = (bcp.clone(), tuples.to_vec());
+                let complete = store.served(&bcp).unwrap().1;
+                Arc::new(ViewEntry {
+                    bcp,
+                    tuples,
+                    complete,
+                })
             })
             .collect();
-        out.sort();
-        out
+        entries.sort_by(|a, b| a.bcp.cmp(&b.bcp));
+        (entries, store.inserts_seen(), store.is_quarantined())
     }
 
-    /// The direct and the sharded store-access instance run the same
-    /// algorithm: a `Pmv` and a 1-shard `SharedPmv` driven by one script
-    /// (one- and two-part queries, inserts, deletes, updates; 6 bcps
-    /// over L = 4, so evictions too) hold identical entries and
-    /// completeness claims after every step.
+    /// Every shard's published view shows exactly what its store holds,
+    /// each entry in the chunk, and under the tag, its hash names.
+    fn assert_views_current(shared: &SharedPmv, context: &str) {
+        let inner = &shared.inner;
+        for (si, shard) in inner.shards.iter().enumerate() {
+            let view = inner.views[si].load();
+            let mut entries = Vec::new();
+            for (ci, chunk) in view.chunks.iter().enumerate() {
+                for (hash, entry) in chunk.iter() {
+                    assert_eq!(
+                        (inner.slot_of(&entry.bcp), inner.chunk_of(*hash)),
+                        ((si, *hash), ci),
+                        "{context}: misplaced {:?}",
+                        entry.bcp
+                    );
+                    entries.push(Arc::clone(entry));
+                }
+            }
+            entries.sort_by(|a, b| a.bcp.cmp(&b.bcp));
+            assert_eq!(
+                (entries, view.inserts_seen, view.quarantined),
+                capture(&shard.read()),
+                "{context}: shard {si}'s view is not its store"
+            );
+        }
+    }
+
+    /// The view oracle: one script (one- and two-part queries, inserts,
+    /// deletes, updates; 6 bcps over L = 4, so evictions too) against a
+    /// 1-shard and a 4-shard view. After every step each shard's
+    /// published view equals a full capture of its store — across an
+    /// insert-only batch and a quarantine/`revalidate` cycle as well —
+    /// and both views answer like the plain executor.
     #[test]
-    fn single_owner_and_one_shard_stores_stay_identical() {
+    fn published_views_track_their_stores() {
         let mut db = Database::new();
         db.create_relation(Schema::new(
             "r",
@@ -1175,9 +962,10 @@ mod tests {
         assert!(t.emits_unique_rows(&db));
         let config = PmvConfig::new(8, 4, PolicyKind::Clock);
         let def = |name: &str| PartialViewDef::all_equality(name, t.clone()).unwrap();
-        let mut single = crate::pipeline::Pmv::new(def("single"), config.clone());
-        let shared = SharedPmv::with_shards(def("one_shard"), config, 1);
-        let pipeline = crate::pipeline::PmvPipeline::new();
+        let views = [
+            SharedPmv::with_shards(def("one_shard"), config.clone(), 1),
+            SharedPmv::with_shards(def("four_shards"), config, 4),
+        ];
 
         let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
         let mut next = |n: u64| {
@@ -1189,16 +977,34 @@ mod tests {
         for step in 0..400i64 {
             let f = next(6);
             let kind = next(20);
-            if kind < 17 {
+            if step == 200 {
+                // Drain a shard of each view the way a failed
+                // maintenance would, then repair.
+                for v in &views {
+                    let mut store = v.inner.shards[0].write();
+                    store.quarantine();
+                    v.inner.publish_shard(0, &mut store);
+                    drop(store);
+                    assert_views_current(v, "quarantined");
+                    assert_eq!(v.quarantined_shards(), 1);
+                    v.revalidate(&db).unwrap();
+                    assert_eq!(v.quarantined_shards(), 0);
+                }
+            } else if kind < 17 {
                 let mut values = vec![Value::Int(f)];
                 if kind < 6 {
                     values.push(Value::Int((f + 1 + next(5)) % 6));
                 }
                 let q = t.bind(vec![Condition::Equality(values)]).unwrap();
-                let a = pipeline.run(&db, &mut single, &q).unwrap();
-                let b = shared.run(&db, &q).unwrap();
-                assert_eq!(a.partial.len(), b.partial.len(), "step {step}");
-                assert_eq!((a.ds_leftover, b.ds_leftover), (0, 0), "step {step}");
+                let (mut plain, _, _) = crate::pipeline::run_plain(&db, &q).unwrap();
+                plain.sort();
+                for v in &views {
+                    let out = v.run(&db, &q).unwrap();
+                    assert_eq!(out.ds_leftover, 0, "step {step}");
+                    let mut got = out.all_results();
+                    got.sort();
+                    assert_eq!(got, plain, "step {step}");
+                }
             } else {
                 let row = db
                     .relation("r")
@@ -1219,25 +1025,87 @@ mod tests {
                     _ => {}
                 }
                 let batches = txn.commit();
-                pipeline.maintain_all(&db, &mut single, &batches).unwrap();
-                shared.maintain_all(&db, &batches).unwrap();
+                for v in &views {
+                    v.maintain_all(&db, &batches).unwrap();
+                }
             }
-            assert_eq!(
-                contents(single.store()),
-                contents(&shared.inner.shards[0].read()),
-                "stores diverged at step {step}"
-            );
+            for v in &views {
+                assert_views_current(v, &format!("step {step}"));
+            }
         }
-        let stats = single.stats();
+        for v in &views {
+            let stats = v.stats();
+            assert!(
+                stats.complete_serves > 0 && stats.upqueries > 0,
+                "{stats:?}"
+            );
+            assert!(stats.maint_inserts_ignored > 0, "{stats:?}");
+            assert!(v.evictions() > 0);
+            assert_eq!(v.revalidate(&db).unwrap(), 0);
+        }
+    }
+
+    /// Publication is O(|Δ|) by structure, no clock needed: a one-bcp
+    /// cold fill into a full shard rebuilds the filled bcp's chunk and
+    /// at most one victim's; every other chunk `Arc` is the previous
+    /// view's. An insert-only batch shares the whole spine.
+    #[test]
+    fn cold_fill_republishes_only_dirty_chunks() {
+        let mut db = Database::new();
+        db.create_relation(Schema::new(
+            "r",
+            vec![
+                Column::new("a", ColumnType::Int),
+                Column::new("f", ColumnType::Int),
+            ],
+        ))
+        .unwrap();
+        for i in 0..2_000i64 {
+            db.insert("r", tuple![i, i % 1_000]).unwrap();
+        }
+        db.create_index(IndexDef::btree("r", vec![1])).unwrap();
+        let t = TemplateBuilder::new("t")
+            .relation(db.schema("r").unwrap())
+            .select("r", "a")
+            .unwrap()
+            .cond_eq("r", "f")
+            .unwrap()
+            .build()
+            .unwrap();
+        let def = PartialViewDef::all_equality("big", t.clone()).unwrap();
+        let shared = SharedPmv::with_shards(def, PmvConfig::new(2, 640, PolicyKind::Clock), 1);
+        let run = |f: i64| {
+            let q = t
+                .bind(vec![Condition::Equality(vec![Value::Int(f)])])
+                .unwrap();
+            shared.run(&db, &q).unwrap();
+        };
+        for f in 0..640 {
+            run(f);
+        }
+        assert_eq!(shared.entry_count(), 640);
+        let before = shared.inner.views[0].load();
+        let chunks = before.chunks.len();
+        assert_eq!(chunks, 640 / CHUNK_ENTRIES);
+        run(999); // cold: admits, evicts one victim, fills
+        assert_eq!((shared.entry_count(), shared.evictions()), (640, 1));
+        let after = shared.inner.views[0].load();
+        let shared_chunks = (0..chunks)
+            .filter(|&c| Arc::ptr_eq(&before.chunks[c], &after.chunks[c]))
+            .count();
         assert!(
-            stats.complete_serves > 0 && stats.upqueries > 0,
-            "{stats:?}"
+            (chunks - 2..chunks).contains(&shared_chunks),
+            "{shared_chunks} of {chunks} chunks shared"
         );
-        assert_eq!(
-            single.stats().complete_serves,
-            shared.stats().complete_serves
-        );
-        assert!(single.store().evictions() > 0);
+        assert_views_current(&shared, "after the cold fill");
+
+        let mut txn = Transaction::begin(&mut db);
+        txn.insert("r", tuple![5_000i64, 0i64]).unwrap();
+        let batches = txn.commit();
+        shared.maintain_all(&db, &batches).unwrap();
+        let bumped = shared.inner.views[0].load();
+        assert!(Arc::ptr_eq(&after.chunks, &bumped.chunks), "spine shared");
+        assert_eq!(bumped.inserts_seen, after.inserts_seen + 1);
     }
 
     #[test]
@@ -1265,7 +1133,7 @@ mod tests {
         // Hold a read lock on a shard that f=3's bcp does NOT hash to;
         // maintenance for a row with f=3 must not block on it.
         let bcp3 = BcpKey::new(vec![crate::bcp::BcpDim::Eq(Value::Int(3))]);
-        let affected = shared.inner.shard_of(&bcp3);
+        let affected = shared.inner.slot_of(&bcp3).0;
         let other = (affected + 1) % shared.shard_count();
         let _outside_guard = shared.inner.shards[other].read();
 

@@ -46,8 +46,6 @@ pub struct DeltaKeyIndex {
     /// `maps[i]`: projection of cached view tuples onto relation i's
     /// `Ls'` columns → every cached (bcp, tuple) with that projection.
     maps: Vec<FxHashMap<Box<[Value]>, Vec<Supported>>>,
-    /// ΔR joins skipped because the projection was absent.
-    joins_avoided: u64,
 }
 
 impl DeltaKeyIndex {
@@ -58,7 +56,6 @@ impl DeltaKeyIndex {
         DeltaKeyIndex {
             specs,
             maps: (0..n).map(|_| FxHashMap::default()).collect(),
-            joins_avoided: 0,
         }
     }
 
@@ -97,15 +94,6 @@ impl DeltaKeyIndex {
     /// tuple? `false` means all maintenance work for this delta can be
     /// skipped (sound: never a false negative). Relations contributing
     /// no `Ls'` attribute always answer `true` (no information).
-    pub fn may_affect(&mut self, rel: usize, base_tuple: &Tuple) -> bool {
-        let hit = self.check(rel, base_tuple);
-        if !hit {
-            self.joins_avoided += 1;
-        }
-        hit
-    }
-
-    /// Read-only form of [`Self::may_affect`] (no skip counting).
     pub fn check(&self, rel: usize, base_tuple: &Tuple) -> bool {
         if self.specs[rel].view_positions.is_empty() {
             return true;
@@ -155,13 +143,7 @@ impl DeltaKeyIndex {
         (&spec.view_positions, &spec.base_columns)
     }
 
-    /// Number of ΔR joins the index has skipped.
-    pub fn joins_avoided(&self) -> u64 {
-        self.joins_avoided
-    }
-
     /// Drop every tracked projection (store drained, e.g. quarantine).
-    /// The skip counter survives — cumulative history.
     pub fn clear(&mut self) {
         for m in &mut self.maps {
             m.clear();
@@ -265,10 +247,9 @@ mod tests {
         // and v3.
         let hit = idx.supported(1, &tuple![4i64, 2i64, 7i64]);
         assert_eq!(hit.len(), 2);
-        // Unrelated delete: nothing, and may_affect counts the skip.
+        // Unrelated delete: nothing, and the join can be skipped.
         assert!(idx.supported(0, &tuple![8i64, 0i64, 8i64]).is_empty());
-        assert!(!idx.may_affect(0, &tuple![8i64, 0i64, 8i64]));
-        assert_eq!(idx.joins_avoided(), 1);
+        assert!(!idx.check(0, &tuple![8i64, 0i64, 8i64]));
     }
 
     #[test]

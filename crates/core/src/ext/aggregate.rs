@@ -12,7 +12,8 @@ use std::collections::HashMap;
 use pmv_query::{Database, QueryInstance};
 use pmv_storage::{Tuple, Value};
 
-use crate::pipeline::{Pmv, PmvPipeline, QueryTimings};
+use crate::concurrent::SharedPmv;
+use crate::pipeline::QueryTimings;
 use crate::{CoreError, Result};
 
 /// Aggregate function over a user-layout column.
@@ -132,13 +133,12 @@ pub fn aggregate_rows(rows: &[Tuple], spec: &GroupBySpec) -> Result<Vec<(Tuple, 
 /// Run `q` and report both the immediate partial aggregates and the
 /// exact final aggregates.
 pub fn run_aggregate(
-    pipeline: &PmvPipeline,
     db: &Database,
-    pmv: &mut Pmv,
+    pmv: &SharedPmv,
     q: &QueryInstance,
     spec: &GroupBySpec,
 ) -> Result<AggregateOutcome> {
-    let outcome = pipeline.run(db, pmv, q)?;
+    let outcome = pmv.run(db, q)?;
     let partial = aggregate_rows(&outcome.partial, spec)?;
     let exact = aggregate_rows(&outcome.all_results(), spec)?;
     Ok(AggregateOutcome {

@@ -11,7 +11,8 @@ use std::collections::HashSet;
 use pmv_query::{Database, QueryInstance};
 use pmv_storage::Tuple;
 
-use crate::pipeline::{Pmv, PmvPipeline, QueryTimings};
+use crate::concurrent::SharedPmv;
+use crate::pipeline::QueryTimings;
 use crate::Result;
 
 /// Result of a DISTINCT pipeline run.
@@ -41,13 +42,8 @@ impl DistinctOutcome {
 /// The PMV itself still stores/updates multiset results (its content is
 /// shared with non-DISTINCT queries of the same template); only the
 /// user-facing streams are deduplicated.
-pub fn run_distinct(
-    pipeline: &PmvPipeline,
-    db: &Database,
-    pmv: &mut Pmv,
-    q: &QueryInstance,
-) -> Result<DistinctOutcome> {
-    let outcome = pipeline.run(db, pmv, q)?;
+pub fn run_distinct(db: &Database, pmv: &SharedPmv, q: &QueryInstance) -> Result<DistinctOutcome> {
+    let outcome = pmv.run(db, q)?;
     let mut seen: HashSet<Tuple> = HashSet::new();
     let mut partial = Vec::new();
     for t in &outcome.partial {

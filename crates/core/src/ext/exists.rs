@@ -8,8 +8,8 @@
 
 use pmv_query::{Database, QueryInstance};
 
+use crate::concurrent::SharedPmv;
 use crate::o1::decompose;
-use crate::pipeline::{Pmv, PmvPipeline};
 use crate::Result;
 
 /// How an EXISTS check was answered.
@@ -28,9 +28,8 @@ pub struct ExistsOutcome {
 /// pipeline (which also warms the PMV for future checks) and test for
 /// any result.
 pub fn exists_accelerated(
-    pipeline: &PmvPipeline,
     db: &Database,
-    pmv: &mut Pmv,
+    pmv: &SharedPmv,
     subquery: &QueryInstance,
 ) -> Result<ExistsOutcome> {
     // Fast path: a witness in the PMV settles it. (Read-only probe: no
@@ -38,8 +37,8 @@ pub fn exists_accelerated(
     // peek — the slow path does full accounting.)
     let parts = decompose(pmv.def(), subquery)?;
     for part in &parts {
-        if let Some(tuples) = pmv.store().lookup(&part.bcp) {
-            for (t, _) in tuples {
+        if let Some(tuples) = pmv.lookup(&part.bcp) {
+            for (t, _) in &tuples {
                 if part.is_basic || subquery.matches_select(t) {
                     return Ok(ExistsOutcome {
                         exists: true,
@@ -50,7 +49,7 @@ pub fn exists_accelerated(
         }
     }
     // Slow path: execute (and warm the PMV as a side effect).
-    let outcome = pipeline.run(db, pmv, subquery)?;
+    let outcome = pmv.run(db, subquery)?;
     Ok(ExistsOutcome {
         exists: !outcome.partial.is_empty() || !outcome.remaining.is_empty(),
         fast_path: false,

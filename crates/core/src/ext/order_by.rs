@@ -13,7 +13,8 @@ use std::cmp::Ordering;
 use pmv_query::{Database, QueryInstance};
 use pmv_storage::{Tuple, Value};
 
-use crate::pipeline::{Pmv, PmvPipeline, QueryTimings};
+use crate::concurrent::SharedPmv;
+use crate::pipeline::QueryTimings;
 use crate::Result;
 
 /// Sort direction for one key.
@@ -79,13 +80,12 @@ pub struct OrderedOutcome {
 
 /// Run `q` with ORDER BY semantics.
 pub fn run_ordered(
-    pipeline: &PmvPipeline,
     db: &Database,
-    pmv: &mut Pmv,
+    pmv: &SharedPmv,
     q: &QueryInstance,
     order: &OrderBy,
 ) -> Result<OrderedOutcome> {
-    let outcome = pipeline.run(db, pmv, q)?;
+    let outcome = pmv.run(db, q)?;
     let mut partial_sorted = outcome.partial.clone();
     order.sort(&mut partial_sorted);
     let mut all_sorted = outcome.all_results();

@@ -8,12 +8,13 @@
 
 use pmv_storage::Tuple;
 
-use crate::pipeline::{Pmv, QueryOutcome};
+use crate::concurrent::SharedPmv;
+use crate::pipeline::QueryOutcome;
 
 /// Rank an outcome's full result set by descending bcp popularity.
 /// Returns `(user tuple, popularity)` pairs; ties keep their original
 /// (partial-first) order.
-pub fn rank_by_popularity(pmv: &Pmv, outcome: &QueryOutcome) -> Vec<(Tuple, u64)> {
+pub fn rank_by_popularity(pmv: &SharedPmv, outcome: &QueryOutcome) -> Vec<(Tuple, u64)> {
     let template = pmv.def().template();
     let mut ranked: Vec<(Tuple, u64)> = outcome
         .partial_expanded
@@ -21,7 +22,7 @@ pub fn rank_by_popularity(pmv: &Pmv, outcome: &QueryOutcome) -> Vec<(Tuple, u64)
         .chain(&outcome.remaining_expanded)
         .map(|t| {
             let bcp = pmv.def().bcp_of_tuple(t);
-            (template.user_tuple(t), pmv.store().hit_count(&bcp))
+            (template.user_tuple(t), pmv.hit_count(&bcp))
         })
         .collect();
     ranked.sort_by_key(|r| std::cmp::Reverse(r.1));

@@ -22,12 +22,13 @@
 //! * [`o1`] — decomposition of `Cselect` into condition parts (3.3, O1)
 //! * [`store`] — the bounded, policy-managed result store (3.2, 3.5)
 //! * [`ds`] — the O2/O3 dedup multiset (3.3)
+//! * [`concurrent`] — the PMV itself: [`SharedPmv`], the one view type,
+//!   its sharded store and published shard views (3.2)
 //! * `serve` — the one O1/O2/O3 serving implementation, generic over the
-//!   data view and a store-access instance (3.3, 3.6)
-//! * [`pipeline`] — the single-owner `Pmv` and its S-locked front end
-//!   (3.6)
-//! * [`concurrent`] — the sharded `SharedPmv` front end
-//! * [`maintenance`] — deferred maintenance under X locks (3.4)
+//!   data view (3.3, 3.6)
+//! * [`pipeline`] — what a query run returns, and the no-PMV baseline
+//! * [`maintenance`] — the one deferred-maintenance implementation and
+//!   its before-visible contract (3.4, 3.6)
 //! * [`delta_index`] — delta-key index: O(|Δ| · fanout) partial-state
 //!   maintenance with no base-relation join (3.4, DESIGN.md §19)
 //! * [`fasthash`] — multiply-fold hasher for the hot dedup/index maps
@@ -82,7 +83,7 @@ pub use maintenance::MaintenanceOutcome;
 pub use manager::{PmvManager, ViewHealthReport};
 pub use mv::{SmallMvSet, TraditionalMv};
 pub use o1::{decompose, ConditionPart, PartDim};
-pub use pipeline::{Pmv, PmvPipeline, QueryOutcome, QueryTimings};
+pub use pipeline::{run_plain, QueryOutcome, QueryTimings};
 pub use pmv_obs::{
     EventKind, HistSnapshot, LatencyHistogram, ObsRegistry, Phase, QueryTrace, TraceEvent,
     TraceKind, TraceRecorder, ViewMetrics,

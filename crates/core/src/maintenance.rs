@@ -1,17 +1,17 @@
-//! Deferred PMV maintenance (Section 3.4).
+//! Deferred PMV maintenance (Section 3.4) — the one implementation.
 //!
 //! Upon a change `ΔR_i` to a base relation of the PMV:
 //!
 //! * **Insert** — "existing tuples in V_PM are not affected by this
 //!   insert. Hence, V_PM is not maintained immediately." New result tuples
 //!   flow in later, for free, through Operation O3 (the `c_j < F` refill
-//!   path). The store's insert watermark is bumped so completeness claims
-//!   ([`crate::store::PmvStore::entry_complete`]) lapse.
+//!   path). Each shard's insert watermark is bumped so completeness
+//!   claims ([`crate::store::PmvStore::entry_complete`]) lapse.
 //! * **Delete** — remove every cached view tuple the deleted base tuple
 //!   supports. Three strategies ([`MaintStrategy`]):
 //!   [`MaintStrategy::DeltaJoin`] computes `ΔR_i ⋈ R_j (j ≠ i)` and
 //!   removes each join result found in the PMV (the paper's scheme);
-//!   [`MaintStrategy::Indexed`] consults the per-view
+//!   [`MaintStrategy::Indexed`] consults the per-shard
 //!   [`crate::delta_index::DeltaKeyIndex`] and removes the supported
 //!   tuples directly — `O(|Δ| · fanout)`, no base-relation join;
 //!   [`MaintStrategy::HeavyLight`] (default) routes *hot* delta keys
@@ -21,14 +21,41 @@
 //!   changed, do nothing; otherwise proceed like a delete of the old
 //!   tuple (the insert side again needs no work).
 //!
-//! Maintenance takes an X lock on the PMV, which is what makes the O2/O3
-//! S lock sufficient for serializability (Section 3.6).
+//! A join that keeps failing — transient faults past the retry budget, or
+//! a permanent error at once — never leaves a stale tuple behind: the
+//! shards the delta may affect are drained (quarantined) instead, the
+//! rest of the batch still runs, and `revalidate` lifts the quarantine.
+//!
+//! # The X side of Section 3.6: the maintenance contract
+//!
+//! [`SharedPmv::maintain`] **must be called before the delta's new
+//! database state becomes visible to queries** — i.e. while the caller
+//! still holds its exclusive database access, reborrowed as `&Database`:
+//!
+//! ```text
+//! let mut g = db.write();              // exclusive: no query running
+//! let batches = txn.commit();          // Δ applied to the base data
+//! shared.maintain(&g, &batches[0])?;   // shards repaired *before*…
+//! drop(g);                             // …readers can see the new DB
+//! ```
+//!
+//! Under that contract every query observes (database state, shard
+//! contents) pairs where the cached tuples are a subset of the true bcp
+//! answers, so O3 re-derives every served tuple and the end-of-O3
+//! invariant `ds_leftover == 0` holds. (This rule is exactly what the
+//! seed's global-mutex embedding got wrong: it committed, *downgraded*
+//! the database lock, and only then locked the PMV — a reader could slip
+//! into the gap, see the new database with stale shards, and trip the
+//! `DS must be empty` assertion.) Maintenance write-locks only the
+//! shards its removals hash to, in ascending index order, and publishes
+//! `maint_epoch` first so a query pinned before it cannot write back what
+//! it evicts ([`crate::serve`], "fill gate").
 //!
 //! **Cross-relation transactions.** A transaction deleting *matching*
 //! tuples from two base relations defeats the per-delta join: each
 //! relation's `ΔR` join runs against base state with the other
 //! relation's deletions already applied, so the joint derivation is
-//! invisible to both. [`PmvPipeline::maintain_all`] closes this gap with
+//! invisible to both. [`SharedPmv::maintain_all`] closes this gap with
 //! a union pass: every combination of two or more deleted tuples from
 //! distinct relations is re-bound explicitly
 //! ([`pmv_query::exec::join_fixed`]) and its derived view rows removed.
@@ -36,16 +63,23 @@
 //! cached view side, never base state.
 
 use std::collections::HashSet;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
 
-use pmv_obs::Phase;
+use pmv_faultinject::Site;
+use pmv_obs::{EventKind, Phase, TraceKind};
 use pmv_query::{
     exec::{join_fixed, join_from},
     Database, QueryTemplate,
 };
 use pmv_storage::{Delta, DeltaBatch, Tuple};
 
+use crate::bcp::BcpKey;
+use crate::concurrent::SharedPmv;
 use crate::fasthash::FxHashMap;
-use crate::pipeline::{Pmv, PmvPipeline};
+use crate::serve::flush_faults;
+use crate::stats::PmvStats;
 use crate::view::MaintStrategy;
 use crate::Result;
 
@@ -104,16 +138,25 @@ impl MaintenanceOutcome {
     }
 }
 
-impl PmvPipeline {
-    /// Apply one relation's delta batch to the PMV.
-    pub fn maintain(
-        &self,
-        db: &Database,
-        pmv: &mut Pmv,
-        batch: &DeltaBatch,
-    ) -> Result<MaintenanceOutcome> {
+/// One cached view tuple maintenance must evict: owning shard, bcp, the
+/// tuple, and whether the delta-key index (not a join) found it.
+type Removal = (usize, BcpKey, Tuple, bool);
+
+impl SharedPmv {
+    /// Apply one relation's delta batch, write-locking only the shards
+    /// the removals hash to.
+    ///
+    /// **Contract:** call this while the delta's new database state is
+    /// not yet visible to concurrent queries — in the
+    /// `RwLock<Database>` idiom, while still holding the write guard
+    /// (reborrowed as `&Database`), *before* downgrading or dropping it.
+    /// Violating this reintroduces the stale-partial-result race the
+    /// module docs describe.
+    pub fn maintain(&self, db: &Database, batch: &DeltaBatch) -> Result<MaintenanceOutcome> {
+        let inner = &*self.inner;
         let mut out = MaintenanceOutcome::default();
-        let template = pmv.def().template().clone();
+        let mut local = PmvStats::default();
+        let template = inner.def.template().clone();
         let Some(rel_idx) = template
             .relations()
             .iter()
@@ -122,136 +165,390 @@ impl PmvPipeline {
             out.unrelated_relation = true;
             return Ok(out);
         };
-
+        let t_start = Instant::now();
+        let mut trace = inner
+            .obs
+            .begin_trace_shared(TraceKind::Maintenance, &inner.trace_name);
+        let mut fault_cap = inner.obs.enabled().then(pmv_faultinject::capture);
         let relevant = relevant_columns(&template, rel_idx);
-        let strategy = pmv.config.effective_strategy();
-        let _x_lock = self.locks().lock_exclusive(pmv.def().name());
+        let strategy = inner.config.effective_strategy();
 
-        // Cold-tail accumulator (HeavyLight): distinct deleted tuple →
-        // occurrence count, joined once per distinct tuple at batch end.
+        // Epoch fence for pinned fills — stored BEFORE this maintenance
+        // touches any shard lock. A query pinned before this Δ may hold
+        // results the Δ evicts; its fill gate re-checks `maint_epoch`
+        // under the shard write lock, so either (a) it sees this store
+        // (the lock handoff orders it after one of our shard accesses)
+        // and skips the fill, or (b) it filled before we looked at the
+        // shard, in which case the `would_affect` scan and phase-2
+        // eviction below see the fill and remove it. Release pairs with
+        // the Acquire in `Inner::maint_epoch`.
+        inner.maint_epoch.store(db.version(), Ordering::Release);
+
+        // Phase 1: route each delta. Heavy/indexed keys resolve their
+        // affected view tuples straight from the per-shard delta-key
+        // indexes (read locks only, O(fanout) per shard); cold keys
+        // coalesce into one ΔR join per distinct tuple; `DeltaJoin` keeps
+        // the classic per-delta join. The removal's provenance flag
+        // distinguishes index hits for the `index_removals` counters.
+        let mut removals: Vec<Removal> = Vec::new();
         let mut light_order: Vec<&Tuple> = Vec::new();
         let mut light_counts: FxHashMap<&Tuple, usize> = FxHashMap::default();
-
+        let mut any_insert = false;
+        let mut t_index = Duration::ZERO;
         for delta in batch.deltas() {
-            match delta {
+            let tuple = match delta {
                 Delta::Insert { .. } => {
                     out.inserts_ignored += 1;
-                    pmv.stats.maint_inserts_ignored += 1;
-                    // Lazily expire completeness claims: the insert may
-                    // belong in a cached-and-complete bcp's answer.
-                    pmv.store.note_insert();
+                    local.maint_inserts_ignored += 1;
+                    any_insert = true;
+                    continue;
                 }
                 Delta::Delete { tuple, .. } => {
                     out.deletes_joined += 1;
-                    pmv.stats.maint_deletes_joined += 1;
-                    route_delta(
-                        db,
-                        pmv,
-                        &template,
-                        rel_idx,
-                        tuple,
-                        strategy,
-                        &mut light_order,
-                        &mut light_counts,
-                        &mut out,
-                    )?;
+                    local.maint_deletes_joined += 1;
+                    tuple
                 }
                 Delta::Update { old, .. } => {
                     let changed = delta.changed_columns();
                     if changed.iter().any(|c| relevant.contains(c)) {
                         out.updates_joined += 1;
-                        pmv.stats.maint_updates_joined += 1;
-                        // An update is delete(old) + insert(new): the old
-                        // image's rows are removed below, and the NEW
-                        // image may grow some other bcp's truth — expire
-                        // completeness claims like any insert.
-                        pmv.store.note_insert();
-                        route_delta(
-                            db,
-                            pmv,
-                            &template,
-                            rel_idx,
-                            old,
-                            strategy,
-                            &mut light_order,
-                            &mut light_counts,
-                            &mut out,
-                        )?;
+                        local.maint_updates_joined += 1;
+                        // delete(old) + insert(new): the new image may
+                        // grow some bcp's truth, so completeness claims
+                        // must lapse like for any insert.
+                        any_insert = true;
+                        old
                     } else {
                         out.updates_ignored += 1;
-                        pmv.stats.maint_updates_ignored += 1;
+                        local.maint_updates_ignored += 1;
+                        continue;
                     }
                 }
+            };
+            let mut indexed = match strategy {
+                MaintStrategy::DeltaJoin => false,
+                MaintStrategy::Indexed => true,
+                MaintStrategy::HeavyLight => {
+                    // Every shard shares the template, so shard 0's index
+                    // yields the delta-key hash for the whole view. The
+                    // account's sketch is preferred so the profiler
+                    // reports the same hot keys maintenance acts on; a
+                    // sketch overestimate only routes extra deltas to
+                    // the (equally sound) indexed path.
+                    let hash = inner.shards[0].read().delta_key_hash(rel_idx, tuple);
+                    let heavy = hash.is_some_and(|h| {
+                        let count = match inner.account.get() {
+                            Some(acct) => acct.note_delta_key(h),
+                            None => inner.delta_sketch.lock().note(h),
+                        };
+                        count >= inner.config.heavy_threshold
+                    });
+                    if !heavy {
+                        // Cold key, unindexable relation or index
+                        // disabled: coalesce into the light joins below.
+                        let n = light_counts.entry(tuple).or_insert(0);
+                        if *n == 0 {
+                            light_order.push(tuple);
+                        }
+                        *n += 1;
+                        out.light_deltas += 1;
+                        local.maint_light_deltas += 1;
+                        continue;
+                    }
+                    true
+                }
+            };
+            if indexed {
+                let t0 = Instant::now();
+                let before = removals.len();
+                for (si, s) in inner.shards.iter().enumerate() {
+                    match s.read().supported(rel_idx, tuple) {
+                        Some(sup) => {
+                            for (bcp, t) in sup {
+                                removals.push((si, bcp, (*t).clone(), true));
+                            }
+                        }
+                        None => {
+                            // No usable index for this relation: undo and
+                            // fall back to the classic per-delta join.
+                            removals.truncate(before);
+                            indexed = false;
+                            break;
+                        }
+                    }
+                }
+                t_index += t0.elapsed();
+                if indexed {
+                    out.heavy_deltas += 1;
+                    local.maint_heavy_deltas += 1;
+                    if removals.len() == before {
+                        out.joins_avoided += 1;
+                    }
+                    continue;
+                }
+            }
+            self.join_delta(
+                db,
+                &template,
+                rel_idx,
+                tuple,
+                1,
+                &mut removals,
+                &mut out,
+                &mut local,
+            );
+        }
+        if t_index > Duration::ZERO {
+            inner.obs.record(Phase::maint_index, t_index);
+        }
+
+        // Light path: one coalesced ΔR join per distinct cold tuple.
+        // Every join runs against the same post-delta base state, so a
+        // tuple deleted `n` times yields `n` identical row sets — the
+        // rows are pushed once per occurrence instead of re-joining.
+        for tuple in light_order {
+            let n = light_counts[tuple];
+            if self.join_delta(
+                db,
+                &template,
+                rel_idx,
+                tuple,
+                n,
+                &mut removals,
+                &mut out,
+                &mut local,
+            ) {
+                out.coalesced_joins += 1;
+                local.maint_coalesced_joins += 1;
             }
         }
 
-        // Light path: one ΔR join per *distinct* deleted tuple, removal
-        // applied once per occurrence. Equivalent to the per-delta joins
-        // it replaces — every join runs against the same post-delta base
-        // state, so identical tuples produce identical row sets.
-        for t in light_order {
-            let occurrences = light_counts[t];
-            let t_join = std::time::Instant::now();
-            if !pmv.store.may_affect(rel_idx, t) {
-                out.joins_avoided += 1;
-                continue;
-            }
-            let rows = join_from(db, &template, rel_idx, t)?;
-            out.coalesced_joins += 1;
-            pmv.stats.maint_coalesced_joins += 1;
-            out.join_rows += rows.len() * occurrences;
-            pmv.stats.maint_join_rows += (rows.len() * occurrences) as u64;
-            for _ in 0..occurrences {
-                for row in &rows {
-                    let bcp = pmv.def.bcp_of_tuple(row);
-                    if pmv.store.remove_tuple(&bcp, row) {
-                        out.view_tuples_removed += 1;
-                        pmv.stats.maint_tuples_removed += 1;
-                    }
-                }
-            }
-            pmv.obs.record(Phase::maint_join, t_join.elapsed());
+        // Phase 2: evict the joined/indexed view tuples.
+        for si in self.evict(&removals, &mut out, &mut local) {
+            trace.event(EventKind::Quarantine { shard: si });
         }
 
-        pmv.verified.mark();
+        // Insert watermark: bump every shard so stale completeness
+        // claims lapse (the bcp's truth may have grown), and republish —
+        // with nothing logged that shares the whole spine, so an
+        // insert-heavy batch stays O(shards).
+        if any_insert {
+            for (si, s) in inner.shards.iter().enumerate() {
+                let mut store = s.write();
+                store.note_insert();
+                inner.publish_shard(si, &mut store);
+            }
+        }
+        inner.verified.mark();
+        inner.stats.add(&local);
+        inner.obs.record(Phase::maint_join, t_start.elapsed());
+        if inner.obs.enabled() {
+            if let Some(acct) = inner.account.get() {
+                acct.record_maintenance(t_start.elapsed(), out.join_rows as u64);
+            }
+        }
+        trace.event(EventKind::MaintBatch {
+            relation: batch.relation().to_string(),
+            joined: out.deletes_joined + out.updates_joined,
+            join_rows: out.join_rows,
+            removed: out.view_tuples_removed,
+            retries: out.retries,
+            fallbacks: out.fallback_invalidations,
+        });
+        flush_faults(&mut trace, fault_cap.take());
         Ok(out)
     }
 
-    /// Apply several batches (e.g. a whole transaction's) in order, then
-    /// run the cross-relation union pass: when two or more relations
-    /// carry deletions, re-bind every multi-relation combination of
-    /// deleted tuples and remove the view rows they jointly derived —
-    /// the derivations the per-relation ΔR joins cannot see.
+    /// The ΔR join for one deleted base tuple occurring `occurrences`
+    /// times in the batch: skipped when no shard's index can match the
+    /// tuple (Section 3.4 / [25]: nothing cached is affected), otherwise
+    /// its rows are queued for removal once per occurrence. A join that
+    /// cannot be computed drains the affected shards instead. Returns
+    /// whether a join produced the rows.
+    #[allow(clippy::too_many_arguments)]
+    fn join_delta(
+        &self,
+        db: &Database,
+        template: &QueryTemplate,
+        rel_idx: usize,
+        tuple: &Tuple,
+        occurrences: usize,
+        removals: &mut Vec<Removal>,
+        out: &mut MaintenanceOutcome,
+        local: &mut PmvStats,
+    ) -> bool {
+        let inner = &*self.inner;
+        let affected = inner
+            .shards
+            .iter()
+            .any(|s| s.read().would_affect(rel_idx, tuple));
+        if !affected {
+            out.joins_avoided += 1;
+            return false;
+        }
+        let Some(rows) = self.join_with_retry(db, template, rel_idx, tuple, out, local) else {
+            self.drain_affected(Some((rel_idx, tuple)), out, local);
+            return false;
+        };
+        out.join_rows += rows.len() * occurrences;
+        local.maint_join_rows += (rows.len() * occurrences) as u64;
+        for row in rows {
+            let bcp = inner.def.bcp_of_tuple(&row);
+            let removal = (inner.slot_of(&bcp).0, bcp, row, false);
+            removals.extend(std::iter::repeat_n(removal, occurrences));
+        }
+        true
+    }
+
+    /// One ΔR join with the transient-retry/backoff loop. `None` means
+    /// the join cannot be had — retries exhausted, or a permanent error,
+    /// which no retry would cure — and the caller drains the affected
+    /// shards.
+    fn join_with_retry(
+        &self,
+        db: &Database,
+        template: &QueryTemplate,
+        rel_idx: usize,
+        tuple: &Tuple,
+        out: &mut MaintenanceOutcome,
+        local: &mut PmvStats,
+    ) -> Option<Vec<Tuple>> {
+        let inner = &*self.inner;
+        let mut attempt: u32 = 0;
+        loop {
+            match catch_unwind(AssertUnwindSafe(|| join_from(db, template, rel_idx, tuple))) {
+                Ok(Ok(r)) => return Some(r),
+                Ok(Err(e)) if !e.is_transient() => return None,
+                _ => {}
+            }
+            if attempt >= inner.config.maint_retries {
+                return None;
+            }
+            attempt += 1;
+            out.retries += 1;
+            local.maint_retries += 1;
+            std::thread::sleep(inner.config.maint_backoff * (1u32 << (attempt - 1).min(10)));
+        }
+    }
+
+    /// Failed-join fallback: drain (quarantine) every shard the deleted
+    /// tuple may affect — every shard at all when `delta` is `None` —
+    /// removal-only, so the view under-serves until revalidated but
+    /// never serves a tuple the delete should have evicted.
+    fn drain_affected(
+        &self,
+        delta: Option<(usize, &Tuple)>,
+        out: &mut MaintenanceOutcome,
+        local: &mut PmvStats,
+    ) {
+        let inner = &*self.inner;
+        out.fallback_invalidations += 1;
+        local.maint_fallbacks += 1;
+        inner.breaker.record_error();
+        for (si, s) in inner.shards.iter().enumerate() {
+            let mut store = s.write();
+            if !store.is_quarantined()
+                && delta.is_none_or(|(rel_idx, tuple)| store.would_affect(rel_idx, tuple))
+            {
+                store.quarantine();
+                local.quarantine_events += 1;
+                inner.publish_shard(si, &mut store);
+            }
+        }
+    }
+
+    /// X-lock only the shards `removals` name, in ascending index order,
+    /// evict the tuples and republish. Returns the shards a mid-eviction
+    /// panic forced to drain.
+    fn evict(
+        &self,
+        removals: &[Removal],
+        out: &mut MaintenanceOutcome,
+        local: &mut PmvStats,
+    ) -> Vec<usize> {
+        let inner = &*self.inner;
+        let mut affected_shards: Vec<usize> = removals.iter().map(|(s, _, _, _)| *s).collect();
+        affected_shards.sort_unstable();
+        affected_shards.dedup();
+        let mut drained = Vec::new();
+        for si in affected_shards {
+            let t_lock = Instant::now();
+            let mut store = inner.shards[si].write();
+            inner.obs.record(Phase::lock_shard_maint, t_lock.elapsed());
+            if store.is_quarantined() {
+                continue; // already drained: nothing cached to evict
+            }
+            let evict = catch_unwind(AssertUnwindSafe(|| {
+                pmv_faultinject::fire_soft(Site::ShardMaint);
+                for (s, bcp, row, via_index) in removals {
+                    if *s == si && store.remove_tuple(bcp, row) {
+                        out.view_tuples_removed += 1;
+                        local.maint_tuples_removed += 1;
+                        if *via_index {
+                            out.index_removals += 1;
+                            local.maint_index_removals += 1;
+                        }
+                    }
+                }
+            }));
+            if evict.is_err() {
+                // Mid-eviction panic: some of this shard's removals may
+                // not have been applied, so its cache can no longer be
+                // trusted. Drain it.
+                store.quarantine();
+                local.quarantine_events += 1;
+                inner.breaker.record_error();
+                drained.push(si);
+            }
+            inner.publish_shard(si, &mut store);
+        }
+        drained
+    }
+
+    /// Apply several batches (e.g. a whole transaction's) in order, under
+    /// the same visibility contract as [`Self::maintain`], then run the
+    /// cross-relation union pass: a transaction deleting matching tuples
+    /// from several base relations leaves derivations that no
+    /// single-relation ΔR join rederives (each join sees the *other*
+    /// relation's tuple already gone). Every multi-bound combination of
+    /// the batches' before-images is joined with [`join_fixed`] and its
+    /// rows removed too.
     pub fn maintain_all(
         &self,
         db: &Database,
-        pmv: &mut Pmv,
         batches: &[DeltaBatch],
     ) -> Result<MaintenanceOutcome> {
+        let inner = &*self.inner;
         let mut total = MaintenanceOutcome::default();
         for b in batches {
-            let o = self.maintain(db, pmv, b)?;
-            total.absorb(&o);
+            total.absorb(&self.maintain(db, b)?);
         }
-        let template = pmv.def().template().clone();
+        let template = inner.def.template().clone();
         let combos = cross_delta_combos(&template, batches);
         if !combos.is_empty() {
-            let _x_lock = self.locks().lock_exclusive(pmv.def().name());
-            let t_join = std::time::Instant::now();
+            let t0 = Instant::now();
+            let mut local = PmvStats::default();
+            // No shard lock is held during the joins (lint rule: never
+            // an executor call under a shard guard).
+            let mut removals: Vec<Removal> = Vec::new();
             for combo in &combos {
-                let rows = join_fixed(db, &template, combo)?;
+                let Ok(rows) = join_fixed(db, &template, combo) else {
+                    // Which cached rows the combination derived is
+                    // unknowable without the join: drain every shard.
+                    self.drain_affected(None, &mut total, &mut local);
+                    break;
+                };
                 total.join_rows += rows.len();
-                pmv.stats.maint_join_rows += rows.len() as u64;
+                local.maint_join_rows += rows.len() as u64;
                 for row in rows {
-                    let bcp = pmv.def.bcp_of_tuple(&row);
-                    if pmv.store.remove_tuple(&bcp, &row) {
-                        total.view_tuples_removed += 1;
-                        pmv.stats.maint_tuples_removed += 1;
-                    }
+                    let bcp = inner.def.bcp_of_tuple(&row);
+                    removals.push((inner.slot_of(&bcp).0, bcp, row, false));
                 }
             }
-            pmv.obs.record(Phase::maint_join, t_join.elapsed());
-            pmv.verified.mark();
+            self.evict(&removals, &mut total, &mut local);
+            inner.stats.add(&local);
+            inner.obs.record(Phase::maint_join, t0.elapsed());
+            inner.verified.mark();
         }
         // Per-batch relevance is reported on the individual outcomes;
         // the transaction-level total keeps the historical `false`.
@@ -260,108 +557,10 @@ impl PmvPipeline {
     }
 }
 
-/// Route one relevant delete (or update-old) through the configured
-/// strategy. The light path only *accumulates* here; the caller runs the
-/// coalesced joins after the batch loop.
-#[allow(clippy::too_many_arguments)]
-fn route_delta<'a>(
-    db: &Database,
-    pmv: &mut Pmv,
-    template: &QueryTemplate,
-    rel_idx: usize,
-    tuple: &'a Tuple,
-    strategy: MaintStrategy,
-    light_order: &mut Vec<&'a Tuple>,
-    light_counts: &mut FxHashMap<&'a Tuple, usize>,
-    out: &mut MaintenanceOutcome,
-) -> Result<()> {
-    match strategy {
-        MaintStrategy::DeltaJoin => remove_joined(db, pmv, template, rel_idx, tuple, out),
-        MaintStrategy::Indexed => {
-            if !remove_indexed(pmv, rel_idx, tuple, out) {
-                // Relation unindexable (contributes nothing to `Ls'`):
-                // fall back to the exact join.
-                remove_joined(db, pmv, template, rel_idx, tuple, out)?;
-            }
-            Ok(())
-        }
-        MaintStrategy::HeavyLight => {
-            let Some(h) = pmv.store.delta_key_hash(rel_idx, tuple) else {
-                // No index or unindexable relation: the cold path's join
-                // is the only sound option.
-                accumulate_light(tuple, light_order, light_counts);
-                out.light_deltas += 1;
-                pmv.stats.maint_light_deltas += 1;
-                return Ok(());
-            };
-            // The sketch overestimates evicted keys (space-saving), which
-            // only routes extra deltas through the always-sound indexed
-            // path. (The sharded embedding feeds the attached workload
-            // account's sketch instead.)
-            let count = pmv.delta_sketch.note(h);
-            if count >= pmv.config.heavy_threshold {
-                out.heavy_deltas += 1;
-                pmv.stats.maint_heavy_deltas += 1;
-                if !remove_indexed(pmv, rel_idx, tuple, out) {
-                    remove_joined(db, pmv, template, rel_idx, tuple, out)?;
-                }
-            } else {
-                accumulate_light(tuple, light_order, light_counts);
-                out.light_deltas += 1;
-                pmv.stats.maint_light_deltas += 1;
-            }
-            Ok(())
-        }
-    }
-}
-
-/// Add one occurrence of `tuple` to the cold-tail group.
-fn accumulate_light<'a>(
-    tuple: &'a Tuple,
-    order: &mut Vec<&'a Tuple>,
-    counts: &mut FxHashMap<&'a Tuple, usize>,
-) {
-    match counts.get_mut(tuple) {
-        Some(n) => *n += 1,
-        None => {
-            counts.insert(tuple, 1);
-            order.push(tuple);
-        }
-    }
-}
-
-/// Indexed removal: drop exactly the cached view tuples the deleted base
-/// tuple supports — `O(fanout)`, no base-relation access, hence immune
-/// to cross-relation delete ordering. Returns `false` when the relation
-/// is unindexable (no delta-key columns) and the caller must join.
-fn remove_indexed(pmv: &mut Pmv, rel_idx: usize, tuple: &Tuple, out: &mut MaintenanceOutcome) -> bool {
-    let t_index = std::time::Instant::now();
-    let Some(supported) = pmv.store.supported(rel_idx, tuple) else {
-        return false;
-    };
-    if supported.is_empty() {
-        out.joins_avoided += 1;
-    }
-    for (bcp, t) in supported {
-        if pmv.store.remove_tuple(&bcp, &t) {
-            out.view_tuples_removed += 1;
-            out.index_removals += 1;
-            pmv.stats.maint_tuples_removed += 1;
-            pmv.stats.maint_index_removals += 1;
-        }
-    }
-    pmv.obs.record(Phase::maint_index, t_index.elapsed());
-    true
-}
-
 /// Columns of relation `rel_idx` whose change can affect cached view
 /// tuples: those in `Ls'` or in `Cjoin` (join attributes and fixed
-/// predicates). Shared with the sharded maintenance path in
-/// [`crate::concurrent`].
-pub(crate) fn relevant_columns(
-    template: &pmv_query::QueryTemplate,
-    rel_idx: usize,
-) -> HashSet<usize> {
+/// predicates).
+fn relevant_columns(template: &pmv_query::QueryTemplate, rel_idx: usize) -> HashSet<usize> {
     let mut cols = HashSet::new();
     for a in template.expanded_list() {
         if a.relation == rel_idx {
@@ -389,20 +588,15 @@ pub(crate) fn relevant_columns(
 /// distinct relations** of `template` across `batches`. Combinations
 /// binding a single relation are already covered by the per-delta joins;
 /// a choice here plus the current base state for the unbound relations
-/// reconstructs exactly the derivations those joins missed. Shared with
-/// the sharded maintenance path in [`crate::concurrent`].
-pub(crate) fn cross_delta_combos<'a>(
+/// reconstructs exactly the derivations those joins missed.
+fn cross_delta_combos<'a>(
     template: &QueryTemplate,
     batches: &'a [DeltaBatch],
 ) -> Vec<Vec<(usize, &'a Tuple)>> {
     let n = template.relations().len();
     let mut per: Vec<Vec<&Tuple>> = vec![Vec::new(); n];
     for b in batches {
-        let Some(rel) = template
-            .relations()
-            .iter()
-            .position(|r| r == b.relation())
-        else {
+        let Some(rel) = template.relations().iter().position(|r| r == b.relation()) else {
             continue;
         };
         let relevant = relevant_columns(template, rel);
@@ -470,33 +664,123 @@ fn combo_rec<'a>(
     }
 }
 
-/// Delete/update arm of [`MaintStrategy::DeltaJoin`]: join the old tuple
-/// against the other base relations and evict every matching view tuple.
-fn remove_joined(
-    db: &Database,
-    pmv: &mut Pmv,
-    template: &pmv_query::QueryTemplate,
-    rel_idx: usize,
-    tuple: &Tuple,
-    out: &mut MaintenanceOutcome,
-) -> Result<()> {
-    // Section 3.4 / [25]: light indices on V_PM attributes can prove the
-    // deleted tuple touches nothing cached, skipping the join.
-    if !pmv.store.may_affect(rel_idx, tuple) {
-        out.joins_avoided += 1;
-        return Ok(());
-    }
-    let t_join = std::time::Instant::now();
-    let rows = join_from(db, template, rel_idx, tuple)?;
-    out.join_rows += rows.len();
-    pmv.stats.maint_join_rows += rows.len() as u64;
-    for row in rows {
-        let bcp = pmv.def().bcp_of_tuple(&row);
-        if pmv.store.remove_tuple(&bcp, &row) {
-            out.view_tuples_removed += 1;
-            pmv.stats.maint_tuples_removed += 1;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::health::ViewHealth;
+    use crate::pipeline::run_plain;
+    use crate::view::{PartialViewDef, PmvConfig};
+    use pmv_cache::PolicyKind;
+    use pmv_index::IndexDef;
+    use pmv_query::{Condition, Transaction};
+    use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
+
+    /// `r(a, c, f)` alone, or with `s(d, e, g)` joined on `c = d`.
+    fn database(with_s: bool) -> Database {
+        let mut db = Database::new();
+        let int = |name: &str| Column::new(name, ColumnType::Int);
+        db.create_relation(Schema::new("r", vec![int("a"), int("c"), int("f")]))
+            .unwrap();
+        for i in 0..24i64 {
+            db.insert("r", tuple![i, i % 6, i % 4]).unwrap();
         }
+        db.create_index(IndexDef::btree("r", vec![2])).unwrap();
+        db.create_index(IndexDef::btree("r", vec![1])).unwrap();
+        if with_s {
+            db.create_relation(Schema::new("s", vec![int("d"), int("e"), int("g")]))
+                .unwrap();
+            for d in 0..6i64 {
+                db.insert("s", tuple![d, 10 + d, d % 2]).unwrap();
+            }
+            db.create_index(IndexDef::btree("s", vec![0])).unwrap();
+            db.create_index(IndexDef::btree("s", vec![2])).unwrap();
+        }
+        db
     }
-    pmv.obs.record(Phase::maint_join, t_join.elapsed());
-    Ok(())
+
+    /// A ΔR join that fails permanently (here: the other relation cannot
+    /// be read) must not end the batch with earlier work unapplied and
+    /// the view unrepaired: the affected shards are drained like after
+    /// exhausted retries, every later batch and the union pass still
+    /// run, and nothing stale is served once the deltas become visible.
+    #[test]
+    fn permanent_join_error_drains_instead_of_leaving_stale_partials() {
+        let mut db = database(true);
+        let t = pmv_query::TemplateBuilder::new("eqt")
+            .relation(db.schema("r").unwrap())
+            .relation(db.schema("s").unwrap())
+            .join("r", "c", "s", "d")
+            .unwrap()
+            .select("r", "a")
+            .unwrap()
+            .select("s", "e")
+            .unwrap()
+            .cond_eq("r", "f")
+            .unwrap()
+            .cond_eq("s", "g")
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut config = PmvConfig::new(3, 16, PolicyKind::Clock);
+        config.maint_strategy = MaintStrategy::DeltaJoin;
+        let def = PartialViewDef::all_equality("eqt_pmv", t.clone()).unwrap();
+        let view = SharedPmv::with_shards(def, config, 4);
+        let queries: Vec<_> = (0..4i64)
+            .flat_map(|f| (0..2i64).map(move |g| (f, g)))
+            .map(|(f, g)| {
+                t.bind(vec![
+                    Condition::Equality(vec![Value::Int(f)]),
+                    Condition::Equality(vec![Value::Int(g)]),
+                ])
+                .unwrap()
+            })
+            .collect();
+        for q in &queries {
+            view.run(&db, q).unwrap();
+        }
+        let cached = view.tuple_count();
+        assert!(cached > 0);
+
+        // One transaction deleting from both relations: two batches and
+        // a non-empty union pass.
+        let row_of = |db: &Database, rel: &str| {
+            let handle = db.relation(rel).unwrap();
+            let row = handle.read().iter().next().map(|(r, _)| r).unwrap();
+            row
+        };
+        let (r_row, s_row) = (row_of(&db, "r"), row_of(&db, "s"));
+        let mut txn = Transaction::begin(&mut db);
+        txn.delete("r", r_row).unwrap();
+        txn.delete("s", s_row).unwrap();
+        let batches = txn.commit();
+        assert_eq!(batches.len(), 2);
+
+        // Maintain against a database in which `s` does not exist: the
+        // join for the `r` delta cannot be computed.
+        let out = view.maintain_all(&database(false), &batches).unwrap();
+        assert!(out.fallback_invalidations >= 1, "{out:?}");
+        assert_eq!(out.retries, 0, "a permanent error is not retried");
+        assert_eq!(out.deletes_joined, 2, "the second batch still ran");
+        let report = view.validate();
+        assert!(report.is_consistent(), "{report}");
+        let drained = report.shards.iter().filter(|s| s.quarantined).count();
+        assert!(drained >= 1 && drained == view.quarantined_shards());
+        assert!(view.tuple_count() < cached);
+        assert!(view.stats().maint_fallbacks >= 1);
+
+        // The real post-delta database: nothing stale is served.
+        for q in &queries {
+            let served = view.run(&db, q).unwrap();
+            assert_eq!(served.ds_leftover, 0);
+            let (mut want, _, _) = run_plain(&db, q).unwrap();
+            let mut got = served.all_results();
+            got.sort();
+            want.sort();
+            assert_eq!(got, want);
+        }
+        assert_eq!(view.revalidate(&db).unwrap(), 0);
+        assert_eq!(view.quarantined_shards(), 0);
+        assert_eq!(view.health(), ViewHealth::Healthy);
+        assert_eq!(view.stats().maint_fallbacks, 0, "transient tally reset");
+    }
 }

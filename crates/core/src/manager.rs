@@ -14,9 +14,10 @@ use std::sync::Arc;
 use pmv_query::{Database, QueryInstance, QueryTemplate};
 use pmv_storage::DeltaBatch;
 
+use crate::concurrent::SharedPmv;
 use crate::health::ViewHealth;
 use crate::maintenance::MaintenanceOutcome;
-use crate::pipeline::{Pmv, PmvPipeline, QueryOutcome};
+use crate::pipeline::QueryOutcome;
 use crate::verify::{self, VerifyOptions};
 use crate::view::{PartialViewDef, PmvConfig};
 use crate::{CoreError, Result};
@@ -60,11 +61,9 @@ impl std::fmt::Display for ViewHealthReport {
     }
 }
 
-/// A named collection of PMVs sharing one pipeline (and thus one lock
-/// manager).
+/// A named collection of PMVs, one per query template.
 pub struct PmvManager {
-    pipeline: PmvPipeline,
-    views: Vec<Pmv>,
+    views: Vec<SharedPmv>,
     /// template pointer identity → index into `views`.
     by_template: HashMap<usize, usize>,
     /// Optional global budget over Σ store byte sizes.
@@ -81,10 +80,9 @@ impl Default for PmvManager {
 }
 
 impl PmvManager {
-    /// Empty manager with a fresh pipeline.
+    /// Empty manager.
     pub fn new() -> Self {
         PmvManager {
-            pipeline: PmvPipeline::new(),
             views: Vec::new(),
             by_template: HashMap::new(),
             byte_budget: None,
@@ -107,11 +105,6 @@ impl PmvManager {
     pub fn with_byte_budget(mut self, bytes: usize) -> Self {
         self.byte_budget = Some(bytes);
         self
-    }
-
-    /// The shared pipeline (for direct `run`/`maintain` calls).
-    pub fn pipeline(&self) -> &PmvPipeline {
-        &self.pipeline
     }
 
     fn template_key(t: &Arc<QueryTemplate>) -> usize {
@@ -139,13 +132,8 @@ impl PmvManager {
             )));
         }
         self.by_template.insert(key, self.views.len());
-        self.views.push(Pmv::new(def, config));
+        self.views.push(SharedPmv::new(def, config));
         Ok(())
-    }
-
-    /// Alias for [`Self::register`], kept for earlier callers.
-    pub fn create_view(&mut self, def: PartialViewDef, config: PmvConfig) -> Result<()> {
-        self.register(def, config)
     }
 
     /// Number of registered PMVs.
@@ -154,23 +142,16 @@ impl PmvManager {
     }
 
     /// The PMV for a template, if registered.
-    pub fn view_for(&self, template: &Arc<QueryTemplate>) -> Option<&Pmv> {
+    pub fn view_for(&self, template: &Arc<QueryTemplate>) -> Option<&SharedPmv> {
         self.by_template
             .get(&Self::template_key(template))
             .map(|&i| &self.views[i])
     }
 
-    /// Mutable access by template (e.g. for `revalidate`).
-    pub fn view_for_mut(&mut self, template: &Arc<QueryTemplate>) -> Option<&mut Pmv> {
-        self.by_template
-            .get(&Self::template_key(template))
-            .map(|&i| &mut self.views[i])
-    }
-
     /// Route a query to its template's PMV and run the O1/O2/O3 pipeline.
     /// Queries over unregistered templates fail with a definition error;
-    /// use [`PmvPipeline::run_plain`] for those.
-    pub fn run(&mut self, db: &Database, q: &QueryInstance) -> Result<QueryOutcome> {
+    /// use [`crate::pipeline::run_plain`] for those.
+    pub fn run(&self, db: &Database, q: &QueryInstance) -> Result<QueryOutcome> {
         let idx = *self
             .by_template
             .get(&Self::template_key(q.template()))
@@ -180,18 +161,18 @@ impl PmvManager {
                     q.template().name()
                 ))
             })?;
-        self.pipeline.run(db, &mut self.views[idx], q)
+        self.views[idx].run(db, q)
     }
 
     /// Fan a delta batch out to every PMV whose template references the
     /// changed relation. Returns one outcome per affected PMV.
     pub fn maintain(
-        &mut self,
+        &self,
         db: &Database,
         batch: &DeltaBatch,
     ) -> Result<Vec<(String, MaintenanceOutcome)>> {
         let mut outcomes = Vec::new();
-        for pmv in &mut self.views {
+        for pmv in &self.views {
             let references = pmv
                 .def()
                 .template()
@@ -200,7 +181,7 @@ impl PmvManager {
                 .any(|r| r == batch.relation());
             if references {
                 let name = pmv.def().name().to_string();
-                let out = self.pipeline.maintain(db, pmv, batch)?;
+                let out = pmv.maintain(db, batch)?;
                 outcomes.push((name, out));
             }
         }
@@ -209,7 +190,7 @@ impl PmvManager {
 
     /// Total bytes cached across all PMVs.
     pub fn total_bytes(&self) -> usize {
-        self.views.iter().map(|p| p.store().byte_size()).sum()
+        self.views.iter().map(SharedPmv::byte_size).sum()
     }
 
     /// Amount over the byte budget, if any.
@@ -220,40 +201,24 @@ impl PmvManager {
         }
     }
 
-    /// Trim cached entries (largest store first, evicting its coldest
-    /// entries through the policy) until within budget. Returns tuples
-    /// dropped.
-    pub fn shed(&mut self) -> usize {
+    /// Trim cached entries (largest view first, one entry of its largest
+    /// shard at a time) until within budget. Returns tuples dropped.
+    pub fn shed(&self) -> usize {
         let Some(budget) = self.byte_budget else {
             return 0;
         };
         let mut dropped = 0;
         while self.total_bytes() > budget {
-            // Largest store pays.
-            let Some((idx, _)) = self
+            // Largest view pays, from its largest shard.
+            let shed = self
                 .views
                 .iter()
-                .enumerate()
-                .max_by_key(|(_, p)| p.store().byte_size())
-            else {
-                break;
-            };
-            let pmv = &mut self.views[idx];
-            // Evict one entry: drop the first resident bcp's tuples.
-            let victim = pmv
-                .store()
-                .iter()
-                .next()
-                .map(|(k, ts)| (k.clone(), ts.to_vec()));
-            match victim {
-                Some((bcp, tuples)) => {
-                    for (t, _) in tuples {
-                        pmv.store.remove_tuple(&bcp, &t);
-                        dropped += 1;
-                    }
-                }
-                None => break, // nothing left to shed anywhere
+                .max_by_key(|p| p.byte_size())
+                .map_or(0, SharedPmv::shed_entry);
+            if shed == 0 {
+                break; // nothing left to shed anywhere
             }
+            dropped += shed;
         }
         dropped
     }
@@ -262,9 +227,9 @@ impl PmvManager {
     /// database state and drop anything stale (the coarse fallback when
     /// deltas were lost, e.g. after crash recovery). Returns the total
     /// number of tuples removed across all PMVs.
-    pub fn revalidate_all(&mut self, db: &Database) -> Result<usize> {
+    pub fn revalidate_all(&self, db: &Database) -> Result<usize> {
         let mut removed = 0;
-        for pmv in &mut self.views {
+        for pmv in &self.views {
             removed += pmv.revalidate(db)?;
         }
         Ok(removed)
@@ -285,39 +250,16 @@ impl PmvManager {
                     trips: p.breaker().trip_count(),
                     degraded_queries: stats.degraded_queries,
                     quarantine_events: stats.quarantine_events,
-                    last_verified_age_ms: p.last_verified_age().as_millis() as u64,
+                    last_verified_age_ms: p.staleness().as_millis() as u64,
                 }
             })
             .collect()
     }
 
-    /// Per-view exportable telemetry: every `PmvStats` counter, the
-    /// derived probability gauges, breaker state, and the per-phase
-    /// latency snapshots from each view's obs registry. This is the feed
+    /// Per-view exportable telemetry ([`SharedPmv::metrics`]) — the feed
     /// for [`Self::metrics_prometheus`] / [`Self::metrics_json`].
     pub fn metrics_views(&self) -> Vec<pmv_obs::ViewMetrics> {
-        self.views
-            .iter()
-            .map(|p| {
-                let stats = p.stats();
-                pmv_obs::ViewMetrics {
-                    name: p.def().name().to_string(),
-                    health: p.health().as_str().to_string(),
-                    error_rate: p.breaker().error_rate(),
-                    trips: p.breaker().trip_count(),
-                    last_verified_age_ms: p.last_verified_age().as_millis() as u64,
-                    counters: stats.as_pairs(),
-                    gauges: vec![
-                        ("hit_probability", stats.hit_probability()),
-                        ("serving_probability", stats.serving_probability()),
-                        ("degraded_query_rate", stats.degraded_query_rate()),
-                        ("store_bytes", p.store().byte_size() as f64),
-                        ("occupancy", p.store().occupancy()),
-                    ],
-                    phases: p.obs().snapshots(),
-                }
-            })
-            .collect()
+        self.views.iter().map(SharedPmv::metrics).collect()
     }
 
     /// All views' telemetry in the Prometheus text exposition format.
@@ -331,8 +273,8 @@ impl PmvManager {
     }
 
     /// The most recent `n` lifecycle traces per view, oldest first
-    /// within each view. Empty unless tracing was enabled via
-    /// [`crate::pipeline::Pmv`]'s obs registry (`obs().set_enabled`).
+    /// within each view. Empty while tracing is disabled
+    /// ([`Self::set_obs_enabled`]).
     pub fn trace_tail(&self, n: usize) -> Vec<pmv_obs::QueryTrace> {
         let mut out = Vec::new();
         for p in &self.views {
@@ -345,7 +287,7 @@ impl PmvManager {
     /// view at once.
     pub fn set_obs_enabled(&self, on: bool) {
         for p in &self.views {
-            p.obs().set_enabled(on);
+            p.set_obs_enabled(on);
         }
     }
 
@@ -353,13 +295,13 @@ impl PmvManager {
     pub fn aggregate_stats(&self) -> crate::stats::PmvStats {
         let mut total = crate::stats::PmvStats::default();
         for p in &self.views {
-            total.merge(p.stats());
+            total.merge(&p.stats());
         }
         total
     }
 
     /// Iterate over the registered PMVs.
-    pub fn views(&self) -> impl Iterator<Item = &Pmv> {
+    pub fn views(&self) -> impl Iterator<Item = &SharedPmv> {
         self.views.iter()
     }
 }
@@ -407,12 +349,12 @@ mod tests {
 
     fn mgr(ta: &Arc<QueryTemplate>, tb: &Arc<QueryTemplate>) -> PmvManager {
         let mut m = PmvManager::new();
-        m.create_view(
+        m.register(
             PartialViewDef::all_equality("pmv_a", ta.clone()).unwrap(),
             PmvConfig::new(2, 16, PolicyKind::Clock),
         )
         .unwrap();
-        m.create_view(
+        m.register(
             PartialViewDef::all_equality("pmv_b", tb.clone()).unwrap(),
             PmvConfig::new(2, 16, PolicyKind::Clock),
         )
@@ -423,7 +365,7 @@ mod tests {
     #[test]
     fn routes_queries_by_template() {
         let (db, ta, tb) = setup();
-        let mut m = mgr(&ta, &tb);
+        let m = mgr(&ta, &tb);
         let qa = ta
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
             .unwrap();
@@ -441,7 +383,7 @@ mod tests {
     fn duplicate_registration_rejected() {
         let (_db, ta, tb) = setup();
         let mut m = mgr(&ta, &tb);
-        let err = m.create_view(
+        let err = m.register(
             PartialViewDef::all_equality("again", ta.clone()).unwrap(),
             PmvConfig::default(),
         );
@@ -453,7 +395,7 @@ mod tests {
     fn unregistered_template_errors() {
         let (db, ta, tb) = setup();
         let mut m = PmvManager::new();
-        m.create_view(
+        m.register(
             PartialViewDef::all_equality("only_a", ta.clone()).unwrap(),
             PmvConfig::default(),
         )
@@ -467,7 +409,7 @@ mod tests {
     #[test]
     fn maintenance_fans_out_to_referencing_views() {
         let (mut db, ta, tb) = setup();
-        let mut m = mgr(&ta, &tb);
+        let m = mgr(&ta, &tb);
         // Warm both.
         let qa = ta
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
@@ -506,7 +448,7 @@ mod tests {
     #[test]
     fn revalidate_all_sweeps_every_view() {
         let (mut db, ta, tb) = setup();
-        let mut m = mgr(&ta, &tb);
+        let m = mgr(&ta, &tb);
         let qa = ta
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
             .unwrap();
@@ -600,7 +542,7 @@ mod tests {
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
             .unwrap();
         m.run(&db, &qa).unwrap();
-        let before = *m.view_for(&ta).unwrap().stats();
+        let before = m.view_for(&ta).unwrap().stats();
         assert!(before.budget_exceeded > 0, "row budget must have tripped");
         assert!(before.degraded_queries > 0);
         m.revalidate_all(&db).unwrap();
@@ -614,7 +556,7 @@ mod tests {
     #[test]
     fn metrics_export_covers_every_view_and_phase() {
         let (db, ta, tb) = setup();
-        let mut m = mgr(&ta, &tb);
+        let m = mgr(&ta, &tb);
         m.set_obs_enabled(true);
         // Repeats make the second query of each pair a bcp hit.
         for f in [0i64, 0, 1, 1, 2] {
@@ -662,7 +604,7 @@ mod tests {
     #[test]
     fn health_report_includes_last_verified_age() {
         let (db, ta, tb) = setup();
-        let mut m = mgr(&ta, &tb);
+        let m = mgr(&ta, &tb);
         let qa = ta
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
             .unwrap();
@@ -684,7 +626,7 @@ mod tests {
     #[test]
     fn byte_budget_shedding() {
         let (db, ta, tb) = setup();
-        let mut m = mgr(&ta, &tb).with_byte_budget(200);
+        let m = mgr(&ta, &tb).with_byte_budget(200);
         for f in 0..10i64 {
             let q = ta
                 .bind(vec![Condition::Equality(vec![Value::Int(f)])])

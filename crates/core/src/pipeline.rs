@@ -1,230 +1,16 @@
-//! The single-owner PMV and its pipeline front end.
-//!
-//! [`Pmv`] is one view's definition, bounded store and statistics, owned
-//! by one caller (`&mut Pmv`). [`PmvPipeline::run`] serves a query from it
-//! under the paper's Section 3.6 protocol: it takes an **S lock** on the
-//! view, held from O2 through the end of O3, so no maintainer (which
-//! takes the X lock, see [`crate::maintenance`]) can make the served
-//! partial results inconsistent with the full execution. The O1 → O2 → O3
-//! algorithm itself lives in [`crate::serve`]; this module supplies its
-//! *direct* store-access instance — O2 reads the live store, write-back
-//! is always granted, nothing is published — with the live `Database` as
-//! the [`pmv_query::DataView`].
+//! What one run of the O1 → O2 → O3 serving path ([`crate::serve`])
+//! hands back — [`QueryOutcome`] and its [`QueryTimings`] — and the
+//! no-PMV baseline [`run_plain`] the paper's overhead figures compare
+//! against.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use pmv_obs::{
-    EventKind, ObsRegistry, Phase, SpaceSaving, TemplateAccount, TraceKind, DEFAULT_SKETCH_CAPACITY,
-};
-use pmv_query::{execute, Database, ExecStats, LockManager, QueryInstance};
+use pmv_query::{execute, Database, ExecStats, QueryInstance};
 use pmv_storage::Tuple;
 
-use crate::bcp::BcpKey;
-use crate::health::{CircuitBreaker, Degradation, VerifiedClock, ViewHealth};
-use crate::o1::ConditionPart;
-use crate::serve::{self, ServeEnv, StoreAccess, WriteBack};
-use crate::stats::PmvStats;
-use crate::store::{CachedTuple, PmvStore};
-use crate::view::{PartialViewDef, PmvConfig};
+use crate::health::Degradation;
 use crate::Result;
-
-/// A live partial materialized view: definition + bounded store + stats.
-pub struct Pmv {
-    pub(crate) def: PartialViewDef,
-    pub(crate) config: PmvConfig,
-    pub(crate) store: PmvStore,
-    pub(crate) stats: PmvStats,
-    pub(crate) breaker: CircuitBreaker,
-    /// When the view last completed maintenance or revalidation — the
-    /// reference point for the staleness bound in degraded outcomes.
-    pub(crate) verified: VerifiedClock,
-    /// Per-phase latency histograms + lifecycle trace ring.
-    pub(crate) obs: ObsRegistry,
-    /// View name as a shared `Arc<str>` for query trace spans.
-    trace_name: Arc<str>,
-    /// Per-template workload account, attached by the embedding layer.
-    account: Option<Arc<TemplateAccount>>,
-    /// Space-saving sketch over delta-key hashes — the heavy/light
-    /// router for [`crate::view::MaintStrategy::HeavyLight`].
-    pub(crate) delta_sketch: SpaceSaving,
-}
-
-impl Pmv {
-    /// Create an (initially empty) PMV.
-    pub fn new(def: PartialViewDef, config: PmvConfig) -> Self {
-        let mut store = PmvStore::new(&config);
-        if config.maint_filter {
-            store.enable_index(crate::delta_index::DeltaKeyIndex::new(def.template()));
-        }
-        let breaker = CircuitBreaker::new(config.breaker);
-        let trace_name: Arc<str> = Arc::from(def.name());
-        Pmv {
-            def,
-            config,
-            store,
-            stats: PmvStats::default(),
-            breaker,
-            verified: VerifiedClock::new(),
-            obs: ObsRegistry::new(),
-            trace_name,
-            account: None,
-            delta_sketch: SpaceSaving::new(DEFAULT_SKETCH_CAPACITY),
-        }
-    }
-
-    /// Per-phase latency histograms and the lifecycle trace ring
-    /// (`obs().set_enabled(false)` reduces recording to a relaxed load
-    /// per call site).
-    pub fn obs(&self) -> &ObsRegistry {
-        &self.obs
-    }
-
-    /// Time since the view last completed maintenance or revalidation —
-    /// the breaker-state *age* surfaced by health reports.
-    pub fn last_verified_age(&self) -> Duration {
-        self.verified.staleness()
-    }
-
-    /// Attach a per-template workload account; queries record into it
-    /// while observability is enabled, exactly as on a sharded view.
-    pub fn attach_account(&mut self, acct: Arc<TemplateAccount>) {
-        self.account = Some(acct);
-    }
-
-    /// The view definition.
-    pub fn def(&self) -> &PartialViewDef {
-        &self.def
-    }
-
-    /// The tuning knobs.
-    pub fn config(&self) -> &PmvConfig {
-        &self.config
-    }
-
-    /// The bounded store (read access).
-    pub fn store(&self) -> &PmvStore {
-        &self.store
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> &PmvStats {
-        &self.stats
-    }
-
-    /// Zero the statistics (e.g. after a warm-up phase).
-    pub fn reset_stats(&mut self) {
-        self.stats = PmvStats::default();
-    }
-
-    /// Build the query instance selecting exactly the tuples of `bcp`
-    /// (each dimension pinned to the equality value / basic interval).
-    pub fn bcp_query(&self, bcp: &BcpKey) -> Result<QueryInstance> {
-        self.def.bcp_query(bcp)
-    }
-
-    /// Current health of this view's circuit breaker.
-    pub fn health(&self) -> ViewHealth {
-        self.breaker.state()
-    }
-
-    /// The circuit breaker guarding this view's serving path.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
-    /// Repair utility: re-execute each resident bcp's query and drop any
-    /// cached tuple not in the current answer. Useful after direct base
-    /// mutations that bypassed maintenance, or to recover a quarantined
-    /// view; also the oracle the property tests use. (Cross-relation
-    /// same-transaction deletes no longer need it —
-    /// [`PmvPipeline::maintain_all`] runs the union pass.) Lifts any
-    /// quarantine and resets the circuit breaker — the cache is
-    /// known-consistent afterwards.
-    pub fn revalidate(&mut self, db: &Database) -> Result<usize> {
-        let t_start = Instant::now();
-        let mut trace = self.obs.begin_trace(TraceKind::Revalidate, self.def.name());
-        let removed = revalidate_store(db, &self.def, &mut self.store)?;
-        self.store.lift_quarantine();
-        self.breaker.reset();
-        self.obs.record(Phase::revalidate, t_start.elapsed());
-        trace.event(EventKind::Revalidated { removed });
-        drop(trace);
-        // The sweep closes the failure episode: clear the transient
-        // panic/degradation/quarantine tallies along with the breaker so
-        // health reports reflect the verified state, then record the
-        // sweep itself.
-        self.stats.reset_transient();
-        self.obs.reset_transient();
-        self.stats.revalidations += 1;
-        self.verified.mark();
-        Ok(removed)
-    }
-}
-
-/// Drop every cached tuple of `store` that is not in the current answer of
-/// its bcp's query. Shared by [`Pmv::revalidate`] and the sharded
-/// [`crate::concurrent::SharedPmv`] (which revalidates shard by shard).
-pub(crate) fn revalidate_store(
-    db: &Database,
-    def: &PartialViewDef,
-    store: &mut PmvStore,
-) -> Result<usize> {
-    let bcps: Vec<BcpKey> = store.iter().map(|(k, _)| k.clone()).collect();
-    let truths = bcp_truths(db, def, &bcps)?;
-    let mut removed = 0;
-    for (bcp, mut budget) in truths {
-        removed += remove_stale(store, &bcp, &mut budget);
-    }
-    Ok(removed)
-}
-
-/// Revalidation phase 1: for each cached bcp, re-derive the multiset of
-/// tuples its query produces from current base truth. Pure executor
-/// reads — no store access — so the sharded embedding runs this with no
-/// shard lock held (repo lock rule: never hold a shard guard across a
-/// call into `query::exec`).
-pub(crate) fn bcp_truths(
-    db: &Database,
-    def: &PartialViewDef,
-    bcps: &[BcpKey],
-) -> Result<Vec<(BcpKey, HashMap<Tuple, usize>)>> {
-    let mut out = Vec::with_capacity(bcps.len());
-    for bcp in bcps {
-        let q = def.bcp_query(bcp)?;
-        let (truth, _) = execute(db, &q)?;
-        let mut budget: HashMap<Tuple, usize> = HashMap::new();
-        for t in truth {
-            *budget.entry(t).or_insert(0) += 1;
-        }
-        out.push((bcp.clone(), budget));
-    }
-    Ok(out)
-}
-
-/// Revalidation phase 2: drop the cached tuples of `bcp` that exceed the
-/// truth multiset. Runs under the store's exclusive guard; removal-only,
-/// hence always sound.
-pub(crate) fn remove_stale(
-    store: &mut PmvStore,
-    bcp: &BcpKey,
-    budget: &mut HashMap<Tuple, usize>,
-) -> usize {
-    // Pointer-copies only: the entries hold `Arc<Tuple>`s.
-    let cached: Vec<(Arc<Tuple>, u64)> = store.lookup(bcp).map(|s| s.to_vec()).unwrap_or_default();
-    let mut removed = 0;
-    for (t, _) in cached {
-        match budget.get_mut(&*t) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => {
-                store.remove_tuple(bcp, &t);
-                removed += 1;
-            }
-        }
-    }
-    removed
-}
 
 /// Wall-clock breakdown of one pipeline run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -294,126 +80,31 @@ impl QueryOutcome {
     }
 }
 
-/// The query pipeline; owns the lock manager shared between queries (S
-/// locks) and maintenance (X locks).
-#[derive(Clone, Default)]
-pub struct PmvPipeline {
-    locks: LockManager,
-}
-
-impl PmvPipeline {
-    /// Pipeline with a fresh lock manager.
-    pub fn new() -> Self {
-        PmvPipeline::default()
-    }
-
-    /// Pipeline sharing an existing lock manager.
-    pub fn with_locks(locks: LockManager) -> Self {
-        PmvPipeline { locks }
-    }
-
-    /// The shared lock manager.
-    pub fn locks(&self) -> &LockManager {
-        &self.locks
-    }
-
-    /// Run one query through O1/O2/O3 ([`crate::serve`]) under the S
-    /// lock, against the live database.
-    pub fn run(&self, db: &Database, pmv: &mut Pmv, q: &QueryInstance) -> Result<QueryOutcome> {
-        // Held to the end of O3: maintenance needs the X lock, so every
-        // served partial is re-derived by this query's own execution.
-        let _s_lock = self.locks.lock_shared(pmv.def.name());
-        let env = ServeEnv {
-            def: &pmv.def,
-            config: &pmv.config,
-            breaker: &pmv.breaker,
-            obs: &pmv.obs,
-            trace_name: &pmv.trace_name,
-            account: pmv.account.as_ref(),
-            verified: &pmv.verified,
-        };
-        let direct = Direct {
-            store: &mut pmv.store,
-            stats: &mut pmv.stats,
-        };
-        serve::run_pinned(&env, direct, db, q)
-    }
-
-    /// Baseline: execute the query without any PMV involvement, returning
-    /// user-layout results and the execution time.
-    pub fn run_plain(
-        &self,
-        db: &Database,
-        q: &QueryInstance,
-    ) -> Result<(Vec<Tuple>, ExecStats, Duration)> {
-        let t0 = Instant::now();
-        let (results, stats) = execute(db, q)?;
-        let template = q.template();
-        let user: Vec<Tuple> = results.iter().map(|t| template.user_tuple(t)).collect();
-        Ok((user, stats, t0.elapsed()))
-    }
-}
-
-/// The direct [`StoreAccess`] instance: exclusive access to a
-/// single-owner [`Pmv`]'s store. One shard, no lock, no published view —
-/// O2 reads the live entries and write-back is always granted.
-struct Direct<'a> {
-    store: &'a mut PmvStore,
-    stats: &'a mut PmvStats,
-}
-
-impl StoreAccess for Direct<'_> {
-    fn shard_of(&self, _bcp: &BcpKey) -> usize {
-        0
-    }
-
-    fn maint_epoch(&self) -> u64 {
-        0
-    }
-
-    fn run_pinned_probe(
-        &self,
-        _si: usize,
-        parts: &[&ConditionPart],
-        claims: bool,
-        mut each: impl FnMut(&ConditionPart, Option<&[CachedTuple]>, bool),
-    ) -> bool {
-        if self.store.is_quarantined() {
-            return false;
-        }
-        for part in parts {
-            let claimed = claims && self.store.entry_complete(&part.bcp);
-            each(part, self.store.lookup(&part.bcp), claimed);
-        }
-        true
-    }
-
-    fn run_pinned_write_shard(
-        &mut self,
-        _si: usize,
-        apply: impl FnOnce(&mut PmvStore, u64) -> Option<WriteBack>,
-    ) -> Option<WriteBack> {
-        apply(self.store, 0)
-    }
-
-    fn add_stats(&mut self, local: &PmvStats) {
-        self.stats.merge(local);
-    }
+/// Baseline: execute the query without any PMV involvement, returning
+/// user-layout results and the execution time.
+pub fn run_plain(db: &Database, q: &QueryInstance) -> Result<(Vec<Tuple>, ExecStats, Duration)> {
+    let t0 = Instant::now();
+    let (results, stats) = execute(db, q)?;
+    let template = q.template();
+    let user: Vec<Tuple> = results.iter().map(|t| template.user_tuple(t)).collect();
+    Ok((user, stats, t0.elapsed()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bcp::{BcpDim, BcpKey, Discretizer};
-    use crate::view::PartialViewDef;
+    use crate::concurrent::SharedPmv;
+    use crate::view::{PartialViewDef, PmvConfig};
     use pmv_cache::PolicyKind;
     use pmv_index::IndexDef;
     use pmv_query::{Condition, Interval, TemplateBuilder};
     use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
 
     /// R(a, c, f) ⋈ S(d, e, g) on c = d, conditions on f (eq) and g (eq),
-    /// the paper's Eqt with the Figure 3 data plus extras.
-    fn setup() -> (Database, Pmv, PmvPipeline) {
+    /// the paper's Eqt with the Figure 3 data plus extras. One shard: the
+    /// tests below count exact entries and evictions against L.
+    fn setup() -> (Database, SharedPmv) {
         let mut db = Database::new();
         db.create_relation(Schema::new(
             "r",
@@ -472,11 +163,11 @@ mod tests {
             .build()
             .unwrap();
         let def = PartialViewDef::all_equality("pmv_eqt", t).unwrap();
-        let pmv = Pmv::new(def, PmvConfig::new(2, 8, PolicyKind::Clock));
-        (db, pmv, PmvPipeline::new())
+        let pmv = SharedPmv::with_shards(def, PmvConfig::new(2, 8, PolicyKind::Clock), 1);
+        (db, pmv)
     }
 
-    fn q_eq(pmv: &Pmv, fs: &[i64], gs: &[i64]) -> QueryInstance {
+    fn q_eq(pmv: &SharedPmv, fs: &[i64], gs: &[i64]) -> QueryInstance {
         pmv.def()
             .template()
             .bind(vec![
@@ -488,25 +179,25 @@ mod tests {
 
     #[test]
     fn cold_query_serves_nothing_but_fills_pmv() {
-        let (db, mut pmv, pipe) = setup();
+        let (db, pmv) = setup();
         let q = q_eq(&pmv, &[1], &[7]);
-        let out = pipe.run(&db, &mut pmv, &q).unwrap();
+        let out = pmv.run(&db, &q).unwrap();
         assert!(!out.bcp_hit);
         assert!(out.partial.is_empty());
         assert_eq!(out.remaining.len(), 2);
         assert_eq!(out.ds_leftover, 0);
         // F = 2: both result tuples cached under bcp (1, 7).
         let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(1)), BcpDim::Eq(Value::Int(7))]);
-        assert_eq!(pmv.store().lookup(&bcp).unwrap().len(), 2);
-        pmv.store().validate();
+        assert_eq!(pmv.lookup(&bcp).unwrap().len(), 2);
+        pmv.debug_validate();
     }
 
     #[test]
     fn warm_query_serves_partial_results_first() {
-        let (db, mut pmv, pipe) = setup();
+        let (db, pmv) = setup();
         let q = q_eq(&pmv, &[1], &[7]);
-        pipe.run(&db, &mut pmv, &q).unwrap();
-        let out = pipe.run(&db, &mut pmv, &q).unwrap();
+        pmv.run(&db, &q).unwrap();
+        let out = pmv.run(&db, &q).unwrap();
         assert!(out.bcp_hit);
         assert_eq!(out.partial.len(), 2);
         assert!(out.remaining.is_empty());
@@ -517,12 +208,12 @@ mod tests {
 
     #[test]
     fn each_result_returned_exactly_once() {
-        let (db, mut pmv, pipe) = setup();
+        let (db, pmv) = setup();
         // Query with a hot and a cold pair, as in Section 2.3's example.
         let hot = q_eq(&pmv, &[1], &[7]);
-        pipe.run(&db, &mut pmv, &hot).unwrap();
+        pmv.run(&db, &hot).unwrap();
         let q = q_eq(&pmv, &[1, 3], &[7, 9]);
-        let out = pipe.run(&db, &mut pmv, &q).unwrap();
+        let out = pmv.run(&db, &q).unwrap();
         // Full result multiset: (1,2) x2 for (f=1,g=7), (7,8) for (3,9).
         let mut all = out.all_results();
         all.sort();
@@ -538,25 +229,29 @@ mod tests {
 
     #[test]
     fn f_caps_cached_tuples_per_bcp() {
-        let (db, pmv, pipe) = setup();
+        let (db, pmv) = setup();
         // (f=1, g=7) has 2 result tuples; with F = 1 only one is cached.
-        let mut pmv1 = Pmv::new(pmv.def().clone(), PmvConfig::new(1, 8, PolicyKind::Clock));
+        let pmv1 = SharedPmv::with_shards(
+            pmv.def().clone(),
+            PmvConfig::new(1, 8, PolicyKind::Clock),
+            1,
+        );
         let q = q_eq(&pmv, &[1], &[7]);
-        pipe.run(&db, &mut pmv1, &q).unwrap();
+        pmv1.run(&db, &q).unwrap();
         let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(1)), BcpDim::Eq(Value::Int(7))]);
-        assert_eq!(pmv1.store().lookup(&bcp).unwrap().len(), 1);
+        assert_eq!(pmv1.lookup(&bcp).unwrap().len(), 1);
         // Second run: one tuple early, one late, none lost.
-        let out = pipe.run(&db, &mut pmv1, &q).unwrap();
+        let out = pmv1.run(&db, &q).unwrap();
         assert_eq!(out.partial.len(), 1);
         assert_eq!(out.remaining.len(), 1);
         assert_eq!(out.ds_leftover, 0);
-        pmv1.store().validate();
+        pmv1.debug_validate();
         let _ = pmv;
     }
 
     #[test]
     fn pipeline_results_match_plain_execution() {
-        let (db, mut pmv, pipe) = setup();
+        let (db, pmv) = setup();
         let queries = [
             q_eq(&pmv, &[1], &[7]),
             q_eq(&pmv, &[1, 3], &[7, 9]),
@@ -565,21 +260,21 @@ mod tests {
         ];
         for _ in 0..3 {
             for q in &queries {
-                let (mut plain, _, _) = pipe.run_plain(&db, q).unwrap();
-                let out = pipe.run(&db, &mut pmv, q).unwrap();
+                let (mut plain, _, _) = run_plain(&db, q).unwrap();
+                let out = pmv.run(&db, q).unwrap();
                 let mut got = out.all_results();
                 got.sort();
                 plain.sort();
                 assert_eq!(got, plain);
                 assert_eq!(out.ds_leftover, 0);
-                pmv.store().validate();
+                pmv.debug_validate();
             }
         }
     }
 
     #[test]
     fn interval_template_pipeline() {
-        let (db, _, pipe) = setup();
+        let (db, _) = setup();
         let t = TemplateBuilder::new("iv")
             .relation(db.schema("r").unwrap())
             .relation(db.schema("s").unwrap())
@@ -601,7 +296,7 @@ mod tests {
             vec![Some(Discretizer::int_grid(0, 2, 4)), None], // dividers 0,2,4,6
         )
         .unwrap();
-        let mut pmv = Pmv::new(def, PmvConfig::default());
+        let pmv = SharedPmv::with_shards(def, PmvConfig::default(), 1);
         let q = pmv
             .def()
             .template()
@@ -610,9 +305,9 @@ mod tests {
                 Condition::Equality(vec![Value::Int(7)]),
             ])
             .unwrap();
-        let out1 = pipe.run(&db, &mut pmv, &q).unwrap();
+        let out1 = pmv.run(&db, &q).unwrap();
         assert_eq!(out1.remaining.len(), 2); // both f=1 rows
-        let out2 = pipe.run(&db, &mut pmv, &q).unwrap();
+        let out2 = pmv.run(&db, &q).unwrap();
         assert_eq!(out2.partial.len(), 2);
         assert!(out2.remaining.is_empty());
         assert_eq!(out2.ds_leftover, 0);
@@ -627,27 +322,27 @@ mod tests {
                 Condition::Equality(vec![Value::Int(7)]),
             ])
             .unwrap();
-        let out3 = pipe.run(&db, &mut pmv, &narrow).unwrap();
+        let out3 = pmv.run(&db, &narrow).unwrap();
         assert_eq!(out3.partial.len(), 2); // f=1 falls in [0,2)
         assert_eq!(out3.ds_leftover, 0);
     }
 
     #[test]
     fn bcp_query_selects_exactly_the_cell() {
-        let (db, mut pmv, pipe) = setup();
+        let (db, pmv) = setup();
         let q = q_eq(&pmv, &[1], &[7]);
-        pipe.run(&db, &mut pmv, &q).unwrap();
+        pmv.run(&db, &q).unwrap();
         let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(1)), BcpDim::Eq(Value::Int(7))]);
-        let cell_q = pmv.bcp_query(&bcp).unwrap();
+        let cell_q = pmv.def().bcp_query(&bcp).unwrap();
         let (rows, _) = pmv_query::execute(&db, &cell_q).unwrap();
         assert_eq!(rows.len(), 2);
     }
 
     #[test]
     fn revalidate_removes_stale_tuples() {
-        let (mut db, mut pmv, pipe) = setup();
+        let (mut db, pmv) = setup();
         let q = q_eq(&pmv, &[1], &[7]);
-        pipe.run(&db, &mut pmv, &q).unwrap();
+        pmv.run(&db, &q).unwrap();
         // Bypass maintenance: delete a base row directly, leaving the PMV
         // stale, then let revalidate repair it.
         let handle = db.relation("r").unwrap();
@@ -660,46 +355,51 @@ mod tests {
         db.delete("r", row).unwrap();
         let removed = pmv.revalidate(&db).unwrap();
         assert_eq!(removed, 1);
-        let out = pipe.run(&db, &mut pmv, &q).unwrap();
+        let out = pmv.run(&db, &q).unwrap();
         assert_eq!(out.ds_leftover, 0);
         assert_eq!(out.all_results().len(), 1);
     }
 
     #[test]
     fn two_q_policy_requires_second_query_to_cache() {
-        let (db, pmv, pipe) = setup();
-        let mut pmv2 = Pmv::new(pmv.def().clone(), PmvConfig::new(2, 8, PolicyKind::TwoQ));
+        let (db, pmv) = setup();
+        let pmv2 =
+            SharedPmv::with_shards(pmv.def().clone(), PmvConfig::new(2, 8, PolicyKind::TwoQ), 1);
         let q = q_eq(&pmv, &[1], &[7]);
-        pipe.run(&db, &mut pmv2, &q).unwrap();
+        pmv2.run(&db, &q).unwrap();
         // First query: bcp went to A1, nothing cached.
-        assert_eq!(pmv2.store().entry_count(), 0);
+        assert_eq!(pmv2.entry_count(), 0);
         assert!(pmv2.stats().probations > 0);
-        pipe.run(&db, &mut pmv2, &q).unwrap();
+        pmv2.run(&db, &q).unwrap();
         // Second query: promoted to Am and filled.
-        assert_eq!(pmv2.store().entry_count(), 1);
-        let out = pipe.run(&db, &mut pmv2, &q).unwrap();
+        assert_eq!(pmv2.entry_count(), 1);
+        let out = pmv2.run(&db, &q).unwrap();
         assert_eq!(out.partial.len(), 2);
         let _ = pmv;
     }
 
     #[test]
     fn eviction_under_small_l() {
-        let (db, pmv, pipe) = setup();
-        let mut small = Pmv::new(pmv.def().clone(), PmvConfig::new(2, 1, PolicyKind::Clock));
-        pipe.run(&db, &mut small, &q_eq(&pmv, &[1], &[7])).unwrap();
-        pipe.run(&db, &mut small, &q_eq(&pmv, &[3], &[9])).unwrap();
-        assert_eq!(small.store().entry_count(), 1);
-        assert!(small.store().evictions() > 0);
-        small.store().validate();
+        let (db, pmv) = setup();
+        let small = SharedPmv::with_shards(
+            pmv.def().clone(),
+            PmvConfig::new(2, 1, PolicyKind::Clock),
+            1,
+        );
+        small.run(&db, &q_eq(&pmv, &[1], &[7])).unwrap();
+        small.run(&db, &q_eq(&pmv, &[3], &[9])).unwrap();
+        assert_eq!(small.entry_count(), 1);
+        assert!(small.evictions() > 0);
+        small.debug_validate();
         let _ = pmv;
     }
 
     #[test]
     fn stats_accumulate() {
-        let (db, mut pmv, pipe) = setup();
+        let (db, pmv) = setup();
         let q = q_eq(&pmv, &[1], &[7]);
-        pipe.run(&db, &mut pmv, &q).unwrap();
-        pipe.run(&db, &mut pmv, &q).unwrap();
+        pmv.run(&db, &q).unwrap();
+        pmv.run(&db, &q).unwrap();
         let s = pmv.stats();
         assert_eq!(s.queries, 2);
         assert_eq!(s.bcp_hit_queries, 1);

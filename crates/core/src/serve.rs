@@ -12,29 +12,23 @@
 //!   The end-of-O3 invariant "DS must be empty" is checked and surfaced
 //!   in the outcome.
 //!
-//! [`run_pinned`] is generic, with static dispatch, over the two things
-//! that differ between embeddings:
-//!
-//! * the data it executes against — any [`DataView`]: a pinned
-//!   [`pmv_query::DbSnapshot`] (the epoch path) or the live
-//!   [`pmv_query::Database`] itself, whose `view_epoch()` is its current
-//!   version (the *locked* case: the caller's `&Database` borrow or read
-//!   guard is what keeps the base data still for the duration);
-//! * how it reaches the store — a [`StoreAccess`] instance. *Direct*
-//!   ([`crate::pipeline::Pmv`], single owner): O2 reads the live store,
-//!   write-back is always granted, nothing is published. *Sharded*
-//!   ([`crate::concurrent::SharedPmv`]): O2 loads each shard's published
-//!   `LeftRight` view wait-free, write-back takes `try_write` and may be
-//!   declined, and the view is republished only when the entry set or a
-//!   completeness claim changed.
+//! [`run_pinned`] is generic, with static dispatch, over the data it
+//! executes against — any [`DataView`]: a pinned
+//! [`pmv_query::DbSnapshot`] (the epoch path) or the live
+//! [`pmv_query::Database`] itself, whose `view_epoch()` is its current
+//! version (the *locked* case: the caller's `&Database` borrow or read
+//! guard is what keeps the base data still for the duration). The store
+//! it reaches is always the sharded one of
+//! [`crate::concurrent::SharedPmv`]: O2 loads each shard's published
+//! `LeftRight` view wait-free, write-back takes `try_write` and may be
+//! declined, and a shard is republished only when the store logged a
+//! change to what it serves.
 //!
 //! # What replaces the paper's S lock (Section 3.6)
 //!
 //! The paper holds an S lock on the PMV from O2 to the end of O3 so no
 //! maintainer (X lock) can invalidate already-served partials before the
-//! full execution re-derives them. The direct instance still does exactly
-//! that ([`crate::pipeline::PmvPipeline::run`] takes the S lock before
-//! calling in). The sharded instance gets the same guarantee from two
+//! full execution re-derives them. Here the same guarantee comes from two
 //! epoch gates plus the maintain-before-publish commit protocol:
 //!
 //! * **serve gate** — a cached tuple is served only when its
@@ -45,14 +39,11 @@
 //!   under the shard write guard, so a query pinned before a maintenance
 //!   pass cannot resurrect what that pass evicted.
 //!
-//! For the direct instance both gates pass vacuously: fill epochs never
-//! exceed the live database version and `maint_epoch` is 0.
-//!
 //! Between O2 and the answer nothing here waits on a lock: probes are
 //! reads, policy touches and fills are deferred to one best-effort
 //! write-back. Both analyzers enforce that on every function whose name
-//! starts with `run_pinned` — this module's and the [`StoreAccess`]
-//! methods that run inside it — which is why those keep the prefix.
+//! starts with `run_pinned` — this module's and the two `Inner` methods
+//! that run inside it — which is why those keep the prefix.
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,95 +51,28 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pmv_faultinject::{CaptureGuard, Site};
-use pmv_obs::{EventKind, O2Outcome, ObsRegistry, Phase, TemplateAccount, TraceKind, TraceScope};
+use pmv_obs::{EventKind, O2Outcome, Phase, TraceKind, TraceScope};
 use pmv_query::{
     execute_bounded_arc, upquery_fill, DataView, ExecBudget, ExecStats, QueryInstance,
 };
 use pmv_storage::Tuple;
 
 use crate::bcp::BcpKey;
+use crate::concurrent::Inner;
 use crate::ds::Ds;
 use crate::fasthash::FxHashMap;
-use crate::health::{CircuitBreaker, Degradation, DegradeReason, VerifiedClock};
-use crate::o1::{decompose, ConditionPart};
+use crate::health::{Degradation, DegradeReason};
+use crate::o1::decompose;
 use crate::pipeline::{QueryOutcome, QueryTimings};
 use crate::stats::PmvStats;
-use crate::store::{CachedTuple, PmvStore, Residency};
-use crate::view::{PartialViewDef, PmvConfig};
+use crate::store::Residency;
 use crate::Result;
-
-/// The per-view state the serving path reads but never locks, borrowed
-/// from whichever embedding owns it.
-#[derive(Clone, Copy)]
-pub(crate) struct ServeEnv<'a> {
-    pub def: &'a PartialViewDef,
-    pub config: &'a PmvConfig,
-    pub breaker: &'a CircuitBreaker,
-    pub obs: &'a ObsRegistry,
-    /// View name as a shared `Arc<str>`: trace spans clone this instead
-    /// of copying the name string on every query.
-    pub trace_name: &'a Arc<str>,
-    /// Per-template workload account; recorded into only while `obs` is
-    /// enabled, so the disabled cost stays one relaxed load.
-    pub account: Option<&'a Arc<TemplateAccount>>,
-    pub verified: &'a VerifiedClock,
-}
 
 /// What one shard's write-back did.
 pub(crate) struct WriteBack {
     admitted: u64,
     evicted: u64,
     poisoned: bool,
-    marked: bool,
-}
-
-impl WriteBack {
-    /// Whether what the shard serves changed (entry set, completeness
-    /// claim, or a quarantine drain). Touches change only policy state,
-    /// so a touch-only write-back needs no republish.
-    pub(crate) fn changed_view(&self) -> bool {
-        self.poisoned || self.admitted > 0 || self.evicted > 0 || self.marked
-    }
-}
-
-/// How the serving path reaches a view's store. Exactly two instances:
-/// direct (`&mut PmvStore` of a single-owner `Pmv`) and sharded
-/// (`SharedPmv`). The `run_pinned_*` methods run between pin and answer
-/// and must never wait on a lock.
-pub(crate) trait StoreAccess {
-    /// Index of the shard owning `bcp` (always 0 for a single store).
-    fn shard_of(&self, bcp: &BcpKey) -> usize;
-
-    /// Epoch of the last completed maintenance — the fill gate. 0 for the
-    /// direct instance, whose S/X lock excludes maintenance outright.
-    fn maint_epoch(&self) -> u64;
-
-    /// O2 read side of shard `si`: call `each(part, entries, claimed)`
-    /// for every part, with the bcp's cached tuples (if resident) and,
-    /// when `claims` is set, whether the entry carries a valid
-    /// completeness claim. Returns `false`, calling nothing, when the
-    /// shard is quarantined.
-    fn run_pinned_probe(
-        &self,
-        si: usize,
-        parts: &[&ConditionPart],
-        claims: bool,
-        each: impl FnMut(&ConditionPart, Option<&[CachedTuple]>, bool),
-    ) -> bool;
-
-    /// Run `apply(store, maint_epoch)` on shard `si`'s store under
-    /// exclusive access — `maint_epoch` re-read once that access is held
-    /// — and, if it reports [`WriteBack::changed_view`], make the change
-    /// visible to later probes. `None` when access was declined
-    /// (contention) or `apply` itself declined (quarantined store).
-    fn run_pinned_write_shard(
-        &mut self,
-        si: usize,
-        apply: impl FnOnce(&mut PmvStore, u64) -> Option<WriteBack>,
-    ) -> Option<WriteBack>;
-
-    /// Fold one query's locally accumulated counters into the view's.
-    fn add_stats(&mut self, local: &PmvStats);
 }
 
 /// Pooled per-thread buffers for the [`run_pinned`] hot loop: the DS
@@ -253,22 +177,22 @@ fn run_pinned_fault(site: Site) {
     pmv_faultinject::fire_soft(site);
 }
 
-/// Run one query through O1/O2/O3 against `view`, reaching the store
-/// through `access`, over this thread's pooled scratch buffers.
+/// Run one query through O1/O2/O3 against `view`, serving from and
+/// writing back to `inner`'s shards, over this thread's pooled scratch
+/// buffers.
 ///
 /// Every cache write-back (fills *and* policy touches) is deferred past
 /// O3 and best-effort, so between pinning and the answer no lock is ever
 /// waited on; see the module docs for the gates that keep the end-of-O3
 /// `ds_leftover == 0` invariant.
-pub(crate) fn run_pinned<V: DataView, S: StoreAccess>(
-    env: &ServeEnv<'_>,
-    mut access: S,
+pub(crate) fn run_pinned<V: DataView>(
+    inner: &Inner,
     view: &V,
     q: &QueryInstance,
 ) -> Result<QueryOutcome> {
     QUERY_SCRATCH.with(|tls| {
         let mut scratch = tls.take().unwrap_or_default();
-        let out = run_pinned_scratch(env, &mut access, view, q, &mut scratch);
+        let out = run_pinned_scratch(inner, view, q, &mut scratch);
         scratch.clear();
         tls.set(Some(scratch));
         out
@@ -277,9 +201,8 @@ pub(crate) fn run_pinned<V: DataView, S: StoreAccess>(
 
 /// [`run_pinned`] body (the wrapper clears the scratch after every
 /// query).
-fn run_pinned_scratch<V: DataView, S: StoreAccess>(
-    env: &ServeEnv<'_>,
-    access: &mut S,
+fn run_pinned_scratch<V: DataView>(
+    inner: &Inner,
     view: &V,
     q: &QueryInstance,
     scratch: &mut QueryScratch,
@@ -290,13 +213,13 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
         touches,
         write_back,
     } = scratch;
-    let ServeEnv {
+    let Inner {
         def,
         config,
         breaker,
         obs,
         ..
-    } = *env;
+    } = inner;
     let pin_epoch = view.view_epoch();
     let mut local = PmvStats::default();
     let t_start = Instant::now();
@@ -304,7 +227,7 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
     // including errors) plus a thread-local fault-capture scope so
     // injected faults surface as trace events.
     let track = obs.enabled();
-    let mut trace = obs.begin_trace_shared(TraceKind::Query, env.trace_name);
+    let mut trace = obs.begin_trace_shared(TraceKind::Query, &inner.trace_name);
     let mut fault_cap = track.then(pmv_faultinject::capture);
 
     // ---- Operation O1 ----
@@ -338,10 +261,11 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
     let mut complete_ok: HashSet<BcpKey> = HashSet::new();
     // Group the distinct bcps by owning shard — a compact (shard, parts)
     // list over only the shards that actually own one, so the probe cost
-    // scales with the query's bcp count, not the shard count. (Several
-    // condition parts can share one containing bcp — two query intervals
-    // inside one basic interval; the full Cselect check below already
-    // covers its tuples.)
+    // scales with the query's bcp count, not the shard count. Each part
+    // carries the hash that placed it: the shard's view is indexed by
+    // the same one hash of the bcp. (Several condition parts can share
+    // one containing bcp — two query intervals inside one basic
+    // interval; the full Cselect check below already covers its tuples.)
     let parts_by_shard = group_by_shard(
         parts
             .iter()
@@ -349,15 +273,17 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
                 let mut seen: HashSet<&BcpKey> = HashSet::with_capacity(parts.len());
                 move |part| seen.insert(&part.bcp)
             })
-            .map(|part| (access.shard_of(&part.bcp), part)),
+            .map(|part| {
+                let (si, hash) = inner.slot_of(&part.bcp);
+                (si, (hash, part))
+            }),
     );
     if serving {
-        let access = &*access;
         for (si, group) in &parts_by_shard {
             let si = *si;
             let t_shard = Instant::now();
-            // Completeness gate, evaluated AFTER the instance loaded its
-            // read side (first `each` call): a reader pinned after a
+            // Completeness gate, evaluated AFTER the shard's view was
+            // loaded (first `each` call): a reader pinned after a
             // maintenance pass also observes that pass's republished
             // views (maintain stores the fence before touching any
             // shard, and the commit publishes the new epoch only after
@@ -365,7 +291,7 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
             // `pin_epoch >= maint_epoch` reflects every change up to the
             // pin.
             let mut maint_ok: Option<bool> = None;
-            let live = access.run_pinned_probe(si, group, upquery_on, |part, entries, claimed| {
+            let live = inner.run_pinned_probe(si, group, upquery_on, |part, entries, claimed| {
                 // Policy touches observed during the probe are deferred
                 // to the best-effort write-back below.
                 let Some(entries) = entries else {
@@ -377,7 +303,7 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
                 // the pin) IS the bcp's entire answer at the pin: serve
                 // its matching tuples and exempt the bcp from O3.
                 let complete = claimed
-                    && *maint_ok.get_or_insert_with(|| pin_epoch >= access.maint_epoch())
+                    && *maint_ok.get_or_insert_with(|| pin_epoch >= inner.maint_epoch())
                     && entries.iter().all(|(_, fe)| *fe <= pin_epoch);
                 let mut served = false;
                 for (t, fill_epoch) in entries {
@@ -448,8 +374,7 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
     if upquery_on && !parts.is_empty() && parts.iter().all(|p| complete_ok.contains(&p.bcp)) {
         debug_assert_eq!(ds.len(), 0, "complete slices never enter DS");
         run_pinned_write_back(
-            env,
-            access,
+            inner,
             pin_epoch,
             touches,
             Vec::new(),
@@ -459,8 +384,7 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
             &mut trace,
         );
         return Ok(finish(
-            env,
-            access,
+            inner,
             local,
             trace,
             fault_cap,
@@ -557,7 +481,7 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
                 Ok(Err(e)) if !(e.is_budget() || e.is_transient()) => {
                     breaker.record_error();
                     local.exec_errors = 1;
-                    access.add_stats(&local);
+                    inner.stats.add(&local);
                     obs.record(Phase::o3_exec, t_exec.elapsed());
                     flush_faults(&mut trace, fault_cap.take());
                     return Err(e.into());
@@ -582,8 +506,7 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
                     }
                     timings.exec = t_exec.elapsed();
                     return Ok(finish(
-                        env,
-                        access,
+                        inner,
                         local,
                         trace,
                         fault_cap,
@@ -615,7 +538,7 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
     // if no maintenance completed after the pin — otherwise the fill
     // could resurrect a tuple a later Δ already evicted. Known up front,
     // so a stale pin also skips all fill bookkeeping below.
-    let fills_allowed = serving && pin_epoch >= access.maint_epoch();
+    let fills_allowed = serving && pin_epoch >= inner.maint_epoch();
     // Single-part queries dominate steady-state serving; for them every
     // result row lies in the one probed bcp, so the per-row
     // `bcp_of_tuple` reconstruction is skipped.
@@ -737,8 +660,7 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
     // so that phase measures dedup/provenance work — not lock waits and
     // view publishes.
     let fill_total = run_pinned_write_back(
-        env,
-        access,
+        inner,
         pin_epoch,
         touches,
         fill_groups,
@@ -752,8 +674,7 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
     timings.o3_overhead = t_o3.elapsed().saturating_sub(fill_total);
     obs.record(Phase::o3_dedup, timings.o3_overhead);
     Ok(finish(
-        env,
-        access,
+        inner,
         local,
         trace,
         fault_cap,
@@ -771,9 +692,8 @@ fn run_pinned_scratch<V: DataView, S: StoreAccess>(
 /// identical query re-derives through O3. Returns the time spent, so the
 /// caller can keep it out of `o3_dedup`.
 #[allow(clippy::too_many_arguments)]
-fn run_pinned_write_back<S: StoreAccess>(
-    env: &ServeEnv<'_>,
-    access: &mut S,
+fn run_pinned_write_back(
+    inner: &Inner,
     pin_epoch: u64,
     touches: &mut Vec<(usize, BcpKey, bool)>,
     fill_groups: Vec<FillGroup>,
@@ -785,7 +705,7 @@ fn run_pinned_write_back<S: StoreAccess>(
     let fill_by_shard = group_by_shard(
         fill_groups
             .into_iter()
-            .map(|(bcp, tuples)| (access.shard_of(&bcp), (bcp, tuples))),
+            .map(|(bcp, tuples)| (inner.slot_of(&bcp).0, (bcp, tuples))),
     );
     let touch_by_shard = group_by_shard(
         touches
@@ -800,23 +720,20 @@ fn run_pinned_write_back<S: StoreAccess>(
     );
     shards.sort_unstable();
     shards.dedup();
-    // Owning shard of each completable bcp, resolved before `apply`
-    // borrows the instance exclusively.
     let completable: Vec<(usize, &BcpKey, usize)> = completable
         .iter()
-        .map(|(bcp, total)| (access.shard_of(bcp), bcp, *total))
+        .map(|(bcp, total)| (inner.slot_of(bcp).0, bcp, *total))
         .collect();
-    let cap_f = env.config.f;
+    let cap_f = inner.config.f;
     let mut fill_total = Duration::ZERO;
     for &si in shards.iter() {
         let t_fill = Instant::now();
-        let done = access.run_pinned_write_shard(si, |store, maint_epoch| {
+        let done = inner.run_pinned_write_shard(si, |store, maint_epoch| {
             if store.is_quarantined() {
                 return None;
             }
             let admitted_before = local.tuples_admitted;
             let evicted_before = store.evictions();
-            let mut marked = false;
             // A panic mid-mutation may leave the shard's policy or entry
             // bookkeeping torn: catch it and drain the shard below
             // (removal-only, so nothing stale can ever be served from it
@@ -883,11 +800,8 @@ fn run_pinned_write_back<S: StoreAccess>(
                 if store.evictions() == evicted_before {
                     let at = store.inserts_seen();
                     for (s, bcp, total) in &completable {
-                        if *s == si
-                            && store.lookup(bcp).map_or(0, <[_]>::len) == *total
-                            && store.mark_complete(bcp, at)
-                        {
-                            marked = true;
+                        if *s == si && store.lookup(bcp).map_or(0, <[_]>::len) == *total {
+                            store.mark_complete(bcp, at);
                         }
                     }
                 }
@@ -896,13 +810,12 @@ fn run_pinned_write_back<S: StoreAccess>(
             if poisoned {
                 store.quarantine();
                 local.quarantine_events += 1;
-                env.breaker.record_error();
+                inner.breaker.record_error();
             }
             Some(WriteBack {
                 admitted: local.tuples_admitted - admitted_before,
                 evicted: store.evictions().saturating_sub(evicted_before),
                 poisoned,
-                marked,
             })
         });
         let Some(done) = done else {
@@ -910,7 +823,7 @@ fn run_pinned_write_back<S: StoreAccess>(
         };
         let fill_elapsed = t_fill.elapsed();
         fill_total += fill_elapsed;
-        env.obs.record(Phase::lock_shard_fill, fill_elapsed);
+        inner.obs.record(Phase::lock_shard_fill, fill_elapsed);
         trace.event(EventKind::Fill {
             shard: si,
             admitted: done.admitted,
@@ -931,9 +844,8 @@ fn run_pinned_write_back<S: StoreAccess>(
 /// not complete: the outcome then carries only the already-served O2
 /// partials, flagged with the reason and a staleness upper bound.
 #[allow(clippy::too_many_arguments)]
-fn finish<S: StoreAccess>(
-    env: &ServeEnv<'_>,
-    access: &mut S,
+fn finish(
+    inner: &Inner,
     mut local: PmvStats,
     mut trace: TraceScope<'_>,
     fault_cap: Option<CaptureGuard>,
@@ -949,9 +861,9 @@ fn finish<S: StoreAccess>(
     degraded: Option<DegradeReason>,
 ) -> QueryOutcome {
     let degraded = degraded.map(|reason| {
-        let staleness = env.verified.staleness();
-        env.obs.record(Phase::o3_exec, timings.exec);
-        env.obs.record(Phase::degraded, t_start.elapsed());
+        let staleness = inner.verified.staleness();
+        inner.obs.record(Phase::o3_exec, timings.exec);
+        inner.obs.record(Phase::degraded, t_start.elapsed());
         trace.event(EventKind::Degraded {
             reason: reason.to_string(),
             staleness_us: staleness.as_micros() as u64,
@@ -965,7 +877,7 @@ fn finish<S: StoreAccess>(
     });
     if degraded.is_none() {
         // A degraded latency would poison the healthy full-query series.
-        env.obs.record(Phase::full, t_start.elapsed());
+        inner.obs.record(Phase::full, t_start.elapsed());
     }
     local.queries = 1;
     local.condition_parts = parts as u64;
@@ -976,11 +888,11 @@ fn finish<S: StoreAccess>(
         local.serving_queries = 1;
         local.partial_tuples_served = partial_expanded.len() as u64;
     }
-    access.add_stats(&local);
+    inner.stats.add(&local);
     // Degraded queries still count toward the template's workload (O3
     // scanned nothing it could report).
-    if env.obs.enabled() {
-        if let Some(acct) = env.account {
+    if inner.obs.enabled() {
+        if let Some(acct) = inner.account.get() {
             acct.record_query(
                 o2_outcome(bcp_hit, !partial_expanded.is_empty()),
                 ttfr,
@@ -990,7 +902,7 @@ fn finish<S: StoreAccess>(
         }
     }
     flush_faults(&mut trace, fault_cap);
-    let template = env.def.template();
+    let template = inner.def.template();
     let user = |ts: &[Arc<Tuple>]| ts.iter().map(|t| template.user_tuple(t)).collect();
     QueryOutcome {
         partial: user(&partial_expanded),

@@ -6,6 +6,14 @@
 //! `(bcp, tuples)` entries with a hash index `I` on bcp (bcp probes are
 //! exact-match, so hashing is the right index shape; `pmv-bench` ablates
 //! this against a B-tree).
+//!
+//! A [`crate::concurrent::SharedPmv`] holds one store per shard and
+//! publishes an immutable copy of what each serves. So that a publish
+//! costs O(changes) instead of O(entries), the store logs the bcps whose
+//! served state — cached tuples or completeness stamp — changed
+//! (`admit` victims, `push_arc`, `remove_tuple`, `mark_complete`;
+//! `quarantine`/`lift_quarantine` mean "all") and hands the log over
+//! once per publish.
 
 use std::sync::Arc;
 
@@ -67,6 +75,15 @@ pub struct PmvStore {
     /// serves nothing and caches nothing until quarantine is lifted by
     /// revalidation.
     quarantined: bool,
+    /// Bcps whose served state (tuples or completeness stamp) changed
+    /// since the last [`Self::take_changes`], in order, consecutive
+    /// repeats folded. The shard owner republishes exactly these.
+    changed: Vec<BcpKey>,
+    /// Set instead of growing `changed` when everything changed (a
+    /// quarantine drain or lift) or the log reached `L` bcps — past that
+    /// a rebuild of the whole view costs no more than replaying the log,
+    /// and an owner that never publishes keeps a bounded log.
+    changed_all: bool,
 }
 
 impl PmvStore {
@@ -91,7 +108,51 @@ impl PmvStore {
             index: None,
             inserts_seen: 0,
             quarantined: false,
+            changed: Vec::new(),
+            changed_all: false,
         }
+    }
+
+    /// Record that what is served for `bcp` changed.
+    fn log_change(&mut self, bcp: &BcpKey) {
+        if self.changed_all || self.changed.last() == Some(bcp) {
+            return;
+        }
+        if self.changed.len() >= self.policy.capacity() {
+            self.log_all_changed();
+        } else {
+            self.changed.push(bcp.clone());
+        }
+    }
+
+    fn log_all_changed(&mut self) {
+        self.changed.clear();
+        self.changed_all = true;
+    }
+
+    /// Whether anything served changed since the last
+    /// [`Self::take_changes`] (policy touches and hit counts do not
+    /// count: no reader sees them).
+    pub(crate) fn has_changes(&self) -> bool {
+        self.changed_all || !self.changed.is_empty()
+    }
+
+    /// Hand over the change log, leaving it empty: `Some(bcps)` when
+    /// exactly those bcps' served state changed (repeats possible),
+    /// `None` when all of it may have.
+    pub(crate) fn take_changes(&mut self) -> Option<Vec<BcpKey>> {
+        let all = std::mem::take(&mut self.changed_all);
+        let changed = std::mem::take(&mut self.changed);
+        (!all).then_some(changed)
+    }
+
+    /// What a published view holds for `bcp`: its cached tuples and its
+    /// completeness stamp (valid only while equal to
+    /// [`Self::inserts_seen`]).
+    pub(crate) fn served(&self, bcp: &BcpKey) -> Option<(&[CachedTuple], Option<u64>)> {
+        self.entries
+            .get(bcp)
+            .map(|e| (e.tuples.as_slice(), e.complete))
     }
 
     /// Attach the delta-key maintenance index (must be done while the
@@ -110,17 +171,8 @@ impl PmvStore {
 
     /// Could deleting `base_tuple` from template relation `rel` affect
     /// any cached tuple? Always `true` when the index is disabled.
-    pub fn may_affect(&mut self, rel: usize, base_tuple: &Tuple) -> bool {
-        match &mut self.index {
-            Some(ix) => ix.may_affect(rel, base_tuple),
-            None => true,
-        }
-    }
-
-    /// Read-only variant of [`Self::may_affect`]: same sound answer, no
-    /// `joins_avoided` bookkeeping. Lets the sharded maintenance path peek
-    /// at every shard's index under read locks before deciding whether
-    /// the ΔR join is needed at all.
+    /// Read-only, so maintenance can peek at every shard's index under
+    /// read locks before deciding whether the ΔR join is needed at all.
     pub fn would_affect(&self, rel: usize, base_tuple: &Tuple) -> bool {
         match &self.index {
             Some(ix) => ix.check(rel, base_tuple),
@@ -144,12 +196,9 @@ impl PmvStore {
     /// Stable hash of `base_tuple`'s delta key for relation `rel` (the
     /// heavy-hitter sketch input), when an index is attached.
     pub fn delta_key_hash(&self, rel: usize, base_tuple: &Tuple) -> Option<u64> {
-        self.index.as_ref().map(|ix| ix.base_key_hash(rel, base_tuple))
-    }
-
-    /// ΔR joins skipped by the delta-key index so far.
-    pub fn joins_avoided(&self) -> u64 {
-        self.index.as_ref().map_or(0, DeltaKeyIndex::joins_avoided)
+        self.index
+            .as_ref()
+            .map(|ix| ix.base_key_hash(rel, base_tuple))
     }
 
     /// Record one relevant base-relation insert. Bumping the watermark
@@ -175,6 +224,7 @@ impl PmvStore {
         match self.entries.get_mut(bcp) {
             Some(e) => {
                 e.complete = Some(inserts_at);
+                self.log_change(bcp);
                 true
             }
             None => false,
@@ -189,31 +239,6 @@ impl PmvStore {
                 .entries
                 .get(bcp)
                 .is_some_and(|e| e.complete == Some(self.inserts_seen))
-    }
-
-    /// All bcps whose entries currently hold their full truth (valid
-    /// completeness claims at the current insert watermark). Used to
-    /// carry claims into the published epoch-mode shard views.
-    pub fn complete_bcps(&self) -> Vec<BcpKey> {
-        if self.quarantined {
-            return Vec::new();
-        }
-        self.entries
-            .iter()
-            .filter(|(_, e)| e.complete == Some(self.inserts_seen))
-            .map(|(k, _)| k.clone())
-            .collect()
-    }
-
-    /// Whether any entry currently carries a valid completeness claim.
-    /// Cheap pre-check: an insert batch only needs to republish a shard's
-    /// read view when there are claims to invalidate.
-    pub fn any_complete(&self) -> bool {
-        !self.quarantined
-            && self
-                .entries
-                .values()
-                .any(|e| e.complete == Some(self.inserts_seen))
     }
 
     /// Max tuples per bcp (`F`).
@@ -255,12 +280,14 @@ impl PmvStore {
             ix.clear();
         }
         self.quarantined = true;
+        self.log_all_changed();
     }
 
     /// Resume serving after revalidation confirmed (or re-established)
     /// consistency.
     pub fn lift_quarantine(&mut self) {
         self.quarantined = false;
+        self.log_all_changed();
     }
 
     /// Tuples cached for `bcp` (with their fill epochs), if resident.
@@ -304,6 +331,7 @@ impl PmvStore {
                                 ix.remove(t);
                             }
                         }
+                        self.log_change(&victim);
                     }
                 }
                 Residency::Resident
@@ -346,6 +374,7 @@ impl PmvStore {
             ix.add(bcp, &tuple);
         }
         entry.tuples.push((tuple, epoch));
+        self.log_change(bcp);
         true
     }
 
@@ -372,6 +401,7 @@ impl PmvStore {
             self.bytes -= Self::key_bytes(bcp);
             self.policy.remove(bcp);
         }
+        self.log_change(bcp);
         true
     }
 
@@ -611,6 +641,51 @@ mod tests {
         assert!(!s.entry_complete(&bcp(1)));
         // Absent entries can never be marked.
         assert!(!s.mark_complete(&bcp(9), s.inserts_seen()));
+        s.validate();
+    }
+
+    #[test]
+    fn change_log_names_what_a_reader_could_see_change() {
+        let mut s = PmvStore::new(&cfg(2, 4, PolicyKind::Clock));
+        assert!(!s.has_changes());
+        s.admit(&bcp(1));
+        s.touch(&bcp(1), false);
+        assert!(!s.has_changes(), "residency and touches serve nothing");
+        s.push_tuple(&bcp(1), tuple![1i64]);
+        s.push_tuple(&bcp(1), tuple![2i64]);
+        assert!(!s.push_tuple(&bcp(1), tuple![3i64]), "over F: not logged");
+        assert_eq!(s.take_changes(), Some(vec![bcp(1)]), "repeats folded");
+        assert_eq!(s.take_changes(), Some(vec![]), "handed over once");
+        for i in 2..=4 {
+            s.admit(&bcp(i));
+            s.push_tuple(&bcp(i), tuple![i]);
+            s.push_tuple(&bcp(i), tuple![-i]);
+        }
+        assert_eq!(s.take_changes(), Some(vec![bcp(2), bcp(3), bcp(4)]));
+        // Completeness stamp, removal, and an eviction's victim.
+        assert!(s.mark_complete(&bcp(1), s.inserts_seen()));
+        s.remove_tuple(&bcp(2), &tuple![2i64]);
+        s.admit(&bcp(3));
+        s.admit(&bcp(5)); // the store is full: evicts one of 1, 3, 4
+        let log = s.take_changes().unwrap();
+        assert_eq!(&log[..2], &[bcp(1), bcp(2)]);
+        assert!(log.len() == 3 && s.served(&log[2]).is_none(), "{log:?}");
+        // The watermark is not per-bcp state: nothing logged.
+        s.note_insert();
+        assert!(!s.has_changes());
+        // Quarantine and its lift mean "everything".
+        s.quarantine();
+        assert!(s.has_changes());
+        assert_eq!(s.take_changes(), None);
+        s.lift_quarantine();
+        assert_eq!(s.take_changes(), None);
+        // So do more than L logged bcps: the log of a store nobody
+        // publishes from stays bounded.
+        for i in 10..15 {
+            s.admit(&bcp(i));
+            s.push_tuple(&bcp(i), tuple![i]);
+        }
+        assert_eq!(s.take_changes(), None);
         s.validate();
     }
 

@@ -333,24 +333,22 @@ fn zero_deadline_degrades_with_partials() {
     assert!(out.partial.is_empty(), "cold cache has nothing to serve");
 }
 
-/// The single-threaded pipeline (the CLI's serving path) must also catch
-/// executor panics and degrade instead of unwinding through the caller.
+/// A one-shard view driven by one thread (exactly L entries, write-back
+/// never declined) must also catch executor panics and degrade instead
+/// of unwinding through the caller.
 #[test]
 fn pipeline_exec_panic_degrades() {
     let _lock = TEST_LOCK.lock().unwrap();
     install_quiet_panic_hook();
-    let (db, shared) = setup(1, PmvConfig::new(3, 16, PolicyKind::Clock));
-    let t = shared.def().template().clone();
-    let def = PartialViewDef::all_equality("single", t.clone()).unwrap();
-    let mut pmv = pmv_core::Pmv::new(def, PmvConfig::new(3, 16, PolicyKind::Clock));
-    let pipeline = pmv_core::PmvPipeline::new();
+    let (db, pmv) = setup(1, PmvConfig::new(3, 16, PolicyKind::Clock));
+    let t = pmv.def().template().clone();
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
         .unwrap();
 
     // Warm the cache fault-free so the degraded outcome has partials.
-    pipeline.run(&db, &mut pmv, &q).unwrap();
-    pipeline.run(&db, &mut pmv, &q).unwrap();
+    pmv.run(&db, &q).unwrap();
+    pmv.run(&db, &q).unwrap();
     let truth = multiset(
         &pmv_query::execute(&db, &q)
             .unwrap()
@@ -362,8 +360,8 @@ fn pipeline_exec_panic_degrades() {
 
     let plan = FaultPlan::new(9).with_rule(Site::ExecStart, FaultKind::Panic, 1.0);
     let _guard = pmv_faultinject::install(Arc::new(plan));
-    let out = pipeline
-        .run(&db, &mut pmv, &q)
+    let out = pmv
+        .run(&db, &q)
         .expect("exec panic must degrade, not unwind");
     let d = out.degraded.expect("panicked O3 must flag degradation");
     assert_eq!(d.reason, DegradeReason::ExecPanic);
@@ -378,7 +376,7 @@ fn pipeline_exec_panic_degrades() {
     drop(_guard);
 
     // Fault-free again: back to complete answers.
-    let out = pipeline.run(&db, &mut pmv, &q).unwrap();
+    let out = pmv.run(&db, &q).unwrap();
     assert!(out.degraded.is_none());
     assert_eq!(out.ds_leftover, 0);
 }

@@ -67,12 +67,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // thresholds are the natural dividing values.
     let tiers = Discretizer::new(vec![Value::Int(10), Value::Int(25), Value::Int(40)]);
     let def = PartialViewDef::new("offers_pmv", template.clone(), vec![None, Some(tiers)])?;
-    let mut pmv = Pmv::new(
+    let pmv = SharedPmv::new(
         def,
         // 2Q: the better policy of §3.5.
         PmvConfig::new(3, 10_000, pmv::cache::PolicyKind::TwoQ),
     );
-    let pipeline = PmvPipeline::new();
 
     // A popular purchase: item 42. Gold-tier offer query: discount ≥ 10.
     let offer_query = |purchased: Vec<i64>, min_discount: i64| {
@@ -85,11 +84,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The morning rush: many calls about item 42 warm the PMV (2Q needs
     // two appearances before caching).
     for _ in 0..3 {
-        pipeline.run(&db, &mut pmv, &offer_query(vec![42], 10)?)?;
+        pmv.run(&db, &offer_query(vec![42], 10)?)?;
     }
 
     // The next caller: offers pop out of the PMV immediately.
-    let out = pipeline.run(&db, &mut pmv, &offer_query(vec![42], 10)?)?;
+    let out = pmv.run(&db, &offer_query(vec![42], 10)?)?;
     println!(
         "caller about item 42 (gold): {} offers served in {:?}, {} more after execution ({:?})",
         out.partial.len(),
@@ -103,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A silver-tier caller who bought items 42 and 77: the hot item-42
     // cells still serve immediately even though 77 is cold.
-    let out = pipeline.run(&db, &mut pmv, &offer_query(vec![42, 77], 25)?)?;
+    let out = pmv.run(&db, &offer_query(vec![42, 77], 25)?)?;
     println!(
         "caller about items 42+77 (silver): {} early offers, {} late, {} condition parts",
         out.partial.len(),

@@ -56,8 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .cond_eq("items", "sku")?
         .build()?;
     let def = PartialViewDef::all_equality("day_sku_pmv", template.clone())?;
-    let mut pmv = Pmv::new(def, PmvConfig::default());
-    let pipeline = PmvPipeline::new();
+    let pmv = SharedPmv::new(def, PmvConfig::default());
     // The MV baseline materializes the whole join.
     let mut mv = TraditionalMv::materialize(&db, template.clone())?;
     println!(
@@ -71,10 +70,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Condition::Equality(vec![Value::Int(3)]),
         Condition::Equality(vec![Value::Int(3)]),
     ])?;
-    pipeline.run(&db, &mut pmv, &q)?;
+    pmv.run(&db, &q)?;
     println!(
         "after one query the PMV caches {} tuples",
-        pmv.store().tuple_count()
+        pmv.tuple_count()
     );
 
     // --- Insert: free for the PMV, a join for the MV. ---
@@ -83,7 +82,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     txn.insert("items", tuple![9_001i64, 3i64, 9i64])?;
     let batches = txn.commit();
     for b in &batches {
-        let out = pipeline.maintain(&db, &mut pmv, b)?;
+        let out = pmv.maintain(&db, b)?;
         println!(
             "PMV maintenance for insert into {}: {} inserts ignored, {} joins",
             b.relation(),
@@ -99,7 +98,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The PMV picks the new row up for free on the next query (c_j < F
     // refill), still serving old partial results immediately.
-    let out = pipeline.run(&db, &mut pmv, &q)?;
+    let out = pmv.run(&db, &q)?;
     println!(
         "next query: {} early + {} late results, all exactly once = {}",
         out.partial.len(),
@@ -118,9 +117,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut txn = Transaction::begin(&mut db);
     txn.delete("orders", victim_row)?;
     let batches = txn.commit();
-    let before = pmv.store().tuple_count();
+    let before = pmv.tuple_count();
     for b in &batches {
-        let out = pipeline.maintain(&db, &mut pmv, b)?;
+        let out = pmv.maintain(&db, b)?;
         println!(
             "PMV maintenance for delete: {} view tuples evicted (join produced {} rows)",
             out.view_tuples_removed, out.join_rows
@@ -130,9 +129,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "PMV tuples: {} -> {}; queries never see the deleted data:",
         before,
-        pmv.store().tuple_count()
+        pmv.tuple_count()
     );
-    let out = pipeline.run(&db, &mut pmv, &q)?;
+    let out = pmv.run(&db, &q)?;
     println!(
         "  re-run: {} early + {} late, consistent = {}",
         out.partial.len(),
@@ -155,7 +154,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     txn.update("orders", some_row.0, Tuple::new(vals))?;
     let batches = txn.commit();
     for b in &batches {
-        let out = pipeline.maintain(&db, &mut pmv, b)?;
+        let out = pmv.maintain(&db, b)?;
         println!(
             "PMV maintenance for note-only update: {} updates ignored, {} joined",
             out.updates_ignored, out.updates_joined

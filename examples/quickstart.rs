@@ -55,8 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    result tuples per basic condition part, 10K entries (the
     //    paper's ~1 MB example), CLOCK-managed.
     let def = PartialViewDef::all_equality("promo_pmv", template.clone())?;
-    let mut pmv = Pmv::new(def, PmvConfig::default());
-    let pipeline = PmvPipeline::new();
+    let pmv = SharedPmv::new(def, PmvConfig::default());
 
     // 4. First query for (category 3, store 2): the PMV is cold, so all
     //    results arrive through normal execution — and get cached.
@@ -64,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Condition::Equality(vec![Value::Int(3)]),
         Condition::Equality(vec![Value::Int(2)]),
     ])?;
-    let out = pipeline.run(&db, &mut pmv, &q)?;
+    let out = pmv.run(&db, &q)?;
     println!(
         "cold query: {} partial + {} remaining results (overhead {:?})",
         out.partial.len(),
@@ -74,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Same hot cell again: partial results are served from memory
     //    immediately, typically in microseconds.
-    let out = pipeline.run(&db, &mut pmv, &q)?;
+    let out = pmv.run(&db, &q)?;
     println!(
         "warm query: {} partial results in {:?} (then {} more after {:?} of execution)",
         out.partial.len(),
@@ -92,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Condition::Equality(vec![Value::Int(3), Value::Int(4), Value::Int(5)]),
         Condition::Equality(vec![Value::Int(2), Value::Int(6)]),
     ])?;
-    let out = pipeline.run(&db, &mut pmv, &wide)?;
+    let out = pmv.run(&db, &wide)?;
     println!(
         "wide query ({} condition parts): {} early, {} late, hit={}",
         out.parts,
@@ -104,9 +103,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "PMV now caches {} bcp entries / {} tuples ({} bytes)",
-        pmv.store().entry_count(),
-        pmv.store().tuple_count(),
-        pmv.store().byte_size()
+        pmv.entry_count(),
+        pmv.tuple_count(),
+        pmv.byte_size()
     );
     println!("stats: {:?}", pmv.stats());
     Ok(())

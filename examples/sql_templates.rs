@@ -78,8 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Value::Int(400),
     ]);
     let def = PartialViewDef::new("sql_pmv", template.clone(), vec![None, Some(bands)])?;
-    let mut pmv = Pmv::new(def, PmvConfig::default());
-    let pipeline = PmvPipeline::new();
+    let pmv = SharedPmv::new(def, PmvConfig::default());
 
     let q = template.bind(vec![
         Condition::Equality(vec![Value::Int(3)]),
@@ -88,8 +87,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The executor's plan, EXPLAIN-style.
     println!("\nplan:\n{}", pmv::query::explain(&db, &q));
 
-    pipeline.run(&db, &mut pmv, &q)?; // warm
-    let out = pipeline.run(&db, &mut pmv, &q)?;
+    pmv.run(&db, &q)?; // warm
+    let out = pmv.run(&db, &q)?;
     println!(
         "warm run: {} rows immediately ({:?}), {} after execution ({:?})",
         out.partial.len(),

@@ -49,13 +49,12 @@
 //!     .cond_eq("items", "kind")?
 //!     .build()?;
 //! let def = PartialViewDef::all_equality("items_pmv", template.clone())?;
-//! let mut pmv = Pmv::new(def, PmvConfig::default());
-//! let pipeline = PmvPipeline::new();
+//! let pmv = SharedPmv::new(def, PmvConfig::default());
 //!
 //! let q = template.bind(vec![Condition::Equality(vec![Value::Int(3)])])?;
-//! let cold = pipeline.run(&db, &mut pmv, &q)?; // fills the PMV
+//! let cold = pmv.run(&db, &q)?; // fills the PMV
 //! assert!(cold.partial.is_empty());
-//! let warm = pipeline.run(&db, &mut pmv, &q)?; // serves partial results
+//! let warm = pmv.run(&db, &q)?; // serves partial results
 //! assert_eq!(warm.partial.len(), pmv.config().f);
 //! assert_eq!(
 //!     cold.all_results().len(),
@@ -77,9 +76,9 @@ pub use pmv_workload as workload;
 pub mod prelude {
     pub use pmv_cache::{ClockPolicy, PolicyKind, ReplacementPolicy, TwoQPolicy};
     pub use pmv_core::{
-        verify_def, verify_parts, BcpKey, DiagCode, Discretizer, MaintStrategy,
-        MaintenanceOutcome, PartialViewDef, Pmv, PmvConfig, PmvManager, PmvPipeline, PmvStats,
-        QueryOutcome, Severity, SharedPmv, VerifyOptions, VerifyPolicy, VerifyReport,
+        run_plain, verify_def, verify_parts, BcpKey, DiagCode, Discretizer, MaintStrategy,
+        MaintenanceOutcome, PartialViewDef, PmvConfig, PmvManager, PmvStats, QueryOutcome,
+        Severity, SharedPmv, VerifyOptions, VerifyPolicy, VerifyReport,
     };
     pub use pmv_query::{
         Condition, Database, Interval, QueryInstance, QueryTemplate, TemplateBuilder,

@@ -14,7 +14,6 @@ use rand::{Rng, SeedableRng};
 #[test]
 fn recommended_pmv_serves_the_observed_workload() {
     let fx = eqt_fixture(300);
-    let pipeline = PmvPipeline::new();
     let mut advisor = PmvAdvisor::new();
     let mut rng = StdRng::seed_from_u64(9);
 
@@ -42,12 +41,12 @@ fn recommended_pmv_serves_the_observed_workload() {
     assert_eq!(recs.len(), 1);
     let rec = &recs[0];
     assert!(rec.config.l >= 1);
-    let mut pmv = Pmv::new(rec.def.clone(), rec.config.clone());
+    let pmv = SharedPmv::with_shards(rec.def.clone(), rec.config.clone(), 1);
 
     // Phase 3: replay the workload; the recommended PMV gets warm and
     // serves a healthy share of it.
     for q in &workload {
-        let out = pipeline.run(&fx.db, &mut pmv, q).unwrap();
+        let out = pmv.run(&fx.db, q).unwrap();
         assert_eq!(out.ds_leftover, 0);
     }
     assert!(

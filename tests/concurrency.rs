@@ -1,7 +1,9 @@
-//! Concurrency tests for the Section 3.6 locking protocol: queries take
-//! an S lock on the PMV for O2..O3; maintenance takes an X lock. A
-//! maintainer therefore cannot slip between a query's partial results and
-//! its full execution.
+//! Concurrency tests for the Section 3.6 protocol. The paper has queries
+//! take an S lock on the PMV for O2..O3 and maintenance an X lock
+//! (`LockManager`, first two tests); a `SharedPmv` gets the same
+//! exclusion from the caller's database access plus the
+//! maintain-before-visible contract. Either way a maintainer cannot slip
+//! between a query's partial results and its full execution.
 
 mod common;
 
@@ -76,18 +78,15 @@ fn queries_and_maintenance_interleave_consistently() {
     let fx = eqt_fixture(150);
     let db = Arc::new(parking_lot::RwLock::new(fx.db));
     let template = fx.template;
-    let locks = LockManager::new();
-    let pipeline = PmvPipeline::with_locks(locks.clone());
     let def = PartialViewDef::all_equality("shared_pmv", template.clone()).unwrap();
-    let pmv = Arc::new(parking_lot::Mutex::new(Pmv::new(def, PmvConfig::default())));
+    let pmv = SharedPmv::with_shards(def, PmvConfig::default(), 1);
 
     let stop = Arc::new(AtomicBool::new(false));
     let inconsistencies = Arc::new(AtomicUsize::new(0));
 
     let reader = {
         let db = Arc::clone(&db);
-        let pmv = Arc::clone(&pmv);
-        let pipeline = pipeline.clone();
+        let pmv = pmv.clone();
         let template = template.clone();
         let stop = Arc::clone(&stop);
         let bad = Arc::clone(&inconsistencies);
@@ -96,12 +95,10 @@ fn queries_and_maintenance_interleave_consistently() {
             while !stop.load(Ordering::SeqCst) {
                 let q = eqt_query(&template, &[i % 7], &[(i / 7) % 5]);
                 let db_guard = db.read();
-                let mut pmv_guard = pmv.lock();
-                let out = pipeline.run(&db_guard, &mut pmv_guard, &q).unwrap();
+                let out = pmv.run(&db_guard, &q).unwrap();
                 if out.ds_leftover != 0 {
                     bad.fetch_add(1, Ordering::SeqCst);
                 }
-                drop(pmv_guard);
                 drop(db_guard);
                 i += 1;
             }
@@ -111,8 +108,7 @@ fn queries_and_maintenance_interleave_consistently() {
 
     let writer = {
         let db = Arc::clone(&db);
-        let pmv = Arc::clone(&pmv);
-        let pipeline = pipeline.clone();
+        let pmv = pmv.clone();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut round = 0i64;
@@ -139,17 +135,16 @@ fn queries_and_maintenance_interleave_consistently() {
                     txn.delete("r", v).unwrap();
                 }
                 let batches = txn.commit();
-                // Lock the PMV *before* downgrading the database lock:
-                // once the new database state is visible to readers, no
-                // reader may probe the not-yet-maintained PMV. (Taking
-                // the PMV lock after the downgrade is the seed bug — a
+                // Maintain the PMV *before* downgrading the database
+                // lock: once the new database state is visible to
+                // readers, no reader may probe a not-yet-maintained PMV.
+                // (Maintaining after the downgrade is the seed bug — a
                 // reader slipped into the gap, saw the new database with
                 // a stale PMV, and served an already-deleted tuple.)
-                let mut pmv_guard = pmv.lock();
-                let db_read = parking_lot::RwLockWriteGuard::downgrade(db_guard);
                 for b in &batches {
-                    pipeline.maintain(&db_read, &mut pmv_guard, b).unwrap();
+                    pmv.maintain(&db_guard, b).unwrap();
                 }
+                drop(parking_lot::RwLockWriteGuard::downgrade(db_guard));
                 round += 1;
                 std::thread::sleep(Duration::from_micros(200));
             }
@@ -171,8 +166,7 @@ fn queries_and_maintenance_interleave_consistently() {
 
     // Final state sanity: revalidation finds nothing stale.
     let db_guard = db.read();
-    let mut pmv_guard = pmv.lock();
-    let removed = pmv_guard.revalidate(&db_guard).unwrap();
+    let removed = pmv.revalidate(&db_guard).unwrap();
     assert_eq!(removed, 0, "stale tuples survived maintenance");
 }
 

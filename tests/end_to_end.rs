@@ -13,16 +13,16 @@ use pmv::workload::tpcr::{self, TpcrConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn new_pmv(template: &std::sync::Arc<pmv::query::QueryTemplate>, f: usize, l: usize) -> Pmv {
+/// One shard: these tests count entries and tuples against `l` and `f`.
+fn new_pmv(template: &std::sync::Arc<pmv::query::QueryTemplate>, f: usize, l: usize) -> SharedPmv {
     let def = PartialViewDef::all_equality("it_pmv", template.clone()).unwrap();
-    Pmv::new(def, PmvConfig::new(f, l, pmv::cache::PolicyKind::Clock))
+    SharedPmv::with_shards(def, PmvConfig::new(f, l, pmv::cache::PolicyKind::Clock), 1)
 }
 
 #[test]
 fn pipeline_equals_oracle_over_many_queries() {
     let fx = eqt_fixture(200);
-    let mut pmv = new_pmv(&fx.template, 2, 16);
-    let pipeline = PmvPipeline::new();
+    let pmv = new_pmv(&fx.template, 2, 16);
     let mut rng = StdRng::seed_from_u64(1);
     for _ in 0..200 {
         let fs: Vec<i64> = (0..rng.gen_range(1..=3))
@@ -34,12 +34,12 @@ fn pipeline_equals_oracle_over_many_queries() {
         let (fs, gs) = (dedup(fs), dedup(gs));
         let q = eqt_query(&fx.template, &fs, &gs);
         let expect = oracle(&fx.db, &q);
-        let out = pipeline.run(&fx.db, &mut pmv, &q).unwrap();
+        let out = pmv.run(&fx.db, &q).unwrap();
         let mut got = out.all_results();
         got.sort();
         assert_eq!(got, expect);
         assert_eq!(out.ds_leftover, 0);
-        pmv.store().validate();
+        pmv.debug_validate();
     }
     assert!(pmv.stats().hit_probability() > 0.3, "PMV should get warm");
 }
@@ -55,8 +55,7 @@ fn maintenance_keeps_pipeline_consistent() {
     let fx = eqt_fixture(100);
     let mut db = fx.db;
     let template = fx.template;
-    let mut pmv = new_pmv(&template, 3, 64);
-    let pipeline = PmvPipeline::new();
+    let pmv = new_pmv(&template, 3, 64);
     let mut rng = StdRng::seed_from_u64(2);
 
     for round in 0..30 {
@@ -70,20 +69,20 @@ fn maintenance_keeps_pipeline_consistent() {
         txn.delete("r", victim).expect("victim is live");
         let batches = txn.commit();
         for b in &batches {
-            pipeline.maintain(&db, &mut pmv, b).unwrap();
+            pmv.maintain(&db, b).unwrap();
         }
 
         // Every query must agree with the oracle and leave DS empty.
         for _ in 0..10 {
             let q = eqt_query(&template, &[rng.gen_range(0..7)], &[rng.gen_range(0..5)]);
             let expect = oracle(&db, &q);
-            let out = pipeline.run(&db, &mut pmv, &q).unwrap();
+            let out = pmv.run(&db, &q).unwrap();
             let mut got = out.all_results();
             got.sort();
             assert_eq!(got, expect, "round {round}");
             assert_eq!(out.ds_leftover, 0, "stale tuple served in round {round}");
         }
-        pmv.store().validate();
+        pmv.debug_validate();
     }
 }
 
@@ -106,11 +105,10 @@ fn update_of_irrelevant_attribute_is_free() {
     // Column s.e IS in Ls', so to build an irrelevant update we add a
     // spare column... instead verify the relevant-attribute arm: updating
     // s.e must evict.
-    let mut pmv = new_pmv(&template, 3, 64);
-    let pipeline = PmvPipeline::new();
+    let pmv = new_pmv(&template, 3, 64);
     let q = eqt_query(&template, &[1], &[1]);
-    pipeline.run(&db, &mut pmv, &q).unwrap();
-    let before = pmv.store().tuple_count();
+    pmv.run(&db, &q).unwrap();
+    let before = pmv.tuple_count();
     assert!(before > 0);
 
     // Update an s row that joins: change e (in Ls').
@@ -129,14 +127,14 @@ fn update_of_irrelevant_attribute_is_free() {
     let batches = txn.commit();
     let mut joined = 0;
     for b in &batches {
-        let out = pipeline.maintain(&db, &mut pmv, b).unwrap();
+        let out = pmv.maintain(&db, b).unwrap();
         joined += out.updates_joined;
     }
     assert_eq!(joined, 1, "Ls' attribute change must trigger the join arm");
 
     // Consistency preserved.
     let expect = oracle(&db, &q);
-    let out = pipeline.run(&db, &mut pmv, &q).unwrap();
+    let out = pmv.run(&db, &q).unwrap();
     let mut got = out.all_results();
     got.sort();
     assert_eq!(got, expect);
@@ -147,8 +145,7 @@ fn update_of_irrelevant_attribute_is_free() {
 fn traditional_mv_answers_match_pipeline() {
     let fx = eqt_fixture(120);
     let mv = TraditionalMv::materialize(&fx.db, fx.template.clone()).unwrap();
-    let mut pmv = new_pmv(&fx.template, 5, 64);
-    let pipeline = PmvPipeline::new();
+    let pmv = new_pmv(&fx.template, 5, 64);
     for f in 0..7i64 {
         for g in 0..5i64 {
             let q = eqt_query(&fx.template, &[f], &[g]);
@@ -158,7 +155,7 @@ fn traditional_mv_answers_match_pipeline() {
                 .map(|t| fx.template.user_tuple(t))
                 .collect();
             from_mv.sort();
-            let out = pipeline.run(&fx.db, &mut pmv, &q).unwrap();
+            let out = pmv.run(&fx.db, &q).unwrap();
             let mut got = out.all_results();
             got.sort();
             assert_eq!(got, from_mv, "f={f} g={g}");
@@ -187,11 +184,10 @@ fn small_mv_stores_all_tuples_pmv_stores_at_most_f() {
     assert_eq!(set.lookup(&hot).unwrap().len(), hot_count);
 
     // The PMV with F = 2 caps the same bcp at 2.
-    let mut pmv = new_pmv(&fx.template, 2, 64);
-    let pipeline = PmvPipeline::new();
-    let q = pmv.bcp_query(&hot).unwrap();
-    pipeline.run(&fx.db, &mut pmv, &q).unwrap();
-    assert_eq!(pmv.store().lookup(&hot).unwrap().len(), 2);
+    let pmv = new_pmv(&fx.template, 2, 64);
+    let q = pmv.def().bcp_query(&hot).unwrap();
+    pmv.run(&fx.db, &q).unwrap();
+    assert_eq!(pmv.lookup(&hot).unwrap().len(), 2);
 }
 
 #[test]
@@ -208,12 +204,12 @@ fn tpcr_t1_t2_end_to_end() {
     )
     .unwrap();
     tpcr::standard_indexes(&mut db).unwrap();
-    let pipeline = PmvPipeline::new();
 
     let t1 = template_t1(&db).unwrap();
-    let mut pmv1 = Pmv::new(
+    let pmv1 = SharedPmv::with_shards(
         PartialViewDef::all_equality("t1", t1.clone()).unwrap(),
         PmvConfig::default(),
+        1,
     );
     // Pick a real (date, supp).
     let mut date = 0;
@@ -230,8 +226,8 @@ fn tpcr_t1_t2_end_to_end() {
     .unwrap();
 
     let q = t1_query(&t1, &[date], &[supp]).unwrap();
-    let cold = pipeline.run(&db, &mut pmv1, &q).unwrap();
-    let warm = pipeline.run(&db, &mut pmv1, &q).unwrap();
+    let cold = pmv1.run(&db, &q).unwrap();
+    let warm = pmv1.run(&db, &q).unwrap();
     let mut a = cold.all_results();
     let mut b = warm.all_results();
     a.sort();
@@ -240,9 +236,10 @@ fn tpcr_t1_t2_end_to_end() {
     assert!(warm.bcp_hit);
 
     let t2 = template_t2(&db).unwrap();
-    let mut pmv2 = Pmv::new(
+    let pmv2 = SharedPmv::with_shards(
         PartialViewDef::all_equality("t2", t2.clone()).unwrap(),
         PmvConfig::default(),
+        1,
     );
     let q2 = t2_query(
         &t2,
@@ -251,7 +248,7 @@ fn tpcr_t1_t2_end_to_end() {
         &[0, 1, 2],
     )
     .unwrap();
-    let out = pipeline.run(&db, &mut pmv2, &q2).unwrap();
+    let out = pmv2.run(&db, &q2).unwrap();
     assert_eq!(out.ds_leftover, 0);
     assert_eq!(out.parts, 6); // e=2, f=1, g=3
 }
@@ -261,15 +258,14 @@ fn hit_probability_grows_with_h_on_real_engine() {
     // The Figure 6 trend reproduced on the actual pipeline (not the
     // simulator): more bcps per query ⇒ more chances to hit.
     let fx = eqt_fixture(400);
-    let pipeline = PmvPipeline::new();
     let mut rng = StdRng::seed_from_u64(5);
     let mut hit_rates = Vec::new();
     for h in [1usize, 3] {
-        let mut pmv = new_pmv(&fx.template, 2, 12);
+        let pmv = new_pmv(&fx.template, 2, 12);
         for _ in 0..600 {
             let fs: Vec<i64> = dedup((0..h).map(|_| rng.gen_range(0..7)).collect());
             let q = eqt_query(&fx.template, &fs, &[rng.gen_range(0..5)]);
-            pipeline.run(&fx.db, &mut pmv, &q).unwrap();
+            pmv.run(&fx.db, &q).unwrap();
         }
         hit_rates.push(pmv.stats().hit_probability());
     }
@@ -291,16 +287,17 @@ fn maint_filter_does_not_change_outcomes() {
         let template = fx.template;
         let mut config = PmvConfig::new(3, 32, pmv::cache::PolicyKind::Clock);
         config.maint_filter = use_filter;
-        let mut pmv = Pmv::new(
+        let pmv = SharedPmv::with_shards(
             PartialViewDef::all_equality("filt", template.clone()).unwrap(),
             config,
+            1,
         );
-        let pipeline = PmvPipeline::new();
         let mut rng = StdRng::seed_from_u64(77);
+        let mut joins_avoided = 0;
         for round in 0..20 {
             let q = eqt_query(&template, &[rng.gen_range(0..7)], &[rng.gen_range(0..5)]);
             let expect = oracle(&db, &q);
-            let out = pipeline.run(&db, &mut pmv, &q).unwrap();
+            let out = pmv.run(&db, &q).unwrap();
             let mut got = out.all_results();
             got.sort();
             assert_eq!(got, expect, "filter={use_filter} round={round}");
@@ -315,14 +312,14 @@ fn maint_filter_does_not_change_outcomes() {
             let mut txn = Transaction::begin(&mut db);
             txn.delete("r", victim).unwrap();
             for b in txn.commit() {
-                pipeline.maintain(&db, &mut pmv, &b).unwrap();
+                joins_avoided += pmv.maintain(&db, &b).unwrap().joins_avoided;
             }
             assert_eq!(pmv.revalidate(&db).unwrap(), 0, "no stale tuples");
-            pmv.store().validate();
+            pmv.debug_validate();
         }
         if use_filter {
             assert!(
-                pmv.store().joins_avoided() > 0,
+                joins_avoided > 0,
                 "the filter should have skipped some joins"
             );
         }

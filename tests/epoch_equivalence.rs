@@ -1,38 +1,39 @@
-//! Property test: the three front ends of the one serving path
-//! (`pmv_core::serve`) are observationally equivalent. Under an arbitrary
-//! script of queries, inserts, deletes and updates, the same query
-//! answered
+//! Property test: the front ends of the one serving path
+//! (`pmv_core::serve`) are observationally equivalent at every shard
+//! count. Under an arbitrary script of queries, inserts, deletes and
+//! updates, the same query answered
 //!
-//! * from a single-owner [`Pmv`] through [`PmvPipeline::run`] (direct
-//!   store access, S/X locks, the live database as the view),
-//! * from a [`SharedPmv`] through [`SharedPmv::run`] (sharded store
-//!   access, the live database as the view — the *locked* case), and
-//! * from a [`SharedPmv`] through [`EpochDb::query`] (sharded store
-//!   access, a pinned snapshot as the view)
+//! * from a [`SharedPmv`] through [`SharedPmv::run`] (the live database
+//!   as the view — the *locked* case), and
+//! * from a [`SharedPmv`] through [`EpochDb::query`] (a pinned snapshot
+//!   as the view),
 //!
-//! must return exactly the multiset the plain executor returns, with the
-//! end-of-O3 invariant `ds_leftover == 0`. Each front end owns its own
-//! view so cache states evolve independently; equivalence therefore
-//! exercises fills, hits, complete-serves, upqueries, evictions and the
-//! epoch gates, not just cold execution. With `unique` set the relation
-//! declares a key the template covers, so single-part queries take the
-//! duplicate-free fill path; without it every fill goes through the
-//! proven-occurrence caps.
+//! each over a 1-shard view (exactly `L` entries, one owner) and a
+//! 4-shard view, must return exactly the multiset the plain executor
+//! returns, with the end-of-O3 invariant `ds_leftover == 0`. Each front
+//! end owns its own view so cache states evolve independently;
+//! equivalence therefore exercises fills, hits, complete-serves,
+//! upqueries, evictions and the epoch gates, not just cold execution.
+//! With `unique` set the relation declares a key the template covers, so
+//! single-part queries take the duplicate-free fill path; without it
+//! every fill goes through the proven-occurrence caps.
 
 use pmv::cache::PolicyKind;
 use pmv::core::EpochDb;
 use pmv::index::IndexDef;
 use pmv::prelude::*;
 use pmv::query::{execute, Transaction};
-use pmv::storage::{DeltaBatch, RowId};
+use pmv::storage::RowId;
 use proptest::prelude::*;
+
+const SHARD_COUNTS: [usize; 2] = [1, 4];
 
 struct Fronts {
     edb: EpochDb,
-    pipeline: PmvPipeline,
-    single: Pmv,
-    locked: SharedPmv,
-    epoch: SharedPmv,
+    /// Served through `SharedPmv::run`, one view per shard count.
+    locked: Vec<SharedPmv>,
+    /// Served through `EpochDb::query`, one view per shard count.
+    epoch: Vec<SharedPmv>,
 }
 
 fn setup(unique: bool) -> Fronts {
@@ -61,40 +62,43 @@ fn setup(unique: bool) -> Fronts {
         .unwrap()
         .build()
         .unwrap();
-    let def = |name: &str| PartialViewDef::all_equality(name, t.clone()).unwrap();
     // F = 6 exceeds the 5 rows an untouched f holds, so entries can
     // become complete and the complete-serve/upquery paths are reached.
-    let config = || PmvConfig::new(6, 8, PolicyKind::Clock);
+    let views = |name: &str| {
+        SHARD_COUNTS
+            .iter()
+            .map(|&n| {
+                let def = PartialViewDef::all_equality(format!("{name}{n}"), t.clone()).unwrap();
+                SharedPmv::with_shards(def, PmvConfig::new(6, 8, PolicyKind::Clock), n)
+            })
+            .collect()
+    };
     Fronts {
         edb: EpochDb::new(db),
-        pipeline: PmvPipeline::new(),
-        single: Pmv::new(def("single"), config()),
-        locked: SharedPmv::with_shards(def("locked"), config(), 4),
-        epoch: SharedPmv::with_shards(def("epoch"), config(), 4),
+        locked: views("locked"),
+        epoch: views("epoch"),
     }
 }
 
 impl Fronts {
-    /// Commit one transaction through the epoch database (which
-    /// maintains both sharded views before publishing), then apply the
-    /// same batches to the single-owner view before anything queries it.
+    fn views(&self) -> impl Iterator<Item = &SharedPmv> {
+        self.locked.iter().chain(&self.epoch)
+    }
+
+    /// Commit one transaction through the epoch database, which
+    /// maintains every view before publishing.
     fn commit(
-        &mut self,
+        &self,
         f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<()> + Send + 'static,
     ) {
-        let batches: Vec<DeltaBatch> = self
-            .edb
-            .commit(&[&self.locked, &self.epoch], move |db| {
+        let views: Vec<&SharedPmv> = self.views().collect();
+        self.edb
+            .commit(&views, move |db| {
                 let mut txn = Transaction::begin(db);
                 // A rejected write (duplicate key) commits nothing.
                 let _ = f(&mut txn);
-                let batches = txn.commit();
-                Ok((batches.clone(), batches))
+                Ok(((), txn.commit()))
             })
-            .unwrap();
-        let guard = self.edb.read();
-        self.pipeline
-            .maintain_all(&guard, &mut self.single, &batches)
             .unwrap();
     }
 
@@ -123,9 +127,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn three_front_ends_equal_plain_execution(ops in ops(), unique in any::<bool>()) {
-        let mut fx = setup(unique);
-        let t = fx.locked.def().template().clone();
+    fn front_ends_equal_plain_execution_at_each_shard_count(
+        ops in ops(),
+        unique in any::<bool>(),
+    ) {
+        let fx = setup(unique);
+        let t = fx.locked[0].def().template().clone();
         for (kind, f, a) in ops {
             match kind {
                 0..=2 => {
@@ -134,21 +141,21 @@ proptest! {
                         values.push(Value::Int(a % 8));
                     }
                     let q = t.bind(vec![Condition::Equality(values)]).unwrap();
-                    let pinned = fx.edb.query(&fx.epoch, &q).unwrap();
+                    let mut outs = Vec::new();
+                    for v in &fx.epoch {
+                        outs.push((v.def().name(), fx.edb.query(v, &q).unwrap()));
+                    }
                     let guard = fx.edb.read();
-                    let via_lock = fx.locked.run(&guard, &q).unwrap();
-                    let via_pipeline = fx.pipeline.run(&guard, &mut fx.single, &q).unwrap();
+                    for v in &fx.locked {
+                        outs.push((v.def().name(), v.run(&guard, &q).unwrap()));
+                    }
                     let (oracle, _) = execute(&*guard, &q).unwrap();
                     drop(guard);
                     // The oracle returns expanded (`Ls'`) tuples; project
                     // them onto the user-visible select list.
                     let mut want: Vec<_> = oracle.iter().map(|e| t.user_tuple(e)).collect();
                     want.sort();
-                    for (name, out) in [
-                        ("epoch", &pinned),
-                        ("locked", &via_lock),
-                        ("pipeline", &via_pipeline),
-                    ] {
+                    for (name, out) in &outs {
                         prop_assert_eq!(out.ds_leftover, 0, "{} served a stale tuple", name);
                         prop_assert!(out.is_complete(), "{} degraded", name);
                         let mut got = out.all_results();
@@ -173,12 +180,10 @@ proptest! {
         }
         // No run may leave any view serving stale tuples.
         let guard = fx.edb.read();
-        prop_assert_eq!(fx.single.revalidate(&guard).unwrap(), 0);
-        prop_assert_eq!(fx.locked.revalidate(&guard).unwrap(), 0);
-        prop_assert_eq!(fx.epoch.revalidate(&guard).unwrap(), 0);
-        fx.single.store().validate();
-        fx.locked.debug_validate();
-        fx.epoch.debug_validate();
+        for v in fx.views() {
+            prop_assert_eq!(v.revalidate(&guard).unwrap(), 0, "{}", v.def().name());
+            v.debug_validate();
+        }
     }
 }
 
@@ -188,15 +193,17 @@ proptest! {
 #[test]
 fn locked_run_serves_complete_entries() {
     let fx = setup(false);
-    let t = fx.locked.def().template().clone();
+    let t = fx.locked[0].def().template().clone();
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
         .unwrap();
     let guard = fx.edb.read();
-    let cold = fx.locked.run(&guard, &q).unwrap();
-    assert_eq!((cold.partial.len(), cold.remaining.len()), (0, 5));
-    let warm = fx.locked.run(&guard, &q).unwrap();
-    assert_eq!((warm.partial.len(), warm.remaining.len()), (5, 0));
-    assert_eq!(warm.exec_stats.tuples_examined, 0, "O3 must not have run");
-    assert!(fx.locked.stats().complete_serves > 0);
+    for locked in &fx.locked {
+        let cold = locked.run(&guard, &q).unwrap();
+        assert_eq!((cold.partial.len(), cold.remaining.len()), (0, 5));
+        let warm = locked.run(&guard, &q).unwrap();
+        assert_eq!((warm.partial.len(), warm.remaining.len()), (5, 0));
+        assert_eq!(warm.exec_stats.tuples_examined, 0, "O3 must not have run");
+        assert!(locked.stats().complete_serves > 0);
+    }
 }

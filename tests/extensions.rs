@@ -11,23 +11,23 @@ use pmv::core::ext::{
 use pmv::prelude::*;
 use std::collections::HashSet;
 
-fn new_pmv(template: &std::sync::Arc<pmv::query::QueryTemplate>) -> Pmv {
-    Pmv::new(
+fn new_pmv(template: &std::sync::Arc<pmv::query::QueryTemplate>) -> SharedPmv {
+    SharedPmv::with_shards(
         PartialViewDef::all_equality("ext_pmv", template.clone()).unwrap(),
         PmvConfig::new(3, 32, pmv::cache::PolicyKind::Clock),
+        1,
     )
 }
 
 #[test]
 fn distinct_returns_each_tuple_once() {
     let fx = eqt_fixture(120);
-    let mut pmv = new_pmv(&fx.template);
-    let pipeline = PmvPipeline::new();
+    let pmv = new_pmv(&fx.template);
     let q = eqt_query(&fx.template, &[1, 2, 3], &[0, 1]);
 
     // Warm so the next run serves partial results too.
-    pipeline.run(&fx.db, &mut pmv, &q).unwrap();
-    let out = run_distinct(&pipeline, &fx.db, &mut pmv, &q).unwrap();
+    pmv.run(&fx.db, &q).unwrap();
+    let out = run_distinct(&fx.db, &pmv, &q).unwrap();
 
     let all = out.all_results();
     let set: HashSet<&Tuple> = all.iter().collect();
@@ -48,17 +48,16 @@ fn distinct_returns_each_tuple_once() {
 #[test]
 fn aggregate_partial_bounds_exact() {
     let fx = eqt_fixture(150);
-    let mut pmv = new_pmv(&fx.template);
-    let pipeline = PmvPipeline::new();
+    let pmv = new_pmv(&fx.template);
     let q = eqt_query(&fx.template, &[1], &[1]);
-    pipeline.run(&fx.db, &mut pmv, &q).unwrap();
+    pmv.run(&fx.db, &q).unwrap();
 
     // COUNT grouped by r.a (user position 0).
     let spec = GroupBySpec {
         group_by: vec![0],
         agg: AggFn::Count,
     };
-    let out = run_aggregate(&pipeline, &fx.db, &mut pmv, &q, &spec).unwrap();
+    let out = run_aggregate(&fx.db, &pmv, &q, &spec).unwrap();
     // Partial counts never exceed exact counts.
     for (group, pv) in &out.partial {
         let AggValue::Count(p) = pv else { panic!() };
@@ -90,16 +89,15 @@ fn aggregate_partial_bounds_exact() {
 #[test]
 fn aggregate_sum_partial_is_lower_bound_for_nonnegative() {
     let fx = eqt_fixture(150);
-    let mut pmv = new_pmv(&fx.template);
-    let pipeline = PmvPipeline::new();
+    let pmv = new_pmv(&fx.template);
     let q = eqt_query(&fx.template, &[2], &[2]);
-    pipeline.run(&fx.db, &mut pmv, &q).unwrap();
+    pmv.run(&fx.db, &q).unwrap();
     // SUM over s.e (user position 1); fixture values are non-negative.
     let spec = GroupBySpec {
         group_by: vec![],
         agg: AggFn::Sum(1),
     };
-    let out = run_aggregate(&pipeline, &fx.db, &mut pmv, &q, &spec).unwrap();
+    let out = run_aggregate(&fx.db, &pmv, &q, &spec).unwrap();
     if let (Some((_, AggValue::Sum(p))), Some((_, AggValue::Sum(e)))) =
         (out.partial.first(), out.exact.first())
     {
@@ -110,26 +108,25 @@ fn aggregate_sum_partial_is_lower_bound_for_nonnegative() {
 #[test]
 fn exists_fast_path_after_warming() {
     let fx = eqt_fixture(120);
-    let mut pmv = new_pmv(&fx.template);
-    let pipeline = PmvPipeline::new();
+    let pmv = new_pmv(&fx.template);
     // A subquery with at least one result.
     let q = eqt_query(&fx.template, &[1], &[1]);
     let (rows, _) = pmv::query::execute(&fx.db, &q).unwrap();
     assert!(!rows.is_empty(), "fixture must give the subquery results");
 
     // Cold: slow path executes (and warms the PMV).
-    let out = exists_accelerated(&pipeline, &fx.db, &mut pmv, &q).unwrap();
+    let out = exists_accelerated(&fx.db, &pmv, &q).unwrap();
     assert!(out.exists);
     assert!(!out.fast_path);
 
     // Warm: a cached witness answers without execution.
-    let out = exists_accelerated(&pipeline, &fx.db, &mut pmv, &q).unwrap();
+    let out = exists_accelerated(&fx.db, &pmv, &q).unwrap();
     assert!(out.exists);
     assert!(out.fast_path, "warm EXISTS must take the fast path");
 
     // A predicate with no results: never a false positive.
     let empty_q = eqt_query(&fx.template, &[999], &[999]);
-    let out = exists_accelerated(&pipeline, &fx.db, &mut pmv, &empty_q).unwrap();
+    let out = exists_accelerated(&fx.db, &pmv, &empty_q).unwrap();
     assert!(!out.exists);
     assert!(!out.fast_path);
 }
@@ -137,17 +134,16 @@ fn exists_fast_path_after_warming() {
 #[test]
 fn ranking_orders_hot_results_first() {
     let fx = eqt_fixture(120);
-    let mut pmv = new_pmv(&fx.template);
-    let pipeline = PmvPipeline::new();
+    let pmv = new_pmv(&fx.template);
     let hot = eqt_query(&fx.template, &[1], &[1]);
     let cold = eqt_query(&fx.template, &[2], &[2]);
     // Make (1,1) popular: warm + several hits.
     for _ in 0..5 {
-        pipeline.run(&fx.db, &mut pmv, &hot).unwrap();
+        pmv.run(&fx.db, &hot).unwrap();
     }
     // One query touching both cells.
     let both = eqt_query(&fx.template, &[1, 2], &[1, 2]);
-    let out = pipeline.run(&fx.db, &mut pmv, &both).unwrap();
+    let out = pmv.run(&fx.db, &both).unwrap();
     let ranked = rank_by_popularity(&pmv, &out);
     assert!(!ranked.is_empty());
     // Popularity must be non-increasing.
@@ -156,19 +152,18 @@ fn ranking_orders_hot_results_first() {
     }
     // The hot cell's tuples lead (its hit count is ≥ 4).
     assert!(ranked[0].1 >= 4, "hot results should lead: {:?}", ranked);
-    let _ = pipeline.run(&fx.db, &mut pmv, &cold);
+    let _ = pmv.run(&fx.db, &cold);
 }
 
 #[test]
 fn order_by_delivers_sorted_prefix_and_total_order() {
     let fx = eqt_fixture(150);
-    let mut pmv = new_pmv(&fx.template);
-    let pipeline = PmvPipeline::new();
+    let pmv = new_pmv(&fx.template);
     let q = eqt_query(&fx.template, &[1, 2], &[0, 1]);
-    pipeline.run(&fx.db, &mut pmv, &q).unwrap();
+    pmv.run(&fx.db, &q).unwrap();
 
     let order = OrderBy::asc(&[1, 0]); // by s.e then r.a
-    let out = run_ordered(&pipeline, &fx.db, &mut pmv, &q, &order).unwrap();
+    let out = run_ordered(&fx.db, &pmv, &q, &order).unwrap();
     // Partial prefix is sorted.
     for w in out.partial_sorted.windows(2) {
         assert_ne!(order.cmp(&w[0], &w[1]), std::cmp::Ordering::Greater);
@@ -185,7 +180,7 @@ fn order_by_delivers_sorted_prefix_and_total_order() {
 fn pmv_manager_routes_and_sheds() {
     let fx = eqt_fixture(120);
     let mut mgr = PmvManager::new().with_byte_budget(100_000);
-    mgr.create_view(
+    mgr.register(
         PartialViewDef::all_equality("mgr_pmv", fx.template.clone()).unwrap(),
         PmvConfig::default(),
     )

@@ -17,11 +17,21 @@ use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
 enum Step {
-    Query { fs: Vec<i64>, gs: Vec<i64> },
-    InsertR { a: i64, c: i64, f: i64 },
+    Query {
+        fs: Vec<i64>,
+        gs: Vec<i64>,
+    },
+    InsertR {
+        a: i64,
+        c: i64,
+        f: i64,
+    },
     DeleteNthR(usize),
     DeleteNthS(usize),
-    UpdateNthR { nth: usize, new_f: i64 },
+    UpdateNthR {
+        nth: usize,
+        new_f: i64,
+    },
     /// Delete an `r` row AND a joining `s` row in ONE transaction: the
     /// two-relation case whose joint derivations the per-relation ΔR
     /// joins cannot see (maintenance.rs cross-delta union pass).
@@ -75,28 +85,14 @@ fn joining_pair(db: &Database, nth: usize) -> Option<(RowId, RowId)> {
     None
 }
 
-/// The store's full content, in a canonical order, for state comparison.
-fn dump(pmv: &Pmv) -> Vec<(String, Vec<Tuple>)> {
-    let mut out: Vec<(String, Vec<Tuple>)> = pmv
-        .store()
-        .iter()
-        .map(|(bcp, tuples)| {
-            let mut ts: Vec<Tuple> = tuples.iter().map(|(t, _)| (**t).clone()).collect();
-            ts.sort();
-            (format!("{bcp:?}"), ts)
-        })
-        .collect();
-    out.sort();
-    out
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Drive a DeltaJoin oracle, an Indexed view, and a HeavyLight view
     /// (low heavy threshold, so both routes fire) through the same step
     /// sequence; their stores must stay bit-identical and their query
-    /// answers must match the plain executor at every point.
+    /// answers must match the plain executor at every point. One shard
+    /// each: `l` entries exactly, so all three evict in lockstep.
     #[test]
     fn delta_index_equals_join_oracle(
         steps in proptest::collection::vec(step_strategy(), 1..40),
@@ -106,9 +102,8 @@ proptest! {
         let fx = eqt_fixture(40);
         let mut db = fx.db;
         let template = fx.template;
-        let pipeline = PmvPipeline::new();
 
-        let mut views: Vec<Pmv> = [
+        let views: Vec<SharedPmv> = [
             MaintStrategy::DeltaJoin,
             MaintStrategy::Indexed,
             MaintStrategy::HeavyLight,
@@ -121,14 +116,14 @@ proptest! {
             let mut config = PmvConfig::new(f_cap, l, PolicyKind::Clock);
             config.maint_strategy = strategy;
             config.heavy_threshold = 2;
-            Pmv::new(def, config)
+            SharedPmv::with_shards(def, config, 1)
         })
         .collect();
 
-        let maintain_views = |db: &Database, views: &mut Vec<Pmv>, batches: &[pmv::storage::DeltaBatch]| {
-            for v in views.iter_mut() {
-                pipeline.maintain_all(db, v, batches).unwrap();
-                v.store().validate();
+        let maintain_views = |db: &Database, views: &[SharedPmv], batches: &[pmv::storage::DeltaBatch]| {
+            for v in views {
+                v.maintain_all(db, batches).unwrap();
+                v.debug_validate();
             }
         };
 
@@ -137,8 +132,8 @@ proptest! {
                 Step::Query { fs, gs } => {
                     let q = eqt_query(&template, &fs, &gs);
                     let expect = oracle(&db, &q);
-                    for v in views.iter_mut() {
-                        let out = pipeline.run(&db, v, &q).unwrap();
+                    for v in &views {
+                        let out = v.run(&db, &q).unwrap();
                         let mut got = out.all_results();
                         got.sort();
                         prop_assert_eq!(&got, &expect, "pipeline diverged from executor");
@@ -151,14 +146,14 @@ proptest! {
                         Value::Int(a), Value::Int(c), Value::Int(f),
                     ])).unwrap();
                     let batches = txn.commit();
-                    maintain_views(&db, &mut views, &batches);
+                    maintain_views(&db, &views, &batches);
                 }
                 Step::DeleteNthR(nth) => {
                     if let Some(row) = nth_live_row(&db, "r", nth) {
                         let mut txn = Transaction::begin(&mut db);
                         txn.delete("r", row).unwrap();
                         let batches = txn.commit();
-                        maintain_views(&db, &mut views, &batches);
+                        maintain_views(&db, &views, &batches);
                     }
                 }
                 Step::DeleteNthS(nth) => {
@@ -166,7 +161,7 @@ proptest! {
                         let mut txn = Transaction::begin(&mut db);
                         txn.delete("s", row).unwrap();
                         let batches = txn.commit();
-                        maintain_views(&db, &mut views, &batches);
+                        maintain_views(&db, &views, &batches);
                     }
                 }
                 Step::UpdateNthR { nth, new_f } => {
@@ -177,7 +172,7 @@ proptest! {
                         let mut txn = Transaction::begin(&mut db);
                         txn.update("r", row, Tuple::new(vals)).unwrap();
                         let batches = txn.commit();
-                        maintain_views(&db, &mut views, &batches);
+                        maintain_views(&db, &views, &batches);
                     }
                 }
                 Step::DeleteMatchingPair(nth) => {
@@ -186,15 +181,15 @@ proptest! {
                         txn.delete("r", r_row).unwrap();
                         txn.delete("s", s_row).unwrap();
                         let batches = txn.commit();
-                        maintain_views(&db, &mut views, &batches);
+                        maintain_views(&db, &views, &batches);
                     }
                 }
             }
             // The invariant of this whole test: all three strategies
             // leave identical view state after every step.
-            let reference = dump(&views[0]);
-            prop_assert_eq!(&dump(&views[1]), &reference, "Indexed diverged from DeltaJoin");
-            prop_assert_eq!(&dump(&views[2]), &reference, "HeavyLight diverged from DeltaJoin");
+            let reference = views[0].dump();
+            prop_assert_eq!(&views[1].dump(), &reference, "Indexed diverged from DeltaJoin");
+            prop_assert_eq!(&views[2].dump(), &reference, "HeavyLight diverged from DeltaJoin");
         }
     }
 }

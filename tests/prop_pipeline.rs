@@ -55,20 +55,19 @@ proptest! {
         let mut db = fx.db;
         let template = fx.template;
         let def = PartialViewDef::all_equality("prop_pmv", template.clone()).unwrap();
-        let mut pmv = Pmv::new(def, PmvConfig::new(f_cap, l, policy));
-        let pipeline = PmvPipeline::new();
+        let pmv = SharedPmv::with_shards(def, PmvConfig::new(f_cap, l, policy), 1);
 
         for step in steps {
             match step {
                 Step::Query { fs, gs } => {
                     let q = eqt_query(&template, &fs, &gs);
                     let expect = oracle(&db, &q);
-                    let out = pipeline.run(&db, &mut pmv, &q).unwrap();
+                    let out = pmv.run(&db, &q).unwrap();
                     let mut got = out.all_results();
                     got.sort();
                     prop_assert_eq!(got, expect, "pipeline diverged from oracle");
                     prop_assert_eq!(out.ds_leftover, 0, "stale tuple served");
-                    pmv.store().validate();
+                    pmv.debug_validate();
                 }
                 Step::Insert { a, c, f } => {
                     let mut txn = Transaction::begin(&mut db);
@@ -76,7 +75,7 @@ proptest! {
                         Value::Int(a), Value::Int(c), Value::Int(f),
                     ])).unwrap();
                     for b in txn.commit() {
-                        pipeline.maintain(&db, &mut pmv, &b).unwrap();
+                        pmv.maintain(&db, &b).unwrap();
                     }
                 }
                 Step::DeleteNth(nth) => {
@@ -85,7 +84,7 @@ proptest! {
                         let mut txn = Transaction::begin(&mut db);
                         txn.delete("r", row).unwrap();
                         for b in txn.commit() {
-                            pipeline.maintain(&db, &mut pmv, &b).unwrap();
+                            pmv.maintain(&db, &b).unwrap();
                         }
                     }
                 }
@@ -98,7 +97,7 @@ proptest! {
                         let mut txn = Transaction::begin(&mut db);
                         txn.update("r", row, pmv::storage::Tuple::new(vals)).unwrap();
                         for b in txn.commit() {
-                            pipeline.maintain(&db, &mut pmv, &b).unwrap();
+                            pmv.maintain(&db, &b).unwrap();
                         }
                     }
                 }
@@ -116,14 +115,13 @@ proptest! {
         let mut db = fx.db;
         let template = fx.template;
         let def = PartialViewDef::all_equality("prop_pmv2", template.clone()).unwrap();
-        let mut pmv = Pmv::new(def, PmvConfig::new(3, 16, PolicyKind::Clock));
-        let pipeline = PmvPipeline::new();
+        let pmv = SharedPmv::with_shards(def, PmvConfig::new(3, 16, PolicyKind::Clock), 1);
 
         for step in steps {
             match step {
                 Step::Query { fs, gs } => {
                     let q = eqt_query(&template, &fs, &gs);
-                    pipeline.run(&db, &mut pmv, &q).unwrap();
+                    pmv.run(&db, &q).unwrap();
                 }
                 Step::Insert { a, c, f } => {
                     let mut txn = Transaction::begin(&mut db);
@@ -131,7 +129,7 @@ proptest! {
                         Value::Int(a), Value::Int(c), Value::Int(f),
                     ])).unwrap();
                     for b in txn.commit() {
-                        pipeline.maintain(&db, &mut pmv, &b).unwrap();
+                        pmv.maintain(&db, &b).unwrap();
                     }
                 }
                 Step::DeleteNth(nth) => {
@@ -139,7 +137,7 @@ proptest! {
                         let mut txn = Transaction::begin(&mut db);
                         txn.delete("r", row).unwrap();
                         for b in txn.commit() {
-                            pipeline.maintain(&db, &mut pmv, &b).unwrap();
+                            pmv.maintain(&db, &b).unwrap();
                         }
                     }
                 }
@@ -151,7 +149,7 @@ proptest! {
                         let mut txn = Transaction::begin(&mut db);
                         txn.update("r", row, pmv::storage::Tuple::new(vals)).unwrap();
                         for b in txn.commit() {
-                            pipeline.maintain(&db, &mut pmv, &b).unwrap();
+                            pmv.maintain(&db, &b).unwrap();
                         }
                     }
                 }

@@ -46,15 +46,15 @@ fn tpcr_snapshot_roundtrip_preserves_query_results() {
     }
 
     // A PMV built over the restored database behaves identically.
-    let pipeline = PmvPipeline::new();
-    let mut pmv = Pmv::new(
+    let pmv = SharedPmv::with_shards(
         PartialViewDef::all_equality("snap_pmv", t_rest.clone()).unwrap(),
         PmvConfig::default(),
+        1,
     );
     let supp = (100i64 * 31).rem_euclid(tpcr::supplier_count(0.002)) + 1;
     let q = t1_query(&t_rest, &[100], &[supp]).unwrap();
-    let cold = pipeline.run(&restored, &mut pmv, &q).unwrap();
-    let warm = pipeline.run(&restored, &mut pmv, &q).unwrap();
+    let cold = pmv.run(&restored, &q).unwrap();
+    let warm = pmv.run(&restored, &q).unwrap();
     assert_eq!(cold.all_results().len(), warm.all_results().len());
     assert_eq!(warm.ds_leftover, 0);
 }
