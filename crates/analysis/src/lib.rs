@@ -13,8 +13,8 @@
 //!    the analysis entry point and houses the corpus and property
 //!    tests that pin its behaviour.
 //!
-//! 2. **Source lint pass** ([`lint`], driven by the `pmv-lint` binary).
-//!    Repo-specific concurrency rules over `crates/**` source text:
+//! 2. **Source lint rules** ([`lint`], run per file by `pmv-analyze`
+//!    as its depth-0 pass). Repo-specific concurrency rules over `crates/**` source text:
 //!    no shard write guard held across executor calls, no lock
 //!    acquisition inside `catch_unwind` closures, DB-before-shard lock
 //!    order, and no `Relaxed` atomics outside designated statistics
@@ -29,10 +29,9 @@
 //!    `durable_before_visible` (DESIGN.md §17). Reports render as text
 //!    or SARIF 2.1.0 ([`sarif`]).
 //!
-//! Run the passes with:
+//! Run both source passes with:
 //!
 //! ```text
-//! cargo run -p pmv-analysis --bin pmv-lint    -- [--json] [--deny-warnings] [paths…]
 //! cargo run -p pmv-analysis --bin pmv-analyze -- [--json] [--sarif FILE] [--deny-warnings] [paths…]
 //! ```
 

@@ -1,5 +1,5 @@
-//! `pmv-lint` — repo-specific concurrency lint rules the compiler can't
-//! express, run over `crates/**` source text.
+//! Repo-specific concurrency lint rules the compiler can't express, run
+//! over `crates/**` source text (by `pmv-analyze`, as its depth-0 pass).
 //!
 //! The rules encode the locking contract that DESIGN.md §10–§12 argue
 //! correctness from:

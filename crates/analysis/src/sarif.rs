@@ -1,11 +1,10 @@
-//! Minimal SARIF 2.1.0 report rendering, shared by the `pmv-lint` /
-//! `pmv-analyze` binaries and the CLI's `analyze … sarif` command.
+//! Minimal SARIF 2.1.0 report rendering, shared by the `pmv-analyze`
+//! binary and the CLI's `analyze … sarif` command.
 //!
 //! Only the subset consumed by code-scanning UIs is emitted: one run,
 //! one tool driver with rule metadata, and a flat result list with
 //! optional physical locations. The workspace serde_json shim has no
-//! serializer, so the JSON is assembled by hand through [`json_str`] —
-//! the same escaping discipline the lint binary has always used.
+//! serializer, so the JSON is assembled by hand through [`json_str`].
 
 use std::fmt::Write as _;
 

@@ -1,4 +1,4 @@
-//! Integration tests for the pmv-lint pass: public-API behaviour plus
+//! Integration tests for the file-local lint rules: public-API behaviour plus
 //! the PR's acceptance criterion that the repository itself is clean
 //! with zero allow-list entries.
 

@@ -14,6 +14,9 @@
 //! | `fig12`  | Maintenance speedup ratio vs. insert fraction p | 4.3 |
 //! | `policy_ablation` | CLOCK/2Q/LRU/LRU-2 (the paper's stated future work) | 4.1 |
 //! | `f_tradeoff` | Hit probability vs. tuples served under a fixed byte budget | 3.2 |
+//! | `maint_ablation` | Maintenance filter indices on vs. off | 3.4 |
+//! | `drift` | Policy adaptivity when the hot set rotates | 3.2 |
+//! | `warmup` | Hit probability vs. number of warm-up queries | 4.1 |
 //!
 //! Every binary prints an aligned table plus JSON lines, and accepts
 //! `--paper` to run at the paper's full parameters (slower) and

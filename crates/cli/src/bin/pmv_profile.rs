@@ -1,13 +1,11 @@
-//! `pmv-profile` — offline profile reports from flight-recorder spools
-//! and bench JSON.
+//! `pmv-profile` — offline profile reports from flight-recorder spools.
 //!
 //! ```text
 //! pmv-profile [--json] <path>...
 //! ```
 //!
 //! Each path is a flight-recorder spool directory (its `flight-*.json`
-//! dumps are read in sequence order), a single dump file, a
-//! `concurrent_scaling --json` document (`BENCH_pmv.json`), or a
+//! dumps are read in sequence order), a single dump file, or a
 //! previously rendered `--json` report. The inputs merge into one
 //! ranked report: contention sites by total lock wait, templates by
 //! serving+maintenance cost, pipeline stages by total recorded time.
@@ -18,7 +16,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: pmv-profile [--json] <spool-dir|dump.json|bench.json>...";
+const USAGE: &str = "usage: pmv-profile [--json] <spool-dir|dump.json|report.json>...";
 
 fn main() -> ExitCode {
     let mut json = false;

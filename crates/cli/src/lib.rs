@@ -466,7 +466,7 @@ impl Session {
     fn cmd_pmv(&mut self, rest: &str) -> Result<String, CliError> {
         let mut parts = rest.split_whitespace();
         let name = parts.next().ok_or_else(|| {
-            usage("usage: pmv <template> [f=N] [l=N] [policy=...] [maint=delta-join|indexed|heavy-light] [heavy=N]")
+            usage("usage: pmv <template> [f=N] [l=N] [policy=...] [maint=delta-join|heavy-light] [heavy=N]")
         })?;
         let template = self
             .templates
@@ -484,7 +484,10 @@ impl Session {
                 "policy" => config.policy = parse_policy(v)?,
                 "maint" => {
                     config.maint_strategy = pmv_core::MaintStrategy::parse(v).ok_or_else(|| {
-                        usage("bad maint (want delta-join, indexed, or heavy-light)")
+                        usage(
+                            "bad maint (want delta-join or heavy-light; the former \
+                             'indexed' is maint=heavy-light heavy=1)",
+                        )
                     })?;
                 }
                 "heavy" => config.heavy_threshold = v.parse().map_err(|_| usage("bad heavy"))?,
@@ -1415,6 +1418,10 @@ mod tests {
         assert!(s.execute("query t1 [1]").is_err());
         // Interval binding on an equality slot.
         assert!(s.execute("query t1 [1..2] [1]").is_err());
+        // The removed strategy name is a usage error naming its equivalent.
+        let e = s.execute("pmv t1 maint=indexed").unwrap_err();
+        assert!(matches!(&e, CliError::Usage(m) if m.contains("maint=heavy-light heavy=1")));
+        assert!(s.execute("pmv t1 maint=heavy-light heavy=1").is_ok());
     }
 
     fn scratch_dir(name: &str) -> std::path::PathBuf {

@@ -1,14 +1,12 @@
 //! The file-reading half of `pmv-profile`: parse flight-recorder spool
-//! dumps, bench JSON (`BENCH_pmv.json`), and already-rendered profile
-//! reports back into the [`ProfileReport`] model from `pmv-obs`.
+//! dumps and already-rendered profile reports back into the
+//! [`ProfileReport`] model from `pmv-obs`.
 //!
 //! Input classification is structural, not by file name:
 //!
 //! * a `pmv_flight_dump` sentinel marks a flight-recorder dump (the
 //!   format `pmv_obs::spool::compose_dump` writes) — its `metrics.phases`
 //!   member carries the quantized per-phase histograms;
-//! * a `profile` member marks a bench document (`concurrent_scaling
-//!   --json`) embedding a report;
 //! * `contention` + `pipeline` members mark a report document itself
 //!   (the output of `pmv-profile --json` or the CLI `profile --json`).
 //!
@@ -150,17 +148,6 @@ fn absorb(v: &Value, report: &mut ProfileReport, dumps: &mut Vec<FlightDump>) ->
         dumps.push(dump);
         return true;
     }
-    if let Some(profile) = v.get("profile") {
-        // A bench document embedding a report; keep the headline number
-        // alongside so the report stays self-explanatory.
-        let took = absorb_report_fragment(profile, report);
-        if took {
-            if let Some(qps) = v.get("aggregate_qps").and_then(Value::as_f64) {
-                report.notes.push(format!("bench aggregate: {qps:.0} qps"));
-            }
-        }
-        return took;
-    }
     absorb_report_fragment(v, report)
 }
 
@@ -230,8 +217,8 @@ fn expand(path: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Build a ranked report from spool directories, dump files, bench
-/// JSON, and/or report JSON. Errs when a path is unreadable or when no
+/// Build a ranked report from spool directories, dump files and/or
+/// report JSON. Errs when a path is unreadable or when no
 /// input yields any profile data.
 pub fn report_from_paths(paths: &[PathBuf]) -> Result<ProfileReport, String> {
     let mut report = ProfileReport {
@@ -267,7 +254,7 @@ pub fn report_from_paths(paths: &[PathBuf]) -> Result<ProfileReport, String> {
                 used += 1;
             } else {
                 report.notes.push(format!(
-                    "skipped {}: not a flight dump, bench JSON, or profile report",
+                    "skipped {}: not a flight dump or profile report",
                     file.display()
                 ));
             }
@@ -275,8 +262,8 @@ pub fn report_from_paths(paths: &[PathBuf]) -> Result<ProfileReport, String> {
     }
     if used == 0 {
         return Err(format!(
-            "no usable profile input among {total} file(s) (want flight dumps, \
-             bench --json output, or profile reports)"
+            "no usable profile input among {total} file(s) (want flight dumps \
+             or profile reports)"
         ));
     }
     fold_dumps(dumps, &mut report);
@@ -386,10 +373,9 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_with_embedded_profile_parses() {
-        let dir = scratch("bench");
-        let bench = r#"{"bench":"concurrent_scaling","aggregate_qps":51234.5,
-            "profile":{"contention":[
+    fn rendered_report_json_parses_back() {
+        let dir = scratch("report");
+        let rendered = r#"{"contention":[
                 {"site":"lock_master_commit","count":40,"wait_p50_us":90,
                  "wait_p99_us":4000,"wait_max_us":9000,"total_wait_us":52000},
                 {"site":"lock_shard_fill","count":800,"wait_p50_us":2,
@@ -401,20 +387,15 @@ mod tests {
              "pipeline":[{"stage":"o3_exec","count":900,"p50_us":300,
                  "p99_us":1800,"total_us":310000},
                  {"stage":"o2_probe","count":5000,"p50_us":8,"p99_us":60,
-                 "total_us":52000}]}}"#;
-        let path = dir.join("bench.json");
-        std::fs::write(&path, bench).unwrap();
+                 "total_us":52000}]}"#;
+        let path = dir.join("report.json");
+        std::fs::write(&path, rendered).unwrap();
 
         let report = report_from_paths(&[path]).unwrap();
         assert_eq!(report.top_contention().unwrap().site, "lock_master_commit");
         assert_eq!(report.templates[0].template, "t1");
         assert_eq!(report.pipeline[0].stage, "o3_exec", "ranked by total");
         assert!(report.pipeline[0].share_pct > report.pipeline[1].share_pct);
-        assert!(
-            report.notes.iter().any(|n| n.contains("51234 qps")),
-            "{:?}",
-            report.notes
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -432,8 +432,8 @@ impl SharedPmv {
             // guard, then re-derive each bcp's truth with NO shard lock
             // held. Holding the write guard across the executor (as this
             // loop originally did) blocked the shard for the whole sweep
-            // and violated the repo lock rule the `pmv-lint`
-            // `write_guard_across_exec` pass enforces.
+            // and violated the repo lock rule the
+            // `write_guard_across_exec` lint enforces.
             let bcps: Vec<BcpKey> = {
                 let store = shard.read();
                 store.iter().map(|(k, _)| k.clone()).collect()

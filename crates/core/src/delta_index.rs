@@ -1,15 +1,16 @@
 //! Delta-key index: the partial-state maintenance operator.
 //!
-//! The maintenance filter (Section 3.4, [`crate::maint_filter`]) only
-//! *counts* cached projections — it can skip a ΔR join, but when the
-//! projection is present it still has to run the full `ΔR_i ⋈ R_j`
-//! recompute to find which view tuples die. This index closes that gap:
-//! for each base relation `R_i` it maps the projection of `R_i`'s
-//! `Ls'` columns directly to the resident view tuples carrying those
-//! values, so a delete removes exactly the supported tuples in
-//! O(|Δ| · fanout) with **no base-relation join at all**.
+//! Section 3.4: "In many cases, we can avoid this join computation by
+//! building indices on some attributes of V_PM" (details in \[25\]). A
+//! filter that only *counts* cached projections can skip a ΔR join, but
+//! when the projection is present it still has to run the full
+//! `ΔR_i ⋈ R_j` recompute to find which view tuples die. This index
+//! closes that gap: for each base relation `R_i` it maps the projection
+//! of `R_i`'s `Ls'` columns directly to the resident view tuples
+//! carrying those values, so a delete removes exactly the supported
+//! tuples in O(|Δ| · fanout) with **no base-relation join at all**.
 //!
-//! Soundness argument (same as the filter's): every view tuple `v`
+//! Soundness argument: every view tuple `v`
 //! derived from a base tuple `t ∈ R_i` *contains* `t`'s `Ls'`-relevant
 //! columns, so all derivations of `v` from `R_i` project to
 //! `view_key(v)` and a delete of `t` can only affect tuples filed under
@@ -23,17 +24,59 @@
 //! correct for transactions deleting matching tuples from several base
 //! relations (the cross-relation case that trips sequential ΔR joins).
 //!
-//! The index also subsumes the filter's skip test: an absent projection
-//! means no cached tuple can be affected, so the join (and now even the
-//! indexed walk) is skipped.
+//! The index also answers the skip test: an absent projection means no
+//! cached tuple can be affected, so the join (and even the indexed
+//! walk) is skipped.
 
 use std::sync::Arc;
 
 use crate::bcp::BcpKey;
 use crate::fasthash::{FxBuildHasher, FxHashMap};
-use crate::maint_filter::RelSpec;
+use crate::verify::FilterSpec;
 use pmv_query::QueryTemplate;
 use pmv_storage::{Tuple, Value};
+
+/// Per-relation projection spec: which `Ls'` positions hold relation
+/// `i`'s attributes, and which base-relation columns they correspond to.
+#[derive(Clone, Debug)]
+struct RelSpec {
+    /// Positions in the `Ls'` result layout.
+    view_positions: Vec<usize>,
+    /// Matching column indices in the base relation.
+    base_columns: Vec<usize>,
+}
+
+impl RelSpec {
+    /// One spec per base relation of `template`, in relation order —
+    /// the projection the verifier's PMV005 check takes as its reference.
+    fn for_template(template: &QueryTemplate) -> Vec<RelSpec> {
+        FilterSpec::for_template(template)
+            .per_relation
+            .into_iter()
+            .map(|(view_positions, base_columns)| RelSpec {
+                view_positions,
+                base_columns,
+            })
+            .collect()
+    }
+
+    /// Project a cached view tuple (`Ls'` layout) onto this relation's
+    /// attributes.
+    fn view_key(&self, view_tuple: &Tuple) -> Box<[Value]> {
+        self.view_positions
+            .iter()
+            .map(|&p| view_tuple.get(p).clone())
+            .collect()
+    }
+
+    /// Project a base-relation tuple onto the same attributes.
+    fn base_key(&self, base_tuple: &Tuple) -> Box<[Value]> {
+        self.base_columns
+            .iter()
+            .map(|&c| base_tuple.get(c).clone())
+            .collect()
+    }
+}
 
 /// One supported view tuple: the bcp it is filed under and the shared
 /// tuple itself.
@@ -133,14 +176,6 @@ impl DeltaKeyIndex {
             base_tuple.get(c).hash(&mut h);
         }
         h.finish()
-    }
-
-    /// The `(Ls' positions, base columns)` projection spec for one
-    /// relation — audited by the static verifier exactly like the
-    /// maintenance filter's (`PMV005 UnsoundMaintFilter`).
-    pub fn rel_spec(&self, rel: usize) -> (&[usize], &[usize]) {
-        let spec = &self.specs[rel];
-        (&spec.view_positions, &spec.base_columns)
     }
 
     /// Drop every tracked projection (store drained, e.g. quarantine).

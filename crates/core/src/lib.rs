@@ -55,7 +55,6 @@ pub mod epoch;
 pub mod ext;
 pub mod fasthash;
 pub mod health;
-pub mod maint_filter;
 pub mod maintenance;
 pub mod manager;
 pub mod mv;
@@ -78,7 +77,6 @@ pub use health::{
     BreakerConfig, CircuitBreaker, Degradation, DegradeReason, ShardReport, ValidationReport,
     ViewHealth,
 };
-pub use maint_filter::MaintFilter;
 pub use maintenance::MaintenanceOutcome;
 pub use manager::{PmvManager, ViewHealthReport};
 pub use mv::{SmallMvSet, TraditionalMv};

@@ -8,15 +8,14 @@
 //!   path). Each shard's insert watermark is bumped so completeness
 //!   claims ([`crate::store::PmvStore::entry_complete`]) lapse.
 //! * **Delete** — remove every cached view tuple the deleted base tuple
-//!   supports. Three strategies ([`MaintStrategy`]):
+//!   supports. Two strategies ([`MaintStrategy`]):
 //!   [`MaintStrategy::DeltaJoin`] computes `ΔR_i ⋈ R_j (j ≠ i)` and
 //!   removes each join result found in the PMV (the paper's scheme);
-//!   [`MaintStrategy::Indexed`] consults the per-shard
-//!   [`crate::delta_index::DeltaKeyIndex`] and removes the supported
-//!   tuples directly — `O(|Δ| · fanout)`, no base-relation join;
 //!   [`MaintStrategy::HeavyLight`] (default) routes *hot* delta keys
-//!   (per a space-saving sketch) through the index and coalesces the
-//!   cold tail into one join per distinct deleted tuple.
+//!   (per a space-saving sketch) through the per-shard
+//!   [`crate::delta_index::DeltaKeyIndex`], removing the supported
+//!   tuples directly — `O(|Δ| · fanout)`, no base-relation join — and
+//!   coalesces the cold tail into one join per distinct deleted tuple.
 //! * **Update** — if no attribute of `R_i` appearing in `Ls'` or `Cjoin`
 //!   changed, do nothing; otherwise proceed like a delete of the old
 //!   tuple (the insert side again needs no work).
@@ -227,7 +226,6 @@ impl SharedPmv {
             };
             let mut indexed = match strategy {
                 MaintStrategy::DeltaJoin => false,
-                MaintStrategy::Indexed => true,
                 MaintStrategy::HeavyLight => {
                     // Every shard shares the template, so shard 0's index
                     // yields the delta-key hash for the whole view. The

@@ -28,7 +28,6 @@ use pmv_query::{CondForm, QueryTemplate};
 use pmv_storage::{ColumnType, Value};
 
 use crate::bcp::Discretizer;
-use crate::maint_filter::MaintFilter;
 use crate::view::{PartialViewDef, PmvConfig};
 
 /// How a diagnostic is acted upon at registration time.
@@ -72,9 +71,10 @@ pub enum DiagCode {
     /// PMV004 — the configured `L × F × At` storage bound exceeds the
     /// byte budget (Section 3.2).
     StorageBoundExceeded,
-    /// PMV005 — the maintenance filter's projection misses or mismatches
-    /// an `Ls'`/`Cjoin` attribute, voiding the Section 3.4 skip-the-join
-    /// soundness argument.
+    /// PMV005 — the maintenance filter's projection (the key of
+    /// [`crate::DeltaKeyIndex`], reference [`FilterSpec::for_template`])
+    /// misses or mismatches an `Ls'`/`Cjoin` attribute, voiding the
+    /// Section 3.4 skip-the-join soundness argument.
     UnsoundMaintFilter,
     /// PMV006 — unreachable bcp cells: a `Cjoin` fixed predicate pins a
     /// condition attribute, so every cell not containing the pinned
@@ -210,25 +210,14 @@ pub struct FilterSpec {
 }
 
 impl FilterSpec {
-    /// The spec [`MaintFilter::new`] derives for a template — the sound
-    /// reference the verifier compares a candidate spec against.
+    /// The spec [`crate::DeltaKeyIndex::new`] keys on for a template —
+    /// the sound reference the verifier compares a candidate spec against.
     pub fn for_template(template: &QueryTemplate) -> Self {
         let n = template.relations().len();
         let mut per_relation = vec![(Vec::new(), Vec::new()); n];
         for (pos, attr) in template.expanded_list().iter().enumerate() {
             per_relation[attr.relation].0.push(pos);
             per_relation[attr.relation].1.push(attr.column);
-        }
-        FilterSpec { per_relation }
-    }
-
-    /// Extract the spec a live filter is actually keyed on.
-    pub fn of_filter(filter: &MaintFilter, template: &QueryTemplate) -> Self {
-        let n = template.relations().len();
-        let mut per_relation = Vec::with_capacity(n);
-        for rel in 0..n {
-            let (views, bases) = filter.rel_spec(rel);
-            per_relation.push((views.to_vec(), bases.to_vec()));
         }
         FilterSpec { per_relation }
     }
@@ -244,7 +233,7 @@ pub struct VerifyOptions {
     /// `None`.
     pub avg_tuple_bytes: Option<usize>,
     /// Maintenance-filter spec to audit for `PMV005`. `None` audits the
-    /// spec [`MaintFilter::new`] would derive (sound by construction).
+    /// spec [`FilterSpec::for_template`] derives (sound by construction).
     pub filter: Option<FilterSpec>,
     /// Per-code severity policy.
     pub policy: VerifyPolicy,

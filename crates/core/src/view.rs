@@ -30,13 +30,12 @@ pub enum MaintStrategy {
     /// runs the full `ΔR_i ⋈ R_j` recompute. O(data); kept as the
     /// equivalence oracle and bench baseline.
     DeltaJoin,
-    /// Every delta takes the delta-key-index path: remove exactly the
-    /// supported view tuples, no base-relation join. O(|Δ| · fanout).
-    Indexed,
     /// Heavy-light partitioning: hot delta keys (space-saving sketch
-    /// count ≥ `heavy_threshold`) take the indexed path; cold keys
-    /// batch into one coalesced join per maintenance drain. Bounds
-    /// worst-case maintenance under Zipfian delete churn.
+    /// count ≥ `heavy_threshold`) take the delta-key-index path — remove
+    /// exactly the supported view tuples, no base-relation join,
+    /// O(|Δ| · fanout); cold keys batch into one coalesced join per
+    /// maintenance drain. Bounds worst-case maintenance under Zipfian
+    /// delete churn. At `heavy_threshold = 1` every delta is heavy.
     HeavyLight,
 }
 
@@ -45,7 +44,6 @@ impl MaintStrategy {
     pub fn as_str(self) -> &'static str {
         match self {
             MaintStrategy::DeltaJoin => "delta-join",
-            MaintStrategy::Indexed => "indexed",
             MaintStrategy::HeavyLight => "heavy-light",
         }
     }
@@ -54,7 +52,6 @@ impl MaintStrategy {
     pub fn parse(s: &str) -> Option<MaintStrategy> {
         match s {
             "delta-join" => Some(MaintStrategy::DeltaJoin),
-            "indexed" => Some(MaintStrategy::Indexed),
             "heavy-light" => Some(MaintStrategy::HeavyLight),
             _ => None,
         }
@@ -72,13 +69,15 @@ pub struct PmvConfig {
     /// How resident bcps are managed (CLOCK by default, per the paper).
     pub policy: PolicyKind,
     /// Keep the Section 3.4 maintenance indices on V_PM attributes
-    /// (now the delta-key index), letting deletes of unrelated tuples
-    /// skip the ΔR join (the \[25\] optimization) and powering the
-    /// indexed maintenance paths. On by default.
+    /// (the per-shard [`crate::DeltaKeyIndex`]), letting deletes of
+    /// unrelated tuples skip the ΔR join (the \[25\] optimization) and
+    /// powering the indexed maintenance path. Its key is checked at
+    /// registration by [`crate::verify::FilterSpec::for_template`]
+    /// (PMV005). On by default.
     pub maint_filter: bool,
-    /// How deletes/updates propagate into the view. [`MaintStrategy`]
-    /// paths other than `DeltaJoin` require `maint_filter` (they read
-    /// the delta-key index) and silently degrade to the join without it.
+    /// How deletes/updates propagate into the view.
+    /// [`MaintStrategy::HeavyLight`] requires `maint_filter` (it reads
+    /// the delta-key index) and silently degrades to the join without it.
     pub maint_strategy: MaintStrategy,
     /// Sketch count at which a delta key is considered heavy under
     /// [`MaintStrategy::HeavyLight`].

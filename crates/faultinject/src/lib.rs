@@ -20,7 +20,7 @@
 //!    in this crate are monotonically-increasing counters — they are
 //!    statistics, not synchronization — so `Ordering::Relaxed` is sound
 //!    throughout (no reader derives a happens-before edge from them; the
-//!    pmv-lint `relaxed_outside_stats` rule keys off this paragraph).
+//!    lint `relaxed_outside_stats` rule keys off this paragraph).
 //! 3. **Suppressible.** Test oracles need to compute ground truth on the
 //!    same thread the faults target; [`suppress`] disables injection for
 //!    the duration of a closure on the current thread.

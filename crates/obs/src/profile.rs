@@ -3,9 +3,9 @@
 //! This module is the pure half of `pmv-profile`: plain report structs
 //! plus ranking and rendering. It consumes either live
 //! [`HistSnapshot`]s (the CLI `profile` command over a running session)
-//! or already-quantized numbers parsed out of flight-recorder dumps and
-//! `BENCH_pmv.json` (the `pmv-profile` binary) — file I/O and JSON
-//! parsing stay in `pmv-cli`, keeping `pmv-obs` dependency-free.
+//! or already-quantized numbers parsed out of flight-recorder dumps
+//! (the `pmv-profile` binary) — file I/O and JSON parsing stay in
+//! `pmv-cli`, keeping `pmv-obs` dependency-free.
 //!
 //! The report answers the three questions ROADMAP item 1 needs answered
 //! before the next perf PR:

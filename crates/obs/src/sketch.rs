@@ -134,7 +134,11 @@ mod tests {
             s.note(999);
             s.note(1000 + i);
         }
-        assert!(s.estimate(999) >= 100, "hot key evicted: {}", s.estimate(999));
+        assert!(
+            s.estimate(999) >= 100,
+            "hot key evicted: {}",
+            s.estimate(999)
+        );
         assert_eq!(s.len(), 4);
         let heavy = s.heavy(50);
         assert_eq!(heavy[0].0, 999);

@@ -36,8 +36,8 @@ pub use condition::{Condition, Interval};
 pub use dbview::{DataView, DbSnapshot};
 pub use engine::{Database, SnapStats};
 pub use exec::{
-    execute, execute_bounded, execute_bounded_arc, execute_scan, explain, join_fixed,
-    upquery_fill, ExecBudget, ExecStats,
+    execute, execute_bounded, execute_bounded_arc, execute_scan, explain, join_fixed, upquery_fill,
+    ExecBudget, ExecStats,
 };
 pub use lock::{LockManager, LockMode};
 pub use parser::parse_template;

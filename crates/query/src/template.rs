@@ -160,9 +160,12 @@ impl QueryTemplate {
         self.relations.iter().enumerate().all(|(r, name)| {
             view.unique_keys_view(name).iter().any(|key| {
                 !key.is_empty()
-                    && key
-                        .iter()
-                        .all(|&column| self.expanded.contains(&AttrRef { relation: r, column }))
+                    && key.iter().all(|&column| {
+                        self.expanded.contains(&AttrRef {
+                            relation: r,
+                            column,
+                        })
+                    })
             })
         })
     }

@@ -11,7 +11,7 @@
 //!    with [`pmv_faultinject::CRASH_PREFIX`] that the crash harness
 //!    catches as a simulated `kill -9`). The kill-point matrix test
 //!    places one-shot crash rules at every site.
-//! 2. **Lintability.** The `pmv-lint` `raw_fs_write` rule denies direct
+//! 2. **Lintability.** The `pmv-analyze` `raw_fs_write` rule denies direct
 //!    `std::fs` write access (`File::create`, `write`, `rename`, …)
 //!    everywhere in `crates/{core,storage,wal}` *except* this file, so
 //!    a code path cannot quietly bypass fault injection — if it writes,

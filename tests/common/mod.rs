@@ -13,6 +13,18 @@ pub struct EqtFixture {
 
 /// Build the fixture with `n` tuples per relation, deterministic content.
 pub fn eqt_fixture(n: i64) -> EqtFixture {
+    let mut db = eqt_relations();
+    for i in 0..n {
+        // c/d overlap so roughly half of r joins something.
+        db.insert("r", tuple![i, i % (n / 2 + 1), i % 7]).unwrap();
+        db.insert("s", tuple![i % (n / 2 + 1), i * 10, i % 5])
+            .unwrap();
+    }
+    eqt_finish(db)
+}
+
+/// An empty database holding the Eqt relations `r` and `s`.
+pub fn eqt_relations() -> Database {
     let mut db = Database::new();
     db.create_relation(Schema::new(
         "r",
@@ -32,12 +44,12 @@ pub fn eqt_fixture(n: i64) -> EqtFixture {
         ],
     ))
     .unwrap();
-    for i in 0..n {
-        // c/d overlap so roughly half of r joins something.
-        db.insert("r", tuple![i, i % (n / 2 + 1), i % 7]).unwrap();
-        db.insert("s", tuple![i % (n / 2 + 1), i * 10, i % 5])
-            .unwrap();
-    }
+    db
+}
+
+/// Index the loaded Eqt relations (join and condition columns) and build
+/// the template over them.
+pub fn eqt_finish(mut db: Database) -> EqtFixture {
     db.create_index(IndexDef::btree("r", vec![1])).unwrap();
     db.create_index(IndexDef::btree("r", vec![2])).unwrap();
     db.create_index(IndexDef::btree("s", vec![0])).unwrap();

@@ -1,19 +1,24 @@
 //! Equivalence of the maintenance strategies (ISSUE 10, DESIGN.md §19):
 //! for arbitrary interleavings of inserts, deletes, updates, and queries
 //! — including transactions that delete *matching* tuples from both base
-//! relations at once — the delta-key-index paths ([`MaintStrategy::Indexed`]
-//! and [`MaintStrategy::HeavyLight`]) leave the PMV in exactly the same
-//! state as the full `ΔR ⋈ R` join oracle ([`MaintStrategy::DeltaJoin`]),
-//! and all three keep serving the plain executor's results.
+//! relations at once — the delta-key-index path ([`MaintStrategy::HeavyLight`],
+//! at a threshold that mixes both routes and at 1, where every delta is
+//! heavy) leaves the PMV in exactly the same state as the full `ΔR ⋈ R`
+//! join oracle ([`MaintStrategy::DeltaJoin`]), and all three keep serving
+//! the plain executor's results. A fixed Zipfian delete stream then pins
+//! what the index buys: ≥ 10× fewer rows touched per delete.
 
 mod common;
 
-use common::{eqt_fixture, eqt_query, oracle};
+use common::{eqt_finish, eqt_fixture, eqt_query, eqt_relations, oracle};
 use pmv::cache::PolicyKind;
+use pmv::core::EpochDb;
 use pmv::prelude::*;
 use pmv::query::Transaction;
 use pmv::storage::RowId;
+use pmv::workload::zipf::Zipf;
 use proptest::prelude::*;
+use rand::{rngs::StdRng, SeedableRng};
 
 #[derive(Clone, Debug)]
 enum Step {
@@ -88,11 +93,11 @@ fn joining_pair(db: &Database, nth: usize) -> Option<(RowId, RowId)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Drive a DeltaJoin oracle, an Indexed view, and a HeavyLight view
-    /// (low heavy threshold, so both routes fire) through the same step
-    /// sequence; their stores must stay bit-identical and their query
-    /// answers must match the plain executor at every point. One shard
-    /// each: `l` entries exactly, so all three evict in lockstep.
+    /// Drive a DeltaJoin oracle, a HeavyLight view at threshold 2 (both
+    /// routes fire) and one at threshold 1 (every delta indexed) through
+    /// the same step sequence; their stores must stay bit-identical and
+    /// their query answers must match the plain executor at every point.
+    /// One shard each: `l` entries exactly, so all three evict in lockstep.
     #[test]
     fn delta_index_equals_join_oracle(
         steps in proptest::collection::vec(step_strategy(), 1..40),
@@ -104,18 +109,18 @@ proptest! {
         let template = fx.template;
 
         let views: Vec<SharedPmv> = [
-            MaintStrategy::DeltaJoin,
-            MaintStrategy::Indexed,
-            MaintStrategy::HeavyLight,
+            (MaintStrategy::DeltaJoin, 2),
+            (MaintStrategy::HeavyLight, 2),
+            (MaintStrategy::HeavyLight, 1),
         ]
         .iter()
         .enumerate()
-        .map(|(i, &strategy)| {
+        .map(|(i, &(strategy, heavy_threshold))| {
             let def =
                 PartialViewDef::all_equality(format!("eq_pmv_{i}"), template.clone()).unwrap();
             let mut config = PmvConfig::new(f_cap, l, PolicyKind::Clock);
             config.maint_strategy = strategy;
-            config.heavy_threshold = 2;
+            config.heavy_threshold = heavy_threshold;
             SharedPmv::with_shards(def, config, 1)
         })
         .collect();
@@ -188,8 +193,121 @@ proptest! {
             // The invariant of this whole test: all three strategies
             // leave identical view state after every step.
             let reference = views[0].dump();
-            prop_assert_eq!(&views[1].dump(), &reference, "Indexed diverged from DeltaJoin");
-            prop_assert_eq!(&views[2].dump(), &reference, "HeavyLight diverged from DeltaJoin");
+            prop_assert_eq!(&views[1].dump(), &reference, "HeavyLight@2 diverged from DeltaJoin");
+            prop_assert_eq!(&views[2].dump(), &reference, "HeavyLight@1 diverged from DeltaJoin");
         }
     }
+}
+
+/// The maintenance-heavy cell: 400 Zipf(1.2) deletes over 16 keys in
+/// batches of 8 against `r ⋈ s` with a per-key fan-out of 512. Serving
+/// load keeps the four hottest keys resident (re-probed before each batch
+/// that touches them); cold keys are never queried, so the residency gate
+/// skips their deletes under both strategies and the difference is purely
+/// join-vs-index on the affecting deletes. `DeltaJoin` pays the ΔR ⋈ S
+/// join (≈ 356 rows per delete); heavy-light resolves hot delta keys
+/// through the delta-key index (≈ 10.6). Counters only, no clocks.
+///
+/// The two views are each checked against the plain executor rather than
+/// against each other: all copies of a key's R row share one projection,
+/// so the index removes every cached tuple of that key where the join
+/// removes one per delete (sound over-removal, `delta_index` module docs).
+#[test]
+fn heavy_light_touches_ten_times_fewer_rows_than_delta_join() {
+    const KEYS: usize = 16;
+    const HOT: usize = KEYS / 4;
+    const DELETES: usize = 400;
+    const FANOUT: i64 = 512;
+    const GVALS: i64 = 2;
+    // One fixed stream, replayed under both strategies.
+    let (zipf, mut rng) = (Zipf::new(KEYS, 1.2), StdRng::seed_from_u64(0x9E37_79B9));
+    let seq: Vec<usize> = (0..DELETES).map(|_| zipf.sample(&mut rng)).collect();
+    let mut counts = [0usize; KEYS];
+    for &k in &seq {
+        counts[k] += 1;
+    }
+
+    let run = |strategy: MaintStrategy| {
+        let mut db = eqt_relations();
+        // Every R row for key k is the identical tuple (k, k, k): all its
+        // copies share one delta key, so repeated deletes of a hot key hit
+        // the same index slot and same-batch duplicates of a cold key
+        // coalesce into one join.
+        let mut supply: Vec<Vec<RowId>> = vec![Vec::new(); KEYS];
+        for (k, &row_count) in counts.iter().enumerate() {
+            let ki = k as i64;
+            for _ in 0..row_count + 2 {
+                supply[k].push(db.insert("r", tuple![ki, ki, ki]).unwrap().row());
+            }
+            for j in 0..FANOUT {
+                db.insert("s", tuple![ki, j, j % GVALS]).unwrap();
+            }
+        }
+        let fx = eqt_finish(db);
+        let (edb, template) = (EpochDb::new(fx.db), fx.template);
+
+        let def = PartialViewDef::all_equality("maint_pmv", template.clone()).unwrap();
+        let mut config = PmvConfig::new(8, 4096, PolicyKind::Clock);
+        config.maint_strategy = strategy;
+        // Two sketch sightings promote a delta key to the indexed path:
+        // the cell pins steady-state routing, not sketch warm-up.
+        config.heavy_threshold = 2;
+        let shared = SharedPmv::with_shards(def, config, 16);
+        // Both bcps of key `k`, optionally checked against the executor.
+        let probe = |k: usize, check: bool| {
+            for g in 0..GVALS {
+                let q = eqt_query(&template, &[k as i64], &[g]);
+                let out = edb.query(&shared, &q).unwrap();
+                assert_eq!(out.ds_leftover, 0, "stale tuple served");
+                if check {
+                    let mut got = out.all_results();
+                    got.sort();
+                    assert_eq!(got, oracle(&edb.read(), &q), "diverged from executor");
+                }
+            }
+        };
+        for k in 0..HOT {
+            probe(k, false);
+            probe(k, false);
+        }
+        shared.reset_stats();
+
+        for chunk in seq.chunks(8) {
+            let mut seen = [false; HOT];
+            for &k in chunk {
+                if k < HOT && !std::mem::replace(&mut seen[k], true) {
+                    probe(k, false);
+                }
+            }
+            let rows: Vec<RowId> = chunk.iter().map(|&k| supply[k].pop().unwrap()).collect();
+            edb.commit(&[&shared], move |db| {
+                let mut txn = Transaction::begin(db);
+                for &row in &rows {
+                    txn.delete("r", row)?;
+                }
+                Ok(((), txn.commit()))
+            })
+            .unwrap();
+        }
+        let stats = shared.stats();
+        shared.debug_validate();
+        assert_eq!(
+            shared.revalidate(&edb.read()).unwrap(),
+            0,
+            "{strategy:?} left a stale tuple cached"
+        );
+        (0..HOT).for_each(|k| probe(k, true));
+        stats
+    };
+
+    let base = run(MaintStrategy::DeltaJoin);
+    let hl = run(MaintStrategy::HeavyLight);
+    let per_delete =
+        |s: &PmvStats| (s.maint_join_rows + s.maint_index_removals) as f64 / DELETES as f64;
+    let (base_rows, hl_rows) = (per_delete(&base), per_delete(&hl));
+    assert!(hl.maint_heavy_deltas > 0, "nothing took the indexed path");
+    assert!(
+        base_rows >= 10.0 * hl_rows,
+        "rows touched per delete: delta-join {base_rows:.1}, heavy-light {hl_rows:.1}"
+    );
 }
