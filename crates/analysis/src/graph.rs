@@ -35,10 +35,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::lint::{
-    collect_rs_files, find_all, line_index, mask_comments_and_strings, prev_is_ident,
-    DURABLE_CRATES,
-};
+use crate::lint::{find_all, line_index, mask_comments_and_strings, prev_is_ident, DURABLE_CRATES};
 
 /// One scanned file with its masked text and derived classifications.
 pub struct FileIndex {
@@ -299,6 +296,25 @@ const NEVER_CALLEES: &[&str] = &[
 /// Upper bound on the candidate set a single call may fan out to;
 /// anything wider is treated as unresolvable noise.
 const MAX_TARGETS: usize = 8;
+
+/// Every `.rs` file under `dir`, skipping `target/` and dot-directories.
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let entry = entry?;
+        let path = entry.path();
+        let name = entry.file_name();
+        let name = name.to_string_lossy();
+        if path.is_dir() {
+            if name == "target" || name.starts_with('.') {
+                continue;
+            }
+            collect_rs_files(&path, out)?;
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
+}
 
 impl Workspace {
     /// Parse every `.rs` file under the scan roots (each a file or a

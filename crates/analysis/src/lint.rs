@@ -35,8 +35,6 @@
 //! type system — and each heuristic is documented inline.
 
 use std::fmt;
-use std::fs;
-use std::io;
 use std::path::{Path, PathBuf};
 
 /// Severity of a lint rule.
@@ -107,58 +105,15 @@ pub struct AllowUse {
     pub line: usize,
 }
 
-/// Outcome of linting a tree.
+/// What the file-local rules found in the sources linted into it
+/// ([`lint_source`]); `rules_ipa::analyze_workspace` folds it into the
+/// run's `AnalyzeReport`.
 #[derive(Debug, Default)]
 pub struct LintReport {
     /// Unsuppressed findings.
     pub findings: Vec<Finding>,
     /// Escape-hatch entries that actually suppressed a finding.
     pub allows_used: Vec<AllowUse>,
-    /// Number of `.rs` files scanned.
-    pub files_scanned: usize,
-}
-
-impl LintReport {
-    /// Whether the run fails: any error, or any warning when
-    /// `deny_warnings` is set.
-    pub fn failed(&self, deny_warnings: bool) -> bool {
-        self.findings
-            .iter()
-            .any(|f| f.level == Level::Error || deny_warnings)
-            && !self.findings.is_empty()
-    }
-}
-
-/// Lint every `.rs` file under `root` (skipping `target/`).
-pub fn lint_tree(root: &Path) -> io::Result<LintReport> {
-    let mut report = LintReport::default();
-    let mut files = Vec::new();
-    collect_rs_files(root, &mut files)?;
-    files.sort();
-    for file in files {
-        let source = fs::read_to_string(&file)?;
-        report.files_scanned += 1;
-        lint_source(&file, &source, &mut report);
-    }
-    Ok(report)
-}
-
-pub(crate) fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    for entry in fs::read_dir(dir)? {
-        let entry = entry?;
-        let path = entry.path();
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
-                continue;
-            }
-            collect_rs_files(&path, out)?;
-        } else if name.ends_with(".rs") {
-            out.push(path);
-        }
-    }
-    Ok(())
 }
 
 /// Lint one file's source text into `report`.

@@ -4,7 +4,8 @@
 //! Only the subset consumed by code-scanning UIs is emitted: one run,
 //! one tool driver with rule metadata, and a flat result list with
 //! optional physical locations. The workspace serde_json shim has no
-//! serializer, so the JSON is assembled by hand through [`json_str`].
+//! serializer, so the JSON is assembled by hand; strings go through
+//! [`pmv_obs::json_escape`].
 
 use std::fmt::Write as _;
 
@@ -77,25 +78,9 @@ pub fn to_sarif(tool: &str, rules: &[SarifRule], results: &[SarifResult]) -> Str
     out
 }
 
-/// JSON string literal with the escapes the format requires.
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+/// A quoted JSON string literal.
+fn json_str(s: &str) -> String {
+    format!("\"{}\"", pmv_obs::json_escape(s))
 }
 
 #[cfg(test)]

@@ -1,7 +1,13 @@
-//! The `pmv-cli` session: a small command language over the PMV system.
+//! The `pmv-cli` session: a small command language over the library's
+//! own host — one [`pmv_core::EpochDb`] (in memory, or
+//! `EpochDb::open_durable` under `--data-dir`) and one
+//! [`pmv_core::PmvManager`]. `load` is `EpochDb::with_write`, `pmv` is
+//! `PmvManager::register_sharded` (so the PMV001–PMV006 verifier gates
+//! it), `query` is `EpochDb::query`, `checkpoint` is
+//! `EpochDb::checkpoint`, and the reporting commands iterate the manager.
 //!
 //! ```text
-//! load tpcr 0.01                         generate TPC-R data at scale s
+//! load tpcr 0.01                         generate TPC-R data at scale s (once, first)
 //! tables                                 list relations
 //! template <name> <SQL>                  define a template (see parser)
 //! pmv <template> [f=N] [l=N] [policy=clock|2q|2qfull|lru|lru2]
@@ -29,8 +35,8 @@ use std::sync::Arc;
 
 use pmv_cache::PolicyKind;
 use pmv_core::{
-    AdvisorConfig, CheckpointMeta, Durability, PartialViewDef, PmvAdvisor, PmvConfig, QueryOutcome,
-    SharedPmv, VerifyOptions, ViewSpec,
+    AdvisorConfig, Discretizer, Durability, EpochDb, PartialViewDef, PmvAdvisor, PmvConfig,
+    PmvManager, QueryOutcome, SharedPmv, VerifyOptions, ViewSpec,
 };
 use pmv_query::{
     parse_template, CondForm, Condition, Database, Interval, QueryInstance, QueryTemplate,
@@ -197,19 +203,33 @@ fn policy_spec_name(p: PolicyKind) -> &'static str {
     }
 }
 
-/// An interactive session: database + templates + PMVs + advisor, with
-/// optional crash durability when opened on a data directory.
+/// The discretizers `pmv` registers and `analyze` verifies: none for an
+/// equality-form condition, a simple default grid for an interval-form
+/// one (the advisor learns better dividers from the observed trace).
+fn default_discretizers(template: &QueryTemplate) -> Vec<Option<Discretizer>> {
+    template
+        .cond_templates()
+        .iter()
+        .map(|ct| match ct.form {
+            CondForm::Equality => None,
+            CondForm::Interval => Some(Discretizer::int_grid(0, 100, 64)),
+        })
+        .collect()
+}
+
+/// An interactive session: a command shell over the library's own host —
+/// one [`EpochDb`] (in memory, or durable when opened on a data
+/// directory) and one [`PmvManager`] owning every registered view. The
+/// session itself keeps only what the command language adds: template
+/// names and SQL text, the advisor's trace, and the flight recorder it
+/// attaches to each view.
 pub struct Session {
-    db: Database,
-    templates: HashMap<String, Arc<QueryTemplate>>,
-    template_sql: HashMap<String, String>,
-    shared: HashMap<String, SharedPmv>,
-    view_specs: HashMap<String, ViewSpec>,
-    durability: Option<Arc<Durability>>,
+    db: EpochDb,
+    views: PmvManager,
+    /// Template name → (template, SQL text). The SQL is kept so a
+    /// checkpoint can record it for re-parsing at recovery.
+    templates: HashMap<String, (Arc<QueryTemplate>, String)>,
     advisor: PmvAdvisor,
-    /// Per-template workload accounting; every view records into its
-    /// template's account.
-    accounts: Arc<pmv_obs::AccountTable>,
     /// Anomaly flight recorder, present on durable sessions (dumps
     /// spool under `<data-dir>/flight/`).
     flight: Option<Arc<pmv_obs::FlightRecorder>>,
@@ -225,15 +245,15 @@ impl Session {
     /// Fresh session with an empty database. Pure in-memory: no WAL, no
     /// checkpoints, zero durability overhead.
     pub fn new() -> Self {
+        Self::over(EpochDb::new(Database::new()))
+    }
+
+    fn over(db: EpochDb) -> Self {
         Session {
-            db: Database::new(),
+            db,
+            views: PmvManager::new(),
             templates: HashMap::new(),
-            template_sql: HashMap::new(),
-            shared: HashMap::new(),
-            view_specs: HashMap::new(),
-            durability: None,
             advisor: PmvAdvisor::new(),
-            accounts: Arc::new(pmv_obs::AccountTable::new()),
             flight: None,
         }
     }
@@ -244,10 +264,8 @@ impl Session {
     /// `checkpoint` commands. Returns the session and a one-line
     /// recovery summary for the banner.
     pub fn with_data_dir(data_dir: &std::path::Path) -> Result<(Self, String), CliError> {
-        let rec = Durability::open(data_dir).map_err(pmv_core::CoreError::from)?;
-        let mut s = Self::new();
-        s.db = rec.db;
-        s.durability = Some(Arc::new(rec.durability));
+        let (db, meta) = EpochDb::open_durable(data_dir, Arc::new(pmv_obs::ObsRegistry::new()))?;
+        let mut s = Self::over(db);
         // Durable sessions get a flight recorder spooling under
         // `<data-dir>/flight/` (bounded; oldest dumps evicted first).
         // Diagnostics only: if the spool cannot open, the session still
@@ -263,15 +281,10 @@ impl Session {
             }
             s.flight = Some(fr);
         }
-        for spec in &rec.meta.views {
+        for spec in &meta.views {
             s.reattach_view(spec)?;
         }
-        let info = s
-            .durability
-            .as_ref()
-            .expect("just set")
-            .recovery_info()
-            .clone();
+        let info = s.durability()?.recovery_info().clone();
         let summary = if !info.checkpoint_found && info.replayed_records == 0 {
             format!(
                 "data dir {}: initialized (no prior state)",
@@ -285,7 +298,7 @@ impl Session {
                 info.checkpoint_lsn,
                 info.replayed_records,
                 info.replayed_deltas,
-                rec.meta.views.len(),
+                meta.views.len(),
             );
             if info.torn_tail {
                 text.push_str(", torn WAL tail truncated");
@@ -302,58 +315,83 @@ impl Session {
         Ok((s, summary))
     }
 
+    /// The durability engine, or the error every durable-only command
+    /// reports on an in-memory session.
+    fn durability(&self) -> Result<&Arc<Durability>, CliError> {
+        self.db.durability().ok_or_else(|| {
+            CliError::Durability(
+                "no data directory (start with --data-dir to enable checkpoints)".to_string(),
+            )
+        })
+    }
+
+    /// Register one view with the manager — the verifier gate
+    /// (PMV001–PMV006) and the one-PMV-per-template rule are its — and
+    /// hook it to the session's flight recorder.
+    fn register(
+        &mut self,
+        def: PartialViewDef,
+        config: PmvConfig,
+        shards: Option<usize>,
+    ) -> Result<(), CliError> {
+        let view = self.views.register_sharded(def, config, shards)?;
+        if let Some(fr) = &self.flight {
+            view.attach_flight(Arc::clone(fr));
+        }
+        Ok(())
+    }
+
     /// Rebuild one PMV registration from its checkpointed spec: re-parse
     /// the template SQL against the recovered catalog, restore the
     /// discretizers from their divider points, and register a *cold*
     /// view (the store refills from observed results, per the paper's
     /// for-free maintenance — cached content is never checkpointed).
     fn reattach_view(&mut self, spec: &ViewSpec) -> Result<(), CliError> {
-        let template = parse_template(&spec.name, &spec.sql, &self.db)?;
-        self.template_sql
-            .insert(spec.name.clone(), spec.sql.clone());
-        self.templates.insert(spec.name.clone(), template.clone());
+        let template = parse_template(&spec.name, &spec.sql, &self.db.read())?;
+        self.templates
+            .insert(spec.name.clone(), (template.clone(), spec.sql.clone()));
         let config = PmvConfig::new(spec.f, spec.l, parse_policy(&spec.policy)?);
         let discretizers = spec
             .dividers
             .iter()
-            .map(|d| {
-                d.as_ref()
-                    .map(|vals| pmv_core::Discretizer::from_raw(vals.clone()))
-            })
+            .map(|d| d.as_ref().map(|vals| Discretizer::from_raw(vals.clone())))
             .collect();
-        let def = PartialViewDef::new(format!("pmv_{}", spec.name), template, discretizers)
-            .map_err(CliError::from)?;
+        let def = PartialViewDef::new(format!("pmv_{}", spec.name), template, discretizers)?;
         // `shards: 0` is a spec written before every view was sharded:
         // it gets the default shard count.
-        let v = if spec.shards > 0 {
-            SharedPmv::with_shards(def, config, spec.shards)
-        } else {
-            SharedPmv::new(def, config)
-        };
-        self.instrument_shared(&spec.name, &v);
-        self.shared.insert(spec.name.clone(), v);
-        self.view_specs.insert(spec.name.clone(), spec.clone());
-        Ok(())
+        self.register(def, config, (spec.shards > 0).then_some(spec.shards))
     }
 
-    /// Hook one view into the session's profiling layer:
-    /// its per-template account (keyed by template name) and, on
-    /// durable sessions, the shared flight recorder.
-    fn instrument_shared(&self, name: &str, v: &SharedPmv) {
-        v.attach_account(self.accounts.register(&Arc::from(name)));
-        if let Some(fr) = &self.flight {
-            v.attach_flight(Arc::clone(fr));
-        }
+    /// The re-creation recipe of every registered view, by template
+    /// name — what a checkpoint stores beside the data.
+    fn view_specs(&self) -> Vec<ViewSpec> {
+        let mut specs: Vec<ViewSpec> = self
+            .templates
+            .iter()
+            .filter_map(|(name, (template, sql))| {
+                let v = self.views.view_for(template)?;
+                Some(ViewSpec {
+                    name: name.clone(),
+                    sql: sql.clone(),
+                    f: v.config().f,
+                    l: v.config().l,
+                    policy: policy_spec_name(v.config().policy).to_string(),
+                    shards: v.shard_count(),
+                    dividers: (0..template.cond_count())
+                        .map(|i| v.def().discretizer(i).map(|d| d.dividers().to_vec()))
+                        .collect(),
+                })
+            })
+            .collect();
+        specs.sort_by(|a, b| a.name.cmp(&b.name));
+        specs
     }
 
-    /// Direct access for embedding (tests, examples).
-    pub fn database_mut(&mut self) -> &mut Database {
-        &mut self.db
-    }
-
-    /// The durability engine, when the session owns a data directory.
-    pub fn durability(&self) -> Option<&Arc<Durability>> {
-        self.durability.as_ref()
+    fn template(&self, name: &str) -> Result<Arc<QueryTemplate>, CliError> {
+        self.templates
+            .get(name)
+            .map(|(t, _)| Arc::clone(t))
+            .ok_or_else(|| usage(format!("unknown template '{name}'")))
     }
 
     /// Execute one command line; returns the text to print.
@@ -398,27 +436,38 @@ impl Session {
                     .unwrap_or("0.01")
                     .parse()
                     .map_err(|_| usage("bad scale factor"))?;
-                tpcr::generate(
-                    &mut self.db,
-                    &TpcrConfig {
-                        scale,
-                        seed: 0xc0ffee,
-                        pad: false,
-                        date_supplier_pool: Some(2),
-                    },
-                )?;
-                tpcr::standard_indexes(&mut self.db)?;
+                // A bulk load is setup-path work (`EpochDb::with_write`:
+                // republished without maintenance), sound only before
+                // anything is served — and nothing can be served from an
+                // empty catalog.
+                if !self.db.pin().is_empty() {
+                    return Err(usage(
+                        "load: the database already holds relations (load once, first)",
+                    ));
+                }
+                let (customers, orders, lineitems) =
+                    self.db.with_write(|db| -> Result<_, CliError> {
+                        tpcr::generate(
+                            db,
+                            &TpcrConfig {
+                                scale,
+                                seed: 0xc0ffee,
+                                pad: false,
+                                date_supplier_pool: Some(2),
+                            },
+                        )?;
+                        tpcr::standard_indexes(db)?;
+                        Ok((db.len("customer")?, db.len("orders")?, db.len("lineitem")?))
+                    })?;
                 let mut out = format!(
-                    "loaded TPC-R at s={scale}: {} customers, {} orders, {} lineitems (indexed)",
-                    self.db.len("customer")?,
-                    self.db.len("orders")?,
-                    self.db.len("lineitem")?,
+                    "loaded TPC-R at s={scale}: {customers} customers, {orders} orders, \
+                     {lineitems} lineitems (indexed)",
                 );
                 // Bulk loads bypass the WAL (it carries commit deltas,
                 // not DDL/loads), so a durable session checkpoints
                 // immediately — the load is on disk before the prompt
                 // returns.
-                if self.durability.is_some() {
+                if self.db.durability().is_some() {
                     let note = self.cmd_checkpoint()?;
                     out.push('\n');
                     out.push_str(&note);
@@ -430,9 +479,10 @@ impl Session {
     }
 
     fn cmd_tables(&mut self) -> Result<String, CliError> {
+        let snap = self.db.pin();
         let mut out = String::new();
         for name in ["customer", "orders", "lineitem"] {
-            if let Ok(n) = self.db.len(name) {
+            if let Ok(n) = snap.len(name) {
                 let _ = writeln!(out, "{name}: {n} tuples");
             }
         }
@@ -446,7 +496,16 @@ impl Session {
         let (name, sql) = rest
             .split_once(char::is_whitespace)
             .ok_or_else(|| usage("usage: template <name> <SQL>"))?;
-        let t = parse_template(name, sql.trim(), &self.db)?;
+        // The manager keys views by template identity and never drops
+        // one, so a name that already serves a PMV cannot be rebound.
+        if let Some((old, _)) = self.templates.get(name) {
+            if self.views.view_for(old).is_some() {
+                return Err(usage(format!(
+                    "template '{name}' has a PMV; define the new SQL under another name"
+                )));
+            }
+        }
+        let t = parse_template(name, sql.trim(), &self.db.read())?;
         let summary = format!(
             "template '{}': {} relation(s), {} join(s), {} fixed pred(s), {} condition slot(s)",
             name,
@@ -455,11 +514,8 @@ impl Session {
             t.fixed_preds().len(),
             t.cond_count()
         );
-        self.templates.insert(name.to_string(), t);
-        // Kept so a later `pmv` + `checkpoint` can record the exact SQL
-        // for re-parsing at recovery.
-        self.template_sql
-            .insert(name.to_string(), sql.trim().to_string());
+        self.templates
+            .insert(name.to_string(), (t, sql.trim().to_string()));
         Ok(summary)
     }
 
@@ -468,11 +524,7 @@ impl Session {
         let name = parts.next().ok_or_else(|| {
             usage("usage: pmv <template> [f=N] [l=N] [policy=...] [maint=delta-join|heavy-light] [heavy=N]")
         })?;
-        let template = self
-            .templates
-            .get(name)
-            .ok_or_else(|| usage(format!("unknown template '{name}'")))?
-            .clone();
+        let template = self.template(name)?;
         let mut config = PmvConfig::default();
         for opt in parts {
             let (k, v) = opt
@@ -494,20 +546,7 @@ impl Session {
                 other => return Err(usage(format!("unknown option '{other}'"))),
             }
         }
-        // Interval-form conditions get a discretizer learned later (via
-        // advisor) or a simple default grid here.
-        let discretizers: Vec<Option<pmv_core::Discretizer>> = template
-            .cond_templates()
-            .iter()
-            .map(|ct| match ct.form {
-                CondForm::Equality => None,
-                CondForm::Interval => Some(pmv_core::Discretizer::int_grid(0, 100, 64)),
-            })
-            .collect();
-        let dividers: Vec<Option<Vec<Value>>> = discretizers
-            .iter()
-            .map(|d| d.as_ref().map(|x| x.dividers().to_vec()))
-            .collect();
+        let discretizers = default_discretizers(&template);
         let def = PartialViewDef::new(format!("pmv_{name}"), template, discretizers)?;
         let summary = format!(
             "PMV for '{}': F={}, L={}, policy={}, maint={} (epoch serving)",
@@ -517,19 +556,7 @@ impl Session {
             config.policy.name(),
             config.maint_strategy.as_str(),
         );
-        let v = SharedPmv::new(def, config.clone());
-        let spec = ViewSpec {
-            name: name.to_string(),
-            sql: self.template_sql.get(name).cloned().unwrap_or_default(),
-            f: config.f,
-            l: config.l,
-            policy: policy_spec_name(config.policy).to_string(),
-            shards: v.shard_count(),
-            dividers,
-        };
-        self.instrument_shared(name, &v);
-        self.shared.insert(name.to_string(), v);
-        self.view_specs.insert(name.to_string(), spec);
+        self.register(def, config, None)?;
         Ok(summary)
     }
 
@@ -544,11 +571,7 @@ impl Session {
         let name = parts.next().ok_or_else(|| {
             usage("usage: analyze <template> [f=N] [l=N] [budget=BYTES] [json|sarif]")
         })?;
-        let template = self
-            .templates
-            .get(name)
-            .ok_or_else(|| usage(format!("unknown template '{name}'")))?
-            .clone();
+        let template = self.template(name)?;
         let mut config = PmvConfig::default();
         let mut opts = VerifyOptions::default();
         let mut json = false;
@@ -572,14 +595,7 @@ impl Session {
                 other => return Err(usage(format!("unknown option '{other}'"))),
             }
         }
-        let discretizers: Vec<_> = template
-            .cond_templates()
-            .iter()
-            .map(|ct| match ct.form {
-                CondForm::Equality => None,
-                CondForm::Interval => Some(pmv_core::Discretizer::int_grid(0, 100, 64)),
-            })
-            .collect();
+        let discretizers = default_discretizers(&template);
         let report = pmv_core::verify_parts(&template, &discretizers, &config, &opts);
         if sarif {
             return Ok(verifier_sarif(&report));
@@ -628,56 +644,34 @@ impl Session {
             .split_once(char::is_whitespace)
             .map(|(n, a)| (n, a.trim()))
             .unwrap_or((rest, ""));
-        let template = self
-            .templates
-            .get(name)
-            .ok_or_else(|| usage(format!("unknown template '{name}'")))?
-            .clone();
+        let template = self.template(name)?;
         let q = self.bind(&template, args)?;
         self.advisor.observe(&q);
         match mode {
-            Mode::Explain => Ok(pmv_query::explain(&self.db, &q)),
+            Mode::Explain => Ok(pmv_query::explain(&*self.db.pin(), &q)),
             Mode::Plain => {
-                let (rows, _, elapsed) = pmv_core::run_plain(&self.db, &q)?;
+                let (rows, _, elapsed) = pmv_core::run_plain(&self.db.read(), &q)?;
                 Ok(format!("{} row(s) in {elapsed:?} (no PMV)", rows.len()))
             }
             Mode::Pmv => {
-                // Publish an incremental snapshot (amortized O(relations
-                // touched since the last one) — untouched entries are
-                // reused) and serve with no database lock.
-                let snap = self.db.publish_snapshot();
-                let shared = self
-                    .shared
-                    .get(name)
+                let view = self
+                    .views
+                    .view_for(&template)
                     .ok_or_else(|| usage(format!("no PMV for '{name}' (use: pmv {name})")))?;
-                let out = shared.run_pinned(&snap, &q)?;
-                Ok(format_outcome(&out))
+                Ok(format_outcome(&self.db.query(view, &q)?))
             }
         }
     }
 
     fn cmd_health(&mut self) -> Result<String, CliError> {
         let mut out = String::new();
-        for (name, v) in &self.shared {
-            let s = v.stats();
-            let b = v.breaker();
-            let _ = writeln!(
-                out,
-                "{name}: {} (error rate {:.3}, trips {}, degraded queries {}, \
-                 quarantine events {}, last verified {}ms ago, {} shard(s) quarantined)",
-                v.health(),
-                b.error_rate(),
-                b.trip_count(),
-                s.degraded_queries,
-                s.quarantine_events,
-                v.staleness().as_millis(),
-                v.quarantined_shards(),
-            );
+        for row in self.views.health_report() {
+            let _ = writeln!(out, "{row}");
         }
         if out.is_empty() {
             out.push_str("(no PMVs yet)\n");
         }
-        if let Some(dur) = &self.durability {
+        if let Some(dur) = self.db.durability() {
             let info = dur.recovery_info();
             let _ = writeln!(
                 out,
@@ -706,50 +700,27 @@ impl Session {
         Ok(out)
     }
 
-    /// The exportable telemetry for every PMV, sorted by template name
-    /// so script output is deterministic.
+    /// The exportable telemetry: every view in registration order, then
+    /// the database as a `__db` pseudo-view — snapshot-publish efficacy
+    /// plus the commit-pipeline phases (and, on a durable session, the
+    /// WAL / checkpoint / recovery phases) of the host's registry.
     fn view_metrics(&self) -> Vec<pmv_obs::ViewMetrics> {
-        let mut names: Vec<&String> = self.shared.keys().collect();
-        names.sort();
-        let mut views: Vec<pmv_obs::ViewMetrics> = names
-            .into_iter()
-            .map(|name| {
-                let v = &self.shared[name];
-                let mut metrics = v.metrics();
-                // Fold the per-template account into the counter export
-                // (its bytes-resident gauge is refreshed here — sizing
-                // the store is export-time work, not serving-path work).
-                if let Some(acct) = self.accounts.get(name) {
-                    acct.set_bytes_resident(v.byte_size() as u64);
-                    metrics.counters.extend(acct.snapshot().as_pairs());
-                }
-                metrics
-            })
-            .collect();
-        // The durable path exports as a `__db` pseudo-view: WAL /
-        // checkpoint / recovery phase timings from the durability
-        // engine's registry plus snapshot-publish efficacy gauges.
+        let mut views = self.views.metrics_views();
         let ss = self.db.snap_stats();
-        if self.durability.is_some() || ss.publishes > 0 {
-            views.push(pmv_obs::ViewMetrics {
-                name: "__db".to_string(),
-                health: "healthy".to_string(),
-                error_rate: 0.0,
-                trips: 0,
-                last_verified_age_ms: 0,
-                counters: vec![
-                    ("snap_publishes", ss.publishes),
-                    ("snap_entries_reused", ss.reused),
-                    ("snap_entries_recaptured", ss.recaptured),
-                ],
-                gauges: vec![("snap_reuse_ratio", ss.reuse_ratio())],
-                phases: self
-                    .durability
-                    .as_ref()
-                    .map(|d| d.obs().snapshots())
-                    .unwrap_or_default(),
-            });
-        }
+        views.push(pmv_obs::ViewMetrics {
+            name: "__db".to_string(),
+            health: "healthy".to_string(),
+            error_rate: 0.0,
+            trips: 0,
+            last_verified_age_ms: 0,
+            counters: vec![
+                ("snap_publishes", ss.publishes),
+                ("snap_entries_reused", ss.reused),
+                ("snap_entries_recaptured", ss.recaptured),
+            ],
+            gauges: vec![("snap_reuse_ratio", ss.reuse_ratio())],
+            phases: self.db.obs().snapshots(),
+        });
         views
     }
 
@@ -773,10 +744,10 @@ impl Session {
                 other => return Err(usage(format!("unknown metrics format '{other}'"))),
             }
         }
-        let views = self.view_metrics();
-        if views.is_empty() {
+        if self.views.view_count() == 0 {
             return Ok("(no PMVs yet)\n".to_string());
         }
+        let views = self.view_metrics();
         match format {
             "prometheus" => Ok(pmv_obs::to_prometheus(&views)),
             "json" => Ok(pmv_obs::to_json(&views)),
@@ -817,7 +788,7 @@ impl Session {
     /// contention sites ranked by total lock wait, templates by
     /// serving+maintenance cost, pipeline stages by share of recorded
     /// time. The offline twin (`pmv-profile`) reads the same report
-    /// shape back from flight dumps and bench JSON.
+    /// shape back from flight dumps.
     fn cmd_profile(&mut self, rest: &str) -> Result<String, CliError> {
         let mut json = false;
         for opt in rest.split_whitespace() {
@@ -835,16 +806,16 @@ impl Session {
     }
 
     /// Assemble the live [`pmv_obs::ProfileReport`]: merge every
-    /// registry's phase histograms (per-view serving registries plus
-    /// the durability engine's WAL registry), split them into
-    /// contention vs pipeline, and rank the account table.
+    /// registry's phase histograms (each view's serving registry plus
+    /// the host's commit/WAL registry), split them into contention vs
+    /// pipeline, and rank the views' derived template costs.
     fn live_profile(&self) -> pmv_obs::ProfileReport {
         let mut merged: Vec<(&'static str, pmv_obs::HistSnapshot)> = Vec::new();
-        let mut registries: Vec<Vec<(&'static str, pmv_obs::HistSnapshot)>> = Vec::new();
-        registries.extend(self.shared.values().map(|v| v.obs().snapshots()));
-        if let Some(dur) = &self.durability {
-            registries.push(dur.obs().snapshots());
-        }
+        let registries = self
+            .views
+            .views()
+            .map(|v| v.obs().snapshots())
+            .chain([self.db.obs().snapshots()]);
         for phases in registries {
             for (name, snap) in phases {
                 match merged.iter_mut().find(|(n, _)| *n == name) {
@@ -855,17 +826,11 @@ impl Session {
         }
         let (contention, pipeline) = pmv_obs::profile::split_phases(&merged);
 
-        for (name, v) in &self.shared {
-            if let Some(acct) = self.accounts.get(name) {
-                acct.set_bytes_resident(v.byte_size() as u64);
-            }
-        }
         let templates = self
-            .accounts
-            .snapshot_all()
-            .iter()
-            .filter(|(_, s)| s.queries > 0 || s.maint_join_ns > 0)
-            .map(|(name, s)| pmv_obs::TemplateCost::from_account(name, s))
+            .views
+            .views()
+            .map(SharedPmv::template_cost)
+            .filter(|t| t.queries > 0 || t.maint_join_us > 0)
             .collect();
 
         let mut notes = Vec::new();
@@ -876,15 +841,13 @@ impl Session {
             ));
         }
         let ss = self.db.snap_stats();
-        if ss.publishes > 0 {
-            notes.push(format!(
-                "snapshot publishes: {} ({} entry reuse(s), {} recapture(s), reuse ratio {:.2})",
-                ss.publishes,
-                ss.reused,
-                ss.recaptured,
-                ss.reuse_ratio()
-            ));
-        }
+        notes.push(format!(
+            "snapshot publishes: {} ({} entry reuse(s), {} recapture(s), reuse ratio {:.2})",
+            ss.publishes,
+            ss.reused,
+            ss.recaptured,
+            ss.reuse_ratio()
+        ));
 
         let mut report = pmv_obs::ProfileReport {
             source: "live session".to_string(),
@@ -914,17 +877,13 @@ impl Session {
             };
             n = value.parse().map_err(|_| usage("bad tail count"))?;
         }
-        if self.shared.is_empty() {
+        if self.views.view_count() == 0 {
             return Ok("(no PMVs yet)\n".to_string());
         }
-        let mut names: Vec<&String> = self.shared.keys().collect();
-        names.sort();
         let mut out = String::new();
-        for name in names {
-            for trace in self.shared[name].obs().trace().tail(n) {
-                // Display already ends each trace with a newline.
-                let _ = write!(out, "{trace}");
-            }
+        for trace in self.views.trace_tail(n) {
+            // Display already ends each trace with a newline.
+            let _ = write!(out, "{trace}");
         }
         if out.is_empty() {
             out.push_str("(no traces recorded yet; run some queries)\n");
@@ -934,14 +893,13 @@ impl Session {
 
     fn cmd_revalidate(&mut self, rest: &str) -> Result<String, CliError> {
         let mut out = String::new();
-        let mut names: Vec<String> = self.shared.keys().cloned().collect();
-        names.sort();
-        for name in names {
+        let db = self.db.read();
+        for v in self.views.views() {
+            let name = v.def().template().name();
             if !rest.is_empty() && rest != name {
                 continue;
             }
-            let v = &self.shared[&name];
-            let removed = v.revalidate(&self.db)?;
+            let removed = v.revalidate(&db)?;
             let _ = writeln!(
                 out,
                 "{name}: {removed} stale tuple(s) removed, now {}",
@@ -954,43 +912,28 @@ impl Session {
         Ok(out)
     }
 
-    /// `checkpoint` — serialize the current database (catalog, heaps
-    /// with exact row ids, indexes, view specs) to the data directory
-    /// via write-temp + atomic-rename, then prune WAL segments wholly
-    /// behind the checkpoint LSN. Requires `--data-dir`.
+    /// `checkpoint` — [`EpochDb::checkpoint`] with the registered views'
+    /// specs: the published snapshot (catalog, heaps with exact row ids,
+    /// indexes) goes to the data directory via write-temp +
+    /// atomic-rename, then WAL segments wholly behind the checkpoint LSN
+    /// are pruned. Requires `--data-dir`.
     fn cmd_checkpoint(&mut self) -> Result<String, CliError> {
-        let dur = self.durability.clone().ok_or_else(|| {
-            CliError::Durability(
-                "no data directory (start with --data-dir to enable checkpoints)".to_string(),
-            )
-        })?;
-        let snap = self.db.snapshot();
-        let mut views: Vec<ViewSpec> = self.view_specs.values().cloned().collect();
-        views.sort_by(|a, b| a.name.cmp(&b.name));
-        let meta = CheckpointMeta {
-            lsn: dur.durable_lsn(),
-            epoch: snap.epoch(),
-            analyzed: {
-                use pmv_query::DataView;
-                snap.stats_view().is_some()
-            },
-            views,
-        };
-        let path = dur
-            .checkpoint(&snap, &meta)
-            .map_err(pmv_core::CoreError::from)?;
+        let dur = Arc::clone(self.durability()?);
+        let views = self.view_specs();
+        let n_views = views.len();
+        let path = self.db.checkpoint(views)?;
         Ok(format!(
-            "checkpoint written: {} (lsn {}, {} view spec(s), {} WAL segment(s) live)",
+            "checkpoint written: {} (lsn {}, {n_views} view spec(s), {} WAL segment(s) live)",
             path.display(),
-            meta.lsn,
-            meta.views.len(),
+            self.db.durable_lsn().unwrap_or(0),
             dur.segment_count(),
         ))
     }
 
     fn cmd_stats(&mut self, rest: &str) -> Result<String, CliError> {
         let mut out = String::new();
-        for (name, v) in &self.shared {
+        for v in self.views.views() {
+            let name = v.def().template().name();
             if !rest.is_empty() && rest != name {
                 continue;
             }
@@ -1191,6 +1134,28 @@ mod tests {
         s
     }
 
+    /// An (orderdate, suppkey) combination that actually has rows, so a
+    /// hit serves a non-empty partial.
+    fn hot_binding(s: &Session) -> (i64, i64) {
+        let db = s.db.read();
+        let oh = db.relation("orders").unwrap();
+        let orders = oh.read();
+        let (_, o) = orders.iter().next().unwrap();
+        let okey = o.get(0).as_int().unwrap();
+        let date = o.get(2).as_int().unwrap();
+        let lh = db.relation("lineitem").unwrap();
+        let lines = lh.read();
+        let supp = lines
+            .iter()
+            .find(|(_, l)| l.get(0).as_int() == Some(okey))
+            .unwrap()
+            .1
+            .get(1)
+            .as_int()
+            .unwrap();
+        (date, supp)
+    }
+
     #[test]
     fn full_session_flow() {
         let mut s = loaded_session();
@@ -1222,27 +1187,7 @@ mod tests {
         .unwrap();
         let out = s.execute("pmv t1 f=3 l=1000").unwrap();
         assert!(out.contains("epoch serving"), "{out}");
-        // Sample a (orderdate, suppkey) combo that actually has rows, so
-        // the hit serves a non-empty partial.
-        let (date, supp) = {
-            let db = s.database_mut();
-            let oh = db.relation("orders").unwrap();
-            let orders = oh.read();
-            let (_, o) = orders.iter().next().unwrap();
-            let okey = o.get(0).as_int().unwrap();
-            let date = o.get(2).as_int().unwrap();
-            let lh = db.relation("lineitem").unwrap();
-            let lines = lh.read();
-            let supp = lines
-                .iter()
-                .find(|(_, l)| l.get(0).as_int() == Some(okey))
-                .unwrap()
-                .1
-                .get(1)
-                .as_int()
-                .unwrap();
-            (date, supp)
-        };
+        let (date, supp) = hot_binding(&s);
         // Early queries fill through the pinned snapshot (first
         // admissions are probationary), later ones hit.
         for _ in 0..3 {
@@ -1279,10 +1224,12 @@ mod tests {
         }
         let out = s.execute("profile").unwrap();
         assert!(out.contains("pmv-profile report — live session"), "{out}");
-        // The account table saw every query through the epoch path.
+        // The template row is derived from the view's own counters.
         assert!(out.contains("t1"), "{out}");
         assert!(out.contains("pipeline stage breakdown"), "{out}");
-        assert!(out.contains("snapshot publishes: 3"), "{out}");
+        // Two publishes: the empty database at open, the load. Reads
+        // pin the published snapshot; they never publish.
+        assert!(out.contains("snapshot publishes: 2"), "{out}");
         let json = s.execute("profile --json").unwrap();
         assert!(json.starts_with("{\"source\":\"live session\""), "{json}");
         assert!(json.contains("\"template\":\"t1\""), "{json}");
@@ -1294,23 +1241,43 @@ mod tests {
         ));
     }
 
+    /// Reads pin the published snapshot: however many queries run after
+    /// the one `load`, the publish count stays at its post-load value.
     #[test]
-    fn metrics_export_carries_accounts_and_db_pseudo_view() {
-        let mut s = Session::new();
-        s.execute("load tpcr 0.001").unwrap();
-        s.execute(
-            "template t1 SELECT * FROM orders, lineitem \
-             WHERE orders.orderkey = lineitem.orderkey \
-             AND orders.orderdate = ? AND lineitem.suppkey = ?",
-        )
-        .unwrap();
+    fn reads_never_publish_a_snapshot() {
+        fn publishes(s: &mut Session) -> u64 {
+            let prom = s.execute("metrics --format prometheus").unwrap();
+            let line = prom
+                .lines()
+                .find(|l| l.starts_with("pmv_snap_publishes_total{view=\"__db\"}"));
+            line.map_or(0, |l| l.rsplit(' ').next().unwrap().parse().unwrap())
+        }
+        let mut s = loaded_session();
+        s.execute("pmv t1").unwrap();
+        let after_load = publishes(&mut s);
+        for i in 0..5 {
+            s.execute(&format!("query t1 [{}] [1]", 100 + i)).unwrap();
+        }
+        assert_eq!(publishes(&mut s), after_load);
+    }
+
+    #[test]
+    fn metrics_export_carries_derived_series_and_db_pseudo_view() {
+        let mut s = loaded_session();
         s.execute("pmv t1").unwrap();
         s.execute("query t1 [100] [1]").unwrap();
         let prom = s.execute("metrics --format prometheus").unwrap();
+        // One cold query: a miss, derived at export from the counters.
         assert!(
-            prom.contains("pmv_acct_queries_total{view=\"pmv_t1\"} 1"),
+            prom.contains("pmv_o2_miss_total{view=\"pmv_t1\"} 1"),
             "{prom}"
         );
+        assert!(
+            prom.contains("pmv_o2_partial_total{view=\"pmv_t1\"} 0"),
+            "{prom}"
+        );
+        assert!(prom.contains("pmv_o3_rows_scanned_total{view=\"pmv_t1\"}"));
+        assert!(!prom.contains("acct_"), "{prom}");
         assert!(
             prom.contains("pmv_snap_publishes_total{view=\"__db\"}"),
             "{prom}"
@@ -1320,8 +1287,53 @@ mod tests {
             "{prom}"
         );
         let json = s.execute("metrics --format json").unwrap();
-        assert!(json.contains("\"acct_o2_hit\""), "{json}");
+        assert!(json.contains("\"o3_rows_scanned\""), "{json}");
         assert!(json.contains("\"name\":\"__db\""), "{json}");
+    }
+
+    /// `pmv` goes through `PmvManager`'s verifier gate: a definition the
+    /// verifier denies is a PMV-layer error (exit code 5) that registers
+    /// nothing, and `analyze` names the same diagnostic.
+    #[test]
+    fn pmv_on_a_denied_definition_registers_nothing() {
+        let mut s = loaded_session();
+        // The fixed predicate pins the condition attribute: every bcp
+        // but suppkey = 1 is dead (PMV006).
+        s.execute(
+            "template dead SELECT * FROM orders, lineitem \
+             WHERE orders.orderkey = lineitem.orderkey \
+             AND lineitem.suppkey = 1 AND lineitem.suppkey = ?",
+        )
+        .unwrap();
+        let e = s.execute("pmv dead").unwrap_err();
+        assert_eq!(e.exit_code(), 5, "{e}");
+        assert!(e.to_string().contains("PMV006"), "{e}");
+        assert!(s.execute("stats").unwrap().contains("no PMVs"));
+        assert!(matches!(
+            s.execute("query dead [1]"),
+            Err(CliError::Usage(m)) if m.contains("no PMV")
+        ));
+        let out = s.execute("analyze dead").unwrap();
+        assert!(out.contains("DENIED") && out.contains("PMV006"), "{out}");
+    }
+
+    /// The manager's rules are the session's: one PMV per template, a
+    /// template serving a PMV keeps its name, and `load` is setup-path
+    /// work that runs once, before anything else.
+    #[test]
+    fn host_preconditions_are_reported_not_bypassed() {
+        let mut s = loaded_session();
+        s.execute("pmv t1").unwrap();
+        let e = s.execute("pmv t1 f=5").unwrap_err();
+        assert_eq!(e.exit_code(), 5, "{e}");
+        assert!(e.to_string().contains("already has a PMV"), "{e}");
+        let e = s
+            .execute("template t1 SELECT * FROM orders WHERE orders.orderdate = ?")
+            .unwrap_err();
+        assert!(matches!(&e, CliError::Usage(m) if m.contains("has a PMV")));
+        let e = s.execute("load tpcr 0.001").unwrap_err();
+        assert!(matches!(&e, CliError::Usage(m) if m.contains("already holds")));
+        assert!(s.execute("query t1 [100] [1]").is_ok());
     }
 
     #[test]
@@ -1487,7 +1499,12 @@ mod tests {
         let before = s.execute("stats").unwrap();
         let (mut s2, _) = Session::with_data_dir(&dir).unwrap();
         assert_eq!(before, s2.execute("stats").unwrap(), "shard count drifted");
-        assert!(s.execute("query t1 [100] [1]").is_ok());
+        // The re-attached view is cold; it refills and then hits.
+        let (date, supp) = hot_binding(&s);
+        let query = format!("query t1 [{date}] [{supp}]");
+        s.execute(&query).unwrap();
+        let out = s.execute(&query).unwrap();
+        assert!(out.contains("hit=true"), "{out}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1509,8 +1526,9 @@ mod tests {
                 )
                 .unwrap();
                 s.execute("pmv t1 f=3 l=1000").unwrap();
-                s.view_specs.get_mut("t1").unwrap().shards = shards;
-                s.execute("checkpoint").unwrap();
+                let mut specs = s.view_specs();
+                specs[0].shards = shards;
+                s.db.checkpoint(specs).unwrap();
             }
             let (mut s, banner) = Session::with_data_dir(&dir).unwrap();
             assert!(banner.contains("1 view(s) re-registered"), "{banner}");
@@ -1525,7 +1543,7 @@ mod tests {
         }
     }
 
-    /// One view type, one map: every per-view report names a view once.
+    /// One view type, one manager: every per-view report names a view once.
     #[test]
     fn reports_list_each_view_once() {
         let mut s = loaded_session();

@@ -7,12 +7,16 @@
 //! cargo run --release -p pmv-cli -- --data-dir ./pmvdata    # durable: WAL + checkpoints
 //! ```
 //!
-//! Every session serves PMV queries the same way: each query pins a
-//! copy-on-write database snapshot and reads a sharded view wait-free.
-//! Without `--data-dir` the session is pure in-memory (no WAL, no
-//! fsync, zero durability overhead). With it, the session recovers the
-//! newest checkpoint plus the WAL tail at startup and the `checkpoint`
-//! command persists the current state.
+//! A session is a command shell over the library's host: one
+//! `pmv_core::EpochDb` and one `pmv_core::PmvManager` (see
+//! [`pmv_cli::Session`]). Every query is `EpochDb::query` — it pins the
+//! published copy-on-write snapshot through the per-thread pin cache and
+//! reads a sharded view wait-free. Without `--data-dir` the host is
+//! `EpochDb::new` (no WAL, no fsync, zero durability overhead). With it,
+//! `EpochDb::open_durable` recovers the newest checkpoint plus the WAL
+//! tail at startup, the checkpointed views are re-registered, and the
+//! `checkpoint` command (`EpochDb::checkpoint`) persists the current
+//! state.
 //!
 //! Exit codes (script mode): 0 success, 1 I/O, 2 usage, 3 storage error,
 //! 4 query error, 5 PMV error, 6 durability error — see

@@ -57,7 +57,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use pmv_obs::{
-    EventKind, FlightRecorder, ObsRegistry, Phase, SpaceSaving, TemplateAccount, TraceKind,
+    EventKind, FlightRecorder, ObsRegistry, Phase, SpaceSaving, TemplateCost, TraceKind,
     TriggerReason, DEFAULT_SKETCH_CAPACITY,
 };
 use pmv_query::{execute, DataView, Database, QueryInstance};
@@ -65,7 +65,9 @@ use pmv_storage::Tuple;
 use pmv_sync::LeftRight;
 
 use crate::bcp::BcpKey;
-use crate::health::{CircuitBreaker, ShardReport, ValidationReport, VerifiedClock, ViewHealth};
+use crate::health::{
+    BreakerConfig, CircuitBreaker, ShardReport, ValidationReport, VerifiedClock, ViewHealth,
+};
 use crate::o1::ConditionPart;
 use crate::pipeline::QueryOutcome;
 use crate::serve::{self, WriteBack};
@@ -208,10 +210,6 @@ pub(crate) struct Inner {
     /// View name as a shared `Arc<str>`: trace spans clone this instead
     /// of copying the name string on every query.
     pub(crate) trace_name: Arc<str>,
-    /// Per-template workload account, attached by the embedding layer
-    /// (CLI/bench); the serving path records into it only while `obs` is
-    /// enabled, so the disabled cost stays one relaxed load.
-    pub(crate) account: OnceLock<Arc<TemplateAccount>>,
     /// Anomaly-triggered flight recorder. A dump locks the trace ring
     /// and performs sink IO, so triggers fire only from locked-mode
     /// [`SharedPmv::run`] and from `EpochDb::query` *after* the pin is
@@ -220,11 +218,9 @@ pub(crate) struct Inner {
     /// Breaker trip count already seen by [`SharedPmv::flight_check`],
     /// so each trip produces one `breaker_trip` dump, not one per query.
     flight_trips_seen: AtomicU64,
-    /// Fallback heavy-hitter sketch over delta keys for the heavy-light
-    /// maintenance split, used when no [`TemplateAccount`] is attached
-    /// (the account's sketch is preferred so `pmv-profile` sees the same
-    /// hot keys maintenance acts on). Only the maintenance path locks
-    /// it — never the serving path, pinned or locked.
+    /// Heavy-hitter sketch over delta keys for the heavy-light
+    /// maintenance split. Only the maintenance path locks it — never
+    /// the serving path, pinned or locked.
     pub(crate) delta_sketch: Mutex<SpaceSaving>,
 }
 
@@ -265,14 +261,13 @@ impl Inner {
 
     /// O2 read side of shard `si`: call `each(part, entries, claimed)`
     /// for every `(bcp hash, part)`, with the bcp's cached tuples (if
-    /// resident) and, when `claims` is set, whether the entry carries a
-    /// valid completeness claim. Returns `false`, calling nothing, when
-    /// the shard is quarantined.
+    /// resident) and whether the entry carries a valid completeness
+    /// claim. Returns `false`, calling nothing, when the shard is
+    /// quarantined.
     pub(crate) fn run_pinned_probe(
         &self,
         si: usize,
         parts: &[(u64, &ConditionPart)],
-        claims: bool,
         mut each: impl FnMut(&ConditionPart, Option<&[CachedTuple]>, bool),
     ) -> bool {
         // `load` is wait-free (bounded retry over the two left-right
@@ -285,7 +280,7 @@ impl Inner {
         for &(hash, part) in parts {
             let chunk = &sv.chunks[self.chunk_of(hash)];
             let entry = position(chunk, hash, &part.bcp).map(|i| &*chunk[i].1);
-            let claimed = claims && entry.is_some_and(|e| e.complete == Some(sv.inserts_seen));
+            let claimed = entry.is_some_and(|e| e.complete == Some(sv.inserts_seen));
             each(part, entry.map(|e| e.tuples.as_slice()), claimed);
         }
         true
@@ -347,7 +342,7 @@ impl SharedPmv {
         let views = (0..n)
             .map(|_| LeftRight::new(Arc::new(ShardView::empty(chunks))))
             .collect();
-        let breaker = CircuitBreaker::new(config.breaker);
+        let breaker = CircuitBreaker::new(BreakerConfig::default());
         let trace_name: Arc<str> = Arc::from(def.name());
         SharedPmv {
             inner: Arc::new(Inner {
@@ -362,7 +357,6 @@ impl SharedPmv {
                 verified: VerifiedClock::new(),
                 obs: ObsRegistry::new(),
                 trace_name,
-                account: OnceLock::new(),
                 flight: OnceLock::new(),
                 flight_trips_seen: AtomicU64::new(0),
                 delta_sketch: Mutex::new(SpaceSaving::new(DEFAULT_SKETCH_CAPACITY)),
@@ -475,19 +469,6 @@ impl SharedPmv {
     /// Per-phase latency histograms and the lifecycle trace ring.
     pub fn obs(&self) -> &ObsRegistry {
         &self.inner.obs
-    }
-
-    /// Attach a per-template workload account (first attach wins; later
-    /// calls are ignored). The serving path records into it only while
-    /// observability is enabled, so the disabled fast path stays one
-    /// relaxed load.
-    pub fn attach_account(&self, acct: Arc<TemplateAccount>) {
-        let _ = self.inner.account.set(acct);
-    }
-
-    /// The attached workload account, if any.
-    pub fn account(&self) -> Option<&Arc<TemplateAccount>> {
-        self.inner.account.get()
     }
 
     /// Attach an anomaly-triggered flight recorder (first attach wins).
@@ -702,7 +683,17 @@ impl SharedPmv {
             error_rate: self.breaker().error_rate(),
             trips: self.breaker().trip_count(),
             last_verified_age_ms: self.staleness().as_millis() as u64,
-            counters: stats.as_pairs(),
+            counters: {
+                // The two O2 outcomes no single counter holds (a hit is
+                // `serving_queries`): entry found but nothing servable,
+                // and no probed bcp cached at all. Saturating: a snapshot
+                // taken under load may mix adjacent relaxed updates.
+                let hits = stats.bcp_hit_queries;
+                let mut counters = stats.as_pairs();
+                counters.push(("o2_partial", hits.saturating_sub(stats.serving_queries)));
+                counters.push(("o2_miss", stats.queries.saturating_sub(hits)));
+                counters
+            },
             gauges: vec![
                 ("hit_probability", stats.hit_probability()),
                 ("serving_probability", stats.serving_probability()),
@@ -711,6 +702,30 @@ impl SharedPmv {
                 ("occupancy", self.occupancy()),
             ],
             phases: self.obs().snapshots(),
+        }
+    }
+
+    /// This view's row of the profile report's template ranking, derived
+    /// on the spot from the counters, the `ttfr` / `full` / `maint_join`
+    /// histograms and the store size — what the per-template statistics
+    /// of view selection (Mistry et al.) need, with nothing recorded
+    /// twice on the serving path.
+    pub fn template_cost(&self) -> TemplateCost {
+        let stats = self.stats();
+        let ttfr = self.obs().snapshot(Phase::ttfr);
+        let full = self.obs().snapshot(Phase::full);
+        let maint_ns = self.obs().snapshot(Phase::maint_join).sum_ns();
+        TemplateCost {
+            template: self.def().template().name().to_string(),
+            queries: stats.queries,
+            hit_rate: stats.serving_probability(),
+            ttfr_p50_us: ttfr.quantile(0.5).as_micros() as u64,
+            ttfr_p99_us: ttfr.quantile(0.99).as_micros() as u64,
+            full_p99_us: full.quantile(0.99).as_micros() as u64,
+            o3_rows_scanned: stats.o3_rows_scanned,
+            maint_join_us: maint_ns / 1_000,
+            bytes_resident: self.byte_size() as u64,
+            cost_us: full.sum_ns().saturating_add(maint_ns) / 1_000,
         }
     }
 

@@ -137,6 +137,12 @@ impl MaintenanceOutcome {
     }
 }
 
+/// Retries for a maintenance join that failed transiently, before the
+/// affected shards are drained instead.
+const MAINT_RETRIES: u32 = 3;
+/// Backoff before the first retry; doubled per attempt.
+const MAINT_BACKOFF: Duration = Duration::from_micros(50);
+
 /// One cached view tuple maintenance must evict: owning shard, bcp, the
 /// tuple, and whether the delta-key index (not a join) found it.
 type Removal = (usize, BcpKey, Tuple, bool);
@@ -228,18 +234,12 @@ impl SharedPmv {
                 MaintStrategy::DeltaJoin => false,
                 MaintStrategy::HeavyLight => {
                     // Every shard shares the template, so shard 0's index
-                    // yields the delta-key hash for the whole view. The
-                    // account's sketch is preferred so the profiler
-                    // reports the same hot keys maintenance acts on; a
+                    // yields the delta-key hash for the whole view. A
                     // sketch overestimate only routes extra deltas to
                     // the (equally sound) indexed path.
                     let hash = inner.shards[0].read().delta_key_hash(rel_idx, tuple);
                     let heavy = hash.is_some_and(|h| {
-                        let count = match inner.account.get() {
-                            Some(acct) => acct.note_delta_key(h),
-                            None => inner.delta_sketch.lock().note(h),
-                        };
-                        count >= inner.config.heavy_threshold
+                        inner.delta_sketch.lock().note(h) >= inner.config.heavy_threshold
                     });
                     if !heavy {
                         // Cold key, unindexable relation or index
@@ -340,11 +340,6 @@ impl SharedPmv {
         inner.verified.mark();
         inner.stats.add(&local);
         inner.obs.record(Phase::maint_join, t_start.elapsed());
-        if inner.obs.enabled() {
-            if let Some(acct) = inner.account.get() {
-                acct.record_maintenance(t_start.elapsed(), out.join_rows as u64);
-            }
-        }
         trace.event(EventKind::MaintBatch {
             relation: batch.relation().to_string(),
             joined: out.deletes_joined + out.updates_joined,
@@ -411,7 +406,6 @@ impl SharedPmv {
         out: &mut MaintenanceOutcome,
         local: &mut PmvStats,
     ) -> Option<Vec<Tuple>> {
-        let inner = &*self.inner;
         let mut attempt: u32 = 0;
         loop {
             match catch_unwind(AssertUnwindSafe(|| join_from(db, template, rel_idx, tuple))) {
@@ -419,13 +413,13 @@ impl SharedPmv {
                 Ok(Err(e)) if !e.is_transient() => return None,
                 _ => {}
             }
-            if attempt >= inner.config.maint_retries {
+            if attempt >= MAINT_RETRIES {
                 return None;
             }
             attempt += 1;
             out.retries += 1;
             local.maint_retries += 1;
-            std::thread::sleep(inner.config.maint_backoff * (1u32 << (attempt - 1).min(10)));
+            std::thread::sleep(MAINT_BACKOFF * (1u32 << (attempt - 1)));
         }
     }
 

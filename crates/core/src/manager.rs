@@ -42,6 +42,8 @@ pub struct ViewHealthReport {
     /// completed maintenance batch or revalidation sweep) — how old the
     /// breaker's notion of "known good" is.
     pub last_verified_age_ms: u64,
+    /// Shards currently drained (quarantined) and serving nothing.
+    pub quarantined_shards: usize,
 }
 
 impl std::fmt::Display for ViewHealthReport {
@@ -49,14 +51,15 @@ impl std::fmt::Display for ViewHealthReport {
         write!(
             f,
             "{}: {} (error rate {:.3}, trips {}, degraded queries {}, quarantine events {}, \
-             last verified {}ms ago)",
+             last verified {}ms ago, {} shard(s) quarantined)",
             self.name,
             self.health,
             self.error_rate,
             self.trips,
             self.degraded_queries,
             self.quarantine_events,
-            self.last_verified_age_ms
+            self.last_verified_age_ms,
+            self.quarantined_shards
         )
     }
 }
@@ -111,7 +114,15 @@ impl PmvManager {
         Arc::as_ptr(t) as usize
     }
 
-    /// Register a PMV for a template. One PMV per template.
+    /// Register a PMV for a template with the default shard count. One
+    /// PMV per template; see [`Self::register_sharded`] for the gate.
+    pub fn register(&mut self, def: PartialViewDef, config: PmvConfig) -> Result<()> {
+        self.register_sharded(def, config, None).map(drop)
+    }
+
+    /// Register a PMV for a template and hand back the view. `shards` is
+    /// an explicit shard count (a checkpointed [`pmv_wal::ViewSpec`]
+    /// restores its own), `None` the default of [`SharedPmv::new`].
     ///
     /// The definition first passes through the static verifier
     /// ([`crate::verify::verify_def`]); any `PMV001..PMV006` diagnostic
@@ -119,7 +130,12 @@ impl PmvManager {
     /// [`CoreError::Analysis`] before a store is ever allocated.
     /// Deny-by-default — downgrade individual codes through
     /// [`Self::with_analysis`].
-    pub fn register(&mut self, def: PartialViewDef, config: PmvConfig) -> Result<()> {
+    pub fn register_sharded(
+        &mut self,
+        def: PartialViewDef,
+        config: PmvConfig,
+        shards: Option<usize>,
+    ) -> Result<&SharedPmv> {
         let report = verify::verify_def(&def, &config, &self.analysis);
         if report.denied() {
             return Err(CoreError::Analysis(report));
@@ -132,8 +148,11 @@ impl PmvManager {
             )));
         }
         self.by_template.insert(key, self.views.len());
-        self.views.push(SharedPmv::new(def, config));
-        Ok(())
+        self.views.push(match shards {
+            Some(n) => SharedPmv::with_shards(def, config, n),
+            None => SharedPmv::new(def, config),
+        });
+        Ok(self.views.last().expect("just pushed"))
     }
 
     /// Number of registered PMVs.
@@ -236,8 +255,8 @@ impl PmvManager {
     }
 
     /// Per-view health summary: breaker state, windowed error rate, trip
-    /// count, and degradation counters. The CLI's `health` command and
-    /// operators' dashboards read this.
+    /// count, and degradation counters. The CLI's `health` command
+    /// prints one line per row.
     pub fn health_report(&self) -> Vec<ViewHealthReport> {
         self.views
             .iter()
@@ -251,44 +270,26 @@ impl PmvManager {
                     degraded_queries: stats.degraded_queries,
                     quarantine_events: stats.quarantine_events,
                     last_verified_age_ms: p.staleness().as_millis() as u64,
+                    quarantined_shards: p.quarantined_shards(),
                 }
             })
             .collect()
     }
 
     /// Per-view exportable telemetry ([`SharedPmv::metrics`]) — the feed
-    /// for [`Self::metrics_prometheus`] / [`Self::metrics_json`].
+    /// for `pmv_obs::to_prometheus` / `pmv_obs::to_json`.
     pub fn metrics_views(&self) -> Vec<pmv_obs::ViewMetrics> {
         self.views.iter().map(SharedPmv::metrics).collect()
     }
 
-    /// All views' telemetry in the Prometheus text exposition format.
-    pub fn metrics_prometheus(&self) -> String {
-        pmv_obs::to_prometheus(&self.metrics_views())
-    }
-
-    /// All views' telemetry as one JSON document.
-    pub fn metrics_json(&self) -> String {
-        pmv_obs::to_json(&self.metrics_views())
-    }
-
     /// The most recent `n` lifecycle traces per view, oldest first
-    /// within each view. Empty while tracing is disabled
-    /// ([`Self::set_obs_enabled`]).
+    /// within each view.
     pub fn trace_tail(&self, n: usize) -> Vec<pmv_obs::QueryTrace> {
         let mut out = Vec::new();
         for p in &self.views {
             out.extend(p.obs().trace().tail(n));
         }
         out
-    }
-
-    /// Flip observability (histograms + traces) for every registered
-    /// view at once.
-    pub fn set_obs_enabled(&self, on: bool) {
-        for p in &self.views {
-            p.set_obs_enabled(on);
-        }
     }
 
     /// Aggregate statistics across all PMVs.
@@ -389,6 +390,23 @@ mod tests {
         );
         assert!(err.is_err());
         assert_eq!(m.view_count(), 2);
+    }
+
+    #[test]
+    fn register_sharded_keeps_the_shard_count_and_the_gates() {
+        let (_db, ta, _tb) = setup();
+        let mut m = PmvManager::new();
+        let def = PartialViewDef::all_equality("three", ta.clone()).unwrap();
+        let view = m
+            .register_sharded(def, PmvConfig::default(), Some(3))
+            .unwrap();
+        assert_eq!(view.shard_count(), 3);
+        assert_eq!(m.view_for(&ta).unwrap().shard_count(), 3);
+        let again = PartialViewDef::all_equality("again", ta.clone()).unwrap();
+        assert!(m
+            .register_sharded(again, PmvConfig::default(), Some(2))
+            .is_err());
+        assert_eq!(m.view_count(), 1);
     }
 
     #[test]
@@ -557,7 +575,6 @@ mod tests {
     fn metrics_export_covers_every_view_and_phase() {
         let (db, ta, tb) = setup();
         let m = mgr(&ta, &tb);
-        m.set_obs_enabled(true);
         // Repeats make the second query of each pair a bcp hit.
         for f in [0i64, 0, 1, 1, 2] {
             let q = ta
@@ -579,7 +596,7 @@ mod tests {
         let ttfr = &v.phases.iter().find(|(n, _)| *n == "ttfr").unwrap().1;
         assert_eq!(ttfr.count(), 5);
 
-        let text = m.metrics_prometheus();
+        let text = pmv_obs::to_prometheus(&m.metrics_views());
         assert!(
             text.contains("pmv_queries_total{view=\"pmv_a\"} 5"),
             "{text}"
@@ -588,7 +605,7 @@ mod tests {
             text.contains("pmv_phase_latency_seconds_count{view=\"pmv_a\",phase=\"full\"} 5"),
             "{text}"
         );
-        let json = m.metrics_json();
+        let json = pmv_obs::to_json(&m.metrics_views());
         assert!(json.contains("\"name\":\"pmv_a\""), "{json}");
         assert_eq!(json.matches('{').count(), json.matches('}').count());
 

@@ -51,7 +51,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pmv_faultinject::{CaptureGuard, Site};
-use pmv_obs::{EventKind, O2Outcome, Phase, TraceKind, TraceScope};
+use pmv_obs::{EventKind, Phase, TraceKind, TraceScope};
 use pmv_query::{
     execute_bounded_arc, upquery_fill, DataView, ExecBudget, ExecStats, QueryInstance,
 };
@@ -129,19 +129,6 @@ fn group_by_shard<T>(pairs: impl Iterator<Item = (usize, T)>) -> Vec<(usize, Vec
         }
     }
     groups
-}
-
-/// Classify one query's O2 engagement for per-template accounting:
-/// `Hit` — a condition part found its bcp entry *and* cached tuples were
-/// served; `Partial` — an entry was found but nothing could be served
-/// (select mismatch, epoch gate, or quarantine mid-probe); `Miss` — no
-/// probed bcp was cached at all.
-fn o2_outcome(bcp_hit: bool, served: bool) -> O2Outcome {
-    match (bcp_hit, served) {
-        (true, true) => O2Outcome::Hit,
-        (true, false) => O2Outcome::Partial,
-        (false, _) => O2Outcome::Miss,
-    }
 }
 
 /// Map an abort-class [`pmv_query::QueryError`] to a degradation reason.
@@ -252,7 +239,6 @@ fn run_pinned_scratch<V: DataView>(
     let t_o2 = Instant::now();
     let mut partial_expanded: Vec<Arc<Tuple>> = Vec::new();
     let mut bcp_hit = false;
-    let upquery_on = serving && config.upquery;
     // Slices served straight from a completeness claim. They do NOT
     // enter DS: if every probed slice is complete, nothing executes and
     // nothing re-produces them; if a targeted upquery later falls back
@@ -291,7 +277,7 @@ fn run_pinned_scratch<V: DataView>(
             // `pin_epoch >= maint_epoch` reflects every change up to the
             // pin.
             let mut maint_ok: Option<bool> = None;
-            let live = inner.run_pinned_probe(si, group, upquery_on, |part, entries, claimed| {
+            let live = inner.run_pinned_probe(si, group, |part, entries, claimed| {
                 // Policy touches observed during the probe are deferred
                 // to the best-effort write-back below.
                 let Some(entries) = entries else {
@@ -371,7 +357,7 @@ fn run_pinned_scratch<V: DataView>(
     // Every probed slice was served from a completeness claim: the
     // partials already ARE the full answer. No execution, no dedup —
     // only the deferred best-effort policy touches.
-    if upquery_on && !parts.is_empty() && parts.iter().all(|p| complete_ok.contains(&p.bcp)) {
+    if !parts.is_empty() && parts.iter().all(|p| complete_ok.contains(&p.bcp)) {
         debug_assert_eq!(ds.len(), 0, "complete slices never enter DS");
         run_pinned_write_back(
             inner,
@@ -389,7 +375,6 @@ fn run_pinned_scratch<V: DataView>(
             trace,
             fault_cap,
             t_start,
-            ttfr,
             (parts.len(), bcp_hit, partial_expanded),
             (Vec::new(), timings, ExecStats::default(), 0),
             None,
@@ -413,7 +398,7 @@ fn run_pinned_scratch<V: DataView>(
     // complete-served partials re-seeded into DS so its dedup drains
     // them.
     let mut upq: Option<(Vec<Slice>, ExecStats, Duration)> = None;
-    if upquery_on && !complete_ok.is_empty() {
+    if !complete_ok.is_empty() {
         let t_upq = Instant::now();
         let mut slices: Vec<Slice> = Vec::new();
         let mut total = ExecStats::default();
@@ -511,7 +496,6 @@ fn run_pinned_scratch<V: DataView>(
                         trace,
                         fault_cap,
                         t_start,
-                        ttfr,
                         (parts.len(), bcp_hit, partial_expanded),
                         (Vec::new(), timings, ExecStats::default(), 0),
                         Some(reason),
@@ -591,7 +575,7 @@ fn run_pinned_scratch<V: DataView>(
             completable.insert(bcp, total);
         }
     }
-    if fills_allowed && !did_upquery && upquery_on {
+    if fills_allowed && !did_upquery {
         // Classic full execution: a basic condition part covers its
         // whole bcp, so the occurrences proven within it are the bcp's
         // truth.
@@ -679,7 +663,6 @@ fn run_pinned_scratch<V: DataView>(
         trace,
         fault_cap,
         t_start,
-        ttfr,
         (parts.len(), bcp_hit, partial_expanded),
         (remaining_expanded, timings, exec_stats, ds_leftover),
         None,
@@ -839,7 +822,7 @@ fn run_pinned_write_back(
 
 /// The one `QueryOutcome` builder, shared by the complete-serve, full
 /// and degraded exits: closes the query's books (counters, `full` or
-/// `degraded` phase, per-template account, captured faults) and projects
+/// `degraded` phase, captured faults) and projects
 /// the `Ls'` tuples to the user layout. `degraded` is `Some` when O3 did
 /// not complete: the outcome then carries only the already-served O2
 /// partials, flagged with the reason and a staleness upper bound.
@@ -850,7 +833,6 @@ fn finish(
     mut trace: TraceScope<'_>,
     fault_cap: Option<CaptureGuard>,
     t_start: Instant,
-    ttfr: Duration,
     (parts, bcp_hit, partial_expanded): (usize, bool, Vec<Arc<Tuple>>),
     (remaining_expanded, timings, exec_stats, ds_leftover): (
         Vec<Arc<Tuple>>,
@@ -888,19 +870,8 @@ fn finish(
         local.serving_queries = 1;
         local.partial_tuples_served = partial_expanded.len() as u64;
     }
+    local.o3_rows_scanned = exec_stats.tuples_examined as u64;
     inner.stats.add(&local);
-    // Degraded queries still count toward the template's workload (O3
-    // scanned nothing it could report).
-    if inner.obs.enabled() {
-        if let Some(acct) = inner.account.get() {
-            acct.record_query(
-                o2_outcome(bcp_hit, !partial_expanded.is_empty()),
-                ttfr,
-                t_start.elapsed(),
-                exec_stats.tuples_examined as u64,
-            );
-        }
-    }
     flush_faults(&mut trace, fault_cap);
     let template = inner.def.template();
     let user = |ts: &[Arc<Tuple>]| ts.iter().map(|t| template.user_tuple(t)).collect();

@@ -74,6 +74,10 @@ macro_rules! for_each_stat_field {
             /// Queries fully answered from complete cached bcps — O3
             /// (and its dedup) skipped entirely.
             [keep] complete_serves,
+            /// Base tuples O3 executions (full runs and upqueries)
+            /// examined — with `queries`, the per-template scan cost
+            /// view selection weighs against the hit counters.
+            [keep] o3_rows_scanned,
             /// Queries that returned a `Degraded` outcome (partials only).
             [transient] degraded_queries,
             /// O3 executions that panicked and were caught.
@@ -271,7 +275,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), n);
-        assert_eq!(n, 32);
+        assert_eq!(n, 33);
         assert!(pairs.contains(&("maint_index_removals", 0)));
         assert!(pairs.contains(&("upqueries", 0)));
         assert!(pairs.contains(&("complete_serves", 0)));

@@ -274,20 +274,6 @@ impl VerifyReport {
     /// tooling. Self-contained (the workspace's `serde_json` shim has no
     /// serializer derive, and the payload is flat).
     pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
-        }
         let mut out = String::from("{\"denied\":");
         out.push_str(if self.denied() { "true" } else { "false" });
         out.push_str(",\"diagnostics\":[");
@@ -304,7 +290,7 @@ impl VerifyReport {
                 d.code.paper_section(),
                 d.dimension.map_or("null".into(), |v| v.to_string()),
                 d.relation.map_or("null".into(), |v| v.to_string()),
-                esc(&d.message)
+                pmv_obs::json_escape(&d.message)
             ));
         }
         out.push_str("]}");

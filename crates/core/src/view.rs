@@ -20,7 +20,6 @@ use pmv_query::{CondForm, QueryInstance, QueryTemplate};
 use pmv_storage::Tuple;
 
 use crate::bcp::{BcpDim, BcpKey, Discretizer};
-use crate::health::BreakerConfig;
 use crate::{CoreError, Result};
 
 /// How deletes/updates are propagated into the view (DESIGN.md §19).
@@ -82,10 +81,6 @@ pub struct PmvConfig {
     /// Sketch count at which a delta key is considered heavy under
     /// [`MaintStrategy::HeavyLight`].
     pub heavy_threshold: u64,
-    /// Repair probe misses and drained shards with targeted per-bcp
-    /// upqueries (bounded keyed refills) instead of relying solely on
-    /// the full O3 run. On by default.
-    pub upquery: bool,
     /// Wall-clock budget for one O3 execution; when exceeded, the query
     /// returns the O2 partials flagged `Degraded` instead of blocking.
     /// `None` (the default) runs O3 to completion.
@@ -93,13 +88,6 @@ pub struct PmvConfig {
     /// Cap on tuples one O3 execution may examine; same degradation
     /// semantics as `o3_deadline`. `None` (the default) is unlimited.
     pub o3_max_tuples: Option<u64>,
-    /// Retries for a maintenance join that failed transiently, before
-    /// falling back to invalidating the affected shards.
-    pub maint_retries: u32,
-    /// Base backoff between maintenance retries (doubled per attempt).
-    pub maint_backoff: Duration,
-    /// Circuit-breaker thresholds for the per-view health state machine.
-    pub breaker: BreakerConfig,
 }
 
 impl Default for PmvConfig {
@@ -116,19 +104,15 @@ impl Default for PmvConfig {
             // join path; a genuinely hot key crosses it within one
             // Zipfian burst.
             heavy_threshold: 8,
-            upquery: true,
             o3_deadline: None,
             o3_max_tuples: None,
-            maint_retries: 3,
-            maint_backoff: Duration::from_micros(50),
-            breaker: BreakerConfig::default(),
         }
     }
 }
 
 impl PmvConfig {
     /// Config with explicit `F`, `L`, and policy (maintenance filter on,
-    /// no execution budget, default breaker).
+    /// no execution budget).
     pub fn new(f: usize, l: usize, policy: PolicyKind) -> Self {
         PmvConfig {
             f,
@@ -147,12 +131,6 @@ impl PmvConfig {
     /// Bound each O3 execution to examining at most `max_tuples` tuples.
     pub fn with_row_budget(mut self, max_tuples: u64) -> Self {
         self.o3_max_tuples = Some(max_tuples);
-        self
-    }
-
-    /// Override the circuit-breaker thresholds.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
         self
     }
 

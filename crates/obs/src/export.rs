@@ -1,7 +1,8 @@
 //! Export layer: Prometheus text format and JSON snapshots.
 //!
-//! The serde_json shim has no serializer derive, so JSON is hand-rolled
-//! with the same idiom as `VerifyReport::to_json` in `pmv-core`. The
+//! The serde_json shim has no serializer derive, so JSON is hand-rolled;
+//! every string goes through [`json_escape`], here and in the other
+//! crates' renderers (`VerifyReport::to_json`, the SARIF writer). The
 //! Prometheus rendering follows the text exposition format: counters as
 //! `pmv_<name>_total`, per-phase latencies as summary-style quantile
 //! gauges (`quantile="0.5|0.9|0.99"`) plus `_sum`/`_count`/`_max` —
@@ -9,7 +10,6 @@
 //! no added fidelity beyond the ≤12.5% bucket error.
 
 use crate::hist::HistSnapshot;
-use crate::trace::esc;
 use std::fmt::Write as _;
 
 /// Quantiles exported for every phase histogram.
@@ -53,8 +53,8 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
         let _ = writeln!(
             out,
             "pmv_view_health{{view=\"{}\",state=\"{}\"}} 1",
-            esc(&v.name),
-            esc(&v.health)
+            label_esc(&v.name),
+            label_esc(&v.health)
         );
     }
     head(
@@ -67,7 +67,7 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
         let _ = writeln!(
             out,
             "pmv_view_error_rate{{view=\"{}\"}} {}",
-            esc(&v.name),
+            label_esc(&v.name),
             fmt_f64(v.error_rate)
         );
     }
@@ -81,7 +81,7 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
         let _ = writeln!(
             out,
             "pmv_view_breaker_trips_total{{view=\"{}\"}} {}",
-            esc(&v.name),
+            label_esc(&v.name),
             v.trips
         );
     }
@@ -95,7 +95,7 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
         let _ = writeln!(
             out,
             "pmv_view_last_verified_age_ms{{view=\"{}\"}} {}",
-            esc(&v.name),
+            label_esc(&v.name),
             v.last_verified_age_ms
         );
     }
@@ -118,7 +118,11 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
         let _ = writeln!(out, "# TYPE pmv_{name}_total counter");
         for v in views {
             if let Some(&(_, value)) = v.counters.iter().find(|(n, _)| *n == name) {
-                let _ = writeln!(out, "pmv_{name}_total{{view=\"{}\"}} {value}", esc(&v.name));
+                let _ = writeln!(
+                    out,
+                    "pmv_{name}_total{{view=\"{}\"}} {value}",
+                    label_esc(&v.name)
+                );
             }
         }
     }
@@ -142,7 +146,7 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
                 let _ = writeln!(
                     out,
                     "pmv_{name}{{view=\"{}\"}} {}",
-                    esc(&v.name),
+                    label_esc(&v.name),
                     fmt_f64(value)
                 );
             }
@@ -157,7 +161,7 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
         "Serving-path phase latency quantiles per view",
     );
     for v in views {
-        let view = esc(&v.name);
+        let view = label_esc(&v.name);
         for (phase, snap) in &v.phases {
             for (q, qlabel) in EXPORT_QUANTILES {
                 let _ = writeln!(
@@ -185,7 +189,7 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
         "Exact maximum phase latency per view",
     );
     for v in views {
-        let view = esc(&v.name);
+        let view = label_esc(&v.name);
         for (phase, snap) in &v.phases {
             let _ = writeln!(
                 out,
@@ -210,8 +214,8 @@ pub fn to_json(views: &[ViewMetrics]) -> String {
             out,
             "{{\"name\":\"{}\",\"health\":\"{}\",\"error_rate\":{},\"trips\":{},\
              \"last_verified_age_ms\":{}",
-            esc(&v.name),
-            esc(&v.health),
+            json_escape(&v.name),
+            json_escape(&v.health),
             fmt_f64(v.error_rate),
             v.trips,
             v.last_verified_age_ms
@@ -254,6 +258,36 @@ pub fn phase_json(snap: &HistSnapshot) -> String {
         snap.quantile(0.99).as_micros(),
         snap.max().as_micros()
     )
+}
+
+/// The body of a JSON string literal (RFC 8259 §7): `"` and `\` get
+/// their two-character escapes, every control character below 0x20 its
+/// short escape or `\u00XX` — the one escaper every hand-rolled JSON
+/// renderer in the workspace goes through.
+pub fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// A Prometheus label value: `\`, `"` and newline become two-character
+/// escapes — the exact set the text exposition format defines.
+fn label_esc(s: &str) -> String {
+    s.replace('\\', "\\\\")
+        .replace('"', "\\\"")
+        .replace('\n', "\\n")
 }
 
 /// Emit the `# HELP`/`# TYPE` header pair for one metric family. The

@@ -1,6 +1,6 @@
 //! `pmv-obs` — observability for the PMV serving path.
 //!
-//! Three pieces, all std-only so every layer of the workspace can record
+//! Five pieces, all std-only so every layer of the workspace can record
 //! into them without new dependencies:
 //!
 //! * [`hist`] — lock-free log-bucketed latency histograms (HDR-lite),
@@ -8,9 +8,8 @@
 //!   exact order statistic.
 //! * [`trace`] — a bounded ring-buffer recorder of per-query lifecycle
 //!   events with a drop-publishing [`TraceScope`] span API.
-//! * [`export`] — Prometheus text format and hand-rolled JSON snapshots.
-//! * [`account`] — lock-free per-template workload accounting (the
-//!   advisor's observed-statistics input).
+//! * [`export`] — Prometheus text format and hand-rolled JSON snapshots
+//!   (and [`json_escape`], the workspace's one JSON string escaper).
 //! * [`spool`] — anomaly-triggered flight recorder over a pluggable
 //!   [`spool::SpoolSink`] (the disk sink lives in `pmv-wal`).
 //! * [`profile`] — the `pmv-profile` report model: contention ranking,
@@ -31,7 +30,6 @@
 //! on revalidation, `[keep]` histograms (the paper-facing latency
 //! series) survive.
 
-pub mod account;
 pub mod export;
 pub mod hist;
 pub mod profile;
@@ -39,8 +37,7 @@ pub mod sketch;
 pub mod spool;
 pub mod trace;
 
-pub use account::{AccountSnapshot, AccountTable, O2Outcome, TemplateAccount};
-pub use export::{phase_json, to_json, to_prometheus, ViewMetrics};
+pub use export::{json_escape, phase_json, to_json, to_prometheus, ViewMetrics};
 pub use hist::{bucket_bounds, bucket_of, HistSnapshot, LatencyHistogram, BUCKETS};
 pub use profile::{ContentionSite, PipelineStage, ProfileReport, TemplateCost};
 pub use sketch::{SpaceSaving, DEFAULT_SKETCH_CAPACITY};

@@ -13,11 +13,11 @@
 //! 1. **Where do threads wait?** — contention sites ranked by total
 //!    wait time, with per-site p50/p99/max.
 //! 2. **Which templates cost the most?** — per-template serving +
-//!    maintenance cost from the accounting table.
+//!    maintenance cost, derived from each view's counters and phase
+//!    histograms when the report is assembled.
 //! 3. **Where does a pass spend its time?** — pipeline stage breakdown
 //!    with each stage's share of total recorded time.
 
-use crate::account::AccountSnapshot;
 use crate::hist::HistSnapshot;
 use std::fmt::Write as _;
 
@@ -59,8 +59,11 @@ impl ContentionSite {
     }
 }
 
-/// One template ranked by cost.
-#[derive(Clone, Debug, PartialEq)]
+/// One template ranked by cost. Nothing records into this: the host
+/// fills it at report time from the view's counters, its `ttfr` / `full`
+/// / `maint_join` phase histograms and its store size
+/// (`SharedPmv::template_cost` in `pmv-core`).
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TemplateCost {
     /// Template id.
     pub template: String,
@@ -82,24 +85,6 @@ pub struct TemplateCost {
     pub bytes_resident: u64,
     /// Ranking key: serving + maintenance wall time, microseconds.
     pub cost_us: u64,
-}
-
-impl TemplateCost {
-    /// Build from an accounting snapshot.
-    pub fn from_account(template: &str, s: &AccountSnapshot) -> Self {
-        TemplateCost {
-            template: template.to_string(),
-            queries: s.queries,
-            hit_rate: s.hit_rate(),
-            ttfr_p50_us: s.ttfr.quantile(0.5).as_micros() as u64,
-            ttfr_p99_us: s.ttfr.quantile(0.99).as_micros() as u64,
-            full_p99_us: s.full.quantile(0.99).as_micros() as u64,
-            o3_rows_scanned: s.o3_rows_scanned,
-            maint_join_us: s.maint_join_ns / 1_000,
-            bytes_resident: s.bytes_resident,
-            cost_us: s.cost_score_ns() / 1_000,
-        }
-    }
 }
 
 /// One pipeline stage's share of recorded time.
@@ -229,7 +214,7 @@ impl ProfileReport {
 
         out.push_str("\n== top templates by cost (serving + maintenance) ==\n");
         if self.templates.is_empty() {
-            out.push_str("  (no per-template accounting recorded)\n");
+            out.push_str("  (no template has served a query yet)\n");
         } else {
             let _ = writeln!(
                 out,
@@ -298,7 +283,7 @@ impl ProfileReport {
         let _ = write!(
             out,
             "{{\"source\":\"{}\",\"contention\":[",
-            crate::trace::esc(&self.source)
+            crate::export::json_escape(&self.source)
         );
         for (i, c) in self.contention.iter().enumerate() {
             if i > 0 {
@@ -308,7 +293,7 @@ impl ProfileReport {
                 out,
                 "{{\"site\":\"{}\",\"count\":{},\"wait_p50_us\":{},\"wait_p99_us\":{},\
                  \"wait_max_us\":{},\"total_wait_us\":{}}}",
-                crate::trace::esc(&c.site),
+                crate::export::json_escape(&c.site),
                 c.count,
                 c.wait_p50_us,
                 c.wait_p99_us,
@@ -327,7 +312,7 @@ impl ProfileReport {
                  \"ttfr_p50_us\":{},\"ttfr_p99_us\":{},\"full_p99_us\":{},\
                  \"o3_rows_scanned\":{},\"maint_join_us\":{},\"bytes_resident\":{},\
                  \"cost_us\":{}}}",
-                crate::trace::esc(&t.template),
+                crate::export::json_escape(&t.template),
                 t.queries,
                 t.hit_rate,
                 t.ttfr_p50_us,
@@ -348,7 +333,7 @@ impl ProfileReport {
                 out,
                 "{{\"stage\":\"{}\",\"count\":{},\"p50_us\":{},\"p99_us\":{},\
                  \"total_us\":{},\"share_pct\":{:.2}}}",
-                crate::trace::esc(&s.stage),
+                crate::export::json_escape(&s.stage),
                 s.count,
                 s.p50_us,
                 s.p99_us,
@@ -361,7 +346,7 @@ impl ProfileReport {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(out, "\"{}\"", crate::trace::esc(n));
+            let _ = write!(out, "\"{}\"", crate::export::json_escape(n));
         }
         out.push_str("]}");
         out
@@ -448,10 +433,10 @@ mod tests {
                 "lock_shard_fill",
                 &hist(&[7]),
             )],
-            templates: vec![TemplateCost::from_account(
-                "t1",
-                &crate::account::AccountSnapshot::default(),
-            )],
+            templates: vec![TemplateCost {
+                template: "t1".into(),
+                ..Default::default()
+            }],
             pipeline: vec![PipelineStage::from_snapshot("o3_exec", &hist(&[40]))],
             notes: vec![],
         };

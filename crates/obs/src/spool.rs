@@ -216,7 +216,7 @@ pub fn compose_dump(
         "{{\"pmv_flight_dump\":1,\"seq\":{seq},\"reason\":\"{}\",\"view\":\"{}\",\
          \"trigger_total_us\":{total_us},\"traces\":[",
         reason.as_str(),
-        crate::trace::esc(view),
+        crate::export::json_escape(view),
     );
     for (i, t) in traces.iter().enumerate() {
         if i > 0 {

@@ -16,6 +16,7 @@
 //! on a disabled registry carries no recorder reference and allocates
 //! nothing.
 
+use crate::export::json_escape;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -175,7 +176,11 @@ impl EventKind {
                 let _ = write!(out, "\"parts\":{parts},\"us\":{us}");
             }
             EventKind::Breaker { serving, state } => {
-                let _ = write!(out, "\"serving\":{serving},\"state\":\"{}\"", esc(state));
+                let _ = write!(
+                    out,
+                    "\"serving\":{serving},\"state\":\"{}\"",
+                    json_escape(state)
+                );
             }
             EventKind::ShardProbe {
                 shard,
@@ -225,14 +230,19 @@ impl EventKind {
                 let _ = write!(
                     out,
                     "\"reason\":\"{}\",\"staleness_us\":{staleness_us}",
-                    esc(reason)
+                    json_escape(reason)
                 );
             }
             EventKind::Quarantine { shard } => {
                 let _ = write!(out, "\"shard\":{shard}");
             }
             EventKind::FaultFired { site, kind } => {
-                let _ = write!(out, "\"site\":\"{}\",\"kind\":\"{}\"", esc(site), esc(kind));
+                let _ = write!(
+                    out,
+                    "\"site\":\"{}\",\"kind\":\"{}\"",
+                    json_escape(site),
+                    json_escape(kind)
+                );
             }
             EventKind::MaintBatch {
                 relation,
@@ -246,7 +256,7 @@ impl EventKind {
                     out,
                     "\"relation\":\"{}\",\"joined\":{joined},\"join_rows\":{join_rows},\
                      \"removed\":{removed},\"retries\":{retries},\"fallbacks\":{fallbacks}",
-                    esc(relation)
+                    json_escape(relation)
                 );
             }
             EventKind::Revalidated { removed } => {
@@ -292,7 +302,7 @@ impl QueryTrace {
             "{{\"id\":{},\"kind\":\"{}\",\"template\":\"{}\",\"total_us\":{},\"events\":[",
             self.id,
             self.kind.as_str(),
-            esc(&self.template),
+            json_escape(&self.template),
             self.total_us
         );
         for (i, e) in self.events.iter().enumerate() {
@@ -476,17 +486,6 @@ impl Drop for TraceScope<'_> {
             });
         }
     }
-}
-
-/// Minimal string escaping shared by the JSON and Prometheus renderers.
-/// `\`, `"`, and newline become two-character escapes — the exact set
-/// the Prometheus text exposition format requires inside label values,
-/// and a subset of legal JSON string escapes, so one function serves
-/// both outputs.
-pub(crate) fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
 }
 
 #[cfg(test)]
