@@ -479,11 +479,6 @@ impl SharedPmv {
         let _ = self.inner.flight.set(recorder);
     }
 
-    /// The attached flight recorder, if any.
-    pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.inner.flight.get()
-    }
-
     /// Whether a flight recorder is attached (one atomic load — the
     /// entire per-query cost when none is).
     pub fn flight_attached(&self) -> bool {

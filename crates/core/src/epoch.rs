@@ -77,7 +77,6 @@ use pmv_wal::{CheckpointMeta, Durability, ViewSpec};
 
 use crate::concurrent::SharedPmv;
 use crate::pipeline::QueryOutcome;
-use crate::stats::{AtomicPmvStats, PmvStats};
 use crate::{CoreError, Result};
 
 use std::sync::atomic::Ordering::Relaxed;
@@ -181,15 +180,9 @@ pub struct EpochDb {
     /// surface through [`EpochDb::obs`] instead of staying orphaned in
     /// the engine).
     obs: Arc<ObsRegistry>,
-    /// Group-commit efficacy counters (`commit_batches`,
-    /// `commit_reqs_coalesced`, `maint_passes_saved`) — bumped once per
-    /// combine round, off the serving path.
-    pipeline: AtomicPmvStats,
     /// Requests drained per combine round (recorded as raw counts, not
     /// nanoseconds).
     batch_sizes: LatencyHistogram,
-    /// Queue depth observed by each enqueuer right after pushing.
-    queue_depths: LatencyHistogram,
     /// TLS pin-cache efficacy. Relaxed orderings throughout:
     /// "statistics, not synchronization" — flushed hit counts and miss
     /// tallies carry no happens-before obligation.
@@ -214,9 +207,7 @@ impl EpochDb {
             durability: None,
             durable: Mutex::new(None),
             obs: Arc::new(ObsRegistry::new()),
-            pipeline: AtomicPmvStats::new(),
             batch_sizes: LatencyHistogram::new(),
-            queue_depths: LatencyHistogram::new(),
             pin_hits: AtomicU64::new(0),
             pin_misses: AtomicU64::new(0),
         }
@@ -245,9 +236,7 @@ impl EpochDb {
             durability: Some(durability),
             durable: Mutex::new(Some((snap, lsn))),
             obs,
-            pipeline: AtomicPmvStats::new(),
             batch_sizes: LatencyHistogram::new(),
-            queue_depths: LatencyHistogram::new(),
             pin_hits: AtomicU64::new(0),
             pin_misses: AtomicU64::new(0),
         }
@@ -363,21 +352,14 @@ impl EpochDb {
     ) -> Result<T> {
         let slot = Arc::new(CommitSlot::default());
         let track = self.obs.enabled();
-        let depth = {
-            let mut queue = self.queue.lock();
-            queue.push(CommitReq {
-                apply: Box::new(move |db| {
-                    let (out, batches) = f(db)?;
-                    Ok((Box::new(out) as Box<dyn Any + Send>, batches))
-                }),
-                views: views.iter().map(|&v| v.clone()).collect(),
-                slot: Arc::clone(&slot),
-            });
-            queue.len()
-        };
-        if track {
-            self.queue_depths.record_ns(depth as u64);
-        }
+        self.queue.lock().push(CommitReq {
+            apply: Box::new(move |db| {
+                let (out, batches) = f(db)?;
+                Ok((Box::new(out) as Box<dyn Any + Send>, batches))
+            }),
+            views: views.iter().map(|&v| v.clone()).collect(),
+            slot: Arc::clone(&slot),
+        });
         loop {
             // A combiner may have drained our request while we raced
             // for the lock; slots are filled before the lock releases,
@@ -427,15 +409,10 @@ impl EpochDb {
             Vec::with_capacity(reqs.len());
         let mut batches: Vec<DeltaBatch> = Vec::new();
         let mut views: Vec<SharedPmv> = Vec::new();
-        // View registrations across applied requests, before batch
-        // dedup — `view_slots - views.len()` is the maintenance passes
-        // the coalescing saved.
-        let mut view_slots = 0u64;
         for req in reqs {
             match (req.apply)(db) {
                 Ok((out, mut b)) => {
                     batches.append(&mut b);
-                    view_slots += req.views.len() as u64;
                     for v in req.views {
                         if !views.iter().any(|w| w.same_view(&v)) {
                             views.push(v);
@@ -449,12 +426,6 @@ impl EpochDb {
                 Err(e) => req.slot.fill(Err(e)),
             }
         }
-        self.pipeline.add(&PmvStats {
-            commit_batches: 1,
-            commit_reqs_coalesced: batch - 1,
-            maint_passes_saved: view_slots - views.len() as u64,
-            ..Default::default()
-        });
         // Durable-before-visible: one WAL record for the whole round,
         // fsynced before any maintenance or publish. On failure the
         // round's deltas are rolled back (exact inverses, in reverse
@@ -538,24 +509,11 @@ impl EpochDb {
         &self.obs
     }
 
-    /// Group-commit efficacy counters (`commit_batches`,
-    /// `commit_reqs_coalesced`, `maint_passes_saved`; other fields
-    /// zero).
-    pub fn pipeline_stats(&self) -> PmvStats {
-        self.pipeline.snapshot()
-    }
-
     /// Requests-per-combine-round distribution (raw counts recorded on
     /// the nanosecond scale: `count()` is rounds, `mean()`'s nanosecond
     /// reading is the mean batch size).
     pub fn batch_size_hist(&self) -> HistSnapshot {
         self.batch_sizes.snapshot()
-    }
-
-    /// Queue depth seen by each enqueuer right after pushing (raw
-    /// counts, same convention as [`EpochDb::batch_size_hist`]).
-    pub fn queue_depth_hist(&self) -> HistSnapshot {
-        self.queue_depths.snapshot()
     }
 
     /// TLS pin-cache `(hits, misses)` published so far. Hits are banked
@@ -581,13 +539,11 @@ impl EpochDb {
         }
     }
 
-    /// Zero the pipeline series (bench warm-up resets): pipeline
-    /// counters, batch/queue histograms, and pin-cache tallies.
+    /// Zero the pipeline series (bench warm-up resets): the batch-size
+    /// histogram and the pin-cache tallies.
     /// `commits`/`combines` and the durable mark are untouched.
     pub fn reset_pipeline_obs(&self) {
-        self.pipeline.reset();
         self.batch_sizes.reset();
-        self.queue_depths.reset();
         self.pin_hits.store(0, Relaxed);
         self.pin_misses.store(0, Relaxed);
     }

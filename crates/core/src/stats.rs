@@ -96,17 +96,6 @@ macro_rules! for_each_stat_field {
             [transient] maint_fallbacks,
             /// Revalidation sweeps completed (each lifts quarantine).
             [keep] revalidations,
-            /// Group-commit batches drained by a combiner (one per
-            /// master-lock acquisition that found work).
-            [keep] commit_batches,
-            /// Commit requests that rode a batch another thread drained
-            /// (batch size minus the winner, summed) — the flat-combining
-            /// win over one-lock-per-commit.
-            [keep] commit_reqs_coalesced,
-            /// Maintenance passes avoided because a batch deduplicated
-            /// registrations of the same view (slots − distinct views,
-            /// summed per batch).
-            [keep] maint_passes_saved,
         }
     };
 }
@@ -275,7 +264,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), n);
-        assert_eq!(n, 33);
+        assert_eq!(n, 30);
         assert!(pairs.contains(&("maint_index_removals", 0)));
         assert!(pairs.contains(&("upqueries", 0)));
         assert!(pairs.contains(&("complete_serves", 0)));

@@ -24,9 +24,15 @@ pub type RelationHandle = pmv_storage::catalog::RelationHandle;
 /// An in-memory database: relations plus their secondary indexes.
 ///
 /// Relations and indexes are published as immutable `Arc`-held versions
-/// (copy-on-write: DML mutates in place while unshared, clones when a
-/// snapshot pins the old version), so [`Database::snapshot`] is a
-/// handful of `Arc` clones and readers of a snapshot never hold a lock.
+/// (copy-on-write: DML mutates in place while unshared, and builds the
+/// next version beside the old one when a snapshot pins it), so
+/// [`Database::snapshot`] is a handful of `Arc` clones and readers of a
+/// snapshot never hold a lock. What "builds the next version" costs
+/// differs by structure: a relation's heap is paged and structurally
+/// shared, so the first write after a publish copies one 64-slot page
+/// and a short spine — O(|Δ|); an index is still cloned whole on its
+/// first write after a publish — O(|R|), and what is left of a commit
+/// against a large relation (ROADMAP item 1).
 /// `version` counts committed mutations and doubles as the epoch number
 /// of the snapshot serving path.
 #[derive(Default)]
@@ -169,6 +175,9 @@ impl Database {
     /// entries whose per-relation mutation counter moved are
     /// re-captured (`Arc::make_mut` clones the map of *pointers*, never
     /// tuple data, and only when a published snapshot still pins it).
+    /// Retiring the version this one replaces frees what it alone still
+    /// holds: the heap pages the commit rewrote and, for now, a full
+    /// copy of each index the commit touched.
     ///
     /// This is the snapshot constructor the epoch commit path uses —
     /// under group commit it runs once per coalesced batch, and a
@@ -352,7 +361,8 @@ impl Database {
 
     /// Apply one delta to every index of its relation. Copy-on-write:
     /// `Arc::make_mut` mutates in place while no snapshot pins the index
-    /// and clones the next version off-path when one does.
+    /// and clones the whole index off-path when one does (unlike the
+    /// heap, indexes share no structure between versions yet).
     fn maintain_indexes(&mut self, relation: &str, delta: &Delta) {
         for (def, idx) in &mut self.indexes {
             if def.relation == relation {

@@ -10,9 +10,14 @@
 //! which uses `Arc::make_mut`: while no snapshot pins the old version
 //! this is an in-place mutation (refcount 1, zero copies, the classic
 //! single-writer fast path); when a reader still pins it, the writer
-//! transparently clones and builds the next version off-path — exactly
-//! the copy-on-write discipline the epoch snapshot layer in `pmv-query`
-//! relies on.
+//! transparently builds the next version off-path — exactly the
+//! copy-on-write discipline the epoch snapshot layer in `pmv-query`
+//! relies on. That clone is cheap whatever the relation's size: a
+//! [`HeapRelation`]'s slot array is paged and structurally shared, so
+//! `Clone` copies one pointer per 4096 slots and the write that follows
+//! copies only the 64-slot page it lands on (see [`crate::relation`]).
+//! The pinned snapshot keeps the old page; every other page is shared
+//! between the two versions until one of them is dropped.
 //!
 //! [`relation_snapshot`]: crate::relation_snapshot
 //! [`with_relation_mut`]: crate::with_relation_mut
@@ -39,8 +44,9 @@ pub fn relation_snapshot(handle: &RelationHandle) -> Arc<HeapRelation> {
 
 /// Mutate a relation through its copy-on-write handle. Takes the write
 /// lock on the pointer slot and hands `f` a `&mut HeapRelation` via
-/// `Arc::make_mut`: in-place when unshared, clone-on-write when a
-/// snapshot still pins the current version.
+/// `Arc::make_mut`: in-place when unshared; when a snapshot still pins
+/// the current version, a clone that shares every page with it (O(rows /
+/// 4096) pointers), of which `f`'s writes then copy the pages they touch.
 pub fn with_relation_mut<T>(handle: &RelationHandle, f: impl FnOnce(&mut HeapRelation) -> T) -> T {
     let mut slot = handle.write();
     f(Arc::make_mut(&mut slot))
@@ -168,7 +174,7 @@ mod tests {
         with_relation_mut(&h, |r| r.insert(tuple![1i64])).unwrap();
         let snap = relation_snapshot(&h);
         // Writer builds the next version off-path (copy-on-write: the
-        // pinned snapshot forces a clone) …
+        // pinned snapshot forces a clone, which shares its pages) …
         with_relation_mut(&h, |r| r.insert(tuple![2i64])).unwrap();
         // … so the pinned snapshot still sees the old version while new
         // readers see the new one.

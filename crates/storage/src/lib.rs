@@ -12,6 +12,7 @@
 //! layer can enforce the paper's storage bound `UB`.
 
 pub mod catalog;
+mod cowvec;
 pub mod delta;
 pub mod error;
 pub mod relation;

@@ -4,7 +4,18 @@
 //! slot (reused by later inserts), but a live tuple's [`RowId`] never
 //! changes — indexes and deltas can therefore refer to rows by id, just as
 //! the paper's PostgreSQL prototype refers to heap TIDs.
+//!
+//! The slot array is paged and structurally shared (`cowvec`): cloning a
+//! relation — what `Arc::make_mut` does on the first write after a
+//! snapshot was published — copies one pointer per 4096 slots plus the
+//! free list, the write itself copies the one 64-slot page (and the
+//! 64-pointer spine chunk) that holds the row, and dropping a retired
+//! version frees only the pages it alone still holds. A commit's heap
+//! cost is therefore O(|Δ|) pages, not O(|R|) tuples.
 
+use std::sync::Arc;
+
+use crate::cowvec::CowVec;
 use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::size::HeapSize;
@@ -24,8 +35,10 @@ impl RowId {
 /// An in-memory heap relation.
 #[derive(Clone, Debug)]
 pub struct HeapRelation {
-    schema: Schema,
-    slots: Vec<Option<Tuple>>,
+    schema: Arc<Schema>,
+    slots: CowVec<Option<Tuple>>,
+    /// Freed slots, reused LIFO. A plain `Vec`: O(#holes) to clone, and
+    /// holes are rare.
     free: Vec<u32>,
     live: usize,
     /// Monotone counter bumped on every mutation; cheap change detection
@@ -37,8 +50,8 @@ impl HeapRelation {
     /// Create an empty relation with the given schema.
     pub fn new(schema: Schema) -> Self {
         HeapRelation {
-            schema,
-            slots: Vec::new(),
+            schema: Arc::new(schema),
+            slots: CowVec::new(),
             free: Vec::new(),
             live: 0,
             version: 0,
@@ -77,7 +90,7 @@ impl HeapRelation {
         self.live += 1;
         let id = match self.free.pop() {
             Some(slot) => {
-                self.slots[slot as usize] = Some(tuple);
+                *self.slots.get_mut(slot as usize).expect("free slot exists") = Some(tuple);
                 RowId(slot)
             }
             None => {
@@ -106,8 +119,8 @@ impl HeapRelation {
             for gap in self.slots.len()..idx {
                 self.free.push(gap as u32);
             }
-            self.slots.resize(idx + 1, None);
-        } else if self.slots[idx].is_some() {
+            self.slots.grow(idx + 1);
+        } else if self.occupied(idx) {
             return Err(StorageError::SlotOccupied {
                 relation: self.schema.name().to_string(),
                 slot: id.0,
@@ -119,49 +132,43 @@ impl HeapRelation {
                 self.free.swap_remove(pos);
             }
         }
-        self.slots[idx] = Some(tuple);
+        *self.slots.get_mut(idx).expect("slot in range") = Some(tuple);
         self.live += 1;
         self.version += 1;
         Ok(())
     }
 
-    /// Delete the tuple at `id`, returning it.
-    pub fn delete(&mut self, id: RowId) -> Result<Tuple, StorageError> {
-        let slot = self
-            .slots
-            .get_mut(id.index())
-            .and_then(Option::take)
-            .ok_or_else(|| StorageError::RowNotFound {
+    fn occupied(&self, idx: usize) -> bool {
+        self.slots.get(idx).is_some_and(Option::is_some)
+    }
+
+    /// The occupied slot at `id`, for writing. Checks liveness on the
+    /// shared pages first, so a miss copies nothing.
+    fn live_slot_mut(&mut self, id: RowId) -> Result<&mut Option<Tuple>, StorageError> {
+        if !self.occupied(id.index()) {
+            return Err(StorageError::RowNotFound {
                 relation: self.schema.name().to_string(),
                 slot: id.0,
-            })?;
+            });
+        }
+        Ok(self.slots.get_mut(id.index()).expect("slot checked above"))
+    }
+
+    /// Delete the tuple at `id`, returning it.
+    pub fn delete(&mut self, id: RowId) -> Result<Tuple, StorageError> {
+        let old = self.live_slot_mut(id)?.take().expect("live slot");
         self.free.push(id.0);
         self.live -= 1;
         self.version += 1;
-        Ok(slot)
+        Ok(old)
     }
 
     /// Replace the tuple at `id`, returning the old tuple.
     pub fn update(&mut self, id: RowId, new: Tuple) -> Result<Tuple, StorageError> {
         self.schema.check(new.values())?;
-        let slot = self
-            .slots
-            .get_mut(id.index())
-            .ok_or_else(|| StorageError::RowNotFound {
-                relation: self.schema.name().to_string(),
-                slot: id.0,
-            })?;
-        match slot {
-            Some(t) => {
-                let old = std::mem::replace(t, new);
-                self.version += 1;
-                Ok(old)
-            }
-            None => Err(StorageError::RowNotFound {
-                relation: self.schema.name().to_string(),
-                slot: id.0,
-            }),
-        }
+        let old = self.live_slot_mut(id)?.replace(new).expect("live slot");
+        self.version += 1;
+        Ok(old)
     }
 
     /// Tuple at `id`, if live.
@@ -171,7 +178,7 @@ impl HeapRelation {
     /// error channel).
     pub fn get(&self, id: RowId) -> Option<&Tuple> {
         pmv_faultinject::fire_soft(pmv_faultinject::Site::StorageRead);
-        self.slots.get(id.index()).and_then(Option::as_ref)
+        self.slots.get(id.index())?.as_ref()
     }
 
     /// Iterate over `(RowId, &Tuple)` for all live tuples.
