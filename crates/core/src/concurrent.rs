@@ -68,7 +68,6 @@ use crate::bcp::BcpKey;
 use crate::health::{
     BreakerConfig, CircuitBreaker, ShardReport, ValidationReport, VerifiedClock, ViewHealth,
 };
-use crate::o1::ConditionPart;
 use crate::pipeline::QueryOutcome;
 use crate::serve::{self, WriteBack};
 use crate::stats::{AtomicPmvStats, PmvStats};
@@ -260,15 +259,15 @@ impl Inner {
     }
 
     /// O2 read side of shard `si`: call `each(part, entries, claimed)`
-    /// for every `(bcp hash, part)`, with the bcp's cached tuples (if
-    /// resident) and whether the entry carries a valid completeness
-    /// claim. Returns `false`, calling nothing, when the shard is
-    /// quarantined.
-    pub(crate) fn run_pinned_probe(
+    /// for every `(bcp hash, part number, bcp)`, with the bcp's cached
+    /// tuples (if resident) and whether the entry carries a valid
+    /// completeness claim. Returns `false`, calling nothing, when the
+    /// shard is quarantined.
+    pub(crate) fn run_pinned_probe<'p>(
         &self,
         si: usize,
-        parts: &[(u64, &ConditionPart)],
-        mut each: impl FnMut(&ConditionPart, Option<&[CachedTuple]>, bool),
+        parts: impl Iterator<Item = (u64, usize, &'p BcpKey)>,
+        mut each: impl FnMut(usize, Option<&[CachedTuple]>, bool),
     ) -> bool {
         // `load` is wait-free (bounded retry over the two left-right
         // slots); a concurrent publish can at worst hand us the previous
@@ -277,9 +276,9 @@ impl Inner {
         if sv.quarantined {
             return false;
         }
-        for &(hash, part) in parts {
+        for (hash, part, bcp) in parts {
             let chunk = &sv.chunks[self.chunk_of(hash)];
-            let entry = position(chunk, hash, &part.bcp).map(|i| &*chunk[i].1);
+            let entry = position(chunk, hash, bcp).map(|i| &*chunk[i].1);
             let claimed = entry.is_some_and(|e| e.complete == Some(sv.inserts_seen));
             each(part, entry.map(|e| e.tuples.as_slice()), claimed);
         }
@@ -969,7 +968,6 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        assert!(t.emits_unique_rows(&db));
         let config = PmvConfig::new(8, 4, PolicyKind::Clock);
         let def = |name: &str| PartialViewDef::all_equality(name, t.clone()).unwrap();
         let views = [

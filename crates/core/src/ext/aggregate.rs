@@ -79,7 +79,10 @@ fn numeric(v: &Value) -> Result<f64> {
 
 /// Fold `rows` (user layout) into per-group aggregates, sorted by group
 /// key for deterministic output.
-pub fn aggregate_rows(rows: &[Tuple], spec: &GroupBySpec) -> Result<Vec<(Tuple, AggValue)>> {
+pub fn aggregate_rows<'a>(
+    rows: impl IntoIterator<Item = &'a Tuple>,
+    spec: &GroupBySpec,
+) -> Result<Vec<(Tuple, AggValue)>> {
     let mut groups: HashMap<Tuple, AggValue> = HashMap::new();
     for row in rows {
         let key = row.project(&spec.group_by);
@@ -139,7 +142,7 @@ pub fn run_aggregate(
     spec: &GroupBySpec,
 ) -> Result<AggregateOutcome> {
     let outcome = pmv.run(db, q)?;
-    let partial = aggregate_rows(&outcome.partial, spec)?;
+    let partial = aggregate_rows(outcome.partial.iter().map(|t| &**t), spec)?;
     let exact = aggregate_rows(&outcome.all_results(), spec)?;
     Ok(AggregateOutcome {
         partial,

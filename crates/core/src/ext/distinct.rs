@@ -47,14 +47,14 @@ pub fn run_distinct(db: &Database, pmv: &SharedPmv, q: &QueryInstance) -> Result
     let mut seen: HashSet<Tuple> = HashSet::new();
     let mut partial = Vec::new();
     for t in &outcome.partial {
-        if seen.insert(t.clone()) {
-            partial.push(t.clone());
+        if seen.insert(Tuple::clone(t)) {
+            partial.push(Tuple::clone(t));
         }
     }
     let mut remaining = Vec::new();
     for t in &outcome.remaining {
-        if seen.insert(t.clone()) {
-            remaining.push(t.clone());
+        if seen.insert(Tuple::clone(t)) {
+            remaining.push(Tuple::clone(t));
         }
     }
     Ok(DistinctOutcome {

@@ -86,7 +86,7 @@ pub fn run_ordered(
     order: &OrderBy,
 ) -> Result<OrderedOutcome> {
     let outcome = pmv.run(db, q)?;
-    let mut partial_sorted = outcome.partial.clone();
+    let mut partial_sorted: Vec<Tuple> = outcome.partial.iter().map(|t| Tuple::clone(t)).collect();
     order.sort(&mut partial_sorted);
     let mut all_sorted = outcome.all_results();
     order.sort(&mut all_sorted);

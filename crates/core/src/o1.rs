@@ -44,6 +44,12 @@ pub struct ConditionPart {
     /// True iff this part *is* its containing bcp (every interval
     /// dimension covers its whole basic interval).
     pub is_basic: bool,
+    /// Number (position in [`decompose`]'s output) of the first part
+    /// with the same containing bcp — this part's own number, unless two
+    /// query intervals fall inside one basic interval. The serving path
+    /// keeps what it learns about a bcp under this number, so nothing
+    /// there hashes or clones a [`BcpKey`].
+    pub bcp_part: usize,
 }
 
 impl ConditionPart {
@@ -63,6 +69,8 @@ struct DimElement {
     part: PartDim,
     bcp: BcpDim,
     whole: bool,
+    /// Index of the first element of this dimension with the same `bcp`.
+    first: usize,
 }
 
 /// Hard cap on generated condition parts; queries beyond this are
@@ -78,11 +86,13 @@ pub fn decompose(def: &PartialViewDef, q: &QueryInstance) -> Result<Vec<Conditio
         let mut elems = Vec::new();
         match cond {
             Condition::Equality(values) => {
-                for v in values {
+                // Equality values are distinct (checked at bind).
+                for (first, v) in values.iter().enumerate() {
                     elems.push(DimElement {
                         part: PartDim::Eq(v.clone()),
                         bcp: BcpDim::Eq(v.clone()),
                         whole: true,
+                        first,
                     });
                 }
             }
@@ -93,10 +103,16 @@ pub fn decompose(def: &PartialViewDef, q: &QueryInstance) -> Result<Vec<Conditio
                 for iv in intervals {
                     for id in d.overlapping_ids(iv) {
                         if let Some((frag, whole)) = d.fragment(id, iv) {
+                            let bcp = BcpDim::Iv(id);
+                            let first = elems
+                                .iter()
+                                .position(|e: &DimElement| e.bcp == bcp)
+                                .unwrap_or(elems.len());
                             elems.push(DimElement {
                                 part: PartDim::Iv(frag),
-                                bcp: BcpDim::Iv(id),
+                                bcp,
                                 whole,
+                                first,
                             });
                         }
                     }
@@ -125,16 +141,21 @@ pub fn decompose(def: &PartialViewDef, q: &QueryInstance) -> Result<Vec<Conditio
         let mut dims = Vec::with_capacity(m);
         let mut bcp_dims = Vec::with_capacity(m);
         let mut is_basic = true;
+        // The odometer below turns the last dimension fastest, so a part's
+        // number is its cursor read as a mixed-radix numeral.
+        let mut bcp_part = 0;
         for (i, &c) in cursor.iter().enumerate() {
             let e = &per_dim[i][c];
             dims.push(e.part.clone());
             bcp_dims.push(e.bcp.clone());
             is_basic &= e.whole;
+            bcp_part = bcp_part * per_dim[i].len() + e.first;
         }
         parts.push(ConditionPart {
             dims,
             bcp: BcpKey::new(bcp_dims),
             is_basic,
+            bcp_part,
         });
         // Odometer increment.
         let mut i = m;
@@ -315,6 +336,33 @@ mod tests {
         assert_eq!(parts.len(), 2);
         assert_eq!(parts[0].bcp, parts[1].bcp);
         assert!(!parts[0].is_basic && !parts[1].is_basic);
+        assert_eq!((parts[0].bcp_part, parts[1].bcp_part), (0, 0));
+    }
+
+    #[test]
+    fn bcp_part_names_the_first_part_of_each_bcp() {
+        let d = def();
+        let q = d
+            .template()
+            .bind(vec![
+                Condition::Equality(vec![Value::Int(1), Value::Int(2)]),
+                // [10, 20) is hit three times (twice by the last two
+                // intervals, once as the tail of the first), [0, 10) once.
+                Condition::Intervals(vec![
+                    Interval::open(5i64, 12i64),
+                    Interval::open(13i64, 15i64),
+                    Interval::open(16i64, 18i64),
+                ]),
+            ])
+            .unwrap();
+        let parts = decompose(&d, &q).unwrap();
+        assert_eq!(parts.len(), 2 * 4);
+        for (n, p) in parts.iter().enumerate() {
+            let first = parts.iter().position(|o| o.bcp == p.bcp).unwrap();
+            assert_eq!(p.bcp_part, first, "part {n}");
+        }
+        let distinct = parts.iter().enumerate().filter(|(n, p)| p.bcp_part == *n);
+        assert_eq!(distinct.count(), 2 * 2);
     }
 
     #[test]

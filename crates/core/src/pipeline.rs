@@ -38,9 +38,12 @@ impl QueryTimings {
 #[derive(Clone, Debug)]
 pub struct QueryOutcome {
     /// Partial results served from the PMV in O2 (user layout `Ls`).
-    pub partial: Vec<Tuple>,
-    /// Remaining results served in O3 (user layout `Ls`).
-    pub remaining: Vec<Tuple>,
+    /// When the template selects all of `Ls'` these are the
+    /// `partial_expanded` rows themselves, not copies.
+    pub partial: Vec<Arc<Tuple>>,
+    /// Remaining results served in O3 (user layout `Ls`), shared with
+    /// `remaining_expanded` in the same way.
+    pub remaining: Vec<Arc<Tuple>>,
     /// Partial results in `Ls'` layout (extensions need the cond attrs).
     /// Shared with the PMV store — serving copies pointers, not tuples.
     pub partial_expanded: Vec<Arc<Tuple>>,
@@ -68,10 +71,11 @@ pub struct QueryOutcome {
 impl QueryOutcome {
     /// Full result multiset in user layout (partial then remaining).
     pub fn all_results(&self) -> Vec<Tuple> {
-        let mut v = Vec::with_capacity(self.partial.len() + self.remaining.len());
-        v.extend_from_slice(&self.partial);
-        v.extend_from_slice(&self.remaining);
-        v
+        self.partial
+            .iter()
+            .chain(&self.remaining)
+            .map(|t| Tuple::clone(t))
+            .collect()
     }
 
     /// Whether the outcome carries the complete answer (not degraded).

@@ -45,7 +45,6 @@
 //! starts with `run_pinned` — this module's and the two `Inner` methods
 //! that run inside it — which is why those keep the prefix.
 
-use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -57,15 +56,14 @@ use pmv_query::{
 };
 use pmv_storage::Tuple;
 
-use crate::bcp::BcpKey;
 use crate::concurrent::Inner;
 use crate::ds::Ds;
-use crate::fasthash::FxHashMap;
 use crate::health::{Degradation, DegradeReason};
-use crate::o1::decompose;
+use crate::o1::{decompose, ConditionPart};
 use crate::pipeline::{QueryOutcome, QueryTimings};
 use crate::stats::PmvStats;
 use crate::store::Residency;
+use crate::view::PartialViewDef;
 use crate::Result;
 
 /// What one shard's write-back did.
@@ -75,21 +73,47 @@ pub(crate) struct WriteBack {
     poisoned: bool,
 }
 
-/// Pooled per-thread buffers for the [`run_pinned`] hot loop: the DS
-/// multiset, the proven-occurrence map, and the touch/candidate staging
-/// vectors. Reusing them across queries keeps the steady-state read path
-/// free of per-query heap allocation (the returned `QueryOutcome`'s own
-/// vectors excepted — those are handed to the caller).
+/// What one query knows about one distinct bcp it probes. Kept under the
+/// number of the first condition part inside that bcp
+/// ([`ConditionPart::bcp_part`]), so nothing on the serving path hashes
+/// or clones a `BcpKey` per part, let alone per result row.
+#[derive(Clone, Copy, Default)]
+struct PartState {
+    /// O2 probed the bcp on a live shard: `Some(served anything)`. The
+    /// deferred policy touch.
+    touch: Option<bool>,
+    /// Served whole from a completeness claim, and so exempt from O3.
+    complete: bool,
+    /// Resident with `F` tuples (and not `complete`): the entry can
+    /// accept nothing, so O3 only counts this bcp's rows.
+    full: bool,
+    /// Result rows O3 produced inside the bcp, counted before the DS
+    /// probe — the size of the bcp's truth when O3 saw all of it.
+    truth: usize,
+}
+
+/// `(shard, bcp hash, part number)` of one distinct probed bcp.
+type Slot = (usize, u64, usize);
+
+/// A fill candidate: `(part number, tuple)`.
+type Cand = (usize, Arc<Tuple>);
+
+/// Pooled per-thread buffers for the [`run_pinned`] hot loop. Reusing
+/// them across queries keeps the steady-state read path free of per-query
+/// heap allocation for its own bookkeeping (the returned `QueryOutcome`'s
+/// vectors are handed to the caller).
 #[derive(Default)]
 struct QueryScratch {
     ds: Ds,
-    /// Occurrences proven per tuple. Keyed by the tuple alone: the `Ls'`
-    /// layout embeds every condition column, so equal tuples always
-    /// belong to the same bcp and the key needs no `BcpKey` component —
-    /// which keeps the hot dedup loop free of per-row key allocation.
-    proven: FxHashMap<Arc<Tuple>, usize>,
-    touches: Vec<(usize, BcpKey, bool)>,
-    write_back: Vec<usize>,
+    /// Every distinct probed bcp, sorted by shard and in part order
+    /// within one: O2 and the write-back both walk it shard by shard.
+    slots: Vec<Slot>,
+    /// Indexed by part number; only the entries `slots` names are used.
+    state: Vec<PartState>,
+    /// Every occurrence this query proved inside a bcp that can still
+    /// accept tuples — served partials first, then the O3 rows DS did
+    /// not suppress.
+    cands: Vec<Cand>,
 }
 
 impl QueryScratch {
@@ -98,9 +122,9 @@ impl QueryScratch {
     /// memory between queries.
     fn clear(&mut self) {
         self.ds.clear();
-        self.proven.clear();
-        self.touches.clear();
-        self.write_back.clear();
+        self.slots.clear();
+        self.state.clear();
+        self.cands.clear();
     }
 }
 
@@ -110,25 +134,6 @@ thread_local! {
     /// instead of panicking on a borrow.
     static QUERY_SCRATCH: std::cell::Cell<Option<Box<QueryScratch>>> =
         const { std::cell::Cell::new(None) };
-}
-
-/// Fills for one bcp: each tuple with its proven occurrence cap.
-type FillGroup = (BcpKey, Vec<(Arc<Tuple>, usize)>);
-
-/// Collect `(shard, item)` pairs into a compact `(shard, items)` list
-/// over only the shards that own at least one item, in first-seen order.
-/// A query touches a handful of shards, so the linear `find` beats
-/// allocating a dense `vec![Vec::new(); N]` per query — with 16 shards
-/// and one bcp that dense walk dominated the 1-thread TTFR tail.
-fn group_by_shard<T>(pairs: impl Iterator<Item = (usize, T)>) -> Vec<(usize, Vec<T>)> {
-    let mut groups: Vec<(usize, Vec<T>)> = Vec::new();
-    for (si, item) in pairs {
-        match groups.iter_mut().find(|(s, _)| *s == si) {
-            Some((_, g)) => g.push(item),
-            None => groups.push((si, vec![item])),
-        }
-    }
-    groups
 }
 
 /// Map an abort-class [`pmv_query::QueryError`] to a degradation reason.
@@ -196,9 +201,9 @@ fn run_pinned_scratch<V: DataView>(
 ) -> Result<QueryOutcome> {
     let QueryScratch {
         ds,
-        proven,
-        touches,
-        write_back,
+        slots,
+        state,
+        cands,
     } = scratch;
     let Inner {
         def,
@@ -244,29 +249,27 @@ fn run_pinned_scratch<V: DataView>(
     // nothing re-produces them; if a targeted upquery later falls back
     // to the full O3, they are re-seeded into DS first.
     let mut complete_served: Vec<Arc<Tuple>> = Vec::new();
-    let mut complete_ok: HashSet<BcpKey> = HashSet::new();
-    // Group the distinct bcps by owning shard — a compact (shard, parts)
-    // list over only the shards that actually own one, so the probe cost
-    // scales with the query's bcp count, not the shard count. Each part
-    // carries the hash that placed it: the shard's view is indexed by
-    // the same one hash of the bcp. (Several condition parts can share
+    // The distinct bcps, each with its owning shard and the one hash
+    // that placed it there (the shard's view is indexed by the same
+    // hash), grouped by shard so the probe cost scales with the query's
+    // bcp count, not the shard count. (Several condition parts can share
     // one containing bcp — two query intervals inside one basic
     // interval; the full Cselect check below already covers its tuples.)
-    let parts_by_shard = group_by_shard(
+    state.resize(parts.len(), PartState::default());
+    slots.extend(
         parts
             .iter()
-            .filter({
-                let mut seen: HashSet<&BcpKey> = HashSet::with_capacity(parts.len());
-                move |part| seen.insert(&part.bcp)
-            })
-            .map(|part| {
+            .enumerate()
+            .filter(|(pi, part)| part.bcp_part == *pi)
+            .map(|(pi, part)| {
                 let (si, hash) = inner.slot_of(&part.bcp);
-                (si, (hash, part))
+                (si, hash, pi)
             }),
     );
+    slots.sort_by_key(|&(si, _, _)| si);
     if serving {
-        for (si, group) in &parts_by_shard {
-            let si = *si;
+        for group in slots.chunk_by(|a, b| a.0 == b.0) {
+            let si = group[0].0;
             let t_shard = Instant::now();
             // Completeness gate, evaluated AFTER the shard's view was
             // loaded (first `each` call): a reader pinned after a
@@ -277,20 +280,25 @@ fn run_pinned_scratch<V: DataView>(
             // `pin_epoch >= maint_epoch` reflects every change up to the
             // pin.
             let mut maint_ok: Option<bool> = None;
-            let live = inner.run_pinned_probe(si, group, |part, entries, claimed| {
+            let probes = group
+                .iter()
+                .map(|&(_, hash, pi)| (hash, pi, &parts[pi].bcp));
+            let live = inner.run_pinned_probe(si, probes, |pi, entries, claimed| {
                 // Policy touches observed during the probe are deferred
                 // to the best-effort write-back below.
+                let st = &mut state[pi];
                 let Some(entries) = entries else {
-                    touches.push((si, part.bcp.clone(), false));
+                    st.touch = Some(false);
                     return;
                 };
                 bcp_hit = true;
                 // A complete slice (claim valid, no tuple filled after
                 // the pin) IS the bcp's entire answer at the pin: serve
                 // its matching tuples and exempt the bcp from O3.
-                let complete = claimed
+                st.complete = claimed
                     && *maint_ok.get_or_insert_with(|| pin_epoch >= inner.maint_epoch())
                     && entries.iter().all(|(_, fe)| *fe <= pin_epoch);
+                st.full = !st.complete && entries.len() >= config.f;
                 let mut served = false;
                 for (t, fill_epoch) in entries {
                     // Serve gate: never serve a tuple filled after this
@@ -304,21 +312,23 @@ fn run_pinned_scratch<V: DataView>(
                     // "this is equivalent to checking whether t satisfies
                     // the Cselect of query Q". Zero-copy: serving clones
                     // `Arc`s, no tuple data moves.
-                    if part.is_basic || q.matches_select(t) {
-                        if complete {
+                    if parts[pi].is_basic || q.matches_select(t) {
+                        if st.complete {
                             complete_served.push(Arc::clone(t));
                         } else {
                             ds.insert_arc(Arc::clone(t));
+                            if !st.full {
+                                cands.push((pi, Arc::clone(t)));
+                            }
                         }
                         partial_expanded.push(Arc::clone(t));
                         served = true;
                     }
                 }
-                if complete {
-                    complete_ok.insert(part.bcp.clone());
+                if st.complete {
                     local.complete_serves += 1;
                 }
-                touches.push((si, part.bcp.clone(), served));
+                st.touch = Some(served);
             });
             if !live {
                 continue;
@@ -357,15 +367,13 @@ fn run_pinned_scratch<V: DataView>(
     // Every probed slice was served from a completeness claim: the
     // partials already ARE the full answer. No execution, no dedup —
     // only the deferred best-effort policy touches.
-    if !parts.is_empty() && parts.iter().all(|p| complete_ok.contains(&p.bcp)) {
+    if !slots.is_empty() && slots.iter().all(|&(_, _, pi)| state[pi].complete) {
         debug_assert_eq!(ds.len(), 0, "complete slices never enter DS");
         run_pinned_write_back(
             inner,
             pin_epoch,
-            touches,
-            Vec::new(),
-            &HashMap::new(),
-            write_back,
+            (&parts, slots, state, cands),
+            None,
             &mut local,
             &mut trace,
         );
@@ -381,10 +389,10 @@ fn run_pinned_scratch<V: DataView>(
         ));
     }
 
-    // O3 input as slices `(bcp whose FULL truth the rows are, every row
-    // in the answer?, rows)`: one per targeted upquery, or the single
-    // full-execution result.
-    type Slice = (Option<BcpKey>, bool, Vec<Arc<Tuple>>);
+    // O3 input as slices `(part whose bcp's FULL truth the rows are,
+    // every row in the answer?, rows)`: one per targeted upquery, or the
+    // single full-execution result.
+    type Slice = (Option<usize>, bool, Vec<Arc<Tuple>>);
     let budget = || ExecBudget {
         deadline: config.o3_deadline.map(|d| Instant::now() + d),
         max_tuples: config.o3_max_tuples,
@@ -398,14 +406,13 @@ fn run_pinned_scratch<V: DataView>(
     // complete-served partials re-seeded into DS so its dedup drains
     // them.
     let mut upq: Option<(Vec<Slice>, ExecStats, Duration)> = None;
-    if !complete_ok.is_empty() {
+    if slots.iter().any(|&(_, _, pi)| state[pi].complete) {
         let t_upq = Instant::now();
         let mut slices: Vec<Slice> = Vec::new();
         let mut total = ExecStats::default();
-        let mut done: HashSet<BcpKey> = complete_ok.clone();
         let mut ok = true;
-        for part in &parts {
-            if !done.insert(part.bcp.clone()) {
+        for (pi, part) in parts.iter().enumerate() {
+            if part.bcp_part != pi || state[pi].complete {
                 continue;
             }
             let Ok(qi) = def.bcp_query(&part.bcp) else {
@@ -420,14 +427,10 @@ fn run_pinned_scratch<V: DataView>(
             match catch_unwind(AssertUnwindSafe(|| upquery_fill(view, &qi, budget()))) {
                 Ok(Ok((rows, st))) => {
                     obs.record(Phase::upquery, t_fill.elapsed());
-                    total.index_probes += st.index_probes;
-                    total.range_scans += st.range_scans;
-                    total.fallback_scans += st.fallback_scans;
-                    total.tuples_examined += st.tuples_examined;
-                    total.results += st.results;
+                    total.merge(&st);
                     local.upqueries += 1;
                     local.upquery_rows += rows.len() as u64;
-                    slices.push((Some(part.bcp.clone()), part.is_basic, rows));
+                    slices.push((Some(pi), part.is_basic, rows));
                 }
                 _ => {
                     ok = false;
@@ -523,46 +526,33 @@ fn run_pinned_scratch<V: DataView>(
     // could resurrect a tuple a later Δ already evicted. Known up front,
     // so a stale pin also skips all fill bookkeeping below.
     let fills_allowed = serving && pin_epoch >= inner.maint_epoch();
-    // Single-part queries dominate steady-state serving; for them every
-    // result row lies in the one probed bcp, so the per-row
-    // `bcp_of_tuple` reconstruction is skipped.
-    let single_bcp = (parts.len() == 1).then(|| parts[0].bcp.clone());
-    // When the template provably emits unique rows, each remaining
-    // result occurs exactly once: the proven map degenerates to "cap 1"
-    // and is skipped entirely. (A single-part query never takes the
-    // upquery path — an all-complete probe returned above — so this
-    // composes with `single_bcp`.)
-    let unique_fast =
-        !did_upquery && single_bcp.is_some() && def.template().emits_unique_rows(view);
-    // `proven` counts how many occurrences of each tuple this query
-    // proved to exist: served partials plus remaining results. The fill
-    // never pushes a tuple's cached count past this bound, which keeps
-    // every entry a sub-multiset of its bcp's true answer even when
-    // several queries fill the same entry concurrently. Only fills read
-    // it, so a gated-off fill skips the bookkeeping altogether.
-    let track_proven = fills_allowed && !unique_fast;
-    if track_proven {
-        for t in &partial_expanded {
-            *proven.entry(Arc::clone(t)).or_insert(0) += 1;
-        }
-    }
     let mut remaining_expanded: Vec<Arc<Tuple>> = Vec::new();
-    // Bcps whose full truth this query observed, with the truth's
-    // multiset size: if the entry ends up holding exactly that many
-    // tuples after the fill, it can claim completeness and later probes
-    // may serve it without executing.
-    let mut completable: HashMap<BcpKey, usize> = HashMap::new();
-    for (truth_of, all_in_answer, rows) in slices {
-        let total = rows.len();
+    for (slice_part, all_in_answer, rows) in slices {
         for t in rows {
+            // Only fills read what a row says about its bcp. An upquery
+            // slice names its part; a full execution's row lies in
+            // exactly one, found by comparing its condition columns in
+            // place.
+            let mut fill_into = None;
+            if fills_allowed {
+                if let Some(pi) = slice_part.or_else(|| part_of_row(def, &parts, slots, &t)) {
+                    let st = &mut state[pi];
+                    // Before the DS probe: a suppressed row is as much
+                    // part of the bcp's truth as a new one.
+                    st.truth += 1;
+                    if !st.full && !st.complete {
+                        fill_into = Some(pi);
+                    }
+                }
+            }
             // Skip the multiset probe once DS has drained (and for cold
             // queries, where it was never populated): the remaining
             // results are provably not duplicates.
             if !ds.is_empty() && ds.remove_one(&t) {
                 continue; // the user already has this occurrence
             }
-            if track_proven {
-                *proven.entry(Arc::clone(&t)).or_insert(0) += 1;
+            if let Some(pi) = fill_into {
+                cands.push((pi, Arc::clone(&t)));
             }
             // An upquery slice is its bcp's whole truth: rows outside
             // the query's select still count toward the entry (and
@@ -570,73 +560,6 @@ fn run_pinned_scratch<V: DataView>(
             if all_in_answer || q.matches_select(&t) {
                 remaining_expanded.push(t);
             }
-        }
-        if let (Some(bcp), true) = (truth_of, fills_allowed && total > 0) {
-            completable.insert(bcp, total);
-        }
-    }
-    if fills_allowed && !did_upquery {
-        // Classic full execution: a basic condition part covers its
-        // whole bcp, so the occurrences proven within it are the bcp's
-        // truth.
-        if unique_fast {
-            // Unique rows: each truth tuple was counted exactly once, as
-            // a served partial or as a remaining result.
-            if parts[0].is_basic {
-                let total = partial_expanded.len() + remaining_expanded.len();
-                if total > 0 {
-                    completable.insert(parts[0].bcp.clone(), total);
-                }
-            }
-        } else {
-            for part in &parts {
-                if part.is_basic {
-                    completable.entry(part.bcp.clone()).or_insert(0);
-                }
-            }
-            if !completable.is_empty() {
-                if let Some(bcp) = &single_bcp {
-                    if let Some(total) = completable.get_mut(bcp) {
-                        *total = proven.values().sum();
-                    }
-                } else {
-                    for (t, n) in proven.iter() {
-                        if let Some(total) = completable.get_mut(&def.bcp_of_tuple(t)) {
-                            *total += *n;
-                        }
-                    }
-                }
-            }
-            completable.retain(|_, total| *total > 0);
-        }
-    }
-    // Fills are grouped per bcp so each group pays one admit and one
-    // length check; tuples carry their proven occurrence cap.
-    let mut fill_groups: Vec<FillGroup> = Vec::new();
-    if fills_allowed {
-        if unique_fast {
-            if let (Some(bcp), false) = (&single_bcp, remaining_expanded.is_empty()) {
-                fill_groups.push((
-                    bcp.clone(),
-                    remaining_expanded
-                        .iter()
-                        .map(|t| (Arc::clone(t), 1))
-                        .collect(),
-                ));
-            }
-        } else if let Some(bcp) = &single_bcp {
-            if !proven.is_empty() {
-                fill_groups.push((bcp.clone(), proven.drain().collect()));
-            }
-        } else {
-            let mut by_bcp: FxHashMap<BcpKey, Vec<(Arc<Tuple>, usize)>> = FxHashMap::default();
-            for (t, cap) in proven.drain() {
-                by_bcp
-                    .entry(def.bcp_of_tuple(&t))
-                    .or_default()
-                    .push((t, cap));
-            }
-            fill_groups.extend(by_bcp);
         }
     }
     // Shard write-back is timed apart from the dedup bookkeeping: it
@@ -646,10 +569,8 @@ fn run_pinned_scratch<V: DataView>(
     let fill_total = run_pinned_write_back(
         inner,
         pin_epoch,
-        touches,
-        fill_groups,
-        &completable,
-        write_back,
+        (&parts, slots, state, cands),
+        fills_allowed.then_some(did_upquery),
         &mut local,
         &mut trace,
     );
@@ -669,47 +590,55 @@ fn run_pinned_scratch<V: DataView>(
     ))
 }
 
+/// The condition part (by number) whose bcp contains `row`, a result of
+/// the full execution: such a row satisfies `Cselect`, so it lies in
+/// exactly one of the query's bcps — the only one, when there is one.
+fn part_of_row(
+    def: &PartialViewDef,
+    parts: &[ConditionPart],
+    slots: &[Slot],
+    row: &Tuple,
+) -> Option<usize> {
+    match slots {
+        [(_, _, only)] => Some(*only),
+        _ => slots
+            .iter()
+            .map(|&(_, _, pi)| pi)
+            .find(|&pi| def.tuple_in_bcp(row, &parts[pi].bcp)),
+    }
+}
+
 /// Apply one query's deferred policy touches and fills, shard by shard.
 /// Best-effort: the serving path never *waits* on a shard — a declined
 /// shard loses one policy hit, and a skipped fill just means the next
-/// identical query re-derives through O3. Returns the time spent, so the
-/// caller can keep it out of `o3_dedup`.
-#[allow(clippy::too_many_arguments)]
+/// identical query re-derives through O3. `fills` is `None` when the
+/// fill gate is closed, else whether O3 ran as targeted upqueries (every
+/// slice then is its bcp's whole truth, not only a basic part's).
+/// Returns the time spent, so the caller can keep it out of `o3_dedup`.
 fn run_pinned_write_back(
     inner: &Inner,
     pin_epoch: u64,
-    touches: &mut Vec<(usize, BcpKey, bool)>,
-    fill_groups: Vec<FillGroup>,
-    completable: &HashMap<BcpKey, usize>,
-    shards: &mut Vec<usize>,
+    (parts, slots, state, cands): (&[ConditionPart], &[Slot], &[PartState], &mut Vec<Cand>),
+    fills: Option<bool>,
     local: &mut PmvStats,
     trace: &mut TraceScope<'_>,
 ) -> Duration {
-    let fill_by_shard = group_by_shard(
-        fill_groups
-            .into_iter()
-            .map(|(bcp, tuples)| (inner.slot_of(&bcp).0, (bcp, tuples))),
-    );
-    let touch_by_shard = group_by_shard(
-        touches
-            .drain(..)
-            .map(|(si, bcp, served)| (si, (bcp, served))),
-    );
-    shards.extend(
-        fill_by_shard
-            .iter()
-            .map(|(s, _)| *s)
-            .chain(touch_by_shard.iter().map(|(s, _)| *s)),
-    );
-    shards.sort_unstable();
-    shards.dedup();
-    let completable: Vec<(usize, &BcpKey, usize)> = completable
-        .iter()
-        .map(|(bcp, total)| (inner.slot_of(bcp).0, bcp, *total))
-        .collect();
+    // Stable: within a part, candidates stay in the order they were
+    // proven, so the k-th equal tuple is the k-th proven occurrence.
+    cands.sort_by_key(|&(pi, _)| pi);
+    // A bcp gets its once-per-query admit when this query saw any of its
+    // tuples, cached or computed.
+    let admits = |st: &PartState| fills.is_some() && (st.touch == Some(true) || st.truth > 0);
     let cap_f = inner.config.f;
     let mut fill_total = Duration::ZERO;
-    for &si in shards.iter() {
+    for group in slots.chunk_by(|a, b| a.0 == b.0) {
+        let si = group[0].0;
+        let members = || group.iter().map(|&(_, _, pi)| (pi, &parts[pi], &state[pi]));
+        let touches = members().any(|(_, _, st)| st.touch.is_some());
+        let fills_here = members().any(|(_, _, st)| admits(st));
+        if !touches && !fills_here {
+            continue;
+        }
         let t_fill = Instant::now();
         let done = inner.run_pinned_write_shard(si, |store, maint_epoch| {
             if store.is_quarantined() {
@@ -722,15 +651,14 @@ fn run_pinned_write_back(
             // (removal-only, so nothing stale can ever be served from it
             // later).
             let fill = catch_unwind(AssertUnwindSafe(|| {
-                if let Some((_, group)) = touch_by_shard.iter().find(|(s, _)| *s == si) {
+                if touches {
                     run_pinned_fault(Site::ShardProbe);
-                    for (bcp, served) in group {
-                        store.touch(bcp, *served);
+                    for (_, part, st) in members() {
+                        if let Some(served) = st.touch {
+                            store.touch(&part.bcp, served);
+                        }
                     }
                 }
-                let Some((_, group)) = fill_by_shard.iter().find(|(s, _)| *s == si) else {
-                    return;
-                };
                 // Re-check the fill gate UNDER exclusive access: a
                 // maintenance pass racing this query stores `maint_epoch`
                 // before touching any shard lock, so if it already
@@ -739,52 +667,67 @@ fn run_pinned_write_back(
                 // check still passes, the fill lands before the scan and
                 // maintenance will evict it. (The caller's pre-check is
                 // just the fast path.)
-                if pin_epoch < maint_epoch {
+                if !fills_here || pin_epoch < maint_epoch {
                     return;
                 }
                 run_pinned_fault(Site::ShardFill);
-                for (bcp, tuples) in group {
+                for (pi, part, st) in members() {
+                    if !admits(st) {
+                        continue;
+                    }
+                    let bcp = &part.bcp;
                     let residency = store.admit(bcp);
                     if residency == Residency::Probation {
                         local.probations += 1;
                     }
-                    if residency != Residency::Resident {
+                    // An entry that was full (or complete) at O2 was
+                    // offered nothing; should it have lost tuples since,
+                    // the next query finds it open and refills it.
+                    if residency != Residency::Resident || st.full || st.complete {
                         continue;
                     }
-                    // One length check gates the whole group: an entry
-                    // already at its cap F admits nothing, so the
-                    // per-tuple duplicate scans below are skipped
-                    // entirely in the steady state.
+                    let lo = cands.partition_point(|&(p, _)| p < pi);
+                    let offered = &cands[lo..lo + cands[lo..].partition_point(|&(p, _)| p == pi)];
                     let mut len = store.lookup(bcp).map_or(0, <[_]>::len);
-                    for (t, cap) in tuples {
+                    for (k, (_, t)) in offered.iter().enumerate() {
+                        // One length check gates the rest of the group:
+                        // an entry at its cap F admits nothing more.
                         if len >= cap_f {
                             break;
                         }
-                        let mut have = store
+                        // Up to the proven multiplicity: equal `Ls'`
+                        // tuples are distinct rows of the answer, and the
+                        // entry may hold as many copies of `t` as this
+                        // query has proved so far, no more.
+                        let proven = 1 + offered[..k].iter().filter(|(_, x)| x == t).count();
+                        let have = store
                             .lookup(bcp)
                             .map_or(0, |ts| ts.iter().filter(|(x, _)| x == t).count());
-                        // Up to the proven multiplicity: equal `Ls'`
-                        // tuples are distinct rows of the answer.
-                        while have < *cap
-                            && len < cap_f
-                            && store.push_arc(bcp, Arc::clone(t), pin_epoch)
-                        {
-                            local.tuples_admitted += 1;
-                            have += 1;
-                            len += 1;
+                        if have >= proven {
+                            continue;
                         }
+                        if !store.push_arc(bcp, Arc::clone(t), pin_epoch) {
+                            break;
+                        }
+                        local.tuples_admitted += 1;
+                        len += 1;
                     }
                 }
                 // Completeness claims: observed-in-full bcps on this
                 // shard whose entry now holds exactly the proven truth —
                 // with no eviction racing the fill, and the fill gate
                 // re-checked under this exclusive access, so the pin
-                // reflects every change the claim must cover.
+                // reflects every change the claim must cover. A full
+                // execution shows all of a bcp only through a basic
+                // part, which covers it.
                 if store.evictions() == evicted_before {
                     let at = store.inserts_seen();
-                    for (s, bcp, total) in &completable {
-                        if *s == si && store.lookup(bcp).map_or(0, <[_]>::len) == *total {
-                            store.mark_complete(bcp, at);
+                    for (_, part, st) in members() {
+                        if (fills == Some(true) || part.is_basic)
+                            && st.truth > 0
+                            && store.lookup(&part.bcp).map_or(0, <[_]>::len) == st.truth
+                        {
+                            store.mark_complete(&part.bcp, at);
                         }
                     }
                 }
@@ -823,7 +766,8 @@ fn run_pinned_write_back(
 /// The one `QueryOutcome` builder, shared by the complete-serve, full
 /// and degraded exits: closes the query's books (counters, `full` or
 /// `degraded` phase, captured faults) and projects
-/// the `Ls'` tuples to the user layout. `degraded` is `Some` when O3 did
+/// the `Ls'` tuples to the user layout (sharing them when that is the
+/// same layout). `degraded` is `Some` when O3 did
 /// not complete: the outcome then carries only the already-served O2
 /// partials, flagged with the reason and a staleness upper bound.
 #[allow(clippy::too_many_arguments)]
@@ -874,7 +818,7 @@ fn finish(
     inner.stats.add(&local);
     flush_faults(&mut trace, fault_cap);
     let template = inner.def.template();
-    let user = |ts: &[Arc<Tuple>]| ts.iter().map(|t| template.user_tuple(t)).collect();
+    let user = |ts: &[Arc<Tuple>]| ts.iter().map(|t| template.user_tuple_shared(t)).collect();
     QueryOutcome {
         partial: user(&partial_expanded),
         remaining: user(&remaining_expanded),

@@ -263,6 +263,21 @@ impl PartialViewDef {
         BcpKey::new(dims)
     }
 
+    /// Whether `bcp` is the containing bcp of an `Ls'`-layout result
+    /// tuple — `bcp_of_tuple(tuple) == *bcp`, decided by comparing the
+    /// tuple's condition columns in place: no key is built. The serving
+    /// path matches every O3 result row to its condition part with this.
+    pub fn tuple_in_bcp(&self, tuple: &Tuple, bcp: &BcpKey) -> bool {
+        bcp.dims().iter().enumerate().all(|(i, dim)| {
+            let v = tuple.get(self.template.cond_position(i));
+            match (dim, &self.discretizers[i]) {
+                (BcpDim::Eq(x), None) => v == x,
+                (BcpDim::Iv(id), Some(d)) => d.id_of(v) == *id,
+                _ => false,
+            }
+        })
+    }
+
     /// Build the query instance selecting exactly the tuples of `bcp`
     /// (each dimension pinned to the equality value / basic interval).
     pub fn bcp_query(&self, bcp: &BcpKey) -> Result<QueryInstance> {
@@ -359,6 +374,16 @@ mod tests {
             bcp,
             BcpKey::new(vec![BcpDim::Eq(Value::Int(7)), BcpDim::Iv(1)])
         );
+        // The in-place test agrees with the recovered key, dimension by
+        // dimension.
+        assert!(def.tuple_in_bcp(&tup, &bcp));
+        for other in [
+            vec![BcpDim::Eq(Value::Int(8)), BcpDim::Iv(1)],
+            vec![BcpDim::Eq(Value::Int(7)), BcpDim::Iv(0)],
+            vec![BcpDim::Iv(1), BcpDim::Eq(Value::Int(7))],
+        ] {
+            assert!(!def.tuple_in_bcp(&tup, &BcpKey::new(other)));
+        }
     }
 
     #[test]

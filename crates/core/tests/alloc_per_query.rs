@@ -1,0 +1,161 @@
+//! Exact companion to the benchmark's noisy clock on the read path: a
+//! counting global allocator shows what one steady-state query
+//! allocates. The executor needs two allocations per result row (the
+//! row's values and the `Arc` around them) and the serving path a fixed
+//! number per query; once every probed bcp is resident and full, nothing
+//! is built per row to find that out — no `BcpKey`, no copy of a row
+//! the user already gets.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pmv_cache::PolicyKind;
+use pmv_core::{EpochDb, PartialViewDef, PmvConfig, SharedPmv};
+use pmv_index::IndexDef;
+use pmv_query::{Condition, Database, QueryInstance, TemplateBuilder};
+use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
+
+thread_local! {
+    // Per thread, so tests running side by side do not see each other.
+    // Const-initialised and without a destructor: safe to touch from
+    // inside the allocator.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System` (`realloc` and
+// `alloc_zeroed` through their default bodies, which call `alloc`); the
+// counter is a plain thread-local cell that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations on this thread while `f` ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+const F: usize = 3;
+const SUPPLIERS: i64 = 4;
+/// Orders per date: dates 0 and 1 are light, 2 and 3 twice as heavy.
+const ORDERS: [i64; 4] = [6, 6, 12, 12];
+
+/// T1's shape: `orders ⋈ lineitem` on `orderkey`, `select *`, equality
+/// conditions on `orders.orderdate` and `lineitem.suppkey`. Every order
+/// has one `lineitem` per supplier, so bcp `(date, supplier)` holds
+/// `ORDERS[date]` rows — always more than `F`.
+fn fixture() -> (EpochDb, SharedPmv) {
+    let mut db = Database::new();
+    db.create_relation(Schema::new(
+        "orders",
+        vec![
+            Column::new("orderkey", ColumnType::Int),
+            Column::new("custkey", ColumnType::Int),
+            Column::new("orderdate", ColumnType::Int),
+        ],
+    ))
+    .unwrap();
+    db.create_relation(Schema::new(
+        "lineitem",
+        vec![
+            Column::new("orderkey", ColumnType::Int),
+            Column::new("suppkey", ColumnType::Int),
+            Column::new("quantity", ColumnType::Int),
+        ],
+    ))
+    .unwrap();
+    let mut orderkey = 0i64;
+    for (date, &orders) in ORDERS.iter().enumerate() {
+        for _ in 0..orders {
+            db.insert("orders", tuple![orderkey, orderkey % 7, date as i64])
+                .unwrap();
+            for supp in 0..SUPPLIERS {
+                db.insert("lineitem", tuple![orderkey, supp, 1 + orderkey % 50])
+                    .unwrap();
+            }
+            orderkey += 1;
+        }
+    }
+    db.create_index(IndexDef::btree("orders", vec![2])).unwrap();
+    db.create_index(IndexDef::btree("lineitem", vec![0]))
+        .unwrap();
+    let template = TemplateBuilder::new("T1")
+        .relation(db.schema("orders").unwrap())
+        .relation(db.schema("lineitem").unwrap())
+        .join("orders", "orderkey", "lineitem", "orderkey")
+        .unwrap()
+        .select_star()
+        .cond_eq("orders", "orderdate")
+        .unwrap()
+        .cond_eq("lineitem", "suppkey")
+        .unwrap()
+        .build()
+        .unwrap();
+    let def = PartialViewDef::all_equality("pmv_t1", template).unwrap();
+    let pmv = SharedPmv::with_shards(def, PmvConfig::new(F, 64, PolicyKind::Clock), 4);
+    let edb = EpochDb::new(db);
+    // As in the benchmark's end-to-end runs: tracing would count too.
+    pmv.set_obs_enabled(false);
+    edb.obs().set_enabled(false);
+    (edb, pmv)
+}
+
+/// `h = 4`: two dates × two suppliers.
+fn query(pmv: &SharedPmv, dates: [i64; 2]) -> QueryInstance {
+    let eq = |vs: [i64; 2]| Condition::Equality(vs.iter().map(|&v| Value::Int(v)).collect());
+    pmv.def()
+        .template()
+        .bind(vec![eq(dates), eq([0, 1])])
+        .unwrap()
+}
+
+/// `(result rows, allocations)` of one steady-state run of `q`: every
+/// probed bcp resident and full, so all `F` tuples of each are served
+/// from the view and O3 has nothing to add to it.
+fn steady_state(edb: &EpochDb, pmv: &SharedPmv, q: &QueryInstance) -> (usize, usize) {
+    for _ in 0..3 {
+        edb.query(pmv, q).unwrap();
+    }
+    let (out, allocations) = counted(|| edb.query(pmv, q).unwrap());
+    assert!(out.bcp_hit && out.is_complete());
+    assert_eq!(out.partial.len(), 4 * F, "every probed bcp is full");
+    assert_eq!(out.ds_leftover, 0);
+    (out.partial.len() + out.remaining.len(), allocations)
+}
+
+#[test]
+fn a_steady_state_query_allocates_per_query_not_per_row() {
+    let (edb, pmv) = fixture();
+    let (light_rows, light) = steady_state(&edb, &pmv, &query(&pmv, [0, 1]));
+    let (heavy_rows, heavy) = steady_state(&edb, &pmv, &query(&pmv, [2, 3]));
+    assert_eq!((light_rows, heavy_rows), (24, 48));
+    let admitted = pmv.stats().tuples_admitted;
+    assert_eq!(admitted, (8 * F) as u64, "filled once, by the warm-up");
+
+    // Two per row for the executor's output, the rest per query.
+    for (rows, allocations) in [(light_rows, light), (heavy_rows, heavy)] {
+        assert!(
+            allocations <= 2 * rows + 70,
+            "{allocations} allocations for {rows} rows"
+        );
+    }
+    // Twice the rows cost the executor's two per extra row and a few
+    // doublings of the result vectors — nothing else scales with rows.
+    assert!(
+        heavy - light <= 2 * (heavy_rows - light_rows) + 8,
+        "{light} allocations at {light_rows} rows, {heavy} at {heavy_rows}"
+    );
+}

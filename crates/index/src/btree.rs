@@ -79,6 +79,74 @@ impl BTreeIndex {
         }
     }
 
+    /// Tree over `pairs`, built bottom-up: equal to inserting them one
+    /// by one in the given order (same postings in the same order), but
+    /// one sort instead of one descent per pair, and every leaf packed
+    /// to `order` keys instead of left half full by ascending splits.
+    pub fn bulk_load(pairs: Vec<(IndexKey, RowId)>) -> Self {
+        Self::bulk_load_with_order(DEFAULT_ORDER, pairs)
+    }
+
+    /// [`Self::bulk_load`] with `order` maximum keys per node (minimum 4).
+    pub fn bulk_load_with_order(order: usize, mut pairs: Vec<(IndexKey, RowId)>) -> Self {
+        let mut tree = Self::with_order(order);
+        if pairs.is_empty() {
+            return tree;
+        }
+        tree.entry_count = pairs.len();
+        // Stable: rows of one key keep the order they were given in.
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut entries: Vec<(IndexKey, Vec<RowId>)> = Vec::new();
+        for (key, row) in pairs {
+            match entries.last_mut() {
+                Some((last, rows)) if *last == key => rows.push(row),
+                _ => entries.push((key, vec![row])),
+            }
+        }
+        tree.key_count = entries.len();
+
+        // Leaves first, so node 0 is the leftmost leaf and each leaf's
+        // right sibling is the next id. `level` carries every node of the
+        // level being built with the least key under it.
+        tree.nodes.clear();
+        let leaves = entries.len().div_ceil(order);
+        let mut level: Vec<(IndexKey, NodeId)> = Vec::with_capacity(leaves);
+        let mut entries = entries.into_iter();
+        for id in 0..leaves {
+            let (keys, postings): (Vec<_>, Vec<_>) = entries.by_ref().take(order).unzip();
+            level.push((keys[0].clone(), id));
+            tree.nodes.push(Node::Leaf {
+                keys,
+                postings,
+                next: (id + 1 < leaves).then_some(id + 1),
+            });
+        }
+        // Internal levels: up to `order + 1` children each, split so the
+        // last node of a level never ends up with a single child.
+        while level.len() > 1 {
+            let fanout = order + 1;
+            let mut parents = Vec::with_capacity(level.len().div_ceil(fanout));
+            let mut rest = level.as_slice();
+            while !rest.is_empty() {
+                let take = match rest.len() {
+                    n if n <= fanout => n,
+                    n if n == fanout + 1 => fanout - 1,
+                    _ => fanout,
+                };
+                let (group, tail) = rest.split_at(take);
+                rest = tail;
+                parents.push((group[0].0.clone(), tree.nodes.len()));
+                tree.nodes.push(Node::Internal {
+                    keys: group[1..].iter().map(|(least, _)| least.clone()).collect(),
+                    children: group.iter().map(|&(_, id)| id).collect(),
+                });
+            }
+            level = parents;
+        }
+        tree.root = level[0].1;
+        tree
+    }
+
     /// Leaf that would contain `key`, plus the path of internal nodes
     /// walked (for split propagation).
     fn descend(&self, key: &IndexKey) -> (NodeId, Vec<(NodeId, usize)>) {
@@ -274,6 +342,45 @@ impl BTreeIndex {
             .map(|(_, p)| p.len())
             .sum();
         assert_eq!(posted, self.entry_count, "entry_count mismatch");
+        let mut leaves = Vec::new();
+        self.validate_subtree(self.root, None, None, &mut leaves);
+        let mut chain = vec![0];
+        while let Node::Leaf { next: Some(n), .. } = &self.nodes[*chain.last().unwrap()] {
+            chain.push(*n);
+        }
+        assert_eq!(leaves, chain, "descent order must equal the leaf chain");
+    }
+
+    /// Every key under `node` lies in `[lo, hi)`, no node exceeds `order`
+    /// keys, and an internal node has one more child than separators;
+    /// collects the leaves in descent order.
+    fn validate_subtree(
+        &self,
+        node: NodeId,
+        lo: Option<&IndexKey>,
+        hi: Option<&IndexKey>,
+        leaves: &mut Vec<NodeId>,
+    ) {
+        let in_bounds = |k: &IndexKey| lo.is_none_or(|lo| lo <= k) && hi.is_none_or(|hi| k < hi);
+        match &self.nodes[node] {
+            Node::Leaf { keys, postings, .. } => {
+                assert!(keys.len() <= self.order, "overfull leaf");
+                assert_eq!(keys.len(), postings.len());
+                assert!(keys.iter().all(in_bounds), "leaf key outside separators");
+                leaves.push(node);
+            }
+            Node::Internal { keys, children } => {
+                assert!(keys.len() <= self.order, "overfull internal node");
+                assert_eq!(children.len(), keys.len() + 1);
+                assert!(keys.windows(2).all(|w| w[0] < w[1]));
+                assert!(keys.iter().all(in_bounds), "separator outside parent's");
+                for (i, &child) in children.iter().enumerate() {
+                    let lo = if i == 0 { lo } else { Some(&keys[i - 1]) };
+                    let hi = keys.get(i).or(hi);
+                    self.validate_subtree(child, lo, hi, leaves);
+                }
+            }
+        }
     }
 }
 

@@ -7,51 +7,91 @@ use pmv_storage::{HeapSize, Tuple, Value};
 /// A composite key: one value per indexed column, ordered
 /// lexicographically. Single-column keys are the common case; the PMV's
 /// bcp index uses one component per selection condition in the template.
-#[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct IndexKey {
-    parts: Box<[Value]>,
+///
+/// A single-column key is held inline — no `Box`, so a B-tree leaf's key
+/// array *is* the keys and a probe compares without chasing a pointer per
+/// key (and an index clone or drop allocates nothing per key). `Eq`, `Ord`
+/// and `Hash` are written over [`IndexKey::parts`], so both shapes agree
+/// with the `[Value]` slice they borrow as.
+#[derive(Clone)]
+pub struct IndexKey(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    One(Value),
+    Many(Box<[Value]>),
 }
 
 impl IndexKey {
     /// Key over several values.
     pub fn new(parts: impl Into<Box<[Value]>>) -> Self {
-        IndexKey {
-            parts: parts.into(),
+        let mut parts = parts.into().into_vec();
+        if parts.len() == 1 {
+            IndexKey::single(parts.pop().expect("one part"))
+        } else {
+            IndexKey(Repr::Many(parts.into()))
         }
     }
 
     /// Key over a single value.
     pub fn single(v: Value) -> Self {
-        IndexKey {
-            parts: Box::from([v]),
-        }
+        IndexKey(Repr::One(v))
     }
 
     /// Extract the key for `tuple` given the indexed column positions.
     pub fn from_tuple(tuple: &Tuple, columns: &[usize]) -> Self {
-        IndexKey::new(
-            columns
-                .iter()
-                .map(|&c| tuple.get(c).clone())
-                .collect::<Vec<_>>(),
-        )
+        match columns {
+            [c] => IndexKey::single(tuple.get(*c).clone()),
+            _ => IndexKey(Repr::Many(
+                columns.iter().map(|&c| tuple.get(c).clone()).collect(),
+            )),
+        }
     }
 
     /// Key components.
     pub fn parts(&self) -> &[Value] {
-        &self.parts
+        match &self.0 {
+            Repr::One(v) => std::slice::from_ref(v),
+            Repr::Many(parts) => parts,
+        }
     }
 
     /// Number of components.
     pub fn arity(&self) -> usize {
-        self.parts.len()
+        self.parts().len()
+    }
+}
+
+impl PartialEq for IndexKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for IndexKey {}
+
+impl PartialOrd for IndexKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for IndexKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.parts().cmp(other.parts())
+    }
+}
+
+impl std::hash::Hash for IndexKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.parts().hash(state);
     }
 }
 
 impl fmt::Debug for IndexKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "k[")?;
-        for (i, v) in self.parts.iter().enumerate() {
+        for (i, v) in self.parts().iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -63,11 +103,11 @@ impl fmt::Debug for IndexKey {
 
 /// Lets `HashMap<IndexKey, _>` be probed with a borrowed `&[Value]`
 /// (e.g. values still owned by a bound tuple) — the zero-copy probe
-/// path. Sound because the derived `Hash`/`Eq` on `IndexKey` delegate
-/// to the `[Value]` slice.
+/// path. Sound because `Hash`/`Eq`/`Ord` on `IndexKey` delegate to the
+/// `[Value]` slice.
 impl std::borrow::Borrow<[Value]> for IndexKey {
     fn borrow(&self) -> &[Value] {
-        &self.parts
+        self.parts()
     }
 }
 
@@ -85,7 +125,10 @@ impl From<Vec<Value>> for IndexKey {
 
 impl HeapSize for IndexKey {
     fn heap_size(&self) -> usize {
-        self.parts.heap_size()
+        match &self.0 {
+            Repr::One(v) => v.heap_size(),
+            Repr::Many(parts) => parts.heap_size(),
+        }
     }
 }
 
@@ -110,6 +153,20 @@ mod tests {
         let k = IndexKey::from_tuple(&t, &[2, 0]);
         assert_eq!(k.parts(), &[Value::Int(30), Value::Int(10)]);
         assert_eq!(k.arity(), 2);
+    }
+
+    #[test]
+    fn single_column_key_is_inline() {
+        // The whole point of the two shapes: a one-column key costs what
+        // its value costs, and one-part keys built either way are equal.
+        assert_eq!(
+            std::mem::size_of::<IndexKey>(),
+            std::mem::size_of::<Value>()
+        );
+        let k = IndexKey::new(vec![Value::Int(7)]);
+        assert!(matches!(k.0, Repr::One(_)));
+        assert_eq!(k, IndexKey::single(Value::Int(7)));
+        assert_eq!(k.heap_size(), 0);
     }
 
     #[test]

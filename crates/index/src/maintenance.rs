@@ -1,6 +1,6 @@
 //! Index definitions and incremental maintenance from storage deltas.
 
-use pmv_storage::{Delta, DeltaBatch, Tuple};
+use pmv_storage::{Delta, DeltaBatch, RowId, Tuple};
 
 use crate::key::IndexKey;
 use crate::{AnyIndex, BTreeIndex, HashIndex, SecondaryIndex};
@@ -45,11 +45,21 @@ impl IndexDef {
         }
     }
 
-    /// Instantiate an empty index of this shape.
-    pub fn build_empty(&self) -> AnyIndex {
+    /// Build this index over `rows` (a relation's live tuples, in heap
+    /// order): a B-tree is bulk-loaded, a hash index is filled row by
+    /// row. Either way the result equals inserting the rows one by one.
+    pub fn build_from<'a>(&self, rows: impl Iterator<Item = (RowId, &'a Tuple)>) -> AnyIndex {
         match self.shape {
-            IndexShape::BTree => AnyIndex::BTree(BTreeIndex::new()),
-            IndexShape::Hash => AnyIndex::Hash(HashIndex::new()),
+            IndexShape::BTree => AnyIndex::BTree(BTreeIndex::bulk_load(
+                rows.map(|(row, t)| (self.key_of(t), row)).collect(),
+            )),
+            IndexShape::Hash => {
+                let mut idx = HashIndex::new();
+                for (row, t) in rows {
+                    idx.insert(self.key_of(t), row);
+                }
+                AnyIndex::Hash(idx)
+            }
         }
     }
 
@@ -90,7 +100,7 @@ impl IndexDef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmv_storage::{tuple, RowId};
+    use pmv_storage::tuple;
 
     #[test]
     fn key_extraction_follows_columns() {
@@ -105,7 +115,7 @@ mod tests {
     #[test]
     fn deltas_maintain_index() {
         let def = IndexDef::btree("r", vec![0]);
-        let mut idx = def.build_empty();
+        let mut idx = def.build_from(std::iter::empty());
         let t1 = tuple![1i64, 100i64];
         let t2 = tuple![2i64, 200i64];
 
@@ -163,7 +173,7 @@ mod tests {
     #[test]
     fn batch_applies_in_order() {
         let def = IndexDef::hash("r", vec![0]);
-        let mut idx = def.build_empty();
+        let mut idx = def.build_from(std::iter::empty());
         let mut batch = DeltaBatch::new("r");
         batch.push(Delta::Insert {
             row: RowId(0),

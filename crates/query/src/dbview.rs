@@ -38,16 +38,6 @@ pub trait DataView {
 
     /// The version/epoch this view reads at.
     fn view_epoch(&self) -> u64;
-
-    /// Declared unique keys of `relation` (column-index sets), empty
-    /// when none are declared or the view carries no key metadata.
-    /// Views that do carry it let the serving path prove a template
-    /// emits duplicate-free results
-    /// ([`crate::QueryTemplate::emits_unique_rows`]).
-    fn unique_keys_view(&self, relation: &str) -> &[Vec<usize>] {
-        let _ = relation;
-        &[]
-    }
 }
 
 impl DataView for Database {
@@ -67,10 +57,6 @@ impl DataView for Database {
     fn view_epoch(&self) -> u64 {
         self.version()
     }
-
-    fn unique_keys_view(&self, relation: &str) -> &[Vec<usize>] {
-        self.unique_keys(relation)
-    }
 }
 
 /// An immutable snapshot of the whole database at one version: the unit
@@ -84,7 +70,6 @@ impl DataView for Database {
 pub struct DbSnapshot {
     relations: Arc<BTreeMap<String, Arc<HeapRelation>>>,
     indexes: Arc<Vec<(IndexDef, Arc<AnyIndex>)>>,
-    unique_keys: Arc<BTreeMap<String, Vec<Vec<usize>>>>,
     stats: Option<Arc<TableStats>>,
     epoch: u64,
 }
@@ -93,14 +78,12 @@ impl DbSnapshot {
     pub(crate) fn new(
         relations: Arc<BTreeMap<String, Arc<HeapRelation>>>,
         indexes: Arc<Vec<(IndexDef, Arc<AnyIndex>)>>,
-        unique_keys: Arc<BTreeMap<String, Vec<Vec<usize>>>>,
         stats: Option<Arc<TableStats>>,
         epoch: u64,
     ) -> Self {
         DbSnapshot {
             relations,
             indexes,
-            unique_keys,
             stats,
             epoch,
         }
@@ -170,10 +153,6 @@ impl DataView for DbSnapshot {
 
     fn view_epoch(&self) -> u64 {
         self.epoch
-    }
-
-    fn unique_keys_view(&self, relation: &str) -> &[Vec<usize>] {
-        self.unique_keys.get(relation).map_or(&[], Vec::as_slice)
     }
 }
 

@@ -51,13 +51,11 @@ pub struct Database {
     index_version: u64,
     /// Declared unique keys per relation (sets of column indices).
     /// Declaration validates the relation's current contents and every
-    /// later [`Database::insert`] / [`Database::update`] re-checks, so a
-    /// declared key is a *proof* the serving path may rely on (see
-    /// [`crate::QueryTemplate::emits_unique_rows`]). Bulk
+    /// later [`Database::insert`] / [`Database::update`] re-checks. Bulk
     /// [`Database::load`] and the exact-slot replay/rollback primitives
     /// trust their provenance (pre-validated workloads, the WAL) and
-    /// skip the check. Behind an `Arc` so snapshots share it by pointer.
-    unique_keys: Arc<std::collections::BTreeMap<String, Vec<Vec<usize>>>>,
+    /// skip the check.
+    unique_keys: std::collections::BTreeMap<String, Vec<Vec<usize>>>,
     /// The incrementally-maintained snapshot cache (see
     /// [`Database::publish_snapshot`]).
     snap_cache: Option<SnapCache>,
@@ -162,7 +160,6 @@ impl Database {
         DbSnapshot::new(
             Arc::new(relations),
             Arc::new(self.indexes.clone()),
-            Arc::clone(&self.unique_keys),
             self.stats.clone(),
             self.version,
         )
@@ -221,7 +218,6 @@ impl Database {
         let snap = DbSnapshot::new(
             Arc::clone(&cache.relations),
             Arc::clone(&cache.indexes),
-            Arc::clone(&self.unique_keys),
             self.stats.clone(),
             self.version,
         );
@@ -249,10 +245,7 @@ impl Database {
     /// contents.
     pub fn create_index(&mut self, def: IndexDef) -> Result<()> {
         let rel = self.catalog.relation(&def.relation)?;
-        let mut idx = def.build_empty();
-        for (row, tuple) in relation_snapshot(&rel).iter() {
-            idx.insert(def.key_of(tuple), row);
-        }
+        let idx = def.build_from(relation_snapshot(&rel).iter());
         self.indexes.push((def, Arc::new(idx)));
         self.version += 1;
         self.index_version += 1;
@@ -285,9 +278,7 @@ impl Database {
     /// every later [`Database::insert`] / [`Database::update`] rejects
     /// writes that would violate the key. Declare an index on the same
     /// columns first to make the per-write check an index probe instead
-    /// of a scan. Templates whose expanded layout covers a declared key
-    /// of every joined relation provably emit duplicate-free results
-    /// ([`crate::QueryTemplate::emits_unique_rows`]).
+    /// of a scan.
     pub fn declare_unique_key(&mut self, relation: &str, columns: &[&str]) -> Result<()> {
         let schema = self.schema(relation)?;
         let mut key = Vec::with_capacity(columns.len());
@@ -308,7 +299,7 @@ impl Database {
                 "relation '{relation}' already holds duplicates on columns {key:?}"
             )));
         }
-        Arc::make_mut(&mut self.unique_keys)
+        self.unique_keys
             .entry(relation.to_string())
             .or_default()
             .push(key);
@@ -363,6 +354,16 @@ impl Database {
     /// `Arc::make_mut` mutates in place while no snapshot pins the index
     /// and clones the whole index off-path when one does (unlike the
     /// heap, indexes share no structure between versions yet).
+    ///
+    /// The un-sharing happens *before* `apply_delta` looks at the delta,
+    /// so an `Update` that keeps the indexed columns — which changes
+    /// nothing in the index — still pays the whole clone. That is left
+    /// alone on purpose: skipping it was measured to make commits on a
+    /// 120 k-row relation ≈ 40× faster (3.8 ms → 99 µs), after which two
+    /// publishes fit inside one query, the reader becomes the last holder
+    /// of the retired index versions and frees them in its own re-pin
+    /// (33 µs → 1.9 ms each; `mixed_2t` set-up +70 %). Reclamation has to
+    /// move off the reader first (ROADMAP item 1).
     fn maintain_indexes(&mut self, relation: &str, delta: &Delta) {
         for (def, idx) in &mut self.indexes {
             if def.relation == relation {
@@ -394,16 +395,21 @@ impl Database {
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<usize> {
         let rel = self.catalog.relation(relation)?;
-        let indexes = &mut self.indexes;
+        let mut covering: Vec<&mut (IndexDef, Arc<AnyIndex>)> = self
+            .indexes
+            .iter_mut()
+            .filter(|(def, _)| def.relation == relation)
+            .collect();
         let n = with_relation_mut(&rel, |r| -> Result<usize> {
             let mut n = 0;
+            let mut keys = Vec::with_capacity(covering.len());
             for t in tuples {
-                let row = r.insert(t.clone())?;
-                let delta = Delta::Insert { row, tuple: t };
-                for (def, idx) in indexes.iter_mut() {
-                    if def.relation == relation {
-                        def.apply_delta(Arc::make_mut(idx), &delta);
-                    }
+                // Keys first, from the borrowed tuple, so the tuple itself
+                // moves into the heap uncopied.
+                keys.extend(covering.iter().map(|(def, _)| def.key_of(&t)));
+                let row = r.insert(t)?;
+                for ((_, idx), key) in covering.iter_mut().zip(keys.drain(..)) {
+                    Arc::make_mut(idx).insert(key, row);
                 }
                 n += 1;
             }
@@ -607,18 +613,6 @@ mod tests {
             Err(QueryError::Unique(_))
         ));
         db.insert("r", tuple![8i64, 80i64]).unwrap();
-    }
-
-    #[test]
-    fn unique_keys_flow_into_snapshots() {
-        let mut db = db_with_r();
-        db.insert("r", tuple![1i64, 10i64]).unwrap();
-        db.declare_unique_key("r", &["a"]).unwrap();
-        let snap = db.snapshot();
-        use crate::dbview::DataView;
-        assert_eq!(snap.unique_keys_view("r"), &[vec![0]]);
-        assert_eq!(DataView::unique_keys_view(&db, "r"), &[vec![0]]);
-        assert!(snap.unique_keys_view("nope").is_empty());
     }
 
     #[test]

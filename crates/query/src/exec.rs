@@ -377,7 +377,7 @@ fn execute_with_conditions<V: DataView>(
     for (i, c) in conds.iter().enumerate() {
         conds_by_rel[t.cond_templates()[i].attr.relation].push((i, c));
     }
-    let (drive, drive_cond) = if check_conds && !conds.is_empty() {
+    let (drive, drive_cond) = if check_conds {
         choose_drive(view, t, conds)
     } else {
         (0, None)
@@ -531,11 +531,16 @@ fn estimate_interval_rows(
 /// (the paper's plans drive from the first selection); with statistics
 /// (after `Database::analyze`), the condition with the lowest
 /// estimated candidate-row count, preferring indexed attributes.
+/// Without conditions, relation 0 is scanned. [`explain`] prints this
+/// same choice.
 fn choose_drive<V: DataView>(
     view: &V,
     t: &QueryTemplate,
     conds: &[Condition],
 ) -> (usize, Option<usize>) {
+    if conds.is_empty() {
+        return (0, None);
+    }
     let default = (t.cond_templates()[0].attr.relation, Some(0));
     let Some(stats) = view.stats_view() else {
         return default;
@@ -671,24 +676,24 @@ fn bind_remaining<'g>(
 /// EXPLAIN would print for the paper's index-nested-loop plans.
 pub fn explain<V: DataView>(view: &V, q: &QueryInstance) -> String {
     let t = q.template().as_ref();
-    let drive = t.cond_templates()[0].attr.relation;
+    let (drive, drive_cond) = choose_drive(view, t, q.conds());
     let drive_name = &t.relations()[drive];
-    let drive_col = t.cond_templates()[0].attr.column;
     let mut out = String::new();
-    let access = match (q.conds().first(), view.index_arc(drive_name, &[drive_col])) {
-        (Some(Condition::Equality(vs)), Some(_)) => {
+    let indexed = drive_cond.and_then(|ci| {
+        let col = t.cond_templates()[ci].attr.column;
+        let idx = view.index_arc(drive_name, &[col])?;
+        Some((&q.conds()[ci], &t.schema(drive).column(col).name, idx))
+    });
+    let access = match indexed {
+        Some((Condition::Equality(vs), col, _)) => {
             format!(
-                "index probes on {}.{} ({} disjuncts)",
-                drive_name,
-                t.schema(drive).column(drive_col).name,
+                "index probes on {drive_name}.{col} ({} disjuncts)",
                 vs.len()
             )
         }
-        (Some(Condition::Intervals(ivs)), Some(idx)) if idx.supports_range() => {
+        Some((Condition::Intervals(ivs), col, idx)) if idx.supports_range() => {
             format!(
-                "index range scans on {}.{} ({} intervals)",
-                drive_name,
-                t.schema(drive).column(drive_col).name,
+                "index range scans on {drive_name}.{col} ({} intervals)",
                 ivs.len()
             )
         }
@@ -1397,6 +1402,33 @@ mod drive_choice_tests {
             stats_b.tuples_examined,
             stats_a.tuples_examined
         );
+    }
+
+    #[test]
+    fn explain_follows_the_chosen_drive() {
+        let mut db = setup();
+        let t = template(&db);
+        let q = t
+            .bind(vec![
+                Condition::Equality(vec![Value::Int(0)]),
+                Condition::Equality(vec![Value::Int(7)]),
+            ])
+            .unwrap();
+        let plan = explain(&db, &q);
+        assert!(
+            plan.starts_with("drive: s via index probes on s.g (1 disjuncts)\n"),
+            "{plan}"
+        );
+        assert!(plan.contains("join: r.j = s.j via index probe"), "{plan}");
+        // Statistics flip the drive to condition 1; the printed plan is
+        // the plan `execute` runs.
+        db.analyze().unwrap();
+        let plan = explain(&db, &q);
+        assert!(
+            plan.starts_with("drive: r via index probes on r.k (1 disjuncts)\n"),
+            "{plan}"
+        );
+        assert!(plan.contains("join: s.j = r.j via index probe"), "{plan}");
     }
 
     #[test]

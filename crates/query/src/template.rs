@@ -17,7 +17,6 @@ use std::sync::Arc;
 use pmv_storage::{Schema, Tuple, Value};
 
 use crate::condition::Condition;
-use crate::dbview::DataView;
 use crate::{QueryError, Result};
 
 /// Reference to one attribute of one template relation.
@@ -144,30 +143,17 @@ impl QueryTemplate {
         expanded.project(&self.select_positions)
     }
 
-    /// Proof that every instance of this template emits a duplicate-free
-    /// result multiset against `view`: the expanded layout `Ls'` embeds
-    /// a declared unique key of every joined relation. Each combination
-    /// of base rows joins at most once, and two distinct combinations
-    /// differ in some relation's row — whose declared key values differ
-    /// and are all present in `Ls'` — so they project to distinct result
-    /// tuples. The serving path uses this to skip its per-row
-    /// proven-occurrence bookkeeping (DESIGN.md §19).
-    ///
-    /// The proof holds because declared keys are *enforced*: declaration
-    /// validates the relation's contents and every insert/update
-    /// re-checks ([`crate::engine::Database::declare_unique_key`]).
-    pub fn emits_unique_rows<V: DataView + ?Sized>(&self, view: &V) -> bool {
-        self.relations.iter().enumerate().all(|(r, name)| {
-            view.unique_keys_view(name).iter().any(|key| {
-                !key.is_empty()
-                    && key.iter().all(|&column| {
-                        self.expanded.contains(&AttrRef {
-                            relation: r,
-                            column,
-                        })
-                    })
-            })
-        })
+    /// [`Self::user_tuple`] for a shared tuple: when `Ls` is all of `Ls'`
+    /// (a `select *`, or every condition attribute selected) the user's
+    /// row *is* the result row and only the pointer is copied.
+    pub fn user_tuple_shared(&self, expanded: &Arc<Tuple>) -> Arc<Tuple> {
+        // `Ls'` is `Ls` followed by the unselected condition attributes,
+        // so equal lengths mean the projection is the identity.
+        if self.select_positions.len() == self.expanded.len() {
+            Arc::clone(expanded)
+        } else {
+            Arc::new(self.user_tuple(expanded))
+        }
     }
 
     /// Bind disjuncts, producing a validated instance.
@@ -469,26 +455,6 @@ mod tests {
             .unwrap()
             .build()
             .unwrap()
-    }
-
-    #[test]
-    fn emits_unique_rows_requires_embedded_keys_for_every_relation() {
-        use crate::engine::Database;
-        let t = eqt();
-        let mut db = Database::new();
-        db.create_relation(r_schema()).unwrap();
-        db.create_relation(s_schema()).unwrap();
-        // No declared keys anywhere: no proof.
-        assert!(!t.emits_unique_rows(&db));
-        // A key outside Ls' (r.c is not selected or conditioned) does
-        // not help, even combined with an embedded key on s.
-        db.declare_unique_key("r", &["c"]).unwrap();
-        db.declare_unique_key("s", &["e", "g"]).unwrap();
-        assert!(!t.emits_unique_rows(&db));
-        // Once every joined relation has a declared key fully embedded
-        // in Ls' = (r.a, s.e, r.f, s.g), the proof goes through.
-        db.declare_unique_key("r", &["a", "f"]).unwrap();
-        assert!(t.emits_unique_rows(&db));
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //! end owns its own view so cache states evolve independently;
 //! equivalence therefore exercises fills, hits, complete-serves,
 //! upqueries, evictions and the epoch gates, not just cold execution.
-//! With `unique` set the relation declares a key the template covers, so
-//! single-part queries take the duplicate-free fill path; without it
-//! every fill goes through the proven-occurrence caps.
+//! With `unique` set the relation enforces a key on `a`, so answers are
+//! duplicate-free and a colliding insert fails its commit; without it
+//! equal rows occur and fills are held to their proven multiplicity.
 
 use pmv::cache::PolicyKind;
 use pmv::core::EpochDb;

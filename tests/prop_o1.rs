@@ -104,6 +104,12 @@ proptest! {
             }
         }
 
+        // (5) `bcp_part` numbers the first part of each containing bcp.
+        for (n, p) in parts.iter().enumerate() {
+            let first = parts.iter().position(|o| o.bcp == p.bcp).unwrap();
+            prop_assert_eq!(p.bcp_part, first, "part {}", n);
+        }
+
         for p in &parts {
             // (3) containment in the bcp & (4) is_basic correctness.
             let disc = def.discretizer(1).unwrap();
@@ -153,5 +159,9 @@ proptest! {
             .collect();
         prop_assert_eq!(holder.len(), 1, "everything-query must cover any g");
         prop_assert_eq!(&def.bcp_of_tuple(&tup), &holder[0].bcp);
+        // The serving path's in-place test picks the same bcp and no other.
+        for p in &parts {
+            prop_assert_eq!(def.tuple_in_bcp(&tup, &p.bcp), p.bcp == holder[0].bcp);
+        }
     }
 }
