@@ -9,7 +9,7 @@
 
 use std::ops::Bound;
 
-use pmv_storage::RowId;
+use pmv_storage::{prefetch_read, RowId, Value};
 
 use crate::key::IndexKey;
 use crate::SecondaryIndex;
@@ -169,7 +169,7 @@ impl BTreeIndex {
     /// straight out of the bound tuple. Component comparison matches
     /// `IndexKey`'s derived `Ord` (lexicographic over `Value`), so this
     /// lands on the same leaf slot as [`SecondaryIndex::get`].
-    pub fn get_by_parts(&self, parts: &[pmv_storage::Value]) -> &[RowId] {
+    pub fn get_by_parts(&self, parts: &[Value]) -> &[RowId] {
         let mut node = self.root;
         loop {
             match &self.nodes[node] {
@@ -268,22 +268,73 @@ impl BTreeIndex {
         }
     }
 
-    /// Range scan: all `(key, postings)` with key within the bounds, in
+    /// Equality probes for a batch of single-value keys: appends one
+    /// posting slice to `out` per key, each exactly what
+    /// [`Self::get_by_parts`] returns for `&[key]` (so nothing on a
+    /// composite-key tree). A probe is a chain of dependent loads — leaf
+    /// header, key array, posting array, posting rows — and the chains of
+    /// different keys are independent, so each stage is issued for a
+    /// whole block of keys and prefetches the next stage's lines: the
+    /// misses overlap instead of queuing. The last stage prefetches the
+    /// rows for the caller, who reads them next.
+    pub fn probe_many<'a>(&'a self, keys: &[&Value], out: &mut Vec<&'a [RowId]>) {
+        // Keys per block: bounds the lines in flight between two stages
+        // (a leaf's two arrays are 24 lines) and lets the per-key state
+        // live on the stack.
+        const BLOCK: usize = 64;
+        out.reserve(keys.len());
+        for block in keys.chunks(BLOCK) {
+            let mut leaves = [0; BLOCK];
+            for (leaf, key) in leaves.iter_mut().zip(block) {
+                let mut node = self.root;
+                while let Node::Internal { keys, children } = &self.nodes[node] {
+                    node = children[keys.partition_point(|sep| sep.cmp_value(key).is_le())];
+                }
+                *leaf = node;
+                prefetch_read(&self.nodes[node], std::mem::size_of::<Node>());
+            }
+            for &leaf in &leaves[..block.len()] {
+                let (keys, postings) = self.leaf(leaf);
+                prefetch_read(keys.as_ptr(), std::mem::size_of_val(keys));
+                prefetch_read(postings.as_ptr(), std::mem::size_of_val(postings));
+            }
+            for (&leaf, key) in leaves.iter().zip(block) {
+                let (keys, postings) = self.leaf(leaf);
+                let rows: &[RowId] = match keys.binary_search_by(|k| k.cmp_value(key)) {
+                    Ok(i) => &postings[i],
+                    Err(_) => &[],
+                };
+                prefetch_read(rows.as_ptr(), std::mem::size_of_val(rows));
+                out.push(rows);
+            }
+        }
+    }
+
+    fn leaf(&self, node: NodeId) -> (&[IndexKey], &[Vec<RowId>]) {
+        match &self.nodes[node] {
+            Node::Leaf { keys, postings, .. } => (keys, postings),
+            Node::Internal { .. } => unreachable!("descent ends at a leaf"),
+        }
+    }
+
+    /// Visit every `(key, postings)` with key within the bounds, in
     /// ascending key order.
-    pub fn range(&self, lo: Bound<&IndexKey>, hi: Bound<&IndexKey>) -> Vec<(IndexKey, Vec<RowId>)> {
-        let mut out = Vec::new();
+    fn walk_range(
+        &self,
+        lo: Bound<&IndexKey>,
+        hi: Bound<&IndexKey>,
+        mut visit: impl FnMut(&IndexKey, &[RowId]),
+    ) {
         // Locate the starting leaf and position.
         let (mut node, mut pos) = match lo {
             Bound::Unbounded => (0, 0), // node 0 is always the leftmost leaf
             Bound::Included(k) | Bound::Excluded(k) => {
                 let (leaf, _) = self.descend(k);
-                let pos = match &self.nodes[leaf] {
-                    Node::Leaf { keys, .. } => match lo {
-                        Bound::Included(k) => keys.partition_point(|x| x < k),
-                        Bound::Excluded(k) => keys.partition_point(|x| x <= k),
-                        Bound::Unbounded => 0,
-                    },
-                    Node::Internal { .. } => unreachable!(),
+                let keys = self.leaf(leaf).0;
+                let pos = match lo {
+                    Bound::Included(k) => keys.partition_point(|x| x < k),
+                    Bound::Excluded(k) => keys.partition_point(|x| x <= k),
+                    Bound::Unbounded => 0,
                 };
                 (leaf, pos)
             }
@@ -305,9 +356,9 @@ impl BTreeIndex {
                     Bound::Excluded(h) => k < h,
                 };
                 if !in_hi {
-                    return out;
+                    return;
                 }
-                out.push((k.clone(), postings[pos].clone()));
+                visit(k, &postings[pos]);
                 pos += 1;
             }
             match next {
@@ -315,9 +366,25 @@ impl BTreeIndex {
                     node = *n;
                     pos = 0;
                 }
-                None => return out,
+                None => return,
             }
         }
+    }
+
+    /// Range scan: all `(key, postings)` with key within the bounds, in
+    /// ascending key order.
+    pub fn range(&self, lo: Bound<&IndexKey>, hi: Bound<&IndexKey>) -> Vec<(IndexKey, Vec<RowId>)> {
+        let mut out = Vec::new();
+        self.walk_range(lo, hi, |k, rows| out.push((k.clone(), rows.to_vec())));
+        out
+    }
+
+    /// The row ids of [`Self::range`], appended to `out` in the same
+    /// order (ascending key, then posting order) — what a driving range
+    /// scan needs, without a clone of every key and posting list in
+    /// range.
+    pub fn range_rows(&self, lo: Bound<&IndexKey>, hi: Bound<&IndexKey>, out: &mut Vec<RowId>) {
+        self.walk_range(lo, hi, |_, rows| out.extend_from_slice(rows));
     }
 
     /// All keys in ascending order (test/validation helper).
@@ -453,7 +520,6 @@ impl SecondaryIndex for BTreeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmv_storage::Value;
 
     fn k(v: i64) -> IndexKey {
         IndexKey::single(Value::Int(v))

@@ -1,5 +1,6 @@
 //! Composite index keys.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use pmv_storage::{HeapSize, Tuple, Value};
@@ -12,7 +13,8 @@ use pmv_storage::{HeapSize, Tuple, Value};
 /// array *is* the keys and a probe compares without chasing a pointer per
 /// key (and an index clone or drop allocates nothing per key). `Eq`, `Ord`
 /// and `Hash` are written over [`IndexKey::parts`], so both shapes agree
-/// with the `[Value]` slice they borrow as.
+/// with the `[Value]` slice they borrow as; two single-column keys skip
+/// the slices and compare their values directly, which is the same order.
 #[derive(Clone)]
 pub struct IndexKey(Repr);
 
@@ -60,25 +62,41 @@ impl IndexKey {
     pub fn arity(&self) -> usize {
         self.parts().len()
     }
+
+    /// `self.parts().cmp(&[v])` without building either slice: how a
+    /// single-column key — the shape every join index has — meets a probe
+    /// value still owned by a bound tuple.
+    pub fn cmp_value(&self, v: &Value) -> Ordering {
+        match &self.0 {
+            Repr::One(k) => k.cmp(v),
+            Repr::Many(parts) => parts[..].cmp(std::slice::from_ref(v)),
+        }
+    }
 }
 
 impl PartialEq for IndexKey {
     fn eq(&self, other: &Self) -> bool {
-        self.parts() == other.parts()
+        match (&self.0, &other.0) {
+            (Repr::One(a), Repr::One(b)) => a == b,
+            _ => self.parts() == other.parts(),
+        }
     }
 }
 
 impl Eq for IndexKey {}
 
 impl PartialOrd for IndexKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for IndexKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.parts().cmp(other.parts())
+    fn cmp(&self, other: &Self) -> Ordering {
+        match (&self.0, &other.0) {
+            (Repr::One(a), Repr::One(b)) => a.cmp(b),
+            _ => self.parts().cmp(other.parts()),
+        }
     }
 }
 

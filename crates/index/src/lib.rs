@@ -25,7 +25,7 @@ pub use hash::HashIndex;
 pub use key::IndexKey;
 pub use maintenance::{IndexDef, IndexShape};
 
-use pmv_storage::RowId;
+use pmv_storage::{RowId, Value};
 use std::ops::Bound;
 
 /// Errors from index operations.
@@ -99,6 +99,25 @@ impl AnyIndex {
         }
     }
 
+    /// The row ids [`Self::range`] would return, appended to `out` in
+    /// the same order, with the same refusal on a hash index. The
+    /// executor's interval drive: it wants the rows, not a clone of every
+    /// key and posting list in range.
+    pub fn range_rows(
+        &self,
+        lo: Bound<&IndexKey>,
+        hi: Bound<&IndexKey>,
+        out: &mut Vec<RowId>,
+    ) -> Result<(), IndexError> {
+        match self {
+            AnyIndex::BTree(b) => {
+                b.range_rows(lo, hi, out);
+                Ok(())
+            }
+            AnyIndex::Hash(_) => Err(IndexError::RangeOnHashIndex),
+        }
+    }
+
     /// Whether this index supports ordered range scans.
     pub fn supports_range(&self) -> bool {
         matches!(self, AnyIndex::BTree(_))
@@ -108,12 +127,34 @@ impl AnyIndex {
     /// [`SecondaryIndex::get`]. The executor's inner join loop probes
     /// with values still owned by the bound tuple, so no `IndexKey` (and
     /// no `Value` clone) is materialized per probe.
-    pub fn probe(&self, parts: &[pmv_storage::Value]) -> &[RowId] {
+    pub fn probe(&self, parts: &[Value]) -> &[RowId] {
         // Same soft fault site as `get`: both are the executor probe path.
         pmv_faultinject::fire_soft(pmv_faultinject::Site::IndexProbe);
         match self {
             AnyIndex::BTree(b) => b.get_by_parts(parts),
             AnyIndex::Hash(h) => h.get_by_parts(parts),
+        }
+    }
+
+    /// [`Self::probe`] for a batch of one-value keys: appends
+    /// `probe(&[key])` to `out` for each key, in order, and fires the
+    /// probe fault site once per key. The executor advances a whole batch
+    /// of bindings through a join step with one call, which lets the
+    /// B-tree overlap the batch's cache misses
+    /// ([`BTreeIndex::probe_many`]); a hash probe has one miss chain per
+    /// key and simply loops.
+    pub fn probe_many<'a>(&'a self, keys: &[&Value], out: &mut Vec<&'a [RowId]>) {
+        for _ in keys {
+            pmv_faultinject::fire_soft(pmv_faultinject::Site::IndexProbe);
+        }
+        match self {
+            AnyIndex::BTree(b) => b.probe_many(keys, out),
+            AnyIndex::Hash(h) => {
+                out.extend(
+                    keys.iter()
+                        .map(|k| h.get_by_parts(std::slice::from_ref(*k))),
+                );
+            }
         }
     }
 }
@@ -161,7 +202,6 @@ impl SecondaryIndex for AnyIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmv_storage::Value;
 
     #[test]
     fn any_index_dispatches() {

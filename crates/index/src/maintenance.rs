@@ -1,6 +1,6 @@
 //! Index definitions and incremental maintenance from storage deltas.
 
-use pmv_storage::{Delta, DeltaBatch, RowId, Tuple};
+use pmv_storage::{Delta, DeltaBatch, HeapRelation, Tuple};
 
 use crate::key::IndexKey;
 use crate::{AnyIndex, BTreeIndex, HashIndex, SecondaryIndex};
@@ -45,17 +45,21 @@ impl IndexDef {
         }
     }
 
-    /// Build this index over `rows` (a relation's live tuples, in heap
-    /// order): a B-tree is bulk-loaded, a hash index is filled row by
-    /// row. Either way the result equals inserting the rows one by one.
-    pub fn build_from<'a>(&self, rows: impl Iterator<Item = (RowId, &'a Tuple)>) -> AnyIndex {
+    /// Build this index over `relation`'s live tuples, in heap order: a
+    /// B-tree is bulk-loaded, a hash index is filled row by row. Either
+    /// way the result equals inserting the rows one by one.
+    pub fn build_from(&self, relation: &HeapRelation) -> AnyIndex {
         match self.shape {
-            IndexShape::BTree => AnyIndex::BTree(BTreeIndex::bulk_load(
-                rows.map(|(row, t)| (self.key_of(t), row)).collect(),
-            )),
+            IndexShape::BTree => {
+                // The live-row iterator has no size hint; one reservation
+                // instead of a doubling per power of two.
+                let mut pairs = Vec::with_capacity(relation.len());
+                pairs.extend(relation.iter().map(|(row, t)| (self.key_of(t), row)));
+                AnyIndex::BTree(BTreeIndex::bulk_load(pairs))
+            }
             IndexShape::Hash => {
                 let mut idx = HashIndex::new();
-                for (row, t) in rows {
+                for (row, t) in relation.iter() {
                     idx.insert(self.key_of(t), row);
                 }
                 AnyIndex::Hash(idx)
@@ -100,7 +104,11 @@ impl IndexDef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pmv_storage::tuple;
+    use pmv_storage::{tuple, Column, ColumnType, RowId, Schema};
+
+    fn empty_relation() -> HeapRelation {
+        HeapRelation::new(Schema::new("r", vec![Column::new("a", ColumnType::Int)]))
+    }
 
     #[test]
     fn key_extraction_follows_columns() {
@@ -115,7 +123,7 @@ mod tests {
     #[test]
     fn deltas_maintain_index() {
         let def = IndexDef::btree("r", vec![0]);
-        let mut idx = def.build_from(std::iter::empty());
+        let mut idx = def.build_from(&empty_relation());
         let t1 = tuple![1i64, 100i64];
         let t2 = tuple![2i64, 200i64];
 
@@ -173,7 +181,7 @@ mod tests {
     #[test]
     fn batch_applies_in_order() {
         let def = IndexDef::hash("r", vec![0]);
-        let mut idx = def.build_from(std::iter::empty());
+        let mut idx = def.build_from(&empty_relation());
         let mut batch = DeltaBatch::new("r");
         batch.push(Delta::Insert {
             row: RowId(0),

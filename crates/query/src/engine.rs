@@ -245,7 +245,7 @@ impl Database {
     /// contents.
     pub fn create_index(&mut self, def: IndexDef) -> Result<()> {
         let rel = self.catalog.relation(&def.relation)?;
-        let idx = def.build_from(relation_snapshot(&rel).iter());
+        let idx = def.build_from(&relation_snapshot(&rel));
         self.indexes.push((def, Arc::new(idx)));
         self.version += 1;
         self.index_version += 1;

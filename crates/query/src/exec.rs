@@ -8,26 +8,84 @@
 //! ("fetches tuples from R using the index on R.f; for each retrieved
 //! tuple, the index on S.d is used to search S", Section 2.1).
 //!
+//! # One level at a time
+//!
+//! The plan is the paper's; the loop is not written depth-first. An index
+//! nested loop over in-memory relations is a chain of dependent cache
+//! misses per row (leaf header → key array → posting array → posting rows
+//! → heap slot → tuple body), and walked one row at a time the query
+//! waits for each of them in turn. The misses of *different* rows are
+//! independent, so the executor takes driving candidates [`DRIVE_BATCH`]
+//! at a time and moves the whole batch through each join step together
+//! (`ExecCtx::advance` / `ExecCtx::flush`), in passes that each prefetch
+//! what the next pass reads (group prefetching — Chen, Ailamaki, Gibbons,
+//! Mowry, ICDE 2004):
+//!
+//! 1. gather the probe value of every binding in the frontier;
+//! 2. [`AnyIndex::probe_many`] — every key descends to its leaf, then the
+//!    leaves' headers, arrays and posting rows are read stage by stage;
+//! 3. prefetch the heap slot of every returned row id;
+//! 4. load the slots, prefetch the tuple bodies;
+//! 5. in order: compare the join attribute, `tick` the budget and the
+//!    `ExecRow` fault site, apply the relation's local predicates, and
+//!    append the survivors to the next frontier;
+//!
+//! and `emit` after the last level.
+//!
+//! **Order.** Every pass walks its input front to back and appends, a
+//! level's rows are cut into chunks of at most [`LEVEL_CHUNK`] in
+//! `(binding, posting)` order, and a chunk is carried all the way to
+//! `emit` before the next is cut. Rows therefore leave in exactly the
+//! order of the depth-first loop — driving candidate order, then posting
+//! order at each step. The PMV above depends on it: which `F` tuples of a
+//! bcp get cached, hence `hit_ratio` and `view_bytes`, follow result
+//! order.
+//!
+//! **Counts.** `ExecStats`, and the firings of the `IndexProbe` (one per
+//! probe), `StorageRead` (one per `HeapRelation::get`; the slot prefetch
+//! is not a read) and `ExecRow` (one per `tick`) sites, are what the
+//! depth-first loop produced for any query that runs to completion. A
+//! budget or fault abort still drops all output; because the batch reads
+//! ahead, it may have fetched rows the depth-first loop would not have
+//! reached. `max_tuples = k` fails exactly when more than `k` tuples
+//! would be examined in total, as before.
+//!
+//! **Constants.** [`DRIVE_BATCH`] and [`LEVEL_CHUNK`] are not options:
+//! nothing a caller knows would let it choose better, the measured
+//! optimum is flat (chunk caps 64, 256 and 1 024 are within noise of each
+//! other on the benchmark), and the second exists only to bound memory.
+//!
+//! **`unsafe`.** None here. The prefetch hint itself is
+//! `pmv_storage::prefetch_read`, the workspace's one wrapper around
+//! `_mm_prefetch` (a no-op off x86_64); its `SAFETY` note explains why
+//! any address is acceptable.
+//!
+//! Steps without an index keep a scan of the relation per binding (the
+//! rows that join go through the same pass 5), and [`join_from`] — the
+//! `ΔR ⋈ (other relations)` join of PMV delete maintenance (Section 3.4)
+//! — enters the same loop with a frontier of its one pre-bound tuple.
+//!
+//! # Views and copies
+//!
 //! The executor is generic over [`DataView`]: it runs identically on the
 //! live [`Database`] or on an immutable [`crate::DbSnapshot`]. Either
 //! way it resolves every relation and index it needs to immutable `Arc`
 //! versions **up front** and then holds no lock for the rest of the
-//! query — O3 is lock-free. The inner loops are zero-copy: index
-//! postings are borrowed slices (no `to_vec`), probe values are borrowed
-//! from the bound tuples (no per-probe `Value` clone or `IndexKey`
-//! allocation), and result tuples are built once and handed out as
-//! `Arc<Tuple>` (see [`execute_bounded_arc`]).
+//! query — O3 is lock-free. The passes are zero-copy: index postings are
+//! borrowed slices (no `to_vec`), probe values are borrowed from the
+//! bound tuples (no per-probe `Value` clone or `IndexKey` allocation),
+//! the level scratch is allocated once per query, and result tuples are
+//! built once and handed out as `Arc<Tuple>` (see
+//! [`execute_bounded_arc`]).
 //!
 //! [`execute_scan`] is a deliberately naive nested-loop oracle used by the
-//! test suite to validate the indexed executor, and [`join_from`] computes
-//! the `ΔR ⋈ (other relations)` join needed by PMV delete maintenance
-//! (Section 3.4) without touching the deleted tuple's own relation.
+//! test suite to validate the indexed executor.
 
 use std::sync::Arc;
 
 use pmv_faultinject::Site;
 use pmv_index::{AnyIndex, IndexKey};
-use pmv_storage::{HeapRelation, RowId, Tuple, Value};
+use pmv_storage::{prefetch_read, HeapRelation, RowId, Tuple, Value};
 
 use crate::condition::Condition;
 use crate::dbview::DataView;
@@ -207,14 +265,54 @@ fn resolve<V: DataView>(
     })
 }
 
+/// Driving candidates that advance through the join steps together.
+/// A constant, not an option: it only has to be large enough that a
+/// batch's cache misses overlap (a core keeps 10–20 loads in flight) and
+/// small enough that what a batch prefetches is still in cache when the
+/// next pass reads it; 64 drive rows with the fan-outs of the paper's
+/// templates sit well inside both.
+pub const DRIVE_BATCH: usize = 64;
+
+/// Most rows one join level fetches, filters and hands to the next level
+/// at a time. A join step can fan a batch out without bound (one posting
+/// list may hold a whole relation); cutting each level's work into chunks
+/// of this size keeps every scratch buffer — and so the executor's memory
+/// — bounded by `steps × LEVEL_CHUNK`, whatever the data. A constant for
+/// the same reason as [`DRIVE_BATCH`].
+pub const LEVEL_CHUNK: usize = 256;
+
+/// Scratch of one level of the loop (the drive, or one join step),
+/// allocated once per query and reused by every batch and chunk. A
+/// binding is `n` slots, one per template relation, `None` while unbound;
+/// a frontier is bindings laid end to end.
+#[derive(Default)]
+struct Level<'a> {
+    /// Probe value of each binding of the frontier being expanded.
+    keys: Vec<&'a Value>,
+    /// Posting list of each of those bindings.
+    postings: Vec<&'a [RowId]>,
+    /// Current chunk: `(binding, candidate row)` in output order.
+    rows: Vec<(usize, RowId)>,
+    /// The chunk's live rows, fetched.
+    fetched: Vec<(usize, &'a Tuple)>,
+    /// Bindings that survived this level: the next level's frontier.
+    next: Vec<Option<&'a Tuple>>,
+}
+
 /// Shared executor context.
 struct ExecCtx<'a> {
     t: &'a QueryTemplate,
     /// Selection conditions grouped by relation: `(cond index, condition)`.
     conds_by_rel: Vec<Vec<(usize, &'a Condition)>>,
+    /// Whether `conds_by_rel` is enforced (not for the §3.4 joins).
+    check_conds: bool,
+    steps: &'a [JoinStep],
+    r: &'a Resolved,
     /// Join edges to re-check at emit (cyclic edges only; spanning edges
     /// are enforced by probe construction).
     redundant: Vec<usize>,
+    /// Scratch of each join step, same order as `steps`.
+    levels: Vec<Level<'a>>,
     stats: ExecStats,
     out: Vec<Arc<Tuple>>,
     budget: ExecBudget,
@@ -223,16 +321,48 @@ struct ExecCtx<'a> {
 }
 
 impl<'a> ExecCtx<'a> {
+    fn new(
+        t: &'a QueryTemplate,
+        conds_by_rel: Vec<Vec<(usize, &'a Condition)>>,
+        check_conds: bool,
+        steps: &'a [JoinStep],
+        r: &'a Resolved,
+        budget: ExecBudget,
+    ) -> Self {
+        ExecCtx {
+            t,
+            conds_by_rel,
+            check_conds,
+            steps,
+            r,
+            redundant: redundant_joins(t, steps),
+            levels: steps.iter().map(|_| Level::default()).collect(),
+            stats: ExecStats::default(),
+            out: Vec::new(),
+            budget,
+            abort: None,
+        }
+    }
+
+    /// The run's result: the first budget or fault error if one stopped
+    /// it (whatever was emitted until then is dropped), else the rows.
+    fn finish(self) -> Result<(Vec<Arc<Tuple>>, ExecStats)> {
+        match self.abort {
+            Some(err) => Err(err),
+            None => Ok((self.out, self.stats)),
+        }
+    }
+
     /// Do all predicates local to `rel` hold for `tuple`? (fixed preds and
     /// selection conditions; join predicates are enforced by construction
     /// of the probe, and re-checked for redundant join edges at emit.)
-    fn local_predicates_hold(&self, rel: usize, tuple: &Tuple, check_conds: bool) -> bool {
+    fn local_predicates_hold(&self, rel: usize, tuple: &Tuple) -> bool {
         for fp in self.t.fixed_preds() {
             if fp.attr.relation == rel && tuple.get(fp.attr.column) != &fp.value {
                 return false;
             }
         }
-        if check_conds {
+        if self.check_conds {
             for &(i, c) in &self.conds_by_rel[rel] {
                 let col = self.t.cond_templates()[i].attr.column;
                 if !c.matches(tuple.get(col)) {
@@ -297,6 +427,136 @@ impl<'a> ExecCtx<'a> {
             }
         }
         true
+    }
+
+    /// Expand `frontier` — bindings that have `steps[..depth]` bound —
+    /// through the remaining join steps and emit what survives, in
+    /// frontier order. One level at a time: every binding's probe value
+    /// is gathered, the whole batch is probed with one
+    /// [`AnyIndex::probe_many`], and the returned rows go through
+    /// [`Self::flush`] a chunk at a time. Chunks are cut from the
+    /// `(binding, posting)` sequence in order and each is carried to
+    /// `emit` before the next is cut, so rows leave in the order a
+    /// depth-first nested loop produces them.
+    fn advance(&mut self, depth: usize, frontier: &[Option<&'a Tuple>]) {
+        let n = self.t.relations().len();
+        let Some(step) = self.steps.get(depth) else {
+            for binding in frontier.chunks_exact(n) {
+                self.emit(binding);
+            }
+            return;
+        };
+        let mut lv = std::mem::take(&mut self.levels[depth]);
+        lv.keys.clear();
+        lv.keys.extend(frontier.chunks_exact(n).map(|binding| {
+            binding[step.bound_attr.relation]
+                .expect("bound side of join step")
+                .get(step.bound_attr.column)
+        }));
+        match self.r.step_indexes[depth].as_deref() {
+            Some(idx) => {
+                // A posting may be stale; `flush` re-checks the column.
+                let join = Some(step.new_attr.column);
+                self.stats.index_probes += lv.keys.len();
+                lv.postings.clear();
+                idx.probe_many(&lv.keys, &mut lv.postings);
+                let rows: usize = lv.postings.iter().map(|p| p.len()).sum();
+                lv.rows.reserve(rows.min(LEVEL_CHUNK));
+                for b in 0..lv.postings.len() {
+                    let mut rest = lv.postings[b];
+                    while !rest.is_empty() && self.abort.is_none() {
+                        let room = LEVEL_CHUNK - lv.rows.len();
+                        let (now, later) = rest.split_at(rest.len().min(room));
+                        lv.rows.extend(now.iter().map(|&row| (b, row)));
+                        rest = later;
+                        if lv.rows.len() == LEVEL_CHUNK {
+                            self.flush(&mut lv, frontier, step.new_rel, join, depth + 1);
+                        }
+                    }
+                }
+                self.flush(&mut lv, frontier, step.new_rel, join, depth + 1);
+            }
+            // No index on the join attribute: one scan of the relation
+            // per binding, keeping the rows that join.
+            None => {
+                let rel: &'a HeapRelation = &self.r.rels[step.new_rel];
+                'scans: for b in 0..lv.keys.len() {
+                    self.stats.fallback_scans += 1;
+                    for (_, tuple) in rel.iter() {
+                        if tuple.get(step.new_attr.column) != lv.keys[b] {
+                            continue;
+                        }
+                        lv.fetched.push((b, tuple));
+                        if lv.fetched.len() == LEVEL_CHUNK {
+                            self.flush(&mut lv, frontier, step.new_rel, None, depth + 1);
+                            if self.abort.is_some() {
+                                break 'scans;
+                            }
+                        }
+                    }
+                }
+                self.flush(&mut lv, frontier, step.new_rel, None, depth + 1);
+            }
+        }
+        self.levels[depth] = lv;
+    }
+
+    /// Carry one chunk of candidates for relation `rel` — `lv.rows` still
+    /// to be fetched, `lv.fetched` already in hand, each tagged with the
+    /// `frontier` binding it extends — through the rest of the level and
+    /// on to `next_depth`:
+    ///
+    /// 1. prefetch the heap slot of every row;
+    /// 2. load the slots (`StorageRead` fires once per row, as `get`
+    ///    always has) and prefetch the bodies of the live tuples;
+    /// 3. in order: drop a tuple whose `join` column differs from its
+    ///    binding's probe value (a stale posting), [`Self::tick`] the
+    ///    budget and the `ExecRow` site, apply the relation's local
+    ///    predicates, and extend the binding.
+    ///
+    /// Between a prefetch and the pass that reads its line lies a whole
+    /// pass over the chunk, which is what lets the misses overlap.
+    fn flush(
+        &mut self,
+        lv: &mut Level<'a>,
+        frontier: &[Option<&'a Tuple>],
+        rel: usize,
+        join: Option<usize>,
+        next_depth: usize,
+    ) {
+        if self.abort.is_some() || (lv.rows.is_empty() && lv.fetched.is_empty()) {
+            return;
+        }
+        let n = self.t.relations().len();
+        let heap: &'a HeapRelation = &self.r.rels[rel];
+        for &(_, row) in &lv.rows {
+            heap.prefetch(row);
+        }
+        lv.fetched.reserve(lv.rows.len());
+        for (b, row) in lv.rows.drain(..) {
+            if let Some(tuple) = heap.get(row) {
+                let body = tuple.values();
+                prefetch_read(body.as_ptr(), std::mem::size_of_val(body));
+                lv.fetched.push((b, tuple));
+            }
+        }
+        lv.next.clear();
+        lv.next.reserve(lv.fetched.len() * n);
+        for (b, tuple) in lv.fetched.drain(..) {
+            if join.is_some_and(|col| tuple.get(col) != lv.keys[b]) {
+                continue;
+            }
+            if !self.tick() {
+                return;
+            }
+            if !self.local_predicates_hold(rel, tuple) {
+                continue;
+            }
+            let at = lv.next.len();
+            lv.next.extend_from_slice(&frontier[b * n..][..n]);
+            lv.next[at + rel] = Some(tuple);
+        }
+        self.advance(next_depth, &lv.next);
     }
 }
 
@@ -387,103 +647,74 @@ fn execute_with_conditions<V: DataView>(
     // Resolve every relation version and index handle now; from here on
     // execution reads immutable data only — no locks, no view access.
     let r = resolve(view, t, &steps, drive, drive_cond)?;
-    let redundant = redundant_joins(t, &steps);
-    let mut ctx = ExecCtx {
-        t,
-        conds_by_rel,
-        redundant,
-        stats: ExecStats::default(),
-        out: Vec::new(),
-        budget,
-        abort: None,
-    };
+    let mut ctx = ExecCtx::new(t, conds_by_rel, check_conds, &steps, &r, budget);
 
-    // Fetch driving-relation candidate rows.
-    let candidates = driving_candidates(&mut ctx, &r, drive, drive_cond);
-
-    let mut bindings: Vec<Option<&Tuple>> = vec![None; n];
-    for row in candidates {
+    // The driving relation is level zero of the loop: its candidates are
+    // fetched and filtered like any join level's, extending the one
+    // all-unbound binding, `DRIVE_BATCH` at a time.
+    let candidates = driving_candidates(&mut ctx, drive, drive_cond);
+    let unbound = vec![None; n];
+    let mut lv = Level::default();
+    for batch in candidates.chunks(DRIVE_BATCH) {
         if ctx.abort.is_some() {
             break;
         }
-        let Some(tuple) = r.rels[drive].get(row) else {
-            continue;
-        };
-        if !ctx.tick() {
-            break;
-        }
-        if !ctx.local_predicates_hold(drive, tuple, check_conds) {
-            continue;
-        }
-        bindings[drive] = Some(tuple);
-        bind_remaining(&mut ctx, &r, &steps, 0, &mut bindings, check_conds);
-        bindings[drive] = None;
+        lv.rows.extend(batch.iter().map(|&row| (0, row)));
+        ctx.flush(&mut lv, &unbound, drive, None, 0);
     }
-
-    if let Some(err) = ctx.abort.take() {
-        return Err(err);
-    }
-    let stats = ctx.stats;
-    Ok((ctx.out, stats))
+    ctx.finish()
 }
 
 /// Candidate row ids for the driving relation: through an index on the
 /// first condition's attribute when possible, else one full scan.
 fn driving_candidates(
     ctx: &mut ExecCtx<'_>,
-    r: &Resolved,
     drive: usize,
     drive_cond: Option<usize>,
 ) -> Vec<RowId> {
-    if let (Some(ci), Some(idx)) = (drive_cond, r.drive_index.as_deref()) {
+    let mut rows = Vec::new();
+    if let (Some(ci), Some(idx)) = (drive_cond, ctx.r.drive_index.as_deref()) {
         let cond = ctx.conds_by_rel[drive]
             .iter()
             .find(|(i, _)| *i == ci)
             .map(|(_, c)| *c);
-        if let Some(cond) = cond {
-            match cond {
-                Condition::Equality(values) => {
-                    let mut rows = Vec::new();
-                    for v in values {
-                        ctx.stats.index_probes += 1;
-                        // Borrowed probe: no IndexKey materialized, no
-                        // Value clone, posting list borrowed in place.
-                        rows.extend_from_slice(idx.probe(std::slice::from_ref(v)));
-                    }
-                    return rows;
+        match cond {
+            Some(Condition::Equality(values)) => {
+                // Borrowed probes: no IndexKey materialized, no Value
+                // clone, posting lists borrowed in place.
+                ctx.stats.index_probes += values.len();
+                let keys: Vec<&Value> = values.iter().collect();
+                let mut postings = Vec::new();
+                idx.probe_many(&keys, &mut postings);
+                rows.reserve(postings.iter().map(|p| p.len()).sum());
+                for posting in postings {
+                    rows.extend_from_slice(posting);
                 }
-                Condition::Intervals(intervals) => {
-                    // Try index range scans; an unordered (hash)
-                    // index refuses with a typed error, and we
-                    // degrade to the fallback heap scan below.
-                    let mut rows = Vec::new();
-                    let mut refused = false;
-                    for iv in intervals {
-                        let lo = ref_bound_to_key(&iv.lo);
-                        let hi = ref_bound_to_key(&iv.hi);
-                        match idx.range(as_key_bound(&lo), as_key_bound(&hi)) {
-                            Ok(postings) => {
-                                ctx.stats.range_scans += 1;
-                                for (_, posting) in postings {
-                                    rows.extend_from_slice(&posting);
-                                }
-                            }
-                            Err(pmv_index::IndexError::RangeOnHashIndex) => {
-                                refused = true;
-                                break;
-                            }
-                        }
-                    }
-                    if !refused {
+                return rows;
+            }
+            // Index range scans; an unordered (hash) index refuses with a
+            // typed error, and we degrade to the fallback heap scan below.
+            Some(Condition::Intervals(intervals)) => {
+                let scanned = intervals.iter().try_for_each(|iv| {
+                    let lo = ref_bound_to_key(&iv.lo);
+                    let hi = ref_bound_to_key(&iv.hi);
+                    idx.range_rows(as_key_bound(&lo), as_key_bound(&hi), &mut rows)
+                });
+                match scanned {
+                    Ok(()) => {
+                        ctx.stats.range_scans += intervals.len();
                         return rows;
                     }
+                    Err(pmv_index::IndexError::RangeOnHashIndex) => rows.clear(),
                 }
             }
+            None => {}
         }
     }
     // No applicable index: scan once.
     ctx.stats.fallback_scans += 1;
-    r.rels[drive].iter().map(|(row, _)| row).collect()
+    rows.extend(ctx.r.rels[drive].iter().map(|(row, _)| row));
+    rows
 }
 
 /// Estimate rows matching a set of intervals on `col` using the
@@ -585,89 +816,6 @@ fn as_key_bound(b: &std::ops::Bound<IndexKey>) -> std::ops::Bound<&IndexKey> {
         std::ops::Bound::Included(k) => std::ops::Bound::Included(k),
         std::ops::Bound::Excluded(k) => std::ops::Bound::Excluded(k),
         std::ops::Bound::Unbounded => std::ops::Bound::Unbounded,
-    }
-}
-
-/// Bind `tuple` at `steps[depth]` and recurse; shared tail of the index
-/// and fallback arms of [`bind_remaining`]. Returns `false` when
-/// execution must unwind (`ctx.abort` set).
-fn bind_tuple<'g>(
-    ctx: &mut ExecCtx<'_>,
-    r: &'g Resolved,
-    steps: &[JoinStep],
-    depth: usize,
-    bindings: &mut Vec<Option<&'g Tuple>>,
-    check_conds: bool,
-    tuple: &'g Tuple,
-) -> bool {
-    let step = &steps[depth];
-    if !ctx.tick() {
-        return false;
-    }
-    if !ctx.local_predicates_hold(step.new_rel, tuple, check_conds) {
-        return true;
-    }
-    bindings[step.new_rel] = Some(tuple);
-    bind_remaining(ctx, r, steps, depth + 1, bindings, check_conds);
-    bindings[step.new_rel] = None;
-    ctx.abort.is_none()
-}
-
-/// Recursively bind the remaining relations along the join steps.
-///
-/// Zero-copy inner loop: the probe value is borrowed from the bound
-/// tuple, the posting list is a borrowed slice out of the pre-resolved
-/// index `Arc`, and the fallback path iterates the relation version
-/// directly — no `to_vec`, no per-probe clone of anything.
-fn bind_remaining<'g>(
-    ctx: &mut ExecCtx<'_>,
-    r: &'g Resolved,
-    steps: &[JoinStep],
-    depth: usize,
-    bindings: &mut Vec<Option<&'g Tuple>>,
-    check_conds: bool,
-) {
-    if depth == steps.len() {
-        ctx.emit(bindings);
-        return;
-    }
-    let step = &steps[depth];
-    let bound: &'g Tuple = bindings[step.bound_attr.relation].expect("bound side of join step");
-    let probe_value: &'g Value = bound.get(step.bound_attr.column);
-
-    match &r.step_indexes[depth] {
-        Some(idx) => {
-            ctx.stats.index_probes += 1;
-            let rows: &[RowId] = idx.probe(std::slice::from_ref(probe_value));
-            for &row in rows {
-                if ctx.abort.is_some() {
-                    return;
-                }
-                let Some(tuple) = r.rels[step.new_rel].get(row) else {
-                    continue;
-                };
-                if tuple.get(step.new_attr.column) != probe_value {
-                    continue; // stale posting; keep safe
-                }
-                if !bind_tuple(ctx, r, steps, depth, bindings, check_conds, tuple) {
-                    return;
-                }
-            }
-        }
-        None => {
-            ctx.stats.fallback_scans += 1;
-            for (_, tuple) in r.rels[step.new_rel].iter() {
-                if ctx.abort.is_some() {
-                    return;
-                }
-                if tuple.get(step.new_attr.column) != probe_value {
-                    continue;
-                }
-                if !bind_tuple(ctx, r, steps, depth, bindings, check_conds, tuple) {
-                    return;
-                }
-            }
-        }
     }
 }
 
@@ -820,23 +968,14 @@ pub fn join_from<V: DataView>(
     }
     let steps = plan_join_order(t, rel_idx);
     let r = resolve(view, t, &steps, rel_idx, None)?;
-    let redundant = redundant_joins(t, &steps);
-    let mut ctx = ExecCtx {
-        t,
-        conds_by_rel: vec![Vec::new(); n],
-        redundant,
-        stats: ExecStats::default(),
-        out: Vec::new(),
-        budget: ExecBudget::UNLIMITED,
-        abort: None,
-    };
-    let mut bindings: Vec<Option<&Tuple>> = vec![None; n];
-    bindings[rel_idx] = Some(tuple);
-    bind_remaining(&mut ctx, &r, &steps, 0, &mut bindings, false);
-    if let Some(err) = ctx.abort.take() {
-        return Err(err);
-    }
-    Ok(unarc(ctx.out))
+    let no_conds = vec![Vec::new(); n];
+    let mut ctx = ExecCtx::new(t, no_conds, false, &steps, &r, ExecBudget::UNLIMITED);
+    // A frontier of one: the delta tuple stands where the driving level
+    // would have bound a heap row.
+    let mut frontier = vec![None; n];
+    frontier[rel_idx] = Some(tuple);
+    ctx.advance(0, &frontier);
+    Ok(unarc(ctx.finish()?.0))
 }
 
 /// [`join_from`] with *several* relations pre-bound to (already-deleted)

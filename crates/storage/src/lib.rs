@@ -15,6 +15,7 @@ pub mod catalog;
 mod cowvec;
 pub mod delta;
 pub mod error;
+mod prefetch;
 pub mod relation;
 pub mod schema;
 pub mod size;
@@ -24,6 +25,7 @@ pub mod value;
 pub use catalog::{relation_snapshot, with_relation_mut, Catalog, RelationHandle};
 pub use delta::{Delta, DeltaBatch};
 pub use error::StorageError;
+pub use prefetch::prefetch_read;
 pub use relation::{HeapRelation, RowId};
 pub use schema::{Column, ColumnType, Schema};
 pub use size::HeapSize;

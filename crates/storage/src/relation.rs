@@ -17,6 +17,7 @@ use std::sync::Arc;
 
 use crate::cowvec::CowVec;
 use crate::error::StorageError;
+use crate::prefetch::prefetch_read;
 use crate::schema::Schema;
 use crate::size::HeapSize;
 use crate::tuple::Tuple;
@@ -179,6 +180,18 @@ impl HeapRelation {
     pub fn get(&self, id: RowId) -> Option<&Tuple> {
         pmv_faultinject::fire_soft(pmv_faultinject::Site::StorageRead);
         self.slots.get(id.index())?.as_ref()
+    }
+
+    /// Hint that the slot of `id` is about to be [`get`](Self::get): the
+    /// first of the two dependent loads a row fetch costs (slot, then
+    /// tuple body), issued for a whole batch before any of them is
+    /// waited for. Finding the slot walks spine and chunk (a few KiB per
+    /// relation, shared by every row, so normally cached) but does not
+    /// load it. Not a read, so no fault site fires.
+    pub fn prefetch(&self, id: RowId) {
+        if let Some(slot) = self.slots.get(id.index()) {
+            prefetch_read(slot, std::mem::size_of_val(slot));
+        }
     }
 
     /// Iterate over `(RowId, &Tuple)` for all live tuples.
