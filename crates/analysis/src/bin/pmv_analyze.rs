@@ -2,40 +2,30 @@
 //! durability contracts over a source tree.
 //!
 //! ```text
-//! pmv-analyze [--json] [--sarif FILE] [--deny-warnings]
-//!             [--baseline FILE] [--write-baseline FILE] [paths…]
+//! pmv-analyze [--json] [--sarif FILE] [--deny-warnings] [paths…]
 //! ```
 //!
-//! Runs the file-local lint rules plus the interprocedural passes
-//! (call-graph reachability of locks, executor entry points, raw
-//! filesystem writes, and the durable-before-visible publish check).
-//! With no paths, analyzes `crates/` under the current directory.
+//! Checks every row of `pmv_analysis::contracts::CONTRACTS` — locks,
+//! executor entry points and raw filesystem writes in or reachable from
+//! the regions that forbid them, and the durable-before-visible publish
+//! check. With no paths, analyzes `crates/` under the current directory.
 //!
 //! `--json` prints a SARIF 2.1.0 document to stdout; `--sarif FILE`
 //! writes the same document to a file (CI uploads it as an artifact).
 //!
-//! `--write-baseline FILE` records current finding counts per
-//! (rule, file) and exits 0; `--baseline FILE` then fails only when a
-//! count *exceeds* its baselined value — new debt fails, known debt is
-//! tolerated while it is paid down.
-//!
 //! Exit status: 0 clean, 1 findings fail the run, 2 usage or I/O
 //! errors, 3 when a path does not exist or zero `.rs` files matched.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pmv_analysis::lint::{Level, RULES};
-use pmv_analysis::rules_ipa::{analyze_tree, AnalyzeReport, IPA_RULES};
+use pmv_analysis::contracts::{analyze_tree, AnalyzeReport, Level, CONTRACTS};
 use pmv_analysis::sarif::{to_sarif, SarifResult, SarifRule};
 
 fn main() -> ExitCode {
     let mut json = false;
     let mut deny_warnings = false;
     let mut sarif_out: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -44,21 +34,13 @@ fn main() -> ExitCode {
             "--deny-warnings" => deny_warnings = true,
             "--sarif" => match args.next() {
                 Some(f) => sarif_out = Some(PathBuf::from(f)),
-                None => return usage_err("--sarif requires a file argument"),
-            },
-            "--baseline" => match args.next() {
-                Some(f) => baseline = Some(PathBuf::from(f)),
-                None => return usage_err("--baseline requires a file argument"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(f) => write_baseline = Some(PathBuf::from(f)),
-                None => return usage_err("--write-baseline requires a file argument"),
+                None => {
+                    eprintln!("pmv-analyze: --sarif requires a file argument");
+                    return ExitCode::from(2);
+                }
             },
             "--help" | "-h" => {
-                println!(
-                    "usage: pmv-analyze [--json] [--sarif FILE] [--deny-warnings]\n\
-                     \x20                  [--baseline FILE] [--write-baseline FILE] [paths...]"
-                );
+                println!("usage: pmv-analyze [--json] [--sarif FILE] [--deny-warnings] [paths...]");
                 println!("whole-program verification of the PMV lock/pin/durability contracts");
                 return ExitCode::SUCCESS;
             }
@@ -98,20 +80,6 @@ fn main() -> ExitCode {
         return ExitCode::from(3);
     }
 
-    if let Some(path) = &write_baseline {
-        let text = baseline_text(&report);
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("pmv-analyze: write baseline {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "pmv-analyze: baseline written to {} ({} finding(s))",
-            path.display(),
-            report.findings.len()
-        );
-        return ExitCode::SUCCESS;
-    }
-
     let sarif = render_sarif(&report);
     if let Some(path) = &sarif_out {
         if let Err(e) = std::fs::write(path, &sarif) {
@@ -125,32 +93,11 @@ fn main() -> ExitCode {
         print_human(&report, deny_warnings);
     }
 
-    let failed = match &baseline {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let over = exceeds_baseline(&report, &text);
-                for line in &over {
-                    eprintln!("pmv-analyze: over baseline: {line}");
-                }
-                !over.is_empty()
-            }
-            Err(e) => {
-                eprintln!("pmv-analyze: read baseline {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => report.failed(deny_warnings),
-    };
-    if failed {
+    if report.failed(deny_warnings) {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
     }
-}
-
-fn usage_err(msg: &str) -> ExitCode {
-    eprintln!("pmv-analyze: {msg}");
-    ExitCode::from(2)
 }
 
 fn print_human(report: &AnalyzeReport, deny_warnings: bool) {
@@ -183,16 +130,13 @@ fn print_human(report: &AnalyzeReport, deny_warnings: bool) {
 }
 
 fn render_sarif(report: &AnalyzeReport) -> String {
-    let mut rules: Vec<SarifRule> = Vec::new();
-    for (id, _) in RULES.iter().chain(IPA_RULES.iter()) {
-        if rules.iter().any(|r| r.id == *id) {
-            continue;
-        }
-        rules.push(SarifRule {
-            id: (*id).to_string(),
-            short: rule_short(id).to_string(),
-        });
-    }
+    let rules: Vec<SarifRule> = CONTRACTS
+        .iter()
+        .map(|c| SarifRule {
+            id: c.id.to_string(),
+            short: c.short.to_string(),
+        })
+        .collect();
     let results: Vec<SarifResult> = report
         .findings
         .iter()
@@ -208,60 +152,4 @@ fn render_sarif(report: &AnalyzeReport) -> String {
         })
         .collect();
     to_sarif("pmv-analyze", &rules, &results)
-}
-
-fn rule_short(id: &str) -> &'static str {
-    match id {
-        "write_guard_across_exec" => "no shard write guard held across an executor entry point",
-        "lock_in_catch_unwind" => "no lock acquisition inside a catch_unwind closure",
-        "lock_order" => "DB master lock before shard locks, never the reverse",
-        "relaxed_outside_stats" => "Relaxed atomics only in designated statistics modules",
-        "lock_in_pin_region" => "no blocking lock while an epoch pin is live",
-        "raw_fs_write" => "no raw std::fs writes in durable crates outside wal::dio",
-        "pin_reaches_blocking_lock" => "no blocking lock transitively reachable from a pin region",
-        "dio_funnel_reach" => "durable crates reach the filesystem only through wal::dio",
-        "durable_before_visible" => {
-            "WAL append+fsync dominates snapshot publish; error arms roll back"
-        }
-        _ => "PMV protocol rule",
-    }
-}
-
-/// Baseline format: sorted `rule\tfile\tcount` lines.
-fn baseline_text(report: &AnalyzeReport) -> String {
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for f in &report.findings {
-        *counts
-            .entry((f.rule.to_string(), f.file.display().to_string()))
-            .or_insert(0) += 1;
-    }
-    let mut out = String::new();
-    for ((rule, file), count) in counts {
-        out.push_str(&format!("{rule}\t{file}\t{count}\n"));
-    }
-    out
-}
-
-/// `(rule, file)` buckets whose current count exceeds the baselined one.
-fn exceeds_baseline(report: &AnalyzeReport, baseline: &str) -> Vec<String> {
-    let mut allowed: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for line in baseline.lines() {
-        let mut parts = line.split('\t');
-        if let (Some(rule), Some(file), Some(count)) = (parts.next(), parts.next(), parts.next()) {
-            if let Ok(count) = count.trim().parse::<usize>() {
-                allowed.insert((rule.to_string(), file.to_string()), count);
-            }
-        }
-    }
-    let mut counts: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for f in &report.findings {
-        *counts
-            .entry((f.rule.to_string(), f.file.display().to_string()))
-            .or_insert(0) += 1;
-    }
-    counts
-        .into_iter()
-        .filter(|(key, count)| *count > allowed.get(key).copied().unwrap_or(0))
-        .map(|((rule, file), count)| format!("{rule}\t{file}\t{count}"))
-        .collect()
 }

@@ -1,13 +1,16 @@
-//! Workspace function table and call graph over masked source text.
+//! Lexer, item index and call graph: the first three stages of the
+//! analyzer pipeline (DESIGN.md §12).
 //!
-//! This is the substrate for the interprocedural rules in
-//! [`crate::rules_ipa`]: a hand-rolled (offline, no `syn`) item parser
-//! that walks every `.rs` file under the scan roots, extracts `fn`
-//! items and `impl` blocks from the masked text, attributes call sites
-//! to their innermost enclosing function, and resolves them to
-//! candidate definitions by name.
+//! The workspace is fully offline, so there is no `syn`. The lexer
+//! ([`mask_comments_and_strings`]) blanks comments and literals so that
+//! byte offsets, brace depths and text patterns in the masked text line
+//! up with the original; a hand-rolled item parser then walks every
+//! `.rs` file under the scan roots, extracts `fn` items and `impl`
+//! blocks from the masked text, attributes call sites to their innermost
+//! enclosing function, and resolves them to candidate definitions by
+//! name. [`crate::summaries`] and [`crate::contracts`] read the result.
 //!
-//! ## Approximations (documented in DESIGN.md §17)
+//! ## Approximations (documented in DESIGN.md §12)
 //!
 //! - **No trait-object or generic dispatch.** A method call `x.m(…)`
 //!   resolves only when exactly one function named `m` exists in the
@@ -27,15 +30,247 @@
 //!   `RwLock` acquisition to unrelated workspace functions.
 //! - **Test code cannot be a callee of production code.** Candidates in
 //!   test files (or below `#[cfg(test)]`) are dropped when the caller
-//!   is production code, so lint corpus fixtures never pollute
-//!   resolution of the real tree.
+//!   is production code.
+//! - **Fixture trees are not workspace code.** A directory named
+//!   `corpus` is not descended into (like `target/`): the analyzer's own
+//!   violating fixtures are scanned only as roots of their own.
 
 use std::collections::HashMap;
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-use crate::lint::{find_all, line_index, mask_comments_and_strings, prev_is_ident, DURABLE_CRATES};
+/// Crates whose production sources must route durable writes through
+/// `pmv_wal::dio`: the commit path (`core`), the heap/index substrate
+/// (`storage`), and the durability engine itself (`wal`).
+const DURABLE_CRATES: [&str; 3] = ["core", "storage", "wal"];
+
+/// Replace comment and string-literal *contents* with spaces, keeping
+/// newlines and overall length, so byte offsets and brace depths in the
+/// masked text line up with the original.
+pub fn mask_comments_and_strings(src: &str) -> String {
+    let bytes = src.as_bytes();
+    let mut out = Vec::with_capacity(bytes.len());
+    let mut i = 0;
+    let push_masked = |out: &mut Vec<u8>, b: u8| {
+        out.push(if b == b'\n' { b'\n' } else { b' ' });
+    };
+    while i < bytes.len() {
+        let b = bytes[i];
+        // Line comment.
+        if b == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
+            while i < bytes.len() && bytes[i] != b'\n' {
+                push_masked(&mut out, bytes[i]);
+                i += 1;
+            }
+            continue;
+        }
+        // Block comment (Rust block comments nest).
+        if b == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'*' {
+            let mut depth = 0usize;
+            while i < bytes.len() {
+                if bytes[i] == b'/' && i + 1 < bytes.len() && bytes[i + 1] == b'*' {
+                    depth += 1;
+                    push_masked(&mut out, bytes[i]);
+                    push_masked(&mut out, bytes[i + 1]);
+                    i += 2;
+                } else if bytes[i] == b'*' && i + 1 < bytes.len() && bytes[i + 1] == b'/' {
+                    depth -= 1;
+                    push_masked(&mut out, bytes[i]);
+                    push_masked(&mut out, bytes[i + 1]);
+                    i += 2;
+                    if depth == 0 {
+                        break;
+                    }
+                } else {
+                    push_masked(&mut out, bytes[i]);
+                    i += 1;
+                }
+            }
+            continue;
+        }
+        // Raw string r"..." / r#"..."# (and br variants).
+        if (b == b'r' || b == b'b') && !prev_is_ident(bytes, i) {
+            let mut j = i;
+            if bytes[j] == b'b' && j + 1 < bytes.len() && bytes[j + 1] == b'r' {
+                j += 1;
+            }
+            if bytes[j] == b'r' {
+                let mut k = j + 1;
+                let mut hashes = 0;
+                while k < bytes.len() && bytes[k] == b'#' {
+                    hashes += 1;
+                    k += 1;
+                }
+                if k < bytes.len() && bytes[k] == b'"' {
+                    // Copy the opener verbatim-masked, then scan to the
+                    // matching `"###` closer.
+                    for &b in &bytes[i..=k] {
+                        push_masked(&mut out, b);
+                    }
+                    i = k + 1;
+                    'raw: while i < bytes.len() {
+                        if bytes[i] == b'"' {
+                            let mut h = 0;
+                            while h < hashes && i + 1 + h < bytes.len() && bytes[i + 1 + h] == b'#'
+                            {
+                                h += 1;
+                            }
+                            if h == hashes {
+                                for _ in 0..=hashes {
+                                    push_masked(&mut out, b'"');
+                                    i += 1;
+                                }
+                                break 'raw;
+                            }
+                        }
+                        push_masked(&mut out, bytes[i]);
+                        i += 1;
+                    }
+                    continue;
+                }
+            }
+        }
+        // Normal string literal.
+        if b == b'"' {
+            push_masked(&mut out, b);
+            i += 1;
+            while i < bytes.len() {
+                if bytes[i] == b'\\' && i + 1 < bytes.len() {
+                    push_masked(&mut out, bytes[i]);
+                    push_masked(&mut out, bytes[i + 1]);
+                    i += 2;
+                } else if bytes[i] == b'"' {
+                    push_masked(&mut out, bytes[i]);
+                    i += 1;
+                    break;
+                } else {
+                    push_masked(&mut out, bytes[i]);
+                    i += 1;
+                }
+            }
+            continue;
+        }
+        // Char literal vs lifetime: 'x' or '\n' is a literal; 'a (no
+        // closing quote within the escape window) is a lifetime or loop
+        // label. The literal's payload may be '"', '{' or '}', so it
+        // must be masked or downstream brace/string lexing derails.
+        if b == b'\'' {
+            if i + 1 < bytes.len() && bytes[i + 1] == b'\\' {
+                // Escaped char literal: '\n', '\'', '\\', '\x7f',
+                // '\u{2764}'. The byte AFTER the backslash is consumed
+                // as part of the escape pair — without that, '\'' and
+                // '\\' mis-lex (the escaped quote/backslash is taken as
+                // the closer or an opener) and a stray ' swallows the
+                // code that follows.
+                out.push(b);
+                push_masked(&mut out, bytes[i + 1]);
+                i += 2;
+                if i < bytes.len() {
+                    push_masked(&mut out, bytes[i]);
+                    i += 1;
+                }
+                while i < bytes.len() && bytes[i] != b'\'' {
+                    push_masked(&mut out, bytes[i]);
+                    i += 1;
+                }
+                if i < bytes.len() {
+                    out.push(b'\'');
+                    i += 1;
+                }
+                continue;
+            }
+            if i + 2 < bytes.len() && bytes[i + 1] != b'\'' && bytes[i + 2] == b'\'' {
+                // Simple char literal 'x' (the payload may be any byte,
+                // including '"' / '{' / '}'). A lifetime such as 'a in
+                // `Foo<'a>` never has a quote two bytes ahead, so this
+                // window test disambiguates the two.
+                out.push(b);
+                push_masked(&mut out, bytes[i + 1]);
+                out.push(b'\'');
+                i += 3;
+                continue;
+            }
+            // Lifetime / loop label: fall through as-is.
+        }
+        out.push(b);
+        i += 1;
+    }
+    String::from_utf8_lossy(&out).into_owned()
+}
+
+pub(crate) fn prev_is_ident(bytes: &[u8], i: usize) -> bool {
+    i > 0 && (bytes[i - 1].is_ascii_alphanumeric() || bytes[i - 1] == b'_')
+}
+
+/// For each byte offset, the 1-based line number.
+pub(crate) fn line_index(text: &str) -> Vec<usize> {
+    let mut line = 1;
+    text.bytes()
+        .map(|b| {
+            let l = line;
+            if b == b'\n' {
+                line += 1;
+            }
+            l
+        })
+        .collect()
+}
+
+pub(crate) fn find_all(haystack: &str, needle: &str) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut start = 0;
+    while let Some(pos) = haystack[start..].find(needle) {
+        out.push(start + pos);
+        start += pos + needle.len();
+    }
+    out
+}
+
+/// The statement containing byte `pos`: backwards to the previous `;`,
+/// `{` or `}`, forwards to the next `;` or `{`.
+pub(crate) fn statement_around(masked: &str, pos: usize) -> &str {
+    let bytes = masked.as_bytes();
+    let mut start = pos;
+    while start > 0 && !matches!(bytes[start - 1], b';' | b'{' | b'}') {
+        start -= 1;
+    }
+    let mut end = pos;
+    while end < bytes.len() && !matches!(bytes[end], b';' | b'{') {
+        end += 1;
+    }
+    &masked[start..end.min(masked.len())]
+}
+
+/// Where a `// <marker>…` comment attaches to `line` (1-based): on the
+/// same line, or anywhere in the contiguous `//` comment block directly
+/// above it (so a multi-line justification can carry the marker on its
+/// first line). The comment must *begin* with the marker — prose that
+/// merely mentions one declares nothing. Read from the *unmasked*
+/// source lines; returns the marker's line. The one placement rule for
+/// `pmv::allow(rule)` escapes and `pmv::pin_region` declarations.
+pub(crate) fn comment_marker(lines: &[&str], marker: &str, line: usize) -> Option<usize> {
+    let begins_with_marker = |text: &str| {
+        text.find("//").is_some_and(|p| {
+            let comment = text[p..].trim_start_matches(['/', '!']);
+            comment.trim_start().starts_with(marker)
+        })
+    };
+    let mut candidate = line;
+    while let Some(text) = lines.get(candidate.wrapping_sub(1)) {
+        if begins_with_marker(text) {
+            return Some(candidate);
+        }
+        // Above `line` itself, keep walking only while still inside a
+        // comment block.
+        if candidate < line && !text.trim_start().starts_with("//") {
+            break;
+        }
+        candidate -= 1;
+    }
+    None
+}
 
 /// One scanned file with its masked text and derived classifications.
 pub struct FileIndex {
@@ -63,6 +298,8 @@ pub struct FileIndex {
     pub crate_dir: Option<String>,
     /// File stem (`dio` for `dio.rs`), used for module-qualified calls.
     pub stem: String,
+    /// This file's slice of [`Workspace::calls`], in offset order.
+    pub calls: Range<usize>,
 }
 
 /// One `fn` item.
@@ -82,6 +319,10 @@ pub struct FnDef {
     pub line: usize,
     /// Test code: below `#[cfg(test)]` or in a test file.
     pub is_test: bool,
+    /// Declared wait-free: a `// pmv::pin_region` comment sits directly
+    /// above the `fn` ([`comment_marker`] placement). The body is a pin
+    /// region of `pin_reaches_blocking_lock`.
+    pub pin_region: bool,
 }
 
 /// One recognized call site, attributed to its enclosing function.
@@ -297,7 +538,8 @@ const NEVER_CALLEES: &[&str] = &[
 /// anything wider is treated as unresolvable noise.
 const MAX_TARGETS: usize = 8;
 
-/// Every `.rs` file under `dir`, skipping `target/` and dot-directories.
+/// Every `.rs` file under `dir`, skipping `target/`, `corpus/` (analyzer
+/// fixtures) and dot-directories.
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
@@ -305,7 +547,7 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         let name = entry.file_name();
         let name = name.to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name.starts_with('.') {
+            if name == "target" || name == "corpus" || name.starts_with('.') {
                 continue;
             }
             collect_rs_files(&path, out)?;
@@ -352,6 +594,7 @@ impl Workspace {
     fn add_file(&mut self, root: &Path, path: &Path, source: String) {
         let masked = mask_comments_and_strings(&source);
         let line_of = line_index(&masked);
+        let lines: Vec<&str> = source.lines().collect();
         let comps: Vec<String> = path
             .components()
             .map(|c| c.as_os_str().to_string_lossy().into_owned())
@@ -392,14 +635,16 @@ impl Workspace {
                 .filter(|(open, close, _)| (*open..=*close).contains(&start))
                 .min_by_key(|(open, close, _)| close - open)
                 .map(|(_, _, ty)| ty.clone());
+            let line = line_of[start];
             self.fns.push(FnDef {
                 file: file_id,
                 name: name.to_string(),
                 impl_of,
                 start,
                 body,
-                line: line_of[start.min(line_of.len().saturating_sub(1))],
+                line,
                 is_test: is_test_file || start >= test_start,
+                pin_region: comment_marker(&lines, "pmv::pin_region", line).is_some(),
             });
         });
         self.fn_calls.resize(self.fns.len(), Vec::new());
@@ -418,6 +663,7 @@ impl Workspace {
                 })
                 .max_by_key(|&id| self.fns[id].body.unwrap().0)
         };
+        let call_base = self.calls.len();
         for (offset, name) in extract_call_idents(&masked) {
             let Some(caller) = enclosing(offset) else {
                 continue;
@@ -444,6 +690,7 @@ impl Workspace {
             is_dio,
             crate_dir,
             stem,
+            calls: call_base..self.calls.len(),
         });
     }
 
@@ -584,6 +831,13 @@ impl Workspace {
         cap(pool.clone())
     }
 
+    /// Calls at offsets `[start, end)` of a file, in source order.
+    pub fn calls_in(&self, file: usize, start: usize, end: usize) -> impl Iterator<Item = &Call> {
+        self.calls[self.files[file].calls.clone()]
+            .iter()
+            .filter(move |c| (start..end).contains(&c.offset))
+    }
+
     /// 1-based line of a byte offset in a file.
     pub fn line_at(&self, file: usize, offset: usize) -> usize {
         let lo = &self.files[file].line_of;
@@ -600,23 +854,24 @@ impl Workspace {
     }
 }
 
-/// Byte offset of the `}` matching the `{` at `open` (or text end).
-pub(crate) fn brace_match(masked: &str, open: usize) -> usize {
+/// Byte offset of the `}` or `)` closing the `{` or `(` at `open` (or
+/// text end).
+pub(crate) fn matching_close(masked: &str, open: usize) -> usize {
     let bytes = masked.as_bytes();
+    let (opener, closer) = match bytes[open] {
+        b'(' => (b'(', b')'),
+        _ => (b'{', b'}'),
+    };
     let mut depth = 0i64;
-    let mut i = open;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return i;
-                }
+    for (i, &b) in bytes.iter().enumerate().skip(open) {
+        if b == opener {
+            depth += 1;
+        } else if b == closer {
+            depth -= 1;
+            if depth == 0 {
+                return i;
             }
-            _ => {}
         }
-        i += 1;
     }
     bytes.len()
 }
@@ -696,7 +951,7 @@ fn parse_impls(masked: &str) -> Vec<(usize, usize, String)> {
         let Some(name) = last_path_segment(ty_part) else {
             continue;
         };
-        out.push((open, brace_match(masked, open), name));
+        out.push((open, matching_close(masked, open), name));
     }
     out
 }
@@ -765,7 +1020,7 @@ fn parse_fns(masked: &str, mut sink: impl FnMut(usize, &str, Option<(usize, usiz
                 b'<' => angle += 1,
                 b'>' if bytes[i - 1] != b'-' => angle -= 1,
                 b'{' if paren == 0 && bracket == 0 && angle <= 0 => {
-                    body = Some((i, brace_match(masked, i)));
+                    body = Some((i, matching_close(masked, i)));
                     found = true;
                 }
                 b';' if paren == 0 && bracket == 0 => {
@@ -836,6 +1091,16 @@ mod tests {
         ws.add_file(Path::new("root"), Path::new("root/a.rs"), src.to_string());
         ws.resolve();
         ws
+    }
+
+    #[test]
+    fn masking_preserves_offsets() {
+        let src = "let a = \"x{y}\"; // {brace}\nlet b = 1;\n";
+        let masked = mask_comments_and_strings(src);
+        assert_eq!(masked.len(), src.len());
+        assert!(!masked.contains("{y}"));
+        assert!(!masked.contains("{brace}"));
+        assert!(masked.contains("let b = 1;"));
     }
 
     #[test]

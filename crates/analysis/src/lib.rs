@@ -13,31 +13,20 @@
 //!    the analysis entry point and houses the corpus and property
 //!    tests that pin its behaviour.
 //!
-//! 2. **Source lint rules** ([`lint`], run per file by `pmv-analyze`
-//!    as its depth-0 pass). Repo-specific concurrency rules over `crates/**` source text:
-//!    no shard write guard held across executor calls, no lock
-//!    acquisition inside `catch_unwind` closures, DB-before-shard lock
-//!    order, and no `Relaxed` atomics outside designated statistics
-//!    modules.
-//!
-//! 3. **Interprocedural protocol analyzer** ([`rules_ipa`], driven by
-//!    the `pmv-analyze` binary). Builds a workspace call graph
-//!    ([`graph`]) and per-function fact summaries ([`summaries`]), then
-//!    verifies the lock/pin/durability contracts *across* function
-//!    boundaries: every file-local rule re-checked one-or-more calls
-//!    deep, plus `pin_reaches_blocking_lock`, `dio_funnel_reach` and
-//!    `durable_before_visible` (DESIGN.md §17). Reports render as text
-//!    or SARIF 2.1.0 ([`sarif`]).
-//!
-//! Run both source passes with:
+//! 2. **Protocol analyzer** (the `pmv-analyze` binary). One pipeline
+//!    over `crates/**` source text: the lexer, item index and call
+//!    graph ([`graph`]), the effect-site index and per-function
+//!    summaries ([`summaries`]), and the table of lock / pin /
+//!    durability contracts with the loop that checks each one both
+//!    directly and through calls ([`contracts`]). Reports render as
+//!    text or SARIF 2.1.0 ([`sarif`]).
 //!
 //! ```text
 //! cargo run -p pmv-analysis --bin pmv-analyze -- [--json] [--sarif FILE] [--deny-warnings] [paths…]
 //! ```
 
+pub mod contracts;
 pub mod graph;
-pub mod lint;
-pub mod rules_ipa;
 pub mod sarif;
 pub mod summaries;
 

@@ -3,8 +3,10 @@
 //!
 //! Only the subset consumed by code-scanning UIs is emitted: one run,
 //! one tool driver with rule metadata, and a flat result list with
-//! optional physical locations. The workspace serde_json shim has no
-//! serializer, so the JSON is assembled by hand; strings go through
+//! optional physical locations. This crate does not link the workspace
+//! serde_json shim: its serializer renders a `Value` tree, and a
+//! document of fixed shape with a handful of string fields is shorter
+//! written directly than built as a tree first; strings go through
 //! [`pmv_obs::json_escape`].
 
 use std::fmt::Write as _;

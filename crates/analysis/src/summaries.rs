@@ -1,122 +1,165 @@
-//! Per-function summaries and their transitive closure over the call
-//! graph.
+//! Effect sites, per-function summaries and their transitive closure
+//! over the call graph.
 //!
-//! Each function gets a bitmask of **direct facts** read straight off
-//! its masked body text (the same textual patterns the file-local lint
-//! uses), then a fixpoint propagates them backwards along call edges:
+//! [`effect_sites`] is the one place the analyzer reads effects off
+//! source text: every textual pattern that acquires a lock, enters the
+//! executor, writes the filesystem, … becomes a [`Site`] in a per-file
+//! index. A function's **direct facts** are the sites inside its body;
+//! a fixpoint then propagates them backwards along call edges:
 //! `reach(f) = direct(f) ∪ ⋃ reach(callee)`. One deliberate cut: when
 //! pulling facts *through* a `wal::dio` function, [`RAW_FS`] is
 //! dropped — dio is the sanctioned funnel, so reaching the filesystem
 //! through it is exactly the contract, not a violation.
 
-use crate::graph::Workspace;
-use crate::lint::{find_all, prev_is_ident, statement_around, BLOCKING_ACQUIRES, FS_WRITE_APIS};
+use crate::graph::{find_all, prev_is_ident, statement_around, Workspace};
 
-/// Acquires a blocking lock (`.read()` / `.write()` / `.lock()`;
-/// `try_*` forms do not match).
+/// Acquires a blocking lock (`.read()` / `.write()` / `.lock()`).
+/// `.try_write()` / `.try_read()` deliberately do not match (`_` before
+/// `write`): best-effort, non-blocking write-backs are the sanctioned
+/// pattern on the pinned path.
 pub const BLOCKING: u16 = 1 << 0;
-/// Acquires a *shard* lock (a blocking acquire whose statement mentions
-/// `shard`).
+/// Acquires a *shard* lock (a `.read()` / `.write()` whose statement
+/// mentions `shard`).
 pub const SHARD_LOCK: u16 = 1 << 1;
 /// Acquires the DB master lock (`db.read()` / `db.write()` with `db` as
 /// a standalone receiver).
 pub const DB_LOCK: u16 = 1 << 2;
-/// Calls an executor entry point (`execute`, `execute_bounded`,
-/// `execute_bounded_arc`, `execute_scan`, `join_from`, `join_fixed`,
-/// `run_plain`, `upquery_fill`).
+/// Calls an executor entry point ([`EXEC_NAMES`]).
 pub const EXEC: u16 = 1 << 3;
-/// Touches a raw `std::fs` write API.
+/// Touches a raw `std::fs` write API ([`FS_WRITE_APIS`]).
 pub const RAW_FS: u16 = 1 << 4;
 /// Reaches an fsync (`fsync(`/`fsync_dir(` call or a direct
 /// `.sync_all()`/`.sync_data()`).
 pub const FSYNC: u16 = 1 << 5;
 /// Calls the exact-inverse rollback `undo_delta_exact`.
 pub const UNDO: u16 = 1 << 6;
+/// Names `Ordering::Relaxed`.
+pub const RELAXED: u16 = 1 << 7;
 
-/// Executor entry-point *names* (the call patterns in
-/// [`crate::lint::EXEC_CALLS`] minus the trailing paren).
-pub const EXEC_NAMES: [&str; 8] = [
+/// Executor entry points a shard guard must not be held across. The
+/// targeted-upquery refill (`upquery_fill`), the fixed-tuple delta join
+/// (`join_fixed`) and the containing-view join (`full_join`) are
+/// executor work like any other: a keyed refill still scans base
+/// relations under the db read lock.
+pub const EXEC_NAMES: [&str; 9] = [
     "execute",
     "execute_bounded",
     "execute_bounded_arc",
     "execute_scan",
+    "full_join",
     "join_from",
     "join_fixed",
     "run_plain",
     "upquery_fill",
 ];
 
+/// Filesystem APIs that mutate durable state. Read-side APIs
+/// (`fs::read`, `File::open`, `read_dir`, `metadata`) are deliberately
+/// absent — the contract covers *writes*, which must be observable by
+/// fault injection.
+const FS_WRITE_APIS: [&str; 9] = [
+    "File::create(",
+    "OpenOptions::new(",
+    "File::options(",
+    "fs::write(",
+    "fs::rename(",
+    "fs::remove_file(",
+    "fs::remove_dir_all(",
+    "fs::create_dir",
+    "fs::copy(",
+];
+
+/// What reaching an effect is called in a finding.
+pub fn effect_name(effect: u16) -> &'static str {
+    match effect {
+        BLOCKING => "a blocking lock acquisition",
+        SHARD_LOCK => "a shard lock acquisition",
+        DB_LOCK => "a DB master lock acquisition",
+        EXEC => "an executor entry point",
+        RAW_FS => "a raw filesystem write",
+        _ => "a forbidden effect",
+    }
+}
+
+/// One textual occurrence of one effect.
+#[derive(Clone, Copy, Debug)]
+pub struct Site {
+    /// Byte offset of the pattern in the file's masked text.
+    pub offset: usize,
+    /// The single effect bit the pattern stands for.
+    pub effect: u16,
+}
+
+/// Every effect site of one file's masked text, sorted by offset. The
+/// whole file is scanned, not only function bodies: file-level
+/// contracts see sites in statics and consts too.
+fn effect_sites(masked: &str) -> Vec<Site> {
+    let bytes = masked.as_bytes();
+    let mut out: Vec<Site> = Vec::new();
+    let mut hit = |effect: u16, offsets: Vec<usize>| {
+        out.extend(offsets.into_iter().map(|offset| Site { offset, effect }));
+    };
+    for acquire in [".read()", ".write()", ".lock()"] {
+        let at = find_all(masked, acquire);
+        if acquire != ".lock()" {
+            let on_shard = |&p: &usize| statement_around(masked, p).contains("shard");
+            hit(SHARD_LOCK, at.iter().copied().filter(on_shard).collect());
+        }
+        hit(BLOCKING, at);
+    }
+    for acquire in ["db.read()", "db.write()"] {
+        let mut at = find_all(masked, acquire);
+        at.retain(|&p| !prev_is_ident(bytes, p));
+        hit(DB_LOCK, at);
+    }
+    for name in EXEC_NAMES {
+        // Not whole-ident on purpose: a longer identifier *ending* in an
+        // entry point's name (`reference_join_from(`) is taken for a
+        // wrapper of it. Only definitions are excluded.
+        let mut at = find_all(masked, &format!("{name}("));
+        at.retain(|&p| !masked[..p].trim_end().ends_with("fn"));
+        hit(EXEC, at);
+    }
+    for api in FS_WRITE_APIS {
+        hit(RAW_FS, find_all(masked, api));
+    }
+    for name in ["fsync", "fsync_dir"] {
+        hit(FSYNC, call_sites(masked, name));
+    }
+    for pat in [".sync_all(", ".sync_data("] {
+        hit(FSYNC, find_all(masked, pat));
+    }
+    hit(UNDO, call_sites(masked, "undo_delta_exact"));
+    hit(RELAXED, find_all(masked, "Ordering::Relaxed"));
+    out.sort_by_key(|s| s.offset);
+    out
+}
+
 /// Summaries for every function in a [`Workspace`].
 pub struct Summaries {
+    /// Per file, every direct effect site in offset order.
+    sites: Vec<Vec<Site>>,
     /// Facts read directly off each function's body.
     pub direct: Vec<u16>,
     /// Transitive facts (direct ∪ callees', with the dio cut).
     pub reach: Vec<u16>,
-    /// For each function, one example `(bit, offset)` witness per
-    /// direct fact — used to point messages at the concrete site.
-    pub witness: Vec<Vec<(u16, usize)>>,
 }
 
 impl Summaries {
-    /// Compute direct facts and their fixpoint for `ws`.
+    /// Index every file's effect sites, derive each function's direct
+    /// facts from the sites in its body, and run the fixpoint.
     pub fn compute(ws: &Workspace) -> Summaries {
-        let n = ws.fns.len();
-        let mut direct = vec![0u16; n];
-        let mut witness: Vec<Vec<(u16, usize)>> = vec![Vec::new(); n];
-        for (id, f) in ws.fns.iter().enumerate() {
-            let Some((open, close)) = f.body else {
-                continue;
-            };
-            let masked = &ws.files[f.file].masked;
-            let body = &masked[open..close.min(masked.len())];
-            let mut hit = |bit: u16, rel: usize| {
-                if direct[id] & bit == 0 {
-                    witness[id].push((bit, open + rel));
-                }
-                direct[id] |= bit;
-            };
-            for acquire in BLOCKING_ACQUIRES {
-                for pos in find_all(body, acquire) {
-                    hit(BLOCKING, pos);
-                    if acquire != ".lock()" {
-                        let (_, stmt) = statement_around(masked, open + pos);
-                        if stmt.contains("shard") {
-                            hit(SHARD_LOCK, pos);
-                        }
-                    }
-                }
-            }
-            for acquire in ["db.read()", "db.write()"] {
-                for pos in find_all(body, acquire) {
-                    if !prev_is_ident(body.as_bytes(), pos) {
-                        hit(DB_LOCK, pos);
-                    }
-                }
-            }
-            for name in EXEC_NAMES {
-                for pos in call_sites(body, name) {
-                    hit(EXEC, pos);
-                }
-            }
-            for api in FS_WRITE_APIS {
-                for pos in find_all(body, api) {
-                    hit(RAW_FS, pos);
-                }
-            }
-            for pat in ["fsync(", "fsync_dir("] {
-                for pos in call_sites(body, pat.trim_end_matches('(')) {
-                    hit(FSYNC, pos);
-                }
-            }
-            for pat in [".sync_all(", ".sync_data("] {
-                for pos in find_all(body, pat) {
-                    hit(FSYNC, pos);
-                }
-            }
-            for pos in call_sites(body, "undo_delta_exact") {
-                hit(UNDO, pos);
-            }
-        }
+        let sites: Vec<Vec<Site>> = ws.files.iter().map(|f| effect_sites(&f.masked)).collect();
+        let direct: Vec<u16> = ws
+            .fns
+            .iter()
+            .map(|f| {
+                let (open, close) = f.body.unwrap_or((0, 0));
+                span(&sites[f.file], open, close)
+                    .iter()
+                    .fold(0, |acc, s| acc | s.effect)
+            })
+            .collect();
 
         // Fixpoint: naive iteration — the workspace graph is small
         // (a few thousand nodes) and its diameter bounds the rounds.
@@ -144,18 +187,32 @@ impl Summaries {
             }
         }
         Summaries {
+            sites,
             direct,
             reach,
-            witness,
         }
     }
 
-    /// Effective reach of *calling into* `target`: the dio cut applied,
-    /// as the fixpoint does for edges.
+    /// The effect sites at offsets `[start, end)` of a file.
+    pub fn sites_in(&self, file: usize, start: usize, end: usize) -> &[Site] {
+        span(&self.sites[file], start, end)
+    }
+
+    /// What a call into `target` brings into the region around it: the
+    /// dio cut applied, as the fixpoint does for edges, and [`BLOCKING`]
+    /// dropped when `target` is itself a declared pin region — that body
+    /// carries its own verdicts (and escapes), so a lock it takes is
+    /// reported there, not at every caller above it. The fixpoint does
+    /// *not* make this second cut: a helper that calls into a pin region
+    /// still reaches what the region reaches.
     pub fn reach_through(&self, ws: &Workspace, target: usize) -> u16 {
+        let f = &ws.fns[target];
         let mut bits = self.reach[target];
-        if ws.files[ws.fns[target].file].is_dio {
+        if ws.files[f.file].is_dio {
             bits &= !RAW_FS;
+        }
+        if f.pin_region {
+            bits &= !BLOCKING;
         }
         bits
     }
@@ -203,11 +260,13 @@ impl Summaries {
     pub fn describe_chain(&self, ws: &Workspace, chain: &[usize], bit: u16) -> String {
         let mut parts: Vec<String> = chain.iter().map(|&id| ws.fn_name(id)).collect();
         if let Some(&last) = chain.last() {
-            if let Some(&(_, off)) = self.witness[last].iter().find(|(b, _)| *b & bit != 0) {
-                let f = &ws.fns[last];
-                let file = &ws.files[f.file];
+            let f = &ws.fns[last];
+            let (open, close) = f.body.unwrap_or((0, 0));
+            let witness = self.sites_in(f.file, open, close);
+            if let Some(site) = witness.iter().find(|s| s.effect & bit != 0) {
+                let at = ws.line_at(f.file, site.offset);
                 if let Some(p) = parts.last_mut() {
-                    *p = format!("{p} ({}:{})", file.path.display(), ws.line_at(f.file, off));
+                    *p = format!("{p} ({}:{at})", ws.files[f.file].path.display());
                 }
             }
         }
@@ -215,9 +274,16 @@ impl Summaries {
     }
 }
 
+/// The part of an offset-sorted site list at offsets `[start, end)`.
+fn span(sites: &[Site], start: usize, end: usize) -> &[Site] {
+    let lo = sites.partition_point(|s| s.offset < start);
+    let hi = sites.partition_point(|s| s.offset < end);
+    &sites[lo..hi.max(lo)]
+}
+
 /// Offsets of `name(` occurrences in `body` that are calls: whole-ident
 /// match, not a definition.
-fn call_sites(body: &str, name: &str) -> Vec<usize> {
+pub(crate) fn call_sites(body: &str, name: &str) -> Vec<usize> {
     let pat = format!("{name}(");
     let bytes = body.as_bytes();
     find_all(body, &pat)

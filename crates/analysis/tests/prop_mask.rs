@@ -18,7 +18,7 @@
 //! Each token carries the number of *code* braces it contributes, so
 //! the expected visible-brace census is computable without re-lexing.
 
-use pmv_analysis::lint::mask_comments_and_strings;
+use pmv_analysis::graph::mask_comments_and_strings;
 use proptest::collection::vec as prop_vec;
 use proptest::prelude::*;
 

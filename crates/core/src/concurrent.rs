@@ -263,6 +263,7 @@ impl Inner {
     /// tuples (if resident) and whether the entry carries a valid
     /// completeness claim. Returns `false`, calling nothing, when the
     /// shard is quarantined.
+    // pmv::pin_region
     pub(crate) fn run_pinned_probe<'p>(
         &self,
         si: usize,
@@ -290,6 +291,7 @@ impl Inner {
     /// republish the shard if the store logged a change to what it
     /// serves (touches change only policy state). `None` when the guard
     /// was contended or `apply` itself declined (quarantined store).
+    // pmv::pin_region
     pub(crate) fn run_pinned_write_shard(
         &self,
         si: usize,
@@ -400,6 +402,7 @@ impl SharedPmv {
     /// policy touches) is best-effort — `try_write`, skipped under
     /// contention — so between pinning and the answer no lock is ever
     /// waited on.
+    // pmv::pin_region
     pub fn run_pinned<V: DataView>(&self, view: &V, q: &QueryInstance) -> Result<QueryOutcome> {
         serve::run_pinned(&self.inner, view, q)
     }

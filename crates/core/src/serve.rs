@@ -162,6 +162,7 @@ pub(crate) fn flush_faults(trace: &mut TraceScope<'_>, cap: Option<CaptureGuard>
 
 /// The one fault-injection point of the write-back (`Site::ShardProbe`
 /// before the deferred touches, `Site::ShardFill` before the fills).
+// pmv::pin_region
 fn run_pinned_fault(site: Site) {
     // pmv::allow(pin_reaches_blocking_lock): fire_soft takes the
     // fault-injection registry lock only while a test campaign is armed;
@@ -177,6 +178,7 @@ fn run_pinned_fault(site: Site) {
 /// O3 and best-effort, so between pinning and the answer no lock is ever
 /// waited on; see the module docs for the gates that keep the end-of-O3
 /// `ds_leftover == 0` invariant.
+// pmv::pin_region
 pub(crate) fn run_pinned<V: DataView>(
     inner: &Inner,
     view: &V,
@@ -193,6 +195,7 @@ pub(crate) fn run_pinned<V: DataView>(
 
 /// [`run_pinned`] body (the wrapper clears the scratch after every
 /// query).
+// pmv::pin_region
 fn run_pinned_scratch<V: DataView>(
     inner: &Inner,
     view: &V,
@@ -615,6 +618,7 @@ fn part_of_row(
 /// fill gate is closed, else whether O3 ran as targeted upqueries (every
 /// slice then is its bcp's whole truth, not only a basic part's).
 /// Returns the time spent, so the caller can keep it out of `o3_dedup`.
+// pmv::pin_region
 fn run_pinned_write_back(
     inner: &Inner,
     pin_epoch: u64,
