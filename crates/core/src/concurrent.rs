@@ -29,8 +29,9 @@
 //! and never touches a shard `RwLock`; policy touches and fills are
 //! deferred to a best-effort write-back that takes `try_write` and is
 //! skipped under contention (a single thread is never declined), so
-//! between pinning and the answer no lock is ever waited on (both
-//! analyzers enforce this on every `run_pinned*` body). The two epoch
+//! between pinning and the answer no lock is ever waited on
+//! (`pmv-analyze`'s `pin_reaches_blocking_lock` contract checks every
+//! function declared `// pmv::pin_region`). The two epoch
 //! gates that stand in for the paper's S lock — serve only
 //! `fill_epoch ≤ pin_epoch`, write back only when `pin_epoch ≥
 //! maint_epoch` — are described there and in DESIGN.md "Serving path".
@@ -428,8 +429,8 @@ impl SharedPmv {
             // guard, then re-derive each bcp's truth with NO shard lock
             // held. Holding the write guard across the executor (as this
             // loop originally did) blocked the shard for the whole sweep
-            // and violated the repo lock rule the
-            // `write_guard_across_exec` lint enforces.
+            // and violated the `write_guard_across_exec` contract that
+            // `pmv-analyze` checks.
             let bcps: Vec<BcpKey> = {
                 let store = shard.read();
                 store.iter().map(|(k, _)| k.clone()).collect()

@@ -642,7 +642,7 @@ impl EpochDb {
         };
         // Anomaly check OUTSIDE the pin region: a flight dump locks the
         // trace ring and writes to the spool sink, neither of which may
-        // happen while a snapshot is pinned (`lock_in_pin_region`).
+        // happen while a snapshot is pinned (`pin_reaches_blocking_lock`).
         if let (Some(t0), Ok(outcome)) = (&t_flight, &out) {
             pmv.flight_check(outcome, t0.elapsed());
         }
@@ -726,8 +726,9 @@ mod tests {
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
             .unwrap();
         // Warm the cache, then pin BEFORE a delete commits. (The row to
-        // delete is found before pinning: `lock_in_pin_region` bans
-        // blocking acquisitions while a pin is live, even in tests.)
+        // delete is found before pinning: `pin_reaches_blocking_lock`
+        // bans blocking acquisitions in the scope of a `.pin()` binding,
+        // even in tests.)
         let row = {
             let guard = edb.read();
             let handle = guard.relation("r").unwrap();

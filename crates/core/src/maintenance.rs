@@ -520,8 +520,9 @@ impl SharedPmv {
         if !combos.is_empty() {
             let t0 = Instant::now();
             let mut local = PmvStats::default();
-            // No shard lock is held during the joins (lint rule: never
-            // an executor call under a shard guard).
+            // No shard lock is held during the joins (the
+            // `write_guard_across_exec` contract: never an executor call
+            // under a shard guard).
             let mut removals: Vec<Removal> = Vec::new();
             for combo in &combos {
                 let Ok(rows) = join_fixed(db, &template, combo) else {

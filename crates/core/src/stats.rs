@@ -160,7 +160,7 @@ impl PmvStats {
     }
 
     /// Fraction of queries that returned a flagged-degraded outcome —
-    /// the robustness metric tracked by the bench reports.
+    /// the robustness metric exported as the `degraded_query_rate` gauge.
     pub fn degraded_query_rate(&self) -> f64 {
         self.rate(self.degraded_queries)
     }

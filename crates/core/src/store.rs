@@ -4,8 +4,7 @@
 //!
 //! The store is the moral equivalent of the paper's Figure 4: a table of
 //! `(bcp, tuples)` entries with a hash index `I` on bcp (bcp probes are
-//! exact-match, so hashing is the right index shape; `pmv-bench` ablates
-//! this against a B-tree).
+//! exact-match, so a hash index needs no ordering).
 //!
 //! A [`crate::concurrent::SharedPmv`] holds one store per shard and
 //! publishes an immutable copy of what each serves. So that a publish

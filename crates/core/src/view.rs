@@ -27,7 +27,7 @@ use crate::{CoreError, Result};
 pub enum MaintStrategy {
     /// Classic Section 3.4 deferred maintenance: every delete/update
     /// runs the full `ΔR_i ⋈ R_j` recompute. O(data); kept as the
-    /// equivalence oracle and bench baseline.
+    /// equivalence oracle and the baseline of the maintenance counter test.
     DeltaJoin,
     /// Heavy-light partitioning: hot delta keys (space-saving sketch
     /// count ≥ `heavy_threshold`) take the delta-key-index path — remove

@@ -80,7 +80,7 @@ pub struct CostPoint {
 }
 
 impl CostParams {
-    pub(crate) fn check_p(p: f64) {
+    fn check_p(p: f64) {
         assert!((0.0..=1.0).contains(&p), "p must be in [0, 1], got {p}");
     }
 
@@ -123,76 +123,6 @@ impl CostParams {
     }
 }
 
-/// Multi-relation extension of the model. The paper notes "the above
-/// two-relation model can be easily extended to handle a (partial) MV
-/// defined on multiple base relations" (Section 4.3); this does so: a
-/// ΔR tuple must join against each of the other `n-1` relations in turn
-/// (one index descent + fetch per hop), and the number of affected view
-/// rows is the product of the per-hop fan-outs.
-#[derive(Clone, Debug)]
-pub struct MultiRelationCost {
-    /// Per-hop fan-outs along the join path from the changed relation
-    /// (e.g. `[4.0]` for orders→lineitem, `[4.0, 1.0]` when customer is
-    /// added). Length = number of other relations.
-    pub fanouts: Vec<f64>,
-    /// Base two-relation parameters reused for per-unit costs.
-    pub base: CostParams,
-}
-
-impl MultiRelationCost {
-    /// Model for a view over `1 + fanouts.len()` relations.
-    pub fn new(base: CostParams, fanouts: Vec<f64>) -> Self {
-        assert!(!fanouts.is_empty(), "need at least one join hop");
-        MultiRelationCost { fanouts, base }
-    }
-
-    /// Affected view rows per ΔR tuple: the product of fan-outs.
-    pub fn rows_per_delta(&self) -> f64 {
-        self.fanouts.iter().product()
-    }
-
-    /// I/Os to join one ΔR tuple across all hops. Each hop must fetch
-    /// every intermediate row produced so far.
-    pub fn join_io_per_delta(&self) -> f64 {
-        let mut io = 0.0;
-        let mut width = 1.0;
-        for &f in &self.fanouts {
-            io += width * self.base.join_io;
-            width *= f;
-        }
-        io
-    }
-
-    /// MV maintenance cost for transaction T at insert fraction `p`.
-    pub fn mv_tw(&self, p: f64) -> f64 {
-        CostParams::check_p(p);
-        let n = self.base.delta_size as f64;
-        let rows = self.rows_per_delta();
-        let join = self.join_io_per_delta();
-        let per_insert = join + rows * self.base.mv_insert_io_per_row;
-        let per_delete = join + rows * self.base.mv_delete_io_per_row;
-        n * (p * per_insert + (1.0 - p) * per_delete)
-    }
-
-    /// PMV maintenance cost — unchanged by the relation count: inserts
-    /// are free and deletes are filter-index checks.
-    pub fn pmv_tw(&self, p: f64) -> f64 {
-        self.base.pmv_tw(p)
-    }
-
-    /// Evaluate one point.
-    pub fn point(&self, p: f64) -> CostPoint {
-        let mv = self.mv_tw(p);
-        let pmv = self.pmv_tw(p);
-        CostPoint {
-            p,
-            mv_tw: mv,
-            pmv_tw: pmv,
-            speedup: if pmv > 0.0 { Some(mv / pmv) } else { None },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -222,6 +152,13 @@ mod tests {
     fn speedup_increases_with_p_and_diverges() {
         let m = CostParams::default();
         let pts = m.sweep(10);
+        for pt in &pts {
+            // Figs. 11 and 12 under `--nocapture`.
+            println!(
+                "p = {:.1}: MV {:.0} I/Os, PMV {:.0} I/Os, speedup {:.0?}",
+                pt.p, pt.mv_tw, pt.pmv_tw, pt.speedup
+            );
+        }
         let finite: Vec<f64> = pts.iter().filter_map(|p| p.speedup).collect();
         for w in finite.windows(2) {
             assert!(w[1] > w[0], "speedup must increase with p");
@@ -260,37 +197,6 @@ mod tests {
     #[should_panic(expected = "p must be in [0, 1]")]
     fn p_out_of_range_panics() {
         CostParams::default().mv_tw(1.5);
-    }
-
-    #[test]
-    fn multi_relation_reduces_to_base_for_one_hop() {
-        let base = CostParams::default();
-        let m = MultiRelationCost::new(base, vec![base.join_fanout]);
-        for p in [0.0, 0.3, 0.7, 1.0] {
-            assert!((m.mv_tw(p) - base.mv_tw(p)).abs() < 1e-9, "p={p}");
-            assert_eq!(m.pmv_tw(p), base.pmv_tw(p));
-        }
-    }
-
-    #[test]
-    fn more_relations_cost_the_mv_more_but_not_the_pmv() {
-        let base = CostParams::default();
-        let two = MultiRelationCost::new(base, vec![4.0]);
-        let three = MultiRelationCost::new(base, vec![4.0, 1.0]);
-        let wide = MultiRelationCost::new(base, vec![4.0, 3.0]);
-        assert!(three.mv_tw(0.5) > two.mv_tw(0.5));
-        assert!(wide.mv_tw(0.5) > three.mv_tw(0.5));
-        assert_eq!(two.pmv_tw(0.5), wide.pmv_tw(0.5));
-        // Speedup grows with the relation count at fixed p.
-        assert!(wide.point(0.5).speedup.unwrap() > two.point(0.5).speedup.unwrap());
-    }
-
-    #[test]
-    fn fanout_products() {
-        let m = MultiRelationCost::new(CostParams::default(), vec![4.0, 3.0, 2.0]);
-        assert_eq!(m.rows_per_delta(), 24.0);
-        // join io: 1·2 + 4·2 + 12·2 = 34.
-        assert!((m.join_io_per_delta() - 34.0).abs() < 1e-9);
     }
 
     #[test]

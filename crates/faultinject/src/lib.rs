@@ -19,8 +19,9 @@
 //!    is installed, so the hooks can sit on per-tuple paths. All atomics
 //!    in this crate are monotonically-increasing counters — they are
 //!    statistics, not synchronization — so `Ordering::Relaxed` is sound
-//!    throughout (no reader derives a happens-before edge from them; the
-//!    lint `relaxed_outside_stats` rule keys off this paragraph).
+//!    throughout (no reader derives a happens-before edge from them;
+//!    `pmv-analyze`'s `relaxed_outside_stats` contract keys off the
+//!    phrase in this paragraph).
 //! 3. **Suppressible.** Test oracles need to compute ground truth on the
 //!    same thread the faults target; [`suppress`] disables injection for
 //!    the duration of a closure on the current thread.

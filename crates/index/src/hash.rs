@@ -2,8 +2,7 @@
 //!
 //! A thin wrapper over `HashMap<IndexKey, Vec<RowId>>`. This is the index
 //! shape the PMV uses for its bcp index I (Section 3.2): bcp probes are
-//! always exact-match, so hashing beats ordering there (one of the
-//! design-choice ablations in `pmv-bench`).
+//! always exact-match, so no ordering is needed there.
 
 use std::collections::HashMap;
 

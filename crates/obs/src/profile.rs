@@ -144,7 +144,7 @@ pub fn split_phases(
 /// The assembled profile.
 #[derive(Clone, Debug, Default)]
 pub struct ProfileReport {
-    /// Where the data came from (session, spool dir, bench JSON paths).
+    /// Where the data came from (live session or spool paths).
     pub source: String,
     /// Contention sites; ranked by total wait after [`ProfileReport::rank`].
     pub contention: Vec<ContentionSite>,

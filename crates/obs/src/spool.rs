@@ -189,8 +189,8 @@ impl FlightRecorder {
     }
 }
 
-/// Render one flight-dump document. Format (all hand-rolled; the
-/// serde_json shim has no serializer):
+/// Render one flight-dump document. Format (hand-rolled, splicing the
+/// already-rendered trace and metrics JSON in as raw text):
 ///
 /// ```json
 /// {"pmv_flight_dump":1,"seq":0,"reason":"latency_threshold",

@@ -11,11 +11,12 @@
 //!    with [`pmv_faultinject::CRASH_PREFIX`] that the crash harness
 //!    catches as a simulated `kill -9`). The kill-point matrix test
 //!    places one-shot crash rules at every site.
-//! 2. **Lintability.** The `pmv-analyze` `raw_fs_write` rule denies direct
-//!    `std::fs` write access (`File::create`, `write`, `rename`, …)
-//!    everywhere in `crates/{core,storage,wal}` *except* this file, so
-//!    a code path cannot quietly bypass fault injection — if it writes,
-//!    it is testable.
+//! 2. **Checkability.** The `pmv-analyze` `dio_funnel_reach` contract
+//!    denies direct `std::fs` write access (`File::create`, `write`,
+//!    `rename`, …), and any call that reaches one, everywhere in
+//!    `crates/{core,storage,wal}` *except* this file, so a code path
+//!    cannot quietly bypass fault injection — if it writes, it is
+//!    testable.
 //!
 //! [`FaultKind::Io`]: pmv_faultinject::FaultKind::Io
 //! [`FaultKind::TornWrite`]: pmv_faultinject::FaultKind::TornWrite

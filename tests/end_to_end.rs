@@ -293,7 +293,7 @@ fn maint_filter_does_not_change_outcomes() {
             1,
         );
         let mut rng = StdRng::seed_from_u64(77);
-        let mut joins_avoided = 0;
+        let (mut deletes, mut joins_avoided) = (0, 0);
         for round in 0..20 {
             let q = eqt_query(&template, &[rng.gen_range(0..7)], &[rng.gen_range(0..5)]);
             let expect = oracle(&db, &q);
@@ -312,16 +312,21 @@ fn maint_filter_does_not_change_outcomes() {
             let mut txn = Transaction::begin(&mut db);
             txn.delete("r", victim).unwrap();
             for b in txn.commit() {
-                joins_avoided += pmv.maintain(&db, &b).unwrap().joins_avoided;
+                let out = pmv.maintain(&db, &b).unwrap();
+                deletes += out.deletes_joined;
+                joins_avoided += out.joins_avoided;
             }
             assert_eq!(pmv.revalidate(&db).unwrap(), 0, "no stale tuples");
             pmv.debug_validate();
         }
-        if use_filter {
-            assert!(
-                joins_avoided > 0,
-                "the filter should have skipped some joins"
-            );
-        }
+        println!("filter={use_filter}: {joins_avoided} of {deletes} ΔR joins skipped");
+        // The §3.4 filter skips the ΔR join of every delete that touched
+        // no cached tuple: half of this stream, none without the filter.
+        assert_eq!(deletes, 20);
+        assert_eq!(
+            joins_avoided,
+            if use_filter { 10 } else { 0 },
+            "ΔR joins skipped of {deletes} deletes, filter={use_filter}"
+        );
     }
 }

@@ -1,0 +1,229 @@
+//! The paper's §4.2 overhead experiments (Figs. 8–10) as exact counts on
+//! the seeded TPC-R data. The other figures are gated where their code
+//! lives: Figs. 6–7 by the `pmv-workload` simulator tests, Table 1 by the
+//! `tpcr` generator tests, Figs. 11–12 by the `pmv-costmodel` tests.
+//!
+//! The paper's procedure: one PMV per template with 20 K entries, queries
+//! whose `Cselect` breaks into exactly `h` basic condition parts of which
+//! exactly one is resident. A run here builds a fresh one-shard CLOCK view
+//! and warms it with the hot bcp alone, so "exactly one is resident" holds
+//! by construction. Wall-clock times are printed (`--nocapture`), not
+//! gated, except the paper's "partial results within a millisecond".
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use pmv::index::{IndexKey, SecondaryIndex};
+use pmv::prelude::*;
+use pmv::query::{QueryInstance, QueryTemplate};
+use pmv::workload::queries::{t1_query, t2_query, template_t1, template_t2, values_including};
+use pmv::workload::tpcr::{self, TpcrConfig};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const ENTRIES: usize = 20_000;
+const RUNS: usize = 15;
+/// Fig. 8 and Fig. 9 run at the largest of Fig. 10's scales.
+const SCALE: f64 = 0.02;
+
+#[derive(Clone, Copy, Debug)]
+enum Template {
+    /// orders ⋈ lineitem.
+    T1,
+    /// orders ⋈ lineitem ⋈ customer.
+    T2,
+}
+
+/// What the `RUNS` runs of one cell measured: counts per run, medians of
+/// the clocks.
+#[derive(Default)]
+struct Cell {
+    parts: Vec<usize>,
+    partial: Vec<usize>,
+    /// Plain-executor result count of the hot bcp, per run.
+    hot_results: Vec<usize>,
+    tuples_examined: f64,
+    probe: Duration,
+    overhead: Duration,
+    exec: Duration,
+}
+
+/// TPC-R at `scale` with a date→supplier pool of 2, so hot
+/// `(orderdate, suppkey)` bcps hold more than `F` result tuples.
+fn build_db(scale: f64) -> Database {
+    let mut db = Database::new();
+    let config = TpcrConfig {
+        scale,
+        seed: 0xc0ffee,
+        pad: false,
+        date_supplier_pool: Some(2),
+    };
+    tpcr::generate(&mut db, &config).unwrap();
+    tpcr::standard_indexes(&mut db).unwrap();
+    db
+}
+
+/// The first row of `relation` whose column 0 equals `key`.
+fn by_key(db: &Database, relation: &str, key: i64) -> Tuple {
+    let row = db
+        .index_on(relation, &[0])
+        .unwrap()
+        .get(&IndexKey::single(Value::Int(key)))[0];
+    db.get(relation, row).unwrap()
+}
+
+/// `(orderdate, suppkey, nationkey)` of a random order's first lineitem:
+/// a bcp of both templates with at least one result.
+fn sample_hot(db: &Database, rng: &mut StdRng) -> [i64; 3] {
+    let order = by_key(
+        db,
+        "orders",
+        rng.gen_range(1..=db.len("orders").unwrap() as i64),
+    );
+    let int = |t: &Tuple, col| t.get(col).as_int().unwrap();
+    let line = by_key(db, "lineitem", int(&order, 0));
+    let customer = by_key(db, "customer", int(&order, 1));
+    [int(&order, 2), int(&line, 1), int(&customer, 1)]
+}
+
+fn bind(
+    t: &Arc<QueryTemplate>,
+    which: Template,
+    dates: &[i64],
+    supps: &[i64],
+    nation: i64,
+) -> QueryInstance {
+    match which {
+        Template::T1 => t1_query(t, dates, supps).unwrap(),
+        Template::T2 => t2_query(t, dates, supps, &[nation]).unwrap(),
+    }
+}
+
+fn median(mut xs: Vec<Duration>) -> Duration {
+    xs.sort_unstable();
+    xs[xs.len() / 2]
+}
+
+/// `RUNS` runs of one cell: a query of `e` dates × `f` suppliers (× the
+/// hot nation for T2) against a fresh view holding only the hot bcp.
+/// Prints one self-describing line, so parallel tests may interleave.
+fn measure_cell(
+    label: &str,
+    db: &Database,
+    which: Template,
+    (e, f): (usize, usize),
+    f_cap: usize,
+    seed: u64,
+) -> Cell {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let t = match which {
+        Template::T1 => template_t1(db).unwrap(),
+        Template::T2 => template_t2(db).unwrap(),
+    };
+    let def = PartialViewDef::all_equality("paper", t.clone()).unwrap();
+    let suppliers = tpcr::supplier_count(db.len("orders").unwrap() as f64 / 1_500_000.0);
+    let mut cell = Cell::default();
+    let (mut probes, mut overheads, mut execs) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..RUNS {
+        let config = PmvConfig::new(f_cap, ENTRIES, PolicyKind::Clock);
+        let pmv = SharedPmv::with_shards(def.clone(), config, 1);
+        let [date, supp, nation] = sample_hot(db, &mut rng);
+        let warm = bind(&t, which, &[date], &[supp], nation);
+        cell.hot_results.push(run_plain(db, &warm).unwrap().0.len());
+        pmv.run(db, &warm).unwrap();
+
+        let dates = values_including(&mut rng, tpcr::NUM_DATES, e, date);
+        let supps = values_including(&mut rng, suppliers, f, supp);
+        let out = pmv
+            .run(db, &bind(&t, which, &dates, &supps, nation))
+            .unwrap();
+        assert_eq!(out.ds_leftover, 0, "{which:?}: a stale tuple was served");
+        cell.parts.push(out.parts);
+        cell.partial.push(out.partial.len());
+        cell.tuples_examined += out.exec_stats.tuples_examined as f64 / RUNS as f64;
+        probes.push(out.timings.o1 + out.timings.o2);
+        overheads.push(out.timings.overhead());
+        execs.push(out.timings.exec);
+    }
+    cell.probe = median(probes);
+    cell.overhead = median(overheads);
+    cell.exec = median(execs);
+    let us = |d: Duration| d.as_secs_f64() * 1e6;
+    println!(
+        "{label} {which:?}: O1+O2 {:.1} µs, overhead {:.1} µs, exec {:.1} µs \
+         ({:.1}×), tuples examined {:.1}, partials {:?}",
+        us(cell.probe),
+        us(cell.overhead),
+        us(cell.exec),
+        cell.exec.as_secs_f64() / cell.overhead.as_secs_f64(),
+        cell.tuples_examined,
+        cell.partial,
+    );
+    // The paper's "partial results within a millisecond".
+    assert!(
+        cell.probe < Duration::from_millis(1),
+        "median O1+O2 {:?}",
+        cell.probe
+    );
+    cell
+}
+
+#[test]
+fn fig8_partials_are_exactly_min_of_f_and_the_hot_bcp() {
+    let db = build_db(SCALE);
+    for f_cap in 1..=5 {
+        let label = format!("Fig. 8 F={f_cap} h=4 s={SCALE}");
+        for which in [Template::T1, Template::T2] {
+            let cell = measure_cell(&label, &db, which, (2, 2), f_cap, 7 + f_cap as u64);
+            assert_eq!(cell.parts, vec![4; RUNS], "{which:?} F={f_cap}");
+            let want: Vec<usize> = cell.hot_results.iter().map(|&n| n.min(f_cap)).collect();
+            assert_eq!(
+                cell.partial, want,
+                "{which:?} F={f_cap}: min(F, hot bcp results)"
+            );
+        }
+    }
+}
+
+#[test]
+fn fig9_parts_equal_h_and_partials_stay_within_f() {
+    let db = build_db(SCALE);
+    for h in [1, 3, 10] {
+        let label = format!("Fig. 9 F=3 h={h} s={SCALE}");
+        for which in [Template::T1, Template::T2] {
+            let cell = measure_cell(&label, &db, which, (h, 1), 3, 11 + h as u64);
+            assert_eq!(cell.parts, vec![h; RUNS], "{which:?} h={h}");
+            assert!(
+                cell.partial.iter().all(|&n| n <= 3),
+                "{which:?} h={h}: {:?}",
+                cell.partial
+            );
+        }
+    }
+}
+
+#[test]
+fn fig10_execution_grows_with_scale_while_bookkeeping_does_not() {
+    let scales = [0.005, 0.01, SCALE];
+    let mut examined = [Vec::new(), Vec::new()];
+    for scale in scales {
+        let db = build_db(scale);
+        let label = format!("Fig. 10 F=3 h=4 s={scale}");
+        for (i, which) in [Template::T1, Template::T2].into_iter().enumerate() {
+            let cell = measure_cell(&label, &db, which, (2, 2), 3, 23);
+            assert_eq!(cell.parts, vec![4; RUNS], "{which:?} s={scale}");
+            assert!(
+                cell.partial.iter().all(|&n| n <= 3),
+                "{which:?} s={scale}: {:?}",
+                cell.partial
+            );
+            examined[i].push(cell.tuples_examined);
+        }
+    }
+    for (which, e) in [Template::T1, Template::T2].into_iter().zip(&examined) {
+        assert!(
+            e[2] >= 2.0 * e[0],
+            "{which:?}: mean tuples examined {e:?} over s = {scales:?} must at least double"
+        );
+    }
+}
