@@ -521,9 +521,9 @@ impl Session {
 
     fn cmd_pmv(&mut self, rest: &str) -> Result<String, CliError> {
         let mut parts = rest.split_whitespace();
-        let name = parts.next().ok_or_else(|| {
-            usage("usage: pmv <template> [f=N] [l=N] [policy=...] [maint=delta-join|heavy-light] [heavy=N]")
-        })?;
+        let name = parts
+            .next()
+            .ok_or_else(|| usage("usage: pmv <template> [f=N] [l=N] [policy=...] [heavy=N]"))?;
         let template = self.template(name)?;
         let mut config = PmvConfig::default();
         for opt in parts {
@@ -534,27 +534,30 @@ impl Session {
                 "f" => config.f = v.parse().map_err(|_| usage("bad f"))?,
                 "l" => config.l = v.parse().map_err(|_| usage("bad l"))?,
                 "policy" => config.policy = parse_policy(v)?,
-                "maint" => {
-                    config.maint_strategy = pmv_core::MaintStrategy::parse(v).ok_or_else(|| {
-                        usage(
-                            "bad maint (want delta-join or heavy-light; the former \
-                             'indexed' is maint=heavy-light heavy=1)",
-                        )
-                    })?;
+                "heavy" => {
+                    let n = v.parse().map_err(|_| usage("bad heavy"))?;
+                    config = config.with_heavy_threshold(n);
                 }
-                "heavy" => config.heavy_threshold = v.parse().map_err(|_| usage("bad heavy"))?,
+                "maint" => {
+                    return Err(usage(format!(
+                        "unknown option 'maint': maintenance is one path routed by \
+                         heavy=N (default {}; heavy={} is join only)",
+                        PmvConfig::default().heavy_threshold,
+                        u64::MAX
+                    )))
+                }
                 other => return Err(usage(format!("unknown option '{other}'"))),
             }
         }
         let discretizers = default_discretizers(&template);
         let def = PartialViewDef::new(format!("pmv_{name}"), template, discretizers)?;
         let summary = format!(
-            "PMV for '{}': F={}, L={}, policy={}, maint={} (epoch serving)",
+            "PMV for '{}': F={}, L={}, policy={}, heavy≥{} (epoch serving)",
             name,
             config.f,
             config.l,
             config.policy.name(),
-            config.maint_strategy.as_str(),
+            config.heavy_threshold,
         );
         self.register(def, config, None)?;
         Ok(summary)
@@ -985,13 +988,13 @@ impl Session {
 }
 
 /// One indented line of maintenance/upquery telemetry for `stats`:
-/// which [`pmv_core::MaintStrategy`] the view runs and what the
-/// delta-key-index / heavy-light / upquery paths have done so far.
+/// the view's heavy-key threshold and what the delta-key-index,
+/// ΔR-join and upquery paths have done so far.
 fn maintenance_line(config: &PmvConfig, s: &pmv_core::PmvStats) -> String {
     format!(
-        "  maint {}: {} index removals, {} heavy / {} light deltas \
+        "  maint heavy≥{}: {} index removals, {} heavy / {} light deltas \
          ({} joins coalesced, {} join rows), {} upqueries ({} rows refilled)\n",
-        config.maint_strategy.as_str(),
+        config.heavy_threshold,
         s.maint_index_removals,
         s.maint_heavy_deltas,
         s.maint_light_deltas,
@@ -1430,10 +1433,19 @@ mod tests {
         assert!(s.execute("query t1 [1]").is_err());
         // Interval binding on an equality slot.
         assert!(s.execute("query t1 [1..2] [1]").is_err());
-        // The removed strategy name is a usage error naming its equivalent.
-        let e = s.execute("pmv t1 maint=indexed").unwrap_err();
-        assert!(matches!(&e, CliError::Usage(m) if m.contains("maint=heavy-light heavy=1")));
-        assert!(s.execute("pmv t1 maint=heavy-light heavy=1").is_ok());
+        // The removed strategy option is a usage error naming the
+        // threshold that replaces it.
+        for maint in ["delta-join", "heavy-light", "indexed"] {
+            let e = s.execute(&format!("pmv t1 maint={maint}")).unwrap_err();
+            assert!(
+                matches!(&e, CliError::Usage(m) if m.contains("heavy=18446744073709551615")
+                    && m.contains("default 8")),
+                "{e:?}"
+            );
+        }
+        // `heavy=` goes through the builder's clamp: 0 reads back as 1.
+        let out = s.execute("pmv t1 heavy=0").unwrap();
+        assert!(out.contains("heavy≥1 "), "{out}");
     }
 
     fn scratch_dir(name: &str) -> std::path::PathBuf {

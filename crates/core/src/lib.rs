@@ -93,7 +93,7 @@ pub use verify::{
     verify_def, verify_parts, DiagCode, Diagnostic, FilterSpec, Severity, VerifyOptions,
     VerifyPolicy, VerifyReport,
 };
-pub use view::{MaintStrategy, PartialViewDef, PmvConfig};
+pub use view::{PartialViewDef, PmvConfig};
 
 /// Errors from the PMV layer.
 #[derive(Debug)]

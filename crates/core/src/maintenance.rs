@@ -8,14 +8,14 @@
 //!   path). Each shard's insert watermark is bumped so completeness
 //!   claims ([`crate::store::PmvStore::entry_complete`]) lapse.
 //! * **Delete** — remove every cached view tuple the deleted base tuple
-//!   supports. Two strategies ([`MaintStrategy`]):
-//!   [`MaintStrategy::DeltaJoin`] computes `ΔR_i ⋈ R_j (j ≠ i)` and
-//!   removes each join result found in the PMV (the paper's scheme);
-//!   [`MaintStrategy::HeavyLight`] (default) routes *hot* delta keys
-//!   (per a space-saving sketch) through the per-shard
-//!   [`crate::delta_index::DeltaKeyIndex`], removing the supported
-//!   tuples directly — `O(|Δ| · fanout)`, no base-relation join — and
-//!   coalesces the cold tail into one join per distinct deleted tuple.
+//!   supports, by one path: a delete whose key is *heavy* (a space-saving
+//!   sketch count ≥ [`crate::PmvConfig::heavy_threshold`]) is resolved
+//!   through the per-shard [`crate::delta_index::DeltaKeyIndex`],
+//!   removing the supported tuples directly — `O(|Δ| · fanout)`, no
+//!   base-relation join; every other delete joins `ΔR_i ⋈ R_j (j ≠ i)`
+//!   and removes each join result found in the PMV (the paper's scheme),
+//!   one join per distinct deleted tuple. At threshold `u64::MAX` no key
+//!   is heavy and every delete takes the paper's join.
 //! * **Update** — if no attribute of `R_i` appearing in `Ls'` or `Cjoin`
 //!   changed, do nothing; otherwise proceed like a delete of the old
 //!   tuple (the insert side again needs no work).
@@ -79,7 +79,6 @@ use crate::concurrent::SharedPmv;
 use crate::fasthash::FxHashMap;
 use crate::serve::flush_faults;
 use crate::stats::PmvStats;
-use crate::view::MaintStrategy;
 use crate::Result;
 
 /// What maintenance did for one delta batch.
@@ -87,7 +86,7 @@ use crate::Result;
 pub struct MaintenanceOutcome {
     /// Inserts that required no PMV work.
     pub inserts_ignored: usize,
-    /// Deletes processed (any strategy).
+    /// Deletes processed (heavy or light).
     pub deletes_joined: usize,
     /// Updates skipped (no relevant attribute changed).
     pub updates_ignored: usize,
@@ -103,7 +102,7 @@ pub struct MaintenanceOutcome {
     pub heavy_deltas: usize,
     /// Deltas routed through the coalesced-join (light) path.
     pub light_deltas: usize,
-    /// Coalesced ΔR joins actually executed for the light path.
+    /// ΔR joins executed: one per distinct light tuple.
     pub coalesced_joins: usize,
     /// ΔR joins skipped by the Section 3.4 maintenance filter.
     pub joins_avoided: usize,
@@ -176,7 +175,6 @@ impl SharedPmv {
             .begin_trace_shared(TraceKind::Maintenance, &inner.trace_name);
         let mut fault_cap = inner.obs.enabled().then(pmv_faultinject::capture);
         let relevant = relevant_columns(&template, rel_idx);
-        let strategy = inner.config.effective_strategy();
 
         // Epoch fence for pinned fills — stored BEFORE this maintenance
         // touches any shard lock. A query pinned before this Δ may hold
@@ -189,12 +187,11 @@ impl SharedPmv {
         // the Acquire in `Inner::maint_epoch`.
         inner.maint_epoch.store(db.version(), Ordering::Release);
 
-        // Phase 1: route each delta. Heavy/indexed keys resolve their
-        // affected view tuples straight from the per-shard delta-key
-        // indexes (read locks only, O(fanout) per shard); cold keys
-        // coalesce into one ΔR join per distinct tuple; `DeltaJoin` keeps
-        // the classic per-delta join. The removal's provenance flag
-        // distinguishes index hits for the `index_removals` counters.
+        // Phase 1: route each delta. Heavy keys resolve their affected
+        // view tuples straight from the per-shard delta-key indexes (read
+        // locks only, O(fanout) per shard); every other delta coalesces
+        // into one ΔR join per distinct tuple. The removal's provenance
+        // flag distinguishes index hits for the `index_removals` counters.
         let mut removals: Vec<Removal> = Vec::new();
         let mut light_order: Vec<&Tuple> = Vec::new();
         let mut light_counts: FxHashMap<&Tuple, usize> = FxHashMap::default();
@@ -230,49 +227,23 @@ impl SharedPmv {
                     }
                 }
             };
-            let mut indexed = match strategy {
-                MaintStrategy::DeltaJoin => false,
-                MaintStrategy::HeavyLight => {
-                    // Every shard shares the template, so shard 0's index
-                    // yields the delta-key hash for the whole view. A
-                    // sketch overestimate only routes extra deltas to
-                    // the (equally sound) indexed path.
-                    let hash = inner.shards[0].read().delta_key_hash(rel_idx, tuple);
-                    let heavy = hash.is_some_and(|h| {
-                        inner.delta_sketch.lock().note(h) >= inner.config.heavy_threshold
-                    });
-                    if !heavy {
-                        // Cold key, unindexable relation or index
-                        // disabled: coalesce into the light joins below.
-                        let n = light_counts.entry(tuple).or_insert(0);
-                        if *n == 0 {
-                            light_order.push(tuple);
-                        }
-                        *n += 1;
-                        out.light_deltas += 1;
-                        local.maint_light_deltas += 1;
-                        continue;
-                    }
-                    true
-                }
-            };
-            if indexed {
+            // Every shard shares the template, so shard 0's index yields
+            // the delta-key hash for the whole view. A sketch overestimate
+            // only routes extra deltas to the (equally sound) indexed path.
+            let hash = inner.shards[0].read().delta_key_hash(rel_idx, tuple);
+            let heavy = hash
+                .is_some_and(|h| inner.delta_sketch.lock().note(h) >= inner.config.heavy_threshold);
+            if heavy {
                 let t0 = Instant::now();
                 let before = removals.len();
+                let mut indexed = true;
                 for (si, s) in inner.shards.iter().enumerate() {
-                    match s.read().supported(rel_idx, tuple) {
-                        Some(sup) => {
-                            for (bcp, t) in sup {
-                                removals.push((si, bcp, (*t).clone(), true));
-                            }
-                        }
-                        None => {
-                            // No usable index for this relation: undo and
-                            // fall back to the classic per-delta join.
-                            removals.truncate(before);
-                            indexed = false;
-                            break;
-                        }
+                    let Some(sup) = s.read().supported(rel_idx, tuple) else {
+                        indexed = false;
+                        break;
+                    };
+                    for (bcp, t) in sup {
+                        removals.push((si, bcp, (*t).clone(), true));
                     }
                 }
                 t_index += t0.elapsed();
@@ -284,40 +255,54 @@ impl SharedPmv {
                     }
                     continue;
                 }
+                // The index cannot serve this relation: undo, route light.
+                removals.truncate(before);
             }
-            self.join_delta(
-                db,
-                &template,
-                rel_idx,
-                tuple,
-                1,
-                &mut removals,
-                &mut out,
-                &mut local,
-            );
+            // Cold key, unservable relation or index disabled: coalesce
+            // into the light joins below.
+            let n = light_counts.entry(tuple).or_insert(0);
+            if *n == 0 {
+                light_order.push(tuple);
+            }
+            *n += 1;
+            out.light_deltas += 1;
+            local.maint_light_deltas += 1;
         }
         if t_index > Duration::ZERO {
             inner.obs.record(Phase::maint_index, t_index);
         }
 
-        // Light path: one coalesced ΔR join per distinct cold tuple.
-        // Every join runs against the same post-delta base state, so a
-        // tuple deleted `n` times yields `n` identical row sets — the
-        // rows are pushed once per occurrence instead of re-joining.
+        // Light path: one coalesced ΔR join per distinct cold tuple,
+        // skipped when no shard's index can match the tuple (Section 3.4
+        // / [25]: nothing cached is affected). Every join runs against
+        // the same post-delta base state, so a tuple deleted `n` times
+        // yields `n` identical row sets — the rows are queued once per
+        // occurrence instead of re-joining. A join that cannot be
+        // computed drains the affected shards instead.
         for tuple in light_order {
+            if !inner
+                .shards
+                .iter()
+                .any(|s| s.read().would_affect(rel_idx, tuple))
+            {
+                out.joins_avoided += 1;
+                continue;
+            }
+            let Some(rows) =
+                self.join_with_retry(db, &template, rel_idx, tuple, &mut out, &mut local)
+            else {
+                self.drain_affected(Some((rel_idx, tuple)), &mut out, &mut local);
+                continue;
+            };
             let n = light_counts[tuple];
-            if self.join_delta(
-                db,
-                &template,
-                rel_idx,
-                tuple,
-                n,
-                &mut removals,
-                &mut out,
-                &mut local,
-            ) {
-                out.coalesced_joins += 1;
-                local.maint_coalesced_joins += 1;
+            out.coalesced_joins += 1;
+            local.maint_coalesced_joins += 1;
+            out.join_rows += rows.len() * n;
+            local.maint_join_rows += (rows.len() * n) as u64;
+            for row in rows {
+                let bcp = inner.def.bcp_of_tuple(&row);
+                let removal = (inner.slot_of(&bcp).0, bcp, row, false);
+                removals.extend(std::iter::repeat_n(removal, n));
             }
         }
 
@@ -350,47 +335,6 @@ impl SharedPmv {
         });
         flush_faults(&mut trace, fault_cap.take());
         Ok(out)
-    }
-
-    /// The ΔR join for one deleted base tuple occurring `occurrences`
-    /// times in the batch: skipped when no shard's index can match the
-    /// tuple (Section 3.4 / [25]: nothing cached is affected), otherwise
-    /// its rows are queued for removal once per occurrence. A join that
-    /// cannot be computed drains the affected shards instead. Returns
-    /// whether a join produced the rows.
-    #[allow(clippy::too_many_arguments)]
-    fn join_delta(
-        &self,
-        db: &Database,
-        template: &QueryTemplate,
-        rel_idx: usize,
-        tuple: &Tuple,
-        occurrences: usize,
-        removals: &mut Vec<Removal>,
-        out: &mut MaintenanceOutcome,
-        local: &mut PmvStats,
-    ) -> bool {
-        let inner = &*self.inner;
-        let affected = inner
-            .shards
-            .iter()
-            .any(|s| s.read().would_affect(rel_idx, tuple));
-        if !affected {
-            out.joins_avoided += 1;
-            return false;
-        }
-        let Some(rows) = self.join_with_retry(db, template, rel_idx, tuple, out, local) else {
-            self.drain_affected(Some((rel_idx, tuple)), out, local);
-            return false;
-        };
-        out.join_rows += rows.len() * occurrences;
-        local.maint_join_rows += (rows.len() * occurrences) as u64;
-        for row in rows {
-            let bcp = inner.def.bcp_of_tuple(&row);
-            let removal = (inner.slot_of(&bcp).0, bcp, row, false);
-            removals.extend(std::iter::repeat_n(removal, occurrences));
-        }
-        true
     }
 
     /// One ΔR join with the transient-retry/backoff loop. `None` means
@@ -714,8 +658,7 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        let mut config = PmvConfig::new(3, 16, PolicyKind::Clock);
-        config.maint_strategy = MaintStrategy::DeltaJoin;
+        let config = PmvConfig::new(3, 16, PolicyKind::Clock).with_heavy_threshold(u64::MAX);
         let def = PartialViewDef::all_equality("eqt_pmv", t.clone()).unwrap();
         let view = SharedPmv::with_shards(def, config, 4);
         let queries: Vec<_> = (0..4i64)

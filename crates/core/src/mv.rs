@@ -1,11 +1,12 @@
 //! Baselines: the traditional (large) materialized view of Section 2.2
 //! and the "small MVs for hot pairs" strawman of Section 2.3.
 //!
-//! Both are used by the benchmarks to reproduce the paper's comparisons:
-//! the large MV shows the storage blow-up PMVs avoid (Table-1-style size
-//! accounting, Figures 11/12 maintenance costs), and the small-MV set
-//! shows why minimizing *execution time* was the wrong goal for hot
-//! results.
+//! Both reproduce the paper's comparisons in tests: the large MV is the
+//! other side of Figures 11/12's maintenance costs
+//! (`tests/paper_claims.rs`, executed maintenance counted in the units
+//! of [`MvMaintenanceStats`]) and shows the storage blow-up PMVs avoid;
+//! the small-MV set shows why minimizing *execution time* was the wrong
+//! goal for hot results.
 
 use std::collections::HashMap;
 

@@ -41,9 +41,10 @@
 //!
 //! Between O2 and the answer nothing here waits on a lock: probes are
 //! reads, policy touches and fills are deferred to one best-effort
-//! write-back. Both analyzers enforce that on every function whose name
-//! starts with `run_pinned` — this module's and the two `Inner` methods
-//! that run inside it — which is why those keep the prefix.
+//! write-back. The `pmv-analyze` contract checker enforces that on every
+//! function declared with a `// pmv::pin_region` comment above its `fn`
+//! — this module's `run_pinned*` functions and the `Inner` methods that
+//! run inside them. The marker, not the name, declares a pin region.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;

@@ -42,7 +42,7 @@ macro_rules! for_each_stat_field {
             [keep] condition_parts,
             /// Inserts into base relations that required no PMV work.
             [keep] maint_inserts_ignored,
-            /// Deletes processed via the ΔR join.
+            /// Deletes processed (heavy or light).
             [keep] maint_deletes_joined,
             /// Updates skipped because no relevant attribute changed.
             [keep] maint_updates_ignored,
@@ -58,8 +58,8 @@ macro_rules! for_each_stat_field {
             [keep] maint_heavy_deltas,
             /// Deltas routed down the light (coalesced-join) path.
             [keep] maint_light_deltas,
-            /// ΔR joins avoided by coalescing duplicate light deltas
-            /// into one join per distinct (relation, tuple).
+            /// ΔR joins executed: one per distinct light (relation,
+            /// tuple), duplicates coalesced into it.
             [keep] maint_coalesced_joins,
             /// Rows produced by maintenance ΔR ⋈ R joins (the O(data)
             /// cost the delta-key index eliminates for heavy keys).

@@ -22,41 +22,6 @@ use pmv_storage::Tuple;
 use crate::bcp::{BcpDim, BcpKey, Discretizer};
 use crate::{CoreError, Result};
 
-/// How deletes/updates are propagated into the view (DESIGN.md §19).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MaintStrategy {
-    /// Classic Section 3.4 deferred maintenance: every delete/update
-    /// runs the full `ΔR_i ⋈ R_j` recompute. O(data); kept as the
-    /// equivalence oracle and the baseline of the maintenance counter test.
-    DeltaJoin,
-    /// Heavy-light partitioning: hot delta keys (space-saving sketch
-    /// count ≥ `heavy_threshold`) take the delta-key-index path — remove
-    /// exactly the supported view tuples, no base-relation join,
-    /// O(|Δ| · fanout); cold keys batch into one coalesced join per
-    /// maintenance drain. Bounds worst-case maintenance under Zipfian
-    /// delete churn. At `heavy_threshold = 1` every delta is heavy.
-    HeavyLight,
-}
-
-impl MaintStrategy {
-    /// Stable name for CLI flags and JSON reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MaintStrategy::DeltaJoin => "delta-join",
-            MaintStrategy::HeavyLight => "heavy-light",
-        }
-    }
-
-    /// Parse a name as printed by [`MaintStrategy::as_str`].
-    pub fn parse(s: &str) -> Option<MaintStrategy> {
-        match s {
-            "delta-join" => Some(MaintStrategy::DeltaJoin),
-            "heavy-light" => Some(MaintStrategy::HeavyLight),
-            _ => None,
-        }
-    }
-}
-
 /// Tuning knobs for a PMV.
 #[derive(Clone, Debug)]
 pub struct PmvConfig {
@@ -74,12 +39,11 @@ pub struct PmvConfig {
     /// registration by [`crate::verify::FilterSpec::for_template`]
     /// (PMV005). On by default.
     pub maint_filter: bool,
-    /// How deletes/updates propagate into the view.
-    /// [`MaintStrategy::HeavyLight`] requires `maint_filter` (it reads
-    /// the delta-key index) and silently degrades to the join without it.
-    pub maint_strategy: MaintStrategy,
-    /// Sketch count at which a delta key is considered heavy under
-    /// [`MaintStrategy::HeavyLight`].
+    /// Sketch count at which a delete's key is heavy and resolved
+    /// through the delta-key index instead of a ΔR join (heavy-light
+    /// partitioning, DESIGN.md §19). At 1 every delete is heavy; at
+    /// `u64::MAX` none is, and every delete runs the paper's ΔR join.
+    /// Without `maint_filter` there is no index and no key is heavy.
     pub heavy_threshold: u64,
     /// Wall-clock budget for one O3 execution; when exceeded, the query
     /// returns the O2 partials flagged `Degraded` instead of blocking.
@@ -99,7 +63,6 @@ impl Default for PmvConfig {
             l: 10_000,
             policy: PolicyKind::Clock,
             maint_filter: true,
-            maint_strategy: MaintStrategy::HeavyLight,
             // High enough that sparse delete streams stay on the exact
             // join path; a genuinely hot key crosses it within one
             // Zipfian burst.
@@ -134,30 +97,12 @@ impl PmvConfig {
         self
     }
 
-    /// Select the maintenance strategy.
-    pub fn with_maint_strategy(mut self, strategy: MaintStrategy) -> Self {
-        self.maint_strategy = strategy;
-        self
-    }
-
-    /// Override the heavy-key sketch threshold.
+    /// Override the heavy-key sketch threshold (at least 1).
     pub fn with_heavy_threshold(mut self, threshold: u64) -> Self {
         self.heavy_threshold = threshold.max(1);
         self
     }
 
-    /// The strategy actually in effect: index-driven paths need the
-    /// index, so without `maint_filter` everything is the plain join.
-    pub fn effective_strategy(&self) -> MaintStrategy {
-        if self.maint_filter {
-            self.maint_strategy
-        } else {
-            MaintStrategy::DeltaJoin
-        }
-    }
-}
-
-impl PmvConfig {
     /// Derive the entry budget `L` from a byte budget `UB` and an average
     /// tuple size `At`, per the paper's bound `UB ≤ L × F × At`.
     pub fn with_byte_budget(

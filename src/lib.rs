@@ -20,7 +20,6 @@
 //!   and the Section 3.6 extensions.
 //! * [`workload`] — Zipfian bcp streams, TPC-R-style data and query
 //!   generators.
-//! * [`costmodel`] — the analytical maintenance cost model of Section 4.3.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, or run the whole
 //! flow in miniature:
@@ -66,7 +65,6 @@
 
 pub use pmv_cache as cache;
 pub use pmv_core as core;
-pub use pmv_costmodel as costmodel;
 pub use pmv_index as index;
 pub use pmv_query as query;
 pub use pmv_storage as storage;
@@ -76,9 +74,9 @@ pub use pmv_workload as workload;
 pub mod prelude {
     pub use pmv_cache::{ClockPolicy, PolicyKind, ReplacementPolicy, TwoQPolicy};
     pub use pmv_core::{
-        run_plain, verify_def, verify_parts, BcpKey, DiagCode, Discretizer, MaintStrategy,
-        MaintenanceOutcome, PartialViewDef, PmvConfig, PmvManager, PmvStats, QueryOutcome,
-        Severity, SharedPmv, VerifyOptions, VerifyPolicy, VerifyReport,
+        run_plain, verify_def, verify_parts, BcpKey, DiagCode, Discretizer, MaintenanceOutcome,
+        PartialViewDef, PmvConfig, PmvManager, PmvStats, QueryOutcome, Severity, SharedPmv,
+        VerifyOptions, VerifyPolicy, VerifyReport,
     };
     pub use pmv_query::{
         Condition, Database, Interval, QueryInstance, QueryTemplate, TemplateBuilder,

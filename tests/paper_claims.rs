@@ -1,9 +1,11 @@
-//! The paper's §4.2 overhead experiments (Figs. 8–10) as exact counts on
-//! the seeded TPC-R data. The other figures are gated where their code
-//! lives: Figs. 6–7 by the `pmv-workload` simulator tests, Table 1 by the
-//! `tpcr` generator tests, Figs. 11–12 by the `pmv-costmodel` tests.
+//! The paper's §4.2 overhead experiments (Figs. 8–10) and its §4.3
+//! maintenance comparison (Figs. 11–12,
+//! `fig11_12_pmv_maintenance_is_free_on_inserts_and_cheaper_on_deletes`)
+//! as exact counts on the seeded TPC-R data. The other figures are gated
+//! where their code lives: Figs. 6–7 by the `pmv-workload` simulator
+//! tests, Table 1 by the `tpcr` generator tests.
 //!
-//! The paper's procedure: one PMV per template with 20 K entries, queries
+//! The overhead procedure: one PMV per template with 20 K entries, queries
 //! whose `Cselect` breaks into exactly `h` basic condition parts of which
 //! exactly one is resident. A run here builds a fresh one-shard CLOCK view
 //! and warms it with the hot bcp alone, so "exactly one is resident" holds
@@ -13,9 +15,11 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use pmv::core::TraditionalMv;
 use pmv::index::{IndexKey, SecondaryIndex};
 use pmv::prelude::*;
-use pmv::query::{QueryInstance, QueryTemplate};
+use pmv::query::{QueryInstance, QueryTemplate, Transaction};
+use pmv::storage::RowId;
 use pmv::workload::queries::{t1_query, t2_query, template_t1, template_t2, values_including};
 use pmv::workload::tpcr::{self, TpcrConfig};
 use rand::rngs::StdRng;
@@ -64,12 +68,15 @@ fn build_db(scale: f64) -> Database {
 }
 
 /// The first row of `relation` whose column 0 equals `key`.
-fn by_key(db: &Database, relation: &str, key: i64) -> Tuple {
-    let row = db
-        .index_on(relation, &[0])
+fn row_by_key(db: &Database, relation: &str, key: i64) -> RowId {
+    db.index_on(relation, &[0])
         .unwrap()
-        .get(&IndexKey::single(Value::Int(key)))[0];
-    db.get(relation, row).unwrap()
+        .get(&IndexKey::single(Value::Int(key)))[0]
+}
+
+/// The tuple at [`row_by_key`].
+fn by_key(db: &Database, relation: &str, key: i64) -> Tuple {
+    db.get(relation, row_by_key(db, relation, key)).unwrap()
 }
 
 /// `(orderdate, suppkey, nationkey)` of a random order's first lineitem:
@@ -226,4 +233,141 @@ fn fig10_execution_grows_with_scale_while_bookkeeping_does_not() {
             "{which:?}: mean tuples examined {e:?} over s = {scales:?} must at least double"
         );
     }
+}
+
+/// Figs. 11–12 run at the smallest of Fig. 10's scales.
+const MAINT_SCALE: f64 = 0.005;
+/// `|ΔR|` of the paper's transaction T (1 000 there), scaled to test size.
+const T_SIZE: usize = 200;
+/// Side by side: no key ever heavy (every delete takes the paper's ΔR
+/// join), the default, and every delete resolved through the index.
+const THRESHOLDS: [u64; 3] = [u64::MAX, 8, 1];
+
+/// One insert fraction `p` of transaction T. Work is counted in one unit
+/// for both sides: ΔR joins executed, plus the rows those joins produced,
+/// plus view rows found through the delta-key index.
+struct MaintCell {
+    mv_work: usize,
+    mv_joins: usize,
+    /// PMV work per entry of [`THRESHOLDS`].
+    pmv_work: [usize; 3],
+    /// Inserts each PMV left alone, per entry of [`THRESHOLDS`].
+    inserts_ignored: [usize; 3],
+}
+
+/// Transaction T at `inserts` of `T_SIZE` on `orders` against a
+/// materialized T1 view and one PMV per threshold: a one-shard CLOCK view
+/// with F = 3, L = 1 000, warmed by 1 000 sampled hot bcps. The deletes
+/// are a seeded-shuffle prefix of the orders; the inserts copy the next
+/// orders under a new `orderdate`. Every threshold must leave the same
+/// view.
+fn maintenance_cell(inserts: usize) -> MaintCell {
+    let mut db = build_db(MAINT_SCALE);
+    let t = template_t1(&db).unwrap();
+    let def = PartialViewDef::all_equality("maint", t.clone()).unwrap();
+    let views = THRESHOLDS.map(|heavy| {
+        let config = PmvConfig::new(3, 1_000, PolicyKind::Clock).with_heavy_threshold(heavy);
+        SharedPmv::with_shards(def.clone(), config, 1)
+    });
+    let mut rng = StdRng::seed_from_u64(0x11);
+    for _ in 0..1_000 {
+        let [date, supp, _] = sample_hot(&db, &mut rng);
+        let q = t1_query(&t, &[date], &[supp]).unwrap();
+        for v in &views {
+            v.run(&db, &q).unwrap();
+        }
+    }
+    let mut mv = TraditionalMv::materialize(&db, t).unwrap();
+
+    let mut keys: Vec<i64> = (1..=db.len("orders").unwrap() as i64).collect();
+    for i in (1..keys.len()).rev() {
+        keys.swap(i, rng.gen_range(0..=i));
+    }
+    let (deleted, copied) = keys[..T_SIZE].split_at(T_SIZE - inserts);
+    let rows: Vec<RowId> = deleted
+        .iter()
+        .map(|&k| row_by_key(&db, "orders", k))
+        .collect();
+    let copies: Vec<Tuple> = copied
+        .iter()
+        .map(|&k| {
+            let mut values = by_key(&db, "orders", k).values().to_vec();
+            let date = values[2].as_int().unwrap();
+            values[2] = Value::Int((date + tpcr::NUM_DATES / 2) % tpcr::NUM_DATES);
+            Tuple::new(values)
+        })
+        .collect();
+    let mut txn = Transaction::begin(&mut db);
+    for row in rows {
+        txn.delete("orders", row).unwrap();
+    }
+    for copy in copies {
+        txn.insert("orders", copy).unwrap();
+    }
+    let batches = txn.commit();
+
+    for b in &batches {
+        mv.maintain(&db, b).unwrap();
+    }
+    let mvs = mv.stats();
+    let outcomes = views
+        .each_ref()
+        .map(|v| v.maintain_all(&db, &batches).unwrap());
+    let reference = views[0].dump();
+    for (v, heavy) in views.iter().zip(THRESHOLDS).skip(1) {
+        assert!(
+            v.dump() == reference,
+            "{inserts} inserts: threshold {heavy} left a different view than the join"
+        );
+    }
+    MaintCell {
+        mv_work: mvs.joins_computed + mvs.rows_added + mvs.rows_removed,
+        mv_joins: mvs.joins_computed,
+        pmv_work: outcomes.map(|o| o.coalesced_joins + o.join_rows + o.index_removals),
+        inserts_ignored: outcomes.map(|o| o.inserts_ignored),
+    }
+}
+
+#[test]
+fn fig11_12_pmv_maintenance_is_free_on_inserts_and_cheaper_on_deletes() {
+    let cells: Vec<MaintCell> = (0..=10)
+        .map(|i| maintenance_cell(i * T_SIZE / 10))
+        .collect();
+    let ratio = |c: &MaintCell| c.mv_work as f64 / c.pmv_work[0] as f64;
+    for (i, c) in cells.iter().enumerate() {
+        let p = i as f64 / 10.0;
+        println!(
+            "Fig. 11–12 s={MAINT_SCALE} |ΔR|={T_SIZE} p={p:.1}: MV work {} ({} joins), \
+             PMV work join only {} / heavy≥8 {} / heavy≥1 {}, MV/PMV {:.1}×",
+            c.mv_work,
+            c.mv_joins,
+            c.pmv_work[0],
+            c.pmv_work[1],
+            c.pmv_work[2],
+            ratio(c),
+        );
+        if i < 10 {
+            for (w, heavy) in c.pmv_work.iter().zip(THRESHOLDS) {
+                assert!(
+                    *w < c.mv_work,
+                    "p={p:.1} threshold {heavy}: PMV work {w} not below MV work {}",
+                    c.mv_work
+                );
+            }
+        }
+    }
+    // §3.4: "no need to maintain V_PM" on inserts, while the MV joins each.
+    let all_inserts = &cells[10];
+    assert_eq!(all_inserts.pmv_work, [0; 3], "PMV work at p = 1");
+    assert_eq!(
+        all_inserts.inserts_ignored, [T_SIZE; 3],
+        "inserts ignored at p = 1"
+    );
+    assert_eq!(all_inserts.mv_joins, T_SIZE, "MV joins at p = 1");
+    // Fig. 12: the advantage grows with the insert fraction.
+    let rising = [0, 5, 9].map(|i| ratio(&cells[i]));
+    assert!(
+        rising[0] < rising[1] && rising[1] < rising[2],
+        "MV/PMV over p = 0, 0.5, 0.9: {rising:?}"
+    );
 }

@@ -1,12 +1,13 @@
-//! Equivalence of the maintenance strategies (ISSUE 10, DESIGN.md §19):
-//! for arbitrary interleavings of inserts, deletes, updates, and queries
-//! — including transactions that delete *matching* tuples from both base
-//! relations at once — the delta-key-index path ([`MaintStrategy::HeavyLight`],
-//! at a threshold that mixes both routes and at 1, where every delta is
-//! heavy) leaves the PMV in exactly the same state as the full `ΔR ⋈ R`
-//! join oracle ([`MaintStrategy::DeltaJoin`]), and all three keep serving
-//! the plain executor's results. A fixed Zipfian delete stream then pins
-//! what the index buys: ≥ 10× fewer rows touched per delete.
+//! Maintenance is one path whose heavy-key threshold only routes deletes
+//! (DESIGN.md §19): for arbitrary interleavings of inserts, deletes,
+//! updates, and queries — including transactions that delete *matching*
+//! tuples from both base relations at once — the delta-key-index route
+//! (at the default threshold, at 2, where both routes fire, and at 1,
+//! where every delta is heavy) leaves the PMV in exactly the same state
+//! as threshold `u64::MAX`, the full `ΔR ⋈ R` join oracle, and all four
+//! keep serving the plain executor's results. A fixed Zipfian delete
+//! stream then pins what the index buys: ≥ 10× fewer rows touched per
+//! delete.
 
 mod common;
 
@@ -93,11 +94,12 @@ fn joining_pair(db: &Database, nth: usize) -> Option<(RowId, RowId)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Drive a DeltaJoin oracle, a HeavyLight view at threshold 2 (both
-    /// routes fire) and one at threshold 1 (every delta indexed) through
-    /// the same step sequence; their stores must stay bit-identical and
-    /// their query answers must match the plain executor at every point.
-    /// One shard each: `l` entries exactly, so all three evict in lockstep.
+    /// Drive the join oracle (threshold `u64::MAX`) and views at the
+    /// default threshold, at 2 (both routes fire) and at 1 (every delta
+    /// indexed) through the same step sequence; their stores must stay
+    /// bit-identical and their query answers must match the plain
+    /// executor at every point. One shard each: `l` entries exactly, so
+    /// all four evict in lockstep.
     #[test]
     fn delta_index_equals_join_oracle(
         steps in proptest::collection::vec(step_strategy(), 1..40),
@@ -108,22 +110,17 @@ proptest! {
         let mut db = fx.db;
         let template = fx.template;
 
-        let views: Vec<SharedPmv> = [
-            (MaintStrategy::DeltaJoin, 2),
-            (MaintStrategy::HeavyLight, 2),
-            (MaintStrategy::HeavyLight, 1),
-        ]
-        .iter()
-        .enumerate()
-        .map(|(i, &(strategy, heavy_threshold))| {
-            let def =
-                PartialViewDef::all_equality(format!("eq_pmv_{i}"), template.clone()).unwrap();
-            let mut config = PmvConfig::new(f_cap, l, PolicyKind::Clock);
-            config.maint_strategy = strategy;
-            config.heavy_threshold = heavy_threshold;
-            SharedPmv::with_shards(def, config, 1)
-        })
-        .collect();
+        let thresholds = [u64::MAX, PmvConfig::default().heavy_threshold, 2, 1];
+        let views: Vec<SharedPmv> = thresholds
+            .iter()
+            .enumerate()
+            .map(|(i, &heavy)| {
+                let def =
+                    PartialViewDef::all_equality(format!("eq_pmv_{i}"), template.clone()).unwrap();
+                let config = PmvConfig::new(f_cap, l, PolicyKind::Clock).with_heavy_threshold(heavy);
+                SharedPmv::with_shards(def, config, 1)
+            })
+            .collect();
 
         let maintain_views = |db: &Database, views: &[SharedPmv], batches: &[pmv::storage::DeltaBatch]| {
             for v in views {
@@ -190,11 +187,12 @@ proptest! {
                     }
                 }
             }
-            // The invariant of this whole test: all three strategies
-            // leave identical view state after every step.
+            // The invariant of this whole test: every threshold leaves
+            // the join oracle's view state after every step.
             let reference = views[0].dump();
-            prop_assert_eq!(&views[1].dump(), &reference, "HeavyLight@2 diverged from DeltaJoin");
-            prop_assert_eq!(&views[2].dump(), &reference, "HeavyLight@1 diverged from DeltaJoin");
+            for (v, heavy) in views.iter().zip(thresholds).skip(1) {
+                prop_assert_eq!(&v.dump(), &reference, "threshold {} diverged from the join", heavy);
+            }
         }
     }
 }
@@ -203,10 +201,11 @@ proptest! {
 /// batches of 8 against `r ⋈ s` with a per-key fan-out of 512. Serving
 /// load keeps the four hottest keys resident (re-probed before each batch
 /// that touches them); cold keys are never queried, so the residency gate
-/// skips their deletes under both strategies and the difference is purely
-/// join-vs-index on the affecting deletes. `DeltaJoin` pays the ΔR ⋈ S
-/// join (≈ 356 rows per delete); heavy-light resolves hot delta keys
-/// through the delta-key index (≈ 10.6). Counters only, no clocks.
+/// skips their deletes at both thresholds and the difference is purely
+/// join-vs-index on the affecting deletes. At threshold `u64::MAX` every
+/// delete pays the ΔR ⋈ S join (≈ 356 rows per delete); at 2 hot delta
+/// keys resolve through the delta-key index (≈ 10.6). Counters only, no
+/// clocks.
 ///
 /// The two views are each checked against the plain executor rather than
 /// against each other: all copies of a key's R row share one projection,
@@ -219,7 +218,7 @@ fn heavy_light_touches_ten_times_fewer_rows_than_delta_join() {
     const DELETES: usize = 400;
     const FANOUT: i64 = 512;
     const GVALS: i64 = 2;
-    // One fixed stream, replayed under both strategies.
+    // One fixed stream, replayed at both thresholds.
     let (zipf, mut rng) = (Zipf::new(KEYS, 1.2), StdRng::seed_from_u64(0x9E37_79B9));
     let seq: Vec<usize> = (0..DELETES).map(|_| zipf.sample(&mut rng)).collect();
     let mut counts = [0usize; KEYS];
@@ -227,7 +226,7 @@ fn heavy_light_touches_ten_times_fewer_rows_than_delta_join() {
         counts[k] += 1;
     }
 
-    let run = |strategy: MaintStrategy| {
+    let run = |heavy: u64| {
         let mut db = eqt_relations();
         // Every R row for key k is the identical tuple (k, k, k): all its
         // copies share one delta key, so repeated deletes of a hot key hit
@@ -247,11 +246,7 @@ fn heavy_light_touches_ten_times_fewer_rows_than_delta_join() {
         let (edb, template) = (EpochDb::new(fx.db), fx.template);
 
         let def = PartialViewDef::all_equality("maint_pmv", template.clone()).unwrap();
-        let mut config = PmvConfig::new(8, 4096, PolicyKind::Clock);
-        config.maint_strategy = strategy;
-        // Two sketch sightings promote a delta key to the indexed path:
-        // the cell pins steady-state routing, not sketch warm-up.
-        config.heavy_threshold = 2;
+        let config = PmvConfig::new(8, 4096, PolicyKind::Clock).with_heavy_threshold(heavy);
         let shared = SharedPmv::with_shards(def, config, 16);
         // Both bcps of key `k`, optionally checked against the executor.
         let probe = |k: usize, check: bool| {
@@ -294,20 +289,22 @@ fn heavy_light_touches_ten_times_fewer_rows_than_delta_join() {
         assert_eq!(
             shared.revalidate(&edb.read()).unwrap(),
             0,
-            "{strategy:?} left a stale tuple cached"
+            "threshold {heavy} left a stale tuple cached"
         );
         (0..HOT).for_each(|k| probe(k, true));
         stats
     };
 
-    let base = run(MaintStrategy::DeltaJoin);
-    let hl = run(MaintStrategy::HeavyLight);
+    let base = run(u64::MAX);
+    // Two sketch sightings promote a delta key to the indexed path: the
+    // cell pins steady-state routing, not sketch warm-up.
+    let hl = run(2);
     let per_delete =
         |s: &PmvStats| (s.maint_join_rows + s.maint_index_removals) as f64 / DELETES as f64;
     let (base_rows, hl_rows) = (per_delete(&base), per_delete(&hl));
     assert!(hl.maint_heavy_deltas > 0, "nothing took the indexed path");
     assert!(
         base_rows >= 10.0 * hl_rows,
-        "rows touched per delete: delta-join {base_rows:.1}, heavy-light {hl_rows:.1}"
+        "rows touched per delete: join only {base_rows:.1}, heavy≥2 {hl_rows:.1}"
     );
 }
