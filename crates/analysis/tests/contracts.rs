@@ -74,9 +74,9 @@ fn every_contract_fires_and_clears_on_its_corpus() {
 /// Whole-repo gate: zero unescaped findings, and exactly the escapes
 /// the design documents — four fault-injection/publish sites in the
 /// pin region (DESIGN.md §10: upquery refill and executor in
-/// `serve::run_pinned_scratch`, the write-back fault point
-/// `serve::run_pinned_fault`, and the shard-view publish in
-/// `concurrent::Inner::run_pinned_write_shard`) and the checkpoint-durable
+/// `serve::query_with_scratch`, the write-back fault point
+/// `serve::write_back_fault`, and the shard-view publish in
+/// `concurrent::Inner::try_write_shard`) and the checkpoint-durable
 /// setup path (§16); no other rule carries an escape — real violations
 /// get fixed, not allow-listed. The declared pin regions are pinned
 /// too: a dropped `// pmv::pin_region` would otherwise read as "clean".
@@ -112,13 +112,13 @@ fn repo_is_clean() {
     assert_eq!(
         regions,
         [
-            "concurrent:Inner::run_pinned_probe",
-            "concurrent:Inner::run_pinned_write_shard",
+            "concurrent:Inner::probe_shard",
+            "concurrent:Inner::try_write_shard",
             "concurrent:SharedPmv::run_pinned",
-            "serve:run_pinned",
-            "serve:run_pinned_fault",
-            "serve:run_pinned_scratch",
-            "serve:run_pinned_write_back",
+            "serve:query",
+            "serve:query_with_scratch",
+            "serve:write_back",
+            "serve:write_back_fault",
         ]
     );
     // §16 is confirmed because the group-commit winner has the shape,

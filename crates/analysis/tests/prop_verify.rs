@@ -16,7 +16,7 @@
 
 use pmv_analysis::{verify_parts, VerifyOptions};
 use pmv_cache::PolicyKind;
-use pmv_core::{Discretizer, PartialViewDef, PmvConfig, PmvManager, SharedPmv};
+use pmv_core::{Discretizer, EpochDb, PartialViewDef, PmvConfig, PmvManager, SharedPmv};
 use pmv_index::IndexDef;
 use pmv_query::{Condition, Database, Interval, QueryTemplate, TemplateBuilder};
 use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
@@ -57,6 +57,7 @@ fn interval_template(db: &Database) -> Arc<QueryTemplate> {
 fn check_agreement(raw: Vec<i64>, lo: i64, width: i64) -> Result<(), TestCaseError> {
     let db = setup_db();
     let t = interval_template(&db);
+    let edb = EpochDb::new(db);
     let dividers: Vec<Value> = raw.into_iter().map(Value::Int).collect();
     let d = Discretizer::from_raw(dividers);
     let config = PmvConfig::new(2, 16, PolicyKind::Clock);
@@ -86,14 +87,15 @@ fn check_agreement(raw: Vec<i64>, lo: i64, width: i64) -> Result<(), TestCaseErr
         .unwrap();
     // O1 decompose → O2 probe → O3 fill, twice so the second pass also
     // exercises the warm path.
+    let view = m.view_for(&t).expect("registered");
     for _ in 0..2 {
-        let out = m.run(&db, &q);
+        let out = edb.query(view, &q);
         prop_assert!(out.is_ok(), "clean def errored at runtime: {out:?}");
     }
 
     // Same definition through the sharded store, then invariant check.
     let shared = SharedPmv::with_shards(def, config, 4);
-    let out = shared.run(&db, &q);
+    let out = edb.query(&shared, &q);
     prop_assert!(out.is_ok(), "clean def errored in SharedPmv: {out:?}");
     shared.debug_validate();
     Ok(())

@@ -5,7 +5,7 @@
 //! control bytes inside strings, a conforming parser does not.
 
 use pmv_cache::PolicyKind;
-use pmv_core::{PartialViewDef, PmvConfig, SharedPmv};
+use pmv_core::{EpochDb, PartialViewDef, PmvConfig, SharedPmv};
 use pmv_obs::{ProfileReport, TemplateCost};
 use pmv_query::{Condition, Database, TemplateBuilder};
 use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
@@ -41,7 +41,7 @@ fn hostile_names_render_as_legal_json_and_parse_back() {
     let q = template
         .bind(vec![Condition::Equality(vec![Value::Int(2)])])
         .unwrap();
-    view.run(&db, &q).unwrap();
+    EpochDb::new(db).query(&view, &q).unwrap();
 
     let metrics = parse_strict(&pmv_obs::to_json(&[view.metrics()]));
     let views = metrics.get("views").and_then(Json::as_array).unwrap();

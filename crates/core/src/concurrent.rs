@@ -36,12 +36,10 @@
 //! `fill_epoch ≤ pin_epoch`, write back only when `pin_epoch ≥
 //! maint_epoch` — are described there and in DESIGN.md "Serving path".
 //!
-//! [`SharedPmv::run_pinned`] serves against any pinned
-//! [`pmv_query::DataView`] (an epoch snapshot published by
-//! [`crate::epoch::EpochDb`]); [`SharedPmv::run`] is the same call with
-//! the live `&Database` as the view — the *locked* case, where the
-//! caller's borrow (e.g. the read half of an `RwLock<Database>`) is what
-//! pins the base data, because any writer needs `&mut Database`.
+//! [`SharedPmv::run_pinned`] serves against one pinned
+//! [`pmv_query::DbSnapshot`]. [`crate::epoch::EpochDb`] is the host: its
+//! `query` pins the published snapshot for each call, and its `commit`
+//! maintains every listed view before the next snapshot publishes.
 //!
 //! Lock ordering is uniform — database access is always acquired before
 //! any shard lock, queries never wait on a shard lock at all, and
@@ -61,7 +59,7 @@ use pmv_obs::{
     EventKind, FlightRecorder, ObsRegistry, Phase, SpaceSaving, TemplateCost, TraceKind,
     TriggerReason, DEFAULT_SKETCH_CAPACITY,
 };
-use pmv_query::{execute, DataView, Database, QueryInstance};
+use pmv_query::{execute, Database, DbSnapshot, QueryInstance};
 use pmv_storage::Tuple;
 use pmv_sync::LeftRight;
 
@@ -211,16 +209,15 @@ pub(crate) struct Inner {
     /// of copying the name string on every query.
     pub(crate) trace_name: Arc<str>,
     /// Anomaly-triggered flight recorder. A dump locks the trace ring
-    /// and performs sink IO, so triggers fire only from locked-mode
-    /// [`SharedPmv::run`] and from `EpochDb::query` *after* the pin is
-    /// released — never inside a pin region.
+    /// and performs sink IO, so triggers fire only from `EpochDb::query`
+    /// *after* the pin is released — never inside a pin region.
     flight: OnceLock<Arc<FlightRecorder>>,
     /// Breaker trip count already seen by [`SharedPmv::flight_check`],
     /// so each trip produces one `breaker_trip` dump, not one per query.
     flight_trips_seen: AtomicU64,
     /// Heavy-hitter sketch over delta keys for the heavy-light
     /// maintenance split. Only the maintenance path locks it — never
-    /// the serving path, pinned or locked.
+    /// the serving path.
     pub(crate) delta_sketch: Mutex<SpaceSaving>,
 }
 
@@ -265,7 +262,7 @@ impl Inner {
     /// completeness claim. Returns `false`, calling nothing, when the
     /// shard is quarantined.
     // pmv::pin_region
-    pub(crate) fn run_pinned_probe<'p>(
+    pub(crate) fn probe_shard<'p>(
         &self,
         si: usize,
         parts: impl Iterator<Item = (u64, usize, &'p BcpKey)>,
@@ -293,7 +290,7 @@ impl Inner {
     /// serves (touches change only policy state). `None` when the guard
     /// was contended or `apply` itself declined (quarantined store).
     // pmv::pin_region
-    pub(crate) fn run_pinned_write_shard(
+    pub(crate) fn try_write_shard(
         &self,
         si: usize,
         apply: impl FnOnce(&mut PmvStore, u64) -> Option<WriteBack>,
@@ -381,31 +378,17 @@ impl SharedPmv {
         self.inner.shards.len()
     }
 
-    /// Run one query through O1/O2/O3 against the live database — the
-    /// *locked* case of [`Self::run_pinned`]: `&Database` is the pinned
-    /// view (its epoch is the current version), and the caller's borrow
-    /// keeps the base data still for the duration.
-    pub fn run(&self, db: &Database, q: &QueryInstance) -> Result<QueryOutcome> {
-        // No pin and no shard guard is held out here, so the anomaly
-        // check (which may lock the trace ring and write a spool dump) is
-        // safe on every exit path, degraded ones included.
-        let t_flight = self.flight_attached().then(Instant::now);
-        let out = self.run_pinned(db, q);
-        if let (Some(t0), Ok(outcome)) = (&t_flight, &out) {
-            self.flight_check(outcome, t0.elapsed());
-        }
-        out
-    }
-
-    /// Run one query through O1/O2/O3 ([`crate::serve`]) against a pinned
-    /// `view`: O2 reads the published shard views wait-free, O3 executes
-    /// against the snapshot, and every cache write-back (fills *and*
-    /// policy touches) is best-effort — `try_write`, skipped under
-    /// contention — so between pinning and the answer no lock is ever
-    /// waited on.
+    /// Run one query through O1/O2/O3 ([`crate::serve`]) against the
+    /// pinned snapshot `snap`: O2 reads the published shard views
+    /// wait-free, O3 executes against the snapshot, and every cache
+    /// write-back (fills *and* policy touches) is best-effort —
+    /// `try_write`, skipped under contention — so between pinning and the
+    /// answer no lock is ever waited on. [`crate::epoch::EpochDb::query`]
+    /// calls this with its current snapshot; call it directly only to
+    /// serve from a pin held across commits.
     // pmv::pin_region
-    pub fn run_pinned<V: DataView>(&self, view: &V, q: &QueryInstance) -> Result<QueryOutcome> {
-        serve::run_pinned(&self.inner, view, q)
+    pub fn run_pinned(&self, snap: &DbSnapshot, q: &QueryInstance) -> Result<QueryOutcome> {
+        serve::query(&self.inner, snap, q)
     }
 
     /// Re-execute each resident bcp's query shard by shard and drop any
@@ -475,9 +458,9 @@ impl SharedPmv {
     }
 
     /// Attach an anomaly-triggered flight recorder (first attach wins).
-    /// Dumps fire from locked-mode [`SharedPmv::run`] and from
-    /// `EpochDb::query` after the pin drops — never inside a pin region,
-    /// because a dump locks the trace ring and performs sink IO.
+    /// Dumps fire from `EpochDb::query` after the pin drops — never
+    /// inside a pin region, because a dump locks the trace ring and
+    /// performs sink IO.
     pub fn attach_flight(&self, recorder: Arc<FlightRecorder>) {
         let _ = self.inner.flight.set(recorder);
     }
@@ -801,12 +784,14 @@ fn remove_stale(store: &mut PmvStore, bcp: &BcpKey, budget: &mut HashMap<Tuple, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::EpochDb;
+    use crate::pipeline::run_plain;
     use pmv_cache::PolicyKind;
     use pmv_index::IndexDef;
     use pmv_query::{Condition, TemplateBuilder, Transaction};
     use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
 
-    fn setup(shards: usize) -> (Database, SharedPmv) {
+    fn setup(shards: usize) -> (EpochDb, SharedPmv) {
         let mut db = Database::new();
         db.create_relation(Schema::new(
             "r",
@@ -830,20 +815,20 @@ mod tests {
             .unwrap();
         let def = PartialViewDef::all_equality("shared", t).unwrap();
         let shared = SharedPmv::with_shards(def, PmvConfig::new(3, 16, PolicyKind::Clock), shards);
-        (db, shared)
+        (EpochDb::new(db), shared)
     }
 
     #[test]
     fn clones_share_state() {
-        let (db, shared) = setup(4);
+        let (edb, shared) = setup(4);
         let clone = shared.clone();
         let t = shared.def().template().clone();
         let q = t
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
             .unwrap();
-        shared.run(&db, &q).unwrap();
+        edb.query(&shared, &q).unwrap();
         // The clone sees the warm cache.
-        let out = clone.run(&db, &q).unwrap();
+        let out = edb.query(&clone, &q).unwrap();
         assert!(out.bcp_hit);
         assert_eq!(clone.stats().queries, 2);
         shared.debug_validate();
@@ -851,15 +836,15 @@ mod tests {
 
     #[test]
     fn sharded_matches_plain_execution() {
-        let (db, shared) = setup(4);
+        let (edb, shared) = setup(4);
         let t = shared.def().template().clone();
         for round in 0..3 {
             for f in 0..10i64 {
                 let q = t
                     .bind(vec![Condition::Equality(vec![Value::Int(f)])])
                     .unwrap();
-                let (mut plain, _, _) = crate::pipeline::run_plain(&db, &q).unwrap();
-                let out = shared.run(&db, &q).unwrap();
+                let (mut plain, _, _) = run_plain(&edb.read(), &q).unwrap();
+                let out = edb.query(&shared, &q).unwrap();
                 let mut got = out.all_results();
                 got.sort();
                 plain.sort();
@@ -878,14 +863,14 @@ mod tests {
 
     #[test]
     fn single_shard_behaves_like_unsharded() {
-        let (db, shared) = setup(1);
+        let (edb, shared) = setup(1);
         assert_eq!(shared.shard_count(), 1);
         let t = shared.def().template().clone();
         let q = t
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
             .unwrap();
-        shared.run(&db, &q).unwrap();
-        let out = shared.run(&db, &q).unwrap();
+        edb.query(&shared, &q).unwrap();
+        let out = edb.query(&shared, &q).unwrap();
         assert!(out.bcp_hit);
         assert_eq!(out.partial.len(), 3); // F = 3 cached tuples served
         shared.debug_validate();
@@ -978,6 +963,7 @@ mod tests {
             SharedPmv::with_shards(def("one_shard"), config.clone(), 1),
             SharedPmv::with_shards(def("four_shards"), config, 4),
         ];
+        let edb = EpochDb::new(db);
 
         let mut rng: u64 = 0x9E37_79B9_7F4A_7C15;
         let mut next = |n: u64| {
@@ -999,7 +985,7 @@ mod tests {
                     drop(store);
                     assert_views_current(v, "quarantined");
                     assert_eq!(v.quarantined_shards(), 1);
-                    v.revalidate(&db).unwrap();
+                    v.revalidate(&edb.read()).unwrap();
                     assert_eq!(v.quarantined_shards(), 0);
                 }
             } else if kind < 17 {
@@ -1008,38 +994,39 @@ mod tests {
                     values.push(Value::Int((f + 1 + next(5)) % 6));
                 }
                 let q = t.bind(vec![Condition::Equality(values)]).unwrap();
-                let (mut plain, _, _) = crate::pipeline::run_plain(&db, &q).unwrap();
+                let (mut plain, _, _) = run_plain(&edb.read(), &q).unwrap();
                 plain.sort();
                 for v in &views {
-                    let out = v.run(&db, &q).unwrap();
+                    let out = edb.query(v, &q).unwrap();
                     assert_eq!(out.ds_leftover, 0, "step {step}");
                     let mut got = out.all_results();
                     got.sort();
                     assert_eq!(got, plain, "step {step}");
                 }
             } else {
-                let row = db
+                let row = edb
+                    .read()
                     .relation("r")
                     .unwrap()
                     .read()
                     .iter()
                     .find(|(_, tu)| tu.get(1) == &Value::Int(f))
                     .map(|(r, _)| r);
-                let mut txn = Transaction::begin(&mut db);
-                match (kind, row) {
-                    (17, _) => drop(txn.insert("r", tuple![1000 + step, f]).unwrap()),
-                    (18, Some(row)) => drop(txn.delete("r", row).unwrap()),
-                    (19, Some(row)) => {
-                        let a = txn.get("r", row).unwrap().get(0).clone();
-                        let moved = Tuple::new(vec![a, Value::Int(next(6))]);
-                        drop(txn.update("r", row, moved).unwrap());
+                let new_f = (kind == 19 && row.is_some()).then(|| Value::Int(next(6)));
+                edb.commit(&[&views[0], &views[1]], move |db| {
+                    let mut txn = Transaction::begin(db);
+                    match (kind, row, new_f) {
+                        (17, _, _) => drop(txn.insert("r", tuple![1000 + step, f])?),
+                        (18, Some(row), _) => drop(txn.delete("r", row)?),
+                        (19, Some(row), Some(new_f)) => {
+                            let a = txn.get("r", row)?.get(0).clone();
+                            drop(txn.update("r", row, Tuple::new(vec![a, new_f]))?);
+                        }
+                        _ => {}
                     }
-                    _ => {}
-                }
-                let batches = txn.commit();
-                for v in &views {
-                    v.maintain_all(&db, &batches).unwrap();
-                }
+                    Ok(((), txn.commit()))
+                })
+                .unwrap();
             }
             for v in &views {
                 assert_views_current(v, &format!("step {step}"));
@@ -1053,7 +1040,7 @@ mod tests {
             );
             assert!(stats.maint_inserts_ignored > 0, "{stats:?}");
             assert!(v.evictions() > 0);
-            assert_eq!(v.revalidate(&db).unwrap(), 0);
+            assert_eq!(v.revalidate(&edb.read()).unwrap(), 0);
         }
     }
 
@@ -1086,11 +1073,12 @@ mod tests {
             .unwrap();
         let def = PartialViewDef::all_equality("big", t.clone()).unwrap();
         let shared = SharedPmv::with_shards(def, PmvConfig::new(2, 640, PolicyKind::Clock), 1);
+        let edb = EpochDb::new(db);
         let run = |f: i64| {
             let q = t
                 .bind(vec![Condition::Equality(vec![Value::Int(f)])])
                 .unwrap();
-            shared.run(&db, &q).unwrap();
+            edb.query(&shared, &q).unwrap();
         };
         for f in 0..640 {
             run(f);
@@ -1111,10 +1099,12 @@ mod tests {
         );
         assert_views_current(&shared, "after the cold fill");
 
-        let mut txn = Transaction::begin(&mut db);
-        txn.insert("r", tuple![5_000i64, 0i64]).unwrap();
-        let batches = txn.commit();
-        shared.maintain_all(&db, &batches).unwrap();
+        edb.commit(&[&shared], |db| {
+            let mut txn = Transaction::begin(db);
+            txn.insert("r", tuple![5_000i64, 0i64])?;
+            Ok(((), txn.commit()))
+        })
+        .unwrap();
         let bumped = shared.inner.views[0].load();
         assert!(Arc::ptr_eq(&after.chunks, &bumped.chunks), "spine shared");
         assert_eq!(bumped.inserts_seen, after.inserts_seen + 1);
@@ -1122,25 +1112,25 @@ mod tests {
 
     #[test]
     fn per_shard_capacity_splits_l() {
-        let (_db, shared) = setup(4);
+        let (_edb, shared) = setup(4);
         // L = 16 over 4 shards → 4 per shard.
         for shard in &shared.inner.shards {
             assert_eq!(shard.read().l(), 4);
         }
-        let (_db, one) = setup(1);
+        let (_edb, one) = setup(1);
         assert_eq!(one.inner.shards[0].read().l(), 16);
     }
 
     #[test]
     fn maintenance_locks_only_affected_shards() {
-        let (mut db, shared) = setup(4);
+        let (edb, shared) = setup(4);
         let t = shared.def().template().clone();
         // Warm all ten bcps.
         for f in 0..10i64 {
             let q = t
                 .bind(vec![Condition::Equality(vec![Value::Int(f)])])
                 .unwrap();
-            shared.run(&db, &q).unwrap();
+            edb.query(&shared, &q).unwrap();
         }
         // Hold a read lock on a shard that f=3's bcp does NOT hash to;
         // maintenance for a row with f=3 must not block on it.
@@ -1149,7 +1139,8 @@ mod tests {
         let other = (affected + 1) % shared.shard_count();
         let _outside_guard = shared.inner.shards[other].read();
 
-        let row = db
+        let row = edb
+            .read()
             .relation("r")
             .unwrap()
             .read()
@@ -1157,48 +1148,44 @@ mod tests {
             .find(|(_, tu)| tu.get(1) == &Value::Int(3))
             .map(|(r, _)| r)
             .unwrap();
-        let mut txn = Transaction::begin(&mut db);
-        txn.delete("r", row).unwrap();
-        let batches = txn.commit();
-        let out = shared.maintain_all(&db, &batches).unwrap();
-        assert_eq!(out.deletes_joined, 1);
+        edb.commit(&[&shared], move |db| {
+            let mut txn = Transaction::begin(db);
+            txn.delete("r", row)?;
+            Ok(((), txn.commit()))
+        })
+        .unwrap();
+        assert_eq!(shared.stats().maint_deletes_joined, 1);
         drop(_outside_guard);
         shared.debug_validate();
     }
 
     #[test]
     fn concurrent_queries_and_maintenance_stay_consistent() {
-        let (db, shared) = setup(4);
-        let db = Arc::new(parking_lot::RwLock::new(db));
+        let (edb, shared) = setup(4);
+        let edb = Arc::new(edb);
         let t = shared.def().template().clone();
 
         let mut handles = Vec::new();
         for thread in 0..4 {
             let shared = shared.clone();
-            let db = Arc::clone(&db);
+            let edb = Arc::clone(&edb);
             let t = t.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..50i64 {
                     if thread == 0 && i % 5 == 0 {
-                        // Maintainer thread: insert + maintain while the
-                        // new database state is still invisible.
-                        let mut guard = db.write();
-                        let mut txn = Transaction::begin(&mut guard);
-                        txn.insert(
-                            "r",
-                            pmv_storage::Tuple::new(vec![Value::Int(1000 + i), Value::Int(i % 10)]),
-                        )
+                        // Maintainer thread: the commit maintains the view
+                        // before the new database state publishes.
+                        edb.commit(&[&shared], move |db| {
+                            let mut txn = Transaction::begin(db);
+                            txn.insert("r", tuple![1000 + i, i % 10])?;
+                            Ok(((), txn.commit()))
+                        })
                         .unwrap();
-                        let batches = txn.commit();
-                        for b in &batches {
-                            shared.maintain(&guard, b).unwrap();
-                        }
                     } else {
                         let q = t
                             .bind(vec![Condition::Equality(vec![Value::Int(i % 10)])])
                             .unwrap();
-                        let guard = db.read();
-                        let out = shared.run(&guard, &q).unwrap();
+                        let out = edb.query(&shared, &q).unwrap();
                         assert_eq!(out.ds_leftover, 0, "stale partial result");
                     }
                 }
@@ -1207,8 +1194,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        let guard = db.read();
-        let removed = shared.revalidate(&guard).unwrap();
+        let removed = shared.revalidate(&edb.read()).unwrap();
         assert_eq!(removed, 0, "no stale tuples after concurrent run");
         assert!(shared.stats().queries > 100);
         shared.debug_validate();
@@ -1216,13 +1202,13 @@ mod tests {
 
     #[test]
     fn queries_record_phases_and_traces() {
-        let (db, shared) = setup(4);
+        let (edb, shared) = setup(4);
         let t = shared.def().template().clone();
         let q = t
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
             .unwrap();
-        shared.run(&db, &q).unwrap();
-        let out = shared.run(&db, &q).unwrap();
+        edb.query(&shared, &q).unwrap();
+        let out = edb.query(&shared, &q).unwrap();
         assert!(out.bcp_hit);
         for phase in [
             Phase::ttfr,
@@ -1264,12 +1250,12 @@ mod tests {
 
     #[test]
     fn revalidate_keeps_latency_history_but_resets_degraded() {
-        let (db, shared) = setup(2);
+        let (edb, shared) = setup(2);
         let t = shared.def().template().clone();
         let q = t
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
             .unwrap();
-        shared.run(&db, &q).unwrap();
+        edb.query(&shared, &q).unwrap();
         // A zero-budget view degrades every query, filling the
         // [transient] degraded histogram.
         let def = PartialViewDef::all_equality("tight", t.clone()).unwrap();
@@ -1278,11 +1264,11 @@ mod tests {
             PmvConfig::new(3, 16, PolicyKind::Clock).with_row_budget(0),
             2,
         );
-        tight.run(&db, &q).unwrap();
+        edb.query(&tight, &q).unwrap();
         assert_eq!(tight.obs().snapshot(Phase::degraded).count(), 1);
         assert_eq!(tight.obs().snapshot(Phase::ttfr).count(), 1);
 
-        tight.revalidate(&db).unwrap();
+        tight.revalidate(&edb.read()).unwrap();
         assert_eq!(
             tight.obs().snapshot(Phase::degraded).count(),
             0,
@@ -1299,7 +1285,7 @@ mod tests {
 
         // The sweep itself is timed and traced.
         assert_eq!(shared.obs().snapshot(Phase::revalidate).count(), 0);
-        shared.revalidate(&db).unwrap();
+        shared.revalidate(&edb.read()).unwrap();
         assert_eq!(shared.obs().snapshot(Phase::revalidate).count(), 1);
         let traces = shared.obs().trace().tail(10);
         let sweep = traces.last().unwrap();
@@ -1309,18 +1295,18 @@ mod tests {
 
     #[test]
     fn disabling_obs_stops_recording() {
-        let (db, shared) = setup(2);
+        let (edb, shared) = setup(2);
         shared.set_obs_enabled(false);
         let t = shared.def().template().clone();
         let q = t
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
             .unwrap();
-        shared.run(&db, &q).unwrap();
+        edb.query(&shared, &q).unwrap();
         assert_eq!(shared.obs().snapshot(Phase::ttfr).count(), 0);
         assert!(shared.obs().trace().is_empty());
         // Re-enabling picks recording back up on the shared registry.
         shared.set_obs_enabled(true);
-        shared.run(&db, &q).unwrap();
+        edb.query(&shared, &q).unwrap();
         assert_eq!(shared.obs().snapshot(Phase::ttfr).count(), 1);
         assert_eq!(shared.obs().trace().len(), 1);
     }

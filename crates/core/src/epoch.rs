@@ -325,8 +325,9 @@ impl EpochDb {
         })
     }
 
-    /// Shared read access to the live database, for locked-mode serving
-    /// ([`SharedPmv::run`]) and inspection. Blocks commits while held.
+    /// Shared read access to the live database, for inspection (row
+    /// lookups, oracles, [`SharedPmv::revalidate`]) — never for serving.
+    /// Blocks commits while held.
     pub fn read(&self) -> RwLockReadGuard<'_, Database> {
         self.db.read()
     }
@@ -342,9 +343,11 @@ impl EpochDb {
     /// whichever committer wins the master write lock drains *all*
     /// queued transactions, maintains each distinct view once over the
     /// merged batches, and publishes a single snapshot for the group.
-    /// An error from `f` fails only that transaction; a maintenance
-    /// error aborts the round's publish and fails every transaction in
-    /// it with [`CoreError::Commit`].
+    /// An error from `f` fails only that transaction, and it publishes
+    /// nothing of it: a `pmv_query::Transaction` dropped without `commit`
+    /// undoes its own writes, so a closure that returns early with `?`
+    /// leaves the database as it found it. (Writes made on `db` directly,
+    /// outside a transaction, are the closure's own to undo.)
     pub fn commit<T: Send + 'static>(
         &self,
         views: &[&SharedPmv],
@@ -420,9 +423,9 @@ impl EpochDb {
                     }
                     applied.push((req.slot, out));
                 }
-                // A failed transaction fails alone; the rest of the
-                // round proceeds (its closure is responsible for its
-                // own atomicity, as before).
+                // A failed transaction fails alone (its dropped
+                // `Transaction` undid its writes); the rest of the round
+                // proceeds.
                 Err(e) => req.slot.fill(Err(e)),
             }
         }
@@ -454,41 +457,25 @@ impl EpochDb {
                 }
             }
         }
-        let mut failure: Option<String> = None;
+        // Maintenance cannot fail: a join it cannot compute drains the
+        // shards it may affect instead, so the round always publishes.
         for view in &views {
-            if let Err(e) = view.maintain_all(db, &batches) {
-                failure = Some(e.to_string());
-                break;
-            }
+            view.maintain_all(db, &batches);
         }
-        match failure {
-            None => {
-                let t_pub = track.then(Instant::now);
-                let snap = Arc::new(db.publish_snapshot());
-                self.published.publish(Arc::clone(&snap));
-                if let Some(t0) = t_pub {
-                    self.obs.record(Phase::snapshot_publish, t0.elapsed());
-                }
-                if let Some(dur) = &self.durability {
-                    // Safe to read here: all appends happen under the
-                    // write lock this combiner holds, so durable_lsn is
-                    // exactly this round's last record.
-                    *self.durable.lock() = Some((snap, dur.durable_lsn()));
-                }
-                for (slot, out) in applied {
-                    slot.fill(Ok(out));
-                }
-            }
-            Some(msg) => {
-                // Maintenance failed: nothing publishes (readers keep
-                // the last good snapshot) and every transaction in the
-                // round reports the failure.
-                for (slot, _) in applied {
-                    slot.fill(Err(CoreError::Commit(format!(
-                        "maintenance failed; coalesced snapshot not published: {msg}"
-                    ))));
-                }
-            }
+        let t_pub = track.then(Instant::now);
+        let snap = Arc::new(db.publish_snapshot());
+        self.published.publish(Arc::clone(&snap));
+        if let Some(t0) = t_pub {
+            self.obs.record(Phase::snapshot_publish, t0.elapsed());
+        }
+        if let Some(dur) = &self.durability {
+            // Safe to read here: all appends happen under the write lock
+            // this combiner holds, so durable_lsn is exactly this round's
+            // last record.
+            *self.durable.lock() = Some((snap, dur.durable_lsn()));
+        }
+        for (slot, out) in applied {
+            slot.fill(Ok(out));
         }
         if let Some(t0) = t_drain {
             self.obs.record(Phase::commit_drain, t0.elapsed());
@@ -659,14 +646,15 @@ impl EpochDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::run_plain;
     use crate::view::{PartialViewDef, PmvConfig};
     use pmv_cache::PolicyKind;
     use pmv_index::IndexDef;
-    use pmv_query::{Condition, TemplateBuilder, Transaction};
-    use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
+    use pmv_query::{Condition, DataView, TemplateBuilder, Transaction};
+    use pmv_storage::{tuple, Column, ColumnType, RowId, Schema, Tuple, Value};
 
-    fn setup() -> (EpochDb, SharedPmv) {
-        let mut db = Database::new();
+    /// `r(a, f)`: 200 rows, 20 per `f` in `0..10`, indexed on `f`.
+    fn load(db: &mut Database) {
         db.create_relation(Schema::new(
             "r",
             vec![
@@ -679,6 +667,10 @@ mod tests {
             db.insert("r", tuple![i, i % 10]).unwrap();
         }
         db.create_index(IndexDef::btree("r", vec![1])).unwrap();
+    }
+
+    /// `SELECT a FROM r WHERE f = ?` with F = 4, L = 16.
+    fn view(db: &Database, shards: usize) -> SharedPmv {
         let t = TemplateBuilder::new("t")
             .relation(db.schema("r").unwrap())
             .select("r", "a")
@@ -688,25 +680,47 @@ mod tests {
             .build()
             .unwrap();
         let def = PartialViewDef::all_equality("epoch", t).unwrap();
-        let pmv = SharedPmv::with_shards(def, PmvConfig::new(4, 16, PolicyKind::Clock), 4);
+        SharedPmv::with_shards(def, PmvConfig::new(4, 16, PolicyKind::Clock), shards)
+    }
+
+    fn setup(shards: usize) -> (EpochDb, SharedPmv) {
+        let mut db = Database::new();
+        load(&mut db);
+        let pmv = view(&db, shards);
         (EpochDb::new(db), pmv)
     }
 
+    fn query_f(pmv: &SharedPmv, f: i64) -> QueryInstance {
+        let t = pmv.def().template();
+        t.bind(vec![Condition::Equality(vec![Value::Int(f)])])
+            .unwrap()
+    }
+
+    /// The first live row with `f = 3`. Found before any pin is taken:
+    /// `pin_reaches_blocking_lock` bans blocking acquisitions in the
+    /// scope of a `.pin()` binding, even in tests.
+    fn row_with_f3(edb: &EpochDb) -> RowId {
+        let guard = edb.read();
+        let handle = guard.relation("r").unwrap();
+        let rel = handle.read();
+        let row = rel
+            .iter()
+            .find(|(_, tu)| tu.get(1) == &Value::Int(3))
+            .map(|(r, _)| r)
+            .unwrap();
+        row
+    }
+
     #[test]
-    fn pinned_queries_match_locked_queries() {
-        let (edb, pmv) = setup();
-        let t = pmv.def().template().clone();
+    fn pinned_queries_match_plain_execution() {
+        let (edb, pmv) = setup(4);
         for round in 0..3 {
             for f in 0..10i64 {
-                let q = t
-                    .bind(vec![Condition::Equality(vec![Value::Int(f)])])
-                    .unwrap();
+                let q = query_f(&pmv, f);
                 let pinned = edb.query(&pmv, &q).unwrap();
                 assert_eq!(pinned.ds_leftover, 0);
-                let guard = edb.read();
-                let locked = pmv.run(&guard, &q).unwrap();
                 let mut a = pinned.all_results();
-                let mut b = locked.all_results();
+                let (mut b, _, _) = run_plain(&edb.read(), &q).unwrap();
                 a.sort();
                 b.sort();
                 assert_eq!(a, b, "round {round} f={f}");
@@ -720,26 +734,10 @@ mod tests {
 
     #[test]
     fn pinned_reader_survives_commits() {
-        let (edb, pmv) = setup();
-        let t = pmv.def().template().clone();
-        let q = t
-            .bind(vec![Condition::Equality(vec![Value::Int(3)])])
-            .unwrap();
-        // Warm the cache, then pin BEFORE a delete commits. (The row to
-        // delete is found before pinning: `pin_reaches_blocking_lock`
-        // bans blocking acquisitions in the scope of a `.pin()` binding,
-        // even in tests.)
-        let row = {
-            let guard = edb.read();
-            let handle = guard.relation("r").unwrap();
-            let rel = handle.read();
-            let row = rel
-                .iter()
-                .find(|(_, tu)| tu.get(1) == &Value::Int(3))
-                .map(|(r, _)| r)
-                .unwrap();
-            row
-        };
+        let (edb, pmv) = setup(4);
+        let q = query_f(&pmv, 3);
+        // Warm the cache, then pin BEFORE a delete commits.
+        let row = row_with_f3(&edb);
         edb.query(&pmv, &q).unwrap();
         let pinned = edb.pin();
         let before = edb.query(&pmv, &q).unwrap().all_results().len();
@@ -750,7 +748,7 @@ mod tests {
         })
         .unwrap();
         // The old pin still answers from the pre-delete state.
-        let stale = pmv.run_pinned(&*pinned, &q).unwrap();
+        let stale = pmv.run_pinned(&pinned, &q).unwrap();
         assert_eq!(stale.all_results().len(), before);
         assert_eq!(stale.ds_leftover, 0);
         // A fresh pin sees the delete.
@@ -762,7 +760,7 @@ mod tests {
 
     #[test]
     fn epoch_advances_on_commit() {
-        let (edb, pmv) = setup();
+        let (edb, pmv) = setup(4);
         let e0 = edb.epoch();
         edb.commit(&[&pmv], move |db| {
             let mut txn = Transaction::begin(db);
@@ -771,6 +769,82 @@ mod tests {
         })
         .unwrap();
         assert!(edb.epoch() > e0);
+    }
+
+    /// Delete the first `f = 3` row, then insert into a relation that
+    /// does not exist: the closure fails after one applied write.
+    fn delete_then_fail(edb: &EpochDb, pmv: &SharedPmv) -> Result<()> {
+        let row = row_with_f3(edb);
+        edb.commit(&[pmv], move |db| {
+            let mut txn = Transaction::begin(db);
+            txn.delete("r", row)?;
+            txn.insert("no_such_relation", tuple![0i64])?;
+            Ok(((), txn.commit()))
+        })
+    }
+
+    /// A commit closure that fails midway publishes none of its writes:
+    /// its `Transaction` undoes the delete when it drops, so the warm
+    /// view and the published snapshot still agree. (Were the delete
+    /// published, unmaintained, the next query would serve its cached
+    /// tuple and trip "DS must be empty after O3".)
+    #[test]
+    fn failed_commit_closure_publishes_nothing() {
+        let (edb, pmv) = setup(1);
+        let q = query_f(&pmv, 3);
+        edb.query(&pmv, &q).unwrap();
+        let warm = edb.query(&pmv, &q).unwrap();
+        assert_eq!((warm.partial.len(), warm.all_results().len()), (4, 20));
+
+        let err = delete_then_fail(&edb, &pmv).unwrap_err();
+        assert!(matches!(err, CoreError::Query(_)), "got {err}");
+        let after = edb.query(&pmv, &q).unwrap();
+        assert_eq!(after.all_results().len(), 20);
+        assert_eq!(after.ds_leftover, 0);
+        assert_eq!(edb.pin().len("r").unwrap(), 200);
+        assert_eq!(pmv.revalidate(&edb.read()).unwrap(), 0);
+    }
+
+    /// Every live tuple of `r` in `snap`, sorted.
+    fn contents(snap: &DbSnapshot) -> Vec<Tuple> {
+        let rel = snap.relation_version("r").unwrap();
+        let mut tuples: Vec<Tuple> = rel.iter().map(|(_, t)| t.clone()).collect();
+        tuples.sort();
+        tuples
+    }
+
+    /// The durable variant: the failed closure logs nothing (the durable
+    /// LSN stays put), and a reopen recovers exactly the published state.
+    #[test]
+    fn failed_durable_commit_closure_logs_and_publishes_nothing() {
+        let dir = tmp_dir("failed_closure");
+        let (edb, _) = EpochDb::open_durable(&dir, Arc::new(ObsRegistry::new())).unwrap();
+        edb.with_write(load);
+        edb.checkpoint(Vec::new()).unwrap();
+        let pmv = view(&edb.read(), 1);
+        edb.commit(&[&pmv], |db| {
+            let mut txn = Transaction::begin(db);
+            txn.insert("r", tuple![500i64, 3i64])?;
+            Ok(((), txn.commit()))
+        })
+        .unwrap();
+        let q = query_f(&pmv, 3);
+        edb.query(&pmv, &q).unwrap();
+        let lsn = edb.durable_lsn();
+        assert_eq!(lsn, Some(1));
+
+        assert!(delete_then_fail(&edb, &pmv).is_err());
+        assert_eq!(edb.durable_lsn(), lsn);
+        assert_eq!(edb.durability().unwrap().durable_lsn(), 1);
+        let after = edb.query(&pmv, &q).unwrap();
+        assert_eq!((after.all_results().len(), after.ds_leftover), (21, 0));
+        let published = contents(&edb.pin());
+        assert_eq!(published.len(), 201);
+        drop(edb);
+
+        let (reopened, _) = EpochDb::open_durable(&dir, Arc::new(ObsRegistry::new())).unwrap();
+        assert_eq!(contents(&reopened.pin()), published);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -863,22 +937,9 @@ mod tests {
 
     #[test]
     fn stale_pin_never_writes_back_past_maintenance() {
-        let (edb, pmv) = setup();
-        let t = pmv.def().template().clone();
-        let q = t
-            .bind(vec![Condition::Equality(vec![Value::Int(3)])])
-            .unwrap();
-        let row = {
-            let guard = edb.read();
-            let handle = guard.relation("r").unwrap();
-            let rel = handle.read();
-            let row = rel
-                .iter()
-                .find(|(_, tu)| tu.get(1) == &Value::Int(3))
-                .map(|(r, _)| r)
-                .unwrap();
-            row
-        };
+        let (edb, pmv) = setup(4);
+        let q = query_f(&pmv, 3);
+        let row = row_with_f3(&edb);
         let pinned = edb.pin();
         // Maintenance completes at a later epoch…
         edb.commit(&[&pmv], move |db| {
@@ -889,7 +950,7 @@ mod tests {
         .unwrap();
         // …so the stale pin's results (which still contain the deleted
         // row) must not be cached.
-        let stale = pmv.run_pinned(&*pinned, &q).unwrap();
+        let stale = pmv.run_pinned(&pinned, &q).unwrap();
         assert_eq!(stale.ds_leftover, 0);
         assert_eq!(pmv.tuple_count(), 0, "stale fill must be gated off");
         // And the fresh pin's results may be.

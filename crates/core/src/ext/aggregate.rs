@@ -9,10 +9,11 @@
 
 use std::collections::HashMap;
 
-use pmv_query::{Database, QueryInstance};
+use pmv_query::QueryInstance;
 use pmv_storage::{Tuple, Value};
 
 use crate::concurrent::SharedPmv;
+use crate::epoch::EpochDb;
 use crate::pipeline::QueryTimings;
 use crate::{CoreError, Result};
 
@@ -136,12 +137,12 @@ pub fn aggregate_rows<'a>(
 /// Run `q` and report both the immediate partial aggregates and the
 /// exact final aggregates.
 pub fn run_aggregate(
-    db: &Database,
+    edb: &EpochDb,
     pmv: &SharedPmv,
     q: &QueryInstance,
     spec: &GroupBySpec,
 ) -> Result<AggregateOutcome> {
-    let outcome = pmv.run(db, q)?;
+    let outcome = edb.query(pmv, q)?;
     let partial = aggregate_rows(outcome.partial.iter().map(|t| &**t), spec)?;
     let exact = aggregate_rows(&outcome.all_results(), spec)?;
     Ok(AggregateOutcome {

@@ -8,10 +8,11 @@
 
 use std::collections::HashSet;
 
-use pmv_query::{Database, QueryInstance};
+use pmv_query::QueryInstance;
 use pmv_storage::Tuple;
 
 use crate::concurrent::SharedPmv;
+use crate::epoch::EpochDb;
 use crate::pipeline::QueryTimings;
 use crate::Result;
 
@@ -42,8 +43,8 @@ impl DistinctOutcome {
 /// The PMV itself still stores/updates multiset results (its content is
 /// shared with non-DISTINCT queries of the same template); only the
 /// user-facing streams are deduplicated.
-pub fn run_distinct(db: &Database, pmv: &SharedPmv, q: &QueryInstance) -> Result<DistinctOutcome> {
-    let outcome = pmv.run(db, q)?;
+pub fn run_distinct(edb: &EpochDb, pmv: &SharedPmv, q: &QueryInstance) -> Result<DistinctOutcome> {
+    let outcome = edb.query(pmv, q)?;
     let mut seen: HashSet<Tuple> = HashSet::new();
     let mut partial = Vec::new();
     for t in &outcome.partial {

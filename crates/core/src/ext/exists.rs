@@ -6,9 +6,10 @@
 //! and since EXISTS only needs *one* witness, any cached tuple settles
 //! the check without executing the subquery at all.
 
-use pmv_query::{Database, QueryInstance};
+use pmv_query::QueryInstance;
 
 use crate::concurrent::SharedPmv;
+use crate::epoch::EpochDb;
 use crate::o1::decompose;
 use crate::Result;
 
@@ -28,7 +29,7 @@ pub struct ExistsOutcome {
 /// pipeline (which also warms the PMV for future checks) and test for
 /// any result.
 pub fn exists_accelerated(
-    db: &Database,
+    edb: &EpochDb,
     pmv: &SharedPmv,
     subquery: &QueryInstance,
 ) -> Result<ExistsOutcome> {
@@ -49,7 +50,7 @@ pub fn exists_accelerated(
         }
     }
     // Slow path: execute (and warm the PMV as a side effect).
-    let outcome = pmv.run(db, subquery)?;
+    let outcome = edb.query(pmv, subquery)?;
     Ok(ExistsOutcome {
         exists: !outcome.partial.is_empty() || !outcome.remaining.is_empty(),
         fast_path: false,

@@ -10,10 +10,11 @@
 
 use std::cmp::Ordering;
 
-use pmv_query::{Database, QueryInstance};
+use pmv_query::QueryInstance;
 use pmv_storage::{Tuple, Value};
 
 use crate::concurrent::SharedPmv;
+use crate::epoch::EpochDb;
 use crate::pipeline::QueryTimings;
 use crate::Result;
 
@@ -80,12 +81,12 @@ pub struct OrderedOutcome {
 
 /// Run `q` with ORDER BY semantics.
 pub fn run_ordered(
-    db: &Database,
+    edb: &EpochDb,
     pmv: &SharedPmv,
     q: &QueryInstance,
     order: &OrderBy,
 ) -> Result<OrderedOutcome> {
-    let outcome = pmv.run(db, q)?;
+    let outcome = edb.query(pmv, q)?;
     let mut partial_sorted: Vec<Tuple> = outcome.partial.iter().map(|t| Tuple::clone(t)).collect();
     order.sort(&mut partial_sorted);
     let mut all_sorted = outcome.all_results();

@@ -254,9 +254,9 @@ pub struct Degradation {
     /// return a truncated O3 prefix.)
     pub partial_only: bool,
     /// Upper bound on how stale the served partials may be: time since
-    /// the view last completed maintenance or revalidation. Under the
-    /// maintain-before-visibility contract this is an upper bound, not an
-    /// observed staleness.
+    /// the view last completed maintenance or revalidation. Under
+    /// `EpochDb::commit`'s maintain-before-publish this is an upper
+    /// bound, not an observed staleness.
     pub staleness: Duration,
 }
 

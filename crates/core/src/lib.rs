@@ -24,11 +24,13 @@
 //! * [`ds`] — the O2/O3 dedup multiset (3.3)
 //! * [`concurrent`] — the PMV itself: [`SharedPmv`], the one view type,
 //!   its sharded store and published shard views (3.2)
-//! * `serve` — the one O1/O2/O3 serving implementation, generic over the
-//!   data view (3.3, 3.6)
+//! * `serve` — the one O1/O2/O3 serving implementation, over a pinned
+//!   snapshot (3.3, 3.6)
+//! * [`epoch`] — [`EpochDb`], the one host: every query pins a published
+//!   snapshot, every commit maintains the views before publishing (3.6)
 //! * [`pipeline`] — what a query run returns, and the no-PMV baseline
-//! * [`maintenance`] — the one deferred-maintenance implementation and
-//!   its before-visible contract (3.4, 3.6)
+//! * [`maintenance`] — the one deferred-maintenance implementation, run
+//!   by [`EpochDb::commit`] before the new state is visible (3.4, 3.6)
 //! * [`delta_index`] — delta-key index: O(|Δ| · fanout) partial-state
 //!   maintenance with no base-relation join (3.4, DESIGN.md §19)
 //! * [`fasthash`] — multiply-fold hasher for the hot dedup/index maps
@@ -77,7 +79,6 @@ pub use health::{
     BreakerConfig, CircuitBreaker, Degradation, DegradeReason, ShardReport, ValidationReport,
     ViewHealth,
 };
-pub use maintenance::MaintenanceOutcome;
 pub use manager::{PmvManager, ViewHealthReport};
 pub use mv::{SmallMvSet, TraditionalMv};
 pub use o1::{decompose, ConditionPart, PartDim};
@@ -100,10 +101,6 @@ pub use view::{PartialViewDef, PmvConfig};
 pub enum CoreError {
     /// Bad PMV definition or query/definition mismatch.
     Definition(String),
-    /// A group-commit combine round failed during view maintenance; the
-    /// coalesced batch was not published and every transaction in it
-    /// reports this error.
-    Commit(String),
     /// Underlying query/storage failure.
     Query(pmv_query::QueryError),
     /// The durability layer failed: a commit's WAL record could not be
@@ -118,7 +115,6 @@ impl std::fmt::Display for CoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CoreError::Definition(msg) => write!(f, "pmv definition error: {msg}"),
-            CoreError::Commit(msg) => write!(f, "group commit failed: {msg}"),
             CoreError::Query(e) => write!(f, "query error: {e}"),
             CoreError::Durability(msg) => write!(f, "durability error: {msg}"),
             CoreError::Analysis(report) => {

@@ -25,36 +25,25 @@
 //! shards the delta may affect are drained (quarantined) instead, the
 //! rest of the batch still runs, and `revalidate` lifts the quarantine.
 //!
-//! # The X side of Section 3.6: the maintenance contract
+//! # The X side of Section 3.6
 //!
-//! [`SharedPmv::maintain`] **must be called before the delta's new
-//! database state becomes visible to queries** — i.e. while the caller
-//! still holds its exclusive database access, reborrowed as `&Database`:
-//!
-//! ```text
-//! let mut g = db.write();              // exclusive: no query running
-//! let batches = txn.commit();          // Δ applied to the base data
-//! shared.maintain(&g, &batches[0])?;   // shards repaired *before*…
-//! drop(g);                             // …readers can see the new DB
-//! ```
-//!
-//! Under that contract every query observes (database state, shard
-//! contents) pairs where the cached tuples are a subset of the true bcp
-//! answers, so O3 re-derives every served tuple and the end-of-O3
-//! invariant `ds_leftover == 0` holds. (This rule is exactly what the
-//! seed's global-mutex embedding got wrong: it committed, *downgraded*
-//! the database lock, and only then locked the PMV — a reader could slip
-//! into the gap, see the new database with stale shards, and trip the
-//! `DS must be empty` assertion.) Maintenance write-locks only the
-//! shards its removals hash to, in ascending index order, and publishes
-//! `maint_epoch` first so a query pinned before it cannot write back what
-//! it evicts ([`crate::serve`], "fill gate").
+//! Maintenance runs in one place: [`crate::epoch::EpochDb::commit`]'s
+//! combiner calls `SharedPmv::maintain_all` under the database write
+//! lock, after the round's deltas are applied and *before* the new
+//! snapshot publishes. Every pinned query therefore observes (database
+//! state, shard contents) pairs where the cached tuples are a subset of
+//! the true bcp answers, so O3 re-derives every served tuple and the
+//! end-of-O3 invariant `ds_leftover == 0` holds. Maintenance write-locks
+//! only the shards its removals hash to, in ascending index order, and
+//! publishes `maint_epoch` first so a query pinned before it cannot write
+//! back what it evicts ([`crate::serve`], "fill gate"). What it did is
+//! counted in the view's `maint_*` [`PmvStats`] counters.
 //!
 //! **Cross-relation transactions.** A transaction deleting *matching*
 //! tuples from two base relations defeats the per-delta join: each
 //! relation's `ΔR` join runs against base state with the other
 //! relation's deletions already applied, so the joint derivation is
-//! invisible to both. [`SharedPmv::maintain_all`] closes this gap with
+//! invisible to both. `SharedPmv::maintain_all` closes this gap with
 //! a union pass: every combination of two or more deleted tuples from
 //! distinct relations is re-bound explicitly
 //! ([`pmv_query::exec::join_fixed`]) and its derived view rows removed.
@@ -79,62 +68,6 @@ use crate::concurrent::SharedPmv;
 use crate::fasthash::FxHashMap;
 use crate::serve::flush_faults;
 use crate::stats::PmvStats;
-use crate::Result;
-
-/// What maintenance did for one delta batch.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MaintenanceOutcome {
-    /// Inserts that required no PMV work.
-    pub inserts_ignored: usize,
-    /// Deletes processed (heavy or light).
-    pub deletes_joined: usize,
-    /// Updates skipped (no relevant attribute changed).
-    pub updates_ignored: usize,
-    /// Updates processed like deletes.
-    pub updates_joined: usize,
-    /// Join result rows computed across all ΔR joins.
-    pub join_rows: usize,
-    /// View tuples actually removed from the PMV.
-    pub view_tuples_removed: usize,
-    /// Of those, tuples removed through the delta-key index (no join).
-    pub index_removals: usize,
-    /// Deltas routed through the indexed (heavy) path.
-    pub heavy_deltas: usize,
-    /// Deltas routed through the coalesced-join (light) path.
-    pub light_deltas: usize,
-    /// ΔR joins executed: one per distinct light tuple.
-    pub coalesced_joins: usize,
-    /// ΔR joins skipped by the Section 3.4 maintenance filter.
-    pub joins_avoided: usize,
-    /// ΔR join attempts retried after a transient failure.
-    pub retries: usize,
-    /// Deltas whose join kept failing: the affected shards were drained
-    /// (quarantined) instead of repaired — removal-only, never stale.
-    pub fallback_invalidations: usize,
-    /// True when the batch's relation is not a base relation of this PMV.
-    pub unrelated_relation: bool,
-}
-
-impl MaintenanceOutcome {
-    /// Fold another outcome into this one (counter fields only;
-    /// `unrelated_relation` is OR-ed).
-    pub fn absorb(&mut self, o: &MaintenanceOutcome) {
-        self.inserts_ignored += o.inserts_ignored;
-        self.deletes_joined += o.deletes_joined;
-        self.updates_ignored += o.updates_ignored;
-        self.updates_joined += o.updates_joined;
-        self.join_rows += o.join_rows;
-        self.view_tuples_removed += o.view_tuples_removed;
-        self.index_removals += o.index_removals;
-        self.heavy_deltas += o.heavy_deltas;
-        self.light_deltas += o.light_deltas;
-        self.coalesced_joins += o.coalesced_joins;
-        self.joins_avoided += o.joins_avoided;
-        self.retries += o.retries;
-        self.fallback_invalidations += o.fallback_invalidations;
-        self.unrelated_relation |= o.unrelated_relation;
-    }
-}
 
 /// Retries for a maintenance join that failed transiently, before the
 /// affected shards are drained instead.
@@ -148,17 +81,10 @@ type Removal = (usize, BcpKey, Tuple, bool);
 
 impl SharedPmv {
     /// Apply one relation's delta batch, write-locking only the shards
-    /// the removals hash to.
-    ///
-    /// **Contract:** call this while the delta's new database state is
-    /// not yet visible to concurrent queries — in the
-    /// `RwLock<Database>` idiom, while still holding the write guard
-    /// (reborrowed as `&Database`), *before* downgrading or dropping it.
-    /// Violating this reintroduces the stale-partial-result race the
-    /// module docs describe.
-    pub fn maintain(&self, db: &Database, batch: &DeltaBatch) -> Result<MaintenanceOutcome> {
+    /// the removals hash to. Called only through [`Self::maintain_all`],
+    /// before the delta's new database state is visible to queries.
+    fn maintain(&self, db: &Database, batch: &DeltaBatch) {
         let inner = &*self.inner;
-        let mut out = MaintenanceOutcome::default();
         let mut local = PmvStats::default();
         let template = inner.def.template().clone();
         let Some(rel_idx) = template
@@ -166,8 +92,7 @@ impl SharedPmv {
             .iter()
             .position(|r| r == batch.relation())
         else {
-            out.unrelated_relation = true;
-            return Ok(out);
+            return;
         };
         let t_start = Instant::now();
         let mut trace = inner
@@ -200,20 +125,17 @@ impl SharedPmv {
         for delta in batch.deltas() {
             let tuple = match delta {
                 Delta::Insert { .. } => {
-                    out.inserts_ignored += 1;
                     local.maint_inserts_ignored += 1;
                     any_insert = true;
                     continue;
                 }
                 Delta::Delete { tuple, .. } => {
-                    out.deletes_joined += 1;
                     local.maint_deletes_joined += 1;
                     tuple
                 }
                 Delta::Update { old, .. } => {
                     let changed = delta.changed_columns();
                     if changed.iter().any(|c| relevant.contains(c)) {
-                        out.updates_joined += 1;
                         local.maint_updates_joined += 1;
                         // delete(old) + insert(new): the new image may
                         // grow some bcp's truth, so completeness claims
@@ -221,7 +143,6 @@ impl SharedPmv {
                         any_insert = true;
                         old
                     } else {
-                        out.updates_ignored += 1;
                         local.maint_updates_ignored += 1;
                         continue;
                     }
@@ -248,10 +169,9 @@ impl SharedPmv {
                 }
                 t_index += t0.elapsed();
                 if indexed {
-                    out.heavy_deltas += 1;
                     local.maint_heavy_deltas += 1;
                     if removals.len() == before {
-                        out.joins_avoided += 1;
+                        local.maint_joins_avoided += 1;
                     }
                     continue;
                 }
@@ -265,7 +185,6 @@ impl SharedPmv {
                 light_order.push(tuple);
             }
             *n += 1;
-            out.light_deltas += 1;
             local.maint_light_deltas += 1;
         }
         if t_index > Duration::ZERO {
@@ -285,19 +204,15 @@ impl SharedPmv {
                 .iter()
                 .any(|s| s.read().would_affect(rel_idx, tuple))
             {
-                out.joins_avoided += 1;
+                local.maint_joins_avoided += 1;
                 continue;
             }
-            let Some(rows) =
-                self.join_with_retry(db, &template, rel_idx, tuple, &mut out, &mut local)
-            else {
-                self.drain_affected(Some((rel_idx, tuple)), &mut out, &mut local);
+            let Some(rows) = self.join_with_retry(db, &template, rel_idx, tuple, &mut local) else {
+                self.drain_affected(Some((rel_idx, tuple)), &mut local);
                 continue;
             };
             let n = light_counts[tuple];
-            out.coalesced_joins += 1;
             local.maint_coalesced_joins += 1;
-            out.join_rows += rows.len() * n;
             local.maint_join_rows += (rows.len() * n) as u64;
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
@@ -307,7 +222,7 @@ impl SharedPmv {
         }
 
         // Phase 2: evict the joined/indexed view tuples.
-        for si in self.evict(&removals, &mut out, &mut local) {
+        for si in self.evict(&removals, &mut local) {
             trace.event(EventKind::Quarantine { shard: si });
         }
 
@@ -327,14 +242,13 @@ impl SharedPmv {
         inner.obs.record(Phase::maint_join, t_start.elapsed());
         trace.event(EventKind::MaintBatch {
             relation: batch.relation().to_string(),
-            joined: out.deletes_joined + out.updates_joined,
-            join_rows: out.join_rows,
-            removed: out.view_tuples_removed,
-            retries: out.retries,
-            fallbacks: out.fallback_invalidations,
+            joined: (local.maint_deletes_joined + local.maint_updates_joined) as usize,
+            join_rows: local.maint_join_rows as usize,
+            removed: local.maint_tuples_removed as usize,
+            retries: local.maint_retries as usize,
+            fallbacks: local.maint_fallbacks as usize,
         });
         flush_faults(&mut trace, fault_cap.take());
-        Ok(out)
     }
 
     /// One ΔR join with the transient-retry/backoff loop. `None` means
@@ -347,7 +261,6 @@ impl SharedPmv {
         template: &QueryTemplate,
         rel_idx: usize,
         tuple: &Tuple,
-        out: &mut MaintenanceOutcome,
         local: &mut PmvStats,
     ) -> Option<Vec<Tuple>> {
         let mut attempt: u32 = 0;
@@ -361,7 +274,6 @@ impl SharedPmv {
                 return None;
             }
             attempt += 1;
-            out.retries += 1;
             local.maint_retries += 1;
             std::thread::sleep(MAINT_BACKOFF * (1u32 << (attempt - 1)));
         }
@@ -371,14 +283,8 @@ impl SharedPmv {
     /// tuple may affect — every shard at all when `delta` is `None` —
     /// removal-only, so the view under-serves until revalidated but
     /// never serves a tuple the delete should have evicted.
-    fn drain_affected(
-        &self,
-        delta: Option<(usize, &Tuple)>,
-        out: &mut MaintenanceOutcome,
-        local: &mut PmvStats,
-    ) {
+    fn drain_affected(&self, delta: Option<(usize, &Tuple)>, local: &mut PmvStats) {
         let inner = &*self.inner;
-        out.fallback_invalidations += 1;
         local.maint_fallbacks += 1;
         inner.breaker.record_error();
         for (si, s) in inner.shards.iter().enumerate() {
@@ -396,12 +302,7 @@ impl SharedPmv {
     /// X-lock only the shards `removals` name, in ascending index order,
     /// evict the tuples and republish. Returns the shards a mid-eviction
     /// panic forced to drain.
-    fn evict(
-        &self,
-        removals: &[Removal],
-        out: &mut MaintenanceOutcome,
-        local: &mut PmvStats,
-    ) -> Vec<usize> {
+    fn evict(&self, removals: &[Removal], local: &mut PmvStats) -> Vec<usize> {
         let inner = &*self.inner;
         let mut affected_shards: Vec<usize> = removals.iter().map(|(s, _, _, _)| *s).collect();
         affected_shards.sort_unstable();
@@ -418,10 +319,8 @@ impl SharedPmv {
                 pmv_faultinject::fire_soft(Site::ShardMaint);
                 for (s, bcp, row, via_index) in removals {
                     if *s == si && store.remove_tuple(bcp, row) {
-                        out.view_tuples_removed += 1;
                         local.maint_tuples_removed += 1;
                         if *via_index {
-                            out.index_removals += 1;
                             local.maint_index_removals += 1;
                         }
                     }
@@ -441,56 +340,47 @@ impl SharedPmv {
         drained
     }
 
-    /// Apply several batches (e.g. a whole transaction's) in order, under
-    /// the same visibility contract as [`Self::maintain`], then run the
+    /// Apply a whole commit round's batches in order, then run the
     /// cross-relation union pass: a transaction deleting matching tuples
     /// from several base relations leaves derivations that no
     /// single-relation ΔR join rederives (each join sees the *other*
     /// relation's tuple already gone). Every multi-bound combination of
     /// the batches' before-images is joined with [`join_fixed`] and its
-    /// rows removed too.
-    pub fn maintain_all(
-        &self,
-        db: &Database,
-        batches: &[DeltaBatch],
-    ) -> Result<MaintenanceOutcome> {
+    /// rows removed too. Cannot fail: a join that cannot be computed
+    /// drains the shards it may affect instead.
+    pub(crate) fn maintain_all(&self, db: &Database, batches: &[DeltaBatch]) {
         let inner = &*self.inner;
-        let mut total = MaintenanceOutcome::default();
         for b in batches {
-            total.absorb(&self.maintain(db, b)?);
+            self.maintain(db, b);
         }
         let template = inner.def.template().clone();
         let combos = cross_delta_combos(&template, batches);
-        if !combos.is_empty() {
-            let t0 = Instant::now();
-            let mut local = PmvStats::default();
-            // No shard lock is held during the joins (the
-            // `write_guard_across_exec` contract: never an executor call
-            // under a shard guard).
-            let mut removals: Vec<Removal> = Vec::new();
-            for combo in &combos {
-                let Ok(rows) = join_fixed(db, &template, combo) else {
-                    // Which cached rows the combination derived is
-                    // unknowable without the join: drain every shard.
-                    self.drain_affected(None, &mut total, &mut local);
-                    break;
-                };
-                total.join_rows += rows.len();
-                local.maint_join_rows += rows.len() as u64;
-                for row in rows {
-                    let bcp = inner.def.bcp_of_tuple(&row);
-                    removals.push((inner.slot_of(&bcp).0, bcp, row, false));
-                }
-            }
-            self.evict(&removals, &mut total, &mut local);
-            inner.stats.add(&local);
-            inner.obs.record(Phase::maint_join, t0.elapsed());
-            inner.verified.mark();
+        if combos.is_empty() {
+            return;
         }
-        // Per-batch relevance is reported on the individual outcomes;
-        // the transaction-level total keeps the historical `false`.
-        total.unrelated_relation = false;
-        Ok(total)
+        let t0 = Instant::now();
+        let mut local = PmvStats::default();
+        // No shard lock is held during the joins (the
+        // `write_guard_across_exec` contract: never an executor call
+        // under a shard guard).
+        let mut removals: Vec<Removal> = Vec::new();
+        for combo in &combos {
+            let Ok(rows) = join_fixed(db, &template, combo) else {
+                // Which cached rows the combination derived is
+                // unknowable without the join: drain every shard.
+                self.drain_affected(None, &mut local);
+                break;
+            };
+            local.maint_join_rows += rows.len() as u64;
+            for row in rows {
+                let bcp = inner.def.bcp_of_tuple(&row);
+                removals.push((inner.slot_of(&bcp).0, bcp, row, false));
+            }
+        }
+        self.evict(&removals, &mut local);
+        inner.stats.add(&local);
+        inner.obs.record(Phase::maint_join, t0.elapsed());
+        inner.verified.mark();
     }
 }
 
@@ -672,7 +562,7 @@ mod tests {
             })
             .collect();
         for q in &queries {
-            view.run(&db, q).unwrap();
+            view.run_pinned(&db.snapshot(), q).unwrap();
         }
         let cached = view.tuple_count();
         assert!(cached > 0);
@@ -693,20 +583,20 @@ mod tests {
 
         // Maintain against a database in which `s` does not exist: the
         // join for the `r` delta cannot be computed.
-        let out = view.maintain_all(&database(false), &batches).unwrap();
-        assert!(out.fallback_invalidations >= 1, "{out:?}");
-        assert_eq!(out.retries, 0, "a permanent error is not retried");
-        assert_eq!(out.deletes_joined, 2, "the second batch still ran");
+        view.maintain_all(&database(false), &batches);
+        let stats = view.stats();
+        assert!(stats.maint_fallbacks >= 1, "{stats:?}");
+        assert_eq!(stats.maint_retries, 0, "a permanent error is not retried");
+        assert_eq!(stats.maint_deletes_joined, 2, "the second batch still ran");
         let report = view.validate();
         assert!(report.is_consistent(), "{report}");
         let drained = report.shards.iter().filter(|s| s.quarantined).count();
         assert!(drained >= 1 && drained == view.quarantined_shards());
         assert!(view.tuple_count() < cached);
-        assert!(view.stats().maint_fallbacks >= 1);
 
         // The real post-delta database: nothing stale is served.
         for q in &queries {
-            let served = view.run(&db, q).unwrap();
+            let served = view.run_pinned(&db.snapshot(), q).unwrap();
             assert_eq!(served.ds_leftover, 0);
             let (mut want, _, _) = run_plain(&db, q).unwrap();
             let mut got = served.all_results();

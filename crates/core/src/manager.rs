@@ -4,20 +4,19 @@
 //! L = 10K, F = 2, At = 50 B a PMV is ≤ 1 MB, so memory holds hundreds
 //! (Section 3.2) — one per frequently used query template (the call-center
 //! scenario needs "many query templates", one `R_sale` per store or
-//! department). [`PmvManager`] owns a set of PMVs, routes queries to the
-//! right one by template identity, fans maintenance out to every PMV built
-//! over the changed relation, and enforces a global byte budget.
+//! department). [`PmvManager`] owns a set of PMVs, finds the one for a
+//! query's template ([`PmvManager::view_for`], what a host passes to
+//! [`crate::epoch::EpochDb::query`]), and enforces a global byte budget.
+//! Maintenance is not the manager's: a commit lists the views it changes
+//! ([`PmvManager::views`]) and `EpochDb::commit` maintains them.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pmv_query::{Database, QueryInstance, QueryTemplate};
-use pmv_storage::DeltaBatch;
+use pmv_query::{Database, QueryTemplate};
 
 use crate::concurrent::SharedPmv;
 use crate::health::ViewHealth;
-use crate::maintenance::MaintenanceOutcome;
-use crate::pipeline::QueryOutcome;
 use crate::verify::{self, VerifyOptions};
 use crate::view::{PartialViewDef, PmvConfig};
 use crate::{CoreError, Result};
@@ -167,46 +166,6 @@ impl PmvManager {
             .map(|&i| &self.views[i])
     }
 
-    /// Route a query to its template's PMV and run the O1/O2/O3 pipeline.
-    /// Queries over unregistered templates fail with a definition error;
-    /// use [`crate::pipeline::run_plain`] for those.
-    pub fn run(&self, db: &Database, q: &QueryInstance) -> Result<QueryOutcome> {
-        let idx = *self
-            .by_template
-            .get(&Self::template_key(q.template()))
-            .ok_or_else(|| {
-                CoreError::Definition(format!(
-                    "no PMV registered for template '{}'",
-                    q.template().name()
-                ))
-            })?;
-        self.views[idx].run(db, q)
-    }
-
-    /// Fan a delta batch out to every PMV whose template references the
-    /// changed relation. Returns one outcome per affected PMV.
-    pub fn maintain(
-        &self,
-        db: &Database,
-        batch: &DeltaBatch,
-    ) -> Result<Vec<(String, MaintenanceOutcome)>> {
-        let mut outcomes = Vec::new();
-        for pmv in &self.views {
-            let references = pmv
-                .def()
-                .template()
-                .relations()
-                .iter()
-                .any(|r| r == batch.relation());
-            if references {
-                let name = pmv.def().name().to_string();
-                let out = pmv.maintain(db, batch)?;
-                outcomes.push((name, out));
-            }
-        }
-        Ok(outcomes)
-    }
-
     /// Total bytes cached across all PMVs.
     pub fn total_bytes(&self) -> usize {
         self.views.iter().map(SharedPmv::byte_size).sum()
@@ -310,12 +269,14 @@ impl PmvManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::epoch::EpochDb;
+    use crate::pipeline::QueryOutcome;
     use pmv_cache::PolicyKind;
     use pmv_index::IndexDef;
-    use pmv_query::{Condition, TemplateBuilder, Transaction};
+    use pmv_query::{Condition, QueryInstance, TemplateBuilder, Transaction};
     use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
 
-    fn setup() -> (Database, Arc<QueryTemplate>, Arc<QueryTemplate>) {
+    fn setup() -> (EpochDb, Arc<QueryTemplate>, Arc<QueryTemplate>) {
         let mut db = Database::new();
         db.create_relation(Schema::new(
             "r",
@@ -345,7 +306,31 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        (db, ta, tb)
+        (EpochDb::new(db), ta, tb)
+    }
+
+    /// Serve `q` from its template's view, the way a host routes it.
+    fn query(edb: &EpochDb, m: &PmvManager, q: &QueryInstance) -> QueryOutcome {
+        edb.query(m.view_for(q.template()).unwrap(), q).unwrap()
+    }
+
+    /// Delete the row whose `a` is 13 (`f` = 3), maintaining `views`.
+    fn delete_13(edb: &EpochDb, views: &[&SharedPmv]) {
+        let row = edb
+            .read()
+            .relation("r")
+            .unwrap()
+            .read()
+            .iter()
+            .find(|(_, t)| t.get(0) == &Value::Int(13))
+            .map(|(r, _)| r)
+            .unwrap();
+        edb.commit(views, move |db| {
+            let mut txn = Transaction::begin(db);
+            txn.delete("r", row)?;
+            Ok(((), txn.commit()))
+        })
+        .unwrap();
     }
 
     fn mgr(ta: &Arc<QueryTemplate>, tb: &Arc<QueryTemplate>) -> PmvManager {
@@ -365,7 +350,7 @@ mod tests {
 
     #[test]
     fn routes_queries_by_template() {
-        let (db, ta, tb) = setup();
+        let (edb, ta, tb) = setup();
         let m = mgr(&ta, &tb);
         let qa = ta
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
@@ -373,8 +358,8 @@ mod tests {
         let qb = tb
             .bind(vec![Condition::Equality(vec![Value::Int(7)])])
             .unwrap();
-        m.run(&db, &qa).unwrap();
-        m.run(&db, &qb).unwrap();
+        query(&edb, &m, &qa);
+        query(&edb, &m, &qb);
         assert_eq!(m.view_for(&ta).unwrap().stats().queries, 1);
         assert_eq!(m.view_for(&tb).unwrap().stats().queries, 1);
         assert_eq!(m.aggregate_stats().queries, 2);
@@ -382,7 +367,7 @@ mod tests {
 
     #[test]
     fn duplicate_registration_rejected() {
-        let (_db, ta, tb) = setup();
+        let (_edb, ta, tb) = setup();
         let mut m = mgr(&ta, &tb);
         let err = m.register(
             PartialViewDef::all_equality("again", ta.clone()).unwrap(),
@@ -394,7 +379,7 @@ mod tests {
 
     #[test]
     fn register_sharded_keeps_the_shard_count_and_the_gates() {
-        let (_db, ta, _tb) = setup();
+        let (_edb, ta, _tb) = setup();
         let mut m = PmvManager::new();
         let def = PartialViewDef::all_equality("three", ta.clone()).unwrap();
         let view = m
@@ -410,23 +395,21 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_template_errors() {
-        let (db, ta, tb) = setup();
+    fn unregistered_template_has_no_view() {
+        let (_edb, ta, tb) = setup();
         let mut m = PmvManager::new();
         m.register(
             PartialViewDef::all_equality("only_a", ta.clone()).unwrap(),
             PmvConfig::default(),
         )
         .unwrap();
-        let qb = tb
-            .bind(vec![Condition::Equality(vec![Value::Int(1)])])
-            .unwrap();
-        assert!(m.run(&db, &qb).is_err());
+        assert!(m.view_for(&ta).is_some());
+        assert!(m.view_for(&tb).is_none());
     }
 
     #[test]
     fn maintenance_fans_out_to_referencing_views() {
-        let (mut db, ta, tb) = setup();
+        let (edb, ta, tb) = setup();
         let m = mgr(&ta, &tb);
         // Warm both.
         let qa = ta
@@ -435,37 +418,30 @@ mod tests {
         let qb = tb
             .bind(vec![Condition::Equality(vec![Value::Int(13)])])
             .unwrap();
-        m.run(&db, &qa).unwrap();
-        m.run(&db, &qb).unwrap();
+        query(&edb, &m, &qa);
+        query(&edb, &m, &qb);
         // Delete tuple (13, 3): both PMVs reference relation r.
-        let row = db
-            .relation("r")
-            .unwrap()
-            .read()
-            .iter()
-            .find(|(_, t)| t.get(0) == &Value::Int(13))
-            .map(|(r, _)| r)
-            .unwrap();
-        let mut txn = Transaction::begin(&mut db);
-        txn.delete("r", row).unwrap();
-        let batches = txn.commit();
-        let outcomes = m.maintain(&db, &batches[0]).unwrap();
-        assert_eq!(outcomes.len(), 2, "both PMVs must be maintained");
-        let removed: usize = outcomes.iter().map(|(_, o)| o.view_tuples_removed).sum();
+        delete_13(&edb, &m.views().collect::<Vec<_>>());
+        for v in m.views() {
+            assert_eq!(
+                v.stats().maint_deletes_joined,
+                1,
+                "{} not maintained",
+                v.def().name()
+            );
+        }
         assert!(
-            removed >= 1,
+            m.aggregate_stats().maint_tuples_removed >= 1,
             "the cached (13) tuple must be evicted somewhere"
         );
         // Queries stay consistent.
-        let out = m.run(&db, &qa).unwrap();
-        assert_eq!(out.ds_leftover, 0);
-        let out = m.run(&db, &qb).unwrap();
-        assert_eq!(out.ds_leftover, 0);
+        assert_eq!(query(&edb, &m, &qa).ds_leftover, 0);
+        assert_eq!(query(&edb, &m, &qb).ds_leftover, 0);
     }
 
     #[test]
     fn revalidate_all_sweeps_every_view() {
-        let (mut db, ta, tb) = setup();
+        let (edb, ta, tb) = setup();
         let m = mgr(&ta, &tb);
         let qa = ta
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
@@ -473,28 +449,16 @@ mod tests {
         let qb = tb
             .bind(vec![Condition::Equality(vec![Value::Int(13)])])
             .unwrap();
-        m.run(&db, &qa).unwrap();
-        m.run(&db, &qb).unwrap();
+        query(&edb, &m, &qa);
+        query(&edb, &m, &qb);
         // Nothing stale yet.
-        assert_eq!(m.revalidate_all(&db).unwrap(), 0);
-        // Delete a row behind the manager's back (no maintain call): both
-        // PMVs cached tuples derived from it, so revalidation must sweep
-        // them out.
-        let row = db
-            .relation("r")
-            .unwrap()
-            .read()
-            .iter()
-            .find(|(_, t)| t.get(0) == &Value::Int(13))
-            .map(|(r, _)| r)
-            .unwrap();
-        let mut txn = Transaction::begin(&mut db);
-        txn.delete("r", row).unwrap();
-        txn.commit();
-        let removed = m.revalidate_all(&db).unwrap();
+        assert_eq!(m.revalidate_all(&edb.read()).unwrap(), 0);
+        // Commit a delete that maintains no view: both PMVs cached tuples
+        // derived from it, so revalidation must sweep them out.
+        delete_13(&edb, &[]);
+        let removed = m.revalidate_all(&edb.read()).unwrap();
         assert!(removed >= 1, "stale tuples must be removed, got {removed}");
-        let out = m.run(&db, &qa).unwrap();
-        assert_eq!(out.ds_leftover, 0);
+        assert_eq!(query(&edb, &m, &qa).ds_leftover, 0);
     }
 
     #[test]
@@ -543,7 +507,7 @@ mod tests {
 
     #[test]
     fn revalidate_all_resets_transient_counters() {
-        let (db, ta, tb) = setup();
+        let (edb, ta, tb) = setup();
         let mut m = PmvManager::new();
         // A zero row budget degrades every query: transient counters rise.
         m.register(
@@ -559,11 +523,11 @@ mod tests {
         let qa = ta
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
             .unwrap();
-        m.run(&db, &qa).unwrap();
+        query(&edb, &m, &qa);
         let before = m.view_for(&ta).unwrap().stats();
         assert!(before.budget_exceeded > 0, "row budget must have tripped");
         assert!(before.degraded_queries > 0);
-        m.revalidate_all(&db).unwrap();
+        m.revalidate_all(&edb.read()).unwrap();
         let after = m.view_for(&ta).unwrap().stats();
         assert_eq!(after.budget_exceeded, 0, "transient counters reset");
         assert_eq!(after.degraded_queries, 0);
@@ -573,14 +537,14 @@ mod tests {
 
     #[test]
     fn metrics_export_covers_every_view_and_phase() {
-        let (db, ta, tb) = setup();
+        let (edb, ta, tb) = setup();
         let m = mgr(&ta, &tb);
         // Repeats make the second query of each pair a bcp hit.
         for f in [0i64, 0, 1, 1, 2] {
             let q = ta
                 .bind(vec![Condition::Equality(vec![Value::Int(f)])])
                 .unwrap();
-            m.run(&db, &q).unwrap();
+            query(&edb, &m, &q);
         }
         let views = m.metrics_views();
         assert_eq!(views.len(), 2);
@@ -620,17 +584,17 @@ mod tests {
 
     #[test]
     fn health_report_includes_last_verified_age() {
-        let (db, ta, tb) = setup();
+        let (edb, ta, tb) = setup();
         let m = mgr(&ta, &tb);
         let qa = ta
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
             .unwrap();
-        m.run(&db, &qa).unwrap();
+        query(&edb, &m, &qa);
         std::thread::sleep(std::time::Duration::from_millis(5));
         let report = m.health_report();
         assert!(report.iter().all(|r| r.last_verified_age_ms >= 5));
         // A revalidation sweep resets the age.
-        m.revalidate_all(&db).unwrap();
+        m.revalidate_all(&edb.read()).unwrap();
         let report = m.health_report();
         assert!(
             report.iter().all(|r| r.last_verified_age_ms < 5),
@@ -642,13 +606,13 @@ mod tests {
 
     #[test]
     fn byte_budget_shedding() {
-        let (db, ta, tb) = setup();
+        let (edb, ta, tb) = setup();
         let m = mgr(&ta, &tb).with_byte_budget(200);
         for f in 0..10i64 {
             let q = ta
                 .bind(vec![Condition::Equality(vec![Value::Int(f)])])
                 .unwrap();
-            m.run(&db, &q).unwrap();
+            query(&edb, &m, &q);
         }
         assert!(m.total_bytes() > 200);
         assert!(m.over_budget() > 0);
@@ -659,7 +623,7 @@ mod tests {
         let q = ta
             .bind(vec![Condition::Equality(vec![Value::Int(1)])])
             .unwrap();
-        let out = m.run(&db, &q).unwrap();
+        let out = query(&edb, &m, &q);
         assert_eq!(out.ds_leftover, 0);
         assert_eq!(out.all_results().len(), 20);
     }

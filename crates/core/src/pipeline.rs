@@ -99,16 +99,17 @@ mod tests {
     use super::*;
     use crate::bcp::{BcpDim, BcpKey, Discretizer};
     use crate::concurrent::SharedPmv;
+    use crate::epoch::EpochDb;
     use crate::view::{PartialViewDef, PmvConfig};
     use pmv_cache::PolicyKind;
     use pmv_index::IndexDef;
-    use pmv_query::{Condition, Interval, TemplateBuilder};
+    use pmv_query::{Condition, Interval, TemplateBuilder, Transaction};
     use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
 
     /// R(a, c, f) ⋈ S(d, e, g) on c = d, conditions on f (eq) and g (eq),
     /// the paper's Eqt with the Figure 3 data plus extras. One shard: the
     /// tests below count exact entries and evictions against L.
-    fn setup() -> (Database, SharedPmv) {
+    fn setup() -> (EpochDb, SharedPmv) {
         let mut db = Database::new();
         db.create_relation(Schema::new(
             "r",
@@ -168,7 +169,7 @@ mod tests {
             .unwrap();
         let def = PartialViewDef::all_equality("pmv_eqt", t).unwrap();
         let pmv = SharedPmv::with_shards(def, PmvConfig::new(2, 8, PolicyKind::Clock), 1);
-        (db, pmv)
+        (EpochDb::new(db), pmv)
     }
 
     fn q_eq(pmv: &SharedPmv, fs: &[i64], gs: &[i64]) -> QueryInstance {
@@ -183,9 +184,9 @@ mod tests {
 
     #[test]
     fn cold_query_serves_nothing_but_fills_pmv() {
-        let (db, pmv) = setup();
+        let (edb, pmv) = setup();
         let q = q_eq(&pmv, &[1], &[7]);
-        let out = pmv.run(&db, &q).unwrap();
+        let out = edb.query(&pmv, &q).unwrap();
         assert!(!out.bcp_hit);
         assert!(out.partial.is_empty());
         assert_eq!(out.remaining.len(), 2);
@@ -198,10 +199,10 @@ mod tests {
 
     #[test]
     fn warm_query_serves_partial_results_first() {
-        let (db, pmv) = setup();
+        let (edb, pmv) = setup();
         let q = q_eq(&pmv, &[1], &[7]);
-        pmv.run(&db, &q).unwrap();
-        let out = pmv.run(&db, &q).unwrap();
+        edb.query(&pmv, &q).unwrap();
+        let out = edb.query(&pmv, &q).unwrap();
         assert!(out.bcp_hit);
         assert_eq!(out.partial.len(), 2);
         assert!(out.remaining.is_empty());
@@ -212,12 +213,12 @@ mod tests {
 
     #[test]
     fn each_result_returned_exactly_once() {
-        let (db, pmv) = setup();
+        let (edb, pmv) = setup();
         // Query with a hot and a cold pair, as in Section 2.3's example.
         let hot = q_eq(&pmv, &[1], &[7]);
-        pmv.run(&db, &hot).unwrap();
+        edb.query(&pmv, &hot).unwrap();
         let q = q_eq(&pmv, &[1, 3], &[7, 9]);
-        let out = pmv.run(&db, &q).unwrap();
+        let out = edb.query(&pmv, &q).unwrap();
         // Full result multiset: (1,2) x2 for (f=1,g=7), (7,8) for (3,9).
         let mut all = out.all_results();
         all.sort();
@@ -233,7 +234,7 @@ mod tests {
 
     #[test]
     fn f_caps_cached_tuples_per_bcp() {
-        let (db, pmv) = setup();
+        let (edb, pmv) = setup();
         // (f=1, g=7) has 2 result tuples; with F = 1 only one is cached.
         let pmv1 = SharedPmv::with_shards(
             pmv.def().clone(),
@@ -241,11 +242,11 @@ mod tests {
             1,
         );
         let q = q_eq(&pmv, &[1], &[7]);
-        pmv1.run(&db, &q).unwrap();
+        edb.query(&pmv1, &q).unwrap();
         let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(1)), BcpDim::Eq(Value::Int(7))]);
         assert_eq!(pmv1.lookup(&bcp).unwrap().len(), 1);
         // Second run: one tuple early, one late, none lost.
-        let out = pmv1.run(&db, &q).unwrap();
+        let out = edb.query(&pmv1, &q).unwrap();
         assert_eq!(out.partial.len(), 1);
         assert_eq!(out.remaining.len(), 1);
         assert_eq!(out.ds_leftover, 0);
@@ -255,7 +256,7 @@ mod tests {
 
     #[test]
     fn pipeline_results_match_plain_execution() {
-        let (db, pmv) = setup();
+        let (edb, pmv) = setup();
         let queries = [
             q_eq(&pmv, &[1], &[7]),
             q_eq(&pmv, &[1, 3], &[7, 9]),
@@ -264,8 +265,8 @@ mod tests {
         ];
         for _ in 0..3 {
             for q in &queries {
-                let (mut plain, _, _) = run_plain(&db, q).unwrap();
-                let out = pmv.run(&db, q).unwrap();
+                let (mut plain, _, _) = run_plain(&edb.read(), q).unwrap();
+                let out = edb.query(&pmv, q).unwrap();
                 let mut got = out.all_results();
                 got.sort();
                 plain.sort();
@@ -278,7 +279,8 @@ mod tests {
 
     #[test]
     fn interval_template_pipeline() {
-        let (db, _) = setup();
+        let (edb, _) = setup();
+        let db = edb.read();
         let t = TemplateBuilder::new("iv")
             .relation(db.schema("r").unwrap())
             .relation(db.schema("s").unwrap())
@@ -294,6 +296,7 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
+        drop(db);
         let def = PartialViewDef::new(
             "pmv_iv",
             t,
@@ -309,9 +312,9 @@ mod tests {
                 Condition::Equality(vec![Value::Int(7)]),
             ])
             .unwrap();
-        let out1 = pmv.run(&db, &q).unwrap();
+        let out1 = edb.query(&pmv, &q).unwrap();
         assert_eq!(out1.remaining.len(), 2); // both f=1 rows
-        let out2 = pmv.run(&db, &q).unwrap();
+        let out2 = edb.query(&pmv, &q).unwrap();
         assert_eq!(out2.partial.len(), 2);
         assert!(out2.remaining.is_empty());
         assert_eq!(out2.ds_leftover, 0);
@@ -326,72 +329,77 @@ mod tests {
                 Condition::Equality(vec![Value::Int(7)]),
             ])
             .unwrap();
-        let out3 = pmv.run(&db, &narrow).unwrap();
+        let out3 = edb.query(&pmv, &narrow).unwrap();
         assert_eq!(out3.partial.len(), 2); // f=1 falls in [0,2)
         assert_eq!(out3.ds_leftover, 0);
     }
 
     #[test]
     fn bcp_query_selects_exactly_the_cell() {
-        let (db, pmv) = setup();
+        let (edb, pmv) = setup();
         let q = q_eq(&pmv, &[1], &[7]);
-        pmv.run(&db, &q).unwrap();
+        edb.query(&pmv, &q).unwrap();
         let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(1)), BcpDim::Eq(Value::Int(7))]);
         let cell_q = pmv.def().bcp_query(&bcp).unwrap();
-        let (rows, _) = pmv_query::execute(&db, &cell_q).unwrap();
+        let (rows, _) = pmv_query::execute(&*edb.read(), &cell_q).unwrap();
         assert_eq!(rows.len(), 2);
     }
 
     #[test]
     fn revalidate_removes_stale_tuples() {
-        let (mut db, pmv) = setup();
+        let (edb, pmv) = setup();
         let q = q_eq(&pmv, &[1], &[7]);
-        pmv.run(&db, &q).unwrap();
-        // Bypass maintenance: delete a base row directly, leaving the PMV
-        // stale, then let revalidate repair it.
-        let handle = db.relation("r").unwrap();
-        let row = handle
-            .read()
-            .iter()
-            .find(|(_, t)| t.get(1) == &Value::Int(4))
-            .map(|(r, _)| r)
-            .unwrap();
-        db.delete("r", row).unwrap();
-        let removed = pmv.revalidate(&db).unwrap();
+        edb.query(&pmv, &q).unwrap();
+        // Bypass maintenance: commit a delete that maintains no view,
+        // leaving the PMV stale, then let revalidate repair it.
+        edb.commit(&[], |db| {
+            let row = db
+                .relation("r")?
+                .read()
+                .iter()
+                .find(|(_, t)| t.get(1) == &Value::Int(4))
+                .map(|(r, _)| r)
+                .unwrap();
+            let mut txn = Transaction::begin(db);
+            txn.delete("r", row)?;
+            Ok(((), txn.commit()))
+        })
+        .unwrap();
+        let removed = pmv.revalidate(&edb.read()).unwrap();
         assert_eq!(removed, 1);
-        let out = pmv.run(&db, &q).unwrap();
+        let out = edb.query(&pmv, &q).unwrap();
         assert_eq!(out.ds_leftover, 0);
         assert_eq!(out.all_results().len(), 1);
     }
 
     #[test]
     fn two_q_policy_requires_second_query_to_cache() {
-        let (db, pmv) = setup();
+        let (edb, pmv) = setup();
         let pmv2 =
             SharedPmv::with_shards(pmv.def().clone(), PmvConfig::new(2, 8, PolicyKind::TwoQ), 1);
         let q = q_eq(&pmv, &[1], &[7]);
-        pmv2.run(&db, &q).unwrap();
+        edb.query(&pmv2, &q).unwrap();
         // First query: bcp went to A1, nothing cached.
         assert_eq!(pmv2.entry_count(), 0);
         assert!(pmv2.stats().probations > 0);
-        pmv2.run(&db, &q).unwrap();
+        edb.query(&pmv2, &q).unwrap();
         // Second query: promoted to Am and filled.
         assert_eq!(pmv2.entry_count(), 1);
-        let out = pmv2.run(&db, &q).unwrap();
+        let out = edb.query(&pmv2, &q).unwrap();
         assert_eq!(out.partial.len(), 2);
         let _ = pmv;
     }
 
     #[test]
     fn eviction_under_small_l() {
-        let (db, pmv) = setup();
+        let (edb, pmv) = setup();
         let small = SharedPmv::with_shards(
             pmv.def().clone(),
             PmvConfig::new(2, 1, PolicyKind::Clock),
             1,
         );
-        small.run(&db, &q_eq(&pmv, &[1], &[7])).unwrap();
-        small.run(&db, &q_eq(&pmv, &[3], &[9])).unwrap();
+        edb.query(&small, &q_eq(&pmv, &[1], &[7])).unwrap();
+        edb.query(&small, &q_eq(&pmv, &[3], &[9])).unwrap();
         assert_eq!(small.entry_count(), 1);
         assert!(small.evictions() > 0);
         small.debug_validate();
@@ -400,10 +408,10 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let (db, pmv) = setup();
+        let (edb, pmv) = setup();
         let q = q_eq(&pmv, &[1], &[7]);
-        pmv.run(&db, &q).unwrap();
-        pmv.run(&db, &q).unwrap();
+        edb.query(&pmv, &q).unwrap();
+        edb.query(&pmv, &q).unwrap();
         let s = pmv.stats();
         assert_eq!(s.queries, 2);
         assert_eq!(s.bcp_hit_queries, 1);

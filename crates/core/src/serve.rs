@@ -12,13 +12,9 @@
 //!   The end-of-O3 invariant "DS must be empty" is checked and surfaced
 //!   in the outcome.
 //!
-//! [`run_pinned`] is generic, with static dispatch, over the data it
-//! executes against — any [`DataView`]: a pinned
-//! [`pmv_query::DbSnapshot`] (the epoch path) or the live
-//! [`pmv_query::Database`] itself, whose `view_epoch()` is its current
-//! version (the *locked* case: the caller's `&Database` borrow or read
-//! guard is what keeps the base data still for the duration). The store
-//! it reaches is always the sharded one of
+//! [`query`] executes against one pinned [`DbSnapshot`], whose
+//! `epoch()` is the pin epoch the gates below compare against. The
+//! store it reaches is the sharded one of
 //! [`crate::concurrent::SharedPmv`]: O2 loads each shard's published
 //! `LeftRight` view wait-free, write-back takes `try_write` and may be
 //! declined, and a shard is republished only when the store logged a
@@ -32,7 +28,7 @@
 //! epoch gates plus the maintain-before-publish commit protocol:
 //!
 //! * **serve gate** — a cached tuple is served only when its
-//!   `fill_epoch ≤ pin_epoch` (`view.view_epoch()`), so O2 never serves
+//!   `fill_epoch ≤ pin_epoch` (`snap.epoch()`), so O2 never serves
 //!   state the pinned O3 execution cannot re-derive;
 //! * **fill gate** — results are written back (and completeness claims
 //!   trusted or made) only when `pin_epoch ≥ maint_epoch`, re-checked
@@ -42,9 +38,9 @@
 //! Between O2 and the answer nothing here waits on a lock: probes are
 //! reads, policy touches and fills are deferred to one best-effort
 //! write-back. The `pmv-analyze` contract checker enforces that on every
-//! function declared with a `// pmv::pin_region` comment above its `fn`
-//! — this module's `run_pinned*` functions and the `Inner` methods that
-//! run inside them. The marker, not the name, declares a pin region.
+//! function declared with a `// pmv::pin_region` comment above its `fn`:
+//! this module's query path and the `Inner` probe and write-back it
+//! calls.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -53,7 +49,7 @@ use std::time::{Duration, Instant};
 use pmv_faultinject::{CaptureGuard, Site};
 use pmv_obs::{EventKind, Phase, TraceKind, TraceScope};
 use pmv_query::{
-    execute_bounded_arc, upquery_fill, DataView, ExecBudget, ExecStats, QueryInstance,
+    execute_bounded_arc, upquery_fill, DbSnapshot, ExecBudget, ExecStats, QueryInstance,
 };
 use pmv_storage::Tuple;
 
@@ -99,7 +95,7 @@ type Slot = (usize, u64, usize);
 /// A fill candidate: `(part number, tuple)`.
 type Cand = (usize, Arc<Tuple>);
 
-/// Pooled per-thread buffers for the [`run_pinned`] hot loop. Reusing
+/// Pooled per-thread buffers for the [`query`] hot loop. Reusing
 /// them across queries keeps the steady-state read path free of per-query
 /// heap allocation for its own bookkeeping (the returned `QueryOutcome`'s
 /// vectors are handed to the caller).
@@ -164,14 +160,14 @@ pub(crate) fn flush_faults(trace: &mut TraceScope<'_>, cap: Option<CaptureGuard>
 /// The one fault-injection point of the write-back (`Site::ShardProbe`
 /// before the deferred touches, `Site::ShardFill` before the fills).
 // pmv::pin_region
-fn run_pinned_fault(site: Site) {
+fn write_back_fault(site: Site) {
     // pmv::allow(pin_reaches_blocking_lock): fire_soft takes the
     // fault-injection registry lock only while a test campaign is armed;
     // unarmed it is one relaxed load.
     pmv_faultinject::fire_soft(site);
 }
 
-/// Run one query through O1/O2/O3 against `view`, serving from and
+/// Run one query through O1/O2/O3 against `snap`, serving from and
 /// writing back to `inner`'s shards, over this thread's pooled scratch
 /// buffers.
 ///
@@ -180,26 +176,21 @@ fn run_pinned_fault(site: Site) {
 /// waited on; see the module docs for the gates that keep the end-of-O3
 /// `ds_leftover == 0` invariant.
 // pmv::pin_region
-pub(crate) fn run_pinned<V: DataView>(
-    inner: &Inner,
-    view: &V,
-    q: &QueryInstance,
-) -> Result<QueryOutcome> {
+pub(crate) fn query(inner: &Inner, snap: &DbSnapshot, q: &QueryInstance) -> Result<QueryOutcome> {
     QUERY_SCRATCH.with(|tls| {
         let mut scratch = tls.take().unwrap_or_default();
-        let out = run_pinned_scratch(inner, view, q, &mut scratch);
+        let out = query_with_scratch(inner, snap, q, &mut scratch);
         scratch.clear();
         tls.set(Some(scratch));
         out
     })
 }
 
-/// [`run_pinned`] body (the wrapper clears the scratch after every
-/// query).
+/// [`query`] body (the wrapper clears the scratch after every query).
 // pmv::pin_region
-fn run_pinned_scratch<V: DataView>(
+fn query_with_scratch(
     inner: &Inner,
-    view: &V,
+    snap: &DbSnapshot,
     q: &QueryInstance,
     scratch: &mut QueryScratch,
 ) -> Result<QueryOutcome> {
@@ -216,7 +207,7 @@ fn run_pinned_scratch<V: DataView>(
         obs,
         ..
     } = inner;
-    let pin_epoch = view.view_epoch();
+    let pin_epoch = snap.epoch();
     let mut local = PmvStats::default();
     let t_start = Instant::now();
     // Lifecycle span (publishes into the trace ring on every exit path,
@@ -287,7 +278,7 @@ fn run_pinned_scratch<V: DataView>(
             let probes = group
                 .iter()
                 .map(|&(_, hash, pi)| (hash, pi, &parts[pi].bcp));
-            let live = inner.run_pinned_probe(si, probes, |pi, entries, claimed| {
+            let live = inner.probe_shard(si, probes, |pi, entries, claimed| {
                 // Policy touches observed during the probe are deferred
                 // to the best-effort write-back below.
                 let st = &mut state[pi];
@@ -373,7 +364,7 @@ fn run_pinned_scratch<V: DataView>(
     // only the deferred best-effort policy touches.
     if !slots.is_empty() && slots.iter().all(|&(_, _, pi)| state[pi].complete) {
         debug_assert_eq!(ds.len(), 0, "complete slices never enter DS");
-        run_pinned_write_back(
+        write_back(
             inner,
             pin_epoch,
             (&parts, slots, state, cands),
@@ -404,7 +395,7 @@ fn run_pinned_scratch<V: DataView>(
 
     // ---- Targeted upqueries ----
     // Some slices are complete but others are open: refill each open bcp
-    // with a bounded keyed upquery against the view instead of running
+    // with a bounded keyed upquery against the snapshot instead of running
     // the full O3 execution. Any failure (bad bcp query, budget, fault,
     // panic) falls back to the classic path below, with the
     // complete-served partials re-seeded into DS so its dedup drains
@@ -428,7 +419,7 @@ fn run_pinned_scratch<V: DataView>(
             // fault-injection registry lock (fire → fire_disk), which is
             // taken only while a test campaign is armed; unarmed it is one
             // relaxed load, so production serving never blocks here.
-            match catch_unwind(AssertUnwindSafe(|| upquery_fill(view, &qi, budget()))) {
+            match catch_unwind(AssertUnwindSafe(|| upquery_fill(snap, &qi, budget()))) {
                 Ok(Ok((rows, st))) => {
                     obs.record(Phase::upquery, t_fill.elapsed());
                     total.merge(&st);
@@ -453,7 +444,7 @@ fn run_pinned_scratch<V: DataView>(
         }
     }
 
-    // ---- Operation O3: full execution against the view ----
+    // ---- Operation O3: full execution against the snapshot ----
     // (skipped when the upqueries above refilled every open slice; no
     // store access is held meanwhile, so a panicking operator cannot
     // tear the store — it is caught and degrades like a transient error)
@@ -467,7 +458,7 @@ fn run_pinned_scratch<V: DataView>(
             // campaign is armed; unarmed it is one relaxed load, so
             // production serving never blocks here.
             let exec_result = // pmv::allow(pin_reaches_blocking_lock): see above
-                catch_unwind(AssertUnwindSafe(|| execute_bounded_arc(view, q, budget())));
+                catch_unwind(AssertUnwindSafe(|| execute_bounded_arc(snap, q, budget())));
             let (results, exec_stats) = match exec_result {
                 Ok(Ok(ok)) => ok,
                 Ok(Err(e)) if !(e.is_budget() || e.is_transient()) => {
@@ -570,7 +561,7 @@ fn run_pinned_scratch<V: DataView>(
     // lands under `lock_shard_fill` and is subtracted from `o3_dedup`,
     // so that phase measures dedup/provenance work — not lock waits and
     // view publishes.
-    let fill_total = run_pinned_write_back(
+    let fill_total = write_back(
         inner,
         pin_epoch,
         (&parts, slots, state, cands),
@@ -620,7 +611,7 @@ fn part_of_row(
 /// slice then is its bcp's whole truth, not only a basic part's).
 /// Returns the time spent, so the caller can keep it out of `o3_dedup`.
 // pmv::pin_region
-fn run_pinned_write_back(
+fn write_back(
     inner: &Inner,
     pin_epoch: u64,
     (parts, slots, state, cands): (&[ConditionPart], &[Slot], &[PartState], &mut Vec<Cand>),
@@ -645,7 +636,7 @@ fn run_pinned_write_back(
             continue;
         }
         let t_fill = Instant::now();
-        let done = inner.run_pinned_write_shard(si, |store, maint_epoch| {
+        let done = inner.try_write_shard(si, |store, maint_epoch| {
             if store.is_quarantined() {
                 return None;
             }
@@ -657,7 +648,7 @@ fn run_pinned_write_back(
             // later).
             let fill = catch_unwind(AssertUnwindSafe(|| {
                 if touches {
-                    run_pinned_fault(Site::ShardProbe);
+                    write_back_fault(Site::ShardProbe);
                     for (_, part, st) in members() {
                         if let Some(served) = st.touch {
                             store.touch(&part.bcp, served);
@@ -675,7 +666,7 @@ fn run_pinned_write_back(
                 if !fills_here || pin_epoch < maint_epoch {
                     return;
                 }
-                run_pinned_fault(Site::ShardFill);
+                write_back_fault(Site::ShardFill);
                 for (pi, part, st) in members() {
                     if !admits(st) {
                         continue;

@@ -61,6 +61,10 @@ macro_rules! for_each_stat_field {
             /// ΔR joins executed: one per distinct light (relation,
             /// tuple), duplicates coalesced into it.
             [keep] maint_coalesced_joins,
+            /// ΔR joins skipped because no cached tuple could be
+            /// affected: the Section 3.4 filter, or a heavy key whose
+            /// index lookup found nothing.
+            [keep] maint_joins_avoided,
             /// Rows produced by maintenance ΔR ⋈ R joins (the O(data)
             /// cost the delta-key index eliminates for heavy keys).
             [keep] maint_join_rows,
@@ -264,7 +268,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), n);
-        assert_eq!(n, 30);
+        assert_eq!(n, 31);
         assert!(pairs.contains(&("maint_index_removals", 0)));
         assert!(pairs.contains(&("upqueries", 0)));
         assert!(pairs.contains(&("complete_serves", 0)));

@@ -2,16 +2,16 @@
 //!
 //! A seeded [`pmv_faultinject::FaultPlan`] mixes injected errors, panics
 //! and latency into the probe/exec/fill/maintenance sites while 8 threads
-//! hammer a [`SharedPmv`]. The consistency oracle asserts, per query,
-//! against a fresh fault-suppressed execution under the *same* database
-//! snapshot:
+//! hammer a [`SharedPmv`] through one [`EpochDb`]. The consistency oracle
+//! asserts, per query, against a fresh fault-suppressed execution under
+//! the *same* pinned snapshot:
 //!
 //! * a complete outcome returns exactly the true multiset of results and
 //!   leaves `ds_leftover == 0`;
 //! * a degraded outcome's partials are a sub-multiset of the true answer
 //!   (the cache under-serves, it never lies);
-//! * no panic ever escapes `SharedPmv::run`/`maintain` (no poisoned
-//!   shard, no aborted thread);
+//! * no panic ever escapes a query or a commit's maintenance (no
+//!   poisoned shard, no aborted thread);
 //! * after `revalidate`, zero stale tuples are found, every quarantined
 //!   shard is lifted, and the breaker returns to Healthy.
 //!
@@ -26,7 +26,8 @@ use std::time::Duration;
 
 use pmv_cache::PolicyKind;
 use pmv_core::{
-    BreakerConfig, CircuitBreaker, DegradeReason, PartialViewDef, PmvConfig, SharedPmv, ViewHealth,
+    BreakerConfig, CircuitBreaker, DegradeReason, EpochDb, PartialViewDef, PmvConfig, SharedPmv,
+    ViewHealth,
 };
 use pmv_faultinject::{FaultKind, FaultPlan, Site, PANIC_PREFIX};
 use pmv_index::IndexDef;
@@ -62,7 +63,7 @@ fn install_quiet_panic_hook() {
     });
 }
 
-fn setup(shards: usize, config: PmvConfig) -> (Database, SharedPmv) {
+fn setup(shards: usize, config: PmvConfig) -> (EpochDb, SharedPmv) {
     let mut db = Database::new();
     db.create_relation(Schema::new(
         "r",
@@ -85,7 +86,10 @@ fn setup(shards: usize, config: PmvConfig) -> (Database, SharedPmv) {
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality("stress", t).unwrap();
-    (db, SharedPmv::with_shards(def, config, shards))
+    (
+        EpochDb::new(db),
+        SharedPmv::with_shards(def, config, shards),
+    )
 }
 
 fn multiset<T: std::borrow::Borrow<Tuple>>(tuples: &[T]) -> HashMap<Tuple, usize> {
@@ -102,7 +106,7 @@ fn run_stress(seed: u64, iters: i64) {
     let _lock = TEST_LOCK.lock().unwrap();
     install_quiet_panic_hook();
 
-    let (db, shared) = setup(8, PmvConfig::new(3, 16, PolicyKind::Clock));
+    let (edb, shared) = setup(8, PmvConfig::new(3, 16, PolicyKind::Clock));
     let plan = Arc::new(
         FaultPlan::new(seed)
             // The acceptance scenario: panics injected into O3 at 10%.
@@ -120,51 +124,48 @@ fn run_stress(seed: u64, iters: i64) {
     );
     let _guard = pmv_faultinject::install(Arc::clone(&plan));
 
-    let db = Arc::new(parking_lot::RwLock::new(db));
+    let edb = Arc::new(edb);
     let t = shared.def().template().clone();
 
     let mut handles = Vec::new();
     for thread in 0..8i64 {
         let shared = shared.clone();
-        let db = Arc::clone(&db);
+        let edb = Arc::clone(&edb);
         let t = t.clone();
         handles.push(std::thread::spawn(move || {
             for i in 0..iters {
                 if thread == 0 && i % 5 == 0 {
-                    // Maintainer: mutate + maintain while the new state is
-                    // still invisible to readers (the visibility contract).
-                    let mut guard = db.write();
-                    let batches = if i % 10 == 0 {
-                        let mut txn = Transaction::begin(&mut guard);
-                        txn.insert("r", tuple![10_000 + i, i % 10]).unwrap();
-                        txn.commit()
-                    } else {
-                        let row = guard
-                            .relation("r")
-                            .unwrap()
+                    // Maintainer: the commit maintains the view while the
+                    // new state is still invisible to readers.
+                    edb.commit(&[&shared], move |db| {
+                        let row = db
+                            .relation("r")?
                             .read()
                             .iter()
                             .find(|(_, tu)| tu.get(1) == &Value::Int(i % 10))
                             .map(|(r, _)| r);
-                        let Some(r) = row else { continue };
-                        let mut txn = Transaction::begin(&mut guard);
-                        txn.delete("r", r).unwrap();
-                        txn.commit()
-                    };
-                    for b in &batches {
-                        shared.maintain(&guard, b).unwrap();
-                    }
+                        let mut txn = Transaction::begin(db);
+                        if i % 10 == 0 {
+                            txn.insert("r", tuple![10_000 + i, i % 10])?;
+                        } else if let Some(r) = row {
+                            txn.delete("r", r)?;
+                        }
+                        Ok(((), txn.commit()))
+                    })
+                    .expect("maintenance faults must drain, not fail the commit");
                 } else {
                     let q = t
                         .bind(vec![Condition::Equality(vec![Value::Int(i % 10)])])
                         .unwrap();
-                    let guard = db.read();
+                    // Serve from an explicit pin, so the oracle below can
+                    // execute against the very snapshot the query saw.
+                    let snap = edb.pin();
                     let out = shared
-                        .run(&guard, &q)
+                        .run_pinned(&snap, &q)
                         .expect("injected faults must degrade, not error");
                     // Consistency oracle: fresh fault-free execution under
                     // the same snapshot.
-                    let truth = pmv_faultinject::suppress(|| pmv_query::execute(&*guard, &q))
+                    let truth = pmv_faultinject::suppress(|| pmv_query::execute(&*snap, &q))
                         .expect("oracle execution")
                         .0;
                     let mut truth = multiset(&truth);
@@ -229,8 +230,7 @@ fn run_stress(seed: u64, iters: i64) {
 
     // Self-healing: revalidate (fault-free) lifts quarantine, finds zero
     // stale tuples, and resets the breaker.
-    let guard = db.read();
-    let removed = pmv_faultinject::suppress(|| shared.revalidate(&guard)).unwrap();
+    let removed = pmv_faultinject::suppress(|| shared.revalidate(&edb.read())).unwrap();
     assert_eq!(
         removed, 0,
         "stale tuples survived until revalidate (seed {seed})"
@@ -243,10 +243,10 @@ fn run_stress(seed: u64, iters: i64) {
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
         .unwrap();
-    let out = pmv_faultinject::suppress(|| shared.run(&guard, &q)).unwrap();
+    let out = pmv_faultinject::suppress(|| edb.query(&shared, &q)).unwrap();
     assert!(out.degraded.is_none());
     assert_eq!(out.ds_leftover, 0);
-    let truth = pmv_faultinject::suppress(|| pmv_query::execute(&*guard, &q))
+    let truth = pmv_faultinject::suppress(|| pmv_query::execute(&*edb.read(), &q))
         .unwrap()
         .0;
     let got: Vec<Tuple> = out
@@ -282,7 +282,7 @@ fn fault_stress_seed_matrix() {
 #[test]
 fn row_budget_degrades_instead_of_blocking() {
     let _lock = TEST_LOCK.lock().unwrap();
-    let (db, shared) = setup(
+    let (edb, shared) = setup(
         4,
         PmvConfig::new(3, 16, PolicyKind::Clock).with_row_budget(1),
     );
@@ -290,7 +290,7 @@ fn row_budget_degrades_instead_of_blocking() {
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
         .unwrap();
-    let out = shared.run(&db, &q).unwrap();
+    let out = edb.query(&shared, &q).unwrap();
     let d = out.degraded.expect("budget must degrade the outcome");
     assert_eq!(d.reason, DegradeReason::TupleBudget);
     assert!(d.partial_only);
@@ -304,7 +304,7 @@ fn row_budget_degrades_instead_of_blocking() {
 #[test]
 fn zero_deadline_degrades_with_partials() {
     let _lock = TEST_LOCK.lock().unwrap();
-    let (db, warm) = setup(4, PmvConfig::new(3, 16, PolicyKind::Clock));
+    let (edb, warm) = setup(4, PmvConfig::new(3, 16, PolicyKind::Clock));
     let t = warm.def().template().clone();
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
@@ -314,11 +314,11 @@ fn zero_deadline_degrades_with_partials() {
     // check the deadline path on the same view by rebuilding with a
     // pre-warmed store is not exposed. Instead: warm, then verify a
     // fresh zero-deadline view still answers (degraded, empty partials).
-    warm.run(&db, &q).unwrap();
-    let out = warm.run(&db, &q).unwrap();
+    edb.query(&warm, &q).unwrap();
+    let out = edb.query(&warm, &q).unwrap();
     assert!(out.bcp_hit);
 
-    let (db2, cold) = setup(
+    let (edb2, cold) = setup(
         4,
         PmvConfig::new(3, 16, PolicyKind::Clock).with_deadline(Duration::ZERO),
     );
@@ -327,7 +327,7 @@ fn zero_deadline_degrades_with_partials() {
         .template()
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
         .unwrap();
-    let out = cold.run(&db2, &q).unwrap();
+    let out = edb2.query(&cold, &q).unwrap();
     let d = out.degraded.expect("zero deadline must degrade");
     assert_eq!(d.reason, DegradeReason::Deadline);
     assert!(out.partial.is_empty(), "cold cache has nothing to serve");
@@ -340,17 +340,17 @@ fn zero_deadline_degrades_with_partials() {
 fn pipeline_exec_panic_degrades() {
     let _lock = TEST_LOCK.lock().unwrap();
     install_quiet_panic_hook();
-    let (db, pmv) = setup(1, PmvConfig::new(3, 16, PolicyKind::Clock));
+    let (edb, pmv) = setup(1, PmvConfig::new(3, 16, PolicyKind::Clock));
     let t = pmv.def().template().clone();
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
         .unwrap();
 
     // Warm the cache fault-free so the degraded outcome has partials.
-    pmv.run(&db, &q).unwrap();
-    pmv.run(&db, &q).unwrap();
+    edb.query(&pmv, &q).unwrap();
+    edb.query(&pmv, &q).unwrap();
     let truth = multiset(
-        &pmv_query::execute(&db, &q)
+        &pmv_query::execute(&*edb.read(), &q)
             .unwrap()
             .0
             .iter()
@@ -360,8 +360,8 @@ fn pipeline_exec_panic_degrades() {
 
     let plan = FaultPlan::new(9).with_rule(Site::ExecStart, FaultKind::Panic, 1.0);
     let _guard = pmv_faultinject::install(Arc::new(plan));
-    let out = pmv
-        .run(&db, &q)
+    let out = edb
+        .query(&pmv, &q)
         .expect("exec panic must degrade, not unwind");
     let d = out.degraded.expect("panicked O3 must flag degradation");
     assert_eq!(d.reason, DegradeReason::ExecPanic);
@@ -376,7 +376,7 @@ fn pipeline_exec_panic_degrades() {
     drop(_guard);
 
     // Fault-free again: back to complete answers.
-    let out = pmv.run(&db, &q).unwrap();
+    let out = edb.query(&pmv, &q).unwrap();
     assert!(out.degraded.is_none());
     assert_eq!(out.ds_leftover, 0);
 }
@@ -389,20 +389,20 @@ fn pipeline_exec_panic_degrades() {
 fn injected_latency_is_visible_in_histograms_and_traces() {
     use pmv_core::{EventKind, Phase};
     let _lock = TEST_LOCK.lock().unwrap();
-    let (db, shared) = setup(4, PmvConfig::new(3, 16, PolicyKind::Clock));
+    let (edb, shared) = setup(4, PmvConfig::new(3, 16, PolicyKind::Clock));
     let t = shared.def().template().clone();
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
         .unwrap();
     // Fault-free baseline: O3 is fast and no fault events are recorded.
-    shared.run(&db, &q).unwrap();
+    edb.query(&shared, &q).unwrap();
     let baseline = shared.obs().snapshot(Phase::o3_exec);
     assert_eq!(baseline.count(), 1);
 
     let injected = Duration::from_millis(3);
     let plan = FaultPlan::new(11).with_rule(Site::ExecStart, FaultKind::Latency(injected), 1.0);
     let guard = pmv_faultinject::install(Arc::new(plan));
-    let out = shared.run(&db, &q).unwrap();
+    let out = edb.query(&shared, &q).unwrap();
     drop(guard);
     assert!(out.degraded.is_none(), "latency alone must not degrade");
     assert_eq!(out.ds_leftover, 0);
@@ -458,30 +458,30 @@ fn injected_latency_is_visible_in_histograms_and_traces() {
 #[test]
 fn quarantined_view_serves_full_results_only() {
     let _lock = TEST_LOCK.lock().unwrap();
-    let (db, shared) = setup(4, PmvConfig::new(3, 16, PolicyKind::Clock));
+    let (edb, shared) = setup(4, PmvConfig::new(3, 16, PolicyKind::Clock));
     let t = shared.def().template().clone();
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
         .unwrap();
-    shared.run(&db, &q).unwrap();
-    let out = shared.run(&db, &q).unwrap();
+    edb.query(&shared, &q).unwrap();
+    let out = edb.query(&shared, &q).unwrap();
     assert!(out.bcp_hit, "warm cache must hit before quarantine");
 
     shared.breaker().force_quarantine();
     assert_eq!(shared.health(), ViewHealth::Quarantined);
-    let out = shared.run(&db, &q).unwrap();
+    let out = edb.query(&shared, &q).unwrap();
     assert!(out.partial.is_empty(), "quarantined view must not serve");
     assert!(!out.bcp_hit);
     assert!(out.degraded.is_none(), "full O3 answer is not degraded");
     assert_eq!(out.ds_leftover, 0);
-    let truth = pmv_query::execute(&db, &q).unwrap().0;
+    let truth = pmv_query::execute(&*edb.read(), &q).unwrap().0;
     assert_eq!(multiset(&out.remaining_expanded), multiset(&truth));
 
     // Revalidate heals the view; serving resumes.
-    shared.revalidate(&db).unwrap();
+    shared.revalidate(&edb.read()).unwrap();
     assert_eq!(shared.health(), ViewHealth::Healthy);
-    shared.run(&db, &q).unwrap();
-    let out = shared.run(&db, &q).unwrap();
+    edb.query(&shared, &q).unwrap();
+    let out = edb.query(&shared, &q).unwrap();
     assert!(out.bcp_hit, "serving resumes after revalidate");
 }
 

@@ -87,13 +87,13 @@ fn quarantine_drain_protocol() {
                 .with_rule(Site::ShardFill, FaultKind::Panic, 0.20),
         );
         let _guard = pmv_faultinject::install(std::sync::Arc::clone(&plan));
-        let db = Arc::new(db);
+        let edb = Arc::new(EpochDb::new(db));
         let t = shared.def().template().clone();
 
         let handles: Vec<_> = (0..3i64)
             .map(|tid| {
                 let shared = shared.clone();
-                let db = Arc::clone(&db);
+                let edb = Arc::clone(&edb);
                 let t = t.clone();
                 thread::spawn(move || {
                     for i in 0..6i64 {
@@ -102,7 +102,7 @@ fn quarantine_drain_protocol() {
                             .bind(vec![Condition::Equality(vec![Value::Int((tid + i) % 6)])])
                             .unwrap();
                         // Panics must never escape the serving path.
-                        shared.run(&db, &q).unwrap();
+                        edb.query(&shared, &q).unwrap();
                     }
                 })
             })
@@ -115,7 +115,7 @@ fn quarantine_drain_protocol() {
         // Fault-free drain: lifts every quarantine, removes nothing
         // stale (readers never wrote under faults — fills that panicked
         // never landed).
-        let removed = pmv_faultinject::suppress(|| shared.revalidate(&db)).unwrap();
+        let removed = pmv_faultinject::suppress(|| shared.revalidate(&edb.read())).unwrap();
         assert_eq!(removed, 0, "drain found stale tuples");
         assert_eq!(shared.quarantined_shards(), 0);
         shared.debug_validate();

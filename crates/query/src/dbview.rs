@@ -1,9 +1,9 @@
 //! Read views over the database: the abstraction the executor runs on.
 //!
 //! The executor does not care whether it reads the live [`Database`]
-//! (single-writer callers, the locked escape hatch) or an immutable
-//! [`DbSnapshot`] published by the epoch serving path — it only needs
-//! relation versions, index handles, and statistics. [`DataView`]
+//! (maintenance joins, revalidation, the plain-executor oracle) or an
+//! immutable [`DbSnapshot`] published by the epoch serving path — it only
+//! needs relation versions, index handles, and statistics. [`DataView`]
 //! captures exactly that surface. Both implementations hand out
 //! `Arc<HeapRelation>` / `Arc<AnyIndex>` versions, so once the executor
 //! has resolved its inputs **no lock is held for the rest of the

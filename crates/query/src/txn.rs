@@ -12,10 +12,12 @@ use crate::Result;
 
 /// A transaction over a mutable database.
 ///
-/// Note on undo: aborting re-inserts deleted tuples, which may assign new
-/// row ids (heap slots are reused in LIFO order, so a plain
-/// delete-then-abort usually restores the same slot, but this is not
-/// guaranteed). Logical content is always restored exactly.
+/// Changes apply eagerly; a transaction dropped without [`commit`]
+/// undoes them, in reverse order and at their original row ids, so an
+/// early return (`txn.insert(..)?` failing after `txn.delete(..)?`
+/// succeeded) leaves the database exactly as the transaction found it.
+///
+/// [`commit`]: Transaction::commit
 pub struct Transaction<'a> {
     db: &'a mut Database,
     applied: Vec<(String, Delta)>,
@@ -68,10 +70,10 @@ impl<'a> Transaction<'a> {
 
     /// Commit: keep all changes, return per-relation delta batches in the
     /// order relations were first touched.
-    pub fn commit(self) -> Vec<DeltaBatch> {
+    pub fn commit(mut self) -> Vec<DeltaBatch> {
         let mut order: Vec<String> = Vec::new();
         let mut batches: HashMap<String, DeltaBatch> = HashMap::new();
-        for (rel, delta) in self.applied {
+        for (rel, delta) in std::mem::take(&mut self.applied) {
             if !batches.contains_key(&rel) {
                 order.push(rel.clone());
                 batches.insert(rel.clone(), DeltaBatch::new(rel.clone()));
@@ -84,20 +86,15 @@ impl<'a> Transaction<'a> {
             .collect()
     }
 
-    /// Abort: undo all changes in reverse order.
-    pub fn abort(self) -> Result<()> {
-        for (rel, delta) in self.applied.into_iter().rev() {
-            match delta {
-                Delta::Insert { row, .. } => {
-                    self.db.delete(&rel, row)?;
-                }
-                Delta::Delete { tuple, .. } => {
-                    self.db.insert(&rel, tuple)?;
-                }
-                Delta::Update { row, old, .. } => {
-                    self.db.update(&rel, row, old)?;
-                }
-            }
+    /// Abort: undo all changes in reverse order, each at its original
+    /// row id.
+    pub fn abort(mut self) -> Result<()> {
+        self.undo()
+    }
+
+    fn undo(&mut self) -> Result<()> {
+        while let Some((rel, delta)) = self.applied.pop() {
+            self.db.undo_delta_exact(&rel, &delta)?;
         }
         Ok(())
     }
@@ -105,6 +102,17 @@ impl<'a> Transaction<'a> {
     /// Number of changes applied so far.
     pub fn change_count(&self) -> usize {
         self.applied.len()
+    }
+}
+
+impl Drop for Transaction<'_> {
+    /// Undo whatever was applied and not committed (a committed or
+    /// aborted transaction has nothing left to undo).
+    fn drop(&mut self) {
+        // Each inverse targets the exact slot its delta just wrote, so
+        // this cannot fail; a drop must not panic in any case (it may run
+        // while a panic unwinds), and `abort` is the form that reports.
+        let _ = self.undo();
     }
 }
 
@@ -141,29 +149,38 @@ mod tests {
         assert_eq!(db.len("r").unwrap(), 1);
     }
 
+    /// `abort` and a drop without `commit` both restore the content, the
+    /// indexes and each row's original slot.
     #[test]
-    fn abort_restores_content_and_indexes() {
-        let mut db = db();
-        let kept = match db.insert("r", tuple![7i64, 70i64]).unwrap() {
-            Delta::Insert { row, .. } => row,
-            _ => unreachable!(),
-        };
-        let mut txn = Transaction::begin(&mut db);
-        txn.insert("r", tuple![1i64, 10i64]).unwrap();
-        txn.delete("r", kept).unwrap();
-        txn.abort().unwrap();
-        assert_eq!(db.len("r").unwrap(), 1);
-        // The kept tuple is back and indexed.
-        let idx = db.index_on("r", &[0]).unwrap();
-        use pmv_index::SecondaryIndex;
-        assert_eq!(
-            idx.get(&pmv_index::IndexKey::single(Value::Int(7))).len(),
-            1
-        );
-        assert_eq!(
-            idx.get(&pmv_index::IndexKey::single(Value::Int(1))).len(),
-            0
-        );
+    fn abort_and_drop_restore_content_and_indexes() {
+        for abort in [true, false] {
+            let mut db = db();
+            let kept = match db.insert("r", tuple![7i64, 70i64]).unwrap() {
+                Delta::Insert { row, .. } => row,
+                _ => unreachable!(),
+            };
+            let mut txn = Transaction::begin(&mut db);
+            txn.insert("r", tuple![1i64, 10i64]).unwrap();
+            txn.delete("r", kept).unwrap();
+            if abort {
+                txn.abort().unwrap();
+            } else {
+                drop(txn);
+            }
+            assert_eq!(db.len("r").unwrap(), 1);
+            assert_eq!(db.get("r", kept).unwrap(), tuple![7i64, 70i64]);
+            // The kept tuple is back and indexed.
+            let idx = db.index_on("r", &[0]).unwrap();
+            use pmv_index::SecondaryIndex;
+            assert_eq!(
+                idx.get(&pmv_index::IndexKey::single(Value::Int(7))).len(),
+                1
+            );
+            assert_eq!(
+                idx.get(&pmv_index::IndexKey::single(Value::Int(1))).len(),
+                0
+            );
+        }
     }
 
     #[test]

@@ -72,6 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // 2Q: the better policy of §3.5.
         PmvConfig::new(3, 10_000, pmv::cache::PolicyKind::TwoQ),
     );
+    let edb = EpochDb::new(db);
 
     // A popular purchase: item 42. Gold-tier offer query: discount ≥ 10.
     let offer_query = |purchased: Vec<i64>, min_discount: i64| {
@@ -84,11 +85,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The morning rush: many calls about item 42 warm the PMV (2Q needs
     // two appearances before caching).
     for _ in 0..3 {
-        pmv.run(&db, &offer_query(vec![42], 10)?)?;
+        edb.query(&pmv, &offer_query(vec![42], 10)?)?;
     }
 
     // The next caller: offers pop out of the PMV immediately.
-    let out = pmv.run(&db, &offer_query(vec![42], 10)?)?;
+    let out = edb.query(&pmv, &offer_query(vec![42], 10)?)?;
     println!(
         "caller about item 42 (gold): {} offers served in {:?}, {} more after execution ({:?})",
         out.partial.len(),
@@ -102,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A silver-tier caller who bought items 42 and 77: the hot item-42
     // cells still serve immediately even though 77 is cold.
-    let out = pmv.run(&db, &offer_query(vec![42, 77], 25)?)?;
+    let out = edb.query(&pmv, &offer_query(vec![42, 77], 25)?)?;
     println!(
         "caller about items 42+77 (silver): {} early offers, {} late, {} condition parts",
         out.partial.len(),

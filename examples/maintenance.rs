@@ -12,10 +12,25 @@
 //! cargo run --release --example maintenance
 //! ```
 
-use pmv::core::TraditionalMv;
+use pmv::core::{CoreError, TraditionalMv};
 use pmv::index::IndexDef;
 use pmv::prelude::*;
-use pmv::query::Transaction;
+use pmv::storage::DeltaBatch;
+
+/// Commit one transaction through `edb`, maintaining `pmv` before the new
+/// state publishes, and hand back its delta batches for the MV baseline.
+fn commit(
+    edb: &EpochDb,
+    pmv: &SharedPmv,
+    f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<()> + Send + 'static,
+) -> Result<Vec<DeltaBatch>, CoreError> {
+    edb.commit(&[pmv], move |db| {
+        let mut txn = Transaction::begin(db);
+        f(&mut txn)?;
+        let batches = txn.commit();
+        Ok((batches.clone(), batches))
+    })
+}
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut db = Database::new();
@@ -35,9 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Column::new("qty", ColumnType::Int),
         ],
     ))?;
-    let mut order_rows = Vec::new();
     for i in 0..2_000i64 {
-        order_rows.push(db.relation("orders")?.read().len());
         db.insert("orders", tuple![i, i % 30, "fresh"])?;
         db.insert("items", tuple![i, i % 50, 1 + i % 5])?;
     }
@@ -64,32 +77,33 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         mv.len(),
         mv.byte_size()
     );
+    // From here on every query and every change goes through the host.
+    let edb = EpochDb::new(db);
 
     // Warm the PMV on the hot cell (day 3, sku 3).
     let q = template.bind(vec![
         Condition::Equality(vec![Value::Int(3)]),
         Condition::Equality(vec![Value::Int(3)]),
     ])?;
-    pmv.run(&db, &q)?;
+    edb.query(&pmv, &q)?;
     println!(
         "after one query the PMV caches {} tuples",
         pmv.tuple_count()
     );
 
     // --- Insert: free for the PMV, a join for the MV. ---
-    let mut txn = Transaction::begin(&mut db);
-    txn.insert("orders", tuple![9_001i64, 3i64, "new"])?;
-    txn.insert("items", tuple![9_001i64, 3i64, 9i64])?;
-    let batches = txn.commit();
+    let batches = commit(&edb, &pmv, |txn| {
+        txn.insert("orders", tuple![9_001i64, 3i64, "new"])?;
+        txn.insert("items", tuple![9_001i64, 3i64, 9i64])?;
+        Ok(())
+    })?;
+    let stats = pmv.stats();
+    println!(
+        "PMV maintenance for the inserts: {} inserts ignored, {} joins",
+        stats.maint_inserts_ignored, stats.maint_coalesced_joins
+    );
     for b in &batches {
-        let out = pmv.maintain(&db, b)?;
-        println!(
-            "PMV maintenance for insert into {}: {} inserts ignored, {} joins",
-            b.relation(),
-            out.inserts_ignored,
-            out.deletes_joined + out.updates_joined
-        );
-        mv.maintain(&db, b)?;
+        TraditionalMv::maintain(&mut mv, &edb.read(), b)?;
     }
     println!(
         "MV was forced to compute {} joins so far (PMV computed none for inserts)",
@@ -98,68 +112,70 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The PMV picks the new row up for free on the next query (c_j < F
     // refill), still serving old partial results immediately.
-    let out = pmv.run(&db, &q)?;
+    let out = edb.query(&pmv, &q)?;
     println!(
         "next query: {} early + {} late results, all exactly once = {}",
         out.partial.len(),
         out.remaining.len(),
         out.ds_leftover == 0
     );
+    assert_eq!(out.ds_leftover, 0);
 
     // --- Delete: the ΔR join evicts exactly the affected cache entries. ---
-    let victim_row = db
+    let victim_row = edb
+        .read()
         .relation("orders")?
         .read()
         .iter()
         .find(|(_, t)| t.get(1) == &Value::Int(3) && t.get(0) == &Value::Int(3))
         .map(|(r, _)| r)
         .expect("day-3 order exists");
-    let mut txn = Transaction::begin(&mut db);
-    txn.delete("orders", victim_row)?;
-    let batches = txn.commit();
     let before = pmv.tuple_count();
+    let batches = commit(&edb, &pmv, move |txn| {
+        txn.delete("orders", victim_row).map(drop)
+    })?;
+    let stats = pmv.stats();
+    println!(
+        "PMV maintenance for the delete: {} view tuples evicted (join produced {} rows)",
+        stats.maint_tuples_removed, stats.maint_join_rows
+    );
     for b in &batches {
-        let out = pmv.maintain(&db, b)?;
-        println!(
-            "PMV maintenance for delete: {} view tuples evicted (join produced {} rows)",
-            out.view_tuples_removed, out.join_rows
-        );
-        mv.maintain(&db, b)?;
+        TraditionalMv::maintain(&mut mv, &edb.read(), b)?;
     }
     println!(
         "PMV tuples: {} -> {}; queries never see the deleted data:",
         before,
         pmv.tuple_count()
     );
-    let out = pmv.run(&db, &q)?;
+    let out = edb.query(&pmv, &q)?;
     println!(
         "  re-run: {} early + {} late, consistent = {}",
         out.partial.len(),
         out.remaining.len(),
         out.ds_leftover == 0
     );
+    assert_eq!(out.ds_leftover, 0);
 
     // --- Update: irrelevant attributes are ignored. ---
-    let some_row = db
+    let some_row = edb
+        .read()
         .relation("orders")?
         .read()
         .iter()
         .find(|(_, t)| t.get(1) == &Value::Int(3))
         .map(|(r, t)| (r, t.clone()))
         .expect("day-3 order exists");
-    let mut txn = Transaction::begin(&mut db);
     // `note` appears in neither Ls' nor Cjoin: no maintenance needed.
     let mut vals: Vec<Value> = some_row.1.values().to_vec();
     vals[2] = Value::str("touched");
-    txn.update("orders", some_row.0, Tuple::new(vals))?;
-    let batches = txn.commit();
-    for b in &batches {
-        let out = pmv.maintain(&db, b)?;
-        println!(
-            "PMV maintenance for note-only update: {} updates ignored, {} joined",
-            out.updates_ignored, out.updates_joined
-        );
-    }
+    commit(&edb, &pmv, move |txn| {
+        txn.update("orders", some_row.0, Tuple::new(vals)).map(drop)
+    })?;
+    let stats = pmv.stats();
+    println!(
+        "PMV maintenance for note-only update: {} updates ignored, {} joined",
+        stats.maint_updates_ignored, stats.maint_updates_joined
+    );
 
     println!("\nfinal PMV stats: {:?}", pmv.stats());
     println!("final MV maintenance stats: {:?}", mv.stats());

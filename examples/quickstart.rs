@@ -56,6 +56,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    paper's ~1 MB example), CLOCK-managed.
     let def = PartialViewDef::all_equality("promo_pmv", template.clone())?;
     let pmv = SharedPmv::new(def, PmvConfig::default());
+    // The host: every query pins its published snapshot, and every commit
+    // maintains the views it names before publishing the next one.
+    let edb = EpochDb::new(db);
 
     // 4. First query for (category 3, store 2): the PMV is cold, so all
     //    results arrive through normal execution — and get cached.
@@ -63,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Condition::Equality(vec![Value::Int(3)]),
         Condition::Equality(vec![Value::Int(2)]),
     ])?;
-    let out = pmv.run(&db, &q)?;
+    let out = edb.query(&pmv, &q)?;
     println!(
         "cold query: {} partial + {} remaining results (overhead {:?})",
         out.partial.len(),
@@ -73,7 +76,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Same hot cell again: partial results are served from memory
     //    immediately, typically in microseconds.
-    let out = pmv.run(&db, &q)?;
+    let out = edb.query(&pmv, &q)?;
     println!(
         "warm query: {} partial results in {:?} (then {} more after {:?} of execution)",
         out.partial.len(),
@@ -91,7 +94,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Condition::Equality(vec![Value::Int(3), Value::Int(4), Value::Int(5)]),
         Condition::Equality(vec![Value::Int(2), Value::Int(6)]),
     ])?;
-    let out = pmv.run(&db, &wide)?;
+    let out = edb.query(&pmv, &wide)?;
     println!(
         "wide query ({} condition parts): {} early, {} late, hit={}",
         out.parts,

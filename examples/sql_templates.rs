@@ -87,8 +87,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The executor's plan, EXPLAIN-style.
     println!("\nplan:\n{}", pmv::query::explain(&db, &q));
 
-    pmv.run(&db, &q)?; // warm
-    let out = pmv.run(&db, &q)?;
+    let edb = EpochDb::new(db);
+    edb.query(&pmv, &q)?; // warm
+    let out = edb.query(&pmv, &q)?;
     println!(
         "warm run: {} rows immediately ({:?}), {} after execution ({:?})",
         out.partial.len(),

@@ -10,7 +10,6 @@
 //! cargo run --release --example tpcr_explore
 //! ```
 
-use pmv::core::{PmvConfig, SharedPmv};
 use pmv::prelude::*;
 use pmv::workload::queries::{t1_query, template_t1};
 use pmv::workload::tpcr::{self, TpcrConfig};
@@ -37,6 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t1 = template_t1(&db)?;
     let def = PartialViewDef::all_equality("t1_pmv", t1.clone())?;
     let pmv = SharedPmv::new(def, PmvConfig::new(3, 5_000, pmv::cache::PolicyKind::TwoQ));
+    let edb = EpochDb::new(db);
 
     // An analyst's workload: dates drawn Zipf-skewed (recent days are
     // hot), suppliers from each date's pool.
@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let date = zipf.sample(&mut rng) as i64;
         let supp = (date * 31).rem_euclid(n_supp) + 1; // pool member 0
         let q = t1_query(&t1, &[date], &[supp])?;
-        let out = pmv.run(&db, &q)?;
+        let out = edb.query(&pmv, &q)?;
         if !out.partial.is_empty() {
             served_early += 1;
         }
@@ -71,7 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let date = tpcr::NUM_DATES - 1 - zipf.sample(&mut rng) as i64;
         let supp = (date * 31).rem_euclid(n_supp) + 1;
         let q = t1_query(&t1, &[date], &[supp])?;
-        let out = pmv.run(&db, &q)?;
+        let out = edb.query(&pmv, &q)?;
         if !out.partial.is_empty() {
             served_early += 1;
         }
@@ -88,9 +88,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hot_date = zipf.sample(&mut rng) as i64;
     let supp = (hot_date * 31).rem_euclid(n_supp) + 1;
     let q = t1_query(&t1, &[hot_date], &[supp])?;
-    pmv.run(&db, &q)?; // warm
-    pmv.run(&db, &q)?; // 2Q promotion
-    let out = pmv.run(&db, &q)?;
+    edb.query(&pmv, &q)?; // warm
+    edb.query(&pmv, &q)?; // 2Q promotion
+    let out = edb.query(&pmv, &q)?;
     if out.partial.is_empty() {
         println!("\n(hot cell was empty — rerun with another seed)");
     } else {

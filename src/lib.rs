@@ -49,16 +49,33 @@
 //!     .build()?;
 //! let def = PartialViewDef::all_equality("items_pmv", template.clone())?;
 //! let pmv = SharedPmv::new(def, PmvConfig::default());
+//! // The host: queries pin its published snapshot, commits maintain the
+//! // views they name before the next snapshot publishes.
+//! let edb = EpochDb::new(db);
 //!
 //! let q = template.bind(vec![Condition::Equality(vec![Value::Int(3)])])?;
-//! let cold = pmv.run(&db, &q)?; // fills the PMV
+//! let cold = edb.query(&pmv, &q)?; // fills the PMV
 //! assert!(cold.partial.is_empty());
-//! let warm = pmv.run(&db, &q)?; // serves partial results
+//! let warm = edb.query(&pmv, &q)?; // serves partial results
 //! assert_eq!(warm.partial.len(), pmv.config().f);
 //! assert_eq!(
 //!     cold.all_results().len(),
 //!     warm.all_results().len(),
 //! );
+//!
+//! // Delete one served row: the commit evicts it from the PMV.
+//! let row = edb.read().relation("items")?.read().iter()
+//!     .find(|(_, t)| t.get(1) == &Value::Int(3))
+//!     .map(|(row, _)| row)
+//!     .expect("a kind-3 item");
+//! edb.commit(&[&pmv], move |db| {
+//!     let mut txn = Transaction::begin(db);
+//!     txn.delete("items", row)?;
+//!     Ok(((), txn.commit()))
+//! })?;
+//! let after = edb.query(&pmv, &q)?;
+//! assert_eq!(after.all_results().len(), warm.all_results().len() - 1);
+//! assert_eq!(after.ds_leftover, 0); // nothing stale was served
 //! # Ok(())
 //! # }
 //! ```
@@ -74,12 +91,12 @@ pub use pmv_workload as workload;
 pub mod prelude {
     pub use pmv_cache::{ClockPolicy, PolicyKind, ReplacementPolicy, TwoQPolicy};
     pub use pmv_core::{
-        run_plain, verify_def, verify_parts, BcpKey, DiagCode, Discretizer, MaintenanceOutcome,
+        run_plain, verify_def, verify_parts, BcpKey, DiagCode, Discretizer, EpochDb,
         PartialViewDef, PmvConfig, PmvManager, PmvStats, QueryOutcome, Severity, SharedPmv,
         VerifyOptions, VerifyPolicy, VerifyReport,
     };
     pub use pmv_query::{
-        Condition, Database, Interval, QueryInstance, QueryTemplate, TemplateBuilder,
+        Condition, Database, Interval, QueryInstance, QueryTemplate, TemplateBuilder, Transaction,
     };
     pub use pmv_storage::{tuple, Column, ColumnType, Schema, Tuple, Value};
 }

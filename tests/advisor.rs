@@ -42,11 +42,12 @@ fn recommended_pmv_serves_the_observed_workload() {
     let rec = &recs[0];
     assert!(rec.config.l >= 1);
     let pmv = SharedPmv::with_shards(rec.def.clone(), rec.config.clone(), 1);
+    let edb = EpochDb::new(fx.db);
 
     // Phase 3: replay the workload; the recommended PMV gets warm and
     // serves a healthy share of it.
     for q in &workload {
-        let out = pmv.run(&fx.db, q).unwrap();
+        let out = edb.query(&pmv, q).unwrap();
         assert_eq!(out.ds_leftover, 0);
     }
     assert!(

@@ -2,6 +2,7 @@
 
 use pmv::index::IndexDef;
 use pmv::prelude::*;
+use pmv::storage::RowId;
 use std::sync::Arc;
 
 /// Two-relation schema shaped like the paper's Eqt: R(a, c, f), S(d, e, g)
@@ -93,4 +94,28 @@ pub fn oracle(db: &Database, q: &QueryInstance) -> Vec<Tuple> {
     let mut user: Vec<Tuple> = rows.iter().map(|t| q.template().user_tuple(t)).collect();
     user.sort();
     user
+}
+
+/// Commit one transaction through `edb`: `f` writes through it, and every
+/// view in `views` is maintained before the new state publishes.
+#[allow(dead_code)] // used by several, not all, test binaries
+pub fn commit<T: Send + 'static>(
+    edb: &EpochDb,
+    views: &[&SharedPmv],
+    f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<T> + Send + 'static,
+) -> T {
+    edb.commit(views, move |db| {
+        let mut txn = Transaction::begin(db);
+        let out = f(&mut txn)?;
+        Ok((out, txn.commit()))
+    })
+    .unwrap()
+}
+
+/// Live row ids of `relation`, in heap order.
+#[allow(dead_code)] // used by several, not all, test binaries
+pub fn live_rows(db: &Database, relation: &str) -> Vec<RowId> {
+    let handle = db.relation(relation).unwrap();
+    let rows = handle.read().iter().map(|(r, _)| r).collect();
+    rows
 }

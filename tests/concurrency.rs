@@ -1,15 +1,16 @@
 //! Concurrency tests for the Section 3.6 protocol. The paper has queries
 //! take an S lock on the PMV for O2..O3 and maintenance an X lock
-//! (`LockManager`, first two tests); a `SharedPmv` gets the same
-//! exclusion from the caller's database access plus the
-//! maintain-before-visible contract. Either way a maintainer cannot slip
-//! between a query's partial results and its full execution.
+//! (`LockManager`, first two tests); an `EpochDb` gets the same guarantee
+//! from pinned snapshots plus maintain-before-publish commits. Either way
+//! a maintainer cannot slip between a query's partial results and its
+//! full execution.
 
 mod common;
 
-use common::{eqt_fixture, eqt_query};
+use common::{commit, eqt_fixture, eqt_query};
 use pmv::prelude::*;
 use pmv::query::{LockManager, LockMode};
+use pmv::storage::RowId;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -69,14 +70,28 @@ fn readers_share_maintainers_serialize() {
     assert_eq!(locks.held_objects(), 0);
 }
 
+/// One maintainer transaction: insert a fresh `r` row keyed `a`, and
+/// delete the row at slot `round % 150` if it is still live. The commit
+/// maintains `pmv` before the new state publishes.
+fn insert_and_delete(edb: &EpochDb, pmv: &SharedPmv, a: i64, round: i64) {
+    let victim = RowId((round % 150) as u32);
+    commit(edb, &[pmv], move |txn| {
+        txn.insert("r", tuple![a, round % 76, round % 7])?;
+        if txn.get("r", victim).is_ok() {
+            txn.delete("r", victim)?;
+        }
+        Ok(())
+    });
+}
+
 /// Full-protocol test: one thread streams queries through the pipeline
-/// while another applies deletes with maintenance. Each query must be
+/// while another commits inserts and deletes. Each query must be
 /// internally consistent (exactly-once: ds_leftover == 0) even though
 /// the database changes between queries.
 #[test]
 fn queries_and_maintenance_interleave_consistently() {
     let fx = eqt_fixture(150);
-    let db = Arc::new(parking_lot::RwLock::new(fx.db));
+    let edb = Arc::new(EpochDb::new(fx.db));
     let template = fx.template;
     let def = PartialViewDef::all_equality("shared_pmv", template.clone()).unwrap();
     let pmv = SharedPmv::with_shards(def, PmvConfig::default(), 1);
@@ -85,7 +100,7 @@ fn queries_and_maintenance_interleave_consistently() {
     let inconsistencies = Arc::new(AtomicUsize::new(0));
 
     let reader = {
-        let db = Arc::clone(&db);
+        let edb = Arc::clone(&edb);
         let pmv = pmv.clone();
         let template = template.clone();
         let stop = Arc::clone(&stop);
@@ -94,12 +109,10 @@ fn queries_and_maintenance_interleave_consistently() {
             let mut i = 0i64;
             while !stop.load(Ordering::SeqCst) {
                 let q = eqt_query(&template, &[i % 7], &[(i / 7) % 5]);
-                let db_guard = db.read();
-                let out = pmv.run(&db_guard, &q).unwrap();
+                let out = edb.query(&pmv, &q).unwrap();
                 if out.ds_leftover != 0 {
                     bad.fetch_add(1, Ordering::SeqCst);
                 }
-                drop(db_guard);
                 i += 1;
             }
             i
@@ -107,44 +120,13 @@ fn queries_and_maintenance_interleave_consistently() {
     };
 
     let writer = {
-        let db = Arc::clone(&db);
+        let edb = Arc::clone(&edb);
         let pmv = pmv.clone();
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let mut round = 0i64;
             while !stop.load(Ordering::SeqCst) {
-                let mut db_guard = db.write();
-                let mut txn = pmv::query::Transaction::begin(&mut db_guard);
-                txn.insert(
-                    "r",
-                    Tuple::new(vec![
-                        Value::Int(10_000 + round),
-                        Value::Int(round % 76),
-                        Value::Int(round % 7),
-                    ]),
-                )
-                .unwrap();
-                // Delete some earlier row if present.
-                let victim = {
-                    let handle = txn.get("r", pmv::storage::RowId((round % 150) as u32));
-                    handle
-                        .ok()
-                        .map(|_| pmv::storage::RowId((round % 150) as u32))
-                };
-                if let Some(v) = victim {
-                    txn.delete("r", v).unwrap();
-                }
-                let batches = txn.commit();
-                // Maintain the PMV *before* downgrading the database
-                // lock: once the new database state is visible to
-                // readers, no reader may probe a not-yet-maintained PMV.
-                // (Maintaining after the downgrade is the seed bug — a
-                // reader slipped into the gap, saw the new database with
-                // a stale PMV, and served an already-deleted tuple.)
-                for b in &batches {
-                    pmv.maintain(&db_guard, b).unwrap();
-                }
-                drop(parking_lot::RwLockWriteGuard::downgrade(db_guard));
+                insert_and_delete(&edb, &pmv, 10_000 + round, round);
                 round += 1;
                 std::thread::sleep(Duration::from_micros(200));
             }
@@ -165,22 +147,21 @@ fn queries_and_maintenance_interleave_consistently() {
     );
 
     // Final state sanity: revalidation finds nothing stale.
-    let db_guard = db.read();
-    let removed = pmv.revalidate(&db_guard).unwrap();
+    let removed = pmv.revalidate(&edb.read()).unwrap();
     assert_eq!(removed, 0, "stale tuples survived maintenance");
 }
 
-/// Sharded-PMV stress test: 8 threads hammer one `SharedPmv` — six run
-/// queries over mixed hot/cold bcps, two interleave insert+delete
-/// transactions with shard maintenance applied before the new database
-/// state becomes visible (the `SharedPmv::maintain` contract). Every
-/// query must satisfy the end-of-O3 invariant (`ds_leftover == 0`: every
-/// partial tuple served in O2 was re-derived by the full execution), and
-/// a final revalidation must find nothing stale.
+/// Sharded-PMV stress test: 8 threads hammer one `SharedPmv` through one
+/// `EpochDb` — six run queries over mixed hot/cold bcps, two commit
+/// insert+delete transactions (group commit maintains the shards before
+/// publishing). Every query must satisfy the end-of-O3 invariant
+/// (`ds_leftover == 0`: every partial tuple served in O2 was re-derived
+/// by the full execution), and a final revalidation must find nothing
+/// stale.
 #[test]
 fn sharded_pmv_eight_thread_stress() {
     let fx = eqt_fixture(150);
-    let db = Arc::new(parking_lot::RwLock::new(fx.db));
+    let edb = Arc::new(EpochDb::new(fx.db));
     let template = fx.template;
     let def = PartialViewDef::all_equality("sharded_pmv", template.clone()).unwrap();
     let shared = SharedPmv::with_shards(def, PmvConfig::default(), 8);
@@ -190,7 +171,7 @@ fn sharded_pmv_eight_thread_stress() {
     let mut handles = Vec::new();
 
     for thread in 0..8u64 {
-        let db = Arc::clone(&db);
+        let edb = Arc::clone(&edb);
         let shared = shared.clone();
         let template = template.clone();
         let stop = Arc::clone(&stop);
@@ -203,42 +184,21 @@ fn sharded_pmv_eight_thread_stress() {
                 let mut i = thread as i64;
                 while !stop.load(Ordering::SeqCst) {
                     let q = eqt_query(&template, &[i % 7], &[(i / 7) % 5]);
-                    let guard = db.read();
-                    let out = shared.run(&guard, &q).unwrap();
+                    let out = edb.query(&shared, &q).unwrap();
                     if out.ds_leftover != 0 {
                         bad.fetch_add(1, Ordering::SeqCst);
                     }
-                    drop(guard);
                     i += 1;
                     ops += 1;
                 }
             } else {
-                // Maintainer thread: commit a small transaction, then
-                // repair the affected shards while still holding the
-                // database write guard, so no reader ever sees the new
-                // database paired with stale shards.
+                // Maintainer thread: commit a small transaction; the
+                // commit repairs the affected shards before publishing, so
+                // no reader ever sees the new database paired with stale
+                // shards.
                 let mut round = thread as i64 * 1000;
                 while !stop.load(Ordering::SeqCst) {
-                    let mut db_guard = db.write();
-                    let mut txn = pmv::query::Transaction::begin(&mut db_guard);
-                    txn.insert(
-                        "r",
-                        Tuple::new(vec![
-                            Value::Int(100_000 + round),
-                            Value::Int(round % 76),
-                            Value::Int(round % 7),
-                        ]),
-                    )
-                    .unwrap();
-                    let victim = pmv::storage::RowId((round % 150) as u32);
-                    if txn.get("r", victim).is_ok() {
-                        txn.delete("r", victim).unwrap();
-                    }
-                    let batches = txn.commit();
-                    for b in &batches {
-                        shared.maintain(&db_guard, b).unwrap();
-                    }
-                    drop(db_guard);
+                    insert_and_delete(&edb, &shared, 100_000 + round, round);
                     round += 1;
                     ops += 1;
                     std::thread::sleep(Duration::from_micros(200));
@@ -263,8 +223,7 @@ fn sharded_pmv_eight_thread_stress() {
 
     // Final state: shard invariants hold and revalidation removes nothing.
     shared.debug_validate();
-    let db_guard = db.read();
-    let removed = shared.revalidate(&db_guard).unwrap();
+    let removed = shared.revalidate(&edb.read()).unwrap();
     assert_eq!(removed, 0, "stale tuples survived sharded maintenance");
     let stats = shared.stats();
     assert!(stats.queries > 50, "query throughput: {stats:?}");

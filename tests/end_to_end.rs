@@ -1,13 +1,12 @@
 //! End-to-end integration tests spanning all crates: the PMV pipeline
-//! against a live database, with maintenance, baselines, and the TPC-R
-//! workload.
+//! served and maintained through an `EpochDb`, with baselines and the
+//! TPC-R workload.
 
 mod common;
 
-use common::{eqt_fixture, eqt_query, oracle};
+use common::{commit, eqt_fixture, eqt_query, live_rows, oracle};
 use pmv::core::{SmallMvSet, TraditionalMv};
 use pmv::prelude::*;
-use pmv::query::Transaction;
 use pmv::workload::queries::{t1_query, t2_query, template_t1, template_t2};
 use pmv::workload::tpcr::{self, TpcrConfig};
 use rand::rngs::StdRng;
@@ -22,7 +21,8 @@ fn new_pmv(template: &std::sync::Arc<pmv::query::QueryTemplate>, f: usize, l: us
 #[test]
 fn pipeline_equals_oracle_over_many_queries() {
     let fx = eqt_fixture(200);
-    let pmv = new_pmv(&fx.template, 2, 16);
+    let (edb, template) = (EpochDb::new(fx.db), fx.template);
+    let pmv = new_pmv(&template, 2, 16);
     let mut rng = StdRng::seed_from_u64(1);
     for _ in 0..200 {
         let fs: Vec<i64> = (0..rng.gen_range(1..=3))
@@ -32,9 +32,9 @@ fn pipeline_equals_oracle_over_many_queries() {
             .map(|_| rng.gen_range(0..5))
             .collect();
         let (fs, gs) = (dedup(fs), dedup(gs));
-        let q = eqt_query(&fx.template, &fs, &gs);
-        let expect = oracle(&fx.db, &q);
-        let out = pmv.run(&fx.db, &q).unwrap();
+        let q = eqt_query(&template, &fs, &gs);
+        let expect = oracle(&edb.read(), &q);
+        let out = edb.query(&pmv, &q).unwrap();
         let mut got = out.all_results();
         got.sort();
         assert_eq!(got, expect);
@@ -53,30 +53,26 @@ fn dedup(mut v: Vec<i64>) -> Vec<i64> {
 #[test]
 fn maintenance_keeps_pipeline_consistent() {
     let fx = eqt_fixture(100);
-    let mut db = fx.db;
-    let template = fx.template;
+    let (edb, template) = (EpochDb::new(fx.db), fx.template);
     let pmv = new_pmv(&template, 3, 64);
     let mut rng = StdRng::seed_from_u64(2);
 
     for round in 0..30 {
-        // Mutate: one transaction with an insert, a delete, and an update.
-        let mut txn = Transaction::begin(&mut db);
-        let i = 1000 + round as i64;
-        txn.insert("r", tuple![i, i % 51, i % 7]).unwrap();
-        // Delete a random live r row.
-        let live = db_relation_rows(&txn);
+        // Mutate: one transaction with an insert and a delete of a random
+        // live r row.
+        let live = live_rows(&edb.read(), "r");
         let victim = live[rng.gen_range(0..live.len())];
-        txn.delete("r", victim).expect("victim is live");
-        let batches = txn.commit();
-        for b in &batches {
-            pmv.maintain(&db, b).unwrap();
-        }
+        let i = 1000 + round as i64;
+        commit(&edb, &[&pmv], move |txn| {
+            txn.insert("r", tuple![i, i % 51, i % 7])?;
+            txn.delete("r", victim)
+        });
 
         // Every query must agree with the oracle and leave DS empty.
         for _ in 0..10 {
             let q = eqt_query(&template, &[rng.gen_range(0..7)], &[rng.gen_range(0..5)]);
-            let expect = oracle(&db, &q);
-            let out = pmv.run(&db, &q).unwrap();
+            let expect = oracle(&edb.read(), &q);
+            let out = edb.query(&pmv, &q).unwrap();
             let mut got = out.all_results();
             got.sort();
             assert_eq!(got, expect, "round {round}");
@@ -86,55 +82,44 @@ fn maintenance_keeps_pipeline_consistent() {
     }
 }
 
-/// Live row ids of relation r (helper: transactions see their own writes).
-fn db_relation_rows(txn: &Transaction<'_>) -> Vec<pmv::storage::RowId> {
-    // Access through a fresh handle: Transaction has no iterator, so scan
-    // via get() probes on a bounded id range.
-    (0..2_000u32)
-        .map(pmv::storage::RowId)
-        .filter(|&r| txn.get("r", r).is_ok())
-        .collect()
-}
-
 #[test]
 fn update_of_irrelevant_attribute_is_free() {
     let fx = eqt_fixture(50);
-    let mut db = fx.db;
-    let template = fx.template;
+    let (edb, template) = (EpochDb::new(fx.db), fx.template);
     // Template selects r.a, s.e; conditions on r.f, s.g; join on r.c=s.d.
     // Column s.e IS in Ls', so to build an irrelevant update we add a
     // spare column... instead verify the relevant-attribute arm: updating
     // s.e must evict.
     let pmv = new_pmv(&template, 3, 64);
     let q = eqt_query(&template, &[1], &[1]);
-    pmv.run(&db, &q).unwrap();
+    edb.query(&pmv, &q).unwrap();
     let before = pmv.tuple_count();
     assert!(before > 0);
 
     // Update an s row that joins: change e (in Ls').
-    let handle = db.relation("s").unwrap();
-    let target = handle
+    let target = edb
+        .read()
+        .relation("s")
+        .unwrap()
         .read()
         .iter()
         .find(|(_, t)| t.get(2) == &Value::Int(1))
         .map(|(r, t)| (r, t.clone()))
         .unwrap();
-    drop(handle);
     let mut vals: Vec<Value> = target.1.values().to_vec();
     vals[1] = Value::Int(999_999);
-    let mut txn = Transaction::begin(&mut db);
-    txn.update("s", target.0, Tuple::new(vals)).unwrap();
-    let batches = txn.commit();
-    let mut joined = 0;
-    for b in &batches {
-        let out = pmv.maintain(&db, b).unwrap();
-        joined += out.updates_joined;
-    }
-    assert_eq!(joined, 1, "Ls' attribute change must trigger the join arm");
+    commit(&edb, &[&pmv], move |txn| {
+        txn.update("s", target.0, Tuple::new(vals))
+    });
+    assert_eq!(
+        pmv.stats().maint_updates_joined,
+        1,
+        "Ls' attribute change must trigger the join arm"
+    );
 
     // Consistency preserved.
-    let expect = oracle(&db, &q);
-    let out = pmv.run(&db, &q).unwrap();
+    let expect = oracle(&edb.read(), &q);
+    let out = edb.query(&pmv, &q).unwrap();
     let mut got = out.all_results();
     got.sort();
     assert_eq!(got, expect);
@@ -145,6 +130,7 @@ fn update_of_irrelevant_attribute_is_free() {
 fn traditional_mv_answers_match_pipeline() {
     let fx = eqt_fixture(120);
     let mv = TraditionalMv::materialize(&fx.db, fx.template.clone()).unwrap();
+    let edb = EpochDb::new(fx.db);
     let pmv = new_pmv(&fx.template, 5, 64);
     for f in 0..7i64 {
         for g in 0..5i64 {
@@ -155,7 +141,7 @@ fn traditional_mv_answers_match_pipeline() {
                 .map(|t| fx.template.user_tuple(t))
                 .collect();
             from_mv.sort();
-            let out = pmv.run(&fx.db, &q).unwrap();
+            let out = edb.query(&pmv, &q).unwrap();
             let mut got = out.all_results();
             got.sort();
             assert_eq!(got, from_mv, "f={f} g={g}");
@@ -186,7 +172,7 @@ fn small_mv_stores_all_tuples_pmv_stores_at_most_f() {
     // The PMV with F = 2 caps the same bcp at 2.
     let pmv = new_pmv(&fx.template, 2, 64);
     let q = pmv.def().bcp_query(&hot).unwrap();
-    pmv.run(&fx.db, &q).unwrap();
+    EpochDb::new(fx.db).query(&pmv, &q).unwrap();
     assert_eq!(pmv.lookup(&hot).unwrap().len(), 2);
 }
 
@@ -225,9 +211,10 @@ fn tpcr_t1_t2_end_to_end() {
     })
     .unwrap();
 
+    let edb = EpochDb::new(db);
     let q = t1_query(&t1, &[date], &[supp]).unwrap();
-    let cold = pmv1.run(&db, &q).unwrap();
-    let warm = pmv1.run(&db, &q).unwrap();
+    let cold = edb.query(&pmv1, &q).unwrap();
+    let warm = edb.query(&pmv1, &q).unwrap();
     let mut a = cold.all_results();
     let mut b = warm.all_results();
     a.sort();
@@ -235,7 +222,7 @@ fn tpcr_t1_t2_end_to_end() {
     assert_eq!(a, b, "warm and cold answers must agree");
     assert!(warm.bcp_hit);
 
-    let t2 = template_t2(&db).unwrap();
+    let t2 = template_t2(&edb.read()).unwrap();
     let pmv2 = SharedPmv::with_shards(
         PartialViewDef::all_equality("t2", t2.clone()).unwrap(),
         PmvConfig::default(),
@@ -248,7 +235,7 @@ fn tpcr_t1_t2_end_to_end() {
         &[0, 1, 2],
     )
     .unwrap();
-    let out = pmv2.run(&db, &q2).unwrap();
+    let out = edb.query(&pmv2, &q2).unwrap();
     assert_eq!(out.ds_leftover, 0);
     assert_eq!(out.parts, 6); // e=2, f=1, g=3
 }
@@ -258,14 +245,15 @@ fn hit_probability_grows_with_h_on_real_engine() {
     // The Figure 6 trend reproduced on the actual pipeline (not the
     // simulator): more bcps per query ⇒ more chances to hit.
     let fx = eqt_fixture(400);
+    let (edb, template) = (EpochDb::new(fx.db), fx.template);
     let mut rng = StdRng::seed_from_u64(5);
     let mut hit_rates = Vec::new();
     for h in [1usize, 3] {
-        let pmv = new_pmv(&fx.template, 2, 12);
+        let pmv = new_pmv(&template, 2, 12);
         for _ in 0..600 {
             let fs: Vec<i64> = dedup((0..h).map(|_| rng.gen_range(0..7)).collect());
-            let q = eqt_query(&fx.template, &fs, &[rng.gen_range(0..5)]);
-            pmv.run(&fx.db, &q).unwrap();
+            let q = eqt_query(&template, &fs, &[rng.gen_range(0..5)]);
+            edb.query(&pmv, &q).unwrap();
         }
         hit_rates.push(pmv.stats().hit_probability());
     }
@@ -283,8 +271,7 @@ fn maint_filter_does_not_change_outcomes() {
     // query answers and identical eviction effects.
     for use_filter in [false, true] {
         let fx = eqt_fixture(80);
-        let mut db = fx.db;
-        let template = fx.template;
+        let (edb, template) = (EpochDb::new(fx.db), fx.template);
         let mut config = PmvConfig::new(3, 32, pmv::cache::PolicyKind::Clock);
         config.maint_filter = use_filter;
         let pmv = SharedPmv::with_shards(
@@ -293,32 +280,23 @@ fn maint_filter_does_not_change_outcomes() {
             1,
         );
         let mut rng = StdRng::seed_from_u64(77);
-        let (mut deletes, mut joins_avoided) = (0, 0);
         for round in 0..20 {
             let q = eqt_query(&template, &[rng.gen_range(0..7)], &[rng.gen_range(0..5)]);
-            let expect = oracle(&db, &q);
-            let out = pmv.run(&db, &q).unwrap();
+            let expect = oracle(&edb.read(), &q);
+            let out = edb.query(&pmv, &q).unwrap();
             let mut got = out.all_results();
             got.sort();
             assert_eq!(got, expect, "filter={use_filter} round={round}");
             assert_eq!(out.ds_leftover, 0);
             // Delete something.
-            let handle = db.relation("r").unwrap();
-            let victim = {
-                let guard = handle.read();
-                let live: Vec<_> = guard.iter().map(|(r, _)| r).collect();
-                live[rng.gen_range(0..live.len())]
-            };
-            let mut txn = Transaction::begin(&mut db);
-            txn.delete("r", victim).unwrap();
-            for b in txn.commit() {
-                let out = pmv.maintain(&db, &b).unwrap();
-                deletes += out.deletes_joined;
-                joins_avoided += out.joins_avoided;
-            }
-            assert_eq!(pmv.revalidate(&db).unwrap(), 0, "no stale tuples");
+            let live = live_rows(&edb.read(), "r");
+            let victim = live[rng.gen_range(0..live.len())];
+            commit(&edb, &[&pmv], move |txn| txn.delete("r", victim));
+            assert_eq!(pmv.revalidate(&edb.read()).unwrap(), 0, "no stale tuples");
             pmv.debug_validate();
         }
+        let stats = pmv.stats();
+        let (deletes, joins_avoided) = (stats.maint_deletes_joined, stats.maint_joins_avoided);
         println!("filter={use_filter}: {joins_avoided} of {deletes} ΔR joins skipped");
         // The §3.4 filter skips the ΔR join of every delete that touched
         // no cached tuple: half of this stream, none without the filter.

@@ -1,17 +1,10 @@
-//! Property test: the front ends of the one serving path
-//! (`pmv_core::serve`) are observationally equivalent at every shard
+//! Property test: the one serving path (`pmv_core::serve`, hosted by
+//! [`EpochDb::query`]) is equivalent to plain execution at every shard
 //! count. Under an arbitrary script of queries, inserts, deletes and
-//! updates, the same query answered
-//!
-//! * from a [`SharedPmv`] through [`SharedPmv::run`] (the live database
-//!   as the view — the *locked* case), and
-//! * from a [`SharedPmv`] through [`EpochDb::query`] (a pinned snapshot
-//!   as the view),
-//!
-//! each over a 1-shard view (exactly `L` entries, one owner) and a
-//! 4-shard view, must return exactly the multiset the plain executor
-//! returns, with the end-of-O3 invariant `ds_leftover == 0`. Each front
-//! end owns its own view so cache states evolve independently;
+//! updates, the same query answered from a 1-shard view (exactly `L`
+//! entries, one owner) and from a 4-shard view must return exactly the
+//! multiset the plain executor returns, with the end-of-O3 invariant
+//! `ds_leftover == 0`. Each view's cache state evolves independently;
 //! equivalence therefore exercises fills, hits, complete-serves,
 //! upqueries, evictions and the epoch gates, not just cold execution.
 //! With `unique` set the relation enforces a key on `a`, so answers are
@@ -19,24 +12,21 @@
 //! equal rows occur and fills are held to their proven multiplicity.
 
 use pmv::cache::PolicyKind;
-use pmv::core::EpochDb;
 use pmv::index::IndexDef;
 use pmv::prelude::*;
-use pmv::query::{execute, Transaction};
+use pmv::query::execute;
 use pmv::storage::RowId;
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 2] = [1, 4];
 
-struct Fronts {
+struct Fixture {
     edb: EpochDb,
-    /// Served through `SharedPmv::run`, one view per shard count.
-    locked: Vec<SharedPmv>,
     /// Served through `EpochDb::query`, one view per shard count.
-    epoch: Vec<SharedPmv>,
+    views: Vec<SharedPmv>,
 }
 
-fn setup(unique: bool) -> Fronts {
+fn setup(unique: bool) -> Fixture {
     let mut db = Database::new();
     db.create_relation(Schema::new(
         "r",
@@ -64,34 +54,27 @@ fn setup(unique: bool) -> Fronts {
         .unwrap();
     // F = 6 exceeds the 5 rows an untouched f holds, so entries can
     // become complete and the complete-serve/upquery paths are reached.
-    let views = |name: &str| {
-        SHARD_COUNTS
-            .iter()
-            .map(|&n| {
-                let def = PartialViewDef::all_equality(format!("{name}{n}"), t.clone()).unwrap();
-                SharedPmv::with_shards(def, PmvConfig::new(6, 8, PolicyKind::Clock), n)
-            })
-            .collect()
-    };
-    Fronts {
+    let views = SHARD_COUNTS
+        .iter()
+        .map(|&n| {
+            let def = PartialViewDef::all_equality(format!("epoch{n}"), t.clone()).unwrap();
+            SharedPmv::with_shards(def, PmvConfig::new(6, 8, PolicyKind::Clock), n)
+        })
+        .collect();
+    Fixture {
         edb: EpochDb::new(db),
-        locked: views("locked"),
-        epoch: views("epoch"),
+        views,
     }
 }
 
-impl Fronts {
-    fn views(&self) -> impl Iterator<Item = &SharedPmv> {
-        self.locked.iter().chain(&self.epoch)
-    }
-
+impl Fixture {
     /// Commit one transaction through the epoch database, which
     /// maintains every view before publishing.
     fn commit(
         &self,
         f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<()> + Send + 'static,
     ) {
-        let views: Vec<&SharedPmv> = self.views().collect();
+        let views: Vec<&SharedPmv> = self.views.iter().collect();
         self.edb
             .commit(&views, move |db| {
                 let mut txn = Transaction::begin(db);
@@ -127,12 +110,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn front_ends_equal_plain_execution_at_each_shard_count(
+    fn query_equals_plain_execution_at_each_shard_count(
         ops in ops(),
         unique in any::<bool>(),
     ) {
         let fx = setup(unique);
-        let t = fx.locked[0].def().template().clone();
+        let t = fx.views[0].def().template().clone();
         for (kind, f, a) in ops {
             match kind {
                 0..=2 => {
@@ -142,15 +125,10 @@ proptest! {
                     }
                     let q = t.bind(vec![Condition::Equality(values)]).unwrap();
                     let mut outs = Vec::new();
-                    for v in &fx.epoch {
+                    for v in &fx.views {
                         outs.push((v.def().name(), fx.edb.query(v, &q).unwrap()));
                     }
-                    let guard = fx.edb.read();
-                    for v in &fx.locked {
-                        outs.push((v.def().name(), v.run(&guard, &q).unwrap()));
-                    }
-                    let (oracle, _) = execute(&*guard, &q).unwrap();
-                    drop(guard);
+                    let (oracle, _) = execute(&*fx.edb.read(), &q).unwrap();
                     // The oracle returns expanded (`Ls'`) tuples; project
                     // them onto the user-visible select list.
                     let mut want: Vec<_> = oracle.iter().map(|e| t.user_tuple(e)).collect();
@@ -180,30 +158,29 @@ proptest! {
         }
         // No run may leave any view serving stale tuples.
         let guard = fx.edb.read();
-        for v in fx.views() {
+        for v in &fx.views {
             prop_assert_eq!(v.revalidate(&guard).unwrap(), 0, "{}", v.def().name());
             v.debug_validate();
         }
     }
 }
 
-/// `SharedPmv::run` is the locked case of the one serving path, so it
-/// serves from completeness claims like the epoch path does: a repeated
-/// basic query whose bcp fits under `F` needs no execution at all.
+/// The serving path serves from completeness claims at every shard
+/// count: a repeated basic query whose bcp fits under `F` needs no
+/// execution at all.
 #[test]
-fn locked_run_serves_complete_entries() {
+fn query_serves_complete_entries() {
     let fx = setup(false);
-    let t = fx.locked[0].def().template().clone();
+    let t = fx.views[0].def().template().clone();
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
         .unwrap();
-    let guard = fx.edb.read();
-    for locked in &fx.locked {
-        let cold = locked.run(&guard, &q).unwrap();
+    for v in &fx.views {
+        let cold = fx.edb.query(v, &q).unwrap();
         assert_eq!((cold.partial.len(), cold.remaining.len()), (0, 5));
-        let warm = locked.run(&guard, &q).unwrap();
+        let warm = fx.edb.query(v, &q).unwrap();
         assert_eq!((warm.partial.len(), warm.remaining.len()), (5, 0));
         assert_eq!(warm.exec_stats.tuples_examined, 0, "O3 must not have run");
-        assert!(locked.stats().complete_serves > 0);
+        assert!(v.stats().complete_serves > 0);
     }
 }

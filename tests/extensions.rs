@@ -23,18 +23,19 @@ fn new_pmv(template: &std::sync::Arc<pmv::query::QueryTemplate>) -> SharedPmv {
 fn distinct_returns_each_tuple_once() {
     let fx = eqt_fixture(120);
     let pmv = new_pmv(&fx.template);
+    let edb = EpochDb::new(fx.db);
     let q = eqt_query(&fx.template, &[1, 2, 3], &[0, 1]);
 
     // Warm so the next run serves partial results too.
-    pmv.run(&fx.db, &q).unwrap();
-    let out = run_distinct(&fx.db, &pmv, &q).unwrap();
+    edb.query(&pmv, &q).unwrap();
+    let out = run_distinct(&edb, &pmv, &q).unwrap();
 
     let all = out.all_results();
     let set: HashSet<&Tuple> = all.iter().collect();
     assert_eq!(set.len(), all.len(), "distinct output must not repeat");
 
     // Same distinct set as the oracle's.
-    let (rows, _) = pmv::query::execute(&fx.db, &q).unwrap();
+    let (rows, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
     let oracle_set: HashSet<Tuple> = rows.iter().map(|t| fx.template.user_tuple(t)).collect();
     assert_eq!(set.len(), oracle_set.len());
     for t in &all {
@@ -49,15 +50,16 @@ fn distinct_returns_each_tuple_once() {
 fn aggregate_partial_bounds_exact() {
     let fx = eqt_fixture(150);
     let pmv = new_pmv(&fx.template);
+    let edb = EpochDb::new(fx.db);
     let q = eqt_query(&fx.template, &[1], &[1]);
-    pmv.run(&fx.db, &q).unwrap();
+    edb.query(&pmv, &q).unwrap();
 
     // COUNT grouped by r.a (user position 0).
     let spec = GroupBySpec {
         group_by: vec![0],
         agg: AggFn::Count,
     };
-    let out = run_aggregate(&fx.db, &pmv, &q, &spec).unwrap();
+    let out = run_aggregate(&edb, &pmv, &q, &spec).unwrap();
     // Partial counts never exceed exact counts.
     for (group, pv) in &out.partial {
         let AggValue::Count(p) = pv else { panic!() };
@@ -73,7 +75,7 @@ fn aggregate_partial_bounds_exact() {
         assert!(*p <= exact, "partial count {p} exceeds exact {exact}");
     }
     // Exact aggregates match a straight recount of the oracle.
-    let (rows, _) = pmv::query::execute(&fx.db, &q).unwrap();
+    let (rows, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
     let mut truth: std::collections::HashMap<Value, u64> = Default::default();
     for r in &rows {
         let user = fx.template.user_tuple(r);
@@ -90,14 +92,15 @@ fn aggregate_partial_bounds_exact() {
 fn aggregate_sum_partial_is_lower_bound_for_nonnegative() {
     let fx = eqt_fixture(150);
     let pmv = new_pmv(&fx.template);
+    let edb = EpochDb::new(fx.db);
     let q = eqt_query(&fx.template, &[2], &[2]);
-    pmv.run(&fx.db, &q).unwrap();
+    edb.query(&pmv, &q).unwrap();
     // SUM over s.e (user position 1); fixture values are non-negative.
     let spec = GroupBySpec {
         group_by: vec![],
         agg: AggFn::Sum(1),
     };
-    let out = run_aggregate(&fx.db, &pmv, &q, &spec).unwrap();
+    let out = run_aggregate(&edb, &pmv, &q, &spec).unwrap();
     if let (Some((_, AggValue::Sum(p))), Some((_, AggValue::Sum(e)))) =
         (out.partial.first(), out.exact.first())
     {
@@ -109,24 +112,25 @@ fn aggregate_sum_partial_is_lower_bound_for_nonnegative() {
 fn exists_fast_path_after_warming() {
     let fx = eqt_fixture(120);
     let pmv = new_pmv(&fx.template);
+    let edb = EpochDb::new(fx.db);
     // A subquery with at least one result.
     let q = eqt_query(&fx.template, &[1], &[1]);
-    let (rows, _) = pmv::query::execute(&fx.db, &q).unwrap();
+    let (rows, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
     assert!(!rows.is_empty(), "fixture must give the subquery results");
 
     // Cold: slow path executes (and warms the PMV).
-    let out = exists_accelerated(&fx.db, &pmv, &q).unwrap();
+    let out = exists_accelerated(&edb, &pmv, &q).unwrap();
     assert!(out.exists);
     assert!(!out.fast_path);
 
     // Warm: a cached witness answers without execution.
-    let out = exists_accelerated(&fx.db, &pmv, &q).unwrap();
+    let out = exists_accelerated(&edb, &pmv, &q).unwrap();
     assert!(out.exists);
     assert!(out.fast_path, "warm EXISTS must take the fast path");
 
     // A predicate with no results: never a false positive.
     let empty_q = eqt_query(&fx.template, &[999], &[999]);
-    let out = exists_accelerated(&fx.db, &pmv, &empty_q).unwrap();
+    let out = exists_accelerated(&edb, &pmv, &empty_q).unwrap();
     assert!(!out.exists);
     assert!(!out.fast_path);
 }
@@ -135,15 +139,16 @@ fn exists_fast_path_after_warming() {
 fn ranking_orders_hot_results_first() {
     let fx = eqt_fixture(120);
     let pmv = new_pmv(&fx.template);
+    let edb = EpochDb::new(fx.db);
     let hot = eqt_query(&fx.template, &[1], &[1]);
     let cold = eqt_query(&fx.template, &[2], &[2]);
     // Make (1,1) popular: warm + several hits.
     for _ in 0..5 {
-        pmv.run(&fx.db, &hot).unwrap();
+        edb.query(&pmv, &hot).unwrap();
     }
     // One query touching both cells.
     let both = eqt_query(&fx.template, &[1, 2], &[1, 2]);
-    let out = pmv.run(&fx.db, &both).unwrap();
+    let out = edb.query(&pmv, &both).unwrap();
     let ranked = rank_by_popularity(&pmv, &out);
     assert!(!ranked.is_empty());
     // Popularity must be non-increasing.
@@ -152,18 +157,19 @@ fn ranking_orders_hot_results_first() {
     }
     // The hot cell's tuples lead (its hit count is ≥ 4).
     assert!(ranked[0].1 >= 4, "hot results should lead: {:?}", ranked);
-    let _ = pmv.run(&fx.db, &cold);
+    let _ = edb.query(&pmv, &cold);
 }
 
 #[test]
 fn order_by_delivers_sorted_prefix_and_total_order() {
     let fx = eqt_fixture(150);
     let pmv = new_pmv(&fx.template);
+    let edb = EpochDb::new(fx.db);
     let q = eqt_query(&fx.template, &[1, 2], &[0, 1]);
-    pmv.run(&fx.db, &q).unwrap();
+    edb.query(&pmv, &q).unwrap();
 
     let order = OrderBy::asc(&[1, 0]); // by s.e then r.a
-    let out = run_ordered(&fx.db, &pmv, &q, &order).unwrap();
+    let out = run_ordered(&edb, &pmv, &q, &order).unwrap();
     // Partial prefix is sorted.
     for w in out.partial_sorted.windows(2) {
         assert_ne!(order.cmp(&w[0], &w[1]), std::cmp::Ordering::Greater);
@@ -172,13 +178,14 @@ fn order_by_delivers_sorted_prefix_and_total_order() {
     for w in out.all_sorted.windows(2) {
         assert_ne!(order.cmp(&w[0], &w[1]), std::cmp::Ordering::Greater);
     }
-    let (rows, _) = pmv::query::execute(&fx.db, &q).unwrap();
+    let (rows, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
     assert_eq!(out.all_sorted.len(), rows.len());
 }
 
 #[test]
 fn pmv_manager_routes_and_sheds() {
     let fx = eqt_fixture(120);
+    let edb = EpochDb::new(fx.db);
     let mut mgr = PmvManager::new().with_byte_budget(100_000);
     mgr.register(
         PartialViewDef::all_equality("mgr_pmv", fx.template.clone()).unwrap(),
@@ -187,7 +194,8 @@ fn pmv_manager_routes_and_sheds() {
     .unwrap();
     for f in 0..7i64 {
         let q = eqt_query(&fx.template, &[f], &[f % 5]);
-        let out = mgr.run(&fx.db, &q).unwrap();
+        let view = mgr.view_for(q.template()).expect("routed by template");
+        let out = edb.query(view, &q).unwrap();
         assert_eq!(out.ds_leftover, 0);
     }
     assert_eq!(mgr.aggregate_stats().queries, 7);

@@ -18,7 +18,7 @@ use std::time::Duration;
 use pmv::core::TraditionalMv;
 use pmv::index::{IndexKey, SecondaryIndex};
 use pmv::prelude::*;
-use pmv::query::{QueryInstance, QueryTemplate, Transaction};
+use pmv::query::{QueryInstance, QueryTemplate};
 use pmv::storage::RowId;
 use pmv::workload::queries::{t1_query, t2_query, template_t1, template_t2, values_including};
 use pmv::workload::tpcr::{self, TpcrConfig};
@@ -54,7 +54,7 @@ struct Cell {
 
 /// TPC-R at `scale` with a date→supplier pool of 2, so hot
 /// `(orderdate, suppkey)` bcps hold more than `F` result tuples.
-fn build_db(scale: f64) -> Database {
+fn build_db(scale: f64) -> EpochDb {
     let mut db = Database::new();
     let config = TpcrConfig {
         scale,
@@ -64,7 +64,7 @@ fn build_db(scale: f64) -> Database {
     };
     tpcr::generate(&mut db, &config).unwrap();
     tpcr::standard_indexes(&mut db).unwrap();
-    db
+    EpochDb::new(db)
 }
 
 /// The first row of `relation` whose column 0 equals `key`.
@@ -116,13 +116,14 @@ fn median(mut xs: Vec<Duration>) -> Duration {
 /// Prints one self-describing line, so parallel tests may interleave.
 fn measure_cell(
     label: &str,
-    db: &Database,
+    edb: &EpochDb,
     which: Template,
     (e, f): (usize, usize),
     f_cap: usize,
     seed: u64,
 ) -> Cell {
     let mut rng = StdRng::seed_from_u64(seed);
+    let db = &*edb.read();
     let t = match which {
         Template::T1 => template_t1(db).unwrap(),
         Template::T2 => template_t2(db).unwrap(),
@@ -137,12 +138,12 @@ fn measure_cell(
         let [date, supp, nation] = sample_hot(db, &mut rng);
         let warm = bind(&t, which, &[date], &[supp], nation);
         cell.hot_results.push(run_plain(db, &warm).unwrap().0.len());
-        pmv.run(db, &warm).unwrap();
+        edb.query(&pmv, &warm).unwrap();
 
         let dates = values_including(&mut rng, tpcr::NUM_DATES, e, date);
         let supps = values_including(&mut rng, suppliers, f, supp);
-        let out = pmv
-            .run(db, &bind(&t, which, &dates, &supps, nation))
+        let out = edb
+            .query(&pmv, &bind(&t, which, &dates, &supps, nation))
             .unwrap();
         assert_eq!(out.ds_leftover, 0, "{which:?}: a stale tuple was served");
         cell.parts.push(out.parts);
@@ -177,11 +178,11 @@ fn measure_cell(
 
 #[test]
 fn fig8_partials_are_exactly_min_of_f_and_the_hot_bcp() {
-    let db = build_db(SCALE);
+    let edb = build_db(SCALE);
     for f_cap in 1..=5 {
         let label = format!("Fig. 8 F={f_cap} h=4 s={SCALE}");
         for which in [Template::T1, Template::T2] {
-            let cell = measure_cell(&label, &db, which, (2, 2), f_cap, 7 + f_cap as u64);
+            let cell = measure_cell(&label, &edb, which, (2, 2), f_cap, 7 + f_cap as u64);
             assert_eq!(cell.parts, vec![4; RUNS], "{which:?} F={f_cap}");
             let want: Vec<usize> = cell.hot_results.iter().map(|&n| n.min(f_cap)).collect();
             assert_eq!(
@@ -194,11 +195,11 @@ fn fig8_partials_are_exactly_min_of_f_and_the_hot_bcp() {
 
 #[test]
 fn fig9_parts_equal_h_and_partials_stay_within_f() {
-    let db = build_db(SCALE);
+    let edb = build_db(SCALE);
     for h in [1, 3, 10] {
         let label = format!("Fig. 9 F=3 h={h} s={SCALE}");
         for which in [Template::T1, Template::T2] {
-            let cell = measure_cell(&label, &db, which, (h, 1), 3, 11 + h as u64);
+            let cell = measure_cell(&label, &edb, which, (h, 1), 3, 11 + h as u64);
             assert_eq!(cell.parts, vec![h; RUNS], "{which:?} h={h}");
             assert!(
                 cell.partial.iter().all(|&n| n <= 3),
@@ -214,10 +215,10 @@ fn fig10_execution_grows_with_scale_while_bookkeeping_does_not() {
     let scales = [0.005, 0.01, SCALE];
     let mut examined = [Vec::new(), Vec::new()];
     for scale in scales {
-        let db = build_db(scale);
+        let edb = build_db(scale);
         let label = format!("Fig. 10 F=3 h=4 s={scale}");
         for (i, which) in [Template::T1, Template::T2].into_iter().enumerate() {
-            let cell = measure_cell(&label, &db, which, (2, 2), 3, 23);
+            let cell = measure_cell(&label, &edb, which, (2, 2), 3, 23);
             assert_eq!(cell.parts, vec![4; RUNS], "{which:?} s={scale}");
             assert!(
                 cell.partial.iter().all(|&n| n <= 3),
@@ -259,10 +260,12 @@ struct MaintCell {
 /// materialized T1 view and one PMV per threshold: a one-shard CLOCK view
 /// with F = 3, L = 1 000, warmed by 1 000 sampled hot bcps. The deletes
 /// are a seeded-shuffle prefix of the orders; the inserts copy the next
-/// orders under a new `orderdate`. Every threshold must leave the same
-/// view.
+/// orders under a new `orderdate`. One commit maintains the PMVs; the MV
+/// is maintained over the same batches after it. Every threshold must
+/// leave the same view.
 fn maintenance_cell(inserts: usize) -> MaintCell {
-    let mut db = build_db(MAINT_SCALE);
+    let edb = build_db(MAINT_SCALE);
+    let db = edb.read();
     let t = template_t1(&db).unwrap();
     let def = PartialViewDef::all_equality("maint", t.clone()).unwrap();
     let views = THRESHOLDS.map(|heavy| {
@@ -274,7 +277,7 @@ fn maintenance_cell(inserts: usize) -> MaintCell {
         let [date, supp, _] = sample_hot(&db, &mut rng);
         let q = t1_query(&t, &[date], &[supp]).unwrap();
         for v in &views {
-            v.run(&db, &q).unwrap();
+            edb.query(v, &q).unwrap();
         }
     }
     let mut mv = TraditionalMv::materialize(&db, t).unwrap();
@@ -297,22 +300,30 @@ fn maintenance_cell(inserts: usize) -> MaintCell {
             Tuple::new(values)
         })
         .collect();
-    let mut txn = Transaction::begin(&mut db);
-    for row in rows {
-        txn.delete("orders", row).unwrap();
-    }
-    for copy in copies {
-        txn.insert("orders", copy).unwrap();
-    }
-    let batches = txn.commit();
+    drop(db);
+    let batches = edb
+        .commit(&views.each_ref(), move |db| {
+            let mut txn = Transaction::begin(db);
+            for row in rows {
+                txn.delete("orders", row)?;
+            }
+            for copy in copies {
+                txn.insert("orders", copy)?;
+            }
+            let batches = txn.commit();
+            Ok((batches.clone(), batches))
+        })
+        .unwrap();
 
     for b in &batches {
-        mv.maintain(&db, b).unwrap();
+        TraditionalMv::maintain(&mut mv, &edb.read(), b).unwrap();
     }
     let mvs = mv.stats();
-    let outcomes = views
-        .each_ref()
-        .map(|v| v.maintain_all(&db, &batches).unwrap());
+    // The commit is the only maintenance these views have seen.
+    let work = |v: &SharedPmv| {
+        let s = v.stats();
+        (s.maint_coalesced_joins + s.maint_join_rows + s.maint_index_removals) as usize
+    };
     let reference = views[0].dump();
     for (v, heavy) in views.iter().zip(THRESHOLDS).skip(1) {
         assert!(
@@ -323,8 +334,10 @@ fn maintenance_cell(inserts: usize) -> MaintCell {
     MaintCell {
         mv_work: mvs.joins_computed + mvs.rows_added + mvs.rows_removed,
         mv_joins: mvs.joins_computed,
-        pmv_work: outcomes.map(|o| o.coalesced_joins + o.join_rows + o.index_removals),
-        inserts_ignored: outcomes.map(|o| o.inserts_ignored),
+        pmv_work: views.each_ref().map(work),
+        inserts_ignored: views
+            .each_ref()
+            .map(|v| v.stats().maint_inserts_ignored as usize),
     }
 }
 

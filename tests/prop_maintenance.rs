@@ -11,11 +11,9 @@
 
 mod common;
 
-use common::{eqt_finish, eqt_fixture, eqt_query, eqt_relations, oracle};
+use common::{commit, eqt_finish, eqt_fixture, eqt_query, eqt_relations, live_rows, oracle};
 use pmv::cache::PolicyKind;
-use pmv::core::EpochDb;
 use pmv::prelude::*;
-use pmv::query::Transaction;
 use pmv::storage::RowId;
 use pmv::workload::zipf::Zipf;
 use proptest::prelude::*;
@@ -60,14 +58,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 }
 
 fn nth_live_row(db: &Database, relation: &str, nth: usize) -> Option<RowId> {
-    let handle = db.relation(relation).unwrap();
-    let guard = handle.read();
-    let live: Vec<_> = guard.iter().map(|(r, _)| r).collect();
-    if live.is_empty() {
-        None
-    } else {
-        Some(live[nth % live.len()])
-    }
+    let live = live_rows(db, relation);
+    (!live.is_empty()).then(|| live[nth % live.len()])
 }
 
 /// Find a joining (r, s) row pair: an `r` row and an `s` row with
@@ -107,8 +99,7 @@ proptest! {
         l in 2usize..12,
     ) {
         let fx = eqt_fixture(40);
-        let mut db = fx.db;
-        let template = fx.template;
+        let (edb, template) = (EpochDb::new(fx.db), fx.template);
 
         let thresholds = [u64::MAX, PmvConfig::default().heavy_threshold, 2, 1];
         let views: Vec<SharedPmv> = thresholds
@@ -121,21 +112,15 @@ proptest! {
                 SharedPmv::with_shards(def, config, 1)
             })
             .collect();
-
-        let maintain_views = |db: &Database, views: &[SharedPmv], batches: &[pmv::storage::DeltaBatch]| {
-            for v in views {
-                v.maintain_all(db, batches).unwrap();
-                v.debug_validate();
-            }
-        };
+        let all: Vec<&SharedPmv> = views.iter().collect();
 
         for step in steps {
             match step {
                 Step::Query { fs, gs } => {
                     let q = eqt_query(&template, &fs, &gs);
-                    let expect = oracle(&db, &q);
+                    let expect = oracle(&edb.read(), &q);
                     for v in &views {
-                        let out = v.run(&db, &q).unwrap();
+                        let out = edb.query(v, &q).unwrap();
                         let mut got = out.all_results();
                         got.sort();
                         prop_assert_eq!(&got, &expect, "pipeline diverged from executor");
@@ -143,49 +128,42 @@ proptest! {
                     }
                 }
                 Step::InsertR { a, c, f } => {
-                    let mut txn = Transaction::begin(&mut db);
-                    txn.insert("r", Tuple::new(vec![
-                        Value::Int(a), Value::Int(c), Value::Int(f),
-                    ])).unwrap();
-                    let batches = txn.commit();
-                    maintain_views(&db, &views, &batches);
+                    commit(&edb, &all, move |txn| txn.insert("r", tuple![a, c, f]).map(drop));
                 }
                 Step::DeleteNthR(nth) => {
-                    if let Some(row) = nth_live_row(&db, "r", nth) {
-                        let mut txn = Transaction::begin(&mut db);
-                        txn.delete("r", row).unwrap();
-                        let batches = txn.commit();
-                        maintain_views(&db, &views, &batches);
+                    let row = nth_live_row(&edb.read(), "r", nth);
+                    if let Some(row) = row {
+                        commit(&edb, &all, move |txn| txn.delete("r", row).map(drop));
                     }
                 }
                 Step::DeleteNthS(nth) => {
-                    if let Some(row) = nth_live_row(&db, "s", nth) {
-                        let mut txn = Transaction::begin(&mut db);
-                        txn.delete("s", row).unwrap();
-                        let batches = txn.commit();
-                        maintain_views(&db, &views, &batches);
+                    let row = nth_live_row(&edb.read(), "s", nth);
+                    if let Some(row) = row {
+                        commit(&edb, &all, move |txn| txn.delete("s", row).map(drop));
                     }
                 }
                 Step::UpdateNthR { nth, new_f } => {
-                    if let Some(row) = nth_live_row(&db, "r", nth) {
-                        let old = db.get("r", row).unwrap();
-                        let mut vals: Vec<Value> = old.values().to_vec();
-                        vals[2] = Value::Int(new_f);
-                        let mut txn = Transaction::begin(&mut db);
-                        txn.update("r", row, Tuple::new(vals)).unwrap();
-                        let batches = txn.commit();
-                        maintain_views(&db, &views, &batches);
+                    let row = nth_live_row(&edb.read(), "r", nth);
+                    if let Some(row) = row {
+                        commit(&edb, &all, move |txn| {
+                            let mut vals: Vec<Value> = txn.get("r", row)?.values().to_vec();
+                            vals[2] = Value::Int(new_f);
+                            txn.update("r", row, Tuple::new(vals)).map(drop)
+                        });
                     }
                 }
                 Step::DeleteMatchingPair(nth) => {
-                    if let Some((r_row, s_row)) = joining_pair(&db, nth) {
-                        let mut txn = Transaction::begin(&mut db);
-                        txn.delete("r", r_row).unwrap();
-                        txn.delete("s", s_row).unwrap();
-                        let batches = txn.commit();
-                        maintain_views(&db, &views, &batches);
+                    let pair = joining_pair(&edb.read(), nth);
+                    if let Some((r_row, s_row)) = pair {
+                        commit(&edb, &all, move |txn| {
+                            txn.delete("r", r_row)?;
+                            txn.delete("s", s_row).map(drop)
+                        });
                     }
                 }
+            }
+            for v in &views {
+                v.debug_validate();
             }
             // The invariant of this whole test: every threshold leaves
             // the join oracle's view state after every step.

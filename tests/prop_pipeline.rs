@@ -5,10 +5,9 @@
 
 mod common;
 
-use common::{eqt_fixture, eqt_query, oracle};
+use common::{commit, eqt_fixture, eqt_query, live_rows, oracle};
 use pmv::cache::PolicyKind;
 use pmv::prelude::*;
-use pmv::query::Transaction;
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -41,6 +40,37 @@ fn policies() -> impl Strategy<Value = PolicyKind> {
     ]
 }
 
+/// Apply one mutating step through `edb`, maintaining `pmv` (queries are
+/// the caller's).
+fn apply(edb: &EpochDb, pmv: &SharedPmv, step: Step) {
+    let row = |nth: usize| {
+        let live = live_rows(&edb.read(), "r");
+        (!live.is_empty()).then(|| live[nth % live.len()])
+    };
+    match step {
+        Step::Query { .. } => {}
+        Step::Insert { a, c, f } => {
+            commit(edb, &[pmv], move |txn| {
+                txn.insert("r", tuple![a, c, f]).map(drop)
+            });
+        }
+        Step::DeleteNth(nth) => {
+            if let Some(row) = row(nth) {
+                commit(edb, &[pmv], move |txn| txn.delete("r", row).map(drop));
+            }
+        }
+        Step::UpdateNth { nth, new_f } => {
+            if let Some(row) = row(nth) {
+                commit(edb, &[pmv], move |txn| {
+                    let mut vals: Vec<Value> = txn.get("r", row)?.values().to_vec();
+                    vals[2] = Value::Int(new_f);
+                    txn.update("r", row, Tuple::new(vals)).map(drop)
+                });
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(60))]
 
@@ -52,56 +82,22 @@ proptest! {
         policy in policies(),
     ) {
         let fx = eqt_fixture(60);
-        let mut db = fx.db;
-        let template = fx.template;
+        let (edb, template) = (EpochDb::new(fx.db), fx.template);
         let def = PartialViewDef::all_equality("prop_pmv", template.clone()).unwrap();
         let pmv = SharedPmv::with_shards(def, PmvConfig::new(f_cap, l, policy), 1);
 
         for step in steps {
-            match step {
-                Step::Query { fs, gs } => {
-                    let q = eqt_query(&template, &fs, &gs);
-                    let expect = oracle(&db, &q);
-                    let out = pmv.run(&db, &q).unwrap();
-                    let mut got = out.all_results();
-                    got.sort();
-                    prop_assert_eq!(got, expect, "pipeline diverged from oracle");
-                    prop_assert_eq!(out.ds_leftover, 0, "stale tuple served");
-                    pmv.debug_validate();
-                }
-                Step::Insert { a, c, f } => {
-                    let mut txn = Transaction::begin(&mut db);
-                    txn.insert("r", pmv::storage::Tuple::new(vec![
-                        Value::Int(a), Value::Int(c), Value::Int(f),
-                    ])).unwrap();
-                    for b in txn.commit() {
-                        pmv.maintain(&db, &b).unwrap();
-                    }
-                }
-                Step::DeleteNth(nth) => {
-                    let victim = nth_live_row(&db, nth);
-                    if let Some(row) = victim {
-                        let mut txn = Transaction::begin(&mut db);
-                        txn.delete("r", row).unwrap();
-                        for b in txn.commit() {
-                            pmv.maintain(&db, &b).unwrap();
-                        }
-                    }
-                }
-                Step::UpdateNth { nth, new_f } => {
-                    let victim = nth_live_row(&db, nth);
-                    if let Some(row) = victim {
-                        let old = db.get("r", row).unwrap();
-                        let mut vals: Vec<Value> = old.values().to_vec();
-                        vals[2] = Value::Int(new_f);
-                        let mut txn = Transaction::begin(&mut db);
-                        txn.update("r", row, pmv::storage::Tuple::new(vals)).unwrap();
-                        for b in txn.commit() {
-                            pmv.maintain(&db, &b).unwrap();
-                        }
-                    }
-                }
+            if let Step::Query { fs, gs } = &step {
+                let q = eqt_query(&template, fs, gs);
+                let expect = oracle(&edb.read(), &q);
+                let out = edb.query(&pmv, &q).unwrap();
+                let mut got = out.all_results();
+                got.sort();
+                prop_assert_eq!(got, expect, "pipeline diverged from oracle");
+                prop_assert_eq!(out.ds_leftover, 0, "stale tuple served");
+                pmv.debug_validate();
             }
+            apply(&edb, &pmv, step);
         }
     }
 
@@ -112,64 +108,19 @@ proptest! {
         steps in proptest::collection::vec(step_strategy(), 1..30),
     ) {
         let fx = eqt_fixture(40);
-        let mut db = fx.db;
-        let template = fx.template;
+        let (edb, template) = (EpochDb::new(fx.db), fx.template);
         let def = PartialViewDef::all_equality("prop_pmv2", template.clone()).unwrap();
         let pmv = SharedPmv::with_shards(def, PmvConfig::new(3, 16, PolicyKind::Clock), 1);
 
         for step in steps {
-            match step {
-                Step::Query { fs, gs } => {
-                    let q = eqt_query(&template, &fs, &gs);
-                    pmv.run(&db, &q).unwrap();
-                }
-                Step::Insert { a, c, f } => {
-                    let mut txn = Transaction::begin(&mut db);
-                    txn.insert("r", pmv::storage::Tuple::new(vec![
-                        Value::Int(a), Value::Int(c), Value::Int(f),
-                    ])).unwrap();
-                    for b in txn.commit() {
-                        pmv.maintain(&db, &b).unwrap();
-                    }
-                }
-                Step::DeleteNth(nth) => {
-                    if let Some(row) = nth_live_row(&db, nth) {
-                        let mut txn = Transaction::begin(&mut db);
-                        txn.delete("r", row).unwrap();
-                        for b in txn.commit() {
-                            pmv.maintain(&db, &b).unwrap();
-                        }
-                    }
-                }
-                Step::UpdateNth { nth, new_f } => {
-                    if let Some(row) = nth_live_row(&db, nth) {
-                        let old = db.get("r", row).unwrap();
-                        let mut vals: Vec<Value> = old.values().to_vec();
-                        vals[2] = Value::Int(new_f);
-                        let mut txn = Transaction::begin(&mut db);
-                        txn.update("r", row, pmv::storage::Tuple::new(vals)).unwrap();
-                        for b in txn.commit() {
-                            pmv.maintain(&db, &b).unwrap();
-                        }
-                    }
-                }
+            if let Step::Query { fs, gs } = &step {
+                edb.query(&pmv, &eqt_query(&template, fs, gs)).unwrap();
             }
+            apply(&edb, &pmv, step);
             // Revalidation must find nothing to remove: all cached tuples
             // are current truth.
-            let removed = pmv.revalidate(&db).unwrap();
+            let removed = pmv.revalidate(&edb.read()).unwrap();
             prop_assert_eq!(removed, 0, "maintenance left a stale tuple behind");
         }
-    }
-}
-
-/// The `nth` live row of relation r (mod live count), or None when empty.
-fn nth_live_row(db: &Database, nth: usize) -> Option<pmv::storage::RowId> {
-    let handle = db.relation("r").unwrap();
-    let guard = handle.read();
-    let live: Vec<_> = guard.iter().map(|(r, _)| r).collect();
-    if live.is_empty() {
-        None
-    } else {
-        Some(live[nth % live.len()])
     }
 }

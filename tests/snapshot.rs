@@ -53,8 +53,9 @@ fn tpcr_snapshot_roundtrip_preserves_query_results() {
     );
     let supp = (100i64 * 31).rem_euclid(tpcr::supplier_count(0.002)) + 1;
     let q = t1_query(&t_rest, &[100], &[supp]).unwrap();
-    let cold = pmv.run(&restored, &q).unwrap();
-    let warm = pmv.run(&restored, &q).unwrap();
+    let edb = EpochDb::new(restored);
+    let cold = edb.query(&pmv, &q).unwrap();
+    let warm = edb.query(&pmv, &q).unwrap();
     assert_eq!(cold.all_results().len(), warm.all_results().len());
     assert_eq!(warm.ds_leftover, 0);
 }
