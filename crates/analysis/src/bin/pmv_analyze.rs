@@ -19,8 +19,8 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pmv_analysis::contracts::{analyze_tree, AnalyzeReport, Level, CONTRACTS};
-use pmv_analysis::sarif::{to_sarif, SarifResult, SarifRule};
+use pmv_analysis::contracts::{analyze_tree, AnalyzeReport, Level};
+use pmv_analysis::sarif::analyzer_sarif;
 
 fn main() -> ExitCode {
     let mut json = false;
@@ -80,7 +80,7 @@ fn main() -> ExitCode {
         return ExitCode::from(3);
     }
 
-    let sarif = render_sarif(&report);
+    let sarif = analyzer_sarif(&report).to_string();
     if let Some(path) = &sarif_out {
         if let Err(e) = std::fs::write(path, &sarif) {
             eprintln!("pmv-analyze: write sarif {}: {e}", path.display());
@@ -127,29 +127,4 @@ fn print_human(report: &AnalyzeReport, deny_warnings: bool) {
         warnings,
         report.allows_used.len()
     );
-}
-
-fn render_sarif(report: &AnalyzeReport) -> String {
-    let rules: Vec<SarifRule> = CONTRACTS
-        .iter()
-        .map(|c| SarifRule {
-            id: c.id.to_string(),
-            short: c.short.to_string(),
-        })
-        .collect();
-    let results: Vec<SarifResult> = report
-        .findings
-        .iter()
-        .map(|f| SarifResult {
-            rule_id: f.rule.to_string(),
-            level: match f.level {
-                Level::Error => "error",
-                Level::Warning => "warning",
-            },
-            message: f.message.clone(),
-            file: Some(f.file.display().to_string()),
-            line: Some(f.line),
-        })
-        .collect();
-    to_sarif("pmv-analyze", &rules, &results)
 }

@@ -19,7 +19,8 @@
 //!    summaries ([`summaries`]), and the table of lock / pin /
 //!    durability contracts with the loop that checks each one both
 //!    directly and through calls ([`contracts`]). Reports render as
-//!    text or SARIF 2.1.0 ([`sarif`]).
+//!    text or SARIF 2.1.0; [`sarif`] builds both halves' JSON documents
+//!    (the two SARIF reports and the verifier's own JSON report).
 //!
 //! ```text
 //! cargo run -p pmv-analysis --bin pmv-analyze -- [--json] [--sarif FILE] [--deny-warnings] [paths…]

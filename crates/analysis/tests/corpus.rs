@@ -225,8 +225,8 @@ fn valid_join_template_with_fixed_pred() {
 #[test]
 fn json_rendering_is_well_formed_for_denials() {
     let report = verify_default(&interval_template(), &[None]);
-    let json = report.to_json();
-    assert!(json.starts_with("{\"denied\":true"));
-    assert!(json.contains("\"code\":\"PMV001\""));
-    assert!(json.contains("\"paper_section\":"));
+    let json = pmv_analysis::sarif::verify_json(&report);
+    assert_eq!(json["denied"], true);
+    assert_eq!(json["diagnostics"][0]["code"], "PMV001");
+    assert!(json["diagnostics"][0]["paper_section"].as_str().is_some());
 }

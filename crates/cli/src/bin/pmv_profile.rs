@@ -5,10 +5,11 @@
 //! ```
 //!
 //! Each path is a flight-recorder spool directory (its `flight-*.json`
-//! dumps are read in sequence order), a single dump file, or a
-//! previously rendered `--json` report. The inputs merge into one
-//! ranked report: contention sites by total lock wait, templates by
-//! serving+maintenance cost, pipeline stages by total recorded time.
+//! dumps are read in sequence order) or a single dump file. Each view's
+//! latest dump parses back into its metrics, and the report is derived
+//! from them exactly as the live `profile` command derives it:
+//! contention sites by total lock wait, templates by serving +
+//! maintenance cost, pipeline stages by total recorded time.
 //!
 //! Exit codes: 0 on a report, 1 when an input is unreadable or nothing
 //! parses, 2 for usage errors.
@@ -16,7 +17,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: pmv-profile [--json] <spool-dir|dump.json|report.json>...";
+const USAGE: &str = "usage: pmv-profile [--json] <spool-dir|dump.json>...";
 
 fn main() -> ExitCode {
     let mut json = false;
@@ -42,7 +43,7 @@ fn main() -> ExitCode {
     match pmv_cli::profile::report_from_paths(&paths) {
         Ok(report) => {
             if json {
-                println!("{}", report.to_json());
+                println!("{}", pmv_cli::profile::profile_json(&report));
             } else {
                 print!("{}", report.render_human());
             }

@@ -36,7 +36,7 @@ use std::sync::Arc;
 use pmv_cache::PolicyKind;
 use pmv_core::{
     AdvisorConfig, Discretizer, Durability, EpochDb, PartialViewDef, PmvAdvisor, PmvConfig,
-    PmvManager, QueryOutcome, SharedPmv, VerifyOptions, ViewSpec,
+    PmvManager, QueryOutcome, VerifyOptions, ViewSpec,
 };
 use pmv_query::{
     parse_template, CondForm, Condition, Database, Interval, QueryInstance, QueryTemplate,
@@ -132,49 +132,6 @@ impl From<pmv_core::CoreError> for CliError {
 
 fn usage(msg: impl Into<String>) -> CliError {
     CliError::Usage(msg.into())
-}
-
-/// Render a template-verifier report as the same SARIF 2.1.0 document
-/// shape `pmv-analyze` emits. Verifier diagnostics have no source
-/// location — they describe a view definition — so results carry no
-/// `locations` array; the dimension/relation context folds into the
-/// message text.
-fn verifier_sarif(report: &pmv_core::VerifyReport) -> String {
-    use pmv_analysis::sarif::{to_sarif, SarifResult, SarifRule};
-    use pmv_core::verify::{DiagCode, Severity};
-
-    let rules: Vec<SarifRule> = DiagCode::ALL
-        .iter()
-        .map(|c| SarifRule {
-            id: c.code().to_string(),
-            short: format!("{} (paper §{})", c.name(), c.paper_section()),
-        })
-        .collect();
-    let results: Vec<SarifResult> = report
-        .diagnostics
-        .iter()
-        .map(|d| {
-            let mut message = d.message.clone();
-            if let Some(dim) = d.dimension {
-                let _ = write!(message, " [dimension {dim}]");
-            }
-            if let Some(rel) = d.relation {
-                let _ = write!(message, " [relation {rel}]");
-            }
-            SarifResult {
-                rule_id: d.code.code().to_string(),
-                level: match d.severity {
-                    Severity::Deny => "error",
-                    Severity::Warn => "warning",
-                    Severity::Allow => "note",
-                },
-                message,
-                file: None,
-                line: None,
-            }
-        })
-        .collect();
-    to_sarif("pmv-verify", &rules, &results)
 }
 
 /// Parse a policy option value (`pmv … policy=…` and checkpointed view
@@ -601,10 +558,10 @@ impl Session {
         let discretizers = default_discretizers(&template);
         let report = pmv_core::verify_parts(&template, &discretizers, &config, &opts);
         if sarif {
-            return Ok(verifier_sarif(&report));
+            return Ok(pmv_analysis::sarif::verifier_sarif(&report).to_string());
         }
         if json {
-            return Ok(report.to_json());
+            return Ok(pmv_analysis::sarif::verify_json(&report).to_string());
         }
         let verdict = if report.denied() {
             "DENIED (registration would be rejected)"
@@ -704,26 +661,10 @@ impl Session {
     }
 
     /// The exportable telemetry: every view in registration order, then
-    /// the database as a `__db` pseudo-view — snapshot-publish efficacy
-    /// plus the commit-pipeline phases (and, on a durable session, the
-    /// WAL / checkpoint / recovery phases) of the host's registry.
+    /// the host's `__db` row ([`EpochDb::metrics`]).
     fn view_metrics(&self) -> Vec<pmv_obs::ViewMetrics> {
         let mut views = self.views.metrics_views();
-        let ss = self.db.snap_stats();
-        views.push(pmv_obs::ViewMetrics {
-            name: "__db".to_string(),
-            health: "healthy".to_string(),
-            error_rate: 0.0,
-            trips: 0,
-            last_verified_age_ms: 0,
-            counters: vec![
-                ("snap_publishes", ss.publishes),
-                ("snap_entries_reused", ss.reused),
-                ("snap_entries_recaptured", ss.recaptured),
-            ],
-            gauges: vec![("snap_reuse_ratio", ss.reuse_ratio())],
-            phases: self.db.obs().snapshots(),
-        });
+        views.push(self.db.metrics());
         views
     }
 
@@ -753,19 +694,17 @@ impl Session {
         let views = self.view_metrics();
         match format {
             "prometheus" => Ok(pmv_obs::to_prometheus(&views)),
-            "json" => Ok(pmv_obs::to_json(&views)),
+            "json" => Ok(pmv_wal::telemetry::metrics_json(&views).to_string()),
             _ => {
                 let mut out = String::new();
                 for v in &views {
-                    let queries = v
-                        .counters
-                        .iter()
-                        .find(|(n, _)| *n == "queries")
-                        .map_or(0, |&(_, c)| c);
                     let _ = writeln!(
                         out,
-                        "{} [{}] queries={queries} error_rate={:.3}",
-                        v.name, v.health, v.error_rate
+                        "{} [{}] queries={} error_rate={:.3}",
+                        v.name,
+                        v.health,
+                        v.counter("queries"),
+                        v.error_rate
                     );
                     for (phase, snap) in &v.phases {
                         if snap.count() == 0 {
@@ -790,8 +729,8 @@ impl Session {
     /// `profile [--json]` — a live profile report for this session:
     /// contention sites ranked by total lock wait, templates by
     /// serving+maintenance cost, pipeline stages by share of recorded
-    /// time. The offline twin (`pmv-profile`) reads the same report
-    /// shape back from flight dumps.
+    /// time. The offline twin (`pmv-profile`) derives the same report
+    /// from the metrics in each view's latest flight dump.
     fn cmd_profile(&mut self, rest: &str) -> Result<String, CliError> {
         let mut json = false;
         for opt in rest.split_whitespace() {
@@ -802,64 +741,31 @@ impl Session {
         }
         let report = self.live_profile();
         Ok(if json {
-            report.to_json()
+            profile::profile_json(&report).to_string()
         } else {
             report.render_human()
         })
     }
 
-    /// Assemble the live [`pmv_obs::ProfileReport`]: merge every
-    /// registry's phase histograms (each view's serving registry plus
-    /// the host's commit/WAL registry), split them into contention vs
-    /// pipeline, and rank the views' derived template costs.
+    /// The live [`pmv_obs::ProfileReport`]: the one derivation over
+    /// every view's metrics and the host's `__db` row, plus session
+    /// notes.
     fn live_profile(&self) -> pmv_obs::ProfileReport {
-        let mut merged: Vec<(&'static str, pmv_obs::HistSnapshot)> = Vec::new();
-        let registries = self
-            .views
-            .views()
-            .map(|v| v.obs().snapshots())
-            .chain([self.db.obs().snapshots()]);
-        for phases in registries {
-            for (name, snap) in phases {
-                match merged.iter_mut().find(|(n, _)| *n == name) {
-                    Some((_, acc)) => acc.merge(&snap),
-                    None => merged.push((name, snap)),
-                }
-            }
-        }
-        let (contention, pipeline) = pmv_obs::profile::split_phases(&merged);
-
-        let templates = self
-            .views
-            .views()
-            .map(SharedPmv::template_cost)
-            .filter(|t| t.queries > 0 || t.maint_join_us > 0)
-            .collect();
-
-        let mut notes = Vec::new();
+        let mut report = pmv_obs::ProfileReport::from_views("live session", &self.view_metrics());
         if let Some(fr) = &self.flight {
-            notes.push(format!(
+            report.notes.push(format!(
                 "{} flight dump(s) written this session",
                 fr.dumps_written()
             ));
         }
         let ss = self.db.snap_stats();
-        notes.push(format!(
+        report.notes.push(format!(
             "snapshot publishes: {} ({} entry reuse(s), {} recapture(s), reuse ratio {:.2})",
             ss.publishes,
             ss.reused,
             ss.recaptured,
             ss.reuse_ratio()
         ));
-
-        let mut report = pmv_obs::ProfileReport {
-            source: "live session".to_string(),
-            contention,
-            templates,
-            pipeline,
-            notes,
-        };
-        report.rank();
         report
     }
 
@@ -1233,11 +1139,11 @@ mod tests {
         // Two publishes: the empty database at open, the load. Reads
         // pin the published snapshot; they never publish.
         assert!(out.contains("snapshot publishes: 2"), "{out}");
-        let json = s.execute("profile --json").unwrap();
-        assert!(json.starts_with("{\"source\":\"live session\""), "{json}");
-        assert!(json.contains("\"template\":\"t1\""), "{json}");
-        assert!(json.contains("\"queries\":3"), "{json}");
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
+        let json: serde_json::Value =
+            serde_json::from_str(&s.execute("profile --json").unwrap()).unwrap();
+        assert_eq!(json["source"], "live session");
+        assert_eq!(json["templates"][0]["template"], "t1");
+        assert_eq!(json["templates"][0]["queries"], 3u64);
         assert!(matches!(
             s.execute("profile bogus"),
             Err(CliError::Usage(_))

@@ -1,14 +1,21 @@
-//! Every hand-rolled JSON document goes through the one RFC 8259
-//! escaper (`pmv_obs::json_escape`): a name holding a tab, a carriage
-//! return and a raw control byte comes out as legal JSON and parses back
-//! unchanged. The byte check matters — `shims/serde_json` accepts raw
-//! control bytes inside strings, a conforming parser does not.
+//! Every JSON document is a `serde_json::Value` printed by the shim's
+//! writer: a name holding a tab, a carriage return and a raw control
+//! byte comes out as legal JSON and parses back unchanged, in the
+//! metrics document, a flight dump and its traces, the profile report,
+//! the verifier's `analyze … json` and `analyze … sarif` documents, and
+//! `pmv-analyze`'s SARIF. The byte check matters — `shims/serde_json`
+//! accepts raw control bytes inside strings, a conforming parser does
+//! not.
+
+use std::sync::Arc;
+use std::time::Duration;
 
 use pmv_cache::PolicyKind;
-use pmv_core::{EpochDb, PartialViewDef, PmvConfig, SharedPmv};
-use pmv_obs::{ProfileReport, TemplateCost};
+use pmv_core::{EpochDb, PartialViewDef, PmvConfig, SharedPmv, VerifyOptions};
+use pmv_obs::{FlightRecorder, ProfileReport};
 use pmv_query::{Condition, Database, TemplateBuilder};
 use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
+use pmv_wal::DiskSpool;
 use serde_json::Value as Json;
 
 const NAME: &str = "a\tb\r\u{1}";
@@ -19,6 +26,13 @@ fn parse_strict(doc: &str) -> Json {
         "raw control byte in JSON output: {doc:?}"
     );
     serde_json::from_str(doc).unwrap_or_else(|e| panic!("{e}: {doc}"))
+}
+
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("pmv-hostile-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
 }
 
 #[test]
@@ -38,33 +52,64 @@ fn hostile_names_render_as_legal_json_and_parse_back() {
         .unwrap();
     let def = PartialViewDef::all_equality(NAME, template.clone()).unwrap();
     let view = SharedPmv::with_shards(def, PmvConfig::new(2, 8, PolicyKind::Clock), 1);
+    let spool_dir = scratch("spool");
+    let fr = Arc::new(FlightRecorder::new(
+        Box::new(DiskSpool::open(&spool_dir, 1 << 20).unwrap()),
+        1,
+    ));
+    fr.set_latency_threshold(Some(Duration::ZERO));
+    view.attach_flight(fr);
     let q = template
         .bind(vec![Condition::Equality(vec![Value::Int(2)])])
         .unwrap();
     EpochDb::new(db).query(&view, &q).unwrap();
 
-    let metrics = parse_strict(&pmv_obs::to_json(&[view.metrics()]));
-    let views = metrics.get("views").and_then(Json::as_array).unwrap();
-    assert_eq!(views[0].get("name").and_then(Json::as_str), Some(NAME));
+    let metrics = parse_strict(&pmv_wal::telemetry::metrics_json(&[view.metrics()]).to_string());
+    assert_eq!(metrics["views"][0]["name"], NAME);
+    assert_eq!(metrics["views"][0]["template"], NAME);
 
-    let trace = parse_strict(&view.obs().trace().tail(1)[0].to_json());
-    assert_eq!(trace.get("template").and_then(Json::as_str), Some(NAME));
+    let dump_path = std::fs::read_dir(&spool_dir).unwrap().next().unwrap();
+    let dump = parse_strict(&std::fs::read_to_string(dump_path.unwrap().path()).unwrap());
+    assert_eq!(dump["view"], NAME);
+    assert_eq!(dump["metrics"]["name"], NAME);
+    assert_eq!(dump["metrics"]["template"], NAME);
+    assert_eq!(dump["traces"][0]["template"], NAME);
 
-    let cost: TemplateCost = view.template_cost();
-    assert_eq!(cost.template, NAME);
-    let report = ProfileReport {
-        source: NAME.to_string(),
-        templates: vec![cost],
-        notes: vec![NAME.to_string()],
-        ..Default::default()
-    };
-    let profile = parse_strict(&report.to_json());
-    assert_eq!(profile.get("source").and_then(Json::as_str), Some(NAME));
-    let templates = profile.get("templates").and_then(Json::as_array).unwrap();
-    assert_eq!(
-        templates[0].get("template").and_then(Json::as_str),
-        Some(NAME)
+    let mut report = ProfileReport::from_views(NAME, &[view.metrics()]);
+    report.notes.push(NAME.to_string());
+    let profile = parse_strict(&pmv_cli::profile::profile_json(&report).to_string());
+    assert_eq!(profile["source"], NAME);
+    assert_eq!(profile["templates"][0]["template"], NAME);
+    assert_eq!(profile["notes"][0], NAME);
+
+    // One discretizer slot too many: PMV001 names the template.
+    let report = pmv_core::verify_parts(
+        &template,
+        &[None, None],
+        &PmvConfig::default(),
+        &VerifyOptions::default(),
     );
-    let notes = profile.get("notes").and_then(Json::as_array).unwrap();
-    assert_eq!(notes[0].as_str(), Some(NAME));
+    let named = |text: &Json| text.as_str().is_some_and(|t| t.contains(NAME));
+    let json = parse_strict(&pmv_analysis::sarif::verify_json(&report).to_string());
+    assert!(named(&json["diagnostics"][0]["message"]), "{json}");
+    let sarif = parse_strict(&pmv_analysis::sarif::verifier_sarif(&report).to_string());
+    assert!(named(&sarif["runs"][0]["results"][0]["message"]["text"]));
+
+    let _ = std::fs::remove_dir_all(&spool_dir);
+}
+
+#[test]
+fn pmv_analyze_sarif_carries_a_hostile_file_name() {
+    let dir = scratch("analyze");
+    let file = dir.join(format!("{NAME}.rs"));
+    std::fs::write(
+        &file,
+        "fn fx_peek(c: &AtomicU64) {\n    c.load(Ordering::Relaxed);\n}\n",
+    )
+    .unwrap();
+    let report = pmv_analysis::contracts::analyze_tree(std::slice::from_ref(&dir)).unwrap();
+    let sarif = parse_strict(&pmv_analysis::sarif::analyzer_sarif(&report).to_string());
+    let location = &sarif["runs"][0]["results"][0]["locations"][0]["physicalLocation"];
+    assert_eq!(location["artifactLocation"]["uri"], file.to_str().unwrap());
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -56,8 +56,8 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Mutex, RwLock};
 use pmv_obs::{
-    EventKind, FlightRecorder, ObsRegistry, Phase, SpaceSaving, TemplateCost, TraceKind,
-    TriggerReason, DEFAULT_SKETCH_CAPACITY,
+    EventKind, FlightRecorder, ObsRegistry, Phase, SpaceSaving, TraceKind, TriggerReason,
+    ViewMetrics, DEFAULT_SKETCH_CAPACITY,
 };
 use pmv_query::{execute, Database, DbSnapshot, QueryInstance};
 use pmv_storage::Tuple;
@@ -501,23 +501,12 @@ impl SharedPmv {
     }
 
     /// Unconditionally dump the flight recorder (if attached and within
-    /// its dump budget): the trace-ring tail plus a full counter and
-    /// phase-histogram snapshot, spooled through the recorder's sink.
+    /// its dump budget): the trace-ring tail plus [`Self::metrics`],
+    /// spooled through the recorder's sink.
     pub fn flight_dump(&self, reason: TriggerReason, total: Duration) -> Option<PathBuf> {
-        let inner = &*self.inner;
-        let fr = inner.flight.get()?;
-        let traces = inner.obs.trace().tail(FLIGHT_TRACE_TAIL);
-        let metrics = pmv_obs::spool::metrics_json_from(
-            &inner.stats.snapshot().as_pairs(),
-            &inner.obs.snapshots(),
-        );
-        fr.trigger(
-            reason,
-            &inner.trace_name,
-            total.as_micros() as u64,
-            &traces,
-            &metrics,
-        )
+        let fr = self.inner.flight.get()?;
+        let traces = self.inner.obs.trace().tail(FLIGHT_TRACE_TAIL);
+        fr.trigger(reason, total.as_micros() as u64, traces, self.metrics())
     }
 
     /// True when `self` and `other` are handles to the same underlying
@@ -655,58 +644,42 @@ impl SharedPmv {
 
     /// Exportable telemetry: every `PmvStats` counter, the derived
     /// probability gauges, breaker state, and the per-phase latency
-    /// snapshots — the feed for `pmv_obs::to_prometheus` / `to_json`.
-    pub fn metrics(&self) -> pmv_obs::ViewMetrics {
+    /// snapshots — the feed for `pmv_obs::to_prometheus`, the JSON
+    /// documents of `pmv_wal::telemetry`, flight dumps and the profile
+    /// report's template row.
+    pub fn metrics(&self) -> ViewMetrics {
         let stats = self.stats();
-        pmv_obs::ViewMetrics {
+        let mut counters = stats.as_pairs();
+        // The two O2 outcomes no single counter holds (a hit is
+        // `serving_queries`): entry found but nothing servable, and no
+        // probed bcp cached at all. Saturating: a snapshot taken under
+        // load may mix adjacent relaxed updates.
+        let hits = stats.bcp_hit_queries;
+        counters.push(("o2_partial", hits.saturating_sub(stats.serving_queries)));
+        counters.push(("o2_miss", stats.queries.saturating_sub(hits)));
+        let gauges = [
+            ("hit_probability", stats.hit_probability()),
+            ("serving_probability", stats.serving_probability()),
+            ("degraded_query_rate", stats.degraded_query_rate()),
+            ("store_bytes", self.byte_size() as f64),
+            ("occupancy", self.occupancy()),
+        ];
+        ViewMetrics {
             name: self.def().name().to_string(),
+            template: Some(self.def().template().name().to_string()),
             health: self.health().as_str().to_string(),
             error_rate: self.breaker().error_rate(),
             trips: self.breaker().trip_count(),
             last_verified_age_ms: self.staleness().as_millis() as u64,
-            counters: {
-                // The two O2 outcomes no single counter holds (a hit is
-                // `serving_queries`): entry found but nothing servable,
-                // and no probed bcp cached at all. Saturating: a snapshot
-                // taken under load may mix adjacent relaxed updates.
-                let hits = stats.bcp_hit_queries;
-                let mut counters = stats.as_pairs();
-                counters.push(("o2_partial", hits.saturating_sub(stats.serving_queries)));
-                counters.push(("o2_miss", stats.queries.saturating_sub(hits)));
-                counters
-            },
-            gauges: vec![
-                ("hit_probability", stats.hit_probability()),
-                ("serving_probability", stats.serving_probability()),
-                ("degraded_query_rate", stats.degraded_query_rate()),
-                ("store_bytes", self.byte_size() as f64),
-                ("occupancy", self.occupancy()),
-            ],
+            counters: counters
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+            gauges: gauges
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
             phases: self.obs().snapshots(),
-        }
-    }
-
-    /// This view's row of the profile report's template ranking, derived
-    /// on the spot from the counters, the `ttfr` / `full` / `maint_join`
-    /// histograms and the store size — what the per-template statistics
-    /// of view selection (Mistry et al.) need, with nothing recorded
-    /// twice on the serving path.
-    pub fn template_cost(&self) -> TemplateCost {
-        let stats = self.stats();
-        let ttfr = self.obs().snapshot(Phase::ttfr);
-        let full = self.obs().snapshot(Phase::full);
-        let maint_ns = self.obs().snapshot(Phase::maint_join).sum_ns();
-        TemplateCost {
-            template: self.def().template().name().to_string(),
-            queries: stats.queries,
-            hit_rate: stats.serving_probability(),
-            ttfr_p50_us: ttfr.quantile(0.5).as_micros() as u64,
-            ttfr_p99_us: ttfr.quantile(0.99).as_micros() as u64,
-            full_p99_us: full.quantile(0.99).as_micros() as u64,
-            o3_rows_scanned: stats.o3_rows_scanned,
-            maint_join_us: maint_ns / 1_000,
-            bytes_resident: self.byte_size() as u64,
-            cost_us: full.sum_ns().saturating_add(maint_ns) / 1_000,
         }
     }
 

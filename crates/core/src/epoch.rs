@@ -69,7 +69,7 @@ use std::time::Instant;
 use std::path::{Path, PathBuf};
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
-use pmv_obs::{HistSnapshot, LatencyHistogram, ObsRegistry, Phase};
+use pmv_obs::{HistSnapshot, LatencyHistogram, ObsRegistry, Phase, ViewMetrics};
 use pmv_query::{Database, DbSnapshot, QueryInstance};
 use pmv_storage::DeltaBatch;
 use pmv_sync::LeftRight;
@@ -515,6 +515,30 @@ impl EpochDb {
     /// reused (pointer-shared) — the SnapCache reuse ratio.
     pub fn snap_stats(&self) -> pmv_query::SnapStats {
         self.db.read().snap_stats()
+    }
+
+    /// The host's telemetry as a `__db` row beside the views': the
+    /// snapshot-publish counters and reuse ratio, and this registry's
+    /// commit-pipeline phases (plus, on a durable database, the
+    /// WAL/checkpoint/recovery phases).
+    pub fn metrics(&self) -> ViewMetrics {
+        let ss = self.snap_stats();
+        let counters = [
+            ("snap_publishes", ss.publishes),
+            ("snap_entries_reused", ss.reused),
+            ("snap_entries_recaptured", ss.recaptured),
+        ];
+        ViewMetrics {
+            name: "__db".to_string(),
+            health: "healthy".to_string(),
+            counters: counters
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+            gauges: [("snap_reuse_ratio".to_string(), ss.reuse_ratio())].into(),
+            phases: self.obs.snapshots(),
+            ..ViewMetrics::default()
+        }
     }
 
     /// Pin-cache hit rate in `[0, 1]` (0 before any pin is published).

@@ -43,10 +43,11 @@
 //! * [`verify`] — registration-time static verifier, diagnostics
 //!   `PMV001..PMV006` (see DESIGN.md §12)
 //!
-//! Observability (per-phase latency histograms, lifecycle traces, and
-//! the Prometheus/JSON export layer) lives in the dependency-free
-//! `pmv-obs` crate; its core types are re-exported here (see
-//! DESIGN.md §13).
+//! Observability (per-phase latency histograms, lifecycle traces, the
+//! per-view [`ViewMetrics`] and its Prometheus rendering) lives in the
+//! dependency-free `pmv-obs` crate; its core types are re-exported here.
+//! Their JSON documents are written and read by `pmv_wal::telemetry`
+//! (see DESIGN.md §13).
 
 pub mod advisor;
 pub mod bcp;

@@ -269,33 +269,6 @@ impl VerifyReport {
         }
         out
     }
-
-    /// Machine-readable rendering for the CLI `analyze --json` mode and
-    /// tooling. Self-contained (the workspace's `serde_json` shim has no
-    /// serializer derive, and the payload is flat).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"denied\":");
-        out.push_str(if self.denied() { "true" } else { "false" });
-        out.push_str(",\"diagnostics\":[");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"code\":\"{}\",\"name\":\"{}\",\"severity\":\"{}\",\"paper_section\":\"{}\",\
-                 \"dimension\":{},\"relation\":{},\"message\":\"{}\"}}",
-                d.code.code(),
-                d.code.name(),
-                d.severity,
-                d.code.paper_section(),
-                d.dimension.map_or("null".into(), |v| v.to_string()),
-                d.relation.map_or("null".into(), |v| v.to_string()),
-                pmv_obs::json_escape(&d.message)
-            ));
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 impl fmt::Display for VerifyReport {

@@ -1,27 +1,32 @@
-//! Export layer: Prometheus text format and JSON snapshots.
+//! The per-view telemetry model, [`ViewMetrics`], and its Prometheus
+//! rendering.
 //!
-//! The serde_json shim has no serializer derive, so JSON is hand-rolled;
-//! every string goes through [`json_escape`], here and in the other
-//! crates' renderers (`VerifyReport::to_json`, the SARIF writer). The
-//! Prometheus rendering follows the text exposition format: counters as
-//! `pmv_<name>_total`, per-phase latencies as summary-style quantile
-//! gauges (`quantile="0.5|0.9|0.99"`) plus `_sum`/`_count`/`_max` —
-//! rather than 496 `le`-labelled buckets, which would swamp scrapes for
-//! no added fidelity beyond the ≤12.5% bucket error.
+//! `ViewMetrics` is data only: the JSON document it becomes (and is
+//! parsed back from) is written by `pmv_wal::telemetry`, where the
+//! `serde_json` shim is already linked. The Prometheus rendering follows
+//! the text exposition format: counters as `pmv_<name>_total`,
+//! per-phase latencies as summary-style quantile gauges
+//! (`quantile="0.5|0.9|0.99"`) plus `_sum`/`_count`/`_max` — rather than
+//! 496 `le`-labelled buckets, which would swamp scrapes for no added
+//! fidelity beyond the ≤12.5% bucket error.
 
 use crate::hist::HistSnapshot;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 /// Quantiles exported for every phase histogram.
 pub const EXPORT_QUANTILES: [(f64, &str); 3] = [(0.5, "0.5"), (0.9, "0.9"), (0.99, "0.99")];
 
 /// One view's exportable telemetry: identity/health plus the counter,
-/// gauge, and per-phase histogram series. Built by `PmvManager` (or the
-/// CLI) from `PmvStats`, the circuit breaker, and the obs registry.
-#[derive(Clone, Debug)]
+/// gauge, and per-phase histogram series. Built by `SharedPmv::metrics`
+/// from `PmvStats`, the circuit breaker and the obs registry, and by
+/// `EpochDb::metrics` for the host's `__db` row.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ViewMetrics {
-    /// View (template) name — the `view` label.
+    /// View name — the `view` label.
     pub name: String,
+    /// Template the view caches; `None` for a host row such as `__db`.
+    pub template: Option<String>,
     /// Breaker state name (`healthy` / `degraded` / `quarantined`).
     pub health: String,
     /// Breaker windowed error rate in `[0, 1]`.
@@ -31,12 +36,33 @@ pub struct ViewMetrics {
     /// Milliseconds since the view was last verified consistent
     /// (maintenance or revalidation) — the staleness age.
     pub last_verified_age_ms: u64,
-    /// Monotonic counters (name, value), e.g. from `PmvStats::as_pairs`.
-    pub counters: Vec<(&'static str, u64)>,
-    /// Derived gauges (name, value), e.g. hit probability.
-    pub gauges: Vec<(&'static str, f64)>,
-    /// Per-phase latency snapshots (phase name, histogram).
+    /// Monotonic counters by name, e.g. from `PmvStats::as_pairs`.
+    pub counters: BTreeMap<String, u64>,
+    /// Derived gauges by name, e.g. hit probability.
+    pub gauges: BTreeMap<String, f64>,
+    /// Per-phase latency snapshots (phase name, histogram), in
+    /// `Phase::ALL` order.
     pub phases: Vec<(&'static str, HistSnapshot)>,
+}
+
+impl ViewMetrics {
+    /// Counter `name`, 0 when absent.
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters.get(name).copied().unwrap_or(0)
+    }
+
+    /// Gauge `name`, 0 when absent.
+    pub fn gauge(&self, name: &str) -> f64 {
+        self.gauges.get(name).copied().unwrap_or(0.0)
+    }
+
+    /// Phase histogram `name`, empty when absent.
+    pub fn phase(&self, name: &str) -> HistSnapshot {
+        self.phases
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or_else(HistSnapshot::empty, |(_, h)| h.clone())
+    }
 }
 
 /// Render a fleet of views in the Prometheus text exposition format.
@@ -102,14 +128,10 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
 
     // Counters: one HELP/TYPE pair per metric name, then every view's
     // sample.
-    let mut counter_names: Vec<&'static str> = Vec::new();
-    for v in views {
-        for &(name, _) in &v.counters {
-            if !counter_names.contains(&name) {
-                counter_names.push(name);
-            }
-        }
-    }
+    let counter_names: BTreeSet<&str> = views
+        .iter()
+        .flat_map(|v| v.counters.keys().map(String::as_str))
+        .collect();
     for name in counter_names {
         let _ = writeln!(
             out,
@@ -117,7 +139,7 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
         );
         let _ = writeln!(out, "# TYPE pmv_{name}_total counter");
         for v in views {
-            if let Some(&(_, value)) = v.counters.iter().find(|(n, _)| *n == name) {
+            if let Some(value) = v.counters.get(name) {
                 let _ = writeln!(
                     out,
                     "pmv_{name}_total{{view=\"{}\"}} {value}",
@@ -127,14 +149,10 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
         }
     }
 
-    let mut gauge_names: Vec<&'static str> = Vec::new();
-    for v in views {
-        for &(name, _) in &v.gauges {
-            if !gauge_names.contains(&name) {
-                gauge_names.push(name);
-            }
-        }
-    }
+    let gauge_names: BTreeSet<&str> = views
+        .iter()
+        .flat_map(|v| v.gauges.keys().map(String::as_str))
+        .collect();
     for name in gauge_names {
         let _ = writeln!(
             out,
@@ -142,7 +160,7 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
         );
         let _ = writeln!(out, "# TYPE pmv_{name} gauge");
         for v in views {
-            if let Some(&(_, value)) = v.gauges.iter().find(|(n, _)| *n == name) {
+            if let Some(&value) = v.gauges.get(name) {
                 let _ = writeln!(
                     out,
                     "pmv_{name}{{view=\"{}\"}} {}",
@@ -201,87 +219,6 @@ pub fn to_prometheus(views: &[ViewMetrics]) -> String {
     out
 }
 
-/// Render a fleet of views as one JSON document:
-/// `{"views":[{...,"phases":{"ttfr":{"count":..,"p50_us":..},..}},..]}`.
-pub fn to_json(views: &[ViewMetrics]) -> String {
-    let mut out = String::with_capacity(2048);
-    out.push_str("{\"views\":[");
-    for (i, v) in views.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"health\":\"{}\",\"error_rate\":{},\"trips\":{},\
-             \"last_verified_age_ms\":{}",
-            json_escape(&v.name),
-            json_escape(&v.health),
-            fmt_f64(v.error_rate),
-            v.trips,
-            v.last_verified_age_ms
-        );
-        out.push_str(",\"counters\":{");
-        for (j, (name, value)) in v.counters.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{value}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (j, (name, value)) in v.gauges.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{name}\":{}", fmt_f64(*value));
-        }
-        out.push_str("},\"phases\":{");
-        for (j, (phase, snap)) in v.phases.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{phase}\":{}", phase_json(snap));
-        }
-        out.push_str("}}");
-    }
-    out.push_str("]}");
-    out
-}
-
-/// One phase histogram as a JSON object with microsecond percentiles.
-pub fn phase_json(snap: &HistSnapshot) -> String {
-    format!(
-        "{{\"count\":{},\"sum_us\":{},\"p50_us\":{},\"p90_us\":{},\"p99_us\":{},\"max_us\":{}}}",
-        snap.count(),
-        snap.sum_ns() / 1_000,
-        snap.quantile(0.5).as_micros(),
-        snap.quantile(0.9).as_micros(),
-        snap.quantile(0.99).as_micros(),
-        snap.max().as_micros()
-    )
-}
-
-/// The body of a JSON string literal (RFC 8259 §7): `"` and `\` get
-/// their two-character escapes, every control character below 0x20 its
-/// short escape or `\u00XX` — the one escaper every hand-rolled JSON
-/// renderer in the workspace goes through.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// A Prometheus label value: `\`, `"` and newline become two-character
 /// escapes — the exact set the text exposition format defines.
 fn label_esc(s: &str) -> String {
@@ -314,6 +251,13 @@ mod tests {
     use crate::hist::LatencyHistogram;
     use std::time::Duration;
 
+    fn named<V>(pairs: &[(&str, V)]) -> BTreeMap<String, V>
+    where
+        V: Copy,
+    {
+        pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+    }
+
     fn sample() -> Vec<ViewMetrics> {
         let h = LatencyHistogram::new();
         for us in [100u64, 200, 900, 5_000] {
@@ -323,12 +267,11 @@ mod tests {
             ViewMetrics {
                 name: "t1".into(),
                 health: "healthy".into(),
-                error_rate: 0.0,
-                trips: 0,
                 last_verified_age_ms: 12,
-                counters: vec![("queries", 4), ("bcp_hit_queries", 3)],
-                gauges: vec![("hit_probability", 0.75)],
+                counters: named(&[("queries", 4), ("bcp_hit_queries", 3)]),
+                gauges: named(&[("hit_probability", 0.75)]),
                 phases: vec![("ttfr", h.snapshot()), ("full", HistSnapshot::empty())],
+                ..Default::default()
             },
             ViewMetrics {
                 name: "t2".into(),
@@ -336,9 +279,8 @@ mod tests {
                 error_rate: 0.25,
                 trips: 1,
                 last_verified_age_ms: 9_000,
-                counters: vec![("queries", 8)],
-                gauges: vec![],
-                phases: vec![],
+                counters: named(&[("queries", 8)]),
+                ..Default::default()
             },
         ]
     }
@@ -380,30 +322,9 @@ mod tests {
     }
 
     #[test]
-    fn json_is_balanced_and_complete() {
-        let j = to_json(&sample());
-        assert!(j.starts_with("{\"views\":["), "{j}");
-        assert!(j.contains("\"name\":\"t1\""), "{j}");
-        assert!(j.contains("\"counters\":{\"queries\":4"), "{j}");
-        assert!(j.contains("\"p99_us\""), "{j}");
-        assert!(j.contains("\"health\":\"degraded\""), "{j}");
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
-    }
-
-    #[test]
-    fn empty_phase_exports_zeroes() {
-        let p = phase_json(&HistSnapshot::empty());
-        assert_eq!(
-            p,
-            "{\"count\":0,\"sum_us\":0,\"p50_us\":0,\"p90_us\":0,\"p99_us\":0,\"max_us\":0}"
-        );
-    }
-
-    #[test]
     fn non_finite_gauges_render_as_zero() {
         let mut views = sample();
-        views[0].gauges.push(("bad", f64::NAN));
+        views[0].gauges.insert("bad".into(), f64::NAN);
         let text = to_prometheus(&views);
         assert!(text.contains("pmv_bad{view=\"t1\"} 0"), "{text}");
     }

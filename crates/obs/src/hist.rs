@@ -196,6 +196,27 @@ impl HistSnapshot {
     pub fn buckets(&self) -> &[u64; BUCKETS] {
         &self.buckets
     }
+
+    /// Rebuild a snapshot from its non-zero `(bucket, count)` pairs and
+    /// exact sum and max — the inverse of reading [`Self::buckets`],
+    /// [`Self::sum_ns`] and [`Self::max`]. `None` when a bucket index is
+    /// out of range.
+    pub fn from_buckets(
+        counts: impl IntoIterator<Item = (usize, u64)>,
+        sum_ns: u64,
+        max_ns: u64,
+    ) -> Option<HistSnapshot> {
+        let mut snap = HistSnapshot {
+            sum_ns,
+            max_ns,
+            ..HistSnapshot::empty()
+        };
+        for (i, n) in counts {
+            let bucket = snap.buckets.get_mut(i)?;
+            *bucket = bucket.saturating_add(n);
+        }
+        Some(snap)
+    }
 }
 
 #[cfg(test)]

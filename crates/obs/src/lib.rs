@@ -1,19 +1,24 @@
 //! `pmv-obs` — observability for the PMV serving path.
 //!
 //! Five pieces, all std-only so every layer of the workspace can record
-//! into them without new dependencies:
+//! into them without new dependencies. Telemetry here is data: no JSON
+//! is written in this crate. The one writer and reader of the JSON
+//! documents (`metrics --format json`, flight dumps) is
+//! `pmv_wal::telemetry`, where the `serde_json` shim is already linked.
 //!
 //! * [`hist`] — lock-free log-bucketed latency histograms (HDR-lite),
 //!   mergeable, with p50/p90/p99/max within one bucket (≤12.5%) of the
 //!   exact order statistic.
 //! * [`trace`] — a bounded ring-buffer recorder of per-query lifecycle
 //!   events with a drop-publishing [`TraceScope`] span API.
-//! * [`export`] — Prometheus text format and hand-rolled JSON snapshots
-//!   (and [`json_escape`], the workspace's one JSON string escaper).
-//! * [`spool`] — anomaly-triggered flight recorder over a pluggable
-//!   [`spool::SpoolSink`] (the disk sink lives in `pmv-wal`).
-//! * [`profile`] — the `pmv-profile` report model: contention ranking,
-//!   template cost ranking, pipeline stage breakdown.
+//! * [`export`] — [`ViewMetrics`], one view's counters, gauges and
+//!   phase histograms, and its Prometheus text rendering.
+//! * [`spool`] — anomaly-triggered flight recorder handing a
+//!   [`FlightDump`] to a pluggable [`SpoolSink`] (the disk sink lives in
+//!   `pmv-wal`).
+//! * [`profile`] — [`ProfileReport::from_views`], the one profile
+//!   derivation: contention ranking, template cost ranking, pipeline
+//!   stage breakdown.
 //!
 //! [`ObsRegistry`] ties them together: one histogram per serving-path
 //! [`Phase`], one trace ring, and one `enabled` switch. The switch is a
@@ -37,11 +42,11 @@ pub mod sketch;
 pub mod spool;
 pub mod trace;
 
-pub use export::{json_escape, phase_json, to_json, to_prometheus, ViewMetrics};
+pub use export::{to_prometheus, ViewMetrics};
 pub use hist::{bucket_bounds, bucket_of, HistSnapshot, LatencyHistogram, BUCKETS};
 pub use profile::{ContentionSite, PipelineStage, ProfileReport, TemplateCost};
 pub use sketch::{SpaceSaving, DEFAULT_SKETCH_CAPACITY};
-pub use spool::{FlightRecorder, MemSink, SpoolSink, TriggerReason};
+pub use spool::{FlightDump, FlightRecorder, SpoolSink, TriggerReason};
 pub use trace::{EventKind, QueryTrace, TraceEvent, TraceKind, TraceRecorder, TraceScope};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -3,65 +3,53 @@
 //! Histograms tell you a p99 got worse; by the time a human looks, the
 //! traces that *caused* it have rotated out of the ring. The
 //! [`FlightRecorder`] closes that gap: when a pass exceeds a latency
-//! threshold, or a breaker/quarantine/degradation event fires, it dumps
-//! the trace ring plus a metrics snapshot as one JSON document into a
-//! [`SpoolSink`].
+//! threshold, or a breaker/quarantine/degradation event fires, it hands
+//! the trace-ring tail plus the view's [`ViewMetrics`] to a [`SpoolSink`]
+//! as one [`FlightDump`].
 //!
-//! `pmv-obs` stays dependency-free, so the disk sink lives in `pmv-wal`
-//! (`wal::spool::DiskSpool`, built on `wal::dio` so every spool write
-//! is fault-injectable); this module owns the trigger policy, the
-//! bounded-dump accounting, and the dump document format that
-//! `pmv-profile` parses back.
+//! `pmv-obs` stays dependency-free and keeps telemetry as data: the disk
+//! sink, and the JSON document it writes, live in `pmv-wal`
+//! (`wal::spool::DiskSpool`, built on `wal::dio` so every spool write is
+//! fault-injectable). This module owns the trigger policy and the
+//! bounded-dump accounting.
 //!
 //! Hot-path contract: the serving path asks [`FlightRecorder::armed`]
 //! (one relaxed load) and compares the pass latency against
 //! [`FlightRecorder::latency_threshold_ns`] (a second relaxed load)
 //! only when observability is already enabled — a disabled registry
 //! never reaches the recorder at all. The expensive part (snapshotting,
-//! JSON rendering, the sink write) runs only on trigger, which is by
+//! rendering, the sink write) runs only on trigger, which is by
 //! construction rare and bounded by `max_dumps`.
 
-use crate::hist::HistSnapshot;
+use crate::export::ViewMetrics;
 use crate::trace::QueryTrace;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// One flight-recorder dump: why it fired, the trace-ring tail, and the
+/// view's telemetry at that moment.
+#[derive(Clone, Debug)]
+pub struct FlightDump {
+    /// Dump sequence number (counts dumps dropped by the budget too).
+    pub seq: u64,
+    /// What fired it.
+    pub reason: TriggerReason,
+    /// End-to-end latency of the triggering pass, microseconds.
+    pub trigger_total_us: u64,
+    /// The most recent traces, oldest first.
+    pub traces: Vec<QueryTrace>,
+    /// The view's counters, gauges and phase histograms.
+    pub metrics: ViewMetrics,
+}
+
 /// Where flight dumps go. Implementations must be safe to call from
 /// any serving thread; the recorder serializes nothing — a sink that
 /// needs exclusion takes its own lock (dumps are rare by design).
 pub trait SpoolSink: Send + Sync {
-    /// Persist one dump document; returns where it landed (a path for
-    /// disk sinks, a synthetic name for in-memory test sinks).
-    fn spool_dump(&self, seq: u64, json: &str) -> io::Result<PathBuf>;
-}
-
-/// In-memory sink for tests: retains every dump in order.
-#[derive(Debug, Default)]
-pub struct MemSink {
-    dumps: std::sync::Mutex<Vec<(u64, String)>>,
-}
-
-impl MemSink {
-    /// Empty sink.
-    pub fn new() -> Self {
-        MemSink::default()
-    }
-
-    /// Every dump received so far, in arrival order.
-    pub fn dumps(&self) -> Vec<(u64, String)> {
-        self.dumps.lock().unwrap_or_else(|e| e.into_inner()).clone()
-    }
-}
-
-impl SpoolSink for MemSink {
-    fn spool_dump(&self, seq: u64, json: &str) -> io::Result<PathBuf> {
-        self.dumps
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push((seq, json.to_string()));
-        Ok(PathBuf::from(format!("mem:flight-{seq:06}.json")))
-    }
+    /// Persist one dump; returns where it landed (a path for disk
+    /// sinks, a synthetic name for in-memory test sinks).
+    fn spool_dump(&self, dump: &FlightDump) -> io::Result<PathBuf>;
 }
 
 /// Why a dump fired — rendered into the dump's `reason` field.
@@ -157,20 +145,18 @@ impl FlightRecorder {
         self.dumped.load(Ordering::Relaxed)
     }
 
-    /// Fire a dump: composes the document from the trace tail and a
-    /// metrics snapshot, spends one unit of the dump budget, and hands
-    /// it to the sink. Returns the sink path, or `None` when the budget
-    /// is exhausted (the sequence number still advances, so the dump
-    /// stream records how many triggers were dropped) or the sink
-    /// failed (spooling is diagnostics — it must never take the serving
-    /// path down).
+    /// Fire a dump of `traces` and `metrics`: spends one unit of the
+    /// dump budget and hands the dump to the sink. Returns the sink
+    /// path, or `None` when the budget is exhausted (the sequence number
+    /// still advances, so the dump stream records how many triggers
+    /// were dropped) or the sink failed (spooling is diagnostics — it
+    /// must never take the serving path down).
     pub fn trigger(
         &self,
         reason: TriggerReason,
-        view: &str,
         total_us: u64,
-        traces: &[QueryTrace],
-        metrics_json: &str,
+        traces: Vec<QueryTrace>,
+        metrics: ViewMetrics,
     ) -> Option<PathBuf> {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         // Budget check-and-spend: fetch_update keeps the count exact
@@ -184,82 +170,33 @@ impl FlightRecorder {
         {
             return None;
         }
-        let json = compose_dump(seq, reason, view, total_us, traces, metrics_json);
-        self.sink.spool_dump(seq, &json).ok()
+        let dump = FlightDump {
+            seq,
+            reason,
+            trigger_total_us: total_us,
+            traces,
+            metrics,
+        };
+        self.sink.spool_dump(&dump).ok()
     }
-}
-
-/// Render one flight-dump document. Format (hand-rolled, splicing the
-/// already-rendered trace and metrics JSON in as raw text):
-///
-/// ```json
-/// {"pmv_flight_dump":1,"seq":0,"reason":"latency_threshold",
-///  "view":"t1","trigger_total_us":12345,
-///  "traces":[{...QueryTrace::to_json...}],
-///  "metrics":{...}}
-/// ```
-///
-/// `pmv_flight_dump` is the format-version sentinel `pmv-profile` keys
-/// on when parsing spool directories.
-pub fn compose_dump(
-    seq: u64,
-    reason: TriggerReason,
-    view: &str,
-    total_us: u64,
-    traces: &[QueryTrace],
-    metrics_json: &str,
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(512 + traces.len() * 256 + metrics_json.len());
-    let _ = write!(
-        out,
-        "{{\"pmv_flight_dump\":1,\"seq\":{seq},\"reason\":\"{}\",\"view\":\"{}\",\
-         \"trigger_total_us\":{total_us},\"traces\":[",
-        reason.as_str(),
-        crate::export::json_escape(view),
-    );
-    for (i, t) in traces.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&t.to_json());
-    }
-    let _ = write!(out, "],\"metrics\":{metrics_json}}}");
-    out
-}
-
-/// Render the `metrics` member of a dump from counter pairs and phase
-/// snapshots (the same shapes `ViewMetrics` carries) — lets `pmv-core`
-/// compose a dump without depending on the export layer's view model.
-pub fn metrics_json_from(
-    counters: &[(&'static str, u64)],
-    phases: &[(&'static str, HistSnapshot)],
-) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(512);
-    out.push_str("{\"counters\":{");
-    for (i, (name, value)) in counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{name}\":{value}");
-    }
-    out.push_str("},\"phases\":{");
-    for (i, (phase, snap)) in phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{phase}\":{}", crate::export::phase_json(snap));
-    }
-    out.push_str("}}");
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::{EventKind, TraceKind, TraceRecorder};
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
+
+    /// Keeps every dump it receives, in arrival order.
+    #[derive(Default)]
+    struct MemSink(Mutex<Vec<FlightDump>>);
+
+    impl SpoolSink for Arc<MemSink> {
+        fn spool_dump(&self, dump: &FlightDump) -> io::Result<PathBuf> {
+            self.0.lock().unwrap().push(dump.clone());
+            Ok(PathBuf::from(format!("mem:flight-{:06}.json", dump.seq)))
+        }
+    }
 
     fn sample_traces() -> Vec<QueryTrace> {
         let rec = TraceRecorder::new(4);
@@ -270,54 +207,38 @@ mod tests {
         rec.tail(4)
     }
 
-    #[test]
-    fn trigger_composes_bounded_dumps() {
-        let sink = Arc::new(MemSink::new());
-        struct Shared(Arc<MemSink>);
-        impl SpoolSink for Shared {
-            fn spool_dump(&self, seq: u64, json: &str) -> io::Result<PathBuf> {
-                self.0.spool_dump(seq, json)
-            }
+    fn metrics() -> ViewMetrics {
+        ViewMetrics {
+            name: "t1".into(),
+            ..Default::default()
         }
-        let fr = FlightRecorder::new(Box::new(Shared(Arc::clone(&sink))), 2);
+    }
+
+    #[test]
+    fn trigger_spools_bounded_dumps() {
+        let sink = Arc::new(MemSink::default());
+        let fr = FlightRecorder::new(Box::new(Arc::clone(&sink)), 2);
         assert!(fr.armed());
-        let traces = sample_traces();
-        let metrics = metrics_json_from(&[("queries", 7)], &[("ttfr", HistSnapshot::empty())]);
-        assert!(fr
-            .trigger(
-                TriggerReason::LatencyThreshold,
-                "t1",
-                9_000,
-                &traces,
-                &metrics
-            )
-            .is_some());
-        assert!(fr
-            .trigger(TriggerReason::Degraded, "t1", 100, &traces, &metrics)
-            .is_some());
+        let fire = |reason| fr.trigger(reason, 9_000, sample_traces(), metrics());
+        assert!(fire(TriggerReason::LatencyThreshold).is_some());
+        assert!(fire(TriggerReason::Degraded).is_some());
         // Budget exhausted: dropped, but the sequence keeps counting.
-        assert!(fr
-            .trigger(TriggerReason::Quarantine, "t1", 100, &traces, &metrics)
-            .is_none());
+        assert!(fire(TriggerReason::Quarantine).is_none());
         assert!(!fr.armed());
         assert_eq!(fr.dumps_written(), 2);
 
-        let dumps = sink.dumps();
+        let dumps = sink.0.lock().unwrap();
         assert_eq!(dumps.len(), 2);
-        let (seq0, ref j0) = dumps[0];
-        assert_eq!(seq0, 0);
-        assert!(j0.starts_with("{\"pmv_flight_dump\":1,\"seq\":0"), "{j0}");
-        assert!(j0.contains("\"reason\":\"latency_threshold\""), "{j0}");
-        assert!(j0.contains("\"view\":\"t1\""), "{j0}");
-        assert!(j0.contains("\"event\":\"decompose\""), "{j0}");
-        assert!(j0.contains("\"counters\":{\"queries\":7}"), "{j0}");
-        assert_eq!(j0.matches('{').count(), j0.matches('}').count());
-        assert_eq!(j0.matches('[').count(), j0.matches(']').count());
+        assert_eq!(dumps[0].seq, 0);
+        assert_eq!(dumps[0].reason, TriggerReason::LatencyThreshold);
+        assert_eq!(dumps[0].metrics, metrics());
+        assert_eq!(dumps[0].traces[0].events[0].kind.name(), "decompose");
+        assert_eq!(dumps[1].reason, TriggerReason::Degraded);
     }
 
     #[test]
     fn latency_threshold_arms_and_disarms() {
-        let fr = FlightRecorder::new(Box::new(MemSink::new()), 8);
+        let fr = FlightRecorder::new(Box::new(Arc::new(MemSink::default())), 8);
         assert_eq!(fr.latency_threshold_ns(), u64::MAX);
         fr.set_latency_threshold(Some(std::time::Duration::from_millis(5)));
         assert_eq!(fr.latency_threshold_ns(), 5_000_000);
@@ -327,7 +248,10 @@ mod tests {
 
     #[test]
     fn concurrent_triggers_respect_the_budget_exactly() {
-        let fr = Arc::new(FlightRecorder::new(Box::new(MemSink::new()), 5));
+        let fr = Arc::new(FlightRecorder::new(
+            Box::new(Arc::new(MemSink::default())),
+            5,
+        ));
         let mut handles = Vec::new();
         for _ in 0..8 {
             let fr = Arc::clone(&fr);
@@ -335,7 +259,7 @@ mod tests {
                 let mut wrote = 0u64;
                 for _ in 0..4 {
                     if fr
-                        .trigger(TriggerReason::BreakerTrip, "v", 1, &[], "{}")
+                        .trigger(TriggerReason::BreakerTrip, 1, Vec::new(), metrics())
                         .is_some()
                     {
                         wrote += 1;

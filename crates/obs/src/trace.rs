@@ -16,7 +16,6 @@
 //! on a disabled registry carries no recorder reference and allocates
 //! nothing.
 
-use crate::export::json_escape;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -168,102 +167,6 @@ impl EventKind {
             EventKind::Revalidated { .. } => "revalidated",
         }
     }
-
-    fn json_fields(&self, out: &mut String) {
-        use std::fmt::Write as _;
-        match self {
-            EventKind::Decompose { parts, us } => {
-                let _ = write!(out, "\"parts\":{parts},\"us\":{us}");
-            }
-            EventKind::Breaker { serving, state } => {
-                let _ = write!(
-                    out,
-                    "\"serving\":{serving},\"state\":\"{}\"",
-                    json_escape(state)
-                );
-            }
-            EventKind::ShardProbe {
-                shard,
-                parts,
-                served,
-                us,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"shard\":{shard},\"parts\":{parts},\"served\":{served},\"us\":{us}"
-                );
-            }
-            EventKind::FirstResults {
-                tuples,
-                bcp_hit,
-                us,
-            } => {
-                let _ = write!(out, "\"tuples\":{tuples},\"bcp_hit\":{bcp_hit},\"us\":{us}");
-            }
-            EventKind::Exec {
-                rows,
-                tuples_examined,
-                index_probes,
-                us,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"rows\":{rows},\"tuples_examined\":{tuples_examined},\
-                     \"index_probes\":{index_probes},\"us\":{us}"
-                );
-            }
-            EventKind::Fill {
-                shard,
-                admitted,
-                evicted,
-                us,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"shard\":{shard},\"admitted\":{admitted},\"evicted\":{evicted},\"us\":{us}"
-                );
-            }
-            EventKind::Degraded {
-                reason,
-                staleness_us,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"reason\":\"{}\",\"staleness_us\":{staleness_us}",
-                    json_escape(reason)
-                );
-            }
-            EventKind::Quarantine { shard } => {
-                let _ = write!(out, "\"shard\":{shard}");
-            }
-            EventKind::FaultFired { site, kind } => {
-                let _ = write!(
-                    out,
-                    "\"site\":\"{}\",\"kind\":\"{}\"",
-                    json_escape(site),
-                    json_escape(kind)
-                );
-            }
-            EventKind::MaintBatch {
-                relation,
-                joined,
-                join_rows,
-                removed,
-                retries,
-                fallbacks,
-            } => {
-                let _ = write!(
-                    out,
-                    "\"relation\":\"{}\",\"joined\":{joined},\"join_rows\":{join_rows},\
-                     \"removed\":{removed},\"retries\":{retries},\"fallbacks\":{fallbacks}",
-                    json_escape(relation)
-                );
-            }
-            EventKind::Revalidated { removed } => {
-                let _ = write!(out, "\"removed\":{removed}");
-            }
-        }
-    }
 }
 
 /// One timestamped event.
@@ -289,38 +192,6 @@ pub struct QueryTrace {
     pub total_us: u64,
     /// Ordered lifecycle events.
     pub events: Vec<TraceEvent>,
-}
-
-impl QueryTrace {
-    /// Hand-rolled JSON object (same idiom as `VerifyReport::to_json`;
-    /// the serde_json shim has no serializer derive).
-    pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::with_capacity(128 + self.events.len() * 64);
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"kind\":\"{}\",\"template\":\"{}\",\"total_us\":{},\"events\":[",
-            self.id,
-            self.kind.as_str(),
-            json_escape(&self.template),
-            self.total_us
-        );
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"at_us\":{},\"event\":\"{}\",",
-                e.at_us,
-                e.kind.name()
-            );
-            e.kind.json_fields(&mut out);
-            out.push('}');
-        }
-        out.push_str("]}");
-        out
-    }
 }
 
 impl fmt::Display for QueryTrace {
@@ -533,31 +404,6 @@ mod tests {
         assert!(!s.active());
         s.event(EventKind::Decompose { parts: 3, us: 1 });
         drop(s); // must not panic or publish anywhere
-    }
-
-    #[test]
-    fn json_rendering_is_well_formed() {
-        let rec = TraceRecorder::new(2);
-        {
-            let mut s = rec.begin(TraceKind::Query, "t\"1\"");
-            s.event(EventKind::ShardProbe {
-                shard: 2,
-                parts: 1,
-                served: 3,
-                us: 9,
-            });
-            s.event(EventKind::FaultFired {
-                site: "exec-row".into(),
-                kind: "latency:2000us".into(),
-            });
-        }
-        let j = rec.tail(1)[0].to_json();
-        assert!(j.starts_with("{\"id\":0,\"kind\":\"query\""), "{j}");
-        assert!(j.contains("\"template\":\"t\\\"1\\\"\""), "{j}");
-        assert!(j.contains("\"event\":\"shard_probe\""), "{j}");
-        assert!(j.contains("\"site\":\"exec-row\""), "{j}");
-        assert!(j.ends_with("]}"), "{j}");
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
     }
 
     #[test]

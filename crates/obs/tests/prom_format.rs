@@ -7,8 +7,12 @@
 //! `name{labels} value`.
 
 use pmv_obs::{to_prometheus, HistSnapshot, LatencyHistogram, ViewMetrics};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
+
+fn named<V: Copy>(pairs: &[(&str, V)]) -> BTreeMap<String, V> {
+    pairs.iter().map(|&(k, v)| (k.to_string(), v)).collect()
+}
 
 fn sample_views() -> Vec<ViewMetrics> {
     let h = LatencyHistogram::new();
@@ -19,16 +23,15 @@ fn sample_views() -> Vec<ViewMetrics> {
         ViewMetrics {
             name: "orders_by_day".into(),
             health: "healthy".into(),
-            error_rate: 0.0,
-            trips: 0,
             last_verified_age_ms: 41,
-            counters: vec![("queries", 12), ("commit_batches", 3)],
-            gauges: vec![("hit_probability", 0.5), ("pin_cache_hit_rate", 0.97)],
+            counters: named(&[("queries", 12), ("commit_batches", 3)]),
+            gauges: named(&[("hit_probability", 0.5), ("pin_cache_hit_rate", 0.97)]),
             phases: vec![
                 ("ttfr", h.snapshot()),
                 ("lock_master_commit", h.snapshot()),
                 ("full", HistSnapshot::empty()),
             ],
+            ..Default::default()
         },
         // Hostile label value: quote, backslash, and newline must all
         // be escaped or the scrape breaks.
@@ -38,9 +41,8 @@ fn sample_views() -> Vec<ViewMetrics> {
             error_rate: 0.5,
             trips: 2,
             last_verified_age_ms: 100,
-            counters: vec![("queries", 1)],
-            gauges: vec![],
-            phases: vec![],
+            counters: named(&[("queries", 1)]),
+            ..Default::default()
         },
     ]
 }

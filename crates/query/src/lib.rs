@@ -17,15 +17,12 @@
 //!   and their parameter bindings.
 //! * [`Database`] — catalog + secondary indexes + DML with delta capture.
 //! * [`exec`] — an index-nested-loop executor and a naive full-scan oracle.
-//! * [`lock`] — an S/X lock manager implementing the paper's Section 3.6
-//!   protocol on PMVs.
 //! * [`txn`] — transactions with undo, producing [`pmv_storage::DeltaBatch`]es.
 
 pub mod condition;
 pub mod dbview;
 pub mod engine;
 pub mod exec;
-pub mod lock;
 pub mod parser;
 pub mod snapshot;
 pub mod table_stats;
@@ -39,7 +36,6 @@ pub use exec::{
     execute, execute_bounded, execute_bounded_arc, execute_scan, explain, join_fixed, upquery_fill,
     ExecBudget, ExecStats,
 };
-pub use lock::{LockManager, LockMode};
 pub use parser::parse_template;
 pub use table_stats::{ColumnStats, Histogram, RelationStats, TableStats};
 pub use template::{

@@ -34,6 +34,7 @@ pub mod codec;
 pub mod dio;
 pub mod record;
 pub mod spool;
+pub mod telemetry;
 
 pub use checkpoint::{CheckpointMeta, ViewSpec};
 pub use spool::DiskSpool;

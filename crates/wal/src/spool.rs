@@ -1,9 +1,9 @@
 //! `DiskSpool` — the on-disk [`SpoolSink`] for the flight recorder.
 //!
-//! `pmv-obs` owns the trigger policy and the dump document format but
-//! stays dependency-free, so the sink that actually touches disk lives
-//! here, on top of [`crate::dio`]: every spool write fires
-//! [`Site::SpoolWrite`] first, which makes dump persistence
+//! `pmv-obs` owns the trigger policy but stays dependency-free, so the
+//! sink that renders a dump ([`crate::telemetry::dump_json`]) and puts
+//! it on disk lives here, on top of [`crate::dio`]: every spool write
+//! fires [`Site::SpoolWrite`] first, which makes dump persistence
 //! fault-injectable like every other byte this workspace writes.
 //!
 //! The spool is **bounded**: dumps land as `flight-<seq>.json` under
@@ -23,7 +23,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use pmv_faultinject::Site;
-use pmv_obs::SpoolSink;
+use pmv_obs::{FlightDump, SpoolSink};
 
 use crate::dio;
 
@@ -106,10 +106,10 @@ impl DiskSpool {
             state.bytes -= len;
         }
     }
-}
 
-impl SpoolSink for DiskSpool {
-    fn spool_dump(&self, seq: u64, json: &str) -> io::Result<PathBuf> {
+    /// Write one dump document as `flight-<seq>.json`, evicting older
+    /// dumps first when the budget requires it.
+    fn write(&self, seq: u64, json: &str) -> io::Result<PathBuf> {
         let path = self.dir.join(format!("{PREFIX}{seq:06}{SUFFIX}"));
         let len = json.len() as u64;
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
@@ -127,6 +127,12 @@ impl SpoolSink for DiskSpool {
         state.files.push((path.clone(), len));
         state.bytes += len;
         Ok(path)
+    }
+}
+
+impl SpoolSink for DiskSpool {
+    fn spool_dump(&self, dump: &FlightDump) -> io::Result<PathBuf> {
+        self.write(dump.seq, &crate::telemetry::dump_json(dump).to_string())
     }
 }
 
@@ -152,10 +158,8 @@ mod tests {
     fn dumps_land_and_survive_reopen() {
         let dir = tmp("reopen");
         let spool = DiskSpool::open(&dir, 1 << 20).unwrap();
-        let p0 = spool.spool_dump(0, "{\"pmv_flight_dump\":1}").unwrap();
-        let p1 = spool
-            .spool_dump(1, "{\"pmv_flight_dump\":1,\"seq\":1}")
-            .unwrap();
+        let p0 = spool.write(0, "{\"pmv_flight_dump\":1}").unwrap();
+        let p1 = spool.write(1, "{\"pmv_flight_dump\":1,\"seq\":1}").unwrap();
         assert!(p0.exists() && p1.exists());
         assert_eq!(spool.files(), vec![p0.clone(), p1.clone()]);
 
@@ -170,8 +174,8 @@ mod tests {
         let dir = tmp("budget");
         let spool = DiskSpool::open(&dir, 100).unwrap();
         let big = "x".repeat(60);
-        let p0 = spool.spool_dump(0, &big).unwrap();
-        let p1 = spool.spool_dump(1, &big).unwrap();
+        let p0 = spool.write(0, &big).unwrap();
+        let p1 = spool.write(1, &big).unwrap();
         // 120 > 100: dump 0 must have been evicted to admit dump 1.
         assert!(!p0.exists(), "oldest dump not evicted");
         assert!(p1.exists());
@@ -187,13 +191,13 @@ mod tests {
         {
             let plan = Arc::new(FaultPlan::new(7).with_rule(Site::SpoolWrite, FaultKind::Io, 1.0));
             let _guard = install(plan);
-            assert!(spool.spool_dump(0, "{}").is_err());
+            assert!(spool.write(0, "{}").is_err());
         }
         // Failed dump left nothing behind — on disk or in accounting.
         assert!(spool.files().is_empty());
         assert_eq!(spool.bytes(), 0);
         // And the spool still works once the fault clears.
-        assert!(spool.spool_dump(1, "{}").is_ok());
+        assert!(spool.write(1, "{}").is_ok());
         assert_eq!(spool.files().len(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

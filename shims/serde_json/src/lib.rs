@@ -425,6 +425,31 @@ impl From<Map<String, Value>> for Value {
     }
 }
 
+impl<T: Into<Value>> From<Option<T>> for Value {
+    /// `None` is `null`, like upstream.
+    fn from(v: Option<T>) -> Self {
+        v.map_or(Value::Null, Into::into)
+    }
+}
+
+impl<K: Into<String>, V: Into<Value>> FromIterator<(K, V)> for Value {
+    /// An object from key/value pairs, like upstream.
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
+        Value::Object(
+            iter.into_iter()
+                .map(|(k, v)| (k.into(), v.into()))
+                .collect(),
+        )
+    }
+}
+
+impl<T: Into<Value>> FromIterator<T> for Value {
+    /// An array, like upstream.
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        Value::Array(iter.into_iter().map(Into::into).collect())
+    }
+}
+
 // ---------------------------------------------------------------- writer
 
 fn write_escaped(out: &mut String, s: &str) {

@@ -1,74 +1,17 @@
 //! Concurrency tests for the Section 3.6 protocol. The paper has queries
-//! take an S lock on the PMV for O2..O3 and maintenance an X lock
-//! (`LockManager`, first two tests); an `EpochDb` gets the same guarantee
-//! from pinned snapshots plus maintain-before-publish commits. Either way
-//! a maintainer cannot slip between a query's partial results and its
-//! full execution.
+//! take an S lock on the PMV for O2..O3 and maintenance an X lock; an
+//! `EpochDb` gets the same guarantee from pinned snapshots plus
+//! maintain-before-publish commits, so a maintainer cannot slip between a
+//! query's partial results and its full execution.
 
 mod common;
 
 use common::{commit, eqt_fixture, eqt_query};
 use pmv::prelude::*;
-use pmv::query::{LockManager, LockMode};
 use pmv::storage::RowId;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-
-#[test]
-fn maintainer_waits_for_reader() {
-    let locks = LockManager::new();
-    let s = locks.lock_shared("pmv_obj");
-    let done = Arc::new(AtomicBool::new(false));
-    let locks2 = locks.clone();
-    let done2 = Arc::clone(&done);
-    let t = std::thread::spawn(move || {
-        let _x = locks2.lock_exclusive("pmv_obj");
-        done2.store(true, Ordering::SeqCst);
-    });
-    std::thread::sleep(Duration::from_millis(40));
-    assert!(
-        !done.load(Ordering::SeqCst),
-        "X lock must wait for the query's S lock"
-    );
-    drop(s);
-    t.join().unwrap();
-    assert!(done.load(Ordering::SeqCst));
-}
-
-#[test]
-fn readers_share_maintainers_serialize() {
-    let locks = LockManager::new();
-    let in_cs = Arc::new(AtomicUsize::new(0));
-    let max_writers = Arc::new(AtomicUsize::new(0));
-    let mut handles = Vec::new();
-    for i in 0..8 {
-        let locks = locks.clone();
-        let in_cs = Arc::clone(&in_cs);
-        let max_writers = Arc::clone(&max_writers);
-        handles.push(std::thread::spawn(move || {
-            for _ in 0..200 {
-                if i % 2 == 0 {
-                    let _g = locks.lock("v", LockMode::Exclusive);
-                    let now = in_cs.fetch_add(1, Ordering::SeqCst) + 1;
-                    max_writers.fetch_max(now, Ordering::SeqCst);
-                    in_cs.fetch_sub(1, Ordering::SeqCst);
-                } else {
-                    let _g = locks.lock("v", LockMode::Shared);
-                }
-            }
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    assert_eq!(
-        max_writers.load(Ordering::SeqCst),
-        1,
-        "two X holders overlapped"
-    );
-    assert_eq!(locks.held_objects(), 0);
-}
 
 /// One maintainer transaction: insert a fresh `r` row keyed `a`, and
 /// delete the row at slot `round % 150` if it is still live. The commit
