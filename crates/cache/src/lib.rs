@@ -4,10 +4,9 @@
 //! Section 3.2 manages the bcp entries of a PMV with CLOCK; Section 3.5
 //! observes that the PMV "looks much like a buffer pool" (bcp = page id,
 //! the ≤ F cached tuples = page) and proposes simplified 2Q as a better
-//! policy; the experimental Section 4.1 compares the two. The paper leaves
-//! "other algorithms that perform better than both CLOCK and 2Q" as future
-//! work — we include LRU and LRU-2 behind the same trait for that
-//! ablation.
+//! policy; the experimental Section 4.1 compares the two. They are the
+//! only policies here; EXPERIMENTS.md ("Replacement policies") gives the
+//! measurement behind not keeping a third.
 //!
 //! A policy manages *keys* only (generic `K`); the PMV store owns the
 //! cached tuples and evicts them when the policy reports an eviction.
@@ -16,16 +15,10 @@
 //! holds the key but no tuples yet).
 
 pub mod clock;
-pub mod lru;
-pub mod lru_k;
 pub mod two_q;
-pub mod two_q_full;
 
 pub use clock::ClockPolicy;
-pub use lru::LruPolicy;
-pub use lru_k::LruKPolicy;
 pub use two_q::TwoQPolicy;
-pub use two_q_full::TwoQFullPolicy;
 
 use std::fmt::Debug;
 use std::hash::Hash;
@@ -117,13 +110,6 @@ pub enum PolicyKind {
     Clock,
     /// Simplified 2Q per Section 4.1.
     TwoQ,
-    /// Plain LRU (ablation).
-    Lru,
-    /// LRU-2 (ablation, tracks the 2nd most recent access).
-    LruK,
-    /// Full 2Q with A1in/A1out queues (ablation; the paper used the
-    /// simplified variant).
-    TwoQFull,
 }
 
 impl PolicyKind {
@@ -141,9 +127,6 @@ impl PolicyKind {
         match self {
             PolicyKind::Clock => Box::new(ClockPolicy::new(capacity)),
             PolicyKind::TwoQ => Box::new(TwoQPolicy::new(capacity)),
-            PolicyKind::Lru => Box::new(LruPolicy::new(capacity)),
-            PolicyKind::LruK => Box::new(LruKPolicy::new(capacity, 2)),
-            PolicyKind::TwoQFull => Box::new(TwoQFullPolicy::new(capacity.max(2))),
         }
     }
 
@@ -152,9 +135,6 @@ impl PolicyKind {
         match self {
             PolicyKind::Clock => "CLOCK",
             PolicyKind::TwoQ => "2Q",
-            PolicyKind::Lru => "LRU",
-            PolicyKind::LruK => "LRU-2",
-            PolicyKind::TwoQFull => "2Q-full",
         }
     }
 }
@@ -165,13 +145,7 @@ mod tests {
 
     #[test]
     fn kinds_build_named_policies() {
-        for (kind, name) in [
-            (PolicyKind::Clock, "CLOCK"),
-            (PolicyKind::TwoQ, "2Q"),
-            (PolicyKind::Lru, "LRU"),
-            (PolicyKind::LruK, "LRU-2"),
-            (PolicyKind::TwoQFull, "2Q-full"),
-        ] {
+        for (kind, name) in [(PolicyKind::Clock, "CLOCK"), (PolicyKind::TwoQ, "2Q")] {
             let p: Box<dyn ReplacementPolicy<u64>> = kind.build(8);
             assert_eq!(p.name(), name);
             assert_eq!(kind.name(), name);

@@ -10,7 +10,7 @@
 //! load tpcr 0.01                         generate TPC-R data at scale s (once, first)
 //! tables                                 list relations
 //! template <name> <SQL>                  define a template (see parser)
-//! pmv <template> [f=N] [l=N] [policy=clock|2q|2qfull|lru|lru2]
+//! pmv <template> [f=N] [l=N] [policy=clock|2q] [heavy=N]
 //! query <template> <binding> …           run through the PMV pipeline
 //! plain <template> <binding> …           run without the PMV
 //! explain <template> <binding> …         show the plan
@@ -140,9 +140,6 @@ fn parse_policy(v: &str) -> Result<PolicyKind, CliError> {
     match v.to_ascii_lowercase().as_str() {
         "clock" => Ok(PolicyKind::Clock),
         "2q" => Ok(PolicyKind::TwoQ),
-        "lru" => Ok(PolicyKind::Lru),
-        "lru2" | "lru-2" => Ok(PolicyKind::LruK),
-        "2qfull" | "2q-full" => Ok(PolicyKind::TwoQFull),
         other => Err(usage(format!("unknown policy '{other}'"))),
     }
 }
@@ -154,9 +151,6 @@ fn policy_spec_name(p: PolicyKind) -> &'static str {
     match p {
         PolicyKind::Clock => "clock",
         PolicyKind::TwoQ => "2q",
-        PolicyKind::Lru => "lru",
-        PolicyKind::LruK => "lru2",
-        PolicyKind::TwoQFull => "2qfull",
     }
 }
 
@@ -223,6 +217,11 @@ impl Session {
     pub fn with_data_dir(data_dir: &std::path::Path) -> Result<(Self, String), CliError> {
         let (db, meta) = EpochDb::open_durable(data_dir, Arc::new(pmv_obs::ObsRegistry::new()))?;
         let mut s = Self::over(db);
+        // Views first: a spec this build cannot re-register fails the
+        // open before the session writes anything into the directory.
+        for spec in &meta.views {
+            s.reattach_view(spec)?;
+        }
         // Durable sessions get a flight recorder spooling under
         // `<data-dir>/flight/` (bounded; oldest dumps evicted first).
         // Diagnostics only: if the spool cannot open, the session still
@@ -236,10 +235,10 @@ impl Session {
             {
                 fr.set_latency_threshold(Some(std::time::Duration::from_millis(ms)));
             }
+            for view in s.views.views() {
+                view.attach_flight(Arc::clone(&fr));
+            }
             s.flight = Some(fr);
-        }
-        for spec in &meta.views {
-            s.reattach_view(spec)?;
         }
         let info = s.durability()?.recovery_info().clone();
         let summary = if !info.checkpoint_found && info.replayed_records == 0 {
@@ -625,8 +624,20 @@ impl Session {
 
     fn cmd_health(&mut self) -> Result<String, CliError> {
         let mut out = String::new();
-        for row in self.views.health_report() {
-            let _ = writeln!(out, "{row}");
+        for v in self.views.metrics_views() {
+            let _ = writeln!(
+                out,
+                "{}: {} (error rate {:.3}, trips {}, degraded queries {}, quarantine events {}, \
+                 last verified {}ms ago, {} shard(s) quarantined)",
+                v.name,
+                v.health,
+                v.error_rate,
+                v.trips,
+                v.counter("degraded_queries"),
+                v.counter("quarantine_events"),
+                v.last_verified_age_ms,
+                v.gauge("quarantined_shards"),
+            );
         }
         if out.is_empty() {
             out.push_str("(no PMVs yet)\n");
@@ -1012,7 +1023,7 @@ commands:
   load tpcr <scale>                 generate TPC-R data
   tables                            list relations
   template <name> <SQL>             define a template (slots: col = ? | col BETWEEN ?)
-  pmv <template> [f=N] [l=N] [policy=clock|2q|2qfull|lru|lru2]
+  pmv <template> [f=N] [l=N] [policy=clock|2q] [heavy=N]
   analyze <template> [f=N] [l=N] [budget=BYTES] [json|sarif]   static verifier (PMV001-PMV006)
   query <template> [v,..] [lo..hi,..]   run through the PMV
   plain <template> <bindings>       run without the PMV
@@ -1479,6 +1490,74 @@ mod tests {
         assert_eq!(count(&profile, "\"template\":\"t1\""), 1, "{profile}");
     }
 
+    /// Every file and directory under `dir`, with file contents.
+    fn dir_image(dir: &std::path::Path) -> Vec<(std::path::PathBuf, Option<Vec<u8>>)> {
+        let mut out = Vec::new();
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.push((path.clone(), None));
+                out.extend(dir_image(&path));
+            } else {
+                let bytes = std::fs::read(&path).unwrap();
+                out.push((path, Some(bytes)));
+            }
+        }
+        out.sort();
+        out
+    }
+
+    /// A checkpoint whose view spec names a policy this build does not
+    /// have (`lru`) fails the open with a usage error naming it, and
+    /// leaves the data directory exactly as it was.
+    #[test]
+    fn checkpoint_naming_a_deleted_policy_is_a_usage_error() {
+        let dir = scratch_dir("deleted_policy");
+        {
+            let (db, _) =
+                EpochDb::open_durable(&dir, Arc::new(pmv_obs::ObsRegistry::new())).unwrap();
+            db.with_write(|db| {
+                let config = TpcrConfig {
+                    scale: 0.001,
+                    seed: 0xc0ffee,
+                    pad: false,
+                    date_supplier_pool: Some(2),
+                };
+                tpcr::generate(db, &config)?;
+                tpcr::standard_indexes(db)
+            })
+            .unwrap();
+            db.checkpoint(vec![ViewSpec {
+                name: "t1".to_string(),
+                sql: "SELECT * FROM orders, lineitem \
+                      WHERE orders.orderkey = lineitem.orderkey \
+                      AND orders.orderdate = ? AND lineitem.suppkey = ?"
+                    .to_string(),
+                f: 3,
+                l: 100,
+                policy: "lru".to_string(),
+                shards: 1,
+                dividers: vec![None, None],
+            }])
+            .unwrap();
+        }
+        let before = dir_image(&dir);
+        let e = Session::with_data_dir(&dir)
+            .err()
+            .expect("a deleted policy must not reopen");
+        assert_eq!(e.exit_code(), 2, "{e}");
+        assert!(
+            matches!(&e, CliError::Usage(m) if m.contains("'lru'")),
+            "{e:?}"
+        );
+        assert_eq!(
+            dir_image(&dir),
+            before,
+            "the failed open changed the directory"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn durable_session_opens_flight_spool() {
         let dir = scratch_dir("flight_spool");
@@ -1592,7 +1671,17 @@ mod tests {
         s.execute("pmv t1").unwrap();
         s.execute("query t1 [100] [1]").unwrap();
         let out = s.execute("health").unwrap();
-        assert!(out.contains("t1: healthy"), "{out}");
+        // One line per view, rendered from its metrics; only the age
+        // depends on the clock.
+        let (head, rest) = out.trim_end().split_once("last verified ").unwrap();
+        let (age, tail) = rest.split_once("ms ago").unwrap();
+        assert_eq!(
+            head,
+            "pmv_t1: healthy (error rate 0.000, trips 0, degraded queries 0, \
+             quarantine events 0, "
+        );
+        assert!(age.parse::<u64>().is_ok(), "{out}");
+        assert_eq!(tail, ", 0 shard(s) quarantined)");
         let out = s.execute("revalidate").unwrap();
         assert!(out.contains("t1: 0 stale tuple(s) removed"), "{out}");
         assert!(s

@@ -324,16 +324,15 @@ impl SharedPmv {
 
     /// Sharded PMV with an explicit shard count (≥ 1). Each shard's store
     /// gets capacity `⌈L/N⌉`, so total capacity stays within one shard's
-    /// rounding of the configured `L`.
+    /// rounding of the configured `L`, and its Section 3.4 delta-key
+    /// index.
     pub fn with_shards(def: PartialViewDef, config: PmvConfig, shards: usize) -> Self {
         let n = shards.max(1);
         let per_shard = config.l.div_ceil(n).max(1);
         let shards = (0..n)
             .map(|_| {
                 let mut store = PmvStore::with_capacity(&config, per_shard);
-                if config.maint_filter {
-                    store.enable_index(crate::delta_index::DeltaKeyIndex::new(def.template()));
-                }
+                store.enable_index(crate::delta_index::DeltaKeyIndex::new(def.template()));
                 RwLock::new(store)
             })
             .collect();
@@ -606,27 +605,6 @@ impl SharedPmv {
         store.hit_count(bcp)
     }
 
-    /// Drop one resident entry — the first of the largest shard — for
-    /// the manager's byte-budget shedding. Returns the tuples dropped;
-    /// 0 means the view is empty.
-    pub(crate) fn shed_entry(&self) -> usize {
-        let inner = &*self.inner;
-        let largest = inner.shards.iter().enumerate();
-        let Some((si, shard)) = largest.max_by_key(|(_, s)| s.read().byte_size()) else {
-            return 0;
-        };
-        let mut store = shard.write();
-        let victim = store.iter().next().map(|(k, ts)| (k.clone(), ts.to_vec()));
-        let Some((bcp, tuples)) = victim else {
-            return 0;
-        };
-        for (t, _) in &tuples {
-            store.remove_tuple(&bcp, t);
-        }
-        inner.publish_shard(si, &mut store);
-        tuples.len()
-    }
-
     /// Every cached `(bcp, tuples)`, bcps and each bcp's tuples in
     /// ascending order — a canonical dump for state comparison.
     pub fn dump(&self) -> Vec<(BcpKey, Vec<Tuple>)> {
@@ -663,6 +641,7 @@ impl SharedPmv {
             ("degraded_query_rate", stats.degraded_query_rate()),
             ("store_bytes", self.byte_size() as f64),
             ("occupancy", self.occupancy()),
+            ("quarantined_shards", self.quarantined_shards() as f64),
         ];
         ViewMetrics {
             name: self.def().name().to_string(),

@@ -249,10 +249,6 @@ impl std::fmt::Display for DegradeReason {
 pub struct Degradation {
     /// What cut O3 short.
     pub reason: DegradeReason,
-    /// `true`: only O2 partials were returned; the remaining results are
-    /// absent. (Always true today; kept explicit for future modes that
-    /// return a truncated O3 prefix.)
-    pub partial_only: bool,
     /// Upper bound on how stale the served partials may be: time since
     /// the view last completed maintenance or revalidation. Under
     /// `EpochDb::commit`'s maintain-before-publish this is an upper

@@ -10,10 +10,10 @@
 //! microseconds (Operation O2); the query then executes normally and the
 //! remaining results follow, deduplicated through the multiset `DS`
 //! (Operation O3). The cached content adapts to the query pattern via a
-//! replacement policy (CLOCK/2Q/…), is filled and updated *for free* from
-//! observed result tuples, needs **no maintenance on inserts**, and is
-//! kept consistent on deletes/updates by joining `ΔR` with the other base
-//! relations.
+//! replacement policy (CLOCK or simplified 2Q), is filled and updated
+//! *for free* from observed result tuples, needs **no maintenance on
+//! inserts**, and is kept consistent on deletes/updates by joining `ΔR`
+//! with the other base relations.
 //!
 //! Module map (paper section in parentheses):
 //!
@@ -80,7 +80,7 @@ pub use health::{
     BreakerConfig, CircuitBreaker, Degradation, DegradeReason, ShardReport, ValidationReport,
     ViewHealth,
 };
-pub use manager::{PmvManager, ViewHealthReport};
+pub use manager::PmvManager;
 pub use mv::{SmallMvSet, TraditionalMv};
 pub use o1::{decompose, ConditionPart, PartDim};
 pub use pipeline::{run_plain, QueryOutcome, QueryTimings};

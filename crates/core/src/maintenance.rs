@@ -178,8 +178,8 @@ impl SharedPmv {
                 // The index cannot serve this relation: undo, route light.
                 removals.truncate(before);
             }
-            // Cold key, unservable relation or index disabled: coalesce
-            // into the light joins below.
+            // Cold key or unservable relation: coalesce into the light
+            // joins below.
             let n = light_counts.entry(tuple).or_insert(0);
             if *n == 0 {
                 light_order.push(tuple);

@@ -6,73 +6,26 @@
 //! scenario needs "many query templates", one `R_sale` per store or
 //! department). [`PmvManager`] owns a set of PMVs, finds the one for a
 //! query's template ([`PmvManager::view_for`], what a host passes to
-//! [`crate::epoch::EpochDb::query`]), and enforces a global byte budget.
-//! Maintenance is not the manager's: a commit lists the views it changes
+//! [`crate::epoch::EpochDb::query`]). Each view is bounded by its own
+//! `UB ≤ L·F·At` ([`PmvConfig::with_byte_budget`]). Maintenance is not
+//! the manager's: a commit lists the views it changes
 //! ([`PmvManager::views`]) and `EpochDb::commit` maintains them.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use pmv_query::{Database, QueryTemplate};
+use pmv_query::QueryTemplate;
 
 use crate::concurrent::SharedPmv;
-use crate::health::ViewHealth;
 use crate::verify::{self, VerifyOptions};
 use crate::view::{PartialViewDef, PmvConfig};
 use crate::{CoreError, Result};
-
-/// One row of [`PmvManager::health_report`]: the operator-facing health
-/// summary for a single view.
-#[derive(Clone, Debug)]
-pub struct ViewHealthReport {
-    /// View name.
-    pub name: String,
-    /// Circuit-breaker state.
-    pub health: ViewHealth,
-    /// Windowed error fraction seen by the breaker.
-    pub error_rate: f64,
-    /// Times the breaker entered Quarantined.
-    pub trips: u64,
-    /// Queries answered with a `Degraded` outcome so far.
-    pub degraded_queries: u64,
-    /// Shard/store drain events so far.
-    pub quarantine_events: u64,
-    /// Milliseconds since the view was last verified consistent (a
-    /// completed maintenance batch or revalidation sweep) — how old the
-    /// breaker's notion of "known good" is.
-    pub last_verified_age_ms: u64,
-    /// Shards currently drained (quarantined) and serving nothing.
-    pub quarantined_shards: usize,
-}
-
-impl std::fmt::Display for ViewHealthReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: {} (error rate {:.3}, trips {}, degraded queries {}, quarantine events {}, \
-             last verified {}ms ago, {} shard(s) quarantined)",
-            self.name,
-            self.health,
-            self.error_rate,
-            self.trips,
-            self.degraded_queries,
-            self.quarantine_events,
-            self.last_verified_age_ms,
-            self.quarantined_shards
-        )
-    }
-}
 
 /// A named collection of PMVs, one per query template.
 pub struct PmvManager {
     views: Vec<SharedPmv>,
     /// template pointer identity → index into `views`.
     by_template: HashMap<usize, usize>,
-    /// Optional global budget over Σ store byte sizes.
-    byte_budget: Option<usize>,
-    /// Registration-time static-analysis options (deny-by-default; see
-    /// [`crate::verify`]).
-    analysis: VerifyOptions,
 }
 
 impl Default for PmvManager {
@@ -87,26 +40,7 @@ impl PmvManager {
         PmvManager {
             views: Vec::new(),
             by_template: HashMap::new(),
-            byte_budget: None,
-            analysis: VerifyOptions::default(),
         }
-    }
-
-    /// Override the registration-time analysis options — e.g. downgrade
-    /// a diagnostic code via [`crate::verify::VerifyPolicy`], or set a
-    /// hard `PMV004` byte budget (distinct from [`Self::with_byte_budget`],
-    /// the *soft* runtime budget enforced by shedding).
-    pub fn with_analysis(mut self, opts: VerifyOptions) -> Self {
-        self.analysis = opts;
-        self
-    }
-
-    /// Impose a global byte budget across all PMVs. [`Self::over_budget`]
-    /// reports violations; [`Self::shed`] trims the largest PMV until the
-    /// budget holds.
-    pub fn with_byte_budget(mut self, bytes: usize) -> Self {
-        self.byte_budget = Some(bytes);
-        self
     }
 
     fn template_key(t: &Arc<QueryTemplate>) -> usize {
@@ -126,16 +60,15 @@ impl PmvManager {
     /// The definition first passes through the static verifier
     /// ([`crate::verify::verify_def`]); any `PMV001..PMV006` diagnostic
     /// at deny severity rejects the registration with
-    /// [`CoreError::Analysis`] before a store is ever allocated.
-    /// Deny-by-default — downgrade individual codes through
-    /// [`Self::with_analysis`].
+    /// [`CoreError::Analysis`] before a store is ever allocated
+    /// (deny-by-default, [`VerifyOptions::default`]).
     pub fn register_sharded(
         &mut self,
         def: PartialViewDef,
         config: PmvConfig,
         shards: Option<usize>,
     ) -> Result<&SharedPmv> {
-        let report = verify::verify_def(&def, &config, &self.analysis);
+        let report = verify::verify_def(&def, &config, &VerifyOptions::default());
         if report.denied() {
             return Err(CoreError::Analysis(report));
         }
@@ -166,75 +99,6 @@ impl PmvManager {
             .map(|&i| &self.views[i])
     }
 
-    /// Total bytes cached across all PMVs.
-    pub fn total_bytes(&self) -> usize {
-        self.views.iter().map(SharedPmv::byte_size).sum()
-    }
-
-    /// Amount over the byte budget, if any.
-    pub fn over_budget(&self) -> usize {
-        match self.byte_budget {
-            Some(b) => self.total_bytes().saturating_sub(b),
-            None => 0,
-        }
-    }
-
-    /// Trim cached entries (largest view first, one entry of its largest
-    /// shard at a time) until within budget. Returns tuples dropped.
-    pub fn shed(&self) -> usize {
-        let Some(budget) = self.byte_budget else {
-            return 0;
-        };
-        let mut dropped = 0;
-        while self.total_bytes() > budget {
-            // Largest view pays, from its largest shard.
-            let shed = self
-                .views
-                .iter()
-                .max_by_key(|p| p.byte_size())
-                .map_or(0, SharedPmv::shed_entry);
-            if shed == 0 {
-                break; // nothing left to shed anywhere
-            }
-            dropped += shed;
-        }
-        dropped
-    }
-
-    /// Re-derive every cached tuple of every PMV from the current
-    /// database state and drop anything stale (the coarse fallback when
-    /// deltas were lost, e.g. after crash recovery). Returns the total
-    /// number of tuples removed across all PMVs.
-    pub fn revalidate_all(&self, db: &Database) -> Result<usize> {
-        let mut removed = 0;
-        for pmv in &self.views {
-            removed += pmv.revalidate(db)?;
-        }
-        Ok(removed)
-    }
-
-    /// Per-view health summary: breaker state, windowed error rate, trip
-    /// count, and degradation counters. The CLI's `health` command
-    /// prints one line per row.
-    pub fn health_report(&self) -> Vec<ViewHealthReport> {
-        self.views
-            .iter()
-            .map(|p| {
-                let stats = p.stats();
-                ViewHealthReport {
-                    name: p.def().name().to_string(),
-                    health: p.health(),
-                    error_rate: p.breaker().error_rate(),
-                    trips: p.breaker().trip_count(),
-                    degraded_queries: stats.degraded_queries,
-                    quarantine_events: stats.quarantine_events,
-                    last_verified_age_ms: p.staleness().as_millis() as u64,
-                    quarantined_shards: p.quarantined_shards(),
-                }
-            })
-            .collect()
-    }
-
     /// Per-view exportable telemetry ([`SharedPmv::metrics`]), in
     /// registration order.
     pub fn metrics_views(&self) -> Vec<pmv_obs::ViewMetrics> {
@@ -251,15 +115,6 @@ impl PmvManager {
         out
     }
 
-    /// Aggregate statistics across all PMVs.
-    pub fn aggregate_stats(&self) -> crate::stats::PmvStats {
-        let mut total = crate::stats::PmvStats::default();
-        for p in &self.views {
-            total.merge(&p.stats());
-        }
-        total
-    }
-
     /// Iterate over the registered PMVs.
     pub fn views(&self) -> impl Iterator<Item = &SharedPmv> {
         self.views.iter()
@@ -273,7 +128,7 @@ mod tests {
     use crate::pipeline::QueryOutcome;
     use pmv_cache::PolicyKind;
     use pmv_index::IndexDef;
-    use pmv_query::{Condition, QueryInstance, TemplateBuilder, Transaction};
+    use pmv_query::{Condition, Database, QueryInstance, TemplateBuilder, Transaction};
     use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
 
     fn setup() -> (EpochDb, Arc<QueryTemplate>, Arc<QueryTemplate>) {
@@ -333,6 +188,13 @@ mod tests {
         .unwrap();
     }
 
+    /// Revalidate every view, as the CLI's `revalidate` does; returns
+    /// the tuples removed.
+    fn revalidate(m: &PmvManager, edb: &EpochDb) -> usize {
+        let db = edb.read();
+        m.views().map(|v| v.revalidate(&db).unwrap()).sum()
+    }
+
     fn mgr(ta: &Arc<QueryTemplate>, tb: &Arc<QueryTemplate>) -> PmvManager {
         let mut m = PmvManager::new();
         m.register(
@@ -362,7 +224,6 @@ mod tests {
         query(&edb, &m, &qb);
         assert_eq!(m.view_for(&ta).unwrap().stats().queries, 1);
         assert_eq!(m.view_for(&tb).unwrap().stats().queries, 1);
-        assert_eq!(m.aggregate_stats().queries, 2);
     }
 
     #[test]
@@ -430,8 +291,9 @@ mod tests {
                 v.def().name()
             );
         }
+        let removed: u64 = m.views().map(|v| v.stats().maint_tuples_removed).sum();
         assert!(
-            m.aggregate_stats().maint_tuples_removed >= 1,
+            removed >= 1,
             "the cached (13) tuple must be evicted somewhere"
         );
         // Queries stay consistent.
@@ -440,7 +302,7 @@ mod tests {
     }
 
     #[test]
-    fn revalidate_all_sweeps_every_view() {
+    fn revalidate_sweeps_every_view() {
         let (edb, ta, tb) = setup();
         let m = mgr(&ta, &tb);
         let qa = ta
@@ -452,11 +314,11 @@ mod tests {
         query(&edb, &m, &qa);
         query(&edb, &m, &qb);
         // Nothing stale yet.
-        assert_eq!(m.revalidate_all(&edb.read()).unwrap(), 0);
+        assert_eq!(revalidate(&m, &edb), 0);
         // Commit a delete that maintains no view: both PMVs cached tuples
         // derived from it, so revalidation must sweep them out.
         delete_13(&edb, &[]);
-        let removed = m.revalidate_all(&edb.read()).unwrap();
+        let removed = revalidate(&m, &edb);
         assert!(removed >= 1, "stale tuples must be removed, got {removed}");
         assert_eq!(query(&edb, &m, &qa).ds_leftover, 0);
     }
@@ -464,7 +326,7 @@ mod tests {
     #[test]
     fn register_runs_static_verifier_deny_by_default() {
         use crate::bcp::Discretizer;
-        use crate::verify::{DiagCode, Severity, VerifyPolicy};
+        use crate::verify::DiagCode;
         let mut db = Database::new();
         db.create_relation(Schema::new(
             "r",
@@ -484,7 +346,7 @@ mod tests {
             .unwrap();
         // Raw, unnormalized dividers: PMV002 must deny the registration.
         let bad = Discretizer::from_raw(vec![Value::Int(20), Value::Int(10)]);
-        let def = PartialViewDef::new("bad_grid", t.clone(), vec![Some(bad.clone())]).unwrap();
+        let def = PartialViewDef::new("bad_grid", t, vec![Some(bad)]).unwrap();
         let mut m = PmvManager::new();
         let err = m.register(def, PmvConfig::default()).unwrap_err();
         match err {
@@ -494,19 +356,10 @@ mod tests {
             other => panic!("expected analysis denial, got {other}"),
         }
         assert_eq!(m.view_count(), 0, "no store allocated for a denied view");
-        // Downgrading the code via config admits the same definition.
-        let mut m = PmvManager::new().with_analysis(VerifyOptions {
-            policy: VerifyPolicy::deny_by_default()
-                .with_override(DiagCode::OverlappingBasicIntervals, Severity::Warn),
-            ..Default::default()
-        });
-        let def = PartialViewDef::new("bad_grid", t, vec![Some(bad)]).unwrap();
-        m.register(def, PmvConfig::default()).unwrap();
-        assert_eq!(m.view_count(), 1);
     }
 
     #[test]
-    fn revalidate_all_resets_transient_counters() {
+    fn revalidate_resets_transient_counters() {
         let (edb, ta, tb) = setup();
         let mut m = PmvManager::new();
         // A zero row budget degrades every query: transient counters rise.
@@ -527,7 +380,7 @@ mod tests {
         let before = m.view_for(&ta).unwrap().stats();
         assert!(before.budget_exceeded > 0, "row budget must have tripped");
         assert!(before.degraded_queries > 0);
-        m.revalidate_all(&edb.read()).unwrap();
+        revalidate(&m, &edb);
         let after = m.view_for(&ta).unwrap().stats();
         assert_eq!(after.budget_exceeded, 0, "transient counters reset");
         assert_eq!(after.degraded_queries, 0);
@@ -576,7 +429,7 @@ mod tests {
     }
 
     #[test]
-    fn health_report_includes_last_verified_age() {
+    fn metrics_carry_last_verified_age() {
         let (edb, ta, tb) = setup();
         let m = mgr(&ta, &tb);
         let qa = ta
@@ -584,40 +437,15 @@ mod tests {
             .unwrap();
         query(&edb, &m, &qa);
         std::thread::sleep(std::time::Duration::from_millis(5));
-        let report = m.health_report();
-        assert!(report.iter().all(|r| r.last_verified_age_ms >= 5));
+        let ages = |m: &PmvManager| -> Vec<u64> {
+            m.metrics_views()
+                .iter()
+                .map(|v| v.last_verified_age_ms)
+                .collect()
+        };
+        assert!(ages(&m).iter().all(|&a| a >= 5));
         // A revalidation sweep resets the age.
-        m.revalidate_all(&edb.read()).unwrap();
-        let report = m.health_report();
-        assert!(
-            report.iter().all(|r| r.last_verified_age_ms < 5),
-            "{report:?}"
-        );
-        let line = report[0].to_string();
-        assert!(line.contains("last verified"), "{line}");
-    }
-
-    #[test]
-    fn byte_budget_shedding() {
-        let (edb, ta, tb) = setup();
-        let m = mgr(&ta, &tb).with_byte_budget(200);
-        for f in 0..10i64 {
-            let q = ta
-                .bind(vec![Condition::Equality(vec![Value::Int(f)])])
-                .unwrap();
-            query(&edb, &m, &q);
-        }
-        assert!(m.total_bytes() > 200);
-        assert!(m.over_budget() > 0);
-        let dropped = m.shed();
-        assert!(dropped > 0);
-        assert_eq!(m.over_budget(), 0);
-        // The system still answers correctly after shedding.
-        let q = ta
-            .bind(vec![Condition::Equality(vec![Value::Int(1)])])
-            .unwrap();
-        let out = query(&edb, &m, &q);
-        assert_eq!(out.ds_leftover, 0);
-        assert_eq!(out.all_results().len(), 20);
+        revalidate(&m, &edb);
+        assert!(ages(&m).iter().all(|&a| a < 5), "{:?}", ages(&m));
     }
 }

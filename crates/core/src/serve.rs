@@ -791,11 +791,7 @@ fn finish(
             staleness_us: staleness.as_micros() as u64,
         });
         local.degraded_queries = 1;
-        Degradation {
-            reason,
-            partial_only: true,
-            staleness,
-        }
+        Degradation { reason, staleness }
     });
     if degraded.is_none() {
         // A degraded latency would poison the healthy full-query series.

@@ -163,11 +163,6 @@ impl PmvStore {
         self.index = Some(index);
     }
 
-    /// Whether a delta-key index is attached.
-    pub fn index_enabled(&self) -> bool {
-        self.index.is_some()
-    }
-
     /// Could deleting `base_tuple` from template relation `rel` affect
     /// any cached tuple? Always `true` when the index is disabled.
     /// Read-only, so maintenance can peek at every shard's index under
@@ -248,11 +243,6 @@ impl PmvStore {
     /// Max bcp entries (`L`).
     pub fn l(&self) -> usize {
         self.policy.capacity()
-    }
-
-    /// The replacement policy's name.
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     /// Resident fraction of the policy's capacity in `[0, 1]` — the
@@ -339,14 +329,6 @@ impl PmvStore {
         }
     }
 
-    /// Store one result tuple under a resident `bcp`. Returns false when
-    /// the bcp is not resident or already holds `F` tuples. Convenience
-    /// wrapper over [`Self::push_arc`] for single-writer callers that do
-    /// not track epochs.
-    pub fn push_tuple(&mut self, bcp: &BcpKey, tuple: Tuple) -> bool {
-        self.push_arc(bcp, Arc::new(tuple), 0)
-    }
-
     /// Store one shared result tuple under a resident `bcp`, stamped with
     /// the epoch it was computed at. The `Arc` is moved in — no tuple
     /// data is copied. Returns false when the bcp is not resident or
@@ -418,17 +400,6 @@ impl PmvStore {
     /// Total cached tuples.
     pub fn tuple_count(&self) -> usize {
         self.entries.values().map(|e| e.tuples.len()).sum()
-    }
-
-    /// Highest fill epoch of any cached tuple (0 when empty) — the
-    /// `staleness` telemetry gauge compares this against the current
-    /// database version.
-    pub fn max_fill_epoch(&self) -> u64 {
-        self.entries
-            .values()
-            .flat_map(|e| e.tuples.iter().map(|(_, ep)| *ep))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Approximate bytes cached (tuples + keys).
@@ -542,9 +513,9 @@ mod tests {
     fn push_respects_f() {
         let mut s = PmvStore::new(&cfg(2, 10, PolicyKind::Clock));
         assert_eq!(s.admit(&bcp(1)), Residency::Resident);
-        assert!(s.push_tuple(&bcp(1), tuple![1i64, 1i64]));
-        assert!(s.push_tuple(&bcp(1), tuple![1i64, 2i64]));
-        assert!(!s.push_tuple(&bcp(1), tuple![1i64, 3i64]));
+        assert!(s.push_arc(&bcp(1), Arc::new(tuple![1i64, 1i64]), 0));
+        assert!(s.push_arc(&bcp(1), Arc::new(tuple![1i64, 2i64]), 0));
+        assert!(!s.push_arc(&bcp(1), Arc::new(tuple![1i64, 3i64]), 0));
         assert_eq!(s.lookup(&bcp(1)).unwrap().len(), 2);
         s.validate();
     }
@@ -553,11 +524,11 @@ mod tests {
     fn push_requires_residency() {
         let mut s = PmvStore::new(&cfg(2, 10, PolicyKind::TwoQ));
         assert_eq!(s.admit(&bcp(1)), Residency::Probation);
-        assert!(!s.push_tuple(&bcp(1), tuple![1i64]));
+        assert!(!s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0));
         assert_eq!(s.entry_count(), 0);
         // Second admission promotes.
         assert_eq!(s.admit(&bcp(1)), Residency::Resident);
-        assert!(s.push_tuple(&bcp(1), tuple![1i64]));
+        assert!(s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0));
         s.validate();
     }
 
@@ -566,7 +537,7 @@ mod tests {
         let mut s = PmvStore::new(&cfg(1, 2, PolicyKind::Clock));
         for i in 0..2i64 {
             s.admit(&bcp(i));
-            s.push_tuple(&bcp(i), tuple![i]);
+            s.push_arc(&bcp(i), Arc::new(tuple![i]), 0);
         }
         assert_eq!(s.entry_count(), 2);
         let before = s.byte_size();
@@ -581,8 +552,8 @@ mod tests {
     fn remove_tuple_multiset_semantics() {
         let mut s = PmvStore::new(&cfg(3, 10, PolicyKind::Clock));
         s.admit(&bcp(1));
-        s.push_tuple(&bcp(1), tuple![7i64]);
-        s.push_tuple(&bcp(1), tuple![7i64]);
+        s.push_arc(&bcp(1), Arc::new(tuple![7i64]), 0);
+        s.push_arc(&bcp(1), Arc::new(tuple![7i64]), 0);
         assert!(s.remove_tuple(&bcp(1), &tuple![7i64]));
         assert_eq!(s.lookup(&bcp(1)).unwrap().len(), 1);
         assert!(s.remove_tuple(&bcp(1), &tuple![7i64]));
@@ -597,11 +568,11 @@ mod tests {
     fn removed_entry_frees_policy_slot() {
         let mut s = PmvStore::new(&cfg(1, 1, PolicyKind::Clock));
         s.admit(&bcp(1));
-        s.push_tuple(&bcp(1), tuple![1i64]);
+        s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
         s.remove_tuple(&bcp(1), &tuple![1i64]);
         // New bcp should be admitted without evicting anything.
         s.admit(&bcp(2));
-        s.push_tuple(&bcp(2), tuple![2i64]);
+        s.push_arc(&bcp(2), Arc::new(tuple![2i64]), 0);
         assert_eq!(s.evictions(), 0);
         s.validate();
     }
@@ -610,7 +581,7 @@ mod tests {
     fn hits_track_serving() {
         let mut s = PmvStore::new(&cfg(1, 4, PolicyKind::Clock));
         s.admit(&bcp(1));
-        s.push_tuple(&bcp(1), tuple![1i64]);
+        s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
         assert_eq!(s.hit_count(&bcp(1)), 0);
         s.touch(&bcp(1), true);
         s.touch(&bcp(1), true);
@@ -622,8 +593,8 @@ mod tests {
     fn completeness_tracks_inserts_and_removals() {
         let mut s = PmvStore::new(&cfg(4, 10, PolicyKind::Clock));
         s.admit(&bcp(1));
-        s.push_tuple(&bcp(1), tuple![1i64]);
-        s.push_tuple(&bcp(1), tuple![2i64]);
+        s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
+        s.push_arc(&bcp(1), Arc::new(tuple![2i64]), 0);
         assert!(!s.entry_complete(&bcp(1)));
         let w = s.inserts_seen();
         assert!(s.mark_complete(&bcp(1), w));
@@ -650,15 +621,18 @@ mod tests {
         s.admit(&bcp(1));
         s.touch(&bcp(1), false);
         assert!(!s.has_changes(), "residency and touches serve nothing");
-        s.push_tuple(&bcp(1), tuple![1i64]);
-        s.push_tuple(&bcp(1), tuple![2i64]);
-        assert!(!s.push_tuple(&bcp(1), tuple![3i64]), "over F: not logged");
+        s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
+        s.push_arc(&bcp(1), Arc::new(tuple![2i64]), 0);
+        assert!(
+            !s.push_arc(&bcp(1), Arc::new(tuple![3i64]), 0),
+            "over F: not logged"
+        );
         assert_eq!(s.take_changes(), Some(vec![bcp(1)]), "repeats folded");
         assert_eq!(s.take_changes(), Some(vec![]), "handed over once");
         for i in 2..=4 {
             s.admit(&bcp(i));
-            s.push_tuple(&bcp(i), tuple![i]);
-            s.push_tuple(&bcp(i), tuple![-i]);
+            s.push_arc(&bcp(i), Arc::new(tuple![i]), 0);
+            s.push_arc(&bcp(i), Arc::new(tuple![-i]), 0);
         }
         assert_eq!(s.take_changes(), Some(vec![bcp(2), bcp(3), bcp(4)]));
         // Completeness stamp, removal, and an eviction's victim.
@@ -682,7 +656,7 @@ mod tests {
         // publishes from stays bounded.
         for i in 10..15 {
             s.admit(&bcp(i));
-            s.push_tuple(&bcp(i), tuple![i]);
+            s.push_arc(&bcp(i), Arc::new(tuple![i]), 0);
         }
         assert_eq!(s.take_changes(), None);
         s.validate();
@@ -710,9 +684,8 @@ mod tests {
             .unwrap();
         let mut s = PmvStore::new(&cfg(4, 10, PolicyKind::Clock));
         s.enable_index(DeltaKeyIndex::new(&t));
-        assert!(s.index_enabled());
         s.admit(&bcp(1));
-        s.push_tuple(&bcp(1), tuple![7i64, 1i64]);
+        s.push_arc(&bcp(1), Arc::new(tuple![7i64, 1i64]), 0);
         // Deleting base tuple (a=7, f=1) supports the cached view tuple.
         let hit = s.supported(0, &tuple![7i64, 1i64]).unwrap();
         assert_eq!(hit.len(), 1);
@@ -733,11 +706,11 @@ mod tests {
         // query refills the entry.
         let mut s = PmvStore::new(&cfg(2, 4, PolicyKind::Clock));
         s.admit(&bcp(1));
-        s.push_tuple(&bcp(1), tuple![1i64]);
-        s.push_tuple(&bcp(1), tuple![2i64]);
+        s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
+        s.push_arc(&bcp(1), Arc::new(tuple![2i64]), 0);
         s.remove_tuple(&bcp(1), &tuple![1i64]);
         assert_eq!(s.admit(&bcp(1)), Residency::Resident);
-        assert!(s.push_tuple(&bcp(1), tuple![3i64]));
+        assert!(s.push_arc(&bcp(1), Arc::new(tuple![3i64]), 0));
         assert_eq!(s.lookup(&bcp(1)).unwrap().len(), 2);
         s.validate();
     }

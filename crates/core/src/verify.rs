@@ -505,49 +505,47 @@ pub fn verify_parts(
 
     // PMV005 — audit the maintenance-filter projection against the
     // template-derived reference spec.
-    if config.maint_filter {
-        let reference = FilterSpec::for_template(template);
-        let candidate = opts.filter.as_ref().unwrap_or(&reference);
-        if candidate.per_relation.len() != reference.per_relation.len() {
-            emit(
-                DiagCode::UnsoundMaintFilter,
-                format!(
-                    "filter covers {} relations, template has {}",
-                    candidate.per_relation.len(),
-                    reference.per_relation.len()
-                ),
-                None,
-                None,
-            );
-        } else {
-            for (rel, (cand, want)) in candidate
-                .per_relation
-                .iter()
-                .zip(reference.per_relation.iter())
-                .enumerate()
-            {
-                if cand != want {
-                    let pairs = |s: &(Vec<usize>, Vec<usize>)| {
-                        s.0.iter()
-                            .zip(s.1.iter())
-                            .map(|(v, b)| format!("Ls'[{v}]↔col{b}"))
-                            .collect::<Vec<_>>()
-                            .join(", ")
-                    };
-                    emit(
-                        DiagCode::UnsoundMaintFilter,
-                        format!(
-                            "relation {rel} ('{}'): filter keys on [{}] but Ls'/Cjoin \
-                             coverage requires [{}] — a delete may be skipped while it \
-                             still affects cached tuples",
-                            template.relations()[rel],
-                            pairs(cand),
-                            pairs(want)
-                        ),
-                        None,
-                        Some(rel),
-                    );
-                }
+    let reference = FilterSpec::for_template(template);
+    let candidate = opts.filter.as_ref().unwrap_or(&reference);
+    if candidate.per_relation.len() != reference.per_relation.len() {
+        emit(
+            DiagCode::UnsoundMaintFilter,
+            format!(
+                "filter covers {} relations, template has {}",
+                candidate.per_relation.len(),
+                reference.per_relation.len()
+            ),
+            None,
+            None,
+        );
+    } else {
+        for (rel, (cand, want)) in candidate
+            .per_relation
+            .iter()
+            .zip(reference.per_relation.iter())
+            .enumerate()
+        {
+            if cand != want {
+                let pairs = |s: &(Vec<usize>, Vec<usize>)| {
+                    s.0.iter()
+                        .zip(s.1.iter())
+                        .map(|(v, b)| format!("Ls'[{v}]↔col{b}"))
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                };
+                emit(
+                    DiagCode::UnsoundMaintFilter,
+                    format!(
+                        "relation {rel} ('{}'): filter keys on [{}] but Ls'/Cjoin \
+                         coverage requires [{}] — a delete may be skipped while it \
+                         still affects cached tuples",
+                        template.relations()[rel],
+                        pairs(cand),
+                        pairs(want)
+                    ),
+                    None,
+                    Some(rel),
+                );
             }
         }
     }

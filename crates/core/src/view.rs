@@ -32,18 +32,13 @@ pub struct PmvConfig {
     pub l: usize,
     /// How resident bcps are managed (CLOCK by default, per the paper).
     pub policy: PolicyKind,
-    /// Keep the Section 3.4 maintenance indices on V_PM attributes
-    /// (the per-shard [`crate::DeltaKeyIndex`]), letting deletes of
-    /// unrelated tuples skip the ΔR join (the \[25\] optimization) and
-    /// powering the indexed maintenance path. Its key is checked at
-    /// registration by [`crate::verify::FilterSpec::for_template`]
-    /// (PMV005). On by default.
-    pub maint_filter: bool,
     /// Sketch count at which a delete's key is heavy and resolved
     /// through the delta-key index instead of a ΔR join (heavy-light
     /// partitioning, DESIGN.md §19). At 1 every delete is heavy; at
     /// `u64::MAX` none is, and every delete runs the paper's ΔR join.
-    /// Without `maint_filter` there is no index and no key is heavy.
+    /// Either way the index on V_PM attributes (Section 3.4, the
+    /// per-shard [`crate::DeltaKeyIndex`]) lets deletes of uncached
+    /// tuples skip the ΔR join (the \[25\] filter).
     pub heavy_threshold: u64,
     /// Wall-clock budget for one O3 execution; when exceeded, the query
     /// returns the O2 partials flagged `Degraded` instead of blocking.
@@ -62,7 +57,6 @@ impl Default for PmvConfig {
             f: 2,
             l: 10_000,
             policy: PolicyKind::Clock,
-            maint_filter: true,
             // High enough that sparse delete streams stay on the exact
             // join path; a genuinely hot key crosses it within one
             // Zipfian burst.
@@ -74,8 +68,7 @@ impl Default for PmvConfig {
 }
 
 impl PmvConfig {
-    /// Config with explicit `F`, `L`, and policy (maintenance filter on,
-    /// no execution budget).
+    /// Config with explicit `F`, `L`, and policy (no execution budget).
     pub fn new(f: usize, l: usize, policy: PolicyKind) -> Self {
         PmvConfig {
             f,

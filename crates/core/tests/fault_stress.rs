@@ -169,8 +169,7 @@ fn run_stress(seed: u64, iters: i64) {
                         .expect("oracle execution")
                         .0;
                     let mut truth = multiset(&truth);
-                    if let Some(d) = out.degraded.as_ref() {
-                        assert!(d.partial_only);
+                    if out.degraded.is_some() {
                         assert!(out.remaining_expanded.is_empty());
                         // Partials must be a sub-multiset of the truth.
                         for tu in &out.partial_expanded {
@@ -293,7 +292,6 @@ fn row_budget_degrades_instead_of_blocking() {
     let out = edb.query(&shared, &q).unwrap();
     let d = out.degraded.expect("budget must degrade the outcome");
     assert_eq!(d.reason, DegradeReason::TupleBudget);
-    assert!(d.partial_only);
     assert!(out.remaining_expanded.is_empty());
     assert_eq!(shared.stats().budget_exceeded, 1);
     assert_eq!(shared.stats().degraded_queries, 1);
@@ -365,7 +363,6 @@ fn pipeline_exec_panic_degrades() {
         .expect("exec panic must degrade, not unwind");
     let d = out.degraded.expect("panicked O3 must flag degradation");
     assert_eq!(d.reason, DegradeReason::ExecPanic);
-    assert!(d.partial_only);
     assert!(out.remaining_expanded.is_empty());
     assert!(!out.partial.is_empty(), "warmed cache must still serve");
     for tu in &out.partial {

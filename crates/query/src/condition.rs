@@ -183,19 +183,6 @@ impl Interval {
             (Bound::Included(x), Bound::Excluded(y)) => x.cmp(y).then(Ordering::Greater),
         }
     }
-
-    /// Bounds as references, for index range scans.
-    pub fn as_bounds(&self) -> (Bound<&Value>, Bound<&Value>) {
-        (bound_as_ref(&self.lo), bound_as_ref(&self.hi))
-    }
-}
-
-fn bound_as_ref(b: &Bound<Value>) -> Bound<&Value> {
-    match b {
-        Bound::Included(v) => Bound::Included(v),
-        Bound::Excluded(v) => Bound::Excluded(v),
-        Bound::Unbounded => Bound::Unbounded,
-    }
 }
 
 impl fmt::Display for Interval {

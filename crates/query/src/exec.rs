@@ -116,11 +116,6 @@ impl ExecBudget {
         deadline: None,
         max_tuples: None,
     };
-
-    /// Whether this budget imposes any limit at all.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_tuples.is_none()
-    }
 }
 
 /// How many tuples to examine between deadline checks; bounds both the

@@ -24,7 +24,6 @@ pub mod dbview;
 pub mod engine;
 pub mod exec;
 pub mod parser;
-pub mod snapshot;
 pub mod table_stats;
 pub mod template;
 pub mod txn;

@@ -20,7 +20,6 @@
 use std::path::Path;
 
 use pmv_index::{IndexDef, IndexShape};
-use pmv_query::snapshot::{value_from_json, value_to_json};
 use pmv_query::{Database, DbSnapshot};
 use pmv_storage::{Column, ColumnType, Delta, RowId, Schema, Tuple, Value};
 use serde_json::{Map as JsonMap, Value as Json};
@@ -47,7 +46,7 @@ pub struct ViewSpec {
     pub f: usize,
     /// PMV L parameter (cache capacity in bcps).
     pub l: usize,
-    /// Replacement policy name (`clock`, `lru`, …).
+    /// Replacement policy name (`clock` or `2q`).
     pub policy: String,
     /// Shard count (0 = implementation default).
     pub shards: usize,
@@ -72,6 +71,55 @@ pub struct CheckpointMeta {
 
 fn err(msg: impl Into<String>) -> WalError {
     WalError::Checkpoint(msg.into())
+}
+
+/// Encode a tuple [`Value`] as its externally-tagged JSON form:
+/// `"n"` for NULL, `{"i": …}` / `{"d": …}` / `{"s": …}` otherwise.
+/// Non-finite doubles, which JSON cannot carry as numbers, are tagged
+/// strings under `"d"`.
+fn value_to_json(v: &Value) -> Json {
+    let tagged = |tag: &str, inner: Json| obj(vec![(tag, inner)]);
+    match v {
+        Value::Null => Json::from("n"),
+        Value::Int(i) => tagged("i", Json::from(*i)),
+        Value::Double(d) if d.is_finite() => tagged("d", Json::from(*d)),
+        Value::Double(d) if d.is_nan() => tagged("d", Json::from("nan")),
+        Value::Double(d) if *d > 0.0 => tagged("d", Json::from("inf")),
+        Value::Double(_) => tagged("d", Json::from("-inf")),
+        Value::Str(s) => tagged("s", Json::from(s.to_string())),
+    }
+}
+
+/// Decode a [`value_to_json`] encoding back into a [`Value`].
+fn value_from_json(j: &Json) -> WalResult<Value> {
+    if j.as_str() == Some("n") {
+        return Ok(Value::Null);
+    }
+    let o = as_obj(j, "value")?;
+    if let Some(i) = o.get("i") {
+        return i
+            .as_i64()
+            .map(Value::Int)
+            .ok_or_else(|| err(format!("invalid int encoding {j}")));
+    }
+    if let Some(d) = o.get("d") {
+        if let Some(f) = d.as_f64() {
+            return Ok(Value::Double(f));
+        }
+        return match d.as_str() {
+            Some("nan") => Ok(Value::Double(f64::NAN)),
+            Some("inf") => Ok(Value::Double(f64::INFINITY)),
+            Some("-inf") => Ok(Value::Double(f64::NEG_INFINITY)),
+            _ => Err(err(format!("invalid double encoding {j}"))),
+        };
+    }
+    if let Some(s) = o.get("s") {
+        return s
+            .as_str()
+            .map(Value::str)
+            .ok_or_else(|| err(format!("invalid string encoding {j}")));
+    }
+    Err(err(format!("unknown value tag in {j}")))
 }
 
 fn ty_to_str(t: ColumnType) -> &'static str {
@@ -284,7 +332,7 @@ pub fn load(path: &Path) -> WalResult<(Database, CheckpointMeta)> {
             let tuple = Tuple::new(
                 cells
                     .iter()
-                    .map(|v| value_from_json(v).map_err(|e| err(format!("value: {e}"))))
+                    .map(value_from_json)
                     .collect::<WalResult<Vec<_>>>()?,
             );
             db.apply_delta_exact(
@@ -324,7 +372,7 @@ pub fn load(path: &Path) -> WalResult<(Database, CheckpointMeta)> {
                 Json::Null => Ok(None),
                 Json::Array(vals) => Ok(Some(
                     vals.iter()
-                        .map(|x| value_from_json(x).map_err(|e| err(format!("divider: {e}"))))
+                        .map(value_from_json)
                         .collect::<WalResult<Vec<_>>>()?,
                 )),
                 _ => Err(err("divider entry must be null or an array")),
@@ -345,4 +393,28 @@ pub fn load(path: &Path) -> WalResult<(Database, CheckpointMeta)> {
             .map_err(|e| err(format!("recompute statistics: {e}")))?;
     }
     Ok((db, meta))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn values_roundtrip_including_null_and_non_finite_doubles() {
+        for v in [
+            Value::Null,
+            Value::Int(-7),
+            Value::Double(1.5),
+            Value::Double(f64::INFINITY),
+            Value::Double(f64::NEG_INFINITY),
+            Value::str("it's"),
+        ] {
+            assert_eq!(value_from_json(&value_to_json(&v)).unwrap(), v);
+        }
+        let nan = value_from_json(&value_to_json(&Value::Double(f64::NAN))).unwrap();
+        assert!(matches!(nan, Value::Double(d) if d.is_nan()));
+        for bad in [r#"{"x":1}"#, r#"{"d":"big"}"#, "3"] {
+            assert!(value_from_json(&serde_json::from_str(bad).unwrap()).is_err());
+        }
+    }
 }

@@ -14,7 +14,7 @@
 //! * [`index`] — hash and B+-tree secondary indexes with composite keys.
 //! * [`query`] — query templates (`Cjoin` + disjunctive `Cselect`),
 //!   planner, index-nested-loop executor, transactions, 2PL locks.
-//! * [`cache`] — replacement policies: CLOCK, simplified 2Q, LRU, LRU-2.
+//! * [`cache`] — replacement policies: CLOCK and simplified 2Q.
 //! * [`core`] — the paper's contribution: basic condition parts, the PMV
 //!   store, the O1/O2/O3 pipeline, deferred maintenance, MV baselines,
 //!   and the Section 3.6 extensions.

@@ -1,7 +1,7 @@
 //! Property tests on the replacement policies: structural invariants for
-//! all, exact model equivalence for LRU, and 2Q's probation discipline.
+//! both, and 2Q's probation discipline.
 
-use pmv::cache::{AdmitOutcome, ClockPolicy, LruPolicy, PolicyKind, ReplacementPolicy, TwoQPolicy};
+use pmv::cache::{AdmitOutcome, ClockPolicy, ReplacementPolicy, TwoQPolicy};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -68,61 +68,6 @@ proptest! {
     #[test]
     fn two_q_invariants(ops in proptest::collection::vec(op_strategy(), 1..300)) {
         run_invariant_check(Box::new(TwoQPolicy::new(8)), ops)?;
-    }
-
-    #[test]
-    fn lru_invariants(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        run_invariant_check(PolicyKind::Lru.build(8), ops)?;
-    }
-
-    #[test]
-    fn lru_k_invariants(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        run_invariant_check(PolicyKind::LruK.build(8), ops)?;
-    }
-
-    #[test]
-    fn two_q_full_invariants(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        run_invariant_check(PolicyKind::TwoQFull.build(8), ops)?;
-    }
-
-    /// LRU against an exact recency-order model.
-    #[test]
-    fn lru_matches_exact_model(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-        let mut lru = LruPolicy::new(6);
-        let mut model: Vec<u16> = Vec::new(); // front = LRU, back = MRU
-        for op in ops {
-            match op {
-                Op::Touch(k) => {
-                    lru.touch(&k);
-                    if let Some(pos) = model.iter().position(|&x| x == k) {
-                        let v = model.remove(pos);
-                        model.push(v);
-                    }
-                }
-                Op::Admit(k) => {
-                    let out = lru.admit(k);
-                    if let Some(pos) = model.iter().position(|&x| x == k) {
-                        // Refresh.
-                        prop_assert_eq!(out.evicted().len(), 0);
-                        let v = model.remove(pos);
-                        model.push(v);
-                    } else {
-                        if model.len() == 6 {
-                            let victim = model.remove(0);
-                            prop_assert_eq!(out.evicted(), &[victim]);
-                        } else {
-                            prop_assert_eq!(out.evicted().len(), 0);
-                        }
-                        model.push(k);
-                    }
-                }
-                Op::Remove(k) => {
-                    lru.remove(&k);
-                    model.retain(|&x| x != k);
-                }
-            }
-            prop_assert_eq!(lru.resident_keys(), model.clone());
-        }
     }
 
     /// 2Q: a key only becomes resident on its second admit while in A1,

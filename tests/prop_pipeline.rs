@@ -32,12 +32,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 }
 
 fn policies() -> impl Strategy<Value = PolicyKind> {
-    prop_oneof![
-        Just(PolicyKind::Clock),
-        Just(PolicyKind::TwoQ),
-        Just(PolicyKind::Lru),
-        Just(PolicyKind::LruK),
-    ]
+    prop_oneof![Just(PolicyKind::Clock), Just(PolicyKind::TwoQ)]
 }
 
 /// Apply one mutating step through `edb`, maintaining `pmv` (queries are

@@ -1,61 +1,90 @@
-//! Integration test: a generated TPC-R database round-trips through a
-//! JSON snapshot with identical query behaviour.
+//! Integration test: a generated TPC-R database round-trips through the
+//! one database image format — a durable checkpoint — and recovery
+//! brings back identical query behaviour.
 
+use std::sync::Arc;
+
+use pmv::core::ObsRegistry;
 use pmv::prelude::*;
-use pmv::query::snapshot;
 use pmv::workload::queries::{t1_query, template_t1};
 use pmv::workload::tpcr::{self, TpcrConfig};
 
+const SCALE: f64 = 0.002;
+const RELATIONS: [&str; 3] = ["customer", "orders", "lineitem"];
+const DATES: [i64; 4] = [0, 100, 500, 1000];
+
+fn supplier_for(date: i64) -> i64 {
+    (date * 31).rem_euclid(tpcr::supplier_count(SCALE)) + 1
+}
+
+/// What must survive recovery: every relation's cardinality and T1's
+/// sorted answer for each of `DATES`. Every probe must find an index.
+fn image(db: &Database) -> (Vec<usize>, Vec<Vec<Tuple>>) {
+    let lens = RELATIONS.iter().map(|r| db.len(r).unwrap()).collect();
+    let t1 = template_t1(db).unwrap();
+    let answers = DATES
+        .iter()
+        .map(|&date| {
+            let q = t1_query(&t1, &[date], &[supplier_for(date)]).unwrap();
+            let (mut rows, stats) = pmv::query::execute(db, &q).unwrap();
+            assert_eq!(stats.fallback_scans, 0, "date {date}: an index was missing");
+            rows.sort();
+            rows
+        })
+        .collect();
+    (lens, answers)
+}
+
 #[test]
 fn tpcr_snapshot_roundtrip_preserves_query_results() {
-    let mut db = Database::new();
-    tpcr::generate(
-        &mut db,
-        &TpcrConfig {
-            scale: 0.002,
-            seed: 31,
-            pad: false,
-            date_supplier_pool: Some(2),
-        },
-    )
+    let dir = std::env::temp_dir().join(format!("pmv_tpcr_checkpoint_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || EpochDb::open_durable(&dir, Arc::new(ObsRegistry::new())).unwrap();
+
+    let (edb, _) = open();
+    edb.with_write(|db| {
+        tpcr::generate(
+            db,
+            &TpcrConfig {
+                scale: SCALE,
+                seed: 31,
+                pad: false,
+                date_supplier_pool: Some(2),
+            },
+        )?;
+        tpcr::standard_indexes(db)
+    })
     .unwrap();
-    tpcr::standard_indexes(&mut db).unwrap();
+    // A bulk load bypasses the WAL: only the checkpoint carries it.
+    edb.checkpoint(Vec::new()).unwrap();
+    let before = image(&edb.read());
+    drop(edb);
+    let hot = before.1.iter().position(|rows| !rows.is_empty());
+    let hot = hot.expect("some T1 binding must have results");
 
-    let mut buf = Vec::new();
-    snapshot::save(&db, &["customer", "orders", "lineitem"], &mut buf).unwrap();
-    let restored = snapshot::load(buf.as_slice()).unwrap();
-
-    for rel in ["customer", "orders", "lineitem"] {
-        assert_eq!(db.len(rel).unwrap(), restored.len(rel).unwrap(), "{rel}");
-    }
-
-    // Same queries, same answers, still fully indexed.
-    let t_orig = template_t1(&db).unwrap();
-    let t_rest = template_t1(&restored).unwrap();
-    for date in [0i64, 100, 500, 1000] {
-        let supp = (date * 31).rem_euclid(tpcr::supplier_count(0.002)) + 1;
-        let q1 = t1_query(&t_orig, &[date], &[supp]).unwrap();
-        let q2 = t1_query(&t_rest, &[date], &[supp]).unwrap();
-        let (mut a, s1) = pmv::query::execute(&db, &q1).unwrap();
-        let (mut b, s2) = pmv::query::execute(&restored, &q2).unwrap();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "date {date}");
-        assert_eq!(s1.fallback_scans, 0);
-        assert_eq!(s2.fallback_scans, 0, "restored indexes must be used");
-    }
-
-    // A PMV built over the restored database behaves identically.
-    let pmv = SharedPmv::with_shards(
-        PartialViewDef::all_equality("snap_pmv", t_rest.clone()).unwrap(),
-        PmvConfig::default(),
-        1,
+    let (edb, meta) = open();
+    let info = edb.durability().unwrap().recovery_info().clone();
+    assert!(
+        info.checkpoint_found && info.replayed_records == 0,
+        "{info:?}"
     );
-    let supp = (100i64 * 31).rem_euclid(tpcr::supplier_count(0.002)) + 1;
-    let q = t1_query(&t_rest, &[100], &[supp]).unwrap();
-    let edb = EpochDb::new(restored);
+    assert!(meta.views.is_empty());
+    assert_eq!(image(&edb.read()), before);
+
+    // A PMV over the recovered database fills on the first query and
+    // serves partials on the second, with nothing stale.
+    let t1 = template_t1(&edb.read()).unwrap();
+    let def = PartialViewDef::all_equality("ckpt_pmv", t1.clone()).unwrap();
+    let pmv = SharedPmv::with_shards(def, PmvConfig::default(), 1);
+    let date = DATES[hot];
+    let q = t1_query(&t1, &[date], &[supplier_for(date)]).unwrap();
     let cold = edb.query(&pmv, &q).unwrap();
     let warm = edb.query(&pmv, &q).unwrap();
-    assert_eq!(cold.all_results().len(), warm.all_results().len());
+    assert!(cold.partial.is_empty());
+    assert!(!warm.partial.is_empty(), "warm query served no partials");
+    assert_eq!(warm.all_results().len(), before.1[hot].len());
+    assert_eq!(cold.ds_leftover, 0);
     assert_eq!(warm.ds_leftover, 0);
+    drop(edb);
+    std::fs::remove_dir_all(&dir).ok();
 }
