@@ -8,7 +8,7 @@
 //!    [`pmv_core::ViewDef`]'s template, discretizers and maintenance
 //!    filter satisfy the paper's soundness preconditions *without
 //!    executing anything*, producing typed diagnostics PMV001–PMV006.
-//!    The verifier lives in `pmv-core` so `PmvManager::register` can
+//!    The verifier lives in `pmv-core` so `EpochDb::register` can
 //!    call it without a dependency cycle; this crate re-exports it as
 //!    the analysis entry point and houses the corpus and property
 //!    tests that pin its behaviour.

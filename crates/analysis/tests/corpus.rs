@@ -165,7 +165,7 @@ fn assert_clean(report: &pmv_analysis::VerifyReport) {
 
 #[test]
 fn valid_equality_template() {
-    // The manager-test / example shape: equality condition, no
+    // The host-test / example shape: equality condition, no
     // discretizer slot filled.
     let t = TemplateBuilder::new("by_f")
         .relation(schema_r())

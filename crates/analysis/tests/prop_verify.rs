@@ -8,7 +8,7 @@
 //! - a **clean** verdict means the definition registers, serves interval
 //!   queries through O1→O2→O3 without error, and passes the sharded
 //!   store's `debug_validate` invariant check;
-//! - a **denied** verdict means `PmvManager::register` rejects the
+//! - a **denied** verdict means `EpochDb::register` rejects the
 //!   definition *before* any store is built.
 //!
 //! Together these pin the verifier to the contract DESIGN.md §12 claims
@@ -16,7 +16,7 @@
 
 use pmv_analysis::{verify_parts, VerifyOptions};
 use pmv_cache::PolicyKind;
-use pmv_core::{Discretizer, EpochDb, PartialViewDef, PmvConfig, PmvManager, SharedPmv};
+use pmv_core::{Discretizer, EpochDb, PartialViewDef, PmvConfig, SharedPmv};
 use pmv_index::IndexDef;
 use pmv_query::{Condition, Database, Interval, QueryTemplate, TemplateBuilder};
 use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
@@ -65,8 +65,7 @@ fn check_agreement(raw: Vec<i64>, lo: i64, width: i64) -> Result<(), TestCaseErr
     let report = verify_parts(&t, &[Some(d.clone())], &config, &VerifyOptions::default());
     let def = PartialViewDef::new("v", t.clone(), vec![Some(d)]).unwrap();
 
-    let mut m = PmvManager::new();
-    let res = m.register(def.clone(), config.clone());
+    let res = edb.register(def.clone(), config.clone(), None);
 
     if report.denied() {
         prop_assert!(
@@ -74,11 +73,18 @@ fn check_agreement(raw: Vec<i64>, lo: i64, width: i64) -> Result<(), TestCaseErr
             "verifier denied ({}) but register accepted",
             report.codes().join(",")
         );
-        prop_assert_eq!(m.view_count(), 0, "denied def must not leave a view behind");
+        prop_assert!(
+            edb.views().is_empty(),
+            "denied def must not leave a view behind"
+        );
         return Ok(());
     }
 
-    prop_assert!(res.is_ok(), "verifier clean but register rejected: {res:?}");
+    if let Err(e) = res {
+        return Err(TestCaseError::fail(format!(
+            "verifier clean but register rejected: {e}"
+        )));
+    }
     let q = t
         .bind(vec![Condition::Intervals(vec![Interval::half_open(
             lo,
@@ -87,9 +93,9 @@ fn check_agreement(raw: Vec<i64>, lo: i64, width: i64) -> Result<(), TestCaseErr
         .unwrap();
     // O1 decompose → O2 probe → O3 fill, twice so the second pass also
     // exercises the warm path.
-    let view = m.view_for(&t).expect("registered");
+    let view = edb.view_for(&t).expect("registered");
     for _ in 0..2 {
-        let out = edb.query(view, &q);
+        let out = edb.query(&view, &q);
         prop_assert!(out.is_ok(), "clean def errored at runtime: {out:?}");
     }
 

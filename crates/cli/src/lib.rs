@@ -1,10 +1,10 @@
 //! The `pmv-cli` session: a small command language over the library's
 //! own host — one [`pmv_core::EpochDb`] (in memory, or
-//! `EpochDb::open_durable` under `--data-dir`) and one
-//! [`pmv_core::PmvManager`]. `load` is `EpochDb::with_write`, `pmv` is
-//! `PmvManager::register_sharded` (so the PMV001–PMV006 verifier gates
-//! it), `query` is `EpochDb::query`, `checkpoint` is
-//! `EpochDb::checkpoint`, and the reporting commands iterate the manager.
+//! `EpochDb::open_durable` under `--data-dir`), which owns every view.
+//! `load` is `EpochDb::with_write`, `pmv` is `EpochDb::register` (so the
+//! PMV001–PMV006 verifier gates it), `query` is `EpochDb::query`,
+//! `checkpoint` is `EpochDb::checkpoint`, and the reporting commands
+//! iterate `EpochDb::views`.
 //!
 //! ```text
 //! load tpcr 0.01                         generate TPC-R data at scale s (once, first)
@@ -36,7 +36,7 @@ use std::sync::Arc;
 use pmv_cache::PolicyKind;
 use pmv_core::{
     AdvisorConfig, Discretizer, Durability, EpochDb, PartialViewDef, PmvAdvisor, PmvConfig,
-    PmvManager, QueryOutcome, VerifyOptions, ViewSpec,
+    QueryOutcome, SharedPmv, VerifyOptions, ViewSpec,
 };
 use pmv_query::{
     parse_template, CondForm, Condition, Database, Interval, QueryInstance, QueryTemplate,
@@ -170,13 +170,12 @@ fn default_discretizers(template: &QueryTemplate) -> Vec<Option<Discretizer>> {
 
 /// An interactive session: a command shell over the library's own host —
 /// one [`EpochDb`] (in memory, or durable when opened on a data
-/// directory) and one [`PmvManager`] owning every registered view. The
-/// session itself keeps only what the command language adds: template
-/// names and SQL text, the advisor's trace, and the flight recorder it
-/// attaches to each view.
+/// directory), which owns every registered view. The session itself
+/// keeps only what the command language adds: template names and SQL
+/// text, the advisor's trace, and the flight recorder it attaches to
+/// each view.
 pub struct Session {
     db: EpochDb,
-    views: PmvManager,
     /// Template name → (template, SQL text). The SQL is kept so a
     /// checkpoint can record it for re-parsing at recovery.
     templates: HashMap<String, (Arc<QueryTemplate>, String)>,
@@ -202,7 +201,6 @@ impl Session {
     fn over(db: EpochDb) -> Self {
         Session {
             db,
-            views: PmvManager::new(),
             templates: HashMap::new(),
             advisor: PmvAdvisor::new(),
             flight: None,
@@ -235,7 +233,7 @@ impl Session {
             {
                 fr.set_latency_threshold(Some(std::time::Duration::from_millis(ms)));
             }
-            for view in s.views.views() {
+            for view in s.db.views() {
                 view.attach_flight(Arc::clone(&fr));
             }
             s.flight = Some(fr);
@@ -281,7 +279,7 @@ impl Session {
         })
     }
 
-    /// Register one view with the manager — the verifier gate
+    /// Register one view with the host — the verifier gate
     /// (PMV001–PMV006) and the one-PMV-per-template rule are its — and
     /// hook it to the session's flight recorder.
     fn register(
@@ -290,7 +288,7 @@ impl Session {
         config: PmvConfig,
         shards: Option<usize>,
     ) -> Result<(), CliError> {
-        let view = self.views.register_sharded(def, config, shards)?;
+        let view = self.db.register(def, config, shards)?;
         if let Some(fr) = &self.flight {
             view.attach_flight(Arc::clone(fr));
         }
@@ -325,7 +323,7 @@ impl Session {
             .templates
             .iter()
             .filter_map(|(name, (template, sql))| {
-                let v = self.views.view_for(template)?;
+                let v = self.db.view_for(template)?;
                 Some(ViewSpec {
                     name: name.clone(),
                     sql: sql.clone(),
@@ -452,10 +450,10 @@ impl Session {
         let (name, sql) = rest
             .split_once(char::is_whitespace)
             .ok_or_else(|| usage("usage: template <name> <SQL>"))?;
-        // The manager keys views by template identity and never drops
-        // one, so a name that already serves a PMV cannot be rebound.
+        // The host keys views by template identity and never drops one,
+        // so a name that already serves a PMV cannot be rebound.
         if let Some((old, _)) = self.templates.get(name) {
-            if self.views.view_for(old).is_some() {
+            if self.db.view_for(old).is_some() {
                 return Err(usage(format!(
                     "template '{name}' has a PMV; define the new SQL under another name"
                 )));
@@ -614,17 +612,17 @@ impl Session {
             }
             Mode::Pmv => {
                 let view = self
-                    .views
+                    .db
                     .view_for(&template)
                     .ok_or_else(|| usage(format!("no PMV for '{name}' (use: pmv {name})")))?;
-                Ok(format_outcome(&self.db.query(view, &q)?))
+                Ok(format_outcome(&self.db.query(&view, &q)?))
             }
         }
     }
 
     fn cmd_health(&mut self) -> Result<String, CliError> {
         let mut out = String::new();
-        for v in self.views.metrics_views() {
+        for v in self.db.views().iter().map(SharedPmv::metrics) {
             let _ = writeln!(
                 out,
                 "{}: {} (error rate {:.3}, trips {}, degraded queries {}, quarantine events {}, \
@@ -674,7 +672,7 @@ impl Session {
     /// The exportable telemetry: every view in registration order, then
     /// the host's `__db` row ([`EpochDb::metrics`]).
     fn view_metrics(&self) -> Vec<pmv_obs::ViewMetrics> {
-        let mut views = self.views.metrics_views();
+        let mut views: Vec<_> = self.db.views().iter().map(SharedPmv::metrics).collect();
         views.push(self.db.metrics());
         views
     }
@@ -699,7 +697,7 @@ impl Session {
                 other => return Err(usage(format!("unknown metrics format '{other}'"))),
             }
         }
-        if self.views.view_count() == 0 {
+        if self.db.views().is_empty() {
             return Ok("(no PMVs yet)\n".to_string());
         }
         let views = self.view_metrics();
@@ -797,11 +795,12 @@ impl Session {
             };
             n = value.parse().map_err(|_| usage("bad tail count"))?;
         }
-        if self.views.view_count() == 0 {
+        let views = self.db.views();
+        if views.is_empty() {
             return Ok("(no PMVs yet)\n".to_string());
         }
         let mut out = String::new();
-        for trace in self.views.trace_tail(n) {
+        for trace in views.iter().flat_map(|v| v.obs().trace().tail(n)) {
             // Display already ends each trace with a newline.
             let _ = write!(out, "{trace}");
         }
@@ -814,7 +813,7 @@ impl Session {
     fn cmd_revalidate(&mut self, rest: &str) -> Result<String, CliError> {
         let mut out = String::new();
         let db = self.db.read();
-        for v in self.views.views() {
+        for v in self.db.views() {
             let name = v.def().template().name();
             if !rest.is_empty() && rest != name {
                 continue;
@@ -852,7 +851,7 @@ impl Session {
 
     fn cmd_stats(&mut self, rest: &str) -> Result<String, CliError> {
         let mut out = String::new();
-        for v in self.views.views() {
+        for v in self.db.views() {
             let name = v.def().template().name();
             if !rest.is_empty() && rest != name {
                 continue;
@@ -1211,7 +1210,7 @@ mod tests {
         assert!(json.contains("\"name\":\"__db\""), "{json}");
     }
 
-    /// `pmv` goes through `PmvManager`'s verifier gate: a definition the
+    /// `pmv` goes through the host's verifier gate: a definition the
     /// verifier denies is a PMV-layer error (exit code 5) that registers
     /// nothing, and `analyze` names the same diagnostic.
     #[test]
@@ -1237,7 +1236,7 @@ mod tests {
         assert!(out.contains("DENIED") && out.contains("PMV006"), "{out}");
     }
 
-    /// The manager's rules are the session's: one PMV per template, a
+    /// The host's rules are the session's: one PMV per template, a
     /// template serving a PMV keeps its name, and `load` is setup-path
     /// work that runs once, before anything else.
     #[test]
@@ -1472,7 +1471,7 @@ mod tests {
         }
     }
 
-    /// One view type, one manager: every per-view report names a view once.
+    /// One view type, one host: every per-view report names a view once.
     #[test]
     fn reports_list_each_view_once() {
         let mut s = loaded_session();

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! A session is a command shell over the library's host: one
-//! `pmv_core::EpochDb` and one `pmv_core::PmvManager` (see
+//! `pmv_core::EpochDb`, which owns every view (see
 //! [`pmv_cli::Session`]). Every query is `EpochDb::query` — it pins the
 //! published copy-on-write snapshot through the per-thread pin cache and
 //! reads a sharded view wait-free. Without `--data-dir` the host is

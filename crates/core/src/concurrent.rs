@@ -36,10 +36,11 @@
 //! `fill_epoch ≤ pin_epoch`, write back only when `pin_epoch ≥
 //! maint_epoch` — are described there and in DESIGN.md "Serving path".
 //!
-//! [`SharedPmv::run_pinned`] serves against one pinned
-//! [`pmv_query::DbSnapshot`]. [`crate::epoch::EpochDb`] is the host: its
-//! `query` pins the published snapshot for each call, and its `commit`
-//! maintains every listed view before the next snapshot publishes.
+//! `SharedPmv::run_pinned` serves against one pinned
+//! [`pmv_query::DbSnapshot`]. [`crate::epoch::EpochDb`] is the host and
+//! owns every view it serves: its `query` pins the published snapshot
+//! for each call, and its `commit` maintains every view it owns before
+//! the next snapshot publishes.
 //!
 //! Lock ordering is uniform — database access is always acquired before
 //! any shard lock, queries never wait on a shard lock at all, and
@@ -191,11 +192,15 @@ pub(crate) struct Inner {
     views: Vec<LeftRight<ShardView>>,
     /// Chunks per shard view, `⌈⌈L/N⌉ / CHUNK_ENTRIES⌉`.
     chunks: usize,
-    /// Epoch (database version) of the last completed maintenance.
-    /// Epoch-mode fills are gated on `pin_epoch >= maint_epoch`: a query
-    /// pinned before the latest maintenance must not write back results
-    /// that maintenance may already have evicted.
+    /// Epoch (database version) of the last completed maintenance, or
+    /// of the view joining its host. Epoch-mode fills are gated on
+    /// `pin_epoch >= maint_epoch`: a query pinned before the latest
+    /// maintenance must not write back results that maintenance may
+    /// already have evicted.
     pub(crate) maint_epoch: AtomicU64,
+    /// Id of the [`crate::epoch::EpochDb`] that owns this view; 0 before
+    /// it joins one, `u64::MAX` while a host attaches it.
+    pub(crate) host: AtomicU64,
     pub(crate) stats: AtomicPmvStats,
     /// Per-view health state machine; Quarantined disables all serving.
     pub(crate) breaker: CircuitBreaker,
@@ -350,6 +355,7 @@ impl SharedPmv {
                 views,
                 chunks,
                 maint_epoch: AtomicU64::new(0),
+                host: AtomicU64::new(0),
                 stats: AtomicPmvStats::new(),
                 breaker,
                 verified: VerifiedClock::new(),
@@ -383,10 +389,9 @@ impl SharedPmv {
     /// write-back (fills *and* policy touches) is best-effort —
     /// `try_write`, skipped under contention — so between pinning and the
     /// answer no lock is ever waited on. [`crate::epoch::EpochDb::query`]
-    /// calls this with its current snapshot; call it directly only to
-    /// serve from a pin held across commits.
+    /// and `query_at` call this once the view is attached.
     // pmv::pin_region
-    pub fn run_pinned(&self, snap: &DbSnapshot, q: &QueryInstance) -> Result<QueryOutcome> {
+    pub(crate) fn run_pinned(&self, snap: &DbSnapshot, q: &QueryInstance) -> Result<QueryOutcome> {
         serve::query(&self.inner, snap, q)
     }
 
@@ -506,13 +511,6 @@ impl SharedPmv {
         let fr = self.inner.flight.get()?;
         let traces = self.inner.obs.trace().tail(FLIGHT_TRACE_TAIL);
         fr.trigger(reason, total.as_micros() as u64, traces, self.metrics())
-    }
-
-    /// True when `self` and `other` are handles to the same underlying
-    /// view (the group-commit combiner dedups views by this before
-    /// running maintenance once over a merged batch).
-    pub fn same_view(&self, other: &SharedPmv) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
     }
 
     /// Toggle observability recording at runtime. Disabled recording
@@ -734,7 +732,7 @@ fn remove_stale(store: &mut PmvStore, bcp: &BcpKey, budget: &mut HashMap<Tuple, 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::epoch::EpochDb;
     use crate::pipeline::run_plain;
@@ -742,6 +740,22 @@ mod tests {
     use pmv_index::IndexDef;
     use pmv_query::{Condition, TemplateBuilder, Transaction};
     use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
+
+    /// Plant `tuple` under `bcp` straight into its shard store, admitting
+    /// the bcp first: a cached tuple no base row derives, which no
+    /// maintained commit can leave behind — the stale tuple `revalidate`
+    /// exists to find.
+    pub(crate) fn seed_stale(view: &SharedPmv, bcp: &BcpKey, tuple: Tuple) {
+        let inner = &view.inner;
+        let si = inner.slot_of(bcp).0;
+        let mut store = inner.shards[si].write();
+        store.admit(bcp);
+        assert!(
+            store.push_arc(bcp, Arc::new(tuple), 0),
+            "no room under {bcp:?}"
+        );
+        inner.publish_shard(si, &mut store);
+    }
 
     fn setup(shards: usize) -> (EpochDb, SharedPmv) {
         let mut db = Database::new();

@@ -5,10 +5,23 @@
 //! `parking_lot::RwLock`) with a published immutable [`DbSnapshot`] in a
 //! [`LeftRight`] cell. Readers *pin* the current snapshot with one
 //! wait-free [`LeftRight::load`] — no database lock, no reference
-//! counting beyond the `Arc` clone — and run entire queries against it
-//! ([`SharedPmv::run_pinned`]); relations and indexes inside the
-//! snapshot are copy-on-write `Arc`s, so pinning is O(1) regardless of
-//! data size.
+//! counting beyond the `Arc` clone — and run entire queries against it;
+//! relations and indexes inside the snapshot are copy-on-write `Arc`s, so
+//! pinning is O(1) regardless of data size.
+//!
+//! # The host owns its views
+//!
+//! A view joins the host the first time it is registered
+//! ([`EpochDb::register`]), served ([`EpochDb::query`],
+//! [`EpochDb::query_at`]) or named in a commit, and stays for the host's
+//! lifetime; a view belongs to one host only. Every commit maintains
+//! every view the host owns — as the paper maintains every PMV over
+//! `R_i` on every `ΔR_i` (§3.4) — so no caller can forget one. Joining
+//! stamps the view's `maint_epoch` with the current database version
+//! under the master lock: a pin taken before the view joined may hold
+//! rows deleted by commits that did not maintain it, and the existing
+//! fill gate (`pin_epoch ≥ maint_epoch`) keeps those results out of the
+//! store.
 //!
 //! # The commit protocol (group commit)
 //!
@@ -21,8 +34,8 @@
 //!
 //! 1. **Mutate**: apply every drained transaction's closure under the
 //!    write lock (each bumping the database version — the epoch).
-//! 2. **Maintain** every distinct registered PMV against the new state
-//!    over the *merged* `DeltaBatch`es, still under the write lock.
+//! 2. **Maintain** every view the host owns against the new state over
+//!    the *merged* `DeltaBatch`es, still under the write lock.
 //!    This evicts cached tuples any Δ invalidated and advances each
 //!    view's `maint_epoch` past the whole batch.
 //! 3. **Publish** one new snapshot (incrementally — untouched
@@ -70,13 +83,15 @@ use std::path::{Path, PathBuf};
 
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 use pmv_obs::{HistSnapshot, LatencyHistogram, ObsRegistry, Phase, ViewMetrics};
-use pmv_query::{Database, DbSnapshot, QueryInstance};
+use pmv_query::{Database, DbSnapshot, QueryInstance, QueryTemplate};
 use pmv_storage::DeltaBatch;
 use pmv_sync::LeftRight;
 use pmv_wal::{CheckpointMeta, Durability, ViewSpec};
 
 use crate::concurrent::SharedPmv;
 use crate::pipeline::QueryOutcome;
+use crate::verify::{self, VerifyOptions};
+use crate::view::{PartialViewDef, PmvConfig};
 use crate::{CoreError, Result};
 
 use std::sync::atomic::Ordering::Relaxed;
@@ -90,9 +105,6 @@ struct CommitReq {
     /// the caller's output plus the delta batches produced.
     #[allow(clippy::type_complexity)]
     apply: Box<dyn FnOnce(&mut Database) -> Result<(Box<dyn Any + Send>, Vec<DeltaBatch>)> + Send>,
-    /// Views this transaction wants maintained (deduped across the
-    /// batch by the combiner).
-    views: Vec<SharedPmv>,
     /// Where the combiner deposits the outcome.
     slot: Arc<CommitSlot>,
 }
@@ -146,8 +158,12 @@ thread_local! {
     static PIN_CACHE: Cell<Vec<PinEntry>> = const { Cell::new(Vec::new()) };
 }
 
-/// Distinguishes `EpochDb` instances in the per-thread pin cache.
-static NEXT_DB_ID: AtomicU64 = AtomicU64::new(0);
+/// Distinguishes `EpochDb` instances in the per-thread pin cache and in
+/// their views' host tags, where 0 means "no host yet".
+static NEXT_DB_ID: AtomicU64 = AtomicU64::new(1);
+
+/// Host tag of a view some host is attaching right now.
+const ATTACHING: u64 = u64::MAX;
 
 /// A database with an epoch-published snapshot for lock-free serving.
 pub struct EpochDb {
@@ -160,9 +176,9 @@ pub struct EpochDb {
     /// achieved group-commit batch size.
     commits: AtomicU64,
     combines: AtomicU64,
-    /// Set once the first epoch-path query is served; guards
-    /// [`EpochDb::with_write`]'s no-maintenance republish.
-    served: AtomicBool,
+    /// The views this host owns, in attach order; every combine round
+    /// maintains all of them. Lock order: `db`, then this.
+    views: Mutex<Vec<SharedPmv>>,
     /// Optional durability engine. When present, the combiner appends
     /// one fsynced WAL record per round *before* maintenance and
     /// publish — durable strictly precedes visible — and a WAL failure
@@ -203,7 +219,7 @@ impl EpochDb {
             queue: Mutex::new(Vec::new()),
             commits: AtomicU64::new(0),
             combines: AtomicU64::new(0),
-            served: AtomicBool::new(false),
+            views: Mutex::new(Vec::new()),
             durability: None,
             durable: Mutex::new(None),
             obs: Arc::new(ObsRegistry::new()),
@@ -232,7 +248,7 @@ impl EpochDb {
             queue: Mutex::new(Vec::new()),
             commits: AtomicU64::new(0),
             combines: AtomicU64::new(0),
-            served: AtomicBool::new(false),
+            views: Mutex::new(Vec::new()),
             durability: Some(durability),
             durable: Mutex::new(Some((snap, lsn))),
             obs,
@@ -334,15 +350,17 @@ impl EpochDb {
 
     /// Commit one transaction through the group-commit queue: `f`
     /// mutates the database and returns the delta batches it produced
-    /// (e.g. from `pmv_query::Transaction::commit`); every view in
-    /// `views` is maintained and a new snapshot published before the
-    /// result returns — the maintain-before-publish protocol the epoch
-    /// serving path's correctness rests on (module docs).
+    /// (e.g. from `pmv_query::Transaction::commit`); every view the host
+    /// owns is maintained and a new snapshot published before the result
+    /// returns — the maintain-before-publish protocol the epoch serving
+    /// path's correctness rests on (module docs). `views` are attached
+    /// first, like a view served through [`EpochDb::query`]; the commit
+    /// maintains the host's views whether or not they are listed.
     ///
     /// Under concurrency the enqueue→combine protocol coalesces work:
     /// whichever committer wins the master write lock drains *all*
-    /// queued transactions, maintains each distinct view once over the
-    /// merged batches, and publishes a single snapshot for the group.
+    /// queued transactions, maintains each view once over the merged
+    /// batches, and publishes a single snapshot for the group.
     /// An error from `f` fails only that transaction, and it publishes
     /// nothing of it: a `pmv_query::Transaction` dropped without `commit`
     /// undoes its own writes, so a closure that returns early with `?`
@@ -353,6 +371,9 @@ impl EpochDb {
         views: &[&SharedPmv],
         f: impl FnOnce(&mut Database) -> Result<(T, Vec<DeltaBatch>)> + Send + 'static,
     ) -> Result<T> {
+        for view in views {
+            self.attach(view)?;
+        }
         let slot = Arc::new(CommitSlot::default());
         let track = self.obs.enabled();
         self.queue.lock().push(CommitReq {
@@ -360,7 +381,6 @@ impl EpochDb {
                 let (out, batches) = f(db)?;
                 Ok((Box::new(out) as Box<dyn Any + Send>, batches))
             }),
-            views: views.iter().map(|&v| v.clone()).collect(),
             slot: Arc::clone(&slot),
         });
         loop {
@@ -392,9 +412,9 @@ impl EpochDb {
     }
 
     /// Drain and apply every queued commit request under the held write
-    /// lock: apply each transaction, maintain each distinct view once
-    /// over the merged delta batches, publish one snapshot, fill every
-    /// slot. No-op on an empty queue.
+    /// lock: apply each transaction, maintain every view the host owns
+    /// once over the merged delta batches, publish one snapshot, fill
+    /// every slot. No-op on an empty queue.
     fn combine(&self, db: &mut Database) {
         let reqs: Vec<CommitReq> = std::mem::take(&mut *self.queue.lock());
         if reqs.is_empty() {
@@ -411,16 +431,10 @@ impl EpochDb {
         let mut applied: Vec<(Arc<CommitSlot>, Box<dyn Any + Send>)> =
             Vec::with_capacity(reqs.len());
         let mut batches: Vec<DeltaBatch> = Vec::new();
-        let mut views: Vec<SharedPmv> = Vec::new();
         for req in reqs {
             match (req.apply)(db) {
                 Ok((out, mut b)) => {
                     batches.append(&mut b);
-                    for v in req.views {
-                        if !views.iter().any(|w| w.same_view(&v)) {
-                            views.push(v);
-                        }
-                    }
                     applied.push((req.slot, out));
                 }
                 // A failed transaction fails alone (its dropped
@@ -459,7 +473,7 @@ impl EpochDb {
         }
         // Maintenance cannot fail: a join it cannot compute drains the
         // shards it may affect instead, so the round always publishes.
-        for view in &views {
+        for view in self.views.lock().iter() {
             view.maintain_all(db, &batches);
         }
         let t_pub = track.then(Instant::now);
@@ -561,24 +575,28 @@ impl EpochDb {
 
     /// Exclusive setup access (schema, bulk loads, index builds) with a
     /// snapshot republish on exit. Unlike [`EpochDb::commit`] this runs
-    /// no maintenance — it is only sound before views start serving
-    /// (debug-asserted): republishing after would pair a new database
-    /// state with stale PMV shards, silently breaking the
-    /// maintain-before-publish invariant. Once serving has begun, route
+    /// no maintenance, so it is only sound before the host owns a view:
+    /// republishing after would pair a new database state with stale
+    /// PMV shards, silently breaking the maintain-before-publish
+    /// invariant.
+    ///
+    /// # Panics
+    ///
+    /// When the host owns a view. Once a view has joined the host, route
     /// every change through [`EpochDb::commit`].
     pub fn with_write<T>(&self, f: impl FnOnce(&mut Database) -> T) -> T {
-        debug_assert!(
-            !self.served.load(Acquire),
-            "EpochDb::with_write after serving began: republishing without \
-             maintenance pairs a new DB with stale PMV shards — route the \
-             change through EpochDb::commit instead"
-        );
         let mut guard = self.db.write();
+        assert!(
+            self.views.lock().is_empty(),
+            "EpochDb::with_write on a host that owns a view: republishing \
+             without maintenance pairs a new DB with stale PMV shards — \
+             route the change through EpochDb::commit instead"
+        );
         let out = f(&mut guard);
         let snap = Arc::new(guard.publish_snapshot());
         // pmv::allow(durable_before_visible): setup path — DDL and bulk
         // loads are checkpoint-durable, not WAL-logged (§16), and the
-        // debug assertion above proves no reader is being served yet.
+        // assertion above proves the host owns no view to serve yet.
         self.published.publish(Arc::clone(&snap));
         if let Some(dur) = &self.durability {
             // Setup-path changes (DDL, bulk loads) are not WAL-logged —
@@ -629,15 +647,14 @@ impl EpochDb {
         self.durable.lock().as_ref().map(|(_, lsn)| *lsn)
     }
 
-    /// Serve one query on the epoch path: revalidate this thread's
-    /// cached pin (recorded as [`Phase::epoch_pin`] when observability
-    /// is enabled) and run it through [`SharedPmv::run_pinned`]. Takes
-    /// no lock — and in steady state writes no shared cache line —
-    /// anywhere on the read path.
+    /// Serve one query on the epoch path: attach `pmv` (module docs),
+    /// revalidate this thread's cached pin (recorded as
+    /// [`Phase::epoch_pin`] when observability is enabled) and run the
+    /// one O1/O2/O3 implementation against it. Once the view is attached
+    /// this takes no lock — and in steady state writes no shared cache
+    /// line — anywhere on the read path.
     pub fn query(&self, pmv: &SharedPmv, q: &QueryInstance) -> Result<QueryOutcome> {
-        if !self.served.load(Acquire) {
-            self.served.store(true, Release);
-        }
+        self.attach(pmv)?;
         // One atomic load when no flight recorder is attached; otherwise
         // time the whole call so the anomaly check below sees end-to-end
         // latency including the pin revalidation.
@@ -658,6 +675,110 @@ impl EpochDb {
             pmv.flight_check(outcome, t0.elapsed());
         }
         out
+    }
+
+    /// Serve one query from a pin the caller holds — typically one taken
+    /// with [`EpochDb::pin`] before later commits. The answer is the
+    /// pinned state's; its results are written back to the view only
+    /// when no maintenance has run since the pin (the fill gate), so an
+    /// old pin never refills what a commit evicted. `snap` must be one
+    /// of this host's snapshots.
+    pub fn query_at(
+        &self,
+        snap: &DbSnapshot,
+        pmv: &SharedPmv,
+        q: &QueryInstance,
+    ) -> Result<QueryOutcome> {
+        self.attach(pmv)?;
+        pmv.run_pinned(snap, q)
+    }
+
+    /// Make `pmv` one of this host's views (module docs). Once attached
+    /// this is one `Acquire` load, paired with the tag's `Release` store
+    /// in [`Self::adopt`].
+    fn attach(&self, pmv: &SharedPmv) -> Result<()> {
+        if pmv.inner.host.load(Acquire) == self.id {
+            return Ok(());
+        }
+        let db = self.db.read();
+        let mut views = self.views.lock();
+        self.adopt(&db, &mut views, pmv)
+    }
+
+    /// Attach `pmv` under the held master (read) and list locks: claim
+    /// its host tag, fence fills from older pins, join the list, then
+    /// publish the tag — so a thread that sees the tag also sees the
+    /// fence.
+    fn adopt(&self, db: &Database, views: &mut Vec<SharedPmv>, pmv: &SharedPmv) -> Result<()> {
+        let host = &pmv.inner.host;
+        match host.compare_exchange(0, ATTACHING, Acquire, Acquire) {
+            Ok(_) => {}
+            Err(id) if id == self.id => return Ok(()),
+            Err(_) => {
+                return Err(CoreError::Definition(format!(
+                    "view '{}' belongs to another host",
+                    pmv.def().name()
+                )))
+            }
+        }
+        // The same Release store maintenance makes (`maintenance.rs`).
+        pmv.inner.maint_epoch.store(db.version(), Release);
+        views.push(pmv.clone());
+        host.store(self.id, Release);
+        Ok(())
+    }
+
+    /// Create and attach a view for `def`'s template, with an explicit
+    /// shard count (a checkpointed [`ViewSpec`] restores its own) or the
+    /// default of [`SharedPmv::new`].
+    ///
+    /// The definition first passes through the static verifier
+    /// ([`crate::verify::verify_def`]); any `PMV001..PMV006` diagnostic
+    /// at deny severity rejects it with [`CoreError::Analysis`] before a
+    /// store is allocated (deny-by-default, [`VerifyOptions::default`]).
+    /// A template the host already has a view for is a
+    /// [`CoreError::Definition`].
+    pub fn register(
+        &self,
+        def: PartialViewDef,
+        config: PmvConfig,
+        shards: Option<usize>,
+    ) -> Result<SharedPmv> {
+        let report = verify::verify_def(&def, &config, &VerifyOptions::default());
+        if report.denied() {
+            return Err(CoreError::Analysis(report));
+        }
+        let db = self.db.read();
+        let mut views = self.views.lock();
+        if views
+            .iter()
+            .any(|v| Arc::ptr_eq(v.def().template(), def.template()))
+        {
+            return Err(CoreError::Definition(format!(
+                "template '{}' already has a PMV",
+                def.template().name()
+            )));
+        }
+        let pmv = match shards {
+            Some(n) => SharedPmv::with_shards(def, config, n),
+            None => SharedPmv::new(def, config),
+        };
+        self.adopt(&db, &mut views, &pmv)?;
+        Ok(pmv)
+    }
+
+    /// The first view the host owns for `template`, if any.
+    pub fn view_for(&self, template: &Arc<QueryTemplate>) -> Option<SharedPmv> {
+        self.views
+            .lock()
+            .iter()
+            .find(|v| Arc::ptr_eq(v.def().template(), template))
+            .cloned()
+    }
+
+    /// Every view the host owns, in attach order.
+    pub fn views(&self) -> Vec<SharedPmv> {
+        self.views.lock().clone()
     }
 
     /// Epoch (database version) of the currently published snapshot.
@@ -772,7 +893,7 @@ mod tests {
         })
         .unwrap();
         // The old pin still answers from the pre-delete state.
-        let stale = pmv.run_pinned(&pinned, &q).unwrap();
+        let stale = edb.query_at(&pinned, &pmv, &q).unwrap();
         assert_eq!(stale.all_results().len(), before);
         assert_eq!(stale.ds_leftover, 0);
         // A fresh pin sees the delete.
@@ -974,12 +1095,299 @@ mod tests {
         .unwrap();
         // …so the stale pin's results (which still contain the deleted
         // row) must not be cached.
-        let stale = pmv.run_pinned(&pinned, &q).unwrap();
+        let stale = edb.query_at(&pinned, &pmv, &q).unwrap();
         assert_eq!(stale.ds_leftover, 0);
         assert_eq!(pmv.tuple_count(), 0, "stale fill must be gated off");
         // And the fresh pin's results may be.
         edb.query(&pmv, &q).unwrap();
         assert!(pmv.tuple_count() > 0);
         pmv.debug_validate();
+    }
+
+    /// A pin taken before the view joined the host may hold rows that
+    /// commits deleted while no one maintained the view: its answer is
+    /// the pin's, but it fills nothing, and the next query is exact.
+    #[test]
+    fn pin_older_than_the_attach_cannot_fill() {
+        let (edb, pmv) = setup(1);
+        let q = query_f(&pmv, 3);
+        let row = row_with_f3(&edb);
+        {
+            let pinned = edb.pin();
+            edb.commit(&[], move |db| {
+                let mut txn = Transaction::begin(db);
+                txn.delete("r", row)?;
+                Ok(((), txn.commit()))
+            })
+            .unwrap();
+            let old = edb.query_at(&pinned, &pmv, &q).unwrap();
+            assert_eq!((old.all_results().len(), old.ds_leftover), (20, 0));
+            assert_eq!(pmv.tuple_count(), 0, "a pre-attach pin must not fill");
+        }
+        let fresh = edb.query(&pmv, &q).unwrap();
+        assert_eq!((fresh.all_results().len(), fresh.ds_leftover), (19, 0));
+        assert_eq!(pmv.tuple_count(), 4);
+        assert_eq!(pmv.revalidate(&edb.read()).unwrap(), 0);
+    }
+
+    #[test]
+    fn a_view_belongs_to_one_host() {
+        let (edb, pmv) = setup(1);
+        let q = query_f(&pmv, 3);
+        edb.query(&pmv, &q).unwrap();
+        let mut db = Database::new();
+        load(&mut db);
+        let other = EpochDb::new(db);
+        let err = other.query(&pmv, &q).unwrap_err();
+        assert!(matches!(err, CoreError::Definition(_)), "got {err}");
+        assert!(other.commit(&[&pmv], |_| Ok(((), Vec::new()))).is_err());
+        assert!(other.views().is_empty());
+        assert_eq!(edb.views().len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "with_write on a host that owns a view")]
+    fn with_write_refuses_once_the_host_owns_a_view() {
+        let (edb, pmv) = setup(1);
+        edb.query(&pmv, &query_f(&pmv, 3)).unwrap();
+        edb.with_write(|db| db.insert("r", tuple![900i64, 3i64]).unwrap());
+    }
+
+    /// `r` as above, with two templates over it: `by_f` (`SELECT a WHERE
+    /// f = ?`) and `by_a` (`SELECT f WHERE a = ?`).
+    fn two_templates() -> (EpochDb, Arc<QueryTemplate>, Arc<QueryTemplate>) {
+        let mut db = Database::new();
+        load(&mut db);
+        let build = |name: &str, select: &str, cond: &str| {
+            TemplateBuilder::new(name)
+                .relation(db.schema("r").unwrap())
+                .select("r", select)
+                .unwrap()
+                .cond_eq("r", cond)
+                .unwrap()
+                .build()
+                .unwrap()
+        };
+        let (ta, tb) = (build("by_f", "a", "f"), build("by_a", "f", "a"));
+        (EpochDb::new(db), ta, tb)
+    }
+
+    fn register(edb: &EpochDb, name: &str, t: &Arc<QueryTemplate>, config: PmvConfig) {
+        let def = PartialViewDef::all_equality(name, t.clone()).unwrap();
+        edb.register(def, config, None).unwrap();
+    }
+
+    /// Registers `pmv_a` over `by_f` and `pmv_b` over `by_a`.
+    fn register_both(edb: &EpochDb, ta: &Arc<QueryTemplate>, tb: &Arc<QueryTemplate>) {
+        register(edb, "pmv_a", ta, PmvConfig::new(2, 16, PolicyKind::Clock));
+        register(edb, "pmv_b", tb, PmvConfig::new(2, 16, PolicyKind::Clock));
+    }
+
+    fn bind(t: &Arc<QueryTemplate>, v: i64) -> QueryInstance {
+        t.bind(vec![Condition::Equality(vec![Value::Int(v)])])
+            .unwrap()
+    }
+
+    /// Serve `q` from its template's view, the way a host routes it.
+    fn routed(edb: &EpochDb, q: &QueryInstance) -> QueryOutcome {
+        edb.query(&edb.view_for(q.template()).unwrap(), q).unwrap()
+    }
+
+    /// Revalidate every view, as the CLI's `revalidate` does; returns
+    /// the tuples removed.
+    fn revalidate_all(edb: &EpochDb) -> usize {
+        let db = edb.read();
+        edb.views().iter().map(|v| v.revalidate(&db).unwrap()).sum()
+    }
+
+    #[test]
+    fn routes_queries_by_template() {
+        let (edb, ta, tb) = two_templates();
+        register_both(&edb, &ta, &tb);
+        routed(&edb, &bind(&ta, 3));
+        routed(&edb, &bind(&tb, 7));
+        assert_eq!(edb.view_for(&ta).unwrap().stats().queries, 1);
+        assert_eq!(edb.view_for(&tb).unwrap().stats().queries, 1);
+    }
+
+    #[test]
+    fn register_keeps_the_shard_count_and_one_view_per_template() {
+        let (edb, ta, tb) = two_templates();
+        let def = PartialViewDef::all_equality("three", ta.clone()).unwrap();
+        let view = edb.register(def, PmvConfig::default(), Some(3)).unwrap();
+        assert_eq!(view.shard_count(), 3);
+        assert_eq!(edb.view_for(&ta).unwrap().shard_count(), 3);
+        assert!(edb.view_for(&tb).is_none());
+        let again = PartialViewDef::all_equality("again", ta.clone()).unwrap();
+        let err = edb.register(again, PmvConfig::default(), Some(2));
+        assert!(matches!(err, Err(CoreError::Definition(_))));
+        assert_eq!(edb.views().len(), 1);
+    }
+
+    #[test]
+    fn register_runs_static_verifier_deny_by_default() {
+        use crate::bcp::Discretizer;
+        use crate::verify::DiagCode;
+        let (edb, ..) = two_templates();
+        let t = TemplateBuilder::new("iv")
+            .relation(edb.read().schema("r").unwrap())
+            .select("r", "a")
+            .unwrap()
+            .cond_interval("r", "f")
+            .unwrap()
+            .build()
+            .unwrap();
+        // Raw, unnormalized dividers: PMV002 must deny the registration.
+        let bad = Discretizer::from_raw(vec![Value::Int(20), Value::Int(10)]);
+        let def = PartialViewDef::new("bad_grid", t, vec![Some(bad)]).unwrap();
+        match edb.register(def, PmvConfig::default(), None) {
+            Err(CoreError::Analysis(report)) => {
+                assert!(report.has(DiagCode::OverlappingBasicIntervals), "{report}")
+            }
+            Err(other) => panic!("expected analysis denial, got {other}"),
+            Ok(_) => panic!("a denied definition registered"),
+        }
+        assert!(
+            edb.views().is_empty(),
+            "no store allocated for a denied view"
+        );
+    }
+
+    /// A commit that names no view maintains every view over the
+    /// relation it changes.
+    #[test]
+    fn commit_maintains_every_view_it_owns() {
+        let (edb, ta, tb) = two_templates();
+        register_both(&edb, &ta, &tb);
+        let (qa, qb) = (bind(&ta, 3), bind(&tb, 13));
+        routed(&edb, &qa);
+        routed(&edb, &qb);
+        // Delete the tuple (13, 3): both views cached a tuple it derives.
+        let row = {
+            let guard = edb.read();
+            let handle = guard.relation("r").unwrap();
+            let rel = handle.read();
+            let row = rel.iter().find(|(_, t)| t.get(0) == &Value::Int(13));
+            row.map(|(r, _)| r).unwrap()
+        };
+        edb.commit(&[], move |db| {
+            let mut txn = Transaction::begin(db);
+            txn.delete("r", row)?;
+            Ok(((), txn.commit()))
+        })
+        .unwrap();
+        for v in edb.views() {
+            let stats = v.stats();
+            let name = v.def().name();
+            assert_eq!(stats.maint_deletes_joined, 1, "{name} not maintained");
+        }
+        let removed: u64 = edb
+            .views()
+            .iter()
+            .map(|v| v.stats().maint_tuples_removed)
+            .sum();
+        assert!(removed >= 1, "the cached (13) tuple must be evicted");
+        assert_eq!(routed(&edb, &qa).ds_leftover, 0);
+        assert_eq!(routed(&edb, &qb).all_results().len(), 0);
+        assert_eq!(revalidate_all(&edb), 0);
+    }
+
+    #[test]
+    fn revalidate_sweeps_every_view() {
+        use crate::bcp::{BcpDim, BcpKey};
+        use crate::concurrent::tests::seed_stale;
+        let (edb, ta, tb) = two_templates();
+        register_both(&edb, &ta, &tb);
+        let qa = bind(&ta, 3);
+        routed(&edb, &qa);
+        routed(&edb, &bind(&tb, 13));
+        assert_eq!(revalidate_all(&edb), 0, "nothing stale yet");
+        // `by_a` keeps room under F = 2 in bcp a = 13 (one row), and no
+        // base row has (a, f) = (13, 9).
+        let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(13))]);
+        seed_stale(&edb.view_for(&tb).unwrap(), &bcp, tuple![9i64, 13i64]);
+        assert_eq!(revalidate_all(&edb), 1);
+        assert_eq!(revalidate_all(&edb), 0);
+        assert_eq!(routed(&edb, &qa).ds_leftover, 0);
+    }
+
+    #[test]
+    fn revalidate_resets_transient_counters() {
+        let (edb, ta, tb) = two_templates();
+        // A zero row budget degrades every query: transient counters rise.
+        let tight = PmvConfig::new(2, 16, PolicyKind::Clock).with_row_budget(0);
+        register(&edb, "tight", &ta, tight);
+        register(&edb, "other", &tb, PmvConfig::new(2, 16, PolicyKind::Clock));
+        routed(&edb, &bind(&ta, 3));
+        let view = edb.view_for(&ta).unwrap();
+        let before = view.stats();
+        assert!(before.budget_exceeded > 0, "row budget must have tripped");
+        assert!(before.degraded_queries > 0);
+        revalidate_all(&edb);
+        let after = view.stats();
+        assert_eq!(after.budget_exceeded, 0, "transient counters reset");
+        assert_eq!(after.degraded_queries, 0);
+        assert_eq!(after.queries, before.queries, "workload history kept");
+        assert_eq!(after.revalidations, 1);
+    }
+
+    #[test]
+    fn metrics_export_covers_every_view_and_phase() {
+        let (edb, ta, tb) = two_templates();
+        register_both(&edb, &ta, &tb);
+        // Repeats make the second query of each pair a bcp hit.
+        for f in [0i64, 0, 1, 1, 2] {
+            routed(&edb, &bind(&ta, f));
+        }
+        let metrics: Vec<ViewMetrics> = edb.views().iter().map(SharedPmv::metrics).collect();
+        assert_eq!(metrics.len(), 2);
+        let v = metrics.iter().find(|v| v.name == "pmv_a").unwrap();
+        assert_eq!(v.health, "healthy");
+        assert_eq!(v.template.as_deref(), Some("by_f"));
+        assert_eq!(v.counter("queries"), 5, "{:?}", v.counters);
+        assert!(v.gauge("hit_probability") > 0.0);
+        // Every declared phase appears; ttfr/full actually recorded.
+        assert_eq!(v.phases.len(), Phase::ALL.len());
+        assert_eq!(v.phase("ttfr").count(), 5);
+
+        let text = pmv_obs::to_prometheus(&metrics);
+        assert!(
+            text.contains("pmv_queries_total{view=\"pmv_a\"} 5"),
+            "{text}"
+        );
+        assert!(
+            text.contains("pmv_phase_latency_seconds_count{view=\"pmv_a\",phase=\"full\"} 5"),
+            "{text}"
+        );
+        // Traces were captured and the tail is bounded per view.
+        let traces: Vec<_> = edb
+            .views()
+            .iter()
+            .flat_map(|v| v.obs().trace().tail(3))
+            .collect();
+        assert_eq!(traces.len(), 3, "only pmv_a ran queries");
+        assert!(traces.iter().all(|t| &*t.template == "pmv_a"));
+        assert!(traces
+            .iter()
+            .all(|t| t.events.iter().any(|e| e.kind.name() == "first_results")));
+    }
+
+    #[test]
+    fn metrics_carry_last_verified_age() {
+        let (edb, ta, tb) = two_templates();
+        register_both(&edb, &ta, &tb);
+        routed(&edb, &bind(&ta, 3));
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        let ages = || -> Vec<u64> {
+            let views = edb.views();
+            views
+                .iter()
+                .map(|v| v.metrics().last_verified_age_ms)
+                .collect()
+        };
+        assert!(ages().iter().all(|&a| a >= 5));
+        // A revalidation sweep resets the age.
+        revalidate_all(&edb);
+        assert!(ages().iter().all(|&a| a < 5), "{:?}", ages());
     }
 }

@@ -26,15 +26,16 @@
 //!   its sharded store and published shard views (3.2)
 //! * `serve` — the one O1/O2/O3 serving implementation, over a pinned
 //!   snapshot (3.3, 3.6)
-//! * [`epoch`] — [`EpochDb`], the one host: every query pins a published
-//!   snapshot, every commit maintains the views before publishing (3.6)
+//! * [`epoch`] — [`EpochDb`], the one host: it registers and owns its
+//!   views, every query pins a published snapshot, every commit
+//!   maintains every view it owns before publishing (3.4, 3.6)
 //! * [`pipeline`] — what a query run returns, and the no-PMV baseline
 //! * [`maintenance`] — the one deferred-maintenance implementation, run
 //!   by [`EpochDb::commit`] before the new state is visible (3.4, 3.6)
 //! * [`delta_index`] — delta-key index: O(|Δ| · fanout) partial-state
 //!   maintenance with no base-relation join (3.4, DESIGN.md §19)
 //! * [`fasthash`] — multiply-fold hasher for the hot dedup/index maps
-//! * [`mv`] — traditional-MV and small-MV baselines (2.2, 2.3)
+//! * [`mv`] — the traditional-MV baseline (2.2)
 //! * [`ext`] — DISTINCT / aggregate / EXISTS / popularity-ranking
 //!   extensions (3.6 and the conclusion)
 //! * [`stats`] — cumulative counters, hit probability
@@ -59,7 +60,6 @@ pub mod ext;
 pub mod fasthash;
 pub mod health;
 pub mod maintenance;
-pub mod manager;
 pub mod mv;
 pub mod o1;
 pub mod pipeline;
@@ -80,8 +80,7 @@ pub use health::{
     BreakerConfig, CircuitBreaker, Degradation, DegradeReason, ShardReport, ValidationReport,
     ViewHealth,
 };
-pub use manager::PmvManager;
-pub use mv::{SmallMvSet, TraditionalMv};
+pub use mv::TraditionalMv;
 pub use o1::{decompose, ConditionPart, PartDim};
 pub use pipeline::{run_plain, QueryOutcome, QueryTimings};
 pub use pmv_obs::{

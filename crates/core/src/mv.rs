@@ -1,20 +1,14 @@
-//! Baselines: the traditional (large) materialized view of Section 2.2
-//! and the "small MVs for hot pairs" strawman of Section 2.3.
+//! Baseline: the traditional (large) materialized view of Section 2.2.
 //!
-//! Both reproduce the paper's comparisons in tests: the large MV is the
-//! other side of Figures 11/12's maintenance costs
+//! It is the other side of Figures 11/12's maintenance costs
 //! (`tests/paper_claims.rs`, executed maintenance counted in the units
-//! of [`MvMaintenanceStats`]) and shows the storage blow-up PMVs avoid;
-//! the small-MV set shows why minimizing *execution time* was the wrong
-//! goal for hot results.
+//! of [`MvMaintenanceStats`]) and shows the storage blow-up PMVs avoid.
 
 use std::collections::HashMap;
 
 use pmv_query::{exec::full_join, exec::join_from, Database, QueryInstance, QueryTemplate};
 use pmv_storage::{Delta, DeltaBatch, HeapSize, Tuple};
 
-use crate::bcp::BcpKey;
-use crate::view::PartialViewDef;
 use crate::Result;
 
 /// Maintenance work counters for a traditional MV, in the same units the
@@ -161,59 +155,9 @@ impl TraditionalMv {
     }
 }
 
-/// The Section 2.3 strawman: one small MV per designated hot bcp, fully
-/// materialized (every matching tuple, not capped at `F`), with a fixed
-/// bcp set (no replacement).
-pub struct SmallMvSet {
-    def: PartialViewDef,
-    views: HashMap<BcpKey, Vec<Tuple>>,
-}
-
-impl SmallMvSet {
-    /// Materialize a small MV for each listed hot bcp.
-    pub fn materialize(db: &Database, def: PartialViewDef, hot: &[BcpKey]) -> Result<Self> {
-        let template = def.template().clone();
-        let (all, _) = full_join(db, &template)?;
-        let mut views: HashMap<BcpKey, Vec<Tuple>> =
-            hot.iter().map(|b| (b.clone(), Vec::new())).collect();
-        for t in all {
-            let bcp = def.bcp_of_tuple(&t);
-            if let Some(v) = views.get_mut(&bcp) {
-                v.push(t);
-            }
-        }
-        Ok(SmallMvSet { def, views })
-    }
-
-    /// The view definition used for bcp recovery.
-    pub fn def(&self) -> &PartialViewDef {
-        &self.def
-    }
-
-    /// Number of small views.
-    pub fn view_count(&self) -> usize {
-        self.views.len()
-    }
-
-    /// All tuples cached for `bcp`, if it is one of the hot bcps.
-    pub fn lookup(&self, bcp: &BcpKey) -> Option<&[Tuple]> {
-        self.views.get(bcp).map(Vec::as_slice)
-    }
-
-    /// Total bytes across the small views.
-    pub fn byte_size(&self) -> usize {
-        self.views
-            .values()
-            .flatten()
-            .map(|t| std::mem::size_of::<Tuple>() + t.heap_size())
-            .sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bcp::BcpDim;
     use pmv_index::IndexDef;
     use pmv_query::{Condition, TemplateBuilder};
     use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
@@ -330,19 +274,5 @@ mod tests {
         // MV had to compute a join even for the insert — the overhead the
         // PMV avoids.
         assert_eq!(mv.stats().joins_computed, 2);
-    }
-
-    #[test]
-    fn small_mv_set_holds_only_hot_bcps() {
-        let (db, t) = setup();
-        let def = PartialViewDef::all_equality("v", t).unwrap();
-        let hot = BcpKey::new(vec![BcpDim::Eq(Value::Int(1)), BcpDim::Eq(Value::Int(7))]);
-        let cold = BcpKey::new(vec![BcpDim::Eq(Value::Int(3)), BcpDim::Eq(Value::Int(9))]);
-        let set = SmallMvSet::materialize(&db, def, std::slice::from_ref(&hot)).unwrap();
-        assert_eq!(set.view_count(), 1);
-        // Unlike a PMV, the small MV stores *all* matching tuples.
-        assert_eq!(set.lookup(&hot).unwrap().len(), 2);
-        assert!(set.lookup(&cold).is_none());
-        assert!(set.byte_size() > 0);
     }
 }

@@ -98,12 +98,13 @@ pub fn run_plain(db: &Database, q: &QueryInstance) -> Result<(Vec<Tuple>, ExecSt
 mod tests {
     use super::*;
     use crate::bcp::{BcpDim, BcpKey, Discretizer};
+    use crate::concurrent::tests::seed_stale;
     use crate::concurrent::SharedPmv;
     use crate::epoch::EpochDb;
     use crate::view::{PartialViewDef, PmvConfig};
     use pmv_cache::PolicyKind;
     use pmv_index::IndexDef;
-    use pmv_query::{Condition, Interval, TemplateBuilder, Transaction};
+    use pmv_query::{Condition, Interval, TemplateBuilder};
     use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
 
     /// R(a, c, f) ⋈ S(d, e, g) on c = d, conditions on f (eq) and g (eq),
@@ -348,28 +349,20 @@ mod tests {
     #[test]
     fn revalidate_removes_stale_tuples() {
         let (edb, pmv) = setup();
-        let q = q_eq(&pmv, &[1], &[7]);
+        let q = q_eq(&pmv, &[3], &[9]);
         edb.query(&pmv, &q).unwrap();
-        // Bypass maintenance: commit a delete that maintains no view,
-        // leaving the PMV stale, then let revalidate repair it.
-        edb.commit(&[], |db| {
-            let row = db
-                .relation("r")?
-                .read()
-                .iter()
-                .find(|(_, t)| t.get(1) == &Value::Int(4))
-                .map(|(r, _)| r)
-                .unwrap();
-            let mut txn = Transaction::begin(db);
-            txn.delete("r", row)?;
-            Ok(((), txn.commit()))
-        })
-        .unwrap();
+        // (3, 9) caches its one result with room for a second under F = 2:
+        // plant a tuple no base row derives there, then let revalidate
+        // repair the view.
+        let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(3)), BcpDim::Eq(Value::Int(9))]);
+        seed_stale(&pmv, &bcp, tuple![99i64, 98i64, 3i64, 9i64]);
+        assert_eq!(pmv.tuple_count(), 2);
         let removed = pmv.revalidate(&edb.read()).unwrap();
         assert_eq!(removed, 1);
+        assert_eq!(pmv.tuple_count(), 1);
         let out = edb.query(&pmv, &q).unwrap();
         assert_eq!(out.ds_leftover, 0);
-        assert_eq!(out.all_results().len(), 1);
+        assert_eq!(out.all_results(), vec![tuple![7i64, 8i64]]);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! [`verify_parts`] checks all of these statically and emits typed
 //! [`Diagnostic`]s with stable codes `PMV001..PMV006`. The verifier is
-//! wired into [`crate::manager::PmvManager::register`] deny-by-default
+//! wired into [`crate::epoch::EpochDb::register`] deny-by-default
 //! (override per code via [`VerifyPolicy`]) and surfaced through the CLI
 //! `analyze` command; the `pmv-analysis` crate re-exports this module as
 //! the first layer of the static-analysis subsystem.
@@ -227,7 +227,7 @@ impl FilterSpec {
 #[derive(Clone, Debug, Default)]
 pub struct VerifyOptions {
     /// Byte budget for `PMV004`. `None` disables the storage-bound check
-    /// (the manager's runtime shed budget is a different, soft knob).
+    /// (a view's runtime `L` bound is a different, soft knob).
     pub byte_budget: Option<usize>,
     /// Average tuple size `At` override; estimated from the schema when
     /// `None`.

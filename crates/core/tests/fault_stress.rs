@@ -160,8 +160,8 @@ fn run_stress(seed: u64, iters: i64) {
                     // Serve from an explicit pin, so the oracle below can
                     // execute against the very snapshot the query saw.
                     let snap = edb.pin();
-                    let out = shared
-                        .run_pinned(&snap, &q)
+                    let out = edb
+                        .query_at(&snap, &shared, &q)
                         .expect("injected faults must degrade, not error");
                     // Consistency oracle: fresh fault-free execution under
                     // the same snapshot.

@@ -286,6 +286,78 @@ fn epoch_pin_maintain_before_publish() {
     });
 }
 
+/// A view joins its host on first use while another thread commits a
+/// delete of a row that use caches, through a commit that names no view.
+/// The reader either serves through `query` (attach, then pin) or
+/// through `query_at` on a pin taken before the attach. Whichever side
+/// wins: a commit that ran after the attach maintained the view, and a
+/// commit that ran before it left the pre-attach pin unable to fill
+/// (the attach stamps `maint_epoch`). After the join no deleted row is
+/// served, DS ends empty and a ground-truth sweep removes nothing.
+#[test]
+fn attach_races_commit() {
+    loom::model(|| {
+        for held_pin in [false, true] {
+            let (db, shared) = setup(2);
+            let edb = std::sync::Arc::new(EpochDb::new(db));
+            let t = shared.def().template().clone();
+            let q = t
+                .bind(vec![Condition::Equality(vec![Value::Int(3)])])
+                .unwrap();
+            // Row a = 3 is the first f = 3 result, so F = 3 caches it.
+            let victim = {
+                let guard = edb.read();
+                let handle = guard.relation("r").unwrap();
+                let rel = handle.read();
+                let row = rel.iter().find(|(_, tu)| tu.get(0) == &Value::Int(3));
+                row.map(|(r, _)| r).unwrap()
+            };
+
+            let reader = {
+                let (edb, shared, q) = (std::sync::Arc::clone(&edb), shared.clone(), q.clone());
+                let pin = held_pin.then(|| edb.pin());
+                thread::spawn(move || {
+                    thread::yield_now();
+                    let out = match &pin {
+                        Some(snap) => edb.query_at(snap, &shared, &q),
+                        None => edb.query(&shared, &q),
+                    };
+                    assert_eq!(out.unwrap().ds_leftover, 0);
+                })
+            };
+            let writer = {
+                let edb = std::sync::Arc::clone(&edb);
+                thread::spawn(move || {
+                    thread::yield_now();
+                    edb.commit(&[], move |db| {
+                        let mut txn = Transaction::begin(db);
+                        txn.delete("r", victim)?;
+                        Ok(((), txn.commit()))
+                    })
+                    .unwrap();
+                })
+            };
+            reader.join().unwrap();
+            writer.join().unwrap();
+
+            if held_pin && shared.stats().maint_deletes_joined == 0 {
+                // The commit ran before the view joined, so the pin
+                // predates the attach: the fence rejected its fill.
+                assert_eq!(shared.tuple_count(), 0, "a pre-attach pin filled");
+            }
+            let out = edb.query(&shared, &q).unwrap();
+            assert!(
+                !out.all_results().contains(&tuple![3i64]),
+                "deleted row served (held pin: {held_pin})"
+            );
+            assert_eq!(out.ds_leftover, 0);
+            let guard = edb.read();
+            assert_eq!(shared.revalidate(&guard).unwrap(), 0);
+            shared.debug_validate();
+        }
+    });
+}
+
 /// The flat-combining queue handoff (DESIGN.md §15): N committers race
 /// to enqueue and one lock winner drains the whole queue, so every
 /// commit call must return its own result exactly once — no slot may be

@@ -57,7 +57,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let def = PartialViewDef::all_equality("promo_pmv", template.clone())?;
     let pmv = SharedPmv::new(def, PmvConfig::default());
     // The host: every query pins its published snapshot, and every commit
-    // maintains the views it names before publishing the next one.
+    // maintains every view the host serves before publishing the next
+    // one.
     let edb = EpochDb::new(db);
 
     // 4. First query for (category 3, store 2): the PMV is cold, so all

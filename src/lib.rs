@@ -47,11 +47,12 @@
 //!     .select("items", "id")?
 //!     .cond_eq("items", "kind")?
 //!     .build()?;
-//! let def = PartialViewDef::all_equality("items_pmv", template.clone())?;
-//! let pmv = SharedPmv::new(def, PmvConfig::default());
-//! // The host: queries pin its published snapshot, commits maintain the
-//! // views they name before the next snapshot publishes.
+//! // The host: it owns the views it registers, queries pin its published
+//! // snapshot, and every commit maintains every view it owns before the
+//! // next snapshot publishes.
 //! let edb = EpochDb::new(db);
+//! let def = PartialViewDef::all_equality("items_pmv", template.clone())?;
+//! let pmv = edb.register(def, PmvConfig::default(), None)?;
 //!
 //! let q = template.bind(vec![Condition::Equality(vec![Value::Int(3)])])?;
 //! let cold = edb.query(&pmv, &q)?; // fills the PMV
@@ -63,12 +64,13 @@
 //!     warm.all_results().len(),
 //! );
 //!
-//! // Delete one served row: the commit evicts it from the PMV.
+//! // Delete one served row: the commit evicts it from the PMV, though
+//! // the commit does not name the view.
 //! let row = edb.read().relation("items")?.read().iter()
 //!     .find(|(_, t)| t.get(1) == &Value::Int(3))
 //!     .map(|(row, _)| row)
 //!     .expect("a kind-3 item");
-//! edb.commit(&[&pmv], move |db| {
+//! edb.commit(&[], move |db| {
 //!     let mut txn = Transaction::begin(db);
 //!     txn.delete("items", row)?;
 //!     Ok(((), txn.commit()))
@@ -92,8 +94,8 @@ pub mod prelude {
     pub use pmv_cache::{ClockPolicy, PolicyKind, ReplacementPolicy, TwoQPolicy};
     pub use pmv_core::{
         run_plain, verify_def, verify_parts, BcpKey, DiagCode, Discretizer, EpochDb,
-        PartialViewDef, PmvConfig, PmvManager, PmvStats, QueryOutcome, Severity, SharedPmv,
-        VerifyOptions, VerifyPolicy, VerifyReport,
+        PartialViewDef, PmvConfig, PmvStats, QueryOutcome, Severity, SharedPmv, VerifyOptions,
+        VerifyPolicy, VerifyReport,
     };
     pub use pmv_query::{
         Condition, Database, Interval, QueryInstance, QueryTemplate, TemplateBuilder, Transaction,

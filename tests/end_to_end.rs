@@ -5,7 +5,7 @@
 mod common;
 
 use common::{commit, eqt_fixture, eqt_query, live_rows, oracle};
-use pmv::core::{SmallMvSet, TraditionalMv};
+use pmv::core::TraditionalMv;
 use pmv::prelude::*;
 use pmv::workload::queries::{t1_query, t2_query, template_t1, template_t2};
 use pmv::workload::tpcr::{self, TpcrConfig};
@@ -147,33 +147,6 @@ fn traditional_mv_answers_match_pipeline() {
             assert_eq!(got, from_mv, "f={f} g={g}");
         }
     }
-}
-
-#[test]
-fn small_mv_stores_all_tuples_pmv_stores_at_most_f() {
-    let fx = eqt_fixture(300);
-    let def = PartialViewDef::all_equality("x", fx.template.clone()).unwrap();
-    // Find the densest bcp via the full join.
-    let (all, _) = pmv::query::exec::full_join(&fx.db, &fx.template).unwrap();
-    let mut counts = std::collections::HashMap::new();
-    for t in &all {
-        *counts.entry(def.bcp_of_tuple(t)).or_insert(0usize) += 1;
-    }
-    let (hot, hot_count) = counts
-        .iter()
-        .max_by_key(|(_, &c)| c)
-        .map(|(k, &c)| (k.clone(), c))
-        .unwrap();
-    assert!(hot_count > 2);
-
-    let set = SmallMvSet::materialize(&fx.db, def, std::slice::from_ref(&hot)).unwrap();
-    assert_eq!(set.lookup(&hot).unwrap().len(), hot_count);
-
-    // The PMV with F = 2 caps the same bcp at 2.
-    let pmv = new_pmv(&fx.template, 2, 64);
-    let q = pmv.def().bcp_query(&hot).unwrap();
-    EpochDb::new(fx.db).query(&pmv, &q).unwrap();
-    assert_eq!(pmv.lookup(&hot).unwrap().len(), 2);
 }
 
 #[test]

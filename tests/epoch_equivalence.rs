@@ -85,16 +85,29 @@ impl Fixture {
             .unwrap();
     }
 
-    /// First live row whose `f` equals the selector, if any.
-    fn row_with(&self, f: i64) -> Option<RowId> {
+    /// First live row whose column `col` holds `v`, if any.
+    fn row_where(&self, col: usize, v: i64) -> Option<RowId> {
         let guard = self.edb.read();
         let handle = guard.relation("r").unwrap();
         let rel = handle.read();
         let row = rel
             .iter()
-            .find(|(_, tu)| tu.get(1) == &Value::Int(f))
+            .find(|(_, tu)| tu.get(col) == &Value::Int(v))
             .map(|(r, _)| r);
         row
+    }
+
+    /// Delete the row with `a = 3` (`f` = 3) through a commit that names
+    /// no view.
+    fn delete_a3_unlisted(&self) {
+        let row = self.row_where(0, 3).unwrap();
+        self.edb
+            .commit(&[], move |db| {
+                let mut txn = Transaction::begin(db);
+                txn.delete("r", row)?;
+                Ok(((), txn.commit()))
+            })
+            .unwrap();
     }
 }
 
@@ -143,11 +156,11 @@ proptest! {
                 }
                 3 => fx.commit(move |txn| txn.insert("r", tuple![a, f]).map(|_| ())),
                 4 => {
-                    let Some(row) = fx.row_with(f) else { continue };
+                    let Some(row) = fx.row_where(1, f) else { continue };
                     fx.commit(move |txn| txn.delete("r", row).map(|_| ()));
                 }
                 _ => {
-                    let Some(row) = fx.row_with(f) else { continue };
+                    let Some(row) = fx.row_where(1, f) else { continue };
                     fx.commit(move |txn| {
                         let old = txn.get("r", row)?;
                         let moved = Tuple::new(vec![old.get(0).clone(), Value::Int(a % 8)]);
@@ -182,5 +195,61 @@ fn query_serves_complete_entries() {
         assert_eq!((warm.partial.len(), warm.remaining.len()), (5, 0));
         assert_eq!(warm.exec_stats.tuples_examined, 0, "O3 must not have run");
         assert!(v.stats().complete_serves > 0);
+    }
+}
+
+fn query_f3(fx: &Fixture) -> QueryInstance {
+    let t = fx.views[0].def().template();
+    t.bind(vec![Condition::Equality(vec![Value::Int(3)])])
+        .unwrap()
+}
+
+/// After the delete of `a = 3`, `f = 3` holds exactly these rows.
+fn f3_after_delete() -> Vec<Tuple> {
+    [11i64, 19, 27, 35].map(|a| tuple![a]).to_vec()
+}
+
+/// The host maintains every view it serves, named in the commit or not.
+/// A view whose `f = 3` entry is complete (all 5 rows under F = 6) is
+/// served, then a commit that names no view deletes `a = 3`: the next
+/// answer has 4 rows without (3). When only listed views were
+/// maintained, the complete entry kept serving (3) with `ds_leftover` 0,
+/// because a complete-serve never reaches DS.
+#[test]
+fn unlisted_commit_maintains_a_served_view() {
+    for (i, shards) in SHARD_COUNTS.into_iter().enumerate() {
+        let fx = setup(false);
+        let (view, q) = (&fx.views[i], query_f3(&fx));
+        fx.edb.query(view, &q).unwrap();
+        let warm = fx.edb.query(view, &q).unwrap();
+        assert_eq!(warm.partial.len(), 5, "{shards} shard(s): complete entry");
+        fx.delete_a3_unlisted();
+        let after = fx.edb.query(view, &q).unwrap();
+        let mut got = after.all_results();
+        got.sort();
+        assert_eq!(got, f3_after_delete(), "{shards} shard(s)");
+        assert_eq!(after.ds_leftover, 0, "{shards} shard(s)");
+    }
+}
+
+/// The same with two served views on the relation, neither ever named in
+/// a commit: the commit maintains both.
+#[test]
+fn unlisted_commit_maintains_every_served_view_of_the_relation() {
+    let fx = setup(false);
+    let q = query_f3(&fx);
+    for v in &fx.views {
+        fx.edb.query(v, &q).unwrap();
+        fx.edb.query(v, &q).unwrap();
+    }
+    fx.delete_a3_unlisted();
+    for v in &fx.views {
+        let after = fx.edb.query(v, &q).unwrap();
+        let mut got = after.all_results();
+        got.sort();
+        assert_eq!(got, f3_after_delete(), "{}", v.def().name());
+        assert_eq!(after.ds_leftover, 0, "{}", v.def().name());
+        assert_eq!(v.stats().maint_deletes_joined, 1, "{}", v.def().name());
+        assert_eq!(v.revalidate(&fx.edb.read()).unwrap(), 0);
     }
 }

@@ -182,28 +182,27 @@ fn order_by_delivers_sorted_prefix_and_total_order() {
     assert_eq!(out.all_sorted.len(), rows.len());
 }
 
-/// The manager routes each query to its template's view; the view stays
+/// The host routes each query to its template's view; the view stays
 /// within its own `L` by shedding (evicting) entries, never by refusing
 /// to answer.
 #[test]
-fn pmv_manager_routes_and_sheds() {
+fn host_routes_and_sheds() {
     let fx = eqt_fixture(120);
     let edb = EpochDb::new(fx.db);
-    let mut mgr = PmvManager::new();
-    let def = PartialViewDef::all_equality("mgr_pmv", fx.template.clone()).unwrap();
-    mgr.register_sharded(def, PmvConfig::new(2, 4, PolicyKind::Clock), Some(1))
+    let def = PartialViewDef::all_equality("host_pmv", fx.template.clone()).unwrap();
+    edb.register(def, PmvConfig::new(2, 4, PolicyKind::Clock), Some(1))
         .unwrap();
     for f in 0..7i64 {
         for g in 0..5i64 {
             let q = eqt_query(&fx.template, &[f], &[g]);
-            let view = mgr.view_for(q.template()).expect("routed by template");
-            let out = edb.query(view, &q).unwrap();
+            let view = edb.view_for(q.template()).expect("routed by template");
+            let out = edb.query(&view, &q).unwrap();
             assert_eq!(out.ds_leftover, 0);
             let (rows, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
             assert_eq!(out.all_results().len(), rows.len());
         }
     }
-    let view = mgr.view_for(&fx.template).unwrap();
+    let view = edb.view_for(&fx.template).unwrap();
     assert_eq!(view.stats().queries, 35);
     assert!(view.entry_count() <= 4, "{} entries", view.entry_count());
     assert!(view.evictions() > 0, "35 bcps through L = 4 must evict");
