@@ -366,3 +366,48 @@ fn survivable_disk_faults_roll_back() {
         assert_eq!(outcome, "completed", "{tag}: faults must not kill");
     }
 }
+
+/// A crash between a checkpoint's temp-file write and its rename leaves
+/// `ckpt.<lsn>.img.tmp`, whose name no later checkpoint reuses; the next
+/// open deletes it, so temp files never accumulate.
+#[test]
+fn crash_before_rename_leaves_no_temp_file() {
+    let _guard = TEST_LOCK.lock().unwrap();
+    install_quiet_panic_hook();
+    let dir = tmp_dir("tmp_cleanup");
+    let temp_files = || {
+        let names = std::fs::read_dir(&dir).unwrap();
+        names
+            .filter(|e| e.as_ref().unwrap().path().extension().unwrap() == "tmp")
+            .count()
+    };
+    let open = || {
+        EpochDb::open_durable(&dir, Arc::new(ObsRegistry::new()))
+            .unwrap()
+            .0
+    };
+
+    let edb = open();
+    edb.with_write(|db| db.create_relation(schema()).unwrap());
+    edb.checkpoint(Vec::new()).unwrap();
+    commit_durable(&edb, Op::Insert(1)).unwrap();
+    let plan = install(Arc::new(FaultPlan::new(0).with_rule_at(
+        Site::CkptRename,
+        FaultKind::CrashPoint,
+        0,
+    )));
+    let crash = catch_unwind(AssertUnwindSafe(|| edb.checkpoint(Vec::new())));
+    drop(plan);
+    assert!(crash.is_err_and(|p| is_crash_panic(&*p)));
+    drop(edb);
+    assert_eq!(temp_files(), 1, "the crash must leave the temp file");
+
+    let edb = open();
+    assert_eq!(temp_files(), 0, "open deletes leftover temp files");
+    commit_durable(&edb, Op::Insert(2)).unwrap();
+    edb.checkpoint(Vec::new()).unwrap();
+    assert_eq!(temp_files(), 0);
+    assert_eq!(edb.durability().unwrap().durable_lsn(), 2);
+    drop(edb);
+    std::fs::remove_dir_all(&dir).ok();
+}

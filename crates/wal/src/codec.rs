@@ -40,7 +40,7 @@ impl std::error::Error for DecodeError {}
 
 type Result<T> = std::result::Result<T, DecodeError>;
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
 }
@@ -63,9 +63,9 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn put_tuple(out: &mut Vec<u8>, t: &Tuple) {
-    out.extend_from_slice(&(t.values().len() as u32).to_le_bytes());
-    for v in t.values() {
+pub(crate) fn put_tuple(out: &mut Vec<u8>, values: &[Value]) {
+    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+    for v in values {
         put_value(out, v);
     }
 }
@@ -82,18 +82,18 @@ pub fn encode_batches(batches: &[DeltaBatch]) -> Vec<u8> {
                 Delta::Insert { row, tuple } => {
                     out.push(0x00);
                     out.extend_from_slice(&row.0.to_le_bytes());
-                    put_tuple(&mut out, tuple);
+                    put_tuple(&mut out, tuple.values());
                 }
                 Delta::Delete { row, tuple } => {
                     out.push(0x01);
                     out.extend_from_slice(&row.0.to_le_bytes());
-                    put_tuple(&mut out, tuple);
+                    put_tuple(&mut out, tuple.values());
                 }
                 Delta::Update { row, old, new } => {
                     out.push(0x02);
                     out.extend_from_slice(&row.0.to_le_bytes());
-                    put_tuple(&mut out, old);
-                    put_tuple(&mut out, new);
+                    put_tuple(&mut out, old.values());
+                    put_tuple(&mut out, new.values());
                 }
             }
         }
@@ -102,12 +102,24 @@ pub fn encode_batches(batches: &[DeltaBatch]) -> Vec<u8> {
 }
 
 /// A cursor over payload bytes with bounds-checked primitive reads.
-struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     off: usize,
 }
 
 impl<'a> Cursor<'a> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+        Cursor { bytes, off: 0 }
+    }
+
+    /// Error unless every byte has been read.
+    pub(crate) fn finish(&self, what: &str) -> Result<()> {
+        match self.bytes.len() - self.off {
+            0 => Ok(()),
+            n => Err(DecodeError(format!("{n} trailing bytes after {what}"))),
+        }
+    }
+
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .off
@@ -119,19 +131,29 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8> {
+    pub(crate) fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32> {
+    pub(crate) fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64> {
+    pub(crate) fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn str(&mut self) -> Result<String> {
+    /// An element count, rejected when it exceeds the bytes left (every
+    /// element takes at least one), so a corrupt count never allocates.
+    pub(crate) fn count(&mut self) -> Result<usize> {
+        let n = self.u32()? as usize;
+        if n > self.bytes.len() - self.off {
+            return Err(DecodeError(format!("count {n} exceeds payload")));
+        }
+        Ok(n)
+    }
+
+    pub(crate) fn str(&mut self) -> Result<String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError("non-UTF-8 string".to_string()))
@@ -147,40 +169,29 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn tuple(&mut self) -> Result<Tuple> {
-        let n = self.u32()? as usize;
-        if n > self.bytes.len() - self.off {
-            return Err(DecodeError(format!("tuple arity {n} exceeds payload")));
-        }
+    /// A `tuple` production as its value list.
+    pub(crate) fn values(&mut self) -> Result<Vec<Value>> {
+        let n = self.count()?;
         let mut vals = Vec::with_capacity(n);
         for _ in 0..n {
             vals.push(self.value()?);
         }
-        Ok(Tuple::new(vals))
+        Ok(vals)
+    }
+
+    pub(crate) fn tuple(&mut self) -> Result<Tuple> {
+        Ok(Tuple::new(self.values()?))
     }
 }
 
 /// Decode a WAL payload back into delta batches.
 pub fn decode_batches(payload: &[u8]) -> Result<Vec<DeltaBatch>> {
-    let mut c = Cursor {
-        bytes: payload,
-        off: 0,
-    };
-    let nbatches = c.u32()? as usize;
-    if nbatches > payload.len() {
-        return Err(DecodeError(format!(
-            "batch count {nbatches} exceeds payload"
-        )));
-    }
+    let mut c = Cursor::new(payload);
+    let nbatches = c.count()?;
     let mut batches = Vec::with_capacity(nbatches);
     for _ in 0..nbatches {
         let relation = c.str()?;
-        let ndeltas = c.u32()? as usize;
-        if ndeltas > payload.len() {
-            return Err(DecodeError(format!(
-                "delta count {ndeltas} exceeds payload"
-            )));
-        }
+        let ndeltas = c.count()?;
         let mut batch = DeltaBatch::new(relation);
         for _ in 0..ndeltas {
             let tag = c.u8()?;
@@ -205,12 +216,7 @@ pub fn decode_batches(payload: &[u8]) -> Result<Vec<DeltaBatch>> {
         }
         batches.push(batch);
     }
-    if c.off != payload.len() {
-        return Err(DecodeError(format!(
-            "{} trailing bytes after last batch",
-            payload.len() - c.off
-        )));
-    }
+    c.finish("last batch")?;
     Ok(batches)
 }
 

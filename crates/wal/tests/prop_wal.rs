@@ -9,11 +9,18 @@
 //!    in-memory oracle at the surviving record count — never a torn
 //!    record applied, never a trusted record dropped — and keeps
 //!    accepting commits afterwards.
+//! 3. **Checkpoint images**: random catalogs (every value shape, RowId
+//!    holes, both index shapes, view specs with dividers) round-trip
+//!    through `save` → `load` RowId for RowId, encode deterministically,
+//!    and every strict prefix and every single-bit flip of an image is
+//!    rejected.
 
 use std::path::PathBuf;
 
+use pmv_index::IndexDef;
+use pmv_query::{Database, DbSnapshot};
 use pmv_storage::{Column, ColumnType, Delta, DeltaBatch, RowId, Schema, Tuple, Value};
-use pmv_wal::{codec, record, CheckpointMeta, Durability};
+use pmv_wal::{checkpoint, codec, record, CheckpointMeta, Durability, ViewSpec};
 use proptest::prelude::*;
 
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -231,5 +238,264 @@ proptest! {
                 ends.iter().filter(|&&e| e <= pos).count()
             },
         );
+    }
+}
+
+fn int_strategy() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        1 => Just(i64::MIN),
+        1 => Just(i64::MAX),
+        1 => Just(0i64),
+        3 => any::<i64>(),
+    ]
+}
+
+fn double_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        1 => Just(f64::NAN),
+        1 => Just(f64::INFINITY),
+        1 => Just(f64::NEG_INFINITY),
+        1 => Just(-0.0f64),
+        3 => any::<f64>(),
+    ]
+}
+
+/// Empty, ASCII and multi-byte strings.
+const STR_PATTERN: &str = "[a-zé€π😀 ]{0,6}";
+
+/// Raw material for one cell; [`cell`] picks the part its column's type
+/// needs (the shim has no dependent strategies).
+type CellSeed = (u8, i64, f64, String);
+
+fn cell_strategy() -> impl Strategy<Value = CellSeed> {
+    (0u8..6, int_strategy(), double_strategy(), STR_PATTERN)
+}
+
+fn cell(ty: ColumnType, (null, i, d, s): &CellSeed) -> Value {
+    match ty {
+        _ if *null == 0 => Value::Null,
+        ColumnType::Int => Value::Int(*i),
+        ColumnType::Double => Value::Double(*d),
+        ColumnType::Str => Value::str(s.as_str()),
+    }
+}
+
+/// One relation: column types, rows as (slot gap, cells), and an
+/// optional index (shape, column).
+type RelSeed = (Vec<u8>, Vec<(u32, Vec<CellSeed>)>, Option<(bool, usize)>);
+
+fn rel_strategy() -> impl Strategy<Value = RelSeed> {
+    (
+        proptest::collection::vec(0u8..3, 1..4),
+        proptest::collection::vec(
+            (
+                prop_oneof![3 => Just(0u32), 1 => 1u32..4],
+                proptest::collection::vec(cell_strategy(), 3),
+            ),
+            0..6,
+        ),
+        prop_oneof![
+            1 => Just(None),
+            2 => (any::<bool>(), 0usize..3).prop_map(Some),
+        ],
+    )
+}
+
+fn view_strategy() -> impl Strategy<Value = ViewSpec> {
+    (
+        (STR_PATTERN, STR_PATTERN, STR_PATTERN),
+        (0usize..64, 0usize..1024, 0usize..8),
+        proptest::collection::vec(
+            prop_oneof![
+                1 => Just(None),
+                2 => proptest::collection::vec(value_strategy(), 0..4).prop_map(Some),
+            ],
+            0..3,
+        ),
+    )
+        .prop_map(|((name, sql, policy), (f, l, shards), dividers)| ViewSpec {
+            name,
+            sql,
+            f,
+            l,
+            policy,
+            shards,
+            dividers,
+        })
+}
+
+/// Build the database a catalog seed describes. Gaps between row slots
+/// become interior holes.
+fn build_db(rels: &[RelSeed], analyzed: bool) -> Database {
+    let mut db = Database::new();
+    for (r, (types, rows, index)) in rels.iter().enumerate() {
+        let types: Vec<ColumnType> = types
+            .iter()
+            .map(|t| [ColumnType::Int, ColumnType::Double, ColumnType::Str][*t as usize])
+            .collect();
+        let name = format!("r{r}");
+        let columns = types
+            .iter()
+            .enumerate()
+            .map(|(c, ty)| Column::new(format!("c{c}é"), *ty))
+            .collect();
+        db.create_relation(Schema::new(name.clone(), columns))
+            .unwrap();
+        let mut slot = 0u32;
+        for (gap, cells) in rows {
+            slot += gap;
+            let tuple = Tuple::new(
+                types
+                    .iter()
+                    .zip(cells)
+                    .map(|(ty, seed)| cell(*ty, seed))
+                    .collect::<Vec<_>>(),
+            );
+            db.apply_delta_exact(
+                &name,
+                &Delta::Insert {
+                    row: RowId(slot),
+                    tuple,
+                },
+            )
+            .unwrap();
+            slot += 1;
+        }
+        if let Some((hash, col)) = index {
+            let cols = vec![col % types.len()];
+            db.create_index(if *hash {
+                IndexDef::hash(name.clone(), cols)
+            } else {
+                IndexDef::btree(name.clone(), cols)
+            })
+            .unwrap();
+        }
+    }
+    if analyzed {
+        db.analyze().unwrap();
+    }
+    db
+}
+
+/// Every relation's schema and rows, RowId for RowId.
+fn contents(snap: &DbSnapshot) -> Vec<(Schema, Vec<(u32, Tuple)>)> {
+    use pmv_query::DataView;
+    snap.relation_names()
+        .iter()
+        .map(|name| {
+            let rel = snap.relation_version(name).unwrap();
+            let rows = rel.iter().map(|(row, t)| (row.0, t.clone())).collect();
+            (rel.schema().clone(), rows)
+        })
+        .collect()
+}
+
+fn ckpt_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir()
+        .join("pmv_prop_wal")
+        .join(format!("{name}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn checkpoint_image_roundtrips_and_rejects_damage(
+        rels in proptest::collection::vec(rel_strategy(), 0..4),
+        analyzed in any::<bool>(),
+        views in proptest::collection::vec(view_strategy(), 0..3),
+        (lsn, epoch) in (any::<u64>(), any::<u64>()),
+    ) {
+        let db = build_db(&rels, analyzed);
+        let snap = db.snapshot();
+        let meta = CheckpointMeta { lsn, epoch, analyzed, views };
+        let image = checkpoint::encode(&snap, &meta).unwrap();
+        prop_assert_eq!(&checkpoint::encode(&snap, &meta).unwrap(), &image);
+
+        let path = ckpt_dir("image").join("ckpt.img");
+        checkpoint::save(&snap, &meta, &path).unwrap();
+        prop_assert_eq!(&std::fs::read(&path).unwrap(), &image);
+        let (back, back_meta) = checkpoint::load(&path).unwrap();
+        let back_snap = back.snapshot();
+        prop_assert_eq!(contents(&back_snap), contents(&snap));
+        prop_assert_eq!(back_snap.index_defs(), snap.index_defs());
+        prop_assert_eq!(back.table_stats().is_some(), analyzed);
+        prop_assert_eq!((back_meta.lsn, back_meta.epoch, back_meta.analyzed), (lsn, epoch, analyzed));
+        prop_assert_eq!(&back_meta.views, &meta.views);
+        // Bit-exact, NaN payloads and -0.0 included: the loaded image
+        // re-encodes to the same bytes.
+        prop_assert_eq!(&checkpoint::encode(&back_snap, &back_meta).unwrap(), &image);
+
+        for cut in 0..image.len() {
+            prop_assert!(checkpoint::decode(&image[..cut]).is_err(), "prefix {cut} loaded");
+        }
+        let mut flipped = image.clone();
+        for bit in 0..image.len() * 8 {
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(checkpoint::decode(&flipped).is_err(), "bit {bit} flip loaded");
+            flipped[bit / 8] ^= 1 << (bit % 8);
+        }
+    }
+}
+
+/// A relation larger than one row frame splits across frames; the image
+/// still round-trips, and cutting it at any frame boundary (a whole,
+/// valid frame sequence without its trailer) is rejected.
+#[test]
+fn multi_frame_image_roundtrips_and_needs_its_trailer() {
+    let n = checkpoint::ROWS_PER_FRAME * 2 + 7;
+    let mut db = Database::new();
+    db.create_relation(Schema::new(
+        "big",
+        vec![
+            Column::new("k", ColumnType::Int),
+            Column::new("s", ColumnType::Str),
+        ],
+    ))
+    .unwrap();
+    for i in 0..n {
+        db.insert(
+            "big",
+            Tuple::new(vec![Value::Int(i as i64), Value::str("v")]),
+        )
+        .unwrap();
+    }
+    db.delete("big", RowId(5)).unwrap();
+    let snap = db.snapshot();
+    let meta = CheckpointMeta {
+        lsn: 3,
+        ..CheckpointMeta::default()
+    };
+    let image = checkpoint::encode(&snap, &meta).unwrap();
+    let (back, _) = checkpoint::decode(&image).unwrap();
+    assert_eq!(contents(&back.snapshot()), contents(&snap));
+
+    let scan = record::scan(&image);
+    assert_eq!(
+        scan.records.len(),
+        1 + 3 + 1,
+        "header, three row frames, trailer"
+    );
+    let mut end = 0;
+    for frame in &scan.records {
+        end += 16 + frame.payload.len();
+        if end < image.len() {
+            assert!(checkpoint::decode(&image[..end]).is_err(), "cut at {end}");
+        }
+    }
+    // Frames restamped with another LSN are rejected too.
+    let mut restamped = Vec::new();
+    for (i, frame) in scan.records.iter().enumerate() {
+        let lsn = if i == 2 { 4 } else { 3 };
+        restamped.extend_from_slice(&record::encode(lsn, &frame.payload));
+    }
+    assert!(checkpoint::decode(&restamped).is_err());
+    // So are bytes after the trailer: a whole frame, or a torn one.
+    for tail in [record::encode(3, b""), vec![0x55; 3]] {
+        let mut trailing = image.clone();
+        trailing.extend_from_slice(&tail);
+        assert!(checkpoint::decode(&trailing).is_err());
     }
 }
