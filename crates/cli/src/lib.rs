@@ -10,7 +10,7 @@
 //! load tpcr 0.01                         generate TPC-R data at scale s (once, first)
 //! tables                                 list relations
 //! template <name> <SQL>                  define a template (see parser)
-//! pmv <template> [f=N] [l=N] [policy=clock|2q] [heavy=N]
+//! pmv <template> [f=N] [l=N] [policy=clock|2q]
 //! query <template> <binding> …           run through the PMV pipeline
 //! plain <template> <binding> …           run without the PMV
 //! explain <template> <binding> …         show the plan
@@ -477,7 +477,7 @@ impl Session {
         let mut parts = rest.split_whitespace();
         let name = parts
             .next()
-            .ok_or_else(|| usage("usage: pmv <template> [f=N] [l=N] [policy=...] [heavy=N]"))?;
+            .ok_or_else(|| usage("usage: pmv <template> [f=N] [l=N] [policy=...]"))?;
         let template = self.template(name)?;
         let mut config = PmvConfig::default();
         for opt in parts {
@@ -488,30 +488,17 @@ impl Session {
                 "f" => config.f = v.parse().map_err(|_| usage("bad f"))?,
                 "l" => config.l = v.parse().map_err(|_| usage("bad l"))?,
                 "policy" => config.policy = parse_policy(v)?,
-                "heavy" => {
-                    let n = v.parse().map_err(|_| usage("bad heavy"))?;
-                    config = config.with_heavy_threshold(n);
-                }
-                "maint" => {
-                    return Err(usage(format!(
-                        "unknown option 'maint': maintenance is one path routed by \
-                         heavy=N (default {}; heavy={} is join only)",
-                        PmvConfig::default().heavy_threshold,
-                        u64::MAX
-                    )))
-                }
                 other => return Err(usage(format!("unknown option '{other}'"))),
             }
         }
         let discretizers = default_discretizers(&template);
         let def = PartialViewDef::new(format!("pmv_{name}"), template, discretizers)?;
         let summary = format!(
-            "PMV for '{}': F={}, L={}, policy={}, heavy≥{} (epoch serving)",
+            "PMV for '{}': F={}, L={}, policy={} (epoch serving)",
             name,
             config.f,
             config.l,
             config.policy.name(),
-            config.heavy_threshold,
         );
         self.register(def, config, None)?;
         Ok(summary)
@@ -870,7 +857,7 @@ impl Session {
                 v.config().policy.name(),
                 v.shard_count(),
             );
-            out.push_str(&maintenance_line(v.config(), &s));
+            out.push_str(&maintenance_line(&s));
         }
         if out.is_empty() {
             out.push_str("(no PMVs yet)\n");
@@ -904,16 +891,13 @@ impl Session {
 }
 
 /// One indented line of maintenance/upquery telemetry for `stats`:
-/// the view's heavy-key threshold and what the delta-key-index,
-/// ΔR-join and upquery paths have done so far.
-fn maintenance_line(config: &PmvConfig, s: &pmv_core::PmvStats) -> String {
+/// what the delta-key-index, bridge-join and upquery paths have done so
+/// far.
+fn maintenance_line(s: &pmv_core::PmvStats) -> String {
     format!(
-        "  maint heavy≥{}: {} index removals, {} heavy / {} light deltas \
-         ({} joins coalesced, {} join rows), {} upqueries ({} rows refilled)\n",
-        config.heavy_threshold,
+        "  maint: {} index removals, {} joins ({} join rows), \
+         {} upqueries ({} rows refilled)\n",
         s.maint_index_removals,
-        s.maint_heavy_deltas,
-        s.maint_light_deltas,
         s.maint_coalesced_joins,
         s.maint_join_rows,
         s.upqueries,
@@ -1022,7 +1006,7 @@ commands:
   load tpcr <scale>                 generate TPC-R data
   tables                            list relations
   template <name> <SQL>             define a template (slots: col = ? | col BETWEEN ?)
-  pmv <template> [f=N] [l=N] [policy=clock|2q] [heavy=N]
+  pmv <template> [f=N] [l=N] [policy=clock|2q]
   analyze <template> [f=N] [l=N] [budget=BYTES] [json|sarif]   static verifier (PMV001-PMV006)
   query <template> [v,..] [lo..hi,..]   run through the PMV
   plain <template> <bindings>       run without the PMV
@@ -1349,19 +1333,15 @@ mod tests {
         assert!(s.execute("query t1 [1]").is_err());
         // Interval binding on an equality slot.
         assert!(s.execute("query t1 [1..2] [1]").is_err());
-        // The removed strategy option is a usage error naming the
-        // threshold that replaces it.
-        for maint in ["delta-join", "heavy-light", "indexed"] {
-            let e = s.execute(&format!("pmv t1 maint={maint}")).unwrap_err();
+        // Neither maintenance option exists: maintenance has one path.
+        for opt in ["maint=indexed", "heavy=1"] {
+            let e = s.execute(&format!("pmv t1 {opt}")).unwrap_err();
+            let key = opt.split('=').next().unwrap();
             assert!(
-                matches!(&e, CliError::Usage(m) if m.contains("heavy=18446744073709551615")
-                    && m.contains("default 8")),
+                matches!(&e, CliError::Usage(m) if *m == format!("unknown option '{key}'")),
                 "{e:?}"
             );
         }
-        // `heavy=` goes through the builder's clamp: 0 reads back as 1.
-        let out = s.execute("pmv t1 heavy=0").unwrap();
-        assert!(out.contains("heavy≥1 "), "{out}");
     }
 
     fn scratch_dir(name: &str) -> std::path::PathBuf {

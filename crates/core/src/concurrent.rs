@@ -55,10 +55,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use pmv_obs::{
-    EventKind, FlightRecorder, ObsRegistry, Phase, SpaceSaving, TraceKind, TriggerReason,
-    ViewMetrics, DEFAULT_SKETCH_CAPACITY,
+    EventKind, FlightRecorder, ObsRegistry, Phase, TraceKind, TriggerReason, ViewMetrics,
 };
 use pmv_query::{execute, Database, DbSnapshot, QueryInstance};
 use pmv_storage::Tuple;
@@ -220,10 +219,6 @@ pub(crate) struct Inner {
     /// Breaker trip count already seen by [`SharedPmv::flight_check`],
     /// so each trip produces one `breaker_trip` dump, not one per query.
     flight_trips_seen: AtomicU64,
-    /// Heavy-hitter sketch over delta keys for the heavy-light
-    /// maintenance split. Only the maintenance path locks it — never
-    /// the serving path.
-    pub(crate) delta_sketch: Mutex<SpaceSaving>,
 }
 
 impl Inner {
@@ -363,7 +358,6 @@ impl SharedPmv {
                 trace_name,
                 flight: OnceLock::new(),
                 flight_trips_seen: AtomicU64::new(0),
-                delta_sketch: Mutex::new(SpaceSaving::new(DEFAULT_SKETCH_CAPACITY)),
             }),
         }
     }

@@ -24,14 +24,15 @@
 //! correct for transactions deleting matching tuples from several base
 //! relations (the cross-relation case that trips sequential ΔR joins).
 //!
-//! The index also answers the skip test: an absent projection means no
-//! cached tuple can be affected, so the join (and even the indexed
-//! walk) is skipped.
+//! The lookup is also the Section 3.4 filter: an absent projection means
+//! no cached tuple is affected, and the delete costs one hash probe per
+//! shard. Only a *bridge* relation, one projecting no `Ls'` column, gives
+//! the index nothing to key on; maintenance joins its deletes instead.
 
 use std::sync::Arc;
 
 use crate::bcp::BcpKey;
-use crate::fasthash::{FxBuildHasher, FxHashMap};
+use crate::fasthash::FxHashMap;
 use crate::verify::FilterSpec;
 use pmv_query::QueryTemplate;
 use pmv_storage::{Tuple, Value};
@@ -133,18 +134,6 @@ impl DeltaKeyIndex {
         }
     }
 
-    /// Could deleting `base_tuple` from relation `rel` affect any cached
-    /// tuple? `false` means all maintenance work for this delta can be
-    /// skipped (sound: never a false negative). Relations contributing
-    /// no `Ls'` attribute always answer `true` (no information).
-    pub fn check(&self, rel: usize, base_tuple: &Tuple) -> bool {
-        if self.specs[rel].view_positions.is_empty() {
-            return true;
-        }
-        let key = self.specs[rel].base_key(base_tuple);
-        self.maps[rel].contains_key(&key)
-    }
-
     /// The cached view tuples supported by `base_tuple` in relation
     /// `rel` — exactly the tuples a delete of `base_tuple` must remove.
     /// Cloned out so the caller can mutate the store (which mutates this
@@ -163,19 +152,6 @@ impl DeltaKeyIndex {
     /// precondition for the indexed removal path.
     pub fn indexable(&self, rel: usize) -> bool {
         !self.specs[rel].view_positions.is_empty()
-    }
-
-    /// Stable hash of `base_tuple`'s projection key for relation `rel`
-    /// — the heavy-hitter sketch's input. The (rel, key) pair is folded
-    /// together so equal values in different relations stay distinct.
-    pub fn base_key_hash(&self, rel: usize, base_tuple: &Tuple) -> u64 {
-        use std::hash::{BuildHasher, Hash, Hasher};
-        let mut h = FxBuildHasher::default().build_hasher();
-        rel.hash(&mut h);
-        for &c in &self.specs[rel].base_columns {
-            base_tuple.get(c).hash(&mut h);
-        }
-        h.finish()
     }
 
     /// Drop every tracked projection (store drained, e.g. quarantine).
@@ -282,9 +258,8 @@ mod tests {
         // and v3.
         let hit = idx.supported(1, &tuple![4i64, 2i64, 7i64]);
         assert_eq!(hit.len(), 2);
-        // Unrelated delete: nothing, and the join can be skipped.
+        // Unrelated delete: nothing to remove.
         assert!(idx.supported(0, &tuple![8i64, 0i64, 8i64]).is_empty());
-        assert!(!idx.check(0, &tuple![8i64, 0i64, 8i64]));
     }
 
     #[test]
@@ -318,16 +293,5 @@ mod tests {
         idx.validate(&tuples[1..]);
         idx.clear();
         idx.validate(&[]);
-    }
-
-    #[test]
-    fn base_key_hash_distinguishes_relations_and_keys() {
-        let t = template();
-        let idx = DeltaKeyIndex::new(&t);
-        let r_tuple = tuple![1i64, 4i64, 1i64];
-        let h1 = idx.base_key_hash(0, &r_tuple);
-        assert_eq!(h1, idx.base_key_hash(0, &tuple![1i64, 99i64, 1i64]));
-        assert_ne!(h1, idx.base_key_hash(0, &tuple![2i64, 4i64, 1i64]));
-        assert_ne!(h1, idx.base_key_hash(1, &r_tuple));
     }
 }

@@ -42,7 +42,7 @@ macro_rules! for_each_stat_field {
             [keep] condition_parts,
             /// Inserts into base relations that required no PMV work.
             [keep] maint_inserts_ignored,
-            /// Deletes processed (heavy or light).
+            /// Deletes processed.
             [keep] maint_deletes_joined,
             /// Updates skipped because no relevant attribute changed.
             [keep] maint_updates_ignored,
@@ -53,20 +53,15 @@ macro_rules! for_each_stat_field {
             /// View tuples removed via the delta-key index (no base
             /// join ran for them).
             [keep] maint_index_removals,
-            /// Deltas routed down the heavy (indexed) path by the
-            /// space-saving partitioner.
-            [keep] maint_heavy_deltas,
-            /// Deltas routed down the light (coalesced-join) path.
-            [keep] maint_light_deltas,
-            /// ΔR joins executed: one per distinct light (relation,
-            /// tuple), duplicates coalesced into it.
+            /// ΔR joins executed for bridge relations (those projecting
+            /// no `Ls'` column): one per distinct (relation, tuple),
+            /// duplicates coalesced into it.
             [keep] maint_coalesced_joins,
-            /// ΔR joins skipped because no cached tuple could be
-            /// affected: the Section 3.4 filter, or a heavy key whose
-            /// index lookup found nothing.
+            /// Deletes whose delta-key index lookup found no cached
+            /// tuple: the ΔR join the Section 3.4 filter avoids.
             [keep] maint_joins_avoided,
-            /// Rows produced by maintenance ΔR ⋈ R joins (the O(data)
-            /// cost the delta-key index eliminates for heavy keys).
+            /// Rows produced by maintenance joins (bridge relations and
+            /// the cross-relation union pass).
             [keep] maint_join_rows,
             /// Targeted per-bcp refills issued instead of full O3 runs.
             [keep] upqueries,
@@ -268,7 +263,7 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), n);
-        assert_eq!(n, 31);
+        assert_eq!(n, 29);
         assert!(pairs.contains(&("maint_index_removals", 0)));
         assert!(pairs.contains(&("upqueries", 0)));
         assert!(pairs.contains(&("complete_serves", 0)));

@@ -163,36 +163,21 @@ impl PmvStore {
         self.index = Some(index);
     }
 
-    /// Could deleting `base_tuple` from template relation `rel` affect
-    /// any cached tuple? Always `true` when the index is disabled.
-    /// Read-only, so maintenance can peek at every shard's index under
-    /// read locks before deciding whether the ΔR join is needed at all.
-    pub fn would_affect(&self, rel: usize, base_tuple: &Tuple) -> bool {
-        match &self.index {
-            Some(ix) => ix.check(rel, base_tuple),
-            None => true,
-        }
+    /// Whether the delta-key index can serve deletes from template
+    /// relation `rel`: an index is attached and `rel` projects at least
+    /// one `Ls'` column. `false` marks a bridge relation, whose deletes
+    /// maintenance resolves by the ΔR join.
+    pub(crate) fn indexed(&self, rel: usize) -> bool {
+        self.index.as_ref().is_some_and(|ix| ix.indexable(rel))
     }
 
     /// The cached view tuples a delete of `base_tuple` from relation
     /// `rel` must remove, straight from the delta-key index — the
-    /// O(fanout) maintenance path. `None` when no index is attached or
-    /// the relation projects no `Ls'` column (caller must run the ΔR
-    /// join instead).
+    /// O(fanout) maintenance path. `None` for a bridge relation or when
+    /// no index is attached (caller must run the ΔR join instead).
     pub fn supported(&self, rel: usize, base_tuple: &Tuple) -> Option<Vec<Supported>> {
-        let ix = self.index.as_ref()?;
-        if !ix.indexable(rel) {
-            return None;
-        }
+        let ix = self.index.as_ref().filter(|ix| ix.indexable(rel))?;
         Some(ix.supported(rel, base_tuple))
-    }
-
-    /// Stable hash of `base_tuple`'s delta key for relation `rel` (the
-    /// heavy-hitter sketch input), when an index is attached.
-    pub fn delta_key_hash(&self, rel: usize, base_tuple: &Tuple) -> Option<u64> {
-        self.index
-            .as_ref()
-            .map(|ix| ix.base_key_hash(rel, base_tuple))
     }
 
     /// Record one relevant base-relation insert. Bumping the watermark
@@ -691,7 +676,6 @@ mod tests {
         assert_eq!(hit.len(), 1);
         assert_eq!(*hit[0].1, tuple![7i64, 1i64]);
         assert!(s.supported(0, &tuple![8i64, 1i64]).unwrap().is_empty());
-        assert!(s.delta_key_hash(0, &tuple![7i64, 1i64]).is_some());
         // Removing the supported tuple empties the index too.
         for (b, tu) in hit {
             assert!(s.remove_tuple(&b, &tu));

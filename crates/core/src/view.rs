@@ -32,14 +32,6 @@ pub struct PmvConfig {
     pub l: usize,
     /// How resident bcps are managed (CLOCK by default, per the paper).
     pub policy: PolicyKind,
-    /// Sketch count at which a delete's key is heavy and resolved
-    /// through the delta-key index instead of a ΔR join (heavy-light
-    /// partitioning, DESIGN.md §19). At 1 every delete is heavy; at
-    /// `u64::MAX` none is, and every delete runs the paper's ΔR join.
-    /// Either way the index on V_PM attributes (Section 3.4, the
-    /// per-shard [`crate::DeltaKeyIndex`]) lets deletes of uncached
-    /// tuples skip the ΔR join (the \[25\] filter).
-    pub heavy_threshold: u64,
     /// Wall-clock budget for one O3 execution; when exceeded, the query
     /// returns the O2 partials flagged `Degraded` instead of blocking.
     /// `None` (the default) runs O3 to completion.
@@ -57,10 +49,6 @@ impl Default for PmvConfig {
             f: 2,
             l: 10_000,
             policy: PolicyKind::Clock,
-            // High enough that sparse delete streams stay on the exact
-            // join path; a genuinely hot key crosses it within one
-            // Zipfian burst.
-            heavy_threshold: 8,
             o3_deadline: None,
             o3_max_tuples: None,
         }
@@ -87,12 +75,6 @@ impl PmvConfig {
     /// Bound each O3 execution to examining at most `max_tuples` tuples.
     pub fn with_row_budget(mut self, max_tuples: u64) -> Self {
         self.o3_max_tuples = Some(max_tuples);
-        self
-    }
-
-    /// Override the heavy-key sketch threshold (at least 1).
-    pub fn with_heavy_threshold(mut self, threshold: u64) -> Self {
-        self.heavy_threshold = threshold.max(1);
         self
     }
 

@@ -32,7 +32,7 @@ use pmv_core::{
 use pmv_faultinject::{FaultKind, FaultPlan, Site, PANIC_PREFIX};
 use pmv_index::IndexDef;
 use pmv_query::{Condition, Database, TemplateBuilder, Transaction};
-use pmv_storage::{tuple, Column, ColumnType, Schema, Tuple, Value};
+use pmv_storage::{tuple, Column, ColumnType, RowId, Schema, Tuple, Value};
 use proptest::prelude::*;
 
 /// The global fault plan is process-wide state: serialize every test in
@@ -63,22 +63,33 @@ fn install_quiet_panic_hook() {
     });
 }
 
-fn setup(shards: usize, config: PmvConfig) -> (EpochDb, SharedPmv) {
+/// `r(a, f)` with 500 rows and `b(k, m)` with two rows per `r.a`. The
+/// view selects `r.a` under an equality condition on `r.f`; with
+/// `bridge` it joins `r.a = b.k`, so `b` projects no `Ls'` column and
+/// every delete from it is maintained by a ΔR join.
+fn setup_view(shards: usize, config: PmvConfig, bridge: bool) -> (EpochDb, SharedPmv) {
     let mut db = Database::new();
-    db.create_relation(Schema::new(
-        "r",
-        vec![
-            Column::new("a", ColumnType::Int),
-            Column::new("f", ColumnType::Int),
-        ],
-    ))
-    .unwrap();
+    let int = |name: &str| Column::new(name, ColumnType::Int);
+    db.create_relation(Schema::new("r", vec![int("a"), int("f")]))
+        .unwrap();
+    db.create_relation(Schema::new("b", vec![int("k"), int("m")]))
+        .unwrap();
     for i in 0..500i64 {
         db.insert("r", tuple![i, i % 10]).unwrap();
+        db.insert("b", tuple![i, 0i64]).unwrap();
+        db.insert("b", tuple![i, 1i64]).unwrap();
     }
+    db.create_index(IndexDef::btree("r", vec![0])).unwrap();
     db.create_index(IndexDef::btree("r", vec![1])).unwrap();
-    let t = TemplateBuilder::new("t")
-        .relation(db.schema("r").unwrap())
+    db.create_index(IndexDef::btree("b", vec![0])).unwrap();
+    let mut t = TemplateBuilder::new("t").relation(db.schema("r").unwrap());
+    if bridge {
+        t = t
+            .relation(db.schema("b").unwrap())
+            .join("r", "a", "b", "k")
+            .unwrap();
+    }
+    let t = t
         .select("r", "a")
         .unwrap()
         .cond_eq("r", "f")
@@ -90,6 +101,10 @@ fn setup(shards: usize, config: PmvConfig) -> (EpochDb, SharedPmv) {
         EpochDb::new(db),
         SharedPmv::with_shards(def, config, shards),
     )
+}
+
+fn setup(shards: usize, config: PmvConfig) -> (EpochDb, SharedPmv) {
+    setup_view(shards, config, false)
 }
 
 fn multiset<T: std::borrow::Borrow<Tuple>>(tuples: &[T]) -> HashMap<Tuple, usize> {
@@ -106,7 +121,10 @@ fn run_stress(seed: u64, iters: i64) {
     let _lock = TEST_LOCK.lock().unwrap();
     install_quiet_panic_hook();
 
-    let (edb, shared) = setup(8, PmvConfig::new(3, 16, PolicyKind::Clock));
+    // Over a bridge template: every delete from `b` runs a ΔR join, so
+    // the `MaintJoin` rule reaches its retries and, once they run out,
+    // the drain-on-failed-join fallback.
+    let (edb, shared) = setup_view(8, PmvConfig::new(3, 16, PolicyKind::Clock), true);
     let plan = Arc::new(
         FaultPlan::new(seed)
             // The acceptance scenario: panics injected into O3 at 10%.
@@ -137,18 +155,35 @@ fn run_stress(seed: u64, iters: i64) {
                 if thread == 0 && i % 5 == 0 {
                     // Maintainer: the commit maintains the view while the
                     // new state is still invisible to readers.
+                    // A delete takes an `r` row (indexed) and both `b`
+                    // rows of another `r` row with the same `f` (joined).
                     edb.commit(&[&shared], move |db| {
-                        let row = db
+                        let rows: Vec<(RowId, Value)> = db
                             .relation("r")?
                             .read()
                             .iter()
-                            .find(|(_, tu)| tu.get(1) == &Value::Int(i % 10))
-                            .map(|(r, _)| r);
+                            .filter(|(_, tu)| tu.get(1) == &Value::Int(i % 10))
+                            .take(2)
+                            .map(|(r, tu)| (r, tu.get(0).clone()))
+                            .collect();
+                        let bridged: Vec<_> = match rows.get(1) {
+                            Some((_, a)) => db
+                                .relation("b")?
+                                .read()
+                                .iter()
+                                .filter(|(_, tu)| tu.get(0) == a)
+                                .map(|(r, _)| r)
+                                .collect(),
+                            None => Vec::new(),
+                        };
                         let mut txn = Transaction::begin(db);
                         if i % 10 == 0 {
                             txn.insert("r", tuple![10_000 + i, i % 10])?;
-                        } else if let Some(r) = row {
-                            txn.delete("r", r)?;
+                        } else if let Some((r, _)) = rows.first() {
+                            txn.delete("r", *r)?;
+                            for b in bridged {
+                                txn.delete("b", b)?;
+                            }
                         }
                         Ok(((), txn.commit()))
                     })
@@ -205,10 +240,10 @@ fn run_stress(seed: u64, iters: i64) {
     let counts = plan.counts();
     assert!(counts.panics > 0, "no panics delivered (seed {seed})");
     assert!(counts.errors > 0, "no errors delivered (seed {seed})");
-    // ... and both serving-path shard sites must still sit on a path
-    // that runs: a site the write-back no longer reaches would stop
-    // injecting silently.
-    for site in [Site::ShardProbe, Site::ShardFill] {
+    // ... and both serving-path shard sites and the maintenance join
+    // must still sit on a path that runs: a site no path reaches any
+    // more would stop injecting silently.
+    for site in [Site::ShardProbe, Site::ShardFill, Site::MaintJoin] {
         assert!(
             plan.invocations(site) > 0,
             "{site} never reached (seed {seed})"

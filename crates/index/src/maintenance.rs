@@ -1,6 +1,6 @@
 //! Index definitions and incremental maintenance from storage deltas.
 
-use pmv_storage::{Delta, DeltaBatch, HeapRelation, Tuple};
+use pmv_storage::{Delta, HeapRelation, Tuple};
 
 use crate::key::IndexKey;
 use crate::{AnyIndex, BTreeIndex, HashIndex, SecondaryIndex};
@@ -91,14 +91,6 @@ impl IndexDef {
             }
         }
     }
-
-    /// Apply a whole batch.
-    pub fn apply_batch(&self, index: &mut AnyIndex, batch: &DeltaBatch) {
-        debug_assert_eq!(batch.relation(), self.relation);
-        for d in batch.deltas() {
-            self.apply_delta(index, d);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -176,22 +168,5 @@ mod tests {
             },
         );
         assert_eq!(idx.get(&def.key_of(&t2)), &[] as &[RowId]);
-    }
-
-    #[test]
-    fn batch_applies_in_order() {
-        let def = IndexDef::hash("r", vec![0]);
-        let mut idx = def.build_from(&empty_relation());
-        let mut batch = DeltaBatch::new("r");
-        batch.push(Delta::Insert {
-            row: RowId(0),
-            tuple: tuple![5i64],
-        });
-        batch.push(Delta::Delete {
-            row: RowId(0),
-            tuple: tuple![5i64],
-        });
-        def.apply_batch(&mut idx, &batch);
-        assert_eq!(idx.entry_count(), 0);
     }
 }

@@ -38,14 +38,12 @@
 pub mod export;
 pub mod hist;
 pub mod profile;
-pub mod sketch;
 pub mod spool;
 pub mod trace;
 
 pub use export::{to_prometheus, ViewMetrics};
 pub use hist::{bucket_bounds, bucket_of, HistSnapshot, LatencyHistogram, BUCKETS};
 pub use profile::{ContentionSite, PipelineStage, ProfileReport, TemplateCost};
-pub use sketch::{SpaceSaving, DEFAULT_SKETCH_CAPACITY};
 pub use spool::{FlightDump, FlightRecorder, SpoolSink, TriggerReason};
 pub use trace::{EventKind, QueryTrace, TraceEvent, TraceKind, TraceRecorder, TraceScope};
 

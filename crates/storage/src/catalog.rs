@@ -88,14 +88,6 @@ impl Catalog {
         self.relations.contains_key(name)
     }
 
-    /// Drop a relation.
-    pub fn drop_relation(&mut self, name: &str) -> Result<(), StorageError> {
-        self.relations
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| StorageError::UnknownRelation(name.to_string()))
-    }
-
     /// Names of all relations, sorted.
     pub fn relation_names(&self) -> Vec<String> {
         self.relations.keys().cloned().collect()
@@ -139,15 +131,6 @@ mod tests {
             c.relation("nope"),
             Err(StorageError::UnknownRelation(_))
         ));
-    }
-
-    #[test]
-    fn drop_removes() {
-        let mut c = Catalog::new();
-        c.create_relation(schema("r")).unwrap();
-        c.drop_relation("r").unwrap();
-        assert!(!c.contains("r"));
-        assert!(c.drop_relation("r").is_err());
     }
 
     #[test]

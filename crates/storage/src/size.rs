@@ -4,17 +4,12 @@
 //! defines V_PM specifies an upper bound UB for the size of V_PM",
 //! Section 3.2). To enforce that bound we need every cached structure to
 //! report how many bytes it occupies. [`HeapSize`] reports bytes owned
-//! *outside* the value itself; [`total_size`] adds `size_of::<T>()`.
+//! *outside* the value itself.
 
 /// Bytes owned on the heap by a value (excluding `size_of::<Self>()`).
 pub trait HeapSize {
     /// Heap bytes reachable from (and owned by) `self`.
     fn heap_size(&self) -> usize;
-}
-
-/// Total footprint: inline size plus owned heap bytes.
-pub fn total_size<T: HeapSize>(v: &T) -> usize {
-    std::mem::size_of::<T>() + v.heap_size()
 }
 
 impl<T: HeapSize> HeapSize for [T] {
@@ -80,7 +75,6 @@ mod tests {
     #[test]
     fn primitives_have_zero_heap() {
         assert_eq!(42u64.heap_size(), 0);
-        assert_eq!(total_size(&42u64), 8);
     }
 
     #[test]

@@ -73,6 +73,74 @@ pub fn eqt_finish(mut db: Database) -> EqtFixture {
     EqtFixture { db, template }
 }
 
+/// The Eqt relations with two *bridge* relations spliced into the join:
+/// `r ⋈ b1 ⋈ b2 ⋈ s` on `r.c = b1.x`, `b1.y = b2.y` and `b2.z = s.d`,
+/// selecting `r.a` and `s.e` under equality conditions on `r.f` and
+/// `s.g` (the Eqt template's slots, so [`eqt_query`] binds it). `b1` and
+/// `b2` project no `Ls'` column: the delta-key index has nothing to key
+/// their deletes on, and maintenance joins them. Each `r` row reaches
+/// one `b1` row, each `b1` row two `b2` rows, each `b2` row two `s` rows
+/// per `g`.
+#[allow(dead_code)] // used by several, not all, test binaries
+pub fn bridge_fixture() -> EqtFixture {
+    let mut db = eqt_relations();
+    let int = |name: &str| Column::new(name, ColumnType::Int);
+    db.create_relation(Schema::new("b1", vec![int("x"), int("y")]))
+        .unwrap();
+    db.create_relation(Schema::new("b2", vec![int("y"), int("z")]))
+        .unwrap();
+    for a in 0..40i64 {
+        db.insert("r", tuple![a, a % 8, a % 5]).unwrap();
+    }
+    for x in 0..8i64 {
+        db.insert("b1", tuple![x, x % 4]).unwrap();
+    }
+    for y in 0..4i64 {
+        db.insert("b2", tuple![y, y]).unwrap();
+        db.insert("b2", tuple![y, (y + 1) % 4]).unwrap();
+    }
+    for d in 0..4i64 {
+        for j in 0..6i64 {
+            db.insert("s", tuple![d, 10 * d + j, j % 3]).unwrap();
+        }
+    }
+    for (rel, col) in [
+        ("r", 1),
+        ("r", 2),
+        ("b1", 0),
+        ("b1", 1),
+        ("b2", 0),
+        ("b2", 1),
+    ] {
+        db.create_index(IndexDef::btree(rel, vec![col])).unwrap();
+    }
+    for col in [0, 2] {
+        db.create_index(IndexDef::btree("s", vec![col])).unwrap();
+    }
+    let template = TemplateBuilder::new("bridge")
+        .relation(db.schema("r").unwrap())
+        .relation(db.schema("b1").unwrap())
+        .relation(db.schema("b2").unwrap())
+        .relation(db.schema("s").unwrap())
+        .join("r", "c", "b1", "x")
+        .unwrap()
+        .join("b1", "y", "b2", "y")
+        .unwrap()
+        .join("b2", "z", "s", "d")
+        .unwrap()
+        .select("r", "a")
+        .unwrap()
+        .select("s", "e")
+        .unwrap()
+        .cond_eq("r", "f")
+        .unwrap()
+        .cond_eq("s", "g")
+        .unwrap()
+        .build()
+        .unwrap();
+    EqtFixture { db, template }
+}
+
 /// Bind an Eqt query over f-values and g-values.
 pub fn eqt_query(
     template: &Arc<pmv::query::QueryTemplate>,

@@ -12,12 +12,14 @@
 //! by construction. Wall-clock times are printed (`--nocapture`), not
 //! gated, except the paper's "partial results within a millisecond".
 
+use std::collections::HashSet;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pmv::core::TraditionalMv;
+use pmv::core::{FilterSpec, TraditionalMv};
 use pmv::index::{IndexKey, SecondaryIndex};
 use pmv::prelude::*;
+use pmv::query::exec::join_from;
 use pmv::query::{QueryInstance, QueryTemplate};
 use pmv::storage::RowId;
 use pmv::workload::queries::{t1_query, t2_query, template_t1, template_t2, values_including};
@@ -240,47 +242,42 @@ fn fig10_execution_grows_with_scale_while_bookkeeping_does_not() {
 const MAINT_SCALE: f64 = 0.005;
 /// `|ΔR|` of the paper's transaction T (1 000 there), scaled to test size.
 const T_SIZE: usize = 200;
-/// Side by side: no key ever heavy (every delete takes the paper's ΔR
-/// join), the default, and every delete resolved through the index.
-const THRESHOLDS: [u64; 3] = [u64::MAX, 8, 1];
 
 /// One insert fraction `p` of transaction T. Work is counted in one unit
-/// for both sides: ΔR joins executed, plus the rows those joins produced,
-/// plus view rows found through the delta-key index.
+/// for every column: ΔR joins executed, plus the rows those joins
+/// produced, plus view rows found through the delta-key index.
 struct MaintCell {
     mv_work: usize,
     mv_joins: usize,
-    /// PMV work per entry of [`THRESHOLDS`].
-    pmv_work: [usize; 3],
-    /// Inserts each PMV left alone, per entry of [`THRESHOLDS`].
-    inserts_ignored: [usize; 3],
+    /// The paper's PMV maintenance: one ΔR join per deleted order whose
+    /// projection the view caches, computed here with `join_from`.
+    join_only_work: usize,
+    /// The engine's: every delete resolved through the delta-key index.
+    pmv_work: usize,
+    /// Inserts the PMV left alone.
+    inserts_ignored: usize,
 }
 
 /// Transaction T at `inserts` of `T_SIZE` on `orders` against a
-/// materialized T1 view and one PMV per threshold: a one-shard CLOCK view
-/// with F = 3, L = 1 000, warmed by 1 000 sampled hot bcps. The deletes
-/// are a seeded-shuffle prefix of the orders; the inserts copy the next
-/// orders under a new `orderdate`. One commit maintains the PMVs; the MV
-/// is maintained over the same batches after it. Every threshold must
-/// leave the same view.
+/// materialized T1 view and a PMV: a one-shard CLOCK view with F = 3,
+/// L = 1 000, warmed by 1 000 sampled hot bcps. The deletes are a
+/// seeded-shuffle prefix of the orders; the inserts copy the next orders
+/// under a new `orderdate`. One commit maintains the PMV; the MV is
+/// maintained over the same batches after it. The paper's join-only PMV
+/// column is counted from the pre-commit cache and database.
 fn maintenance_cell(inserts: usize) -> MaintCell {
     let edb = build_db(MAINT_SCALE);
     let db = edb.read();
     let t = template_t1(&db).unwrap();
     let def = PartialViewDef::all_equality("maint", t.clone()).unwrap();
-    let views = THRESHOLDS.map(|heavy| {
-        let config = PmvConfig::new(3, 1_000, PolicyKind::Clock).with_heavy_threshold(heavy);
-        SharedPmv::with_shards(def.clone(), config, 1)
-    });
+    let view = SharedPmv::with_shards(def, PmvConfig::new(3, 1_000, PolicyKind::Clock), 1);
     let mut rng = StdRng::seed_from_u64(0x11);
     for _ in 0..1_000 {
         let [date, supp, _] = sample_hot(&db, &mut rng);
         let q = t1_query(&t, &[date], &[supp]).unwrap();
-        for v in &views {
-            edb.query(v, &q).unwrap();
-        }
+        edb.query(&view, &q).unwrap();
     }
-    let mut mv = TraditionalMv::materialize(&db, t).unwrap();
+    let mut mv = TraditionalMv::materialize(&db, t.clone()).unwrap();
 
     let mut keys: Vec<i64> = (1..=db.len("orders").unwrap() as i64).collect();
     for i in (1..keys.len()).rev() {
@@ -300,9 +297,28 @@ fn maintenance_cell(inserts: usize) -> MaintCell {
             Tuple::new(values)
         })
         .collect();
+    // The paper's PMV joins a deleted order with the other relations
+    // unless the view caches no tuple carrying its projection.
+    let orders = t.relations().iter().position(|r| r == "orders").unwrap();
+    let (positions, columns) = &FilterSpec::for_template(&t).per_relation[orders];
+    let project = |v: &Tuple, cols: &[usize]| -> Vec<Value> {
+        cols.iter().map(|&c| v.get(c).clone()).collect()
+    };
+    let cached: HashSet<Vec<Value>> = view
+        .dump()
+        .into_iter()
+        .flat_map(|(_, tuples)| tuples)
+        .map(|v| project(&v, positions))
+        .collect();
+    let join_only_work = rows
+        .iter()
+        .map(|&row| db.get("orders", row).unwrap())
+        .filter(|image| cached.contains(&project(image, columns)))
+        .map(|image| 1 + join_from(&*db, &t, orders, &image).unwrap().len())
+        .sum();
     drop(db);
     let batches = edb
-        .commit(&views.each_ref(), move |db| {
+        .commit(&[&view], move |db| {
             let mut txn = Transaction::begin(db);
             for row in rows {
                 txn.delete("orders", row)?;
@@ -319,25 +335,14 @@ fn maintenance_cell(inserts: usize) -> MaintCell {
         TraditionalMv::maintain(&mut mv, &edb.read(), b).unwrap();
     }
     let mvs = mv.stats();
-    // The commit is the only maintenance these views have seen.
-    let work = |v: &SharedPmv| {
-        let s = v.stats();
-        (s.maint_coalesced_joins + s.maint_join_rows + s.maint_index_removals) as usize
-    };
-    let reference = views[0].dump();
-    for (v, heavy) in views.iter().zip(THRESHOLDS).skip(1) {
-        assert!(
-            v.dump() == reference,
-            "{inserts} inserts: threshold {heavy} left a different view than the join"
-        );
-    }
+    // The commit is the only maintenance this view has seen.
+    let s = view.stats();
     MaintCell {
         mv_work: mvs.joins_computed + mvs.rows_added + mvs.rows_removed,
         mv_joins: mvs.joins_computed,
-        pmv_work: views.each_ref().map(work),
-        inserts_ignored: views
-            .each_ref()
-            .map(|v| v.stats().maint_inserts_ignored as usize),
+        join_only_work,
+        pmv_work: (s.maint_coalesced_joins + s.maint_join_rows + s.maint_index_removals) as usize,
+        inserts_ignored: s.maint_inserts_ignored as usize,
     }
 }
 
@@ -346,41 +351,54 @@ fn fig11_12_pmv_maintenance_is_free_on_inserts_and_cheaper_on_deletes() {
     let cells: Vec<MaintCell> = (0..=10)
         .map(|i| maintenance_cell(i * T_SIZE / 10))
         .collect();
-    let ratio = |c: &MaintCell| c.mv_work as f64 / c.pmv_work[0] as f64;
+    let ratio = |c: &MaintCell| c.mv_work as f64 / c.pmv_work as f64;
     for (i, c) in cells.iter().enumerate() {
         let p = i as f64 / 10.0;
         println!(
             "Fig. 11–12 s={MAINT_SCALE} |ΔR|={T_SIZE} p={p:.1}: MV work {} ({} joins), \
-             PMV work join only {} / heavy≥8 {} / heavy≥1 {}, MV/PMV {:.1}×",
+             PMV work join only {} / engine {}, MV/PMV {:.1}×",
             c.mv_work,
             c.mv_joins,
-            c.pmv_work[0],
-            c.pmv_work[1],
-            c.pmv_work[2],
+            c.join_only_work,
+            c.pmv_work,
             ratio(c),
         );
         if i < 10 {
-            for (w, heavy) in c.pmv_work.iter().zip(THRESHOLDS) {
+            for (w, column) in [(c.join_only_work, "join only"), (c.pmv_work, "engine")] {
                 assert!(
-                    *w < c.mv_work,
-                    "p={p:.1} threshold {heavy}: PMV work {w} not below MV work {}",
+                    w < c.mv_work,
+                    "p={p:.1} {column}: PMV work {w} not below MV work {}",
                     c.mv_work
                 );
             }
         }
     }
+    // Exact on the seeded data: the index does less than half the join's
+    // work at every p < 1.
+    let column = |f: fn(&MaintCell) -> usize| cells.iter().map(f).collect::<Vec<_>>();
+    assert_eq!(
+        column(|c| c.join_only_work),
+        [185, 160, 135, 120, 90, 80, 65, 45, 35, 5, 0],
+        "PMV work, join only"
+    );
+    assert_eq!(
+        column(|c| c.pmv_work),
+        [81, 71, 57, 51, 36, 33, 26, 15, 12, 2, 0],
+        "PMV work, engine"
+    );
     // §3.4: "no need to maintain V_PM" on inserts, while the MV joins each.
     let all_inserts = &cells[10];
-    assert_eq!(all_inserts.pmv_work, [0; 3], "PMV work at p = 1");
     assert_eq!(
-        all_inserts.inserts_ignored, [T_SIZE; 3],
+        all_inserts.inserts_ignored, T_SIZE,
         "inserts ignored at p = 1"
     );
     assert_eq!(all_inserts.mv_joins, T_SIZE, "MV joins at p = 1");
-    // Fig. 12: the advantage grows with the insert fraction.
-    let rising = [0, 5, 9].map(|i| ratio(&cells[i]));
+    // Fig. 12: the advantage is large at p = 0 and never shrinks as the
+    // insert fraction grows.
+    let ratios: Vec<f64> = cells[..10].iter().map(ratio).collect();
+    assert!(ratios[0] >= 12.0, "MV/PMV at p = 0: {:.1}", ratios[0]);
     assert!(
-        rising[0] < rising[1] && rising[1] < rising[2],
-        "MV/PMV over p = 0, 0.5, 0.9: {rising:?}"
+        ratios.windows(2).all(|w| w[0] <= w[1]),
+        "MV/PMV over p < 1: {ratios:?}"
     );
 }
