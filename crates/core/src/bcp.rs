@@ -281,6 +281,14 @@ mod tests {
     }
 
     #[test]
+    fn bcp_dim_is_one_value_wide() {
+        // `Iv`'s id fits beside the byte `Value` keeps its tag in, so a
+        // bcp key costs 16 B per condition.
+        assert_eq!(std::mem::size_of::<BcpDim>(), 16);
+        assert_eq!(std::mem::size_of::<BcpDim>(), std::mem::size_of::<Value>());
+    }
+
+    #[test]
     fn id_of_partitions_domain() {
         let d = Discretizer::new(vec![v(10), v(20), v(30)]);
         assert_eq!(d.interval_count(), 4);

@@ -339,9 +339,12 @@ fn query_with_scratch(
         }
     }
     let o2 = t_o2.elapsed();
-    // The paper's headline quantity: time-to-first-result, query start →
-    // O2 partials available to the caller (§3.3 "within ~1 ms").
-    // Recorded before O3 so degraded paths count too.
+    // Time-to-first-result, the paper's headline quantity (§3.3 "within
+    // ~1 ms"): call entry → end of O2, measured inside the call. The
+    // caller holds no partials yet — they come back with O3's rows in
+    // the one `QueryOutcome` — so this is the cost of O1 + O2, not a
+    // latency any caller observes. Recorded before O3 so degraded paths
+    // count too.
     let ttfr = t_start.elapsed();
     obs.record(Phase::ttfr, ttfr);
     trace.event_at(

@@ -16,8 +16,9 @@
 //!   shard is lifted, and the breaker returns to Healthy.
 //!
 //! The plan is process-global, so every test here serializes on one
-//! mutex. The `#[ignore]`d seed-matrix entry is run by the CI fault job
-//! (`cargo test -p pmv-core --test fault_stress -- --ignored`) and honors
+//! mutex. The two `#[ignore]`d entries — the seed matrix and the
+//! failed-join drain case — are run by the CI fault job
+//! (`cargo test -p pmv-core --test fault_stress -- --ignored`) and honor
 //! `PMV_FAULT_SEED=<u64>` for reproducing a single seed.
 
 use std::collections::HashMap;
@@ -26,8 +27,8 @@ use std::time::Duration;
 
 use pmv_cache::PolicyKind;
 use pmv_core::{
-    BreakerConfig, CircuitBreaker, DegradeReason, EpochDb, PartialViewDef, PmvConfig, SharedPmv,
-    ViewHealth,
+    BreakerConfig, CircuitBreaker, DegradeReason, EpochDb, PartialViewDef, PmvConfig, PmvStats,
+    SharedPmv, ViewHealth,
 };
 use pmv_faultinject::{FaultKind, FaultPlan, Site, PANIC_PREFIX};
 use pmv_index::IndexDef;
@@ -115,9 +116,11 @@ fn multiset<T: std::borrow::Borrow<Tuple>>(tuples: &[T]) -> HashMap<Tuple, usize
     m
 }
 
-/// One full stress round under the given seed. Panics on any consistency
-/// violation.
-fn run_stress(seed: u64, iters: i64) {
+/// One full stress round under the given seed, with the maintenance
+/// join failing at `join_error_rate`. Panics on any consistency
+/// violation; returns the view's stats as they stood before `revalidate`
+/// reset the failure-episode counters.
+fn run_stress(seed: u64, iters: i64, join_error_rate: f64) -> PmvStats {
     let _lock = TEST_LOCK.lock().unwrap();
     install_quiet_panic_hook();
 
@@ -138,7 +141,7 @@ fn run_stress(seed: u64, iters: i64) {
             .with_rule(Site::ShardProbe, FaultKind::Panic, 0.03)
             .with_rule(Site::ShardFill, FaultKind::Panic, 0.03)
             .with_rule(Site::ShardMaint, FaultKind::Panic, 0.05)
-            .with_rule(Site::MaintJoin, FaultKind::Error, 0.20),
+            .with_rule(Site::MaintJoin, FaultKind::Error, join_error_rate),
     );
     let _guard = pmv_faultinject::install(Arc::clone(&plan));
 
@@ -290,11 +293,20 @@ fn run_stress(seed: u64, iters: i64) {
         .map(|t| (**t).clone())
         .collect();
     assert_eq!(multiset(&got), multiset(&truth));
+    stats
 }
 
 #[test]
 fn fault_stress_default_seed() {
-    run_stress(42, 40);
+    run_stress(42, 40, 0.20);
+}
+
+/// The CI fault job's seeds, or the one `PMV_FAULT_SEED=<u64>` names.
+fn matrix_seeds() -> Vec<u64> {
+    match std::env::var("PMV_FAULT_SEED") {
+        Ok(s) => vec![s.parse().expect("PMV_FAULT_SEED must be a u64")],
+        Err(_) => vec![1, 7, 42, 1337, 0xdead_beef, 987_654_321],
+    }
 }
 
 /// CI fault job: `cargo test -p pmv-core --test fault_stress -- --ignored`.
@@ -302,12 +314,34 @@ fn fault_stress_default_seed() {
 #[test]
 #[ignore = "long-running seed matrix; run explicitly or in the CI fault job"]
 fn fault_stress_seed_matrix() {
-    let seeds: Vec<u64> = match std::env::var("PMV_FAULT_SEED") {
-        Ok(s) => vec![s.parse().expect("PMV_FAULT_SEED must be a u64")],
-        Err(_) => vec![1, 7, 42, 1337, 0xdead_beef, 987_654_321],
-    };
-    for seed in seeds {
-        run_stress(seed, 60);
+    for seed in matrix_seeds() {
+        run_stress(seed, 60, 0.20);
+    }
+}
+
+/// Iterations per thread for the drain case. Every delete commit takes
+/// its rows from `f = 5`, and by 500 iterations the maintainer has used
+/// up all 50 of them: ≈ 100 bridge joins, which more iterations would
+/// not add to. At 50 % each join exhausts its four attempts one time in
+/// 16, so a seed that never drains has odds of (15/16)^98 ≈ 2·10⁻³.
+/// Only the maintainer joins and the plan is counter-indexed, so a seed
+/// replays the same joins and the same faults.
+const DRAIN_ITERS: i64 = 500;
+
+/// Drain-on-failed-join under concurrency. At 20 % the join's retries
+/// absorbed every error on the CI seeds, so the matrix above never
+/// reached the fallback; at 50 % a join fails all four attempts one time
+/// in 16, and the view must drain while readers keep passing the oracle,
+/// then heal on `revalidate`. CI's fault job runs it per matrix seed.
+#[test]
+#[ignore = "long-running seed matrix; run explicitly or in the CI fault job"]
+fn fault_stress_failed_joins_drain() {
+    for seed in matrix_seeds() {
+        let stats = run_stress(seed, DRAIN_ITERS, 0.50);
+        assert!(
+            stats.maint_fallbacks > 0,
+            "no join exhausted its retries (seed {seed}): {stats:?}"
+        );
     }
 }
 

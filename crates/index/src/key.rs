@@ -11,17 +11,20 @@ use pmv_storage::{HeapSize, Tuple, Value};
 ///
 /// A single-column key is held inline — no `Box`, so a B-tree leaf's key
 /// array *is* the keys and a probe compares without chasing a pointer per
-/// key (and an index clone or drop allocates nothing per key). `Eq`, `Ord`
-/// and `Hash` are written over [`IndexKey::parts`], so both shapes agree
-/// with the `[Value]` slice they borrow as; two single-column keys skip
-/// the slices and compare their values directly, which is the same order.
+/// key (and an index clone or drop allocates nothing per key). A
+/// multi-column key sits behind a thin box (one word, clear of the word
+/// `Value` keeps its tag in), so either shape is exactly one `Value` wide.
+/// `Eq`, `Ord` and `Hash` are written over [`IndexKey::parts`], so both
+/// shapes agree with the `[Value]` slice they borrow as; two single-column
+/// keys skip the slices and compare their values directly, which is the
+/// same order.
 #[derive(Clone)]
 pub struct IndexKey(Repr);
 
 #[derive(Clone)]
 enum Repr {
     One(Value),
-    Many(Box<[Value]>),
+    Many(Box<Box<[Value]>>),
 }
 
 impl IndexKey {
@@ -31,7 +34,7 @@ impl IndexKey {
         if parts.len() == 1 {
             IndexKey::single(parts.pop().expect("one part"))
         } else {
-            IndexKey(Repr::Many(parts.into()))
+            IndexKey(Repr::Many(Box::new(parts.into())))
         }
     }
 
@@ -44,9 +47,9 @@ impl IndexKey {
     pub fn from_tuple(tuple: &Tuple, columns: &[usize]) -> Self {
         match columns {
             [c] => IndexKey::single(tuple.get(*c).clone()),
-            _ => IndexKey(Repr::Many(
+            _ => IndexKey(Repr::Many(Box::new(
                 columns.iter().map(|&c| tuple.get(c).clone()).collect(),
-            )),
+            ))),
         }
     }
 
@@ -145,7 +148,7 @@ impl HeapSize for IndexKey {
     fn heap_size(&self) -> usize {
         match &self.0 {
             Repr::One(v) => v.heap_size(),
-            Repr::Many(parts) => parts.heap_size(),
+            Repr::Many(parts) => std::mem::size_of::<Box<[Value]>>() + parts.heap_size(),
         }
     }
 }

@@ -96,7 +96,8 @@ macro_rules! reset_if_transient {
 macro_rules! define_phases {
     ($([$tag:ident] $name:ident,)*) => {
         /// A timed phase of the serving path. `ttfr` is query start →
-        /// O2 partials returned (the paper's "~1 ms" claim); `full` is
+        /// end of O2, inside the call (the paper's "~1 ms" claim; the
+        /// caller receives the partials only with O3's rows); `full` is
         /// query start → complete results; the rest are the individual
         /// phase timers.
         #[derive(Clone, Copy, Debug, PartialEq, Eq)]

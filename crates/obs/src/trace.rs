@@ -75,8 +75,8 @@ pub enum EventKind {
         /// Probe duration in microseconds.
         us: u64,
     },
-    /// O2 complete: the partial results are available to the caller —
-    /// the time-to-first-result point.
+    /// O2 complete: the time-to-first-result point, inside the call (the
+    /// caller receives the partials only with O3's rows).
     FirstResults {
         /// Partial tuples served from the cache.
         tuples: usize,

@@ -7,9 +7,10 @@
 //! catalog, and delta capture for change propagation (the paper's `ΔR`).
 //!
 //! Everything is deliberately simple and allocation-conscious: tuples are
-//! boxed slices of [`Value`]s, strings are reference-counted so tuple clones
-//! are cheap, and every structure can report its heap footprint so the PMV
-//! layer can enforce the paper's storage bound `UB`.
+//! boxed slices of 16-byte [`Value`]s, short strings are inline and long
+//! ones reference-counted so tuple clones never copy string data, and
+//! every structure can report its heap footprint so the PMV layer can
+//! enforce the paper's storage bound `UB`.
 
 pub mod catalog;
 mod cowvec;
@@ -19,6 +20,7 @@ mod prefetch;
 pub mod relation;
 pub mod schema;
 pub mod size;
+pub mod string;
 pub mod tuple;
 pub mod value;
 
@@ -29,6 +31,7 @@ pub use prefetch::prefetch_read;
 pub use relation::{HeapRelation, RowId};
 pub use schema::{Column, ColumnType, Schema};
 pub use size::HeapSize;
+pub use string::Str;
 pub use tuple::Tuple;
 pub use value::Value;
 

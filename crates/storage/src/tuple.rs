@@ -3,7 +3,8 @@
 //! Tuples are compared, hashed, and cloned constantly by the PMV pipeline —
 //! the dedup structure `DS` of Operation O3 is a multiset of result tuples
 //! (Section 3.3) — so the representation is a `Box<[Value]>` (two words)
-//! with cheap (`Arc`) string clones.
+//! of 16-byte values whose strings clone without copying (short ones
+//! inline, long ones shared).
 
 use std::fmt;
 use std::ops::Index;
@@ -154,8 +155,12 @@ mod tests {
 
     #[test]
     fn heap_size_counts_strings_and_slice() {
-        let t = tuple![1i64, "abcd"];
-        let expected = 2 * std::mem::size_of::<Value>() + 4;
-        assert_eq!(t.heap_size(), expected);
+        // The slice always; a string's payload only past the 12 inline
+        // bytes.
+        let slice = 2 * std::mem::size_of::<Value>();
+        let inline = Tuple::new(vec![Value::Int(1), Value::str("a".repeat(12))]);
+        assert_eq!(inline.heap_size(), slice);
+        let heap = Tuple::new(vec![Value::Int(1), Value::str("a".repeat(13))]);
+        assert_eq!(heap.heap_size(), slice + 13);
     }
 }

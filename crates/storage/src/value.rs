@@ -9,9 +9,9 @@
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 
 use crate::size::HeapSize;
+use crate::string::Str;
 
 /// A dynamically typed scalar value.
 ///
@@ -29,14 +29,15 @@ pub enum Value {
     Int(i64),
     /// IEEE-754 double with normalized `-0.0`/NaN so `Eq + Hash` are sound.
     Double(f64),
-    /// Reference-counted string; cloning a tuple does not copy string data.
-    Str(Arc<str>),
+    /// String: inline up to 12 bytes, shared beyond, so cloning a tuple
+    /// never copies string data (see [`Str`]).
+    Str(Str),
 }
 
 impl Value {
     /// Build a string value.
     pub fn str(s: impl AsRef<str>) -> Self {
-        Value::Str(Arc::from(s.as_ref()))
+        Value::Str(Str::new(s.as_ref()))
     }
 
     /// True if this is [`Value::Null`].
@@ -63,7 +64,7 @@ impl Value {
     /// String payload, if this is a [`Value::Str`].
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -102,6 +103,7 @@ impl Value {
 }
 
 impl PartialEq for Value {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         match (self, other) {
             (Value::Null, Value::Null) => true,
@@ -118,12 +120,14 @@ impl PartialEq for Value {
 impl Eq for Value {}
 
 impl PartialOrd for Value {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Value {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         match (self, other) {
             (Value::Int(a), Value::Int(b)) => a.cmp(b),
@@ -183,16 +187,14 @@ impl From<&str> for Value {
 
 impl From<String> for Value {
     fn from(v: String) -> Self {
-        Value::Str(Arc::from(v.as_str()))
+        Value::Str(Str::from(v))
     }
 }
 
 impl HeapSize for Value {
     fn heap_size(&self) -> usize {
         match self {
-            // Strings are shared; we charge the payload to each holder,
-            // which over-approximates but keeps the bound conservative.
-            Value::Str(s) => s.len(),
+            Value::Str(s) => s.heap_size(),
             _ => 0,
         }
     }
@@ -268,8 +270,19 @@ mod tests {
 
     #[test]
     fn heap_size_charges_string_payload() {
+        // Either side of the 12/13-byte edge: an inline string owns no
+        // heap, a heap string charges its payload.
         assert_eq!(Value::Int(1).heap_size(), 0);
-        assert_eq!(Value::str("abcd").heap_size(), 4);
+        assert_eq!(Value::str("a".repeat(12)).heap_size(), 0);
+        assert_eq!(Value::str("a".repeat(13)).heap_size(), 13);
+    }
+
+    #[test]
+    fn value_is_sixteen_bytes() {
+        // Every field of every row, cached tuple and index key is one
+        // `Value`: this is the per-field cost inside the paper's `At`.
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+        assert_eq!(std::mem::size_of::<Option<Value>>(), 16);
     }
 
     #[test]

@@ -58,7 +58,7 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
         }
         Value::Str(s) => {
             out.push(0x03);
-            put_str(out, s);
+            put_str(out, s.as_str());
         }
     }
 }
@@ -164,7 +164,7 @@ impl<'a> Cursor<'a> {
             0x00 => Ok(Value::Null),
             0x01 => Ok(Value::Int(self.u64()? as i64)),
             0x02 => Ok(Value::Double(f64::from_bits(self.u64()?))),
-            0x03 => Ok(Value::str(self.str()?)),
+            0x03 => Ok(Value::from(self.str()?)),
             tag => Err(DecodeError(format!("unknown value tag {tag:#x}"))),
         }
     }

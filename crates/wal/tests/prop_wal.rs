@@ -1,8 +1,9 @@
 //! Property tests for the durability layer.
 //!
 //! 1. **Codec totality**: arbitrary delta batches — any value mix
-//!    including NaN/±∞ doubles and unicode strings — round-trip through
-//!    the WAL payload codec bit-exactly.
+//!    including NaN/±∞ doubles and unicode strings of 0–40 bytes, on
+//!    both sides of `Str`'s 12-byte inline edge — round-trip through the
+//!    WAL payload codec bit-exactly.
 //! 2. **Committed-prefix recovery**: a real WAL built through
 //!    [`Durability`], then *prefix-truncated at an arbitrary byte* or
 //!    *corrupted at an arbitrary byte*, recovers to exactly the
@@ -29,8 +30,23 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         3 => any::<i64>().prop_map(Value::Int),
         2 => any::<f64>().prop_map(Value::Double),
         1 => Just(Value::Double(f64::NAN)),
-        3 => "[a-zA-Z0-9_ ]{0,10}".prop_map(Value::str),
+        3 => string_strategy().prop_map(Value::from),
     ]
+}
+
+/// Strings of 0–40 bytes mixing 1- to 4-byte characters, so both of
+/// `Str`'s layouts (inline up to 12 bytes, heap beyond) and multibyte
+/// characters across that edge reach the codec.
+fn string_strategy() -> impl Strategy<Value = String> {
+    // Short and long runs, so lengths cluster around the edge as well
+    // as past it.
+    prop_oneof!["[a_é€𝄞]{0,8}", "[a_é€𝄞]{0,20}"].prop_map(|s: String| {
+        let mut end = s.len().min(40);
+        while !s.is_char_boundary(end) {
+            end -= 1;
+        }
+        s[..end].to_string()
+    })
 }
 
 fn tuple_strategy() -> impl Strategy<Value = Tuple> {

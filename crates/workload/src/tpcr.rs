@@ -9,12 +9,14 @@
 //! `10,000·s` suppliers, `nationkey` over 25 nations.
 //!
 //! With `pad: true` each relation carries a filler string sized so the
-//! average in-memory tuple widths preserve Table 1's per-relation ratio
-//! (customer : orders : lineitem ≈ 153 : 76 : 126 bytes). Our boxed
-//! `Value` representation costs ~24 B per field, more than a packed
-//! on-disk row, so absolute widths come out at ≈ 2× the paper's — Table
-//! 1's tuple *counts* are matched exactly and the MB column lands at
-//! about twice the paper's numbers with the same shape.
+//! in-memory tuple width is exactly twice Table 1's (customer : orders :
+//! lineitem = 153 : 76 : 126 bytes, so 306 / 152 / 252 B). The filler is
+//! what is left of that target after the tuple header and one `Value`
+//! per field (`size_of::<Tuple>() + arity × size_of::<Value>()`), so the
+//! widths follow the value layout instead of assuming it. Twice rather
+//! than once because the fixed fields alone (80–96 B) already exceed
+//! orders' 76 B. Table 1's tuple *counts* are matched exactly and the MB
+//! column lands at twice the paper's numbers with the same shape.
 
 use pmv_index::IndexDef;
 use pmv_query::{Database, Result};
@@ -127,9 +129,18 @@ pub fn lineitem_schema() -> Schema {
     )
 }
 
-fn filler(pad: bool, len: usize) -> Value {
+// Twice Table 1's average tuple width per relation, in bytes.
+const CUSTOMER_WIDTH: usize = 2 * 153;
+const ORDERS_WIDTH: usize = 2 * 76;
+const LINEITEM_WIDTH: usize = 2 * 126;
+
+/// The filler that brings a tuple of `arity` fields (filler included) to
+/// `width` in-memory bytes; empty without `pad`. A filler longer than
+/// `Str`'s inline capacity is charged its length on the heap.
+fn filler(pad: bool, width: usize, arity: usize) -> Value {
     if pad {
-        Value::str("x".repeat(len))
+        let fixed = std::mem::size_of::<Tuple>() + arity * std::mem::size_of::<Value>();
+        Value::str("x".repeat(width - fixed))
     } else {
         Value::str("")
     }
@@ -154,7 +165,7 @@ pub fn generate(db: &mut Database, cfg: &TpcrConfig) -> Result<TpcrStats> {
             Value::Int(ck),
             Value::Int(rng.gen_range(0..NUM_NATIONS)),
             Value::Int(rng.gen_range(-99_999..1_000_000)),
-            filler(cfg.pad, 194),
+            filler(cfg.pad, CUSTOMER_WIDTH, 4),
         ]);
         stats.customer_bytes += std::mem::size_of::<Tuple>() + t.heap_size();
         batch.push(t);
@@ -172,7 +183,7 @@ pub fn generate(db: &mut Database, cfg: &TpcrConfig) -> Result<TpcrStats> {
             Value::Int(rng.gen_range(1..=n_cust.max(1) as i64)),
             Value::Int(date),
             Value::Int(rng.gen_range(1_000..500_000)),
-            filler(cfg.pad, 16),
+            filler(cfg.pad, ORDERS_WIDTH, 5),
         ]);
         stats.orders_bytes += std::mem::size_of::<Tuple>() + t.heap_size();
         batch.push(t);
@@ -200,7 +211,7 @@ pub fn generate(db: &mut Database, cfg: &TpcrConfig) -> Result<TpcrStats> {
                 Value::Int(supp),
                 Value::Int(rng.gen_range(1..=50)),
                 Value::Int(rng.gen_range(100..100_000)),
-                filler(cfg.pad, 116),
+                filler(cfg.pad, LINEITEM_WIDTH, 5),
             ]);
             stats.lineitem_bytes += std::mem::size_of::<Tuple>() + t.heap_size();
             batch.push(t);
