@@ -495,7 +495,7 @@ fn outside_stats_modules(ws: &Workspace, fid: usize) -> Vec<Region> {
     }]
 }
 
-/// In any function that publishes the group-commit snapshot, a WAL
+/// In any function that publishes the commit snapshot, a WAL
 /// append (reaching fsync) lexically dominates the publish, and every
 /// append error arm reaches `undo_delta_exact` and returns before it.
 fn durable_before_visible(ws: &Workspace, sums: &Summaries, raw: &mut Vec<Raw>) {
@@ -527,7 +527,7 @@ fn durable_before_visible(ws: &Workspace, sums: &Summaries, raw: &mut Vec<Raw>) 
                 report(
                     p,
                     &format!(
-                        "`{}` publishes the group-commit snapshot without a dominating WAL \
+                        "`{}` publishes the commit snapshot without a dominating WAL \
                          append+fsync — every publish must follow a durable append on the \
                          same path",
                         ws.fn_name(id)

@@ -33,5 +33,5 @@ pub mod summaries;
 
 pub use pmv_core::verify::{
     estimate_tuple_bytes, verify_def, verify_parts, DiagCode, Diagnostic, FilterSpec, Severity,
-    VerifyOptions, VerifyPolicy, VerifyReport,
+    VerifyOptions, VerifyReport,
 };

@@ -121,9 +121,14 @@ fn repo_is_clean() {
             "serve:write_back_fault",
         ]
     );
-    // §16 is confirmed because the group-commit winner has the shape,
-    // not because the dominance check never looks at it.
-    assert!(ws.fns.iter().any(|f| f.name == "combine" && !f.is_test));
+    // §16 is confirmed because the function that publishes commits has
+    // the shape, not because the dominance check never looks at it.
+    let commit = (0..ws.fns.len())
+        .find(|&id| ws.fn_name(id) == "EpochDb::commit" && !ws.fns[id].is_test)
+        .expect("EpochDb::commit is indexed");
+    let (open, close) = ws.fns[commit].body.unwrap();
+    let body = &ws.files[ws.fns[commit].file].masked[open..close];
+    assert!(body.contains("append_commit(") && body.contains("published.publish("));
 }
 
 #[test]

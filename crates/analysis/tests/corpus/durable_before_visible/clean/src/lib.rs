@@ -1,4 +1,4 @@
-// The canonical group-commit shape. The WAL append
+// The canonical commit shape. The WAL append
 // (which reaches an fsync) lexically dominates the publish, and the
 // error arm rolls the round back with exact inverses and returns before
 // any snapshot becomes visible.

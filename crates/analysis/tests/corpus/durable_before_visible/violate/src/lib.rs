@@ -1,4 +1,4 @@
-// The commit round publishes the group-commit snapshot with
+// The commit round publishes the commit snapshot with
 // no WAL append anywhere in the function — visibility without
 // durability.
 

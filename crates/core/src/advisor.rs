@@ -105,11 +105,6 @@ impl PmvAdvisor {
         }
     }
 
-    /// Total queries observed.
-    pub fn observed_queries(&self) -> u64 {
-        self.traces.values().map(|t| t.queries).sum()
-    }
-
     /// Recommend PMVs for every template above the frequency threshold,
     /// most-queried first.
     pub fn recommend(&self, cfg: &AdvisorConfig) -> Result<Vec<Recommendation>> {
@@ -234,7 +229,6 @@ mod tests {
                 .unwrap();
             advisor.observe(&q);
         }
-        assert_eq!(advisor.observed_queries(), 23);
         let recs = advisor.recommend(&AdvisorConfig::default()).unwrap();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].def.template().name(), "hot");

@@ -64,9 +64,7 @@ use pmv_storage::Tuple;
 use pmv_sync::LeftRight;
 
 use crate::bcp::BcpKey;
-use crate::health::{
-    BreakerConfig, CircuitBreaker, ShardReport, ValidationReport, VerifiedClock, ViewHealth,
-};
+use crate::health::{CircuitBreaker, ShardReport, ValidationReport, VerifiedClock, ViewHealth};
 use crate::pipeline::QueryOutcome;
 use crate::serve::{self, WriteBack};
 use crate::stats::{AtomicPmvStats, PmvStats};
@@ -340,7 +338,7 @@ impl SharedPmv {
         let views = (0..n)
             .map(|_| LeftRight::new(Arc::new(ShardView::empty(chunks))))
             .collect();
-        let breaker = CircuitBreaker::new(BreakerConfig::default());
+        let breaker = CircuitBreaker::default();
         let trace_name: Arc<str> = Arc::from(def.name());
         SharedPmv {
             inner: Arc::new(Inner {

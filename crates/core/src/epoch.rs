@@ -23,38 +23,27 @@
 //! fill gate (`pin_epoch ≥ maint_epoch`) keeps those results out of the
 //! store.
 //!
-//! # The commit protocol (group commit)
+//! # The commit protocol
 //!
 //! [`EpochDb::commit`] is the only place new database states become
-//! visible. Commits are **coalesced, flat-combining style** (DESIGN.md
-//! §15): each committer enqueues a request, then races for the master
-//! write lock. Whichever committer holds the lock — the *combiner* —
-//! drains the whole queue and runs the three steps the correctness
-//! argument (DESIGN.md §10) needs, once for the entire batch:
+//! visible. It is the paper's maintainer (§3.4, §3.6; DESIGN.md §15):
+//! one transaction per master write lock, and under it the three steps
+//! the correctness argument (DESIGN.md §10) needs:
 //!
-//! 1. **Mutate**: apply every drained transaction's closure under the
-//!    write lock (each bumping the database version — the epoch).
+//! 1. **Mutate**: apply the transaction's closure (bumping the database
+//!    version — the epoch) and, in durable mode, fsync its WAL record.
 //! 2. **Maintain** every view the host owns against the new state over
-//!    the *merged* `DeltaBatch`es, still under the write lock.
-//!    This evicts cached tuples any Δ invalidated and advances each
-//!    view's `maint_epoch` past the whole batch.
-//! 3. **Publish** one new snapshot (incrementally — untouched
-//!    relations are reused, [`Database::publish_snapshot`]), mark every
-//!    drained request complete, then release the lock.
+//!    the transaction's `DeltaBatch`es. This evicts cached tuples the Δ
+//!    invalidated and advances each view's `maint_epoch`.
+//! 3. **Publish** the new snapshot (incrementally — untouched relations
+//!    are reused, [`Database::publish_snapshot`]), then release the lock.
 //!
-//! Committers whose request was drained by another combiner find their
-//! result slot filled and never do the work themselves; under
-//! contention, N transactions cost one maintenance scan and one
-//! snapshot publish instead of N of each.
-//!
-//! Because maintenance over the merged batch completes *before* the
-//! coalesced snapshot publishes, any reader pinned at epoch `e` sees
-//! shard views whose surviving tuples with `fill_epoch ≤ e` are true
-//! results at `e` — exactly the §10 argument, unchanged: intermediate
-//! epochs inside a combine round are simply never published, and
-//! maintenance is removal-only, so later commits can only make a
-//! pinned reader under-serve, never lie. That is the paper's
-//! Section 3.6 S-lock guarantee, recovered without the lock.
+//! Because maintenance completes *before* the snapshot publishes, any
+//! reader pinned at epoch `e` sees shard views whose surviving tuples
+//! with `fill_epoch ≤ e` are true results at `e`; maintenance is
+//! removal-only, so later commits can only make a pinned reader
+//! under-serve, never lie. That is the paper's Section 3.6 S-lock
+//! guarantee, recovered without the lock on the read side.
 //!
 //! # The read path
 //!
@@ -70,10 +59,9 @@
 //! `Arc`; memory is reclaimed when the last pinned query (and any
 //! thread-local cache entry) drops it.
 
-use std::any::Any;
 use std::cell::Cell;
 use std::sync::atomic::{
-    AtomicBool, AtomicU64,
+    AtomicU64,
     Ordering::{Acquire, Release, SeqCst},
 };
 use std::sync::Arc;
@@ -95,47 +83,6 @@ use crate::view::{PartialViewDef, PmvConfig};
 use crate::{CoreError, Result};
 
 use std::sync::atomic::Ordering::Relaxed;
-
-/// Type-erased result a commit closure hands back through its slot.
-type ErasedResult = Result<Box<dyn Any + Send>>;
-
-/// One enqueued transaction awaiting a combiner.
-struct CommitReq {
-    /// The transaction body, type-erased: mutate the database, return
-    /// the caller's output plus the delta batches produced.
-    #[allow(clippy::type_complexity)]
-    apply: Box<dyn FnOnce(&mut Database) -> Result<(Box<dyn Any + Send>, Vec<DeltaBatch>)> + Send>,
-    /// Where the combiner deposits the outcome.
-    slot: Arc<CommitSlot>,
-}
-
-/// Completion slot for one commit request. `done` flips (`Release`)
-/// only after `result` is filled, so a committer that observes
-/// `done` (`Acquire`) can take the result without further ceremony.
-#[derive(Default)]
-struct CommitSlot {
-    done: AtomicBool,
-    result: Mutex<Option<ErasedResult>>,
-}
-
-impl CommitSlot {
-    fn fill(&self, res: ErasedResult) {
-        *self.result.lock() = Some(res);
-        self.done.store(true, Release);
-    }
-
-    fn take<T: 'static>(&self) -> Result<T> {
-        let res = self
-            .result
-            .lock()
-            .take()
-            .expect("commit slot marked done without a result");
-        res.map(|out| {
-            *out.downcast::<T>()
-                .expect("group-commit result type mismatch")
-        })
-    }
-}
 
 /// Per-thread pinned-snapshot cache entry (see [`EpochDb::with_pin`]).
 struct PinEntry {
@@ -170,34 +117,29 @@ pub struct EpochDb {
     id: u64,
     db: RwLock<Database>,
     published: LeftRight<DbSnapshot>,
-    /// Commit requests awaiting a combiner (module docs).
-    queue: Mutex<Vec<CommitReq>>,
-    /// Transactions committed / combine rounds run — the ratio is the
-    /// achieved group-commit batch size.
-    commits: AtomicU64,
-    combines: AtomicU64,
-    /// The views this host owns, in attach order; every combine round
+    /// The views this host owns, in attach order; every commit
     /// maintains all of them. Lock order: `db`, then this.
     views: Mutex<Vec<SharedPmv>>,
-    /// Optional durability engine. When present, the combiner appends
-    /// one fsynced WAL record per round *before* maintenance and
-    /// publish — durable strictly precedes visible — and a WAL failure
-    /// rolls the round's deltas back and publishes nothing.
+    /// Optional durability engine. When present, a commit appends one
+    /// fsynced WAL record *before* maintenance and publish — durable
+    /// strictly precedes visible — and a WAL failure rolls its deltas
+    /// back and publishes nothing.
     durability: Option<Arc<Durability>>,
     /// Durable mark: the last published snapshot paired with the
     /// highest LSN it reflects. Checkpoints serialize from this pair so
     /// the image and its "replay after me" LSN agree exactly; updated
-    /// by the combiner (and `with_write`) after each publish.
+    /// by `commit` (and `with_write`) after each publish.
     durable: Mutex<Option<(Arc<DbSnapshot>, u64)>>,
-    /// Commit-pipeline observability: master-lock wait, combine drain,
+    /// Commit-pipeline observability: master-lock wait, time under it,
     /// snapshot publish — and, in durable mode, the WAL/checkpoint/
     /// recovery phases too (the registry is shared with [`Durability`],
     /// so `wal_append`/`wal_fsync`/`ckpt_write`/`recovery_replay`
     /// surface through [`EpochDb::obs`] instead of staying orphaned in
     /// the engine).
     obs: Arc<ObsRegistry>,
-    /// Requests drained per combine round (recorded as raw counts, not
-    /// nanoseconds).
+    /// Transactions per commit under the master lock — always 1 (raw
+    /// counts, not nanoseconds); kept only for the benchmark's
+    /// `core.mean_batch_size` (ROADMAP item 1).
     batch_sizes: LatencyHistogram,
     /// TLS pin-cache efficacy. Relaxed orderings throughout:
     /// "statistics, not synchronization" — flushed hit counts and miss
@@ -216,9 +158,6 @@ impl EpochDb {
             id: NEXT_DB_ID.fetch_add(1, SeqCst),
             db: RwLock::new(db),
             published: LeftRight::new(snap),
-            queue: Mutex::new(Vec::new()),
-            commits: AtomicU64::new(0),
-            combines: AtomicU64::new(0),
             views: Mutex::new(Vec::new()),
             durability: None,
             durable: Mutex::new(None),
@@ -245,9 +184,6 @@ impl EpochDb {
             id: NEXT_DB_ID.fetch_add(1, SeqCst),
             db: RwLock::new(db),
             published: LeftRight::new(Arc::clone(&snap)),
-            queue: Mutex::new(Vec::new()),
-            commits: AtomicU64::new(0),
-            combines: AtomicU64::new(0),
             views: Mutex::new(Vec::new()),
             durability: Some(durability),
             durable: Mutex::new(Some((snap, lsn))),
@@ -348,106 +284,54 @@ impl EpochDb {
         self.db.read()
     }
 
-    /// Commit one transaction through the group-commit queue: `f`
-    /// mutates the database and returns the delta batches it produced
-    /// (e.g. from `pmv_query::Transaction::commit`); every view the host
-    /// owns is maintained and a new snapshot published before the result
-    /// returns — the maintain-before-publish protocol the epoch serving
-    /// path's correctness rests on (module docs). `views` are attached
-    /// first, like a view served through [`EpochDb::query`]; the commit
+    /// Commit one transaction (DESIGN.md §15): under the master write
+    /// lock, `f` mutates the database and returns the delta batches it
+    /// produced (e.g. from `pmv_query::Transaction::commit`); the batches
+    /// are logged (durable mode), every view the host owns is maintained,
+    /// and a new snapshot is published before the lock releases — the
+    /// maintain-before-publish protocol the epoch serving path's
+    /// correctness rests on (module docs). `views` are attached first,
+    /// like a view served through [`EpochDb::query`]; the commit
     /// maintains the host's views whether or not they are listed.
     ///
-    /// Under concurrency the enqueue→combine protocol coalesces work:
-    /// whichever committer wins the master write lock drains *all*
-    /// queued transactions, maintains each view once over the merged
-    /// batches, and publishes a single snapshot for the group.
-    /// An error from `f` fails only that transaction, and it publishes
-    /// nothing of it: a `pmv_query::Transaction` dropped without `commit`
-    /// undoes its own writes, so a closure that returns early with `?`
-    /// leaves the database as it found it. (Writes made on `db` directly,
-    /// outside a transaction, are the closure's own to undo.)
-    pub fn commit<T: Send + 'static>(
+    /// An error from `f` publishes nothing: a `pmv_query::Transaction`
+    /// dropped without `commit` undoes its own writes, so a closure that
+    /// returns early with `?` leaves the database as it found it. (Writes
+    /// made on `db` directly, outside a transaction, are the closure's
+    /// own to undo.)
+    pub fn commit<T>(
         &self,
         views: &[&SharedPmv],
-        f: impl FnOnce(&mut Database) -> Result<(T, Vec<DeltaBatch>)> + Send + 'static,
+        f: impl FnOnce(&mut Database) -> Result<(T, Vec<DeltaBatch>)>,
     ) -> Result<T> {
         for view in views {
             self.attach(view)?;
         }
-        let slot = Arc::new(CommitSlot::default());
         let track = self.obs.enabled();
-        self.queue.lock().push(CommitReq {
-            apply: Box::new(move |db| {
-                let (out, batches) = f(db)?;
-                Ok((Box::new(out) as Box<dyn Any + Send>, batches))
-            }),
-            slot: Arc::clone(&slot),
-        });
-        loop {
-            // A combiner may have drained our request while we raced
-            // for the lock; slots are filled before the lock releases,
-            // so `done` observed here (or right after acquiring) means
-            // the result is ready and the lock is untouched by us.
-            if slot.done.load(Acquire) {
-                return slot.take();
-            }
-            let t_wait = track.then(Instant::now);
-            let mut guard = self.db.write();
-            if let Some(t0) = t_wait {
-                self.obs.record(Phase::lock_master_commit, t0.elapsed());
-            }
-            if slot.done.load(Acquire) {
-                drop(guard);
-                return slot.take();
-            }
-            // We are the combiner. Our own request is still queued
-            // (fills happen under the lock we now hold), and combine
-            // drains the entire queue — so this iteration completes it.
-            self.combine(&mut guard);
-            debug_assert!(
-                slot.done.load(Acquire),
-                "combiner drained the queue without completing its own request"
-            );
+        let t_wait = track.then(Instant::now);
+        let mut guard = self.db.write();
+        let db: &mut Database = &mut guard;
+        if let Some(t0) = t_wait {
+            self.obs.record(Phase::lock_master_commit, t0.elapsed());
+            self.batch_sizes.record_ns(1);
         }
-    }
-
-    /// Drain and apply every queued commit request under the held write
-    /// lock: apply each transaction, maintain every view the host owns
-    /// once over the merged delta batches, publish one snapshot, fill
-    /// every slot. No-op on an empty queue.
-    fn combine(&self, db: &mut Database) {
-        let reqs: Vec<CommitReq> = std::mem::take(&mut *self.queue.lock());
-        if reqs.is_empty() {
-            return;
-        }
-        let track = self.obs.enabled();
         let t_drain = track.then(Instant::now);
-        let batch = reqs.len() as u64;
-        self.commits.fetch_add(batch, SeqCst);
-        self.combines.fetch_add(1, SeqCst);
-        if track {
-            self.batch_sizes.record_ns(batch);
-        }
-        let mut applied: Vec<(Arc<CommitSlot>, Box<dyn Any + Send>)> =
-            Vec::with_capacity(reqs.len());
-        let mut batches: Vec<DeltaBatch> = Vec::new();
-        for req in reqs {
-            match (req.apply)(db) {
-                Ok((out, mut b)) => {
-                    batches.append(&mut b);
-                    applied.push((req.slot, out));
-                }
-                // A failed transaction fails alone (its dropped
-                // `Transaction` undid its writes); the rest of the round
-                // proceeds.
-                Err(e) => req.slot.fill(Err(e)),
+        let drained = || {
+            if let Some(t0) = t_drain {
+                self.obs.record(Phase::commit_drain, t0.elapsed());
             }
-        }
-        // Durable-before-visible: one WAL record for the whole round,
-        // fsynced before any maintenance or publish. On failure the
-        // round's deltas are rolled back (exact inverses, in reverse
-        // order), every transaction reports the error, and nothing
-        // publishes — readers keep the last durable snapshot.
+        };
+        let (out, batches) = match f(db) {
+            Ok(applied) => applied,
+            Err(e) => {
+                drained();
+                return Err(e);
+            }
+        };
+        // Durable-before-visible: the WAL record is fsynced before any
+        // maintenance or publish. On failure the deltas are rolled back
+        // (exact inverses, in reverse order) and nothing publishes —
+        // readers keep the last durable snapshot.
         if let Some(dur) = &self.durability {
             if !batches.iter().all(|b| b.is_empty()) {
                 if let Err(e) = dur.append_commit(&batches) {
@@ -455,24 +339,19 @@ impl EpochDb {
                         for delta in batch.deltas().iter().rev() {
                             db.undo_delta_exact(batch.relation(), delta).expect(
                                 "undo of a just-applied delta cannot fail: \
-                                 inverses target the exact rows the round wrote",
+                                 inverses target the exact rows the commit wrote",
                             );
                         }
                     }
-                    for (slot, _) in applied {
-                        slot.fill(Err(CoreError::Durability(format!(
-                            "WAL append failed; round rolled back, not published: {e}"
-                        ))));
-                    }
-                    if let Some(t0) = t_drain {
-                        self.obs.record(Phase::commit_drain, t0.elapsed());
-                    }
-                    return;
+                    drained();
+                    return Err(CoreError::Durability(format!(
+                        "WAL append failed; commit rolled back, not published: {e}"
+                    )));
                 }
             }
         }
         // Maintenance cannot fail: a join it cannot compute drains the
-        // shards it may affect instead, so the round always publishes.
+        // shards it may affect instead, so the commit always publishes.
         for view in self.views.lock().iter() {
             view.maintain_all(db, &batches);
         }
@@ -483,23 +362,12 @@ impl EpochDb {
             self.obs.record(Phase::snapshot_publish, t0.elapsed());
         }
         if let Some(dur) = &self.durability {
-            // Safe to read here: all appends happen under the write lock
-            // this combiner holds, so durable_lsn is exactly this round's
-            // last record.
+            // Every append happens under the write lock held here, so
+            // durable_lsn is exactly this commit's record.
             *self.durable.lock() = Some((snap, dur.durable_lsn()));
         }
-        for (slot, out) in applied {
-            slot.fill(Ok(out));
-        }
-        if let Some(t0) = t_drain {
-            self.obs.record(Phase::commit_drain, t0.elapsed());
-        }
-    }
-
-    /// Transactions committed and combine rounds run so far. The ratio
-    /// `commits / combines` is the achieved group-commit batch size.
-    pub fn commit_counts(&self) -> (u64, u64) {
-        (self.commits.load(SeqCst), self.combines.load(SeqCst))
+        drained();
+        Ok(out)
     }
 
     /// This database's observability registry: commit-pipeline phases
@@ -510,9 +378,10 @@ impl EpochDb {
         &self.obs
     }
 
-    /// Requests-per-combine-round distribution (raw counts recorded on
-    /// the nanosecond scale: `count()` is rounds, `mean()`'s nanosecond
-    /// reading is the mean batch size).
+    /// Transactions per commit (raw counts recorded on the nanosecond
+    /// scale: `count()` is commits, `mean()` reads 1). Kept only because
+    /// the benchmark reports it as `core.mean_batch_size`; it goes with
+    /// the `views` argument of [`EpochDb::commit`] (ROADMAP item 1).
     pub fn batch_size_hist(&self) -> HistSnapshot {
         self.batch_sizes.snapshot()
     }
@@ -566,7 +435,7 @@ impl EpochDb {
 
     /// Zero the pipeline series (bench warm-up resets): the batch-size
     /// histogram and the pin-cache tallies.
-    /// `commits`/`combines` and the durable mark are untouched.
+    /// The durable mark is untouched.
     pub fn reset_pipeline_obs(&self) {
         self.batch_sizes.reset();
         self.pin_hits.store(0, Relaxed);
@@ -914,6 +783,31 @@ mod tests {
         })
         .unwrap();
         assert!(edb.epoch() > e0);
+    }
+
+    /// A commit closure may borrow from its caller and return a value
+    /// that is neither `Send` nor `'static`: it runs on the calling
+    /// thread, under the lock, and hands its output straight back.
+    #[test]
+    fn commit_closure_borrows_and_returns_local_values() {
+        let (edb, pmv) = setup(1);
+        let rows = vec![tuple![900i64, 3i64], tuple![901i64, 3i64]];
+        let inserted = edb
+            .commit(&[&pmv], |db| {
+                let mut txn = Transaction::begin(db);
+                for row in &rows {
+                    txn.insert("r", row.clone())?;
+                }
+                Ok((std::rc::Rc::new(rows.len()), txn.commit()))
+            })
+            .unwrap();
+        assert_eq!(*inserted, 2);
+        let out = edb.query(&pmv, &query_f(&pmv, 3)).unwrap();
+        assert_eq!((out.all_results().len(), out.ds_leftover), (22, 0));
+        // One transaction per commit: the benchmark's mean batch size.
+        let batches = edb.batch_size_hist();
+        assert_eq!((batches.count(), batches.mean().as_nanos()), (1, 1));
+        assert_eq!(edb.obs().snapshot(Phase::commit_drain).count(), 1);
     }
 
     /// Delete the first `f = 3` row, then insert into a relation that

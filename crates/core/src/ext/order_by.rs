@@ -36,13 +36,6 @@ pub struct OrderBy {
 }
 
 impl OrderBy {
-    /// Ascending ordering over the given positions.
-    pub fn asc(positions: &[usize]) -> Self {
-        OrderBy {
-            keys: positions.iter().map(|&p| (p, Direction::Asc)).collect(),
-        }
-    }
-
     /// Compare two user-layout tuples under this ordering.
     pub fn cmp(&self, a: &Tuple, b: &Tuple) -> Ordering {
         for &(pos, dir) in &self.keys {
@@ -125,13 +118,5 @@ mod tests {
                 tuple![2i64, 1i64],
             ]
         );
-    }
-
-    #[test]
-    fn asc_helper() {
-        let order = OrderBy::asc(&[1]);
-        let mut rows = vec![tuple![0i64, 3i64], tuple![0i64, 1i64]];
-        order.sort(&mut rows);
-        assert_eq!(rows[0], tuple![0i64, 1i64]);
     }
 }

@@ -63,40 +63,26 @@ impl std::fmt::Display for ViewHealth {
     }
 }
 
-/// Tuning for the [`CircuitBreaker`].
-#[derive(Clone, Copy, Debug)]
-pub struct BreakerConfig {
-    /// Rolling window length in events; once reached, counts are halved
-    /// so old history decays instead of pinning the rate forever.
-    pub window: u64,
-    /// Windowed error fraction at which Healthy trips to Degraded.
-    pub degrade_threshold: f64,
-    /// Windowed error fraction at which the view trips to Quarantined.
-    pub quarantine_threshold: f64,
-    /// Minimum events before any trip decision (avoids quarantining a
-    /// fresh view on its first hiccup).
-    pub min_events: u64,
-}
+/// Rolling window length in events; once reached, counts are halved so
+/// old history decays instead of pinning the rate forever.
+const WINDOW: u64 = 64;
+/// Windowed error fraction at which Healthy trips to Degraded.
+const DEGRADE_THRESHOLD: f64 = 0.1;
+/// Windowed error fraction at which the view trips to Quarantined.
+const QUARANTINE_THRESHOLD: f64 = 0.5;
+/// Minimum events before any trip decision (avoids quarantining a fresh
+/// view on its first hiccup).
+const MIN_EVENTS: u64 = 8;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            window: 64,
-            degrade_threshold: 0.1,
-            quarantine_threshold: 0.5,
-            min_events: 8,
-        }
-    }
-}
-
+/// The zero state, so a `Default` breaker starts Healthy.
 const STATE_HEALTHY: u8 = 0;
 const STATE_DEGRADED: u8 = 1;
 const STATE_QUARANTINED: u8 = 2;
 
-/// Error-rate-driven state machine guarding one view's serving path.
-#[derive(Debug)]
+/// Error-rate-driven state machine guarding one view's serving path;
+/// [`CircuitBreaker::default`] is a fresh breaker in the Healthy state.
+#[derive(Debug, Default)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     state: AtomicU8,
     events: AtomicU64,
     errors: AtomicU64,
@@ -105,17 +91,6 @@ pub struct CircuitBreaker {
 }
 
 impl CircuitBreaker {
-    /// Fresh breaker in the Healthy state.
-    pub fn new(config: BreakerConfig) -> Self {
-        CircuitBreaker {
-            config,
-            state: AtomicU8::new(STATE_HEALTHY),
-            events: AtomicU64::new(0),
-            errors: AtomicU64::new(0),
-            trips: AtomicU64::new(0),
-        }
-    }
-
     /// Current state.
     pub fn state(&self) -> ViewHealth {
         match self.state.load(Ordering::Relaxed) {
@@ -180,11 +155,11 @@ impl CircuitBreaker {
         } else {
             self.errors.fetch_add(1, Ordering::Relaxed) + 1
         };
-        if events >= self.config.min_events {
+        if events >= MIN_EVENTS {
             let rate = errors as f64 / events as f64;
-            if rate >= self.config.quarantine_threshold {
+            if rate >= QUARANTINE_THRESHOLD {
                 self.force_quarantine();
-            } else if rate >= self.config.degrade_threshold {
+            } else if rate >= DEGRADE_THRESHOLD {
                 // Only Healthy → Degraded; never lowers Quarantined.
                 let _ = self.state.compare_exchange(
                     STATE_HEALTHY,
@@ -203,16 +178,10 @@ impl CircuitBreaker {
             }
         }
         // Decay: halving keeps the rate a rolling estimate.
-        if events >= self.config.window {
+        if events >= WINDOW {
             self.events.store(events / 2, Ordering::Relaxed);
             self.errors.store(errors / 2, Ordering::Relaxed);
         }
-    }
-}
-
-impl Default for CircuitBreaker {
-    fn default() -> Self {
-        CircuitBreaker::new(BreakerConfig::default())
     }
 }
 
@@ -353,11 +322,8 @@ mod tests {
 
     #[test]
     fn healthy_until_min_events() {
-        let b = CircuitBreaker::new(BreakerConfig {
-            min_events: 8,
-            ..Default::default()
-        });
-        for _ in 0..7 {
+        let b = CircuitBreaker::default();
+        for _ in 0..MIN_EVENTS - 1 {
             b.record_error();
         }
         assert_eq!(b.state(), ViewHealth::Healthy, "below min_events");
@@ -368,17 +334,12 @@ mod tests {
 
     #[test]
     fn degraded_heals_on_recovery() {
-        let b = CircuitBreaker::new(BreakerConfig {
-            window: 16,
-            degrade_threshold: 0.2,
-            quarantine_threshold: 0.9,
-            min_events: 4,
-        });
-        for _ in 0..3 {
+        let b = CircuitBreaker::default();
+        for _ in 0..7 {
             b.record_ok();
         }
         b.record_error();
-        assert_eq!(b.state(), ViewHealth::Degraded); // 1/4 ≥ 0.2
+        assert_eq!(b.state(), ViewHealth::Degraded); // 1/8 ≥ 0.1
         for _ in 0..20 {
             b.record_ok();
         }
@@ -407,21 +368,18 @@ mod tests {
 
     #[test]
     fn window_decay_halves_counts() {
-        let b = CircuitBreaker::new(BreakerConfig {
-            window: 8,
-            degrade_threshold: 2.0, // never trip in this test
-            quarantine_threshold: 2.0,
-            min_events: 1,
-        });
-        for _ in 0..8 {
+        let b = CircuitBreaker::default();
+        for _ in 0..WINDOW {
             b.record_error();
         }
         // Counts halved at the window boundary: rate still 1.0.
         assert!((b.error_rate() - 1.0).abs() < 1e-9);
-        for _ in 0..4 {
+        for _ in 0..WINDOW / 2 {
             b.record_ok();
         }
-        assert!(b.error_rate() < 1.0);
+        // Halved again at the next boundary: 32 of 64, where undecayed
+        // counts would read 64 of 96.
+        assert!((b.error_rate() - 0.5).abs() < 1e-9, "{}", b.error_rate());
     }
 
     #[test]

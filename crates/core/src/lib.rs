@@ -77,8 +77,7 @@ pub use ds::Ds;
 pub use epoch::EpochDb;
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use health::{
-    BreakerConfig, CircuitBreaker, Degradation, DegradeReason, ShardReport, ValidationReport,
-    ViewHealth,
+    CircuitBreaker, Degradation, DegradeReason, ShardReport, ValidationReport, ViewHealth,
 };
 pub use mv::TraditionalMv;
 pub use o1::{decompose, ConditionPart, PartDim};
@@ -92,7 +91,7 @@ pub use stats::{AtomicPmvStats, PmvStats};
 pub use store::{PmvStore, Residency};
 pub use verify::{
     verify_def, verify_parts, DiagCode, Diagnostic, FilterSpec, Severity, VerifyOptions,
-    VerifyPolicy, VerifyReport,
+    VerifyReport,
 };
 pub use view::{PartialViewDef, PmvConfig};
 

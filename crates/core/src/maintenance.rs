@@ -28,9 +28,9 @@
 //!
 //! # The X side of Section 3.6
 //!
-//! Maintenance runs in one place: [`crate::epoch::EpochDb::commit`]'s
-//! combiner calls `SharedPmv::maintain_all` under the database write
-//! lock, after the round's deltas are applied and *before* the new
+//! Maintenance runs in one place: [`crate::epoch::EpochDb::commit`]
+//! calls `SharedPmv::maintain_all` under the database write lock, after
+//! the transaction's deltas are applied and *before* the new
 //! snapshot publishes. Every pinned query therefore observes (database
 //! state, shard contents) pairs where the cached tuples are a subset of
 //! the true bcp answers, so O3 re-derives every served tuple and the

@@ -16,16 +16,17 @@
 //!
 //! [`verify_parts`] checks all of these statically and emits typed
 //! [`Diagnostic`]s with stable codes `PMV001..PMV006`. The verifier is
-//! wired into [`crate::epoch::EpochDb::register`] deny-by-default
-//! (override per code via [`VerifyPolicy`]) and surfaced through the CLI
+//! wired into [`crate::epoch::EpochDb::register`], where every code
+//! denies the registration, and surfaced through the CLI
 //! `analyze` command; the `pmv-analysis` crate re-exports this module as
 //! the first layer of the static-analysis subsystem.
 
 use std::fmt;
+use std::mem::size_of;
 use std::sync::Arc;
 
 use pmv_query::{CondForm, QueryTemplate};
-use pmv_storage::{ColumnType, Value};
+use pmv_storage::{Tuple, Value};
 
 use crate::bcp::Discretizer;
 use crate::view::{PartialViewDef, PmvConfig};
@@ -152,7 +153,7 @@ impl fmt::Display for DiagCode {
 pub struct Diagnostic {
     /// Which invariant is violated.
     pub code: DiagCode,
-    /// Effective severity under the policy that produced the report.
+    /// Severity; every verifier code denies.
     pub severity: Severity,
     /// Human-readable explanation with the offending values.
     pub message: String,
@@ -172,32 +173,6 @@ impl fmt::Display for Diagnostic {
             self.code.name(),
             self.message
         )
-    }
-}
-
-/// Per-code severity policy. Every code denies by default; callers can
-/// downgrade (or re-upgrade) individual codes.
-#[derive(Clone, Debug, Default)]
-pub struct VerifyPolicy {
-    overrides: [Option<Severity>; 6],
-}
-
-impl VerifyPolicy {
-    /// The default deny-everything policy.
-    pub fn deny_by_default() -> Self {
-        VerifyPolicy::default()
-    }
-
-    /// Override one code's severity (e.g. downgrade `PMV006` to `Warn`
-    /// for a template that intentionally pins a condition attribute).
-    pub fn with_override(mut self, code: DiagCode, severity: Severity) -> Self {
-        self.overrides[code.index()] = Some(severity);
-        self
-    }
-
-    /// Effective severity for a code.
-    pub fn effective(&self, code: DiagCode) -> Severity {
-        self.overrides[code.index()].unwrap_or(Severity::Deny)
     }
 }
 
@@ -235,8 +210,6 @@ pub struct VerifyOptions {
     /// Maintenance-filter spec to audit for `PMV005`. `None` audits the
     /// spec [`FilterSpec::for_template`] derives (sound by construction).
     pub filter: Option<FilterSpec>,
-    /// Per-code severity policy.
-    pub policy: VerifyPolicy,
 }
 
 /// Outcome of a verification run.
@@ -286,20 +259,14 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-/// Estimate the average view-tuple size `At` in bytes from the expanded
-/// select list's column types (fixed-width scalars plus a conservative
-/// string and per-tuple overhead allowance).
+/// Estimate the average view-tuple size `At` in bytes: what the view's
+/// store charges for one cached tuple of the expanded select list — the
+/// `Tuple` header plus one `Value` per field. A string longer than
+/// [`pmv_storage::string::INLINE_CAP`] bytes also owns its payload,
+/// which the schema cannot tell; pass
+/// [`VerifyOptions::avg_tuple_bytes`] for views of long strings.
 pub fn estimate_tuple_bytes(template: &QueryTemplate) -> usize {
-    const TUPLE_OVERHEAD: usize = 16;
-    const STR_ESTIMATE: usize = 24;
-    let mut bytes = TUPLE_OVERHEAD;
-    for attr in template.expanded_list() {
-        bytes += match template.schema(attr.relation).column(attr.column).ty {
-            ColumnType::Int | ColumnType::Double => 8,
-            ColumnType::Str => STR_ESTIMATE,
-        };
-    }
-    bytes
+    size_of::<Tuple>() + template.expanded_list().len() * size_of::<Value>()
 }
 
 /// Verify a prospective PMV from raw parts, before a
@@ -314,10 +281,9 @@ pub fn verify_parts(
     let mut report = VerifyReport::default();
     let mut emit =
         |code: DiagCode, message: String, dimension: Option<usize>, relation: Option<usize>| {
-            let severity = opts.policy.effective(code);
             report.diagnostics.push(Diagnostic {
                 code,
-                severity,
+                severity: Severity::Deny,
                 message,
                 dimension,
                 relation,
@@ -624,19 +590,6 @@ mod tests {
     }
 
     #[test]
-    fn policy_downgrade_clears_denial() {
-        let t = interval_template();
-        let opts = VerifyOptions {
-            policy: VerifyPolicy::deny_by_default()
-                .with_override(DiagCode::NonDiscretizablePredicate, Severity::Warn),
-            ..Default::default()
-        };
-        let report = verify_parts(&t, &[None], &PmvConfig::default(), &opts);
-        assert!(!report.denied());
-        assert!(report.has(DiagCode::NonDiscretizablePredicate));
-    }
-
-    #[test]
     fn storage_bound_is_pmv004() {
         let t = interval_template();
         let d = vec![Some(Discretizer::int_grid(0, 100, 10))];
@@ -654,5 +607,47 @@ mod tests {
             ..Default::default()
         };
         assert!(!verify_parts(&t, &d, &config, &opts).denied());
+    }
+
+    /// `At` is what the store charges per cached tuple, so `L·F·At` is
+    /// the bytes a full view holds: the estimate for an all-scalar
+    /// template equals the store's charge for one more tuple.
+    #[test]
+    fn estimate_equals_the_store_charge_for_a_scalar_tuple() {
+        use crate::bcp::{BcpDim, BcpKey};
+        use crate::store::PmvStore;
+        let t = TemplateBuilder::new("t")
+            .relation(Schema::new(
+                "r",
+                vec![
+                    Column::new("a", ColumnType::Int),
+                    Column::new("d", ColumnType::Double),
+                    Column::new("f", ColumnType::Int),
+                ],
+            ))
+            .select("r", "a")
+            .unwrap()
+            .select("r", "d")
+            .unwrap()
+            .cond_eq("r", "f")
+            .unwrap()
+            .build()
+            .unwrap();
+        let row = |a: i64| {
+            let values = t.expanded_list().iter().map(|attr| match attr.column {
+                1 => Value::Double(0.5),
+                _ => Value::Int(a),
+            });
+            Arc::new(Tuple::new(values.collect::<Vec<_>>()))
+        };
+        let mut store = PmvStore::new(&PmvConfig::new(4, 4, PolicyKind::Clock));
+        let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(1))]);
+        store.admit(&bcp);
+        assert!(store.push_arc(&bcp, row(1), 0));
+        let before = store.byte_size();
+        assert!(store.push_arc(&bcp, row(2), 0));
+        let charge = store.byte_size() - before;
+        assert_eq!(estimate_tuple_bytes(&t), charge);
+        assert_eq!(charge, 16 + 16 * t.expanded_list().len());
     }
 }

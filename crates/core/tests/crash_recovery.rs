@@ -1,6 +1,6 @@
 //! Deterministic kill-point crash/recovery matrix.
 //!
-//! Each case runs a seeded workload of durable group commits —
+//! Each case runs a seeded workload of durable commits —
 //! interleaved with checkpoints — against an [`EpochDb`] whose disk I/O
 //! is routed through `pmv_wal::dio`, with a one-shot fault armed at one
 //! disk site (`wal.append`, `wal.fsync`, `ckpt.write`, `ckpt.rename`,

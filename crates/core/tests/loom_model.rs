@@ -17,9 +17,7 @@ use loom::sync::Arc;
 use loom::thread;
 
 use pmv_cache::PolicyKind;
-use pmv_core::{
-    BreakerConfig, CircuitBreaker, EpochDb, PartialViewDef, PmvConfig, SharedPmv, ViewHealth,
-};
+use pmv_core::{CircuitBreaker, EpochDb, PartialViewDef, PmvConfig, SharedPmv, ViewHealth};
 use pmv_faultinject::{FaultKind, FaultPlan, Site, PANIC_PREFIX};
 use pmv_index::IndexDef;
 use pmv_query::{Condition, Database, TemplateBuilder, Transaction};
@@ -129,12 +127,7 @@ fn quarantine_drain_protocol() {
 #[test]
 fn breaker_transitions_are_consistent() {
     loom::model(|| {
-        let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
-            window: 16,
-            degrade_threshold: 0.1,
-            quarantine_threshold: 0.5,
-            min_events: 4,
-        }));
+        let breaker = Arc::new(CircuitBreaker::default());
 
         let handles: Vec<_> = (0..3u64)
             .map(|tid| {
@@ -355,76 +348,6 @@ fn attach_races_commit() {
             assert_eq!(shared.revalidate(&guard).unwrap(), 0);
             shared.debug_validate();
         }
-    });
-}
-
-/// The flat-combining queue handoff (DESIGN.md §15): N committers race
-/// to enqueue and one lock winner drains the whole queue, so every
-/// commit call must return its own result exactly once — no slot may be
-/// lost when a request is applied by *another* thread's combine pass.
-/// All inserts are distinct, so under every explored schedule the final
-/// database holds every committed row, the coalescing counters stay
-/// coherent (`commits` counts requests, `combines` counts lock
-/// acquisitions that drained them), and one published snapshot serves
-/// every row.
-#[test]
-fn group_commit_queue_handoff() {
-    loom::model(|| {
-        let (db, shared) = setup(2);
-        let edb = std::sync::Arc::new(EpochDb::new(db));
-
-        let committers: Vec<_> = (0..3i64)
-            .map(|tid| {
-                let shared = shared.clone();
-                let edb = std::sync::Arc::clone(&edb);
-                thread::spawn(move || {
-                    for i in 0..3i64 {
-                        thread::yield_now();
-                        // Each (tid, i) row is unique; the closure's
-                        // return value round-trips through the slot.
-                        let row = 1000 + tid * 10 + i;
-                        let got = edb
-                            .commit(&[&shared], move |db| {
-                                let mut txn = Transaction::begin(db);
-                                txn.insert("r", tuple![row, row % 6]).unwrap();
-                                Ok((row, txn.commit()))
-                            })
-                            .unwrap();
-                        assert_eq!(got, row, "combiner filled the wrong slot");
-                    }
-                })
-            })
-            .collect();
-        for h in committers {
-            h.join().unwrap();
-        }
-
-        // Every request was applied exactly once: 60 seeded + 9 new.
-        let guard = edb.read();
-        let handle = guard.relation("r").unwrap();
-        let n = handle.read().iter().count();
-        assert_eq!(n, 69, "a queued commit was lost or double-applied");
-        drop(guard);
-
-        let (commits, combines) = edb.commit_counts();
-        assert_eq!(commits, 9, "every commit request must be counted");
-        assert!(
-            (1..=commits).contains(&combines),
-            "combine passes ({combines}) must be between 1 and commits ({commits})"
-        );
-
-        // The last published snapshot serves every committed row.
-        let t = shared.def().template().clone();
-        for f in 0..6i64 {
-            let q = t
-                .bind(vec![Condition::Equality(vec![Value::Int(f)])])
-                .unwrap();
-            let out = edb.query(&shared, &q).unwrap();
-            assert_eq!(out.ds_leftover, 0);
-        }
-        let guard = edb.read();
-        assert_eq!(shared.revalidate(&guard).unwrap(), 0);
-        shared.debug_validate();
     });
 }
 

@@ -176,10 +176,9 @@ impl Database {
     /// holds: the heap pages the commit rewrote and, for now, a full
     /// copy of each index the commit touched.
     ///
-    /// This is the snapshot constructor the epoch commit path uses —
-    /// under group commit it runs once per coalesced batch, and a
-    /// commit touching one relation out of hundreds republishes in a
-    /// few pointer writes.
+    /// This is the snapshot constructor the epoch commit path uses — it
+    /// runs once per commit, and a commit touching one relation out of
+    /// hundreds republishes in a few pointer writes.
     pub fn publish_snapshot(&mut self) -> DbSnapshot {
         self.snap_stats.publishes += 1;
         let (cache, cold) = match self.snap_cache.take() {

@@ -98,11 +98,6 @@ impl<'a> Transaction<'a> {
         }
         Ok(())
     }
-
-    /// Number of changes applied so far.
-    pub fn change_count(&self) -> usize {
-        self.applied.len()
-    }
 }
 
 impl Drop for Transaction<'_> {
@@ -213,10 +208,10 @@ mod tests {
         txn.insert("r", tuple![100i64, 1i64]).unwrap();
         txn.insert("r", tuple![101i64, 1i64]).unwrap();
         txn.delete("r", rows[0]).unwrap();
-        assert_eq!(txn.change_count(), 3);
         let batches = txn.commit();
-        assert_eq!(batches[0].inserted_tuples().count(), 2);
-        assert_eq!(batches[0].deleted_tuples().count(), 1);
+        let deltas = batches[0].deltas();
+        let inserts = deltas.iter().filter(|d| matches!(d, Delta::Insert { .. }));
+        assert_eq!((deltas.len(), inserts.count()), (3, 2));
         assert_eq!(db.len("r").unwrap(), 6);
     }
 }

@@ -100,23 +100,6 @@ impl DeltaBatch {
     pub fn is_empty(&self) -> bool {
         self.deltas.is_empty()
     }
-
-    /// Iterator over deleted tuples (update-old counts as deleted when the
-    /// caller treats an update as delete+insert).
-    pub fn deleted_tuples(&self) -> impl Iterator<Item = &Tuple> {
-        self.deltas.iter().filter_map(|d| match d {
-            Delta::Delete { tuple, .. } => Some(tuple),
-            _ => None,
-        })
-    }
-
-    /// Iterator over inserted tuples.
-    pub fn inserted_tuples(&self) -> impl Iterator<Item = &Tuple> {
-        self.deltas.iter().filter_map(|d| match d {
-            Delta::Insert { tuple, .. } => Some(tuple),
-            _ => None,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -165,8 +148,7 @@ mod tests {
             new: tuple![4i64],
         });
         assert_eq!(b.len(), 3);
-        assert_eq!(b.inserted_tuples().count(), 1);
-        assert_eq!(b.deleted_tuples().count(), 1);
+        assert!(matches!(b.deltas()[1], Delta::Delete { row: RowId(1), .. }));
         assert_eq!(b.relation(), "r");
     }
 

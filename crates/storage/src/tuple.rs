@@ -50,14 +50,6 @@ impl Tuple {
                 .collect::<Vec<_>>(),
         )
     }
-
-    /// Concatenate two tuples (used when forming join results).
-    pub fn concat(&self, other: &Tuple) -> Tuple {
-        let mut v = Vec::with_capacity(self.arity() + other.arity());
-        v.extend_from_slice(&self.values);
-        v.extend_from_slice(&other.values);
-        Tuple::new(v)
-    }
 }
 
 impl Index<usize> for Tuple {
@@ -130,13 +122,6 @@ mod tests {
         let t = tuple![10i64, 20i64, 30i64];
         let p = t.project(&[2, 0, 0]);
         assert_eq!(p, tuple![30i64, 10i64, 10i64]);
-    }
-
-    #[test]
-    fn concat_joins_fields() {
-        let a = tuple![1i64];
-        let b = tuple!["x", 2i64];
-        assert_eq!(a.concat(&b), tuple![1i64, "x", 2i64]);
     }
 
     #[test]

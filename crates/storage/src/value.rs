@@ -40,23 +40,10 @@ impl Value {
         Value::Str(Str::new(s.as_ref()))
     }
 
-    /// True if this is [`Value::Null`].
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Integer payload, if this is an [`Value::Int`].
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Double payload, if this is a [`Value::Double`].
-    pub fn as_double(&self) -> Option<f64> {
-        match self {
-            Value::Double(v) => Some(*v),
             _ => None,
         }
     }
@@ -263,9 +250,6 @@ mod tests {
         assert_eq!(Value::Int(5).as_int(), Some(5));
         assert_eq!(Value::Int(5).as_str(), None);
         assert_eq!(Value::str("s").as_str(), Some("s"));
-        assert_eq!(Value::Double(1.5).as_double(), Some(1.5));
-        assert!(Value::Null.is_null());
-        assert!(!Value::Int(0).is_null());
     }
 
     #[test]

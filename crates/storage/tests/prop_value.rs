@@ -78,8 +78,7 @@ proptest! {
         extra in proptest::collection::vec(value_strategy(), 0..4),
     ) {
         let t = Tuple::new(vals.clone());
-        let u = Tuple::new(extra.clone());
-        let joined = t.concat(&u);
+        let joined = Tuple::new([vals.as_slice(), extra.as_slice()].concat());
         prop_assert_eq!(joined.arity(), vals.len() + extra.len());
         // Projecting the original positions recovers t.
         let positions: Vec<usize> = (0..vals.len()).collect();

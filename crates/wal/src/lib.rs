@@ -1,14 +1,14 @@
 //! Crash durability for the PMV engine: write-ahead logging, snapshot
 //! checkpoints, and deterministic recovery.
 //!
-//! The design follows the classic redo-only protocol, adapted to the
-//! workspace's flat-combining group commit:
+//! The design follows the classic redo-only protocol, one transaction
+//! per commit:
 //!
-//! * **WAL.** The combining winner appends *one* [`record`] per group
-//!   commit — the merged [`DeltaBatch`]es of every drained transaction —
-//!   and fsyncs before the new snapshot is published. Durable strictly
-//!   precedes visible: a reader can never observe state that a crash
-//!   could lose ([`Durability::append_commit`]).
+//! * **WAL.** Under the master write lock a commit appends *one*
+//!   [`record`] — the transaction's [`DeltaBatch`]es — and fsyncs before
+//!   the new snapshot is published. Durable strictly precedes visible: a
+//!   reader can never observe state that a crash could lose
+//!   ([`Durability::append_commit`]).
 //! * **Checkpoints.** A pinned immutable `DbSnapshot` is encoded as a
 //!   binary image of CRC-framed [`record`]s ([`checkpoint`] has the
 //!   grammar) and written to `ckpt.<lsn>.img` off the write path (temp
@@ -331,7 +331,7 @@ impl Durability {
         })
     }
 
-    /// Append one group commit's delta batches as a single WAL record
+    /// Append one commit's delta batches as a single WAL record
     /// and fsync it. Returns the record's LSN. On failure the segment is
     /// truncated back to its pre-append length (undoing a torn write)
     /// and the LSN is not consumed — the commit never happened,

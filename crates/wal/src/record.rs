@@ -14,7 +14,7 @@
 //! at which to truncate. Records never span segment files.
 //!
 //! The LSN is a monotonically increasing commit sequence number assigned
-//! by the single flat-combining winner, so within a segment LSNs are
+//! under the master write lock, so within a segment LSNs are
 //! strictly increasing and contiguous; replay additionally stops at the
 //! first gap (a gap means a later segment survived while an earlier
 //! record did not — only the contiguous durable prefix is recovered).

@@ -58,13 +58,6 @@ impl Zipf {
         let u: f64 = rng.gen();
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
     }
-
-    /// Smallest number of top ranks holding at least `mass` of the
-    /// probability (used to report e.g. "10% of bcps get 90% of the
-    /// accesses" like the paper's skew description).
-    pub fn ranks_for_mass(&self, mass: f64) -> usize {
-        self.cdf.partition_point(|&c| c < mass) + 1
-    }
 }
 
 #[cfg(test)]
@@ -109,8 +102,9 @@ mod tests {
         // a smaller universe (exact fractions depend on n).
         let hi = Zipf::new(100_000, 1.07);
         let lo = Zipf::new(100_000, 1.01);
-        let hi_frac = hi.ranks_for_mass(0.9) as f64 / 100_000.0;
-        let lo_frac = lo.ranks_for_mass(0.9) as f64 / 100_000.0;
+        // Smallest number of top ranks holding 90% of the mass.
+        let frac = |z: &Zipf| (z.cdf.partition_point(|&c| c < 0.9) + 1) as f64 / 100_000.0;
+        let (hi_frac, lo_frac) = (frac(&hi), frac(&lo));
         assert!(hi_frac < lo_frac, "higher skew concentrates more");
         assert!(hi_frac < 0.35, "got {hi_frac}");
     }

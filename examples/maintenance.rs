@@ -23,9 +23,9 @@ use pmv::storage::DeltaBatch;
 fn commit(
     edb: &EpochDb,
     pmv: &SharedPmv,
-    f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<()> + Send + 'static,
+    f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<()>,
 ) -> Result<Vec<DeltaBatch>, CoreError> {
-    edb.commit(&[pmv], move |db| {
+    edb.commit(&[pmv], |db| {
         let mut txn = Transaction::begin(db);
         f(&mut txn)?;
         let batches = txn.commit();

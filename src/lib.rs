@@ -95,7 +95,7 @@ pub mod prelude {
     pub use pmv_core::{
         run_plain, verify_def, verify_parts, BcpKey, DiagCode, Discretizer, EpochDb,
         PartialViewDef, PmvConfig, PmvStats, QueryOutcome, Severity, SharedPmv, VerifyOptions,
-        VerifyPolicy, VerifyReport,
+        VerifyReport,
     };
     pub use pmv_query::{
         Condition, Database, Interval, QueryInstance, QueryTemplate, TemplateBuilder, Transaction,

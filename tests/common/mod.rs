@@ -167,12 +167,12 @@ pub fn oracle(db: &Database, q: &QueryInstance) -> Vec<Tuple> {
 /// Commit one transaction through `edb`: `f` writes through it, and every
 /// view in `views` is maintained before the new state publishes.
 #[allow(dead_code)] // used by several, not all, test binaries
-pub fn commit<T: Send + 'static>(
+pub fn commit<T>(
     edb: &EpochDb,
     views: &[&SharedPmv],
-    f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<T> + Send + 'static,
+    f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<T>,
 ) -> T {
-    edb.commit(views, move |db| {
+    edb.commit(views, |db| {
         let mut txn = Transaction::begin(db);
         let out = f(&mut txn)?;
         Ok((out, txn.commit()))

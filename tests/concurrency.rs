@@ -96,7 +96,7 @@ fn queries_and_maintenance_interleave_consistently() {
 
 /// Sharded-PMV stress test: 8 threads hammer one `SharedPmv` through one
 /// `EpochDb` — six run queries over mixed hot/cold bcps, two commit
-/// insert+delete transactions (group commit maintains the shards before
+/// insert+delete transactions (each commit maintains the shards before
 /// publishing). Every query must satisfy the end-of-O3 invariant
 /// (`ds_leftover == 0`: every partial tuple served in O2 was re-derived
 /// by the full execution), and a final revalidation must find nothing

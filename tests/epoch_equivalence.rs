@@ -70,13 +70,10 @@ fn setup(unique: bool) -> Fixture {
 impl Fixture {
     /// Commit one transaction through the epoch database, which
     /// maintains every view before publishing.
-    fn commit(
-        &self,
-        f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<()> + Send + 'static,
-    ) {
+    fn commit(&self, f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<()>) {
         let views: Vec<&SharedPmv> = self.views.iter().collect();
         self.edb
-            .commit(&views, move |db| {
+            .commit(&views, |db| {
                 let mut txn = Transaction::begin(db);
                 // A rejected write (duplicate key) commits nothing.
                 let _ = f(&mut txn);

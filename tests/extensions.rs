@@ -6,7 +6,7 @@ mod common;
 use common::{eqt_fixture, eqt_query};
 use pmv::core::ext::{
     exists_accelerated, rank_by_popularity, run_aggregate, run_distinct, run_ordered, AggFn,
-    AggValue, GroupBySpec, OrderBy,
+    AggValue, Direction, GroupBySpec, OrderBy,
 };
 use pmv::prelude::*;
 use std::collections::HashSet;
@@ -168,7 +168,9 @@ fn order_by_delivers_sorted_prefix_and_total_order() {
     let q = eqt_query(&fx.template, &[1, 2], &[0, 1]);
     edb.query(&pmv, &q).unwrap();
 
-    let order = OrderBy::asc(&[1, 0]); // by s.e then r.a
+    let order = OrderBy {
+        keys: vec![(1, Direction::Asc), (0, Direction::Asc)], // by s.e then r.a
+    };
     let out = run_ordered(&edb, &pmv, &q, &order).unwrap();
     // Partial prefix is sorted.
     for w in out.partial_sorted.windows(2) {

@@ -138,10 +138,10 @@ impl Script {
     /// an update's old image counts as a delete) and check each view
     /// against the join reference. Returns the rows removed beyond the
     /// join's, summed over the views.
-    fn commit_checked<T: Send + 'static>(
+    fn commit_checked<T>(
         &self,
         deleted: &[(&str, RowId)],
-        f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<T> + Send + 'static,
+        f: impl FnOnce(&mut Transaction<'_>) -> pmv::query::Result<T>,
     ) -> usize {
         let (join_rows, images) = {
             let db = self.edb.read();
