@@ -320,7 +320,7 @@ pub struct FnDef {
     /// Test code: below `#[cfg(test)]` or in a test file.
     pub is_test: bool,
     /// Declared wait-free: a `// pmv::pin_region` comment sits directly
-    /// above the `fn` ([`comment_marker`] placement). The body is a pin
+    /// above the `fn` (`comment_marker` placement). The body is a pin
     /// region of `pin_reaches_blocking_lock`.
     pub pin_region: bool,
 }

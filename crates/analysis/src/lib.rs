@@ -5,7 +5,7 @@
 //!
 //! 1. **Template verifier** (`verify` — re-exported from
 //!    [`pmv_core::verify`]). Registration-time checks that a
-//!    [`pmv_core::ViewDef`]'s template, discretizers and maintenance
+//!    [`pmv_core::PartialViewDef`]'s template, discretizers and maintenance
 //!    filter satisfy the paper's soundness preconditions *without
 //!    executing anything*, producing typed diagnostics PMV001–PMV006.
 //!    The verifier lives in `pmv-core` so `EpochDb::register` can

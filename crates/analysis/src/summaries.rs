@@ -1,7 +1,7 @@
 //! Effect sites, per-function summaries and their transitive closure
 //! over the call graph.
 //!
-//! [`effect_sites`] is the one place the analyzer reads effects off
+//! `effect_sites` is the one place the analyzer reads effects off
 //! source text: every textual pattern that acquires a lock, enters the
 //! executor, writes the filesystem, … becomes a [`Site`] in a per-file
 //! index. A function's **direct facts** are the sites inside its body;
@@ -26,7 +26,7 @@ pub const SHARD_LOCK: u16 = 1 << 1;
 pub const DB_LOCK: u16 = 1 << 2;
 /// Calls an executor entry point ([`EXEC_NAMES`]).
 pub const EXEC: u16 = 1 << 3;
-/// Touches a raw `std::fs` write API ([`FS_WRITE_APIS`]).
+/// Touches a raw `std::fs` write API (`FS_WRITE_APIS`).
 pub const RAW_FS: u16 = 1 << 4;
 /// Reaches an fsync (`fsync(`/`fsync_dir(` call or a direct
 /// `.sync_all()`/`.sync_data()`).

@@ -1041,13 +1041,11 @@ mod tests {
     /// hit serves a non-empty partial.
     fn hot_binding(s: &Session) -> (i64, i64) {
         let db = s.db.read();
-        let oh = db.relation("orders").unwrap();
-        let orders = oh.read();
+        let orders = db.relation("orders").unwrap();
         let (_, o) = orders.iter().next().unwrap();
         let okey = o.get(0).as_int().unwrap();
         let date = o.get(2).as_int().unwrap();
-        let lh = db.relation("lineitem").unwrap();
-        let lines = lh.read();
+        let lines = db.relation("lineitem").unwrap();
         let supp = lines
             .iter()
             .find(|(_, l)| l.get(0).as_int() == Some(okey))

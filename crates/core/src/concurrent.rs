@@ -15,7 +15,7 @@
 //!   watermark and quarantine flag. Mutators republish, under the
 //!   shard's write guard, after changing what the shard serves; a
 //!   publish costs O(changed bcps), not O(entries) — see
-//!   [`ShardView::next`].
+//!   `ShardView::next`.
 //! * Maintenance ([`crate::maintenance`]) X-locks (write-locks) only the
 //!   shards its ΔR join rows hash to, in ascending index order; queries
 //!   over other shards are never affected.
@@ -24,7 +24,7 @@
 //!
 //! # Serving
 //!
-//! Queries run the one O1 → O2 → O3 implementation in [`crate::serve`]:
+//! Queries run the one O1 → O2 → O3 implementation in `crate::serve`:
 //! O2 [`pmv_sync::LeftRight::load`]s the published shard views wait-free
 //! and never touches a shard `RwLock`; policy touches and fills are
 //! deferred to a best-effort write-back that takes `try_write` and is
@@ -966,7 +966,6 @@ pub(crate) mod tests {
                     .read()
                     .relation("r")
                     .unwrap()
-                    .read()
                     .iter()
                     .find(|(_, tu)| tu.get(1) == &Value::Int(f))
                     .map(|(r, _)| r);
@@ -1101,7 +1100,6 @@ pub(crate) mod tests {
             .read()
             .relation("r")
             .unwrap()
-            .read()
             .iter()
             .find(|(_, tu)| tu.get(1) == &Value::Int(3))
             .map(|(r, _)| r)

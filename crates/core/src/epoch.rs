@@ -35,8 +35,10 @@
 //! 2. **Maintain** every view the host owns against the new state over
 //!    the transaction's `DeltaBatch`es. This evicts cached tuples the Δ
 //!    invalidated and advances each view's `maint_epoch`.
-//! 3. **Publish** the new snapshot (incrementally — untouched relations
-//!    are reused, [`Database::publish_snapshot`]), then release the lock.
+//! 3. **Publish** the new snapshot — three `Arc` copies of the
+//!    database's copy-on-write state, in which every relation the
+//!    transaction did not write is still the previous snapshot's
+//!    ([`Database::publish_snapshot`]) — then release the lock.
 //!
 //! Because maintenance completes *before* the snapshot publishes, any
 //! reader pinned at epoch `e` sees shard views whose surviving tuples
@@ -49,15 +51,17 @@
 //!
 //! Readers *pin* snapshots. [`EpochDb::pin`] hands out the published
 //! `Arc<DbSnapshot>`; [`EpochDb::with_pin`] goes one step further and
-//! serves from a **per-thread snapshot cache** revalidated by one
-//! atomic load of the publish counter ([`LeftRight::version_hint`]),
-//! so the steady-state read path performs *no* shared-memory write at
-//! all — not even the `Arc` refcount bump, which at 8+ threads is a
-//! single cache line every reader bounces through.
+//! serves from a **per-thread snapshot cache** (one entry, for the last
+//! host the thread queried) revalidated by one atomic load of the
+//! publish counter ([`LeftRight::version_hint`]), so the steady-state
+//! read path performs *no* shared-memory write at all — not even the
+//! `Arc` refcount bump, which at 8+ threads is a single cache line
+//! every reader bounces through.
 //!
 //! In-flight readers keep their pinned snapshot alive through its
 //! `Arc`; memory is reclaimed when the last pinned query (and any
-//! thread-local cache entry) drops it.
+//! thread-local cache entry — replaced by a query on another host,
+//! cleared on the thread that drops the host) drops it.
 
 use std::cell::Cell;
 use std::sync::atomic::{
@@ -98,11 +102,12 @@ struct PinEntry {
 }
 
 thread_local! {
-    /// Cached pins, one per `EpochDb` this thread has queried. Held in
-    /// a `Cell` (taken for the duration of each query) rather than a
-    /// `RefCell` so a re-entrant query degrades to an uncached pin
-    /// instead of a borrow panic.
-    static PIN_CACHE: Cell<Vec<PinEntry>> = const { Cell::new(Vec::new()) };
+    /// The cached pin of the last `EpochDb` this thread queried; a query
+    /// on another host replaces it, and dropping the host clears it on
+    /// the dropping thread. Held in a `Cell` (taken for the duration of
+    /// each query) rather than a `RefCell` so a re-entrant query
+    /// degrades to an uncached pin instead of a borrow panic.
+    static PIN_CACHE: Cell<Option<PinEntry>> = const { Cell::new(None) };
 }
 
 /// Distinguishes `EpochDb` instances in the per-thread pin cache and in
@@ -226,53 +231,53 @@ impl EpochDb {
     /// the `Arc` refcount ping-pong that serializes [`EpochDb::pin`]
     /// across cores never happens.
     ///
-    /// A thread's cache entry keeps its snapshot alive until that
-    /// thread queries again (or exits); on a read-mostly serving tier
-    /// that is exactly the pin lifetime readers already have.
+    /// A thread caches one pin, for the last host it queried. The entry
+    /// keeps its snapshot alive until that thread queries again (or
+    /// exits, or drops the host); on a read-mostly serving tier that is
+    /// exactly the pin lifetime readers already have.
     pub fn with_pin<R>(&self, f: impl FnOnce(&DbSnapshot) -> R) -> R {
         // One relaxed load; when off, the pin path is exactly as before.
         let track = self.obs.enabled();
         PIN_CACHE.with(|tls| {
-            let mut cache = tls.take();
             // Hint is read BEFORE the load below: if a publish lands in
             // between, the cached entry is newer than its tag and just
             // revalidates once more than strictly needed — never the
             // other way around (a tag newer than the snapshot would
             // serve extra-stale reads without revalidating).
             let hint = self.published.version_hint();
-            let idx = match cache.iter().position(|e| e.db == self.id) {
-                Some(i) => {
-                    if cache[i].version != hint {
-                        cache[i].snap = self.published.load();
-                        cache[i].version = hint;
+            let entry = match tls.take() {
+                Some(mut e) if e.db == self.id => {
+                    if e.version != hint {
+                        e.snap = self.published.load();
+                        e.version = hint;
                         if track {
                             // The miss is the rare path: publish the
                             // hits banked since the last one, so hits
                             // never write a shared cache line.
                             self.pin_misses.fetch_add(1, Relaxed);
-                            self.pin_hits.fetch_add(cache[i].hits, Relaxed);
-                            cache[i].hits = 0;
+                            self.pin_hits.fetch_add(e.hits, Relaxed);
+                            e.hits = 0;
                         }
                     } else if track {
-                        cache[i].hits += 1;
+                        e.hits += 1;
                     }
-                    i
+                    e
                 }
-                None => {
+                // Empty, or another host's pin: that one is released here.
+                _ => {
                     if track {
                         self.pin_misses.fetch_add(1, Relaxed);
                     }
-                    cache.push(PinEntry {
+                    PinEntry {
                         db: self.id,
                         version: hint,
                         snap: self.published.load(),
                         hits: 0,
-                    });
-                    cache.len() - 1
+                    }
                 }
             };
-            let out = f(&cache[idx].snap);
-            tls.set(cache);
+            let out = f(&entry.snap);
+            tls.set(Some(entry));
             out
         })
     }
@@ -393,9 +398,9 @@ impl EpochDb {
         (self.pin_hits.load(Relaxed), self.pin_misses.load(Relaxed))
     }
 
-    /// Incremental snapshot-publish accounting from the underlying
-    /// database: publishes, relation entries re-captured (dirty) versus
-    /// reused (pointer-shared) — the SnapCache reuse ratio.
+    /// Snapshot-publish accounting from the underlying database:
+    /// publishes, relation entries re-captured (written since the
+    /// previous publish) versus reused (pointer-equal to it).
     pub fn snap_stats(&self) -> pmv_query::SnapStats {
         self.db.read().snap_stats()
     }
@@ -657,6 +662,22 @@ impl EpochDb {
     }
 }
 
+impl Drop for EpochDb {
+    /// Clear the dropping thread's cached pin of this host, so it does
+    /// not keep the last snapshot — every heap page and index — alive
+    /// until the thread exits. Another thread's entry goes on its next
+    /// query or at its exit. `try_with`: a host dropped while the thread
+    /// itself is exiting finds the cache already gone.
+    fn drop(&mut self) {
+        let _ = PIN_CACHE.try_with(|tls| {
+            let entry = tls.take();
+            if entry.as_ref().is_some_and(|e| e.db != self.id) {
+                tls.set(entry);
+            }
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -715,8 +736,7 @@ mod tests {
     /// scope of a `.pin()` binding, even in tests.
     fn row_with_f3(edb: &EpochDb) -> RowId {
         let guard = edb.read();
-        let handle = guard.relation("r").unwrap();
-        let rel = handle.read();
+        let rel = guard.relation("r").unwrap();
         let row = rel
             .iter()
             .find(|(_, tu)| tu.get(1) == &Value::Int(3))
@@ -927,7 +947,7 @@ mod tests {
         assert!(info.checkpoint_found);
         assert_eq!(info.replayed_records, 1);
         assert_eq!(info.durable_lsn, 1);
-        assert_eq!(edb2.read().relation("r").unwrap().read().len(), 2);
+        assert_eq!(edb2.read().relation("r").unwrap().len(), 2);
         assert!(obs.snapshot(Phase::recovery_replay).count() >= 1);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -959,7 +979,7 @@ mod tests {
         // Rolled back: nothing published, nothing in the heap, and the
         // LSN was not consumed.
         assert_eq!(edb.epoch(), epoch_before);
-        assert_eq!(edb.read().relation("r").unwrap().read().len(), 0);
+        assert_eq!(edb.read().relation("r").unwrap().len(), 0);
         assert_eq!(edb.durability().unwrap().durable_lsn(), 0);
 
         // The engine keeps working after the fault clears.
@@ -970,7 +990,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(edb.durable_lsn(), Some(1));
-        assert_eq!(edb.read().relation("r").unwrap().read().len(), 1);
+        assert_eq!(edb.read().relation("r").unwrap().len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1159,8 +1179,7 @@ mod tests {
         // Delete the tuple (13, 3): both views cached a tuple it derives.
         let row = {
             let guard = edb.read();
-            let handle = guard.relation("r").unwrap();
-            let rel = handle.read();
+            let rel = guard.relation("r").unwrap();
             let row = rel.iter().find(|(_, t)| t.get(0) == &Value::Int(13));
             row.map(|(r, _)| r).unwrap()
         };
@@ -1264,6 +1283,29 @@ mod tests {
         assert!(traces
             .iter()
             .all(|t| t.events.iter().any(|e| e.kind.name() == "first_results")));
+    }
+
+    #[test]
+    fn pin_cache_does_not_keep_a_dropped_host_alive() {
+        // A weak handle to the snapshot a query on a fresh host left in
+        // this thread's pin cache; the host is dropped.
+        let queried_then_dropped = || {
+            let (edb, pmv) = setup(1);
+            edb.query(&pmv, &query_f(&pmv, 3)).unwrap();
+            Arc::downgrade(&edb.pin())
+        };
+        let weak = queried_then_dropped();
+        assert!(
+            weak.upgrade().is_none(),
+            "the dropped host's snapshot lives on"
+        );
+        let weak = queried_then_dropped();
+        let (b, pmv_b) = setup(1);
+        b.query(&pmv_b, &query_f(&pmv_b, 3)).unwrap();
+        assert!(
+            weak.upgrade().is_none(),
+            "the dropped host's snapshot lives on"
+        );
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //! end-of-O3 invariant `ds_leftover == 0` holds. Maintenance write-locks
 //! only the shards its removals hash to, in ascending index order, and
 //! publishes `maint_epoch` first so a query pinned before it cannot write
-//! back what it evicts ([`crate::serve`], "fill gate"). What it did is
+//! back what it evicts (`crate::serve`, "fill gate"). What it did is
 //! counted in the view's `maint_*` [`PmvStats`] counters.
 //!
 //! **Cross-relation transactions.** The indexed path consults only the
@@ -550,11 +550,7 @@ mod tests {
 
         // One transaction deleting from both relations: the bridge's
         // batch first, then the indexed one.
-        let row_of = |db: &Database, rel: &str| {
-            let handle = db.relation(rel).unwrap();
-            let row = handle.read().iter().next().map(|(r, _)| r).unwrap();
-            row
-        };
+        let row_of = |db: &Database, rel: &str| db.relation(rel).unwrap().iter().next().unwrap().0;
         let (r_row, s_row) = (row_of(&db, "r"), row_of(&db, "s"));
         let mut txn = Transaction::begin(&mut db);
         txn.delete("s", s_row).unwrap();

@@ -257,9 +257,9 @@ mod tests {
         assert_eq!(mv.stats().rows_added, 1);
 
         // Delete an R tuple; its single view row must disappear.
-        let handle = db.relation("r").unwrap();
-        let row = handle
-            .read()
+        let row = db
+            .relation("r")
+            .unwrap()
             .iter()
             .find(|(_, t)| t.get(0) == &Value::Int(7))
             .map(|(r, _)| r)

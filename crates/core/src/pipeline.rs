@@ -1,4 +1,4 @@
-//! What one run of the O1 → O2 → O3 serving path ([`crate::serve`])
+//! What one run of the O1 → O2 → O3 serving path (`crate::serve`)
 //! hands back — [`QueryOutcome`] and its [`QueryTimings`] — and the
 //! no-PMV baseline [`run_plain`] the paper's overhead figures compare
 //! against.

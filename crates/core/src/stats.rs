@@ -1,6 +1,6 @@
 //! Cumulative PMV statistics.
 //!
-//! The counter list is declared once in [`for_each_stat_field!`] and
+//! The counter list is declared once in `for_each_stat_field!` and
 //! expanded into both the plain [`PmvStats`] block and the lock-free
 //! [`AtomicPmvStats`] used by the sharded embedding — adding a counter is
 //! a one-line change instead of six hand-synchronized edit sites.

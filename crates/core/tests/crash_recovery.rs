@@ -99,8 +99,7 @@ enum Op {
 
 fn next_op(rng: &mut u64, shadow: &Database) -> Op {
     let live: Vec<RowId> = {
-        let handle = shadow.relation("r").unwrap();
-        let rel = handle.read();
+        let rel = shadow.relation("r").unwrap();
         rel.iter().map(|(row, _)| row).collect()
     };
     let roll = splitmix(rng);
@@ -149,8 +148,7 @@ fn commit_durable(edb: &EpochDb, op: Op) -> Result<(), CoreError> {
 }
 
 fn dump(db: &Database) -> Vec<(u32, Tuple)> {
-    let handle = db.relation("r").unwrap();
-    let rel = handle.read();
+    let rel = db.relation("r").unwrap();
     let mut rows: Vec<(u32, Tuple)> = rel.iter().map(|(row, t)| (row.0, t.clone())).collect();
     rows.sort_by_key(|(row, _)| *row);
     rows
@@ -158,8 +156,7 @@ fn dump(db: &Database) -> Vec<(u32, Tuple)> {
 
 fn dump_epoch(edb: &EpochDb) -> Vec<(u32, Tuple)> {
     let guard = edb.read();
-    let handle = guard.relation("r").unwrap();
-    let rel = handle.read();
+    let rel = guard.relation("r").unwrap();
     let mut rows: Vec<(u32, Tuple)> = rel.iter().map(|(row, t)| (row.0, t.clone())).collect();
     rows.sort_by_key(|(row, _)| *row);
     rows

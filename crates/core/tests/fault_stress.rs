@@ -163,7 +163,6 @@ fn run_stress(seed: u64, iters: i64, join_error_rate: f64) -> PmvStats {
                     edb.commit(&[&shared], move |db| {
                         let rows: Vec<(RowId, Value)> = db
                             .relation("r")?
-                            .read()
                             .iter()
                             .filter(|(_, tu)| tu.get(1) == &Value::Int(i % 10))
                             .take(2)
@@ -172,7 +171,6 @@ fn run_stress(seed: u64, iters: i64, join_error_rate: f64) -> PmvStats {
                         let bridged: Vec<_> = match rows.get(1) {
                             Some((_, a)) => db
                                 .relation("b")?
-                                .read()
                                 .iter()
                                 .filter(|(_, tu)| tu.get(0) == a)
                                 .map(|(r, _)| r)

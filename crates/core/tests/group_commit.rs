@@ -49,8 +49,7 @@ fn make_view(db: &Database, name: &str) -> SharedPmv {
 /// Sorted debug renderings of every tuple in `r` — a multiset fingerprint
 /// that is independent of row-id assignment order.
 fn relation_fingerprint(db: &Database) -> Vec<String> {
-    let handle = db.relation("r").unwrap();
-    let rel = handle.read();
+    let rel = db.relation("r").unwrap();
     let mut rows: Vec<String> = rel.iter().map(|(_, tu)| format!("{tu:?}")).collect();
     rows.sort();
     rows
@@ -73,8 +72,7 @@ proptest! {
         // Seeded row ids in insertion order; thread t deletes only from
         // its own block so every delete target is distinct.
         let seeded_rows: Vec<_> = {
-            let handle = db.relation("r").unwrap();
-            let rel = handle.read();
+            let rel = db.relation("r").unwrap();
             let mut rows: Vec<_> = rel.iter().map(|(row, _)| row).collect();
             rows.sort();
             rows
@@ -132,8 +130,7 @@ proptest! {
         // deletes), so any interleaving must land on this state.
         let mut oracle = seed_db();
         let oracle_rows: Vec<_> = {
-            let handle = oracle.relation("r").unwrap();
-            let rel = handle.read();
+            let rel = oracle.relation("r").unwrap();
             let mut rows: Vec<_> = rel.iter().map(|(row, _)| row).collect();
             rows.sort();
             rows

@@ -249,15 +249,12 @@ fn epoch_pin_maintain_before_publish() {
                             txn.insert("r", tuple![100 + i, i % 6]).unwrap();
                             return Ok(((), txn.commit()));
                         }
-                        let row = {
-                            let handle = db.relation("r").unwrap();
-                            let rel = handle.read();
-                            let row = rel
-                                .iter()
-                                .find(|(_, tu)| tu.get(1) == &Value::Int(3))
-                                .map(|(r, _)| r);
-                            row
-                        };
+                        let row = db
+                            .relation("r")
+                            .unwrap()
+                            .iter()
+                            .find(|(_, tu)| tu.get(1) == &Value::Int(3))
+                            .map(|(r, _)| r);
                         let mut txn = Transaction::begin(db);
                         if let Some(row) = row {
                             txn.delete("r", row).unwrap();
@@ -300,8 +297,7 @@ fn attach_races_commit() {
             // Row a = 3 is the first f = 3 result, so F = 3 caches it.
             let victim = {
                 let guard = edb.read();
-                let handle = guard.relation("r").unwrap();
-                let rel = handle.read();
+                let rel = guard.relation("r").unwrap();
                 let row = rel.iter().find(|(_, tu)| tu.get(0) == &Value::Int(3));
                 row.map(|(r, _)| r).unwrap()
             };
@@ -401,15 +397,12 @@ fn upquery_vs_eviction_on_drained_shard() {
             edb.query(&shared, &q).unwrap();
         }
         edb.commit(&[&shared], |db| {
-            let row = {
-                let handle = db.relation("r").unwrap();
-                let rel = handle.read();
-                let row = rel
-                    .iter()
-                    .find(|(_, tu)| tu.get(1) == &Value::Int(3))
-                    .map(|(r, _)| r);
-                row
-            };
+            let row = db
+                .relation("r")
+                .unwrap()
+                .iter()
+                .find(|(_, tu)| tu.get(1) == &Value::Int(3))
+                .map(|(r, _)| r);
             let mut txn = Transaction::begin(db);
             if let Some(row) = row {
                 txn.delete("r", row).unwrap();
@@ -450,15 +443,12 @@ fn upquery_vs_eviction_on_drained_shard() {
                     edb.commit(&[&shared], move |db| {
                         // Keep draining the bcps the readers refill.
                         let f = if i % 2 == 0 { 3 } else { 4 };
-                        let row = {
-                            let handle = db.relation("r").unwrap();
-                            let rel = handle.read();
-                            let row = rel
-                                .iter()
-                                .find(|(_, tu)| tu.get(1) == &Value::Int(f))
-                                .map(|(r, _)| r);
-                            row
-                        };
+                        let row = db
+                            .relation("r")
+                            .unwrap()
+                            .iter()
+                            .find(|(_, tu)| tu.get(1) == &Value::Int(f))
+                            .map(|(r, _)| r);
                         let mut txn = Transaction::begin(db);
                         if let Some(row) = row {
                             txn.delete("r", row).unwrap();

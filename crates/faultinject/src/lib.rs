@@ -238,7 +238,7 @@ pub const PANIC_PREFIX: &str = "pmv-faultinject: injected panic";
 pub const CRASH_PREFIX: &str = "pmv-faultinject: injected crash";
 
 /// The injected I/O failure surfaced by disk sites, convertible into a
-/// real `std::io::Error` by the [`Dio`] layer.
+/// real `std::io::Error` by the `Dio` layer (`pmv_wal::dio`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DiskFault {
     /// Whole-operation failure: nothing was written.

@@ -4,8 +4,11 @@
 //! (maintenance joins, revalidation, the plain-executor oracle) or an
 //! immutable [`DbSnapshot`] published by the epoch serving path — it only
 //! needs relation versions, index handles, and statistics. [`DataView`]
-//! captures exactly that surface. Both implementations hand out
-//! `Arc<HeapRelation>` / `Arc<AnyIndex>` versions, so once the executor
+//! captures exactly that surface. The live database *is* a snapshot it
+//! writes through: it keeps its state in the three `Arc`s a
+//! [`DbSnapshot`] holds and un-shares them with `Arc::make_mut` on
+//! write, so both implementations hand out the same immutable
+//! `Arc<HeapRelation>` / `Arc<AnyIndex>` versions, and once the executor
 //! has resolved its inputs **no lock is held for the rest of the
 //! query**: O3 runs entirely on immutable data.
 //!
@@ -22,6 +25,12 @@ use pmv_storage::{HeapRelation, Schema, StorageError};
 use crate::engine::Database;
 use crate::table_stats::TableStats;
 use crate::Result;
+
+/// Every relation by name, each an immutable shared version.
+pub(crate) type RelationMap = BTreeMap<String, Arc<HeapRelation>>;
+
+/// Every secondary index with its definition, in creation order.
+pub(crate) type IndexList = Vec<(IndexDef, Arc<AnyIndex>)>;
 
 /// A consistent read surface: everything the executor needs to run a
 /// query, resolvable to immutable `Arc` versions.
@@ -42,12 +51,11 @@ pub trait DataView {
 
 impl DataView for Database {
     fn relation_version(&self, relation: &str) -> Result<Arc<HeapRelation>> {
-        let handle = self.relation(relation)?;
-        Ok(pmv_storage::relation_snapshot(&handle))
+        self.current().relation_version(relation)
     }
 
     fn index_arc(&self, relation: &str, columns: &[usize]) -> Option<Arc<AnyIndex>> {
-        Database::index_arc(self, relation, columns)
+        self.current().index_arc(relation, columns)
     }
 
     fn stats_view(&self) -> Option<&TableStats> {
@@ -60,35 +68,20 @@ impl DataView for Database {
 }
 
 /// An immutable snapshot of the whole database at one version: the unit
-/// the epoch serving path publishes and queries pin. The relation map
-/// and index list are themselves behind `Arc`s, so cloning a snapshot —
-/// and, more importantly, publishing a new one that reuses the previous
-/// snapshot's entries for untouched relations
-/// ([`Database::publish_snapshot`]) — costs a handful of pointer clones
-/// regardless of how many relations the catalog holds.
-#[derive(Clone)]
+/// the epoch serving path publishes and queries pin. The relation map,
+/// the index list and the statistics are each behind one `Arc`, so
+/// taking a snapshot is three pointer copies whatever the database
+/// holds, and a commit re-creates only the map entries and indexes it
+/// writes ([`Database`]).
+#[derive(Clone, Default)]
 pub struct DbSnapshot {
-    relations: Arc<BTreeMap<String, Arc<HeapRelation>>>,
-    indexes: Arc<Vec<(IndexDef, Arc<AnyIndex>)>>,
-    stats: Option<Arc<TableStats>>,
-    epoch: u64,
+    pub(crate) relations: Arc<RelationMap>,
+    pub(crate) indexes: Arc<IndexList>,
+    pub(crate) stats: Option<Arc<TableStats>>,
+    pub(crate) epoch: u64,
 }
 
 impl DbSnapshot {
-    pub(crate) fn new(
-        relations: Arc<BTreeMap<String, Arc<HeapRelation>>>,
-        indexes: Arc<Vec<(IndexDef, Arc<AnyIndex>)>>,
-        stats: Option<Arc<TableStats>>,
-        epoch: u64,
-    ) -> Self {
-        DbSnapshot {
-            relations,
-            indexes,
-            stats,
-            epoch,
-        }
-    }
-
     /// The database version this snapshot was taken at.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -96,12 +89,12 @@ impl DbSnapshot {
 
     /// Schema of `relation`.
     pub fn schema(&self, relation: &str) -> Result<Schema> {
-        Ok(self.relation_version(relation)?.schema().clone())
+        Ok(self.relation(relation)?.schema().clone())
     }
 
     /// Number of live tuples in `relation`.
     pub fn len(&self, relation: &str) -> Result<usize> {
-        Ok(self.relation_version(relation)?.len())
+        Ok(self.relation(relation)?.len())
     }
 
     /// True when the snapshot holds no relations.
@@ -121,30 +114,41 @@ impl DbSnapshot {
         self.indexes.iter().map(|(d, _)| d.clone()).collect()
     }
 
-    /// Shared handle to the relation map (incremental publish reuses it).
-    pub(crate) fn relations_arc(&self) -> &Arc<BTreeMap<String, Arc<HeapRelation>>> {
+    /// `relation`'s version, borrowed.
+    pub(crate) fn relation(&self, relation: &str) -> Result<&Arc<HeapRelation>> {
+        self.relations
+            .get(relation)
+            .ok_or_else(|| StorageError::UnknownRelation(relation.to_string()).into())
+    }
+
+    /// The first index on exactly `(relation, columns)`, borrowed.
+    pub(crate) fn index(&self, relation: &str, columns: &[usize]) -> Option<&Arc<AnyIndex>> {
+        self.indexes
+            .iter()
+            .find(|(d, _)| d.relation == relation && d.columns == columns)
+            .map(|(_, i)| i)
+    }
+
+    /// Shared handle to the relation map, for the sharing tests.
+    #[cfg(test)]
+    pub(crate) fn relations_arc(&self) -> &Arc<RelationMap> {
         &self.relations
     }
 
-    /// Shared handle to the index list (incremental publish reuses it).
-    pub(crate) fn indexes_arc(&self) -> &Arc<Vec<(IndexDef, Arc<AnyIndex>)>> {
+    /// Shared handle to the index list, for the sharing tests.
+    #[cfg(test)]
+    pub(crate) fn indexes_arc(&self) -> &Arc<IndexList> {
         &self.indexes
     }
 }
 
 impl DataView for DbSnapshot {
     fn relation_version(&self, relation: &str) -> Result<Arc<HeapRelation>> {
-        self.relations
-            .get(relation)
-            .cloned()
-            .ok_or_else(|| StorageError::UnknownRelation(relation.to_string()).into())
+        self.relation(relation).cloned()
     }
 
     fn index_arc(&self, relation: &str, columns: &[usize]) -> Option<Arc<AnyIndex>> {
-        self.indexes
-            .iter()
-            .find(|(d, _)| d.relation == relation && d.columns == columns)
-            .map(|(_, i)| Arc::clone(i))
+        self.index(relation, columns).cloned()
     }
 
     fn stats_view(&self) -> Option<&TableStats> {

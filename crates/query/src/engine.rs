@@ -1,83 +1,76 @@
-//! The `Database`: catalog + secondary indexes + indexed DML.
+//! The `Database`: relations + secondary indexes + indexed DML.
 //!
 //! This is the substrate standing in for PostgreSQL in the paper's
-//! prototype: relations live in a [`Catalog`], secondary indexes are kept
-//! transactionally consistent with every insert/delete/update, and each
-//! mutation yields a [`Delta`] so higher layers (transactions, PMV
-//! maintenance) can observe `ΔR`.
+//! prototype: relations live in one copy-on-write map, secondary
+//! indexes are kept transactionally consistent with every
+//! insert/delete/update, and each mutation yields a [`Delta`] so higher
+//! layers (transactions, PMV maintenance) can observe `ΔR`.
+//!
+//! There is one copy-on-write layer. The database keeps its state as
+//! the three `Arc`s of a [`DbSnapshot`] — the relation map, the index
+//! list, the statistics — so [`Database::snapshot`] is three pointer
+//! copies. Every write goes through `Arc::make_mut`, first on the map
+//! and then on the relation (and on the index list and the relation's
+//! indexes, when it has any): in place while no snapshot shares them,
+//! a fresh version beside the shared one when one does. Every relation
+//! a commit did not write therefore stays pointer-equal to the previous
+//! publish. Writers need `&mut Database`, which the epoch host hands
+//! out only under its master write lock, so nothing here locks.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pmv_index::{AnyIndex, IndexDef, SecondaryIndex};
-use pmv_storage::{
-    relation_snapshot, with_relation_mut, Catalog, Delta, HeapRelation, RowId, Schema,
-    StorageError, Tuple,
-};
+use pmv_storage::{Delta, HeapRelation, RowId, Schema, StorageError, Tuple};
 
-use crate::dbview::DbSnapshot;
+use crate::dbview::{DbSnapshot, IndexList, RelationMap};
 use crate::table_stats::TableStats;
 use crate::{QueryError, Result};
 
-/// Shared handle to a relation (re-export of the catalog handle type).
-pub type RelationHandle = pmv_storage::catalog::RelationHandle;
-
 /// An in-memory database: relations plus their secondary indexes.
 ///
-/// Relations and indexes are published as immutable `Arc`-held versions
-/// (copy-on-write: DML mutates in place while unshared, and builds the
-/// next version beside the old one when a snapshot pins it), so
-/// [`Database::snapshot`] is a handful of `Arc` clones and readers of a
-/// snapshot never hold a lock. What "builds the next version" costs
-/// differs by structure: a relation's heap is paged and structurally
-/// shared, so the first write after a publish copies one 64-slot page
-/// and a short spine — O(|Δ|); an index is still cloned whole on its
-/// first write after a publish — O(|R|), and what is left of a commit
-/// against a large relation (ROADMAP item 1).
-/// `version` counts committed mutations and doubles as the epoch number
-/// of the snapshot serving path.
+/// What a write after a snapshot costs differs by structure: a
+/// relation's heap is paged and structurally shared, so the first write
+/// after a publish copies one 64-slot page and a short spine — O(|Δ|);
+/// the relation map copies one pointer per relation; an index is still
+/// cloned whole on its first write after a publish — O(|R|), and what
+/// is left of a commit against a large relation (ROADMAP item 1).
+/// The state's epoch counts committed mutations and doubles as the
+/// epoch number of the snapshot serving path.
 #[derive(Default)]
 pub struct Database {
-    catalog: Catalog,
-    indexes: Vec<(IndexDef, Arc<AnyIndex>)>,
-    stats: Option<Arc<TableStats>>,
-    version: u64,
-    /// Per-relation mutation counters: bumped by every DML statement
-    /// that touches the relation. [`Database::publish_snapshot`] keys
-    /// its incremental refresh off these — an untouched relation's
-    /// entry is reused from the previous snapshot verbatim.
-    rel_versions: std::collections::BTreeMap<String, u64>,
-    /// Bumped whenever the index set or any index's contents change
-    /// (create_index, or DML on an indexed relation).
-    index_version: u64,
+    current: DbSnapshot,
     /// Declared unique keys per relation (sets of column indices).
     /// Declaration validates the relation's current contents and every
     /// later [`Database::insert`] / [`Database::update`] re-checks. Bulk
     /// [`Database::load`] and the exact-slot replay/rollback primitives
     /// trust their provenance (pre-validated workloads, the WAL) and
     /// skip the check.
-    unique_keys: std::collections::BTreeMap<String, Vec<Vec<usize>>>,
-    /// The incrementally-maintained snapshot cache (see
-    /// [`Database::publish_snapshot`]).
-    snap_cache: Option<SnapCache>,
-    /// Cumulative refresh accounting for the incremental publish path
-    /// (plain counters — `publish_snapshot` takes `&mut self`).
+    unique_keys: BTreeMap<String, Vec<Vec<usize>>>,
+    /// The relation map of the previous [`Database::publish_snapshot`],
+    /// which the next one compares against entry by entry. Holding it
+    /// also keeps every relation it names shared, so the first write to
+    /// one after a publish always makes a new version — a pointer
+    /// comparison sees every relation a commit wrote.
+    last_publish: Option<Arc<RelationMap>>,
+    /// Cumulative accounting for [`Database::publish_snapshot`] (plain
+    /// counters — it takes `&mut self`).
     snap_stats: SnapStats,
 }
 
 /// Accounting for [`Database::publish_snapshot`]: how much of each
-/// publish was served from the previous snapshot's entries versus
-/// re-captured. The reuse ratio is the incremental-publish win the
-/// profiler reports alongside the commit-pipeline phases.
+/// publish was shared with the previous one versus new. The reuse ratio
+/// is the publish win the profiler reports alongside the commit-pipeline
+/// phases.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SnapStats {
     /// `publish_snapshot` calls, including the cold first publish.
     pub publishes: u64,
-    /// Relation entries re-captured because their mutation counter
-    /// moved since the previous publish (plus every entry of the cold
-    /// first publish).
+    /// Relation entries that are not pointer-equal to the previous
+    /// publish's (written or created since), plus every entry of the
+    /// cold first publish.
     pub recaptured: u64,
-    /// Relation entries reused verbatim (pointer-shared) from the
-    /// previous publish.
+    /// Relation entries pointer-equal to the previous publish's.
     pub reused: u64,
 }
 
@@ -94,14 +87,32 @@ impl SnapStats {
     }
 }
 
-/// State carried between [`Database::publish_snapshot`] calls so each
-/// publish only re-captures what actually changed since the last one.
-struct SnapCache {
-    relations: Arc<std::collections::BTreeMap<String, Arc<HeapRelation>>>,
-    /// `rel_versions` value each cached relation entry was captured at.
-    captured: std::collections::BTreeMap<String, u64>,
-    indexes: Arc<Vec<(IndexDef, Arc<AnyIndex>)>>,
-    index_version: u64,
+/// `relation`'s entry in `relations`, un-shared for writing: the map
+/// first, then the relation (a shared relation's clone shares every
+/// heap page with it).
+fn relation_mut<'a>(
+    relations: &'a mut Arc<RelationMap>,
+    relation: &str,
+) -> Result<&'a mut HeapRelation> {
+    let rel = Arc::make_mut(relations)
+        .get_mut(relation)
+        .ok_or_else(|| StorageError::UnknownRelation(relation.to_string()))?;
+    Ok(Arc::make_mut(rel))
+}
+
+/// The indexes on `relation`, with the index list un-shared for
+/// writing. A relation without indexes leaves the list, and so every
+/// snapshot's pointer to it, alone.
+fn indexes_mut<'a>(
+    indexes: &'a mut Arc<IndexList>,
+    relation: &'a str,
+) -> impl Iterator<Item = &'a mut (IndexDef, Arc<AnyIndex>)> {
+    let list: &mut [_] = if indexes.iter().any(|(d, _)| d.relation == relation) {
+        Arc::make_mut(indexes).as_mut_slice()
+    } else {
+        &mut []
+    };
+    list.iter_mut().filter(move |(d, _)| d.relation == relation)
 }
 
 impl Database {
@@ -113,160 +124,91 @@ impl Database {
     /// Create a relation.
     pub fn create_relation(&mut self, schema: Schema) -> Result<()> {
         let name = schema.name().to_string();
-        self.catalog.create_relation(schema)?;
-        self.version += 1;
-        self.mark_relation_dirty(&name);
+        if self.current.relations.contains_key(&name) {
+            return Err(StorageError::DuplicateRelation(name).into());
+        }
+        Arc::make_mut(&mut self.current.relations)
+            .insert(name, Arc::new(HeapRelation::new(schema)));
+        self.current.epoch += 1;
         Ok(())
-    }
-
-    /// Bump `relation`'s mutation counter so the next
-    /// [`Database::publish_snapshot`] re-captures it.
-    fn mark_relation_dirty(&mut self, relation: &str) {
-        match self.rel_versions.get_mut(relation) {
-            Some(v) => *v += 1,
-            None => {
-                self.rel_versions.insert(relation.to_string(), 1);
-            }
-        }
-        if self.indexes.iter().any(|(d, _)| d.relation == relation) {
-            self.index_version += 1;
-        }
     }
 
     /// Monotonic mutation counter: bumped by every DML statement and
     /// DDL change. The epoch snapshot layer stamps each published
     /// [`DbSnapshot`] with this value.
     pub fn version(&self) -> u64 {
-        self.version
+        self.current.epoch
     }
 
-    /// Immutable snapshot of the whole database: every relation's
-    /// current published version, every index, and the statistics, all
-    /// behind `Arc`s. O(#relations + #indexes) pointer clones — no
-    /// tuple data is copied — and the result can be read forever with
-    /// no lock held.
-    ///
-    /// This builds from scratch on every call. Commit paths that
-    /// snapshot after every transaction should use
-    /// [`Database::publish_snapshot`], which reuses the previous
-    /// snapshot's entries for untouched relations.
+    /// The current state, read in place.
+    pub(crate) fn current(&self) -> &DbSnapshot {
+        &self.current
+    }
+
+    /// Immutable snapshot of the whole database: three `Arc` clones,
+    /// with no allocation and no tuple data copied. The result can be
+    /// read forever with no lock held; the next write to a relation it
+    /// shares makes that relation a new version beside it.
     pub fn snapshot(&self) -> DbSnapshot {
-        let mut relations = std::collections::BTreeMap::new();
-        for name in self.catalog.relation_names() {
-            if let Ok(handle) = self.catalog.relation(&name) {
-                relations.insert(name, relation_snapshot(&handle));
-            }
-        }
-        DbSnapshot::new(
-            Arc::new(relations),
-            Arc::new(self.indexes.clone()),
-            self.stats.clone(),
-            self.version,
-        )
+        self.current.clone()
     }
 
-    /// Incremental snapshot publish: like [`Database::snapshot`], but
-    /// amortized O(relations touched since the last publish) instead of
-    /// O(#relations + #indexes) per call. The relation map and index
-    /// list of the previous publish are kept behind `Arc`s; only
-    /// entries whose per-relation mutation counter moved are
-    /// re-captured (`Arc::make_mut` clones the map of *pointers*, never
-    /// tuple data, and only when a published snapshot still pins it).
-    /// Retiring the version this one replaces frees what it alone still
-    /// holds: the heap pages the commit rewrote and, for now, a full
-    /// copy of each index the commit touched.
-    ///
-    /// This is the snapshot constructor the epoch commit path uses — it
-    /// runs once per commit, and a commit touching one relation out of
-    /// hundreds republishes in a few pointer writes.
+    /// [`Database::snapshot`] for the epoch commit path, which runs it
+    /// once per commit: it also counts, in [`SnapStats`], which relation
+    /// entries are pointer-equal to the previous publish's (reused) and
+    /// which are not (re-captured — written or created since). No
+    /// allocation either way. Retiring the version this one replaces
+    /// frees what it alone still holds: the heap pages the commit
+    /// rewrote and, for now, a full copy of each index the commit
+    /// touched.
     pub fn publish_snapshot(&mut self) -> DbSnapshot {
-        self.snap_stats.publishes += 1;
-        let (cache, cold) = match self.snap_cache.take() {
-            Some(c) => (c, false),
-            None => {
-                let full = self.snapshot();
-                self.snap_stats.recaptured += full.relations_arc().len() as u64;
-                let cache = SnapCache {
-                    relations: Arc::clone(full.relations_arc()),
-                    captured: self.rel_versions.clone(),
-                    indexes: Arc::clone(full.indexes_arc()),
-                    index_version: self.index_version,
-                };
-                (cache, true)
-            }
-        };
-        let mut cache = cache;
-        for (name, v) in &self.rel_versions {
-            if cache.captured.get(name) != Some(v) {
-                self.snap_stats.recaptured += 1;
-                if let Ok(handle) = self.catalog.relation(name) {
-                    Arc::make_mut(&mut cache.relations)
-                        .insert(name.clone(), relation_snapshot(&handle));
+        let snap = self.snapshot();
+        let stats = &mut self.snap_stats;
+        stats.publishes += 1;
+        match &self.last_publish {
+            None => stats.recaptured += snap.relations.len() as u64,
+            Some(prev) => {
+                for (name, rel) in snap.relations.iter() {
+                    if prev.get(name).is_some_and(|p| Arc::ptr_eq(p, rel)) {
+                        stats.reused += 1;
+                    } else {
+                        stats.recaptured += 1;
+                    }
                 }
-            } else if !cold {
-                // The cold publish captured everything above; only warm
-                // publishes get credit for pointer reuse.
-                self.snap_stats.reused += 1;
             }
         }
-        cache.captured.clone_from(&self.rel_versions);
-        if cache.index_version != self.index_version {
-            cache.indexes = Arc::new(self.indexes.clone());
-            cache.index_version = self.index_version;
-        }
-        let snap = DbSnapshot::new(
-            Arc::clone(&cache.relations),
-            Arc::clone(&cache.indexes),
-            self.stats.clone(),
-            self.version,
-        );
-        self.snap_cache = Some(cache);
+        self.last_publish = Some(Arc::clone(&snap.relations));
         snap
     }
 
-    /// Refresh accounting for the incremental publish path: snapshots
-    /// published, relation entries re-captured, entries reused.
+    /// Accounting for the publish path: snapshots published, relation
+    /// entries re-captured, entries reused.
     pub fn snap_stats(&self) -> SnapStats {
         self.snap_stats
     }
 
-    /// Handle to a relation.
-    pub fn relation(&self, name: &str) -> Result<RelationHandle> {
-        Ok(self.catalog.relation(name)?)
+    /// A relation, borrowed.
+    pub fn relation(&self, name: &str) -> Result<&HeapRelation> {
+        Ok(self.current.relation(name)?)
     }
 
     /// Schema snapshot of a relation.
     pub fn schema(&self, name: &str) -> Result<Schema> {
-        Ok(self.catalog.relation(name)?.read().schema().clone())
+        self.current.schema(name)
     }
 
     /// Create a secondary index, building it from the relation's current
     /// contents.
     pub fn create_index(&mut self, def: IndexDef) -> Result<()> {
-        let rel = self.catalog.relation(&def.relation)?;
-        let idx = def.build_from(&relation_snapshot(&rel));
-        self.indexes.push((def, Arc::new(idx)));
-        self.version += 1;
-        self.index_version += 1;
+        let idx = def.build_from(self.relation(&def.relation)?);
+        Arc::make_mut(&mut self.current.indexes).push((def, Arc::new(idx)));
+        self.current.epoch += 1;
         Ok(())
     }
 
     /// First index on exactly `(relation, columns)`, if any.
     pub fn index_on(&self, relation: &str, columns: &[usize]) -> Option<&AnyIndex> {
-        self.indexes
-            .iter()
-            .find(|(d, _)| d.relation == relation && d.columns == columns)
-            .map(|(_, i)| &**i)
-    }
-
-    /// `Arc` handle to the first index on exactly `(relation, columns)`.
-    /// The executor pre-resolves these so its inner loop can borrow
-    /// posting lists without re-borrowing the database.
-    pub fn index_arc(&self, relation: &str, columns: &[usize]) -> Option<Arc<AnyIndex>> {
-        self.indexes
-            .iter()
-            .find(|(d, _)| d.relation == relation && d.columns == columns)
-            .map(|(_, i)| Arc::clone(i))
+        self.current.index(relation, columns).map(|i| &**i)
     }
 
     /// Declare that `columns` of `relation` form a unique key.
@@ -289,10 +231,11 @@ impl Database {
                 "a unique key needs at least one column".into(),
             ));
         }
-        let clean = self.with_relation(relation, |r| {
-            let mut seen = std::collections::HashSet::new();
-            r.iter().all(|(_, t)| seen.insert(t.project(&key)))
-        })?;
+        let mut seen = std::collections::HashSet::new();
+        let clean = self
+            .relation(relation)?
+            .iter()
+            .all(|(_, t)| seen.insert(t.project(&key)));
         if !clean {
             return Err(QueryError::Unique(format!(
                 "relation '{relation}' already holds duplicates on columns {key:?}"
@@ -302,7 +245,7 @@ impl Database {
             .entry(relation.to_string())
             .or_default()
             .push(key);
-        self.version += 1;
+        self.current.epoch += 1;
         Ok(())
     }
 
@@ -325,11 +268,9 @@ impl Database {
                     let parts: Vec<_> = key.iter().map(|&c| tuple.get(c).clone()).collect();
                     idx.probe(&parts).iter().any(|&row| Some(row) != skip)
                 }
-                None => self.with_relation(relation, |r| {
-                    r.iter().any(|(row, t)| {
-                        Some(row) != skip && key.iter().all(|&c| t.get(c) == tuple.get(c))
-                    })
-                })?,
+                None => self.relation(relation)?.iter().any(|(row, t)| {
+                    Some(row) != skip && key.iter().all(|&c| t.get(c) == tuple.get(c))
+                }),
             };
             if conflict {
                 return Err(QueryError::Unique(format!(
@@ -342,7 +283,8 @@ impl Database {
 
     /// Index definitions registered for `relation`.
     pub fn index_defs(&self, relation: &str) -> Vec<&IndexDef> {
-        self.indexes
+        self.current
+            .indexes
             .iter()
             .filter(|(d, _)| d.relation == relation)
             .map(|(d, _)| d)
@@ -364,10 +306,8 @@ impl Database {
     /// (33 µs → 1.9 ms each; `mixed_2t` set-up +70 %). Reclamation has to
     /// move off the reader first (ROADMAP item 1).
     fn maintain_indexes(&mut self, relation: &str, delta: &Delta) {
-        for (def, idx) in &mut self.indexes {
-            if def.relation == relation {
-                def.apply_delta(Arc::make_mut(idx), delta);
-            }
+        for (def, idx) in indexes_mut(&mut self.current.indexes, relation) {
+            def.apply_delta(Arc::make_mut(idx), delta);
         }
     }
 
@@ -376,57 +316,45 @@ impl Database {
     /// a declared unique key.
     pub fn insert(&mut self, relation: &str, tuple: Tuple) -> Result<Delta> {
         self.check_unique(relation, &tuple, None)?;
-        let rel = self.catalog.relation(relation)?;
-        let row = with_relation_mut(&rel, |r| r.insert(tuple.clone()))?;
+        let row = relation_mut(&mut self.current.relations, relation)?.insert(tuple.clone())?;
         let delta = Delta::Insert { row, tuple };
         self.maintain_indexes(relation, &delta);
-        self.version += 1;
-        self.mark_relation_dirty(relation);
+        self.current.epoch += 1;
         Ok(delta)
     }
 
-    /// Bulk-load tuples (still index-maintained, but avoids per-row handle
-    /// lookups and builds at most one copy-on-write version). Returns the
-    /// number loaded.
+    /// Bulk-load tuples (still index-maintained, but un-shares the
+    /// relation and its indexes once, not per row). Returns the number
+    /// loaded.
     pub fn load(
         &mut self,
         relation: &str,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<usize> {
-        let rel = self.catalog.relation(relation)?;
-        let mut covering: Vec<&mut (IndexDef, Arc<AnyIndex>)> = self
-            .indexes
-            .iter_mut()
-            .filter(|(def, _)| def.relation == relation)
-            .collect();
-        let n = with_relation_mut(&rel, |r| -> Result<usize> {
-            let mut n = 0;
-            let mut keys = Vec::with_capacity(covering.len());
-            for t in tuples {
-                // Keys first, from the borrowed tuple, so the tuple itself
-                // moves into the heap uncopied.
-                keys.extend(covering.iter().map(|(def, _)| def.key_of(&t)));
-                let row = r.insert(t)?;
-                for ((_, idx), key) in covering.iter_mut().zip(keys.drain(..)) {
-                    Arc::make_mut(idx).insert(key, row);
-                }
-                n += 1;
+        let rel = relation_mut(&mut self.current.relations, relation)?;
+        let mut covering: Vec<_> = indexes_mut(&mut self.current.indexes, relation).collect();
+        let mut n = 0;
+        let mut keys = Vec::with_capacity(covering.len());
+        for t in tuples {
+            // Keys first, from the borrowed tuple, so the tuple itself
+            // moves into the heap uncopied.
+            keys.extend(covering.iter().map(|(def, _)| def.key_of(&t)));
+            let row = rel.insert(t)?;
+            for ((_, idx), key) in covering.iter_mut().zip(keys.drain(..)) {
+                Arc::make_mut(idx).insert(key, row);
             }
-            Ok(n)
-        })?;
-        self.version += 1;
-        self.mark_relation_dirty(relation);
+            n += 1;
+        }
+        self.current.epoch += 1;
         Ok(n)
     }
 
     /// Delete the tuple at `row`; maintains indexes; returns the delta.
     pub fn delete(&mut self, relation: &str, row: RowId) -> Result<Delta> {
-        let rel = self.catalog.relation(relation)?;
-        let tuple = with_relation_mut(&rel, |r| r.delete(row))?;
+        let tuple = relation_mut(&mut self.current.relations, relation)?.delete(row)?;
         let delta = Delta::Delete { row, tuple };
         self.maintain_indexes(relation, &delta);
-        self.version += 1;
-        self.mark_relation_dirty(relation);
+        self.current.epoch += 1;
         Ok(delta)
     }
 
@@ -435,12 +363,10 @@ impl Database {
     /// with a different live row on a declared unique key.
     pub fn update(&mut self, relation: &str, row: RowId, new: Tuple) -> Result<Delta> {
         self.check_unique(relation, &new, Some(row))?;
-        let rel = self.catalog.relation(relation)?;
-        let old = with_relation_mut(&rel, |r| r.update(row, new.clone()))?;
+        let old = relation_mut(&mut self.current.relations, relation)?.update(row, new.clone())?;
         let delta = Delta::Update { row, old, new };
         self.maintain_indexes(relation, &delta);
-        self.version += 1;
-        self.mark_relation_dirty(relation);
+        self.current.epoch += 1;
         Ok(delta)
     }
 
@@ -448,27 +374,23 @@ impl Database {
     /// primitive. Unlike [`Database::insert`] this never allocates a
     /// fresh slot: an `Insert` lands exactly at the logged row
     /// ([`HeapRelation::insert_at`]), so later logged deletes/updates
-    /// that name the row still resolve. Indexes and version counters
-    /// are maintained like ordinary DML.
+    /// that name the row still resolve. Indexes and the version are
+    /// maintained like ordinary DML.
     pub fn apply_delta_exact(&mut self, relation: &str, delta: &Delta) -> Result<()> {
-        let rel = self.catalog.relation(relation)?;
+        let rel = relation_mut(&mut self.current.relations, relation)?;
         match delta {
-            Delta::Insert { row, tuple } => {
-                with_relation_mut(&rel, |r| r.insert_at(*row, tuple.clone()))?;
-            }
+            Delta::Insert { row, tuple } => rel.insert_at(*row, tuple.clone())?,
             Delta::Delete { row, .. } => {
-                with_relation_mut(&rel, |r| r.delete(*row))?;
+                rel.delete(*row)?;
             }
             Delta::Update { row, new, .. } => {
-                with_relation_mut(&rel, |r| r.update(*row, new.clone()))?;
+                rel.update(*row, new.clone())?;
             }
         }
         self.maintain_indexes(relation, delta);
-        self.version += 1;
-        self.mark_relation_dirty(relation);
+        self.current.epoch += 1;
         Ok(())
     }
-
     /// Exact-slot inverse of one applied delta — the rollback primitive
     /// for a commit whose WAL record could not be made durable. The
     /// already-applied deltas are undone in reverse order, restoring
@@ -496,9 +418,7 @@ impl Database {
 
     /// Tuple at `row`, cloned out.
     pub fn get(&self, relation: &str, row: RowId) -> Result<Tuple> {
-        let rel = self.catalog.relation(relation)?;
-        let guard = rel.read();
-        guard.get(row).cloned().ok_or_else(|| {
+        self.relation(relation)?.get(row).cloned().ok_or_else(|| {
             StorageError::RowNotFound {
                 relation: relation.to_string(),
                 slot: row.0,
@@ -509,7 +429,7 @@ impl Database {
 
     /// Number of live tuples in a relation.
     pub fn len(&self, relation: &str) -> Result<usize> {
-        Ok(self.catalog.relation(relation)?.read().len())
+        self.current.len(relation)
     }
 
     /// Collect table statistics over every relation (the paper's "we ran
@@ -518,27 +438,16 @@ impl Database {
     /// condition instead of blindly using the first one. Statistics are
     /// a snapshot — re-run after bulk changes.
     pub fn analyze(&mut self) -> Result<()> {
-        let names = self.catalog.relation_names();
-        let refs: Vec<&str> = names.iter().map(String::as_str).collect();
-        self.stats = Some(Arc::new(TableStats::analyze(self, &refs)?));
-        self.version += 1;
+        let names: Vec<&str> = self.current.relations.keys().map(String::as_str).collect();
+        let stats = TableStats::analyze(self, &names)?;
+        self.current.stats = Some(Arc::new(stats));
+        self.current.epoch += 1;
         Ok(())
     }
 
     /// Table statistics, if `analyze` has been run.
     pub fn table_stats(&self) -> Option<&TableStats> {
-        self.stats.as_deref()
-    }
-
-    /// Run `f` over a read guard of the relation.
-    pub fn with_relation<T>(
-        &self,
-        relation: &str,
-        f: impl FnOnce(&HeapRelation) -> T,
-    ) -> Result<T> {
-        let rel = self.catalog.relation(relation)?;
-        let guard = rel.read();
-        Ok(f(&guard))
+        self.current.stats.as_deref()
     }
 }
 
@@ -671,6 +580,21 @@ mod tests {
     }
 
     #[test]
+    fn relation_names_are_unique_and_checked() {
+        let mut db = db_with_r();
+        assert!(matches!(
+            db.create_relation(Schema::new("r", vec![Column::new("x", ColumnType::Int)])),
+            Err(QueryError::Storage(StorageError::DuplicateRelation(_)))
+        ));
+        assert!(matches!(
+            db.relation("nope"),
+            Err(QueryError::Storage(StorageError::UnknownRelation(_)))
+        ));
+        assert!(db.insert("nope", tuple![1i64]).is_err());
+        assert_eq!(db.len("r").unwrap(), 0, "the failed create left r alone");
+    }
+
+    #[test]
     fn get_and_len() {
         let mut db = db_with_r();
         let Delta::Insert { row, .. } = db.insert("r", tuple![1i64, 2i64]).unwrap() else {
@@ -770,10 +694,11 @@ mod tests {
         db.create_index(IndexDef::btree("r", vec![0])).unwrap();
         db.insert("r", tuple![1i64, 10i64]).unwrap();
         let before: Vec<_> = db
-            .with_relation("r", |r| {
-                r.iter().map(|(id, t)| (id, t.clone())).collect::<Vec<_>>()
-            })
-            .unwrap();
+            .relation("r")
+            .unwrap()
+            .iter()
+            .map(|(id, t)| (id, t.clone()))
+            .collect();
         // A "failed commit": three deltas applied, then undone in reverse.
         let applied = [
             db.insert("r", tuple![2i64, 20i64]).unwrap(),
@@ -784,10 +709,11 @@ mod tests {
             db.undo_delta_exact("r", d).unwrap();
         }
         let after: Vec<_> = db
-            .with_relation("r", |r| {
-                r.iter().map(|(id, t)| (id, t.clone())).collect::<Vec<_>>()
-            })
-            .unwrap();
+            .relation("r")
+            .unwrap()
+            .iter()
+            .map(|(id, t)| (id, t.clone()))
+            .collect();
         assert_eq!(before, after, "rollback must restore exact slot layout");
         let idx = db.index_on("r", &[0]).unwrap();
         assert!(idx

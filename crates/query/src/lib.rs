@@ -15,7 +15,7 @@
 //! * [`Interval`], [`Condition`] — the two disjunctive forms.
 //! * [`QueryTemplate`], [`TemplateBuilder`], [`QueryInstance`] — templates
 //!   and their parameter bindings.
-//! * [`Database`] — catalog + secondary indexes + DML with delta capture.
+//! * [`Database`] — relations + secondary indexes + DML with delta capture.
 //! * [`exec`] — an index-nested-loop executor and a naive full-scan oracle.
 //! * [`txn`] — transactions with undo, producing [`pmv_storage::DeltaBatch`]es.
 

@@ -120,33 +120,31 @@ impl TableStats {
     pub fn analyze(db: &Database, relations: &[&str]) -> Result<TableStats> {
         let mut out = TableStats::default();
         for &name in relations {
-            let schema = db.schema(name)?;
-            let arity = schema.arity();
+            let rel = db.relation(name)?;
+            let arity = rel.schema().arity();
             let mut distinct: Vec<HashSet<Value>> = vec![HashSet::new(); arity];
             let mut min: Vec<Option<Value>> = vec![None; arity];
             let mut max: Vec<Option<Value>> = vec![None; arity];
             let mut int_samples: Vec<Vec<i64>> = vec![Vec::new(); arity];
             let mut rows = 0usize;
-            db.with_relation(name, |rel| {
-                for (_, t) in rel.iter() {
-                    rows += 1;
-                    for c in 0..arity {
-                        let v = t.get(c);
-                        distinct[c].insert(v.clone());
-                        if let Value::Int(i) = v {
-                            int_samples[c].push(*i);
-                        }
-                        match &min[c] {
-                            Some(m) if v >= m => {}
-                            _ => min[c] = Some(v.clone()),
-                        }
-                        match &max[c] {
-                            Some(m) if v <= m => {}
-                            _ => max[c] = Some(v.clone()),
-                        }
+            for (_, t) in rel.iter() {
+                rows += 1;
+                for c in 0..arity {
+                    let v = t.get(c);
+                    distinct[c].insert(v.clone());
+                    if let Value::Int(i) = v {
+                        int_samples[c].push(*i);
+                    }
+                    match &min[c] {
+                        Some(m) if v >= m => {}
+                        _ => min[c] = Some(v.clone()),
+                    }
+                    match &max[c] {
+                        Some(m) if v <= m => {}
+                        _ => max[c] = Some(v.clone()),
                     }
                 }
-            })?;
+            }
             let mut int_samples = int_samples.into_iter();
             out.relations.insert(
                 name.to_string(),

@@ -51,7 +51,7 @@ struct Dfs<'a> {
     t: &'a QueryTemplate,
     /// Selection conditions; empty for the §3.4 join.
     conds: &'a [Condition],
-    rels: Vec<Arc<HeapRelation>>,
+    rels: Vec<&'a HeapRelation>,
     /// `(new attribute, bound attribute)` per step, in binding order.
     steps: Vec<(AttrRef, AttrRef)>,
     out: Reference,
@@ -60,7 +60,7 @@ struct Dfs<'a> {
 impl<'a> Dfs<'a> {
     fn new(db: &'a Database, t: &'a QueryTemplate, conds: &'a [Condition], start: usize) -> Self {
         let rels = (t.relations().iter())
-            .map(|name| db.relation(name).unwrap().read().clone())
+            .map(|name| db.relation(name).unwrap())
             .collect();
         // Same order as the executor: the first join edge, in template
         // order, with exactly one side bound.
@@ -122,7 +122,7 @@ impl<'a> Dfs<'a> {
             return;
         };
         let probe = at(&old);
-        let rel = self.rels[new.relation].clone();
+        let rel = self.rels[new.relation];
         match self
             .db
             .index_on(&self.t.relations()[new.relation], &[new.column])
@@ -152,7 +152,7 @@ fn reference(db: &Database, q: &QueryInstance) -> Reference {
     let t = q.template().as_ref();
     let attr = t.cond_templates()[0].attr;
     let mut dfs = Dfs::new(db, t, q.conds(), attr.relation);
-    let rel = dfs.rels[attr.relation].clone();
+    let rel = dfs.rels[attr.relation];
     let idx = db.index_on(&t.relations()[attr.relation], &[attr.column]);
     let key = |b: &Bound<Value>| match b {
         Bound::Included(v) => Bound::Included(IndexKey::single(v.clone())),

@@ -173,8 +173,7 @@ proptest! {
 
         // Delete one r row and ask join_from for its contribution.
         let victims: Vec<_> = {
-            let handle = db.relation("r").unwrap();
-            let guard = handle.read();
+            let guard = db.relation("r").unwrap();
             guard.iter().map(|(row, _)| row).collect()
         };
         let victim = victims[victim_idx % victims.len()];

@@ -19,7 +19,7 @@ pub enum StorageError {
         /// Offending slot number.
         slot: u32,
     },
-    /// A named relation is missing from the catalog.
+    /// A named relation is missing from the database.
     UnknownRelation(String),
     /// A named column is missing from a schema.
     UnknownColumn {

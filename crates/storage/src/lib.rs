@@ -3,8 +3,11 @@
 //! The paper (Luo, "Partial Materialized Views", ICDE 2007) prototypes its
 //! technique inside PostgreSQL. This crate provides the storage layer of the
 //! in-memory RDBMS substrate we build instead: typed values, relation
-//! schemas, tuples, slotted heap relations with stable row identifiers, a
-//! catalog, and delta capture for change propagation (the paper's `ΔR`).
+//! schemas, tuples, slotted heap relations with stable row identifiers,
+//! and delta capture for change propagation (the paper's `ΔR`). A
+//! relation is shared between database versions as a plain
+//! `Arc<HeapRelation>` and written through `Arc::make_mut`; the one map
+//! of name to relation lives in `pmv-query`'s `Database`.
 //!
 //! Everything is deliberately simple and allocation-conscious: tuples are
 //! boxed slices of 16-byte [`Value`]s, short strings are inline and long
@@ -12,7 +15,6 @@
 //! every structure can report its heap footprint so the PMV layer can
 //! enforce the paper's storage bound `UB`.
 
-pub mod catalog;
 mod cowvec;
 pub mod delta;
 pub mod error;
@@ -24,7 +26,6 @@ pub mod string;
 pub mod tuple;
 pub mod value;
 
-pub use catalog::{relation_snapshot, with_relation_mut, Catalog, RelationHandle};
 pub use delta::{Delta, DeltaBatch};
 pub use error::StorageError;
 pub use prefetch::prefetch_read;

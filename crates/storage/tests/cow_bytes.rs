@@ -7,11 +7,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
-use pmv_storage::{
-    relation_snapshot, with_relation_mut, Catalog, Column, ColumnType, RelationHandle, RowId,
-    Schema, Tuple, Value,
-};
+use pmv_storage::{Column, ColumnType, HeapRelation, RowId, Schema, Tuple, Value};
 
 thread_local! {
     // Per thread, so tests running side by side do not see each other.
@@ -59,7 +57,7 @@ fn row(i: i64) -> Tuple {
     ])
 }
 
-fn relation(rows: i64) -> RelationHandle {
+fn relation(rows: i64) -> Arc<HeapRelation> {
     let schema = Schema::new(
         "lineitem",
         vec![
@@ -70,13 +68,11 @@ fn relation(rows: i64) -> RelationHandle {
             Column::new("instruct", ColumnType::Str),
         ],
     );
-    let handle = Catalog::new().create_relation(schema).unwrap();
-    with_relation_mut(&handle, |r| {
-        for i in 0..rows {
-            r.insert(row(i)).unwrap();
-        }
-    });
-    handle
+    let mut r = HeapRelation::new(schema);
+    for i in 0..rows {
+        r.insert(row(i)).unwrap();
+    }
+    Arc::new(r)
 }
 
 /// One 64-slot page with its tuples: the unit a one-row write copies.
@@ -88,11 +84,10 @@ fn page_bytes() -> usize {
 /// `(allocated by the first write after a snapshot, freed by dropping
 /// that snapshot)` on a relation of `rows` rows.
 fn first_write_after_snapshot(rows: i64) -> (usize, usize) {
-    let handle = relation(rows);
-    let snap = relation_snapshot(&handle);
+    let mut live = relation(rows);
+    let snap = Arc::clone(&live);
     let victim = RowId(rows as u32 / 2);
-    let (old, allocated, _) =
-        counted(|| with_relation_mut(&handle, |r| r.update(victim, row(-1))).unwrap());
+    let (old, allocated, _) = counted(|| Arc::make_mut(&mut live).update(victim, row(-1)).unwrap());
     assert_eq!(snap.get(victim), Some(&old), "the snapshot keeps its row");
     let (_, _, freed) = counted(|| drop(snap));
     (allocated, freed)
@@ -124,17 +119,16 @@ fn first_write_after_a_snapshot_costs_the_same_at_6k_and_120k_rows() {
 #[test]
 fn insert_only_commits_do_not_get_dearer_as_the_relation_grows() {
     const COMMITS: usize = 2_000;
-    let handle = relation(0);
+    let mut live = relation(0);
     let mut per_commit = Vec::with_capacity(COMMITS);
     // A reader always pins the last published version, so every insert
     // is a first write after a snapshot.
-    let mut snap = relation_snapshot(&handle);
+    let mut snap = Arc::clone(&live);
     for i in 0..COMMITS {
-        let (_, allocated, _) =
-            counted(|| with_relation_mut(&handle, |r| r.insert(row(i as i64))).unwrap());
+        let (_, allocated, _) = counted(|| Arc::make_mut(&mut live).insert(row(i as i64)).unwrap());
         per_commit.push(allocated);
         assert_eq!(snap.len(), i, "the pinned version is untouched");
-        snap = relation_snapshot(&handle);
+        snap = Arc::clone(&live);
     }
     let first: usize = per_commit[..100].iter().sum();
     let last: usize = per_commit[COMMITS - 100..].iter().sum();

@@ -534,8 +534,7 @@ mod tests {
         assert_eq!(info.replayed_records, 1);
         assert_eq!(info.durable_lsn, 2);
         assert!(!info.torn_tail);
-        let t = rec2.db.relation("t").unwrap();
-        let rel = pmv_storage::relation_snapshot(&t);
+        let rel = rec2.db.relation("t").unwrap();
         assert_eq!(rel.len(), 2);
         assert_eq!(rel.get(RowId(1)).unwrap(), &tuple![20i64, "x"]);
         assert_eq!(rec2.durability.next_lsn(), 3);
@@ -637,7 +636,7 @@ mod tests {
         let rec2 = Durability::open(&dir).unwrap();
         assert_eq!(rec2.durability.recovery_info().checkpoint_lsn, 3);
         assert_eq!(rec2.durability.recovery_info().replayed_records, 1);
-        let rel = pmv_storage::relation_snapshot(&rec2.db.relation("t").unwrap());
+        let rel = rec2.db.relation("t").unwrap();
         assert_eq!(rel.len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }

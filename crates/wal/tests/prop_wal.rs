@@ -197,8 +197,7 @@ fn run_damage_case(
         info.durable_lsn as usize, expected,
         "{name}: wrong surviving prefix"
     );
-    let handle = rec2.db.relation("t").unwrap();
-    let rel = pmv_storage::relation_snapshot(&handle);
+    let rel = rec2.db.relation("t").unwrap();
     let mut got: Vec<(u32, i64)> = rel
         .iter()
         .map(|(row, t)| match t.get(0) {

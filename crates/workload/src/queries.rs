@@ -143,24 +143,16 @@ mod tests {
         let db = tiny_db();
         let t = template_t1(&db).unwrap();
         // Pick a (date, supp) pair that actually exists.
-        let mut date = 0;
-        let mut supp = 0;
-        let mut okey = 0;
-        db.with_relation("orders", |r| {
-            let (_, t) = r.iter().next().unwrap();
-            okey = t.get(0).as_int().unwrap();
-            date = t.get(2).as_int().unwrap();
-        })
-        .unwrap();
-        db.with_relation("lineitem", |r| {
-            for (_, t) in r.iter() {
-                if t.get(0).as_int().unwrap() == okey {
-                    supp = t.get(1).as_int().unwrap();
-                    break;
-                }
-            }
-        })
-        .unwrap();
+        let (_, order) = db.relation("orders").unwrap().iter().next().unwrap();
+        let okey = order.get(0).as_int().unwrap();
+        let date = order.get(2).as_int().unwrap();
+        let (_, line) = db
+            .relation("lineitem")
+            .unwrap()
+            .iter()
+            .find(|(_, t)| t.get(0).as_int() == Some(okey))
+            .unwrap();
+        let supp = line.get(1).as_int().unwrap();
         let q = t1_query(&t, &[date], &[supp]).unwrap();
         let (rows, stats) = pmv_query::execute(&db, &q).unwrap();
         assert!(!rows.is_empty());

@@ -288,20 +288,14 @@ mod tests {
         .unwrap();
         let n_cust = db.len("customer").unwrap() as i64;
         let n_ord = db.len("orders").unwrap() as i64;
-        db.with_relation("orders", |r| {
-            for (_, t) in r.iter() {
-                let ck = t.get(1).as_int().unwrap();
-                assert!(ck >= 1 && ck <= n_cust);
-            }
-        })
-        .unwrap();
-        db.with_relation("lineitem", |r| {
-            for (_, t) in r.iter() {
-                let ok = t.get(0).as_int().unwrap();
-                assert!(ok >= 1 && ok <= n_ord);
-            }
-        })
-        .unwrap();
+        for (_, t) in db.relation("orders").unwrap().iter() {
+            let ck = t.get(1).as_int().unwrap();
+            assert!(ck >= 1 && ck <= n_cust);
+        }
+        for (_, t) in db.relation("lineitem").unwrap().iter() {
+            let ok = t.get(0).as_int().unwrap();
+            assert!(ok >= 1 && ok <= n_ord);
+        }
     }
 
     #[test]
@@ -366,13 +360,13 @@ mod tests {
                 },
             )
             .unwrap();
-            let mut dates = Vec::new();
-            db.with_relation("orders", |r| {
-                for (_, t) in r.iter().take(10) {
-                    dates.push(t.get(2).clone());
-                }
-            })
-            .unwrap();
+            let dates: Vec<_> = db
+                .relation("orders")
+                .unwrap()
+                .iter()
+                .take(10)
+                .map(|(_, t)| t.get(2).clone())
+                .collect();
             dates
         };
         assert_eq!(gen(1), gen(1));

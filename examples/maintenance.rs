@@ -126,7 +126,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let victim_row = edb
         .read()
         .relation("orders")?
-        .read()
         .iter()
         .find(|(_, t)| t.get(1) == &Value::Int(3) && t.get(0) == &Value::Int(3))
         .map(|(r, _)| r)
@@ -161,7 +160,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let some_row = edb
         .read()
         .relation("orders")?
-        .read()
         .iter()
         .find(|(_, t)| t.get(1) == &Value::Int(3))
         .map(|(r, t)| (r, t.clone()))

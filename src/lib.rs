@@ -66,7 +66,7 @@
 //!
 //! // Delete one served row: the commit evicts it from the PMV, though
 //! // the commit does not name the view.
-//! let row = edb.read().relation("items")?.read().iter()
+//! let row = edb.read().relation("items")?.iter()
 //!     .find(|(_, t)| t.get(1) == &Value::Int(3))
 //!     .map(|(row, _)| row)
 //!     .expect("a kind-3 item");

@@ -183,7 +183,9 @@ pub fn commit<T>(
 /// Live row ids of `relation`, in heap order.
 #[allow(dead_code)] // used by several, not all, test binaries
 pub fn live_rows(db: &Database, relation: &str) -> Vec<RowId> {
-    let handle = db.relation(relation).unwrap();
-    let rows = handle.read().iter().map(|(r, _)| r).collect();
-    rows
+    db.relation(relation)
+        .unwrap()
+        .iter()
+        .map(|(r, _)| r)
+        .collect()
 }

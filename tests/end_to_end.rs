@@ -101,7 +101,6 @@ fn update_of_irrelevant_attribute_is_free() {
         .read()
         .relation("s")
         .unwrap()
-        .read()
         .iter()
         .find(|(_, t)| t.get(2) == &Value::Int(1))
         .map(|(r, t)| (r, t.clone()))
@@ -171,18 +170,10 @@ fn tpcr_t1_t2_end_to_end() {
         1,
     );
     // Pick a real (date, supp).
-    let mut date = 0;
-    let mut supp = 0;
-    db.with_relation("orders", |r| {
-        let (_, t) = r.iter().next().unwrap();
-        date = t.get(2).as_int().unwrap();
-    })
-    .unwrap();
-    db.with_relation("lineitem", |r| {
-        let (_, t) = r.iter().next().unwrap();
-        supp = t.get(1).as_int().unwrap();
-    })
-    .unwrap();
+    let (_, order) = db.relation("orders").unwrap().iter().next().unwrap();
+    let date = order.get(2).as_int().unwrap();
+    let (_, line) = db.relation("lineitem").unwrap().iter().next().unwrap();
+    let supp = line.get(1).as_int().unwrap();
 
     let edb = EpochDb::new(db);
     let q = t1_query(&t1, &[date], &[supp]).unwrap();

@@ -85,8 +85,7 @@ impl Fixture {
     /// First live row whose column `col` holds `v`, if any.
     fn row_where(&self, col: usize, v: i64) -> Option<RowId> {
         let guard = self.edb.read();
-        let handle = guard.relation("r").unwrap();
-        let rel = handle.read();
+        let rel = guard.relation("r").unwrap();
         let row = rel
             .iter()
             .find(|(_, tu)| tu.get(col) == &Value::Int(v))

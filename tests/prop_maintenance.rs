@@ -75,10 +75,8 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 /// Find a joining (r, s) row pair: an `r` row and an `s` row with
 /// `r.c = s.d`, scanning from the `nth` live `r` row.
 fn joining_pair(db: &Database, nth: usize) -> Option<(RowId, RowId)> {
-    let r_handle = db.relation("r").unwrap();
-    let s_handle = db.relation("s").unwrap();
-    let r_guard = r_handle.read();
-    let s_guard = s_handle.read();
+    let r_guard = db.relation("r").unwrap();
+    let s_guard = db.relation("s").unwrap();
     let r_live: Vec<_> = r_guard.iter().collect();
     if r_live.is_empty() {
         return None;
@@ -352,9 +350,10 @@ fn union_pass_removes_joint_bridge_derivations() {
     check(-1);
     assert!(view.tuple_count() > 0);
     let find = |relation: &str, col: usize, v: i64| {
-        let handle = edb.read().relation(relation).unwrap();
-        let rows: Vec<RowId> = handle
+        let rows: Vec<RowId> = edb
             .read()
+            .relation(relation)
+            .unwrap()
             .iter()
             .filter(|(_, t)| t.get(col) == &Value::Int(v))
             .map(|(row, _)| row)
