@@ -110,8 +110,6 @@ pub fn verifier_sarif(report: &VerifyReport) -> Value {
                 rule_id: d.code.code().to_string(),
                 level: match d.severity {
                     Severity::Deny => "error",
-                    Severity::Warn => "warning",
-                    Severity::Allow => "note",
                 },
                 message,
                 location: None,
@@ -180,18 +178,18 @@ mod tests {
         let report = VerifyReport {
             diagnostics: vec![crate::Diagnostic {
                 code: DiagCode::ALL[3],
-                severity: Severity::Warn,
+                severity: Severity::Deny,
                 message: "budget exceeded".into(),
                 dimension: Some(1),
                 relation: None,
             }],
         };
         let result = &verifier_sarif(&report)["runs"][0]["results"][0];
-        assert_eq!(result["level"], "warning");
+        assert_eq!(result["level"], "error");
         assert_eq!(result["message"]["text"], "budget exceeded [dimension 1]");
         assert!(result.get("locations").is_none());
         let json = verify_json(&report);
-        assert_eq!(json["denied"], false);
+        assert_eq!(json["denied"], true);
         assert_eq!(json["diagnostics"][0]["dimension"], 1u64);
         assert!(json["diagnostics"][0]["relation"].is_null());
     }

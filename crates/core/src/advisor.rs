@@ -16,6 +16,7 @@ use pmv_cache::PolicyKind;
 use pmv_query::{CondForm, Condition, Interval, QueryInstance, QueryTemplate};
 
 use crate::bcp::Discretizer;
+use crate::verify::estimate_tuple_bytes;
 use crate::view::{PartialViewDef, PmvConfig};
 use crate::Result;
 
@@ -28,9 +29,6 @@ pub struct AdvisorConfig {
     pub byte_budget: usize,
     /// `F` for recommended PMVs.
     pub f: usize,
-    /// Assumed average result-tuple size (`At`) for sizing `L` from the
-    /// paper's bound `UB ≤ L·F·At`.
-    pub assumed_tuple_bytes: usize,
     /// Cap on learned dividing values per interval condition.
     pub max_dividers: usize,
     /// Replacement policy for recommended PMVs.
@@ -43,7 +41,6 @@ impl Default for AdvisorConfig {
             min_queries: 10,
             byte_budget: 16 << 20, // 16 MiB: "the memory can hold many PMVs"
             f: 2,
-            assumed_tuple_bytes: 50, // the paper's At example
             max_dividers: 256,
             policy: PolicyKind::Clock,
         }
@@ -121,14 +118,12 @@ impl PmvAdvisor {
 
         let mut out = Vec::with_capacity(eligible.len());
         for t in eligible {
-            // Budget share proportional to query frequency.
+            // Budget share proportional to query frequency, sized by the
+            // paper's bound `UB ≤ L·F·At` with `At` what the view's store
+            // charges per cached tuple.
             let share = (cfg.byte_budget as f64 * t.queries as f64 / total_queries as f64) as usize;
-            let config = PmvConfig::with_byte_budget(
-                cfg.f,
-                share.max(cfg.f * cfg.assumed_tuple_bytes),
-                cfg.assumed_tuple_bytes,
-                cfg.policy,
-            );
+            let at = estimate_tuple_bytes(&t.template);
+            let config = PmvConfig::with_byte_budget(cfg.f, share.max(cfg.f * at), at, cfg.policy);
             // Discretizers: learned per interval-form condition.
             let mut discretizers = Vec::with_capacity(t.template.cond_count());
             for (i, ct) in t.template.cond_templates().iter().enumerate() {
@@ -285,9 +280,63 @@ mod tests {
         };
         let recs = advisor.recommend(&cfg).unwrap();
         assert_eq!(recs.len(), 2);
-        // 3:1 query ratio ⇒ ~3:1 entry-budget ratio.
-        let ratio = recs[0].config.l as f64 / recs[1].config.l as f64;
+        // 3:1 query ratio ⇒ ~3:1 byte-budget ratio, `L·At` per view (the
+        // two templates store tuples of different widths).
+        let bytes = |r: &Recommendation| r.config.l * estimate_tuple_bytes(r.def.template());
+        let ratio = bytes(&recs[0]) as f64 / bytes(&recs[1]) as f64;
         assert!((2.5..=3.5).contains(&ratio), "ratio {ratio}");
+    }
+
+    /// A recommended view fits its share: `L·F·At ≤ share`, with `At`
+    /// the store's charge per T1 tuple (seven of its ten values stored).
+    #[test]
+    fn recommended_view_fits_its_share() {
+        use pmv_storage::Tuple;
+        let mut db = Database::new();
+        for (name, cols) in [
+            ("orders", ["orderkey", "custkey", "orderdate", "totalprice"]),
+            ("lineitem", ["orderkey", "suppkey", "quantity", "price"]),
+        ] {
+            let cols = cols
+                .iter()
+                .map(|c| Column::new(*c, ColumnType::Int))
+                .chain([Column::new("filler", ColumnType::Str)])
+                .collect();
+            db.create_relation(Schema::new(name, cols)).unwrap();
+        }
+        let t1 = TemplateBuilder::new("T1")
+            .relation(db.schema("orders").unwrap())
+            .relation(db.schema("lineitem").unwrap())
+            .join("orders", "orderkey", "lineitem", "orderkey")
+            .unwrap()
+            .select_star()
+            .cond_eq("orders", "orderdate")
+            .unwrap()
+            .cond_eq("lineitem", "suppkey")
+            .unwrap()
+            .build()
+            .unwrap();
+        let mut advisor = PmvAdvisor::new();
+        for i in 0..12i64 {
+            let eq = |v: i64| Condition::Equality(vec![Value::Int(v)]);
+            advisor.observe(&t1.bind(vec![eq(i), eq(i % 4)]).unwrap());
+        }
+        let share = 1 << 20;
+        let cfg = AdvisorConfig {
+            byte_budget: share,
+            ..Default::default()
+        };
+        let recs = advisor.recommend(&cfg).unwrap();
+        let at = std::mem::size_of::<Tuple>() + 7 * std::mem::size_of::<Value>();
+        assert_eq!((estimate_tuple_bytes(&t1), at), (128, 128));
+        let c = &recs[0].config;
+        assert!(
+            c.l * c.f * at <= share,
+            "{} × {} × {at} > {share}",
+            c.l,
+            c.f
+        );
+        assert!((c.l + 1) * c.f * at > share, "L is the largest that fits");
     }
 
     #[test]

@@ -65,6 +65,7 @@ use pmv_sync::LeftRight;
 
 use crate::bcp::BcpKey;
 use crate::health::{CircuitBreaker, ShardReport, ValidationReport, VerifiedClock, ViewHealth};
+use crate::o1::ConditionPart;
 use crate::pipeline::QueryOutcome;
 use crate::serve::{self, WriteBack};
 use crate::stats::{AtomicPmvStats, PmvStats};
@@ -72,10 +73,10 @@ use crate::store::{CachedTuple, PmvStore};
 use crate::view::{PartialViewDef, PmvConfig};
 use crate::Result;
 
-/// What a shard view holds for one bcp: the cached tuples (`Arc`-shared
-/// with the store — pointers are copied, not data) and the entry's
-/// completeness stamp, valid only while it equals the view's
-/// `inserts_seen`. A pinned reader may serve a validly stamped entry as
+/// What a shard view holds for one bcp: the cached tuples, in the view's
+/// stored layout (`Arc`-shared with the store — pointers are copied, not
+/// data), and the entry's completeness stamp, valid only while it equals
+/// the view's `inserts_seen`. A pinned reader may serve a validly stamped entry as
 /// the bcp's *entire* answer — skipping O3 for that slice — under the
 /// epoch gates checked in [`crate::serve`].
 #[derive(Debug, PartialEq)]
@@ -330,7 +331,7 @@ impl SharedPmv {
         let shards = (0..n)
             .map(|_| {
                 let mut store = PmvStore::with_capacity(&config, per_shard);
-                store.enable_index(crate::delta_index::DeltaKeyIndex::new(def.template()));
+                store.enable_index(crate::delta_index::DeltaKeyIndex::for_view(&def));
                 RwLock::new(store)
             })
             .collect();
@@ -581,11 +582,31 @@ impl SharedPmv {
         shards.iter().map(|s| s.read().occupancy()).sum::<f64>() / shards.len() as f64
     }
 
-    /// Tuples cached for `bcp` (with their fill epochs), if resident.
-    /// Reads the owning shard's store; does not touch the policy.
+    /// Tuples cached for `bcp` as full `Ls'` rows (with their fill
+    /// epochs), if resident. Reads the owning shard's store; does not
+    /// touch the policy.
     pub fn lookup(&self, bcp: &BcpKey) -> Option<Vec<CachedTuple>> {
+        let layout = self.inner.def.layout();
         let store = self.inner.shards[self.inner.slot_of(bcp).0].read();
-        store.lookup(bcp).map(<[_]>::to_vec)
+        store.lookup(bcp).map(|cached| {
+            cached
+                .iter()
+                .map(|(t, e)| (layout.rebuild(t, bcp), *e))
+                .collect()
+        })
+    }
+
+    /// Whether the entry of `part`'s bcp holds a tuple inside `part` of
+    /// `q` — read through the layout, nothing rebuilt. Does not touch the
+    /// policy.
+    pub(crate) fn has_witness(&self, part: &ConditionPart, q: &QueryInstance) -> bool {
+        let def = &self.inner.def;
+        let store = self.inner.shards[self.inner.slot_of(&part.bcp).0].read();
+        store.lookup(&part.bcp).is_some_and(|cached| {
+            cached
+                .iter()
+                .any(|(t, _)| part.is_basic || def.stored_matches_select(q, t, &part.bcp))
+        })
     }
 
     /// Popularity of `bcp`: number of queries it served (ranking
@@ -595,13 +616,18 @@ impl SharedPmv {
         store.hit_count(bcp)
     }
 
-    /// Every cached `(bcp, tuples)`, bcps and each bcp's tuples in
-    /// ascending order — a canonical dump for state comparison.
+    /// Every cached `(bcp, tuples)` as full `Ls'` rows, bcps and each
+    /// bcp's tuples in ascending order — a canonical dump for state
+    /// comparison.
     pub fn dump(&self) -> Vec<(BcpKey, Vec<Tuple>)> {
+        let layout = self.inner.def.layout();
         let mut out: Vec<(BcpKey, Vec<Tuple>)> = Vec::new();
         for shard in &self.inner.shards {
             for (bcp, cached) in shard.read().iter() {
-                let mut tuples: Vec<Tuple> = cached.iter().map(|(t, _)| (**t).clone()).collect();
+                let mut tuples: Vec<Tuple> = cached
+                    .iter()
+                    .map(|(t, _)| (*layout.rebuild(t, bcp)).clone())
+                    .collect();
                 tuples.sort();
                 out.push((bcp.clone(), tuples));
             }
@@ -683,9 +709,10 @@ impl SharedPmv {
 }
 
 /// Revalidation phase 1: for each cached bcp, re-derive the multiset of
-/// tuples its query produces from current base truth. Pure executor
-/// reads — no store access — so this runs with no shard lock held (repo
-/// lock rule: never hold a shard guard across a call into `query::exec`).
+/// tuples its query produces from current base truth, in the view's
+/// stored layout. Pure executor reads — no store access — so this runs
+/// with no shard lock held (repo lock rule: never hold a shard guard
+/// across a call into `query::exec`).
 fn bcp_truths(
     db: &Database,
     def: &PartialViewDef,
@@ -697,7 +724,9 @@ fn bcp_truths(
         let (truth, _) = execute(db, &q)?;
         let mut budget: HashMap<Tuple, usize> = HashMap::new();
         for t in truth {
-            *budget.entry(t).or_insert(0) += 1;
+            // Every truth row lies in `bcp`, so its stored form decides
+            // equality with a cached tuple.
+            *budget.entry(def.layout().into_stored(t)).or_insert(0) += 1;
         }
         out.push((bcp.clone(), budget));
     }
@@ -740,12 +769,10 @@ pub(crate) mod tests {
     pub(crate) fn seed_stale(view: &SharedPmv, bcp: &BcpKey, tuple: Tuple) {
         let inner = &view.inner;
         let si = inner.slot_of(bcp).0;
+        let stored = Arc::new(inner.def.layout().into_stored(tuple));
         let mut store = inner.shards[si].write();
         store.admit(bcp);
-        assert!(
-            store.push_arc(bcp, Arc::new(tuple), 0),
-            "no room under {bcp:?}"
-        );
+        assert!(store.push_arc(bcp, stored, 0), "no room under {bcp:?}");
         inner.publish_shard(si, &mut store);
     }
 

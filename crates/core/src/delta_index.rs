@@ -34,6 +34,7 @@ use std::sync::Arc;
 use crate::bcp::BcpKey;
 use crate::fasthash::FxHashMap;
 use crate::verify::FilterSpec;
+use crate::view::{PartialViewDef, StoredLayout};
 use pmv_query::QueryTemplate;
 use pmv_storage::{Tuple, Value};
 
@@ -61,12 +62,12 @@ impl RelSpec {
             .collect()
     }
 
-    /// Project a cached view tuple (`Ls'` layout) onto this relation's
-    /// attributes.
-    fn view_key(&self, view_tuple: &Tuple) -> Box<[Value]> {
+    /// Project a cached view tuple, stored in `layout` under `bcp`, onto
+    /// this relation's attributes.
+    fn view_key(&self, layout: &StoredLayout, bcp: &BcpKey, stored: &Tuple) -> Box<[Value]> {
         self.view_positions
             .iter()
-            .map(|&p| view_tuple.get(p).clone())
+            .map(|&p| layout.value(stored, bcp, p).clone())
             .collect()
     }
 
@@ -80,25 +81,41 @@ impl RelSpec {
 }
 
 /// One supported view tuple: the bcp it is filed under and the shared
-/// tuple itself.
+/// tuple itself, in the store's layout.
 pub type Supported = (BcpKey, Arc<Tuple>);
 
 /// Per-view index from base-relation projection keys to the resident
-/// view tuples they support, one map per base relation.
+/// view tuples they support, one map per base relation. It files the
+/// tuples the store holds, in the store's [`StoredLayout`], and reads a
+/// derived position of a key from the tuple's bcp.
 pub struct DeltaKeyIndex {
     specs: Vec<RelSpec>,
+    layout: Arc<StoredLayout>,
     /// `maps[i]`: projection of cached view tuples onto relation i's
     /// `Ls'` columns → every cached (bcp, tuple) with that projection.
     maps: Vec<FxHashMap<Box<[Value]>, Vec<Supported>>>,
 }
 
 impl DeltaKeyIndex {
-    /// Build the (empty) index for a template.
+    /// Build the (empty) index for a store of full `Ls'` rows of
+    /// `template`.
     pub fn new(template: &QueryTemplate) -> Self {
+        let full = StoredLayout::full(template.expanded_list().len());
+        DeltaKeyIndex::with_layout(template, Arc::new(full))
+    }
+
+    /// Build the (empty) index for a store of `def`'s cached tuples, in
+    /// the view's layout.
+    pub fn for_view(def: &PartialViewDef) -> Self {
+        DeltaKeyIndex::with_layout(def.template(), Arc::clone(def.layout()))
+    }
+
+    fn with_layout(template: &QueryTemplate, layout: Arc<StoredLayout>) -> Self {
         let specs = RelSpec::for_template(template);
         let n = specs.len();
         DeltaKeyIndex {
             specs,
+            layout,
             maps: (0..n).map(|_| FxHashMap::default()).collect(),
         }
     }
@@ -106,7 +123,7 @@ impl DeltaKeyIndex {
     /// Register a cached view tuple under its bcp.
     pub fn add(&mut self, bcp: &BcpKey, tuple: &Arc<Tuple>) {
         for rel in 0..self.specs.len() {
-            let key = self.specs[rel].view_key(tuple);
+            let key = self.specs[rel].view_key(&self.layout, bcp, tuple);
             self.maps[rel]
                 .entry(key)
                 .or_default()
@@ -114,13 +131,32 @@ impl DeltaKeyIndex {
         }
     }
 
-    /// Unregister one occurrence of a cached view tuple.
+    /// Unregister one occurrence of a cached view tuple filed under `bcp`.
+    pub fn remove_from(&mut self, bcp: &BcpKey, view_tuple: &Tuple) {
+        self.unfile(bcp, view_tuple, |b| b == bcp);
+    }
+
+    /// [`Self::remove_from`] for an index of full rows ([`Self::new`]),
+    /// whose keys read nothing from the bcp: equal rows lie in one bcp.
     pub fn remove(&mut self, view_tuple: &Tuple) {
+        assert!(
+            self.layout.is_full(),
+            "a tuple stored in a derived layout is removed under its bcp"
+        );
+        self.unfile(&BcpKey::new(Vec::new()), view_tuple, |_| true);
+    }
+
+    /// Drop one `(bcp, view_tuple)` with `filed(bcp)` from every map,
+    /// keys read through the layout with `key_bcp`.
+    fn unfile(&mut self, key_bcp: &BcpKey, view_tuple: &Tuple, filed: impl Fn(&BcpKey) -> bool) {
         for rel in 0..self.specs.len() {
-            let key = self.specs[rel].view_key(view_tuple);
+            let key = self.specs[rel].view_key(&self.layout, key_bcp, view_tuple);
             match self.maps[rel].get_mut(&key) {
                 Some(entries) => {
-                    if let Some(pos) = entries.iter().position(|(_, t)| **t == *view_tuple) {
+                    if let Some(pos) = entries
+                        .iter()
+                        .position(|(b, t)| **t == *view_tuple && filed(b))
+                    {
                         entries.swap_remove(pos);
                         if entries.is_empty() {
                             self.maps[rel].remove(&key);
@@ -166,15 +202,17 @@ impl DeltaKeyIndex {
         self.maps.iter().map(FxHashMap::len).sum()
     }
 
-    /// Compare against the full cached-tuple multiset, returning a
-    /// violation message per drifted relation. Never panics.
-    pub fn check_against(&self, cached: &[Tuple]) -> Vec<String> {
+    /// Compare against the full cached multiset of `(bcp, stored tuple)`
+    /// pairs, returning a violation message per drifted relation. Never
+    /// panics.
+    pub fn check_against(&self, cached: &[(&BcpKey, &Tuple)]) -> Vec<String> {
         use std::collections::HashMap;
         let mut violations = Vec::new();
         for rel in 0..self.specs.len() {
             let mut expect: HashMap<Box<[Value]>, usize> = HashMap::new();
-            for t in cached {
-                *expect.entry(self.specs[rel].view_key(t)).or_insert(0) += 1;
+            for (bcp, t) in cached {
+                let key = self.specs[rel].view_key(&self.layout, bcp, t);
+                *expect.entry(key).or_insert(0) += 1;
             }
             let got: HashMap<Box<[Value]>, usize> = self.maps[rel]
                 .iter()
@@ -187,8 +225,8 @@ impl DeltaKeyIndex {
         violations
     }
 
-    /// Validate against the full cached-tuple multiset (test helper).
-    pub fn validate(&self, cached: &[Tuple]) {
+    /// Validate against the full cached multiset (test helper).
+    pub fn validate(&self, cached: &[(&BcpKey, &Tuple)]) {
         let violations = self.check_against(cached);
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -288,9 +326,11 @@ mod tests {
         for tu in &tuples {
             idx.add(&bcp(0, 0), &Arc::new(tu.clone()));
         }
-        idx.validate(&tuples);
+        let b = bcp(0, 0);
+        let filed: Vec<(&BcpKey, &Tuple)> = tuples.iter().map(|t| (&b, t)).collect();
+        idx.validate(&filed);
         idx.remove(&tuples[0]);
-        idx.validate(&tuples[1..]);
+        idx.validate(&filed[1..]);
         idx.clear();
         idx.validate(&[]);
     }

@@ -14,9 +14,10 @@ use pmv_storage::Tuple;
 
 /// Multiset of `Ls'`-layout result tuples.
 ///
-/// Keys are `Arc<Tuple>` shared with the PMV store and the query
-/// outcome, so building DS from served partials copies pointers, not
-/// tuples. Lookups still take `&Tuple` (via `Borrow`), so the executor
+/// Keys are `Arc<Tuple>` shared with the query outcome (each served row
+/// is rebuilt from its stored form once, or is the store's own `Arc`
+/// when the view stores full rows), so building DS from served partials
+/// copies pointers, not tuples. Lookups still take `&Tuple` (via `Borrow`), so the executor
 /// can probe with borrowed tuples. The table hashes with
 /// [`crate::fasthash::FxHasher`]: every O3 result tuple probes DS, and
 /// the profiled `o3_dedup` cost was mostly SipHash, not dedup logic.

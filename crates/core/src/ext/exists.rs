@@ -37,17 +37,11 @@ pub fn exists_accelerated(
     // policy touch, no stats mutation beyond the fast-path counterless
     // peek — the slow path does full accounting.)
     let parts = decompose(pmv.def(), subquery)?;
-    for part in &parts {
-        if let Some(tuples) = pmv.lookup(&part.bcp) {
-            for (t, _) in &tuples {
-                if part.is_basic || subquery.matches_select(t) {
-                    return Ok(ExistsOutcome {
-                        exists: true,
-                        fast_path: true,
-                    });
-                }
-            }
-        }
+    if parts.iter().any(|part| pmv.has_witness(part, subquery)) {
+        return Ok(ExistsOutcome {
+            exists: true,
+            fast_path: true,
+        });
     }
     // Slow path: execute (and warm the PMV as a side effect).
     let outcome = edb.query(pmv, subquery)?;

@@ -93,7 +93,7 @@ pub use verify::{
     verify_def, verify_parts, DiagCode, Diagnostic, FilterSpec, Severity, VerifyOptions,
     VerifyReport,
 };
-pub use view::{PartialViewDef, PmvConfig};
+pub use view::{PartialViewDef, PmvConfig, StoredLayout};
 
 /// Errors from the PMV layer.
 #[derive(Debug)]

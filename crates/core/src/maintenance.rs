@@ -78,7 +78,8 @@ const MAINT_RETRIES: u32 = 3;
 const MAINT_BACKOFF: Duration = Duration::from_micros(50);
 
 /// One cached view tuple maintenance must evict: owning shard, bcp, the
-/// tuple, and whether the delta-key index (not a join) found it.
+/// tuple in the view's stored layout, and whether the delta-key index
+/// (not a join) found it.
 type Removal = (usize, BcpKey, Tuple, bool);
 
 impl SharedPmv {
@@ -197,6 +198,7 @@ impl SharedPmv {
             local.maint_join_rows += (rows.len() * n) as u64;
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
+                let row = inner.def.layout().into_stored(row);
                 let removal = (inner.slot_of(&bcp).0, bcp, row, false);
                 removals.extend(std::iter::repeat_n(removal, n));
             }
@@ -358,6 +360,7 @@ impl SharedPmv {
             local.maint_join_rows += rows.len() as u64;
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
+                let row = inner.def.layout().into_stored(row);
                 removals.push((inner.slot_of(&bcp).0, bcp, row, false));
             }
         }

@@ -44,8 +44,9 @@ pub struct QueryOutcome {
     /// Remaining results served in O3 (user layout `Ls`), shared with
     /// `remaining_expanded` in the same way.
     pub remaining: Vec<Arc<Tuple>>,
-    /// Partial results in `Ls'` layout (extensions need the cond attrs).
-    /// Shared with the PMV store — serving copies pointers, not tuples.
+    /// Partial results in `Ls'` layout (extensions need the cond attrs),
+    /// each rebuilt once from its stored form — or, when the view stores
+    /// full rows, shared with the PMV store (a pointer copy).
     pub partial_expanded: Vec<Arc<Tuple>>,
     /// Remaining results in `Ls'` layout, shared with the executor output
     /// and (for cached tuples) the PMV store.

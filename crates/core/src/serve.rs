@@ -111,6 +111,10 @@ struct QueryScratch {
     /// accept tuples — served partials first, then the O3 rows DS did
     /// not suppress.
     cands: Vec<Cand>,
+    /// The O2 partials, then the remaining O3 rows, as they are found:
+    /// each is handed to the outcome in one exact-size vector.
+    served: Vec<Arc<Tuple>>,
+    remaining: Vec<Arc<Tuple>>,
 }
 
 impl QueryScratch {
@@ -122,6 +126,8 @@ impl QueryScratch {
         self.slots.clear();
         self.state.clear();
         self.cands.clear();
+        self.served.clear();
+        self.remaining.clear();
     }
 }
 
@@ -199,6 +205,8 @@ fn query_with_scratch(
         slots,
         state,
         cands,
+        served: partial_expanded,
+        remaining: remaining_expanded,
     } = scratch;
     let Inner {
         def,
@@ -237,7 +245,7 @@ fn query_with_scratch(
         state: breaker.state().as_str(),
     });
     let t_o2 = Instant::now();
-    let mut partial_expanded: Vec<Arc<Tuple>> = Vec::new();
+    let layout = def.layout();
     let mut bcp_hit = false;
     // Slices served straight from a completeness claim. They do NOT
     // enter DS: if every probed slice is complete, nothing executes and
@@ -295,6 +303,7 @@ fn query_with_scratch(
                     && entries.iter().all(|(_, fe)| *fe <= pin_epoch);
                 st.full = !st.complete && entries.len() >= config.f;
                 let mut served = false;
+                let (bcp, is_basic) = (&parts[pi].bcp, parts[pi].is_basic);
                 for (t, fill_epoch) in entries {
                     // Serve gate: never serve a tuple filled after this
                     // query's pin — it may reflect database state the
@@ -305,18 +314,21 @@ fn query_with_scratch(
                     // A basic part contains every tuple of its bcp; a
                     // contained part requires the full Cselect check —
                     // "this is equivalent to checking whether t satisfies
-                    // the Cselect of query Q". Zero-copy: serving clones
-                    // `Arc`s, no tuple data moves.
-                    if parts[pi].is_basic || q.matches_select(t) {
+                    // the Cselect of query Q" — read through the layout.
+                    // Only a served tuple is rebuilt into its `Ls'` row,
+                    // once: DS, the candidates and the outcome share it
+                    // (under a full layout it is the cached `Arc`).
+                    if is_basic || def.stored_matches_select(q, t, bcp) {
+                        let row = layout.rebuild(t, bcp);
                         if st.complete {
-                            complete_served.push(Arc::clone(t));
+                            complete_served.push(Arc::clone(&row));
                         } else {
-                            ds.insert_arc(Arc::clone(t));
+                            ds.insert_arc(Arc::clone(&row));
                             if !st.full {
-                                cands.push((pi, Arc::clone(t)));
+                                cands.push((pi, Arc::clone(&row)));
                             }
                         }
-                        partial_expanded.push(Arc::clone(t));
+                        partial_expanded.push(row);
                         served = true;
                     }
                 }
@@ -382,14 +394,14 @@ fn query_with_scratch(
             fault_cap,
             t_start,
             (parts.len(), bcp_hit, partial_expanded),
-            (Vec::new(), timings, ExecStats::default(), 0),
+            (remaining_expanded, timings, ExecStats::default(), 0),
             None,
         ));
     }
 
     // O3 input as slices `(part whose bcp's FULL truth the rows are,
-    // every row in the answer?, rows)`: one per targeted upquery, or the
-    // single full-execution result.
+    // every row in the answer?, rows)`: one per targeted upquery, or
+    // (outside the vector) the single full-execution result.
     type Slice = (Option<usize>, bool, Vec<Arc<Tuple>>);
     let budget = || ExecBudget {
         deadline: config.o3_deadline.map(|d| Instant::now() + d),
@@ -452,8 +464,8 @@ fn query_with_scratch(
     // store access is held meanwhile, so a panicking operator cannot
     // tear the store — it is caught and degrades like a transient error)
     let did_upquery = upq.is_some();
-    let (slices, exec_stats, exec) = match upq {
-        Some(done) => done,
+    let (slices, full, exec_stats, exec) = match upq {
+        Some((slices, stats, exec)) => (slices, None, stats, exec),
         None => {
             let t_exec = Instant::now();
             // The executor reaches the fault-injection registry lock
@@ -498,7 +510,7 @@ fn query_with_scratch(
                         fault_cap,
                         t_start,
                         (parts.len(), bcp_hit, partial_expanded),
-                        (Vec::new(), timings, ExecStats::default(), 0),
+                        (remaining_expanded, timings, ExecStats::default(), 0),
                         Some(reason),
                     ));
                 }
@@ -512,7 +524,7 @@ fn query_with_scratch(
                 index_probes: exec_stats.index_probes,
                 us: exec.as_micros() as u64,
             });
-            (vec![(None, true, results)], exec_stats, exec)
+            (Vec::new(), Some((None, true, results)), exec_stats, exec)
         }
     };
     timings.exec = exec;
@@ -524,8 +536,7 @@ fn query_with_scratch(
     // could resurrect a tuple a later Δ already evicted. Known up front,
     // so a stale pin also skips all fill bookkeeping below.
     let fills_allowed = serving && pin_epoch >= inner.maint_epoch();
-    let mut remaining_expanded: Vec<Arc<Tuple>> = Vec::new();
-    for (slice_part, all_in_answer, rows) in slices {
+    for (slice_part, all_in_answer, rows) in slices.into_iter().chain(full) {
         for t in rows {
             // Only fills read what a row says about its bcp. An upquery
             // slice names its part; a full execution's row lies in
@@ -629,6 +640,7 @@ fn write_back(
     // tuples, cached or computed.
     let admits = |st: &PartState| fills.is_some() && (st.touch == Some(true) || st.truth > 0);
     let cap_f = inner.config.f;
+    let layout = inner.def.layout();
     let mut fill_total = Duration::ZERO;
     for group in slots.chunk_by(|a, b| a.0 == b.0) {
         let si = group[0].0;
@@ -671,7 +683,13 @@ fn write_back(
                 }
                 write_back_fault(Site::ShardFill);
                 for (pi, part, st) in members() {
-                    if !admits(st) {
+                    // An entry that was full (or complete) at O2 was
+                    // offered nothing, and O2's touch already referenced
+                    // it: no admit, which — should an earlier admit here
+                    // have evicted it — would take a frame with no entry
+                    // behind it. If it lost tuples since, the next query
+                    // finds it open and refills it.
+                    if !admits(st) || st.full || st.complete {
                         continue;
                     }
                     let bcp = &part.bcp;
@@ -679,10 +697,7 @@ fn write_back(
                     if residency == Residency::Probation {
                         local.probations += 1;
                     }
-                    // An entry that was full (or complete) at O2 was
-                    // offered nothing; should it have lost tuples since,
-                    // the next query finds it open and refills it.
-                    if residency != Residency::Resident || st.full || st.complete {
+                    if residency != Residency::Resident {
                         continue;
                     }
                     let lo = cands.partition_point(|&(p, _)| p < pi);
@@ -698,14 +713,16 @@ fn write_back(
                         // tuples are distinct rows of the answer, and the
                         // entry may hold as many copies of `t` as this
                         // query has proved so far, no more.
+                        // Cached tuples are compared with the row through
+                        // the layout, and the row's stored form is pushed.
                         let proven = 1 + offered[..k].iter().filter(|(_, x)| x == t).count();
-                        let have = store
-                            .lookup(bcp)
-                            .map_or(0, |ts| ts.iter().filter(|(x, _)| x == t).count());
+                        let have = store.lookup(bcp).map_or(0, |ts| {
+                            ts.iter().filter(|(x, _)| layout.holds(x, t)).count()
+                        });
                         if have >= proven {
                             continue;
                         }
-                        if !store.push_arc(bcp, Arc::clone(t), pin_epoch) {
+                        if !store.push_arc(bcp, layout.store(t), pin_epoch) {
                             break;
                         }
                         local.tuples_admitted += 1;
@@ -776,15 +793,24 @@ fn finish(
     mut trace: TraceScope<'_>,
     fault_cap: Option<CaptureGuard>,
     t_start: Instant,
-    (parts, bcp_hit, partial_expanded): (usize, bool, Vec<Arc<Tuple>>),
+    (parts, bcp_hit, partial_expanded): (usize, bool, &mut Vec<Arc<Tuple>>),
     (remaining_expanded, timings, exec_stats, ds_leftover): (
-        Vec<Arc<Tuple>>,
+        &mut Vec<Arc<Tuple>>,
         QueryTimings,
         ExecStats,
         usize,
     ),
     degraded: Option<DegradeReason>,
 ) -> QueryOutcome {
+    // One exact-size vector each, moved out of the pooled scratch (which
+    // keeps its capacity for the next query).
+    let exact = |pooled: &mut Vec<Arc<Tuple>>| {
+        let mut out = Vec::with_capacity(pooled.len());
+        out.append(pooled);
+        out
+    };
+    let (partial_expanded, remaining_expanded) =
+        (exact(partial_expanded), exact(remaining_expanded));
     let degraded = degraded.map(|reason| {
         let staleness = inner.verified.staleness();
         inner.obs.record(Phase::o3_exec, timings.exec);

@@ -6,6 +6,13 @@
 //! `(bcp, tuples)` entries with a hash index `I` on bcp (bcp probes are
 //! exact-match, so a hash index needs no ordering).
 //!
+//! A view's store holds each tuple in the view's
+//! [`crate::view::StoredLayout`]: only the `Ls'` values its entry cannot
+//! derive. The store itself never looks inside a tuple — it holds, charges
+//! and compares what it is given — and its delta-key index reads the
+//! derived positions from each tuple's bcp. [`PmvStore::new`] with
+//! [`DeltaKeyIndex::new`] holds full rows.
+//!
 //! A [`crate::concurrent::SharedPmv`] holds one store per shard and
 //! publishes an immutable copy of what each serves. So that a publish
 //! costs O(changes) instead of O(entries), the store logs the bcps whose
@@ -33,9 +40,10 @@ pub enum Residency {
     Probation,
 }
 
-/// One cached result tuple and the epoch it was filled at. Tuples are
-/// shared (`Arc`) with the executor output and the query outcome — the
-/// store never deep-copies a tuple. The fill epoch lets the epoch-pinned
+/// One cached result tuple, in the store's layout, and the epoch it was
+/// filled at. Tuples are shared (`Arc`) — the store never deep-copies a
+/// tuple; under a full layout they are the executor's own rows. The fill
+/// epoch lets the epoch-pinned
 /// serving path refuse tuples newer than its pinned version (a reader at
 /// epoch `e` serves a cached tuple only when `fill_epoch <= e`).
 pub type CachedTuple = (Arc<Tuple>, u64);
@@ -302,7 +310,7 @@ impl PmvStore {
                         self.evictions += 1;
                         if let Some(ix) = &mut self.index {
                             for (t, _) in &e.tuples {
-                                ix.remove(t);
+                                ix.remove_from(&victim, t);
                             }
                         }
                         self.log_change(&victim);
@@ -314,9 +322,9 @@ impl PmvStore {
         }
     }
 
-    /// Store one shared result tuple under a resident `bcp`, stamped with
-    /// the epoch it was computed at. The `Arc` is moved in — no tuple
-    /// data is copied. Returns false when the bcp is not resident or
+    /// Store one shared result tuple, in the store's layout, under a
+    /// resident `bcp`, stamped with the epoch it was computed at. The
+    /// `Arc` is moved in — no tuple data is copied. Returns false when the bcp is not resident or
     /// already holds `F` tuples.
     pub fn push_arc(&mut self, bcp: &BcpKey, tuple: Arc<Tuple>, epoch: u64) -> bool {
         if self.quarantined || !self.policy.contains(bcp) {
@@ -344,8 +352,9 @@ impl PmvStore {
         true
     }
 
-    /// Remove one occurrence of `tuple` under `bcp` (PMV maintenance after
-    /// a base-relation delete/update). Returns whether a tuple was removed.
+    /// Remove one occurrence of `tuple`, in the store's layout, under
+    /// `bcp` (PMV maintenance after a base-relation delete/update).
+    /// Returns whether a tuple was removed.
     pub fn remove_tuple(&mut self, bcp: &BcpKey, tuple: &Tuple) -> bool {
         let Some(entry) = self.entries.get_mut(bcp) else {
             return false;
@@ -360,7 +369,7 @@ impl PmvStore {
         entry.complete = None;
         self.bytes -= Self::tuple_bytes(tuple);
         if let Some(ix) = &mut self.index {
-            ix.remove(tuple);
+            ix.remove_from(bcp, tuple);
         }
         if entry.tuples.is_empty() {
             self.entries.remove(bcp);
@@ -421,6 +430,15 @@ impl PmvStore {
                 self.policy.capacity()
             ));
         }
+        // Every resident bcp holds an entry: a frame with nothing behind
+        // it would evict a live entry for no gain.
+        if self.policy.resident_count() != self.entries.len() {
+            violations.push(format!(
+                "policy resident count {} != entry count {}",
+                self.policy.resident_count(),
+                self.entries.len()
+            ));
+        }
         for (k, e) in &self.entries {
             if e.tuples.is_empty() {
                 violations.push(format!("empty entry for {k:?}"));
@@ -450,10 +468,10 @@ impl PmvStore {
             ));
         }
         if let Some(ix) = &self.index {
-            let cached: Vec<Tuple> = self
+            let cached: Vec<(&BcpKey, &Tuple)> = self
                 .entries
-                .values()
-                .flat_map(|e| e.tuples.iter().map(|(t, _)| (**t).clone()))
+                .iter()
+                .flat_map(|(k, e)| e.tuples.iter().map(move |(t, _)| (k, &**t)))
                 .collect();
             violations.extend(ix.check_against(&cached));
         }
@@ -529,6 +547,8 @@ mod tests {
         s.admit(&bcp(99)); // evicts one of the two
         assert_eq!(s.entry_count(), 1);
         assert!(s.byte_size() < before);
+        // As every production admit is followed by its fill.
+        assert!(s.push_arc(&bcp(99), Arc::new(tuple![99i64]), 0));
         assert_eq!(s.evictions(), 1);
         s.validate();
     }

@@ -29,15 +29,12 @@ use pmv_query::{CondForm, QueryTemplate};
 use pmv_storage::{Tuple, Value};
 
 use crate::bcp::Discretizer;
-use crate::view::{PartialViewDef, PmvConfig};
+use crate::view::{PartialViewDef, PmvConfig, StoredLayout};
 
-/// How a diagnostic is acted upon at registration time.
+/// How a diagnostic is acted upon at registration time: every verifier
+/// code blocks registration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
-    /// Recorded but never blocks registration.
-    Allow,
-    /// Reported; blocks only when the caller escalates warnings.
-    Warn,
     /// Blocks registration.
     Deny,
 }
@@ -45,8 +42,6 @@ pub enum Severity {
 impl fmt::Display for Severity {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
-            Severity::Allow => "allow",
-            Severity::Warn => "warn",
             Severity::Deny => "deny",
         })
     }
@@ -260,13 +255,14 @@ impl fmt::Display for VerifyReport {
 }
 
 /// Estimate the average view-tuple size `At` in bytes: what the view's
-/// store charges for one cached tuple of the expanded select list — the
-/// `Tuple` header plus one `Value` per field. A string longer than
+/// store charges for one cached tuple — the `Tuple` header plus one
+/// `Value` per field of its [`crate::view::StoredLayout`], the `Ls'`
+/// positions its entry cannot derive. A string longer than
 /// [`pmv_storage::string::INLINE_CAP`] bytes also owns its payload,
 /// which the schema cannot tell; pass
 /// [`VerifyOptions::avg_tuple_bytes`] for views of long strings.
 pub fn estimate_tuple_bytes(template: &QueryTemplate) -> usize {
-    size_of::<Tuple>() + template.expanded_list().len() * size_of::<Value>()
+    size_of::<Tuple>() + StoredLayout::for_template(template).stored_arity() * size_of::<Value>()
 }
 
 /// Verify a prospective PMV from raw parts, before a
@@ -611,10 +607,12 @@ mod tests {
 
     /// `At` is what the store charges per cached tuple, so `L·F·At` is
     /// the bytes a full view holds: the estimate for an all-scalar
-    /// template equals the store's charge for one more tuple.
+    /// template equals the charge of the view's store for one more tuple
+    /// — two stored values, since the equality column `f` is the bcp's.
     #[test]
     fn estimate_equals_the_store_charge_for_a_scalar_tuple() {
         use crate::bcp::{BcpDim, BcpKey};
+        use crate::delta_index::DeltaKeyIndex;
         use crate::store::PmvStore;
         let t = TemplateBuilder::new("t")
             .relation(Schema::new(
@@ -640,14 +638,17 @@ mod tests {
             });
             Arc::new(Tuple::new(values.collect::<Vec<_>>()))
         };
+        let def = PartialViewDef::all_equality("v", Arc::clone(&t)).unwrap();
+        let layout = def.layout();
         let mut store = PmvStore::new(&PmvConfig::new(4, 4, PolicyKind::Clock));
+        store.enable_index(DeltaKeyIndex::for_view(&def));
         let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(1))]);
         store.admit(&bcp);
-        assert!(store.push_arc(&bcp, row(1), 0));
+        assert!(store.push_arc(&bcp, layout.store(&row(1)), 0));
         let before = store.byte_size();
-        assert!(store.push_arc(&bcp, row(2), 0));
+        assert!(store.push_arc(&bcp, layout.store(&row(2)), 0));
         let charge = store.byte_size() - before;
         assert_eq!(estimate_tuple_bytes(&t), charge);
-        assert_eq!(charge, 16 + 16 * t.expanded_list().len());
+        assert_eq!(charge, 16 + 16 * 2);
     }
 }

@@ -16,8 +16,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pmv_cache::PolicyKind;
-use pmv_query::{CondForm, QueryInstance, QueryTemplate};
-use pmv_storage::Tuple;
+use pmv_query::{AttrRef, CondForm, QueryInstance, QueryTemplate};
+use pmv_storage::{ColumnType, Tuple, Value};
 
 use crate::bcp::{BcpDim, BcpKey, Discretizer};
 use crate::{CoreError, Result};
@@ -92,6 +92,191 @@ impl PmvConfig {
     }
 }
 
+/// Where the value at one `Ls'` position of a cached tuple comes from.
+#[derive(Clone, Debug, PartialEq)]
+enum Source {
+    /// Stored: the value at this index of the stored tuple.
+    Stored(usize),
+    /// Fixed by the entry: the value of the bcp's equality dimension.
+    Bcp(usize),
+    /// Fixed by the template: a parameterless predicate of `Cjoin`.
+    Fixed(Value),
+}
+
+/// The layout cached tuples are stored in: only the `Ls'` values their
+/// entry cannot derive.
+///
+/// §3.2 bounds a view by `UB ≤ L·F·At`, and every tuple of an entry
+/// repeats what the entry already fixes. An `Ls'` position is *not*
+/// stored when
+/// * its value is fixed by the entry — an equality-form condition's
+///   attribute equals the bcp's value, a fixed predicate's attribute the
+///   predicate's — or
+/// * a `Cjoin` edge (transitively) makes it equal to a position that is
+///   stored, which keeps the first such position of the class.
+///
+/// `Double` positions are always stored: `-0.0` and `0.0` compare equal
+/// but are different values, so copying one for the other could change a
+/// row. Every other `Value` that compares equal to another is the same
+/// value, so a rebuilt row is the row that was cached. A template with
+/// nothing derivable stores full rows ([`Self::is_full`]); a tuple then
+/// *is* its stored form and nothing is copied either way.
+///
+/// Every cached tuple of an entry lies in the entry's bcp and satisfies
+/// `Cjoin`, which is all a derivation relies on.
+#[derive(Clone, Debug, PartialEq)]
+pub struct StoredLayout {
+    /// Per `Ls'` position, where its value comes from.
+    sources: Box<[Source]>,
+    /// The `Ls'` position each stored value is taken from, ascending.
+    stored: Box<[usize]>,
+}
+
+impl StoredLayout {
+    /// The layout that stores every one of `arity` positions.
+    pub(crate) fn full(arity: usize) -> Self {
+        StoredLayout {
+            sources: (0..arity).map(Source::Stored).collect(),
+            stored: (0..arity).collect(),
+        }
+    }
+
+    /// The layout of `template`'s cached tuples.
+    pub fn for_template(template: &QueryTemplate) -> Self {
+        let ty = |a: AttrRef| template.schema(a.relation).column(a.column).ty;
+        // Join classes over every attribute `Cjoin` names: a tiny
+        // union-find keyed by position in `attrs`.
+        let mut attrs: Vec<AttrRef> = template.expanded_list().to_vec();
+        fn id(attrs: &mut Vec<AttrRef>, a: AttrRef) -> usize {
+            attrs.iter().position(|x| *x == a).unwrap_or_else(|| {
+                attrs.push(a);
+                attrs.len() - 1
+            })
+        }
+        let edges: Vec<(usize, usize)> = template
+            .joins()
+            .iter()
+            .map(|j| (id(&mut attrs, j.left), id(&mut attrs, j.right)))
+            .collect();
+        let mut parent: Vec<usize> = (0..attrs.len()).collect();
+        fn root(parent: &[usize], mut i: usize) -> usize {
+            while parent[i] != i {
+                i = parent[i];
+            }
+            i
+        }
+        for (a, b) in edges {
+            let (ra, rb) = (root(&parent, a), root(&parent, b));
+            parent[ra.max(rb)] = ra.min(rb);
+        }
+        let class = |a: AttrRef| attrs.iter().position(|x| *x == a).map(|i| root(&parent, i));
+        let exact = |a: AttrRef| ty(a) != ColumnType::Double;
+
+        let mut sources = Vec::with_capacity(template.expanded_list().len());
+        let mut stored: Vec<usize> = Vec::new();
+        for (p, &attr) in template.expanded_list().iter().enumerate() {
+            let c = class(attr);
+            let same = |a: AttrRef| exact(a) && class(a) == c;
+            let source = if !exact(attr) {
+                None
+            } else if let Some(i) = template
+                .cond_templates()
+                .iter()
+                .position(|ct| ct.form == CondForm::Equality && same(ct.attr))
+            {
+                Some(Source::Bcp(i))
+            } else if let Some(fp) = template
+                .fixed_preds()
+                .iter()
+                .find(|fp| same(fp.attr) && !matches!(fp.value, Value::Double(_)))
+            {
+                Some(Source::Fixed(fp.value.clone()))
+            } else {
+                stored
+                    .iter()
+                    .position(|&q| same(template.expanded_list()[q]))
+                    .map(Source::Stored)
+            };
+            sources.push(source.unwrap_or_else(|| {
+                stored.push(p);
+                Source::Stored(stored.len() - 1)
+            }));
+        }
+        StoredLayout {
+            sources: sources.into(),
+            stored: stored.into(),
+        }
+    }
+
+    /// Width of an `Ls'` row.
+    pub fn arity(&self) -> usize {
+        self.sources.len()
+    }
+
+    /// Width of a stored tuple.
+    pub fn stored_arity(&self) -> usize {
+        self.stored.len()
+    }
+
+    /// Whether tuples are stored whole (nothing is derivable).
+    pub fn is_full(&self) -> bool {
+        self.stored.len() == self.sources.len()
+    }
+
+    /// The value at `Ls'` position `pos` of the row that `stored`, filed
+    /// under `bcp`, stands for.
+    pub fn value<'a>(&'a self, stored: &'a Tuple, bcp: &'a BcpKey, pos: usize) -> &'a Value {
+        match &self.sources[pos] {
+            Source::Stored(j) => stored.get(*j),
+            Source::Bcp(i) => match &bcp.dims()[*i] {
+                BcpDim::Eq(v) => v,
+                BcpDim::Iv(_) => unreachable!("an equality condition has an Eq dimension"),
+            },
+            Source::Fixed(v) => v,
+        }
+    }
+
+    /// The stored form of a shared `Ls'` row: for a full layout the row
+    /// itself (one pointer copy), else a copy of its stored positions.
+    pub fn store(&self, row: &Arc<Tuple>) -> Arc<Tuple> {
+        if self.is_full() {
+            Arc::clone(row)
+        } else {
+            Arc::new(row.project(&self.stored))
+        }
+    }
+
+    /// [`Self::store`] for an owned row.
+    pub fn into_stored(&self, row: Tuple) -> Tuple {
+        if self.is_full() {
+            row
+        } else {
+            row.project(&self.stored)
+        }
+    }
+
+    /// The `Ls'` row a stored tuple filed under `bcp` stands for: for a
+    /// full layout the stored tuple itself, else one rebuilt row.
+    pub fn rebuild(&self, stored: &Arc<Tuple>, bcp: &BcpKey) -> Arc<Tuple> {
+        if self.is_full() {
+            return Arc::clone(stored);
+        }
+        let mut values = Vec::with_capacity(self.arity());
+        values.extend((0..self.arity()).map(|p| self.value(stored, bcp, p).clone()));
+        Arc::new(Tuple::new(values))
+    }
+
+    /// Whether `stored` stands for `row`, an `Ls'` row of the same bcp —
+    /// compared on the stored positions only, which decide it: the rest
+    /// of both are derived the same way.
+    pub fn holds(&self, stored: &Tuple, row: &Tuple) -> bool {
+        self.stored
+            .iter()
+            .zip(stored.values())
+            .all(|(&p, v)| row.get(p) == v)
+    }
+}
+
 /// Definition of a partial materialized view for one query template.
 #[derive(Clone, Debug)]
 pub struct PartialViewDef {
@@ -100,6 +285,8 @@ pub struct PartialViewDef {
     /// One entry per selection condition: `Some(discretizer)` for
     /// interval-form conditions, `None` for equality-form ones.
     discretizers: Vec<Option<Discretizer>>,
+    /// How the view's cached tuples are stored, computed once.
+    layout: Arc<StoredLayout>,
 }
 
 impl PartialViewDef {
@@ -141,6 +328,7 @@ impl PartialViewDef {
         }
         Ok(PartialViewDef {
             name: name.into(),
+            layout: Arc::new(StoredLayout::for_template(&template)),
             template,
             discretizers,
         })
@@ -165,6 +353,28 @@ impl PartialViewDef {
     /// Discretizer for condition `i` (None for equality-form).
     pub fn discretizer(&self, i: usize) -> Option<&Discretizer> {
         self.discretizers[i].as_ref()
+    }
+
+    /// How the view's cached tuples are stored.
+    pub fn layout(&self) -> &Arc<StoredLayout> {
+        &self.layout
+    }
+
+    /// Whether the row a stored tuple filed under `bcp` stands for
+    /// satisfies `instance`'s `Cselect`, read through the layout without
+    /// rebuilding the row.
+    pub fn stored_matches_select(
+        &self,
+        instance: &QueryInstance,
+        stored: &Tuple,
+        bcp: &BcpKey,
+    ) -> bool {
+        instance.conds().iter().enumerate().all(|(i, c)| {
+            c.matches(
+                self.layout
+                    .value(stored, bcp, self.template.cond_position(i)),
+            )
+        })
     }
 
     /// Recover the "conceptual" containing basic condition part of an

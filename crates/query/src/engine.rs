@@ -34,7 +34,7 @@ use crate::{QueryError, Result};
 /// after a publish copies one 64-slot page and a short spine — O(|Δ|);
 /// the relation map copies one pointer per relation; an index is still
 /// cloned whole on its first write after a publish — O(|R|), and what
-/// is left of a commit against a large relation (ROADMAP item 1).
+/// is left of a commit against a large relation (ROADMAP item 10).
 /// The state's epoch counts committed mutations and doubles as the
 /// epoch number of the snapshot serving path.
 #[derive(Default)]
@@ -304,7 +304,8 @@ impl Database {
     /// publishes fit inside one query, the reader becomes the last holder
     /// of the retired index versions and frees them in its own re-pin
     /// (33 µs → 1.9 ms each; `mixed_2t` set-up +70 %). Reclamation has to
-    /// move off the reader first (ROADMAP item 1).
+    /// move off the reader first (ROADMAP item 10, after the
+    /// benchmark paces its writer: item 1(c)).
     fn maintain_indexes(&mut self, relation: &str, delta: &Delta) {
         for (def, idx) in indexes_mut(&mut self.current.indexes, relation) {
             def.apply_delta(Arc::make_mut(idx), delta);

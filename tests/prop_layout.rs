@@ -1,0 +1,358 @@
+//! The stored layout (DESIGN.md "Value layout"): a cached tuple keeps only
+//! the `Ls'` values its entry cannot derive — no equality column the bcp
+//! fixes, no fixed-predicate column, no second side of a `Cjoin` edge —
+//! while every cached and served row stays the row the executor produced.
+//!
+//! * T1 stores 7 of its 10 values and is charged 16 + 7 × 16 = 128 B per
+//!   tuple, which is what `estimate_tuple_bytes` says;
+//! * a `Double` equality column is stored, so its `-0.0` rows come back as
+//!   `-0.0`, not as the bcp's `0.0`;
+//! * over random query, insert, delete and update scripts at 1 and 4
+//!   shards — a template with a bcp-derived, a join-derived, a fixed and a
+//!   `Double` column — every answer equals the plain executor's, every
+//!   executor row survives its stored form bit for bit (doubles
+//!   included), every dumped row is full width and lies in its bcp, the
+//!   shards' invariants hold, and `revalidate` finds nothing stale.
+
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use pmv::core::verify::estimate_tuple_bytes;
+use pmv::core::BcpKey;
+use pmv::index::IndexDef;
+use pmv::prelude::*;
+use pmv::workload::queries::{t1_query, template_t1};
+use pmv::workload::tpcr::{self, TpcrConfig};
+use proptest::prelude::*;
+
+/// A row's values with doubles told apart by bit pattern (`Debug` prints
+/// `-0.0`), so that `-0.0` and `0.0` do not compare equal.
+fn exact(t: &Tuple) -> String {
+    format!("{:?}", t.values())
+}
+
+fn exact_sorted<'a>(rows: impl IntoIterator<Item = &'a Tuple>) -> Vec<String> {
+    let mut out: Vec<String> = rows.into_iter().map(exact).collect();
+    out.sort();
+    out
+}
+
+#[test]
+fn t1_is_charged_128_bytes_per_tuple() {
+    let mut db = Database::new();
+    let config = TpcrConfig {
+        scale: 0.002,
+        ..Default::default()
+    };
+    tpcr::generate(&mut db, &config).unwrap();
+    tpcr::standard_indexes(&mut db).unwrap();
+    let t1 = template_t1(&db).unwrap();
+    let def = PartialViewDef::all_equality("t1", Arc::clone(&t1)).unwrap();
+    assert_eq!((def.layout().arity(), def.layout().stored_arity()), (10, 7));
+    assert_eq!(estimate_tuple_bytes(&t1), 128);
+
+    // The (orderdate, suppkey) bcps of the first lineitems.
+    let dates: HashMap<i64, i64> = db
+        .relation("orders")
+        .unwrap()
+        .iter()
+        .map(|(_, o)| (o.get(0).as_int().unwrap(), o.get(2).as_int().unwrap()))
+        .collect();
+    let bcps: Vec<(i64, i64)> = db
+        .relation("lineitem")
+        .unwrap()
+        .iter()
+        .take(40)
+        .map(|(_, l)| {
+            let orderkey = l.get(0).as_int().unwrap();
+            (dates[&orderkey], l.get(1).as_int().unwrap())
+        })
+        .collect();
+    let pmv = SharedPmv::with_shards(def, PmvConfig::new(3, 1_000, PolicyKind::Clock), 1);
+    let edb = EpochDb::new(db);
+    for &(date, supp) in &bcps {
+        let q = t1_query(&t1, &[date], &[supp]).unwrap();
+        edb.query(&pmv, &q).unwrap();
+        let out = edb.query(&pmv, &q).unwrap();
+        assert!(out.bcp_hit && out.ds_leftover == 0);
+    }
+    let (entries, tuples) = (pmv.entry_count(), pmv.tuple_count());
+    assert!(entries > 0 && tuples >= entries);
+    assert_eq!(pmv.byte_size(), 48 * entries + 128 * tuples);
+    for (bcp, rows) in pmv.dump() {
+        for row in rows {
+            assert_eq!(row.arity(), 10);
+            assert!(pmv.def().tuple_in_bcp(&row, &bcp));
+            assert_eq!(row.get(0), row.get(5), "orderkey on both sides");
+        }
+    }
+}
+
+#[test]
+fn a_double_equality_column_keeps_negative_zero() {
+    let mut db = Database::new();
+    db.create_relation(Schema::new(
+        "r",
+        vec![
+            Column::new("a", ColumnType::Int),
+            Column::new("x", ColumnType::Double),
+        ],
+    ))
+    .unwrap();
+    for (a, x) in [(1i64, -0.0f64), (2, 0.0), (3, -0.0), (4, 1.5)] {
+        db.insert("r", tuple![a, x]).unwrap();
+    }
+    let t = TemplateBuilder::new("dbl")
+        .relation(db.schema("r").unwrap())
+        .select("r", "a")
+        .unwrap()
+        .cond_eq("r", "x")
+        .unwrap()
+        .build()
+        .unwrap();
+    let def = PartialViewDef::all_equality("dbl", Arc::clone(&t)).unwrap();
+    let pmv = SharedPmv::with_shards(def, PmvConfig::new(4, 8, PolicyKind::Clock), 1);
+    let edb = EpochDb::new(db);
+    let q = t
+        .bind(vec![Condition::Equality(vec![Value::Double(0.0)])])
+        .unwrap();
+    let (plain, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
+    let want = exact_sorted(&plain);
+    assert_eq!(want.len(), 3);
+    assert_eq!(want.iter().filter(|r| r.contains("-0.0")).count(), 2);
+    edb.query(&pmv, &q).unwrap();
+    let out = edb.query(&pmv, &q).unwrap();
+    assert!(out.is_complete() || out.bcp_hit);
+    assert_eq!(out.partial.len(), 3, "served from the view");
+    let got: Vec<Tuple> = out
+        .partial_expanded
+        .iter()
+        .chain(&out.remaining_expanded)
+        .map(|t| Tuple::clone(t))
+        .collect();
+    assert_eq!(exact_sorted(&got), want);
+    let dumped: Vec<Tuple> = pmv.dump().into_iter().flat_map(|(_, rows)| rows).collect();
+    assert_eq!(exact_sorted(&dumped), want);
+    assert!(
+        pmv.def().layout().is_full(),
+        "a Double column is never derived"
+    );
+}
+
+const DOUBLES: [f64; 3] = [-0.0, 0.0, 0.5];
+
+/// `r(a, c, f, x) ⋈ s(d, e, g, k)` on `r.c = s.d`, `select *`, equality
+/// condition on `r.f`, interval condition on `s.g` and `s.k = 1` fixed:
+/// `r.f` comes from the bcp, `s.d` from `r.c`, `s.k` from the template,
+/// and `r.x` is a `Double` — five of eight values stored.
+fn fixture() -> (Database, Arc<QueryTemplate>) {
+    let mut db = Database::new();
+    let int = |n: &str| Column::new(n, ColumnType::Int);
+    db.create_relation(Schema::new(
+        "r",
+        vec![
+            int("a"),
+            int("c"),
+            int("f"),
+            Column::new("x", ColumnType::Double),
+        ],
+    ))
+    .unwrap();
+    db.create_relation(Schema::new(
+        "s",
+        vec![int("d"), int("e"), int("g"), int("k")],
+    ))
+    .unwrap();
+    for i in 0..24i64 {
+        db.insert("r", tuple![i, i % 6, i % 4, DOUBLES[i as usize % 3]])
+            .unwrap();
+        db.insert("s", tuple![i % 6, 100 + i, (i * 7) % 40, i % 2])
+            .unwrap();
+    }
+    for (rel, col) in [("r", 1), ("r", 2), ("s", 0)] {
+        db.create_index(IndexDef::btree(rel, vec![col])).unwrap();
+    }
+    let t = TemplateBuilder::new("layout")
+        .relation(db.schema("r").unwrap())
+        .relation(db.schema("s").unwrap())
+        .join("r", "c", "s", "d")
+        .unwrap()
+        .fixed("s", "k", 1i64)
+        .unwrap()
+        .select_star()
+        .cond_eq("r", "f")
+        .unwrap()
+        .cond_interval("s", "g")
+        .unwrap()
+        .build()
+        .unwrap();
+    (db, t)
+}
+
+#[derive(Clone, Debug)]
+enum Step {
+    Query { fs: Vec<i64>, ivs: Vec<(i64, i64)> },
+    InsertR { a: i64, c: i64, f: i64, x: usize },
+    InsertS { d: i64, g: i64, k: i64 },
+    DeleteNthR(usize),
+    DeleteNthS(usize),
+    UpdateNthR { nth: usize, f: i64, x: usize },
+    UpdateNthS { nth: usize, g: i64 },
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    let fs = proptest::collection::btree_set(0i64..4, 1..3).prop_map(|s| s.into_iter().collect());
+    // Disjoint intervals: consecutive pairs of distinct sorted points.
+    let ivs = proptest::collection::btree_set(-5i64..50, 2..5).prop_map(|s| {
+        let points: Vec<i64> = s.into_iter().collect();
+        points.chunks_exact(2).map(|p| (p[0], p[1])).collect()
+    });
+    prop_oneof![
+        4 => (fs, ivs).prop_map(|(fs, ivs)| Step::Query { fs, ivs }),
+        1 => (0i64..1000, 0i64..6, 0i64..4, 0usize..3)
+            .prop_map(|(a, c, f, x)| Step::InsertR { a, c, f, x }),
+        1 => (0i64..6, 0i64..40, 0i64..2).prop_map(|(d, g, k)| Step::InsertS { d, g, k }),
+        1 => (0usize..1000).prop_map(Step::DeleteNthR),
+        1 => (0usize..1000).prop_map(Step::DeleteNthS),
+        1 => (0usize..1000, 0i64..4, 0usize..3)
+            .prop_map(|(nth, f, x)| Step::UpdateNthR { nth, f, x }),
+        1 => (0usize..1000, 0i64..40).prop_map(|(nth, g)| Step::UpdateNthS { nth, g }),
+    ]
+}
+
+/// One step's write, run inside a committed transaction.
+type Change = Box<dyn FnOnce(&mut Transaction<'_>) -> pmv::query::Result<()>>;
+
+/// The `nth` live row of `relation` (modulo its size), if any.
+fn nth_row(edb: &EpochDb, relation: &str, nth: usize) -> Option<(pmv::storage::RowId, Tuple)> {
+    let db = edb.read();
+    let rows: Vec<_> = db
+        .relation(relation)
+        .unwrap()
+        .iter()
+        .map(|(r, t)| (r, t.clone()))
+        .collect();
+    (!rows.is_empty()).then(|| rows[nth % rows.len()].clone())
+}
+
+/// Every dumped row of `view` is a full `Ls'` row inside its bcp that
+/// satisfies `Cjoin`, and the shards' invariants hold.
+fn check_view(view: &SharedPmv) -> Result<(), TestCaseError> {
+    view.debug_validate();
+    for (bcp, rows) in view.dump() {
+        for row in &rows {
+            prop_assert_eq!(row.arity(), 8);
+            prop_assert!(in_bcp(view, row, &bcp), "{:?} outside {:?}", row, bcp);
+            prop_assert_eq!(row.get(1), row.get(4), "r.c = s.d");
+            prop_assert_eq!(row.get(7), &Value::Int(1), "s.k = 1");
+        }
+    }
+    Ok(())
+}
+
+fn in_bcp(view: &SharedPmv, row: &Tuple, bcp: &BcpKey) -> bool {
+    view.def().tuple_in_bcp(row, bcp)
+}
+
+fn run_script(steps: Vec<Step>) -> Result<(), TestCaseError> {
+    let (db, t) = fixture();
+    let views: Vec<SharedPmv> = [1, 4]
+        .iter()
+        .map(|&shards| {
+            let def = PartialViewDef::new(
+                format!("layout_{shards}"),
+                Arc::clone(&t),
+                vec![None, Some(Discretizer::int_grid(0, 10, 4))],
+            )
+            .unwrap();
+            assert_eq!(def.layout().stored_arity(), 5);
+            SharedPmv::with_shards(def, PmvConfig::new(3, 8, PolicyKind::Clock), shards)
+        })
+        .collect();
+    let edb = EpochDb::new(db);
+    for step in steps {
+        let change: Option<Change> = match step {
+            Step::Query { fs, ivs } => {
+                let q = t
+                    .bind(vec![
+                        Condition::Equality(fs.iter().map(|&f| Value::Int(f)).collect()),
+                        Condition::Intervals(
+                            ivs.iter()
+                                .map(|&(lo, hi)| Interval::half_open(lo, hi))
+                                .collect(),
+                        ),
+                    ])
+                    .unwrap();
+                let (mut plain, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
+                plain.sort();
+                for v in &views {
+                    let out = edb.query(v, &q).unwrap();
+                    prop_assert_eq!(out.ds_leftover, 0);
+                    let mut got: Vec<Tuple> = out
+                        .partial_expanded
+                        .iter()
+                        .chain(&out.remaining_expanded)
+                        .map(|t| Tuple::clone(t))
+                        .collect();
+                    got.sort();
+                    prop_assert_eq!(&got, &plain);
+                }
+                // What a fill stores and a hit rebuilds is the row.
+                let (def, layout) = (views[0].def(), views[0].def().layout());
+                for row in plain {
+                    let bcp = def.bcp_of_tuple(&row);
+                    let row = Arc::new(row);
+                    let rebuilt = layout.rebuild(&layout.store(&row), &bcp);
+                    prop_assert_eq!(exact(&rebuilt), exact(&row));
+                }
+                None
+            }
+            Step::InsertR { a, c, f, x } => Some(Box::new(move |txn| {
+                txn.insert("r", tuple![a, c, f, DOUBLES[x]]).map(drop)
+            })),
+            Step::InsertS { d, g, k } => Some(Box::new(move |txn| {
+                txn.insert("s", tuple![d, 500 + g, g, k]).map(drop)
+            })),
+            Step::DeleteNthR(nth) => nth_row(&edb, "r", nth).map(|(row, _)| {
+                Box::new(move |txn: &mut Transaction<'_>| txn.delete("r", row).map(drop)) as _
+            }),
+            Step::DeleteNthS(nth) => nth_row(&edb, "s", nth).map(|(row, _)| {
+                Box::new(move |txn: &mut Transaction<'_>| txn.delete("s", row).map(drop)) as _
+            }),
+            Step::UpdateNthR { nth, f, x } => nth_row(&edb, "r", nth).map(|(row, old)| {
+                let new = tuple![old.get(0).clone(), old.get(1).clone(), f, DOUBLES[x]];
+                Box::new(move |txn: &mut Transaction<'_>| txn.update("r", row, new).map(drop)) as _
+            }),
+            Step::UpdateNthS { nth, g } => nth_row(&edb, "s", nth).map(|(row, old)| {
+                let mut values = old.values().to_vec();
+                values[2] = Value::Int(g);
+                let new = Tuple::new(values);
+                Box::new(move |txn: &mut Transaction<'_>| txn.update("s", row, new).map(drop)) as _
+            }),
+        };
+        if let Some(change) = change {
+            edb.commit(&[&views[0], &views[1]], |db| {
+                let mut txn = Transaction::begin(db);
+                change(&mut txn)?;
+                Ok(((), txn.commit()))
+            })
+            .unwrap();
+            for v in &views {
+                prop_assert_eq!(v.revalidate(&edb.read()).unwrap(), 0, "stale tuple kept");
+            }
+        }
+        for v in &views {
+            check_view(v)?;
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn stored_layout_serves_and_maintains_full_rows(
+        steps in proptest::collection::vec(step_strategy(), 1..40)
+    ) {
+        run_script(steps)?;
+    }
+}
