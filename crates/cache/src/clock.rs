@@ -34,18 +34,17 @@ impl<K: Clone + Eq + Hash + Debug> ClockPolicy<K> {
         }
     }
 
-    /// Advance the hand until a victim (referenced == false) is found,
-    /// clearing reference bits on the way. Returns the victim's position.
-    fn find_victim(&mut self) -> usize {
+    /// Advance the hand until it rests on a victim (referenced ==
+    /// false), clearing reference bits on the way. The hand stays parked
+    /// there; returns its position.
+    fn park_on_victim(&mut self) -> usize {
         loop {
-            let pos = self.hand;
-            self.hand = (self.hand + 1) % self.frames.len();
-            let frame = &mut self.frames[pos];
-            if frame.referenced {
-                frame.referenced = false;
-            } else {
-                return pos;
+            let frame = &mut self.frames[self.hand];
+            if !frame.referenced {
+                return self.hand;
             }
+            frame.referenced = false;
+            self.hand = (self.hand + 1) % self.frames.len();
         }
     }
 }
@@ -74,7 +73,8 @@ impl<K: Clone + Eq + Hash + Debug> ReplacementPolicy<K> for ClockPolicy<K> {
             });
             return AdmitOutcome::Resident { evicted: vec![] };
         }
-        let pos = self.find_victim();
+        let pos = self.park_on_victim();
+        self.hand = (pos + 1) % self.frames.len();
         let victim = std::mem::replace(
             &mut self.frames[pos],
             Frame {
@@ -87,6 +87,14 @@ impl<K: Clone + Eq + Hash + Debug> ReplacementPolicy<K> for ClockPolicy<K> {
         AdmitOutcome::Resident {
             evicted: vec![victim.key],
         }
+    }
+
+    fn victim(&mut self, candidate: &K) -> Option<&K> {
+        if self.frames.len() < self.capacity || self.map.contains_key(candidate) {
+            return None;
+        }
+        let pos = self.park_on_victim();
+        Some(&self.frames[pos].key)
     }
 
     fn remove(&mut self, key: &K) {
@@ -246,6 +254,33 @@ mod tests {
         // The four most recent should be resident.
         for k in 8..12u32 {
             assert!(c.contains(&k), "key {k} should be resident");
+        }
+    }
+
+    #[test]
+    fn victim_names_what_admit_evicts() {
+        let mut c = ClockPolicy::new(3);
+        for k in 0..3u32 {
+            assert_eq!(c.victim(&k), None, "room left");
+            c.admit(k);
+        }
+        assert_eq!(c.victim(&0), None, "resident");
+        c.admit(3); // evicts 0, hand on frame 1; bits of 1, 2 cleared
+        c.touch(&1);
+        // Asking twice parks the hand once: the same answer, and admit
+        // evicts exactly that key.
+        assert_eq!(c.victim(&4), Some(&2));
+        assert_eq!(c.victim(&4), Some(&2));
+        assert_eq!(c.admit(4).evicted(), &[2]);
+        // Asking and then admitting evicts what admitting alone would
+        // have: the same sweep, split in two.
+        let mut plain = ClockPolicy::new(3);
+        let mut asked = ClockPolicy::new(3);
+        for k in [0u32, 1, 2, 3, 4, 5, 6] {
+            plain.touch(&(k / 2));
+            asked.touch(&(k / 2));
+            asked.victim(&k);
+            assert_eq!(plain.admit(k), asked.admit(k), "key {k}");
         }
     }
 

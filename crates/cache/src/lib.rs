@@ -5,8 +5,13 @@
 //! observes that the PMV "looks much like a buffer pool" (bcp = page id,
 //! the ≤ F cached tuples = page) and proposes simplified 2Q as a better
 //! policy; the experimental Section 4.1 compares the two. They are the
-//! only policies here; EXPERIMENTS.md ("Replacement policies") gives the
-//! measurement behind not keeping a third.
+//! only replacement policies here. What the paper leaves as future work,
+//! "other algorithms that perform better than both CLOCK and 2Q", is one
+//! admission rule in front of either ([`admission`]): a newcomer evicts
+//! only a victim it out-counts in a [`FrequencySketch`]. The PMV store
+//! always runs it; the §4.1 simulator runs it as a third arm next to the
+//! paper's two pure policies. EXPERIMENTS.md ("Replacement policies")
+//! gives the measurements, and why full 2Q and LRU-2 were not kept.
 //!
 //! A policy manages *keys* only (generic `K`); the PMV store owns the
 //! cached tuples and evicts them when the policy reports an eviction.
@@ -14,9 +19,11 @@
 //! and can serve partial results) from *probationary* keys (2Q's A1 queue
 //! holds the key but no tuples yet).
 
+pub mod admission;
 pub mod clock;
 pub mod two_q;
 
+pub use admission::{admit_if_warmer, FrequencySketch};
 pub use clock::ClockPolicy;
 pub use two_q::TwoQPolicy;
 
@@ -75,6 +82,20 @@ pub trait ReplacementPolicy<K: Clone + Eq + Hash + Debug> {
     /// decline (returning [`AdmitOutcome::Probation`]) until the key has
     /// been seen often enough.
     fn admit(&mut self, key: K) -> AdmitOutcome<K>;
+
+    /// The resident key that `admit(candidate.clone())` would evict now,
+    /// or `None` when it would evict nothing (the candidate is resident,
+    /// there is room, or it would only enter probation). May advance
+    /// internal state the way `admit` would on its way to that victim
+    /// (CLOCK clears reference bits and parks its hand on the frame), so
+    /// a following `admit` evicts exactly the key named here.
+    ///
+    /// The default names none, so the admission rule in front of such a
+    /// policy never declines; CLOCK and 2Q both name theirs.
+    fn victim(&mut self, candidate: &K) -> Option<&K> {
+        let _ = candidate;
+        None
+    }
 
     /// Drop `key` from the policy entirely (e.g. PMV maintenance removed
     /// its last tuple). No-op if absent.

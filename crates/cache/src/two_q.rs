@@ -105,6 +105,15 @@ impl<K: Clone + Eq + Hash + Debug> ReplacementPolicy<K> for TwoQPolicy<K> {
         AdmitOutcome::Probation
     }
 
+    fn victim(&mut self, candidate: &K) -> Option<&K> {
+        // Only a promotion out of A1 can evict from Am.
+        if self.a1_set.contains(candidate) {
+            self.am.victim(candidate)
+        } else {
+            None
+        }
+    }
+
     fn remove(&mut self, key: &K) {
         self.am.remove(key);
         self.drop_from_a1(key);
@@ -204,6 +213,18 @@ mod tests {
         q.remove(&2);
         assert!(!q.contains(&2));
         assert_eq!(q.resident_count(), 0);
+    }
+
+    #[test]
+    fn only_a_promotion_names_a_victim() {
+        let mut q = TwoQPolicy::new(1);
+        q.admit(1u32);
+        q.admit(1); // Am = [1], full
+        assert_eq!(q.victim(&2), None, "a first sighting only enters A1");
+        q.admit(2);
+        assert_eq!(q.victim(&2), Some(&1));
+        assert_eq!(q.admit(2).evicted(), &[1]);
+        assert_eq!(q.victim(&2), None, "resident");
     }
 
     #[test]

@@ -1068,6 +1068,10 @@ pub(crate) mod tests {
             run(f);
         }
         assert_eq!(shared.entry_count(), 640);
+        // Asked once, 999 ties every resident and is declined; asked
+        // again below, it out-counts its victim.
+        run(999);
+        assert_eq!(shared.stats().admissions_declined, 1);
         let before = shared.inner.views[0].load();
         let chunks = before.chunks.len();
         assert_eq!(chunks, 640 / CHUNK_ENTRIES);

@@ -393,6 +393,8 @@ mod tests {
             1,
         );
         edb.query(&small, &q_eq(&pmv, &[1], &[7])).unwrap();
+        // Asked twice, (3, 9) out-counts the once-asked (1, 7) it evicts.
+        edb.query(&small, &q_eq(&pmv, &[3], &[9])).unwrap();
         edb.query(&small, &q_eq(&pmv, &[3], &[9])).unwrap();
         assert_eq!(small.entry_count(), 1);
         assert!(small.evictions() > 0);

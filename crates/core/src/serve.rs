@@ -664,10 +664,16 @@ fn write_back(
             let fill = catch_unwind(AssertUnwindSafe(|| {
                 if touches {
                     write_back_fault(Site::ShardProbe);
-                    for (_, part, st) in members() {
-                        if let Some(served) = st.touch {
-                            store.touch(&part.bcp, served);
-                        }
+                }
+                for (_, part, st) in members() {
+                    if let Some(served) = st.touch {
+                        store.touch(&part.bcp, served);
+                    }
+                    // The admission sketch counts a bcp once per query, and
+                    // only when it has rows: it served a partial, or O3
+                    // produced some. Empty bcps are not counted.
+                    if st.touch == Some(true) || st.truth > 0 {
+                        store.note_access(&part.bcp);
                     }
                 }
                 // Re-check the fill gate UNDER exclusive access: a
@@ -693,12 +699,16 @@ fn write_back(
                         continue;
                     }
                     let bcp = &part.bcp;
-                    let residency = store.admit(bcp);
-                    if residency == Residency::Probation {
-                        local.probations += 1;
-                    }
-                    if residency != Residency::Resident {
-                        continue;
+                    match store.admit(bcp) {
+                        Residency::Resident => {}
+                        Residency::Probation => {
+                            local.probations += 1;
+                            continue;
+                        }
+                        Residency::Declined => {
+                            local.admissions_declined += 1;
+                            continue;
+                        }
                     }
                     let lo = cands.partition_point(|&(p, _)| p < pi);
                     let offered = &cands[lo..lo + cands[lo..].partition_point(|&(p, _)| p == pi)];

@@ -36,8 +36,11 @@ macro_rules! for_each_stat_field {
             /// Result tuples stored into the PMV (Operation O3
             /// fill/update).
             [keep] tuples_admitted,
-            /// bcp admissions that landed in a probation queue.
+            /// bcp admissions that landed in a probation queue (2Q's A1).
             [keep] probations,
+            /// bcp admissions the store declined: it was full and the bcp
+            /// did not out-count the entry it would have evicted.
+            [keep] admissions_declined,
             /// Condition parts generated across all queries (Σ h).
             [keep] condition_parts,
             /// Inserts into base relations that required no PMV work.
@@ -263,7 +266,8 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), n);
-        assert_eq!(n, 29);
+        assert_eq!(n, 30);
+        assert!(pairs.contains(&("admissions_declined", 0)));
         assert!(pairs.contains(&("maint_index_removals", 0)));
         assert!(pairs.contains(&("upqueries", 0)));
         assert!(pairs.contains(&("complete_serves", 0)));

@@ -1,6 +1,15 @@
 //! The PMV store: bcp-keyed entries of at most `F` result tuples, bounded
 //! to `L` entries, managed by a pluggable replacement policy
-//! (Sections 3.2 and 3.5).
+//! (Sections 3.2 and 3.5) behind one admission rule.
+//!
+//! The rule ([`pmv_cache::admit_if_warmer`]): once the policy is full, a
+//! bcp that is not resident displaces the victim the policy names only
+//! if the store's [`FrequencySketch`] counts it more often; otherwise it
+//! is declined — no entry, no fill, no completeness claim. The sketch
+//! counts each access of a bcp that has rows, once per query
+//! (`PmvStore::note_access`). It is policy metadata, 8 B per frame
+//! of capacity, and like the policy's frames it is not charged to
+//! [`PmvStore::byte_size`].
 //!
 //! The store is the moral equivalent of the paper's Figure 4: a table of
 //! `(bcp, tuples)` entries with a hash index `I` on bcp (bcp probes are
@@ -21,14 +30,15 @@
 //! `quarantine`/`lift_quarantine` mean "all") and hands the log over
 //! once per publish.
 
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-use pmv_cache::{AdmitOutcome, PolicyKind, ReplacementPolicy};
+use pmv_cache::{admit_if_warmer, AdmitOutcome, FrequencySketch, PolicyKind, ReplacementPolicy};
 use pmv_storage::{HeapSize, Tuple};
 
 use crate::bcp::BcpKey;
 use crate::delta_index::{DeltaKeyIndex, Supported};
-use crate::fasthash::FxHashMap;
+use crate::fasthash::{FxHashMap, FxHasher};
 use crate::view::PmvConfig;
 
 /// Residency decision for a bcp in Operation O3.
@@ -38,6 +48,9 @@ pub enum Residency {
     Resident,
     /// The bcp is on probation (2Q's A1): no tuples cached yet.
     Probation,
+    /// The store is full and the bcp does not out-count the entry it
+    /// would evict: nothing changed.
+    Declined,
 }
 
 /// One cached result tuple, in the store's layout, and the epoch it was
@@ -70,6 +83,8 @@ pub struct PmvStore {
     /// Which policy `policy` was built from, kept so a quarantine drain
     /// can rebuild a fresh instance of the same kind.
     policy_kind: PolicyKind,
+    /// Recent access counts behind the admission rule.
+    sketch: FrequencySketch,
     f: usize,
     bytes: usize,
     evictions: u64,
@@ -109,6 +124,7 @@ impl PmvStore {
             entries: FxHashMap::default(),
             policy: config.policy.build(l),
             policy_kind: config.policy,
+            sketch: FrequencySketch::new(l),
             f: config.f,
             bytes: 0,
             evictions: 0,
@@ -254,6 +270,8 @@ impl PmvStore {
     /// entry is dropped, the policy and index are rebuilt empty, and the
     /// store stops serving and caching until [`Self::lift_quarantine`].
     /// Removal-only, so it can never cause a stale tuple to be served.
+    /// The admission sketch keeps its counts: they describe the
+    /// workload, not the drained contents.
     pub fn quarantine(&mut self) {
         self.entries.clear();
         self.bytes = 0;
@@ -292,14 +310,33 @@ impl PmvStore {
         }
     }
 
+    /// Count one access of `bcp` in the admission sketch. Callers count
+    /// a bcp once per query, and only when it has rows (it served a
+    /// partial or O3 produced some): probes of empty bcps would swamp
+    /// the sample.
+    pub(crate) fn note_access(&mut self, bcp: &BcpKey) {
+        self.sketch.increment(Self::sketch_hash(bcp));
+    }
+
+    /// The sketch's hash of a bcp: Fx, independent of the SipHash that
+    /// chose this store's shard — every bcp a shard's store sees agrees
+    /// on that hash modulo the shard count.
+    fn sketch_hash(bcp: &BcpKey) -> u64 {
+        let mut h = FxHasher::default();
+        bcp.hash(&mut h);
+        h.finish()
+    }
+
     /// Ask the policy to make `bcp` resident (Operation O3, once per bcp
-    /// per query). Evicted entries are purged.
+    /// per query), through the admission rule: into a full store, only
+    /// when `bcp` out-counts the victim. Evicted entries are purged.
     pub fn admit(&mut self, bcp: &BcpKey) -> Residency {
         if self.quarantined {
             return Residency::Probation;
         }
-        match self.policy.admit(bcp.clone()) {
-            AdmitOutcome::Resident { evicted } => {
+        match admit_if_warmer(&mut *self.policy, &self.sketch, bcp, Self::sketch_hash) {
+            None => Residency::Declined,
+            Some(AdmitOutcome::Resident { evicted }) => {
                 for victim in evicted {
                     if let Some(e) = self.entries.remove(&victim) {
                         self.bytes -= Self::key_bytes(&victim)
@@ -318,7 +355,7 @@ impl PmvStore {
                 }
                 Residency::Resident
             }
-            AdmitOutcome::Probation => Residency::Probation,
+            Some(AdmitOutcome::Probation) => Residency::Probation,
         }
     }
 
@@ -544,6 +581,8 @@ mod tests {
         }
         assert_eq!(s.entry_count(), 2);
         let before = s.byte_size();
+        // Seen before, 99 out-counts both residents (never counted).
+        s.note_access(&bcp(99));
         s.admit(&bcp(99)); // evicts one of the two
         assert_eq!(s.entry_count(), 1);
         assert!(s.byte_size() < before);
@@ -551,6 +590,79 @@ mod tests {
         assert!(s.push_arc(&bcp(99), Arc::new(tuple![99i64]), 0));
         assert_eq!(s.evictions(), 1);
         s.validate();
+    }
+
+    /// A full store of L = 1 whose resident, bcp 1, was counted
+    /// `resident` times; bcp 2 then asks in, counted `candidate` times.
+    /// Returns whether bcp 2 displaced bcp 1.
+    fn displaces(resident: usize, candidate: usize) -> bool {
+        let mut s = PmvStore::new(&cfg(1, 1, PolicyKind::Clock));
+        for _ in 0..resident {
+            s.note_access(&bcp(1));
+        }
+        assert_eq!(s.admit(&bcp(1)), Residency::Resident);
+        assert!(s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0));
+        for _ in 0..candidate {
+            s.note_access(&bcp(2));
+        }
+        let residency = s.admit(&bcp(2));
+        if residency == Residency::Resident {
+            assert!(s.push_arc(&bcp(2), Arc::new(tuple![2i64]), 0));
+        }
+        s.validate();
+        let displaced = s.lookup(&bcp(2)).is_some();
+        assert_eq!(displaced, residency == Residency::Resident);
+        assert_eq!(s.evictions(), u64::from(displaced));
+        assert_eq!(s.lookup(&bcp(1)).is_none(), displaced);
+        displaced
+    }
+
+    #[test]
+    fn a_twice_seen_candidate_displaces_a_once_seen_victim() {
+        assert!(displaces(1, 2));
+    }
+
+    #[test]
+    fn a_one_hit_wonder_does_not_displace() {
+        assert!(!displaces(3, 1));
+    }
+
+    #[test]
+    fn a_tie_keeps_the_incumbent() {
+        assert!(!displaces(1, 1));
+        assert!(!displaces(2, 2));
+        assert!(!displaces(0, 0));
+    }
+
+    #[test]
+    fn a_declined_bcp_holds_nothing_and_changes_nothing() {
+        let mut s = PmvStore::new(&cfg(2, 1, PolicyKind::Clock));
+        s.note_access(&bcp(1));
+        s.admit(&bcp(1));
+        s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
+        s.take_changes();
+        s.note_access(&bcp(2));
+        assert_eq!(s.admit(&bcp(2)), Residency::Declined);
+        assert!(!s.push_arc(&bcp(2), Arc::new(tuple![2i64]), 0));
+        assert!(!s.mark_complete(&bcp(2), s.inserts_seen()));
+        assert_eq!((s.entry_count(), s.evictions()), (1, 0));
+        assert!(!s.has_changes());
+        s.validate();
+        // Behind 2Q the rule guards only a promotion out of A1: a first
+        // sighting still enters probation, with nothing to evict.
+        let mut q = PmvStore::new(&cfg(2, 1, PolicyKind::TwoQ));
+        for _ in 0..2 {
+            q.note_access(&bcp(1));
+            q.admit(&bcp(1));
+        }
+        q.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
+        q.note_access(&bcp(2));
+        assert_eq!(q.admit(&bcp(2)), Residency::Probation);
+        q.note_access(&bcp(2));
+        assert_eq!(q.admit(&bcp(2)), Residency::Declined, "2 ties 1");
+        q.note_access(&bcp(2));
+        assert_eq!(q.admit(&bcp(2)), Residency::Resident);
+        assert_eq!(q.evictions(), 1);
     }
 
     #[test]
@@ -644,6 +756,7 @@ mod tests {
         assert!(s.mark_complete(&bcp(1), s.inserts_seen()));
         s.remove_tuple(&bcp(2), &tuple![2i64]);
         s.admit(&bcp(3));
+        s.note_access(&bcp(5)); // out-counts every resident
         s.admit(&bcp(5)); // the store is full: evicts one of 1, 3, 4
         let log = s.take_changes().unwrap();
         assert_eq!(&log[..2], &[bcp(1), bcp(2)]);
@@ -658,7 +771,9 @@ mod tests {
         s.lift_quarantine();
         assert_eq!(s.take_changes(), None);
         // So do more than L logged bcps: the log of a store nobody
-        // publishes from stays bounded.
+        // publishes from stays bounded. (14 is the fifth bcp into a
+        // store of L = 4: seen before, it out-counts its victim.)
+        s.note_access(&bcp(14));
         for i in 10..15 {
             s.admit(&bcp(i));
             s.push_arc(&bcp(i), Arc::new(tuple![i]), 0);

@@ -47,13 +47,14 @@ impl Delta {
         }
     }
 
-    /// For an update, the set of column indices whose value changed.
-    /// Empty for inserts/deletes (deletion "influences all the attributes",
-    /// Section 3.4, and is handled by its own arm).
+    /// For an update, the set of column indices whose stored value
+    /// changed — bit for bit, so a double that only flips its sign
+    /// changed. Empty for inserts/deletes (deletion "influences all the
+    /// attributes", Section 3.4, and is handled by its own arm).
     pub fn changed_columns(&self) -> Vec<usize> {
         match self {
             Delta::Update { old, new, .. } => (0..old.arity())
-                .filter(|&i| old.get(i) != new.get(i))
+                .filter(|&i| !old.get(i).same_bits(new.get(i)))
                 .collect(),
             _ => Vec::new(),
         }
@@ -115,6 +116,16 @@ mod tests {
             new: tuple![1i64, "b", 4i64],
         };
         assert_eq!(d.changed_columns(), vec![1, 2]);
+    }
+
+    #[test]
+    fn changed_columns_sees_a_sign_flip() {
+        let d = Delta::Update {
+            row: RowId(0),
+            old: tuple![1i64, 0.0f64, -0.0f64],
+            new: tuple![1i64, -0.0f64, -0.0f64],
+        };
+        assert_eq!(d.changed_columns(), vec![1]);
     }
 
     #[test]

@@ -56,6 +56,17 @@ impl Value {
         }
     }
 
+    /// Whether `self` and `other` store the same bits: `==`, except that
+    /// doubles compare their raw bit patterns, so `-0.0` differs from
+    /// `0.0` (and NaN payloads from each other). Equality canonicalizes
+    /// both away; a change detector must not.
+    pub fn same_bits(&self, other: &Value) -> bool {
+        match (self, other) {
+            (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
+            _ => self == other,
+        }
+    }
+
     /// Rank used to order across variants.
     fn variant_rank(&self) -> u8 {
         match self {
@@ -215,6 +226,17 @@ mod tests {
     fn double_negative_zero_equals_positive_zero() {
         assert_eq!(Value::Double(-0.0), Value::Double(0.0));
         assert_eq!(hash_of(&Value::Double(-0.0)), hash_of(&Value::Double(0.0)));
+    }
+
+    #[test]
+    fn same_bits_tells_the_zeros_apart() {
+        assert!(!Value::Double(-0.0).same_bits(&Value::Double(0.0)));
+        assert!(Value::Double(-0.0).same_bits(&Value::Double(-0.0)));
+        assert!(Value::Double(1.5).same_bits(&Value::Double(1.5)));
+        assert!(Value::Int(3).same_bits(&Value::Int(3)));
+        assert!(!Value::Int(3).same_bits(&Value::Int(4)));
+        assert!(Value::str("x").same_bits(&Value::str("x")));
+        assert!(!Value::Int(0).same_bits(&Value::Double(0.0)));
     }
 
     #[test]

@@ -14,10 +14,19 @@
 //! The *hit probability* is the fraction of queries for which at least
 //! one of the `h` bcps is resident — a "partial hit" notion, unlike
 //! classic caching's full hit.
+//!
+//! A third arm, not in the paper, is what the PMV store runs: the policy
+//! behind the store's admission rule ([`pmv_cache::admit_if_warmer`]),
+//! fed the same way — one [`FrequencySketch`] increment per distinct bcp
+//! per query, then the admit. The sketch is policy metadata (8 B per
+//! frame), so the arm keeps its policy's entry count.
 
-use pmv_cache::{ClockPolicy, PolicyKind, ReplacementPolicy, TwoQPolicy};
+use pmv_cache::admission::SAMPLE_FACTOR;
+use pmv_cache::{
+    admit_if_warmer, ClockPolicy, FrequencySketch, PolicyKind, ReplacementPolicy, TwoQPolicy,
+};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::zipf::Zipf;
 
@@ -33,6 +42,11 @@ pub struct SimConfig {
     pub l_ratio: f64,
     /// Replacement policy under test.
     pub policy: PolicyKind,
+    /// Put the PMV store's frequency admission in front of `policy`.
+    pub admission: bool,
+    /// The admission sketch's sample period `W` as a multiple of the
+    /// policy's capacity (the store's is [`SAMPLE_FACTOR`]).
+    pub sample_factor: usize,
     /// Zipf parameter α.
     pub alpha: f64,
     /// Basic condition parts per query (`h`).
@@ -43,6 +57,9 @@ pub struct SimConfig {
     pub measure: usize,
     /// RNG seed.
     pub seed: u64,
+    /// After this many queries (warm-up included) the hot set moves: from
+    /// then on the Zipf ranks map to a random permutation of the bcps.
+    pub reshuffle_at: Option<usize>,
 }
 
 impl Default for SimConfig {
@@ -52,11 +69,14 @@ impl Default for SimConfig {
             n: 20_000,
             l_ratio: 1.02,
             policy: PolicyKind::Clock,
+            admission: false,
+            sample_factor: SAMPLE_FACTOR,
             alpha: 1.07,
             h: 2,
             warmup: 1_000_000,
             measure: 1_000_000,
             seed: 0x9e3779b97f4a7c15,
+            reshuffle_at: None,
         }
     }
 }
@@ -88,16 +108,39 @@ fn build_policy(cfg: &SimConfig) -> Box<dyn ReplacementPolicy<u32>> {
 /// then admits each bcp once (Operation O3 always has > F tuples
 /// available here).
 pub fn run_sim(cfg: &SimConfig) -> SimResult {
+    simulate(cfg, cfg.measure.max(1)).0
+}
+
+/// Run the simulation; also returns the hit probability of each
+/// consecutive `window` queries of the whole run, warm-up included (a
+/// trailing partial window is dropped).
+fn simulate(cfg: &SimConfig, window: usize) -> (SimResult, Vec<f64>) {
     let zipf = Zipf::new(cfg.total_bcps, cfg.alpha);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut policy = build_policy(cfg);
+    let mut sketch = cfg.admission.then(|| {
+        let l = policy.capacity();
+        FrequencySketch::with_sample(l, cfg.sample_factor * l)
+    });
+    // The sketch re-mixes its hashes, so a bcp number will do as one.
+    let hash = |b: &u32| u64::from(*b);
+    let mut hot: Vec<u32> = (0..cfg.total_bcps as u32).collect();
     let mut bcps: Vec<u32> = Vec::with_capacity(cfg.h);
 
     let mut hits = 0usize;
+    let (mut in_window, mut curve) = (0usize, Vec::new());
     for round in 0..(cfg.warmup + cfg.measure) {
+        if cfg.reshuffle_at == Some(round) {
+            // Fisher–Yates, on its own generator: the query stream's
+            // ranks are the same with or without the move.
+            let mut mover = StdRng::seed_from_u64(cfg.seed ^ 0x5eed);
+            for i in (1..hot.len()).rev() {
+                hot.swap(i, mover.gen_range(0..=i));
+            }
+        }
         bcps.clear();
         for _ in 0..cfg.h {
-            bcps.push(zipf.sample(&mut rng) as u32);
+            bcps.push(hot[zipf.sample(&mut rng)]);
         }
         // O2: residency check (the paper's hit definition) + touch.
         let mut hit = false;
@@ -110,19 +153,34 @@ pub fn run_sim(cfg: &SimConfig) -> SimResult {
         if hit && round >= cfg.warmup {
             hits += 1;
         }
-        // O3: admit each distinct bcp once.
+        in_window += usize::from(hit);
+        if (round + 1) % window == 0 {
+            curve.push(in_window as f64 / window as f64);
+            in_window = 0;
+        }
+        // O3: admit each distinct bcp once, each counted once first
+        // (every bcp here has rows).
         for (i, &b) in bcps.iter().enumerate() {
             if bcps[..i].contains(&b) {
                 continue;
             }
-            policy.admit(b);
+            match &mut sketch {
+                Some(sketch) => {
+                    sketch.increment(hash(&b));
+                    admit_if_warmer(&mut *policy, sketch, &b, hash);
+                }
+                None => {
+                    policy.admit(b);
+                }
+            }
         }
     }
-    SimResult {
+    let result = SimResult {
         hit_probability: hits as f64 / cfg.measure.max(1) as f64,
         resident: policy.resident_count(),
         measured: cfg.measure,
-    }
+    };
+    (result, curve)
 }
 
 #[cfg(test)]
@@ -172,6 +230,99 @@ mod tests {
             assert!(
                 two_q > clock,
                 "h = {h}: 2Q ({two_q}) must beat CLOCK ({clock}) under skew"
+            );
+        }
+    }
+
+    /// The third arm: CLOCK behind the store's admission rule beats the
+    /// paper's 2Q, which beats plain CLOCK, under a flat and a steep skew.
+    #[test]
+    fn admission_beats_two_q_beats_clock() {
+        for alpha in [0.6, 1.07] {
+            for h in [1, 2] {
+                let clock = run_sim(&small(PolicyKind::Clock, alpha, h)).hit_probability;
+                let two_q = run_sim(&small(PolicyKind::TwoQ, alpha, h)).hit_probability;
+                let admission = run_sim(&SimConfig {
+                    admission: true,
+                    ..small(PolicyKind::Clock, alpha, h)
+                })
+                .hit_probability;
+                println!(
+                    "α = {alpha}, h = {h}: CLOCK + admission {admission:.4}, 2Q {two_q:.4}, \
+                     CLOCK {clock:.4}"
+                );
+                assert!(
+                    admission >= two_q && two_q >= clock,
+                    "α = {alpha}, h = {h}: {admission} ≥ {two_q} ≥ {clock} fails"
+                );
+            }
+        }
+    }
+
+    /// How `W` was chosen: the smallest factor of the capacity, doubling
+    /// from 8, at which the admission arm is at or above 2Q in all four
+    /// cells of `admission_beats_two_q_beats_clock`. (At h = 1 the
+    /// 60 k-query runs end before the first halving of `W` = 32·L; the
+    /// recovery test below measures after many.)
+    #[test]
+    fn sample_factor_is_the_smallest_that_keeps_up_with_two_q() {
+        let beats_two_q = |f: usize| {
+            let mut line = format!("W = {f}·L:");
+            let mut all = true;
+            for (alpha, h) in [(0.6, 1), (0.6, 2), (1.07, 1), (1.07, 2)] {
+                let two_q = run_sim(&small(PolicyKind::TwoQ, alpha, h)).hit_probability;
+                let admission = run_sim(&SimConfig {
+                    admission: true,
+                    sample_factor: f,
+                    ..small(PolicyKind::Clock, alpha, h)
+                })
+                .hit_probability;
+                line += &format!(" α = {alpha}, h = {h}: {admission:.4} (2Q {two_q:.4});");
+                all &= admission >= two_q;
+            }
+            println!("{line}");
+            all
+        };
+        assert!(!beats_two_q(SAMPLE_FACTOR / 4));
+        assert!(!beats_two_q(SAMPLE_FACTOR / 2));
+        assert!(beats_two_q(SAMPLE_FACTOR));
+    }
+
+    /// The sketch forgets: after the hot set moves, the admission arm is
+    /// back within a point of its stationary hit probability over the
+    /// third sample period `W` after the move. Each period is measured
+    /// whole (`W / h` queries of `h` increments each); the move comes
+    /// after four periods of warm-up, the last two of them the
+    /// stationary reference.
+    #[test]
+    fn admission_recovers_from_a_moved_hot_set_within_two_sample_periods() {
+        for h in [1, 2] {
+            let base = SimConfig {
+                admission: true,
+                ..small(PolicyKind::Clock, 0.6, h)
+            };
+            let l = (base.n as f64 * base.l_ratio).round() as usize;
+            let period = SAMPLE_FACTOR * l / h;
+            let (_, curve) = simulate(
+                &SimConfig {
+                    warmup: 0,
+                    measure: 7 * period,
+                    reshuffle_at: Some(4 * period),
+                    ..base
+                },
+                period,
+            );
+            let stationary = (curve[2] + curve[3]) / 2.0;
+            println!(
+                "α = 0.6, h = {h}, W = {SAMPLE_FACTOR}·L: stationary {stationary:.4}; \
+                 periods after the move {:.4?}",
+                &curve[4..]
+            );
+            assert!(curve[4] < stationary - 0.05, "the move must cost hits");
+            assert!(
+                curve[6] >= stationary - 0.01,
+                "h = {h}: third period after the move {} vs stationary {stationary}",
+                curve[6]
             );
         }
     }

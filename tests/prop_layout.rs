@@ -139,6 +139,57 @@ fn a_double_equality_column_keeps_negative_zero() {
     );
 }
 
+/// An update that only flips a `Double`'s sign is a change: maintenance
+/// drops the cached row, and the next answer carries the new sign.
+#[test]
+fn a_sign_only_update_reaches_the_view() {
+    let mut db = Database::new();
+    db.create_relation(Schema::new(
+        "r",
+        vec![
+            Column::new("a", ColumnType::Int),
+            Column::new("x", ColumnType::Double),
+        ],
+    ))
+    .unwrap();
+    let row = db.insert("r", tuple![1i64, 0.0f64]).unwrap().row();
+    db.insert("r", tuple![1i64, 2.5f64]).unwrap();
+    let t = TemplateBuilder::new("sign")
+        .relation(db.schema("r").unwrap())
+        .select("r", "x")
+        .unwrap()
+        .cond_eq("r", "a")
+        .unwrap()
+        .build()
+        .unwrap();
+    let def = PartialViewDef::all_equality("sign", Arc::clone(&t)).unwrap();
+    let pmv = SharedPmv::with_shards(def, PmvConfig::new(4, 8, PolicyKind::Clock), 1);
+    let edb = EpochDb::new(db);
+    let q = t
+        .bind(vec![Condition::Equality(vec![Value::Int(1)])])
+        .unwrap();
+    edb.query(&pmv, &q).unwrap();
+    assert_eq!(pmv.tuple_count(), 2, "cached");
+    edb.commit(&[&pmv], |db| {
+        let mut txn = Transaction::begin(db);
+        txn.update("r", row, tuple![1i64, -0.0f64])?;
+        Ok(((), txn.commit()))
+    })
+    .unwrap();
+    let (plain, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
+    let want = exact_sorted(&plain);
+    assert!(want.iter().any(|r| r.contains("-0.0")), "{want:?}");
+    let out = edb.query(&pmv, &q).unwrap();
+    let got: Vec<Tuple> = out
+        .partial_expanded
+        .iter()
+        .chain(&out.remaining_expanded)
+        .map(|t| Tuple::clone(t))
+        .collect();
+    assert_eq!(exact_sorted(&got), want);
+    assert_eq!(pmv.stats().maint_updates_ignored, 0);
+}
+
 const DOUBLES: [f64; 3] = [-0.0, 0.0, 0.5];
 
 /// `r(a, c, f, x) ⋈ s(d, e, g, k)` on `r.c = s.d`, `select *`, equality
