@@ -60,7 +60,7 @@ use pmv_obs::{
     EventKind, FlightRecorder, ObsRegistry, Phase, TraceKind, TriggerReason, ViewMetrics,
 };
 use pmv_query::{execute, Database, DbSnapshot, QueryInstance};
-use pmv_storage::Tuple;
+use pmv_storage::{PackedRow, Tuple};
 use pmv_sync::LeftRight;
 
 use crate::bcp::BcpKey;
@@ -73,9 +73,9 @@ use crate::store::{CachedTuple, PmvStore};
 use crate::view::{PartialViewDef, PmvConfig};
 use crate::Result;
 
-/// What a shard view holds for one bcp: the cached tuples, in the view's
-/// stored layout (`Arc`-shared with the store — pointers are copied, not
-/// data), and the entry's completeness stamp, valid only while it equals
+/// What a shard view holds for one bcp: the cached tuples, packed in the
+/// view's stored layout (shared with the store — pointers are copied,
+/// not bytes), and the entry's completeness stamp, valid only while it equals
 /// the view's `inserts_seen`. A pinned reader may serve a validly stamped entry as
 /// the bcp's *entire* answer — skipping O3 for that slice — under the
 /// epoch gates checked in [`crate::serve`].
@@ -585,7 +585,7 @@ impl SharedPmv {
     /// Tuples cached for `bcp` as full `Ls'` rows (with their fill
     /// epochs), if resident. Reads the owning shard's store; does not
     /// touch the policy.
-    pub fn lookup(&self, bcp: &BcpKey) -> Option<Vec<CachedTuple>> {
+    pub fn lookup(&self, bcp: &BcpKey) -> Option<Vec<(Arc<Tuple>, u64)>> {
         let layout = self.inner.def.layout();
         let store = self.inner.shards[self.inner.slot_of(bcp).0].read();
         store.lookup(bcp).map(|cached| {
@@ -626,7 +626,7 @@ impl SharedPmv {
             for (bcp, cached) in shard.read().iter() {
                 let mut tuples: Vec<Tuple> = cached
                     .iter()
-                    .map(|(t, _)| (*layout.rebuild(t, bcp)).clone())
+                    .map(|(t, _)| Arc::unwrap_or_clone(layout.rebuild(t, bcp)))
                     .collect();
                 tuples.sort();
                 out.push((bcp.clone(), tuples));
@@ -717,16 +717,16 @@ fn bcp_truths(
     db: &Database,
     def: &PartialViewDef,
     bcps: &[BcpKey],
-) -> Result<Vec<(BcpKey, HashMap<Tuple, usize>)>> {
+) -> Result<Vec<(BcpKey, HashMap<PackedRow, usize>)>> {
     let mut out = Vec::with_capacity(bcps.len());
     for bcp in bcps {
         let q = def.bcp_query(bcp)?;
         let (truth, _) = execute(db, &q)?;
-        let mut budget: HashMap<Tuple, usize> = HashMap::new();
+        let mut budget: HashMap<PackedRow, usize> = HashMap::new();
         for t in truth {
             // Every truth row lies in `bcp`, so its stored form decides
             // equality with a cached tuple.
-            *budget.entry(def.layout().into_stored(t)).or_insert(0) += 1;
+            *budget.entry(def.layout().store(&t)).or_insert(0) += 1;
         }
         out.push((bcp.clone(), budget));
     }
@@ -736,12 +736,16 @@ fn bcp_truths(
 /// Revalidation phase 2: drop the cached tuples of `bcp` that exceed the
 /// truth multiset. Runs under the store's exclusive guard; removal-only,
 /// hence always sound.
-fn remove_stale(store: &mut PmvStore, bcp: &BcpKey, budget: &mut HashMap<Tuple, usize>) -> usize {
-    // Pointer-copies only: the entries hold `Arc<Tuple>`s.
+fn remove_stale(
+    store: &mut PmvStore,
+    bcp: &BcpKey,
+    budget: &mut HashMap<PackedRow, usize>,
+) -> usize {
+    // Pointer-copies only: the entries hold shared packed rows.
     let cached: Vec<CachedTuple> = store.lookup(bcp).map(|s| s.to_vec()).unwrap_or_default();
     let mut removed = 0;
     for (t, _) in cached {
-        match budget.get_mut(&*t) {
+        match budget.get_mut(&t) {
             Some(n) if *n > 0 => *n -= 1,
             _ => {
                 store.remove_tuple(bcp, &t);
@@ -769,10 +773,10 @@ pub(crate) mod tests {
     pub(crate) fn seed_stale(view: &SharedPmv, bcp: &BcpKey, tuple: Tuple) {
         let inner = &view.inner;
         let si = inner.slot_of(bcp).0;
-        let stored = Arc::new(inner.def.layout().into_stored(tuple));
+        let stored = inner.def.layout().store(&tuple);
         let mut store = inner.shards[si].write();
         store.admit(bcp);
-        assert!(store.push_arc(bcp, stored, 0), "no room under {bcp:?}");
+        assert!(store.push(bcp, stored, 0), "no room under {bcp:?}");
         inner.publish_shard(si, &mut store);
     }
 

@@ -36,7 +36,7 @@ use crate::fasthash::FxHashMap;
 use crate::verify::FilterSpec;
 use crate::view::{PartialViewDef, StoredLayout};
 use pmv_query::QueryTemplate;
-use pmv_storage::{Tuple, Value};
+use pmv_storage::{PackedRow, Tuple, Value};
 
 /// Per-relation projection spec: which `Ls'` positions hold relation
 /// `i`'s attributes, and which base-relation columns they correspond to.
@@ -63,12 +63,9 @@ impl RelSpec {
     }
 
     /// Project a cached view tuple, stored in `layout` under `bcp`, onto
-    /// this relation's attributes.
-    fn view_key(&self, layout: &StoredLayout, bcp: &BcpKey, stored: &Tuple) -> Box<[Value]> {
-        self.view_positions
-            .iter()
-            .map(|&p| layout.value(stored, bcp, p).clone())
-            .collect()
+    /// this relation's attributes, decoding its stored fields.
+    fn view_key(&self, layout: &StoredLayout, bcp: &BcpKey, stored: &PackedRow) -> Box<[Value]> {
+        layout.values_at(stored, bcp, &self.view_positions)
     }
 
     /// Project a base-relation tuple onto the same attributes.
@@ -81,8 +78,8 @@ impl RelSpec {
 }
 
 /// One supported view tuple: the bcp it is filed under and the shared
-/// tuple itself, in the store's layout.
-pub type Supported = (BcpKey, Arc<Tuple>);
+/// packed tuple itself, in the store's layout.
+pub type Supported = (BcpKey, PackedRow);
 
 /// Per-view index from base-relation projection keys to the resident
 /// view tuples they support, one map per base relation. It files the
@@ -120,19 +117,26 @@ impl DeltaKeyIndex {
         }
     }
 
-    /// Register a cached view tuple under its bcp.
+    /// Register a cached view tuple, in the index's layout, under its
+    /// bcp: [`Self::file`] of `tuple` packed whole.
     pub fn add(&mut self, bcp: &BcpKey, tuple: &Arc<Tuple>) {
+        self.file(bcp, &PackedRow::from(&**tuple));
+    }
+
+    /// Register a packed cached view tuple under its bcp.
+    pub fn file(&mut self, bcp: &BcpKey, tuple: &PackedRow) {
         for rel in 0..self.specs.len() {
             let key = self.specs[rel].view_key(&self.layout, bcp, tuple);
             self.maps[rel]
                 .entry(key)
                 .or_default()
-                .push((bcp.clone(), Arc::clone(tuple)));
+                .push((bcp.clone(), tuple.clone()));
         }
     }
 
-    /// Unregister one occurrence of a cached view tuple filed under `bcp`.
-    pub fn remove_from(&mut self, bcp: &BcpKey, view_tuple: &Tuple) {
+    /// Unregister one occurrence of a packed cached view tuple filed
+    /// under `bcp`.
+    pub fn remove_from(&mut self, bcp: &BcpKey, view_tuple: &PackedRow) {
         self.unfile(bcp, view_tuple, |b| b == bcp);
     }
 
@@ -143,19 +147,25 @@ impl DeltaKeyIndex {
             self.layout.is_full(),
             "a tuple stored in a derived layout is removed under its bcp"
         );
-        self.unfile(&BcpKey::new(Vec::new()), view_tuple, |_| true);
+        let packed = PackedRow::from(view_tuple);
+        self.unfile(&BcpKey::new(Vec::new()), &packed, |_| true);
     }
 
     /// Drop one `(bcp, view_tuple)` with `filed(bcp)` from every map,
     /// keys read through the layout with `key_bcp`.
-    fn unfile(&mut self, key_bcp: &BcpKey, view_tuple: &Tuple, filed: impl Fn(&BcpKey) -> bool) {
+    fn unfile(
+        &mut self,
+        key_bcp: &BcpKey,
+        view_tuple: &PackedRow,
+        filed: impl Fn(&BcpKey) -> bool,
+    ) {
         for rel in 0..self.specs.len() {
             let key = self.specs[rel].view_key(&self.layout, key_bcp, view_tuple);
             match self.maps[rel].get_mut(&key) {
                 Some(entries) => {
                     if let Some(pos) = entries
                         .iter()
-                        .position(|(b, t)| **t == *view_tuple && filed(b))
+                        .position(|(b, t)| t == view_tuple && filed(b))
                     {
                         entries.swap_remove(pos);
                         if entries.is_empty() {
@@ -205,7 +215,7 @@ impl DeltaKeyIndex {
     /// Compare against the full cached multiset of `(bcp, stored tuple)`
     /// pairs, returning a violation message per drifted relation. Never
     /// panics.
-    pub fn check_against(&self, cached: &[(&BcpKey, &Tuple)]) -> Vec<String> {
+    pub fn check_against(&self, cached: &[(&BcpKey, &PackedRow)]) -> Vec<String> {
         use std::collections::HashMap;
         let mut violations = Vec::new();
         for rel in 0..self.specs.len() {
@@ -226,7 +236,7 @@ impl DeltaKeyIndex {
     }
 
     /// Validate against the full cached multiset (test helper).
-    pub fn validate(&self, cached: &[(&BcpKey, &Tuple)]) {
+    pub fn validate(&self, cached: &[(&BcpKey, &PackedRow)]) {
         let violations = self.check_against(cached);
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -327,7 +337,8 @@ mod tests {
             idx.add(&bcp(0, 0), &Arc::new(tu.clone()));
         }
         let b = bcp(0, 0);
-        let filed: Vec<(&BcpKey, &Tuple)> = tuples.iter().map(|t| (&b, t)).collect();
+        let packed: Vec<PackedRow> = tuples.iter().map(PackedRow::from).collect();
+        let filed: Vec<(&BcpKey, &PackedRow)> = packed.iter().map(|t| (&b, t)).collect();
         idx.validate(&filed);
         idx.remove(&tuples[0]);
         idx.validate(&filed[1..]);

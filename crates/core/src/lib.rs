@@ -80,7 +80,7 @@ pub use health::{
     CircuitBreaker, Degradation, DegradeReason, ShardReport, ValidationReport, ViewHealth,
 };
 pub use mv::TraditionalMv;
-pub use o1::{decompose, ConditionPart, PartDim};
+pub use o1::{decompose, ConditionPart};
 pub use pipeline::{run_plain, QueryOutcome, QueryTimings};
 pub use pmv_obs::{
     EventKind, HistSnapshot, LatencyHistogram, ObsRegistry, Phase, QueryTrace, TraceEvent,

@@ -63,7 +63,7 @@ use pmv_query::{
     exec::{join_fixed, join_from},
     Database, QueryTemplate,
 };
-use pmv_storage::{Delta, DeltaBatch, Tuple};
+use pmv_storage::{Delta, DeltaBatch, PackedRow, Tuple};
 
 use crate::bcp::BcpKey;
 use crate::concurrent::SharedPmv;
@@ -78,9 +78,9 @@ const MAINT_RETRIES: u32 = 3;
 const MAINT_BACKOFF: Duration = Duration::from_micros(50);
 
 /// One cached view tuple maintenance must evict: owning shard, bcp, the
-/// tuple in the view's stored layout, and whether the delta-key index
+/// tuple packed in the view's stored layout, and whether the delta-key index
 /// (not a join) found it.
-type Removal = (usize, BcpKey, Tuple, bool);
+type Removal = (usize, BcpKey, PackedRow, bool);
 
 impl SharedPmv {
     /// Apply one relation's delta batch, write-locking only the shards
@@ -163,7 +163,7 @@ impl SharedPmv {
                     break;
                 };
                 for (bcp, t) in sup {
-                    removals.push((si, bcp, (*t).clone(), true));
+                    removals.push((si, bcp, t, true));
                 }
             }
             t_index += t0.elapsed();
@@ -198,7 +198,7 @@ impl SharedPmv {
             local.maint_join_rows += (rows.len() * n) as u64;
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
-                let row = inner.def.layout().into_stored(row);
+                let row = inner.def.layout().store(&row);
                 let removal = (inner.slot_of(&bcp).0, bcp, row, false);
                 removals.extend(std::iter::repeat_n(removal, n));
             }
@@ -360,7 +360,7 @@ impl SharedPmv {
             local.maint_join_rows += rows.len() as u64;
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
-                let row = inner.def.layout().into_stored(row);
+                let row = inner.def.layout().store(&row);
                 removals.push((inner.slot_of(&bcp).0, bcp, row, false));
             }
         }

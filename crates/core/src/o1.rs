@@ -7,38 +7,19 @@
 //! condition part is either a basic condition part itself or is contained
 //! in exactly one (its *containing* bcp), as in the paper's Figure 5 grid.
 
-use pmv_query::{Condition, Interval, QueryInstance};
-use pmv_storage::{Tuple, Value};
+use pmv_query::{Condition, QueryInstance};
 
 use crate::bcp::{BcpDim, BcpKey};
 use crate::view::PartialViewDef;
 use crate::{CoreError, Result};
 
-/// One dimension of a condition part: the actual (possibly clipped)
-/// constraint the query asks for in this dimension.
-#[derive(Clone, Debug, PartialEq)]
-pub enum PartDim {
-    /// Equality constraint.
-    Eq(Value),
-    /// Interval constraint (a fragment of a basic interval).
-    Iv(Interval),
-}
-
-impl PartDim {
-    /// Whether `v` satisfies this dimension.
-    pub fn matches(&self, v: &Value) -> bool {
-        match self {
-            PartDim::Eq(x) => v == x,
-            PartDim::Iv(iv) => iv.contains(v),
-        }
-    }
-}
-
-/// A condition part: per-dimension constraints plus its containing bcp.
+/// A condition part, named by its containing bcp. What the part asks for
+/// in each dimension — the bcp's equality value, or the fragment of the
+/// bcp's basic interval that one query interval covers — is not kept:
+/// serving checks the query's full `Cselect` instead, which is
+/// equivalent for the tuples of the containing bcp.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ConditionPart {
-    /// Per-condition constraints, in `Cselect` order.
-    pub dims: Vec<PartDim>,
     /// The containing basic condition part.
     pub bcp: BcpKey,
     /// True iff this part *is* its containing bcp (every interval
@@ -52,21 +33,8 @@ pub struct ConditionPart {
     pub bcp_part: usize,
 }
 
-impl ConditionPart {
-    /// Whether an `Ls'`-layout tuple falls inside this part (used by
-    /// tests; Operation O2 checks the full `Cselect` instead, which is
-    /// equivalent for entry tuples of the containing bcp).
-    pub fn contains_tuple(&self, def: &PartialViewDef, tuple: &Tuple) -> bool {
-        self.dims
-            .iter()
-            .enumerate()
-            .all(|(i, d)| d.matches(tuple.get(def.template().cond_position(i))))
-    }
-}
-
 /// Per-dimension element used during cross-product construction.
 struct DimElement {
-    part: PartDim,
     bcp: BcpDim,
     whole: bool,
     /// Index of the first element of this dimension with the same `bcp`.
@@ -89,7 +57,6 @@ pub fn decompose(def: &PartialViewDef, q: &QueryInstance) -> Result<Vec<Conditio
                 // Equality values are distinct (checked at bind).
                 for (first, v) in values.iter().enumerate() {
                     elems.push(DimElement {
-                        part: PartDim::Eq(v.clone()),
                         bcp: BcpDim::Eq(v.clone()),
                         whole: true,
                         first,
@@ -102,18 +69,13 @@ pub fn decompose(def: &PartialViewDef, q: &QueryInstance) -> Result<Vec<Conditio
                     .expect("interval-form condition has a discretizer (validated at definition)");
                 for iv in intervals {
                     for id in d.overlapping_ids(iv) {
-                        if let Some((frag, whole)) = d.fragment(id, iv) {
+                        if let Some((_, whole)) = d.fragment(id, iv) {
                             let bcp = BcpDim::Iv(id);
                             let first = elems
                                 .iter()
                                 .position(|e: &DimElement| e.bcp == bcp)
                                 .unwrap_or(elems.len());
-                            elems.push(DimElement {
-                                part: PartDim::Iv(frag),
-                                bcp,
-                                whole,
-                                first,
-                            });
+                            elems.push(DimElement { bcp, whole, first });
                         }
                     }
                 }
@@ -138,7 +100,6 @@ pub fn decompose(def: &PartialViewDef, q: &QueryInstance) -> Result<Vec<Conditio
     let mut parts = Vec::with_capacity(total);
     let mut cursor = vec![0usize; m];
     loop {
-        let mut dims = Vec::with_capacity(m);
         let mut bcp_dims = Vec::with_capacity(m);
         let mut is_basic = true;
         // The odometer below turns the last dimension fastest, so a part's
@@ -146,13 +107,11 @@ pub fn decompose(def: &PartialViewDef, q: &QueryInstance) -> Result<Vec<Conditio
         let mut bcp_part = 0;
         for (i, &c) in cursor.iter().enumerate() {
             let e = &per_dim[i][c];
-            dims.push(e.part.clone());
             bcp_dims.push(e.bcp.clone());
             is_basic &= e.whole;
             bcp_part = bcp_part * per_dim[i].len() + e.first;
         }
         parts.push(ConditionPart {
-            dims,
             bcp: BcpKey::new(bcp_dims),
             is_basic,
             bcp_part,
@@ -177,9 +136,39 @@ pub fn decompose(def: &PartialViewDef, q: &QueryInstance) -> Result<Vec<Conditio
 mod tests {
     use super::*;
     use crate::bcp::Discretizer;
-    use pmv_query::{QueryTemplate, TemplateBuilder};
-    use pmv_storage::{Column, ColumnType, Schema};
+    use pmv_query::{Interval, QueryTemplate, TemplateBuilder};
+    use pmv_storage::{Column, ColumnType, Schema, Tuple, Value};
     use std::sync::Arc;
+
+    /// What each part asks for in the interval dimension (condition 1)
+    /// of these tests' template: the basic interval of its bcp clipped by
+    /// the query interval that produced it — the k-th query interval
+    /// overlapping that basic interval for the k-th part with that bcp.
+    fn fragments(d: &PartialViewDef, q: &QueryInstance, parts: &[ConditionPart]) -> Vec<Interval> {
+        let Condition::Intervals(ivs) = &q.conds()[1] else {
+            panic!("condition 1 is interval-form");
+        };
+        parts
+            .iter()
+            .enumerate()
+            .map(|(n, p)| {
+                let BcpDim::Iv(id) = p.bcp.dims()[1] else {
+                    panic!("an interval condition has an Iv dimension");
+                };
+                let basic = d.discretizer(1).unwrap().interval_of(id);
+                let rank = parts[..n].iter().filter(|o| o.bcp == p.bcp).count();
+                ivs.iter()
+                    .filter_map(|iv| basic.intersect(iv))
+                    .nth(rank)
+                    .expect("one query interval per part of a bcp")
+            })
+            .collect()
+    }
+
+    /// Whether `(0, f, g)` lies in the part whose fragment is `frag`.
+    fn in_part(p: &ConditionPart, frag: &Interval, tup: &Tuple) -> bool {
+        p.bcp.dims()[0] == BcpDim::Eq(tup.get(1).clone()) && frag.contains(tup.get(2))
+    }
 
     fn template() -> Arc<QueryTemplate> {
         TemplateBuilder::new("t")
@@ -246,11 +235,16 @@ mod tests {
             ])
             .unwrap();
         let parts = decompose(&d, &q).unwrap();
+        let frags = fragments(&d, &q, &parts);
         // Probe a grid of tuples; each must fall in at most one part.
         for f in 0..4i64 {
             for g in -5..40i64 {
                 let tup = pmv_storage::tuple![0i64, f, g];
-                let n = parts.iter().filter(|p| p.contains_tuple(&d, &tup)).count();
+                let n = parts
+                    .iter()
+                    .zip(&frags)
+                    .filter(|(p, frag)| in_part(p, frag, &tup))
+                    .count();
                 assert!(n <= 1, "tuple (f={f}, g={g}) in {n} parts");
             }
         }
@@ -267,10 +261,14 @@ mod tests {
             ])
             .unwrap();
         let parts = decompose(&d, &q).unwrap();
+        let frags = fragments(&d, &q, &parts);
         for g in -5..40i64 {
             let tup = pmv_storage::tuple![0i64, 1i64, g];
             let in_query = q.matches_select(&tup);
-            let in_parts = parts.iter().any(|p| p.contains_tuple(&d, &tup));
+            let in_parts = parts
+                .iter()
+                .zip(&frags)
+                .any(|(p, frag)| in_part(p, frag, &tup));
             assert_eq!(in_query, in_parts, "coverage mismatch at g={g}");
         }
     }
@@ -285,19 +283,17 @@ mod tests {
                 Condition::Intervals(vec![Interval::open(-3i64, 33i64)]),
             ])
             .unwrap();
-        for p in decompose(&d, &q).unwrap() {
-            for (i, dim) in p.dims.iter().enumerate() {
-                match (&p.bcp.dims()[i], dim) {
-                    (BcpDim::Eq(b), PartDim::Eq(v)) => assert_eq!(b, v),
-                    (BcpDim::Iv(id), PartDim::Iv(frag)) => {
-                        let basic = d.discretizer(i).unwrap().interval_of(*id);
-                        // Fragment ⊆ basic interval: their intersection is
-                        // the fragment itself.
-                        assert_eq!(basic.intersect(frag), Some(frag.clone()));
-                    }
-                    other => panic!("mismatched dims {other:?}"),
-                }
-            }
+        let parts = decompose(&d, &q).unwrap();
+        let frags = fragments(&d, &q, &parts);
+        for (p, frag) in parts.iter().zip(&frags) {
+            assert_eq!(p.bcp.dims()[0], BcpDim::Eq(Value::Int(9)));
+            let BcpDim::Iv(id) = p.bcp.dims()[1] else {
+                panic!("mismatched dims {:?}", p.bcp);
+            };
+            // Fragment ⊆ basic interval, and whole exactly when basic.
+            let basic = d.discretizer(1).unwrap().interval_of(id);
+            assert_eq!(basic.intersect(frag), Some(frag.clone()));
+            assert_eq!(p.is_basic, basic == *frag);
         }
     }
 

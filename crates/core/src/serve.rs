@@ -315,9 +315,8 @@ fn query_with_scratch(
                     // contained part requires the full Cselect check —
                     // "this is equivalent to checking whether t satisfies
                     // the Cselect of query Q" — read through the layout.
-                    // Only a served tuple is rebuilt into its `Ls'` row,
-                    // once: DS, the candidates and the outcome share it
-                    // (under a full layout it is the cached `Arc`).
+                    // Only a served tuple is decoded into its `Ls'` row,
+                    // once: DS, the candidates and the outcome share it.
                     if is_basic || def.stored_matches_select(q, t, bcp) {
                         let row = layout.rebuild(t, bcp);
                         if st.complete {
@@ -732,7 +731,7 @@ fn write_back(
                         if have >= proven {
                             continue;
                         }
-                        if !store.push_arc(bcp, layout.store(t), pin_epoch) {
+                        if !store.push(bcp, layout.store(t), pin_epoch) {
                             break;
                         }
                         local.tuples_admitted += 1;

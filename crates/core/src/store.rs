@@ -16,17 +16,22 @@
 //! exact-match, so a hash index needs no ordering).
 //!
 //! A view's store holds each tuple in the view's
-//! [`crate::view::StoredLayout`]: only the `Ls'` values its entry cannot
-//! derive. The store itself never looks inside a tuple — it holds, charges
-//! and compares what it is given — and its delta-key index reads the
-//! derived positions from each tuple's bcp. [`PmvStore::new`] with
-//! [`DeltaKeyIndex::new`] holds full rows.
+//! [`crate::view::StoredLayout`] — only the `Ls'` values its entry cannot
+//! derive — packed into one [`PackedRow`]. The store itself never looks
+//! inside a tuple — it holds, charges and compares what it is given — and
+//! its delta-key index reads the derived positions from each tuple's bcp.
+//! [`PmvStore::new`] with [`DeltaKeyIndex::new`] holds full rows.
+//!
+//! [`PmvStore::byte_size`] is exact under one rule: a bcp key is charged
+//! `size_of::<BcpKey>()` plus its dimensions, a cached tuple
+//! `size_of::<PackedRow>()` (16 B) plus its packed bytes. T1's tuples
+//! store five integers and two empty strings: 16 + 5 × 9 + 2 × 2 = 65 B.
 //!
 //! A [`crate::concurrent::SharedPmv`] holds one store per shard and
 //! publishes an immutable copy of what each serves. So that a publish
 //! costs O(changes) instead of O(entries), the store logs the bcps whose
 //! served state — cached tuples or completeness stamp — changed
-//! (`admit` victims, `push_arc`, `remove_tuple`, `mark_complete`;
+//! (`admit` victims, `push`, `remove_tuple`, `mark_complete`;
 //! `quarantine`/`lift_quarantine` mean "all") and hands the log over
 //! once per publish.
 
@@ -34,7 +39,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use pmv_cache::{admit_if_warmer, AdmitOutcome, FrequencySketch, PolicyKind, ReplacementPolicy};
-use pmv_storage::{HeapSize, Tuple};
+use pmv_storage::{HeapSize, PackedRow, Tuple};
 
 use crate::bcp::BcpKey;
 use crate::delta_index::{DeltaKeyIndex, Supported};
@@ -53,13 +58,13 @@ pub enum Residency {
     Declined,
 }
 
-/// One cached result tuple, in the store's layout, and the epoch it was
-/// filled at. Tuples are shared (`Arc`) — the store never deep-copies a
-/// tuple; under a full layout they are the executor's own rows. The fill
-/// epoch lets the epoch-pinned
-/// serving path refuse tuples newer than its pinned version (a reader at
-/// epoch `e` serves a cached tuple only when `fill_epoch <= e`).
-pub type CachedTuple = (Arc<Tuple>, u64);
+/// One cached result tuple, packed in the store's layout, and the epoch
+/// it was filled at. Packed rows are shared — a published view or the
+/// delta-key index copies a pointer, never the bytes. The fill epoch lets
+/// the epoch-pinned serving path refuse tuples newer than its pinned
+/// version (a reader at epoch `e` serves a cached tuple only when
+/// `fill_epoch <= e`).
+pub type CachedTuple = (PackedRow, u64);
 
 struct Entry {
     tuples: Vec<CachedTuple>,
@@ -359,11 +364,16 @@ impl PmvStore {
         }
     }
 
-    /// Store one shared result tuple, in the store's layout, under a
-    /// resident `bcp`, stamped with the epoch it was computed at. The
-    /// `Arc` is moved in — no tuple data is copied. Returns false when the bcp is not resident or
-    /// already holds `F` tuples.
+    /// Store one result tuple, in the store's layout, under a resident
+    /// `bcp`: [`Self::push`] of `tuple` packed whole.
     pub fn push_arc(&mut self, bcp: &BcpKey, tuple: Arc<Tuple>, epoch: u64) -> bool {
+        self.push(bcp, PackedRow::from(&*tuple), epoch)
+    }
+
+    /// Store one packed result tuple, in the store's layout, under a
+    /// resident `bcp`, stamped with the epoch it was computed at. Returns
+    /// false when the bcp is not resident or already holds `F` tuples.
+    pub fn push(&mut self, bcp: &BcpKey, tuple: PackedRow, epoch: u64) -> bool {
         if self.quarantined || !self.policy.contains(bcp) {
             return false;
         }
@@ -382,7 +392,7 @@ impl PmvStore {
                 0
             };
         if let Some(ix) = &mut self.index {
-            ix.add(bcp, &tuple);
+            ix.file(bcp, &tuple);
         }
         entry.tuples.push((tuple, epoch));
         self.log_change(bcp);
@@ -392,11 +402,11 @@ impl PmvStore {
     /// Remove one occurrence of `tuple`, in the store's layout, under
     /// `bcp` (PMV maintenance after a base-relation delete/update).
     /// Returns whether a tuple was removed.
-    pub fn remove_tuple(&mut self, bcp: &BcpKey, tuple: &Tuple) -> bool {
+    pub fn remove_tuple(&mut self, bcp: &BcpKey, tuple: &PackedRow) -> bool {
         let Some(entry) = self.entries.get_mut(bcp) else {
             return false;
         };
-        let Some(pos) = entry.tuples.iter().position(|(t, _)| &**t == tuple) else {
+        let Some(pos) = entry.tuples.iter().position(|(t, _)| t == tuple) else {
             return false;
         };
         entry.tuples.swap_remove(pos);
@@ -433,7 +443,10 @@ impl PmvStore {
         self.entries.values().map(|e| e.tuples.len()).sum()
     }
 
-    /// Approximate bytes cached (tuples + keys).
+    /// Bytes cached, exactly as charged: per entry its key's
+    /// `size_of::<BcpKey>()` plus dimensions, per tuple
+    /// `size_of::<PackedRow>()` plus its packed bytes. The sketch, the
+    /// policy's frames and the delta-key index are not charged.
     pub fn byte_size(&self) -> usize {
         self.bytes
     }
@@ -448,8 +461,8 @@ impl PmvStore {
         self.entries.iter().map(|(k, e)| (k, e.tuples.as_slice()))
     }
 
-    fn tuple_bytes(t: &Tuple) -> usize {
-        std::mem::size_of::<Tuple>() + t.heap_size()
+    fn tuple_bytes(t: &PackedRow) -> usize {
+        std::mem::size_of::<PackedRow>() + t.heap_size()
     }
 
     fn key_bytes(k: &BcpKey) -> usize {
@@ -505,10 +518,10 @@ impl PmvStore {
             ));
         }
         if let Some(ix) = &self.index {
-            let cached: Vec<(&BcpKey, &Tuple)> = self
+            let cached: Vec<(&BcpKey, &PackedRow)> = self
                 .entries
                 .iter()
-                .flat_map(|(k, e)| e.tuples.iter().map(move |(t, _)| (k, &**t)))
+                .flat_map(|(k, e)| e.tuples.iter().map(move |(t, _)| (k, t)))
                 .collect();
             violations.extend(ix.check_against(&cached));
         }
@@ -671,12 +684,12 @@ mod tests {
         s.admit(&bcp(1));
         s.push_arc(&bcp(1), Arc::new(tuple![7i64]), 0);
         s.push_arc(&bcp(1), Arc::new(tuple![7i64]), 0);
-        assert!(s.remove_tuple(&bcp(1), &tuple![7i64]));
+        assert!(s.remove_tuple(&bcp(1), &PackedRow::from(&tuple![7i64])));
         assert_eq!(s.lookup(&bcp(1)).unwrap().len(), 1);
-        assert!(s.remove_tuple(&bcp(1), &tuple![7i64]));
+        assert!(s.remove_tuple(&bcp(1), &PackedRow::from(&tuple![7i64])));
         // Entry is gone entirely.
         assert!(s.lookup(&bcp(1)).is_none());
-        assert!(!s.remove_tuple(&bcp(1), &tuple![7i64]));
+        assert!(!s.remove_tuple(&bcp(1), &PackedRow::from(&tuple![7i64])));
         assert_eq!(s.byte_size(), 0);
         s.validate();
     }
@@ -686,7 +699,7 @@ mod tests {
         let mut s = PmvStore::new(&cfg(1, 1, PolicyKind::Clock));
         s.admit(&bcp(1));
         s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
-        s.remove_tuple(&bcp(1), &tuple![1i64]);
+        s.remove_tuple(&bcp(1), &PackedRow::from(&tuple![1i64]));
         // New bcp should be admitted without evicting anything.
         s.admit(&bcp(2));
         s.push_arc(&bcp(2), Arc::new(tuple![2i64]), 0);
@@ -724,7 +737,7 @@ mod tests {
         assert!(s.mark_complete(&bcp(1), s.inserts_seen()));
         assert!(s.entry_complete(&bcp(1)));
         // A maintenance removal clears the claim (conservative).
-        assert!(s.remove_tuple(&bcp(1), &tuple![1i64]));
+        assert!(s.remove_tuple(&bcp(1), &PackedRow::from(&tuple![1i64])));
         assert!(!s.entry_complete(&bcp(1)));
         // Absent entries can never be marked.
         assert!(!s.mark_complete(&bcp(9), s.inserts_seen()));
@@ -754,7 +767,7 @@ mod tests {
         assert_eq!(s.take_changes(), Some(vec![bcp(2), bcp(3), bcp(4)]));
         // Completeness stamp, removal, and an eviction's victim.
         assert!(s.mark_complete(&bcp(1), s.inserts_seen()));
-        s.remove_tuple(&bcp(2), &tuple![2i64]);
+        s.remove_tuple(&bcp(2), &PackedRow::from(&tuple![2i64]));
         s.admit(&bcp(3));
         s.note_access(&bcp(5)); // out-counts every resident
         s.admit(&bcp(5)); // the store is full: evicts one of 1, 3, 4
@@ -809,7 +822,7 @@ mod tests {
         // Deleting base tuple (a=7, f=1) supports the cached view tuple.
         let hit = s.supported(0, &tuple![7i64, 1i64]).unwrap();
         assert_eq!(hit.len(), 1);
-        assert_eq!(*hit[0].1, tuple![7i64, 1i64]);
+        assert_eq!(hit[0].1, PackedRow::from(&tuple![7i64, 1i64]));
         assert!(s.supported(0, &tuple![8i64, 1i64]).unwrap().is_empty());
         // Removing the supported tuple empties the index too.
         for (b, tu) in hit {
@@ -827,7 +840,7 @@ mod tests {
         s.admit(&bcp(1));
         s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
         s.push_arc(&bcp(1), Arc::new(tuple![2i64]), 0);
-        s.remove_tuple(&bcp(1), &tuple![1i64]);
+        s.remove_tuple(&bcp(1), &PackedRow::from(&tuple![1i64]));
         assert_eq!(s.admit(&bcp(1)), Residency::Resident);
         assert!(s.push_arc(&bcp(1), Arc::new(tuple![3i64]), 0));
         assert_eq!(s.lookup(&bcp(1)).unwrap().len(), 2);

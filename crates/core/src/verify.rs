@@ -26,7 +26,9 @@ use std::mem::size_of;
 use std::sync::Arc;
 
 use pmv_query::{CondForm, QueryTemplate};
-use pmv_storage::{Tuple, Value};
+use pmv_storage::packed::NUMBER_BYTES;
+use pmv_storage::string::INLINE_CAP;
+use pmv_storage::{ColumnType, PackedRow, Value};
 
 use crate::bcp::Discretizer;
 use crate::view::{PartialViewDef, PmvConfig, StoredLayout};
@@ -255,14 +257,27 @@ impl fmt::Display for VerifyReport {
 }
 
 /// Estimate the average view-tuple size `At` in bytes: what the view's
-/// store charges for one cached tuple — the `Tuple` header plus one
-/// `Value` per field of its [`crate::view::StoredLayout`], the `Ls'`
-/// positions its entry cannot derive. A string longer than
-/// [`pmv_storage::string::INLINE_CAP`] bytes also owns its payload,
-/// which the schema cannot tell; pass
+/// store charges for one cached tuple — the [`PackedRow`] handle plus
+/// the packed fields of its [`crate::view::StoredLayout`], the `Ls'`
+/// positions its entry cannot derive. An `Int` or `Double` field takes
+/// [`NUMBER_BYTES`] (its tag and 8 bytes); a `Str` field is counted at
+/// `2 + INLINE_CAP` (its tag, a one-byte length and up to
+/// [`INLINE_CAP`] bytes). The estimate is exact for rows without `Str`
+/// positions or NULLs (a NULL is its tag alone) and an upper bound for
+/// rows whose strings are at most `INLINE_CAP` bytes long; a longer
+/// string is charged its length, which the schema cannot tell — pass
 /// [`VerifyOptions::avg_tuple_bytes`] for views of long strings.
 pub fn estimate_tuple_bytes(template: &QueryTemplate) -> usize {
-    size_of::<Tuple>() + StoredLayout::for_template(template).stored_arity() * size_of::<Value>()
+    let list = template.expanded_list();
+    let field = |p: &usize| {
+        let attr = list[*p];
+        match template.schema(attr.relation).column(attr.column).ty {
+            ColumnType::Int | ColumnType::Double => NUMBER_BYTES,
+            ColumnType::Str => 2 + INLINE_CAP,
+        }
+    };
+    let layout = StoredLayout::for_template(template);
+    size_of::<PackedRow>() + layout.stored_positions().iter().map(field).sum::<usize>()
 }
 
 /// Verify a prospective PMV from raw parts, before a
@@ -540,6 +555,7 @@ mod tests {
     use super::*;
     use pmv_cache::PolicyKind;
     use pmv_query::TemplateBuilder;
+    use pmv_storage::Tuple;
     use pmv_storage::{Column, ColumnType, Schema};
 
     fn schema() -> Schema {
@@ -605,15 +621,33 @@ mod tests {
         assert!(!verify_parts(&t, &d, &config, &opts).denied());
     }
 
-    /// `At` is what the store charges per cached tuple, so `L·F·At` is
-    /// the bytes a full view holds: the estimate for an all-scalar
-    /// template equals the charge of the view's store for one more tuple
-    /// — two stored values, since the equality column `f` is the bcp's.
-    #[test]
-    fn estimate_equals_the_store_charge_for_a_scalar_tuple() {
+    /// What the store of a view of `t` charges for one more cached
+    /// tuple, each tuple an `Ls'` row built by `row` and filed under the
+    /// bcp that sets each of `t`'s equality conditions to 1.
+    fn charge_per_tuple(t: &Arc<QueryTemplate>, row: impl Fn(i64) -> Tuple) -> usize {
         use crate::bcp::{BcpDim, BcpKey};
         use crate::delta_index::DeltaKeyIndex;
         use crate::store::PmvStore;
+        let def = PartialViewDef::all_equality("v", Arc::clone(t)).unwrap();
+        let layout = def.layout();
+        let mut store = PmvStore::new(&PmvConfig::new(4, 4, PolicyKind::Clock));
+        store.enable_index(DeltaKeyIndex::for_view(&def));
+        let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(1)); t.cond_count()]);
+        store.admit(&bcp);
+        assert!(store.push(&bcp, layout.store(&row(1)), 0));
+        let before = store.byte_size();
+        assert!(store.push(&bcp, layout.store(&row(2)), 0));
+        store.validate();
+        store.byte_size() - before
+    }
+
+    /// `At` is what the store charges per cached tuple, so `L·F·At` is
+    /// the bytes a full view holds: for a template of numbers only and a
+    /// row without NULLs the estimate equals the charge of the view's
+    /// store for one more tuple — two stored numbers, since the equality
+    /// column `f` is the bcp's.
+    #[test]
+    fn estimate_equals_the_store_charge_for_a_number_only_tuple() {
         let t = TemplateBuilder::new("t")
             .relation(Schema::new(
                 "r",
@@ -631,24 +665,63 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        let row = |a: i64| {
+        let charge = charge_per_tuple(&t, |a| {
             let values = t.expanded_list().iter().map(|attr| match attr.column {
-                1 => Value::Double(0.5),
+                1 => Value::Double(-0.0),
+                2 => Value::Int(1),
                 _ => Value::Int(a),
             });
-            Arc::new(Tuple::new(values.collect::<Vec<_>>()))
-        };
-        let def = PartialViewDef::all_equality("v", Arc::clone(&t)).unwrap();
-        let layout = def.layout();
-        let mut store = PmvStore::new(&PmvConfig::new(4, 4, PolicyKind::Clock));
-        store.enable_index(DeltaKeyIndex::for_view(&def));
-        let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(1))]);
-        store.admit(&bcp);
-        assert!(store.push_arc(&bcp, layout.store(&row(1)), 0));
-        let before = store.byte_size();
-        assert!(store.push_arc(&bcp, layout.store(&row(2)), 0));
-        let charge = store.byte_size() - before;
+            Tuple::new(values.collect::<Vec<_>>())
+        });
+        assert_eq!(charge, 16 + 2 * 9);
         assert_eq!(estimate_tuple_bytes(&t), charge);
-        assert_eq!(charge, 16 + 16 * 2);
+    }
+
+    /// T1 (`orders ⋈ lineitem`, `select *`, equality on `orderdate` and
+    /// `suppkey`) stores five integers and the two (empty) fillers:
+    /// charged 16 + 5 × 9 + 2 × 2 = 65 B, which the estimate bounds from
+    /// above by counting each filler at `2 + INLINE_CAP`.
+    #[test]
+    fn estimate_bounds_the_store_charge_for_t1() {
+        let int = |n: &str| Column::new(n, ColumnType::Int);
+        let filler = Column::new("filler", ColumnType::Str);
+        let t = TemplateBuilder::new("T1")
+            .relation(Schema::new(
+                "orders",
+                vec![
+                    int("orderkey"),
+                    int("custkey"),
+                    int("orderdate"),
+                    int("totalprice"),
+                    filler.clone(),
+                ],
+            ))
+            .relation(Schema::new(
+                "lineitem",
+                vec![
+                    int("orderkey"),
+                    int("suppkey"),
+                    int("quantity"),
+                    int("extendedprice"),
+                    filler,
+                ],
+            ))
+            .join("orders", "orderkey", "lineitem", "orderkey")
+            .unwrap()
+            .select_star()
+            .cond_eq("orders", "orderdate")
+            .unwrap()
+            .cond_eq("lineitem", "suppkey")
+            .unwrap()
+            .build()
+            .unwrap();
+        // orders(k, c, 1, p, ''), lineitem(k, 1, q, e, ''): both
+        // equality columns are 1, the bcp's values.
+        let charge = charge_per_tuple(&t, |k| {
+            pmv_storage::tuple![k, 7i64, 1i64, 100i64, "", k, 1i64, 3i64, 300i64, ""]
+        });
+        assert_eq!(charge, 65);
+        assert_eq!(estimate_tuple_bytes(&t), 16 + 5 * 9 + 2 * (2 + INLINE_CAP));
+        assert!(estimate_tuple_bytes(&t) >= charge);
     }
 }

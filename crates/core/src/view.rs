@@ -12,12 +12,13 @@
 //! and the replacement policy. The containing materialized view `V_M` is
 //! implicit — it is the template joined without `Cselect`.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Duration;
 
 use pmv_cache::PolicyKind;
 use pmv_query::{AttrRef, CondForm, QueryInstance, QueryTemplate};
-use pmv_storage::{ColumnType, Tuple, Value};
+use pmv_storage::{ColumnType, PackedRow, Tuple, Value};
 
 use crate::bcp::{BcpDim, BcpKey, Discretizer};
 use crate::{CoreError, Result};
@@ -95,7 +96,7 @@ impl PmvConfig {
 /// Where the value at one `Ls'` position of a cached tuple comes from.
 #[derive(Clone, Debug, PartialEq)]
 enum Source {
-    /// Stored: the value at this index of the stored tuple.
+    /// Stored: the field at this index of the packed row.
     Stored(usize),
     /// Fixed by the entry: the value of the bcp's equality dimension.
     Bcp(usize),
@@ -118,9 +119,12 @@ enum Source {
 /// `Double` positions are always stored: `-0.0` and `0.0` compare equal
 /// but are different values, so copying one for the other could change a
 /// row. Every other `Value` that compares equal to another is the same
-/// value, so a rebuilt row is the row that was cached. A template with
-/// nothing derivable stores full rows ([`Self::is_full`]); a tuple then
-/// *is* its stored form and nothing is copied either way.
+/// value, so a rebuilt row is the row that was cached.
+///
+/// The stored values are packed into one [`PackedRow`] — 9 bytes per
+/// number, a tag and a length before each string's bytes — for every
+/// layout, full ([`Self::is_full`]) or not: [`Self::store`] projects and
+/// packs in one pass, and [`Self::rebuild`] decodes in one.
 ///
 /// Every cached tuple of an entry lies in the entry's bcp and satisfies
 /// `Cjoin`, which is all a derivation relies on.
@@ -223,57 +227,83 @@ impl StoredLayout {
         self.stored.len() == self.sources.len()
     }
 
+    /// The `Ls'` position each stored field is taken from, in stored
+    /// order.
+    pub fn stored_positions(&self) -> &[usize] {
+        &self.stored
+    }
+
     /// The value at `Ls'` position `pos` of the row that `stored`, filed
-    /// under `bcp`, stands for.
-    pub fn value<'a>(&'a self, stored: &'a Tuple, bcp: &'a BcpKey, pos: usize) -> &'a Value {
+    /// under `bcp`, stands for: borrowed when the entry or the template
+    /// fixes it, else decoded from the stored fields before it.
+    pub fn value<'a>(&'a self, stored: &PackedRow, bcp: &'a BcpKey, pos: usize) -> Cow<'a, Value> {
         match &self.sources[pos] {
-            Source::Stored(j) => stored.get(*j),
+            Source::Stored(j) => Cow::Owned(stored.field(*j).to_value()),
             Source::Bcp(i) => match &bcp.dims()[*i] {
-                BcpDim::Eq(v) => v,
+                BcpDim::Eq(v) => Cow::Borrowed(v),
                 BcpDim::Iv(_) => unreachable!("an equality condition has an Eq dimension"),
             },
-            Source::Fixed(v) => v,
+            Source::Fixed(v) => Cow::Borrowed(v),
         }
     }
 
-    /// The stored form of a shared `Ls'` row: for a full layout the row
-    /// itself (one pointer copy), else a copy of its stored positions.
-    pub fn store(&self, row: &Arc<Tuple>) -> Arc<Tuple> {
-        if self.is_full() {
-            Arc::clone(row)
-        } else {
-            Arc::new(row.project(&self.stored))
-        }
+    /// The values at `Ls'` positions `positions` of the row that
+    /// `stored`, filed under `bcp`, stands for, in order. Ascending
+    /// positions decode in one forward pass over the stored fields.
+    pub fn values_at(&self, stored: &PackedRow, bcp: &BcpKey, positions: &[usize]) -> Box<[Value]> {
+        let mut fields = stored.fields();
+        // The index of the field `fields` yields next.
+        let mut next = 0;
+        positions
+            .iter()
+            .map(|&p| match &self.sources[p] {
+                Source::Stored(j) => {
+                    if *j < next {
+                        (fields, next) = (stored.fields(), 0);
+                    }
+                    let field = fields.nth(j - next).expect("a field per stored position");
+                    next = j + 1;
+                    field.to_value()
+                }
+                Source::Bcp(_) | Source::Fixed(_) => self.value(stored, bcp, p).into_owned(),
+            })
+            .collect()
     }
 
-    /// [`Self::store`] for an owned row.
-    pub fn into_stored(&self, row: Tuple) -> Tuple {
-        if self.is_full() {
-            row
-        } else {
-            row.project(&self.stored)
-        }
+    /// The stored form of an `Ls'` row: its stored positions, projected
+    /// and packed in one pass into one allocation.
+    pub fn store(&self, row: &Tuple) -> PackedRow {
+        PackedRow::pack(self.stored.iter().map(|&p| row.get(p)))
     }
 
-    /// The `Ls'` row a stored tuple filed under `bcp` stands for: for a
-    /// full layout the stored tuple itself, else one rebuilt row.
-    pub fn rebuild(&self, stored: &Arc<Tuple>, bcp: &BcpKey) -> Arc<Tuple> {
-        if self.is_full() {
-            return Arc::clone(stored);
+    /// The `Ls'` row a stored tuple filed under `bcp` stands for, decoded
+    /// in one pass over the stored fields: stored positions ascend in
+    /// `Ls'` order, and a join duplicate repeats an earlier one.
+    pub fn rebuild(&self, stored: &PackedRow, bcp: &BcpKey) -> Arc<Tuple> {
+        let mut fields = stored.fields();
+        let mut values: Vec<Value> = Vec::with_capacity(self.arity());
+        for (p, source) in self.sources.iter().enumerate() {
+            let value = match source {
+                Source::Stored(j) if self.stored[*j] < p => values[self.stored[*j]].clone(),
+                Source::Stored(_) => fields
+                    .next()
+                    .expect("a field per stored position")
+                    .to_value(),
+                Source::Bcp(_) | Source::Fixed(_) => self.value(stored, bcp, p).into_owned(),
+            };
+            values.push(value);
         }
-        let mut values = Vec::with_capacity(self.arity());
-        values.extend((0..self.arity()).map(|p| self.value(stored, bcp, p).clone()));
         Arc::new(Tuple::new(values))
     }
 
     /// Whether `stored` stands for `row`, an `Ls'` row of the same bcp —
     /// compared on the stored positions only, which decide it: the rest
     /// of both are derived the same way.
-    pub fn holds(&self, stored: &Tuple, row: &Tuple) -> bool {
+    pub fn holds(&self, stored: &PackedRow, row: &Tuple) -> bool {
         self.stored
             .iter()
-            .zip(stored.values())
-            .all(|(&p, v)| row.get(p) == v)
+            .zip(stored.fields())
+            .all(|(&p, field)| field == *row.get(p))
     }
 }
 
@@ -362,16 +392,17 @@ impl PartialViewDef {
 
     /// Whether the row a stored tuple filed under `bcp` stands for
     /// satisfies `instance`'s `Cselect`, read through the layout without
-    /// rebuilding the row.
+    /// rebuilding the row: each condition decodes only its own field.
     pub fn stored_matches_select(
         &self,
         instance: &QueryInstance,
-        stored: &Tuple,
+        stored: &PackedRow,
         bcp: &BcpKey,
     ) -> bool {
         instance.conds().iter().enumerate().all(|(i, c)| {
             c.matches(
-                self.layout
+                &self
+                    .layout
                     .value(stored, bcp, self.template.cond_position(i)),
             )
         })

@@ -1,0 +1,319 @@
+//! The packed-row codec a view stores its tuples in (`PackedRow`: one tag
+//! byte per value, 8-byte numbers, length-prefixed strings, one
+//! allocation), over every `Value` shape: `Null` in every column type,
+//! `i64::MIN`/`i64::MAX`, `±0.0`, `±∞` and NaN payloads, strings of 0,
+//! 12, 13 and 300 bytes and multi-byte UTF-8 across the 12-byte inline
+//! edge and the 128-byte edge of a one-byte LEB128 length.
+//!
+//! * Every row round-trips bit for bit, decoded field by field, unpacked
+//!   whole, and through a view's stored layout (store, then rebuild).
+//! * A row's packed length is the sum of its fields' widths: 1 for
+//!   `Null`, 9 for a number, tag + length + bytes for a string.
+//! * Equality and hashing agree with `Value`'s: two packed rows, two
+//!   decoded fields, a decoded field and a value, and the layout's
+//!   `holds` are equal exactly when the values are (so `-0.0 == 0.0` and
+//!   NaN equals NaN whatever the payload, as for `Value`).
+//! * A counting allocator shows that storing a tuple — projecting an
+//!   `Ls'` row and packing it — allocates exactly once; a stored `Tuple`
+//!   took two (its values and the `Arc` around them).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+use pmv_core::{BcpDim, BcpKey, PartialViewDef};
+use pmv_query::{QueryTemplate, TemplateBuilder};
+use pmv_storage::packed::Field;
+use pmv_storage::{Column, ColumnType, PackedRow, Schema, Tuple, Value};
+use proptest::prelude::*;
+use proptest::TestRng;
+
+thread_local! {
+    // Per thread, so tests running side by side do not see each other.
+    // Const-initialised and without a destructor: safe to touch from
+    // inside the allocator.
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System` (`realloc` and
+// `alloc_zeroed` through their default bodies, which call `alloc`); the
+// counter is a plain thread-local cell that never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations on this thread while `f` ran.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+const TYPES: [ColumnType; 3] = [ColumnType::Int, ColumnType::Double, ColumnType::Str];
+
+fn int() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        Just(i64::MIN),
+        Just(i64::MAX),
+        Just(0),
+        Just(-1),
+        any::<i64>()
+    ]
+}
+
+/// A NaN with the given sign and a non-zero mantissa.
+fn nan(negative: bool, mantissa: u64) -> f64 {
+    f64::from_bits((u64::from(negative) << 63) | 0x7ff0_0000_0000_0000 | mantissa)
+}
+
+fn double() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        (any::<bool>(), 1u64..(1 << 52)).prop_map(|(neg, m)| nan(neg, m)),
+        any::<f64>(),
+    ]
+}
+
+/// `é`, `€` and `𝄞` are 2, 3 and 4 bytes.
+fn string() -> impl Strategy<Value = String> {
+    prop_oneof![
+        Just(String::new()),
+        Just("a".repeat(12)),
+        Just("b".repeat(13)),
+        Just("c".repeat(300)),
+        Just("€".repeat(4)),
+        "[azé€𝄞]{0,20}",
+        "[a€]{30,60}",
+    ]
+}
+
+/// A value of column type `ty`, NULL one time in five.
+fn value(ty: ColumnType) -> BoxedStrategy<Value> {
+    let some = match ty {
+        ColumnType::Int => int().prop_map(Value::Int).boxed(),
+        ColumnType::Double => double().prop_map(Value::Double).boxed(),
+        ColumnType::Str => string().prop_map(Value::from).boxed(),
+    };
+    prop_oneof![1 => Just(Value::Null), 4 => some].boxed()
+}
+
+fn column_type() -> impl Strategy<Value = ColumnType> {
+    prop_oneof![
+        Just(ColumnType::Int),
+        Just(ColumnType::Double),
+        Just(ColumnType::Str)
+    ]
+}
+
+/// Rows of up to `max` columns: the column types drawn first, then a
+/// value of each.
+struct Rows {
+    max: usize,
+}
+
+impl Strategy for Rows {
+    type Value = Vec<Value>;
+    fn gen_value(&self, rng: &mut TestRng) -> Vec<Value> {
+        let types = proptest::collection::vec(column_type(), 0..self.max).gen_value(rng);
+        row_of(&types, rng)
+    }
+}
+
+fn row_of(types: &[ColumnType], rng: &mut TestRng) -> Vec<Value> {
+    types.iter().map(|&ty| value(ty).gen_value(rng)).collect()
+}
+
+/// `v`'s equal twin where `Value` has one: the other zero, another NaN
+/// payload; otherwise `v` itself.
+fn twin(v: &Value, mantissa: u64) -> Value {
+    match v {
+        Value::Double(d) if *d == 0.0 => Value::Double(-*d),
+        Value::Double(d) if d.is_nan() => Value::Double(nan(mantissa.is_multiple_of(2), mantissa)),
+        other => other.clone(),
+    }
+}
+
+/// A row and a second one of the same column types (`types`, or up to
+/// eight drawn ones), equal to it or to its twin field by field unless
+/// redrawn: equal pairs are common.
+struct Pairs {
+    types: Option<Vec<ColumnType>>,
+}
+
+impl Strategy for Pairs {
+    type Value = (Vec<Value>, Vec<Value>);
+    fn gen_value(&self, rng: &mut TestRng) -> (Vec<Value>, Vec<Value>) {
+        let types = match &self.types {
+            Some(types) => types.clone(),
+            None => proptest::collection::vec(column_type(), 0..8).gen_value(rng),
+        };
+        let (a, fresh) = (row_of(&types, rng), row_of(&types, rng));
+        let mantissa = (1u64..(1 << 52)).gen_value(rng);
+        let b = a
+            .iter()
+            .zip(fresh)
+            .map(|(x, y)| match (0u8..4).gen_value(rng) {
+                0 => y,
+                1 => twin(x, mantissa),
+                _ => x.clone(),
+            })
+            .collect();
+        (a, b)
+    }
+}
+
+fn width(v: &Value) -> usize {
+    match v {
+        Value::Null => 1,
+        Value::Int(_) | Value::Double(_) => 9,
+        Value::Str(s) => {
+            let n = s.as_str().len();
+            1 + if n < 128 { 1 } else { 2 } + n
+        }
+    }
+}
+
+fn hash_of(v: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+fn same_bits(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_bits(y))
+}
+
+/// `r(a Int, d Double, s Str, f Int)`, selecting `a, d, s` with an
+/// equality condition on `f`: `f` is derived from the bcp, the other
+/// three are packed.
+fn template() -> Arc<QueryTemplate> {
+    TemplateBuilder::new("packed")
+        .relation(Schema::new(
+            "r",
+            vec![
+                Column::new("a", ColumnType::Int),
+                Column::new("d", ColumnType::Double),
+                Column::new("s", ColumnType::Str),
+                Column::new("f", ColumnType::Int),
+            ],
+        ))
+        .select("r", "a")
+        .unwrap()
+        .select("r", "d")
+        .unwrap()
+        .select("r", "s")
+        .unwrap()
+        .cond_eq("r", "f")
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+proptest! {
+    #[test]
+    fn every_shape_round_trips_bit_for_bit(values in Rows { max: 10 }) {
+        let tuple = Tuple::new(values.clone());
+        let (packed, allocations) = counted(|| PackedRow::from(&tuple));
+        prop_assert_eq!(allocations, 1, "one allocation per row");
+        prop_assert_eq!(packed.as_bytes().len(), values.iter().map(width).sum::<usize>());
+        let decoded: Vec<Value> = packed.fields().map(Field::to_value).collect();
+        prop_assert!(same_bits(&decoded, &values), "{:?} != {:?}", decoded, values);
+        prop_assert!(same_bits(packed.unpack().values(), &values));
+        prop_assert_eq!(packed.fields().count(), values.len());
+        // Cloning shares the bytes.
+        let (copy, allocations) = counted(|| packed.clone());
+        prop_assert_eq!(allocations, 0);
+        prop_assert_eq!(copy.as_bytes().as_ptr(), packed.as_bytes().as_ptr());
+    }
+
+    #[test]
+    fn equality_agrees_with_values((a, b) in Pairs { types: None }) {
+        let (ta, tb) = (Tuple::new(a.clone()), Tuple::new(b.clone()));
+        let (pa, pb) = (PackedRow::from(&ta), PackedRow::from(&tb));
+        let equal = ta == tb;
+        prop_assert_eq!(pa == pb, equal);
+        prop_assert_eq!(pb == pa, equal);
+        if equal {
+            prop_assert_eq!(hash_of(&pa), hash_of(&pb));
+        }
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            prop_assert_eq!(pa.field(i) == *y, x == y, "field {}", i);
+            prop_assert_eq!(pa.field(i) == pb.field(i), x == y, "field {}", i);
+            if x == y {
+                prop_assert_eq!(hash_of(&pa.field(i)), hash_of(&pb.field(i)));
+            }
+        }
+    }
+
+    #[test]
+    fn a_stored_layout_packs_once_and_rebuilds_the_row((a, b) in Pairs {
+        types: Some(vec![ColumnType::Int, ColumnType::Double, ColumnType::Str, ColumnType::Int]),
+    }) {
+        let def = PartialViewDef::all_equality("packed", template()).unwrap();
+        let layout = def.layout();
+        prop_assert_eq!(layout.stored_arity(), 3);
+        let (row, other) = (Tuple::new(a.clone()), Tuple::new(b.clone()));
+        let bcp = BcpKey::new(vec![BcpDim::Eq(a[3].clone())]);
+        let (stored, allocations) = counted(|| layout.store(&row));
+        prop_assert_eq!(allocations, 1, "storing a tuple allocates once");
+        let rebuilt = layout.rebuild(&stored, &bcp);
+        prop_assert!(same_bits(rebuilt.values(), &a), "{:?} != {:?}", rebuilt, a);
+        // `holds` compares the stored positions with `Value`'s equality
+        // (the rows share the bcp, so `f` is not compared).
+        prop_assert!(layout.holds(&stored, &row));
+        prop_assert_eq!(layout.holds(&stored, &other), a[..3] == b[..3]);
+    }
+}
+
+/// NULL in every column type packs to its tag alone and decodes as NULL.
+#[test]
+fn null_in_every_column_type() {
+    for ty in TYPES {
+        assert!(ty.admits(&Value::Null));
+        let packed = PackedRow::from(&Tuple::new(vec![Value::Null]));
+        assert_eq!(packed.as_bytes().len(), 1, "{ty:?}");
+        assert!(matches!(packed.field(0), Field::Null));
+        assert!(packed.field(0) == Value::Null);
+    }
+}
+
+/// The edges named above, once each, with their exact widths.
+#[test]
+fn edge_values_have_their_widths() {
+    let cases: Vec<(Value, usize)> = vec![
+        (Value::Int(i64::MIN), 9),
+        (Value::Int(i64::MAX), 9),
+        (Value::Double(-0.0), 9),
+        (Value::Double(f64::NEG_INFINITY), 9),
+        (Value::Double(nan(true, 1)), 9),
+        (Value::str(""), 2),
+        (Value::str("a".repeat(12)), 14),
+        (Value::str("a".repeat(13)), 15),
+        (Value::str("a".repeat(127)), 129),
+        (Value::str("a".repeat(128)), 131),
+        (Value::str("c".repeat(300)), 303),
+        (Value::str("𝄞é"), 8),
+    ];
+    for (v, w) in cases {
+        let packed = PackedRow::from(&Tuple::new(vec![v.clone()]));
+        assert_eq!(packed.as_bytes().len(), w, "{v:?}");
+        assert!(packed.field(0).to_value().same_bits(&v), "{v:?}");
+    }
+}

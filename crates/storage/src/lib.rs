@@ -13,11 +13,14 @@
 //! boxed slices of 16-byte [`Value`]s, short strings are inline and long
 //! ones reference-counted so tuple clones never copy string data, and
 //! every structure can report its heap footprint so the PMV layer can
-//! enforce the paper's storage bound `UB`.
+//! enforce the paper's storage bound `UB`. A view caches its tuples as
+//! [`PackedRow`]s instead: one byte string per tuple, 9 bytes per number,
+//! built in one allocation.
 
 mod cowvec;
 pub mod delta;
 pub mod error;
+pub mod packed;
 mod prefetch;
 pub mod relation;
 pub mod schema;
@@ -28,6 +31,7 @@ pub mod value;
 
 pub use delta::{Delta, DeltaBatch};
 pub use error::StorageError;
+pub use packed::PackedRow;
 pub use prefetch::prefetch_read;
 pub use relation::{HeapRelation, RowId};
 pub use schema::{Column, ColumnType, Schema};

@@ -1,10 +1,11 @@
 //! The string payload of [`Value::Str`](crate::Value::Str): 16 bytes,
 //! short strings inline.
 //!
-//! Every field of every heap row, cached tuple and index key is a
-//! `Value`, so `size_of::<Value>()` is the per-field cost inside `At`, the
-//! average cached-tuple size of the paper's storage bound `UB ≤ L·F·At`
-//! (Section 3.2). An `Arc<str>` is a fat pointer and made `Value` 24 B.
+//! Every field of every heap row, result row and index key is a `Value`,
+//! so `size_of::<Value>()` is the per-field cost of all of them. (A view
+//! caches its tuples as [`PackedRow`](crate::PackedRow)s instead, where a
+//! string costs its bytes plus a tag and a length.) An `Arc<str>` is a
+//! fat pointer and made `Value` 24 B.
 //! [`Str`] is 16 B: a string of at most [`INLINE_CAP`] = 12 bytes is held
 //! inline (a 4-byte length, then the bytes — the short-string layout of
 //! Umbra's "German strings", Neumann & Freitag, CIDR 2020), a longer one
@@ -82,10 +83,12 @@ const LENS: [Len; INLINE_CAP + 1] = [
 
 impl Str {
     /// Copy `s`: inline if it fits, else into one shared heap string.
+    #[inline]
     pub fn new(s: &str) -> Self {
         Self::inline(s).unwrap_or_else(|| Str(Repr::Heap(Arc::new(s.into()))))
     }
 
+    #[inline]
     fn inline(s: &str) -> Option<Self> {
         let len = *LENS.get(s.len())?;
         let mut bytes = [0u8; INLINE_CAP];
@@ -95,7 +98,7 @@ impl Str {
 
     /// The string's UTF-8 bytes.
     #[inline]
-    fn as_bytes(&self) -> &[u8] {
+    pub(crate) fn as_bytes(&self) -> &[u8] {
         match &self.0 {
             Repr::Inline { len, bytes } => &bytes[..*len as usize],
             Repr::Heap(s) => s.as_bytes(),

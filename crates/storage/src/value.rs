@@ -285,8 +285,8 @@ mod tests {
 
     #[test]
     fn value_is_sixteen_bytes() {
-        // Every field of every row, cached tuple and index key is one
-        // `Value`: this is the per-field cost inside the paper's `At`.
+        // Every field of every heap row, result row and index key is one
+        // `Value`: this is its per-field cost.
         assert_eq!(std::mem::size_of::<Value>(), 16);
         assert_eq!(std::mem::size_of::<Option<Value>>(), 16);
     }

@@ -4,12 +4,72 @@
 //!   2. cover exactly the query's `Cselect`,
 //!   3. each be contained in its containing bcp,
 //!   4. have `is_basic` set iff the part equals its bcp.
+//!
+//! A part carries only its bcp, so what it asks for in each dimension is
+//! derived here ([`part_dims`]) from the bcp and the query.
 
-use pmv::core::{decompose, Discretizer, PartDim, PartialViewDef};
+use pmv::core::{decompose, BcpDim, ConditionPart, Discretizer, PartialViewDef};
 use pmv::prelude::*;
-use pmv::query::Interval;
+use pmv::query::{Interval, QueryInstance};
 use proptest::prelude::*;
 use std::sync::Arc;
+
+/// What a condition part asks for in one dimension.
+#[derive(Debug)]
+enum PartDim {
+    Eq(Value),
+    Iv(Interval),
+}
+
+impl PartDim {
+    fn matches(&self, v: &Value) -> bool {
+        match self {
+            PartDim::Eq(x) => v == x,
+            PartDim::Iv(iv) => iv.contains(v),
+        }
+    }
+}
+
+/// Each part's per-dimension constraint: its bcp's value in an equality
+/// dimension; in an interval dimension, the bcp's basic interval clipped
+/// by the query interval that produced the part. Parts sharing a bcp
+/// differ only there, one per query interval overlapping the basic
+/// interval, in query order: the k-th such part takes the k-th.
+fn part_dims(
+    def: &PartialViewDef,
+    q: &QueryInstance,
+    parts: &[ConditionPart],
+) -> Vec<Vec<PartDim>> {
+    parts
+        .iter()
+        .enumerate()
+        .map(|(n, p)| {
+            let rank = parts[..n].iter().filter(|o| o.bcp == p.bcp).count();
+            p.bcp
+                .dims()
+                .iter()
+                .zip(q.conds())
+                .enumerate()
+                .map(|(i, (dim, cond))| match (dim, cond) {
+                    (BcpDim::Eq(v), _) => PartDim::Eq(v.clone()),
+                    (BcpDim::Iv(id), Condition::Intervals(ivs)) => {
+                        let basic = def.discretizer(i).unwrap().interval_of(*id);
+                        let frag = ivs.iter().filter_map(|iv| basic.intersect(iv)).nth(rank);
+                        PartDim::Iv(frag.expect("one query interval per part of a bcp"))
+                    }
+                    other => panic!("interval dimension for {other:?}"),
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Whether an `Ls'` tuple lies inside a part with constraints `dims`.
+fn contains(def: &PartialViewDef, dims: &[PartDim], tuple: &Tuple) -> bool {
+    dims.iter()
+        .enumerate()
+        .all(|(i, d)| d.matches(tuple.get(def.template().cond_position(i))))
+}
 
 fn template() -> Arc<pmv::query::QueryTemplate> {
     TemplateBuilder::new("p")
@@ -77,6 +137,7 @@ proptest! {
             .unwrap();
         let parts = decompose(&def, &q).unwrap();
         prop_assert!(!parts.is_empty());
+        let dims = part_dims(&def, &q, &parts);
 
         // Probe a dense grid of (f, g) points.
         for f in 0..10i64 {
@@ -86,10 +147,7 @@ proptest! {
                     Value::Int(f),
                     Value::Int(g),
                 ]);
-                let n_parts = parts
-                    .iter()
-                    .filter(|p| p.contains_tuple(&def, &tup))
-                    .count();
+                let n_parts = dims.iter().filter(|d| contains(&def, d, &tup)).count();
                 // (1) disjoint and (2) exact coverage.
                 let in_query = q.matches_select(&tup);
                 prop_assert!(
@@ -110,11 +168,11 @@ proptest! {
             prop_assert_eq!(p.bcp_part, first, "part {}", n);
         }
 
-        for p in &parts {
+        for (p, d) in parts.iter().zip(&dims) {
             // (3) containment in the bcp & (4) is_basic correctness.
             let disc = def.discretizer(1).unwrap();
-            match (&p.bcp.dims()[1], &p.dims[1]) {
-                (pmv::core::BcpDim::Iv(id), PartDim::Iv(frag)) => {
+            match (&p.bcp.dims()[1], &d[1]) {
+                (BcpDim::Iv(id), PartDim::Iv(frag)) => {
                     let basic = disc.interval_of(*id);
                     let clipped = basic.intersect(frag);
                     prop_assert_eq!(
@@ -152,10 +210,13 @@ proptest! {
             ])
             .unwrap();
         let parts = decompose(&def, &q).unwrap();
+        let dims = part_dims(&def, &q, &parts);
         let tup = pmv::storage::Tuple::new(vec![Value::Int(0), Value::Int(f), Value::Int(g)]);
         let holder: Vec<_> = parts
             .iter()
-            .filter(|p| p.contains_tuple(&def, &tup))
+            .zip(&dims)
+            .filter(|(_, d)| contains(&def, d, &tup))
+            .map(|(p, _)| p)
             .collect();
         prop_assert_eq!(holder.len(), 1, "everything-query must cover any g");
         prop_assert_eq!(&def.bcp_of_tuple(&tup), &holder[0].bcp);
