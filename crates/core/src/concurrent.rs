@@ -9,13 +9,14 @@
 //!   [`PmvStore`] — its slice of the bcp entries, its own
 //!   replacement-policy instance of capacity `⌈L/N⌉`, and its own
 //!   delta-key index slice — behind its own [`parking_lot::RwLock`].
-//! * Each shard also publishes an immutable **shard view** through a
-//!   [`pmv_sync::LeftRight`] cell: a spine of `Arc`-shared chunk maps
-//!   (entry = cached tuples + completeness stamp) plus the store's insert
-//!   watermark and quarantine flag. Mutators republish, under the
-//!   shard's write guard, after changing what the shard serves; a
-//!   publish costs O(changed bcps), not O(entries) — see
-//!   `ShardView::next`.
+//! * Each shard's store keeps its entries in one copy-on-write table,
+//!   and the shard publishes that table to readers through a
+//!   [`pmv_sync::LeftRight`] cell: a pointer copy of the table plus the
+//!   store's insert watermark and quarantine flag. Mutators republish,
+//!   under the shard's write guard, after changing what the shard
+//!   serves; the store's first write after a publish copies only the
+//!   spine and the chunk and entry it touches, and a store whose table is
+//!   still the published one has nothing to publish.
 //! * Maintenance ([`crate::maintenance`]) X-locks (write-locks) only the
 //!   shards its ΔR join rows hash to, in ascending index order; queries
 //!   over other shards are never affected.
@@ -69,109 +70,9 @@ use crate::o1::ConditionPart;
 use crate::pipeline::QueryOutcome;
 use crate::serve::{self, WriteBack};
 use crate::stats::{AtomicPmvStats, PmvStats};
-use crate::store::{CachedTuple, PmvStore};
+use crate::store::{CachedTuple, PmvStore, Published};
 use crate::view::{PartialViewDef, PmvConfig};
 use crate::Result;
-
-/// What a shard view holds for one bcp: the cached tuples, packed in the
-/// view's stored layout (shared with the store — pointers are copied,
-/// not bytes), and the entry's completeness stamp, valid only while it equals
-/// the view's `inserts_seen`. A pinned reader may serve a validly stamped entry as
-/// the bcp's *entire* answer — skipping O3 for that slice — under the
-/// epoch gates checked in [`crate::serve`].
-#[derive(Debug, PartialEq)]
-struct ViewEntry {
-    bcp: BcpKey,
-    tuples: Vec<CachedTuple>,
-    complete: Option<u64>,
-}
-
-/// The entries whose bcp hash falls in one chunk, each tagged with that
-/// hash: short enough to scan, and copied by bumping one count per
-/// entry.
-type Chunk = Vec<(u64, Arc<ViewEntry>)>;
-
-fn position(chunk: &Chunk, hash: u64, bcp: &BcpKey) -> Option<usize> {
-    chunk.iter().position(|(h, e)| *h == hash && e.bcp == *bcp)
-}
-
-/// Store entries per view chunk the chunk count is derived from. A
-/// publish copies the spine (one `Arc` per chunk) and each dirty chunk
-/// (one `Arc` per entry; a cold fill dirties two), so its cost
-/// `chunks + 2·⌈L/N⌉/chunks` is flattest around `√(2·⌈L/N⌉)` chunks:
-/// 35–70 entries each at the paper's L of 10–20 K, where 16, 32 and 64
-/// measure the same (DESIGN.md §10), and irrelevant for small views.
-/// Derived, not configurable: it trades nothing a user could want
-/// differently.
-const CHUNK_ENTRIES: usize = 32;
-
-/// Immutable snapshot of what one shard serves, published through a
-/// [`LeftRight`] cell so O2 probes read it wait-free: a spine of
-/// `Arc`-shared chunks plus the store's insert watermark and quarantine
-/// flag. Successive views share every chunk no logged change fell into.
-pub(crate) struct ShardView {
-    chunks: Arc<[Arc<Chunk>]>,
-    inserts_seen: u64,
-    quarantined: bool,
-}
-
-impl ShardView {
-    fn empty(chunks: usize) -> ShardView {
-        ShardView {
-            chunks: vec![Arc::default(); chunks].into(),
-            inserts_seen: 0,
-            quarantined: false,
-        }
-    }
-
-    /// The view after the changes `store` logged since `self` was
-    /// built: O(changed bcps + one chunk copy each). With nothing logged
-    /// (an insert batch moved only the watermark) the spine itself is
-    /// shared; when everything changed (quarantine drain or lift) the
-    /// view restarts from empty chunks and every resident bcp counts as
-    /// changed. `slot_of` gives a bcp's chunk and hash.
-    fn next(&self, store: &mut PmvStore, slot_of: impl Fn(&BcpKey) -> (usize, u64)) -> ShardView {
-        let changes = store.take_changes();
-        let chunks = if changes.as_ref().is_some_and(Vec::is_empty) {
-            Arc::clone(&self.chunks)
-        } else {
-            let (mut spine, changed) = match changes {
-                Some(changed) => (self.chunks.to_vec(), changed),
-                None => (
-                    vec![Arc::default(); self.chunks.len()],
-                    store.iter().map(|(bcp, _)| bcp.clone()).collect(),
-                ),
-            };
-            for bcp in changed {
-                let (ci, hash) = slot_of(&bcp);
-                // The first touch of a chunk copies it (the previous
-                // view still holds it); later touches edit the copy.
-                let chunk = Arc::make_mut(&mut spine[ci]);
-                let at = position(chunk, hash, &bcp);
-                let entry = store.served(&bcp).map(|(tuples, complete)| {
-                    let tuples = tuples.to_vec();
-                    Arc::new(ViewEntry {
-                        bcp,
-                        tuples,
-                        complete,
-                    })
-                });
-                match (entry, at) {
-                    (Some(entry), Some(i)) => chunk[i].1 = entry,
-                    (Some(entry), None) => chunk.push((hash, entry)),
-                    (None, Some(i)) => drop(chunk.swap_remove(i)),
-                    (None, None) => {}
-                }
-            }
-            spine.into()
-        };
-        ShardView {
-            chunks,
-            inserts_seen: store.inserts_seen(),
-            quarantined: store.is_quarantined(),
-        }
-    }
-}
 
 /// Trace-ring tail length captured in a flight-recorder dump: enough
 /// recent query lifecycles to reconstruct the anomaly's neighbourhood
@@ -184,12 +85,11 @@ pub(crate) struct Inner {
     pub(crate) def: PartialViewDef,
     pub(crate) config: PmvConfig,
     pub(crate) shards: Vec<RwLock<PmvStore>>,
-    /// Published read views, one per shard, for the wait-free O2 probe.
-    /// Republished (under the shard's write guard) after every mutation
-    /// that changes what the shard serves.
-    views: Vec<LeftRight<ShardView>>,
-    /// Chunks per shard view, `⌈⌈L/N⌉ / CHUNK_ENTRIES⌉`.
-    chunks: usize,
+    /// What each shard's readers see, for the wait-free O2 probe: its
+    /// store's table as of the last publish, republished (under the
+    /// shard's write guard) after every mutation that changes what the
+    /// shard serves.
+    views: Vec<LeftRight<Published>>,
     /// Epoch (database version) of the last completed maintenance, or
     /// of the view joining its host. Epoch-mode fills are gated on
     /// `pin_epoch >= maint_epoch`: a query pinned before the latest
@@ -221,18 +121,12 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// Owning shard of `bcp` and the one hash that placed it there;
-    /// within that shard's view the same hash picks the chunk and tags
-    /// the entry.
-    pub(crate) fn slot_of(&self, bcp: &BcpKey) -> (usize, u64) {
+    /// Owning shard of `bcp`: SipHash modulo the shard count. Within
+    /// the shard, [`PmvStore::hash_of`] places it.
+    pub(crate) fn shard_of(&self, bcp: &BcpKey) -> usize {
         let mut h = DefaultHasher::new();
         bcp.hash(&mut h);
-        let hash = h.finish();
-        ((hash % self.shards.len() as u64) as usize, hash)
-    }
-
-    fn chunk_of(&self, hash: u64) -> usize {
-        (hash / self.shards.len() as u64 % self.chunks as u64) as usize
+        (h.finish() % self.shards.len() as u64) as usize
     }
 
     /// Epoch of the last completed maintenance — the fill gate.
@@ -241,25 +135,22 @@ impl Inner {
         self.maint_epoch.load(Ordering::Acquire)
     }
 
-    /// Republish shard `si`'s read view from the changes `store` logged.
-    /// Must be called while the caller still holds the shard's write
-    /// guard, so the published view always reflects a consistent store
-    /// state (and no other publisher of this shard runs).
-    pub(crate) fn publish_shard(&self, si: usize, store: &mut PmvStore) {
+    /// Publish shard `si`'s store to its readers: a pointer copy of its
+    /// table, watermark and quarantine flag. Must be called while the
+    /// caller still holds the shard's write guard, so the published view
+    /// always reflects a consistent store state (and no other publisher
+    /// of this shard runs).
+    pub(crate) fn publish_shard(&self, si: usize, store: &PmvStore) {
         let t0 = Instant::now();
-        let next = self.views[si].load().next(store, |bcp| {
-            let hash = self.slot_of(bcp).1;
-            (self.chunk_of(hash), hash)
-        });
-        self.views[si].publish(Arc::new(next));
+        self.views[si].publish(Arc::new(store.published()));
         self.obs.record(Phase::snapshot_swap, t0.elapsed());
     }
 
     /// O2 read side of shard `si`: call `each(part, entries, claimed)`
     /// for every `(bcp hash, part number, bcp)`, with the bcp's cached
     /// tuples (if resident) and whether the entry carries a valid
-    /// completeness claim. Returns `false`, calling nothing, when the
-    /// shard is quarantined.
+    /// completeness claim. The hash is the bcp's [`PmvStore::hash_of`].
+    /// Returns `false`, calling nothing, when the shard is quarantined.
     // pmv::pin_region
     pub(crate) fn probe_shard<'p>(
         &self,
@@ -275,8 +166,7 @@ impl Inner {
             return false;
         }
         for (hash, part, bcp) in parts {
-            let chunk = &sv.chunks[self.chunk_of(hash)];
-            let entry = position(chunk, hash, bcp).map(|i| &*chunk[i].1);
+            let entry = sv.table.get(hash, bcp);
             let claimed = entry.is_some_and(|e| e.complete == Some(sv.inserts_seen));
             each(part, entry.map(|e| e.tuples.as_slice()), claimed);
         }
@@ -285,9 +175,11 @@ impl Inner {
 
     /// Run `apply(store, maint_epoch)` on shard `si`'s store under its
     /// write guard — `maint_epoch` re-read once the guard is held — and
-    /// republish the shard if the store logged a change to what it
-    /// serves (touches change only policy state). `None` when the guard
-    /// was contended or `apply` itself declined (quarantined store).
+    /// republish the shard if its store's table is no longer the
+    /// published one: `apply` changed what it serves (touches change
+    /// only policy state and hit counts, in place; a quarantine installs
+    /// a fresh table). `None` when the guard was contended or `apply`
+    /// itself declined (quarantined store).
     // pmv::pin_region
     pub(crate) fn try_write_shard(
         &self,
@@ -296,12 +188,12 @@ impl Inner {
     ) -> Option<WriteBack> {
         let mut store = self.shards[si].try_write()?;
         let done = apply(&mut store, self.maint_epoch())?;
-        if store.has_changes() {
+        if !self.views[si].load().table.ptr_eq(store.table()) {
             // pmv::allow(pin_reaches_blocking_lock): LeftRight::publish
             // takes the writer-side mutex, which only fills contend on —
             // never the wait-free reader path. A cold-shard fill is
             // already the slow path (DESIGN.md "Serving path").
-            self.publish_shard(si, &mut store);
+            self.publish_shard(si, &store);
         }
         Some(done)
     }
@@ -328,17 +220,14 @@ impl SharedPmv {
     pub fn with_shards(def: PartialViewDef, config: PmvConfig, shards: usize) -> Self {
         let n = shards.max(1);
         let per_shard = config.l.div_ceil(n).max(1);
-        let shards = (0..n)
+        let (shards, views) = (0..n)
             .map(|_| {
                 let mut store = PmvStore::with_capacity(&config, per_shard);
                 store.enable_index(crate::delta_index::DeltaKeyIndex::for_view(&def));
-                RwLock::new(store)
+                let view = LeftRight::new(Arc::new(store.published()));
+                (RwLock::new(store), view)
             })
-            .collect();
-        let chunks = per_shard.div_ceil(CHUNK_ENTRIES);
-        let views = (0..n)
-            .map(|_| LeftRight::new(Arc::new(ShardView::empty(chunks))))
-            .collect();
+            .unzip();
         let breaker = CircuitBreaker::default();
         let trace_name: Arc<str> = Arc::from(def.name());
         SharedPmv {
@@ -347,7 +236,6 @@ impl SharedPmv {
                 config,
                 shards,
                 views,
-                chunks,
                 maint_epoch: AtomicU64::new(0),
                 host: AtomicU64::new(0),
                 stats: AtomicPmvStats::new(),
@@ -429,7 +317,7 @@ impl SharedPmv {
                 removed += remove_stale(&mut store, &bcp, &mut budget);
             }
             store.lift_quarantine();
-            inner.publish_shard(si, &mut store);
+            inner.publish_shard(si, &store);
         }
         // The sweep closes the failure episode: clear transient
         // panic/quarantine tallies (counters AND `[transient]`-tagged
@@ -565,7 +453,8 @@ impl SharedPmv {
             .sum()
     }
 
-    /// Approximate bytes cached across all shards.
+    /// Bytes cached across all shards, exactly as each store charges
+    /// them ([`PmvStore::byte_size`]).
     pub fn byte_size(&self) -> usize {
         self.inner.shards.iter().map(|s| s.read().byte_size()).sum()
     }
@@ -587,7 +476,7 @@ impl SharedPmv {
     /// touch the policy.
     pub fn lookup(&self, bcp: &BcpKey) -> Option<Vec<(Arc<Tuple>, u64)>> {
         let layout = self.inner.def.layout();
-        let store = self.inner.shards[self.inner.slot_of(bcp).0].read();
+        let store = self.inner.shards[self.inner.shard_of(bcp)].read();
         store.lookup(bcp).map(|cached| {
             cached
                 .iter()
@@ -601,7 +490,7 @@ impl SharedPmv {
     /// policy.
     pub(crate) fn has_witness(&self, part: &ConditionPart, q: &QueryInstance) -> bool {
         let def = &self.inner.def;
-        let store = self.inner.shards[self.inner.slot_of(&part.bcp).0].read();
+        let store = self.inner.shards[self.inner.shard_of(&part.bcp)].read();
         store.lookup(&part.bcp).is_some_and(|cached| {
             cached
                 .iter()
@@ -612,7 +501,7 @@ impl SharedPmv {
     /// Popularity of `bcp`: number of queries it served (ranking
     /// extension; see `ext::ranking`).
     pub fn hit_count(&self, bcp: &BcpKey) -> u64 {
-        let store = self.inner.shards[self.inner.slot_of(bcp).0].read();
+        let store = self.inner.shards[self.inner.shard_of(bcp)].read();
         store.hit_count(bcp)
     }
 
@@ -772,12 +661,12 @@ pub(crate) mod tests {
     /// exists to find.
     pub(crate) fn seed_stale(view: &SharedPmv, bcp: &BcpKey, tuple: Tuple) {
         let inner = &view.inner;
-        let si = inner.slot_of(bcp).0;
+        let si = inner.shard_of(bcp);
         let stored = inner.def.layout().store(&tuple);
         let mut store = inner.shards[si].write();
         store.admit(bcp);
         assert!(store.push(bcp, stored, 0), "no room under {bcp:?}");
-        inner.publish_shard(si, &mut store);
+        inner.publish_shard(si, &store);
     }
 
     fn setup(shards: usize) -> (EpochDb, SharedPmv) {
@@ -865,62 +754,45 @@ pub(crate) mod tests {
         shared.debug_validate();
     }
 
-    /// The reference the incremental shard views are compared with:
-    /// everything a reader can see of a shard, read straight off its
-    /// store — bcp → (cached tuples with fill epochs, completeness
-    /// stamp), the insert watermark, the quarantine flag.
-    type Visible = (Vec<Arc<ViewEntry>>, u64, bool);
-
-    fn capture(store: &PmvStore) -> Visible {
-        let mut entries: Vec<Arc<ViewEntry>> = store
-            .iter()
-            .map(|(bcp, tuples)| {
-                let (bcp, tuples) = (bcp.clone(), tuples.to_vec());
-                let complete = store.served(&bcp).unwrap().1;
-                Arc::new(ViewEntry {
-                    bcp,
-                    tuples,
-                    complete,
-                })
-            })
-            .collect();
-        entries.sort_by(|a, b| a.bcp.cmp(&b.bcp));
-        (entries, store.inserts_seen(), store.is_quarantined())
-    }
-
-    /// Every shard's published view shows exactly what its store holds,
-    /// each entry in the chunk, and under the tag, its hash names.
+    /// Every shard publishes its store's own table: the published spine
+    /// is the store's, with its watermark and quarantine flag, and every
+    /// entry sits in this shard and in the chunk, under the tag, its hash
+    /// names.
     fn assert_views_current(shared: &SharedPmv, context: &str) {
         let inner = &shared.inner;
         for (si, shard) in inner.shards.iter().enumerate() {
             let view = inner.views[si].load();
-            let mut entries = Vec::new();
-            for (ci, chunk) in view.chunks.iter().enumerate() {
+            let store = shard.read();
+            assert!(
+                view.table.ptr_eq(store.table())
+                    && (view.inserts_seen, view.quarantined)
+                        == (store.inserts_seen(), store.is_quarantined()),
+                "{context}: shard {si}'s view is not its store"
+            );
+            for (ci, chunk) in view.table.chunks().iter().enumerate() {
                 for (hash, entry) in chunk.iter() {
                     assert_eq!(
-                        (inner.slot_of(&entry.bcp), inner.chunk_of(*hash)),
-                        ((si, *hash), ci),
+                        (
+                            inner.shard_of(&entry.bcp),
+                            PmvStore::hash_of(&entry.bcp),
+                            view.table.chunk_of(*hash)
+                        ),
+                        (si, *hash, ci),
                         "{context}: misplaced {:?}",
                         entry.bcp
                     );
-                    entries.push(Arc::clone(entry));
                 }
             }
-            entries.sort_by(|a, b| a.bcp.cmp(&b.bcp));
-            assert_eq!(
-                (entries, view.inserts_seen, view.quarantined),
-                capture(&shard.read()),
-                "{context}: shard {si}'s view is not its store"
-            );
+            assert_eq!(store.check(), Vec::<String>::new(), "{context}");
         }
     }
 
     /// The view oracle: one script (one- and two-part queries, inserts,
     /// deletes, updates; 6 bcps over L = 4, so evictions too) against a
     /// 1-shard and a 4-shard view. After every step each shard's
-    /// published view equals a full capture of its store — across an
-    /// insert-only batch and a quarantine/`revalidate` cycle as well —
-    /// and both views answer like the plain executor.
+    /// published view is its store's own table — across an insert-only
+    /// batch and a quarantine/`revalidate` cycle as well — and both views
+    /// answer like the plain executor.
     #[test]
     fn published_views_track_their_stores() {
         let mut db = Database::new();
@@ -970,7 +842,7 @@ pub(crate) mod tests {
                 for v in &views {
                     let mut store = v.inner.shards[0].write();
                     store.quarantine();
-                    v.inner.publish_shard(0, &mut store);
+                    v.inner.publish_shard(0, &store);
                     drop(store);
                     assert_views_current(v, "quarantined");
                     assert_eq!(v.quarantined_shards(), 1);
@@ -1033,8 +905,8 @@ pub(crate) mod tests {
     }
 
     /// Publication is O(|Δ|) by structure, no clock needed: a one-bcp
-    /// cold fill into a full shard rebuilds the filled bcp's chunk and
-    /// at most one victim's; every other chunk `Arc` is the previous
+    /// cold fill into a full shard copies the filled bcp's chunk and at
+    /// most one victim's; every other chunk `Arc` is the previous
     /// view's. An insert-only batch shares the whole spine.
     #[test]
     fn cold_fill_republishes_only_dirty_chunks() {
@@ -1077,13 +949,13 @@ pub(crate) mod tests {
         run(999);
         assert_eq!(shared.stats().admissions_declined, 1);
         let before = shared.inner.views[0].load();
-        let chunks = before.chunks.len();
-        assert_eq!(chunks, 640 / CHUNK_ENTRIES);
+        let chunks = before.table.chunks().len();
+        assert_eq!(chunks, 640 / crate::store::CHUNK_ENTRIES);
         run(999); // cold: admits, evicts one victim, fills
         assert_eq!((shared.entry_count(), shared.evictions()), (640, 1));
         let after = shared.inner.views[0].load();
         let shared_chunks = (0..chunks)
-            .filter(|&c| Arc::ptr_eq(&before.chunks[c], &after.chunks[c]))
+            .filter(|&c| Arc::ptr_eq(&before.table.chunks()[c], &after.table.chunks()[c]))
             .count();
         assert!(
             (chunks - 2..chunks).contains(&shared_chunks),
@@ -1098,8 +970,39 @@ pub(crate) mod tests {
         })
         .unwrap();
         let bumped = shared.inner.views[0].load();
-        assert!(Arc::ptr_eq(&after.chunks, &bumped.chunks), "spine shared");
+        assert!(after.table.ptr_eq(&bumped.table), "spine shared");
         assert_eq!(bumped.inserts_seen, after.inserts_seen + 1);
+    }
+
+    /// A query every probed bcp serves changes only policy state and hit
+    /// counts, which the store writes in place: its table stays the
+    /// published one and no shard publishes, however often it runs.
+    #[test]
+    fn an_all_hit_query_publishes_nothing() {
+        let (edb, shared) = setup(4);
+        let t = shared.def().template().clone();
+        let q = t
+            .bind(vec![Condition::Equality(vec![
+                Value::Int(3),
+                Value::Int(6),
+            ])])
+            .unwrap();
+        edb.query(&shared, &q).unwrap();
+        let bcps = [3, 6].map(|f| BcpKey::new(vec![crate::bcp::BcpDim::Eq(Value::Int(f))]));
+        let hits = bcps.clone().map(|b| shared.hit_count(&b));
+        let versions = |v: &SharedPmv| -> Vec<usize> {
+            v.inner.views.iter().map(LeftRight::version_hint).collect()
+        };
+        let published = versions(&shared);
+        for _ in 0..100 {
+            let out = edb.query(&shared, &q).unwrap();
+            assert_eq!(out.partial.len(), 6, "F = 3 per bcp, all served");
+        }
+        assert_eq!(versions(&shared), published);
+        for (bcp, before) in bcps.iter().zip(hits) {
+            assert_eq!(shared.hit_count(bcp), before + 100, "{bcp:?}");
+        }
+        shared.debug_validate();
     }
 
     #[test]
@@ -1127,7 +1030,7 @@ pub(crate) mod tests {
         // Hold a read lock on a shard that f=3's bcp does NOT hash to;
         // maintenance for a row with f=3 must not block on it.
         let bcp3 = BcpKey::new(vec![crate::bcp::BcpDim::Eq(Value::Int(3))]);
-        let affected = shared.inner.slot_of(&bcp3).0;
+        let affected = shared.inner.shard_of(&bcp3);
         let other = (affected + 1) % shared.shard_count();
         let _outside_guard = shared.inner.shards[other].read();
 

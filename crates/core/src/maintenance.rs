@@ -199,7 +199,7 @@ impl SharedPmv {
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
                 let row = inner.def.layout().store(&row);
-                let removal = (inner.slot_of(&bcp).0, bcp, row, false);
+                let removal = (inner.shard_of(&bcp), bcp, row, false);
                 removals.extend(std::iter::repeat_n(removal, n));
             }
         }
@@ -211,13 +211,13 @@ impl SharedPmv {
 
         // Insert watermark: bump every shard so stale completeness
         // claims lapse (the bcp's truth may have grown), and republish —
-        // with nothing logged that shares the whole spine, so an
-        // insert-heavy batch stays O(shards).
+        // the unchanged table is a pointer copy, so an insert-heavy batch
+        // stays O(shards).
         if any_insert {
             for (si, s) in inner.shards.iter().enumerate() {
                 let mut store = s.write();
                 store.note_insert();
-                inner.publish_shard(si, &mut store);
+                inner.publish_shard(si, &store);
             }
         }
         inner.verified.mark();
@@ -276,7 +276,7 @@ impl SharedPmv {
             if !store.is_quarantined() {
                 store.quarantine();
                 local.quarantine_events += 1;
-                inner.publish_shard(si, &mut store);
+                inner.publish_shard(si, &store);
             }
         }
     }
@@ -317,7 +317,7 @@ impl SharedPmv {
                 inner.breaker.record_error();
                 drained.push(si);
             }
-            inner.publish_shard(si, &mut store);
+            inner.publish_shard(si, &store);
         }
         drained
     }
@@ -361,7 +361,7 @@ impl SharedPmv {
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
                 let row = inner.def.layout().store(&row);
-                removals.push((inner.slot_of(&bcp).0, bcp, row, false));
+                removals.push((inner.shard_of(&bcp), bcp, row, false));
             }
         }
         self.evict(&removals, &mut local);

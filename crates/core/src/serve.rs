@@ -16,9 +16,10 @@
 //! `epoch()` is the pin epoch the gates below compare against. The
 //! store it reaches is the sharded one of
 //! [`crate::concurrent::SharedPmv`]: O2 loads each shard's published
-//! `LeftRight` view wait-free, write-back takes `try_write` and may be
-//! declined, and a shard is republished only when the store logged a
-//! change to what it serves.
+//! table through its `LeftRight` cell wait-free, write-back takes
+//! `try_write` and may be declined, and a shard is republished only when
+//! the write-back replaced its store's table, that is, changed what it
+//! serves.
 //!
 //! # What replaces the paper's S lock (Section 3.6)
 //!
@@ -59,7 +60,7 @@ use crate::health::{Degradation, DegradeReason};
 use crate::o1::{decompose, ConditionPart};
 use crate::pipeline::{QueryOutcome, QueryTimings};
 use crate::stats::PmvStats;
-use crate::store::Residency;
+use crate::store::{PmvStore, Residency};
 use crate::view::PartialViewDef;
 use crate::Result;
 
@@ -89,7 +90,8 @@ struct PartState {
     truth: usize,
 }
 
-/// `(shard, bcp hash, part number)` of one distinct probed bcp.
+/// `(shard, bcp hash within the shard, part number)` of one distinct
+/// probed bcp.
 type Slot = (usize, u64, usize);
 
 /// A fill candidate: `(part number, tuple)`.
@@ -252,12 +254,12 @@ fn query_with_scratch(
     // nothing re-produces them; if a targeted upquery later falls back
     // to the full O3, they are re-seeded into DS first.
     let mut complete_served: Vec<Arc<Tuple>> = Vec::new();
-    // The distinct bcps, each with its owning shard and the one hash
-    // that placed it there (the shard's view is indexed by the same
-    // hash), grouped by shard so the probe cost scales with the query's
-    // bcp count, not the shard count. (Several condition parts can share
-    // one containing bcp — two query intervals inside one basic
-    // interval; the full Cselect check below already covers its tuples.)
+    // The distinct bcps, each with its owning shard and the hash that
+    // places it in that shard's table, grouped by shard so the probe
+    // cost scales with the query's bcp count, not the shard count.
+    // (Several condition parts can share one containing bcp — two query
+    // intervals inside one basic interval; the full Cselect check below
+    // already covers its tuples.)
     state.resize(parts.len(), PartState::default());
     slots.extend(
         parts
@@ -265,8 +267,8 @@ fn query_with_scratch(
             .enumerate()
             .filter(|(pi, part)| part.bcp_part == *pi)
             .map(|(pi, part)| {
-                let (si, hash) = inner.slot_of(&part.bcp);
-                (si, hash, pi)
+                let bcp = &part.bcp;
+                (inner.shard_of(bcp), PmvStore::hash_of(bcp), pi)
             }),
     );
     slots.sort_by_key(|&(si, _, _)| si);

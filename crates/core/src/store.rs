@@ -11,9 +11,16 @@
 //! of capacity, and like the policy's frames it is not charged to
 //! [`PmvStore::byte_size`].
 //!
-//! The store is the moral equivalent of the paper's Figure 4: a table of
-//! `(bcp, tuples)` entries with a hash index `I` on bcp (bcp probes are
-//! exact-match, so a hash index needs no ordering).
+//! The store is the paper's Figure 4: one table of `(bcp, tuples)`
+//! entries with a hash index `I` on bcp (bcp probes are exact-match, so a
+//! hash index needs no ordering). The table is a spine of `Arc`-shared
+//! chunks of `Arc`-shared entries, each entry in the chunk its bcp's hash
+//! names. Every change writes through `Arc::make_mut` from spine to chunk
+//! to entry: while a reader still holds the table, a change copies the
+//! spine, the chunk and the entry it touches and leaves the reader's
+//! version whole. A [`crate::concurrent::SharedPmv`] publishes a shard by
+//! handing its readers a pointer copy of the store's table; a store whose
+//! table is still the published one has nothing new to publish.
 //!
 //! A view's store holds each tuple in the view's
 //! [`crate::view::StoredLayout`] — only the `Ls'` values its entry cannot
@@ -26,16 +33,9 @@
 //! `size_of::<BcpKey>()` plus its dimensions, a cached tuple
 //! `size_of::<PackedRow>()` (16 B) plus its packed bytes. T1's tuples
 //! store five integers and two empty strings: 16 + 5 × 9 + 2 × 2 = 65 B.
-//!
-//! A [`crate::concurrent::SharedPmv`] holds one store per shard and
-//! publishes an immutable copy of what each serves. So that a publish
-//! costs O(changes) instead of O(entries), the store logs the bcps whose
-//! served state — cached tuples or completeness stamp — changed
-//! (`admit` victims, `push`, `remove_tuple`, `mark_complete`;
-//! `quarantine`/`lift_quarantine` mean "all") and hands the log over
-//! once per publish.
 
 use std::hash::{Hash, Hasher};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pmv_cache::{admit_if_warmer, AdmitOutcome, FrequencySketch, PolicyKind, ReplacementPolicy};
@@ -43,7 +43,7 @@ use pmv_storage::{HeapSize, PackedRow, Tuple};
 
 use crate::bcp::BcpKey;
 use crate::delta_index::{DeltaKeyIndex, Supported};
-use crate::fasthash::{FxHashMap, FxHasher};
+use crate::fasthash::FxHasher;
 use crate::view::PmvConfig;
 
 /// Residency decision for a bcp in Operation O3.
@@ -59,18 +59,36 @@ pub enum Residency {
 }
 
 /// One cached result tuple, packed in the store's layout, and the epoch
-/// it was filled at. Packed rows are shared — a published view or the
+/// it was filled at. Packed rows are shared — a copied entry or the
 /// delta-key index copies a pointer, never the bytes. The fill epoch lets
 /// the epoch-pinned serving path refuse tuples newer than its pinned
 /// version (a reader at epoch `e` serves a cached tuple only when
 /// `fill_epoch <= e`).
 pub type CachedTuple = (PackedRow, u64);
 
-struct Entry {
-    tuples: Vec<CachedTuple>,
+/// Store entries per table chunk, from which the chunk count is derived.
+/// The first change after a publish copies the spine (one `Arc` per
+/// chunk) and each chunk it touches (one `Arc` per entry; a cold fill
+/// into a full store touches two), so its cost `chunks + 2·L/chunks` is
+/// flattest around `√(2·L)` chunks: 35–70 entries each at the paper's L
+/// of 10–20 K, where 16, 32 and 64 measure the same (DESIGN.md §10), and
+/// irrelevant for small stores. Derived, not configurable: it trades
+/// nothing a user could want differently.
+pub(crate) const CHUNK_ENTRIES: usize = 32;
+
+/// One bcp's entry. Readers of a published table share it; the store
+/// copies it before changing it.
+#[derive(Debug)]
+pub(crate) struct Entry {
+    pub(crate) bcp: BcpKey,
+    /// The cached tuples, with their fill epochs.
+    pub(crate) tuples: Vec<CachedTuple>,
     /// Times this bcp produced partial results (popularity ranking
-    /// extension).
-    hits: u64,
+    /// extension). Policy metadata no reader looks at, so it is counted
+    /// in place, through a shared entry, and copied along with one. Every
+    /// access holds the shard's lock: the atomic is what lets a shared
+    /// entry be counted, not what orders it.
+    hits: AtomicU64,
     /// `Some(w)` when this entry held the bcp's *entire* truth at
     /// insert-watermark `w` (a fill or upquery cached every matching
     /// tuple). The entry is still complete only while `w` equals the
@@ -78,12 +96,109 @@ struct Entry {
     /// insert may have added tuples the cache is missing. Maintenance
     /// removals clear it (conservative: a removal may drop a tuple the
     /// base still derives via another support).
-    complete: Option<u64>,
+    pub(crate) complete: Option<u64>,
+}
+
+impl Clone for Entry {
+    fn clone(&self) -> Entry {
+        Entry {
+            bcp: self.bcp.clone(),
+            tuples: self.tuples.clone(),
+            hits: AtomicU64::new(self.hits.load(Ordering::Acquire)),
+            complete: self.complete,
+        }
+    }
+}
+
+/// The entries whose hash falls in one chunk, each tagged with that
+/// hash: short enough to scan, and copied by bumping one count per
+/// entry.
+type Chunk = Vec<(u64, Arc<Entry>)>;
+
+/// The store's entry table: a spine of `Arc`-shared chunks, each entry
+/// in the chunk its [`PmvStore::hash_of`] names. A clone copies one
+/// pointer; a write copies what a clone still shares.
+#[derive(Clone)]
+pub(crate) struct Table(Arc<[Arc<Chunk>]>);
+
+/// Where an entry sits: chunk, then position in the chunk.
+type At = (usize, usize);
+
+impl Table {
+    fn new(chunks: usize) -> Table {
+        Table(vec![Arc::default(); chunks.max(1)].into())
+    }
+
+    /// The chunks, in spine order.
+    pub(crate) fn chunks(&self) -> &[Arc<Chunk>] {
+        &self.0
+    }
+
+    /// Whether `self` and `other` are one spine: nothing was written
+    /// since either was cloned from the other.
+    pub(crate) fn ptr_eq(&self, other: &Table) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// The chunk entries of hash `hash` sit in.
+    pub(crate) fn chunk_of(&self, hash: u64) -> usize {
+        (hash % self.0.len() as u64) as usize
+    }
+
+    fn find(&self, hash: u64, bcp: &BcpKey) -> Option<At> {
+        let ci = self.chunk_of(hash);
+        let i = self.0[ci]
+            .iter()
+            .position(|(h, e)| *h == hash && e.bcp == *bcp)?;
+        Some((ci, i))
+    }
+
+    /// `bcp`'s entry; `hash` is its [`PmvStore::hash_of`].
+    pub(crate) fn get(&self, hash: u64, bcp: &BcpKey) -> Option<&Entry> {
+        self.find(hash, bcp).map(|at| self.at(at))
+    }
+
+    fn at(&self, (ci, i): At) -> &Entry {
+        &self.0[ci][i].1
+    }
+
+    /// The entry at `(ci, i)`, writable: copied first, with its chunk and
+    /// the spine, where a reader still shares them.
+    fn at_mut(&mut self, (ci, i): At) -> &mut Entry {
+        Arc::make_mut(&mut self.chunk_mut(ci)[i].1)
+    }
+
+    fn chunk_mut(&mut self, ci: usize) -> &mut Chunk {
+        Arc::make_mut(&mut Arc::make_mut(&mut self.0)[ci])
+    }
+
+    fn insert(&mut self, hash: u64, entry: Entry) {
+        let ci = self.chunk_of(hash);
+        self.chunk_mut(ci).push((hash, Arc::new(entry)));
+    }
+
+    fn remove(&mut self, (ci, i): At) -> Arc<Entry> {
+        self.chunk_mut(ci).swap_remove(i).1
+    }
+
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        self.0.iter().flat_map(|c| c.iter().map(|(_, e)| &**e))
+    }
+}
+
+/// What readers of a store see: a pointer copy of its table, and the
+/// insert watermark and quarantine flag that go with it.
+pub(crate) struct Published {
+    pub(crate) table: Table,
+    pub(crate) inserts_seen: u64,
+    pub(crate) quarantined: bool,
 }
 
 /// Bounded store of hot query results, keyed by basic condition part.
 pub struct PmvStore {
-    entries: FxHashMap<BcpKey, Entry>,
+    table: Table,
+    /// Entries in `table`.
+    entries: usize,
     policy: Box<dyn ReplacementPolicy<BcpKey> + Send + Sync>,
     /// Which policy `policy` was built from, kept so a quarantine drain
     /// can rebuild a fresh instance of the same kind.
@@ -102,15 +217,6 @@ pub struct PmvStore {
     /// serves nothing and caches nothing until quarantine is lifted by
     /// revalidation.
     quarantined: bool,
-    /// Bcps whose served state (tuples or completeness stamp) changed
-    /// since the last [`Self::take_changes`], in order, consecutive
-    /// repeats folded. The shard owner republishes exactly these.
-    changed: Vec<BcpKey>,
-    /// Set instead of growing `changed` when everything changed (a
-    /// quarantine drain or lift) or the log reached `L` bcps — past that
-    /// a rebuild of the whole view costs no more than replaying the log,
-    /// and an owner that never publishes keeps a bounded log.
-    changed_all: bool,
 }
 
 impl PmvStore {
@@ -126,7 +232,8 @@ impl PmvStore {
     pub fn with_capacity(config: &PmvConfig, l: usize) -> Self {
         let l = l.max(1);
         PmvStore {
-            entries: FxHashMap::default(),
+            table: Table::new(l.div_ceil(CHUNK_ENTRIES)),
+            entries: 0,
             policy: config.policy.build(l),
             policy_kind: config.policy,
             sketch: FrequencySketch::new(l),
@@ -136,51 +243,32 @@ impl PmvStore {
             index: None,
             inserts_seen: 0,
             quarantined: false,
-            changed: Vec::new(),
-            changed_all: false,
         }
     }
 
-    /// Record that what is served for `bcp` changed.
-    fn log_change(&mut self, bcp: &BcpKey) {
-        if self.changed_all || self.changed.last() == Some(bcp) {
-            return;
+    /// The entry table.
+    pub(crate) fn table(&self) -> &Table {
+        &self.table
+    }
+
+    /// What a reader of this store sees now: its table (a pointer copy),
+    /// insert watermark and quarantine flag.
+    pub(crate) fn published(&self) -> Published {
+        Published {
+            table: self.table.clone(),
+            inserts_seen: self.inserts_seen,
+            quarantined: self.quarantined,
         }
-        if self.changed.len() >= self.policy.capacity() {
-            self.log_all_changed();
-        } else {
-            self.changed.push(bcp.clone());
-        }
     }
 
-    fn log_all_changed(&mut self) {
-        self.changed.clear();
-        self.changed_all = true;
-    }
-
-    /// Whether anything served changed since the last
-    /// [`Self::take_changes`] (policy touches and hit counts do not
-    /// count: no reader sees them).
-    pub(crate) fn has_changes(&self) -> bool {
-        self.changed_all || !self.changed.is_empty()
-    }
-
-    /// Hand over the change log, leaving it empty: `Some(bcps)` when
-    /// exactly those bcps' served state changed (repeats possible),
-    /// `None` when all of it may have.
-    pub(crate) fn take_changes(&mut self) -> Option<Vec<BcpKey>> {
-        let all = std::mem::take(&mut self.changed_all);
-        let changed = std::mem::take(&mut self.changed);
-        (!all).then_some(changed)
-    }
-
-    /// What a published view holds for `bcp`: its cached tuples and its
-    /// completeness stamp (valid only while equal to
-    /// [`Self::inserts_seen`]).
-    pub(crate) fn served(&self, bcp: &BcpKey) -> Option<(&[CachedTuple], Option<u64>)> {
-        self.entries
-            .get(bcp)
-            .map(|e| (e.tuples.as_slice(), e.complete))
+    /// The hash that places `bcp` in its store's table and counts it in
+    /// the admission sketch: Fx, independent of the SipHash that chose
+    /// this store's shard — every bcp a shard's store sees agrees on that
+    /// hash modulo the shard count.
+    pub(crate) fn hash_of(bcp: &BcpKey) -> u64 {
+        let mut h = FxHasher::default();
+        bcp.hash(&mut h);
+        h.finish()
     }
 
     /// Attach the delta-key maintenance index (must be done while the
@@ -188,7 +276,7 @@ impl PmvStore {
     /// answers the same may-affect question *and* yields the supported
     /// view tuples directly.
     pub fn enable_index(&mut self, index: DeltaKeyIndex) {
-        debug_assert!(self.entries.is_empty(), "enable the index before use");
+        debug_assert!(self.entries == 0, "enable the index before use");
         self.index = Some(index);
     }
 
@@ -229,14 +317,13 @@ impl PmvStore {
         if self.quarantined || inserts_at != self.inserts_seen {
             return false;
         }
-        match self.entries.get_mut(bcp) {
-            Some(e) => {
-                e.complete = Some(inserts_at);
-                self.log_change(bcp);
-                true
-            }
-            None => false,
+        let Some(at) = self.table.find(Self::hash_of(bcp), bcp) else {
+            return false;
+        };
+        if self.table.at(at).complete != Some(inserts_at) {
+            self.table.at_mut(at).complete = Some(inserts_at);
         }
+        true
     }
 
     /// Whether `bcp`'s entry currently holds the bcp's entire truth:
@@ -244,8 +331,8 @@ impl PmvStore {
     pub fn entry_complete(&self, bcp: &BcpKey) -> bool {
         !self.quarantined
             && self
-                .entries
-                .get(bcp)
+                .table
+                .get(Self::hash_of(bcp), bcp)
                 .is_some_and(|e| e.complete == Some(self.inserts_seen))
     }
 
@@ -278,21 +365,20 @@ impl PmvStore {
     /// The admission sketch keeps its counts: they describe the
     /// workload, not the drained contents.
     pub fn quarantine(&mut self) {
-        self.entries.clear();
+        self.table = Table::new(self.table.chunks().len());
+        self.entries = 0;
         self.bytes = 0;
         self.policy = self.policy_kind.build(self.policy.capacity());
         if let Some(ix) = &mut self.index {
             ix.clear();
         }
         self.quarantined = true;
-        self.log_all_changed();
     }
 
     /// Resume serving after revalidation confirmed (or re-established)
     /// consistency.
     pub fn lift_quarantine(&mut self) {
         self.quarantined = false;
-        self.log_all_changed();
     }
 
     /// Tuples cached for `bcp` (with their fill epochs), if resident.
@@ -301,16 +387,17 @@ impl PmvStore {
         if self.quarantined {
             return None;
         }
-        self.entries.get(bcp).map(|e| e.tuples.as_slice())
+        let entry = self.table.get(Self::hash_of(bcp), bcp)?;
+        Some(&entry.tuples)
     }
 
     /// Record a query access to `bcp` (Operation O2) and count a hit if it
-    /// served results.
+    /// served results. Copies nothing: the hit count is bumped in place.
     pub fn touch(&mut self, bcp: &BcpKey, served: bool) {
         self.policy.touch(bcp);
         if served {
-            if let Some(e) = self.entries.get_mut(bcp) {
-                e.hits += 1;
+            if let Some(e) = self.table.get(Self::hash_of(bcp), bcp) {
+                e.hits.fetch_add(1, Ordering::Release);
             }
         }
     }
@@ -320,16 +407,7 @@ impl PmvStore {
     /// partial or O3 produced some): probes of empty bcps would swamp
     /// the sample.
     pub(crate) fn note_access(&mut self, bcp: &BcpKey) {
-        self.sketch.increment(Self::sketch_hash(bcp));
-    }
-
-    /// The sketch's hash of a bcp: Fx, independent of the SipHash that
-    /// chose this store's shard — every bcp a shard's store sees agrees
-    /// on that hash modulo the shard count.
-    fn sketch_hash(bcp: &BcpKey) -> u64 {
-        let mut h = FxHasher::default();
-        bcp.hash(&mut h);
-        h.finish()
+        self.sketch.increment(Self::hash_of(bcp));
     }
 
     /// Ask the policy to make `bcp` resident (Operation O3, once per bcp
@@ -339,23 +417,25 @@ impl PmvStore {
         if self.quarantined {
             return Residency::Probation;
         }
-        match admit_if_warmer(&mut *self.policy, &self.sketch, bcp, Self::sketch_hash) {
+        match admit_if_warmer(&mut *self.policy, &self.sketch, bcp, Self::hash_of) {
             None => Residency::Declined,
             Some(AdmitOutcome::Resident { evicted }) => {
                 for victim in evicted {
-                    if let Some(e) = self.entries.remove(&victim) {
-                        self.bytes -= Self::key_bytes(&victim)
-                            + e.tuples
-                                .iter()
-                                .map(|(t, _)| Self::tuple_bytes(t))
-                                .sum::<usize>();
-                        self.evictions += 1;
-                        if let Some(ix) = &mut self.index {
-                            for (t, _) in &e.tuples {
-                                ix.remove_from(&victim, t);
-                            }
+                    let Some(at) = self.table.find(Self::hash_of(&victim), &victim) else {
+                        continue;
+                    };
+                    let e = self.table.remove(at);
+                    self.entries -= 1;
+                    self.bytes -= Self::key_bytes(&victim)
+                        + e.tuples
+                            .iter()
+                            .map(|(t, _)| Self::tuple_bytes(t))
+                            .sum::<usize>();
+                    self.evictions += 1;
+                    if let Some(ix) = &mut self.index {
+                        for (t, _) in &e.tuples {
+                            ix.remove_from(&victim, t);
                         }
-                        self.log_change(&victim);
                     }
                 }
                 Residency::Resident
@@ -377,25 +457,33 @@ impl PmvStore {
         if self.quarantined || !self.policy.contains(bcp) {
             return false;
         }
-        let entry = self.entries.entry(bcp.clone()).or_insert_with(|| Entry {
-            tuples: Vec::with_capacity(self.f.min(8)),
-            hits: 0,
-            complete: None,
-        });
-        if entry.tuples.len() >= self.f {
+        let hash = Self::hash_of(bcp);
+        let at = self.table.find(hash, bcp);
+        let len = at.map_or(0, |at| self.table.at(at).tuples.len());
+        if len >= self.f {
             return false;
         }
-        self.bytes += Self::tuple_bytes(&tuple)
-            + if entry.tuples.is_empty() {
-                Self::key_bytes(bcp)
-            } else {
-                0
-            };
+        self.bytes += Self::tuple_bytes(&tuple) + if len == 0 { Self::key_bytes(bcp) } else { 0 };
         if let Some(ix) = &mut self.index {
             ix.file(bcp, &tuple);
         }
-        entry.tuples.push((tuple, epoch));
-        self.log_change(bcp);
+        match at {
+            Some(at) => self.table.at_mut(at).tuples.push((tuple, epoch)),
+            None => {
+                let mut tuples = Vec::with_capacity(self.f.min(8));
+                tuples.push((tuple, epoch));
+                self.table.insert(
+                    hash,
+                    Entry {
+                        bcp: bcp.clone(),
+                        tuples,
+                        hits: AtomicU64::new(0),
+                        complete: None,
+                    },
+                );
+                self.entries += 1;
+            }
+        }
         true
     }
 
@@ -403,50 +491,57 @@ impl PmvStore {
     /// `bcp` (PMV maintenance after a base-relation delete/update).
     /// Returns whether a tuple was removed.
     pub fn remove_tuple(&mut self, bcp: &BcpKey, tuple: &PackedRow) -> bool {
-        let Some(entry) = self.entries.get_mut(bcp) else {
+        let Some(at) = self.table.find(Self::hash_of(bcp), bcp) else {
             return false;
         };
-        let Some(pos) = entry.tuples.iter().position(|(t, _)| t == tuple) else {
+        let tuples = &self.table.at(at).tuples;
+        let Some(pos) = tuples.iter().position(|(t, _)| t == tuple) else {
             return false;
         };
-        entry.tuples.swap_remove(pos);
-        // A removal may be conservative (the base may still derive this
-        // tuple another way), so the entry can no longer claim to hold
-        // the bcp's entire truth.
-        entry.complete = None;
+        let last = tuples.len() == 1;
         self.bytes -= Self::tuple_bytes(tuple);
         if let Some(ix) = &mut self.index {
             ix.remove_from(bcp, tuple);
         }
-        if entry.tuples.is_empty() {
-            self.entries.remove(bcp);
+        if last {
+            self.table.remove(at);
+            self.entries -= 1;
             self.bytes -= Self::key_bytes(bcp);
             self.policy.remove(bcp);
+        } else {
+            let entry = self.table.at_mut(at);
+            entry.tuples.swap_remove(pos);
+            // A removal may be conservative (the base may still derive
+            // this tuple another way), so the entry can no longer claim
+            // to hold the bcp's entire truth.
+            entry.complete = None;
         }
-        self.log_change(bcp);
         true
     }
 
     /// Popularity of `bcp`: number of queries it served (ranking
     /// extension; see `ext::ranking`).
     pub fn hit_count(&self, bcp: &BcpKey) -> u64 {
-        self.entries.get(bcp).map_or(0, |e| e.hits)
+        self.table
+            .get(Self::hash_of(bcp), bcp)
+            .map_or(0, |e| e.hits.load(Ordering::Acquire))
     }
 
     /// Number of bcp entries currently stored.
     pub fn entry_count(&self) -> usize {
-        self.entries.len()
+        self.entries
     }
 
     /// Total cached tuples.
     pub fn tuple_count(&self) -> usize {
-        self.entries.values().map(|e| e.tuples.len()).sum()
+        self.table.entries().map(|e| e.tuples.len()).sum()
     }
 
     /// Bytes cached, exactly as charged: per entry its key's
     /// `size_of::<BcpKey>()` plus dimensions, per tuple
     /// `size_of::<PackedRow>()` plus its packed bytes. The sketch, the
-    /// policy's frames and the delta-key index are not charged.
+    /// policy's frames, the table's spine and the delta-key index are not
+    /// charged.
     pub fn byte_size(&self) -> usize {
         self.bytes
     }
@@ -458,7 +553,7 @@ impl PmvStore {
 
     /// Iterate over `(bcp, cached tuples)` (diagnostics/tests).
     pub fn iter(&self) -> impl Iterator<Item = (&BcpKey, &[CachedTuple])> {
-        self.entries.iter().map(|(k, e)| (k, e.tuples.as_slice()))
+        self.table.entries().map(|e| (&e.bcp, e.tuples.as_slice()))
     }
 
     fn tuple_bytes(t: &PackedRow) -> usize {
@@ -473,44 +568,59 @@ impl PmvStore {
     /// message. Empty means consistent. Never panics.
     pub fn check(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        if self.entries.len() > self.policy.capacity() {
+        let (mut counted, mut recomputed) = (0, 0);
+        for (ci, chunk) in self.table.chunks().iter().enumerate() {
+            for (hash, e) in chunk.iter() {
+                let k = &e.bcp;
+                counted += 1;
+                recomputed += Self::key_bytes(k)
+                    + e.tuples
+                        .iter()
+                        .map(|(t, _)| Self::tuple_bytes(t))
+                        .sum::<usize>();
+                // Misplaced, an entry is one no lookup finds.
+                if *hash != Self::hash_of(k) || self.table.chunk_of(*hash) != ci {
+                    violations.push(format!("entry {k:?} misplaced in chunk {ci}"));
+                }
+                if e.tuples.is_empty() {
+                    violations.push(format!("empty entry for {k:?}"));
+                }
+                if e.tuples.len() > self.f {
+                    violations.push(format!("entry over F for {k:?}"));
+                }
+                if !self.policy.contains(k) {
+                    violations.push(format!("entry {k:?} not resident in policy"));
+                }
+                if let Some(w) = e.complete.filter(|&w| w > self.inserts_seen) {
+                    violations.push(format!(
+                        "completeness stamp from the future for {k:?}: {w} > {}",
+                        self.inserts_seen
+                    ));
+                }
+            }
+        }
+        if counted != self.entries {
+            violations.push(format!(
+                "entry count drifted: table holds {counted} != tracked {}",
+                self.entries
+            ));
+        }
+        if self.entries > self.policy.capacity() {
             violations.push(format!(
                 "more entries than L: {} > {}",
-                self.entries.len(),
+                self.entries,
                 self.policy.capacity()
             ));
         }
         // Every resident bcp holds an entry: a frame with nothing behind
         // it would evict a live entry for no gain.
-        if self.policy.resident_count() != self.entries.len() {
+        if self.policy.resident_count() != self.entries {
             violations.push(format!(
                 "policy resident count {} != entry count {}",
                 self.policy.resident_count(),
-                self.entries.len()
+                self.entries
             ));
         }
-        for (k, e) in &self.entries {
-            if e.tuples.is_empty() {
-                violations.push(format!("empty entry for {k:?}"));
-            }
-            if e.tuples.len() > self.f {
-                violations.push(format!("entry over F for {k:?}"));
-            }
-            if !self.policy.contains(k) {
-                violations.push(format!("entry {k:?} not resident in policy"));
-            }
-        }
-        let recomputed: usize = self
-            .entries
-            .iter()
-            .map(|(k, e)| {
-                Self::key_bytes(k)
-                    + e.tuples
-                        .iter()
-                        .map(|(t, _)| Self::tuple_bytes(t))
-                        .sum::<usize>()
-            })
-            .sum();
         if recomputed != self.bytes {
             violations.push(format!(
                 "byte accounting drifted: recomputed {recomputed} != tracked {}",
@@ -519,21 +629,10 @@ impl PmvStore {
         }
         if let Some(ix) = &self.index {
             let cached: Vec<(&BcpKey, &PackedRow)> = self
-                .entries
                 .iter()
-                .flat_map(|(k, e)| e.tuples.iter().map(move |(t, _)| (k, t)))
+                .flat_map(|(k, tuples)| tuples.iter().map(move |(t, _)| (k, t)))
                 .collect();
             violations.extend(ix.check_against(&cached));
-        }
-        for (k, e) in &self.entries {
-            if let Some(w) = e.complete {
-                if w > self.inserts_seen {
-                    violations.push(format!(
-                        "completeness stamp from the future for {k:?}: {w} > {}",
-                        self.inserts_seen
-                    ));
-                }
-            }
         }
         violations
     }
@@ -653,13 +752,13 @@ mod tests {
         s.note_access(&bcp(1));
         s.admit(&bcp(1));
         s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
-        s.take_changes();
+        let seen = s.published();
         s.note_access(&bcp(2));
         assert_eq!(s.admit(&bcp(2)), Residency::Declined);
         assert!(!s.push_arc(&bcp(2), Arc::new(tuple![2i64]), 0));
         assert!(!s.mark_complete(&bcp(2), s.inserts_seen()));
         assert_eq!((s.entry_count(), s.evictions()), (1, 0));
-        assert!(!s.has_changes());
+        assert!(s.table().ptr_eq(&seen.table), "nothing to publish");
         s.validate();
         // Behind 2Q the rule guards only a promotion out of A1: a first
         // sighting still enters probation, with nothing to evict.
@@ -744,54 +843,87 @@ mod tests {
         s.validate();
     }
 
+    /// A reader holds the table it was handed, so whatever changes what
+    /// it could see copies the spine, and nothing else does: the store's
+    /// spine pointer is the publish test.
     #[test]
-    fn change_log_names_what_a_reader_could_see_change() {
+    fn only_served_changes_copy_the_table() {
         let mut s = PmvStore::new(&cfg(2, 4, PolicyKind::Clock));
-        assert!(!s.has_changes());
-        s.admit(&bcp(1));
-        s.touch(&bcp(1), false);
-        assert!(!s.has_changes(), "residency and touches serve nothing");
-        s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
-        s.push_arc(&bcp(1), Arc::new(tuple![2i64]), 0);
-        assert!(
-            !s.push_arc(&bcp(1), Arc::new(tuple![3i64]), 0),
-            "over F: not logged"
-        );
-        assert_eq!(s.take_changes(), Some(vec![bcp(1)]), "repeats folded");
-        assert_eq!(s.take_changes(), Some(vec![]), "handed over once");
+        // `step` runs one change against a store whose table a reader
+        // holds and says whether the spine was replaced.
+        fn step(s: &mut PmvStore, change: &dyn Fn(&mut PmvStore)) -> bool {
+            let seen = s.published();
+            change(s);
+            !s.table().ptr_eq(&seen.table)
+        }
+        // Residency of a bcp with room, policy touches, sketch counts
+        // and the insert watermark serve nothing.
+        assert!(!step(&mut s, &|s| assert_eq!(
+            s.admit(&bcp(1)),
+            Residency::Resident
+        )));
+        assert!(!step(&mut s, &|s| s.touch(&bcp(1), false)));
+        assert!(!step(&mut s, &|s| s.note_access(&bcp(1))));
+        assert!(!step(&mut s, &|s| s.note_insert()));
+        // Fills do, up to F; a push refused over F does not.
+        assert!(step(&mut s, &|s| assert!(s.push_arc(
+            &bcp(1),
+            Arc::new(tuple![1i64]),
+            0
+        ))));
+        assert!(step(&mut s, &|s| assert!(s.push_arc(
+            &bcp(1),
+            Arc::new(tuple![2i64]),
+            0
+        ))));
+        assert!(!step(&mut s, &|s| assert!(!s.push_arc(
+            &bcp(1),
+            Arc::new(tuple![3i64]),
+            0
+        ))));
+        // A served touch counts its hit in place.
+        assert!(!step(&mut s, &|s| s.touch(&bcp(1), true)));
+        assert_eq!(s.hit_count(&bcp(1)), 1);
+        // A completeness stamp does, once; so does a removal.
+        assert!(step(&mut s, &|s| assert!(
+            s.mark_complete(&bcp(1), s.inserts_seen())
+        )));
+        assert!(!step(&mut s, &|s| assert!(
+            s.mark_complete(&bcp(1), s.inserts_seen())
+        )));
+        let one = PackedRow::from(&tuple![1i64]);
+        assert!(step(&mut s, &|s| assert!(s.remove_tuple(&bcp(1), &one))));
+        assert!(!step(&mut s, &|s| assert!(!s.remove_tuple(&bcp(1), &one))));
+        // Fill the store, then an eviction and its fill: 5, seen
+        // before, out-counts every resident and displaces one of them.
         for i in 2..=4 {
-            s.admit(&bcp(i));
-            s.push_arc(&bcp(i), Arc::new(tuple![i]), 0);
-            s.push_arc(&bcp(i), Arc::new(tuple![-i]), 0);
+            assert!(step(&mut s, &|s| {
+                s.admit(&bcp(i));
+                assert!(s.push_arc(&bcp(i), Arc::new(tuple![i]), 0));
+            }));
         }
-        assert_eq!(s.take_changes(), Some(vec![bcp(2), bcp(3), bcp(4)]));
-        // Completeness stamp, removal, and an eviction's victim.
-        assert!(s.mark_complete(&bcp(1), s.inserts_seen()));
-        s.remove_tuple(&bcp(2), &PackedRow::from(&tuple![2i64]));
-        s.admit(&bcp(3));
-        s.note_access(&bcp(5)); // out-counts every resident
-        s.admit(&bcp(5)); // the store is full: evicts one of 1, 3, 4
-        let log = s.take_changes().unwrap();
-        assert_eq!(&log[..2], &[bcp(1), bcp(2)]);
-        assert!(log.len() == 3 && s.served(&log[2]).is_none(), "{log:?}");
-        // The watermark is not per-bcp state: nothing logged.
-        s.note_insert();
-        assert!(!s.has_changes());
-        // Quarantine and its lift mean "everything".
-        s.quarantine();
-        assert!(s.has_changes());
-        assert_eq!(s.take_changes(), None);
-        s.lift_quarantine();
-        assert_eq!(s.take_changes(), None);
-        // So do more than L logged bcps: the log of a store nobody
-        // publishes from stays bounded. (14 is the fifth bcp into a
-        // store of L = 4: seen before, it out-counts its victim.)
-        s.note_access(&bcp(14));
-        for i in 10..15 {
-            s.admit(&bcp(i));
-            s.push_arc(&bcp(i), Arc::new(tuple![i]), 0);
-        }
-        assert_eq!(s.take_changes(), None);
+        s.note_access(&bcp(5));
+        s.note_access(&bcp(5));
+        assert!(step(&mut s, &|s| {
+            assert_eq!(s.admit(&bcp(5)), Residency::Resident);
+            assert!(s.push_arc(&bcp(5), Arc::new(tuple![5i64]), 0));
+        }));
+        assert_eq!((s.entry_count(), s.evictions()), (4, 1));
+        // The copies leave the reader's version whole: a table handed
+        // out before a change still shows what it showed.
+        let before = s.published();
+        let entries = |t: &Table| {
+            let mut all: Vec<_> = t
+                .entries()
+                .map(|e| (e.bcp.clone(), e.tuples.clone()))
+                .collect();
+            all.sort_by(|a, b| a.0.cmp(&b.0));
+            all
+        };
+        let held = entries(s.table());
+        assert!(s.push_arc(&bcp(5), Arc::new(tuple![-5i64]), 0));
+        assert_eq!(entries(&before.table), held);
+        assert_ne!(entries(s.table()), held);
         s.validate();
     }
 

@@ -57,8 +57,9 @@ const ORDERS: [i64; 4] = [6, 6, 12, 12];
 /// T1's shape: `orders ⋈ lineitem` on `orderkey`, `select *`, equality
 /// conditions on `orders.orderdate` and `lineitem.suppkey`. Every order
 /// has one `lineitem` per supplier, so bcp `(date, supplier)` holds
-/// `ORDERS[date]` rows — always more than `F`.
-fn fixture() -> (EpochDb, SharedPmv) {
+/// `ORDERS[date]` rows — always more than `F`. The view holds `l` bcps
+/// over `shards` shards.
+fn fixture(l: usize, shards: usize) -> (EpochDb, SharedPmv) {
     let mut db = Database::new();
     db.create_relation(Schema::new(
         "orders",
@@ -106,7 +107,7 @@ fn fixture() -> (EpochDb, SharedPmv) {
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality("pmv_t1", template).unwrap();
-    let pmv = SharedPmv::with_shards(def, PmvConfig::new(F, 64, PolicyKind::Clock), 4);
+    let pmv = SharedPmv::with_shards(def, PmvConfig::new(F, l, PolicyKind::Clock), shards);
     let edb = EpochDb::new(db);
     // As in the benchmark's end-to-end runs: tracing would count too.
     pmv.set_obs_enabled(false);
@@ -139,7 +140,7 @@ fn steady_state(edb: &EpochDb, pmv: &SharedPmv, q: &QueryInstance) -> (usize, us
 
 #[test]
 fn a_steady_state_query_allocates_per_query_not_per_row() {
-    let (edb, pmv) = fixture();
+    let (edb, pmv) = fixture(64, 4);
     let (light_rows, light) = steady_state(&edb, &pmv, &query(&pmv, [0, 1]));
     let (heavy_rows, heavy) = steady_state(&edb, &pmv, &query(&pmv, [2, 3]));
     assert_eq!((light_rows, heavy_rows), (24, 48));
@@ -160,6 +161,39 @@ fn a_steady_state_query_allocates_per_query_not_per_row() {
         heavy - light <= 2 * (heavy_rows - light_rows) + 8,
         "{light} allocations at {light_rows} rows, {heavy} at {heavy_rows}"
     );
+}
+
+/// `h = 1`: the one bcp `(date, supplier)`.
+fn single(pmv: &SharedPmv, date: i64, supplier: i64) -> QueryInstance {
+    let eq = |v: i64| Condition::Equality(vec![Value::Int(v)]);
+    pmv.def()
+        .template()
+        .bind(vec![eq(date), eq(supplier)])
+        .unwrap()
+}
+
+/// The slow path of the serving path: a miss on a full one-shard view
+/// whose bcp out-counts its victim admits it, evicts the victim, fills
+/// `F` tuples and publishes the shard: 80 allocations. The store copies
+/// only the spine, chunks and entry it changes, and the publish is one
+/// pointer copy.
+#[test]
+fn a_cold_fill_that_evicts_allocates_a_bounded_count() {
+    let (edb, pmv) = fixture(4, 1);
+    for supplier in 0..4 {
+        edb.query(&pmv, &single(&pmv, 0, supplier)).unwrap();
+    }
+    assert_eq!(pmv.entry_count(), 4, "the view is full");
+    // Asked once, the cold bcp ties its victim and is declined; asked
+    // again, it out-counts it.
+    let cold = single(&pmv, 1, 0);
+    edb.query(&pmv, &cold).unwrap();
+    assert_eq!(pmv.stats().admissions_declined, 1);
+    let (out, allocations) = counted(|| edb.query(&pmv, &cold).unwrap());
+    assert!(!out.bcp_hit && out.remaining.len() == ORDERS[1] as usize);
+    assert_eq!((pmv.entry_count(), pmv.evictions()), (4, 1));
+    assert_eq!(pmv.stats().tuples_admitted, (5 * F) as u64);
+    assert!(allocations <= 80, "{allocations} allocations");
 }
 
 /// An interval drive collects row ids, not a copy of the index
