@@ -292,9 +292,9 @@ mod tests {
     /// values stored), which bounds the charge from above.
     #[test]
     fn recommended_view_fits_its_share() {
-        use pmv_storage::packed::NUMBER_BYTES;
+        use pmv_storage::packed::MAX_NUMBER_BYTES;
         use pmv_storage::string::INLINE_CAP;
-        use pmv_storage::PackedRow;
+        use pmv_storage::{tuple, PackedRow};
         let mut db = Database::new();
         for (name, cols) in [
             ("orders", ["orderkey", "custkey", "orderdate", "totalprice"]),
@@ -330,11 +330,17 @@ mod tests {
             ..Default::default()
         };
         let recs = advisor.recommend(&cfg).unwrap();
-        // Five integers and two empty fillers are charged 65 B; the
-        // estimate counts each filler at its inline bound.
-        let charge = std::mem::size_of::<PackedRow>() + 5 * NUMBER_BYTES + 2 * 2;
+        // Five integers at T1's widest (orderkey ≤ 30 000, custkey ≤
+        // 3 000, totalprice < 500 000, quantity ≤ 50, price < 100 000)
+        // and two empty fillers are charged 16 + 18 B; the estimate
+        // counts each integer at 9 B and each filler at its inline bound.
+        let widest = tuple![30_000i64, 3_000i64, 499_999i64, "", 50i64, 99_999i64, ""];
+        let charge = std::mem::size_of::<PackedRow>() + PackedRow::from(&widest).as_bytes().len();
         let at = estimate_tuple_bytes(&t1);
-        assert_eq!((charge, at), (65, 16 + 5 * 9 + 2 * (2 + INLINE_CAP)));
+        assert_eq!(
+            (charge, at),
+            (34, 16 + 5 * MAX_NUMBER_BYTES + 2 * (1 + INLINE_CAP))
+        );
         assert!(at >= charge);
         let c = &recs[0].config;
         assert!(

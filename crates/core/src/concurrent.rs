@@ -175,11 +175,12 @@ impl Inner {
 
     /// Run `apply(store, maint_epoch)` on shard `si`'s store under its
     /// write guard — `maint_epoch` re-read once the guard is held — and
-    /// republish the shard if its store's table is no longer the
-    /// published one: `apply` changed what it serves (touches change
-    /// only policy state and hit counts, in place; a quarantine installs
-    /// a fresh table). `None` when the guard was contended or `apply`
-    /// itself declined (quarantined store).
+    /// republish the shard if its store's table is no longer the one it
+    /// last published ([`PmvStore::unpublished`], read from the store
+    /// itself, not from the view): `apply` changed what it serves
+    /// (touches change only policy state and hit counts, in place; a
+    /// quarantine installs a fresh table). `None` when the guard was
+    /// contended or `apply` itself declined (quarantined store).
     // pmv::pin_region
     pub(crate) fn try_write_shard(
         &self,
@@ -188,7 +189,7 @@ impl Inner {
     ) -> Option<WriteBack> {
         let mut store = self.shards[si].try_write()?;
         let done = apply(&mut store, self.maint_epoch())?;
-        if !self.views[si].load().table.ptr_eq(store.table()) {
+        if store.unpublished() {
             // pmv::allow(pin_reaches_blocking_lock): LeftRight::publish
             // takes the writer-side mutex, which only fills contend on —
             // never the wait-free reader path. A cold-shard fill is

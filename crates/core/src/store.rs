@@ -32,10 +32,11 @@
 //! [`PmvStore::byte_size`] is exact under one rule: a bcp key is charged
 //! `size_of::<BcpKey>()` plus its dimensions, a cached tuple
 //! `size_of::<PackedRow>()` (16 B) plus its packed bytes. T1's tuples
-//! store five integers and two empty strings: 16 + 5 × 9 + 2 × 2 = 65 B.
+//! store five integers, each its tag and the 1–3 bytes its value needs,
+//! and two empty strings of one tag byte each: at most 16 + 18 = 34 B.
 
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pmv_cache::{admit_if_warmer, AdmitOutcome, FrequencySketch, PolicyKind, ReplacementPolicy};
@@ -111,8 +112,8 @@ impl Clone for Entry {
 }
 
 /// The entries whose hash falls in one chunk, each tagged with that
-/// hash: short enough to scan, and copied by bumping one count per
-/// entry.
+/// hash and kept in tag order, so a lookup binary-searches the tags;
+/// copied by bumping one count per entry.
 type Chunk = Vec<(u64, Arc<Entry>)>;
 
 /// The store's entry table: a spine of `Arc`-shared chunks, each entry
@@ -134,23 +135,28 @@ impl Table {
         &self.0
     }
 
-    /// Whether `self` and `other` are one spine: nothing was written
-    /// since either was cloned from the other.
-    pub(crate) fn ptr_eq(&self, other: &Table) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
+    /// The chunk entries of hash `hash` sit in: the hash scaled to the
+    /// chunk count by its high bits, Fx's best mixed, with a multiply
+    /// where a modulo would divide.
+    pub(crate) fn chunk_of(&self, hash: u64) -> usize {
+        ((u128::from(hash) * self.0.len() as u128) >> 64) as usize
     }
 
-    /// The chunk entries of hash `hash` sit in.
-    pub(crate) fn chunk_of(&self, hash: u64) -> usize {
-        (hash % self.0.len() as u64) as usize
+    /// Where the spine sits: two live tables share it exactly when
+    /// nothing was written since either was cloned from the other.
+    fn addr(&self) -> usize {
+        Arc::as_ptr(&self.0).cast::<u8>() as usize
     }
 
     fn find(&self, hash: u64, bcp: &BcpKey) -> Option<At> {
         let ci = self.chunk_of(hash);
-        let i = self.0[ci]
+        let chunk = &self.0[ci];
+        let first = chunk.partition_point(|(h, _)| *h < hash);
+        let i = chunk[first..]
             .iter()
-            .position(|(h, e)| *h == hash && e.bcp == *bcp)?;
-        Some((ci, i))
+            .take_while(|(h, _)| *h == hash)
+            .position(|(_, e)| e.bcp == *bcp)?;
+        Some((ci, first + i))
     }
 
     /// `bcp`'s entry; `hash` is its [`PmvStore::hash_of`].
@@ -173,12 +179,13 @@ impl Table {
     }
 
     fn insert(&mut self, hash: u64, entry: Entry) {
-        let ci = self.chunk_of(hash);
-        self.chunk_mut(ci).push((hash, Arc::new(entry)));
+        let chunk = self.chunk_mut(self.chunk_of(hash));
+        let at = chunk.partition_point(|(h, _)| *h <= hash);
+        chunk.insert(at, (hash, Arc::new(entry)));
     }
 
     fn remove(&mut self, (ci, i): At) -> Arc<Entry> {
-        self.chunk_mut(ci).swap_remove(i).1
+        self.chunk_mut(ci).remove(i).1
     }
 
     fn entries(&self) -> impl Iterator<Item = &Entry> {
@@ -217,6 +224,12 @@ pub struct PmvStore {
     /// serves nothing and caches nothing until quarantine is lifted by
     /// revalidation.
     quarantined: bool,
+    /// Spine address of the table [`Self::published`] last handed out.
+    /// The readers it went to keep that spine alive, so no later table
+    /// can sit at the address while it is recorded here. Written only
+    /// under the shard's write guard; atomic so `published` takes
+    /// `&self`.
+    published_spine: AtomicUsize,
 }
 
 impl PmvStore {
@@ -243,22 +256,27 @@ impl PmvStore {
             index: None,
             inserts_seen: 0,
             quarantined: false,
+            published_spine: AtomicUsize::new(0),
         }
     }
 
-    /// The entry table.
-    pub(crate) fn table(&self) -> &Table {
-        &self.table
-    }
-
     /// What a reader of this store sees now: its table (a pointer copy),
-    /// insert watermark and quarantine flag.
+    /// insert watermark and quarantine flag. Records the table as handed
+    /// out; the caller gives it to readers.
     pub(crate) fn published(&self) -> Published {
+        self.published_spine
+            .store(self.table.addr(), Ordering::Release);
         Published {
             table: self.table.clone(),
             inserts_seen: self.inserts_seen,
             quarantined: self.quarantined,
         }
+    }
+
+    /// Whether the table changed since [`Self::published`] last handed
+    /// it out: what a shard must republish.
+    pub(crate) fn unpublished(&self) -> bool {
+        self.table.addr() != self.published_spine.load(Ordering::Acquire)
     }
 
     /// The hash that places `bcp` in its store's table and counts it in
@@ -570,6 +588,10 @@ impl PmvStore {
         let mut violations = Vec::new();
         let (mut counted, mut recomputed) = (0, 0);
         for (ci, chunk) in self.table.chunks().iter().enumerate() {
+            // Out of tag order, an entry is one the binary search misses.
+            if !chunk.is_sorted_by_key(|(hash, _)| *hash) {
+                violations.push(format!("chunk {ci} out of tag order"));
+            }
             for (hash, e) in chunk.iter() {
                 let k = &e.bcp;
                 counted += 1;
@@ -644,6 +666,23 @@ impl PmvStore {
             violations.is_empty(),
             "store invariants violated: {violations:?}"
         );
+    }
+}
+
+#[cfg(test)]
+impl Table {
+    /// Whether `self` and `other` are one spine: nothing was written
+    /// since either was cloned from the other.
+    pub(crate) fn ptr_eq(&self, other: &Table) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+#[cfg(test)]
+impl PmvStore {
+    /// The entry table.
+    pub(crate) fn table(&self) -> &Table {
+        &self.table
     }
 }
 

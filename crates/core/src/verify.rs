@@ -26,7 +26,7 @@ use std::mem::size_of;
 use std::sync::Arc;
 
 use pmv_query::{CondForm, QueryTemplate};
-use pmv_storage::packed::NUMBER_BYTES;
+use pmv_storage::packed::MAX_NUMBER_BYTES;
 use pmv_storage::string::INLINE_CAP;
 use pmv_storage::{ColumnType, PackedRow, Value};
 
@@ -259,21 +259,24 @@ impl fmt::Display for VerifyReport {
 /// Estimate the average view-tuple size `At` in bytes: what the view's
 /// store charges for one cached tuple — the [`PackedRow`] handle plus
 /// the packed fields of its [`crate::view::StoredLayout`], the `Ls'`
-/// positions its entry cannot derive. An `Int` or `Double` field takes
-/// [`NUMBER_BYTES`] (its tag and 8 bytes); a `Str` field is counted at
-/// `2 + INLINE_CAP` (its tag, a one-byte length and up to
-/// [`INLINE_CAP`] bytes). The estimate is exact for rows without `Str`
-/// positions or NULLs (a NULL is its tag alone) and an upper bound for
-/// rows whose strings are at most `INLINE_CAP` bytes long; a longer
-/// string is charged its length, which the schema cannot tell — pass
+/// positions its entry cannot derive. An `Int` or `Double` field is
+/// counted at [`MAX_NUMBER_BYTES`] (its tag and 8 bytes); a `Str` field
+/// at `1 + INLINE_CAP` (its tag, which carries a short string's length,
+/// and up to [`INLINE_CAP`] bytes). A `Double` takes exactly that; an
+/// `Int` packs to the bytes its value needs, which the schema cannot
+/// know, so for rows without NULLs and strings of at most `INLINE_CAP`
+/// bytes the estimate bounds the charge from above and is conservative
+/// by at most 7 B per `Int` (exact when every `Int` needs 8 bytes). A
+/// NULL is its tag alone; a longer string is charged its length, which
+/// the schema cannot tell either — pass
 /// [`VerifyOptions::avg_tuple_bytes`] for views of long strings.
 pub fn estimate_tuple_bytes(template: &QueryTemplate) -> usize {
     let list = template.expanded_list();
     let field = |p: &usize| {
         let attr = list[*p];
         match template.schema(attr.relation).column(attr.column).ty {
-            ColumnType::Int | ColumnType::Double => NUMBER_BYTES,
-            ColumnType::Str => 2 + INLINE_CAP,
+            ColumnType::Int | ColumnType::Double => MAX_NUMBER_BYTES,
+            ColumnType::Str => 1 + INLINE_CAP,
         }
     };
     let layout = StoredLayout::for_template(template);
@@ -643,11 +646,11 @@ mod tests {
 
     /// `At` is what the store charges per cached tuple, so `L·F·At` is
     /// the bytes a full view holds: for a template of numbers only and a
-    /// row without NULLs the estimate equals the charge of the view's
-    /// store for one more tuple — two stored numbers, since the equality
-    /// column `f` is the bcp's.
+    /// row without NULLs whose integers need all 8 bytes, the estimate
+    /// equals the charge of the view's store for one more tuple — two
+    /// stored numbers, since the equality column `f` is the bcp's.
     #[test]
-    fn estimate_equals_the_store_charge_for_a_number_only_tuple() {
+    fn estimate_equals_the_store_charge_for_full_width_numbers() {
         let t = TemplateBuilder::new("t")
             .relation(Schema::new(
                 "r",
@@ -669,7 +672,8 @@ mod tests {
             let values = t.expanded_list().iter().map(|attr| match attr.column {
                 1 => Value::Double(-0.0),
                 2 => Value::Int(1),
-                _ => Value::Int(a),
+                // i64::MAX, then i64::MIN: 8 bytes each.
+                _ => Value::Int(i64::MAX.wrapping_add(a - 1)),
             });
             Tuple::new(values.collect::<Vec<_>>())
         });
@@ -678,9 +682,10 @@ mod tests {
     }
 
     /// T1 (`orders ⋈ lineitem`, `select *`, equality on `orderdate` and
-    /// `suppkey`) stores five integers and the two (empty) fillers:
-    /// charged 16 + 5 × 9 + 2 × 2 = 65 B, which the estimate bounds from
-    /// above by counting each filler at `2 + INLINE_CAP`.
+    /// `suppkey`) stores five integers and the two (empty) fillers. Small
+    /// integers take 1–2 payload bytes: charged 16 + 13 = 29 B, which the
+    /// estimate bounds from above by counting each integer at 9 B and
+    /// each filler at `1 + INLINE_CAP`.
     #[test]
     fn estimate_bounds_the_store_charge_for_t1() {
         let int = |n: &str| Column::new(n, ColumnType::Int);
@@ -720,8 +725,9 @@ mod tests {
         let charge = charge_per_tuple(&t, |k| {
             pmv_storage::tuple![k, 7i64, 1i64, 100i64, "", k, 1i64, 3i64, 300i64, ""]
         });
-        assert_eq!(charge, 65);
-        assert_eq!(estimate_tuple_bytes(&t), 16 + 5 * 9 + 2 * (2 + INLINE_CAP));
+        // k = 2, 7, 100, '', 3, 300, '': 2 + 2 + 2 + 1 + 2 + 3 + 1 B.
+        assert_eq!(charge, 16 + 13);
+        assert_eq!(estimate_tuple_bytes(&t), 16 + 5 * 9 + 2 * (1 + INLINE_CAP));
         assert!(estimate_tuple_bytes(&t) >= charge);
     }
 }

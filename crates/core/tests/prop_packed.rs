@@ -1,18 +1,28 @@
 //! The packed-row codec a view stores its tuples in (`PackedRow`: one tag
-//! byte per value, 8-byte numbers, length-prefixed strings, one
-//! allocation), over every `Value` shape: `Null` in every column type,
-//! `i64::MIN`/`i64::MAX`, `±0.0`, `±∞` and NaN payloads, strings of 0,
-//! 12, 13 and 300 bytes and multi-byte UTF-8 across the 12-byte inline
-//! edge and the 128-byte edge of a one-byte LEB128 length.
+//! byte per value, integers in the bytes their value needs, 8-byte
+//! doubles, strings of up to 244 bytes with their length in the tag and
+//! longer ones LEB128-length-prefixed, one allocation), over every
+//! `Value` shape: `Null` in every column type, every integer width edge
+//! (±2^(8w−1) and ±2^(8w−1)−1 for w = 1..=8, `0`, `-1`,
+//! `i64::MIN`/`i64::MAX`), `±0.0`, `±∞` and NaN payloads, strings of 0,
+//! 12, 13, 127, 128, 244, 245 and 300 bytes and multi-byte UTF-8 across
+//! the 12-byte inline edge.
 //!
 //! * Every row round-trips bit for bit, decoded field by field, unpacked
 //!   whole, and through a view's stored layout (store, then rebuild).
 //! * A row's packed length is the sum of its fields' widths: 1 for
-//!   `Null`, 9 for a number, tag + length + bytes for a string.
+//!   `Null`, 1 + w for an integer of w significant bytes, 9 for a double,
+//!   tag + bytes for a short string and tag + length + bytes for a long
+//!   one.
+//! * Equal integer rows pack to equal bytes, so `PackedRow::eq` decides
+//!   them by comparing bytes.
 //! * Equality and hashing agree with `Value`'s: two packed rows, two
 //!   decoded fields, a decoded field and a value, and the layout's
 //!   `holds` are equal exactly when the values are (so `-0.0 == 0.0` and
 //!   NaN equals NaN whatever the payload, as for `Value`).
+//! * `estimate_tuple_bytes` (the `At` of PMV004 and the advisor) bounds
+//!   what the store charges for any row of a template's types whose
+//!   strings are at most `INLINE_CAP` bytes, NULLs included.
 //! * A counting allocator shows that storing a tuple — projecting an
 //!   `Ls'` row and packing it — allocates exactly once; a stored `Tuple`
 //!   took two (its values and the `Arc` around them).
@@ -23,9 +33,11 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+use pmv_core::verify::estimate_tuple_bytes;
 use pmv_core::{BcpDim, BcpKey, PartialViewDef};
 use pmv_query::{QueryTemplate, TemplateBuilder};
 use pmv_storage::packed::Field;
+use pmv_storage::string::INLINE_CAP;
 use pmv_storage::{Column, ColumnType, PackedRow, Schema, Tuple, Value};
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -65,13 +77,26 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
 
 const TYPES: [ColumnType; 3] = [ColumnType::Int, ColumnType::Double, ColumnType::Str];
 
+/// The integers at the edges of each packed width: for w = 1..=8,
+/// ±2^(8w−1) and ±2^(8w−1)−1 (2^63 is out of range and left out), then
+/// `0`, `-1`, `i64::MIN` and `i64::MAX`.
+fn int_edges() -> Vec<i64> {
+    let mut edges = vec![0, -1, i64::MIN, i64::MAX];
+    for w in 1..=8u32 {
+        let half = 1i128 << (8 * w - 1);
+        for x in [half, -half, half - 1, -half - 1] {
+            edges.extend(i64::try_from(x).ok());
+        }
+    }
+    edges
+}
+
 fn int() -> impl Strategy<Value = i64> {
+    let edges = int_edges();
     prop_oneof![
-        Just(i64::MIN),
-        Just(i64::MAX),
-        Just(0),
-        Just(-1),
-        any::<i64>()
+        (0..edges.len()).prop_map(move |i| edges[i]),
+        any::<i64>(),
+        any::<i16>().prop_map(i64::from),
     ]
 }
 
@@ -97,6 +122,10 @@ fn string() -> impl Strategy<Value = String> {
         Just(String::new()),
         Just("a".repeat(12)),
         Just("b".repeat(13)),
+        Just("d".repeat(127)),
+        Just("e".repeat(128)),
+        Just("f".repeat(244)),
+        Just("g".repeat(245)),
         Just("c".repeat(300)),
         Just("€".repeat(4)),
         "[azé€𝄞]{0,20}",
@@ -179,14 +208,22 @@ impl Strategy for Pairs {
     }
 }
 
+/// The bytes `v` packs to, by the codec's rule: the smallest w whose
+/// signed range −2^(8w−1) ..= 2^(8w−1)−1 holds an integer.
 fn width(v: &Value) -> usize {
     match v {
         Value::Null => 1,
-        Value::Int(_) | Value::Double(_) => 9,
-        Value::Str(s) => {
-            let n = s.as_str().len();
-            1 + if n < 128 { 1 } else { 2 } + n
+        Value::Int(x) => {
+            let fits =
+                |w: u32| (-(1i128 << (8 * w - 1))..1i128 << (8 * w - 1)).contains(&(*x as i128));
+            1 + (1..=8).find(|&w| fits(w)).expect("8 bytes hold any i64") as usize
         }
+        Value::Double(_) => 9,
+        Value::Str(s) => match s.as_str().len() {
+            n @ 0..=244 => 1 + n,
+            n @ 245..=16_383 => 1 + 2 + n,
+            n => 1 + 3 + n,
+        },
     }
 }
 
@@ -280,6 +317,98 @@ proptest! {
         prop_assert!(layout.holds(&stored, &row));
         prop_assert_eq!(layout.holds(&stored, &other), a[..3] == b[..3]);
     }
+
+    #[test]
+    fn ints_take_the_bytes_their_value_needs(
+        ints in proptest::collection::vec(int(), 0..10),
+    ) {
+        let values: Vec<Value> = ints.iter().copied().map(Value::Int).collect();
+        let (a, b) = (Tuple::new(values.clone()), Tuple::new(values.clone()));
+        let packed = PackedRow::from(&a);
+        prop_assert_eq!(packed.as_bytes().len(), values.iter().map(width).sum::<usize>());
+        for (i, x) in ints.iter().enumerate() {
+            prop_assert!(matches!(packed.field(i), Field::Int(y) if y == *x), "field {}", i);
+        }
+        // One width per value: equal rows are equal bytes, which `eq`
+        // compares before any field walk.
+        let twin = PackedRow::from(&b);
+        prop_assert_eq!(packed.as_bytes(), twin.as_bytes());
+    }
+
+    #[test]
+    fn the_estimate_bounds_the_charge((types, row) in InlineRows) {
+        let t = template_of(&types);
+        let def = PartialViewDef::all_equality("bound", Arc::clone(&t)).unwrap();
+        let stored = def.layout().store(&Tuple::new(row.clone()));
+        let charge = std::mem::size_of::<PackedRow>() + stored.as_bytes().len();
+        let estimate = estimate_tuple_bytes(&t);
+        prop_assert!(charge <= estimate, "{:?}: {} > {}", row, charge, estimate);
+        // The slack is what each field leaves of its estimate: at most
+        // 7 B for a non-NULL integer, none for a double.
+        let slack: Vec<usize> = types
+            .iter()
+            .zip(&row)
+            .map(|(ty, v)| match ty {
+                ColumnType::Str => 1 + INLINE_CAP - width(v),
+                _ => 9 - width(v),
+            })
+            .collect();
+        prop_assert_eq!(estimate - charge, slack.iter().sum::<usize>());
+        for ((ty, v), slack) in types.iter().zip(&row).zip(slack) {
+            match (ty, v) {
+                (_, Value::Null) => {}
+                (ColumnType::Int, _) => prop_assert!(slack <= 7),
+                (ColumnType::Double, _) => prop_assert_eq!(slack, 0),
+                (ColumnType::Str, _) => {}
+            }
+        }
+    }
+}
+
+/// Strings of at most `INLINE_CAP` bytes: `é`, `€` and `𝄞` are 2, 3 and
+/// 4 bytes.
+fn inline_string() -> impl Strategy<Value = String> {
+    prop_oneof![Just("a".repeat(INLINE_CAP)), "[azé€𝄞]{0,3}"]
+}
+
+/// Column types (one to six) and a row of them, NULL one time in five,
+/// strings at most `INLINE_CAP` bytes long, then the equality column.
+struct InlineRows;
+
+impl Strategy for InlineRows {
+    type Value = (Vec<ColumnType>, Vec<Value>);
+    fn gen_value(&self, rng: &mut TestRng) -> (Vec<ColumnType>, Vec<Value>) {
+        let types = proptest::collection::vec(column_type(), 1..7).gen_value(rng);
+        let row = types
+            .iter()
+            .map(|&ty| match ty {
+                ColumnType::Str => prop_oneof![
+                    1 => Just(Value::Null),
+                    4 => inline_string().prop_map(Value::from),
+                ]
+                .gen_value(rng),
+                other => value(other).gen_value(rng),
+            })
+            .chain([Value::Int(1)])
+            .collect();
+        (types, row)
+    }
+}
+
+/// `r(c0 .. cn, f Int)` selecting every `ci`, equality on `f`: each
+/// `ci` is stored.
+fn template_of(types: &[ColumnType]) -> Arc<QueryTemplate> {
+    let columns = types
+        .iter()
+        .enumerate()
+        .map(|(i, &ty)| Column::new(format!("c{i}"), ty))
+        .chain([Column::new("f", ColumnType::Int)])
+        .collect();
+    let mut b = TemplateBuilder::new("bound").relation(Schema::new("r", columns));
+    for i in 0..types.len() {
+        b = b.select("r", &format!("c{i}")).unwrap();
+    }
+    b.cond_eq("r", "f").unwrap().build().unwrap()
 }
 
 /// NULL in every column type packs to its tag alone and decodes as NULL.
@@ -297,20 +426,38 @@ fn null_in_every_column_type() {
 /// The edges named above, once each, with their exact widths.
 #[test]
 fn edge_values_have_their_widths() {
-    let cases: Vec<(Value, usize)> = vec![
+    let mut cases: Vec<(Value, usize)> = vec![
+        (Value::Int(0), 2),
+        (Value::Int(-1), 2),
         (Value::Int(i64::MIN), 9),
         (Value::Int(i64::MAX), 9),
         (Value::Double(-0.0), 9),
+        (Value::Double(1.0), 9),
         (Value::Double(f64::NEG_INFINITY), 9),
         (Value::Double(nan(true, 1)), 9),
-        (Value::str(""), 2),
-        (Value::str("a".repeat(12)), 14),
-        (Value::str("a".repeat(13)), 15),
-        (Value::str("a".repeat(127)), 129),
-        (Value::str("a".repeat(128)), 131),
+        (Value::str(""), 1),
+        (Value::str("a".repeat(12)), 13),
+        (Value::str("a".repeat(13)), 14),
+        (Value::str("a".repeat(127)), 128),
+        (Value::str("a".repeat(128)), 129),
+        (Value::str("a".repeat(244)), 245),
+        (Value::str("a".repeat(245)), 248),
         (Value::str("c".repeat(300)), 303),
-        (Value::str("𝄞é"), 8),
+        (Value::str("c".repeat(16_383)), 16_386),
+        (Value::str("c".repeat(16_384)), 16_388),
+        (Value::str("𝄞é"), 7),
     ];
+    // An integer takes 1 + w bytes from -2^(8w-1) to 2^(8w-1) - 1.
+    for w in 1..=8u32 {
+        let half = 1i128 << (8 * w - 1);
+        for x in [-half, half - 1] {
+            cases.push((Value::Int(x as i64), 1 + w as usize));
+        }
+        if w < 8 {
+            cases.push((Value::Int(half as i64), 2 + w as usize));
+            cases.push((Value::Int((-half - 1) as i64), 2 + w as usize));
+        }
+    }
     for (v, w) in cases {
         let packed = PackedRow::from(&Tuple::new(vec![v.clone()]));
         assert_eq!(packed.as_bytes().len(), w, "{v:?}");

@@ -6,12 +6,20 @@
 //! field. A [`PackedRow`] is one `Arc<[u8]>`, built in one allocation,
 //! that holds each value behind a one-byte tag:
 //!
-//! | value    | bytes after the tag                          |
-//! |----------|----------------------------------------------|
-//! | `Null`   | none                                         |
-//! | `Int`    | 8, little-endian                             |
-//! | `Double` | 8, the raw bits (`-0.0` and NaN payloads survive) |
-//! | `Str`    | LEB128 length, then the UTF-8 bytes          |
+//! | value    | tag        | bytes after the tag                        |
+//! |----------|------------|--------------------------------------------|
+//! | `Null`   | 0          | none                                       |
+//! | `Int`    | `w` 1..=8  | `w`, little-endian, sign-extended on decode |
+//! | `Double` | 9          | 8, the raw bits (`-0.0` and NaN payloads survive) |
+//! | `Str`    | 10         | LEB128 length, then the UTF-8 bytes        |
+//! | `Str`    | 11 + `n`   | the `n` ≤ [`SHORT_STR_MAX`] UTF-8 bytes    |
+//!
+//! An `Int` takes the fewest bytes that hold its value as a signed
+//! number — T1's keys, quantities and prices take 1–3 payload bytes
+//! instead of 8 — and the encoder always picks that width, so equal
+//! integers pack to equal bytes. A string of up to
+//! [`SHORT_STR_MAX`] bytes carries its length in the tag: an empty
+//! filler is one byte.
 //!
 //! A row has no offset table, so it spends no bytes on offsets; a field
 //! is found by decoding the fields before it. Decoding reads strings
@@ -30,12 +38,21 @@ use crate::tuple::Tuple;
 use crate::value::Value;
 
 const NULL: u8 = 0;
-const INT: u8 = 1;
-const DOUBLE: u8 = 2;
-const STR: u8 = 3;
+/// Tags `1..=8` are an `Int` of that many bytes.
+const INT_WIDEST: u8 = 8;
+const DOUBLE: u8 = 9;
+const LONG_STR: u8 = 10;
+/// Tag of the empty short string; a short string of `n` bytes is
+/// `SHORT_STR + n`.
+const SHORT_STR: u8 = 11;
 
-/// Bytes a packed `Int` or `Double` takes: its tag and 8 payload bytes.
-pub const NUMBER_BYTES: usize = 9;
+/// The longest string whose length fits in its tag.
+pub const SHORT_STR_MAX: usize = (u8::MAX - SHORT_STR) as usize;
+
+/// The most bytes a packed `Int` or `Double` takes: its tag and 8
+/// payload bytes. A `Double` always takes them; an `Int` takes fewer
+/// unless its value needs all 8.
+pub const MAX_NUMBER_BYTES: usize = 9;
 
 /// An immutable row of values packed into one shared byte string; see
 /// the [module docs](self) for the encoding. Cloning copies a pointer.
@@ -113,11 +130,47 @@ impl Hash for Field<'_> {
 fn encoded_len(v: &Value) -> usize {
     match v {
         Value::Null => 1,
-        Value::Int(_) | Value::Double(_) => NUMBER_BYTES,
+        Value::Int(x) => 1 + int_width(*x),
+        Value::Double(_) => MAX_NUMBER_BYTES,
         Value::Str(s) => {
             let n = s.as_str().len();
-            1 + leb128_len(n) + n
+            if n <= SHORT_STR_MAX {
+                1 + n
+            } else {
+                1 + leb128_len(n) + n
+            }
         }
+    }
+}
+
+/// The fewest bytes, 1..=8, that hold `x` as a two's-complement number.
+#[inline]
+fn int_width(x: i64) -> usize {
+    // Bits past the leading copies of the sign bit, plus the sign bit.
+    let bits = 65 - (x ^ (x >> 63)).leading_zeros() as usize;
+    bits.div_ceil(8)
+}
+
+/// The `w`-byte little-endian integer at `bytes[at..]`, sign-extended.
+/// One unaligned 8-byte load wherever the row has 8 bytes around the
+/// field (a T1 row always does): no copy of a variable length.
+#[inline]
+fn read_int(bytes: &[u8], at: usize, w: usize) -> i64 {
+    let end = at + w;
+    let load = |from: usize| i64::from_le_bytes(bytes[from..from + 8].try_into().expect("8 bytes"));
+    let unused = 64 - 8 * w as u32;
+    if end >= 8 {
+        // The 8 bytes that end with the field hold it in their top `w`
+        // bytes: one arithmetic shift drops what precedes it.
+        load(end - 8) >> unused
+    } else if at + 8 <= bytes.len() {
+        // Near the row's start: the 8 bytes that begin with it, the
+        // next fields' bytes shifted out.
+        (load(at) << unused) >> unused
+    } else {
+        let mut buf = [0u8; 8];
+        buf[..w].copy_from_slice(&bytes[at..end]);
+        (i64::from_le_bytes(buf) << unused) >> unused
     }
 }
 
@@ -139,18 +192,24 @@ fn encode(v: &Value, out: &mut [u8]) -> usize {
             1
         }
         Value::Int(x) => {
-            out[0] = INT;
-            out[1..9].copy_from_slice(&x.to_le_bytes());
-            NUMBER_BYTES
+            let w = int_width(*x);
+            out[0] = w as u8;
+            out[1..=w].copy_from_slice(&x.to_le_bytes()[..w]);
+            1 + w
         }
         Value::Double(d) => {
             out[0] = DOUBLE;
             out[1..9].copy_from_slice(&d.to_bits().to_le_bytes());
-            NUMBER_BYTES
+            MAX_NUMBER_BYTES
         }
         Value::Str(s) => {
             let bytes = s.as_str().as_bytes();
-            out[0] = STR;
+            if bytes.len() <= SHORT_STR_MAX {
+                out[0] = SHORT_STR + bytes.len() as u8;
+                out[1..=bytes.len()].copy_from_slice(bytes);
+                return 1 + bytes.len();
+            }
+            out[0] = LONG_STR;
             let (mut n, mut at) = (bytes.len(), 1);
             while n >= 0x80 {
                 out[at] = (n as u8 & 0x7f) | 0x80;
@@ -230,21 +289,22 @@ impl<'a> Iterator for Fields<'a> {
         let bytes = self.bytes;
         let at = self.at;
         let tag = *bytes.get(at)?;
-        let number = || -> [u8; 8] { bytes[at + 1..at + 9].try_into().expect("8 payload bytes") };
         let field = match tag {
             NULL => {
                 self.at = at + 1;
                 Field::Null
             }
-            INT => {
-                self.at = at + NUMBER_BYTES;
-                Field::Int(i64::from_le_bytes(number()))
+            1..=INT_WIDEST => {
+                let w = usize::from(tag);
+                self.at = at + 1 + w;
+                Field::Int(read_int(bytes, at + 1, w))
             }
             DOUBLE => {
-                self.at = at + NUMBER_BYTES;
-                Field::Double(f64::from_bits(u64::from_le_bytes(number())))
+                self.at = at + MAX_NUMBER_BYTES;
+                let bits: [u8; 8] = bytes[at + 1..at + 9].try_into().expect("8 payload bytes");
+                Field::Double(f64::from_bits(u64::from_le_bytes(bits)))
             }
-            STR => {
+            LONG_STR => {
                 let (mut n, mut shift, mut i) = (0usize, 0, at + 1);
                 loop {
                     let b = bytes[i];
@@ -256,17 +316,27 @@ impl<'a> Iterator for Fields<'a> {
                     shift += 7;
                 }
                 self.at = i + n;
-                // An empty string needs no validation (a filler column's
-                // usual value).
-                Field::Str(if n == 0 {
-                    ""
-                } else {
-                    std::str::from_utf8(&bytes[i..i + n]).expect("packed strings are UTF-8")
-                })
+                Field::Str(utf8(&bytes[i..i + n]))
             }
-            _ => unreachable!("unknown packed tag {tag}"),
+            short => {
+                let n = usize::from(short - SHORT_STR);
+                self.at = at + 1 + n;
+                Field::Str(utf8(&bytes[at + 1..at + 1 + n]))
+            }
         };
         Some(field)
+    }
+}
+
+/// A packed string's bytes as `&str`, checked.
+#[inline]
+fn utf8(bytes: &[u8]) -> &str {
+    // An empty string needs no validation (a filler column's usual
+    // value).
+    if bytes.is_empty() {
+        ""
+    } else {
+        std::str::from_utf8(bytes).expect("packed strings are UTF-8")
     }
 }
 
@@ -323,19 +393,31 @@ mod tests {
     use crate::tuple;
 
     #[test]
-    fn t1_shaped_row_is_49_bytes() {
-        // Five integers and two empty strings, T1's stored fields: an
-        // empty string is its tag and a zero length.
-        let row = tuple![1i64, 2i64, 3i64, "", 4i64, 5i64, ""];
+    fn t1_shaped_row_is_18_bytes() {
+        // T1's stored fields at their widest: orderkey ≤ 30 000, custkey
+        // ≤ 3 000, totalprice < 500 000, the filler, quantity ≤ 50,
+        // extendedprice < 100 000, the filler. An empty string is its
+        // tag alone.
+        let row = tuple![30_000i64, 3_000i64, 499_999i64, "", 50i64, 99_999i64, ""];
         let packed = PackedRow::from(&row);
-        assert_eq!(packed.as_bytes().len(), 5 * NUMBER_BYTES + 2 * 2);
+        assert_eq!(packed.as_bytes().len(), 3 + 3 + 4 + 1 + 2 + 4 + 1);
         assert_eq!(std::mem::size_of::<PackedRow>(), 16);
         assert_eq!(packed.unpack(), row);
     }
 
     #[test]
-    fn lengths_past_127_take_two_leb128_bytes() {
-        for (n, len) in [(0, 2), (127, 129), (128, 131), (300, 303)] {
+    fn strings_past_244_bytes_take_a_leb128_length() {
+        assert_eq!(SHORT_STR_MAX, 244);
+        for (n, len) in [
+            (0, 1),
+            (127, 128),
+            (128, 129),
+            (244, 245),
+            (245, 248),
+            (300, 303),
+            (16_383, 16_386),
+            (16_384, 16_388),
+        ] {
             let row = Tuple::new(vec![Value::str("a".repeat(n))]);
             let packed = PackedRow::from(&row);
             assert_eq!(packed.as_bytes().len(), len, "{n}-byte string");

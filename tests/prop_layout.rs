@@ -4,8 +4,10 @@
 //! while every cached and served row stays the row the executor produced.
 //!
 //! * T1 stores 7 of its 10 values — five integers and two empty fillers —
-//!   packed into one row charged 16 + 5 × 9 + 2 × 2 = 65 B per tuple,
-//!   which `estimate_tuple_bytes` bounds from above;
+//!   packed into one row: 16 B of handle, each integer its tag and the
+//!   1–3 bytes its value needs, each filler its tag, so at most
+//!   16 + 18 = 34 B per tuple, which `estimate_tuple_bytes` bounds from
+//!   above;
 //! * a `Double` equality column is stored, so its `-0.0` rows come back as
 //!   `-0.0`, not as the bcp's `0.0`;
 //! * over random query, insert, delete and update scripts at 1 and 4
@@ -39,7 +41,7 @@ fn exact_sorted<'a>(rows: impl IntoIterator<Item = &'a Tuple>) -> Vec<String> {
 }
 
 #[test]
-fn t1_is_charged_65_bytes_per_tuple() {
+fn t1_is_charged_at_most_34_bytes_per_tuple() {
     let mut db = Database::new();
     let config = TpcrConfig {
         scale: 0.002,
@@ -50,9 +52,11 @@ fn t1_is_charged_65_bytes_per_tuple() {
     let t1 = template_t1(&db).unwrap();
     let def = PartialViewDef::all_equality("t1", Arc::clone(&t1)).unwrap();
     assert_eq!((def.layout().arity(), def.layout().stored_arity()), (10, 7));
-    // Each filler is counted at its inline bound, 2 + 12 bytes.
-    assert_eq!(estimate_tuple_bytes(&t1), 16 + 5 * 9 + 2 * 14);
-    assert!(estimate_tuple_bytes(&t1) >= 65);
+    // Each integer is counted at 9 bytes, each filler at its inline
+    // bound, 1 + 12 bytes.
+    assert_eq!(estimate_tuple_bytes(&t1), 16 + 5 * 9 + 2 * 13);
+    assert!(estimate_tuple_bytes(&t1) >= 34);
+    let stored = def.layout().stored_positions().to_vec();
 
     // The (orderdate, suppkey) bcps of the first lineitems.
     let dates: HashMap<i64, i64> = db
@@ -81,13 +85,35 @@ fn t1_is_charged_65_bytes_per_tuple() {
     }
     let (entries, tuples) = (pmv.entry_count(), pmv.tuple_count());
     assert!(entries > 0 && tuples >= entries);
-    assert_eq!(pmv.byte_size(), 48 * entries + 65 * tuples);
+    let mut charged = 48 * entries;
     for (bcp, rows) in pmv.dump() {
         for row in rows {
             assert_eq!(row.arity(), 10);
+            let charge = 16
+                + stored
+                    .iter()
+                    .map(|&p| packed_width(row.get(p)))
+                    .sum::<usize>();
+            assert!(charge <= 34, "{row:?} charged {charge} B");
+            charged += charge;
             assert!(pmv.def().tuple_in_bcp(&row, &bcp));
             assert_eq!(row.get(0), row.get(5), "orderkey on both sides");
         }
+    }
+    assert_eq!(pmv.byte_size(), charged);
+}
+
+/// What `v` packs to in a T1 row: an integer its tag and the fewest
+/// bytes that hold it as a signed number, an empty filler its tag.
+fn packed_width(v: &Value) -> usize {
+    match v {
+        Value::Int(x) => {
+            1 + (1..=8usize)
+                .find(|w| matches!(x >> (8 * w - 1), -1 | 0))
+                .unwrap()
+        }
+        Value::Str(s) if s.as_str().is_empty() => 1,
+        other => panic!("not a T1 stored value: {other:?}"),
     }
 }
 
