@@ -996,7 +996,7 @@ fn parse_value(s: &str) -> Result<Value, String> {
         return Ok(Value::Int(i));
     }
     if let Ok(f) = s.parse::<f64>() {
-        return Ok(Value::Double(f));
+        return Ok(Value::from(f));
     }
     Err(format!("cannot parse value '{s}'"))
 }

@@ -71,7 +71,7 @@ pub struct AggregateOutcome {
 fn numeric(v: &Value) -> Result<f64> {
     match v {
         Value::Int(i) => Ok(*i as f64),
-        Value::Double(d) => Ok(*d),
+        Value::Double(d) => Ok(d.get()),
         other => Err(CoreError::Definition(format!(
             "cannot aggregate non-numeric value {other}"
         ))),

@@ -670,7 +670,7 @@ mod tests {
             .unwrap();
         let charge = charge_per_tuple(&t, |a| {
             let values = t.expanded_list().iter().map(|attr| match attr.column {
-                1 => Value::Double(-0.0),
+                1 => Value::from(-0.0),
                 2 => Value::Int(1),
                 // i64::MAX, then i64::MIN: 8 bytes each.
                 _ => Value::Int(i64::MAX.wrapping_add(a - 1)),

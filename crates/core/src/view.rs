@@ -18,7 +18,7 @@ use std::time::Duration;
 
 use pmv_cache::PolicyKind;
 use pmv_query::{AttrRef, CondForm, QueryInstance, QueryTemplate};
-use pmv_storage::{ColumnType, PackedRow, Tuple, Value};
+use pmv_storage::{PackedRow, Tuple, Value};
 
 use crate::bcp::{BcpDim, BcpKey, Discretizer};
 use crate::{CoreError, Result};
@@ -116,15 +116,14 @@ enum Source {
 /// * a `Cjoin` edge (transitively) makes it equal to a position that is
 ///   stored, which keeps the first such position of the class.
 ///
-/// `Double` positions are always stored: `-0.0` and `0.0` compare equal
-/// but are different values, so copying one for the other could change a
-/// row. Every other `Value` that compares equal to another is the same
-/// value, so a rebuilt row is the row that was cached.
+/// A `Value` that compares equal to another is the same value, bit for
+/// bit (a double is canonical, see [`F64`](pmv_storage::F64)), so a
+/// rebuilt row is the row that was cached.
 ///
-/// The stored values are packed into one [`PackedRow`] — 9 bytes per
-/// number, a tag and a length before each string's bytes — for every
-/// layout, full ([`Self::is_full`]) or not: [`Self::store`] projects and
-/// packs in one pass, and [`Self::rebuild`] decodes in one.
+/// The stored values are packed into one [`PackedRow`] — each behind a
+/// tag, in the bytes its value needs — for every layout, full
+/// ([`Self::is_full`]) or not: [`Self::store`] projects and packs in one
+/// pass, and [`Self::rebuild`] decodes in one.
 ///
 /// Every cached tuple of an entry lies in the entry's bcp and satisfies
 /// `Cjoin`, which is all a derivation relies on.
@@ -147,7 +146,6 @@ impl StoredLayout {
 
     /// The layout of `template`'s cached tuples.
     pub fn for_template(template: &QueryTemplate) -> Self {
-        let ty = |a: AttrRef| template.schema(a.relation).column(a.column).ty;
         // Join classes over every attribute `Cjoin` names: a tiny
         // union-find keyed by position in `attrs`.
         let mut attrs: Vec<AttrRef> = template.expanded_list().to_vec();
@@ -174,26 +172,19 @@ impl StoredLayout {
             parent[ra.max(rb)] = ra.min(rb);
         }
         let class = |a: AttrRef| attrs.iter().position(|x| *x == a).map(|i| root(&parent, i));
-        let exact = |a: AttrRef| ty(a) != ColumnType::Double;
 
         let mut sources = Vec::with_capacity(template.expanded_list().len());
         let mut stored: Vec<usize> = Vec::new();
         for (p, &attr) in template.expanded_list().iter().enumerate() {
             let c = class(attr);
-            let same = |a: AttrRef| exact(a) && class(a) == c;
-            let source = if !exact(attr) {
-                None
-            } else if let Some(i) = template
+            let same = |a: AttrRef| class(a) == c;
+            let source = if let Some(i) = template
                 .cond_templates()
                 .iter()
                 .position(|ct| ct.form == CondForm::Equality && same(ct.attr))
             {
                 Some(Source::Bcp(i))
-            } else if let Some(fp) = template
-                .fixed_preds()
-                .iter()
-                .find(|fp| same(fp.attr) && !matches!(fp.value, Value::Double(_)))
-            {
+            } else if let Some(fp) = template.fixed_preds().iter().find(|fp| same(fp.attr)) {
                 Some(Source::Fixed(fp.value.clone()))
             } else {
                 stored

@@ -18,7 +18,7 @@ fn value() -> impl Strategy<Value = Value> {
     prop_oneof![
         1 => Just(Value::Null),
         6 => (-6i64..6).prop_map(Value::Int),
-        1 => (-2i64..2).prop_map(|x| Value::Double(x as f64 / 2.0)),
+        1 => (-2i64..2).prop_map(|x| Value::from(x as f64 / 2.0)),
         2 => (0usize..3).prop_map(|i| Value::str(["", "a", "ab"][i])),
     ]
 }

@@ -236,7 +236,7 @@ impl Parser {
                 })
             }
             Token::Int(v) => Ok(Operand::Literal(Value::Int(v))),
-            Token::Float(v) => Ok(Operand::Literal(Value::Double(v))),
+            Token::Float(v) => Ok(Operand::Literal(Value::from(v))),
             Token::Str(s) => Ok(Operand::Literal(Value::str(&s))),
             Token::Question => Ok(Operand::Placeholder),
             other => Err(err(format!("expected column, literal, or ?, got {other}"))),

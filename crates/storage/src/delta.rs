@@ -47,14 +47,13 @@ impl Delta {
         }
     }
 
-    /// For an update, the set of column indices whose stored value
-    /// changed — bit for bit, so a double that only flips its sign
-    /// changed. Empty for inserts/deletes (deletion "influences all the
+    /// For an update, the set of column indices whose value changed.
+    /// Empty for inserts/deletes (deletion "influences all the
     /// attributes", Section 3.4, and is handled by its own arm).
     pub fn changed_columns(&self) -> Vec<usize> {
         match self {
             Delta::Update { old, new, .. } => (0..old.arity())
-                .filter(|&i| !old.get(i).same_bits(new.get(i)))
+                .filter(|&i| old.get(i) != new.get(i))
                 .collect(),
             _ => Vec::new(),
         }
@@ -119,13 +118,15 @@ mod tests {
     }
 
     #[test]
-    fn changed_columns_sees_a_sign_flip() {
+    fn changed_columns_ignores_a_sign_flip_of_zero() {
+        // `-0.0` is built as `0.0`: flipping a zero's sign stores the
+        // same value.
         let d = Delta::Update {
             row: RowId(0),
-            old: tuple![1i64, 0.0f64, -0.0f64],
-            new: tuple![1i64, -0.0f64, -0.0f64],
+            old: tuple![1i64, 0.0f64, -0.0f64, 1.5f64],
+            new: tuple![1i64, -0.0f64, -0.0f64, -1.5f64],
         };
-        assert_eq!(d.changed_columns(), vec![1]);
+        assert_eq!(d.changed_columns(), vec![3]);
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! ones reference-counted so tuple clones never copy string data, and
 //! every structure can report its heap footprint so the PMV layer can
 //! enforce the paper's storage bound `UB`. A view caches its tuples as
-//! [`PackedRow`]s instead: one byte string per tuple, 9 bytes per number,
-//! built in one allocation.
+//! [`PackedRow`]s instead: one byte string per tuple, each value in the
+//! bytes it needs, built in one allocation.
 
 mod cowvec;
 pub mod delta;
@@ -38,7 +38,7 @@ pub use schema::{Column, ColumnType, Schema};
 pub use size::HeapSize;
 pub use string::Str;
 pub use tuple::Tuple;
-pub use value::Value;
+pub use value::{Value, F64};
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, StorageError>;

@@ -10,7 +10,7 @@
 //! |----------|------------|--------------------------------------------|
 //! | `Null`   | 0          | none                                       |
 //! | `Int`    | `w` 1..=8  | `w`, little-endian, sign-extended on decode |
-//! | `Double` | 9          | 8, the raw bits (`-0.0` and NaN payloads survive) |
+//! | `Double` | 9          | 8, the canonical bits (see [`F64`])         |
 //! | `Str`    | 10         | LEB128 length, then the UTF-8 bytes        |
 //! | `Str`    | 11 + `n`   | the `n` ≤ [`SHORT_STR_MAX`] UTF-8 bytes    |
 //!
@@ -25,17 +25,17 @@
 //! is found by decoding the fields before it. Decoding reads strings
 //! through the checked `str::from_utf8`.
 //!
-//! Equality and hashing follow [`Value`]'s, field by field — doubles
-//! compare canonically, so `-0.0 == 0.0` — so a packed row equals
-//! another exactly when the tuples they were packed from are equal.
+//! Every value has exactly one encoding — an integer its fewest bytes, a
+//! double its canonical bits — so equality and hashing are the bytes': a
+//! packed row equals another exactly when the tuples they were packed
+//! from are equal.
 
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use crate::size::HeapSize;
 use crate::tuple::Tuple;
-use crate::value::Value;
+use crate::value::{Value, F64};
 
 const NULL: u8 = 0;
 /// Tags `1..=8` are an `Int` of that many bytes.
@@ -56,7 +56,7 @@ pub const MAX_NUMBER_BYTES: usize = 9;
 
 /// An immutable row of values packed into one shared byte string; see
 /// the [module docs](self) for the encoding. Cloning copies a pointer.
-#[derive(Clone)]
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct PackedRow(Arc<[u8]>);
 
 /// One decoded field of a [`PackedRow`], borrowing its string.
@@ -66,8 +66,8 @@ pub enum Field<'a> {
     Null,
     /// A 64-bit integer.
     Int(i64),
-    /// A double, bit for bit as it was packed.
-    Double(f64),
+    /// A double.
+    Double(F64),
     /// A string, borrowed from the row.
     Str(&'a str),
 }
@@ -93,34 +93,10 @@ impl PartialEq<Value> for Field<'_> {
         match (self, other) {
             (Field::Null, Value::Null) => true,
             (Field::Int(a), Value::Int(b)) => a == b,
-            (Field::Double(a), Value::Double(_)) => Value::Double(*a) == *other,
+            (Field::Double(a), Value::Double(b)) => a == b,
             // Bytes, as `Str` compares: no UTF-8 check on either side.
             (Field::Str(a), Value::Str(b)) => a.as_bytes() == b.as_bytes(),
             _ => false,
-        }
-    }
-}
-
-impl PartialEq for Field<'_> {
-    /// [`Value`]'s equality.
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Field::Str(a), Field::Str(b)) => a == b,
-            (Field::Str(_), _) | (_, Field::Str(_)) => false,
-            _ => *self == other.to_value(),
-        }
-    }
-}
-
-impl Hash for Field<'_> {
-    /// Agrees with `Value`'s hash of the same value.
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        match self {
-            Field::Str(s) => {
-                3u8.hash(state);
-                s.hash(state);
-            }
-            other => other.to_value().hash(state),
         }
     }
 }
@@ -302,7 +278,7 @@ impl<'a> Iterator for Fields<'a> {
             DOUBLE => {
                 self.at = at + MAX_NUMBER_BYTES;
                 let bits: [u8; 8] = bytes[at + 1..at + 9].try_into().expect("8 payload bytes");
-                Field::Double(f64::from_bits(u64::from_le_bytes(bits)))
+                Field::Double(F64::new(f64::from_bits(u64::from_le_bytes(bits))))
             }
             LONG_STR => {
                 let (mut n, mut shift, mut i) = (0usize, 0, at + 1);
@@ -343,35 +319,6 @@ fn utf8(bytes: &[u8]) -> &str {
 impl From<&Tuple> for PackedRow {
     fn from(t: &Tuple) -> Self {
         PackedRow::pack(t.values())
-    }
-}
-
-impl PartialEq for PackedRow {
-    /// [`Value`]'s equality, field by field. Equal bytes decide it at
-    /// once; otherwise the rows may still differ only in a double's sign
-    /// or NaN payload, which `Value` does not tell apart.
-    fn eq(&self, other: &Self) -> bool {
-        if self.0 == other.0 {
-            return true;
-        }
-        let (mut a, mut b) = (self.fields(), other.fields());
-        loop {
-            match (a.next(), b.next()) {
-                (None, None) => return true,
-                (Some(x), Some(y)) if x == y => {}
-                _ => return false,
-            }
-        }
-    }
-}
-
-impl Eq for PackedRow {}
-
-impl Hash for PackedRow {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for f in self.fields() {
-            f.hash(state);
-        }
     }
 }
 
@@ -426,15 +373,22 @@ mod tests {
     }
 
     #[test]
-    fn doubles_keep_their_bits_and_compare_as_values() {
+    fn equal_doubles_pack_to_equal_bytes() {
         let neg = PackedRow::from(&tuple![-0.0f64]);
         let pos = PackedRow::from(&tuple![0.0f64]);
-        assert_ne!(neg.as_bytes(), pos.as_bytes());
+        assert_eq!(neg.as_bytes(), pos.as_bytes());
         assert_eq!(neg, pos);
         match neg.field(0) {
-            Field::Double(d) => assert_eq!(d.to_bits(), (-0.0f64).to_bits()),
+            Field::Double(d) => assert_eq!(d.to_bits(), 0.0f64.to_bits()),
             other => panic!("{other:?}"),
         }
+        let payload = f64::from_bits(0xfff0_0000_0000_0001);
+        let (a, b) = (
+            PackedRow::from(&tuple![payload]),
+            PackedRow::from(&tuple![f64::NAN]),
+        );
+        assert_eq!(a.as_bytes(), b.as_bytes());
+        assert_eq!(a, b);
     }
 
     #[test]

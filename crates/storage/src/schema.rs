@@ -157,7 +157,7 @@ mod tests {
     #[test]
     fn check_accepts_wellformed_tuple() {
         let s = sample();
-        s.check(&[Value::Int(1), Value::str("ok"), Value::Double(9.5)])
+        s.check(&[Value::Int(1), Value::str("ok"), Value::from(9.5)])
             .unwrap();
     }
 
@@ -177,7 +177,7 @@ mod tests {
     fn check_rejects_wrong_type() {
         let s = sample();
         assert!(s
-            .check(&[Value::str("bad"), Value::str("ok"), Value::Double(0.0)])
+            .check(&[Value::str("bad"), Value::str("ok"), Value::from(0.0)])
             .is_err());
     }
 
@@ -198,7 +198,7 @@ mod tests {
         assert!(ColumnType::Int.admits(&Value::Int(1)));
         assert!(!ColumnType::Int.admits(&Value::str("x")));
         assert!(ColumnType::Str.admits(&Value::Null));
-        assert!(ColumnType::Double.admits(&Value::Double(1.0)));
+        assert!(ColumnType::Double.admits(&Value::from(1.0)));
         assert!(!ColumnType::Double.admits(&Value::Int(1)));
     }
 }

@@ -3,8 +3,10 @@
 //! The query class of the paper (Section 2.1) needs equality comparisons on
 //! arbitrary attributes and total ordering on interval-form attributes,
 //! which "can be a non-numerical (e.g., string) attribute". [`Value`]
-//! therefore implements full `Eq + Ord + Hash` across all variants,
-//! including doubles (via bit-normalized comparison).
+//! therefore implements full `Eq + Ord + Hash` across all variants. A
+//! double is held as an [`F64`], canonical from the moment it is built,
+//! so two values are equal exactly when their bits are: there is one
+//! identity, and every layer (hashing, packing, the WAL) sees it.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -13,13 +15,75 @@ use std::hash::{Hash, Hasher};
 use crate::size::HeapSize;
 use crate::string::Str;
 
+/// An IEEE-754 double with one bit pattern per value: [`F64::new`] turns
+/// `-0.0` into `0.0` and every NaN into [`f64::NAN`]. `Eq` and `Hash`
+/// compare the bits; `Ord` is numeric, with NaN after every number.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct F64(u64);
+
+impl F64 {
+    /// `d`, canonicalized.
+    #[inline]
+    pub fn new(d: f64) -> Self {
+        let d = if d.is_nan() {
+            f64::NAN
+        } else if d == 0.0 {
+            0.0
+        } else {
+            d
+        };
+        F64(d.to_bits())
+    }
+
+    /// The double.
+    #[inline]
+    pub fn get(self) -> f64 {
+        f64::from_bits(self.0)
+    }
+
+    /// The canonical bit pattern.
+    #[inline]
+    pub fn to_bits(self) -> u64 {
+        self.0
+    }
+}
+
+impl Ord for F64 {
+    #[inline]
+    fn cmp(&self, other: &Self) -> Ordering {
+        let (a, b) = (self.get(), other.get());
+        // Unordered only when a side is NaN, which sorts last.
+        a.partial_cmp(&b)
+            .unwrap_or_else(|| a.is_nan().cmp(&b.is_nan()))
+    }
+}
+
+impl PartialOrd for F64 {
+    #[inline]
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl fmt::Debug for F64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.get(), f)
+    }
+}
+
+impl fmt::Display for F64 {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.get(), f)
+    }
+}
+
 /// A dynamically typed scalar value.
 ///
 /// Ordering compares values of the same variant naturally; values of
-/// different variants order by a fixed variant rank (`Null < Int < Double <
+/// different variants order by declaration (`Null < Int < Double <
 /// Str`). Templates are statically typed per attribute, so cross-variant
 /// comparison only happens for `Null` in practice.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Value {
     /// SQL NULL. Compares equal to itself so tuples remain hashable; the
     /// executor treats predicate comparisons involving NULL as false.
@@ -27,8 +91,8 @@ pub enum Value {
     /// 64-bit signed integer. Also used for dates (days since epoch) and
     /// fixed-point money (cents).
     Int(i64),
-    /// IEEE-754 double with normalized `-0.0`/NaN so `Eq + Hash` are sound.
-    Double(f64),
+    /// IEEE-754 double, canonical (see [`F64`]).
+    Double(F64),
     /// String: inline up to 12 bytes, shared beyond, so cloning a tuple
     /// never copies string data (see [`Str`]).
     Str(Str),
@@ -55,95 +119,27 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Whether `self` and `other` store the same bits: `==`, except that
-    /// doubles compare their raw bit patterns, so `-0.0` differs from
-    /// `0.0` (and NaN payloads from each other). Equality canonicalizes
-    /// both away; a change detector must not.
-    pub fn same_bits(&self, other: &Value) -> bool {
-        match (self, other) {
-            (Value::Double(a), Value::Double(b)) => a.to_bits() == b.to_bits(),
-            _ => self == other,
-        }
-    }
-
-    /// Rank used to order across variants.
-    fn variant_rank(&self) -> u8 {
-        match self {
-            Value::Null => 0,
-            Value::Int(_) => 1,
-            Value::Double(_) => 2,
-            Value::Str(_) => 3,
-        }
-    }
-
-    /// Canonical bit pattern for a double: collapses `-0.0` to `+0.0` and
-    /// all NaNs to one quiet NaN, so `Eq`/`Hash`/`Ord` agree.
-    fn canonical_bits(d: f64) -> u64 {
-        if d.is_nan() {
-            f64::NAN.to_bits()
-        } else if d == 0.0 {
-            0.0f64.to_bits()
-        } else {
-            d.to_bits()
-        }
-    }
-
-    /// Total order on doubles: NaN sorts greater than all numbers.
-    fn cmp_doubles(a: f64, b: f64) -> Ordering {
-        match (a.is_nan(), b.is_nan()) {
-            (true, true) => Ordering::Equal,
-            (true, false) => Ordering::Greater,
-            (false, true) => Ordering::Less,
-            (false, false) => a.partial_cmp(&b).expect("non-NaN doubles compare"),
-        }
-    }
-}
-
-impl PartialEq for Value {
-    #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Value::Null, Value::Null) => true,
-            (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Double(a), Value::Double(b)) => {
-                Self::canonical_bits(*a) == Self::canonical_bits(*b)
-            }
-            (Value::Str(a), Value::Str(b)) => a == b,
-            _ => false,
-        }
-    }
-}
-
-impl Eq for Value {}
-
-impl PartialOrd for Value {
-    #[inline]
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Value {
-    #[inline]
-    fn cmp(&self, other: &Self) -> Ordering {
-        match (self, other) {
-            (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Double(a), Value::Double(b)) => Self::cmp_doubles(*a, *b),
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            _ => self.variant_rank().cmp(&other.variant_rank()),
-        }
-    }
 }
 
 impl Hash for Value {
+    /// The variant's position (one byte), then the payload. Shards,
+    /// store chunks and the admission sketch are chosen by this hash, so
+    /// it is pinned by a golden test.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.variant_rank().hash(state);
         match self {
-            Value::Null => {}
-            Value::Int(v) => v.hash(state),
-            Value::Double(d) => Self::canonical_bits(*d).hash(state),
-            Value::Str(s) => s.hash(state),
+            Value::Null => 0u8.hash(state),
+            Value::Int(v) => {
+                1u8.hash(state);
+                v.hash(state);
+            }
+            Value::Double(d) => {
+                2u8.hash(state);
+                d.hash(state);
+            }
+            Value::Str(s) => {
+                3u8.hash(state);
+                s.hash(state);
+            }
         }
     }
 }
@@ -173,7 +169,7 @@ impl From<i32> for Value {
 
 impl From<f64> for Value {
     fn from(v: f64) -> Self {
-        Value::Double(v)
+        Value::Double(F64::new(v))
     }
 }
 
@@ -224,34 +220,26 @@ mod tests {
 
     #[test]
     fn double_negative_zero_equals_positive_zero() {
-        assert_eq!(Value::Double(-0.0), Value::Double(0.0));
-        assert_eq!(hash_of(&Value::Double(-0.0)), hash_of(&Value::Double(0.0)));
-    }
-
-    #[test]
-    fn same_bits_tells_the_zeros_apart() {
-        assert!(!Value::Double(-0.0).same_bits(&Value::Double(0.0)));
-        assert!(Value::Double(-0.0).same_bits(&Value::Double(-0.0)));
-        assert!(Value::Double(1.5).same_bits(&Value::Double(1.5)));
-        assert!(Value::Int(3).same_bits(&Value::Int(3)));
-        assert!(!Value::Int(3).same_bits(&Value::Int(4)));
-        assert!(Value::str("x").same_bits(&Value::str("x")));
-        assert!(!Value::Int(0).same_bits(&Value::Double(0.0)));
+        assert_eq!(Value::from(-0.0), Value::from(0.0));
+        assert_eq!(F64::new(-0.0).to_bits(), 0.0f64.to_bits());
+        assert_eq!(hash_of(&Value::from(-0.0)), hash_of(&Value::from(0.0)));
     }
 
     #[test]
     fn double_nan_is_self_equal_and_sorts_last() {
-        let nan = Value::Double(f64::NAN);
+        let nan = Value::from(f64::NAN);
         assert_eq!(nan, nan.clone());
-        assert!(Value::Double(f64::INFINITY) < nan);
-        assert_eq!(hash_of(&nan), hash_of(&Value::Double(f64::NAN)));
+        assert!(Value::from(f64::INFINITY) < nan);
+        let payload = f64::from_bits(0xfff0_0000_0000_0001);
+        assert_eq!(F64::new(payload).to_bits(), f64::NAN.to_bits());
+        assert_eq!(hash_of(&nan), hash_of(&Value::from(payload)));
     }
 
     #[test]
     fn cross_variant_order_is_stable() {
         assert!(Value::Null < Value::Int(i64::MIN));
-        assert!(Value::Int(i64::MAX) < Value::Double(f64::NEG_INFINITY));
-        assert!(Value::Double(f64::INFINITY) < Value::str(""));
+        assert!(Value::Int(i64::MAX) < Value::from(f64::NEG_INFINITY));
+        assert!(Value::from(f64::INFINITY) < Value::str(""));
     }
 
     #[test]
@@ -296,5 +284,7 @@ mod tests {
         assert_eq!(Value::Int(3).to_string(), "3");
         assert_eq!(Value::str("a").to_string(), "'a'");
         assert_eq!(Value::Null.to_string(), "NULL");
+        assert_eq!(Value::from(-0.0).to_string(), "0");
+        assert_eq!(Value::from(1.5).to_string(), "1.5");
     }
 }

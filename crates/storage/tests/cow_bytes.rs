@@ -52,7 +52,7 @@ fn row(i: i64) -> Tuple {
         Value::Int(i),
         Value::Int(i % 7),
         Value::Int(i % 50 + 1),
-        Value::Double(i as f64),
+        Value::from(i as f64),
         Value::str("DELIVER IN PERSON"),
     ])
 }

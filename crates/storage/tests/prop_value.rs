@@ -1,6 +1,6 @@
 //! Property tests for the `Value` total order and tuple operations —
 //! every PMV structure (B-trees, bcp keys, DS) relies on `Ord`/`Eq`/
-//! `Hash` agreeing.
+//! `Hash` agreeing — and the pinned hashes bcps are placed by.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -20,7 +20,7 @@ fn value_strategy() -> impl Strategy<Value = Value> {
             Just(f64::INFINITY),
             Just(f64::NEG_INFINITY)
         ]
-        .prop_map(Value::Double),
+        .prop_map(Value::from),
         "[a-z]{0,8}".prop_map(|s| Value::str(&s)),
     ]
 }
@@ -96,5 +96,35 @@ proptest! {
         let b = Tuple::new(vals);
         prop_assert_eq!(&a, &b);
         prop_assert_eq!(hash_of(&a), hash_of(&b));
+    }
+}
+
+/// What bcps hash to. A view's shard (SipHash), its store chunk and its
+/// admission sketch (both Fx) are chosen by `Value`'s hash: a variant
+/// byte, then the payload. Changing it moves entries between shards and
+/// changes hit ratios. A `-0.0` or a NaN payload hashes as the canonical
+/// value it is built as.
+#[test]
+fn value_hashes_are_pinned() {
+    let golden = [
+        (Value::Null, 0x68a9_1412_8e01_e473),
+        (Value::Int(0), 0xdc58_fdc2_e5c5_babe),
+        (Value::Int(-1), 0x4b94_278e_5a63_8004),
+        (Value::Int(i64::MIN), 0x5250_89ce_864e_500f),
+        (Value::Int(i64::MAX), 0x2b72_95dd_a0b0_f127),
+        (Value::str(""), 0x2949_ea95_f1d5_658c),
+        (Value::str("a".repeat(12)), 0x3fa5_9f2c_cba1_6043),
+        (Value::str("a".repeat(13)), 0x854f_6642_2794_3e03),
+        (Value::from(1.5), 0xb17a_4cbc_4369_d857),
+        (Value::from(0.0), 0xc76a_a09f_bfb2_ffdb),
+        (Value::from(-0.0), 0xc76a_a09f_bfb2_ffdb),
+        (Value::from(f64::NAN), 0x4945_0f0b_b59d_3739),
+        (
+            Value::from(f64::from_bits(0xfff0_0000_0000_0001)),
+            0x4945_0f0b_b59d_3739,
+        ),
+    ];
+    for (v, want) in golden {
+        assert_eq!(hash_of(&v), want, "{v:?}");
     }
 }

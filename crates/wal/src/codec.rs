@@ -163,7 +163,9 @@ impl<'a> Cursor<'a> {
         match self.u8()? {
             0x00 => Ok(Value::Null),
             0x01 => Ok(Value::Int(self.u64()? as i64)),
-            0x02 => Ok(Value::Double(f64::from_bits(self.u64()?))),
+            // A log written before doubles were canonical may hold `-0.0`
+            // or a NaN payload: both decode to the canonical value.
+            0x02 => Ok(Value::from(f64::from_bits(self.u64()?))),
             0x03 => Ok(Value::from(self.str()?)),
             tag => Err(DecodeError(format!("unknown value tag {tag:#x}"))),
         }
@@ -233,7 +235,7 @@ mod tests {
         });
         a.push(Delta::Delete {
             row: RowId(7),
-            tuple: Tuple::new(vec![Value::Null, Value::str(""), Value::Double(-0.0)]),
+            tuple: Tuple::new(vec![Value::Null, Value::str(""), Value::from(-0.0)]),
         });
         a.push(Delta::Update {
             row: RowId(3),
@@ -257,9 +259,43 @@ mod tests {
         for (orig, dec) in batches.iter().zip(&back) {
             assert_eq!(orig.relation(), dec.relation());
             assert_eq!(orig.deltas().len(), dec.deltas().len());
-            // NaN-containing tuples: compare through Value's Eq (the
-            // storage layer normalizes NaN so Eq is sound).
+            // A double is canonical, so NaN equals NaN.
             assert_eq!(orig.deltas(), dec.deltas());
+        }
+    }
+
+    /// A log or checkpoint written before doubles were canonical may hold
+    /// `-0.0` or a NaN with a payload (a checkpoint's rows are this
+    /// codec's `tuple`s). Each decodes to the canonical value, which
+    /// re-encodes to the canonical bytes.
+    #[test]
+    fn non_canonical_doubles_decode_to_canonical_values() {
+        // One batch of `r`: an insert at row 5 of the one value `bits`.
+        let payload = |bits: u64| {
+            let mut out = 1u32.to_le_bytes().to_vec();
+            put_str(&mut out, "r");
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.push(0x00);
+            out.extend_from_slice(&5u32.to_le_bytes());
+            out.extend_from_slice(&1u32.to_le_bytes());
+            out.push(0x02);
+            out.extend_from_slice(&bits.to_le_bytes());
+            out
+        };
+        for (raw, canonical) in [
+            ((-0.0f64).to_bits(), 0.0f64.to_bits()),
+            (0xfff0_0000_0000_0001, f64::NAN.to_bits()),
+            (0x7ff0_0000_0000_0002, f64::NAN.to_bits()),
+        ] {
+            let back = decode_batches(&payload(raw)).unwrap();
+            let Delta::Insert { tuple, .. } = &back[0].deltas()[0] else {
+                panic!("{back:?}");
+            };
+            let Value::Double(d) = tuple.get(0) else {
+                panic!("{tuple:?}");
+            };
+            assert_eq!(d.to_bits(), canonical, "{raw:#x}");
+            assert_eq!(encode_batches(&back), payload(canonical), "{raw:#x}");
         }
     }
 

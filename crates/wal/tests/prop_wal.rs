@@ -28,8 +28,8 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     prop_oneof![
         1 => Just(Value::Null),
         3 => any::<i64>().prop_map(Value::Int),
-        2 => any::<f64>().prop_map(Value::Double),
-        1 => Just(Value::Double(f64::NAN)),
+        2 => any::<f64>().prop_map(Value::from),
+        1 => Just(Value::from(f64::NAN)),
         3 => string_strategy().prop_map(Value::from),
     ]
 }
@@ -290,7 +290,7 @@ fn cell(ty: ColumnType, (null, i, d, s): &CellSeed) -> Value {
     match ty {
         _ if *null == 0 => Value::Null,
         ColumnType::Int => Value::Int(*i),
-        ColumnType::Double => Value::Double(*d),
+        ColumnType::Double => Value::from(*d),
         ColumnType::Str => Value::str(s.as_str()),
     }
 }

@@ -8,14 +8,19 @@
 //!   1–3 bytes its value needs, each filler its tag, so at most
 //!   16 + 18 = 34 B per tuple, which `estimate_tuple_bytes` bounds from
 //!   above;
-//! * a `Double` equality column is stored, so its `-0.0` rows come back as
-//!   `-0.0`, not as the bcp's `0.0`;
+//! * a double is canonical once built (`-0.0` is `0.0`, every NaN one
+//!   NaN), so a `Double` equality column is derived from the bcp like any
+//!   other: 9 B less per cached tuple, in the charge and in the estimate;
+//! * a sign-only update of a zero is no change, and a row that reuses a
+//!   freed slot ahead of a cached twin leaves DS on the right row: the
+//!   answer is the executor's bit for bit;
 //! * over random query, insert, delete and update scripts at 1 and 4
 //!   shards — a template with a bcp-derived, a join-derived, a fixed and a
-//!   `Double` column — every answer equals the plain executor's, every
-//!   executor row survives its stored form bit for bit (doubles
-//!   included), every dumped row is full width and lies in its bcp, the
-//!   shards' invariants hold, and `revalidate` finds nothing stale.
+//!   `Double` column, fed `±0.0` and a NaN with a payload — every answer
+//!   equals the plain executor's bit for bit, every executor row survives
+//!   its stored form bit for bit, every dumped row is full width and lies
+//!   in its bcp, the shards' invariants hold, and `revalidate` finds
+//!   nothing stale.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -28,10 +33,18 @@ use pmv::workload::queries::{t1_query, template_t1};
 use pmv::workload::tpcr::{self, TpcrConfig};
 use proptest::prelude::*;
 
-/// A row's values with doubles told apart by bit pattern (`Debug` prints
-/// `-0.0`), so that `-0.0` and `0.0` do not compare equal.
+/// A row's values with each double as its bit pattern, so that rows
+/// compare bit for bit.
 fn exact(t: &Tuple) -> String {
-    format!("{:?}", t.values())
+    let values: Vec<String> = t
+        .values()
+        .iter()
+        .map(|v| match v {
+            Value::Double(d) => format!("{:#018x}", d.to_bits()),
+            other => format!("{other:?}"),
+        })
+        .collect();
+    values.join(", ")
 }
 
 fn exact_sorted<'a>(rows: impl IntoIterator<Item = &'a Tuple>) -> Vec<String> {
@@ -117,8 +130,8 @@ fn packed_width(v: &Value) -> usize {
     }
 }
 
-#[test]
-fn a_double_equality_column_keeps_negative_zero() {
+/// `r(a Int, x Double)`.
+fn int_double() -> Database {
     let mut db = Database::new();
     db.create_relation(Schema::new(
         "r",
@@ -128,6 +141,21 @@ fn a_double_equality_column_keeps_negative_zero() {
         ],
     ))
     .unwrap();
+    db
+}
+
+/// Every served row of `out`, partial then remaining.
+fn served(out: &QueryOutcome) -> Vec<Tuple> {
+    out.partial_expanded
+        .iter()
+        .chain(&out.remaining_expanded)
+        .map(|t| Tuple::clone(t))
+        .collect()
+}
+
+#[test]
+fn a_double_equality_column_is_derived() {
+    let mut db = int_double();
     for (a, x) in [(1i64, -0.0f64), (2, 0.0), (3, -0.0), (4, 1.5)] {
         db.insert("r", tuple![a, x]).unwrap();
     }
@@ -140,47 +168,40 @@ fn a_double_equality_column_keeps_negative_zero() {
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality("dbl", Arc::clone(&t)).unwrap();
+    // `x` comes from the bcp: one `Int` stored, estimated at 9 B. When a
+    // `Double` position was always stored, both were 9 B more: a 34 B
+    // estimate and 27 B per tuple.
+    let layout = def.layout();
+    assert_eq!((layout.arity(), layout.stored_arity()), (2, 1));
+    assert_eq!(estimate_tuple_bytes(&t), 16 + 9);
     let pmv = SharedPmv::with_shards(def, PmvConfig::new(4, 8, PolicyKind::Clock), 1);
     let edb = EpochDb::new(db);
     let q = t
-        .bind(vec![Condition::Equality(vec![Value::Double(0.0)])])
+        .bind(vec![Condition::Equality(vec![Value::from(-0.0)])])
         .unwrap();
     let (plain, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
     let want = exact_sorted(&plain);
     assert_eq!(want.len(), 3);
-    assert_eq!(want.iter().filter(|r| r.contains("-0.0")).count(), 2);
+    let zero = format!("{:#018x}", 0.0f64.to_bits());
+    assert!(want.iter().all(|r| r.ends_with(&zero)), "{want:?}");
     edb.query(&pmv, &q).unwrap();
     let out = edb.query(&pmv, &q).unwrap();
     assert!(out.is_complete() || out.bcp_hit);
     assert_eq!(out.partial.len(), 3, "served from the view");
-    let got: Vec<Tuple> = out
-        .partial_expanded
-        .iter()
-        .chain(&out.remaining_expanded)
-        .map(|t| Tuple::clone(t))
-        .collect();
-    assert_eq!(exact_sorted(&got), want);
+    assert_eq!(exact_sorted(&served(&out)), want);
     let dumped: Vec<Tuple> = pmv.dump().into_iter().flat_map(|(_, rows)| rows).collect();
     assert_eq!(exact_sorted(&dumped), want);
-    assert!(
-        pmv.def().layout().is_full(),
-        "a Double column is never derived"
-    );
+    // One entry, its one-dimension key 32 B, and three tuples, each 16 B
+    // of handle and `a` (1, 2 or 3) in a tag and one byte.
+    assert_eq!(pmv.entry_count(), 1);
+    assert_eq!(pmv.byte_size(), 32 + 3 * (16 + 2));
 }
 
-/// An update that only flips a `Double`'s sign is a change: maintenance
-/// drops the cached row, and the next answer carries the new sign.
+/// An update that only flips a zero's sign stores the same value: it is
+/// no change, and the answer is still the executor's bit for bit.
 #[test]
-fn a_sign_only_update_reaches_the_view() {
-    let mut db = Database::new();
-    db.create_relation(Schema::new(
-        "r",
-        vec![
-            Column::new("a", ColumnType::Int),
-            Column::new("x", ColumnType::Double),
-        ],
-    ))
-    .unwrap();
+fn a_sign_only_update_is_no_change() {
+    let mut db = int_double();
     let row = db.insert("r", tuple![1i64, 0.0f64]).unwrap().row();
     db.insert("r", tuple![1i64, 2.5f64]).unwrap();
     let t = TemplateBuilder::new("sign")
@@ -205,21 +226,64 @@ fn a_sign_only_update_reaches_the_view() {
         Ok(((), txn.commit()))
     })
     .unwrap();
+    assert_eq!(pmv.stats().maint_updates_ignored, 1);
+    assert_eq!(pmv.tuple_count(), 2, "still cached");
     let (plain, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
-    let want = exact_sorted(&plain);
-    assert!(want.iter().any(|r| r.contains("-0.0")), "{want:?}");
     let out = edb.query(&pmv, &q).unwrap();
-    let got: Vec<Tuple> = out
-        .partial_expanded
-        .iter()
-        .chain(&out.remaining_expanded)
-        .map(|t| Tuple::clone(t))
-        .collect();
-    assert_eq!(exact_sorted(&got), want);
-    assert_eq!(pmv.stats().maint_updates_ignored, 0);
+    assert_eq!(exact_sorted(&served(&out)), exact_sorted(&plain));
 }
 
-const DOUBLES: [f64; 3] = [-0.0, 0.0, 0.5];
+/// A delete frees slot 0, and an insert of `(1, -0.0)` reuses it, ahead
+/// of the cached `(1, 0.0)` in slot 1. DS (the rows already served from
+/// the view) removes the executor's rows equal to a served one: when
+/// `-0.0` and `0.0` were two bit patterns under one equality, it removed
+/// the `-0.0` row and the answer read `0.0` twice. A double is canonical
+/// once built, so both rows are `(1, 0.0)` and the answer is the
+/// executor's bit for bit.
+#[test]
+fn a_reused_slot_ahead_of_a_cached_zero_is_served_exactly() {
+    let mut db = int_double();
+    let first = db.insert("r", tuple![1i64, 5.0f64]).unwrap().row();
+    db.insert("r", tuple![1i64, 0.0f64]).unwrap();
+    let t = TemplateBuilder::new("reuse")
+        .relation(db.schema("r").unwrap())
+        .select("r", "x")
+        .unwrap()
+        .cond_eq("r", "a")
+        .unwrap()
+        .build()
+        .unwrap();
+    let def = PartialViewDef::all_equality("reuse", Arc::clone(&t)).unwrap();
+    let pmv = SharedPmv::with_shards(def, PmvConfig::new(4, 8, PolicyKind::Clock), 1);
+    let edb = EpochDb::new(db);
+    let q = t
+        .bind(vec![Condition::Equality(vec![Value::Int(1)])])
+        .unwrap();
+    edb.query(&pmv, &q).unwrap();
+    assert_eq!(pmv.tuple_count(), 2, "cached");
+    let write = |change: Change| {
+        edb.commit(&[&pmv], |db| {
+            let mut txn = Transaction::begin(db);
+            change(&mut txn)?;
+            Ok(((), txn.commit()))
+        })
+        .unwrap()
+    };
+    write(Box::new(move |txn| txn.delete("r", first).map(drop)));
+    write(Box::new(move |txn| {
+        let row = txn.insert("r", tuple![1i64, -0.0f64])?;
+        assert_eq!(row, first, "the freed slot is reused");
+        Ok(())
+    }));
+    let (plain, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
+    let out = edb.query(&pmv, &q).unwrap();
+    assert!(out.bcp_hit && out.ds_leftover == 0);
+    assert_eq!(out.partial.len(), 1, "one row served from the view");
+    assert_eq!(exact_sorted(&served(&out)), exact_sorted(&plain));
+}
+
+/// `±0.0`, a number and a negative NaN with a payload.
+const DOUBLES: [f64; 4] = [-0.0, 0.0, 0.5, f64::from_bits(0xfff0_0000_0000_0001)];
 
 /// `r(a, c, f, x) ⋈ s(d, e, g, k)` on `r.c = s.d`, `select *`, equality
 /// condition on `r.f`, interval condition on `s.g` and `s.k = 1` fixed:
@@ -244,8 +308,11 @@ fn fixture() -> (Database, Arc<QueryTemplate>) {
     ))
     .unwrap();
     for i in 0..24i64 {
-        db.insert("r", tuple![i, i % 6, i % 4, DOUBLES[i as usize % 3]])
-            .unwrap();
+        db.insert(
+            "r",
+            tuple![i, i % 6, i % 4, DOUBLES[i as usize % DOUBLES.len()]],
+        )
+        .unwrap();
         db.insert("s", tuple![i % 6, 100 + i, (i * 7) % 40, i % 2])
             .unwrap();
     }
@@ -289,12 +356,12 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     });
     prop_oneof![
         4 => (fs, ivs).prop_map(|(fs, ivs)| Step::Query { fs, ivs }),
-        1 => (0i64..1000, 0i64..6, 0i64..4, 0usize..3)
+        1 => (0i64..1000, 0i64..6, 0i64..4, 0..DOUBLES.len())
             .prop_map(|(a, c, f, x)| Step::InsertR { a, c, f, x }),
         1 => (0i64..6, 0i64..40, 0i64..2).prop_map(|(d, g, k)| Step::InsertS { d, g, k }),
         1 => (0usize..1000).prop_map(Step::DeleteNthR),
         1 => (0usize..1000).prop_map(Step::DeleteNthS),
-        1 => (0usize..1000, 0i64..4, 0usize..3)
+        1 => (0usize..1000, 0i64..4, 0..DOUBLES.len())
             .prop_map(|(nth, f, x)| Step::UpdateNthR { nth, f, x }),
         1 => (0usize..1000, 0i64..40).prop_map(|(nth, g)| Step::UpdateNthS { nth, g }),
     ]
@@ -363,19 +430,12 @@ fn run_script(steps: Vec<Step>) -> Result<(), TestCaseError> {
                         ),
                     ])
                     .unwrap();
-                let (mut plain, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
-                plain.sort();
+                let (plain, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
+                let want = exact_sorted(&plain);
                 for v in &views {
                     let out = edb.query(v, &q).unwrap();
                     prop_assert_eq!(out.ds_leftover, 0);
-                    let mut got: Vec<Tuple> = out
-                        .partial_expanded
-                        .iter()
-                        .chain(&out.remaining_expanded)
-                        .map(|t| Tuple::clone(t))
-                        .collect();
-                    got.sort();
-                    prop_assert_eq!(&got, &plain);
+                    prop_assert_eq!(exact_sorted(&served(&out)), want.clone());
                 }
                 // What a fill stores and a hit rebuilds is the row.
                 let (def, layout) = (views[0].def(), views[0].def().layout());
