@@ -9,11 +9,14 @@
 //! bcps: "if d_i is of the form R.a = b_i, value b_i is stored; if d_i is
 //! an interval, the id of (b_i, c_i) is stored."
 
+use std::borrow::Cow;
 use std::fmt;
 use std::ops::Bound;
 
 use pmv_query::Interval;
-use pmv_storage::{HeapSize, Value};
+use pmv_storage::packed::{self, Field, Fields};
+use pmv_storage::string::INLINE_CAP;
+use pmv_storage::{ByteStr, HeapSize, Value};
 
 /// One dimension of a [`BcpKey`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -33,53 +36,114 @@ impl fmt::Display for BcpDim {
     }
 }
 
-/// A basic condition part: one [`BcpDim`] per selection condition.
+/// A basic condition part: one packed field per selection condition, in
+/// `Cselect` order — an equality dimension's value in
+/// [`PackedRow`](pmv_storage::PackedRow)'s encoding, an interval
+/// dimension's basic-interval id written as an `Int`. The template says
+/// which dimensions are intervals, so the bytes carry no mark of it:
+/// [`BcpKey::dims`] takes the shape. A value has one encoding, so equal
+/// keys have equal bytes, and `Eq`, `Hash` and `Ord` are the bytes'.
+///
+/// The bytes sit in a 16-byte [`ByteStr`]: a key of at most 12 bytes —
+/// every T1 key, two integers of 1–2 bytes each behind their tags — is
+/// inline, owns no heap and allocates nothing when built or cloned.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BcpKey {
-    dims: Box<[BcpDim]>,
-}
+pub struct BcpKey(ByteStr);
 
 impl BcpKey {
     /// Build from dimensions (one per condition, in `Cselect` order).
-    pub fn new(dims: impl Into<Box<[BcpDim]>>) -> Self {
-        BcpKey { dims: dims.into() }
+    pub fn new(dims: impl AsRef<[BcpDim]>) -> Self {
+        BcpKey::pack(dims.as_ref().iter().map(|d| match d {
+            BcpDim::Eq(v) => Cow::Borrowed(v),
+            BcpDim::Iv(id) => Cow::Owned(Value::Int(i64::from(*id))),
+        }))
     }
 
-    /// Dimensions.
-    pub fn dims(&self) -> &[BcpDim] {
-        &self.dims
+    /// The key whose fields are `fields`, in order: an equality
+    /// dimension's value, an interval dimension's id as an `Int`. A key
+    /// that fits inline — every T1 key — is written in one pass into a
+    /// stack buffer with room for an integer's 8-byte store; a longer one
+    /// starts again on the heap.
+    pub(crate) fn pack<'a>(fields: impl Iterator<Item = Cow<'a, Value>> + Clone) -> Self {
+        let mut buf = [0u8; INLINE_CAP + packed::MAX_NUMBER_BYTES];
+        let mut at = 0;
+        for v in fields.clone() {
+            if at + packed::encoded_len(&v) > INLINE_CAP {
+                let mut long = Vec::new();
+                for v in fields {
+                    let at = long.len();
+                    long.resize(at + packed::encoded_len(&v), 0);
+                    packed::encode(&v, &mut long[at..]);
+                }
+                return BcpKey(ByteStr::new(long));
+            }
+            at += packed::encode(&v, &mut buf[at..]);
+        }
+        let inline = buf[..INLINE_CAP].try_into().expect("INLINE_CAP bytes");
+        BcpKey(ByteStr::inline_prefix(inline, at))
+    }
+
+    /// The fields, one per dimension: an interval dimension reads as its
+    /// id, an `Int`.
+    #[inline]
+    pub fn fields(&self) -> Fields<'_> {
+        Fields::new(self.0.as_bytes())
+    }
+
+    /// The fields as values — what a stored layout derives an equality
+    /// position from. Decoded once per entry, not per served row.
+    pub fn values(&self) -> impl Iterator<Item = Value> + '_ {
+        self.fields().map(Field::to_value)
+    }
+
+    /// The dimensions, `interval(i)` telling whether condition `i` is
+    /// interval-form.
+    pub fn dims(&self, interval: impl Fn(usize) -> bool) -> Vec<BcpDim> {
+        self.fields()
+            .enumerate()
+            .map(|(i, f)| match f {
+                Field::Int(id) if interval(i) => {
+                    BcpDim::Iv(u32::try_from(id).expect("an interval id is a u32"))
+                }
+                _ => BcpDim::Eq(f.to_value()),
+            })
+            .collect()
     }
 
     /// Number of dimensions (`m`).
     pub fn arity(&self) -> usize {
-        self.dims.len()
+        self.fields().count()
+    }
+
+    /// The packed bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        self.0.as_bytes()
+    }
+
+    /// Whether the bytes are held inline, in the key's 16 bytes.
+    pub fn is_inline(&self) -> bool {
+        self.0.is_inline()
     }
 }
 
 impl fmt::Debug for BcpKey {
+    /// Each field as a value: an interval dimension prints as its id.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "bcp(")?;
-        for (i, d) in self.dims.iter().enumerate() {
+        for (i, v) in self.values().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
-            write!(f, "{d}")?;
+            write!(f, "{v}")?;
         }
         write!(f, ")")
     }
 }
 
 impl HeapSize for BcpKey {
+    /// Nothing when inline, else the packed bytes.
     fn heap_size(&self) -> usize {
-        self.dims.len() * std::mem::size_of::<BcpDim>()
-            + self
-                .dims
-                .iter()
-                .map(|d| match d {
-                    BcpDim::Eq(v) => v.heap_size(),
-                    BcpDim::Iv(_) => 0,
-                })
-                .sum::<usize>()
+        self.0.heap_size()
     }
 }
 
@@ -281,11 +345,21 @@ mod tests {
     }
 
     #[test]
-    fn bcp_dim_is_one_value_wide() {
-        // `Iv`'s id fits beside the byte `Value` keeps its tag in, so a
-        // bcp key costs 16 B per condition.
-        assert_eq!(std::mem::size_of::<BcpDim>(), 16);
-        assert_eq!(std::mem::size_of::<BcpDim>(), std::mem::size_of::<Value>());
+    fn a_bcp_key_is_sixteen_bytes_and_t1_keys_are_inline() {
+        assert_eq!(std::mem::size_of::<BcpKey>(), 16);
+        // T1's widest key: date 2 405 and supplier 200, each a tag and
+        // two bytes.
+        for (date, supp) in [(0, 1), (127, 127), (2_405, 200)] {
+            let k = BcpKey::new(vec![BcpDim::Eq(v(date)), BcpDim::Eq(v(supp))]);
+            assert!(k.is_inline() && k.as_bytes().len() <= 6, "{k:?}");
+            assert_eq!(k.heap_size(), 0);
+            assert_eq!(k.values().collect::<Vec<_>>(), [v(date), v(supp)]);
+        }
+        // Past 12 bytes a key goes to the heap and is charged its bytes.
+        let long = BcpKey::new(vec![BcpDim::Eq(Value::str("thirteen byte")), BcpDim::Iv(7)]);
+        assert!(!long.is_inline());
+        assert_eq!(long.heap_size(), long.as_bytes().len());
+        assert_eq!(long.as_bytes().len(), 1 + 13 + 2);
     }
 
     #[test]
@@ -499,8 +573,9 @@ mod tests {
         let c = BcpKey::new(vec![BcpDim::Eq(v(5)), BcpDim::Iv(4)]);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(format!("{a:?}"), "bcp(5, #3)");
+        assert_eq!(format!("{a:?}"), "bcp(5, 3)");
         assert_eq!(a.arity(), 2);
+        assert_eq!(a.dims(|i| i == 1), [BcpDim::Eq(v(5)), BcpDim::Iv(3)]);
     }
 
     #[test]

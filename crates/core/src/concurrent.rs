@@ -48,9 +48,7 @@
 //! maintenance acquires its affected shards in ascending index order — so
 //! the embedding is deadlock-free.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -121,12 +119,17 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// Owning shard of `bcp`: SipHash modulo the shard count. Within
-    /// the shard, [`PmvStore::hash_of`] places it.
-    pub(crate) fn shard_of(&self, bcp: &BcpKey) -> usize {
-        let mut h = DefaultHasher::new();
-        bcp.hash(&mut h);
-        (h.finish() % self.shards.len() as u64) as usize
+    /// Owning shard of the bcp whose [`PmvStore::hash_of`] is `hash`:
+    /// its low 32 bits scaled to the shard count. The chunk within the
+    /// shard comes from the high bits ([`crate::store`]'s `chunk_of`),
+    /// so the shard's bcps spread over all of its chunks.
+    pub(crate) fn shard_of(&self, hash: u64) -> usize {
+        ((u64::from(hash as u32) * self.shards.len() as u64) >> 32) as usize
+    }
+
+    /// Owning shard of `bcp`.
+    pub(crate) fn shard_of_bcp(&self, bcp: &BcpKey) -> usize {
+        self.shard_of(PmvStore::hash_of(bcp))
     }
 
     /// Epoch of the last completed maintenance — the fill gate.
@@ -477,11 +480,12 @@ impl SharedPmv {
     /// touch the policy.
     pub fn lookup(&self, bcp: &BcpKey) -> Option<Vec<(Arc<Tuple>, u64)>> {
         let layout = self.inner.def.layout();
-        let store = self.inner.shards[self.inner.shard_of(bcp)].read();
+        let store = self.inner.shards[self.inner.shard_of_bcp(bcp)].read();
+        let dims: Vec<_> = bcp.values().collect();
         store.lookup(bcp).map(|cached| {
             cached
                 .iter()
-                .map(|(t, e)| (layout.rebuild(t, bcp), *e))
+                .map(|(t, e)| (layout.rebuild_with(t, &dims), *e))
                 .collect()
         })
     }
@@ -491,18 +495,19 @@ impl SharedPmv {
     /// policy.
     pub(crate) fn has_witness(&self, part: &ConditionPart, q: &QueryInstance) -> bool {
         let def = &self.inner.def;
-        let store = self.inner.shards[self.inner.shard_of(&part.bcp)].read();
+        let store = self.inner.shards[self.inner.shard_of_bcp(&part.bcp)].read();
+        let dims: Vec<_> = part.bcp.values().collect();
         store.lookup(&part.bcp).is_some_and(|cached| {
             cached
                 .iter()
-                .any(|(t, _)| part.is_basic || def.stored_matches_select(q, t, &part.bcp))
+                .any(|(t, _)| part.is_basic || def.stored_matches_select(q, t, &dims))
         })
     }
 
     /// Popularity of `bcp`: number of queries it served (ranking
     /// extension; see `ext::ranking`).
     pub fn hit_count(&self, bcp: &BcpKey) -> u64 {
-        let store = self.inner.shards[self.inner.shard_of(bcp)].read();
+        let store = self.inner.shards[self.inner.shard_of_bcp(bcp)].read();
         store.hit_count(bcp)
     }
 
@@ -514,9 +519,10 @@ impl SharedPmv {
         let mut out: Vec<(BcpKey, Vec<Tuple>)> = Vec::new();
         for shard in &self.inner.shards {
             for (bcp, cached) in shard.read().iter() {
+                let dims: Vec<_> = bcp.values().collect();
                 let mut tuples: Vec<Tuple> = cached
                     .iter()
-                    .map(|(t, _)| Arc::unwrap_or_clone(layout.rebuild(t, bcp)))
+                    .map(|(t, _)| Arc::unwrap_or_clone(layout.rebuild_with(t, &dims)))
                     .collect();
                 tuples.sort();
                 out.push((bcp.clone(), tuples));
@@ -662,7 +668,7 @@ pub(crate) mod tests {
     /// exists to find.
     pub(crate) fn seed_stale(view: &SharedPmv, bcp: &BcpKey, tuple: Tuple) {
         let inner = &view.inner;
-        let si = inner.shard_of(bcp);
+        let si = inner.shard_of_bcp(bcp);
         let stored = inner.def.layout().store(&tuple);
         let mut store = inner.shards[si].write();
         store.admit(bcp);
@@ -695,6 +701,51 @@ pub(crate) mod tests {
         let def = PartialViewDef::all_equality("shared", t).unwrap();
         let shared = SharedPmv::with_shards(def, PmvConfig::new(3, 16, PolicyKind::Clock), shards);
         (EpochDb::new(db), shared)
+    }
+
+    /// `read_hot`'s bcp universe — dates `0..2406` × suppliers
+    /// `1..=200`, at the benchmark's L = 8 192 over 4 shards — placed by
+    /// the one hash: each shard gets a quarter of it within 5 %, and no
+    /// chunk holds more than twice its shard's mean.
+    #[test]
+    fn read_hot_bcps_spread_over_shards_and_chunks() {
+        let (_, base) = setup(1);
+        let config = PmvConfig::new(3, 8_192, PolicyKind::Clock);
+        let shared = SharedPmv::with_shards(base.def().clone(), config, 4);
+        let inner = &shared.inner;
+        let tables: Vec<_> = inner
+            .shards
+            .iter()
+            .map(|s| s.read().table().clone())
+            .collect();
+        let chunks = tables[0].chunks().len();
+        assert_eq!(chunks, 64, "⌈2 048 / 32⌉ chunks per shard");
+        let mut per_chunk = vec![vec![0usize; chunks]; 4];
+        for date in 0..2_406i64 {
+            for supp in 1..=200i64 {
+                let key = BcpKey::new(vec![
+                    crate::bcp::BcpDim::Eq(Value::Int(date)),
+                    crate::bcp::BcpDim::Eq(Value::Int(supp)),
+                ]);
+                let hash = PmvStore::hash_of(&key);
+                let si = inner.shard_of(hash);
+                per_chunk[si][tables[si].chunk_of(hash)] += 1;
+            }
+        }
+        let quarter = 2_406.0 * 200.0 / 4.0;
+        for (si, counts) in per_chunk.iter().enumerate() {
+            let n: usize = counts.iter().sum();
+            assert!(
+                (n as f64 - quarter).abs() <= 0.05 * quarter,
+                "shard {si} holds {n}"
+            );
+            let mean = n as f64 / chunks as f64;
+            let max = *counts.iter().max().unwrap();
+            assert!(
+                max as f64 <= 2.0 * mean,
+                "shard {si}: a chunk of {max}, mean {mean}"
+            );
+        }
     }
 
     #[test]
@@ -771,16 +822,15 @@ pub(crate) mod tests {
                 "{context}: shard {si}'s view is not its store"
             );
             for (ci, chunk) in view.table.chunks().iter().enumerate() {
-                for (hash, entry) in chunk.iter() {
+                for (hash, bcp, _) in chunk.iter() {
                     assert_eq!(
                         (
-                            inner.shard_of(&entry.bcp),
-                            PmvStore::hash_of(&entry.bcp),
+                            inner.shard_of_bcp(bcp),
+                            PmvStore::hash_of(bcp),
                             view.table.chunk_of(*hash)
                         ),
                         (si, *hash, ci),
-                        "{context}: misplaced {:?}",
-                        entry.bcp
+                        "{context}: misplaced {bcp:?}"
                     );
                 }
             }
@@ -1031,7 +1081,7 @@ pub(crate) mod tests {
         // Hold a read lock on a shard that f=3's bcp does NOT hash to;
         // maintenance for a row with f=3 must not block on it.
         let bcp3 = BcpKey::new(vec![crate::bcp::BcpDim::Eq(Value::Int(3))]);
-        let affected = shared.inner.shard_of(&bcp3);
+        let affected = shared.inner.shard_of_bcp(&bcp3);
         let other = (affected + 1) % shared.shard_count();
         let _outside_guard = shared.inner.shards[other].read();
 

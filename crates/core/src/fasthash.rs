@@ -83,6 +83,53 @@ impl Hasher for FxHasher {
 /// `BuildHasher` plugging [`FxHasher`] into `HashMap`/`HashSet`.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
+/// One 64-bit hash of a byte string, read in two (possibly overlapping)
+/// words, no copy: a key of at most 16 bytes — a T1 bcp key is 4–6 —
+/// takes one folded multiply, a longer one one per 16 bytes more. The
+/// fold (the 128-bit product's halves xor-ed, as in foldhash) leaves
+/// every output bit depending on every input bit, so any bit range of
+/// the result can pick a bucket: a view picks its shard from the low
+/// half and its chunk from the high bits.
+#[inline]
+pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
+    let n = bytes.len();
+    let word = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+    let half = |at: usize| {
+        u64::from(u32::from_le_bytes(
+            bytes[at..at + 4].try_into().expect("4 bytes"),
+        ))
+    };
+    let mut state = SEED ^ n as u64;
+    let (a, b) = match n {
+        0 => (0, 0),
+        1..=3 => (
+            u64::from(bytes[0]) | u64::from(bytes[n / 2]) << 8,
+            u64::from(bytes[n - 1]),
+        ),
+        4..=7 => (half(0), half(n - 4)),
+        8..=16 => (word(0), word(n - 8)),
+        _ => {
+            let mut at = 0;
+            while n - at > 16 {
+                state = fold(word(at) ^ state, word(at + 8) ^ MIX);
+                at += 16;
+            }
+            (word(n - 16), word(n - 8))
+        }
+    };
+    fold(a ^ state, b ^ MIX)
+}
+
+/// Second multiplier of [`hash_bytes`] (the 64-bit golden ratio).
+const MIX: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The 128-bit product of `x` and `y`, its halves xor-ed.
+#[inline]
+fn fold(x: u64, y: u64) -> u64 {
+    let p = u128::from(x) * u128::from(y);
+    (p as u64) ^ ((p >> 64) as u64)
+}
+
 /// `HashMap` keyed by the fast hasher.
 pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 
@@ -118,6 +165,22 @@ mod tests {
         }
         let max = *buckets.iter().max().unwrap();
         assert!(max < 4 * (10_000 / 64), "skewed buckets: max={max}");
+    }
+
+    #[test]
+    fn byte_hashes_see_every_byte_and_the_length() {
+        let mut seen = std::collections::HashSet::new();
+        // Every length from 0 to 40, and every one-byte change of it.
+        for n in 0..=40usize {
+            let base: Vec<u8> = (0..n as u8).collect();
+            assert!(seen.insert(hash_bytes(&base)), "length {n}");
+            for at in 0..n {
+                let mut changed = base.clone();
+                changed[at] ^= 0x80;
+                assert!(seen.insert(hash_bytes(&changed)), "byte {at} of {n}");
+            }
+        }
+        assert_ne!(hash_bytes(&[0]), hash_bytes(&[0, 0]));
     }
 
     #[test]

@@ -199,7 +199,7 @@ impl SharedPmv {
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
                 let row = inner.def.layout().store(&row);
-                let removal = (inner.shard_of(&bcp), bcp, row, false);
+                let removal = (inner.shard_of_bcp(&bcp), bcp, row, false);
                 removals.extend(std::iter::repeat_n(removal, n));
             }
         }
@@ -361,7 +361,7 @@ impl SharedPmv {
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
                 let row = inner.def.layout().store(&row);
-                removals.push((inner.shard_of(&bcp), bcp, row, false));
+                removals.push((inner.shard_of_bcp(&bcp), bcp, row, false));
             }
         }
         self.evict(&removals, &mut local);

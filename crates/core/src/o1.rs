@@ -7,9 +7,12 @@
 //! condition part is either a basic condition part itself or is contained
 //! in exactly one (its *containing* bcp), as in the paper's Figure 5 grid.
 
-use pmv_query::{Condition, QueryInstance};
+use std::borrow::Cow;
 
-use crate::bcp::{BcpDim, BcpKey};
+use pmv_query::{Condition, QueryInstance};
+use pmv_storage::Value;
+
+use crate::bcp::BcpKey;
 use crate::view::PartialViewDef;
 use crate::{CoreError, Result};
 
@@ -35,9 +38,12 @@ pub struct ConditionPart {
 
 /// Per-dimension element used during cross-product construction.
 struct DimElement {
-    bcp: BcpDim,
+    /// The containing bcp's field in this dimension: the equality value,
+    /// or the basic interval's id as an `Int`.
+    field: Value,
     whole: bool,
-    /// Index of the first element of this dimension with the same `bcp`.
+    /// Index of the first element of this dimension with the same
+    /// `field`.
     first: usize,
 }
 
@@ -57,7 +63,7 @@ pub fn decompose(def: &PartialViewDef, q: &QueryInstance) -> Result<Vec<Conditio
                 // Equality values are distinct (checked at bind).
                 for (first, v) in values.iter().enumerate() {
                     elems.push(DimElement {
-                        bcp: BcpDim::Eq(v.clone()),
+                        field: v.clone(),
                         whole: true,
                         first,
                     });
@@ -70,12 +76,16 @@ pub fn decompose(def: &PartialViewDef, q: &QueryInstance) -> Result<Vec<Conditio
                 for iv in intervals {
                     for id in d.overlapping_ids(iv) {
                         if let Some((_, whole)) = d.fragment(id, iv) {
-                            let bcp = BcpDim::Iv(id);
+                            let field = Value::Int(i64::from(id));
                             let first = elems
                                 .iter()
-                                .position(|e: &DimElement| e.bcp == bcp)
+                                .position(|e: &DimElement| e.field == field)
                                 .unwrap_or(elems.len());
-                            elems.push(DimElement { bcp, whole, first });
+                            elems.push(DimElement {
+                                field,
+                                whole,
+                                first,
+                            });
                         }
                     }
                 }
@@ -96,23 +106,22 @@ pub fn decompose(def: &PartialViewDef, q: &QueryInstance) -> Result<Vec<Conditio
         )));
     }
 
-    // Cross product ∏ S_i.
+    // Cross product ∏ S_i. Each part's key is written straight from its
+    // elements' fields.
     let mut parts = Vec::with_capacity(total);
     let mut cursor = vec![0usize; m];
     loop {
-        let mut bcp_dims = Vec::with_capacity(m);
+        let elems = || cursor.iter().enumerate().map(|(i, &c)| &per_dim[i][c]);
         let mut is_basic = true;
         // The odometer below turns the last dimension fastest, so a part's
         // number is its cursor read as a mixed-radix numeral.
         let mut bcp_part = 0;
-        for (i, &c) in cursor.iter().enumerate() {
-            let e = &per_dim[i][c];
-            bcp_dims.push(e.bcp.clone());
+        for (e, dim) in elems().zip(&per_dim) {
             is_basic &= e.whole;
-            bcp_part = bcp_part * per_dim[i].len() + e.first;
+            bcp_part = bcp_part * dim.len() + e.first;
         }
         parts.push(ConditionPart {
-            bcp: BcpKey::new(bcp_dims),
+            bcp: BcpKey::pack(elems().map(|e| Cow::Borrowed(&e.field))),
             is_basic,
             bcp_part,
         });
@@ -135,7 +144,7 @@ pub fn decompose(def: &PartialViewDef, q: &QueryInstance) -> Result<Vec<Conditio
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bcp::Discretizer;
+    use crate::bcp::{BcpDim, Discretizer};
     use pmv_query::{Interval, QueryTemplate, TemplateBuilder};
     use pmv_storage::{Column, ColumnType, Schema, Tuple, Value};
     use std::sync::Arc;
@@ -152,7 +161,7 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(n, p)| {
-                let BcpDim::Iv(id) = p.bcp.dims()[1] else {
+                let BcpDim::Iv(id) = d.bcp_dims(&p.bcp)[1] else {
                     panic!("an interval condition has an Iv dimension");
                 };
                 let basic = d.discretizer(1).unwrap().interval_of(id);
@@ -167,7 +176,7 @@ mod tests {
 
     /// Whether `(0, f, g)` lies in the part whose fragment is `frag`.
     fn in_part(p: &ConditionPart, frag: &Interval, tup: &Tuple) -> bool {
-        p.bcp.dims()[0] == BcpDim::Eq(tup.get(1).clone()) && frag.contains(tup.get(2))
+        p.bcp.fields().next().unwrap() == *tup.get(1) && frag.contains(tup.get(2))
     }
 
     fn template() -> Arc<QueryTemplate> {
@@ -217,7 +226,7 @@ mod tests {
         let basics: Vec<_> = parts.iter().filter(|p| p.is_basic).collect();
         assert_eq!(basics.len(), 2);
         for b in basics {
-            assert_eq!(b.bcp.dims()[1], BcpDim::Iv(2));
+            assert_eq!(d.bcp_dims(&b.bcp)[1], BcpDim::Iv(2));
         }
     }
 
@@ -286,8 +295,8 @@ mod tests {
         let parts = decompose(&d, &q).unwrap();
         let frags = fragments(&d, &q, &parts);
         for (p, frag) in parts.iter().zip(&frags) {
-            assert_eq!(p.bcp.dims()[0], BcpDim::Eq(Value::Int(9)));
-            let BcpDim::Iv(id) = p.bcp.dims()[1] else {
+            assert_eq!(d.bcp_dims(&p.bcp)[0], BcpDim::Eq(Value::Int(9)));
+            let BcpDim::Iv(id) = d.bcp_dims(&p.bcp)[1] else {
                 panic!("mismatched dims {:?}", p.bcp);
             };
             // Fragment ⊆ basic interval, and whole exactly when basic.
@@ -311,7 +320,7 @@ mod tests {
         let parts = decompose(&d, &q).unwrap();
         assert_eq!(parts.len(), 1);
         assert!(parts[0].is_basic);
-        assert_eq!(parts[0].bcp.dims()[1], BcpDim::Iv(2));
+        assert_eq!(d.bcp_dims(&parts[0].bcp)[1], BcpDim::Iv(2));
     }
 
     #[test]

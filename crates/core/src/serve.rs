@@ -52,7 +52,7 @@ use pmv_obs::{EventKind, Phase, TraceKind, TraceScope};
 use pmv_query::{
     execute_bounded_arc, upquery_fill, DbSnapshot, ExecBudget, ExecStats, QueryInstance,
 };
-use pmv_storage::Tuple;
+use pmv_storage::{Tuple, Value};
 
 use crate::concurrent::Inner;
 use crate::ds::Ds;
@@ -113,6 +113,8 @@ struct QueryScratch {
     /// accept tuples — served partials first, then the O3 rows DS did
     /// not suppress.
     cands: Vec<Cand>,
+    /// The fields of the bcp whose entry O2 is serving.
+    dims: Vec<Value>,
     /// The O2 partials, then the remaining O3 rows, as they are found:
     /// each is handed to the outcome in one exact-size vector.
     served: Vec<Arc<Tuple>>,
@@ -128,6 +130,7 @@ impl QueryScratch {
         self.slots.clear();
         self.state.clear();
         self.cands.clear();
+        self.dims.clear();
         self.served.clear();
         self.remaining.clear();
     }
@@ -207,6 +210,7 @@ fn query_with_scratch(
         slots,
         state,
         cands,
+        dims,
         served: partial_expanded,
         remaining: remaining_expanded,
     } = scratch;
@@ -267,8 +271,9 @@ fn query_with_scratch(
             .enumerate()
             .filter(|(pi, part)| part.bcp_part == *pi)
             .map(|(pi, part)| {
-                let bcp = &part.bcp;
-                (inner.shard_of(bcp), PmvStore::hash_of(bcp), pi)
+                // The one hash of the bcp: its shard, chunk and tag.
+                let hash = PmvStore::hash_of(&part.bcp);
+                (inner.shard_of(hash), hash, pi)
             }),
     );
     slots.sort_by_key(|&(si, _, _)| si);
@@ -305,7 +310,10 @@ fn query_with_scratch(
                     && entries.iter().all(|(_, fe)| *fe <= pin_epoch);
                 st.full = !st.complete && entries.len() >= config.f;
                 let mut served = false;
-                let (bcp, is_basic) = (&parts[pi].bcp, parts[pi].is_basic);
+                let is_basic = parts[pi].is_basic;
+                // The key's fields, decoded once for the entry's tuples.
+                dims.clear();
+                dims.extend(parts[pi].bcp.values());
                 for (t, fill_epoch) in entries {
                     // Serve gate: never serve a tuple filled after this
                     // query's pin — it may reflect database state the
@@ -319,8 +327,8 @@ fn query_with_scratch(
                     // the Cselect of query Q" — read through the layout.
                     // Only a served tuple is decoded into its `Ls'` row,
                     // once: DS, the candidates and the outcome share it.
-                    if is_basic || def.stored_matches_select(q, t, bcp) {
-                        let row = layout.rebuild(t, bcp);
+                    if is_basic || def.stored_matches_select(q, t, dims) {
+                        let row = layout.rebuild_with(t, dims);
                         if st.complete {
                             complete_served.push(Arc::clone(&row));
                         } else {
@@ -603,6 +611,8 @@ fn query_with_scratch(
 /// The condition part (by number) whose bcp contains `row`, a result of
 /// the full execution: such a row satisfies `Cselect`, so it lies in
 /// exactly one of the query's bcps — the only one, when there is one.
+/// Otherwise the row's key is built once and found among the slots by
+/// its hash, then compared.
 fn part_of_row(
     def: &PartialViewDef,
     parts: &[ConditionPart],
@@ -611,10 +621,14 @@ fn part_of_row(
 ) -> Option<usize> {
     match slots {
         [(_, _, only)] => Some(*only),
-        _ => slots
-            .iter()
-            .map(|&(_, _, pi)| pi)
-            .find(|&pi| def.tuple_in_bcp(row, &parts[pi].bcp)),
+        _ => {
+            let key = def.bcp_of_tuple(row);
+            let hash = PmvStore::hash_of(&key);
+            slots
+                .iter()
+                .find(|&&(_, h, pi)| h == hash && parts[pi].bcp == key)
+                .map(|&(_, _, pi)| pi)
+        }
     }
 }
 

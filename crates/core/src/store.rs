@@ -30,12 +30,14 @@
 //! [`PmvStore::new`] with [`DeltaKeyIndex::new`] holds full rows.
 //!
 //! [`PmvStore::byte_size`] is exact under one rule: a bcp key is charged
-//! `size_of::<BcpKey>()` plus its dimensions, a cached tuple
-//! `size_of::<PackedRow>()` (16 B) plus its packed bytes. T1's tuples
-//! store five integers, each its tag and the 1–3 bytes its value needs,
-//! and two empty strings of one tag byte each: at most 16 + 18 = 34 B.
+//! `size_of::<BcpKey>()` (16 B) plus the bytes of a key too long to sit
+//! inline (more than 12 packed bytes), a cached tuple
+//! `size_of::<PackedRow>()` (16 B) plus its packed bytes. A T1 key — two
+//! integers, each a tag and 1–2 bytes — is 4–6 bytes, inline: 16 B. T1's
+//! tuples store five integers, each its tag and the 1–3 bytes its value
+//! needs, and two empty strings of one tag byte each: at most 16 + 18 =
+//! 34 B.
 
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -44,7 +46,7 @@ use pmv_storage::{HeapSize, PackedRow, Tuple};
 
 use crate::bcp::BcpKey;
 use crate::delta_index::{DeltaKeyIndex, Supported};
-use crate::fasthash::FxHasher;
+use crate::fasthash::hash_bytes;
 use crate::view::PmvConfig;
 
 /// Residency decision for a bcp in Operation O3.
@@ -77,11 +79,10 @@ pub type CachedTuple = (PackedRow, u64);
 /// nothing a user could want differently.
 pub(crate) const CHUNK_ENTRIES: usize = 32;
 
-/// One bcp's entry. Readers of a published table share it; the store
-/// copies it before changing it.
+/// One bcp's entry; its key sits beside it in the chunk. Readers of a
+/// published table share it; the store copies it before changing it.
 #[derive(Debug)]
 pub(crate) struct Entry {
-    pub(crate) bcp: BcpKey,
     /// The cached tuples, with their fill epochs.
     pub(crate) tuples: Vec<CachedTuple>,
     /// Times this bcp produced partial results (popularity ranking
@@ -103,7 +104,6 @@ pub(crate) struct Entry {
 impl Clone for Entry {
     fn clone(&self) -> Entry {
         Entry {
-            bcp: self.bcp.clone(),
             tuples: self.tuples.clone(),
             hits: AtomicU64::new(self.hits.load(Ordering::Acquire)),
             complete: self.complete,
@@ -112,9 +112,10 @@ impl Clone for Entry {
 }
 
 /// The entries whose hash falls in one chunk, each tagged with that
-/// hash and kept in tag order, so a lookup binary-searches the tags;
-/// copied by bumping one count per entry.
-type Chunk = Vec<(u64, Arc<Entry>)>;
+/// hash and its bcp and kept in tag order, so a lookup binary-searches
+/// the tags and compares the keys without leaving the chunk; copied by
+/// bumping one count per entry (and one per key held on the heap).
+type Chunk = Vec<(u64, BcpKey, Arc<Entry>)>;
 
 /// The store's entry table: a spine of `Arc`-shared chunks, each entry
 /// in the chunk its [`PmvStore::hash_of`] names. A clone copies one
@@ -136,8 +137,10 @@ impl Table {
     }
 
     /// The chunk entries of hash `hash` sit in: the hash scaled to the
-    /// chunk count by its high bits, Fx's best mixed, with a multiply
-    /// where a modulo would divide.
+    /// chunk count by its high bits, with a multiply where a modulo would
+    /// divide. A shard is chosen from the low half
+    /// ([`crate::concurrent::Inner::shard_of`]), so every chunk of a
+    /// shard gets its share.
     pub(crate) fn chunk_of(&self, hash: u64) -> usize {
         ((u128::from(hash) * self.0.len() as u128) >> 64) as usize
     }
@@ -151,11 +154,11 @@ impl Table {
     fn find(&self, hash: u64, bcp: &BcpKey) -> Option<At> {
         let ci = self.chunk_of(hash);
         let chunk = &self.0[ci];
-        let first = chunk.partition_point(|(h, _)| *h < hash);
+        let first = chunk.partition_point(|(h, _, _)| *h < hash);
         let i = chunk[first..]
             .iter()
-            .take_while(|(h, _)| *h == hash)
-            .position(|(_, e)| e.bcp == *bcp)?;
+            .take_while(|(h, _, _)| *h == hash)
+            .position(|(_, k, _)| k == bcp)?;
         Some((ci, first + i))
     }
 
@@ -165,31 +168,33 @@ impl Table {
     }
 
     fn at(&self, (ci, i): At) -> &Entry {
-        &self.0[ci][i].1
+        &self.0[ci][i].2
     }
 
     /// The entry at `(ci, i)`, writable: copied first, with its chunk and
     /// the spine, where a reader still shares them.
     fn at_mut(&mut self, (ci, i): At) -> &mut Entry {
-        Arc::make_mut(&mut self.chunk_mut(ci)[i].1)
+        Arc::make_mut(&mut self.chunk_mut(ci)[i].2)
     }
 
     fn chunk_mut(&mut self, ci: usize) -> &mut Chunk {
         Arc::make_mut(&mut Arc::make_mut(&mut self.0)[ci])
     }
 
-    fn insert(&mut self, hash: u64, entry: Entry) {
+    fn insert(&mut self, hash: u64, bcp: BcpKey, entry: Entry) {
         let chunk = self.chunk_mut(self.chunk_of(hash));
-        let at = chunk.partition_point(|(h, _)| *h <= hash);
-        chunk.insert(at, (hash, Arc::new(entry)));
+        let at = chunk.partition_point(|(h, _, _)| *h <= hash);
+        chunk.insert(at, (hash, bcp, Arc::new(entry)));
     }
 
     fn remove(&mut self, (ci, i): At) -> Arc<Entry> {
-        self.chunk_mut(ci).remove(i).1
+        self.chunk_mut(ci).remove(i).2
     }
 
-    fn entries(&self) -> impl Iterator<Item = &Entry> {
-        self.0.iter().flat_map(|c| c.iter().map(|(_, e)| &**e))
+    fn entries(&self) -> impl Iterator<Item = (&BcpKey, &Entry)> {
+        self.0
+            .iter()
+            .flat_map(|c| c.iter().map(|(_, k, e)| (k, &**e)))
     }
 }
 
@@ -279,14 +284,12 @@ impl PmvStore {
         self.table.addr() != self.published_spine.load(Ordering::Acquire)
     }
 
-    /// The hash that places `bcp` in its store's table and counts it in
-    /// the admission sketch: Fx, independent of the SipHash that chose
-    /// this store's shard — every bcp a shard's store sees agrees on that
-    /// hash modulo the shard count.
+    /// The one hash of `bcp`, over its packed bytes: it picks the shard
+    /// (from its low half), the chunk (from its high bits), the tag a
+    /// chunk is ordered by, and the admission sketch's counters.
+    #[inline]
     pub(crate) fn hash_of(bcp: &BcpKey) -> u64 {
-        let mut h = FxHasher::default();
-        bcp.hash(&mut h);
-        h.finish()
+        hash_bytes(bcp.as_bytes())
     }
 
     /// Attach the delta-key maintenance index (must be done while the
@@ -492,8 +495,8 @@ impl PmvStore {
                 tuples.push((tuple, epoch));
                 self.table.insert(
                     hash,
+                    bcp.clone(),
                     Entry {
-                        bcp: bcp.clone(),
                         tuples,
                         hits: AtomicU64::new(0),
                         complete: None,
@@ -552,11 +555,12 @@ impl PmvStore {
 
     /// Total cached tuples.
     pub fn tuple_count(&self) -> usize {
-        self.table.entries().map(|e| e.tuples.len()).sum()
+        self.table.entries().map(|(_, e)| e.tuples.len()).sum()
     }
 
     /// Bytes cached, exactly as charged: per entry its key's
-    /// `size_of::<BcpKey>()` plus dimensions, per tuple
+    /// `size_of::<BcpKey>()` (16 B) plus the heap bytes of a key too long
+    /// to sit inline (none for a key of at most 12 bytes), per tuple
     /// `size_of::<PackedRow>()` plus its packed bytes. The sketch, the
     /// policy's frames, the table's spine and the delta-key index are not
     /// charged.
@@ -571,7 +575,7 @@ impl PmvStore {
 
     /// Iterate over `(bcp, cached tuples)` (diagnostics/tests).
     pub fn iter(&self) -> impl Iterator<Item = (&BcpKey, &[CachedTuple])> {
-        self.table.entries().map(|e| (&e.bcp, e.tuples.as_slice()))
+        self.table.entries().map(|(k, e)| (k, e.tuples.as_slice()))
     }
 
     fn tuple_bytes(t: &PackedRow) -> usize {
@@ -589,11 +593,10 @@ impl PmvStore {
         let (mut counted, mut recomputed) = (0, 0);
         for (ci, chunk) in self.table.chunks().iter().enumerate() {
             // Out of tag order, an entry is one the binary search misses.
-            if !chunk.is_sorted_by_key(|(hash, _)| *hash) {
+            if !chunk.is_sorted_by_key(|(hash, _, _)| *hash) {
                 violations.push(format!("chunk {ci} out of tag order"));
             }
-            for (hash, e) in chunk.iter() {
-                let k = &e.bcp;
+            for (hash, k, e) in chunk.iter() {
                 counted += 1;
                 recomputed += Self::key_bytes(k)
                     + e.tuples
@@ -700,6 +703,25 @@ mod tests {
         PmvConfig::new(f, l, policy)
     }
 
+    /// The first bcp from 2 up, none of `others`, whose admission-sketch
+    /// counters in a store of `l` frames are told apart from each of
+    /// `others`': counting it leaves their estimates at 0. A sketch this
+    /// small has one or two words of 16 counters, so two keys share all
+    /// of theirs one time in four, and the tests below compare keys' own
+    /// counts.
+    fn apart(l: usize, others: &[i64]) -> i64 {
+        (2..)
+            .find(|k| {
+                let mut sketch = FrequencySketch::new(l);
+                sketch.increment(PmvStore::hash_of(&bcp(*k)));
+                !others.contains(k)
+                    && others
+                        .iter()
+                        .all(|o| sketch.estimate(PmvStore::hash_of(&bcp(*o))) == 0)
+            })
+            .expect("some key is told apart")
+    }
+
     #[test]
     fn push_respects_f() {
         let mut s = PmvStore::new(&cfg(2, 10, PolicyKind::Clock));
@@ -732,21 +754,26 @@ mod tests {
         }
         assert_eq!(s.entry_count(), 2);
         let before = s.byte_size();
-        // Seen before, 99 out-counts both residents (never counted).
-        s.note_access(&bcp(99));
-        s.admit(&bcp(99)); // evicts one of the two
+        // Seen before, the newcomer out-counts both residents (never
+        // counted).
+        let new = apart(2, &[0, 1]);
+        s.note_access(&bcp(new));
+        s.admit(&bcp(new)); // evicts one of the two
         assert_eq!(s.entry_count(), 1);
         assert!(s.byte_size() < before);
         // As every production admit is followed by its fill.
-        assert!(s.push_arc(&bcp(99), Arc::new(tuple![99i64]), 0));
+        assert!(s.push_arc(&bcp(new), Arc::new(tuple![new]), 0));
         assert_eq!(s.evictions(), 1);
         s.validate();
     }
 
     /// A full store of L = 1 whose resident, bcp 1, was counted
-    /// `resident` times; bcp 2 then asks in, counted `candidate` times.
-    /// Returns whether bcp 2 displaced bcp 1.
+    /// `resident` times; bcp 2 (or the next key the sketch tells apart
+    /// from 1) then asks in, counted `candidate` times. Returns whether
+    /// it displaced bcp 1.
     fn displaces(resident: usize, candidate: usize) -> bool {
+        let two = apart(1, &[1]);
+        let bcp = |k: i64| bcp(if k == 2 { two } else { k });
         let mut s = PmvStore::new(&cfg(1, 1, PolicyKind::Clock));
         for _ in 0..resident {
             s.note_access(&bcp(1));
@@ -787,6 +814,8 @@ mod tests {
 
     #[test]
     fn a_declined_bcp_holds_nothing_and_changes_nothing() {
+        let two = apart(1, &[1]);
+        let bcp = |k: i64| bcp(if k == 2 { two } else { k });
         let mut s = PmvStore::new(&cfg(2, 1, PolicyKind::Clock));
         s.note_access(&bcp(1));
         s.admit(&bcp(1));
@@ -954,7 +983,7 @@ mod tests {
         let entries = |t: &Table| {
             let mut all: Vec<_> = t
                 .entries()
-                .map(|e| (e.bcp.clone(), e.tuples.clone()))
+                .map(|(k, e)| (k.clone(), e.tuples.clone()))
                 .collect();
             all.sort_by(|a, b| a.0.cmp(&b.0));
             all

@@ -225,22 +225,26 @@ impl StoredLayout {
     }
 
     /// The value at `Ls'` position `pos` of the row that `stored`, filed
-    /// under `bcp`, stands for: borrowed when the entry or the template
-    /// fixes it, else decoded from the stored fields before it.
-    pub fn value<'a>(&'a self, stored: &PackedRow, bcp: &'a BcpKey, pos: usize) -> Cow<'a, Value> {
+    /// under the bcp whose [`BcpKey::values`] are `dims`, stands for:
+    /// borrowed when the entry or the template fixes it, else decoded
+    /// from the stored fields before it.
+    pub fn value<'a>(
+        &'a self,
+        stored: &PackedRow,
+        dims: &'a [Value],
+        pos: usize,
+    ) -> Cow<'a, Value> {
         match &self.sources[pos] {
             Source::Stored(j) => Cow::Owned(stored.field(*j).to_value()),
-            Source::Bcp(i) => match &bcp.dims()[*i] {
-                BcpDim::Eq(v) => Cow::Borrowed(v),
-                BcpDim::Iv(_) => unreachable!("an equality condition has an Eq dimension"),
-            },
+            Source::Bcp(i) => Cow::Borrowed(&dims[*i]),
             Source::Fixed(v) => Cow::Borrowed(v),
         }
     }
 
     /// The values at `Ls'` positions `positions` of the row that
     /// `stored`, filed under `bcp`, stands for, in order. Ascending
-    /// positions decode in one forward pass over the stored fields.
+    /// positions decode in one forward pass over the stored fields; a
+    /// position the entry fixes decodes its field of the key.
     pub fn values_at(&self, stored: &PackedRow, bcp: &BcpKey, positions: &[usize]) -> Box<[Value]> {
         let mut fields = stored.fields();
         // The index of the field `fields` yields next.
@@ -256,7 +260,12 @@ impl StoredLayout {
                     next = j + 1;
                     field.to_value()
                 }
-                Source::Bcp(_) | Source::Fixed(_) => self.value(stored, bcp, p).into_owned(),
+                Source::Bcp(i) => bcp
+                    .fields()
+                    .nth(*i)
+                    .expect("a field per dimension")
+                    .to_value(),
+                Source::Fixed(v) => v.clone(),
             })
             .collect()
     }
@@ -267,10 +276,18 @@ impl StoredLayout {
         PackedRow::pack(self.stored.iter().map(|&p| row.get(p)))
     }
 
-    /// The `Ls'` row a stored tuple filed under `bcp` stands for, decoded
-    /// in one pass over the stored fields: stored positions ascend in
-    /// `Ls'` order, and a join duplicate repeats an earlier one.
+    /// The `Ls'` row a stored tuple filed under `bcp` stands for:
+    /// [`Self::rebuild_with`] the key's values.
     pub fn rebuild(&self, stored: &PackedRow, bcp: &BcpKey) -> Arc<Tuple> {
+        self.rebuild_with(stored, &bcp.values().collect::<Vec<_>>())
+    }
+
+    /// The `Ls'` row a stored tuple stands for, filed under the bcp whose
+    /// [`BcpKey::values`] are `dims` — decoded once per entry by a caller
+    /// that rebuilds several of its tuples. One pass over the stored
+    /// fields: stored positions ascend in `Ls'` order, and a join
+    /// duplicate repeats an earlier one.
+    pub fn rebuild_with(&self, stored: &PackedRow, dims: &[Value]) -> Arc<Tuple> {
         let mut fields = stored.fields();
         let mut values: Vec<Value> = Vec::with_capacity(self.arity());
         for (p, source) in self.sources.iter().enumerate() {
@@ -280,7 +297,7 @@ impl StoredLayout {
                     .next()
                     .expect("a field per stored position")
                     .to_value(),
-                Source::Bcp(_) | Source::Fixed(_) => self.value(stored, bcp, p).into_owned(),
+                Source::Bcp(_) | Source::Fixed(_) => self.value(stored, dims, p).into_owned(),
             };
             values.push(value);
         }
@@ -381,68 +398,66 @@ impl PartialViewDef {
         &self.layout
     }
 
-    /// Whether the row a stored tuple filed under `bcp` stands for
-    /// satisfies `instance`'s `Cselect`, read through the layout without
-    /// rebuilding the row: each condition decodes only its own field.
+    /// Whether the row a stored tuple stands for, filed under the bcp
+    /// whose [`BcpKey::values`] are `dims`, satisfies `instance`'s
+    /// `Cselect`, read through the layout without rebuilding the row:
+    /// each condition decodes only its own field.
     pub fn stored_matches_select(
         &self,
         instance: &QueryInstance,
         stored: &PackedRow,
-        bcp: &BcpKey,
+        dims: &[Value],
     ) -> bool {
         instance.conds().iter().enumerate().all(|(i, c)| {
             c.matches(
                 &self
                     .layout
-                    .value(stored, bcp, self.template.cond_position(i)),
+                    .value(stored, dims, self.template.cond_position(i)),
             )
         })
     }
 
     /// Recover the "conceptual" containing basic condition part of an
     /// `Ls'`-layout result tuple — the paper stores no bcp with the tuple;
-    /// "whenever needed, bcp is recovered from ats" (Section 3.2).
+    /// "whenever needed, bcp is recovered from ats" (Section 3.2). The
+    /// key's bytes are written straight from the tuple's condition
+    /// columns.
     pub fn bcp_of_tuple(&self, tuple: &Tuple) -> BcpKey {
-        let dims: Vec<BcpDim> = (0..self.template.cond_count())
-            .map(|i| {
-                let v = tuple.get(self.template.cond_position(i));
-                match &self.discretizers[i] {
-                    None => BcpDim::Eq(v.clone()),
-                    Some(d) => BcpDim::Iv(d.id_of(v)),
-                }
-            })
-            .collect();
-        BcpKey::new(dims)
+        BcpKey::pack((0..self.template.cond_count()).map(|i| {
+            let v = tuple.get(self.template.cond_position(i));
+            match &self.discretizers[i] {
+                None => Cow::Borrowed(v),
+                Some(d) => Cow::Owned(Value::Int(i64::from(d.id_of(v)))),
+            }
+        }))
     }
 
     /// Whether `bcp` is the containing bcp of an `Ls'`-layout result
-    /// tuple — `bcp_of_tuple(tuple) == *bcp`, decided by comparing the
-    /// tuple's condition columns in place: no key is built. The serving
-    /// path matches every O3 result row to its condition part with this.
+    /// tuple: the tuple's key, built in place (inline for T1, so no
+    /// allocation), compared with `bcp`.
     pub fn tuple_in_bcp(&self, tuple: &Tuple, bcp: &BcpKey) -> bool {
-        bcp.dims().iter().enumerate().all(|(i, dim)| {
-            let v = tuple.get(self.template.cond_position(i));
-            match (dim, &self.discretizers[i]) {
-                (BcpDim::Eq(x), None) => v == x,
-                (BcpDim::Iv(id), Some(d)) => d.id_of(v) == *id,
-                _ => false,
-            }
-        })
+        self.bcp_of_tuple(tuple) == *bcp
+    }
+
+    /// `bcp`'s dimensions, read with this view's shape (which conditions
+    /// are interval-form).
+    pub fn bcp_dims(&self, bcp: &BcpKey) -> Vec<BcpDim> {
+        bcp.dims(|i| self.discretizers[i].is_some())
     }
 
     /// Build the query instance selecting exactly the tuples of `bcp`
     /// (each dimension pinned to the equality value / basic interval).
     pub fn bcp_query(&self, bcp: &BcpKey) -> Result<QueryInstance> {
         use pmv_query::Condition;
-        let conds = bcp
-            .dims()
-            .iter()
+        let conds = self
+            .bcp_dims(bcp)
+            .into_iter()
             .enumerate()
             .map(|(i, d)| match d {
-                BcpDim::Eq(v) => Condition::Equality(vec![v.clone()]),
+                BcpDim::Eq(v) => Condition::Equality(vec![v]),
                 BcpDim::Iv(id) => {
                     let disc = self.discretizer(i).expect("Iv dim implies discretizer");
-                    Condition::Intervals(vec![disc.interval_of(*id)])
+                    Condition::Intervals(vec![disc.interval_of(id)])
                 }
             })
             .collect();
@@ -526,8 +541,10 @@ mod tests {
             bcp,
             BcpKey::new(vec![BcpDim::Eq(Value::Int(7)), BcpDim::Iv(1)])
         );
-        // The in-place test agrees with the recovered key, dimension by
-        // dimension.
+        assert_eq!(
+            def.bcp_dims(&bcp),
+            [BcpDim::Eq(Value::Int(7)), BcpDim::Iv(1)]
+        );
         assert!(def.tuple_in_bcp(&tup, &bcp));
         for other in [
             vec![BcpDim::Eq(Value::Int(8)), BcpDim::Iv(1)],

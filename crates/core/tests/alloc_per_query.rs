@@ -147,11 +147,12 @@ fn a_steady_state_query_allocates_per_query_not_per_row() {
     let admitted = pmv.stats().tuples_admitted;
     assert_eq!(admitted, (8 * F) as u64, "filled once, by the warm-up");
 
-    // Two per row for the executor's output, the rest per query: 109
-    // and 158 allocations, 61 and 62 beyond the rows' two each.
+    // Two per row for the executor's output, the rest per query: 105
+    // and 154 allocations, 57 and 58 beyond the rows' two each. (A bcp
+    // key is built inline: O1 allocates nothing per condition part.)
     for (rows, allocations) in [(light_rows, light), (heavy_rows, heavy)] {
         assert!(
-            allocations <= 2 * rows + 62,
+            allocations <= 2 * rows + 58,
             "{allocations} allocations for {rows} rows"
         );
     }
@@ -174,9 +175,10 @@ fn single(pmv: &SharedPmv, date: i64, supplier: i64) -> QueryInstance {
 
 /// The slow path of the serving path: a miss on a full one-shard view
 /// whose bcp out-counts its victim admits it, evicts the victim, fills
-/// `F` tuples and publishes the shard: 80 allocations. The store copies
-/// only the spine, chunks and entry it changes, and the publish is one
-/// pointer copy.
+/// `F` tuples and publishes the shard: 70 allocations. The store copies
+/// only the spine, chunks and entry it changes, the publish is one
+/// pointer copy, and the bcp key the entry, the policy and each
+/// delta-index posting hold is inline: cloning it allocates nothing.
 #[test]
 fn a_cold_fill_that_evicts_allocates_a_bounded_count() {
     let (edb, pmv) = fixture(4, 1);
@@ -193,7 +195,7 @@ fn a_cold_fill_that_evicts_allocates_a_bounded_count() {
     assert!(!out.bcp_hit && out.remaining.len() == ORDERS[1] as usize);
     assert_eq!((pmv.entry_count(), pmv.evictions()), (4, 1));
     assert_eq!(pmv.stats().tuples_admitted, (5 * F) as u64);
-    assert!(allocations <= 80, "{allocations} allocations");
+    assert!(allocations <= 70, "{allocations} allocations");
 }
 
 /// An interval drive collects row ids, not a copy of the index

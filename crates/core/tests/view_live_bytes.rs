@@ -1,0 +1,210 @@
+//! The bytes a full view really holds, against what §3.2's bound charges
+//! (`byte_size()`, the benchmark's `view_bytes`). A counting global
+//! allocator sums the bytes requested net of those freed on this thread
+//! while T1's shape — `orders ⋈ lineitem`, `select *` over six columns,
+//! equality conditions on `orderdate` and `suppkey` — fills all
+//! 40 dates × 40 suppliers = 1 600 bcps with F = 3 tuples each, in a
+//! view of L = 2 000 over 4 shards.
+//!
+//! * The fill leaves an exact number of live bytes, and passes of the
+//!   same queries (every bcp resident and full) leave none more in the
+//!   view; the first of them sizes the serving path's scratch once.
+//! * Live bytes stand in a fixed ratio to the charge.
+//! * The split, printed under `--nocapture`: the delta-key index, filed
+//!   afresh with the cached tuples; the replacement policies, admitting
+//!   the bcps afresh; and the rest — entries, chunks, packed rows and
+//!   the tables still held by readers. The admission sketches are
+//!   allocated with the view, before the fill.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pmv_cache::PolicyKind;
+use pmv_core::{BcpKey, DeltaKeyIndex, EpochDb, PartialViewDef, PmvConfig, SharedPmv};
+use pmv_index::IndexDef;
+use pmv_query::{Condition, Database, QueryInstance, TemplateBuilder};
+use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
+
+thread_local! {
+    // Net bytes requested on this thread. Const-initialised and without
+    // a destructor: safe to touch from inside the allocator.
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System` (`realloc` and
+// `alloc_zeroed` through their default bodies, which call `alloc` and
+// `dealloc`); the counter is a plain thread-local cell that never
+// allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = LIVE.try_with(|c| c.set(c.get() + layout.size() as isize));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|c| c.set(c.get() - layout.size() as isize));
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Net bytes `f` left allocated on this thread, and its result.
+fn grown<T>(f: impl FnOnce() -> T) -> (T, isize) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (out, LIVE.with(Cell::get) - before)
+}
+
+const F: usize = 3;
+const L: usize = 2_000;
+const SHARDS: usize = 4;
+const DATES: i64 = 40;
+const SUPPLIERS: i64 = 40;
+/// Orders per date: each bcp `(date, supplier)` then holds exactly `F`
+/// rows, one per order.
+const ORDERS: i64 = 3;
+
+fn fixture() -> (EpochDb, SharedPmv) {
+    let mut db = Database::new();
+    db.create_relation(Schema::new(
+        "orders",
+        vec![
+            Column::new("orderkey", ColumnType::Int),
+            Column::new("custkey", ColumnType::Int),
+            Column::new("orderdate", ColumnType::Int),
+        ],
+    ))
+    .unwrap();
+    db.create_relation(Schema::new(
+        "lineitem",
+        vec![
+            Column::new("orderkey", ColumnType::Int),
+            Column::new("suppkey", ColumnType::Int),
+            Column::new("quantity", ColumnType::Int),
+        ],
+    ))
+    .unwrap();
+    let mut orderkey = 0i64;
+    for date in 0..DATES {
+        for _ in 0..ORDERS {
+            db.insert("orders", tuple![orderkey, orderkey % 7, date])
+                .unwrap();
+            for supp in 0..SUPPLIERS {
+                db.insert("lineitem", tuple![orderkey, supp, 1 + orderkey % 50])
+                    .unwrap();
+            }
+            orderkey += 1;
+        }
+    }
+    db.create_index(IndexDef::btree("orders", vec![2])).unwrap();
+    db.create_index(IndexDef::btree("lineitem", vec![0]))
+        .unwrap();
+    let template = TemplateBuilder::new("T1")
+        .relation(db.schema("orders").unwrap())
+        .relation(db.schema("lineitem").unwrap())
+        .join("orders", "orderkey", "lineitem", "orderkey")
+        .unwrap()
+        .select_star()
+        .cond_eq("orders", "orderdate")
+        .unwrap()
+        .cond_eq("lineitem", "suppkey")
+        .unwrap()
+        .build()
+        .unwrap();
+    let def = PartialViewDef::all_equality("pmv_t1", template).unwrap();
+    let pmv = SharedPmv::with_shards(def, PmvConfig::new(F, L, PolicyKind::Clock), SHARDS);
+    let edb = EpochDb::new(db);
+    pmv.set_obs_enabled(false);
+    edb.obs().set_enabled(false);
+    (edb, pmv)
+}
+
+/// One query per date over every supplier: `h = 40`.
+fn queries(pmv: &SharedPmv) -> Vec<QueryInstance> {
+    let suppliers = Condition::Equality((0..SUPPLIERS).map(Value::Int).collect());
+    (0..DATES)
+        .map(|date| {
+            pmv.def()
+                .template()
+                .bind(vec![
+                    Condition::Equality(vec![Value::Int(date)]),
+                    suppliers.clone(),
+                ])
+                .unwrap()
+        })
+        .collect()
+}
+
+/// Live bytes after the fill and the charge: exact, and in a fixed
+/// ratio; the second pass adds nothing.
+#[test]
+fn a_full_view_holds_an_exact_count_of_live_bytes() {
+    let (edb, pmv) = fixture();
+    let qs = queries(&pmv);
+    let run = || {
+        for q in &qs {
+            edb.query(&pmv, q).unwrap();
+        }
+    };
+    let ((), live) = grown(run);
+    let ((), again) = grown(run);
+    let ((), third) = grown(run);
+    let bcps = (DATES * SUPPLIERS) as usize;
+    assert_eq!((pmv.entry_count(), pmv.tuple_count()), (bcps, F * bcps));
+    let charged = pmv.byte_size() as isize;
+
+    // The split: what filing the cached tuples into a fresh index, and
+    // admitting the bcps into fresh policies, leaves allocated.
+    let cached: Vec<(BcpKey, Vec<pmv_storage::PackedRow>)> = pmv
+        .dump()
+        .into_iter()
+        .map(|(bcp, rows)| {
+            let stored = rows.iter().map(|r| pmv.def().layout().store(r)).collect();
+            (bcp, stored)
+        })
+        .collect();
+    let mut index = DeltaKeyIndex::for_view(pmv.def());
+    let ((), index_bytes) = grown(|| {
+        for (bcp, rows) in &cached {
+            for row in rows {
+                index.file(bcp, row);
+            }
+        }
+    });
+    let mut policies: Vec<_> = (0..SHARDS)
+        .map(|_| PolicyKind::Clock.build::<BcpKey>(L.div_ceil(SHARDS)))
+        .collect();
+    let ((), policy_bytes) = grown(|| {
+        for (i, (bcp, _)) in cached.iter().enumerate() {
+            policies[i % SHARDS].admit(bcp.clone());
+        }
+    });
+    println!(
+        "live {live} B, charged {charged} B, ratio {:.3}; index {index_bytes} B, \
+         policies {policy_bytes} B, entries and the rest {} B; passes 2 and 3 \
+         {again} B and {third} B",
+        live as f64 / charged as f64,
+        live - index_bytes - policy_bytes,
+    );
+
+    // 1 600 entries of a 16-byte inline key, 4 800 tuples of 16 B of
+    // handle and 6 packed bytes: `orderkey` (< 128), `custkey` and
+    // `quantity`, each a tag and one byte — the rest derived.
+    assert_eq!(charged, 131_200, "the charge");
+    assert_eq!(live, 1_983_096, "live bytes after the fill");
+    assert_eq!(live * 100 / charged, 1_511, "live bytes per 100 B charged");
+    // Two postings per tuple, each a map slot, a shared packed row and an
+    // inline key; admitting an inline key into a policy sized for its
+    // capacity allocates nothing.
+    assert_eq!((index_bytes, policy_bytes), (1_442_720, 0));
+    // The second pass is the first to serve from the view: the serving
+    // path's per-thread scratch grows once, for the served rows (128 ×
+    // 8 B) and the entry's key fields (4 × 16 B). The view itself grows
+    // by nothing, and a third pass by nothing at all.
+    assert_eq!(again, 128 * 8 + 4 * 16, "only the hit path's scratch");
+    assert_eq!(third, 0, "a third pass holds nothing more");
+}

@@ -17,6 +17,7 @@
 //! [`PackedRow`]s instead: one byte string per tuple, each value in the
 //! bytes it needs, built in one allocation.
 
+pub mod bytes;
 mod cowvec;
 pub mod delta;
 pub mod error;
@@ -29,6 +30,7 @@ pub mod string;
 pub mod tuple;
 pub mod value;
 
+pub use bytes::ByteStr;
 pub use delta::{Delta, DeltaBatch};
 pub use error::StorageError;
 pub use packed::PackedRow;

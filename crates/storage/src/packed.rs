@@ -103,7 +103,7 @@ impl PartialEq<Value> for Field<'_> {
 
 /// Bytes `v` takes packed.
 #[inline]
-fn encoded_len(v: &Value) -> usize {
+pub fn encoded_len(v: &Value) -> usize {
     match v {
         Value::Null => 1,
         Value::Int(x) => 1 + int_width(*x),
@@ -159,9 +159,10 @@ fn leb128_len(mut n: usize) -> usize {
     bytes
 }
 
-/// Write `v` at the start of `out`, returning the bytes written.
+/// Write `v` packed at the start of `out`, which holds at least
+/// [`encoded_len`] bytes, returning the bytes written.
 #[inline]
-fn encode(v: &Value, out: &mut [u8]) -> usize {
+pub fn encode(v: &Value, out: &mut [u8]) -> usize {
     match v {
         Value::Null => {
             out[0] = NULL;
@@ -170,7 +171,13 @@ fn encode(v: &Value, out: &mut [u8]) -> usize {
         Value::Int(x) => {
             let w = int_width(*x);
             out[0] = w as u8;
-            out[1..=w].copy_from_slice(&x.to_le_bytes()[..w]);
+            match out.get_mut(1..9) {
+                // Where 8 bytes follow the tag, one 8-byte store: the
+                // bytes past `w` lie in the fields written after this
+                // one, which overwrite them.
+                Some(word) => word.copy_from_slice(&x.to_le_bytes()),
+                None => out[1..=w].copy_from_slice(&x.to_le_bytes()[..w]),
+            }
             1 + w
         }
         Value::Double(d) => {
@@ -225,10 +232,7 @@ impl PackedRow {
     /// The fields, decoded in order.
     #[inline]
     pub fn fields(&self) -> Fields<'_> {
-        Fields {
-            bytes: &self.0,
-            at: 0,
-        }
+        Fields::new(&self.0)
     }
 
     /// Field `i`, decoding the fields before it. Panics when the row has
@@ -250,11 +254,21 @@ impl PackedRow {
     }
 }
 
-/// Iterator over a [`PackedRow`]'s fields.
+/// Iterator over a [`PackedRow`]'s fields, or over any bytes written
+/// by [`encode`].
 #[derive(Clone)]
 pub struct Fields<'a> {
     bytes: &'a [u8],
     at: usize,
+}
+
+impl<'a> Fields<'a> {
+    /// The fields packed in `bytes`, which [`encode`] wrote value after
+    /// value; decoding other bytes may panic.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Fields { bytes, at: 0 }
+    }
 }
 
 impl<'a> Iterator for Fields<'a> {

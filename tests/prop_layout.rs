@@ -98,7 +98,7 @@ fn t1_is_charged_at_most_34_bytes_per_tuple() {
     }
     let (entries, tuples) = (pmv.entry_count(), pmv.tuple_count());
     assert!(entries > 0 && tuples >= entries);
-    let mut charged = 48 * entries;
+    let mut charged = 16 * entries;
     for (bcp, rows) in pmv.dump() {
         for row in rows {
             assert_eq!(row.arity(), 10);
@@ -191,10 +191,10 @@ fn a_double_equality_column_is_derived() {
     assert_eq!(exact_sorted(&served(&out)), want);
     let dumped: Vec<Tuple> = pmv.dump().into_iter().flat_map(|(_, rows)| rows).collect();
     assert_eq!(exact_sorted(&dumped), want);
-    // One entry, its one-dimension key 32 B, and three tuples, each 16 B
-    // of handle and `a` (1, 2 or 3) in a tag and one byte.
+    // One entry, its one-dimension key 16 B (inline), and three tuples,
+    // each 16 B of handle and `a` (1, 2 or 3) in a tag and one byte.
     assert_eq!(pmv.entry_count(), 1);
-    assert_eq!(pmv.byte_size(), 32 + 3 * (16 + 2));
+    assert_eq!(pmv.byte_size(), 16 + 3 * (16 + 2));
 }
 
 /// An update that only flips a zero's sign stores the same value: it is

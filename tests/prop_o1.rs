@@ -45,8 +45,7 @@ fn part_dims(
         .enumerate()
         .map(|(n, p)| {
             let rank = parts[..n].iter().filter(|o| o.bcp == p.bcp).count();
-            p.bcp
-                .dims()
+            def.bcp_dims(&p.bcp)
                 .iter()
                 .zip(q.conds())
                 .enumerate()
@@ -171,7 +170,7 @@ proptest! {
         for (p, d) in parts.iter().zip(&dims) {
             // (3) containment in the bcp & (4) is_basic correctness.
             let disc = def.discretizer(1).unwrap();
-            match (&p.bcp.dims()[1], &d[1]) {
+            match (&def.bcp_dims(&p.bcp)[1], &d[1]) {
                 (BcpDim::Iv(id), PartDim::Iv(frag)) => {
                     let basic = disc.interval_of(*id);
                     let clipped = basic.intersect(frag);
