@@ -174,21 +174,31 @@ impl Table {
     /// The entry at `(ci, i)`, writable: copied first, with its chunk and
     /// the spine, where a reader still shares them.
     fn at_mut(&mut self, (ci, i): At) -> &mut Entry {
-        Arc::make_mut(&mut self.chunk_mut(ci)[i].2)
+        Arc::make_mut(&mut self.chunk_mut(ci, 0)[i].2)
     }
 
-    fn chunk_mut(&mut self, ci: usize) -> &mut Chunk {
-        Arc::make_mut(&mut Arc::make_mut(&mut self.0)[ci])
+    /// Chunk `ci`, writable with room for `extra` more entries: copied
+    /// first, with the spine, where a reader still shares them. A copy
+    /// holds what the write needs; a `Vec` clone at its length would
+    /// double on the insert that follows.
+    fn chunk_mut(&mut self, ci: usize, extra: usize) -> &mut Chunk {
+        let chunk = &mut Arc::make_mut(&mut self.0)[ci];
+        if Arc::get_mut(chunk).is_none() {
+            let mut copy = Vec::with_capacity(chunk.len() + extra);
+            copy.extend(chunk.iter().cloned());
+            *chunk = Arc::new(copy);
+        }
+        Arc::get_mut(chunk).expect("a fresh copy is unshared")
     }
 
     fn insert(&mut self, hash: u64, bcp: BcpKey, entry: Entry) {
-        let chunk = self.chunk_mut(self.chunk_of(hash));
+        let chunk = self.chunk_mut(self.chunk_of(hash), 1);
         let at = chunk.partition_point(|(h, _, _)| *h <= hash);
         chunk.insert(at, (hash, bcp, Arc::new(entry)));
     }
 
     fn remove(&mut self, (ci, i): At) -> Arc<Entry> {
-        self.chunk_mut(ci).remove(i).2
+        self.chunk_mut(ci, 0).remove(i).2
     }
 
     fn entries(&self) -> impl Iterator<Item = (&BcpKey, &Entry)> {

@@ -195,8 +195,8 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
     // handle and 6 packed bytes: `orderkey` (< 128), `custkey` and
     // `quantity`, each a tag and one byte — the rest derived.
     assert_eq!(charged, 131_200, "the charge");
-    assert_eq!(live, 1_983_096, "live bytes after the fill");
-    assert_eq!(live * 100 / charged, 1_511, "live bytes per 100 B charged");
+    assert_eq!(live, 1_925_400, "live bytes after the fill");
+    assert_eq!(live * 100 / charged, 1_467, "live bytes per 100 B charged");
     // Two postings per tuple, each a map slot, a shared packed row and an
     // inline key; admitting an inline key into a policy sized for its
     // capacity allocates nothing.

@@ -200,7 +200,15 @@ impl Database {
     /// Create a secondary index, building it from the relation's current
     /// contents.
     pub fn create_index(&mut self, def: IndexDef) -> Result<()> {
-        let idx = def.build_from(self.relation(&def.relation)?);
+        let rel = self.relation(&def.relation)?;
+        if let Some(c) = def.columns.iter().find(|&&c| c >= rel.schema().arity()) {
+            return Err(StorageError::UnknownColumn {
+                relation: def.relation.clone(),
+                column: format!("#{c}"),
+            }
+            .into());
+        }
+        let idx = def.build_from(rel);
         Arc::make_mut(&mut self.current.indexes).push((def, Arc::new(idx)));
         self.current.epoch += 1;
         Ok(())

@@ -1,4 +1,4 @@
-//! Packed rows: a cached view tuple as one immutable byte string.
+//! Packed rows: how a value is written down, in memory and on disk.
 //!
 //! §3.2 bounds a partial view by `UB ≤ L·F·At`, where `At` is the
 //! average cached-tuple size. A [`Tuple`] spends a 16-byte [`Value`] slot
@@ -22,13 +22,20 @@
 //! filler is one byte.
 //!
 //! A row has no offset table, so it spends no bytes on offsets; a field
-//! is found by decoding the fields before it. Decoding reads strings
-//! through the checked `str::from_utf8`.
+//! is found by decoding the fields before it.
 //!
 //! Every value has exactly one encoding — an integer its fewest bytes, a
 //! double its canonical bits — so equality and hashing are the bytes': a
 //! packed row equals another exactly when the tuples they were packed
 //! from are equal.
+//!
+//! **The disk format.** The WAL and the checkpoint write a tuple as its
+//! packed byte length in LEB128, then its packed values ([`put_row`]),
+//! and read it back through the one checked decoder ([`take_row`]):
+//! bytes cut short, a length that overflows or a string that is not
+//! UTF-8 are a [`DecodeError`], never a panic, and a double reads as its
+//! canonical [`F64`]. [`Fields`] runs the same per-tag code over a row
+//! in memory, which holds only what [`encode`] wrote, and panics there.
 
 use std::fmt;
 use std::sync::Arc;
@@ -150,13 +157,35 @@ fn read_int(bytes: &[u8], at: usize, w: usize) -> i64 {
     }
 }
 
-fn leb128_len(mut n: usize) -> usize {
-    let mut bytes = 1;
+fn leb128_len(n: usize) -> usize {
+    (usize::BITS - (n | 1).leading_zeros()).div_ceil(7) as usize
+}
+
+/// Write `n` in LEB128 at the start of `out`, returning the bytes
+/// written.
+fn write_leb128(out: &mut [u8], mut n: usize) -> usize {
+    let mut at = 0;
     while n >= 0x80 {
+        out[at] = (n as u8 & 0x7f) | 0x80;
         n >>= 7;
-        bytes += 1;
+        at += 1;
     }
-    bytes
+    out[at] = n as u8;
+    at + 1
+}
+
+/// The LEB128 number at `bytes[at..]` and the offset just past it;
+/// `None` when the bytes end inside it or it overflows a `usize`.
+#[inline]
+fn read_leb128(bytes: &[u8], at: usize) -> Option<(usize, usize)> {
+    let mut n = 0u128;
+    for (i, &b) in bytes.get(at..)?.iter().take(10).enumerate() {
+        n |= u128::from(b & 0x7f) << (7 * i);
+        if b & 0x80 == 0 {
+            return Some((usize::try_from(n).ok()?, at + i + 1));
+        }
+    }
+    None
 }
 
 /// Write `v` packed at the start of `out`, which holds at least
@@ -193,14 +222,7 @@ pub fn encode(v: &Value, out: &mut [u8]) -> usize {
                 return 1 + bytes.len();
             }
             out[0] = LONG_STR;
-            let (mut n, mut at) = (bytes.len(), 1);
-            while n >= 0x80 {
-                out[at] = (n as u8 & 0x7f) | 0x80;
-                n >>= 7;
-                at += 1;
-            }
-            out[at] = n as u8;
-            at += 1;
+            let at = 1 + write_leb128(&mut out[1..], bytes.len());
             out[at..at + bytes.len()].copy_from_slice(bytes);
             at + bytes.len()
         }
@@ -264,7 +286,8 @@ pub struct Fields<'a> {
 
 impl<'a> Fields<'a> {
     /// The fields packed in `bytes`, which [`encode`] wrote value after
-    /// value; decoding other bytes may panic.
+    /// value; a field of other bytes panics (bytes read from disk go
+    /// through [`take_row`]).
     #[inline]
     pub fn new(bytes: &'a [u8]) -> Self {
         Fields { bytes, at: 0 }
@@ -276,58 +299,93 @@ impl<'a> Iterator for Fields<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<Field<'a>> {
-        let bytes = self.bytes;
-        let at = self.at;
-        let tag = *bytes.get(at)?;
-        let field = match tag {
-            NULL => {
-                self.at = at + 1;
-                Field::Null
-            }
-            1..=INT_WIDEST => {
-                let w = usize::from(tag);
-                self.at = at + 1 + w;
-                Field::Int(read_int(bytes, at + 1, w))
-            }
-            DOUBLE => {
-                self.at = at + MAX_NUMBER_BYTES;
-                let bits: [u8; 8] = bytes[at + 1..at + 9].try_into().expect("8 payload bytes");
-                Field::Double(F64::new(f64::from_bits(u64::from_le_bytes(bits))))
-            }
-            LONG_STR => {
-                let (mut n, mut shift, mut i) = (0usize, 0, at + 1);
-                loop {
-                    let b = bytes[i];
-                    n |= usize::from(b & 0x7f) << shift;
-                    i += 1;
-                    if b & 0x80 == 0 {
-                        break;
-                    }
-                    shift += 7;
-                }
-                self.at = i + n;
-                Field::Str(utf8(&bytes[i..i + n]))
-            }
-            short => {
-                let n = usize::from(short - SHORT_STR);
-                self.at = at + 1 + n;
-                Field::Str(utf8(&bytes[at + 1..at + 1 + n]))
-            }
-        };
+        if self.at == self.bytes.len() {
+            return None;
+        }
+        let (field, next) = field_at(self.bytes, self.at).expect("a packed row decodes");
+        self.at = next;
         Some(field)
     }
 }
 
-/// A packed string's bytes as `&str`, checked.
+/// Bytes read back from disk that are not what [`put_row`] writes.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DecodeError(pub String);
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "undecodable bytes: {}", self.0)
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// The field at `bytes[at..]`, `at < bytes.len()`, and the offset just
+/// past it; `None` when the bytes there are cut short or not UTF-8. The
+/// one per-tag decoder, behind [`Fields`] and [`take_row`].
 #[inline]
-fn utf8(bytes: &[u8]) -> &str {
+fn field_at(bytes: &[u8], at: usize) -> Option<(Field<'_>, usize)> {
+    let payload = at + 1;
+    match bytes[at] {
+        NULL => Some((Field::Null, payload)),
+        tag @ 1..=INT_WIDEST => {
+            let (w, end) = (usize::from(tag), payload + usize::from(tag));
+            (end <= bytes.len()).then(|| (Field::Int(read_int(bytes, payload, w)), end))
+        }
+        DOUBLE => {
+            let bits = bytes.get(payload..payload + 8)?.try_into().ok()?;
+            let d = F64::new(f64::from_bits(u64::from_le_bytes(bits)));
+            Some((Field::Double(d), payload + 8))
+        }
+        LONG_STR => {
+            let (n, start) = read_leb128(bytes, payload)?;
+            str_at(bytes, start, n)
+        }
+        short => str_at(bytes, payload, usize::from(short - SHORT_STR)),
+    }
+}
+
+/// The `n`-byte string at `bytes[at..]` and the offset past it.
+#[inline]
+fn str_at(bytes: &[u8], at: usize, n: usize) -> Option<(Field<'_>, usize)> {
+    let end = at.checked_add(n).filter(|&end| end <= bytes.len())?;
     // An empty string needs no validation (a filler column's usual
     // value).
-    if bytes.is_empty() {
-        ""
-    } else {
-        std::str::from_utf8(bytes).expect("packed strings are UTF-8")
+    let s = match &bytes[at..end] {
+        [] => "",
+        s => std::str::from_utf8(s).ok()?,
+    };
+    Some((Field::Str(s), end))
+}
+
+/// Append `values` to `out` as one row: the packed byte length in
+/// LEB128, then the packed values.
+pub fn put_row(out: &mut Vec<u8>, values: &[Value]) {
+    let len = values.iter().map(encoded_len).sum();
+    let start = out.len();
+    out.resize(start + leb128_len(len) + len, 0);
+    let mut at = start + write_leb128(&mut out[start..], len);
+    for v in values {
+        at += encode(v, &mut out[at..]);
     }
+    debug_assert_eq!(at, out.len());
+}
+
+/// The row [`put_row`] wrote at the start of `bytes`, checked, and the
+/// bytes it took.
+pub fn take_row(bytes: &[u8]) -> Result<(Vec<Value>, usize), DecodeError> {
+    let fail = |what: &str, at| DecodeError(format!("{what} at row offset {at}"));
+    let (len, mut at) = read_leb128(bytes, 0).ok_or_else(|| fail("bad length", 0))?;
+    let end = at.checked_add(len).filter(|&end| end <= bytes.len());
+    let end = end.ok_or_else(|| fail("length past the bytes", 0))?;
+    let mut values = Vec::new();
+    while at < end {
+        let (field, next) =
+            field_at(&bytes[..end], at).ok_or_else(|| fail("value cut short or not UTF-8", at))?;
+        values.push(field.to_value());
+        at = next;
+    }
+    Ok((values, end))
 }
 
 impl From<&Tuple> for PackedRow {

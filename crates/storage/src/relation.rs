@@ -79,6 +79,12 @@ impl HeapRelation {
         self.live == 0
     }
 
+    /// Slots the relation has allocated, live or free: one past the
+    /// highest `RowId` it has held.
+    pub fn slot_count(&self) -> usize {
+        self.slots.len()
+    }
+
     /// Mutation counter; bumps on insert/delete/update.
     pub fn version(&self) -> u64 {
         self.version

@@ -12,51 +12,56 @@
 //! **RowId preservation.** Logged deltas name their victims by
 //! [`RowId`], so recovery must rebuild the exact slot layout the log
 //! was written against — an equal multiset of tuples is not enough.
-//! Rows are therefore stored as `row:u32 tuple` pairs and loaded with
+//! Rows are therefore stored as `row:u32 packed` pairs and loaded with
 //! [`Database::apply_delta_exact`], which reconstructs interior holes as
 //! free slots (trailing holes are immaterial: the log after this
-//! checkpoint can only reference slots it re-creates).
+//! checkpoint can only reference slots it re-creates). Each schema
+//! carries the relation's slot count, and a row at or past it is an
+//! error, so a row id damaged under a valid CRC cannot make the loader
+//! allocate slots up to it.
 //!
 //! **Image format.** An image is a sequence of [`record`] frames — the
 //! WAL's own length-prefixed, CRC-32 framing — every one stamped with
-//! the checkpoint LSN. Payloads use [`codec`]'s `str`, `value` and
-//! `tuple` encodings (little-endian throughout):
+//! the checkpoint LSN. Payloads use [`codec`]'s `str` and `packed`
+//! productions (little-endian throughout); a tuple or a divider list is
+//! a row in [`pmv_storage::packed`]'s encoding, as in the WAL:
 //!
 //! ```text
 //! image    := header rows* trailer                (one record frame each)
 //! header   := 0x00 version:u32 epoch:u64 analyzed:u8
 //!             rel_count:u32 schema* idx_count:u32 index* view_count:u32 view*
-//! schema   := str(relation) col_count:u32 (str(column) type:u8)*
+//! schema   := str(relation) heap_slots:u32 col_count:u32 (str(column) type:u8)*
 //!                                                 (type: 0 int, 1 double, 2 str)
 //! index    := str(relation) shape:u8 col_count:u32 column:u32*
 //!                                                 (shape: 0 btree, 1 hash)
 //! view     := str(name) str(sql) f:u64 l:u64 str(policy) shards:u64
-//!             slot_count:u32 (0x00 | 0x01 tuple)*  (dividers; 0x00 = equality slot)
-//! rows     := 0x01 str(relation) row_count:u32 (row:u32 tuple)*
+//!             slot_count:u32 (0x00 | 0x01 packed)* (dividers; 0x00 = equality slot)
+//! rows     := 0x01 str(relation) row_count:u32 (row:u32 packed)*
 //! trailer  := 0x02 frame_count:u32 row_count:u64  (frames before the trailer)
 //! ```
 //!
-//! A row frame holds at most [`ROWS_PER_FRAME`] rows. [`load`] accepts
-//! only a whole image: a torn or corrupt frame, a frame stamped with
-//! another LSN, a missing trailer, counts that disagree with the frames
-//! read, or bytes after the trailer are all errors.
+//! `version` is [`FORMAT_VERSION`]. An image of another version is a
+//! [`WalError::Format`], which recovery refuses the directory on; it is
+//! never skipped as corrupt. A row frame holds at most
+//! [`ROWS_PER_FRAME`] rows. [`load`] accepts only a whole image: a torn
+//! or corrupt frame, a frame stamped with another LSN, a missing
+//! trailer, counts that disagree with the frames read, or bytes after
+//! the trailer are all errors.
 //!
 //! [`record`]: crate::record
 //! [`codec`]: crate::codec
 
+use std::collections::HashMap;
 use std::path::Path;
 
 use pmv_index::{IndexDef, IndexShape};
 use pmv_query::{DataView, Database, DbSnapshot};
-use pmv_storage::{Column, ColumnType, Delta, RowId, Schema, Value};
+use pmv_storage::{packed, Column, ColumnType, Delta, RowId, Schema, Tuple, Value};
 
-use crate::codec::{put_str, put_tuple, Cursor};
+use crate::codec::{put_str, Cursor};
 use crate::{dio, record};
-use crate::{WalError, WalResult};
+use crate::{WalError, WalResult, FORMAT_VERSION};
 use pmv_faultinject::Site;
-
-/// Checkpoint image format version.
-pub const FORMAT_VERSION: u32 = 2;
 
 /// Most rows one row frame carries.
 pub const ROWS_PER_FRAME: usize = 1024;
@@ -148,6 +153,7 @@ pub fn encode(snap: &DbSnapshot, meta: &CheckpointMeta) -> WalResult<Vec<u8>> {
     for rel in &relations {
         let columns = rel.schema().columns();
         put_str(&mut p, rel.name());
+        put_u32(&mut p, rel.slot_count());
         put_u32(&mut p, columns.len());
         for c in columns {
             put_str(&mut p, &c.name);
@@ -185,7 +191,7 @@ pub fn encode(snap: &DbSnapshot, meta: &CheckpointMeta) -> WalResult<Vec<u8>> {
                 None => p.push(0x00),
                 Some(points) => {
                     p.push(0x01);
-                    put_tuple(&mut p, points);
+                    packed::put_row(&mut p, points);
                 }
             }
         }
@@ -202,7 +208,7 @@ pub fn encode(snap: &DbSnapshot, meta: &CheckpointMeta) -> WalResult<Vec<u8>> {
             put_u32(&mut p, chunk.len());
             for (row, t) in chunk {
                 p.extend_from_slice(&row.0.to_le_bytes());
-                put_tuple(&mut p, t.values());
+                packed::put_row(&mut p, t.values());
             }
             push_frame(&mut out, meta.lsn, &mut p);
             frames += 1;
@@ -235,7 +241,14 @@ pub fn save(snap: &DbSnapshot, meta: &CheckpointMeta, final_path: &Path) -> WalR
 
 /// Read and [`decode`] the checkpoint image at `path`.
 pub fn load(path: &Path) -> WalResult<(Database, CheckpointMeta)> {
-    decode(&std::fs::read(path)?)
+    decode(&std::fs::read(path)?).map_err(|e| match e {
+        WalError::Format { kind, version, .. } => WalError::Format {
+            path: path.to_path_buf(),
+            kind,
+            version,
+        },
+        e => e,
+    })
 }
 
 /// Rebuild a fresh [`Database`] (RowId layout preserved, indexes
@@ -263,9 +276,11 @@ pub fn decode(image: &[u8]) -> WalResult<(Database, CheckpointMeta)> {
     expect_tag(&mut c, HEADER, "header")?;
     let version = c.u32()?;
     if version != FORMAT_VERSION {
-        return Err(err(format!(
-            "unsupported checkpoint format {version} (expected {FORMAT_VERSION})"
-        )));
+        return Err(WalError::Format {
+            path: Default::default(),
+            kind: "checkpoint",
+            version,
+        });
     }
     let mut meta = CheckpointMeta {
         lsn: header.lsn,
@@ -278,8 +293,10 @@ pub fn decode(image: &[u8]) -> WalResult<(Database, CheckpointMeta)> {
         views: Vec::new(),
     };
     let mut db = Database::new();
+    let mut slots = HashMap::new();
     for _ in 0..c.count()? {
         let name = c.str()?;
+        slots.insert(name.clone(), c.u32()?);
         let columns = (0..c.count()?)
             .map(|_| {
                 let column = c.str()?;
@@ -291,6 +308,11 @@ pub fn decode(image: &[u8]) -> WalResult<(Database, CheckpointMeta)> {
                 }
             })
             .collect::<WalResult<Vec<_>>>()?;
+        for (i, column) in columns.iter().enumerate() {
+            if columns[..i].iter().any(|c| c.name == column.name) {
+                return Err(err(format!("column '{}' twice in '{name}'", column.name)));
+            }
+        }
         db.create_relation(Schema::new(name.clone(), columns))
             .map_err(|e| err(format!("create relation '{name}': {e}")))?;
     }
@@ -320,7 +342,7 @@ pub fn decode(image: &[u8]) -> WalResult<(Database, CheckpointMeta)> {
             dividers: (0..c.count()?)
                 .map(|_| match c.u8()? {
                     0x00 => Ok(None),
-                    0x01 => Ok(Some(c.values()?)),
+                    0x01 => Ok(Some(c.row()?)),
                     t => Err(err(format!("unknown divider tag {t:#x}"))),
                 })
                 .collect::<WalResult<_>>()?,
@@ -333,9 +355,18 @@ pub fn decode(image: &[u8]) -> WalResult<(Database, CheckpointMeta)> {
         let mut c = Cursor::new(&frame.payload);
         expect_tag(&mut c, ROWS, "row")?;
         let relation = c.str()?;
+        let bound = *slots
+            .get(&relation)
+            .ok_or_else(|| err(format!("rows of unknown relation '{relation}'")))?;
         for _ in 0..c.count()? {
             let row = RowId(c.u32()?);
-            let tuple = c.tuple()?;
+            if row.0 >= bound {
+                return Err(err(format!(
+                    "row {} of '{relation}' is past its {bound} slots",
+                    row.0
+                )));
+            }
+            let tuple = Tuple::new(c.row()?);
             db.apply_delta_exact(&relation, &Delta::Insert { row, tuple })
                 .map_err(|e| err(format!("restore row {} of '{relation}': {e}", row.0)))?;
             rows += 1;

@@ -8,66 +8,32 @@
 //! ```text
 //! payload   := batch_count:u32 batch*
 //! batch     := str(relation) delta_count:u32 delta*
-//! delta     := 0x00 row:u32 tuple            (insert)
-//!            | 0x01 row:u32 tuple            (delete, tuple = victim)
-//!            | 0x02 row:u32 tuple tuple      (update, old then new)
-//! tuple     := value_count:u32 value*
-//! value     := 0x00                          (null)
-//!            | 0x01 i64                      (int)
-//!            | 0x02 f64-bits:u64             (double)
-//!            | 0x03 str                      (string)
+//! delta     := 0x00 row:u32 packed           (insert)
+//!            | 0x01 row:u32 packed           (delete, packed = victim)
+//!            | 0x02 row:u32 packed packed    (update, old then new)
 //! str       := len:u32 utf8-bytes
+//! packed    := a tuple as pmv_storage::packed writes a row:
+//!              its byte length in LEB128, then its values packed
 //! ```
+//!
+//! The codec has no value grammar: [`packed::put_row`] writes a tuple
+//! and the checked [`packed::take_row`] reads it back.
 //!
 //! Deletes and updates carry full before-images even though replay only
 //! strictly needs the row id: the redundancy lets recovery cross-check
 //! the heap against the log and keeps the format useful for audit
 //! tooling.
 
-use pmv_storage::{Delta, DeltaBatch, RowId, Tuple, Value};
+use pmv_storage::{packed, Delta, DeltaBatch, RowId, Tuple, Value};
 
 /// Codec failure: the payload bytes do not parse as delta batches.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DecodeError(pub String);
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "WAL payload decode error: {}", self.0)
-    }
-}
-
-impl std::error::Error for DecodeError {}
+pub use pmv_storage::packed::DecodeError;
 
 type Result<T> = std::result::Result<T, DecodeError>;
 
 pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(&(s.len() as u32).to_le_bytes());
     out.extend_from_slice(s.as_bytes());
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0x00),
-        Value::Int(i) => {
-            out.push(0x01);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Double(d) => {
-            out.push(0x02);
-            out.extend_from_slice(&d.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(0x03);
-            put_str(out, s.as_str());
-        }
-    }
-}
-
-pub(crate) fn put_tuple(out: &mut Vec<u8>, values: &[Value]) {
-    out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-    for v in values {
-        put_value(out, v);
-    }
 }
 
 /// Encode the delta batches of one commit into a WAL payload.
@@ -78,23 +44,15 @@ pub fn encode_batches(batches: &[DeltaBatch]) -> Vec<u8> {
         put_str(&mut out, b.relation());
         out.extend_from_slice(&(b.len() as u32).to_le_bytes());
         for d in b.deltas() {
-            match d {
-                Delta::Insert { row, tuple } => {
-                    out.push(0x00);
-                    out.extend_from_slice(&row.0.to_le_bytes());
-                    put_tuple(&mut out, tuple.values());
-                }
-                Delta::Delete { row, tuple } => {
-                    out.push(0x01);
-                    out.extend_from_slice(&row.0.to_le_bytes());
-                    put_tuple(&mut out, tuple.values());
-                }
-                Delta::Update { row, old, new } => {
-                    out.push(0x02);
-                    out.extend_from_slice(&row.0.to_le_bytes());
-                    put_tuple(&mut out, old.values());
-                    put_tuple(&mut out, new.values());
-                }
+            let (tag, row, tuples) = match d {
+                Delta::Insert { row, tuple } => (0x00, row, [Some(tuple), None]),
+                Delta::Delete { row, tuple } => (0x01, row, [Some(tuple), None]),
+                Delta::Update { row, old, new } => (0x02, row, [Some(old), Some(new)]),
+            };
+            out.push(tag);
+            out.extend_from_slice(&row.0.to_le_bytes());
+            for t in tuples.into_iter().flatten() {
+                packed::put_row(&mut out, t.values());
             }
         }
     }
@@ -159,30 +117,12 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError("non-UTF-8 string".to_string()))
     }
 
-    fn value(&mut self) -> Result<Value> {
-        match self.u8()? {
-            0x00 => Ok(Value::Null),
-            0x01 => Ok(Value::Int(self.u64()? as i64)),
-            // A log written before doubles were canonical may hold `-0.0`
-            // or a NaN payload: both decode to the canonical value.
-            0x02 => Ok(Value::from(f64::from_bits(self.u64()?))),
-            0x03 => Ok(Value::from(self.str()?)),
-            tag => Err(DecodeError(format!("unknown value tag {tag:#x}"))),
-        }
-    }
-
-    /// A `tuple` production as its value list.
-    pub(crate) fn values(&mut self) -> Result<Vec<Value>> {
-        let n = self.count()?;
-        let mut vals = Vec::with_capacity(n);
-        for _ in 0..n {
-            vals.push(self.value()?);
-        }
-        Ok(vals)
-    }
-
-    pub(crate) fn tuple(&mut self) -> Result<Tuple> {
-        Ok(Tuple::new(self.values()?))
+    /// A `packed` production: one row's values, checked.
+    pub(crate) fn row(&mut self) -> Result<Vec<Value>> {
+        let (values, n) = packed::take_row(&self.bytes[self.off..])
+            .map_err(|e| DecodeError(format!("{} at payload offset {}", e.0, self.off)))?;
+        self.off += n;
+        Ok(values)
     }
 }
 
@@ -201,16 +141,16 @@ pub fn decode_batches(payload: &[u8]) -> Result<Vec<DeltaBatch>> {
             let delta = match tag {
                 0x00 => Delta::Insert {
                     row,
-                    tuple: c.tuple()?,
+                    tuple: Tuple::new(c.row()?),
                 },
                 0x01 => Delta::Delete {
                     row,
-                    tuple: c.tuple()?,
+                    tuple: Tuple::new(c.row()?),
                 },
                 0x02 => Delta::Update {
                     row,
-                    old: c.tuple()?,
-                    new: c.tuple()?,
+                    old: Tuple::new(c.row()?),
+                    new: Tuple::new(c.row()?),
                 },
                 other => return Err(DecodeError(format!("unknown delta tag {other:#x}"))),
             };
@@ -264,21 +204,21 @@ mod tests {
         }
     }
 
-    /// A log or checkpoint written before doubles were canonical may hold
-    /// `-0.0` or a NaN with a payload (a checkpoint's rows are this
-    /// codec's `tuple`s). Each decodes to the canonical value, which
-    /// re-encodes to the canonical bytes.
+    /// Bytes on disk may hold `-0.0` or a NaN with a payload under the
+    /// packed `Double` tag (a checkpoint's rows are packed the same
+    /// way). Each decodes to the canonical value, which re-encodes to the
+    /// canonical bytes.
     #[test]
     fn non_canonical_doubles_decode_to_canonical_values() {
-        // One batch of `r`: an insert at row 5 of the one value `bits`.
+        // One batch of `r`: an insert at row 5 of the one value `bits`,
+        // a 9-byte row of the `Double` tag (9) and the bits.
         let payload = |bits: u64| {
             let mut out = 1u32.to_le_bytes().to_vec();
             put_str(&mut out, "r");
             out.extend_from_slice(&1u32.to_le_bytes());
             out.push(0x00);
             out.extend_from_slice(&5u32.to_le_bytes());
-            out.extend_from_slice(&1u32.to_le_bytes());
-            out.push(0x02);
+            out.extend_from_slice(&[9, 9]);
             out.extend_from_slice(&bits.to_le_bytes());
             out
         };

@@ -13,19 +13,30 @@
 //!   binary image of CRC-framed [`record`]s ([`checkpoint`] has the
 //!   grammar) and written to `ckpt.<lsn>.img` off the write path (temp
 //!   file `ckpt.<lsn>.img.tmp` + fsync + atomic rename), then the WAL
-//!   rotates to a fresh segment and segments wholly behind the
-//!   checkpoint are deleted ([`Durability::checkpoint`]).
-//! * **Recovery.** [`Durability::open`] loads the newest *valid*
-//!   checkpoint (corrupt ones are skipped, counted, and left for
-//!   forensics), refuses a directory whose newest checkpoint is an
-//!   old-format `ckpt.<lsn>.json` (never parsed, and the only copy of
-//!   its commits), deletes the temp files of checkpoints that crashed
-//!   before their rename, replays the WAL tail in LSN order through
-//!   `Database::apply_delta_exact` — RowId-exact, so the recovered heap
-//!   is byte-for-byte the slot layout the log was written against —
-//!   truncates any torn tail, and stops at the first LSN gap (the
-//!   contiguous-prefix rule: a record is committed only if it *and all
-//!   its predecessors* survived).
+//!   rotates to a fresh segment `wal.<lsn>.v3.log` and segments wholly
+//!   behind the checkpoint are deleted ([`Durability::checkpoint`]).
+//! * **One value format.** A tuple in a log record or an image row is
+//!   written as `pmv_storage::packed` writes a row, the bytes a view
+//!   caches it in. [`FORMAT_VERSION`] names that format: an image
+//!   carries it in its header, a segment in its file name.
+//! * **Recovery.** [`Durability::open`] first reads, changing nothing:
+//!   it refuses the directory on a file of another format (an image of
+//!   another version, a `ckpt.<lsn>.json` newer than every image that
+//!   loads, a segment not named for [`FORMAT_VERSION`]) with
+//!   [`WalError::Format`]. It loads the newest *valid* image (corrupt
+//!   ones are skipped, counted, and left for forensics) and replays the
+//!   WAL tail in LSN order through `Database::apply_delta_exact` —
+//!   RowId-exact, so the recovered heap is byte-for-byte the slot layout
+//!   the log was written against — up to a torn tail or the first LSN
+//!   gap (the contiguous-prefix rule: a record is committed only if it
+//!   *and all its predecessors* survived). A skipped image never
+//!   licenses a truncation: when one was skipped and the WAL no longer
+//!   holds every record after the image that loaded, the open fails
+//!   with [`WalError::MissingRecords`]. Only once the replay has
+//!   succeeded does it change the directory: it deletes the temp files
+//!   of checkpoints that crashed before their rename and the segments
+//!   behind the image, truncates the torn tail or gap, and deletes the
+//!   segments past a gap.
 //!
 //! Every disk write goes through [`dio`], the fault-injectable I/O
 //! chokepoint, which is what makes the kill-point matrix test possible:
@@ -54,6 +65,11 @@ use pmv_obs::{ObsRegistry, Phase};
 use pmv_query::Database;
 use pmv_storage::DeltaBatch;
 
+/// The on-disk format this build writes and reads: a tuple is a row in
+/// `pmv_storage::packed`'s encoding. An image carries the number in its
+/// header, a WAL segment in its name (`wal.<lsn>.v3.log`).
+pub const FORMAT_VERSION: u32 = 3;
+
 /// Durability-layer failure.
 #[derive(Debug)]
 pub enum WalError {
@@ -63,6 +79,29 @@ pub enum WalError {
     Decode(codec::DecodeError),
     /// A checkpoint did not serialize, parse, or restore.
     Checkpoint(String),
+    /// A checkpoint image or WAL segment of a format other than
+    /// [`FORMAT_VERSION`]. [`Durability::open`] refuses the directory on
+    /// one before it deletes, truncates or renames anything.
+    Format {
+        /// The file; empty when bytes were decoded without one.
+        path: PathBuf,
+        /// What the file is: `checkpoint` or `log`.
+        kind: &'static str,
+        /// The format it was written in.
+        version: u32,
+    },
+    /// An image newer than the one that loaded was skipped as corrupt,
+    /// and the WAL no longer holds every record after the one that
+    /// loaded: recovering would drop committed records, so
+    /// [`Durability::open`] refuses and changes nothing.
+    MissingRecords {
+        /// LSN of the image that loaded (0 when none did).
+        checkpoint_lsn: u64,
+        /// LSN of the newest image skipped.
+        skipped_lsn: u64,
+        /// The first LSN after `checkpoint_lsn` the WAL does not hold.
+        missing_lsn: u64,
+    },
 }
 
 impl std::fmt::Display for WalError {
@@ -71,6 +110,25 @@ impl std::fmt::Display for WalError {
             WalError::Io(e) => write!(f, "durability I/O error: {e}"),
             WalError::Decode(e) => write!(f, "{e}"),
             WalError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
+            WalError::Format {
+                path,
+                kind,
+                version,
+            } => write!(
+                f,
+                "{} holds {kind} format {version}; this build reads format {FORMAT_VERSION} only",
+                path.display()
+            ),
+            WalError::MissingRecords {
+                checkpoint_lsn,
+                skipped_lsn,
+                missing_lsn,
+            } => write!(
+                f,
+                "the checkpoint at lsn {skipped_lsn} did not load and the WAL no longer holds \
+                 lsn {missing_lsn} after the one at lsn {checkpoint_lsn}: refusing to recover \
+                 without committed records (nothing was changed)"
+            ),
         }
     }
 }
@@ -142,17 +200,26 @@ pub struct Durability {
 
 fn seg_name(start_lsn: u64) -> String {
     // Zero-padded so lexicographic file listings sort numerically.
-    format!("wal.{start_lsn:020}.log")
+    format!("wal.{start_lsn:020}.v{FORMAT_VERSION}.log")
 }
 
 fn ckpt_name(lsn: u64) -> String {
     format!("ckpt.{lsn:020}.img")
 }
 
-/// Delete the segments (sorted by start LSN) wholly behind checkpoint
-/// `lsn`: those whose successor starts at or before `lsn + 1`.
+/// How many of `segments` (sorted by start LSN) lie wholly behind
+/// checkpoint `lsn`: those whose successor starts at or before
+/// `lsn + 1`.
+fn behind(segments: &[(u64, PathBuf)], lsn: u64) -> usize {
+    segments
+        .windows(2)
+        .take_while(|w| w[1].0 <= lsn + 1)
+        .count()
+}
+
+/// Delete the segments wholly behind checkpoint `lsn`.
 fn prune_segments(segments: &mut Vec<(u64, PathBuf)>, lsn: u64) -> WalResult<()> {
-    while segments.len() > 1 && segments[1].0 <= lsn + 1 {
+    for _ in 0..behind(segments, lsn) {
         dio::remove_file(&segments[0].1)?;
         segments.remove(0);
     }
@@ -173,7 +240,9 @@ impl Durability {
         dio::create_dir_all(dir)?;
         let t0 = Instant::now();
 
-        // Inventory the directory, changing nothing yet.
+        // Inventory the directory, changing nothing yet. A segment of
+        // another format refuses the open here: the old `wal.<lsn>.log`
+        // name is format 2's.
         let mut temps: Vec<PathBuf> = Vec::new();
         let mut ckpts: Vec<(u64, PathBuf)> = Vec::new();
         let mut newest_json: Option<u64> = None;
@@ -183,17 +252,24 @@ impl Durability {
             let name = entry.file_name();
             let name = name.to_string_lossy();
             let parts: Vec<&str> = name.split('.').collect();
-            if let ["ckpt", .., "tmp"] = parts[..] {
-                temps.push(entry.path());
-                continue;
-            }
-            if parts.len() != 3 {
-                continue;
-            }
-            match (parts[0], parts[1].parse::<u64>(), parts[2]) {
-                ("ckpt", Ok(lsn), "img") => ckpts.push((lsn, entry.path())),
-                ("ckpt", Ok(lsn), "json") => newest_json = newest_json.max(Some(lsn)),
-                ("wal", Ok(start), "log") => segments.push((start, entry.path())),
+            let lsn = parts.get(1).and_then(|n| n.parse::<u64>().ok());
+            let log_format = |version| WalError::Format {
+                path: entry.path(),
+                kind: "log",
+                version,
+            };
+            match (&parts[..], lsn) {
+                (["ckpt", .., "tmp"], _) => temps.push(entry.path()),
+                (["ckpt", _, "img"], Some(lsn)) => ckpts.push((lsn, entry.path())),
+                (["ckpt", _, "json"], Some(lsn)) => newest_json = newest_json.max(Some(lsn)),
+                (["wal", _, "log"], Some(_)) => return Err(log_format(2)),
+                (["wal", _, v, "log"], Some(start)) => {
+                    match v.strip_prefix('v').and_then(|v| v.parse::<u32>().ok()) {
+                        Some(FORMAT_VERSION) => segments.push((start, entry.path())),
+                        Some(version) => return Err(log_format(version)),
+                        None => {}
+                    }
+                }
                 _ => {}
             }
         }
@@ -201,10 +277,12 @@ impl Durability {
         segments.sort_by_key(|s| s.0);
 
         // Newest checkpoint whose image loads whole, at the LSN its
-        // name carries, wins.
+        // name carries, wins. An image of another format refuses the
+        // open; it is never skipped as corrupt.
         let mut info = RecoveryInfo::default();
         let mut db = Database::new();
         let mut meta = CheckpointMeta::default();
+        let mut newest_skipped = None;
         for (lsn, path) in &ckpts {
             match checkpoint::load(path) {
                 Ok((loaded_db, loaded_meta)) if loaded_meta.lsn == *lsn => {
@@ -214,86 +292,120 @@ impl Durability {
                     info.checkpoint_lsn = *lsn;
                     break;
                 }
-                _ => info.checkpoints_skipped += 1,
+                Err(e @ WalError::Format { .. }) => return Err(e),
+                _ => {
+                    info.checkpoints_skipped += 1;
+                    newest_skipped = newest_skipped.or(Some(*lsn));
+                }
             }
         }
 
-        // A `ckpt.<lsn>.json` is a whole checkpoint of the previous
-        // format, never parsed. The segments behind it were deleted when
-        // it was written, so unless an image at least as new loaded it
-        // holds the only copy of its commits: refuse the directory
-        // before anything in it is deleted or truncated.
+        // A `ckpt.<lsn>.json` is a whole checkpoint of format 1, never
+        // parsed. The segments behind it were deleted when it was
+        // written, so unless an image at least as new loaded it holds
+        // the only copy of its commits.
         if let Some(lsn) =
             newest_json.filter(|&l| !info.checkpoint_found || l > info.checkpoint_lsn)
         {
-            return Err(WalError::Checkpoint(format!(
-                "{} was written by checkpoint format 1, which is no longer read",
-                dir.join(format!("ckpt.{lsn:020}.json")).display()
-            )));
+            return Err(WalError::Format {
+                path: dir.join(format!("ckpt.{lsn:020}.json")),
+                kind: "checkpoint",
+                version: 1,
+            });
         }
 
-        // A `ckpt.*.tmp` is a checkpoint that crashed before its rename;
-        // its name carries its LSN, so no later checkpoint overwrites it,
-        // and none can be in flight while the directory is being opened.
+        // Read the segments the image does not wholly cover and walk
+        // their records in LSN order, still changing nothing. A torn
+        // tail ends its segment's clean bytes; a gap (a record after a
+        // lost one) ends the walk: nothing at or past it is trusted.
+        let pruned = behind(&segments, info.checkpoint_lsn);
+        let scans = segments[pruned..]
+            .iter()
+            .map(|(_, path)| Ok(record::scan(&std::fs::read(path)?)))
+            .collect::<WalResult<Vec<_>>>()?;
+        let mut last = info.checkpoint_lsn;
+        let mut replay = Vec::new();
+        // (index into `scans`, bytes kept) for each segment to truncate.
+        let mut cuts: Vec<(usize, u64)> = Vec::new();
+        let mut gap = None;
+        'scans: for (i, scan) in scans.iter().enumerate() {
+            let mut trusted_end = 0u64;
+            for rec in &scan.records {
+                if rec.lsn > last + 1 {
+                    cuts.push((i, trusted_end));
+                    gap = Some(i);
+                    break 'scans;
+                }
+                if rec.lsn == last + 1 {
+                    replay.push(rec);
+                    last = rec.lsn;
+                }
+                trusted_end += 16 + rec.payload.len() as u64;
+            }
+            if scan.torn {
+                cuts.push((i, scan.clean_len));
+            }
+        }
+
+        // A skipped image stood for every commit up to its LSN, and the
+        // segments behind it were deleted when it was written. Falling
+        // back to an older image is sound only while the WAL still holds
+        // every record after that image: from its first segment on, with
+        // no gap. A skipped image never licenses a truncation.
+        if let Some(skipped_lsn) = newest_skipped {
+            let from = segments.get(pruned).map(|s| s.0);
+            let missing_lsn = match gap {
+                Some(_) => Some(last + 1),
+                None if from.is_none_or(|f| f > info.checkpoint_lsn + 1) => {
+                    Some(info.checkpoint_lsn + 1)
+                }
+                None => None,
+            };
+            if let Some(missing_lsn) = missing_lsn {
+                return Err(WalError::MissingRecords {
+                    checkpoint_lsn: info.checkpoint_lsn,
+                    skipped_lsn,
+                    missing_lsn,
+                });
+            }
+        }
+
+        // Replay in memory: a record that does not decode or apply fails
+        // the open with the directory as it was.
+        for rec in replay {
+            let batches = codec::decode_batches(&rec.payload)?;
+            for batch in &batches {
+                for delta in batch.deltas() {
+                    db.apply_delta_exact(batch.relation(), delta).map_err(|e| {
+                        WalError::Checkpoint(format!(
+                            "replay of lsn {} failed on '{}': {e}",
+                            rec.lsn,
+                            batch.relation()
+                        ))
+                    })?;
+                    info.replayed_deltas += 1;
+                }
+            }
+            info.replayed_records += 1;
+        }
+
+        // Only now change the directory. A `ckpt.*.tmp` is a checkpoint
+        // that crashed before its rename; its name carries its LSN, so
+        // no later checkpoint overwrites it, and none can be in flight
+        // while the directory is being opened. Segments behind the image
+        // are leftovers of a checkpoint whose pruning crashed.
         for temp in &temps {
             dio::remove_file(temp)?;
         }
-
-        // Leftovers of a checkpoint whose truncation step crashed.
         prune_segments(&mut segments, info.checkpoint_lsn)?;
-
-        // Replay the tail in LSN order, truncating torn bytes and
-        // stopping (plus truncating/deleting the untrusted remainder)
-        // at the first gap.
-        let mut last = info.checkpoint_lsn;
-        let mut idx = 0;
-        'segments: while idx < segments.len() {
-            let (_, path) = &segments[idx];
-            let bytes = std::fs::read(path)?;
-            let scan = record::scan(&bytes);
-            if scan.torn {
-                info.torn_tail = true;
-                let f = dio::open_append(path)?;
-                dio::truncate(&f, scan.clean_len)?;
+        info.torn_tail = !cuts.is_empty();
+        for &(i, len) in &cuts {
+            dio::truncate(&dio::open_append(&segments[i].1)?, len)?;
+        }
+        if let Some(i) = gap {
+            for (_, stale) in segments.drain(i + 1..) {
+                dio::remove_file(&stale)?;
             }
-            let mut trusted_end = 0u64;
-            for rec in &scan.records {
-                let rec_bytes = 16 + rec.payload.len() as u64;
-                if rec.lsn <= last {
-                    // Already reflected in the checkpoint.
-                    trusted_end += rec_bytes;
-                    continue;
-                }
-                if rec.lsn != last + 1 {
-                    // Gap: an earlier record was lost, so nothing at or
-                    // beyond this point is trustworthy. Truncate it away
-                    // and drop all later segments.
-                    info.torn_tail = true;
-                    let f = dio::open_append(path)?;
-                    dio::truncate(&f, trusted_end)?;
-                    for (_, stale) in segments.drain(idx + 1..) {
-                        dio::remove_file(&stale)?;
-                    }
-                    break 'segments;
-                }
-                let batches = codec::decode_batches(&rec.payload)?;
-                for batch in &batches {
-                    for delta in batch.deltas() {
-                        db.apply_delta_exact(batch.relation(), delta).map_err(|e| {
-                            WalError::Checkpoint(format!(
-                                "replay of lsn {} failed on '{}': {e}",
-                                rec.lsn,
-                                batch.relation()
-                            ))
-                        })?;
-                        info.replayed_deltas += 1;
-                    }
-                }
-                info.replayed_records += 1;
-                last = rec.lsn;
-                trusted_end += rec_bytes;
-            }
-            idx += 1;
         }
         info.durable_lsn = last;
         let next_lsn = last + 1;
@@ -762,6 +874,158 @@ mod tests {
         assert_eq!((info.checkpoint_lsn, info.replayed_records), (3, 2));
         assert_eq!(info.checkpoints_skipped, 0);
         assert!(json.exists() && !temp.exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every file in `dir`, name and contents, sorted by name.
+    fn dir_state(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let path = e.unwrap().path();
+                let bytes = std::fs::read(&path).unwrap();
+                (path, bytes)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn meta_at(lsn: u64, snap: &pmv_query::DbSnapshot) -> CheckpointMeta {
+        CheckpointMeta {
+            lsn,
+            epoch: snap.epoch(),
+            analyzed: false,
+            views: Vec::new(),
+        }
+    }
+
+    /// An image at LSN 0, commits 1–2, an image at LSN 2 (which deletes
+    /// the segment holding 1–2), commits 3–4 in the next segment. With
+    /// the LSN-2 image corrupt, the fallback to LSN 0 would need records
+    /// 1–2, which the WAL no longer holds: the open fails and changes
+    /// nothing, where replaying from LSN 0 would have called record 3 a
+    /// gap and truncated 3–4 away.
+    #[test]
+    fn skipped_image_never_licenses_a_truncation() {
+        let dir = tmp_dir("skipped_image");
+        let rec = Durability::open(&dir).unwrap();
+        let mut db = rec.db;
+        db.create_relation(schema()).unwrap();
+        let wal = rec.durability;
+        let checkpoint = |db: &Database, lsn| {
+            let snap = db.snapshot();
+            wal.checkpoint(&snap, &meta_at(lsn, &snap))
+        };
+        checkpoint(&db, 0).unwrap();
+        let mut newest = None;
+        for (row, id) in [(0u32, 10i64), (1, 20), (2, 30), (3, 40)] {
+            let lsn = wal.append_commit(&[insert_batch(row, id)]).unwrap();
+            let tuple = tuple![id, "x"];
+            db.apply_delta_exact(
+                "t",
+                &Delta::Insert {
+                    row: RowId(row),
+                    tuple,
+                },
+            )
+            .unwrap();
+            if lsn == 2 {
+                newest = Some(checkpoint(&db, 2).unwrap());
+            }
+        }
+        drop(wal);
+        let newest = newest.unwrap();
+        let mut image = std::fs::read(&newest).unwrap();
+        image[20] ^= 0x04;
+        std::fs::write(&newest, &image).unwrap();
+        let before = dir_state(&dir);
+        assert_eq!(before.len(), 3, "two images and the segment from LSN 3");
+
+        match Durability::open(&dir) {
+            Err(WalError::MissingRecords {
+                checkpoint_lsn: 0,
+                skipped_lsn: 2,
+                missing_lsn: 1,
+            }) => {}
+            Err(e) => panic!("wrong refusal: {e}"),
+            Ok(r) => panic!("opened: {:?}", r.durability.recovery_info()),
+        }
+        assert_eq!(dir_state(&dir), before);
+
+        // With the image whole again, every commit recovers.
+        image[20] ^= 0x04;
+        std::fs::write(&newest, &image).unwrap();
+        let rec = Durability::open(&dir).unwrap();
+        let info = rec.durability.recovery_info();
+        assert_eq!((info.checkpoint_lsn, info.durable_lsn), (2, 4));
+        assert_eq!((info.checkpoints_skipped, info.torn_tail), (0, false));
+        assert_eq!(rec.db.relation("t").unwrap().len(), 4);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A directory of format 2: an image whose header says 2 (its frame
+    /// re-CRC'd, so the image is whole) or a segment under format 2's
+    /// name `wal.<lsn>.log`. Each refuses the open with
+    /// `WalError::Format`, though an older image beside it loads, and
+    /// leaves every file as it was.
+    #[test]
+    fn older_format_image_or_segment_refuses_the_directory_untouched() {
+        let dir = tmp_dir("older_format");
+        let rec = Durability::open(&dir).unwrap();
+        let mut db = rec.db;
+        db.create_relation(schema()).unwrap();
+        let snap = db.snapshot();
+        rec.durability
+            .checkpoint(&snap, &meta_at(0, &snap))
+            .unwrap();
+        rec.durability
+            .append_commit(&[insert_batch(0, 10)])
+            .unwrap();
+        drop(rec.durability);
+        std::fs::write(dir.join(format!("{}.tmp", ckpt_name(5))), b"partial").unwrap();
+
+        let image = checkpoint::encode(&snap, &meta_at(1, &snap)).unwrap();
+        let header = &record::scan(&image).records[0].payload;
+        let mut patched = header.clone();
+        patched[1..5].copy_from_slice(&2u32.to_le_bytes());
+        let mut old_image = record::encode(1, &patched);
+        old_image.extend_from_slice(&image[16 + header.len()..]);
+        assert!(matches!(
+            checkpoint::decode(&old_image),
+            Err(WalError::Format {
+                kind: "checkpoint",
+                version: 2,
+                ..
+            })
+        ));
+        // The name alone refuses a segment; its bytes are never read.
+        let old_log = record::encode(1, &codec::encode_batches(&[insert_batch(0, 10)]));
+
+        for (path, bytes, kind) in [
+            (dir.join(ckpt_name(1)), old_image, "checkpoint"),
+            (dir.join(format!("wal.{:020}.log", 1)), old_log, "log"),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            let before = dir_state(&dir);
+            match Durability::open(&dir) {
+                Err(WalError::Format {
+                    path: refused,
+                    kind: k,
+                    version: 2,
+                }) => assert_eq!((refused, k), (path.clone(), kind)),
+                Err(e) => panic!("wrong refusal: {e}"),
+                Ok(_) => panic!("{} must refuse the open", path.display()),
+            }
+            assert_eq!(dir_state(&dir), before);
+            std::fs::remove_file(&path).unwrap();
+        }
+
+        // Without them the directory opens as it did before.
+        let rec = Durability::open(&dir).unwrap();
+        let info = rec.durability.recovery_info();
+        assert_eq!((info.checkpoint_lsn, info.durable_lsn), (0, 1));
+        assert!(!dir.join(format!("{}.tmp", ckpt_name(5))).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

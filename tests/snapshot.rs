@@ -57,9 +57,10 @@ fn tpcr_snapshot_roundtrip_preserves_query_results() {
     .unwrap();
     // A bulk load bypasses the WAL: only the checkpoint carries it.
     let ckpt = edb.checkpoint(Vec::new()).unwrap();
-    // The image is deterministic, so its size is exact. The JSON
-    // document the previous format wrote for this database was 894 831 B.
-    assert_eq!(std::fs::metadata(&ckpt).unwrap().len(), 747_961);
+    // The image is deterministic, so its size is exact: 15 300 rows of
+    // 182 764 packed bytes in all, each behind a one-byte length, and
+    // the frames, schemas and trailer around them.
+    assert_eq!(std::fs::metadata(&ckpt).unwrap().len(), 260_237);
     let before = image(&edb.read());
     drop(edb);
     let hot = before.1.iter().position(|rows| !rows.is_empty());
