@@ -119,11 +119,12 @@ impl PmvAdvisor {
         let mut out = Vec::with_capacity(eligible.len());
         for t in eligible {
             // Budget share proportional to query frequency, sized by the
-            // paper's bound `UB ≤ L·F·At` with `At` what the view's store
+            // paper's bound with the store's per-entry charge added,
+            // `UB ≤ L·(ENTRY_BYTES + F·At)`, `At` what the view's store
             // charges per cached tuple.
             let share = (cfg.byte_budget as f64 * t.queries as f64 / total_queries as f64) as usize;
             let at = estimate_tuple_bytes(&t.template);
-            let config = PmvConfig::with_byte_budget(cfg.f, share.max(cfg.f * at), at, cfg.policy);
+            let config = PmvConfig::with_byte_budget(cfg.f, share, at, cfg.policy);
             // Discretizers: learned per interval-form condition.
             let mut discretizers = Vec::with_capacity(t.template.cond_count());
             for (i, ct) in t.template.cond_templates().iter().enumerate() {
@@ -162,6 +163,7 @@ impl PmvAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::ENTRY_BYTES;
     use pmv_query::{Database, TemplateBuilder};
     use pmv_storage::{Column, ColumnType, Schema, Value};
 
@@ -280,19 +282,23 @@ mod tests {
         };
         let recs = advisor.recommend(&cfg).unwrap();
         assert_eq!(recs.len(), 2);
-        // 3:1 query ratio ⇒ ~3:1 byte-budget ratio, `L·At` per view (the
-        // two templates store tuples of different widths).
-        let bytes = |r: &Recommendation| r.config.l * estimate_tuple_bytes(r.def.template());
+        // 3:1 query ratio ⇒ ~3:1 byte-budget ratio, `L·(ENTRY_BYTES +
+        // F·At)` per view (the two templates store tuples of different
+        // widths).
+        let bytes = |r: &Recommendation| {
+            r.config.l * (ENTRY_BYTES + r.config.f * estimate_tuple_bytes(r.def.template()))
+        };
         let ratio = bytes(&recs[0]) as f64 / bytes(&recs[1]) as f64;
         assert!((2.5..=3.5).contains(&ratio), "ratio {ratio}");
     }
 
-    /// A recommended view fits its share: `L·F·At ≤ share`, with `At`
-    /// the estimate of the store's charge per T1 tuple (seven of its ten
-    /// values stored), which bounds the charge from above.
+    /// A recommended view fits its share: `L·(ENTRY_BYTES + F·At) ≤
+    /// share`, with `At` the estimate of the store's charge per T1 tuple
+    /// (seven of its ten values stored), which bounds the charge from
+    /// above.
     #[test]
     fn recommended_view_fits_its_share() {
-        use pmv_storage::packed::MAX_NUMBER_BYTES;
+        use pmv_storage::packed::{framed_len, MAX_NUMBER_BYTES};
         use pmv_storage::string::INLINE_CAP;
         use pmv_storage::{tuple, PackedRow};
         let mut db = Database::new();
@@ -332,24 +338,26 @@ mod tests {
         let recs = advisor.recommend(&cfg).unwrap();
         // Five integers at T1's widest (orderkey ≤ 30 000, custkey ≤
         // 3 000, totalprice < 500 000, quantity ≤ 50, price < 100 000)
-        // and two empty fillers are charged 16 + 18 B; the estimate
-        // counts each integer at 9 B and each filler at its inline bound.
+        // and two empty fillers are charged 1 + 18 B, behind a byte of
+        // length; the estimate counts each integer at 9 B and each filler
+        // at its inline bound.
         let widest = tuple![30_000i64, 3_000i64, 499_999i64, "", 50i64, 99_999i64, ""];
-        let charge = std::mem::size_of::<PackedRow>() + PackedRow::from(&widest).as_bytes().len();
+        let charge = framed_len(PackedRow::from(&widest).as_bytes().len());
         let at = estimate_tuple_bytes(&t1);
         assert_eq!(
             (charge, at),
-            (34, 16 + 5 * MAX_NUMBER_BYTES + 2 * (1 + INLINE_CAP))
+            (19, 1 + 5 * MAX_NUMBER_BYTES + 2 * (1 + INLINE_CAP))
         );
         assert!(at >= charge);
         let c = &recs[0].config;
+        let entry = ENTRY_BYTES + c.f * at;
         assert!(
-            c.l * c.f * at <= share,
-            "{} × {} × {at} > {share}",
+            c.l * entry <= share,
+            "{} × ({ENTRY_BYTES} + {} × {at}) > {share}",
             c.l,
             c.f
         );
-        assert!((c.l + 1) * c.f * at > share, "L is the largest that fits");
+        assert!((c.l + 1) * entry > share, "L is the largest that fits");
     }
 
     #[test]

@@ -68,7 +68,7 @@ use crate::o1::ConditionPart;
 use crate::pipeline::QueryOutcome;
 use crate::serve::{self, WriteBack};
 use crate::stats::{AtomicPmvStats, PmvStats};
-use crate::store::{CachedTuple, PmvStore, Published};
+use crate::store::{PmvStore, Published, Rows};
 use crate::view::{PartialViewDef, PmvConfig};
 use crate::Result;
 
@@ -149,9 +149,10 @@ impl Inner {
         self.obs.record(Phase::snapshot_swap, t0.elapsed());
     }
 
-    /// O2 read side of shard `si`: call `each(part, entries, claimed)`
-    /// for every `(bcp hash, part number, bcp)`, with the bcp's cached
-    /// tuples (if resident) and whether the entry carries a valid
+    /// O2 read side of shard `si`: call `each(part, rows, claimed)` for
+    /// every `(bcp hash, part number, bcp)`, with the bcp's cached tuples
+    /// (if resident: one byte string, one dependent load from the chunk)
+    /// and whether the entry carries a valid
     /// completeness claim. The hash is the bcp's [`PmvStore::hash_of`].
     /// Returns `false`, calling nothing, when the shard is quarantined.
     // pmv::pin_region
@@ -159,7 +160,7 @@ impl Inner {
         &self,
         si: usize,
         parts: impl Iterator<Item = (u64, usize, &'p BcpKey)>,
-        mut each: impl FnMut(usize, Option<&[CachedTuple]>, bool),
+        mut each: impl FnMut(usize, Option<Rows<'_>>, bool),
     ) -> bool {
         // `load` is wait-free (bounded retry over the two left-right
         // slots); a concurrent publish can at worst hand us the previous
@@ -171,7 +172,7 @@ impl Inner {
         for (hash, part, bcp) in parts {
             let entry = sv.table.get(hash, bcp);
             let claimed = entry.is_some_and(|e| e.complete == Some(sv.inserts_seen));
-            each(part, entry.map(|e| e.tuples.as_slice()), claimed);
+            each(part, entry.map(|e| e.rows()), claimed);
         }
         true
     }
@@ -482,10 +483,10 @@ impl SharedPmv {
         let layout = self.inner.def.layout();
         let store = self.inner.shards[self.inner.shard_of_bcp(bcp)].read();
         let dims: Vec<_> = bcp.values().collect();
-        store.lookup(bcp).map(|cached| {
+        store.rows(bcp).map(|cached| {
             cached
                 .iter()
-                .map(|(t, e)| (layout.rebuild_with(t, &dims), *e))
+                .map(|(t, e)| (layout.rebuild_with(t, &dims), e))
                 .collect()
         })
     }
@@ -497,7 +498,7 @@ impl SharedPmv {
         let def = &self.inner.def;
         let store = self.inner.shards[self.inner.shard_of_bcp(&part.bcp)].read();
         let dims: Vec<_> = part.bcp.values().collect();
-        store.lookup(&part.bcp).is_some_and(|cached| {
+        store.rows(&part.bcp).is_some_and(|cached| {
             cached
                 .iter()
                 .any(|(t, _)| part.is_basic || def.stored_matches_select(q, t, &dims))
@@ -630,26 +631,20 @@ fn bcp_truths(
 }
 
 /// Revalidation phase 2: drop the cached tuples of `bcp` that exceed the
-/// truth multiset. Runs under the store's exclusive guard; removal-only,
-/// hence always sound.
+/// truth multiset, compared byte for byte. Runs under the store's
+/// exclusive guard; removal-only, hence always sound.
 fn remove_stale(
     store: &mut PmvStore,
     bcp: &BcpKey,
     budget: &mut HashMap<PackedRow, usize>,
 ) -> usize {
-    // Pointer-copies only: the entries hold shared packed rows.
-    let cached: Vec<CachedTuple> = store.lookup(bcp).map(|s| s.to_vec()).unwrap_or_default();
-    let mut removed = 0;
-    for (t, _) in cached {
-        match budget.get_mut(&t) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => {
-                store.remove_tuple(bcp, &t);
-                removed += 1;
-            }
+    store.retain(bcp, |row| match budget.get_mut(row.as_bytes()) {
+        Some(n) if *n > 0 => {
+            *n -= 1;
+            true
         }
-    }
-    removed
+        _ => false,
+    })
 }
 
 #[cfg(test)]
@@ -669,10 +664,11 @@ pub(crate) mod tests {
     pub(crate) fn seed_stale(view: &SharedPmv, bcp: &BcpKey, tuple: Tuple) {
         let inner = &view.inner;
         let si = inner.shard_of_bcp(bcp);
-        let stored = inner.def.layout().store(&tuple);
+        let stored = inner.def.layout().stored_values(&tuple);
         let mut store = inner.shards[si].write();
         store.admit(bcp);
-        assert!(store.push(bcp, stored, 0), "no room under {bcp:?}");
+        let filled = store.fill(bcp, std::iter::once(stored), 0);
+        assert_eq!(filled, 1, "no room under {bcp:?}");
         inner.publish_shard(si, &store);
     }
 

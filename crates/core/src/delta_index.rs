@@ -28,15 +28,22 @@
 //! no cached tuple is affected, and the delete costs one hash probe per
 //! shard. Only a *bridge* relation, one projecting no `Ls'` column, gives
 //! the index nothing to key on; maintenance joins its deletes instead.
+//!
+//! A posting names a cached row by its bcp and the hash of its packed
+//! bytes, not by a copy of it: the row lies in its entry's byte string
+//! and nowhere else. Removing by hash drops every row of the entry whose
+//! bytes hash to it — on a collision, a row the delete does not support
+//! as well. That is one more over-removal of the kind argued sound
+//! above: the deleted row itself always goes.
 
 use std::sync::Arc;
 
 use crate::bcp::BcpKey;
-use crate::fasthash::FxHashMap;
+use crate::fasthash::{hash_bytes, FxHashMap};
 use crate::verify::FilterSpec;
 use crate::view::{PartialViewDef, StoredLayout};
 use pmv_query::QueryTemplate;
-use pmv_storage::{PackedRow, Tuple, Value};
+use pmv_storage::{PackedRow, RowRef, Tuple, Value};
 
 /// Per-relation projection spec: which `Ls'` positions hold relation
 /// `i`'s attributes, and which base-relation columns they correspond to.
@@ -64,7 +71,7 @@ impl RelSpec {
 
     /// Project a cached view tuple, stored in `layout` under `bcp`, onto
     /// this relation's attributes, decoding its stored fields.
-    fn view_key(&self, layout: &StoredLayout, bcp: &BcpKey, stored: &PackedRow) -> Box<[Value]> {
+    fn view_key(&self, layout: &StoredLayout, bcp: &BcpKey, stored: RowRef<'_>) -> Box<[Value]> {
         layout.values_at(stored, bcp, &self.view_positions)
     }
 
@@ -77,9 +84,16 @@ impl RelSpec {
     }
 }
 
-/// One supported view tuple: the bcp it is filed under and the shared
-/// packed tuple itself, in the store's layout.
-pub type Supported = (BcpKey, PackedRow);
+/// One supported view tuple: the bcp it is filed under and the 64-bit
+/// hash of the tuple's bytes, packed in the store's layout.
+pub type Supported = (BcpKey, u64);
+
+/// The hash a posting names a cached row by: one hash of its packed
+/// bytes.
+#[inline]
+pub(crate) fn row_hash(row: RowRef<'_>) -> u64 {
+    hash_bytes(row.as_bytes())
+}
 
 /// Per-view index from base-relation projection keys to the resident
 /// view tuples they support, one map per base relation. It files the
@@ -89,7 +103,7 @@ pub struct DeltaKeyIndex {
     specs: Vec<RelSpec>,
     layout: Arc<StoredLayout>,
     /// `maps[i]`: projection of cached view tuples onto relation i's
-    /// `Ls'` columns → every cached (bcp, tuple) with that projection.
+    /// `Ls'` columns → a posting per cached tuple with that projection.
     maps: Vec<FxHashMap<Box<[Value]>, Vec<Supported>>>,
 }
 
@@ -120,23 +134,24 @@ impl DeltaKeyIndex {
     /// Register a cached view tuple, in the index's layout, under its
     /// bcp: [`Self::file`] of `tuple` packed whole.
     pub fn add(&mut self, bcp: &BcpKey, tuple: &Arc<Tuple>) {
-        self.file(bcp, &PackedRow::from(&**tuple));
+        self.file(bcp, PackedRow::from(&**tuple).row());
     }
 
     /// Register a packed cached view tuple under its bcp.
-    pub fn file(&mut self, bcp: &BcpKey, tuple: &PackedRow) {
+    pub fn file(&mut self, bcp: &BcpKey, tuple: RowRef<'_>) {
+        let hash = row_hash(tuple);
         for rel in 0..self.specs.len() {
             let key = self.specs[rel].view_key(&self.layout, bcp, tuple);
             self.maps[rel]
                 .entry(key)
                 .or_default()
-                .push((bcp.clone(), tuple.clone()));
+                .push((bcp.clone(), hash));
         }
     }
 
     /// Unregister one occurrence of a packed cached view tuple filed
     /// under `bcp`.
-    pub fn remove_from(&mut self, bcp: &BcpKey, view_tuple: &PackedRow) {
+    pub fn remove_from(&mut self, bcp: &BcpKey, view_tuple: RowRef<'_>) {
         self.unfile(bcp, view_tuple, |b| b == bcp);
     }
 
@@ -148,7 +163,7 @@ impl DeltaKeyIndex {
             "a tuple stored in a derived layout is removed under its bcp"
         );
         let packed = PackedRow::from(view_tuple);
-        self.unfile(&BcpKey::new(Vec::new()), &packed, |_| true);
+        self.unfile(&BcpKey::new(Vec::new()), packed.row(), |_| true);
     }
 
     /// Drop one `(bcp, view_tuple)` with `filed(bcp)` from every map,
@@ -156,17 +171,15 @@ impl DeltaKeyIndex {
     fn unfile(
         &mut self,
         key_bcp: &BcpKey,
-        view_tuple: &PackedRow,
+        view_tuple: RowRef<'_>,
         filed: impl Fn(&BcpKey) -> bool,
     ) {
+        let hash = row_hash(view_tuple);
         for rel in 0..self.specs.len() {
             let key = self.specs[rel].view_key(&self.layout, key_bcp, view_tuple);
             match self.maps[rel].get_mut(&key) {
                 Some(entries) => {
-                    if let Some(pos) = entries
-                        .iter()
-                        .position(|(b, t)| t == view_tuple && filed(b))
-                    {
+                    if let Some(pos) = entries.iter().position(|(b, h)| *h == hash && filed(b)) {
                         entries.swap_remove(pos);
                         if entries.is_empty() {
                             self.maps[rel].remove(&key);
@@ -213,21 +226,27 @@ impl DeltaKeyIndex {
     }
 
     /// Compare against the full cached multiset of `(bcp, stored tuple)`
-    /// pairs, returning a violation message per drifted relation. Never
-    /// panics.
-    pub fn check_against(&self, cached: &[(&BcpKey, &PackedRow)]) -> Vec<String> {
+    /// pairs — every key's postings, as a multiset — returning a
+    /// violation message per drifted relation. Never panics.
+    pub fn check_against(&self, cached: &[(&BcpKey, RowRef<'_>)]) -> Vec<String> {
         use std::collections::HashMap;
         let mut violations = Vec::new();
         for rel in 0..self.specs.len() {
-            let mut expect: HashMap<Box<[Value]>, usize> = HashMap::new();
-            for (bcp, t) in cached {
+            let mut expect: HashMap<Box<[Value]>, Vec<Supported>> = HashMap::new();
+            for &(bcp, t) in cached {
                 let key = self.specs[rel].view_key(&self.layout, bcp, t);
-                *expect.entry(key).or_insert(0) += 1;
+                expect
+                    .entry(key)
+                    .or_default()
+                    .push((bcp.clone(), row_hash(t)));
             }
-            let got: HashMap<Box<[Value]>, usize> = self.maps[rel]
+            let mut got: HashMap<Box<[Value]>, Vec<Supported>> = self.maps[rel]
                 .iter()
-                .map(|(k, v)| (k.clone(), v.len()))
+                .map(|(k, v)| (k.clone(), v.clone()))
                 .collect();
+            for postings in expect.values_mut().chain(got.values_mut()) {
+                postings.sort_unstable();
+            }
             if expect != got {
                 violations.push(format!("delta-key index drifted for relation {rel}"));
             }
@@ -236,7 +255,7 @@ impl DeltaKeyIndex {
     }
 
     /// Validate against the full cached multiset (test helper).
-    pub fn validate(&self, cached: &[(&BcpKey, &PackedRow)]) {
+    pub fn validate(&self, cached: &[(&BcpKey, RowRef<'_>)]) {
         let violations = self.check_against(cached);
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -338,7 +357,7 @@ mod tests {
         }
         let b = bcp(0, 0);
         let packed: Vec<PackedRow> = tuples.iter().map(PackedRow::from).collect();
-        let filed: Vec<(&BcpKey, &PackedRow)> = packed.iter().map(|t| (&b, t)).collect();
+        let filed: Vec<(&BcpKey, RowRef<'_>)> = packed.iter().map(|t| (&b, t.row())).collect();
         idx.validate(&filed);
         idx.remove(&tuples[0]);
         idx.validate(&filed[1..]);

@@ -67,6 +67,7 @@ use pmv_storage::{Delta, DeltaBatch, PackedRow, Tuple};
 
 use crate::bcp::BcpKey;
 use crate::concurrent::SharedPmv;
+use crate::delta_index::Supported;
 use crate::fasthash::FxHashMap;
 use crate::serve::flush_faults;
 use crate::stats::PmvStats;
@@ -77,10 +78,24 @@ const MAINT_RETRIES: u32 = 3;
 /// Backoff before the first retry; doubled per attempt.
 const MAINT_BACKOFF: Duration = Duration::from_micros(50);
 
-/// One cached view tuple maintenance must evict: owning shard, bcp, the
-/// tuple packed in the view's stored layout, and whether the delta-key index
-/// (not a join) found it.
-type Removal = (usize, BcpKey, PackedRow, bool);
+/// What maintenance must evict from one shard, and how it was found.
+enum Removal {
+    /// A delta-key index posting: every tuple of the bcp whose packed
+    /// bytes hash to the posting's.
+    Filed(usize, Supported),
+    /// One occurrence of a bridge join's result row under its bcp,
+    /// packed in the view's stored layout and compared byte for byte.
+    Joined(usize, BcpKey, PackedRow),
+}
+
+impl Removal {
+    /// The shard the removal write-locks.
+    fn shard(&self) -> usize {
+        match self {
+            Removal::Filed(si, _) | Removal::Joined(si, _, _) => *si,
+        }
+    }
+}
 
 impl SharedPmv {
     /// Apply one relation's delta batch, write-locking only the shards
@@ -119,8 +134,8 @@ impl SharedPmv {
         // affected view tuples straight from the per-shard indexes (read
         // locks only, O(fanout) per shard); a bridge relation's deltas
         // coalesce into one ΔR join per distinct tuple. The removal's
-        // provenance flag distinguishes index hits for the
-        // `index_removals` counters.
+        // kind distinguishes index hits for the `index_removals`
+        // counters.
         let mut removals: Vec<Removal> = Vec::new();
         let mut bridge_order: Vec<&Tuple> = Vec::new();
         let mut bridge_counts: FxHashMap<&Tuple, usize> = FxHashMap::default();
@@ -162,9 +177,7 @@ impl SharedPmv {
                     indexed = false;
                     break;
                 };
-                for (bcp, t) in sup {
-                    removals.push((si, bcp, t, true));
-                }
+                removals.extend(sup.into_iter().map(|posting| Removal::Filed(si, posting)));
             }
             t_index += t0.elapsed();
             if indexed {
@@ -198,9 +211,8 @@ impl SharedPmv {
             local.maint_join_rows += (rows.len() * n) as u64;
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
-                let row = inner.def.layout().store(&row);
-                let removal = (inner.shard_of_bcp(&bcp), bcp, row, false);
-                removals.extend(std::iter::repeat_n(removal, n));
+                let (si, row) = (inner.shard_of_bcp(&bcp), inner.def.layout().store(&row));
+                removals.extend((0..n).map(|_| Removal::Joined(si, bcp.clone(), row.clone())));
             }
         }
 
@@ -286,7 +298,7 @@ impl SharedPmv {
     /// panic forced to drain.
     fn evict(&self, removals: &[Removal], local: &mut PmvStats) -> Vec<usize> {
         let inner = &*self.inner;
-        let mut affected_shards: Vec<usize> = removals.iter().map(|(s, _, _, _)| *s).collect();
+        let mut affected_shards: Vec<usize> = removals.iter().map(Removal::shard).collect();
         affected_shards.sort_unstable();
         affected_shards.dedup();
         let mut drained = Vec::new();
@@ -299,11 +311,17 @@ impl SharedPmv {
             }
             let evict = catch_unwind(AssertUnwindSafe(|| {
                 pmv_faultinject::fire_soft(Site::ShardMaint);
-                for (s, bcp, row, via_index) in removals {
-                    if *s == si && store.remove_tuple(bcp, row) {
-                        local.maint_tuples_removed += 1;
-                        if *via_index {
-                            local.maint_index_removals += 1;
+                for removal in removals.iter().filter(|r| r.shard() == si) {
+                    match removal {
+                        Removal::Filed(_, posting) => {
+                            let removed = store.remove_filed(posting) as u64;
+                            local.maint_tuples_removed += removed;
+                            local.maint_index_removals += removed;
+                        }
+                        Removal::Joined(_, bcp, row) => {
+                            if store.remove_tuple(bcp, row.row()) {
+                                local.maint_tuples_removed += 1;
+                            }
                         }
                     }
                 }
@@ -361,7 +379,7 @@ impl SharedPmv {
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
                 let row = inner.def.layout().store(&row);
-                removals.push((inner.shard_of_bcp(&bcp), bcp, row, false));
+                removals.push(Removal::Joined(inner.shard_of_bcp(&bcp), bcp, row));
             }
         }
         self.evict(&removals, &mut local);

@@ -60,7 +60,7 @@ use crate::health::{Degradation, DegradeReason};
 use crate::o1::{decompose, ConditionPart};
 use crate::pipeline::{QueryOutcome, QueryTimings};
 use crate::stats::PmvStats;
-use crate::store::{PmvStore, Residency};
+use crate::store::{PmvStore, Residency, Rows};
 use crate::view::PartialViewDef;
 use crate::Result;
 
@@ -307,18 +307,18 @@ fn query_with_scratch(
                 // its matching tuples and exempt the bcp from O3.
                 st.complete = claimed
                     && *maint_ok.get_or_insert_with(|| pin_epoch >= inner.maint_epoch())
-                    && entries.iter().all(|(_, fe)| *fe <= pin_epoch);
+                    && entries.epochs().iter().all(|&fe| fe <= pin_epoch);
                 st.full = !st.complete && entries.len() >= config.f;
                 let mut served = false;
                 let is_basic = parts[pi].is_basic;
                 // The key's fields, decoded once for the entry's tuples.
                 dims.clear();
                 dims.extend(parts[pi].bcp.values());
-                for (t, fill_epoch) in entries {
+                for (t, fill_epoch) in entries.iter() {
                     // Serve gate: never serve a tuple filled after this
                     // query's pin — it may reflect database state the
                     // pinned O3 execution cannot see.
-                    if *fill_epoch > pin_epoch {
+                    if fill_epoch > pin_epoch {
                         continue;
                     }
                     // A basic part contains every tuple of its bcp; a
@@ -726,33 +726,40 @@ fn write_back(
                         }
                     }
                     let lo = cands.partition_point(|&(p, _)| p < pi);
-                    let offered = &cands[lo..lo + cands[lo..].partition_point(|&(p, _)| p == pi)];
-                    let mut len = store.lookup(bcp).map_or(0, <[_]>::len);
-                    for (k, (_, t)) in offered.iter().enumerate() {
+                    let hi = lo + cands[lo..].partition_point(|&(p, _)| p == pi);
+                    let offered = &mut cands[lo..hi];
+                    let cached = store.rows(bcp).map_or(0, Rows::len);
+                    // The admitted candidates are swapped to the front of
+                    // `offered`, in the order they were proven; the first
+                    // `k` candidates stay the first `k` proven, in some
+                    // order, which is all the count below reads.
+                    let mut taken = 0;
+                    for k in 0..offered.len() {
                         // One length check gates the rest of the group:
                         // an entry at its cap F admits nothing more.
-                        if len >= cap_f {
+                        if cached + taken >= cap_f {
                             break;
                         }
                         // Up to the proven multiplicity: equal `Ls'`
                         // tuples are distinct rows of the answer, and the
                         // entry may hold as many copies of `t` as this
-                        // query has proved so far, no more.
-                        // Cached tuples are compared with the row through
-                        // the layout, and the row's stored form is pushed.
+                        // query has proved so far, no more. Cached tuples
+                        // are compared with the row through the layout.
+                        let t = &offered[k].1;
                         let proven = 1 + offered[..k].iter().filter(|(_, x)| x == t).count();
-                        let have = store.lookup(bcp).map_or(0, |ts| {
-                            ts.iter().filter(|(x, _)| layout.holds(x, t)).count()
-                        });
-                        if have >= proven {
-                            continue;
+                        let have = store.rows(bcp).map_or(0, |rows| {
+                            rows.iter().filter(|&(x, _)| layout.holds(x, t)).count()
+                        }) + offered[..taken].iter().filter(|(_, x)| x == t).count();
+                        if have < proven {
+                            offered.swap(taken, k);
+                            taken += 1;
                         }
-                        if !store.push(bcp, layout.store(t), pin_epoch) {
-                            break;
-                        }
-                        local.tuples_admitted += 1;
-                        len += 1;
                     }
+                    // Packed straight into the entry, in one go.
+                    let admitted = offered[..taken]
+                        .iter()
+                        .map(|(_, t)| layout.stored_values(t));
+                    local.tuples_admitted += store.fill(bcp, admitted, pin_epoch) as u64;
                 }
                 // Completeness claims: observed-in-full bcps on this
                 // shard whose entry now holds exactly the proven truth —
@@ -766,7 +773,7 @@ fn write_back(
                     for (_, part, st) in members() {
                         if (fills == Some(true) || part.is_basic)
                             && st.truth > 0
-                            && store.lookup(&part.bcp).map_or(0, <[_]>::len) == st.truth
+                            && store.rows(&part.bcp).map_or(0, Rows::len) == st.truth
                         {
                             store.mark_complete(&part.bcp, at);
                         }

@@ -22,30 +22,37 @@
 //! handing its readers a pointer copy of the store's table; a store whose
 //! table is still the published one has nothing new to publish.
 //!
-//! A view's store holds each tuple in the view's
+//! A view's store holds each entry's tuples in the view's
 //! [`crate::view::StoredLayout`] — only the `Ls'` values its entry cannot
-//! derive — packed into one [`PackedRow`]. The store itself never looks
-//! inside a tuple — it holds, charges and compares what it is given — and
-//! its delta-key index reads the derived positions from each tuple's bcp.
-//! [`PmvStore::new`] with [`DeltaKeyIndex::new`] holds full rows.
+//! derive — packed and framed back to back in one byte string, the
+//! framing the WAL and the checkpoint write a row in
+//! ([`pmv_storage::packed`]): an entry holds one allocation for its rows
+//! and one for their fill epochs, however many rows it holds. The store
+//! itself never looks inside a tuple — it holds, charges and compares
+//! the bytes it is given — and its delta-key index reads the derived
+//! positions from each tuple's bcp. [`PmvStore::new`] with
+//! [`DeltaKeyIndex::new`] holds full rows.
 //!
-//! [`PmvStore::byte_size`] is exact under one rule: a bcp key is charged
+//! [`PmvStore::byte_size`] is exact under one rule: an entry is charged
 //! `size_of::<BcpKey>()` (16 B) plus the bytes of a key too long to sit
-//! inline (more than 12 packed bytes), a cached tuple
-//! `size_of::<PackedRow>()` (16 B) plus its packed bytes. A T1 key — two
-//! integers, each a tag and 1–2 bytes — is 4–6 bytes, inline: 16 B. T1's
-//! tuples store five integers, each its tag and the 1–3 bytes its value
-//! needs, and two empty strings of one tag byte each: at most 16 + 18 =
-//! 34 B.
+//! inline (more than 12 packed bytes), `size_of::<Box<[u8]>>()` (16 B)
+//! for the handle of its rows, and the rows' framed bytes — each row its
+//! packed length in LEB128 (one byte below 128), then its packed values.
+//! The fill epochs are not charged. A T1 key — two integers, each a tag
+//! and 1–2 bytes — is 4–6 bytes, inline: 32 B per entry. T1's tuples
+//! store five integers, each its tag and the 1–3 bytes its value needs,
+//! and two empty strings of one tag byte each: at most 1 + 18 = 19 B per
+//! tuple.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pmv_cache::{admit_if_warmer, AdmitOutcome, FrequencySketch, PolicyKind, ReplacementPolicy};
-use pmv_storage::{HeapSize, PackedRow, Tuple};
+use pmv_storage::packed::{self, RowRef};
+use pmv_storage::{HeapSize, Tuple, Value};
 
 use crate::bcp::BcpKey;
-use crate::delta_index::{DeltaKeyIndex, Supported};
+use crate::delta_index::{row_hash, DeltaKeyIndex, Supported};
 use crate::fasthash::hash_bytes;
 use crate::view::PmvConfig;
 
@@ -61,13 +68,56 @@ pub enum Residency {
     Declined,
 }
 
-/// One cached result tuple, packed in the store's layout, and the epoch
-/// it was filled at. Packed rows are shared — a copied entry or the
-/// delta-key index copies a pointer, never the bytes. The fill epoch lets
-/// the epoch-pinned serving path refuse tuples newer than its pinned
-/// version (a reader at epoch `e` serves a cached tuple only when
-/// `fill_epoch <= e`).
-pub type CachedTuple = (PackedRow, u64);
+/// What the store charges an entry besides its rows, for a key of at
+/// most 12 packed bytes: the key, `size_of::<BcpKey>()`, and the handle
+/// of its rows, `size_of::<Box<[u8]>>()` — 32 B. A longer key adds its
+/// heap bytes.
+pub const ENTRY_BYTES: usize = std::mem::size_of::<BcpKey>() + std::mem::size_of::<Box<[u8]>>();
+
+/// One entry's cached tuples, borrowed from the entry: its rows, packed
+/// in the store's layout and framed back to back, and the epoch each
+/// was filled at. The fill epoch lets the epoch-pinned serving path
+/// refuse tuples newer than its pinned version (a reader at epoch `e`
+/// serves a cached tuple only when `fill_epoch <= e`).
+#[derive(Clone, Copy, Debug)]
+pub struct Rows<'a> {
+    bytes: &'a [u8],
+    epochs: &'a [u64],
+}
+
+impl<'a> Rows<'a> {
+    /// Tuples held.
+    #[inline]
+    pub fn len(self) -> usize {
+        self.epochs.len()
+    }
+
+    /// Whether no tuple is held (never, for a resident entry).
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.epochs.is_empty()
+    }
+
+    /// The rows, framed back to back: what the entry is charged for
+    /// besides its key and the rows' handle.
+    #[inline]
+    pub fn bytes(self) -> &'a [u8] {
+        self.bytes
+    }
+
+    /// Each row's fill epoch, in row order.
+    #[inline]
+    pub fn epochs(self) -> &'a [u64] {
+        self.epochs
+    }
+
+    /// The rows in the order they were filled, each with its fill
+    /// epoch, borrowed where they lie.
+    #[inline]
+    pub fn iter(self) -> impl Iterator<Item = (RowRef<'a>, u64)> + 'a {
+        packed::frames(self.bytes).zip(self.epochs.iter().copied())
+    }
+}
 
 /// Store entries per table chunk, from which the chunk count is derived.
 /// The first change after a publish copies the spine (one `Arc` per
@@ -83,8 +133,11 @@ pub(crate) const CHUNK_ENTRIES: usize = 32;
 /// published table share it; the store copies it before changing it.
 #[derive(Debug)]
 pub(crate) struct Entry {
-    /// The cached tuples, with their fill epochs.
-    pub(crate) tuples: Vec<CachedTuple>,
+    /// The cached tuples, framed back to back, in the order they were
+    /// filled.
+    rows: Box<[u8]>,
+    /// The fill epoch of each row, in row order.
+    epochs: Box<[u64]>,
     /// Times this bcp produced partial results (popularity ranking
     /// extension). Policy metadata no reader looks at, so it is counted
     /// in place, through a shared entry, and copied along with one. Every
@@ -101,10 +154,22 @@ pub(crate) struct Entry {
     pub(crate) complete: Option<u64>,
 }
 
+impl Entry {
+    /// The cached tuples.
+    #[inline]
+    pub(crate) fn rows(&self) -> Rows<'_> {
+        Rows {
+            bytes: &self.rows,
+            epochs: &self.epochs,
+        }
+    }
+}
+
 impl Clone for Entry {
     fn clone(&self) -> Entry {
         Entry {
-            tuples: self.tuples.clone(),
+            rows: self.rows.clone(),
+            epochs: self.epochs.clone(),
             hits: AtomicU64::new(self.hits.load(Ordering::Acquire)),
             complete: self.complete,
         }
@@ -189,6 +254,24 @@ impl Table {
             *chunk = Arc::new(copy);
         }
         Arc::get_mut(chunk).expect("a fresh copy is unshared")
+    }
+
+    /// Give the entry at `(ci, i)` new rows, returning it writable. An
+    /// entry a reader still shares is replaced, not copied: its old rows
+    /// are never duplicated only to be dropped.
+    fn set_rows(&mut self, (ci, i): At, rows: Box<[u8]>, epochs: Box<[u64]>) -> &mut Entry {
+        let slot = &mut self.chunk_mut(ci, 0)[i].2;
+        if let Some(entry) = Arc::get_mut(slot) {
+            (entry.rows, entry.epochs) = (rows, epochs);
+        } else {
+            *slot = Arc::new(Entry {
+                rows,
+                epochs,
+                hits: AtomicU64::new(slot.hits.load(Ordering::Acquire)),
+                complete: slot.complete,
+            });
+        }
+        Arc::get_mut(slot).expect("an entry just written is unshared")
     }
 
     fn insert(&mut self, hash: u64, bcp: BcpKey, entry: Entry) {
@@ -412,14 +495,21 @@ impl PmvStore {
         self.quarantined = false;
     }
 
-    /// Tuples cached for `bcp` (with their fill epochs), if resident.
+    /// The tuples cached for `bcp`, if resident, framed back to back in
+    /// one byte string ([`packed::frames`] walks them). Does not touch the
+    /// policy. Its length counts bytes: [`Self::rows`] counts tuples and
+    /// carries their fill epochs.
+    pub fn lookup(&self, bcp: &BcpKey) -> Option<&[u8]> {
+        self.rows(bcp).map(Rows::bytes)
+    }
+
+    /// The tuples cached for `bcp`, with their fill epochs, if resident.
     /// Does not touch the policy.
-    pub fn lookup(&self, bcp: &BcpKey) -> Option<&[CachedTuple]> {
+    pub fn rows(&self, bcp: &BcpKey) -> Option<Rows<'_>> {
         if self.quarantined {
             return None;
         }
-        let entry = self.table.get(Self::hash_of(bcp), bcp)?;
-        Some(&entry.tuples)
+        Some(self.table.get(Self::hash_of(bcp), bcp)?.rows())
     }
 
     /// Record a query access to `bcp` (Operation O2) and count a hit if it
@@ -437,7 +527,7 @@ impl PmvStore {
     /// a bcp once per query, and only when it has rows (it served a
     /// partial or O3 produced some): probes of empty bcps would swamp
     /// the sample.
-    pub(crate) fn note_access(&mut self, bcp: &BcpKey) {
+    pub fn note_access(&mut self, bcp: &BcpKey) {
         self.sketch.increment(Self::hash_of(bcp));
     }
 
@@ -457,15 +547,11 @@ impl PmvStore {
                     };
                     let e = self.table.remove(at);
                     self.entries -= 1;
-                    self.bytes -= Self::key_bytes(&victim)
-                        + e.tuples
-                            .iter()
-                            .map(|(t, _)| Self::tuple_bytes(t))
-                            .sum::<usize>();
+                    self.bytes -= Self::entry_bytes(&victim, &e.rows);
                     self.evictions += 1;
                     if let Some(ix) = &mut self.index {
-                        for (t, _) in &e.tuples {
-                            ix.remove_from(&victim, t);
+                        for row in packed::frames(&e.rows) {
+                            ix.remove_from(&victim, row);
                         }
                     }
                 }
@@ -475,39 +561,72 @@ impl PmvStore {
         }
     }
 
-    /// Store one result tuple, in the store's layout, under a resident
-    /// `bcp`: [`Self::push`] of `tuple` packed whole.
+    /// Store one result tuple under a resident `bcp`, packed whole: a
+    /// [`Self::fill`] of one row. Returns whether it was stored.
     pub fn push_arc(&mut self, bcp: &BcpKey, tuple: Arc<Tuple>, epoch: u64) -> bool {
-        self.push(bcp, PackedRow::from(&*tuple), epoch)
+        self.fill(bcp, std::iter::once(tuple.values().iter()), epoch) == 1
     }
 
-    /// Store one packed result tuple, in the store's layout, under a
-    /// resident `bcp`, stamped with the epoch it was computed at. Returns
-    /// false when the bcp is not resident or already holds `F` tuples.
-    pub fn push(&mut self, bcp: &BcpKey, tuple: PackedRow, epoch: u64) -> bool {
+    /// Store result tuples under a resident `bcp`, each given as its
+    /// values in the store's layout, stamped with the epoch they were
+    /// computed at, until the entry holds `F`. Returns how many were
+    /// stored: none when the bcp is not resident or the entry is full.
+    ///
+    /// The rows are packed straight into the entry: one allocation for
+    /// its rows and one for their epochs, however many are stored, and
+    /// none per row. `rows` is walked twice: once to size them, once to
+    /// write them.
+    pub fn fill<'v, R, V>(&mut self, bcp: &BcpKey, rows: R, epoch: u64) -> usize
+    where
+        R: Iterator<Item = V> + Clone,
+        V: Iterator<Item = &'v Value> + Clone,
+    {
         if self.quarantined || !self.policy.contains(bcp) {
-            return false;
+            return 0;
         }
         let hash = Self::hash_of(bcp);
         let at = self.table.find(hash, bcp);
-        let len = at.map_or(0, |at| self.table.at(at).tuples.len());
-        if len >= self.f {
-            return false;
+        let (old_rows, old_epochs): (&[u8], &[u64]) = at.map_or((&[], &[]), |at| {
+            let e = self.table.at(at);
+            (&e.rows, &e.epochs)
+        });
+        let rows = rows.take(self.f.saturating_sub(old_epochs.len()));
+        let (n, added) = rows.clone().fold((0, 0), |(n, bytes), values| {
+            (n + 1, bytes + packed::framed_len(packed::row_len(values)))
+        });
+        if n == 0 {
+            return 0;
         }
-        self.bytes += Self::tuple_bytes(&tuple) + if len == 0 { Self::key_bytes(bcp) } else { 0 };
+        let mut framed = vec![0u8; old_rows.len() + added].into_boxed_slice();
+        framed[..old_rows.len()].copy_from_slice(old_rows);
+        let mut end = old_rows.len();
+        for values in rows {
+            end += packed::put_frame(&mut framed[end..], values);
+        }
+        debug_assert_eq!(end, framed.len());
+        let epochs: Box<[u64]> = old_epochs
+            .iter()
+            .copied()
+            .chain(std::iter::repeat_n(epoch, n))
+            .collect();
         if let Some(ix) = &mut self.index {
-            ix.file(bcp, &tuple);
+            for row in packed::frames(&framed[old_rows.len()..]) {
+                ix.file(bcp, row);
+            }
         }
+        self.bytes += added;
         match at {
-            Some(at) => self.table.at_mut(at).tuples.push((tuple, epoch)),
+            Some(at) => {
+                self.table.set_rows(at, framed, epochs);
+            }
             None => {
-                let mut tuples = Vec::with_capacity(self.f.min(8));
-                tuples.push((tuple, epoch));
+                self.bytes += Self::entry_bytes(bcp, &[]);
                 self.table.insert(
                     hash,
                     bcp.clone(),
                     Entry {
-                        tuples,
+                        rows: framed,
+                        epochs,
                         hits: AtomicU64::new(0),
                         complete: None,
                     },
@@ -515,39 +634,81 @@ impl PmvStore {
                 self.entries += 1;
             }
         }
-        true
+        n
     }
 
     /// Remove one occurrence of `tuple`, in the store's layout, under
-    /// `bcp` (PMV maintenance after a base-relation delete/update).
-    /// Returns whether a tuple was removed.
-    pub fn remove_tuple(&mut self, bcp: &BcpKey, tuple: &PackedRow) -> bool {
+    /// `bcp`, compared byte for byte (a bridge join's or revalidation's
+    /// removal, which holds the row). Returns whether a tuple was removed.
+    pub fn remove_tuple(&mut self, bcp: &BcpKey, tuple: RowRef<'_>) -> bool {
+        let mut found = false;
+        let removed = self.retain(bcp, |row| {
+            let hit = !found && row == tuple;
+            found |= hit;
+            !hit
+        });
+        removed == 1
+    }
+
+    /// Remove every tuple under `bcp` whose packed bytes hash to `hash`
+    /// — a delta-key index posting ([`Supported`]) — returning how many
+    /// went. On a hash collision that is more than the posting's row:
+    /// sound, as any over-removal from a partial view is.
+    pub fn remove_filed(&mut self, (bcp, hash): &Supported) -> usize {
+        self.retain(bcp, |row| row_hash(row) != *hash)
+    }
+
+    /// Drop the tuples under `bcp` that `keep` refuses — asked once per
+    /// tuple, in order — returning how many went (PMV maintenance after
+    /// a base-relation delete or update, and revalidation). A dropped
+    /// tuple is unfiled from the delta-key index; an entry left empty
+    /// is removed, its policy frame with it; one left with tuples can no
+    /// longer claim to hold the bcp's entire truth — the removal may be
+    /// conservative.
+    pub fn retain(&mut self, bcp: &BcpKey, mut keep: impl FnMut(RowRef<'_>) -> bool) -> usize {
         let Some(at) = self.table.find(Self::hash_of(bcp), bcp) else {
-            return false;
+            return 0;
         };
-        let tuples = &self.table.at(at).tuples;
-        let Some(pos) = tuples.iter().position(|(t, _)| t == tuple) else {
-            return false;
-        };
-        let last = tuples.len() == 1;
-        self.bytes -= Self::tuple_bytes(tuple);
-        if let Some(ix) = &mut self.index {
-            ix.remove_from(bcp, tuple);
+        let entry = self.table.at(at);
+        // Row numbers of the dropped tuples, ascending; nothing is
+        // allocated while every tuple stays.
+        let mut dropped: Vec<usize> = Vec::new();
+        let mut freed = 0;
+        for (i, row) in packed::frames(&entry.rows).enumerate() {
+            if !keep(row) {
+                dropped.push(i);
+                freed += packed::framed_len(row.as_bytes().len());
+                if let Some(ix) = &mut self.index {
+                    ix.remove_from(bcp, row);
+                }
+            }
         }
-        if last {
+        if dropped.is_empty() {
+            return 0;
+        }
+        self.bytes -= freed;
+        let kept = entry.epochs.len() - dropped.len();
+        if kept == 0 {
             self.table.remove(at);
             self.entries -= 1;
-            self.bytes -= Self::key_bytes(bcp);
+            self.bytes -= Self::entry_bytes(bcp, &[]);
             self.policy.remove(bcp);
-        } else {
-            let entry = self.table.at_mut(at);
-            entry.tuples.swap_remove(pos);
-            // A removal may be conservative (the base may still derive
-            // this tuple another way), so the entry can no longer claim
-            // to hold the bcp's entire truth.
-            entry.complete = None;
+            return dropped.len();
         }
-        true
+        let mut framed = vec![0u8; entry.rows.len() - freed].into_boxed_slice();
+        let mut epochs = Vec::with_capacity(kept);
+        let (mut end, mut next) = (0, dropped.iter().copied().peekable());
+        for (i, (row, epoch)) in entry.rows().iter().enumerate() {
+            if next.next_if_eq(&i).is_none() {
+                end += packed::put_packed_frame(&mut framed[end..], row);
+                epochs.push(epoch);
+            }
+        }
+        debug_assert_eq!(end, framed.len());
+        self.table
+            .set_rows(at, framed, epochs.into_boxed_slice())
+            .complete = None;
+        dropped.len()
     }
 
     /// Popularity of `bcp`: number of queries it served (ranking
@@ -565,15 +726,15 @@ impl PmvStore {
 
     /// Total cached tuples.
     pub fn tuple_count(&self) -> usize {
-        self.table.entries().map(|(_, e)| e.tuples.len()).sum()
+        self.table.entries().map(|(_, e)| e.epochs.len()).sum()
     }
 
     /// Bytes cached, exactly as charged: per entry its key's
     /// `size_of::<BcpKey>()` (16 B) plus the heap bytes of a key too long
-    /// to sit inline (none for a key of at most 12 bytes), per tuple
-    /// `size_of::<PackedRow>()` plus its packed bytes. The sketch, the
-    /// policy's frames, the table's spine and the delta-key index are not
-    /// charged.
+    /// to sit inline (none for a key of at most 12 bytes), the handle of
+    /// its rows, `size_of::<Box<[u8]>>()` (16 B), and the rows' framed
+    /// bytes. The fill epochs, the sketch, the policy's frames, the
+    /// table's spine and the delta-key index are not charged.
     pub fn byte_size(&self) -> usize {
         self.bytes
     }
@@ -584,23 +745,20 @@ impl PmvStore {
     }
 
     /// Iterate over `(bcp, cached tuples)` (diagnostics/tests).
-    pub fn iter(&self) -> impl Iterator<Item = (&BcpKey, &[CachedTuple])> {
-        self.table.entries().map(|(k, e)| (k, e.tuples.as_slice()))
+    pub fn iter(&self) -> impl Iterator<Item = (&BcpKey, Rows<'_>)> {
+        self.table.entries().map(|(k, e)| (k, e.rows()))
     }
 
-    fn tuple_bytes(t: &PackedRow) -> usize {
-        std::mem::size_of::<PackedRow>() + t.heap_size()
-    }
-
-    fn key_bytes(k: &BcpKey) -> usize {
-        std::mem::size_of::<BcpKey>() + k.heap_size()
+    /// What an entry of key `k` holding the framed `rows` is charged.
+    fn entry_bytes(k: &BcpKey, rows: &[u8]) -> usize {
+        ENTRY_BYTES + k.heap_size() + rows.len()
     }
 
     /// Check structural invariants, returning each violation as a
     /// message. Empty means consistent. Never panics.
     pub fn check(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        let (mut counted, mut recomputed) = (0, 0);
+        let (mut counted, mut recomputed, mut misframed) = (0, 0, false);
         for (ci, chunk) in self.table.chunks().iter().enumerate() {
             // Out of tag order, an entry is one the binary search misses.
             if !chunk.is_sorted_by_key(|(hash, _, _)| *hash) {
@@ -608,19 +766,34 @@ impl PmvStore {
             }
             for (hash, k, e) in chunk.iter() {
                 counted += 1;
-                recomputed += Self::key_bytes(k)
-                    + e.tuples
-                        .iter()
-                        .map(|(t, _)| Self::tuple_bytes(t))
-                        .sum::<usize>();
+                recomputed += Self::entry_bytes(k, &e.rows);
+                // Walked checked, as bytes read from disk are: a frame
+                // cut short is a violation, not a panic.
+                let (mut at, mut framed) = (0, 0);
+                while at < e.rows.len() {
+                    match packed::take_row(&e.rows[at..]) {
+                        Ok((_, used)) => (at, framed) = (at + used, framed + 1),
+                        Err(err) => {
+                            violations.push(format!("entry rows misframed for {k:?}: {err}"));
+                            misframed = true;
+                            break;
+                        }
+                    }
+                }
+                if framed != e.epochs.len() && !misframed {
+                    violations.push(format!(
+                        "entry {k:?} frames {framed} rows for {} epochs",
+                        e.epochs.len()
+                    ));
+                }
                 // Misplaced, an entry is one no lookup finds.
                 if *hash != Self::hash_of(k) || self.table.chunk_of(*hash) != ci {
                     violations.push(format!("entry {k:?} misplaced in chunk {ci}"));
                 }
-                if e.tuples.is_empty() {
+                if e.epochs.is_empty() {
                     violations.push(format!("empty entry for {k:?}"));
                 }
-                if e.tuples.len() > self.f {
+                if e.epochs.len() > self.f {
                     violations.push(format!("entry over F for {k:?}"));
                 }
                 if !self.policy.contains(k) {
@@ -662,10 +835,10 @@ impl PmvStore {
                 self.bytes
             ));
         }
-        if let Some(ix) = &self.index {
-            let cached: Vec<(&BcpKey, &PackedRow)> = self
+        if let Some(ix) = self.index.as_ref().filter(|_| !misframed) {
+            let cached: Vec<(&BcpKey, RowRef<'_>)> = self
                 .iter()
-                .flat_map(|(k, tuples)| tuples.iter().map(move |(t, _)| (k, t)))
+                .flat_map(|(k, rows)| rows.iter().map(move |(row, _)| (k, row)))
                 .collect();
             violations.extend(ix.check_against(&cached));
         }
@@ -703,7 +876,7 @@ impl PmvStore {
 mod tests {
     use super::*;
     use crate::bcp::BcpDim;
-    use pmv_storage::{tuple, Value};
+    use pmv_storage::{tuple, PackedRow, Value};
 
     fn bcp(x: i64) -> BcpKey {
         BcpKey::new(vec![BcpDim::Eq(Value::Int(x))])
@@ -739,7 +912,7 @@ mod tests {
         assert!(s.push_arc(&bcp(1), Arc::new(tuple![1i64, 1i64]), 0));
         assert!(s.push_arc(&bcp(1), Arc::new(tuple![1i64, 2i64]), 0));
         assert!(!s.push_arc(&bcp(1), Arc::new(tuple![1i64, 3i64]), 0));
-        assert_eq!(s.lookup(&bcp(1)).unwrap().len(), 2);
+        assert_eq!(s.rows(&bcp(1)).unwrap().len(), 2);
         s.validate();
     }
 
@@ -861,12 +1034,12 @@ mod tests {
         s.admit(&bcp(1));
         s.push_arc(&bcp(1), Arc::new(tuple![7i64]), 0);
         s.push_arc(&bcp(1), Arc::new(tuple![7i64]), 0);
-        assert!(s.remove_tuple(&bcp(1), &PackedRow::from(&tuple![7i64])));
-        assert_eq!(s.lookup(&bcp(1)).unwrap().len(), 1);
-        assert!(s.remove_tuple(&bcp(1), &PackedRow::from(&tuple![7i64])));
+        assert!(s.remove_tuple(&bcp(1), PackedRow::from(&tuple![7i64]).row()));
+        assert_eq!(s.rows(&bcp(1)).unwrap().len(), 1);
+        assert!(s.remove_tuple(&bcp(1), PackedRow::from(&tuple![7i64]).row()));
         // Entry is gone entirely.
         assert!(s.lookup(&bcp(1)).is_none());
-        assert!(!s.remove_tuple(&bcp(1), &PackedRow::from(&tuple![7i64])));
+        assert!(!s.remove_tuple(&bcp(1), PackedRow::from(&tuple![7i64]).row()));
         assert_eq!(s.byte_size(), 0);
         s.validate();
     }
@@ -876,7 +1049,7 @@ mod tests {
         let mut s = PmvStore::new(&cfg(1, 1, PolicyKind::Clock));
         s.admit(&bcp(1));
         s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
-        s.remove_tuple(&bcp(1), &PackedRow::from(&tuple![1i64]));
+        s.remove_tuple(&bcp(1), PackedRow::from(&tuple![1i64]).row());
         // New bcp should be admitted without evicting anything.
         s.admit(&bcp(2));
         s.push_arc(&bcp(2), Arc::new(tuple![2i64]), 0);
@@ -914,7 +1087,7 @@ mod tests {
         assert!(s.mark_complete(&bcp(1), s.inserts_seen()));
         assert!(s.entry_complete(&bcp(1)));
         // A maintenance removal clears the claim (conservative).
-        assert!(s.remove_tuple(&bcp(1), &PackedRow::from(&tuple![1i64])));
+        assert!(s.remove_tuple(&bcp(1), PackedRow::from(&tuple![1i64]).row()));
         assert!(!s.entry_complete(&bcp(1)));
         // Absent entries can never be marked.
         assert!(!s.mark_complete(&bcp(9), s.inserts_seen()));
@@ -970,8 +1143,12 @@ mod tests {
             s.mark_complete(&bcp(1), s.inserts_seen())
         )));
         let one = PackedRow::from(&tuple![1i64]);
-        assert!(step(&mut s, &|s| assert!(s.remove_tuple(&bcp(1), &one))));
-        assert!(!step(&mut s, &|s| assert!(!s.remove_tuple(&bcp(1), &one))));
+        assert!(step(&mut s, &|s| assert!(
+            s.remove_tuple(&bcp(1), one.row())
+        )));
+        assert!(!step(&mut s, &|s| assert!(
+            !s.remove_tuple(&bcp(1), one.row())
+        )));
         // Fill the store, then an eviction and its fill: 5, seen
         // before, out-counts every resident and displaces one of them.
         for i in 2..=4 {
@@ -993,7 +1170,7 @@ mod tests {
         let entries = |t: &Table| {
             let mut all: Vec<_> = t
                 .entries()
-                .map(|(k, e)| (k.clone(), e.tuples.clone()))
+                .map(|(k, e)| (k.clone(), e.rows.clone(), e.epochs.clone()))
                 .collect();
             all.sort_by(|a, b| a.0.cmp(&b.0));
             all
@@ -1032,11 +1209,12 @@ mod tests {
         // Deleting base tuple (a=7, f=1) supports the cached view tuple.
         let hit = s.supported(0, &tuple![7i64, 1i64]).unwrap();
         assert_eq!(hit.len(), 1);
-        assert_eq!(hit[0].1, PackedRow::from(&tuple![7i64, 1i64]));
+        let row = PackedRow::from(&tuple![7i64, 1i64]);
+        assert_eq!(hit[0], (bcp(1), row_hash(row.row())));
         assert!(s.supported(0, &tuple![8i64, 1i64]).unwrap().is_empty());
         // Removing the supported tuple empties the index too.
-        for (b, tu) in hit {
-            assert!(s.remove_tuple(&b, &tu));
+        for posting in hit {
+            assert_eq!(s.remove_filed(&posting), 1);
         }
         assert!(s.supported(0, &tuple![7i64, 1i64]).unwrap().is_empty());
         s.validate();
@@ -1050,10 +1228,10 @@ mod tests {
         s.admit(&bcp(1));
         s.push_arc(&bcp(1), Arc::new(tuple![1i64]), 0);
         s.push_arc(&bcp(1), Arc::new(tuple![2i64]), 0);
-        s.remove_tuple(&bcp(1), &PackedRow::from(&tuple![1i64]));
+        s.remove_tuple(&bcp(1), PackedRow::from(&tuple![1i64]).row());
         assert_eq!(s.admit(&bcp(1)), Residency::Resident);
         assert!(s.push_arc(&bcp(1), Arc::new(tuple![3i64]), 0));
-        assert_eq!(s.lookup(&bcp(1)).unwrap().len(), 2);
+        assert_eq!(s.rows(&bcp(1)).unwrap().len(), 2);
         s.validate();
     }
 }

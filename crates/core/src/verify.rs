@@ -22,15 +22,15 @@
 //! the first layer of the static-analysis subsystem.
 
 use std::fmt;
-use std::mem::size_of;
 use std::sync::Arc;
 
 use pmv_query::{CondForm, QueryTemplate};
-use pmv_storage::packed::MAX_NUMBER_BYTES;
+use pmv_storage::packed::{framed_len, MAX_NUMBER_BYTES};
 use pmv_storage::string::INLINE_CAP;
-use pmv_storage::{ColumnType, PackedRow, Value};
+use pmv_storage::{ColumnType, Value};
 
 use crate::bcp::Discretizer;
+use crate::store::ENTRY_BYTES;
 use crate::view::{PartialViewDef, PmvConfig, StoredLayout};
 
 /// How a diagnostic is acted upon at registration time: every verifier
@@ -257,18 +257,22 @@ impl fmt::Display for VerifyReport {
 }
 
 /// Estimate the average view-tuple size `At` in bytes: what the view's
-/// store charges for one cached tuple — the [`PackedRow`] handle plus
-/// the packed fields of its [`crate::view::StoredLayout`], the `Ls'`
-/// positions its entry cannot derive. An `Int` or `Double` field is
-/// counted at [`MAX_NUMBER_BYTES`] (its tag and 8 bytes); a `Str` field
-/// at `1 + INLINE_CAP` (its tag, which carries a short string's length,
-/// and up to [`INLINE_CAP`] bytes). A `Double` takes exactly that; an
-/// `Int` packs to the bytes its value needs, which the schema cannot
-/// know, so for rows without NULLs and strings of at most `INLINE_CAP`
-/// bytes the estimate bounds the charge from above and is conservative
-/// by at most 7 B per `Int` (exact when every `Int` needs 8 bytes). A
-/// NULL is its tag alone; a longer string is charged its length, which
-/// the schema cannot tell either — pass
+/// store charges for one cached tuple — its frame, the LEB128 length of
+/// the packed fields (one byte below 128), plus the packed fields of its
+/// [`crate::view::StoredLayout`], the `Ls'` positions its entry cannot
+/// derive. An entry is charged [`ENTRY_BYTES`] besides its tuples (the
+/// key and the handle of its rows), so a full view holds at most
+/// `L·(ENTRY_BYTES + F·At)` bytes for keys held inline. An `Int` or
+/// `Double` field is counted at [`MAX_NUMBER_BYTES`] (its tag and 8
+/// bytes); a `Str` field at `1 + INLINE_CAP` (its tag, which carries a
+/// short string's length, and up to [`INLINE_CAP`] bytes). A `Double`
+/// takes exactly that; an `Int` packs to the bytes its value needs,
+/// which the schema cannot know, so for rows without NULLs and strings
+/// of at most `INLINE_CAP` bytes the estimate bounds the charge from
+/// above and is conservative by at most 7 B per `Int`, and by the byte
+/// of length a narrower row may not need (exact when every `Int` needs
+/// 8 bytes). A NULL is its tag alone; a longer string is charged its
+/// length, which the schema cannot tell either — pass
 /// [`VerifyOptions::avg_tuple_bytes`] for views of long strings.
 pub fn estimate_tuple_bytes(template: &QueryTemplate) -> usize {
     let list = template.expanded_list();
@@ -280,7 +284,7 @@ pub fn estimate_tuple_bytes(template: &QueryTemplate) -> usize {
         }
     };
     let layout = StoredLayout::for_template(template);
-    size_of::<PackedRow>() + layout.stored_positions().iter().map(field).sum::<usize>()
+    framed_len(layout.stored_positions().iter().map(field).sum())
 }
 
 /// Verify a prospective PMV from raw parts, before a
@@ -463,18 +467,20 @@ pub fn verify_parts(
         }
     }
 
-    // PMV004 — L × F × At against the byte budget.
+    // PMV004 — L × (entry + F × At) against the byte budget.
     if let Some(budget) = opts.byte_budget {
         let at = opts
             .avg_tuple_bytes
             .unwrap_or_else(|| estimate_tuple_bytes(template));
-        let ub = config.l.saturating_mul(config.f).saturating_mul(at);
+        let ub = config
+            .l
+            .saturating_mul(config.f.saturating_mul(at).saturating_add(ENTRY_BYTES));
         if ub > budget {
             emit(
                 DiagCode::StorageBoundExceeded,
                 format!(
-                    "UB = L·F·At = {}·{}·{} = {ub} bytes exceeds the {budget}-byte budget \
-                     (Section 3.2 sizing)",
+                    "UB = L·({ENTRY_BYTES} + F·At) = {}·({ENTRY_BYTES} + {}·{}) = {ub} bytes \
+                     exceeds the {budget}-byte budget (Section 3.2 sizing)",
                     config.l, config.f, at
                 ),
                 None,
@@ -637,15 +643,23 @@ mod tests {
         store.enable_index(DeltaKeyIndex::for_view(&def));
         let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(1)); t.cond_count()]);
         store.admit(&bcp);
-        assert!(store.push(&bcp, layout.store(&row(1)), 0));
+        let (one, two) = (row(1), row(2));
+        assert_eq!(
+            store.fill(&bcp, std::iter::once(layout.stored_values(&one)), 0),
+            1
+        );
         let before = store.byte_size();
-        assert!(store.push(&bcp, layout.store(&row(2)), 0));
+        assert_eq!(
+            store.fill(&bcp, std::iter::once(layout.stored_values(&two)), 0),
+            1
+        );
         store.validate();
         store.byte_size() - before
     }
 
-    /// `At` is what the store charges per cached tuple, so `L·F·At` is
-    /// the bytes a full view holds: for a template of numbers only and a
+    /// `At` is what the store charges per cached tuple, so
+    /// `L·(ENTRY_BYTES + F·At)` is the bytes a full view of inline keys
+    /// holds: for a template of numbers only and a
     /// row without NULLs whose integers need all 8 bytes, the estimate
     /// equals the charge of the view's store for one more tuple — two
     /// stored numbers, since the equality column `f` is the bcp's.
@@ -677,13 +691,13 @@ mod tests {
             });
             Tuple::new(values.collect::<Vec<_>>())
         });
-        assert_eq!(charge, 16 + 2 * 9);
+        assert_eq!(charge, 1 + 2 * 9);
         assert_eq!(estimate_tuple_bytes(&t), charge);
     }
 
     /// T1 (`orders ⋈ lineitem`, `select *`, equality on `orderdate` and
     /// `suppkey`) stores five integers and the two (empty) fillers. Small
-    /// integers take 1–2 payload bytes: charged 16 + 13 = 29 B, which the
+    /// integers take 1–2 payload bytes: charged 1 + 13 = 14 B, which the
     /// estimate bounds from above by counting each integer at 9 B and
     /// each filler at `1 + INLINE_CAP`.
     #[test]
@@ -725,9 +739,10 @@ mod tests {
         let charge = charge_per_tuple(&t, |k| {
             pmv_storage::tuple![k, 7i64, 1i64, 100i64, "", k, 1i64, 3i64, 300i64, ""]
         });
-        // k = 2, 7, 100, '', 3, 300, '': 2 + 2 + 2 + 1 + 2 + 3 + 1 B.
-        assert_eq!(charge, 16 + 13);
-        assert_eq!(estimate_tuple_bytes(&t), 16 + 5 * 9 + 2 * (1 + INLINE_CAP));
+        // k = 2, 7, 100, '', 3, 300, '': 2 + 2 + 2 + 1 + 2 + 3 + 1 B,
+        // behind one byte of length.
+        assert_eq!(charge, 1 + 13);
+        assert_eq!(estimate_tuple_bytes(&t), 1 + 5 * 9 + 2 * (1 + INLINE_CAP));
         assert!(estimate_tuple_bytes(&t) >= charge);
     }
 }

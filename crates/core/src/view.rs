@@ -18,9 +18,10 @@ use std::time::Duration;
 
 use pmv_cache::PolicyKind;
 use pmv_query::{AttrRef, CondForm, QueryInstance, QueryTemplate};
-use pmv_storage::{PackedRow, Tuple, Value};
+use pmv_storage::{PackedRow, RowRef, Tuple, Value};
 
 use crate::bcp::{BcpDim, BcpKey, Discretizer};
+use crate::store::ENTRY_BYTES;
 use crate::{CoreError, Result};
 
 /// Tuning knobs for a PMV.
@@ -80,7 +81,9 @@ impl PmvConfig {
     }
 
     /// Derive the entry budget `L` from a byte budget `UB` and an average
-    /// tuple size `At`, per the paper's bound `UB ≤ L × F × At`.
+    /// tuple size `At`, per the paper's bound `UB ≤ L × F × At` with what
+    /// the store charges an entry besides its tuples added:
+    /// `UB ≤ L × (ENTRY_BYTES + F × At)` ([`crate::store::ENTRY_BYTES`]).
     pub fn with_byte_budget(
         f: usize,
         ub_bytes: usize,
@@ -88,7 +91,7 @@ impl PmvConfig {
         policy: PolicyKind,
     ) -> Self {
         assert!(f > 0 && avg_tuple_bytes > 0);
-        let l = (ub_bytes / (f * avg_tuple_bytes)).max(1);
+        let l = (ub_bytes / (ENTRY_BYTES + f * avg_tuple_bytes)).max(1);
         PmvConfig::new(f, l, policy)
     }
 }
@@ -120,10 +123,12 @@ enum Source {
 /// bit (a double is canonical, see [`F64`](pmv_storage::F64)), so a
 /// rebuilt row is the row that was cached.
 ///
-/// The stored values are packed into one [`PackedRow`] — each behind a
-/// tag, in the bytes its value needs — for every layout, full
-/// ([`Self::is_full`]) or not: [`Self::store`] projects and packs in one
-/// pass, and [`Self::rebuild`] decodes in one.
+/// The stored values are packed into one row — each behind a tag, in
+/// the bytes its value needs — for every layout, full
+/// ([`Self::is_full`]) or not: [`Self::stored_values`] projects a row
+/// for packing, and [`Self::rebuild`] decodes a packed one in one pass.
+/// Every method reading a stored tuple takes it borrowed
+/// ([`RowRef`]), where the entry holds it.
 ///
 /// Every cached tuple of an entry lies in the entry's bcp and satisfies
 /// `Cjoin`, which is all a derivation relies on.
@@ -230,7 +235,7 @@ impl StoredLayout {
     /// from the stored fields before it.
     pub fn value<'a>(
         &'a self,
-        stored: &PackedRow,
+        stored: RowRef<'_>,
         dims: &'a [Value],
         pos: usize,
     ) -> Cow<'a, Value> {
@@ -245,7 +250,7 @@ impl StoredLayout {
     /// `stored`, filed under `bcp`, stands for, in order. Ascending
     /// positions decode in one forward pass over the stored fields; a
     /// position the entry fixes decodes its field of the key.
-    pub fn values_at(&self, stored: &PackedRow, bcp: &BcpKey, positions: &[usize]) -> Box<[Value]> {
+    pub fn values_at(&self, stored: RowRef<'_>, bcp: &BcpKey, positions: &[usize]) -> Box<[Value]> {
         let mut fields = stored.fields();
         // The index of the field `fields` yields next.
         let mut next = 0;
@@ -270,15 +275,24 @@ impl StoredLayout {
             .collect()
     }
 
-    /// The stored form of an `Ls'` row: its stored positions, projected
-    /// and packed in one pass into one allocation.
+    /// The values an `Ls'` row stores, in stored order: what a store
+    /// packs for it.
+    pub fn stored_values<'a>(
+        &'a self,
+        row: &'a Tuple,
+    ) -> impl Iterator<Item = &'a Value> + Clone + 'a {
+        self.stored.iter().map(|&p| row.get(p))
+    }
+
+    /// The stored form of an `Ls'` row, owned: its
+    /// [`Self::stored_values`] packed in one pass into one allocation.
     pub fn store(&self, row: &Tuple) -> PackedRow {
-        PackedRow::pack(self.stored.iter().map(|&p| row.get(p)))
+        PackedRow::pack(self.stored_values(row))
     }
 
     /// The `Ls'` row a stored tuple filed under `bcp` stands for:
     /// [`Self::rebuild_with`] the key's values.
-    pub fn rebuild(&self, stored: &PackedRow, bcp: &BcpKey) -> Arc<Tuple> {
+    pub fn rebuild(&self, stored: RowRef<'_>, bcp: &BcpKey) -> Arc<Tuple> {
         self.rebuild_with(stored, &bcp.values().collect::<Vec<_>>())
     }
 
@@ -287,7 +301,7 @@ impl StoredLayout {
     /// that rebuilds several of its tuples. One pass over the stored
     /// fields: stored positions ascend in `Ls'` order, and a join
     /// duplicate repeats an earlier one.
-    pub fn rebuild_with(&self, stored: &PackedRow, dims: &[Value]) -> Arc<Tuple> {
+    pub fn rebuild_with(&self, stored: RowRef<'_>, dims: &[Value]) -> Arc<Tuple> {
         let mut fields = stored.fields();
         let mut values: Vec<Value> = Vec::with_capacity(self.arity());
         for (p, source) in self.sources.iter().enumerate() {
@@ -307,7 +321,7 @@ impl StoredLayout {
     /// Whether `stored` stands for `row`, an `Ls'` row of the same bcp —
     /// compared on the stored positions only, which decide it: the rest
     /// of both are derived the same way.
-    pub fn holds(&self, stored: &PackedRow, row: &Tuple) -> bool {
+    pub fn holds(&self, stored: RowRef<'_>, row: &Tuple) -> bool {
         self.stored
             .iter()
             .zip(stored.fields())
@@ -405,7 +419,7 @@ impl PartialViewDef {
     pub fn stored_matches_select(
         &self,
         instance: &QueryInstance,
-        stored: &PackedRow,
+        stored: RowRef<'_>,
         dims: &[Value],
     ) -> bool {
         instance.conds().iter().enumerate().all(|(i, c)| {
@@ -557,8 +571,10 @@ mod tests {
 
     #[test]
     fn byte_budget_derives_l() {
+        // The paper's 1 MB example: F = 2, At = 50 B gives 10 000 entries
+        // of 100 B each; 32 B more per entry leaves room for 7 575.
         let c = PmvConfig::with_byte_budget(2, 1_000_000, 50, PolicyKind::Clock);
-        assert_eq!(c.l, 10_000); // the paper's 1MB example
+        assert_eq!(c.l, 7_575);
         let c = PmvConfig::with_byte_budget(5, 100, 50, PolicyKind::TwoQ);
         assert_eq!(c.l, 1); // floor at 1
     }

@@ -23,7 +23,8 @@
 //!   and `0.0`, or from two NaN payloads, is an equal pair.
 //! * `estimate_tuple_bytes` (the `At` of PMV004 and the advisor) bounds
 //!   what the store charges for any row of a template's types whose
-//!   strings are at most `INLINE_CAP` bytes, NULLs included.
+//!   strings are at most `INLINE_CAP` bytes, NULLs included: the row's
+//!   frame, its packed length in LEB128 and then its packed fields.
 //! * A counting allocator shows that storing a tuple — projecting an
 //!   `Ls'` row and packing it — allocates exactly once; a stored `Tuple`
 //!   took two (its values and the `Arc` around them).
@@ -297,12 +298,12 @@ proptest! {
         let bcp = BcpKey::new(vec![BcpDim::Eq(a[3].clone())]);
         let (stored, allocations) = counted(|| layout.store(&row));
         prop_assert_eq!(allocations, 1, "storing a tuple allocates once");
-        let rebuilt = layout.rebuild(&stored, &bcp);
+        let rebuilt = layout.rebuild(stored.row(), &bcp);
         prop_assert_eq!(rebuilt.values(), &a[..]);
         // `holds` compares the stored positions with `Value`'s equality
         // (the rows share the bcp, so `f` is not compared).
-        prop_assert!(layout.holds(&stored, &row));
-        prop_assert_eq!(layout.holds(&stored, &other), a[..3] == b[..3]);
+        prop_assert!(layout.holds(stored.row(), &row));
+        prop_assert_eq!(layout.holds(stored.row(), &other), a[..3] == b[..3]);
     }
 
     #[test]
@@ -359,11 +360,14 @@ proptest! {
         let t = template_of(&types);
         let def = PartialViewDef::all_equality("bound", Arc::clone(&t)).unwrap();
         let stored = def.layout().store(&Tuple::new(row.clone()));
-        let charge = std::mem::size_of::<PackedRow>() + stored.as_bytes().len();
+        // The store charges a tuple its frame: the packed length in
+        // LEB128, then the packed fields.
+        let charge = packed::framed_len(stored.as_bytes().len());
         let estimate = estimate_tuple_bytes(&t);
         prop_assert!(charge <= estimate, "{:?}: {} > {}", row, charge, estimate);
-        // The slack is what each field leaves of its estimate: at most
-        // 7 B for a non-NULL integer, none for a double.
+        // The slack is what each field leaves of its estimate — at most
+        // 7 B for a non-NULL integer, none for a double — and the estimate
+        // frames the fields at their estimated widths.
         let slack: Vec<usize> = types
             .iter()
             .zip(&row)
@@ -372,7 +376,8 @@ proptest! {
                 _ => 9 - width(v),
             })
             .collect();
-        prop_assert_eq!(estimate - charge, slack.iter().sum::<usize>());
+        let fields = stored.as_bytes().len() + slack.iter().sum::<usize>();
+        prop_assert_eq!(estimate, packed::framed_len(fields));
         for ((ty, v), slack) in types.iter().zip(&row).zip(slack) {
             match (ty, v) {
                 (_, Value::Null) => {}

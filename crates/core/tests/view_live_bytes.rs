@@ -10,11 +10,13 @@
 //!   same queries (every bcp resident and full) leave none more in the
 //!   view; the first of them sizes the serving path's scratch once.
 //! * Live bytes stand in a fixed ratio to the charge.
-//! * The split, printed under `--nocapture`: the delta-key index, filed
-//!   afresh with the cached tuples; the replacement policies, admitting
-//!   the bcps afresh; and the rest — entries, chunks, packed rows and
-//!   the tables still held by readers. The admission sketches are
-//!   allocated with the view, before the fill.
+//! * The split, exact, and printed under `--nocapture`: the entries'
+//!   rows, each entry's tuples framed into one byte string with their
+//!   fill epochs beside it, as the store builds them; the delta-key
+//!   index's postings, filed afresh with the cached tuples; the
+//!   replacement policies, admitting the bcps afresh; and the rest —
+//!   entries, chunks and the tables still held by readers. The admission
+//!   sketches are allocated with the view, before the fill.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,7 +25,7 @@ use pmv_cache::PolicyKind;
 use pmv_core::{BcpKey, DeltaKeyIndex, EpochDb, PartialViewDef, PmvConfig, SharedPmv};
 use pmv_index::IndexDef;
 use pmv_query::{Condition, Database, QueryInstance, TemplateBuilder};
-use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
+use pmv_storage::{packed, tuple, Column, ColumnType, Schema, Tuple, Value};
 
 thread_local! {
     // Net bytes requested on this thread. Const-initialised and without
@@ -157,20 +159,31 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
     assert_eq!((pmv.entry_count(), pmv.tuple_count()), (bcps, F * bcps));
     let charged = pmv.byte_size() as isize;
 
-    // The split: what filing the cached tuples into a fresh index, and
-    // admitting the bcps into fresh policies, leaves allocated.
-    let cached: Vec<(BcpKey, Vec<pmv_storage::PackedRow>)> = pmv
-        .dump()
-        .into_iter()
-        .map(|(bcp, rows)| {
-            let stored = rows.iter().map(|r| pmv.def().layout().store(r)).collect();
-            (bcp, stored)
-        })
-        .collect();
+    // The split: what framing each entry's cached tuples into one byte
+    // string with their epochs, as the store does, filing them into a
+    // fresh index, and admitting the bcps into fresh policies, leaves
+    // allocated.
+    let layout = pmv.def().layout();
+    let cached: Vec<(BcpKey, Vec<Tuple>)> = pmv.dump();
+    let mut entry_rows = Vec::with_capacity(cached.len());
+    let ((), rows_bytes) = grown(|| {
+        for (_, rows) in &cached {
+            let len = rows
+                .iter()
+                .map(|r| packed::framed_len(packed::row_len(layout.stored_values(r))))
+                .sum();
+            let mut framed = vec![0u8; len].into_boxed_slice();
+            let mut at = 0;
+            for r in rows {
+                at += packed::put_frame(&mut framed[at..], layout.stored_values(r));
+            }
+            entry_rows.push((framed, vec![0u64; rows.len()].into_boxed_slice()));
+        }
+    });
     let mut index = DeltaKeyIndex::for_view(pmv.def());
     let ((), index_bytes) = grown(|| {
-        for (bcp, rows) in &cached {
-            for row in rows {
+        for ((bcp, _), (framed, _)) in cached.iter().zip(&entry_rows) {
+            for row in packed::frames(framed) {
                 index.file(bcp, row);
             }
         }
@@ -184,23 +197,28 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
         }
     });
     println!(
-        "live {live} B, charged {charged} B, ratio {:.3}; index {index_bytes} B, \
-         policies {policy_bytes} B, entries and the rest {} B; passes 2 and 3 \
-         {again} B and {third} B",
+        "live {live} B, charged {charged} B, ratio {:.3}; entry rows {rows_bytes} B, \
+         index postings {index_bytes} B, policies {policy_bytes} B, entries, chunks \
+         and the rest {} B; passes 2 and 3 {again} B and {third} B",
         live as f64 / charged as f64,
-        live - index_bytes - policy_bytes,
+        live - rows_bytes - index_bytes - policy_bytes,
     );
 
-    // 1 600 entries of a 16-byte inline key, 4 800 tuples of 16 B of
-    // handle and 6 packed bytes: `orderkey` (< 128), `custkey` and
-    // `quantity`, each a tag and one byte — the rest derived.
-    assert_eq!(charged, 131_200, "the charge");
-    assert_eq!(live, 1_925_400, "live bytes after the fill");
-    assert_eq!(live * 100 / charged, 1_467, "live bytes per 100 B charged");
-    // Two postings per tuple, each a map slot, a shared packed row and an
-    // inline key; admitting an inline key into a policy sized for its
-    // capacity allocates nothing.
-    assert_eq!((index_bytes, policy_bytes), (1_442_720, 0));
+    // 1 600 entries of a 16-byte inline key and the 16-byte handle of
+    // their rows, 4 800 tuples of 7 framed bytes: a byte of length, then
+    // `orderkey` (< 128), `custkey` and `quantity`, each a tag and one
+    // byte — the rest derived.
+    assert_eq!(charged, 84_800, "the charge");
+    assert_eq!(live, 1_564_760, "live bytes after the fill");
+    assert_eq!(live * 100 / charged, 1_845, "live bytes per 100 B charged");
+    // Per entry, its 21 framed bytes and three 8-byte epochs. Two
+    // postings per tuple, each a map slot, an inline key and the row's
+    // hash; admitting an inline key into a policy sized for its capacity
+    // allocates nothing.
+    assert_eq!(
+        (rows_bytes, index_bytes, policy_bytes),
+        (1_600 * (21 + 24), 1_227_680, 0)
+    );
     // The second pass is the first to serve from the view: the serving
     // path's per-thread scratch grows once, for the served rows (128 ×
     // 8 B) and the entry's key fields (4 × 16 B). The view itself grows

@@ -379,6 +379,25 @@ impl Database {
         Ok(delta)
     }
 
+    /// Let replay reach `relation`'s slots below `slots`
+    /// ([`HeapRelation::reserve_slots`]): the slot count a checkpoint
+    /// image recorded, holes past its last row included.
+    pub fn reserve_slots(&mut self, relation: &str, slots: u32) -> Result<()> {
+        relation_mut(&mut self.current.relations, relation)?.reserve_slots(slots);
+        Ok(())
+    }
+
+    /// [`Self::apply_delta_exact`] of a delta read back from a log,
+    /// refusing an insert into a slot the log cannot have been written
+    /// against ([`HeapRelation::check_insert_at`]) before anything
+    /// changes.
+    pub fn replay_delta(&mut self, relation: &str, delta: &Delta) -> Result<()> {
+        if let Delta::Insert { row, .. } = delta {
+            self.relation(relation)?.check_insert_at(*row)?;
+        }
+        self.apply_delta_exact(relation, delta)
+    }
+
     /// Re-apply a logged delta at its original `RowId` — the WAL replay
     /// primitive. Unlike [`Database::insert`] this never allocates a
     /// fresh slot: an `Insert` lands exactly at the logged row

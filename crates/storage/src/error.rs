@@ -38,6 +38,17 @@ pub enum StorageError {
         /// Occupied slot number.
         slot: u32,
     },
+    /// `insert_at` targeted a slot past the next one: a slot array grows
+    /// one slot at a time, so a log or image naming such a slot is not
+    /// the one the relation was written against.
+    SlotPastEnd {
+        /// Relation targeted.
+        relation: String,
+        /// Slot number named.
+        slot: u32,
+        /// Slots the relation holds: the highest it can take next.
+        slots: usize,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -59,6 +70,14 @@ impl fmt::Display for StorageError {
             StorageError::SlotOccupied { relation, slot } => {
                 write!(f, "slot {slot} already occupied in relation '{relation}'")
             }
+            StorageError::SlotPastEnd {
+                relation,
+                slot,
+                slots,
+            } => write!(
+                f,
+                "slot {slot} is past the end of relation '{relation}', which holds {slots} slots"
+            ),
         }
     }
 }

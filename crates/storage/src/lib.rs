@@ -13,9 +13,9 @@
 //! boxed slices of 16-byte [`Value`]s, short strings are inline and long
 //! ones reference-counted so tuple clones never copy string data, and
 //! every structure can report its heap footprint so the PMV layer can
-//! enforce the paper's storage bound `UB`. A view caches its tuples as
-//! [`PackedRow`]s instead: one byte string per tuple, each value in the
-//! bytes it needs, built in one allocation.
+//! enforce the paper's storage bound `UB`. A view caches its tuples
+//! packed instead ([`packed`]): each value in the bytes it needs, and an
+//! entry's rows framed back to back in one byte string.
 
 pub mod bytes;
 mod cowvec;
@@ -33,7 +33,7 @@ pub mod value;
 pub use bytes::ByteStr;
 pub use delta::{Delta, DeltaBatch};
 pub use error::StorageError;
-pub use packed::PackedRow;
+pub use packed::{PackedRow, RowRef};
 pub use prefetch::prefetch_read;
 pub use relation::{HeapRelation, RowId};
 pub use schema::{Column, ColumnType, Schema};

@@ -3,8 +3,9 @@
 //! §3.2 bounds a partial view by `UB ≤ L·F·At`, where `At` is the
 //! average cached-tuple size. A [`Tuple`] spends a 16-byte [`Value`] slot
 //! on every field and a second allocation on its `Arc`, however small the
-//! field. A [`PackedRow`] is one `Arc<[u8]>`, built in one allocation,
-//! that holds each value behind a one-byte tag:
+//! field. A packed row holds each value behind a one-byte tag — owned,
+//! a [`PackedRow`] is one `Arc<[u8]>` built in one allocation; borrowed
+//! from wherever it lies, a [`RowRef`]:
 //!
 //! | value    | tag        | bytes after the tag                        |
 //! |----------|------------|--------------------------------------------|
@@ -29,13 +30,18 @@
 //! packed row equals another exactly when the tuples they were packed
 //! from are equal.
 //!
-//! **The disk format.** The WAL and the checkpoint write a tuple as its
-//! packed byte length in LEB128, then its packed values ([`put_row`]),
-//! and read it back through the one checked decoder ([`take_row`]):
-//! bytes cut short, a length that overflows or a string that is not
-//! UTF-8 are a [`DecodeError`], never a panic, and a double reads as its
-//! canonical [`F64`]. [`Fields`] runs the same per-tag code over a row
-//! in memory, which holds only what [`encode`] wrote, and panics there.
+//! **One framing for a row.** A row is framed as its packed byte
+//! length in LEB128, then its packed values ([`put_row`],
+//! [`put_frame`]), wherever rows lie one after another: the WAL and the
+//! checkpoint write a tuple so, and a view entry holds its cached
+//! tuples so, back to back in one byte string. [`Frames`] walks rows
+//! framed in memory, yielding each as a borrowed [`RowRef`] without
+//! allocating; [`take_row`] reads one back from disk, checked: bytes
+//! cut short, a length that overflows or a string that is not UTF-8
+//! are a [`DecodeError`], never a panic, and a double reads as its
+//! canonical [`F64`]. Both find a frame's row through the one LEB128
+//! read. [`Fields`] runs the same per-tag code over a row in memory,
+//! which holds only what [`encode`] wrote, and panics there.
 
 use std::fmt;
 use std::sync::Arc;
@@ -251,17 +257,23 @@ impl PackedRow {
         PackedRow(bytes)
     }
 
+    /// The row, borrowed.
+    #[inline]
+    pub fn row(&self) -> RowRef<'_> {
+        RowRef(&self.0)
+    }
+
     /// The fields, decoded in order.
     #[inline]
     pub fn fields(&self) -> Fields<'_> {
-        Fields::new(&self.0)
+        self.row().fields()
     }
 
     /// Field `i`, decoding the fields before it. Panics when the row has
     /// no field `i`.
     #[inline]
     pub fn field(&self, i: usize) -> Field<'_> {
-        self.fields().nth(i).expect("field index in range")
+        self.row().field(i)
     }
 
     /// The packed bytes: what the row owns on the heap, besides the
@@ -272,7 +284,45 @@ impl PackedRow {
 
     /// The row as a [`Tuple`].
     pub fn unpack(&self) -> Tuple {
+        self.row().unpack()
+    }
+}
+
+/// A packed row borrowed from where it lies: a [`PackedRow`], or one
+/// frame of rows laid back to back ([`Frames`]). Copying it copies a
+/// slice reference; equality and hashing are the bytes'.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RowRef<'a>(&'a [u8]);
+
+impl<'a> RowRef<'a> {
+    /// The fields, decoded in order.
+    #[inline]
+    pub fn fields(self) -> Fields<'a> {
+        Fields::new(self.0)
+    }
+
+    /// Field `i`, decoding the fields before it. Panics when the row has
+    /// no field `i`.
+    #[inline]
+    pub fn field(self, i: usize) -> Field<'a> {
+        self.fields().nth(i).expect("field index in range")
+    }
+
+    /// The packed bytes, without a frame's length.
+    #[inline]
+    pub fn as_bytes(self) -> &'a [u8] {
+        self.0
+    }
+
+    /// The row as a [`Tuple`].
+    pub fn unpack(self) -> Tuple {
         Tuple::new(self.fields().map(Field::to_value).collect::<Vec<_>>())
+    }
+}
+
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.unpack(), f)
     }
 }
 
@@ -358,26 +408,107 @@ fn str_at(bytes: &[u8], at: usize, n: usize) -> Option<(Field<'_>, usize)> {
     Some((Field::Str(s), end))
 }
 
-/// Append `values` to `out` as one row: the packed byte length in
-/// LEB128, then the packed values.
-pub fn put_row(out: &mut Vec<u8>, values: &[Value]) {
-    let len = values.iter().map(encoded_len).sum();
-    let start = out.len();
-    out.resize(start + leb128_len(len) + len, 0);
-    let mut at = start + write_leb128(&mut out[start..], len);
+/// Bytes `values` take packed, as one row.
+#[inline]
+pub fn row_len<'a>(values: impl IntoIterator<Item = &'a Value>) -> usize {
+    values.into_iter().map(encoded_len).sum()
+}
+
+/// Bytes the frame of a row of `len` packed bytes takes: the length in
+/// LEB128, then the row.
+#[inline]
+pub fn framed_len(len: usize) -> usize {
+    leb128_len(len) + len
+}
+
+/// Write `values` as one framed row at the start of `out`, which holds
+/// at least [`framed_len`] of their [`row_len`] bytes: the packed byte
+/// length in LEB128, then the packed values. Returns the bytes written.
+/// The iterator is walked twice: once to size the row, once to write
+/// it.
+#[inline]
+pub fn put_frame<'a, I>(out: &mut [u8], values: I) -> usize
+where
+    I: IntoIterator<Item = &'a Value>,
+    I::IntoIter: Clone,
+{
+    let values = values.into_iter();
+    let len = row_len(values.clone());
+    let mut at = write_leb128(out, len);
+    let end = at + len;
     for v in values {
-        at += encode(v, &mut out[at..]);
+        // A field writes inside the frame only: an integer's 8-byte
+        // store would spill past the frame's end into whatever follows.
+        at += encode(v, &mut out[at..end]);
     }
-    debug_assert_eq!(at, out.len());
+    debug_assert_eq!(at, end);
+    end
+}
+
+/// Write `row`, already packed, as one framed row at the start of
+/// `out`, which holds at least [`framed_len`] of its bytes. Returns the
+/// bytes written.
+#[inline]
+pub fn put_packed_frame(out: &mut [u8], row: RowRef<'_>) -> usize {
+    let bytes = row.as_bytes();
+    let at = write_leb128(out, bytes.len());
+    out[at..at + bytes.len()].copy_from_slice(bytes);
+    at + bytes.len()
+}
+
+/// Append `values` to `out` as one framed row ([`put_frame`]).
+pub fn put_row(out: &mut Vec<u8>, values: &[Value]) {
+    let start = out.len();
+    out.resize(start + framed_len(row_len(values)), 0);
+    let written = put_frame(&mut out[start..], values);
+    debug_assert_eq!(start + written, out.len());
+}
+
+/// Where the row framed at `bytes[at..]` lies: its packed bytes run
+/// from the first offset to the second, which ends the frame. The one
+/// read of a frame's length, behind [`Frames`] and [`take_row`].
+#[inline]
+fn frame_at(bytes: &[u8], at: usize) -> Result<(usize, usize), &'static str> {
+    let (len, start) = read_leb128(bytes, at).ok_or("bad length")?;
+    let end = start.checked_add(len).filter(|&end| end <= bytes.len());
+    Ok((start, end.ok_or("length past the bytes")?))
+}
+
+/// Iterator over rows framed back to back in memory, each borrowed
+/// where it lies; nothing is allocated. The bytes hold only what
+/// [`put_frame`] wrote; a frame of other bytes panics (bytes read from
+/// disk go through [`take_row`]).
+#[derive(Clone)]
+pub struct Frames<'a> {
+    bytes: &'a [u8],
+    at: usize,
+}
+
+/// The rows framed back to back in `bytes`.
+#[inline]
+pub fn frames(bytes: &[u8]) -> Frames<'_> {
+    Frames { bytes, at: 0 }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = RowRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<RowRef<'a>> {
+        if self.at == self.bytes.len() {
+            return None;
+        }
+        let (start, end) = frame_at(self.bytes, self.at).expect("a framed row");
+        self.at = end;
+        Some(RowRef(&self.bytes[start..end]))
+    }
 }
 
 /// The row [`put_row`] wrote at the start of `bytes`, checked, and the
 /// bytes it took.
 pub fn take_row(bytes: &[u8]) -> Result<(Vec<Value>, usize), DecodeError> {
     let fail = |what: &str, at| DecodeError(format!("{what} at row offset {at}"));
-    let (len, mut at) = read_leb128(bytes, 0).ok_or_else(|| fail("bad length", 0))?;
-    let end = at.checked_add(len).filter(|&end| end <= bytes.len());
-    let end = end.ok_or_else(|| fail("length past the bytes", 0))?;
+    let (mut at, end) = frame_at(bytes, 0).map_err(|what| fail(what, 0))?;
     let mut values = Vec::new();
     while at < end {
         let (field, next) =
@@ -391,6 +522,13 @@ pub fn take_row(bytes: &[u8]) -> Result<(Vec<Value>, usize), DecodeError> {
 impl From<&Tuple> for PackedRow {
     fn from(t: &Tuple) -> Self {
         PackedRow::pack(t.values())
+    }
+}
+
+/// A row's bytes stand for it: equality and hashing agree.
+impl std::borrow::Borrow<[u8]> for PackedRow {
+    fn borrow(&self) -> &[u8] {
+        &self.0
     }
 }
 

@@ -42,6 +42,9 @@ pub struct HeapRelation {
     /// holes are rare.
     free: Vec<u32>,
     live: usize,
+    /// Slots a log may name past the next one ([`Self::reserve_slots`]);
+    /// 0 unless restored from an image.
+    reserved: u32,
     /// Monotone counter bumped on every mutation; cheap change detection
     /// for layers that cache derived state.
     version: u64,
@@ -55,6 +58,7 @@ impl HeapRelation {
             slots: CowVec::new(),
             free: Vec::new(),
             live: 0,
+            reserved: 0,
             version: 0,
         }
     }
@@ -116,7 +120,8 @@ impl HeapRelation {
     /// This is the WAL-replay primitive: logged deltas refer to rows by
     /// id (deletes and updates name their victim's `RowId`), so recovery
     /// must reproduce the exact slot layout the log was written against,
-    /// not merely an equal multiset of tuples.
+    /// not merely an equal multiset of tuples. Replay checks an id it
+    /// read back first ([`Self::check_insert_at`]).
     pub fn insert_at(&mut self, id: RowId, tuple: Tuple) -> Result<(), StorageError> {
         self.schema.check(tuple.values())?;
         let idx = id.index();
@@ -143,6 +148,34 @@ impl HeapRelation {
         self.live += 1;
         self.version += 1;
         Ok(())
+    }
+
+    /// Whether a log written against this relation can name slot `id`
+    /// for an insert: a slot it holds, the next one, or one below the
+    /// count a checkpoint image reserved ([`Self::reserve_slots`]) —
+    /// inserts grow a relation one slot at a time, and an image's holes
+    /// past its last row are still free. Anything further is
+    /// [`StorageError::SlotPastEnd`]: replay checks it before
+    /// [`Self::insert_at`], so a damaged id cannot make the relation
+    /// allocate slots up to itself.
+    pub fn check_insert_at(&self, id: RowId) -> Result<(), StorageError> {
+        if id.index() > self.slots.len() && id.0 >= self.reserved {
+            return Err(StorageError::SlotPastEnd {
+                relation: self.schema.name().to_string(),
+                slot: id.0,
+                slots: self.slots.len().max(self.reserved as usize),
+            });
+        }
+        Ok(())
+    }
+
+    /// Let [`Self::check_insert_at`] pass any slot below `slots`: the
+    /// slot count a checkpoint image recorded for the relation, holes
+    /// past its last row included. Nothing is allocated until a row lands
+    /// in or beyond such a slot, so a damaged count allocates nothing by
+    /// itself.
+    pub fn reserve_slots(&mut self, slots: u32) {
+        self.reserved = self.reserved.max(slots);
     }
 
     fn occupied(&self, idx: usize) -> bool {
@@ -346,6 +379,34 @@ mod tests {
             Err(StorageError::SlotOccupied { .. })
         ));
         assert!(r.insert_at(RowId(7), tuple!["bad", "y"]).is_err());
+    }
+
+    /// Past the next slot, a log reaches only the slots an image
+    /// reserved: a damaged id is an error, and nothing is allocated for
+    /// it or for the reservation.
+    #[test]
+    fn a_log_reaches_only_the_next_or_a_reserved_slot() {
+        let mut r = rel();
+        let past = |r: &HeapRelation, slot: u32| {
+            matches!(
+                r.check_insert_at(RowId(slot)),
+                Err(StorageError::SlotPastEnd { slot: s, .. }) if s == slot
+            )
+        };
+        assert!(past(&r, 1));
+        r.check_insert_at(RowId(0)).unwrap();
+        r.insert_at(RowId(0), tuple![0i64, "a"]).unwrap();
+        assert!(past(&r, u32::MAX));
+        r.reserve_slots(4);
+        assert_eq!(r.slot_count(), 1, "a reservation allocates no slot");
+        assert!(past(&r, 5));
+        r.check_insert_at(RowId(3)).unwrap();
+        r.insert_at(RowId(3), tuple![3i64, "d"]).unwrap();
+        r.check_insert_at(RowId(4)).unwrap();
+        assert!(past(&r, 5));
+        // A slot it holds is reachable, occupied or not.
+        r.check_insert_at(RowId(2)).unwrap();
+        r.check_insert_at(RowId(3)).unwrap();
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! Every field of every heap row, result row and index key is a `Value`,
 //! so `size_of::<Value>()` is the per-field cost of all of them. (A view
-//! caches its tuples as [`PackedRow`](crate::PackedRow)s instead, where a
+//! caches its tuples packed instead ([`packed`](crate::packed)), where a
 //! string costs its bytes plus a tag and a length.) An `Arc<str>` is a
 //! fat pointer and made `Value` 24 B.
 //! [`Str`] is 16 B: a [`ByteStr`] whose long form keeps a `str`, so a

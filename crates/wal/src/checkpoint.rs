@@ -14,11 +14,13 @@
 //! was written against — an equal multiset of tuples is not enough.
 //! Rows are therefore stored as `row:u32 packed` pairs and loaded with
 //! [`Database::apply_delta_exact`], which reconstructs interior holes as
-//! free slots (trailing holes are immaterial: the log after this
-//! checkpoint can only reference slots it re-creates). Each schema
-//! carries the relation's slot count, and a row at or past it is an
-//! error, so a row id damaged under a valid CRC cannot make the loader
-//! allocate slots up to it.
+//! free slots. Each schema carries the relation's slot count, which the
+//! loader reserves ([`Database::reserve_slots`], allocating nothing): the
+//! log after the checkpoint may name a hole past the last row, and
+//! replay ([`Database::replay_delta`]) refuses a row id past both the
+//! next slot and the reserved count. A row at or past the slot count is
+//! an error, so a row id damaged under a valid CRC cannot make the
+//! loader allocate slots up to it.
 //!
 //! **Image format.** An image is a sequence of [`record`] frames — the
 //! WAL's own length-prefixed, CRC-32 framing — every one stamped with
@@ -314,6 +316,7 @@ pub fn decode(image: &[u8]) -> WalResult<(Database, CheckpointMeta)> {
             }
         }
         db.create_relation(Schema::new(name.clone(), columns))
+            .and_then(|()| db.reserve_slots(&name, slots[&name]))
             .map_err(|e| err(format!("create relation '{name}': {e}")))?;
     }
     let defs = (0..c.count()?)

@@ -79,6 +79,18 @@ pub enum WalError {
     Decode(codec::DecodeError),
     /// A checkpoint did not serialize, parse, or restore.
     Checkpoint(String),
+    /// A WAL record decoded but does not apply to the database recovered
+    /// so far — it names a relation that does not exist, or a row slot
+    /// the log was not written against. [`Durability::open`] refuses the
+    /// directory, changing nothing.
+    Replay {
+        /// LSN of the record.
+        lsn: u64,
+        /// Relation its delta names.
+        relation: String,
+        /// Why the delta did not apply.
+        error: pmv_query::QueryError,
+    },
     /// A checkpoint image or WAL segment of a format other than
     /// [`FORMAT_VERSION`]. [`Durability::open`] refuses the directory on
     /// one before it deletes, truncates or renames anything.
@@ -110,6 +122,11 @@ impl std::fmt::Display for WalError {
             WalError::Io(e) => write!(f, "durability I/O error: {e}"),
             WalError::Decode(e) => write!(f, "{e}"),
             WalError::Checkpoint(msg) => write!(f, "checkpoint error: {msg}"),
+            WalError::Replay {
+                lsn,
+                relation,
+                error,
+            } => write!(f, "replay of lsn {lsn} failed on '{relation}': {error}"),
             WalError::Format {
                 path,
                 kind,
@@ -376,13 +393,12 @@ impl Durability {
             let batches = codec::decode_batches(&rec.payload)?;
             for batch in &batches {
                 for delta in batch.deltas() {
-                    db.apply_delta_exact(batch.relation(), delta).map_err(|e| {
-                        WalError::Checkpoint(format!(
-                            "replay of lsn {} failed on '{}': {e}",
-                            rec.lsn,
-                            batch.relation()
-                        ))
-                    })?;
+                    db.replay_delta(batch.relation(), delta)
+                        .map_err(|error| WalError::Replay {
+                            lsn: rec.lsn,
+                            relation: batch.relation().to_string(),
+                            error,
+                        })?;
                     info.replayed_deltas += 1;
                 }
             }
@@ -602,7 +618,47 @@ mod tests {
             Err(e) => e,
             Ok(_) => panic!("replay without a checkpoint must fail (DDL is not in the WAL)"),
         };
-        assert!(matches!(err, WalError::Checkpoint(_)));
+        assert!(matches!(err, WalError::Replay { lsn: 1, .. }), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A record naming a row slot no insert sequence reaches — here
+    /// `u32::MAX`, as one damaged id under a valid CRC would — fails the
+    /// open with a typed error before the heap grows, and the directory
+    /// stays as it was.
+    #[test]
+    fn a_record_naming_a_slot_past_the_end_fails_the_open() {
+        let dir = tmp_dir("slot_past_end");
+        let rec = Durability::open(&dir).unwrap();
+        let mut db = rec.db;
+        db.create_relation(schema()).unwrap();
+        let snap = db.snapshot();
+        rec.durability
+            .checkpoint(&snap, &meta_at(0, &snap))
+            .unwrap();
+        rec.durability
+            .append_commit(&[insert_batch(0, 10)])
+            .unwrap();
+        rec.durability
+            .append_commit(&[insert_batch(u32::MAX, 20)])
+            .unwrap();
+        drop(rec.durability);
+        let before = dir_state(&dir);
+        match Durability::open(&dir) {
+            Err(WalError::Replay {
+                lsn: 2,
+                relation,
+                error:
+                    pmv_query::QueryError::Storage(pmv_storage::StorageError::SlotPastEnd {
+                        slot: u32::MAX,
+                        slots: 1,
+                        ..
+                    }),
+            }) => assert_eq!(relation, "t"),
+            Err(e) => panic!("wrong refusal: {e}"),
+            Ok(r) => panic!("opened: {:?}", r.durability.recovery_info()),
+        }
+        assert_eq!(dir_state(&dir), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,10 +4,11 @@
 //! while every cached and served row stays the row the executor produced.
 //!
 //! * T1 stores 7 of its 10 values — five integers and two empty fillers —
-//!   packed into one row: 16 B of handle, each integer its tag and the
-//!   1–3 bytes its value needs, each filler its tag, so at most
-//!   16 + 18 = 34 B per tuple, which `estimate_tuple_bytes` bounds from
-//!   above;
+//!   packed into one framed row: a byte of length, each integer its tag
+//!   and the 1–3 bytes its value needs, each filler its tag, so at most
+//!   1 + 18 = 19 B per tuple, which `estimate_tuple_bytes` bounds from
+//!   above, and 32 B per entry for its inline key and the handle of its
+//!   rows;
 //! * a double is canonical once built (`-0.0` is `0.0`, every NaN one
 //!   NaN), so a `Double` equality column is derived from the bcp like any
 //!   other: 9 B less per cached tuple, in the charge and in the estimate;
@@ -66,9 +67,9 @@ fn t1_is_charged_at_most_34_bytes_per_tuple() {
     let def = PartialViewDef::all_equality("t1", Arc::clone(&t1)).unwrap();
     assert_eq!((def.layout().arity(), def.layout().stored_arity()), (10, 7));
     // Each integer is counted at 9 bytes, each filler at its inline
-    // bound, 1 + 12 bytes.
-    assert_eq!(estimate_tuple_bytes(&t1), 16 + 5 * 9 + 2 * 13);
-    assert!(estimate_tuple_bytes(&t1) >= 34);
+    // bound, 1 + 12 bytes, behind a byte of length.
+    assert_eq!(estimate_tuple_bytes(&t1), 1 + 5 * 9 + 2 * 13);
+    assert!(estimate_tuple_bytes(&t1) >= 19);
     let stored = def.layout().stored_positions().to_vec();
 
     // The (orderdate, suppkey) bcps of the first lineitems.
@@ -98,16 +99,15 @@ fn t1_is_charged_at_most_34_bytes_per_tuple() {
     }
     let (entries, tuples) = (pmv.entry_count(), pmv.tuple_count());
     assert!(entries > 0 && tuples >= entries);
-    let mut charged = 16 * entries;
+    let mut charged = 32 * entries;
     for (bcp, rows) in pmv.dump() {
         for row in rows {
             assert_eq!(row.arity(), 10);
-            let charge = 16
-                + stored
-                    .iter()
-                    .map(|&p| packed_width(row.get(p)))
-                    .sum::<usize>();
-            assert!(charge <= 34, "{row:?} charged {charge} B");
+            let charge = 1 + stored
+                .iter()
+                .map(|&p| packed_width(row.get(p)))
+                .sum::<usize>();
+            assert!(charge <= 19, "{row:?} charged {charge} B");
             charged += charge;
             assert!(pmv.def().tuple_in_bcp(&row, &bcp));
             assert_eq!(row.get(0), row.get(5), "orderkey on both sides");
@@ -168,12 +168,12 @@ fn a_double_equality_column_is_derived() {
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality("dbl", Arc::clone(&t)).unwrap();
-    // `x` comes from the bcp: one `Int` stored, estimated at 9 B. When a
-    // `Double` position was always stored, both were 9 B more: a 34 B
-    // estimate and 27 B per tuple.
+    // `x` comes from the bcp: one `Int` stored, estimated at 9 B behind
+    // a byte of length. Stored, the `Double` would add 9 B to both the
+    // estimate and the charge.
     let layout = def.layout();
     assert_eq!((layout.arity(), layout.stored_arity()), (2, 1));
-    assert_eq!(estimate_tuple_bytes(&t), 16 + 9);
+    assert_eq!(estimate_tuple_bytes(&t), 1 + 9);
     let pmv = SharedPmv::with_shards(def, PmvConfig::new(4, 8, PolicyKind::Clock), 1);
     let edb = EpochDb::new(db);
     let q = t
@@ -191,10 +191,11 @@ fn a_double_equality_column_is_derived() {
     assert_eq!(exact_sorted(&served(&out)), want);
     let dumped: Vec<Tuple> = pmv.dump().into_iter().flat_map(|(_, rows)| rows).collect();
     assert_eq!(exact_sorted(&dumped), want);
-    // One entry, its one-dimension key 16 B (inline), and three tuples,
-    // each 16 B of handle and `a` (1, 2 or 3) in a tag and one byte.
+    // One entry, its one-dimension key 16 B (inline) and the 16 B
+    // handle of its rows, and three tuples, each a byte of length and
+    // `a` (1, 2 or 3) in a tag and one byte.
     assert_eq!(pmv.entry_count(), 1);
-    assert_eq!(pmv.byte_size(), 16 + 3 * (16 + 2));
+    assert_eq!(pmv.byte_size(), 16 + 16 + 3 * (1 + 2));
 }
 
 /// An update that only flips a zero's sign stores the same value: it is
@@ -442,7 +443,7 @@ fn run_script(steps: Vec<Step>) -> Result<(), TestCaseError> {
                 for row in plain {
                     let bcp = def.bcp_of_tuple(&row);
                     let row = Arc::new(row);
-                    let rebuilt = layout.rebuild(&layout.store(&row), &bcp);
+                    let rebuilt = layout.rebuild(layout.store(&row).row(), &bcp);
                     prop_assert_eq!(exact(&rebuilt), exact(&row));
                 }
                 None
