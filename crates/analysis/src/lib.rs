@@ -32,6 +32,6 @@ pub mod sarif;
 pub mod summaries;
 
 pub use pmv_core::verify::{
-    estimate_tuple_bytes, verify_def, verify_parts, DiagCode, Diagnostic, FilterSpec, Severity,
-    VerifyOptions, VerifyReport,
+    estimate_entry_bytes, estimate_tuple_bytes, verify_def, verify_parts, DiagCode, Diagnostic,
+    FilterSpec, Severity, VerifyOptions, VerifyReport,
 };

@@ -138,8 +138,9 @@ fn spread(mut x: u64) -> u64 {
 
 /// Admit `key` into `policy` unless that would evict a victim at least as
 /// frequent: the one admission rule, shared by the PMV store and the
-/// §4.1 simulator. `hash` gives the sketch hash of a key. The check
-/// allocates nothing; `key` is cloned only when it is admitted.
+/// §4.1 simulator. `key_hash` is `key`'s sketch hash, which a caller
+/// that placed the key by it already holds, and `hash` gives a victim's.
+/// The check allocates nothing; `key` is cloned only when it is admitted.
 ///
 /// Returns `None` when the candidate is declined — nothing is admitted
 /// and nothing evicted — and otherwise the policy's own outcome, which
@@ -150,6 +151,7 @@ pub fn admit_if_warmer<K, P>(
     policy: &mut P,
     sketch: &FrequencySketch,
     key: &K,
+    key_hash: u64,
     hash: impl Fn(&K) -> u64,
 ) -> Option<AdmitOutcome<K>>
 where
@@ -157,7 +159,7 @@ where
     P: ReplacementPolicy<K> + ?Sized,
 {
     if let Some(victim) = policy.victim(key) {
-        if sketch.estimate(hash(key)) <= sketch.estimate(hash(victim)) {
+        if sketch.estimate(key_hash) <= sketch.estimate(hash(victim)) {
             return None;
         }
     }
@@ -238,17 +240,17 @@ mod tests {
         let mut clock = ClockPolicy::new(2);
         for k in [1u32, 2] {
             sketch.increment(hash(&k));
-            assert!(admit_if_warmer(&mut clock, &sketch, &k, hash).is_some());
+            assert!(admit_if_warmer(&mut clock, &sketch, &k, hash(&k), hash).is_some());
         }
         // Room is gone. A one-hit wonder ties the once-seen victim.
         sketch.increment(3);
-        assert!(admit_if_warmer(&mut clock, &sketch, &3, hash).is_none());
+        assert!(admit_if_warmer(&mut clock, &sketch, &3, 3, hash).is_none());
         assert!(!clock.contains(&3) && clock.resident_count() == 2);
         // Seen twice, it out-counts the victim CLOCK parked its hand on,
         // and admit evicts exactly that key.
         let victim = *clock.victim(&3).unwrap();
         sketch.increment(3);
-        let out = admit_if_warmer(&mut clock, &sketch, &3, hash).unwrap();
+        let out = admit_if_warmer(&mut clock, &sketch, &3, 3, hash).unwrap();
         assert_eq!(out.evicted(), &[victim]);
         assert!(clock.contains(&3));
     }

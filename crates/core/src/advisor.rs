@@ -16,7 +16,7 @@ use pmv_cache::PolicyKind;
 use pmv_query::{CondForm, Condition, Interval, QueryInstance, QueryTemplate};
 
 use crate::bcp::Discretizer;
-use crate::verify::estimate_tuple_bytes;
+use crate::verify::{estimate_entry_bytes, estimate_tuple_bytes};
 use crate::view::{PartialViewDef, PmvConfig};
 use crate::Result;
 
@@ -120,11 +120,12 @@ impl PmvAdvisor {
         for t in eligible {
             // Budget share proportional to query frequency, sized by the
             // paper's bound with the store's per-entry charge added,
-            // `UB ≤ L·(ENTRY_BYTES + F·At)`, `At` what the view's store
-            // charges per cached tuple.
+            // `UB ≤ L·(E + F·At)`, `E` and `At` what the view's store
+            // charges per entry and per cached tuple.
             let share = (cfg.byte_budget as f64 * t.queries as f64 / total_queries as f64) as usize;
+            let e = estimate_entry_bytes(&t.template);
             let at = estimate_tuple_bytes(&t.template);
-            let config = PmvConfig::with_byte_budget(cfg.f, share, at, cfg.policy);
+            let config = PmvConfig::with_byte_budget(cfg.f, share, e, at, cfg.policy);
             // Discretizers: learned per interval-form condition.
             let mut discretizers = Vec::with_capacity(t.template.cond_count());
             for (i, ct) in t.template.cond_templates().iter().enumerate() {
@@ -163,7 +164,6 @@ impl PmvAdvisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::ENTRY_BYTES;
     use pmv_query::{Database, TemplateBuilder};
     use pmv_storage::{Column, ColumnType, Schema, Value};
 
@@ -282,20 +282,20 @@ mod tests {
         };
         let recs = advisor.recommend(&cfg).unwrap();
         assert_eq!(recs.len(), 2);
-        // 3:1 query ratio ⇒ ~3:1 byte-budget ratio, `L·(ENTRY_BYTES +
-        // F·At)` per view (the two templates store tuples of different
-        // widths).
+        // 3:1 query ratio ⇒ ~3:1 byte-budget ratio, `L·(E + F·At)` per
+        // view (the two templates store tuples of different widths).
         let bytes = |r: &Recommendation| {
-            r.config.l * (ENTRY_BYTES + r.config.f * estimate_tuple_bytes(r.def.template()))
+            let t = r.def.template();
+            r.config.l * (estimate_entry_bytes(t) + r.config.f * estimate_tuple_bytes(t))
         };
         let ratio = bytes(&recs[0]) as f64 / bytes(&recs[1]) as f64;
         assert!((2.5..=3.5).contains(&ratio), "ratio {ratio}");
     }
 
-    /// A recommended view fits its share: `L·(ENTRY_BYTES + F·At) ≤
-    /// share`, with `At` the estimate of the store's charge per T1 tuple
-    /// (seven of its ten values stored), which bounds the charge from
-    /// above.
+    /// A recommended view fits its share: `L·(E + F·At) ≤ share`, with
+    /// `E` and `At` the estimates of the store's charge per T1 entry (the
+    /// 16-byte handle and a key of two integers) and per T1 tuple (seven
+    /// of its ten values stored), which bound the charge from above.
     #[test]
     fn recommended_view_fits_its_share() {
         use pmv_storage::packed::{framed_len, MAX_NUMBER_BYTES};
@@ -349,11 +349,13 @@ mod tests {
             (19, 1 + 5 * MAX_NUMBER_BYTES + 2 * (1 + INLINE_CAP))
         );
         assert!(at >= charge);
+        let e = estimate_entry_bytes(&t1);
+        assert_eq!(e, 16 + 1 + 2 * MAX_NUMBER_BYTES);
         let c = &recs[0].config;
-        let entry = ENTRY_BYTES + c.f * at;
+        let entry = e + c.f * at;
         assert!(
             c.l * entry <= share,
-            "{} × ({ENTRY_BYTES} + {} × {at}) > {share}",
+            "{} × ({e} + {} × {at}) > {share}",
             c.l,
             c.f
         );

@@ -16,7 +16,7 @@ use std::ops::Bound;
 use pmv_query::Interval;
 use pmv_storage::packed::{self, Field, Fields};
 use pmv_storage::string::INLINE_CAP;
-use pmv_storage::{ByteStr, HeapSize, Value};
+use pmv_storage::{ByteStr, HeapSize, RowRef, Value};
 
 /// One dimension of a [`BcpKey`].
 #[derive(Clone, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -118,6 +118,18 @@ impl BcpKey {
     /// The packed bytes.
     pub fn as_bytes(&self) -> &[u8] {
         self.0.as_bytes()
+    }
+
+    /// The packed bytes as a row of one field per dimension: what a
+    /// store entry frames its key as.
+    pub fn row(&self) -> RowRef<'_> {
+        RowRef::new(self.as_bytes())
+    }
+
+    /// The key whose packed bytes are `row`'s, as [`Self::row`] gave
+    /// them: inline, allocating nothing, when they fit.
+    pub(crate) fn from_row(row: RowRef<'_>) -> Self {
+        BcpKey(ByteStr::new(row.as_bytes()))
     }
 
     /// Whether the bytes are held inline, in the key's 16 bytes.

@@ -818,7 +818,8 @@ pub(crate) mod tests {
                 "{context}: shard {si}'s view is not its store"
             );
             for (ci, chunk) in view.table.chunks().iter().enumerate() {
-                for (hash, bcp, _) in chunk.iter() {
+                for (hash, entry) in chunk.iter() {
+                    let bcp = &BcpKey::from_row(entry.key());
                     assert_eq!(
                         (
                             inner.shard_of_bcp(bcp),

@@ -29,12 +29,21 @@
 //! shard. Only a *bridge* relation, one projecting no `Ls'` column, gives
 //! the index nothing to key on; maintenance joins its deletes instead.
 //!
+//! A projection is keyed by one 64-bit hash of its packed bytes — each
+//! value's one encoding, in order — not by a copy of its values: on the
+//! view side the bytes are copied from the stored row's and the bcp's
+//! packed fields, on the delete side packed from the base tuple. Two
+//! projections of one hash share a posting list, so a delete may be
+//! handed rows of the other projection too: one more over-removal of
+//! the kind argued sound above. A key's posting list holds its postings
+//! and no room for more.
+//!
 //! A posting names a cached row by its bcp and the hash of its packed
 //! bytes, not by a copy of it: the row lies in its entry's byte string
 //! and nowhere else. Removing by hash drops every row of the entry whose
 //! bytes hash to it — on a collision, a row the delete does not support
-//! as well. That is one more over-removal of the kind argued sound
-//! above: the deleted row itself always goes.
+//! as well. That is the same over-removal again: the deleted row itself
+//! always goes.
 
 use std::sync::Arc;
 
@@ -43,7 +52,7 @@ use crate::fasthash::{hash_bytes, FxHashMap};
 use crate::verify::FilterSpec;
 use crate::view::{PartialViewDef, StoredLayout};
 use pmv_query::QueryTemplate;
-use pmv_storage::{PackedRow, RowRef, Tuple, Value};
+use pmv_storage::{packed, PackedRow, RowRef, Tuple};
 
 /// Per-relation projection spec: which `Ls'` positions hold relation
 /// `i`'s attributes, and which base-relation columns they correspond to.
@@ -69,18 +78,32 @@ impl RelSpec {
             .collect()
     }
 
-    /// Project a cached view tuple, stored in `layout` under `bcp`, onto
-    /// this relation's attributes, decoding its stored fields.
-    fn view_key(&self, layout: &StoredLayout, bcp: &BcpKey, stored: RowRef<'_>) -> Box<[Value]> {
-        layout.values_at(stored, bcp, &self.view_positions)
+    /// The key of a cached view tuple, stored in `layout` under `bcp`:
+    /// the hash of its projection onto this relation's attributes, the
+    /// packed bytes copied into `scratch`.
+    fn view_key(
+        &self,
+        layout: &StoredLayout,
+        bcp: &BcpKey,
+        stored: RowRef<'_>,
+        scratch: &mut Vec<u8>,
+    ) -> u64 {
+        scratch.clear();
+        layout.project(stored, bcp, &self.view_positions, scratch);
+        hash_bytes(scratch)
     }
 
-    /// Project a base-relation tuple onto the same attributes.
-    fn base_key(&self, base_tuple: &Tuple) -> Box<[Value]> {
-        self.base_columns
-            .iter()
-            .map(|&c| base_tuple.get(c).clone())
-            .collect()
+    /// The key of a base-relation tuple's projection onto the same
+    /// attributes, its values packed into `scratch`.
+    fn base_key(&self, base_tuple: &Tuple, scratch: &mut Vec<u8>) -> u64 {
+        scratch.clear();
+        for &c in &self.base_columns {
+            let v = base_tuple.get(c);
+            let at = scratch.len();
+            scratch.resize(at + packed::encoded_len(v), 0);
+            packed::encode(v, &mut scratch[at..]);
+        }
+        hash_bytes(scratch)
     }
 }
 
@@ -102,9 +125,13 @@ pub(crate) fn row_hash(row: RowRef<'_>) -> u64 {
 pub struct DeltaKeyIndex {
     specs: Vec<RelSpec>,
     layout: Arc<StoredLayout>,
-    /// `maps[i]`: projection of cached view tuples onto relation i's
-    /// `Ls'` columns → a posting per cached tuple with that projection.
-    maps: Vec<FxHashMap<Box<[Value]>, Vec<Supported>>>,
+    /// `maps[i]`: the hash of a cached view tuple's projection onto
+    /// relation i's `Ls'` columns → a posting per cached tuple with that
+    /// projection. Empty for a bridge relation, which projects none.
+    maps: Vec<FxHashMap<u64, Box<[Supported]>>>,
+    /// A projection's packed bytes, written here to be hashed: filing or
+    /// unfiling a tuple allocates nothing for its keys.
+    scratch: Vec<u8>,
 }
 
 impl DeltaKeyIndex {
@@ -128,6 +155,7 @@ impl DeltaKeyIndex {
             specs,
             layout,
             maps: (0..n).map(|_| FxHashMap::default()).collect(),
+            scratch: Vec::new(),
         }
     }
 
@@ -141,11 +169,16 @@ impl DeltaKeyIndex {
     pub fn file(&mut self, bcp: &BcpKey, tuple: RowRef<'_>) {
         let hash = row_hash(tuple);
         for rel in 0..self.specs.len() {
-            let key = self.specs[rel].view_key(&self.layout, bcp, tuple);
-            self.maps[rel]
-                .entry(key)
-                .or_default()
-                .push((bcp.clone(), hash));
+            if !self.indexable(rel) {
+                continue;
+            }
+            let key = self.specs[rel].view_key(&self.layout, bcp, tuple, &mut self.scratch);
+            let postings = self.maps[rel].entry(key).or_default();
+            // One more slot, exactly: a list holds no room to grow.
+            let mut grown = std::mem::take(postings).into_vec();
+            grown.reserve_exact(1);
+            grown.push((bcp.clone(), hash));
+            *postings = grown.into_boxed_slice();
         }
     }
 
@@ -176,35 +209,44 @@ impl DeltaKeyIndex {
     ) {
         let hash = row_hash(view_tuple);
         for rel in 0..self.specs.len() {
-            let key = self.specs[rel].view_key(&self.layout, key_bcp, view_tuple);
-            match self.maps[rel].get_mut(&key) {
-                Some(entries) => {
-                    if let Some(pos) = entries.iter().position(|(b, h)| *h == hash && filed(b)) {
-                        entries.swap_remove(pos);
-                        if entries.is_empty() {
-                            self.maps[rel].remove(&key);
-                        }
-                    } else {
-                        debug_assert!(false, "index missing tuple for relation {rel}");
-                    }
-                }
-                None => debug_assert!(false, "index underflow for relation {rel}"),
+            if !self.indexable(rel) {
+                continue;
+            }
+            let key =
+                self.specs[rel].view_key(&self.layout, key_bcp, view_tuple, &mut self.scratch);
+            let Some(postings) = self.maps[rel].get_mut(&key) else {
+                debug_assert!(false, "index underflow for relation {rel}");
+                continue;
+            };
+            let Some(pos) = postings.iter().position(|(b, h)| *h == hash && filed(b)) else {
+                debug_assert!(false, "index missing tuple for relation {rel}");
+                continue;
+            };
+            if postings.len() == 1 {
+                self.maps[rel].remove(&key);
+            } else {
+                let mut shrunk = std::mem::take(postings).into_vec();
+                shrunk.swap_remove(pos);
+                *postings = shrunk.into_boxed_slice();
             }
         }
     }
 
     /// The cached view tuples supported by `base_tuple` in relation
-    /// `rel` — exactly the tuples a delete of `base_tuple` must remove.
-    /// Cloned out so the caller can mutate the store (which mutates this
-    /// index) while iterating. Empty when the relation has no `Ls'`
-    /// columns (the caller must fall back to the join — the index has
-    /// nothing to key on).
+    /// `rel` — exactly the tuples a delete of `base_tuple` must remove,
+    /// and on a collision of projection hashes more. Cloned out so the
+    /// caller can mutate the store (which mutates this index) while
+    /// iterating. Empty when the relation has no `Ls'` columns (the
+    /// caller must fall back to the join — the index has nothing to key
+    /// on).
     pub fn supported(&self, rel: usize, base_tuple: &Tuple) -> Vec<Supported> {
-        if self.specs[rel].view_positions.is_empty() {
+        if !self.indexable(rel) {
             return Vec::new();
         }
-        let key = self.specs[rel].base_key(base_tuple);
-        self.maps[rel].get(&key).cloned().unwrap_or_default()
+        let key = self.specs[rel].base_key(base_tuple, &mut Vec::new());
+        self.maps[rel]
+            .get(&key)
+            .map_or_else(Vec::new, |p| p.to_vec())
     }
 
     /// Whether relation `rel` projects at least one `Ls'` column — the
@@ -228,21 +270,24 @@ impl DeltaKeyIndex {
     /// Compare against the full cached multiset of `(bcp, stored tuple)`
     /// pairs — every key's postings, as a multiset — returning a
     /// violation message per drifted relation. Never panics.
-    pub fn check_against(&self, cached: &[(&BcpKey, RowRef<'_>)]) -> Vec<String> {
+    pub fn check_against(&self, cached: &[(BcpKey, RowRef<'_>)]) -> Vec<String> {
         use std::collections::HashMap;
         let mut violations = Vec::new();
+        let mut scratch = Vec::new();
         for rel in 0..self.specs.len() {
-            let mut expect: HashMap<Box<[Value]>, Vec<Supported>> = HashMap::new();
-            for &(bcp, t) in cached {
-                let key = self.specs[rel].view_key(&self.layout, bcp, t);
-                expect
-                    .entry(key)
-                    .or_default()
-                    .push((bcp.clone(), row_hash(t)));
+            let mut expect: HashMap<u64, Vec<Supported>> = HashMap::new();
+            if self.indexable(rel) {
+                for (bcp, t) in cached {
+                    let key = self.specs[rel].view_key(&self.layout, bcp, *t, &mut scratch);
+                    expect
+                        .entry(key)
+                        .or_default()
+                        .push((bcp.clone(), row_hash(*t)));
+                }
             }
-            let mut got: HashMap<Box<[Value]>, Vec<Supported>> = self.maps[rel]
+            let mut got: HashMap<u64, Vec<Supported>> = self.maps[rel]
                 .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
+                .map(|(k, v)| (*k, v.to_vec()))
                 .collect();
             for postings in expect.values_mut().chain(got.values_mut()) {
                 postings.sort_unstable();
@@ -255,7 +300,7 @@ impl DeltaKeyIndex {
     }
 
     /// Validate against the full cached multiset (test helper).
-    pub fn validate(&self, cached: &[(&BcpKey, RowRef<'_>)]) {
+    pub fn validate(&self, cached: &[(BcpKey, RowRef<'_>)]) {
         let violations = self.check_against(cached);
         assert!(violations.is_empty(), "{violations:?}");
     }
@@ -266,7 +311,7 @@ mod tests {
     use super::*;
     use crate::bcp::BcpDim;
     use pmv_query::TemplateBuilder;
-    use pmv_storage::{tuple, Column, ColumnType, Schema};
+    use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
 
     fn template() -> std::sync::Arc<QueryTemplate> {
         TemplateBuilder::new("t")
@@ -355,9 +400,9 @@ mod tests {
         for tu in &tuples {
             idx.add(&bcp(0, 0), &Arc::new(tu.clone()));
         }
-        let b = bcp(0, 0);
         let packed: Vec<PackedRow> = tuples.iter().map(PackedRow::from).collect();
-        let filed: Vec<(&BcpKey, RowRef<'_>)> = packed.iter().map(|t| (&b, t.row())).collect();
+        let filed: Vec<(BcpKey, RowRef<'_>)> =
+            packed.iter().map(|t| (bcp(0, 0), t.row())).collect();
         idx.validate(&filed);
         idx.remove(&tuples[0]);
         idx.validate(&filed[1..]);

@@ -60,7 +60,7 @@ use crate::health::{Degradation, DegradeReason};
 use crate::o1::{decompose, ConditionPart};
 use crate::pipeline::{QueryOutcome, QueryTimings};
 use crate::stats::PmvStats;
-use crate::store::{PmvStore, Residency, Rows};
+use crate::store::{Hashed, PmvStore, Residency, Rows};
 use crate::view::PartialViewDef;
 use crate::Result;
 
@@ -307,7 +307,7 @@ fn query_with_scratch(
                 // its matching tuples and exempt the bcp from O3.
                 st.complete = claimed
                     && *maint_ok.get_or_insert_with(|| pin_epoch >= inner.maint_epoch())
-                    && entries.epochs().iter().all(|&fe| fe <= pin_epoch);
+                    && entries.epochs().all(|fe| fe <= pin_epoch);
                 st.full = !st.complete && entries.len() >= config.f;
                 let mut served = false;
                 let is_basic = parts[pi].is_basic;
@@ -659,7 +659,13 @@ fn write_back(
     let mut fill_total = Duration::ZERO;
     for group in slots.chunk_by(|a, b| a.0 == b.0) {
         let si = group[0].0;
-        let members = || group.iter().map(|&(_, _, pi)| (pi, &parts[pi], &state[pi]));
+        // Each bcp with the hash O2 placed it by, which the store's
+        // methods take instead of hashing it again.
+        let members = || {
+            group
+                .iter()
+                .map(|&(_, hash, pi)| (pi, Hashed::new(&parts[pi].bcp, hash), &state[pi]))
+        };
         let touches = members().any(|(_, _, st)| st.touch.is_some());
         let fills_here = members().any(|(_, _, st)| admits(st));
         if !touches && !fills_here {
@@ -680,15 +686,15 @@ fn write_back(
                 if touches {
                     write_back_fault(Site::ShardProbe);
                 }
-                for (_, part, st) in members() {
+                for (_, bcp, st) in members() {
                     if let Some(served) = st.touch {
-                        store.touch(&part.bcp, served);
+                        store.touch(bcp, served);
                     }
                     // The admission sketch counts a bcp once per query, and
                     // only when it has rows: it served a partial, or O3
                     // produced some. Empty bcps are not counted.
                     if st.touch == Some(true) || st.truth > 0 {
-                        store.note_access(&part.bcp);
+                        store.note_access(bcp);
                     }
                 }
                 // Re-check the fill gate UNDER exclusive access: a
@@ -703,7 +709,7 @@ fn write_back(
                     return;
                 }
                 write_back_fault(Site::ShardFill);
-                for (pi, part, st) in members() {
+                for (pi, bcp, st) in members() {
                     // An entry that was full (or complete) at O2 was
                     // offered nothing, and O2's touch already referenced
                     // it: no admit, which — should an earlier admit here
@@ -713,7 +719,6 @@ fn write_back(
                     if !admits(st) || st.full || st.complete {
                         continue;
                     }
-                    let bcp = &part.bcp;
                     match store.admit(bcp) {
                         Residency::Resident => {}
                         Residency::Probation => {
@@ -770,12 +775,12 @@ fn write_back(
                 // part, which covers it.
                 if store.evictions() == evicted_before {
                     let at = store.inserts_seen();
-                    for (_, part, st) in members() {
-                        if (fills == Some(true) || part.is_basic)
+                    for (pi, bcp, st) in members() {
+                        if (fills == Some(true) || parts[pi].is_basic)
                             && st.truth > 0
-                            && store.rows(&part.bcp).map_or(0, Rows::len) == st.truth
+                            && store.rows(bcp).map_or(0, Rows::len) == st.truth
                         {
-                            store.mark_complete(&part.bcp, at);
+                            store.mark_complete(bcp, at);
                         }
                     }
                 }

@@ -24,32 +24,31 @@
 //!
 //! A view's store holds each entry's tuples in the view's
 //! [`crate::view::StoredLayout`] — only the `Ls'` values its entry cannot
-//! derive — packed and framed back to back in one byte string, the
-//! framing the WAL and the checkpoint write a row in
-//! ([`pmv_storage::packed`]): an entry holds one allocation for its rows
-//! and one for their fill epochs, however many rows it holds. The store
-//! itself never looks inside a tuple — it holds, charges and compares
-//! the bytes it is given — and its delta-key index reads the derived
-//! positions from each tuple's bcp. [`PmvStore::new`] with
-//! [`DeltaKeyIndex::new`] holds full rows.
+//! derive — packed and framed back to back, the framing the WAL and the
+//! checkpoint write a row in ([`pmv_storage::packed`]). An entry is one
+//! allocation however many rows it holds: its bcp's key, framed as a row
+//! is; the rows' fill epochs; the rows' frames. A chunk slot is the
+//! entry's hash and its `Arc`, 16 B. The store itself never looks inside
+//! a tuple — it holds, charges and compares the bytes it is given — and
+//! its delta-key index reads the derived positions from each tuple's
+//! bcp. [`PmvStore::new`] with [`DeltaKeyIndex::new`] holds full rows.
 //!
 //! [`PmvStore::byte_size`] is exact under one rule: an entry is charged
-//! `size_of::<BcpKey>()` (16 B) plus the bytes of a key too long to sit
-//! inline (more than 12 packed bytes), `size_of::<Box<[u8]>>()` (16 B)
-//! for the handle of its rows, and the rows' framed bytes — each row its
-//! packed length in LEB128 (one byte below 128), then its packed values.
-//! The fill epochs are not charged. A T1 key — two integers, each a tag
-//! and 1–2 bytes — is 4–6 bytes, inline: 32 B per entry. T1's tuples
-//! store five integers, each its tag and the 1–3 bytes its value needs,
-//! and two empty strings of one tag byte each: at most 1 + 18 = 19 B per
-//! tuple.
+//! [`HANDLE_BYTES`] (16 B) for the handle of its bytes, its key's frame
+//! and its rows' frames — each frame a packed length in LEB128 (one
+//! byte below 128), then the packed values. The fill epochs are not
+//! charged. A T1 key — two integers, each a tag and 1–2 bytes — is 4–6
+//! bytes behind a byte of length: 21–23 B per entry with the handle.
+//! T1's tuples store five integers, each its tag and the 1–3 bytes its
+//! value needs, and two empty strings of one tag byte each: at most
+//! 1 + 18 = 19 B per tuple.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use pmv_cache::{admit_if_warmer, AdmitOutcome, FrequencySketch, PolicyKind, ReplacementPolicy};
 use pmv_storage::packed::{self, RowRef};
-use pmv_storage::{HeapSize, Tuple, Value};
+use pmv_storage::{Tuple, Value};
 
 use crate::bcp::BcpKey;
 use crate::delta_index::{row_hash, DeltaKeyIndex, Supported};
@@ -68,28 +67,60 @@ pub enum Residency {
     Declined,
 }
 
-/// What the store charges an entry besides its rows, for a key of at
-/// most 12 packed bytes: the key, `size_of::<BcpKey>()`, and the handle
-/// of its rows, `size_of::<Box<[u8]>>()` — 32 B. A longer key adds its
-/// heap bytes.
-pub const ENTRY_BYTES: usize = std::mem::size_of::<BcpKey>() + std::mem::size_of::<Box<[u8]>>();
+/// What the store charges an entry besides its key's frame and its
+/// rows: the handle of the entry's bytes, `size_of::<Box<[u8]>>()`.
+pub const HANDLE_BYTES: usize = std::mem::size_of::<Box<[u8]>>();
+
+/// Bytes a fill epoch takes in an entry: a `u64`, little-endian.
+const EPOCH_BYTES: usize = std::mem::size_of::<u64>();
+
+/// A bcp and the one hash of its packed bytes, which places it in a
+/// view: shard, chunk, tag and sketch counters. Every store method that
+/// finds an entry takes one, so a caller that hashed the key already —
+/// O2, which placed the bcp by that hash — does not hash it again; a
+/// bare `&BcpKey` converts by hashing.
+#[derive(Clone, Copy, Debug)]
+pub struct Hashed<'a> {
+    bcp: &'a BcpKey,
+    hash: u64,
+}
+
+impl<'a> Hashed<'a> {
+    /// `bcp` with `hash`, which must be its [`PmvStore::hash_of`].
+    #[inline]
+    pub(crate) fn new(bcp: &'a BcpKey, hash: u64) -> Self {
+        debug_assert_eq!(hash, PmvStore::hash_of(bcp), "{bcp:?}");
+        Hashed { bcp, hash }
+    }
+}
+
+impl<'a> From<&'a BcpKey> for Hashed<'a> {
+    #[inline]
+    fn from(bcp: &'a BcpKey) -> Self {
+        Hashed {
+            bcp,
+            hash: PmvStore::hash_of(bcp),
+        }
+    }
+}
 
 /// One entry's cached tuples, borrowed from the entry: its rows, packed
 /// in the store's layout and framed back to back, and the epoch each
 /// was filled at. The fill epoch lets the epoch-pinned serving path
 /// refuse tuples newer than its pinned version (a reader at epoch `e`
 /// serves a cached tuple only when `fill_epoch <= e`).
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct Rows<'a> {
     bytes: &'a [u8],
-    epochs: &'a [u64],
+    /// [`EPOCH_BYTES`] per row.
+    epochs: &'a [u8],
 }
 
 impl<'a> Rows<'a> {
     /// Tuples held.
     #[inline]
     pub fn len(self) -> usize {
-        self.epochs.len()
+        self.epochs.len() / EPOCH_BYTES
     }
 
     /// Whether no tuple is held (never, for a resident entry).
@@ -99,7 +130,7 @@ impl<'a> Rows<'a> {
     }
 
     /// The rows, framed back to back: what the entry is charged for
-    /// besides its key and the rows' handle.
+    /// besides its key's frame and the handle of its bytes.
     #[inline]
     pub fn bytes(self) -> &'a [u8] {
         self.bytes
@@ -107,15 +138,17 @@ impl<'a> Rows<'a> {
 
     /// Each row's fill epoch, in row order.
     #[inline]
-    pub fn epochs(self) -> &'a [u64] {
+    pub fn epochs(self) -> impl Iterator<Item = u64> + 'a {
         self.epochs
+            .chunks_exact(EPOCH_BYTES)
+            .map(|e| u64::from_le_bytes(e.try_into().expect("an epoch's bytes")))
     }
 
     /// The rows in the order they were filled, each with its fill
     /// epoch, borrowed where they lie.
     #[inline]
     pub fn iter(self) -> impl Iterator<Item = (RowRef<'a>, u64)> + 'a {
-        packed::frames(self.bytes).zip(self.epochs.iter().copied())
+        packed::frames(self.bytes).zip(self.epochs())
     }
 }
 
@@ -129,15 +162,20 @@ impl<'a> Rows<'a> {
 /// nothing a user could want differently.
 pub(crate) const CHUNK_ENTRIES: usize = 32;
 
-/// One bcp's entry; its key sits beside it in the chunk. Readers of a
-/// published table share it; the store copies it before changing it.
+/// One bcp's entry. Readers of a published table share it; the store
+/// copies it before changing it.
 #[derive(Debug)]
 pub(crate) struct Entry {
-    /// The cached tuples, framed back to back, in the order they were
-    /// filled.
-    rows: Box<[u8]>,
-    /// The fill epoch of each row, in row order.
-    epochs: Box<[u64]>,
+    /// The entry's one allocation: its bcp's key framed as a row is, then
+    /// each row's fill epoch ([`EPOCH_BYTES`] each), then the rows framed
+    /// back to back, rows and epochs in the order they were filled.
+    bytes: Box<[u8]>,
+    /// Where the key's frame ends and the epochs begin: a lookup
+    /// compares the key and finds the rows without decoding the frame's
+    /// length.
+    key_end: u32,
+    /// Rows held: with `key_end`, where the epochs end.
+    len: u32,
     /// Times this bcp produced partial results (popularity ranking
     /// extension). Policy metadata no reader looks at, so it is counted
     /// in place, through a shared entry, and copied along with one. Every
@@ -155,21 +193,76 @@ pub(crate) struct Entry {
 }
 
 impl Entry {
+    /// The bytes of an entry of `key` holding `len` rows of `rows`
+    /// framed bytes, its key's frame written, and where that frame ends:
+    /// the epochs and then the rows that follow are left zero for the
+    /// caller to write.
+    fn alloc(key: RowRef<'_>, len: usize, rows: usize) -> (Box<[u8]>, usize) {
+        let key_frame = packed::framed_len(key.as_bytes().len());
+        let mut bytes = vec![0u8; key_frame + len * EPOCH_BYTES + rows].into_boxed_slice();
+        packed::put_packed_frame(&mut bytes, key);
+        (bytes, key_frame)
+    }
+
+    /// An entry of `bytes`, whose key's frame ends at `key_end`, holding
+    /// `len` rows.
+    fn new(bytes: Box<[u8]>, key_end: usize, len: usize) -> Entry {
+        Entry {
+            bytes,
+            key_end: u32::try_from(key_end).expect("a key frame below 4 GiB"),
+            len: u32::try_from(len).expect("F below 2^32"),
+            hits: AtomicU64::new(0),
+            complete: None,
+        }
+    }
+
+    /// Rows held.
+    #[inline]
+    fn len(&self) -> usize {
+        self.len as usize
+    }
+
+    /// The bcp's packed key.
+    #[inline]
+    pub(crate) fn key(&self) -> RowRef<'_> {
+        packed::split_frame(&self.bytes).0
+    }
+
+    /// Whether the entry's key is `key`, whose frame takes `frame`
+    /// bytes: a frame of that many bytes holds a key of `key`'s length
+    /// (a longer key takes a longer frame), so the frame's last bytes
+    /// are compared, its length not decoded.
+    #[inline]
+    fn has_key(&self, key: &[u8], frame: usize) -> bool {
+        self.key_end as usize == frame && self.bytes[frame - key.len()..frame] == *key
+    }
+
     /// The cached tuples.
     #[inline]
     pub(crate) fn rows(&self) -> Rows<'_> {
-        Rows {
-            bytes: &self.rows,
-            epochs: &self.epochs,
-        }
+        let (epochs, bytes) =
+            self.bytes[self.key_end as usize..].split_at(self.len() * EPOCH_BYTES);
+        Rows { bytes, epochs }
+    }
+
+    /// What the entry is charged: the handle of its bytes, and its
+    /// bytes but for the epochs.
+    fn charge(&self) -> usize {
+        Entry::charge_of(&self.bytes, self.len())
+    }
+
+    /// What an entry of `bytes` holding `len` rows is charged.
+    fn charge_of(bytes: &[u8], len: usize) -> usize {
+        HANDLE_BYTES + bytes.len() - len * EPOCH_BYTES
     }
 }
 
 impl Clone for Entry {
     fn clone(&self) -> Entry {
         Entry {
-            rows: self.rows.clone(),
-            epochs: self.epochs.clone(),
+            bytes: self.bytes.clone(),
+            key_end: self.key_end,
+            len: self.len,
             hits: AtomicU64::new(self.hits.load(Ordering::Acquire)),
             complete: self.complete,
         }
@@ -177,10 +270,10 @@ impl Clone for Entry {
 }
 
 /// The entries whose hash falls in one chunk, each tagged with that
-/// hash and its bcp and kept in tag order, so a lookup binary-searches
-/// the tags and compares the keys without leaving the chunk; copied by
-/// bumping one count per entry (and one per key held on the heap).
-type Chunk = Vec<(u64, BcpKey, Arc<Entry>)>;
+/// hash and kept in tag order, so a lookup binary-searches the tags
+/// without leaving the chunk and reads an entry only on a tag match, to
+/// compare its key; copied by bumping one count per entry.
+type Chunk = Vec<(u64, Arc<Entry>)>;
 
 /// The store's entry table: a spine of `Arc`-shared chunks, each entry
 /// in the chunk its [`PmvStore::hash_of`] names. A clone copies one
@@ -216,14 +309,19 @@ impl Table {
         Arc::as_ptr(&self.0).cast::<u8>() as usize
     }
 
+    /// Where the entry of `bcp`, filed under `hash`, sits: the tags are
+    /// searched in the chunk, and only an entry whose tag is `hash` is
+    /// read, its key compared with `bcp`'s bytes. The key decides; two
+    /// keys of one hash are two entries.
     fn find(&self, hash: u64, bcp: &BcpKey) -> Option<At> {
         let ci = self.chunk_of(hash);
         let chunk = &self.0[ci];
-        let first = chunk.partition_point(|(h, _, _)| *h < hash);
+        let first = chunk.partition_point(|(h, _)| *h < hash);
+        let (key, frame) = (bcp.as_bytes(), packed::framed_len(bcp.as_bytes().len()));
         let i = chunk[first..]
             .iter()
-            .take_while(|(h, _, _)| *h == hash)
-            .position(|(_, k, _)| k == bcp)?;
+            .take_while(|(h, _)| *h == hash)
+            .position(|(_, e)| e.has_key(key, frame))?;
         Some((ci, first + i))
     }
 
@@ -233,13 +331,13 @@ impl Table {
     }
 
     fn at(&self, (ci, i): At) -> &Entry {
-        &self.0[ci][i].2
+        &self.0[ci][i].1
     }
 
     /// The entry at `(ci, i)`, writable: copied first, with its chunk and
     /// the spine, where a reader still shares them.
     fn at_mut(&mut self, (ci, i): At) -> &mut Entry {
-        Arc::make_mut(&mut self.chunk_mut(ci, 0)[i].2)
+        Arc::make_mut(&mut self.chunk_mut(ci, 0)[i].1)
     }
 
     /// Chunk `ci`, writable with room for `extra` more entries: copied
@@ -256,38 +354,37 @@ impl Table {
         Arc::get_mut(chunk).expect("a fresh copy is unshared")
     }
 
-    /// Give the entry at `(ci, i)` new rows, returning it writable. An
-    /// entry a reader still shares is replaced, not copied: its old rows
-    /// are never duplicated only to be dropped.
-    fn set_rows(&mut self, (ci, i): At, rows: Box<[u8]>, epochs: Box<[u64]>) -> &mut Entry {
-        let slot = &mut self.chunk_mut(ci, 0)[i].2;
-        if let Some(entry) = Arc::get_mut(slot) {
-            (entry.rows, entry.epochs) = (rows, epochs);
-        } else {
-            *slot = Arc::new(Entry {
-                rows,
-                epochs,
-                hits: AtomicU64::new(slot.hits.load(Ordering::Acquire)),
-                complete: slot.complete,
-            });
+    /// Give the entry at `(ci, i)` new bytes holding `len` rows,
+    /// returning it writable. An entry a reader still shares is
+    /// replaced, not copied: its old bytes are never duplicated only to
+    /// be dropped.
+    fn set_bytes(&mut self, (ci, i): At, bytes: Box<[u8]>, len: usize) -> &mut Entry {
+        let slot = &mut self.chunk_mut(ci, 0)[i].1;
+        let entry = Entry {
+            hits: AtomicU64::new(slot.hits.load(Ordering::Acquire)),
+            complete: slot.complete,
+            ..Entry::new(bytes, slot.key_end as usize, len)
+        };
+        match Arc::get_mut(slot) {
+            Some(old) => *old = entry,
+            None => *slot = Arc::new(entry),
         }
         Arc::get_mut(slot).expect("an entry just written is unshared")
     }
 
-    fn insert(&mut self, hash: u64, bcp: BcpKey, entry: Entry) {
+    /// File `entry` under `hash`, after any entries of the same tag.
+    fn insert(&mut self, hash: u64, entry: Entry) {
         let chunk = self.chunk_mut(self.chunk_of(hash), 1);
-        let at = chunk.partition_point(|(h, _, _)| *h <= hash);
-        chunk.insert(at, (hash, bcp, Arc::new(entry)));
+        let at = chunk.partition_point(|(h, _)| *h <= hash);
+        chunk.insert(at, (hash, Arc::new(entry)));
     }
 
     fn remove(&mut self, (ci, i): At) -> Arc<Entry> {
-        self.chunk_mut(ci, 0).remove(i).2
+        self.chunk_mut(ci, 0).remove(i).1
     }
 
-    fn entries(&self) -> impl Iterator<Item = (&BcpKey, &Entry)> {
-        self.0
-            .iter()
-            .flat_map(|c| c.iter().map(|(_, k, e)| (k, &**e)))
+    fn entries(&self) -> impl Iterator<Item = &Entry> {
+        self.0.iter().flat_map(|c| c.iter().map(|(_, e)| &**e))
     }
 }
 
@@ -427,11 +524,12 @@ impl PmvStore {
     /// insert watermark `inserts_at`. No-op (and `false`) when the entry
     /// is absent or the watermark already moved — the caller's fill raced
     /// a relevant insert and completeness cannot be claimed.
-    pub fn mark_complete(&mut self, bcp: &BcpKey, inserts_at: u64) -> bool {
+    pub fn mark_complete<'k>(&mut self, bcp: impl Into<Hashed<'k>>, inserts_at: u64) -> bool {
+        let bcp = bcp.into();
         if self.quarantined || inserts_at != self.inserts_seen {
             return false;
         }
-        let Some(at) = self.table.find(Self::hash_of(bcp), bcp) else {
+        let Some(at) = self.table.find(bcp.hash, bcp.bcp) else {
             return false;
         };
         if self.table.at(at).complete != Some(inserts_at) {
@@ -499,25 +597,27 @@ impl PmvStore {
     /// one byte string ([`packed::frames`] walks them). Does not touch the
     /// policy. Its length counts bytes: [`Self::rows`] counts tuples and
     /// carries their fill epochs.
-    pub fn lookup(&self, bcp: &BcpKey) -> Option<&[u8]> {
+    pub fn lookup<'k>(&self, bcp: impl Into<Hashed<'k>>) -> Option<&[u8]> {
         self.rows(bcp).map(Rows::bytes)
     }
 
     /// The tuples cached for `bcp`, with their fill epochs, if resident.
     /// Does not touch the policy.
-    pub fn rows(&self, bcp: &BcpKey) -> Option<Rows<'_>> {
+    pub fn rows<'k>(&self, bcp: impl Into<Hashed<'k>>) -> Option<Rows<'_>> {
+        let bcp = bcp.into();
         if self.quarantined {
             return None;
         }
-        Some(self.table.get(Self::hash_of(bcp), bcp)?.rows())
+        Some(self.table.get(bcp.hash, bcp.bcp)?.rows())
     }
 
     /// Record a query access to `bcp` (Operation O2) and count a hit if it
     /// served results. Copies nothing: the hit count is bumped in place.
-    pub fn touch(&mut self, bcp: &BcpKey, served: bool) {
-        self.policy.touch(bcp);
+    pub fn touch<'k>(&mut self, bcp: impl Into<Hashed<'k>>, served: bool) {
+        let bcp = bcp.into();
+        self.policy.touch(bcp.bcp);
         if served {
-            if let Some(e) = self.table.get(Self::hash_of(bcp), bcp) {
+            if let Some(e) = self.table.get(bcp.hash, bcp.bcp) {
                 e.hits.fetch_add(1, Ordering::Release);
             }
         }
@@ -527,33 +627,24 @@ impl PmvStore {
     /// a bcp once per query, and only when it has rows (it served a
     /// partial or O3 produced some): probes of empty bcps would swamp
     /// the sample.
-    pub fn note_access(&mut self, bcp: &BcpKey) {
-        self.sketch.increment(Self::hash_of(bcp));
+    pub fn note_access<'k>(&mut self, bcp: impl Into<Hashed<'k>>) {
+        self.sketch.increment(bcp.into().hash);
     }
 
     /// Ask the policy to make `bcp` resident (Operation O3, once per bcp
     /// per query), through the admission rule: into a full store, only
     /// when `bcp` out-counts the victim. Evicted entries are purged.
-    pub fn admit(&mut self, bcp: &BcpKey) -> Residency {
+    pub fn admit<'k>(&mut self, bcp: impl Into<Hashed<'k>>) -> Residency {
+        let bcp = bcp.into();
         if self.quarantined {
             return Residency::Probation;
         }
-        match admit_if_warmer(&mut *self.policy, &self.sketch, bcp, Self::hash_of) {
+        let policy = &mut *self.policy;
+        match admit_if_warmer(policy, &self.sketch, bcp.bcp, bcp.hash, Self::hash_of) {
             None => Residency::Declined,
             Some(AdmitOutcome::Resident { evicted }) => {
                 for victim in evicted {
-                    let Some(at) = self.table.find(Self::hash_of(&victim), &victim) else {
-                        continue;
-                    };
-                    let e = self.table.remove(at);
-                    self.entries -= 1;
-                    self.bytes -= Self::entry_bytes(&victim, &e.rows);
-                    self.evictions += 1;
-                    if let Some(ix) = &mut self.index {
-                        for row in packed::frames(&e.rows) {
-                            ix.remove_from(&victim, row);
-                        }
-                    }
+                    self.evict(Self::hash_of(&victim), &victim);
                 }
                 Residency::Resident
             }
@@ -561,9 +652,31 @@ impl PmvStore {
         }
     }
 
+    /// Purge the entry of `victim`, filed under `hash`, which the policy
+    /// evicted: its rows leave the index, its charge the byte count.
+    fn evict(&mut self, hash: u64, victim: &BcpKey) {
+        let Some(at) = self.table.find(hash, victim) else {
+            return;
+        };
+        let e = self.table.remove(at);
+        self.entries -= 1;
+        self.bytes -= e.charge();
+        self.evictions += 1;
+        if let Some(ix) = &mut self.index {
+            for row in packed::frames(e.rows().bytes()) {
+                ix.remove_from(victim, row);
+            }
+        }
+    }
+
     /// Store one result tuple under a resident `bcp`, packed whole: a
     /// [`Self::fill`] of one row. Returns whether it was stored.
-    pub fn push_arc(&mut self, bcp: &BcpKey, tuple: Arc<Tuple>, epoch: u64) -> bool {
+    pub fn push_arc<'k>(
+        &mut self,
+        bcp: impl Into<Hashed<'k>>,
+        tuple: Arc<Tuple>,
+        epoch: u64,
+    ) -> bool {
         self.fill(bcp, std::iter::once(tuple.values().iter()), epoch) == 1
     }
 
@@ -572,65 +685,57 @@ impl PmvStore {
     /// computed at, until the entry holds `F`. Returns how many were
     /// stored: none when the bcp is not resident or the entry is full.
     ///
-    /// The rows are packed straight into the entry: one allocation for
-    /// its rows and one for their epochs, however many are stored, and
-    /// none per row. `rows` is walked twice: once to size them, once to
-    /// write them.
-    pub fn fill<'v, R, V>(&mut self, bcp: &BcpKey, rows: R, epoch: u64) -> usize
+    /// The rows are packed straight into the entry's one allocation,
+    /// which a fill replaces whole: one allocation however many are
+    /// stored, and none per row. `rows` is walked twice: once to size
+    /// them, once to write them.
+    pub fn fill<'k, 'v, R, V>(&mut self, bcp: impl Into<Hashed<'k>>, rows: R, epoch: u64) -> usize
     where
         R: Iterator<Item = V> + Clone,
         V: Iterator<Item = &'v Value> + Clone,
     {
-        if self.quarantined || !self.policy.contains(bcp) {
+        let bcp = bcp.into();
+        if self.quarantined || !self.policy.contains(bcp.bcp) {
             return 0;
         }
-        let hash = Self::hash_of(bcp);
-        let at = self.table.find(hash, bcp);
-        let (old_rows, old_epochs): (&[u8], &[u64]) = at.map_or((&[], &[]), |at| {
-            let e = self.table.at(at);
-            (&e.rows, &e.epochs)
-        });
-        let rows = rows.take(self.f.saturating_sub(old_epochs.len()));
+        let at = self.table.find(bcp.hash, bcp.bcp);
+        let old = at.map(|at| self.table.at(at));
+        let (old_len, old_charge) = old.map_or((0, 0), |e| (e.len(), e.charge()));
+        let rows = rows.take(self.f.saturating_sub(old_len));
         let (n, added) = rows.clone().fold((0, 0), |(n, bytes), values| {
             (n + 1, bytes + packed::framed_len(packed::row_len(values)))
         });
         if n == 0 {
             return 0;
         }
-        let mut framed = vec![0u8; old_rows.len() + added].into_boxed_slice();
-        framed[..old_rows.len()].copy_from_slice(old_rows);
-        let mut end = old_rows.len();
+        let old = old.map(Entry::rows).unwrap_or_default();
+        let len = old_len + n;
+        let (mut bytes, key_frame) = Entry::alloc(bcp.bcp.row(), len, old.bytes.len() + added);
+        let (epochs, framed) = bytes[key_frame..].split_at_mut(len * EPOCH_BYTES);
+        let (kept, new) = epochs.split_at_mut(old.epochs.len());
+        kept.copy_from_slice(old.epochs);
+        for e in new.chunks_exact_mut(EPOCH_BYTES) {
+            e.copy_from_slice(&epoch.to_le_bytes());
+        }
+        framed[..old.bytes.len()].copy_from_slice(old.bytes);
+        let mut end = old.bytes.len();
         for values in rows {
             end += packed::put_frame(&mut framed[end..], values);
         }
         debug_assert_eq!(end, framed.len());
-        let epochs: Box<[u64]> = old_epochs
-            .iter()
-            .copied()
-            .chain(std::iter::repeat_n(epoch, n))
-            .collect();
         if let Some(ix) = &mut self.index {
-            for row in packed::frames(&framed[old_rows.len()..]) {
-                ix.file(bcp, row);
+            for row in packed::frames(&framed[old.bytes.len()..]) {
+                ix.file(bcp.bcp, row);
             }
         }
-        self.bytes += added;
+        self.bytes = self.bytes - old_charge + Entry::charge_of(&bytes, len);
         match at {
             Some(at) => {
-                self.table.set_rows(at, framed, epochs);
+                self.table.set_bytes(at, bytes, len);
             }
             None => {
-                self.bytes += Self::entry_bytes(bcp, &[]);
-                self.table.insert(
-                    hash,
-                    bcp.clone(),
-                    Entry {
-                        rows: framed,
-                        epochs,
-                        hits: AtomicU64::new(0),
-                        complete: None,
-                    },
-                );
+                self.table
+                    .insert(bcp.hash, Entry::new(bytes, key_frame, len));
                 self.entries += 1;
             }
         }
@@ -670,11 +775,12 @@ impl PmvStore {
             return 0;
         };
         let entry = self.table.at(at);
+        let rows = entry.rows();
         // Row numbers of the dropped tuples, ascending; nothing is
         // allocated while every tuple stays.
         let mut dropped: Vec<usize> = Vec::new();
         let mut freed = 0;
-        for (i, row) in packed::frames(&entry.rows).enumerate() {
+        for (i, row) in packed::frames(rows.bytes).enumerate() {
             if !keep(row) {
                 dropped.push(i);
                 freed += packed::framed_len(row.as_bytes().len());
@@ -686,28 +792,27 @@ impl PmvStore {
         if dropped.is_empty() {
             return 0;
         }
-        self.bytes -= freed;
-        let kept = entry.epochs.len() - dropped.len();
-        if kept == 0 {
+        let old_charge = entry.charge();
+        let len = entry.len() - dropped.len();
+        if len == 0 {
             self.table.remove(at);
             self.entries -= 1;
-            self.bytes -= Self::entry_bytes(bcp, &[]);
+            self.bytes -= old_charge;
             self.policy.remove(bcp);
             return dropped.len();
         }
-        let mut framed = vec![0u8; entry.rows.len() - freed].into_boxed_slice();
-        let mut epochs = Vec::with_capacity(kept);
+        let (mut bytes, key_frame) = Entry::alloc(entry.key(), len, rows.bytes.len() - freed);
+        let (epochs, framed) = bytes[key_frame..].split_at_mut(len * EPOCH_BYTES);
         let (mut end, mut next) = (0, dropped.iter().copied().peekable());
-        for (i, (row, epoch)) in entry.rows().iter().enumerate() {
-            if next.next_if_eq(&i).is_none() {
-                end += packed::put_packed_frame(&mut framed[end..], row);
-                epochs.push(epoch);
-            }
+        let kept = (rows.iter().enumerate())
+            .filter_map(|(i, row)| next.next_if_eq(&i).is_none().then_some(row));
+        for ((row, epoch), e) in kept.zip(epochs.chunks_exact_mut(EPOCH_BYTES)) {
+            end += packed::put_packed_frame(&mut framed[end..], row);
+            e.copy_from_slice(&epoch.to_le_bytes());
         }
         debug_assert_eq!(end, framed.len());
-        self.table
-            .set_rows(at, framed, epochs.into_boxed_slice())
-            .complete = None;
+        self.bytes = self.bytes - old_charge + Entry::charge_of(&bytes, len);
+        self.table.set_bytes(at, bytes, len).complete = None;
         dropped.len()
     }
 
@@ -726,15 +831,15 @@ impl PmvStore {
 
     /// Total cached tuples.
     pub fn tuple_count(&self) -> usize {
-        self.table.entries().map(|(_, e)| e.epochs.len()).sum()
+        self.table.entries().map(Entry::len).sum()
     }
 
-    /// Bytes cached, exactly as charged: per entry its key's
-    /// `size_of::<BcpKey>()` (16 B) plus the heap bytes of a key too long
-    /// to sit inline (none for a key of at most 12 bytes), the handle of
-    /// its rows, `size_of::<Box<[u8]>>()` (16 B), and the rows' framed
-    /// bytes. The fill epochs, the sketch, the policy's frames, the
-    /// table's spine and the delta-key index are not charged.
+    /// Bytes cached, exactly as charged: per entry [`HANDLE_BYTES`]
+    /// (16 B) for the handle of its bytes, its key's frame — a byte of
+    /// length for a key below 128 bytes, then the key's packed bytes —
+    /// and its rows' frames. The fill epochs, the sketch, the policy's
+    /// frames, the table's spine and chunk slots and the delta-key index
+    /// are not charged.
     pub fn byte_size(&self) -> usize {
         self.bytes
     }
@@ -744,14 +849,12 @@ impl PmvStore {
         self.evictions
     }
 
-    /// Iterate over `(bcp, cached tuples)` (diagnostics/tests).
-    pub fn iter(&self) -> impl Iterator<Item = (&BcpKey, Rows<'_>)> {
-        self.table.entries().map(|(k, e)| (k, e.rows()))
-    }
-
-    /// What an entry of key `k` holding the framed `rows` is charged.
-    fn entry_bytes(k: &BcpKey, rows: &[u8]) -> usize {
-        ENTRY_BYTES + k.heap_size() + rows.len()
+    /// Iterate over `(bcp, cached tuples)` (diagnostics/tests), each key
+    /// read back from its entry.
+    pub fn iter(&self) -> impl Iterator<Item = (BcpKey, Rows<'_>)> {
+        self.table
+            .entries()
+            .map(|e| (BcpKey::from_row(e.key()), e.rows()))
     }
 
     /// Check structural invariants, returning each violation as a
@@ -761,17 +864,36 @@ impl PmvStore {
         let (mut counted, mut recomputed, mut misframed) = (0, 0, false);
         for (ci, chunk) in self.table.chunks().iter().enumerate() {
             // Out of tag order, an entry is one the binary search misses.
-            if !chunk.is_sorted_by_key(|(hash, _, _)| *hash) {
+            if !chunk.is_sorted_by_key(|(hash, _)| *hash) {
                 violations.push(format!("chunk {ci} out of tag order"));
             }
-            for (hash, k, e) in chunk.iter() {
+            for (hash, e) in chunk.iter() {
                 counted += 1;
-                recomputed += Self::entry_bytes(k, &e.rows);
-                // Walked checked, as bytes read from disk are: a frame
-                // cut short is a violation, not a panic.
+                // Walked checked, as bytes read from disk are: a key or a
+                // frame cut short is a violation, not a panic.
+                let Ok((_, key_frame)) = packed::take_row(&e.bytes) else {
+                    violations.push(format!("entry key misframed in chunk {ci}"));
+                    misframed = true;
+                    continue;
+                };
+                if key_frame != e.key_end as usize {
+                    violations.push(format!(
+                        "entry key frame in chunk {ci} ends at {key_frame}, recorded {}",
+                        e.key_end
+                    ));
+                    misframed = true;
+                    continue;
+                }
+                let k = BcpKey::from_row(e.key());
+                let Some(rows) = e.bytes.get(key_frame + e.len() * EPOCH_BYTES..) else {
+                    violations.push(format!("entry {k:?} cut short of its {} epochs", e.len));
+                    misframed = true;
+                    continue;
+                };
+                recomputed += e.charge();
                 let (mut at, mut framed) = (0, 0);
-                while at < e.rows.len() {
-                    match packed::take_row(&e.rows[at..]) {
+                while at < rows.len() {
+                    match packed::take_row(&rows[at..]) {
                         Ok((_, used)) => (at, framed) = (at + used, framed + 1),
                         Err(err) => {
                             violations.push(format!("entry rows misframed for {k:?}: {err}"));
@@ -780,23 +902,23 @@ impl PmvStore {
                         }
                     }
                 }
-                if framed != e.epochs.len() && !misframed {
+                if framed != e.len() && !misframed {
                     violations.push(format!(
                         "entry {k:?} frames {framed} rows for {} epochs",
-                        e.epochs.len()
+                        e.len
                     ));
                 }
                 // Misplaced, an entry is one no lookup finds.
-                if *hash != Self::hash_of(k) || self.table.chunk_of(*hash) != ci {
+                if *hash != Self::hash_of(&k) || self.table.chunk_of(*hash) != ci {
                     violations.push(format!("entry {k:?} misplaced in chunk {ci}"));
                 }
-                if e.epochs.is_empty() {
+                if e.len == 0 {
                     violations.push(format!("empty entry for {k:?}"));
                 }
-                if e.epochs.len() > self.f {
+                if e.len() > self.f {
                     violations.push(format!("entry over F for {k:?}"));
                 }
-                if !self.policy.contains(k) {
+                if !self.policy.contains(&k) {
                     violations.push(format!("entry {k:?} not resident in policy"));
                 }
                 if let Some(w) = e.complete.filter(|&w| w > self.inserts_seen) {
@@ -829,16 +951,16 @@ impl PmvStore {
                 self.entries
             ));
         }
-        if recomputed != self.bytes {
+        if recomputed != self.bytes && !misframed {
             violations.push(format!(
                 "byte accounting drifted: recomputed {recomputed} != tracked {}",
                 self.bytes
             ));
         }
         if let Some(ix) = self.index.as_ref().filter(|_| !misframed) {
-            let cached: Vec<(&BcpKey, RowRef<'_>)> = self
+            let cached: Vec<(BcpKey, RowRef<'_>)> = self
                 .iter()
-                .flat_map(|(k, rows)| rows.iter().map(move |(row, _)| (k, row)))
+                .flat_map(|(k, rows)| rows.iter().map(move |(row, _)| (k.clone(), row)))
                 .collect();
             violations.extend(ix.check_against(&cached));
         }
@@ -903,6 +1025,93 @@ mod tests {
                         .all(|o| sketch.estimate(PmvStore::hash_of(&bcp(*o))) == 0)
             })
             .expect("some key is told apart")
+    }
+
+    /// An entry of `k` holding the one row `(v)`, filled at epoch 0.
+    fn entry(k: &BcpKey, v: i64) -> Entry {
+        let row = [Value::Int(v)];
+        let (mut bytes, key_frame) =
+            Entry::alloc(k.row(), 1, packed::framed_len(packed::row_len(&row)));
+        packed::put_frame(&mut bytes[key_frame + EPOCH_BYTES..], &row);
+        Entry::new(bytes, key_frame, 1)
+    }
+
+    /// The value of the one row an entry of [`entry`] holds.
+    fn value(e: &Entry) -> Value {
+        let (row, _) = e.rows().iter().next().expect("a row");
+        row.field(0).to_value()
+    }
+
+    /// Two keys filed under one hash are two entries: the key decides,
+    /// not the hash. `Table::insert` takes the hash, so the test forces
+    /// one; a lookup, an eviction and a removal each reach the entry of
+    /// the key they name, and `check()` reports both entries, whose keys
+    /// do not hash to their tag.
+    #[test]
+    fn the_key_decides_not_the_hash() {
+        const FORCED: u64 = 0x5eed;
+        let mut s = PmvStore::new(&cfg(1, 4, PolicyKind::Clock));
+        let (one, two, three) = (bcp(1), bcp(2), bcp(3));
+        for (k, v) in [(&one, 10), (&two, 20)] {
+            assert_eq!(s.admit(k), Residency::Resident);
+            let e = entry(k, v);
+            s.bytes += e.charge();
+            s.entries += 1;
+            s.table.insert(FORCED, e);
+        }
+        assert_eq!(value(s.table.get(FORCED, &one).unwrap()), Value::Int(10));
+        assert_eq!(value(s.table.get(FORCED, &two).unwrap()), Value::Int(20));
+        assert!(s.table.get(FORCED, &three).is_none());
+        let at = s.table.find(FORCED, &two).unwrap();
+        assert_eq!(BcpKey::from_row(s.table.at(at).key()), two);
+        let violations = s.check();
+        for k in [&one, &two] {
+            let misplaced = format!("entry {k:?} misplaced");
+            assert!(
+                violations.iter().any(|v| v.starts_with(&misplaced)),
+                "{violations:?}"
+            );
+        }
+        // Evicting one purges its entry, its charge with it, and leaves
+        // the other's.
+        let charge = s.table.get(FORCED, &two).unwrap().charge();
+        s.evict(FORCED, &one);
+        assert!(s.table.get(FORCED, &one).is_none());
+        assert_eq!(value(s.table.get(FORCED, &two).unwrap()), Value::Int(20));
+        assert_eq!(
+            (s.entry_count(), s.evictions(), s.byte_size()),
+            (1, 1, charge)
+        );
+        let at = s.table.find(FORCED, &two).unwrap();
+        assert_eq!(BcpKey::from_row(s.table.remove(at).key()), two);
+        assert!(s.table.get(FORCED, &two).is_none());
+    }
+
+    /// `check()` walks an entry's key checked: a key frame that does not
+    /// decode is reported, not a panic, and so is an entry under its own
+    /// hash in another chunk than the hash names.
+    #[test]
+    fn check_reports_a_misframed_key_and_a_misplaced_chunk() {
+        let mut s = PmvStore::new(&cfg(1, 2 * CHUNK_ENTRIES, PolicyKind::Clock));
+        assert_eq!(s.table.chunks().len(), 2);
+        let k = bcp(7);
+        assert_eq!(s.admit(&k), Residency::Resident);
+        let hash = PmvStore::hash_of(&k);
+        let e = entry(&k, 70);
+        s.bytes += e.charge();
+        s.entries += 1;
+        let other = 1 - s.table.chunk_of(hash);
+        s.table.chunk_mut(other, 1).push((hash, Arc::new(e)));
+        let misplaced = format!("entry {k:?} misplaced in chunk {other}");
+        assert!(s.check().contains(&misplaced), "{:?}", s.check());
+        // A key whose frame says 5 bytes and holds one.
+        let chunk = s.table.chunk_mut(other, 0);
+        Arc::get_mut(&mut chunk[0].1).unwrap().bytes = vec![5, 1].into_boxed_slice();
+        let violations = s.check();
+        assert!(
+            violations.contains(&format!("entry key misframed in chunk {other}")),
+            "{violations:?}"
+        );
     }
 
     #[test]
@@ -1168,11 +1377,8 @@ mod tests {
         // out before a change still shows what it showed.
         let before = s.published();
         let entries = |t: &Table| {
-            let mut all: Vec<_> = t
-                .entries()
-                .map(|(k, e)| (k.clone(), e.rows.clone(), e.epochs.clone()))
-                .collect();
-            all.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut all: Vec<_> = t.entries().map(|e| (e.bytes.clone(), e.len())).collect();
+            all.sort();
             all
         };
         let held = entries(s.table());

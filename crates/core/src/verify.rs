@@ -24,13 +24,13 @@
 use std::fmt;
 use std::sync::Arc;
 
-use pmv_query::{CondForm, QueryTemplate};
+use pmv_query::{AttrRef, CondForm, QueryTemplate};
 use pmv_storage::packed::{framed_len, MAX_NUMBER_BYTES};
 use pmv_storage::string::INLINE_CAP;
 use pmv_storage::{ColumnType, Value};
 
 use crate::bcp::Discretizer;
-use crate::store::ENTRY_BYTES;
+use crate::store::HANDLE_BYTES;
 use crate::view::{PartialViewDef, PmvConfig, StoredLayout};
 
 /// How a diagnostic is acted upon at registration time: every verifier
@@ -260,10 +260,9 @@ impl fmt::Display for VerifyReport {
 /// store charges for one cached tuple — its frame, the LEB128 length of
 /// the packed fields (one byte below 128), plus the packed fields of its
 /// [`crate::view::StoredLayout`], the `Ls'` positions its entry cannot
-/// derive. An entry is charged [`ENTRY_BYTES`] besides its tuples (the
-/// key and the handle of its rows), so a full view holds at most
-/// `L·(ENTRY_BYTES + F·At)` bytes for keys held inline. An `Int` or
-/// `Double` field is counted at [`MAX_NUMBER_BYTES`] (its tag and 8
+/// derive. An entry is charged [`estimate_entry_bytes`] besides its
+/// tuples, so a full view holds at most `L·(E + F·At)` bytes. An `Int`
+/// or `Double` field is counted at [`MAX_NUMBER_BYTES`] (its tag and 8
 /// bytes); a `Str` field at `1 + INLINE_CAP` (its tag, which carries a
 /// short string's length, and up to [`INLINE_CAP`] bytes). A `Double`
 /// takes exactly that; an `Int` packs to the bytes its value needs,
@@ -276,15 +275,42 @@ impl fmt::Display for VerifyReport {
 /// [`VerifyOptions::avg_tuple_bytes`] for views of long strings.
 pub fn estimate_tuple_bytes(template: &QueryTemplate) -> usize {
     let list = template.expanded_list();
-    let field = |p: &usize| {
-        let attr = list[*p];
-        match template.schema(attr.relation).column(attr.column).ty {
-            ColumnType::Int | ColumnType::Double => MAX_NUMBER_BYTES,
-            ColumnType::Str => 1 + INLINE_CAP,
-        }
-    };
     let layout = StoredLayout::for_template(template);
-    framed_len(layout.stored_positions().iter().map(field).sum())
+    framed_len(
+        layout
+            .stored_positions()
+            .iter()
+            .map(|&p| field_bytes(template, list[p]))
+            .sum(),
+    )
+}
+
+/// Estimate what the view's store charges an entry besides its tuples,
+/// `E`: the handle of the entry's bytes ([`HANDLE_BYTES`]) and its key's
+/// frame — a LEB128 length, then one packed field per condition, counted
+/// as [`estimate_tuple_bytes`] counts a field: an equality condition's
+/// by its column's type, an interval condition's basic-interval id as
+/// the `Int` it is written as. For T1's two integer conditions,
+/// `16 + 1 + 2·9 = 35` B against a charge of 21–23 B.
+pub fn estimate_entry_bytes(template: &QueryTemplate) -> usize {
+    let key = template
+        .cond_templates()
+        .iter()
+        .map(|ct| match ct.form {
+            CondForm::Equality => field_bytes(template, ct.attr),
+            CondForm::Interval => MAX_NUMBER_BYTES,
+        })
+        .sum();
+    HANDLE_BYTES + framed_len(key)
+}
+
+/// The bytes a packed field of `attr`'s column is counted at: a number's
+/// widest, a string's tag and inline bytes.
+fn field_bytes(template: &QueryTemplate, attr: AttrRef) -> usize {
+    match template.schema(attr.relation).column(attr.column).ty {
+        ColumnType::Int | ColumnType::Double => MAX_NUMBER_BYTES,
+        ColumnType::Str => 1 + INLINE_CAP,
+    }
 }
 
 /// Verify a prospective PMV from raw parts, before a
@@ -467,19 +493,20 @@ pub fn verify_parts(
         }
     }
 
-    // PMV004 — L × (entry + F × At) against the byte budget.
+    // PMV004 — L × (E + F × At) against the byte budget.
     if let Some(budget) = opts.byte_budget {
         let at = opts
             .avg_tuple_bytes
             .unwrap_or_else(|| estimate_tuple_bytes(template));
+        let e = estimate_entry_bytes(template);
         let ub = config
             .l
-            .saturating_mul(config.f.saturating_mul(at).saturating_add(ENTRY_BYTES));
+            .saturating_mul(config.f.saturating_mul(at).saturating_add(e));
         if ub > budget {
             emit(
                 DiagCode::StorageBoundExceeded,
                 format!(
-                    "UB = L·({ENTRY_BYTES} + F·At) = {}·({ENTRY_BYTES} + {}·{}) = {ub} bytes \
+                    "UB = L·(E + F·At) = {}·({e} + {}·{}) = {ub} bytes \
                      exceeds the {budget}-byte budget (Section 3.2 sizing)",
                     config.l, config.f, at
                 ),
@@ -630,10 +657,11 @@ mod tests {
         assert!(!verify_parts(&t, &d, &config, &opts).denied());
     }
 
-    /// What the store of a view of `t` charges for one more cached
-    /// tuple, each tuple an `Ls'` row built by `row` and filed under the
+    /// What the store of a view of `t` charges an entry besides its
+    /// rows, and for one more cached tuple, each tuple an `Ls'` row built
+    /// by `row` — the first two of the same width — and filed under the
     /// bcp that sets each of `t`'s equality conditions to 1.
-    fn charge_per_tuple(t: &Arc<QueryTemplate>, row: impl Fn(i64) -> Tuple) -> usize {
+    fn charges(t: &Arc<QueryTemplate>, row: impl Fn(i64) -> Tuple) -> (usize, usize) {
         use crate::bcp::{BcpDim, BcpKey};
         use crate::delta_index::DeltaKeyIndex;
         use crate::store::PmvStore;
@@ -654,15 +682,17 @@ mod tests {
             1
         );
         store.validate();
-        store.byte_size() - before
+        let tuple = store.byte_size() - before;
+        (before - tuple, tuple)
     }
 
-    /// `At` is what the store charges per cached tuple, so
-    /// `L·(ENTRY_BYTES + F·At)` is the bytes a full view of inline keys
-    /// holds: for a template of numbers only and a
-    /// row without NULLs whose integers need all 8 bytes, the estimate
-    /// equals the charge of the view's store for one more tuple — two
-    /// stored numbers, since the equality column `f` is the bcp's.
+    /// `At` is what the store charges per cached tuple, so `L·(E + F·At)`
+    /// bounds the bytes a full view is charged: for a template of
+    /// numbers only and a row without NULLs whose integers need all 8
+    /// bytes, the estimate equals the charge of the view's store for one
+    /// more tuple — two stored numbers, since the equality column `f` is
+    /// the bcp's. The key `(1)` is framed in 1 + 2 B behind the 16-byte
+    /// handle, where `E` counts its integer at 9 B.
     #[test]
     fn estimate_equals_the_store_charge_for_full_width_numbers() {
         let t = TemplateBuilder::new("t")
@@ -682,7 +712,7 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        let charge = charge_per_tuple(&t, |a| {
+        let (entry, charge) = charges(&t, |a| {
             let values = t.expanded_list().iter().map(|attr| match attr.column {
                 1 => Value::from(-0.0),
                 2 => Value::Int(1),
@@ -693,13 +723,16 @@ mod tests {
         });
         assert_eq!(charge, 1 + 2 * 9);
         assert_eq!(estimate_tuple_bytes(&t), charge);
+        assert_eq!(entry, HANDLE_BYTES + 1 + 2);
+        assert_eq!(estimate_entry_bytes(&t), HANDLE_BYTES + 1 + 9);
     }
 
     /// T1 (`orders ⋈ lineitem`, `select *`, equality on `orderdate` and
     /// `suppkey`) stores five integers and the two (empty) fillers. Small
     /// integers take 1–2 payload bytes: charged 1 + 13 = 14 B, which the
     /// estimate bounds from above by counting each integer at 9 B and
-    /// each filler at `1 + INLINE_CAP`.
+    /// each filler at `1 + INLINE_CAP`. Its key `(1, 1)` is charged
+    /// 16 + 1 + 4 = 21 B, estimated at 16 + 1 + 18 = 35 B.
     #[test]
     fn estimate_bounds_the_store_charge_for_t1() {
         let int = |n: &str| Column::new(n, ColumnType::Int);
@@ -736,7 +769,7 @@ mod tests {
             .unwrap();
         // orders(k, c, 1, p, ''), lineitem(k, 1, q, e, ''): both
         // equality columns are 1, the bcp's values.
-        let charge = charge_per_tuple(&t, |k| {
+        let (entry, charge) = charges(&t, |k| {
             pmv_storage::tuple![k, 7i64, 1i64, 100i64, "", k, 1i64, 3i64, 300i64, ""]
         });
         // k = 2, 7, 100, '', 3, 300, '': 2 + 2 + 2 + 1 + 2 + 3 + 1 B,
@@ -744,5 +777,6 @@ mod tests {
         assert_eq!(charge, 1 + 13);
         assert_eq!(estimate_tuple_bytes(&t), 1 + 5 * 9 + 2 * (1 + INLINE_CAP));
         assert!(estimate_tuple_bytes(&t) >= charge);
+        assert_eq!((entry, estimate_entry_bytes(&t)), (21, 35));
     }
 }

@@ -18,10 +18,9 @@ use std::time::Duration;
 
 use pmv_cache::PolicyKind;
 use pmv_query::{AttrRef, CondForm, QueryInstance, QueryTemplate};
-use pmv_storage::{PackedRow, RowRef, Tuple, Value};
+use pmv_storage::{packed, PackedRow, RowRef, Tuple, Value};
 
 use crate::bcp::{BcpDim, BcpKey, Discretizer};
-use crate::store::ENTRY_BYTES;
 use crate::{CoreError, Result};
 
 /// Tuning knobs for a PMV.
@@ -80,18 +79,22 @@ impl PmvConfig {
         self
     }
 
-    /// Derive the entry budget `L` from a byte budget `UB` and an average
-    /// tuple size `At`, per the paper's bound `UB ≤ L × F × At` with what
-    /// the store charges an entry besides its tuples added:
-    /// `UB ≤ L × (ENTRY_BYTES + F × At)` ([`crate::store::ENTRY_BYTES`]).
+    /// Derive the entry budget `L` from a byte budget `UB`, per the
+    /// paper's bound `UB ≤ L × F × At` with what the store charges an
+    /// entry besides its tuples added: `UB ≤ L × (E + F × At)`, `E` an
+    /// entry's charge without its rows
+    /// ([`estimate_entry_bytes`](crate::verify::estimate_entry_bytes))
+    /// and `At` a tuple's
+    /// ([`estimate_tuple_bytes`](crate::verify::estimate_tuple_bytes)).
     pub fn with_byte_budget(
         f: usize,
         ub_bytes: usize,
+        entry_bytes: usize,
         avg_tuple_bytes: usize,
         policy: PolicyKind,
     ) -> Self {
         assert!(f > 0 && avg_tuple_bytes > 0);
-        let l = (ub_bytes / (ENTRY_BYTES + f * avg_tuple_bytes)).max(1);
+        let l = (ub_bytes / (entry_bytes + f * avg_tuple_bytes)).max(1);
         PmvConfig::new(f, l, policy)
     }
 }
@@ -246,33 +249,44 @@ impl StoredLayout {
         }
     }
 
-    /// The values at `Ls'` positions `positions` of the row that
-    /// `stored`, filed under `bcp`, stands for, in order. Ascending
-    /// positions decode in one forward pass over the stored fields; a
-    /// position the entry fixes decodes its field of the key.
-    pub fn values_at(&self, stored: RowRef<'_>, bcp: &BcpKey, positions: &[usize]) -> Box<[Value]> {
-        let mut fields = stored.fields();
+    /// Append to `out` the packed bytes of the values at `Ls'` positions
+    /// `positions` of the row that `stored`, filed under `bcp`, stands
+    /// for, in order: each value's one encoding, copied from the stored
+    /// field or the key's, or written for a fixed one. Ascending
+    /// positions walk the stored fields once.
+    pub fn project(
+        &self,
+        stored: RowRef<'_>,
+        bcp: &BcpKey,
+        positions: &[usize],
+        out: &mut Vec<u8>,
+    ) {
+        let mut fields = stored.encoded_fields();
         // The index of the field `fields` yields next.
         let mut next = 0;
-        positions
-            .iter()
-            .map(|&p| match &self.sources[p] {
+        for &p in positions {
+            match &self.sources[p] {
                 Source::Stored(j) => {
                     if *j < next {
-                        (fields, next) = (stored.fields(), 0);
+                        (fields, next) = (stored.encoded_fields(), 0);
                     }
                     let field = fields.nth(j - next).expect("a field per stored position");
                     next = j + 1;
-                    field.to_value()
+                    out.extend_from_slice(field);
                 }
-                Source::Bcp(i) => bcp
-                    .fields()
-                    .nth(*i)
-                    .expect("a field per dimension")
-                    .to_value(),
-                Source::Fixed(v) => v.clone(),
-            })
-            .collect()
+                Source::Bcp(i) => out.extend_from_slice(
+                    bcp.row()
+                        .encoded_fields()
+                        .nth(*i)
+                        .expect("a field per dimension"),
+                ),
+                Source::Fixed(v) => {
+                    let at = out.len();
+                    out.resize(at + packed::encoded_len(v), 0);
+                    packed::encode(v, &mut out[at..]);
+                }
+            }
+        }
     }
 
     /// The values an `Ls'` row stores, in stored order: what a store
@@ -572,10 +586,12 @@ mod tests {
     #[test]
     fn byte_budget_derives_l() {
         // The paper's 1 MB example: F = 2, At = 50 B gives 10 000 entries
-        // of 100 B each; 32 B more per entry leaves room for 7 575.
-        let c = PmvConfig::with_byte_budget(2, 1_000_000, 50, PolicyKind::Clock);
-        assert_eq!(c.l, 7_575);
-        let c = PmvConfig::with_byte_budget(5, 100, 50, PolicyKind::TwoQ);
+        // of 100 B each. T1's key of two integers is estimated at 16 B of
+        // handle and a frame of 1 + 2 × 9 B: 35 B more per entry leaves
+        // room for 7 407.
+        let c = PmvConfig::with_byte_budget(2, 1_000_000, 35, 50, PolicyKind::Clock);
+        assert_eq!(c.l, 7_407);
+        let c = PmvConfig::with_byte_budget(5, 100, 35, 50, PolicyKind::TwoQ);
         assert_eq!(c.l, 1); // floor at 1
     }
 

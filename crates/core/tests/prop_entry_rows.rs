@@ -1,15 +1,16 @@
-//! A store entry holds its cached tuples as one byte string: each row
-//! framed as its packed length in LEB128 and its packed values, back to
-//! back, with the fill epochs beside it. Random scripts of fills,
+//! A store entry is one byte string: its bcp's key framed as a row is,
+//! the fill epochs, then each row framed as its packed length in LEB128
+//! and its packed values, back to back. Random scripts of fills,
 //! delta-key index removals, bridge-join removals, evictions,
 //! revalidations and quarantines run against a `PmvStore` of full rows
 //! with its `DeltaKeyIndex` and against a model holding, per bcp, a
 //! `Vec<(row values, fill epoch)>`. After every step:
 //!
 //! * every entry holds the model's rows, in the model's order, each with
-//!   its epoch, and no other entry exists;
-//! * the charge is exactly `ENTRY_BYTES` per entry (the inline key and
-//!   the handle of its rows) plus each row's framed bytes;
+//!   its epoch, and no other entry exists: the keys read back from the
+//!   entries are the model's;
+//! * the charge is exactly `HANDLE_BYTES` per entry (the handle of its
+//!   bytes) plus its key's frame and each row's framed bytes;
 //! * `check()` — which walks every entry's frames checked and compares
 //!   the index's postings with the cached rows — finds no violation.
 //!
@@ -20,9 +21,9 @@
 use std::collections::HashMap;
 
 use pmv_cache::PolicyKind;
-use pmv_core::{BcpDim, BcpKey, DeltaKeyIndex, PmvConfig, PmvStore, Residency, ENTRY_BYTES};
+use pmv_core::{BcpDim, BcpKey, DeltaKeyIndex, PmvConfig, PmvStore, Residency, HANDLE_BYTES};
 use pmv_query::{QueryTemplate, TemplateBuilder};
-use pmv_storage::{packed, Column, ColumnType, HeapSize, PackedRow, Schema, Tuple, Value};
+use pmv_storage::{packed, Column, ColumnType, PackedRow, Schema, Tuple, Value};
 use proptest::prelude::*;
 
 const F: usize = 3;
@@ -148,11 +149,18 @@ fn agrees(store: &PmvStore, model: &Model, quarantined: bool) -> Result<(), Test
                     .map(|(v, _)| packed::framed_len(packed::row_len(v)))
                     .sum();
                 prop_assert_eq!(rows.bytes().len(), framed);
-                charge += ENTRY_BYTES + key.heap_size() + framed;
+                let key_frame = packed::framed_len(key.as_bytes().len());
+                charge += HANDLE_BYTES + key_frame + framed;
             }
             (got, want) => prop_assert!(false, "bcp {}: store {:?}, model {:?}", b, got, want),
         }
     }
+    // The keys the entries hold, read back from them, are the model's.
+    let mut keys: Vec<BcpKey> = store.iter().map(|(k, _)| k).collect();
+    keys.sort();
+    let mut want: Vec<BcpKey> = model.keys().map(|&b| bcp(b)).collect();
+    want.sort();
+    prop_assert_eq!(keys, want);
     prop_assert_eq!(store.entry_count(), model.len());
     prop_assert_eq!(
         store.tuple_count(),

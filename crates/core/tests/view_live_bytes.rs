@@ -11,10 +11,10 @@
 //!   view; the first of them sizes the serving path's scratch once.
 //! * Live bytes stand in a fixed ratio to the charge.
 //! * The split, exact, and printed under `--nocapture`: the entries'
-//!   rows, each entry's tuples framed into one byte string with their
-//!   fill epochs beside it, as the store builds them; the delta-key
-//!   index's postings, filed afresh with the cached tuples; the
-//!   replacement policies, admitting the bcps afresh; and the rest —
+//!   bytes, each entry's key framed, its tuples' fill epochs and its
+//!   tuples framed in one byte string, as the store builds them; the
+//!   delta-key index's postings, filed afresh with the cached tuples;
+//!   the replacement policies, admitting the bcps afresh; and the rest —
 //!   entries, chunks and the tables still held by readers. The admission
 //!   sketches are allocated with the view, before the fill.
 
@@ -159,31 +159,34 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
     assert_eq!((pmv.entry_count(), pmv.tuple_count()), (bcps, F * bcps));
     let charged = pmv.byte_size() as isize;
 
-    // The split: what framing each entry's cached tuples into one byte
-    // string with their epochs, as the store does, filing them into a
-    // fresh index, and admitting the bcps into fresh policies, leaves
-    // allocated.
+    // The split: what writing each entry's key, epochs and cached
+    // tuples into one byte string, as the store does, filing the tuples
+    // into a fresh index, and admitting the bcps into fresh policies,
+    // leaves allocated.
     let layout = pmv.def().layout();
     let cached: Vec<(BcpKey, Vec<Tuple>)> = pmv.dump();
     let mut entry_rows = Vec::with_capacity(cached.len());
     let ((), rows_bytes) = grown(|| {
-        for (_, rows) in &cached {
-            let len = rows
+        for (bcp, rows) in &cached {
+            let key = packed::framed_len(bcp.as_bytes().len());
+            let epochs = key + 8 * rows.len();
+            let len: usize = rows
                 .iter()
                 .map(|r| packed::framed_len(packed::row_len(layout.stored_values(r))))
                 .sum();
-            let mut framed = vec![0u8; len].into_boxed_slice();
-            let mut at = 0;
+            let mut bytes = vec![0u8; epochs + len].into_boxed_slice();
+            packed::put_packed_frame(&mut bytes, bcp.row());
+            let mut at = epochs;
             for r in rows {
-                at += packed::put_frame(&mut framed[at..], layout.stored_values(r));
+                at += packed::put_frame(&mut bytes[at..], layout.stored_values(r));
             }
-            entry_rows.push((framed, vec![0u64; rows.len()].into_boxed_slice()));
+            entry_rows.push((bytes, epochs));
         }
     });
     let mut index = DeltaKeyIndex::for_view(pmv.def());
     let ((), index_bytes) = grown(|| {
-        for ((bcp, _), (framed, _)) in cached.iter().zip(&entry_rows) {
-            for row in packed::frames(framed) {
+        for ((bcp, _), (bytes, rows)) in cached.iter().zip(&entry_rows) {
+            for row in packed::frames(&bytes[*rows..]) {
                 index.file(bcp, row);
             }
         }
@@ -204,20 +207,29 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
         live - rows_bytes - index_bytes - policy_bytes,
     );
 
-    // 1 600 entries of a 16-byte inline key and the 16-byte handle of
-    // their rows, 4 800 tuples of 7 framed bytes: a byte of length, then
-    // `orderkey` (< 128), `custkey` and `quantity`, each a tag and one
-    // byte — the rest derived.
-    assert_eq!(charged, 84_800, "the charge");
-    assert_eq!(live, 1_564_760, "live bytes after the fill");
-    assert_eq!(live * 100 / charged, 1_845, "live bytes per 100 B charged");
-    // Per entry, its 21 framed bytes and three 8-byte epochs. Two
-    // postings per tuple, each a map slot, an inline key and the row's
-    // hash; admitting an inline key into a policy sized for its capacity
-    // allocates nothing.
+    // 1 600 entries of the 16-byte handle of their bytes and a key
+    // framed in 5 B — a byte of length, then `orderdate` and `suppkey`
+    // (< 128), each a tag and one byte — and 4 800 tuples of 7 framed
+    // bytes: a byte of length, then `orderkey` (< 128), `custkey` and
+    // `quantity`, each a tag and one byte — the rest derived.
+    assert_eq!(charged, 67_200, "the charge");
+    assert_eq!(live, 698_888, "live bytes after the fill");
+    assert_eq!(live * 100 / charged, 1_040, "live bytes per 100 B charged");
+    // Per entry, one allocation: its 5-byte key frame, three 8-byte
+    // epochs and its 21 framed bytes of rows. Two postings per tuple, 24
+    // B each (an inline key and the row's hash) in its projection's list,
+    // which holds no room to grow; a map slot per projection, its 8-byte
+    // hash and the list's 16-byte handle and a control byte, in a table
+    // of a power of two slots and 16 control bytes more: 4 800
+    // `lineitem` projections in 8 192 slots, 120 `orders` projections in
+    // 256; the 8-byte scratch the projections are packed in. Admitting
+    // an inline key into a policy sized for its capacity allocates
+    // nothing.
+    let postings = 2 * 4_800 * 24;
+    let maps = (8_192 * 25 + 16) + (256 * 25 + 16);
     assert_eq!(
         (rows_bytes, index_bytes, policy_bytes),
-        (1_600 * (21 + 24), 1_227_680, 0)
+        (1_600 * (5 + 3 * 8 + 21), postings + maps + 8, 0)
     );
     // The second pass is the first to serve from the view: the serving
     // path's per-thread scratch grows once, for the served rows (128 ×

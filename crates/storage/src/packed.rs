@@ -184,6 +184,10 @@ fn write_leb128(out: &mut [u8], mut n: usize) -> usize {
 /// `None` when the bytes end inside it or it overflows a `usize`.
 #[inline]
 fn read_leb128(bytes: &[u8], at: usize) -> Option<(usize, usize)> {
+    // One byte, below 128: the length of every T1 row and key.
+    if let Some(&b) = bytes.get(at).filter(|&&b| b < 0x80) {
+        return Some((usize::from(b), at + 1));
+    }
     let mut n = 0u128;
     for (i, &b) in bytes.get(at..)?.iter().take(10).enumerate() {
         n |= u128::from(b & 0x7f) << (7 * i);
@@ -295,6 +299,13 @@ impl PackedRow {
 pub struct RowRef<'a>(&'a [u8]);
 
 impl<'a> RowRef<'a> {
+    /// The row packed in `bytes`, which [`encode`] wrote value after
+    /// value — a row's own bytes, or a key packed the way a row is.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        RowRef(bytes)
+    }
+
     /// The fields, decoded in order.
     #[inline]
     pub fn fields(self) -> Fields<'a> {
@@ -312,6 +323,22 @@ impl<'a> RowRef<'a> {
     #[inline]
     pub fn as_bytes(self) -> &'a [u8] {
         self.0
+    }
+
+    /// Each field's packed bytes, in order: what [`encode`] wrote for
+    /// it, so equal values yield equal bytes.
+    #[inline]
+    pub fn encoded_fields(self) -> impl Iterator<Item = &'a [u8]> + Clone + 'a {
+        let bytes = self.0;
+        let mut at = 0;
+        std::iter::from_fn(move || {
+            (at < bytes.len()).then(|| {
+                let (_, next) = field_at(bytes, at).expect("a packed row decodes");
+                let field = &bytes[at..next];
+                at = next;
+                field
+            })
+        })
     }
 
     /// The row as a [`Tuple`].
@@ -502,6 +529,15 @@ impl<'a> Iterator for Frames<'a> {
         self.at = end;
         Some(RowRef(&self.bytes[start..end]))
     }
+}
+
+/// The row framed at the start of `bytes`, and the bytes after its
+/// frame. The bytes hold what [`put_frame`] wrote there; a frame of
+/// other bytes panics (bytes read from disk go through [`take_row`]).
+#[inline]
+pub fn split_frame(bytes: &[u8]) -> (RowRef<'_>, &[u8]) {
+    let (start, end) = frame_at(bytes, 0).expect("a framed row");
+    (RowRef(&bytes[start..end]), &bytes[end..])
 }
 
 /// The row [`put_row`] wrote at the start of `bytes`, checked, and the

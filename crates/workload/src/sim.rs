@@ -167,7 +167,7 @@ fn simulate(cfg: &SimConfig, window: usize) -> (SimResult, Vec<f64>) {
             match &mut sketch {
                 Some(sketch) => {
                     sketch.increment(hash(&b));
-                    admit_if_warmer(&mut *policy, sketch, &b, hash);
+                    admit_if_warmer(&mut *policy, sketch, &b, hash(&b), hash);
                 }
                 None => {
                     policy.admit(b);

@@ -7,8 +7,9 @@
 //!   packed into one framed row: a byte of length, each integer its tag
 //!   and the 1–3 bytes its value needs, each filler its tag, so at most
 //!   1 + 18 = 19 B per tuple, which `estimate_tuple_bytes` bounds from
-//!   above, and 32 B per entry for its inline key and the handle of its
-//!   rows;
+//!   above, and per entry the 16-byte handle of its bytes and its key
+//!   framed: a byte of length and two integers, each its tag and the
+//!   1–2 bytes its value needs;
 //! * a double is canonical once built (`-0.0` is `0.0`, every NaN one
 //!   NaN), so a `Double` equality column is derived from the bcp like any
 //!   other: 9 B less per cached tuple, in the charge and in the estimate;
@@ -99,8 +100,11 @@ fn t1_is_charged_at_most_34_bytes_per_tuple() {
     }
     let (entries, tuples) = (pmv.entry_count(), pmv.tuple_count());
     assert!(entries > 0 && tuples >= entries);
-    let mut charged = 32 * entries;
+    let mut charged = 0;
     for (bcp, rows) in pmv.dump() {
+        let key = bcp.as_bytes().len();
+        assert!((4..=6).contains(&key), "{bcp:?} packs to {key} B");
+        charged += 16 + 1 + key;
         for row in rows {
             assert_eq!(row.arity(), 10);
             let charge = 1 + stored
@@ -191,11 +195,12 @@ fn a_double_equality_column_is_derived() {
     assert_eq!(exact_sorted(&served(&out)), want);
     let dumped: Vec<Tuple> = pmv.dump().into_iter().flat_map(|(_, rows)| rows).collect();
     assert_eq!(exact_sorted(&dumped), want);
-    // One entry, its one-dimension key 16 B (inline) and the 16 B
-    // handle of its rows, and three tuples, each a byte of length and
-    // `a` (1, 2 or 3) in a tag and one byte.
+    // One entry, the 16 B handle of its bytes and its key framed — a
+    // byte of length and the double's tag and 8 bytes — and three
+    // tuples, each a byte of length and `a` (1, 2 or 3) in a tag and one
+    // byte.
     assert_eq!(pmv.entry_count(), 1);
-    assert_eq!(pmv.byte_size(), 16 + 16 + 3 * (1 + 2));
+    assert_eq!(pmv.byte_size(), 16 + (1 + 9) + 3 * (1 + 2));
 }
 
 /// An update that only flips a zero's sign stores the same value: it is
