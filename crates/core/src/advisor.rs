@@ -298,7 +298,7 @@ mod tests {
     /// of its ten values stored), which bound the charge from above.
     #[test]
     fn recommended_view_fits_its_share() {
-        use pmv_storage::packed::{framed_len, MAX_NUMBER_BYTES};
+        use pmv_storage::packed::{entry_frame_len, MAX_NUMBER_BYTES};
         use pmv_storage::string::INLINE_CAP;
         use pmv_storage::{tuple, PackedRow};
         let mut db = Database::new();
@@ -338,15 +338,15 @@ mod tests {
         let recs = advisor.recommend(&cfg).unwrap();
         // Five integers at T1's widest (orderkey ≤ 30 000, custkey ≤
         // 3 000, totalprice < 500 000, quantity ≤ 50, price < 100 000)
-        // and two empty fillers are charged 1 + 18 B, behind a byte of
-        // length; the estimate counts each integer at 9 B and each filler
-        // at its inline bound.
+        // and two empty fillers are charged 1 + 18 B at most, behind a
+        // byte of header; the estimate counts each integer at 9 B and
+        // each filler at its inline bound, 71 B behind two bytes.
         let widest = tuple![30_000i64, 3_000i64, 499_999i64, "", 50i64, 99_999i64, ""];
-        let charge = framed_len(PackedRow::from(&widest).as_bytes().len());
+        let charge = entry_frame_len(PackedRow::from(&widest).as_bytes().len());
         let at = estimate_tuple_bytes(&t1);
         assert_eq!(
             (charge, at),
-            (19, 1 + 5 * MAX_NUMBER_BYTES + 2 * (1 + INLINE_CAP))
+            (19, 2 + 5 * MAX_NUMBER_BYTES + 2 * (1 + INLINE_CAP))
         );
         assert!(at >= charge);
         let e = estimate_entry_bytes(&t1);

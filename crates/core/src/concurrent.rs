@@ -482,12 +482,13 @@ impl SharedPmv {
     pub fn lookup(&self, bcp: &BcpKey) -> Option<Vec<(Arc<Tuple>, u64)>> {
         let layout = self.inner.def.layout();
         let store = self.inner.shards[self.inner.shard_of_bcp(bcp)].read();
-        let dims: Vec<_> = bcp.values().collect();
+        let (dims, mut row): (Vec<_>, _) = (bcp.values().collect(), Vec::new());
         store.rows(bcp).map(|cached| {
-            cached
-                .iter()
-                .map(|(t, e)| (layout.rebuild_with(t, &dims), e))
-                .collect()
+            let (mut rows, mut out) = (cached.iter(&mut row), Vec::with_capacity(cached.len()));
+            while let Some((t, e)) = rows.next_row() {
+                out.push((layout.rebuild_with(t, &dims), e));
+            }
+            out
         })
     }
 
@@ -497,11 +498,15 @@ impl SharedPmv {
     pub(crate) fn has_witness(&self, part: &ConditionPart, q: &QueryInstance) -> bool {
         let def = &self.inner.def;
         let store = self.inner.shards[self.inner.shard_of_bcp(&part.bcp)].read();
-        let dims: Vec<_> = part.bcp.values().collect();
+        let (dims, mut row): (Vec<_>, _) = (part.bcp.values().collect(), Vec::new());
         store.rows(&part.bcp).is_some_and(|cached| {
-            cached
-                .iter()
-                .any(|(t, _)| part.is_basic || def.stored_matches_select(q, t, &dims))
+            let mut rows = cached.iter(&mut row);
+            while let Some((t, _)) = rows.next_row() {
+                if part.is_basic || def.stored_matches_select(q, t, &dims) {
+                    return true;
+                }
+            }
+            false
         })
     }
 
@@ -517,14 +522,14 @@ impl SharedPmv {
     /// comparison.
     pub fn dump(&self) -> Vec<(BcpKey, Vec<Tuple>)> {
         let layout = self.inner.def.layout();
-        let mut out: Vec<(BcpKey, Vec<Tuple>)> = Vec::new();
+        let (mut out, mut row): (Vec<(BcpKey, Vec<Tuple>)>, _) = (Vec::new(), Vec::new());
         for shard in &self.inner.shards {
             for (bcp, cached) in shard.read().iter() {
                 let dims: Vec<_> = bcp.values().collect();
-                let mut tuples: Vec<Tuple> = cached
-                    .iter()
-                    .map(|(t, _)| Arc::unwrap_or_clone(layout.rebuild_with(t, &dims)))
-                    .collect();
+                let (mut rows, mut tuples) = (cached.iter(&mut row), Vec::new());
+                while let Some((t, _)) = rows.next_row() {
+                    tuples.push(Arc::unwrap_or_clone(layout.rebuild_with(t, &dims)));
+                }
                 tuples.sort();
                 out.push((bcp.clone(), tuples));
             }

@@ -88,7 +88,7 @@ pub use pmv_obs::{
 };
 pub use pmv_wal::{CheckpointMeta, Durability, RecoveryInfo, ViewSpec};
 pub use stats::{AtomicPmvStats, PmvStats};
-pub use store::{Hashed, PmvStore, Residency, Rows, HANDLE_BYTES};
+pub use store::{Hashed, PmvStore, Residency, RowCursor, Rows, HANDLE_BYTES};
 pub use verify::{
     verify_def, verify_parts, DiagCode, Diagnostic, FilterSpec, Severity, VerifyOptions,
     VerifyReport,

@@ -115,6 +115,9 @@ struct QueryScratch {
     cands: Vec<Cand>,
     /// The fields of the bcp whose entry O2 is serving.
     dims: Vec<Value>,
+    /// The cached row O2 or the write-back is reading, rebuilt from its
+    /// entry's front-coded bytes.
+    row: Vec<u8>,
     /// The O2 partials, then the remaining O3 rows, as they are found:
     /// each is handed to the outcome in one exact-size vector.
     served: Vec<Arc<Tuple>>,
@@ -131,6 +134,7 @@ impl QueryScratch {
         self.state.clear();
         self.cands.clear();
         self.dims.clear();
+        self.row.clear();
         self.served.clear();
         self.remaining.clear();
     }
@@ -211,6 +215,7 @@ fn query_with_scratch(
         state,
         cands,
         dims,
+        row,
         served: partial_expanded,
         remaining: remaining_expanded,
     } = scratch;
@@ -314,7 +319,8 @@ fn query_with_scratch(
                 // The key's fields, decoded once for the entry's tuples.
                 dims.clear();
                 dims.extend(parts[pi].bcp.values());
-                for (t, fill_epoch) in entries.iter() {
+                let mut rows = entries.iter(row);
+                while let Some((t, fill_epoch)) = rows.next_row() {
                     // Serve gate: never serve a tuple filled after this
                     // query's pin — it may reflect database state the
                     // pinned O3 execution cannot see.
@@ -392,6 +398,7 @@ fn query_with_scratch(
             inner,
             pin_epoch,
             (&parts, slots, state, cands),
+            row,
             None,
             &mut local,
             &mut trace,
@@ -588,6 +595,7 @@ fn query_with_scratch(
         inner,
         pin_epoch,
         (&parts, slots, state, cands),
+        row,
         fills_allowed.then_some(did_upquery),
         &mut local,
         &mut trace,
@@ -644,6 +652,7 @@ fn write_back(
     inner: &Inner,
     pin_epoch: u64,
     (parts, slots, state, cands): (&[ConditionPart], &[Slot], &[PartState], &mut Vec<Cand>),
+    row: &mut Vec<u8>,
     fills: Option<bool>,
     local: &mut PmvStats,
     trace: &mut TraceScope<'_>,
@@ -752,9 +761,13 @@ fn write_back(
                         // are compared with the row through the layout.
                         let t = &offered[k].1;
                         let proven = 1 + offered[..k].iter().filter(|(_, x)| x == t).count();
-                        let have = store.rows(bcp).map_or(0, |rows| {
-                            rows.iter().filter(|&(x, _)| layout.holds(x, t)).count()
-                        }) + offered[..taken].iter().filter(|(_, x)| x == t).count();
+                        let mut have = offered[..taken].iter().filter(|(_, x)| x == t).count();
+                        if let Some(rows) = store.rows(bcp) {
+                            let mut rows = rows.iter(row);
+                            while let Some((x, _)) = rows.next_row() {
+                                have += usize::from(layout.holds(x, t));
+                            }
+                        }
                         if have < proven {
                             offered.swap(taken, k);
                             taken += 1;

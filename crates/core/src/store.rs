@@ -24,10 +24,16 @@
 //!
 //! A view's store holds each entry's tuples in the view's
 //! [`crate::view::StoredLayout`] — only the `Ls'` values its entry cannot
-//! derive — packed and framed back to back, the framing the WAL and the
-//! checkpoint write a row in ([`pmv_storage::packed`]). An entry is one
-//! allocation however many rows it holds: its bcp's key, framed as a row
-//! is; the rows' fill epochs; the rows' frames. A chunk slot is the
+//! derive — packed and front-coded back to back: each row keeps only the
+//! bytes it does not share with the row before it
+//! ([`pmv_storage::packed`]'s entry frame). An entry is one allocation
+//! however many rows it holds: its bcp's key, framed as the WAL frames a
+//! row; the rows' fill epochs; the rows' frames. Every write of an
+//! entry's rows — a fill, a removal — lays the rows out whole in the
+//! store's reused scratch and front-codes them through one writer
+//! (`Entry::write`), so a removal re-bases the row that followed the
+//! removed one. A reader walks the rows with a [`RowCursor`], which
+//! rebuilds each into a buffer the reader owns. A chunk slot is the
 //! entry's hash and its `Arc`, 16 B. The store itself never looks inside
 //! a tuple — it holds, charges and compares the bytes it is given — and
 //! its delta-key index reads the derived positions from each tuple's
@@ -35,13 +41,17 @@
 //!
 //! [`PmvStore::byte_size`] is exact under one rule: an entry is charged
 //! [`HANDLE_BYTES`] (16 B) for the handle of its bytes, its key's frame
-//! and its rows' frames — each frame a packed length in LEB128 (one
-//! byte below 128), then the packed values. The fill epochs are not
-//! charged. A T1 key — two integers, each a tag and 1–2 bytes — is 4–6
-//! bytes behind a byte of length: 21–23 B per entry with the handle.
-//! T1's tuples store five integers, each its tag and the 1–3 bytes its
-//! value needs, and two empty strings of one tag byte each: at most
-//! 1 + 18 = 19 B per tuple.
+//! and its rows' frames as written — each a header `LEB128(suffix_len
+//! << 1 | s)` (one byte while the suffix is below 64 bytes), the
+//! `LEB128` count of bytes shared with the row before when `s = 1`, and
+//! the suffix. A row frames no more than alone: `LEB128(len << 1)` and
+//! its packed values. The fill epochs and the scratch are not charged. A
+//! T1 key — two integers, each a tag and 1–2 bytes — is 4–6 bytes behind
+//! a byte of length: 21–23 B per entry with the handle. T1's tuples store
+//! five integers, each its tag and the 1–3 bytes its value needs, and two
+//! empty strings of one tag byte each: at most 1 + 18 = 19 B per tuple,
+//! and a lineitem that follows another of its order repeats the order's
+//! four fields, which it keeps as a count.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -105,8 +115,8 @@ impl<'a> From<&'a BcpKey> for Hashed<'a> {
 }
 
 /// One entry's cached tuples, borrowed from the entry: its rows, packed
-/// in the store's layout and framed back to back, and the epoch each
-/// was filled at. The fill epoch lets the epoch-pinned serving path
+/// in the store's layout and front-coded back to back, and the epoch
+/// each was filled at. The fill epoch lets the epoch-pinned serving path
 /// refuse tuples newer than its pinned version (a reader at epoch `e`
 /// serves a cached tuple only when `fill_epoch <= e`).
 #[derive(Clone, Copy, Debug, Default)]
@@ -129,8 +139,8 @@ impl<'a> Rows<'a> {
         self.epochs.is_empty()
     }
 
-    /// The rows, framed back to back: what the entry is charged for
-    /// besides its key's frame and the handle of its bytes.
+    /// The rows, front-coded back to back: what the entry is charged
+    /// for besides its key's frame and the handle of its bytes.
     #[inline]
     pub fn bytes(self) -> &'a [u8] {
         self.bytes
@@ -145,10 +155,84 @@ impl<'a> Rows<'a> {
     }
 
     /// The rows in the order they were filled, each with its fill
-    /// epoch, borrowed where they lie.
+    /// epoch, each rebuilt into `row` (a buffer the caller keeps, so a
+    /// walk allocates nothing once it has grown) and lent until the next.
     #[inline]
-    pub fn iter(self) -> impl Iterator<Item = (RowRef<'a>, u64)> + 'a {
-        packed::frames(self.bytes).zip(self.epochs())
+    pub fn iter<'b>(self, row: &'b mut Vec<u8>) -> RowCursor<'a, 'b> {
+        RowCursor {
+            rows: packed::cursor(self.bytes, row),
+            epochs: self.epochs.chunks_exact(EPOCH_BYTES),
+        }
+    }
+}
+
+/// A walk over one entry's rows ([`Rows::iter`]): each is rebuilt into
+/// the caller's buffer and lent, with its fill epoch, until the next
+/// call.
+pub struct RowCursor<'a, 'b> {
+    rows: packed::Cursor<'a, 'b>,
+    epochs: std::slice::ChunksExact<'a, u8>,
+}
+
+impl RowCursor<'_, '_> {
+    /// The next row and its fill epoch; `None` past the last.
+    #[inline]
+    pub fn next_row(&mut self) -> Option<(RowRef<'_>, u64)> {
+        let epoch = self.epochs.next()?;
+        let epoch = u64::from_le_bytes(epoch.try_into().expect("an epoch's bytes"));
+        Some((self.rows.next_row()?, epoch))
+    }
+}
+
+/// Full rows packed back to back, each with its fill epoch: what a
+/// store write lays out before [`Entry::write`] front-codes them into an
+/// entry. The store keeps one and reuses it, so once it has grown a
+/// write allocates only the entry it writes.
+#[derive(Default)]
+struct Staged {
+    bytes: Vec<u8>,
+    /// Where each row ends in `bytes`, and its fill epoch.
+    rows: Vec<(usize, u64)>,
+}
+
+impl Staged {
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.rows.clear();
+    }
+
+    /// Rows held.
+    fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Append `row`, already packed.
+    fn push(&mut self, row: RowRef<'_>, epoch: u64) {
+        self.bytes.extend_from_slice(row.as_bytes());
+        self.rows.push((self.bytes.len(), epoch));
+    }
+
+    /// Append `values`, packed. The iterator is walked twice: once to
+    /// size the row, once to write it.
+    fn push_values<'v>(&mut self, values: impl Iterator<Item = &'v Value> + Clone, epoch: u64) {
+        let mut at = self.bytes.len();
+        self.bytes.resize(at + packed::row_len(values.clone()), 0);
+        for v in values {
+            at += packed::encode(v, &mut self.bytes[at..]);
+        }
+        debug_assert_eq!(at, self.bytes.len());
+        self.rows.push((at, epoch));
+    }
+
+    /// The rows in order, each with the row before it (`None` for the
+    /// first) and its fill epoch.
+    fn iter(&self) -> impl Iterator<Item = (RowRef<'_>, Option<RowRef<'_>>, u64)> + Clone {
+        let mut start = 0;
+        self.rows.iter().scan(None, move |prev, &(end, epoch)| {
+            let row = RowRef::new(&self.bytes[start..end]);
+            start = end;
+            Some((row, prev.replace(row), epoch))
+        })
     }
 }
 
@@ -204,6 +288,27 @@ impl Entry {
         (bytes, key_frame)
     }
 
+    /// The entry of `key` holding `rows`, in their order, each
+    /// front-coded against the row before it: the one writer of an
+    /// entry's rows. The rows are sized first, so the entry is one
+    /// allocation.
+    fn write(key: RowRef<'_>, rows: &Staged) -> Entry {
+        let len = rows.len();
+        let framed = rows
+            .iter()
+            .map(|(row, prev, _)| packed::entry_row_len(row, prev))
+            .sum();
+        let (mut bytes, key_frame) = Entry::alloc(key, len, framed);
+        let (epochs, framed) = bytes[key_frame..].split_at_mut(len * EPOCH_BYTES);
+        let mut end = 0;
+        for ((row, prev, epoch), e) in rows.iter().zip(epochs.chunks_exact_mut(EPOCH_BYTES)) {
+            e.copy_from_slice(&epoch.to_le_bytes());
+            end += packed::put_entry_row(&mut framed[end..], row, prev);
+        }
+        debug_assert_eq!(end, framed.len());
+        Entry::new(bytes, key_frame, len)
+    }
+
     /// An entry of `bytes`, whose key's frame ends at `key_end`, holding
     /// `len` rows.
     fn new(bytes: Box<[u8]>, key_end: usize, len: usize) -> Entry {
@@ -248,12 +353,7 @@ impl Entry {
     /// What the entry is charged: the handle of its bytes, and its
     /// bytes but for the epochs.
     fn charge(&self) -> usize {
-        Entry::charge_of(&self.bytes, self.len())
-    }
-
-    /// What an entry of `bytes` holding `len` rows is charged.
-    fn charge_of(bytes: &[u8], len: usize) -> usize {
-        HANDLE_BYTES + bytes.len() - len * EPOCH_BYTES
+        HANDLE_BYTES + self.bytes.len() - self.len() * EPOCH_BYTES
     }
 }
 
@@ -354,16 +454,16 @@ impl Table {
         Arc::get_mut(chunk).expect("a fresh copy is unshared")
     }
 
-    /// Give the entry at `(ci, i)` new bytes holding `len` rows,
-    /// returning it writable. An entry a reader still shares is
-    /// replaced, not copied: its old bytes are never duplicated only to
-    /// be dropped.
-    fn set_bytes(&mut self, (ci, i): At, bytes: Box<[u8]>, len: usize) -> &mut Entry {
+    /// Put `entry`, a rewrite of the entry at `(ci, i)`, in its place
+    /// with the old one's hit count and completeness stamp, returning it
+    /// writable. An entry a reader still shares is replaced, not copied:
+    /// its old bytes are never duplicated only to be dropped.
+    fn replace(&mut self, (ci, i): At, entry: Entry) -> &mut Entry {
         let slot = &mut self.chunk_mut(ci, 0)[i].1;
         let entry = Entry {
             hits: AtomicU64::new(slot.hits.load(Ordering::Acquire)),
             complete: slot.complete,
-            ..Entry::new(bytes, slot.key_end as usize, len)
+            ..entry
         };
         match Arc::get_mut(slot) {
             Some(old) => *old = entry,
@@ -425,6 +525,11 @@ pub struct PmvStore {
     /// under the shard's write guard; atomic so `published` takes
     /// `&self`.
     published_spine: AtomicUsize,
+    /// The rows a write lays out before front-coding them.
+    staged: Staged,
+    /// The buffer a fill's or a removal's walk over an entry rebuilds a
+    /// row in while it stages the rows.
+    row: Vec<u8>,
 }
 
 impl PmvStore {
@@ -452,6 +557,8 @@ impl PmvStore {
             inserts_seen: 0,
             quarantined: false,
             published_spine: AtomicUsize::new(0),
+            staged: Staged::default(),
+            row: Vec::new(),
         }
     }
 
@@ -593,10 +700,10 @@ impl PmvStore {
         self.quarantined = false;
     }
 
-    /// The tuples cached for `bcp`, if resident, framed back to back in
-    /// one byte string ([`packed::frames`] walks them). Does not touch the
-    /// policy. Its length counts bytes: [`Self::rows`] counts tuples and
-    /// carries their fill epochs.
+    /// The tuples cached for `bcp`, if resident, front-coded back to back
+    /// in one byte string ([`packed::cursor`] walks them). Does not touch
+    /// the policy. Its length counts bytes: [`Self::rows`] counts tuples
+    /// and carries their fill epochs.
     pub fn lookup<'k>(&self, bcp: impl Into<Hashed<'k>>) -> Option<&[u8]> {
         self.rows(bcp).map(Rows::bytes)
     }
@@ -663,7 +770,11 @@ impl PmvStore {
         self.bytes -= e.charge();
         self.evictions += 1;
         if let Some(ix) = &mut self.index {
-            for row in packed::frames(e.rows().bytes()) {
+            // An eviction stages nothing, so the victim's rows are rebuilt
+            // in the staging bytes: the fill that wrote the victim grew
+            // them to hold all its rows, and nothing is allocated here.
+            let mut rows = e.rows().iter(&mut self.staged.bytes);
+            while let Some((row, _)) = rows.next_row() {
                 ix.remove_from(victim, row);
             }
         }
@@ -685,13 +796,13 @@ impl PmvStore {
     /// computed at, until the entry holds `F`. Returns how many were
     /// stored: none when the bcp is not resident or the entry is full.
     ///
-    /// The rows are packed straight into the entry's one allocation,
-    /// which a fill replaces whole: one allocation however many are
-    /// stored, and none per row. `rows` is walked twice: once to size
-    /// them, once to write them.
+    /// The entry is rewritten whole, its rows and the new ones laid out
+    /// in the store's scratch and front-coded into one allocation: none
+    /// per row. Each row's values are walked twice: once to size the
+    /// row, once to write it.
     pub fn fill<'k, 'v, R, V>(&mut self, bcp: impl Into<Hashed<'k>>, rows: R, epoch: u64) -> usize
     where
-        R: Iterator<Item = V> + Clone,
+        R: Iterator<Item = V>,
         V: Iterator<Item = &'v Value> + Clone,
     {
         let bcp = bcp.into();
@@ -700,42 +811,35 @@ impl PmvStore {
         }
         let at = self.table.find(bcp.hash, bcp.bcp);
         let old = at.map(|at| self.table.at(at));
-        let (old_len, old_charge) = old.map_or((0, 0), |e| (e.len(), e.charge()));
-        let rows = rows.take(self.f.saturating_sub(old_len));
-        let (n, added) = rows.clone().fold((0, 0), |(n, bytes), values| {
-            (n + 1, bytes + packed::framed_len(packed::row_len(values)))
-        });
+        let staged = &mut self.staged;
+        staged.clear();
+        if let Some(old) = old {
+            let mut rows = old.rows().iter(&mut self.row);
+            while let Some((row, e)) = rows.next_row() {
+                staged.push(row, e);
+            }
+        }
+        let old_len = staged.len();
+        for values in rows.take(self.f.saturating_sub(old_len)) {
+            staged.push_values(values, epoch);
+        }
+        let n = staged.len() - old_len;
         if n == 0 {
             return 0;
         }
-        let old = old.map(Entry::rows).unwrap_or_default();
-        let len = old_len + n;
-        let (mut bytes, key_frame) = Entry::alloc(bcp.bcp.row(), len, old.bytes.len() + added);
-        let (epochs, framed) = bytes[key_frame..].split_at_mut(len * EPOCH_BYTES);
-        let (kept, new) = epochs.split_at_mut(old.epochs.len());
-        kept.copy_from_slice(old.epochs);
-        for e in new.chunks_exact_mut(EPOCH_BYTES) {
-            e.copy_from_slice(&epoch.to_le_bytes());
-        }
-        framed[..old.bytes.len()].copy_from_slice(old.bytes);
-        let mut end = old.bytes.len();
-        for values in rows {
-            end += packed::put_frame(&mut framed[end..], values);
-        }
-        debug_assert_eq!(end, framed.len());
+        let entry = Entry::write(bcp.bcp.row(), staged);
         if let Some(ix) = &mut self.index {
-            for row in packed::frames(&framed[old.bytes.len()..]) {
+            for (row, _, _) in staged.iter().skip(old_len) {
                 ix.file(bcp.bcp, row);
             }
         }
-        self.bytes = self.bytes - old_charge + Entry::charge_of(&bytes, len);
+        self.bytes = self.bytes - old.map_or(0, Entry::charge) + entry.charge();
         match at {
             Some(at) => {
-                self.table.set_bytes(at, bytes, len);
+                self.table.replace(at, entry);
             }
             None => {
-                self.table
-                    .insert(bcp.hash, Entry::new(bytes, key_frame, len));
+                self.table.insert(bcp.hash, entry);
                 self.entries += 1;
             }
         }
@@ -775,45 +879,37 @@ impl PmvStore {
             return 0;
         };
         let entry = self.table.at(at);
-        let rows = entry.rows();
-        // Row numbers of the dropped tuples, ascending; nothing is
-        // allocated while every tuple stays.
-        let mut dropped: Vec<usize> = Vec::new();
-        let mut freed = 0;
-        for (i, row) in packed::frames(rows.bytes).enumerate() {
-            if !keep(row) {
-                dropped.push(i);
-                freed += packed::framed_len(row.as_bytes().len());
+        let staged = &mut self.staged;
+        staged.clear();
+        let mut dropped = 0;
+        let mut rows = entry.rows().iter(&mut self.row);
+        while let Some((row, epoch)) = rows.next_row() {
+            if keep(row) {
+                staged.push(row, epoch);
+            } else {
+                dropped += 1;
                 if let Some(ix) = &mut self.index {
                     ix.remove_from(bcp, row);
                 }
             }
         }
-        if dropped.is_empty() {
+        if dropped == 0 {
             return 0;
         }
         let old_charge = entry.charge();
-        let len = entry.len() - dropped.len();
-        if len == 0 {
+        if staged.len() == 0 {
             self.table.remove(at);
             self.entries -= 1;
             self.bytes -= old_charge;
             self.policy.remove(bcp);
-            return dropped.len();
+            return dropped;
         }
-        let (mut bytes, key_frame) = Entry::alloc(entry.key(), len, rows.bytes.len() - freed);
-        let (epochs, framed) = bytes[key_frame..].split_at_mut(len * EPOCH_BYTES);
-        let (mut end, mut next) = (0, dropped.iter().copied().peekable());
-        let kept = (rows.iter().enumerate())
-            .filter_map(|(i, row)| next.next_if_eq(&i).is_none().then_some(row));
-        for ((row, epoch), e) in kept.zip(epochs.chunks_exact_mut(EPOCH_BYTES)) {
-            end += packed::put_packed_frame(&mut framed[end..], row);
-            e.copy_from_slice(&epoch.to_le_bytes());
-        }
-        debug_assert_eq!(end, framed.len());
-        self.bytes = self.bytes - old_charge + Entry::charge_of(&bytes, len);
-        self.table.set_bytes(at, bytes, len).complete = None;
-        dropped.len()
+        // The kept rows are written afresh: the row after a dropped one is
+        // re-based on the row now before it.
+        let kept = Entry::write(entry.key(), staged);
+        self.bytes = self.bytes - old_charge + kept.charge();
+        self.table.replace(at, kept).complete = None;
+        dropped
     }
 
     /// Popularity of `bcp`: number of queries it served (ranking
@@ -837,7 +933,8 @@ impl PmvStore {
     /// Bytes cached, exactly as charged: per entry [`HANDLE_BYTES`]
     /// (16 B) for the handle of its bytes, its key's frame — a byte of
     /// length for a key below 128 bytes, then the key's packed bytes —
-    /// and its rows' frames. The fill epochs, the sketch, the policy's
+    /// and its rows' frames as written, each front-coded against the row
+    /// before it. The fill epochs, the scratch, the sketch, the policy's
     /// frames, the table's spine and chunk slots and the delta-key index
     /// are not charged.
     pub fn byte_size(&self) -> usize {
@@ -891,22 +988,16 @@ impl PmvStore {
                     continue;
                 };
                 recomputed += e.charge();
-                let (mut at, mut framed) = (0, 0);
-                while at < rows.len() {
-                    match packed::take_row(&rows[at..]) {
-                        Ok((_, used)) => (at, framed) = (at + used, framed + 1),
-                        Err(err) => {
-                            violations.push(format!("entry rows misframed for {k:?}: {err}"));
-                            misframed = true;
-                            break;
-                        }
-                    }
-                }
-                if framed != e.len() && !misframed {
-                    violations.push(format!(
+                match packed::check_entry_rows(rows) {
+                    Ok(framed) if framed != e.len() => violations.push(format!(
                         "entry {k:?} frames {framed} rows for {} epochs",
                         e.len
-                    ));
+                    )),
+                    Ok(_) => {}
+                    Err(err) => {
+                        violations.push(format!("entry rows misframed for {k:?}: {err}"));
+                        misframed = true;
+                    }
                 }
                 // Misplaced, an entry is one no lookup finds.
                 if *hash != Self::hash_of(&k) || self.table.chunk_of(*hash) != ci {
@@ -958,9 +1049,16 @@ impl PmvStore {
             ));
         }
         if let Some(ix) = self.index.as_ref().filter(|_| !misframed) {
-            let cached: Vec<(BcpKey, RowRef<'_>)> = self
+            let (mut row, mut owned) = (Vec::new(), Vec::new());
+            for (k, rows) in self.iter() {
+                let mut rows = rows.iter(&mut row);
+                while let Some((r, _)) = rows.next_row() {
+                    owned.push((k.clone(), r.as_bytes().to_vec()));
+                }
+            }
+            let cached: Vec<(BcpKey, RowRef<'_>)> = owned
                 .iter()
-                .flat_map(|(k, rows)| rows.iter().map(move |(row, _)| (k.clone(), row)))
+                .map(|(k, r)| (k.clone(), RowRef::new(r)))
                 .collect();
             violations.extend(ix.check_against(&cached));
         }
@@ -1029,16 +1127,16 @@ mod tests {
 
     /// An entry of `k` holding the one row `(v)`, filled at epoch 0.
     fn entry(k: &BcpKey, v: i64) -> Entry {
-        let row = [Value::Int(v)];
-        let (mut bytes, key_frame) =
-            Entry::alloc(k.row(), 1, packed::framed_len(packed::row_len(&row)));
-        packed::put_frame(&mut bytes[key_frame + EPOCH_BYTES..], &row);
-        Entry::new(bytes, key_frame, 1)
+        let mut rows = Staged::default();
+        rows.push_values([Value::Int(v)].iter(), 0);
+        Entry::write(k.row(), &rows)
     }
 
     /// The value of the one row an entry of [`entry`] holds.
     fn value(e: &Entry) -> Value {
-        let (row, _) = e.rows().iter().next().expect("a row");
+        let mut row = Vec::new();
+        let mut rows = e.rows().iter(&mut row);
+        let (row, _) = rows.next_row().expect("a row");
         row.field(0).to_value()
     }
 
@@ -1112,6 +1210,50 @@ mod tests {
             violations.contains(&format!("entry key misframed in chunk {other}")),
             "{violations:?}"
         );
+    }
+
+    /// `check()` walks an entry's front-coded rows checked, each fault
+    /// reported where it lies, never a panic: a shared prefix on the
+    /// first row, a shared prefix longer than the row before, a suffix
+    /// cut short. The rows are `(1, 2)` and `(1, 3)`, packed `[1 1 1 2]`
+    /// and `[1 1 1 3]`: the second keeps a byte and shares three.
+    #[test]
+    fn check_reports_misframed_entry_rows() {
+        let mut s = PmvStore::new(&cfg(2, 4, PolicyKind::Clock));
+        let k = bcp(7);
+        let row = |b: i64| Tuple::new(vec![Value::Int(1), Value::Int(b)]);
+        assert_eq!(s.admit(&k), Residency::Resident);
+        assert!(s.push_arc(&k, Arc::new(row(2)), 0));
+        assert!(s.push_arc(&k, Arc::new(row(3)), 0));
+        let rows_at = k.as_bytes().len() + 1 + 2 * EPOCH_BYTES;
+        let at = s.table.find(PmvStore::hash_of(&k), &k).unwrap();
+        assert_eq!(
+            s.table.at(at).bytes[rows_at..],
+            [4 << 1, 1, 1, 1, 2, 1 << 1 | 1, 3, 3]
+        );
+        s.validate();
+        for (rows, fault) in [
+            (
+                &[1 << 1 | 1, 3, 3, 4 << 1, 1, 1, 1, 2][..],
+                "a shared prefix on an entry's first row at entry offset 0",
+            ),
+            (
+                &[4 << 1, 1, 1, 1, 2, 1 << 1 | 1, 5, 3],
+                "a shared prefix longer than the previous row at entry offset 5",
+            ),
+            (
+                &[4 << 1, 1, 1, 1, 2, 2 << 1 | 1, 3, 3],
+                "a suffix cut short at entry offset 5",
+            ),
+        ] {
+            let e = s.table.at_mut(at);
+            let mut bytes = e.bytes[..rows_at].to_vec();
+            bytes.extend_from_slice(rows);
+            e.bytes = bytes.into_boxed_slice();
+            let violations = s.check();
+            let want = format!("entry rows misframed for {k:?}: undecodable bytes: {fault}");
+            assert_eq!(violations, [want]);
+        }
     }
 
     #[test]

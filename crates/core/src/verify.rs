@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use pmv_query::{AttrRef, CondForm, QueryTemplate};
-use pmv_storage::packed::{framed_len, MAX_NUMBER_BYTES};
+use pmv_storage::packed::{entry_frame_len, framed_len, MAX_NUMBER_BYTES};
 use pmv_storage::string::INLINE_CAP;
 use pmv_storage::{ColumnType, Value};
 
@@ -256,27 +256,30 @@ impl fmt::Display for VerifyReport {
     }
 }
 
-/// Estimate the average view-tuple size `At` in bytes: what the view's
-/// store charges for one cached tuple — its frame, the LEB128 length of
-/// the packed fields (one byte below 128), plus the packed fields of its
+/// Estimate the average view-tuple size `At` in bytes: the most the
+/// view's store charges for one cached tuple — its unshared entry frame
+/// ([`entry_frame_len`]), the header `LEB128(len << 1)` (one byte below
+/// 64 B of fields), then the packed fields of its
 /// [`crate::view::StoredLayout`], the `Ls'` positions its entry cannot
-/// derive. An entry is charged [`estimate_entry_bytes`] besides its
-/// tuples, so a full view holds at most `L·(E + F·At)` bytes. An `Int`
-/// or `Double` field is counted at [`MAX_NUMBER_BYTES`] (its tag and 8
-/// bytes); a `Str` field at `1 + INLINE_CAP` (its tag, which carries a
-/// short string's length, and up to [`INLINE_CAP`] bytes). A `Double`
-/// takes exactly that; an `Int` packs to the bytes its value needs,
-/// which the schema cannot know, so for rows without NULLs and strings
-/// of at most `INLINE_CAP` bytes the estimate bounds the charge from
-/// above and is conservative by at most 7 B per `Int`, and by the byte
-/// of length a narrower row may not need (exact when every `Int` needs
-/// 8 bytes). A NULL is its tag alone; a longer string is charged its
-/// length, which the schema cannot tell either — pass
-/// [`VerifyOptions::avg_tuple_bytes`] for views of long strings.
+/// derive. A tuple that shares a prefix with the one before it in its
+/// entry is charged less, never more. An entry is charged
+/// [`estimate_entry_bytes`] besides its tuples, so a full view holds at
+/// most `L·(E + F·At)` bytes. An `Int` or `Double` field is counted at
+/// [`MAX_NUMBER_BYTES`] (its tag and 8 bytes); a `Str` field at
+/// `1 + INLINE_CAP` (its tag, which carries a short string's length, and
+/// up to [`INLINE_CAP`] bytes). A `Double` takes exactly that; an `Int`
+/// packs to the bytes its value needs, which the schema cannot know, so
+/// for rows without NULLs and strings of at most `INLINE_CAP` bytes the
+/// estimate bounds the charge from above and is conservative by at most
+/// 7 B per `Int`, and by the header byte a narrower row may not need
+/// (exact when every `Int` needs 8 bytes and the row shares nothing). A
+/// NULL is its tag alone; a longer string is charged its length, which
+/// the schema cannot tell either — pass [`VerifyOptions::avg_tuple_bytes`]
+/// for views of long strings.
 pub fn estimate_tuple_bytes(template: &QueryTemplate) -> usize {
     let list = template.expanded_list();
     let layout = StoredLayout::for_template(template);
-    framed_len(
+    entry_frame_len(
         layout
             .stored_positions()
             .iter()
@@ -659,8 +662,10 @@ mod tests {
 
     /// What the store of a view of `t` charges an entry besides its
     /// rows, and for one more cached tuple, each tuple an `Ls'` row built
-    /// by `row` — the first two of the same width — and filed under the
-    /// bcp that sets each of `t`'s equality conditions to 1.
+    /// by `row` — the first two of the same width, apart in their first
+    /// value, so the second shares at most its first tag byte, which
+    /// costs what its unshared frame does — and filed under the bcp that
+    /// sets each of `t`'s equality conditions to 1.
     fn charges(t: &Arc<QueryTemplate>, row: impl Fn(i64) -> Tuple) -> (usize, usize) {
         use crate::bcp::{BcpDim, BcpKey};
         use crate::delta_index::DeltaKeyIndex;
@@ -775,7 +780,8 @@ mod tests {
         // k = 2, 7, 100, '', 3, 300, '': 2 + 2 + 2 + 1 + 2 + 3 + 1 B,
         // behind one byte of length.
         assert_eq!(charge, 1 + 13);
-        assert_eq!(estimate_tuple_bytes(&t), 1 + 5 * 9 + 2 * (1 + INLINE_CAP));
+        // 71 B of fields take a two-byte header: 71 << 1 passes 127.
+        assert_eq!(estimate_tuple_bytes(&t), 2 + 5 * 9 + 2 * (1 + INLINE_CAP));
         assert!(estimate_tuple_bytes(&t) >= charge);
         assert_eq!((entry, estimate_entry_bytes(&t)), (21, 35));
     }

@@ -1,7 +1,9 @@
 //! A store entry is one byte string: its bcp's key framed as a row is,
-//! the fill epochs, then each row framed as its packed length in LEB128
-//! and its packed values, back to back. Random scripts of fills,
-//! delta-key index removals, bridge-join removals, evictions,
+//! the fill epochs, then its rows front-coded back to back — each a
+//! header `LEB128(suffix_len << 1 | s)`, the count of leading bytes it
+//! shares with the row before when `s = 1`, and the rest of its packed
+//! bytes. Random scripts of fills, delta-key index removals, bridge-join
+//! removals of an entry's first, middle or last row, evictions,
 //! revalidations and quarantines run against a `PmvStore` of full rows
 //! with its `DeltaKeyIndex` and against a model holding, per bcp, a
 //! `Vec<(row values, fill epoch)>`. After every step:
@@ -10,13 +12,20 @@
 //!   its epoch, and no other entry exists: the keys read back from the
 //!   entries are the model's;
 //! * the charge is exactly `HANDLE_BYTES` per entry (the handle of its
-//!   bytes) plus its key's frame and each row's framed bytes;
+//!   bytes) plus its key's frame and each row's frame, replayed here from
+//!   the rule: a row shares its common prefix with the row before it in
+//!   the model's order (the first row nothing) when that costs no more
+//!   than its unshared frame, `LEB128(len << 1)` and its bytes — so a
+//!   removal must re-base the row that followed the removed one;
 //! * `check()` — which walks every entry's frames checked and compares
 //!   the index's postings with the cached rows — finds no violation.
 //!
-//! Rows are drawn from a small domain, so entries hold equal rows
-//! (multiplicity), and strings of 130 and 300 bytes make rows of 128 B
-//! or more, whose length takes two LEB128 bytes.
+//! Rows are drawn from a small pool of shared prefixes — every row opens
+//! with a one-byte integer's tag, and its string is one of pairs that
+//! part only in their last byte — so most rows share, some a byte, some
+//! more than 127 (a two-byte count), some leave a suffix of 64 B or more
+//! (a two-byte header); entries hold equal rows (multiplicity), and
+//! strings of 130 and 300 bytes make rows of 128 B or more.
 
 use std::collections::HashMap;
 
@@ -57,20 +66,35 @@ fn bcp(f: i64) -> BcpKey {
     BcpKey::new(vec![BcpDim::Eq(Value::Int(f))])
 }
 
-/// A row of bcp `f`: `a` from a few values, `s` empty, short, or long
-/// enough that the row passes 127 bytes.
+/// A row of bcp `f`: `a` from a few one-byte values, `s` empty, short,
+/// or one of a pair that parts in its last byte — 63 bytes, so a row
+/// after its twin keeps only that byte and `f`, or long enough that the
+/// row passes 127 bytes.
 fn row(f: i64, (a, s): (i64, usize)) -> Vec<Value> {
-    let s = match s {
-        0 => String::new(),
-        1 => "x".to_string(),
-        2 => "y".repeat(130),
-        _ => "z".repeat(300),
-    };
+    let (stem, n, last) = [
+        ("", 0, ""),
+        ("x", 1, ""),
+        ("q", 62, "a"),
+        ("q", 62, "b"),
+        ("y", 130, ""),
+        ("y", 129, "z"),
+        ("z", 300, ""),
+        ("z", 299, "w"),
+    ][s];
+    let s = stem.repeat(n) + last;
     vec![Value::Int(a), Value::str(s), Value::Int(f)]
 }
 
 fn shape() -> impl Strategy<Value = (i64, usize)> {
-    (0i64..3, 0usize..4)
+    (0i64..3, 0usize..8)
+}
+
+/// Where a bridge-join removal strikes an entry.
+#[derive(Clone, Copy, Debug)]
+enum Pos {
+    First,
+    Middle,
+    Last,
 }
 
 #[derive(Clone, Debug)]
@@ -89,11 +113,11 @@ enum Op {
         k: usize,
         shape: (i64, usize),
     },
-    /// Remove one occurrence of the `k`-th cached row of `b`, as a bridge
+    /// Remove one occurrence of the row of `b` at `at`, as a bridge
     /// join's result.
     JoinRemove {
         b: i64,
-        k: usize,
+        at: Pos,
     },
     /// Revalidate `b` against a truth holding the cached rows `keep`
     /// names, plus one row that is not cached.
@@ -111,7 +135,8 @@ fn op() -> impl Strategy<Value = Op> {
         6 => (0..BCPS, 0usize..3, proptest::collection::vec(shape(), 1..5), 0u64..4)
             .prop_map(|(b, seen, rows, epoch)| Op::Fill { b, seen, rows, epoch }),
         2 => (0..BCPS, 0usize..4, shape()).prop_map(|(b, k, shape)| Op::IndexRemove { b, k, shape }),
-        2 => (0..BCPS, 0usize..4).prop_map(|(b, k)| Op::JoinRemove { b, k }),
+        3 => (0..BCPS, prop_oneof![Just(Pos::First), Just(Pos::Middle), Just(Pos::Last)])
+            .prop_map(|(b, at)| Op::JoinRemove { b, at }),
         1 => (0..BCPS, proptest::collection::vec(any::<bool>(), F), shape())
             .prop_map(|(b, keep, extra)| Op::Revalidate { b, keep, extra }),
         1 => Just(Op::Quarantine),
@@ -126,6 +151,30 @@ fn packed(values: &[Value]) -> Vec<u8> {
     PackedRow::pack(values).as_bytes().to_vec()
 }
 
+fn leb128_len(n: usize) -> usize {
+    (1..).find(|k| n >> (7 * k) == 0).unwrap()
+}
+
+/// What the rows of an entry, in order, are charged by the rule.
+fn rows_charge(rows: &[(Vec<Value>, u64)]) -> usize {
+    let mut prev: Vec<u8> = Vec::new();
+    let mut total = 0;
+    for (values, _) in rows {
+        let bytes = packed(values);
+        let alone = leb128_len(bytes.len() << 1) + bytes.len();
+        let shared = bytes.iter().zip(&prev).take_while(|(a, b)| a == b).count();
+        let suffix = bytes.len() - shared;
+        let coded = leb128_len(suffix << 1 | 1) + leb128_len(shared) + suffix;
+        total += if shared > 0 && coded <= alone {
+            coded
+        } else {
+            alone
+        };
+        prev = bytes;
+    }
+    total
+}
+
 /// The store against the model: same entries, rows, order and epochs;
 /// the charge by the rule; no invariant violated.
 fn agrees(store: &PmvStore, model: &Model, quarantined: bool) -> Result<(), TestCaseError> {
@@ -137,18 +186,22 @@ fn agrees(store: &PmvStore, model: &Model, quarantined: bool) -> Result<(), Test
         match (store.rows(&key), want) {
             (None, None) => {}
             (Some(rows), Some(want)) => {
-                let got: Vec<(Vec<Value>, u64)> = rows
-                    .iter()
-                    .map(|(r, e)| (r.unpack().values().to_vec(), e))
-                    .collect();
+                let (mut row, mut got) = (Vec::new(), Vec::new());
+                let mut cursor = rows.iter(&mut row);
+                while let Some((r, e)) = cursor.next_row() {
+                    got.push((r.unpack().values().to_vec(), e));
+                }
                 prop_assert_eq!(&got, want, "bcp {}", b);
                 prop_assert_eq!(rows.len(), want.len());
                 prop_assert_eq!(store.lookup(&key).unwrap(), rows.bytes());
-                let framed: usize = want
-                    .iter()
-                    .map(|(v, _)| packed::framed_len(packed::row_len(v)))
-                    .sum();
+                let framed = rows_charge(want);
                 prop_assert_eq!(rows.bytes().len(), framed);
+                // No row takes more than it would alone.
+                let alone: usize = want
+                    .iter()
+                    .map(|(v, _)| packed::entry_frame_len(packed::row_len(v)))
+                    .sum();
+                prop_assert!(framed <= alone);
                 let key_frame = packed::framed_len(key.as_bytes().len());
                 charge += HANDLE_BYTES + key_frame + framed;
             }
@@ -243,10 +296,16 @@ proptest! {
                     }
                     prune(&mut model, b);
                 }
-                Op::JoinRemove { b, k } => {
-                    let Some(doomed) = nth(&model, b, k) else {
+                Op::JoinRemove { b, at } => {
+                    let Some(rows) = model.get(&b) else {
                         continue;
                     };
+                    let k = match at {
+                        Pos::First => 0,
+                        Pos::Middle => rows.len() / 2,
+                        Pos::Last => rows.len() - 1,
+                    };
+                    let doomed = rows[k].0.clone();
                     let bytes = PackedRow::pack(&doomed);
                     prop_assert!(store.remove_tuple(&bcp(b), bytes.row()));
                     let rows = model.get_mut(&b).unwrap();

@@ -24,7 +24,13 @@
 //! * `estimate_tuple_bytes` (the `At` of PMV004 and the advisor) bounds
 //!   what the store charges for any row of a template's types whose
 //!   strings are at most `INLINE_CAP` bytes, NULLs included: the row's
-//!   frame, its packed length in LEB128 and then its packed fields.
+//!   unshared entry frame, `LEB128(len << 1)` and then its packed fields,
+//!   the most a row takes in an entry.
+//! * An entry's rows, front-coded, come back from the cursor byte for
+//!   byte and in order, however much of each row repeats the one before:
+//!   each row's frame takes no more than its unshared frame, the checked
+//!   walk counts them, and reports a cut inside any frame or a flipped
+//!   bit as an error or as rows that walk again, never a panic.
 //! * A counting allocator shows that storing a tuple — projecting an
 //!   `Ls'` row and packing it — allocates exactly once; a stored `Tuple`
 //!   took two (its values and the `Arc` around them).
@@ -360,9 +366,10 @@ proptest! {
         let t = template_of(&types);
         let def = PartialViewDef::all_equality("bound", Arc::clone(&t)).unwrap();
         let stored = def.layout().store(&Tuple::new(row.clone()));
-        // The store charges a tuple its frame: the packed length in
-        // LEB128, then the packed fields.
-        let charge = packed::framed_len(stored.as_bytes().len());
+        // The store charges a tuple at most its unshared entry frame: the
+        // packed length, shifted past the shared flag, in LEB128, then
+        // the packed fields.
+        let charge = packed::entry_frame_len(stored.as_bytes().len());
         let estimate = estimate_tuple_bytes(&t);
         prop_assert!(charge <= estimate, "{:?}: {} > {}", row, charge, estimate);
         // The slack is what each field leaves of its estimate — at most
@@ -377,13 +384,75 @@ proptest! {
             })
             .collect();
         let fields = stored.as_bytes().len() + slack.iter().sum::<usize>();
-        prop_assert_eq!(estimate, packed::framed_len(fields));
+        prop_assert_eq!(estimate, packed::entry_frame_len(fields));
         for ((ty, v), slack) in types.iter().zip(&row).zip(slack) {
             match (ty, v) {
                 (_, Value::Null) => {}
                 (ColumnType::Int, _) => prop_assert!(slack <= 7),
                 (ColumnType::Double, _) => prop_assert_eq!(slack, 0),
                 (ColumnType::Str, _) => {}
+            }
+        }
+    }
+}
+
+proptest! {
+    #[test]
+    fn the_cursor_rebuilds_front_coded_rows(
+        base in proptest::collection::vec(Rows { max: 6 }, 1..4),
+        picks in proptest::collection::vec((0usize..4, 0usize..7, Rows { max: 3 }), 0..10),
+    ) {
+        // Each row is a base row cut short and given a new tail, so rows
+        // share prefixes of every length, whole rows included.
+        let rows: Vec<PackedRow> = picks
+            .iter()
+            .map(|(b, cut, tail)| {
+                let b = &base[b % base.len()];
+                let values: Vec<Value> =
+                    b[..*cut.min(&b.len())].iter().chain(tail).cloned().collect();
+                PackedRow::pack(&values)
+            })
+            .collect();
+        let prev = |i: usize| i.checked_sub(1).map(|p| rows[p].row());
+        let mut bytes = Vec::new();
+        let mut ends = vec![0];
+        for (i, row) in rows.iter().enumerate() {
+            let len = packed::entry_row_len(row.row(), prev(i));
+            prop_assert!(len <= packed::entry_frame_len(row.as_bytes().len()), "row {}", i);
+            let at = bytes.len();
+            bytes.resize(at + len, 0);
+            prop_assert_eq!(packed::put_entry_row(&mut bytes[at..], row.row(), prev(i)), len);
+            ends.push(bytes.len());
+        }
+        prop_assert_eq!(packed::check_entry_rows(&bytes), Ok(rows.len()));
+        let mut buf = Vec::new();
+        let mut cursor = packed::cursor(&bytes, &mut buf);
+        for row in &rows {
+            prop_assert_eq!(cursor.next_row(), Some(row.row()));
+        }
+        prop_assert_eq!(cursor.next_row(), None);
+        // Cut at a frame's end, the walk counts the rows before; inside
+        // one — in its header, its count or its suffix — it fails.
+        for (n, w) in ends.windows(2).enumerate() {
+            prop_assert_eq!(packed::check_entry_rows(&bytes[..w[0]]), Ok(n));
+            for cut in [w[0] + 1, w[0] + 2, w[1] - 1].into_iter().filter(|&c| c > w[0] && c < w[1]) {
+                prop_assert!(packed::check_entry_rows(&bytes[..cut]).is_err(), "cut {}", cut);
+            }
+        }
+        // A flipped bit in a frame's first bytes or its last: an error,
+        // or rows the cursor walks as checked.
+        let near = ends.windows(2).flat_map(|w| [w[0], w[0] + 1, w[0] + 2, w[1] - 1]);
+        for at in near.filter(|&at| at < bytes.len()) {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << (at % 8);
+            if let Ok(n) = packed::check_entry_rows(&flipped) {
+                let mut cursor = packed::cursor(&flipped, &mut buf);
+                let mut walked = 0;
+                while let Some(row) = cursor.next_row() {
+                    prop_assert!(row.fields().count() <= row.as_bytes().len());
+                    walked += 1;
+                }
+                prop_assert_eq!(walked, n);
             }
         }
     }

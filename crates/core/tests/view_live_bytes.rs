@@ -12,7 +12,7 @@
 //! * Live bytes stand in a fixed ratio to the charge.
 //! * The split, exact, and printed under `--nocapture`: the entries'
 //!   bytes, each entry's key framed, its tuples' fill epochs and its
-//!   tuples framed in one byte string, as the store builds them; the
+//!   tuples front-coded in one byte string, as the store builds them; the
 //!   delta-key index's postings, filed afresh with the cached tuples;
 //!   the replacement policies, admitting the bcps afresh; and the rest —
 //!   entries, chunks and the tables still held by readers. The admission
@@ -25,7 +25,7 @@ use pmv_cache::PolicyKind;
 use pmv_core::{BcpKey, DeltaKeyIndex, EpochDb, PartialViewDef, PmvConfig, SharedPmv};
 use pmv_index::IndexDef;
 use pmv_query::{Condition, Database, QueryInstance, TemplateBuilder};
-use pmv_storage::{packed, tuple, Column, ColumnType, Schema, Tuple, Value};
+use pmv_storage::{packed, tuple, Column, ColumnType, PackedRow, Schema, Value};
 
 thread_local! {
     // Net bytes requested on this thread. Const-initialised and without
@@ -160,34 +160,42 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
     let charged = pmv.byte_size() as isize;
 
     // The split: what writing each entry's key, epochs and cached
-    // tuples into one byte string, as the store does, filing the tuples
-    // into a fresh index, and admitting the bcps into fresh policies,
-    // leaves allocated.
+    // tuples into one byte string, as the store does — each tuple
+    // front-coded against the one before it in the entry's order —
+    // filing the tuples into a fresh index, and admitting the bcps into
+    // fresh policies, leaves allocated.
     let layout = pmv.def().layout();
-    let cached: Vec<(BcpKey, Vec<Tuple>)> = pmv.dump();
-    let mut entry_rows = Vec::with_capacity(cached.len());
+    let cached: Vec<(BcpKey, Vec<PackedRow>)> = pmv
+        .dump()
+        .into_iter()
+        .map(|(bcp, _)| {
+            let rows = pmv.lookup(&bcp).unwrap();
+            (bcp, rows.iter().map(|(r, _)| layout.store(r)).collect())
+        })
+        .collect();
+    let mut entries = Vec::with_capacity(cached.len());
     let ((), rows_bytes) = grown(|| {
         for (bcp, rows) in &cached {
+            let prev = |i: usize| i.checked_sub(1).map(|p| rows[p].row());
             let key = packed::framed_len(bcp.as_bytes().len());
             let epochs = key + 8 * rows.len();
-            let len: usize = rows
-                .iter()
-                .map(|r| packed::framed_len(packed::row_len(layout.stored_values(r))))
+            let len: usize = (0..rows.len())
+                .map(|i| packed::entry_row_len(rows[i].row(), prev(i)))
                 .sum();
             let mut bytes = vec![0u8; epochs + len].into_boxed_slice();
             packed::put_packed_frame(&mut bytes, bcp.row());
             let mut at = epochs;
-            for r in rows {
-                at += packed::put_frame(&mut bytes[at..], layout.stored_values(r));
+            for (i, r) in rows.iter().enumerate() {
+                at += packed::put_entry_row(&mut bytes[at..], r.row(), prev(i));
             }
-            entry_rows.push((bytes, epochs));
+            entries.push(bytes);
         }
     });
     let mut index = DeltaKeyIndex::for_view(pmv.def());
     let ((), index_bytes) = grown(|| {
-        for ((bcp, _), (bytes, rows)) in cached.iter().zip(&entry_rows) {
-            for row in packed::frames(&bytes[*rows..]) {
-                index.file(bcp, row);
+        for (bcp, rows) in &cached {
+            for row in rows {
+                index.file(bcp, row.row());
             }
         }
     });
@@ -210,10 +218,19 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
     // 1 600 entries of the 16-byte handle of their bytes and a key
     // framed in 5 B — a byte of length, then `orderdate` and `suppkey`
     // (< 128), each a tag and one byte — and 4 800 tuples of 7 framed
-    // bytes: a byte of length, then `orderkey` (< 128), `custkey` and
-    // `quantity`, each a tag and one byte — the rest derived.
+    // bytes: a byte of header, then `orderkey` (< 128), `custkey` and
+    // `quantity`, each a tag and one byte — the rest derived. A tuple
+    // after the first of its entry shares only `orderkey`'s tag, and
+    // keeps it as a count: the same 7 bytes.
     assert_eq!(charged, 67_200, "the charge");
-    assert_eq!(live, 698_888, "live bytes after the fill");
+    // The fill also grows each shard's scratch once, to three 6-byte
+    // rows (32 B) and their ends and epochs (4 × 16 B), and the serving
+    // path's pooled scratch by the 24-byte handle of its row buffer.
+    assert_eq!(
+        live,
+        698_888 + 4 * (32 + 4 * 16) + 24,
+        "live bytes after the fill"
+    );
     assert_eq!(live * 100 / charged, 1_040, "live bytes per 100 B charged");
     // Per entry, one allocation: its 5-byte key frame, three 8-byte
     // epochs and its 21 framed bytes of rows. Two postings per tuple, 24
@@ -233,8 +250,9 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
     );
     // The second pass is the first to serve from the view: the serving
     // path's per-thread scratch grows once, for the served rows (128 ×
-    // 8 B) and the entry's key fields (4 × 16 B). The view itself grows
-    // by nothing, and a third pass by nothing at all.
-    assert_eq!(again, 128 * 8 + 4 * 16, "only the hit path's scratch");
+    // 8 B), the entry's key fields (4 × 16 B) and the buffer a cached
+    // row is rebuilt in (8 B). The view itself grows by nothing, and a
+    // third pass by nothing at all.
+    assert_eq!(again, 128 * 8 + 4 * 16 + 8, "only the hit path's scratch");
     assert_eq!(third, 0, "a third pass holds nothing more");
 }

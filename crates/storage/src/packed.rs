@@ -30,18 +30,36 @@
 //! packed row equals another exactly when the tuples they were packed
 //! from are equal.
 //!
-//! **One framing for a row.** A row is framed as its packed byte
-//! length in LEB128, then its packed values ([`put_row`],
-//! [`put_frame`]), wherever rows lie one after another: the WAL and the
-//! checkpoint write a tuple so, and a view entry holds its cached
-//! tuples so, back to back in one byte string. [`Frames`] walks rows
-//! framed in memory, yielding each as a borrowed [`RowRef`] without
-//! allocating; [`take_row`] reads one back from disk, checked: bytes
-//! cut short, a length that overflows or a string that is not UTF-8
-//! are a [`DecodeError`], never a panic, and a double reads as its
-//! canonical [`F64`]. Both find a frame's row through the one LEB128
-//! read. [`Fields`] runs the same per-tag code over a row in memory,
-//! which holds only what [`encode`] wrote, and panics there.
+//! **One framing for a row on disk.** A row is framed as its packed
+//! byte length in LEB128, then its packed values ([`put_row`],
+//! [`put_packed_frame`]): the WAL and the checkpoint write a tuple so,
+//! and a view entry its bcp's key. [`take_row`] reads one back,
+//! checked: bytes cut short, a length that overflows or a string that
+//! is not UTF-8 are a [`DecodeError`], never a panic, and a double
+//! reads as its canonical [`F64`]. [`Fields`] runs the same per-tag
+//! code over a row in memory, which holds only what [`encode`] wrote,
+//! and panics there.
+//!
+//! **An entry's rows are front-coded.** A view entry holds its cached
+//! rows back to back in one byte string, each framed as on disk plus a
+//! count of leading bytes it shares with the row before it:
+//!
+//! ```text
+//! frame := LEB128(suffix_len << 1 | s) [LEB128(shared) if s = 1] suffix
+//! ```
+//!
+//! The row's packed bytes are the previous row's first `shared` bytes,
+//! then the `suffix_len` bytes of `suffix`. An entry's first row never
+//! shares, and [`put_entry_row`] shares only where the shared frame
+//! costs no more than the unshared one ([`entry_frame_len`]), so a row
+//! never takes more than it would alone. T1's index nested loop emits
+//! one order's lineitems back to back, so most rows repeat their
+//! order's half and keep only the lineitem's. The shared count is an
+//! in-memory frame only: the disk framing above is unchanged, and a row
+//! is hashed and compared over its full packed bytes wherever it lies.
+//! A [`Cursor`] rebuilds each row into a buffer the caller owns and
+//! lends it as a [`RowRef`]; [`check_entry_rows`] walks the same frames
+//! checked.
 
 use std::fmt;
 use std::sync::Arc;
@@ -292,9 +310,9 @@ impl PackedRow {
     }
 }
 
-/// A packed row borrowed from where it lies: a [`PackedRow`], or one
-/// frame of rows laid back to back ([`Frames`]). Copying it copies a
-/// slice reference; equality and hashing are the bytes'.
+/// A packed row borrowed from where it lies: a [`PackedRow`], or the
+/// row an entry's [`Cursor`] rebuilt. Copying it copies a slice
+/// reference; equality and hashing are the bytes'.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RowRef<'a>(&'a [u8]);
 
@@ -448,30 +466,6 @@ pub fn framed_len(len: usize) -> usize {
     leb128_len(len) + len
 }
 
-/// Write `values` as one framed row at the start of `out`, which holds
-/// at least [`framed_len`] of their [`row_len`] bytes: the packed byte
-/// length in LEB128, then the packed values. Returns the bytes written.
-/// The iterator is walked twice: once to size the row, once to write
-/// it.
-#[inline]
-pub fn put_frame<'a, I>(out: &mut [u8], values: I) -> usize
-where
-    I: IntoIterator<Item = &'a Value>,
-    I::IntoIter: Clone,
-{
-    let values = values.into_iter();
-    let len = row_len(values.clone());
-    let mut at = write_leb128(out, len);
-    let end = at + len;
-    for v in values {
-        // A field writes inside the frame only: an integer's 8-byte
-        // store would spill past the frame's end into whatever follows.
-        at += encode(v, &mut out[at..end]);
-    }
-    debug_assert_eq!(at, end);
-    end
-}
-
 /// Write `row`, already packed, as one framed row at the start of
 /// `out`, which holds at least [`framed_len`] of its bytes. Returns the
 /// bytes written.
@@ -483,17 +477,22 @@ pub fn put_packed_frame(out: &mut [u8], row: RowRef<'_>) -> usize {
     at + bytes.len()
 }
 
-/// Append `values` to `out` as one framed row ([`put_frame`]).
+/// Append `values` to `out` as one framed row: the packed byte length
+/// in LEB128, then the packed values.
 pub fn put_row(out: &mut Vec<u8>, values: &[Value]) {
+    let len = row_len(values);
     let start = out.len();
-    out.resize(start + framed_len(row_len(values)), 0);
-    let written = put_frame(&mut out[start..], values);
-    debug_assert_eq!(start + written, out.len());
+    out.resize(start + framed_len(len), 0);
+    let mut at = start + write_leb128(&mut out[start..], len);
+    for v in values {
+        at += encode(v, &mut out[at..]);
+    }
+    debug_assert_eq!(at, out.len());
 }
 
 /// Where the row framed at `bytes[at..]` lies: its packed bytes run
 /// from the first offset to the second, which ends the frame. The one
-/// read of a frame's length, behind [`Frames`] and [`take_row`].
+/// read of a frame's length, behind [`split_frame`] and [`take_row`].
 #[inline]
 fn frame_at(bytes: &[u8], at: usize) -> Result<(usize, usize), &'static str> {
     let (len, start) = read_leb128(bytes, at).ok_or("bad length")?;
@@ -501,39 +500,150 @@ fn frame_at(bytes: &[u8], at: usize) -> Result<(usize, usize), &'static str> {
     Ok((start, end.ok_or("length past the bytes")?))
 }
 
-/// Iterator over rows framed back to back in memory, each borrowed
-/// where it lies; nothing is allocated. The bytes hold only what
-/// [`put_frame`] wrote; a frame of other bytes panics (bytes read from
-/// disk go through [`take_row`]).
-#[derive(Clone)]
-pub struct Frames<'a> {
+/// Bytes the entry frame of a row of `len` packed bytes takes when it
+/// shares nothing: the header `LEB128(len << 1)`, then the row. The most
+/// a row takes in an entry; one byte more than its disk frame
+/// ([`framed_len`]) when `len` is 64–127.
+#[inline]
+pub fn entry_frame_len(len: usize) -> usize {
+    leb128_len(len << 1) + len
+}
+
+/// How `row` is framed after `prev` in an entry: the leading bytes it
+/// shares with `prev` — none when `prev` is `None` (the entry's first
+/// row) or when sharing would cost more than the unshared frame — and
+/// the bytes its frame takes.
+#[inline]
+fn entry_frame(row: &[u8], prev: Option<&[u8]>) -> (usize, usize) {
+    let alone = entry_frame_len(row.len());
+    let shared = prev.map_or(0, |prev| {
+        row.iter().zip(prev).take_while(|(a, b)| a == b).count()
+    });
+    if shared > 0 {
+        let suffix = row.len() - shared;
+        let len = leb128_len(suffix << 1 | 1) + leb128_len(shared) + suffix;
+        if len <= alone {
+            return (shared, len);
+        }
+    }
+    (0, alone)
+}
+
+/// Bytes `row`'s frame takes in an entry after `prev`, the packed bytes
+/// of the row before it (`None` for the entry's first row): what
+/// [`put_entry_row`] writes.
+#[inline]
+pub fn entry_row_len(row: RowRef<'_>, prev: Option<RowRef<'_>>) -> usize {
+    entry_frame(row.0, prev.map(|p| p.0)).1
+}
+
+/// Write `row` front-coded after `prev` (`None` for an entry's first
+/// row) at the start of `out`, which holds at least its
+/// [`entry_row_len`] bytes; see the [module docs](self). Returns the
+/// bytes written.
+#[inline]
+pub fn put_entry_row(out: &mut [u8], row: RowRef<'_>, prev: Option<RowRef<'_>>) -> usize {
+    let (shared, len) = entry_frame(row.0, prev.map(|p| p.0));
+    let suffix = &row.0[shared..];
+    let mut at = write_leb128(out, suffix.len() << 1 | usize::from(shared > 0));
+    if shared > 0 {
+        at += write_leb128(&mut out[at..], shared);
+    }
+    out[at..at + suffix.len()].copy_from_slice(suffix);
+    debug_assert_eq!(at + suffix.len(), len);
+    len
+}
+
+/// Where the entry frame at `bytes[at..]` lies: the leading bytes of
+/// the previous row (of `prev` bytes) it keeps, then where its suffix
+/// begins and where the frame ends. A frame at offset 0 is an entry's
+/// first row. The one read of an entry frame, behind [`Cursor`] and
+/// [`check_entry_rows`].
+#[inline]
+fn entry_frame_at(
+    bytes: &[u8],
+    at: usize,
+    prev: usize,
+) -> Result<(usize, usize, usize), &'static str> {
+    let (header, mut start) = read_leb128(bytes, at).ok_or("bad length")?;
+    let mut shared = 0;
+    if header & 1 == 1 {
+        if at == 0 {
+            return Err("a shared prefix on an entry's first row");
+        }
+        (shared, start) = read_leb128(bytes, start).ok_or("bad shared length")?;
+        if shared > prev {
+            return Err("a shared prefix longer than the previous row");
+        }
+    }
+    let end = start
+        .checked_add(header >> 1)
+        .filter(|&end| end <= bytes.len());
+    Ok((shared, start, end.ok_or("a suffix cut short")?))
+}
+
+/// A walk over an entry's front-coded rows: each row is rebuilt into a
+/// buffer the caller owns — its shared prefix is already there, from
+/// the row before — and lent as a [`RowRef`] until the next call. The
+/// bytes hold only what [`put_entry_row`] wrote; a frame of other bytes
+/// panics ([`check_entry_rows`] walks them checked).
+pub struct Cursor<'a, 'b> {
     bytes: &'a [u8],
     at: usize,
+    row: &'b mut Vec<u8>,
 }
 
-/// The rows framed back to back in `bytes`.
+/// The rows front-coded in `bytes`, rebuilt one at a time into `row`,
+/// whose contents the cursor replaces.
 #[inline]
-pub fn frames(bytes: &[u8]) -> Frames<'_> {
-    Frames { bytes, at: 0 }
+pub fn cursor<'a, 'b>(bytes: &'a [u8], row: &'b mut Vec<u8>) -> Cursor<'a, 'b> {
+    row.clear();
+    Cursor { bytes, at: 0, row }
 }
 
-impl<'a> Iterator for Frames<'a> {
-    type Item = RowRef<'a>;
-
+impl Cursor<'_, '_> {
+    /// The next row, lent until the next call; `None` past the last.
     #[inline]
-    fn next(&mut self) -> Option<RowRef<'a>> {
+    pub fn next_row(&mut self) -> Option<RowRef<'_>> {
         if self.at == self.bytes.len() {
             return None;
         }
-        let (start, end) = frame_at(self.bytes, self.at).expect("a framed row");
+        let (shared, start, end) =
+            entry_frame_at(self.bytes, self.at, self.row.len()).expect("a front-coded row");
+        self.row.truncate(shared);
+        self.row.extend_from_slice(&self.bytes[start..end]);
         self.at = end;
-        Some(RowRef(&self.bytes[start..end]))
+        Some(RowRef(self.row.as_slice()))
     }
 }
 
+/// Walk the rows front-coded in `bytes`, checked, as bytes read from
+/// disk are: returns how many there are, or what is wrong with the
+/// first frame that is not what [`put_entry_row`] writes — a shared
+/// prefix on the first row, a shared prefix longer than the row before
+/// it, a suffix cut short — or whose rebuilt row does not decode.
+pub fn check_entry_rows(bytes: &[u8]) -> Result<usize, DecodeError> {
+    let (mut row, mut at, mut rows) = (Vec::new(), 0, 0);
+    while at < bytes.len() {
+        let fail = |what: &str| DecodeError(format!("{what} at entry offset {at}"));
+        let (shared, start, end) = entry_frame_at(bytes, at, row.len()).map_err(fail)?;
+        row.truncate(shared);
+        row.extend_from_slice(&bytes[start..end]);
+        let mut field = 0;
+        while field < row.len() {
+            field = field_at(&row, field)
+                .ok_or_else(|| fail("a value cut short or not UTF-8"))?
+                .1;
+        }
+        (at, rows) = (end, rows + 1);
+    }
+    Ok(rows)
+}
+
 /// The row framed at the start of `bytes`, and the bytes after its
-/// frame. The bytes hold what [`put_frame`] wrote there; a frame of
-/// other bytes panics (bytes read from disk go through [`take_row`]).
+/// frame. The bytes hold what [`put_row`] or [`put_packed_frame`]
+/// wrote there; a frame of other bytes panics (bytes read from disk go
+/// through [`take_row`]).
 #[inline]
 pub fn split_frame(bytes: &[u8]) -> (RowRef<'_>, &[u8]) {
     let (start, end) = frame_at(bytes, 0).expect("a framed row");
@@ -635,6 +745,48 @@ mod tests {
         );
         assert_eq!(a.as_bytes(), b.as_bytes());
         assert_eq!(a, b);
+    }
+
+    /// Rows front-coded in an entry: each keeps what it does not share
+    /// with the row before, a one-byte share is written (it costs what
+    /// the unshared frame does), and the cursor rebuilds every row.
+    #[test]
+    fn entry_rows_keep_what_they_do_not_share() {
+        let rows: Vec<PackedRow> = [
+            tuple![30_000i64, 3_000i64, 499_999i64, "", 50i64, 99_999i64, ""],
+            tuple![30_000i64, 3_000i64, 499_999i64, "", 7i64, 1_234i64, ""],
+            tuple![30_000i64, 3_000i64, 499_999i64, "", 7i64, 1_234i64, ""],
+            tuple![300i64, 6i64],
+            tuple![""],
+        ]
+        .iter()
+        .map(PackedRow::from)
+        .collect();
+        let lens: Vec<usize> = (0..rows.len())
+            .map(|i| entry_row_len(rows[i].row(), i.checked_sub(1).map(|p| rows[p].row())))
+            .collect();
+        // Unshared; the order's 11 bytes and the quantity's tag shared
+        // of 17, behind a header and a count; all 17 shared; one tag byte
+        // shared, 2 + 4 = 1 + 5; no byte shared.
+        assert_eq!(lens, [19, 2 + 17 - 12, 2, 6, 2]);
+        let mut bytes = vec![0u8; lens.iter().sum()];
+        let mut at = 0;
+        for (i, row) in rows.iter().enumerate() {
+            let prev = i.checked_sub(1).map(|p| rows[p].row());
+            at += put_entry_row(&mut bytes[at..], row.row(), prev);
+        }
+        assert_eq!(at, bytes.len());
+        assert_eq!(
+            bytes[lens[..3].iter().sum::<usize>()..][..2],
+            [4 << 1 | 1, 1]
+        );
+        assert_eq!(check_entry_rows(&bytes), Ok(rows.len()));
+        let mut buf = Vec::new();
+        let mut cur = cursor(&bytes, &mut buf);
+        for row in &rows {
+            assert_eq!(cur.next_row(), Some(row.row()));
+        }
+        assert_eq!(cur.next_row(), None);
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! while every cached and served row stays the row the executor produced.
 //!
 //! * T1 stores 7 of its 10 values — five integers and two empty fillers —
-//!   packed into one framed row: a byte of length, each integer its tag
-//!   and the 1–3 bytes its value needs, each filler its tag, so at most
-//!   1 + 18 = 19 B per tuple, which `estimate_tuple_bytes` bounds from
-//!   above, and per entry the 16-byte handle of its bytes and its key
-//!   framed: a byte of length and two integers, each its tag and the
-//!   1–2 bytes its value needs;
+//!   packed into one row: each integer its tag and the 1–3 bytes its
+//!   value needs, each filler its tag, front-coded in its entry — a
+//!   byte of header, and a byte of count for the leading bytes it shares
+//!   with the row before, when it shares any — so at most 1 + 18 = 19 B
+//!   per tuple, which `estimate_tuple_bytes` bounds from above, and per
+//!   entry the 16-byte handle of its bytes and its key framed: a byte of
+//!   length and two integers, each its tag and the 1–2 bytes its value
+//!   needs;
 //! * a double is canonical once built (`-0.0` is `0.0`, every NaN one
 //!   NaN), so a `Double` equality column is derived from the bcp like any
 //!   other: 9 B less per cached tuple, in the charge and in the estimate;
@@ -68,8 +70,9 @@ fn t1_is_charged_at_most_34_bytes_per_tuple() {
     let def = PartialViewDef::all_equality("t1", Arc::clone(&t1)).unwrap();
     assert_eq!((def.layout().arity(), def.layout().stored_arity()), (10, 7));
     // Each integer is counted at 9 bytes, each filler at its inline
-    // bound, 1 + 12 bytes, behind a byte of length.
-    assert_eq!(estimate_tuple_bytes(&t1), 1 + 5 * 9 + 2 * 13);
+    // bound, 1 + 12 bytes: 71 bytes behind a header of two, 71 << 1
+    // being past 127.
+    assert_eq!(estimate_tuple_bytes(&t1), 2 + 5 * 9 + 2 * 13);
     assert!(estimate_tuple_bytes(&t1) >= 19);
     let stored = def.layout().stored_positions().to_vec();
 
@@ -100,36 +103,54 @@ fn t1_is_charged_at_most_34_bytes_per_tuple() {
     }
     let (entries, tuples) = (pmv.entry_count(), pmv.tuple_count());
     assert!(entries > 0 && tuples >= entries);
-    let mut charged = 0;
-    for (bcp, rows) in pmv.dump() {
+    // Each entry's rows in the order it holds them, charged by the
+    // rule: a row that shares no leading byte with the row before it
+    // (an entry's first row never does) takes a byte of header and its
+    // packed bytes; one that shares `n` takes a byte of header, a byte
+    // of count and the rest — never more, at these widths.
+    let (mut charged, mut shared_rows) = (0, 0);
+    for (bcp, _) in pmv.dump() {
         let key = bcp.as_bytes().len();
         assert!((4..=6).contains(&key), "{bcp:?} packs to {key} B");
         charged += 16 + 1 + key;
-        for row in rows {
+        let mut prev: Vec<u8> = Vec::new();
+        for (row, _) in pmv.lookup(&bcp).unwrap() {
             assert_eq!(row.arity(), 10);
-            let charge = 1 + stored
-                .iter()
-                .map(|&p| packed_width(row.get(p)))
-                .sum::<usize>();
-            assert!(charge <= 19, "{row:?} charged {charge} B");
+            let bytes: Vec<u8> = stored.iter().flat_map(|&p| packed(row.get(p))).collect();
+            let shared = bytes.iter().zip(&prev).take_while(|(a, b)| a == b).count();
+            let charge = match shared {
+                0 => 1 + bytes.len(),
+                n => 2 + bytes.len() - n,
+            };
+            assert!(
+                charge <= 1 + bytes.len() && charge <= 19,
+                "{row:?} charged {charge} B"
+            );
             charged += charge;
+            shared_rows += usize::from(shared > 0);
+            prev = bytes;
             assert!(pmv.def().tuple_in_bcp(&row, &bcp));
             assert_eq!(row.get(0), row.get(5), "orderkey on both sides");
         }
     }
+    assert!(shared_rows > 0, "some row shares its first bytes");
     assert_eq!(pmv.byte_size(), charged);
 }
 
-/// What `v` packs to in a T1 row: an integer its tag and the fewest
-/// bytes that hold it as a signed number, an empty filler its tag.
-fn packed_width(v: &Value) -> usize {
+/// What `v` packs to in a T1 row: an integer its tag (its width) and the
+/// fewest little-endian bytes that hold it as a signed number, an empty
+/// filler its tag.
+fn packed(v: &Value) -> Vec<u8> {
     match v {
         Value::Int(x) => {
-            1 + (1..=8usize)
+            let w = (1..=8usize)
                 .find(|w| matches!(x >> (8 * w - 1), -1 | 0))
-                .unwrap()
+                .unwrap();
+            let mut out = vec![w as u8];
+            out.extend_from_slice(&x.to_le_bytes()[..w]);
+            out
         }
-        Value::Str(s) if s.as_str().is_empty() => 1,
+        Value::Str(s) if s.as_str().is_empty() => vec![11],
         other => panic!("not a T1 stored value: {other:?}"),
     }
 }
