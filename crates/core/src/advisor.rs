@@ -298,6 +298,7 @@ mod tests {
     /// of its ten values stored), which bound the charge from above.
     #[test]
     fn recommended_view_fits_its_share() {
+        use crate::store::HANDLE_BYTES;
         use pmv_storage::packed::{entry_frame_len, MAX_NUMBER_BYTES};
         use pmv_storage::string::INLINE_CAP;
         use pmv_storage::{tuple, PackedRow};
@@ -350,7 +351,7 @@ mod tests {
         );
         assert!(at >= charge);
         let e = estimate_entry_bytes(&t1);
-        assert_eq!(e, 16 + 1 + 2 * MAX_NUMBER_BYTES);
+        assert_eq!(e, HANDLE_BYTES + 1 + 2 * MAX_NUMBER_BYTES);
         let c = &recs[0].config;
         let entry = e + c.f * at;
         assert!(

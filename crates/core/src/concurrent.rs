@@ -15,8 +15,8 @@
 //!   store's insert watermark and quarantine flag. Mutators republish,
 //!   under the shard's write guard, after changing what the shard
 //!   serves; the store's first write after a publish copies only the
-//!   spine and the chunk and entry it touches, and a store whose table is
-//!   still the published one has nothing to publish.
+//!   spine and the chunk it touches, and a store whose table is still
+//!   the published one has nothing to publish.
 //! * Maintenance ([`crate::maintenance`]) X-locks (write-locks) only the
 //!   shards its ΔR join rows hash to, in ascending index order; queries
 //!   over other shards are never affected.
@@ -151,9 +151,8 @@ impl Inner {
 
     /// O2 read side of shard `si`: call `each(part, rows, claimed)` for
     /// every `(bcp hash, part number, bcp)`, with the bcp's cached tuples
-    /// (if resident: one byte string, one dependent load from the chunk)
-    /// and whether the entry carries a valid
-    /// completeness claim. The hash is the bcp's [`PmvStore::hash_of`].
+    /// (if resident: a byte range of the chunk, read past its slot) and
+    /// whether the entry carries a valid completeness claim. The hash is the bcp's [`PmvStore::hash_of`].
     /// Returns `false`, calling nothing, when the shard is quarantined.
     // pmv::pin_region
     pub(crate) fn probe_shard<'p>(
@@ -172,7 +171,7 @@ impl Inner {
         for (hash, part, bcp) in parts {
             let entry = sv.table.get(hash, bcp);
             let claimed = entry.is_some_and(|e| e.complete == Some(sv.inserts_seen));
-            each(part, entry.map(|e| e.rows()), claimed);
+            each(part, entry.map(|e| e.rows), claimed);
         }
         true
     }
@@ -823,15 +822,15 @@ pub(crate) mod tests {
                 "{context}: shard {si}'s view is not its store"
             );
             for (ci, chunk) in view.table.chunks().iter().enumerate() {
-                for (hash, entry) in chunk.iter() {
-                    let bcp = &BcpKey::from_row(entry.key());
+                for (hash, entry) in chunk.entries() {
+                    let bcp = &BcpKey::from_row(entry.key);
                     assert_eq!(
                         (
                             inner.shard_of_bcp(bcp),
                             PmvStore::hash_of(bcp),
-                            view.table.chunk_of(*hash)
+                            view.table.chunk_of(hash)
                         ),
-                        (si, *hash, ci),
+                        (si, hash, ci),
                         "{context}: misplaced {bcp:?}"
                     );
                 }

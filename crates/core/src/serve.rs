@@ -94,8 +94,9 @@ struct PartState {
 /// probed bcp.
 type Slot = (usize, u64, usize);
 
-/// A fill candidate: `(part number, tuple)`.
-type Cand = (usize, Arc<Tuple>);
+/// A fill candidate: `(part number, tuple, copies of it the bcp's entry
+/// holds)`. The copies are pushed as 0 and counted by the write-back.
+type Cand = (usize, Arc<Tuple>, usize);
 
 /// Pooled per-thread buffers for the [`query`] hot loop. Reusing
 /// them across queries keeps the steady-state read path free of per-query
@@ -340,7 +341,7 @@ fn query_with_scratch(
                         } else {
                             ds.insert_arc(Arc::clone(&row));
                             if !st.full {
-                                cands.push((pi, Arc::clone(&row)));
+                                cands.push((pi, Arc::clone(&row), 0));
                             }
                         }
                         partial_expanded.push(row);
@@ -577,7 +578,7 @@ fn query_with_scratch(
                 continue; // the user already has this occurrence
             }
             if let Some(pi) = fill_into {
-                cands.push((pi, Arc::clone(&t)));
+                cands.push((pi, Arc::clone(&t), 0));
             }
             // An upquery slice is its bcp's whole truth: rows outside
             // the query's select still count toward the entry (and
@@ -659,7 +660,7 @@ fn write_back(
 ) -> Duration {
     // Stable: within a part, candidates stay in the order they were
     // proven, so the k-th equal tuple is the k-th proven occurrence.
-    cands.sort_by_key(|&(pi, _)| pi);
+    cands.sort_by_key(|&(pi, _, _)| pi);
     // A bcp gets its once-per-query admit when this query saw any of its
     // tuples, cached or computed.
     let admits = |st: &PartState| fills.is_some() && (st.touch == Some(true) || st.truth > 0);
@@ -739,10 +740,21 @@ fn write_back(
                             continue;
                         }
                     }
-                    let lo = cands.partition_point(|&(p, _)| p < pi);
-                    let hi = lo + cands[lo..].partition_point(|&(p, _)| p == pi);
+                    let lo = cands.partition_point(|&(p, _, _)| p < pi);
+                    let hi = lo + cands[lo..].partition_point(|&(p, _, _)| p == pi);
                     let offered = &mut cands[lo..hi];
-                    let cached = store.rows(bcp).map_or(0, Rows::len);
+                    // One walk over the entry counts, for every candidate,
+                    // the copies of it already cached, each compared with
+                    // the row through the layout.
+                    let cached = store.rows(bcp).map_or(0, |rows| {
+                        let mut walk = rows.iter(row);
+                        while let Some((x, _)) = walk.next_row() {
+                            for (_, t, held) in offered.iter_mut() {
+                                *held += usize::from(layout.holds(x, t));
+                            }
+                        }
+                        rows.len()
+                    });
                     // The admitted candidates are swapped to the front of
                     // `offered`, in the order they were proven; the first
                     // `k` candidates stay the first `k` proven, in some
@@ -757,17 +769,11 @@ fn write_back(
                         // Up to the proven multiplicity: equal `Ls'`
                         // tuples are distinct rows of the answer, and the
                         // entry may hold as many copies of `t` as this
-                        // query has proved so far, no more. Cached tuples
-                        // are compared with the row through the layout.
-                        let t = &offered[k].1;
-                        let proven = 1 + offered[..k].iter().filter(|(_, x)| x == t).count();
-                        let mut have = offered[..taken].iter().filter(|(_, x)| x == t).count();
-                        if let Some(rows) = store.rows(bcp) {
-                            let mut rows = rows.iter(row);
-                            while let Some((x, _)) = rows.next_row() {
-                                have += usize::from(layout.holds(x, t));
-                            }
-                        }
+                        // query has proved so far, no more.
+                        let (_, t, held) = &offered[k];
+                        let proven = 1 + offered[..k].iter().filter(|(_, x, _)| x == t).count();
+                        let have =
+                            held + offered[..taken].iter().filter(|(_, x, _)| x == t).count();
                         if have < proven {
                             offered.swap(taken, k);
                             taken += 1;
@@ -776,7 +782,7 @@ fn write_back(
                     // Packed straight into the entry, in one go.
                     let admitted = offered[..taken]
                         .iter()
-                        .map(|(_, t)| layout.stored_values(t));
+                        .map(|(_, t, _)| layout.stored_values(t));
                     local.tuples_admitted += store.fill(bcp, admitted, pin_epoch) as u64;
                 }
                 // Completeness claims: observed-in-full bcps on this

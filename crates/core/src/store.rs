@@ -14,45 +14,55 @@
 //! The store is the paper's Figure 4: one table of `(bcp, tuples)`
 //! entries with a hash index `I` on bcp (bcp probes are exact-match, so a
 //! hash index needs no ordering). The table is a spine of `Arc`-shared
-//! chunks of `Arc`-shared entries, each entry in the chunk its bcp's hash
-//! names. Every change writes through `Arc::make_mut` from spine to chunk
-//! to entry: while a reader still holds the table, a change copies the
-//! spine, the chunk and the entry it touches and leaves the reader's
-//! version whole. A [`crate::concurrent::SharedPmv`] publishes a shard by
-//! handing its readers a pointer copy of the store's table; a store whose
-//! table is still the published one has nothing new to publish.
+//! chunks, each entry in the chunk its bcp's hash names. A chunk is its
+//! entries' bytes, back to back in one byte string, and one slot per
+//! entry, in tag order: the hash tag, where the entry's bytes end (they
+//! begin where the slot before ends), its row count, its completeness
+//! stamp and its hit count. A lookup reads spine, chunk, slots and then
+//! the entry's bytes; no entry is an allocation of its own. Every change
+//! writes through `Arc::make_mut` from spine to chunk: while a reader
+//! still holds the table, a change copies the spine and the chunk it
+//! touches — the bytes before the entry, the entry's new bytes, the bytes
+//! after, so no old byte is copied only to be dropped — and leaves the
+//! reader's version whole; a chunk nobody shares is edited in place. A
+//! [`crate::concurrent::SharedPmv`] publishes a shard by handing its
+//! readers a pointer copy of the store's table; a store whose table is
+//! still the published one has nothing new to publish.
 //!
 //! A view's store holds each entry's tuples in the view's
 //! [`crate::view::StoredLayout`] — only the `Ls'` values its entry cannot
 //! derive — packed and front-coded back to back: each row keeps only the
 //! bytes it does not share with the row before it
-//! ([`pmv_storage::packed`]'s entry frame). An entry is one allocation
-//! however many rows it holds: its bcp's key, framed as the WAL frames a
-//! row; the rows' fill epochs; the rows' frames. Every write of an
-//! entry's rows — a fill, a removal — lays the rows out whole in the
-//! store's reused scratch and front-codes them through one writer
-//! (`Entry::write`), so a removal re-bases the row that followed the
-//! removed one. A reader walks the rows with a [`RowCursor`], which
-//! rebuilds each into a buffer the reader owns. A chunk slot is the
-//! entry's hash and its `Arc`, 16 B. The store itself never looks inside
-//! a tuple — it holds, charges and compares the bytes it is given — and
-//! its delta-key index reads the derived positions from each tuple's
-//! bcp. [`PmvStore::new`] with [`DeltaKeyIndex::new`] holds full rows.
+//! ([`pmv_storage::packed`]'s entry frame). An entry's bytes are its
+//! bcp's key, framed as the WAL frames a row; the rows' fill epochs; the
+//! rows' frames. Every write of an entry's rows — a fill, a removal —
+//! lays the rows out whole in the store's reused scratch and front-codes
+//! them through one writer (`write_entry`) straight into the entry's
+//! byte range, so a removal re-bases the row that followed the removed
+//! one. A reader walks the rows with a [`RowCursor`], which lends a row
+//! that shares nothing straight from the chunk and rebuilds one that
+//! shares into a buffer the reader owns. The store itself never looks
+//! inside a tuple — it holds, charges and compares the bytes it is given
+//! — and its delta-key index reads the derived positions from each
+//! tuple's bcp. [`PmvStore::new`] with [`DeltaKeyIndex::new`] holds full
+//! rows.
 //!
 //! [`PmvStore::byte_size`] is exact under one rule: an entry is charged
-//! [`HANDLE_BYTES`] (16 B) for the handle of its bytes, its key's frame
-//! and its rows' frames as written — each a header `LEB128(suffix_len
-//! << 1 | s)` (one byte while the suffix is below 64 bytes), the
-//! `LEB128` count of bytes shared with the row before when `s = 1`, and
-//! the suffix. A row frames no more than alone: `LEB128(len << 1)` and
-//! its packed values. The fill epochs and the scratch are not charged. A
-//! T1 key — two integers, each a tag and 1–2 bytes — is 4–6 bytes behind
-//! a byte of length: 21–23 B per entry with the handle. T1's tuples store
-//! five integers, each its tag and the 1–3 bytes its value needs, and two
-//! empty strings of one tag byte each: at most 1 + 18 = 19 B per tuple,
-//! and a lineitem that follows another of its order repeats the order's
-//! four fields, which it keeps as a count.
+//! [`HANDLE_BYTES`] (4 B) for the handle of its bytes — its slot's end
+//! offset — its key's frame and its rows' frames as written — each a
+//! header `LEB128(suffix_len << 1 | s)` (one byte while the suffix is
+//! below 64 bytes), the `LEB128` count of bytes shared with the row
+//! before when `s = 1`, and the suffix. A row frames no more than alone:
+//! `LEB128(len << 1)` and its packed values. The fill epochs, the
+//! slot's tag, row count, stamp and hit count, and the scratch are not
+//! charged. A T1 key — two integers, each a tag and 1–2 bytes — is 4–6
+//! bytes behind a byte of length: 9–11 B per entry with the handle.
+//! T1's tuples store five integers, each its tag and the 1–3 bytes its
+//! value needs, and two empty strings of one tag byte each: at most 1 +
+//! 18 = 19 B per tuple, and a lineitem that follows another of its order
+//! repeats the order's four fields, which it keeps as a count.
 
+use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -78,8 +88,9 @@ pub enum Residency {
 }
 
 /// What the store charges an entry besides its key's frame and its
-/// rows: the handle of the entry's bytes, `size_of::<Box<[u8]>>()`.
-pub const HANDLE_BYTES: usize = std::mem::size_of::<Box<[u8]>>();
+/// rows: the handle of the entry's bytes, its slot's end offset in its
+/// chunk's bytes, `size_of::<u32>()`.
+pub const HANDLE_BYTES: usize = std::mem::size_of::<u32>();
 
 /// Bytes a fill epoch takes in an entry: a `u64`, little-endian.
 const EPOCH_BYTES: usize = std::mem::size_of::<u64>();
@@ -185,9 +196,9 @@ impl RowCursor<'_, '_> {
 }
 
 /// Full rows packed back to back, each with its fill epoch: what a
-/// store write lays out before [`Entry::write`] front-codes them into an
+/// store write lays out before `write_entry` front-codes them into an
 /// entry. The store keeps one and reuses it, so once it has grown a
-/// write allocates only the entry it writes.
+/// write allocates only what its chunk needs.
 #[derive(Default)]
 struct Staged {
     bytes: Vec<u8>,
@@ -238,142 +249,204 @@ impl Staged {
 
 /// Store entries per table chunk, from which the chunk count is derived.
 /// The first change after a publish copies the spine (one `Arc` per
-/// chunk) and each chunk it touches (one `Arc` per entry; a cold fill
-/// into a full store touches two), so its cost `chunks + 2·L/chunks` is
-/// flattest around `√(2·L)` chunks: 35–70 entries each at the paper's L
-/// of 10–20 K, where 16, 32 and 64 measure the same (DESIGN.md §10), and
-/// irrelevant for small stores. Derived, not configurable: it trades
-/// nothing a user could want differently.
+/// chunk) and each chunk it touches (a slot and the bytes per entry; a
+/// cold fill into a full store touches two), so its cost
+/// `chunks + 2·L/chunks` is flattest around `√(2·L)` chunks: 35–70
+/// entries each at the paper's L of 10–20 K, where 16, 32 and 64 measure
+/// the same (DESIGN.md §10), and irrelevant for small stores. Derived,
+/// not configurable: it trades nothing a user could want differently.
 pub(crate) const CHUNK_ENTRIES: usize = 32;
 
-/// One bcp's entry. Readers of a published table share it; the store
-/// copies it before changing it.
+/// One entry's place in its chunk. Readers of a published table share
+/// it; the store copies it, with its chunk, before changing it.
 #[derive(Debug)]
-pub(crate) struct Entry {
-    /// The entry's one allocation: its bcp's key framed as a row is, then
-    /// each row's fill epoch ([`EPOCH_BYTES`] each), then the rows framed
-    /// back to back, rows and epochs in the order they were filled.
-    bytes: Box<[u8]>,
-    /// Where the key's frame ends and the epochs begin: a lookup
-    /// compares the key and finds the rows without decoding the frame's
-    /// length.
-    key_end: u32,
-    /// Rows held: with `key_end`, where the epochs end.
+pub(crate) struct Slot {
+    /// The hash the entry is filed under, which orders the chunk.
+    tag: u64,
+    /// Where the entry's bytes end in the chunk's: they begin where the
+    /// slot before ends, or at 0. The handle of the entry's bytes, and
+    /// charged as one ([`HANDLE_BYTES`]).
+    end: u32,
+    /// Rows held: with the key's frame, where the epochs end.
     len: u32,
+    /// `w + 1` when this entry held the bcp's *entire* truth at
+    /// insert-watermark `w` (a fill or upquery cached every matching
+    /// tuple): kept one up, so that no stamp is the zero niche and the
+    /// field takes 8 bytes, not 16 ([`Slot::complete`] reads it). The entry is still complete only
+    /// while `w` equals the store's current [`PmvStore::inserts_seen`] —
+    /// any later relevant insert may have added tuples the cache is
+    /// missing. Maintenance removals clear it (conservative: a removal
+    /// may drop a tuple the base still derives via another support).
+    stamp: Option<NonZeroU64>,
     /// Times this bcp produced partial results (popularity ranking
     /// extension). Policy metadata no reader looks at, so it is counted
-    /// in place, through a shared entry, and copied along with one. Every
+    /// in place, through a shared chunk, and copied along with one. Every
     /// access holds the shard's lock: the atomic is what lets a shared
-    /// entry be counted, not what orders it.
+    /// slot be counted, not what orders it.
     hits: AtomicU64,
-    /// `Some(w)` when this entry held the bcp's *entire* truth at
-    /// insert-watermark `w` (a fill or upquery cached every matching
-    /// tuple). The entry is still complete only while `w` equals the
-    /// store's current [`PmvStore::inserts_seen`] — any later relevant
-    /// insert may have added tuples the cache is missing. Maintenance
-    /// removals clear it (conservative: a removal may drop a tuple the
-    /// base still derives via another support).
-    pub(crate) complete: Option<u64>,
 }
 
-impl Entry {
-    /// The bytes of an entry of `key` holding `len` rows of `rows`
-    /// framed bytes, its key's frame written, and where that frame ends:
-    /// the epochs and then the rows that follow are left zero for the
-    /// caller to write.
-    fn alloc(key: RowRef<'_>, len: usize, rows: usize) -> (Box<[u8]>, usize) {
-        let key_frame = packed::framed_len(key.as_bytes().len());
-        let mut bytes = vec![0u8; key_frame + len * EPOCH_BYTES + rows].into_boxed_slice();
-        packed::put_packed_frame(&mut bytes, key);
-        (bytes, key_frame)
+impl Slot {
+    /// The completeness stamp: `Some(w)` when the entry held the bcp's
+    /// entire truth at insert-watermark `w`.
+    fn complete(&self) -> Option<u64> {
+        self.stamp.map(|w| w.get() - 1)
     }
 
-    /// The entry of `key` holding `rows`, in their order, each
-    /// front-coded against the row before it: the one writer of an
-    /// entry's rows. The rows are sized first, so the entry is one
-    /// allocation.
-    fn write(key: RowRef<'_>, rows: &Staged) -> Entry {
-        let len = rows.len();
-        let framed = rows
-            .iter()
-            .map(|(row, prev, _)| packed::entry_row_len(row, prev))
-            .sum();
-        let (mut bytes, key_frame) = Entry::alloc(key, len, framed);
-        let (epochs, framed) = bytes[key_frame..].split_at_mut(len * EPOCH_BYTES);
-        let mut end = 0;
-        for ((row, prev, epoch), e) in rows.iter().zip(epochs.chunks_exact_mut(EPOCH_BYTES)) {
-            e.copy_from_slice(&epoch.to_le_bytes());
-            end += packed::put_entry_row(&mut framed[end..], row, prev);
-        }
-        debug_assert_eq!(end, framed.len());
-        Entry::new(bytes, key_frame, len)
-    }
-
-    /// An entry of `bytes`, whose key's frame ends at `key_end`, holding
-    /// `len` rows.
-    fn new(bytes: Box<[u8]>, key_end: usize, len: usize) -> Entry {
-        Entry {
-            bytes,
-            key_end: u32::try_from(key_end).expect("a key frame below 4 GiB"),
-            len: u32::try_from(len).expect("F below 2^32"),
-            hits: AtomicU64::new(0),
-            complete: None,
-        }
-    }
-
-    /// Rows held.
-    #[inline]
-    fn len(&self) -> usize {
-        self.len as usize
-    }
-
-    /// The bcp's packed key.
-    #[inline]
-    pub(crate) fn key(&self) -> RowRef<'_> {
-        packed::split_frame(&self.bytes).0
-    }
-
-    /// Whether the entry's key is `key`, whose frame takes `frame`
-    /// bytes: a frame of that many bytes holds a key of `key`'s length
-    /// (a longer key takes a longer frame), so the frame's last bytes
-    /// are compared, its length not decoded.
-    #[inline]
-    fn has_key(&self, key: &[u8], frame: usize) -> bool {
-        self.key_end as usize == frame && self.bytes[frame - key.len()..frame] == *key
-    }
-
-    /// The cached tuples.
-    #[inline]
-    pub(crate) fn rows(&self) -> Rows<'_> {
-        let (epochs, bytes) =
-            self.bytes[self.key_end as usize..].split_at(self.len() * EPOCH_BYTES);
-        Rows { bytes, epochs }
-    }
-
-    /// What the entry is charged: the handle of its bytes, and its
-    /// bytes but for the epochs.
-    fn charge(&self) -> usize {
-        HANDLE_BYTES + self.bytes.len() - self.len() * EPOCH_BYTES
+    fn set_complete(&mut self, w: Option<u64>) {
+        self.stamp = w.map(|w| NonZeroU64::new(w + 1).expect("a watermark below u64::MAX"));
     }
 }
 
-impl Clone for Entry {
-    fn clone(&self) -> Entry {
-        Entry {
-            bytes: self.bytes.clone(),
-            key_end: self.key_end,
-            len: self.len,
+impl Clone for Slot {
+    fn clone(&self) -> Slot {
+        Slot {
             hits: AtomicU64::new(self.hits.load(Ordering::Acquire)),
-            complete: self.complete,
+            ..*self
         }
     }
 }
 
-/// The entries whose hash falls in one chunk, each tagged with that
-/// hash and kept in tag order, so a lookup binary-searches the tags
-/// without leaving the chunk and reads an entry only on a tag match, to
-/// compare its key; copied by bumping one count per entry.
-type Chunk = Vec<(u64, Arc<Entry>)>;
+/// The entries whose hash falls in one chunk: their bytes back to back,
+/// and a slot each, both in tag order, so a lookup binary-searches the
+/// tags without leaving the slots and reads an entry's bytes only on a
+/// tag match, to compare its key.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Chunk {
+    slots: Vec<Slot>,
+    /// Each entry's bytes: its bcp's key framed as a row is, then each
+    /// row's fill epoch ([`EPOCH_BYTES`] each), then the rows framed back
+    /// to back, rows and epochs in the order they were filled.
+    bytes: Vec<u8>,
+}
+
+impl Chunk {
+    /// Where entry `i`'s bytes lie.
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        let start = i.checked_sub(1).map_or(0, |p| self.slots[p].end as usize);
+        start..self.slots[i].end as usize
+    }
+
+    /// Entry `i`.
+    fn entry(&self, i: usize) -> EntryRef<'_> {
+        EntryRef::new(&self.slots[i], &self.bytes[self.range(i)])
+    }
+
+    /// Each entry with the tag it is filed under, in tag order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u64, EntryRef<'_>)> {
+        (0..self.slots.len()).map(|i| (self.slots[i].tag, self.entry(i)))
+    }
+
+    /// This chunk with the bytes in `range` replaced by `n` zero bytes,
+    /// built as the bytes before, the new ones and the bytes after, at
+    /// the size the write needs, with room for `extra` more slots: what a
+    /// write into a chunk a reader shares copies.
+    fn spliced(&self, range: std::ops::Range<usize>, n: usize, extra: usize) -> Chunk {
+        let mut bytes = Vec::with_capacity(self.bytes.len() - range.len() + n);
+        bytes.extend_from_slice(&self.bytes[..range.start]);
+        bytes.resize(range.start + n, 0);
+        bytes.extend_from_slice(&self.bytes[range.end..]);
+        let mut slots = Vec::with_capacity(self.slots.len() + extra);
+        slots.extend(self.slots.iter().cloned());
+        Chunk { slots, bytes }
+    }
+
+    /// Replace the bytes in `range` by `n` bytes, in place: the bytes
+    /// after move once, and the `n` bytes keep whatever lay there.
+    fn splice(&mut self, range: std::ops::Range<usize>, n: usize) {
+        let (old, len) = (range.len(), self.bytes.len());
+        if n == old {
+            return;
+        }
+        if n > old {
+            self.bytes.reserve_exact(n - old);
+            self.bytes.resize(len + n - old, 0);
+        }
+        self.bytes.copy_within(range.end..len, range.start + n);
+        self.bytes.truncate(len + n - old);
+    }
+
+    /// Move the ends of the slots from `i` on by a splice that put `new`
+    /// bytes where `old` were.
+    fn shift(&mut self, i: usize, old: usize, new: usize) {
+        for slot in &mut self.slots[i..] {
+            slot.end = offset(slot.end as usize - old + new);
+        }
+    }
+}
+
+/// `at` as a chunk offset.
+fn offset(at: usize) -> u32 {
+    u32::try_from(at).expect("a chunk below 4 GiB")
+}
+
+/// One entry, borrowed from its chunk: its bcp's packed key, its rows
+/// and its completeness stamp.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EntryRef<'a> {
+    /// The bcp's packed key.
+    pub(crate) key: RowRef<'a>,
+    /// The cached tuples.
+    pub(crate) rows: Rows<'a>,
+    /// The completeness stamp ([`Slot::complete`]).
+    pub(crate) complete: Option<u64>,
+    hits: &'a AtomicU64,
+}
+
+impl<'a> EntryRef<'a> {
+    /// The entry of `slot`, whose bytes are `bytes`: the key's frame is
+    /// read to find where the epochs begin.
+    #[inline]
+    fn new(slot: &'a Slot, bytes: &'a [u8]) -> Self {
+        let (key, rest) = packed::split_frame(bytes);
+        let (epochs, rows) = rest.split_at(slot.len as usize * EPOCH_BYTES);
+        EntryRef {
+            key,
+            rows: Rows {
+                bytes: rows,
+                epochs,
+            },
+            complete: slot.complete(),
+            hits: &slot.hits,
+        }
+    }
+
+    /// What the entry is charged: the handle of its bytes, its key's
+    /// frame and its rows' frames.
+    fn charge(&self) -> usize {
+        HANDLE_BYTES + packed::framed_len(self.key.as_bytes().len()) + self.rows.bytes.len()
+    }
+}
+
+/// Bytes of an entry of `key` holding `rows`: its key's frame, the
+/// rows' epochs and the rows front-coded, each against the row before.
+fn entry_len(key: RowRef<'_>, rows: &Staged) -> usize {
+    let framed: usize = rows
+        .iter()
+        .map(|(row, prev, _)| packed::entry_row_len(row, prev))
+        .sum();
+    packed::framed_len(key.as_bytes().len()) + rows.len() * EPOCH_BYTES + framed
+}
+
+/// What an entry of `len` bytes holding `rows` rows is charged: the
+/// handle of its bytes, and its bytes but for the epochs.
+fn charge(len: usize, rows: usize) -> usize {
+    HANDLE_BYTES + len - rows * EPOCH_BYTES
+}
+
+/// Write the entry of `key` holding `rows`, in their order, each
+/// front-coded against the row before it, into `out`, which holds its
+/// [`entry_len`] bytes: the one writer of an entry's rows.
+fn write_entry(out: &mut [u8], key: RowRef<'_>, rows: &Staged) {
+    let key_frame = packed::put_packed_frame(out, key);
+    let (epochs, framed) = out[key_frame..].split_at_mut(rows.len() * EPOCH_BYTES);
+    let mut end = 0;
+    for ((row, prev, epoch), e) in rows.iter().zip(epochs.chunks_exact_mut(EPOCH_BYTES)) {
+        e.copy_from_slice(&epoch.to_le_bytes());
+        end += packed::put_entry_row(&mut framed[end..], row, prev);
+    }
+    debug_assert_eq!(end, framed.len());
+}
 
 /// The store's entry table: a spine of `Arc`-shared chunks, each entry
 /// in the chunk its [`PmvStore::hash_of`] names. A clone copies one
@@ -381,7 +454,7 @@ type Chunk = Vec<(u64, Arc<Entry>)>;
 #[derive(Clone)]
 pub(crate) struct Table(Arc<[Arc<Chunk>]>);
 
-/// Where an entry sits: chunk, then position in the chunk.
+/// Where an entry sits: chunk, then slot in the chunk.
 type At = (usize, usize);
 
 impl Table {
@@ -409,82 +482,121 @@ impl Table {
         Arc::as_ptr(&self.0).cast::<u8>() as usize
     }
 
-    /// Where the entry of `bcp`, filed under `hash`, sits: the tags are
-    /// searched in the chunk, and only an entry whose tag is `hash` is
-    /// read, its key compared with `bcp`'s bytes. The key decides; two
-    /// keys of one hash are two entries.
-    fn find(&self, hash: u64, bcp: &BcpKey) -> Option<At> {
+    /// The entry of `bcp`, filed under `hash`, and where it sits: the
+    /// tags are searched in the chunk, and only an entry whose tag is
+    /// `hash` is read, its key compared with `bcp`'s bytes. The key
+    /// decides; two keys of one hash are two entries.
+    fn find(&self, hash: u64, bcp: &BcpKey) -> Option<(At, EntryRef<'_>)> {
         let ci = self.chunk_of(hash);
         let chunk = &self.0[ci];
-        let first = chunk.partition_point(|(h, _)| *h < hash);
-        let (key, frame) = (bcp.as_bytes(), packed::framed_len(bcp.as_bytes().len()));
-        let i = chunk[first..]
+        let first = chunk.slots.partition_point(|s| s.tag < hash);
+        chunk.slots[first..]
             .iter()
-            .take_while(|(h, _)| *h == hash)
-            .position(|(_, e)| e.has_key(key, frame))?;
-        Some((ci, first + i))
+            .take_while(|s| s.tag == hash)
+            .enumerate()
+            .map(|(i, _)| (first + i, chunk.entry(first + i)))
+            .find(|(_, e)| e.key.as_bytes() == bcp.as_bytes())
+            .map(|(i, e)| ((ci, i), e))
     }
 
     /// `bcp`'s entry; `hash` is its [`PmvStore::hash_of`].
-    pub(crate) fn get(&self, hash: u64, bcp: &BcpKey) -> Option<&Entry> {
-        self.find(hash, bcp).map(|at| self.at(at))
+    #[inline]
+    pub(crate) fn get(&self, hash: u64, bcp: &BcpKey) -> Option<EntryRef<'_>> {
+        self.find(hash, bcp).map(|(_, e)| e)
     }
 
-    fn at(&self, (ci, i): At) -> &Entry {
-        &self.0[ci][i].1
-    }
-
-    /// The entry at `(ci, i)`, writable: copied first, with its chunk and
-    /// the spine, where a reader still shares them.
-    fn at_mut(&mut self, (ci, i): At) -> &mut Entry {
-        Arc::make_mut(&mut self.chunk_mut(ci, 0)[i].1)
-    }
-
-    /// Chunk `ci`, writable with room for `extra` more entries: copied
-    /// first, with the spine, where a reader still shares them. A copy
-    /// holds what the write needs; a `Vec` clone at its length would
-    /// double on the insert that follows.
-    fn chunk_mut(&mut self, ci: usize, extra: usize) -> &mut Chunk {
+    /// Chunk `ci`, writable, its bytes in `range` replaced by `n` bytes
+    /// for the caller to write, with room for `extra` more slots: copied
+    /// first as prefix, new bytes and suffix, with the spine, where a
+    /// reader still shares them; edited in place where nobody does.
+    fn splice(
+        &mut self,
+        ci: usize,
+        range: std::ops::Range<usize>,
+        n: usize,
+        extra: usize,
+    ) -> &mut Chunk {
         let chunk = &mut Arc::make_mut(&mut self.0)[ci];
-        if Arc::get_mut(chunk).is_none() {
-            let mut copy = Vec::with_capacity(chunk.len() + extra);
-            copy.extend(chunk.iter().cloned());
-            *chunk = Arc::new(copy);
+        if let Some(chunk) = Arc::get_mut(chunk) {
+            chunk.splice(range, n);
+        } else {
+            *chunk = Arc::new(chunk.spliced(range, n, extra));
         }
-        Arc::get_mut(chunk).expect("a fresh copy is unshared")
+        Arc::get_mut(chunk).expect("a written chunk is unshared")
     }
 
-    /// Put `entry`, a rewrite of the entry at `(ci, i)`, in its place
-    /// with the old one's hit count and completeness stamp, returning it
-    /// writable. An entry a reader still shares is replaced, not copied:
-    /// its old bytes are never duplicated only to be dropped.
-    fn replace(&mut self, (ci, i): At, entry: Entry) -> &mut Entry {
-        let slot = &mut self.chunk_mut(ci, 0)[i].1;
-        let entry = Entry {
-            hits: AtomicU64::new(slot.hits.load(Ordering::Acquire)),
-            complete: slot.complete,
-            ..entry
+    /// The slot at `(ci, i)`, writable: copied first, with its chunk and
+    /// the spine, where a reader still shares them.
+    fn slot_mut(&mut self, (ci, i): At) -> &mut Slot {
+        &mut self.splice(ci, 0..0, 0, 0).slots[i]
+    }
+
+    /// Rewrite the entry at `(ci, i)` as one of `rows` rows in `n` bytes,
+    /// which `write` writes, returning its slot writable; it keeps its
+    /// hit count and completeness stamp.
+    fn rewrite(
+        &mut self,
+        (ci, i): At,
+        rows: usize,
+        n: usize,
+        write: impl FnOnce(&mut [u8]),
+    ) -> &mut Slot {
+        let range = self.0[ci].range(i);
+        let chunk = self.splice(ci, range.clone(), n, 0);
+        write(&mut chunk.bytes[range.start..range.start + n]);
+        chunk.shift(i, range.len(), n);
+        chunk.slots[i].len = u32::try_from(rows).expect("F below 2^32");
+        &mut chunk.slots[i]
+    }
+
+    /// File an entry of `rows` rows in `n` bytes, which `write` writes,
+    /// under `hash`, after any entries of the same tag.
+    fn insert(&mut self, hash: u64, rows: usize, n: usize, write: impl FnOnce(&mut [u8])) {
+        self.insert_in(self.chunk_of(hash), hash, rows, n, write);
+    }
+
+    /// [`Self::insert`] into chunk `ci`, whichever the hash names.
+    fn insert_in(
+        &mut self,
+        ci: usize,
+        hash: u64,
+        rows: usize,
+        n: usize,
+        write: impl FnOnce(&mut [u8]),
+    ) {
+        let slots = &self.0[ci].slots;
+        let i = slots.partition_point(|s| s.tag <= hash);
+        let start = i.checked_sub(1).map_or(0, |p| slots[p].end as usize);
+        let chunk = self.splice(ci, start..start, n, 1);
+        write(&mut chunk.bytes[start..start + n]);
+        let slot = Slot {
+            tag: hash,
+            end: offset(start),
+            len: u32::try_from(rows).expect("F below 2^32"),
+            stamp: None,
+            hits: AtomicU64::new(0),
         };
-        match Arc::get_mut(slot) {
-            Some(old) => *old = entry,
-            None => *slot = Arc::new(entry),
-        }
-        Arc::get_mut(slot).expect("an entry just written is unshared")
+        chunk.slots.reserve_exact(1);
+        chunk.slots.insert(i, slot);
+        chunk.shift(i, 0, n);
     }
 
-    /// File `entry` under `hash`, after any entries of the same tag.
-    fn insert(&mut self, hash: u64, entry: Entry) {
-        let chunk = self.chunk_mut(self.chunk_of(hash), 1);
-        let at = chunk.partition_point(|(h, _)| *h <= hash);
-        chunk.insert(at, (hash, Arc::new(entry)));
+    /// Drop the entry at `(ci, i)`.
+    fn remove(&mut self, (ci, i): At) {
+        let range = self.0[ci].range(i);
+        let chunk = self.splice(ci, range.clone(), 0, 0);
+        chunk.slots.remove(i);
+        chunk.shift(i, range.len(), 0);
     }
 
-    fn remove(&mut self, (ci, i): At) -> Arc<Entry> {
-        self.chunk_mut(ci, 0).remove(i).1
+    /// Every entry, chunk by chunk.
+    fn entries(&self) -> impl Iterator<Item = EntryRef<'_>> {
+        self.0.iter().flat_map(|c| c.entries().map(|(_, e)| e))
     }
 
-    fn entries(&self) -> impl Iterator<Item = &Entry> {
-        self.0.iter().flat_map(|c| c.iter().map(|(_, e)| &**e))
+    /// Every slot, chunk by chunk.
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        self.0.iter().flat_map(|c| c.slots.iter())
     }
 }
 
@@ -636,11 +748,11 @@ impl PmvStore {
         if self.quarantined || inserts_at != self.inserts_seen {
             return false;
         }
-        let Some(at) = self.table.find(bcp.hash, bcp.bcp) else {
+        let Some((at, entry)) = self.table.find(bcp.hash, bcp.bcp) else {
             return false;
         };
-        if self.table.at(at).complete != Some(inserts_at) {
-            self.table.at_mut(at).complete = Some(inserts_at);
+        if entry.complete != Some(inserts_at) {
+            self.table.slot_mut(at).set_complete(Some(inserts_at));
         }
         true
     }
@@ -715,7 +827,7 @@ impl PmvStore {
         if self.quarantined {
             return None;
         }
-        Some(self.table.get(bcp.hash, bcp.bcp)?.rows())
+        Some(self.table.get(bcp.hash, bcp.bcp)?.rows)
     }
 
     /// Record a query access to `bcp` (Operation O2) and count a hit if it
@@ -762,22 +874,23 @@ impl PmvStore {
     /// Purge the entry of `victim`, filed under `hash`, which the policy
     /// evicted: its rows leave the index, its charge the byte count.
     fn evict(&mut self, hash: u64, victim: &BcpKey) {
-        let Some(at) = self.table.find(hash, victim) else {
+        let Some((at, e)) = self.table.find(hash, victim) else {
             return;
         };
-        let e = self.table.remove(at);
-        self.entries -= 1;
         self.bytes -= e.charge();
-        self.evictions += 1;
         if let Some(ix) = &mut self.index {
-            // An eviction stages nothing, so the victim's rows are rebuilt
-            // in the staging bytes: the fill that wrote the victim grew
-            // them to hold all its rows, and nothing is allocated here.
-            let mut rows = e.rows().iter(&mut self.staged.bytes);
+            // An eviction stages nothing, so a victim's row that shares
+            // is rebuilt in the staging bytes: the fill that wrote the
+            // victim grew them to hold all its rows, and nothing is
+            // allocated here.
+            let mut rows = e.rows.iter(&mut self.staged.bytes);
             while let Some((row, _)) = rows.next_row() {
                 ix.remove_from(victim, row);
             }
         }
+        self.table.remove(at);
+        self.entries -= 1;
+        self.evictions += 1;
     }
 
     /// Store one result tuple under a resident `bcp`, packed whole: a
@@ -797,9 +910,9 @@ impl PmvStore {
     /// stored: none when the bcp is not resident or the entry is full.
     ///
     /// The entry is rewritten whole, its rows and the new ones laid out
-    /// in the store's scratch and front-coded into one allocation: none
-    /// per row. Each row's values are walked twice: once to size the
-    /// row, once to write it.
+    /// in the store's scratch and front-coded straight into its byte
+    /// range in its chunk: nothing is allocated per row. Each row's
+    /// values are walked twice: once to size the row, once to write it.
     pub fn fill<'k, 'v, R, V>(&mut self, bcp: impl Into<Hashed<'k>>, rows: R, epoch: u64) -> usize
     where
         R: Iterator<Item = V>,
@@ -809,16 +922,18 @@ impl PmvStore {
         if self.quarantined || !self.policy.contains(bcp.bcp) {
             return 0;
         }
-        let at = self.table.find(bcp.hash, bcp.bcp);
-        let old = at.map(|at| self.table.at(at));
+        let found = self.table.find(bcp.hash, bcp.bcp);
         let staged = &mut self.staged;
         staged.clear();
-        if let Some(old) = old {
-            let mut rows = old.rows().iter(&mut self.row);
+        let mut old_charge = 0;
+        if let Some((_, old)) = found {
+            old_charge = old.charge();
+            let mut rows = old.rows.iter(&mut self.row);
             while let Some((row, e)) = rows.next_row() {
                 staged.push(row, e);
             }
         }
+        let at = found.map(|(at, _)| at);
         let old_len = staged.len();
         for values in rows.take(self.f.saturating_sub(old_len)) {
             staged.push_values(values, epoch);
@@ -827,22 +942,24 @@ impl PmvStore {
         if n == 0 {
             return 0;
         }
-        let entry = Entry::write(bcp.bcp.row(), staged);
         if let Some(ix) = &mut self.index {
             for (row, _, _) in staged.iter().skip(old_len) {
                 ix.file(bcp.bcp, row);
             }
         }
-        self.bytes = self.bytes - old.map_or(0, Entry::charge) + entry.charge();
+        let key = bcp.bcp.row();
+        let len = entry_len(key, staged);
+        let write = |out: &mut [u8]| write_entry(out, key, staged);
         match at {
             Some(at) => {
-                self.table.replace(at, entry);
+                self.table.rewrite(at, staged.len(), len, write);
             }
             None => {
-                self.table.insert(bcp.hash, entry);
+                self.table.insert(bcp.hash, staged.len(), len, write);
                 self.entries += 1;
             }
         }
+        self.bytes = self.bytes - old_charge + charge(len, staged.len());
         n
     }
 
@@ -875,14 +992,13 @@ impl PmvStore {
     /// longer claim to hold the bcp's entire truth — the removal may be
     /// conservative.
     pub fn retain(&mut self, bcp: &BcpKey, mut keep: impl FnMut(RowRef<'_>) -> bool) -> usize {
-        let Some(at) = self.table.find(Self::hash_of(bcp), bcp) else {
+        let Some((at, entry)) = self.table.find(Self::hash_of(bcp), bcp) else {
             return 0;
         };
-        let entry = self.table.at(at);
         let staged = &mut self.staged;
         staged.clear();
         let mut dropped = 0;
-        let mut rows = entry.rows().iter(&mut self.row);
+        let mut rows = entry.rows.iter(&mut self.row);
         while let Some((row, epoch)) = rows.next_row() {
             if keep(row) {
                 staged.push(row, epoch);
@@ -906,9 +1022,13 @@ impl PmvStore {
         }
         // The kept rows are written afresh: the row after a dropped one is
         // re-based on the row now before it.
-        let kept = Entry::write(entry.key(), staged);
-        self.bytes = self.bytes - old_charge + kept.charge();
-        self.table.replace(at, kept).complete = None;
+        let key = bcp.row();
+        let len = entry_len(key, staged);
+        let write = |out: &mut [u8]| write_entry(out, key, staged);
+        self.table
+            .rewrite(at, staged.len(), len, write)
+            .set_complete(None);
+        self.bytes = self.bytes - old_charge + charge(len, staged.len());
         dropped
     }
 
@@ -927,16 +1047,18 @@ impl PmvStore {
 
     /// Total cached tuples.
     pub fn tuple_count(&self) -> usize {
-        self.table.entries().map(Entry::len).sum()
+        self.table.slots().map(|s| s.len as usize).sum()
     }
 
     /// Bytes cached, exactly as charged: per entry [`HANDLE_BYTES`]
-    /// (16 B) for the handle of its bytes, its key's frame — a byte of
-    /// length for a key below 128 bytes, then the key's packed bytes —
-    /// and its rows' frames as written, each front-coded against the row
-    /// before it. The fill epochs, the scratch, the sketch, the policy's
-    /// frames, the table's spine and chunk slots and the delta-key index
-    /// are not charged.
+    /// (4 B) for the handle of its bytes — its slot's end offset in its
+    /// chunk's bytes — its key's frame — a byte of length for a key below
+    /// 128 bytes, then the key's packed bytes — and its rows' frames as
+    /// written, each front-coded against the row before it. The fill
+    /// epochs, the rest of each slot (its tag, row count, completeness
+    /// stamp and hit count), the scratch, the sketch, the policy's
+    /// frames, the table's spine and the delta-key index are not
+    /// charged.
     pub fn byte_size(&self) -> usize {
         self.bytes
     }
@@ -951,7 +1073,7 @@ impl PmvStore {
     pub fn iter(&self) -> impl Iterator<Item = (BcpKey, Rows<'_>)> {
         self.table
             .entries()
-            .map(|e| (BcpKey::from_row(e.key()), e.rows()))
+            .map(|e| (BcpKey::from_row(e.key), e.rows))
     }
 
     /// Check structural invariants, returning each violation as a
@@ -961,38 +1083,42 @@ impl PmvStore {
         let (mut counted, mut recomputed, mut misframed) = (0, 0, false);
         for (ci, chunk) in self.table.chunks().iter().enumerate() {
             // Out of tag order, an entry is one the binary search misses.
-            if !chunk.is_sorted_by_key(|(hash, _)| *hash) {
+            if !chunk.slots.is_sorted_by_key(|s| s.tag) {
                 violations.push(format!("chunk {ci} out of tag order"));
             }
-            for (hash, e) in chunk.iter() {
+            let mut start = 0;
+            for slot in &chunk.slots {
                 counted += 1;
-                // Walked checked, as bytes read from disk are: a key or a
-                // frame cut short is a violation, not a panic.
-                let Ok((_, key_frame)) = packed::take_row(&e.bytes) else {
+                // Walked checked, as bytes read from disk are: an end out
+                // of place, a key or a frame cut short is a violation,
+                // not a panic.
+                let end = slot.end as usize;
+                let Some(bytes) = chunk.bytes.get(start..end) else {
+                    violations.push(format!(
+                        "entry in chunk {ci} ends at {end}, outside {start}..={}",
+                        chunk.bytes.len()
+                    ));
+                    misframed = true;
+                    start = start.max(end);
+                    continue;
+                };
+                start = end;
+                let Ok((_, key_frame)) = packed::take_row(bytes) else {
                     violations.push(format!("entry key misframed in chunk {ci}"));
                     misframed = true;
                     continue;
                 };
-                if key_frame != e.key_end as usize {
-                    violations.push(format!(
-                        "entry key frame in chunk {ci} ends at {key_frame}, recorded {}",
-                        e.key_end
-                    ));
-                    misframed = true;
-                    continue;
-                }
-                let k = BcpKey::from_row(e.key());
-                let Some(rows) = e.bytes.get(key_frame + e.len() * EPOCH_BYTES..) else {
-                    violations.push(format!("entry {k:?} cut short of its {} epochs", e.len));
+                let k = BcpKey::from_row(packed::split_frame(bytes).0);
+                let len = slot.len as usize;
+                let Some(rows) = bytes.get(key_frame + len * EPOCH_BYTES..) else {
+                    violations.push(format!("entry {k:?} cut short of its {len} epochs"));
                     misframed = true;
                     continue;
                 };
-                recomputed += e.charge();
+                recomputed += charge(bytes.len(), len);
                 match packed::check_entry_rows(rows) {
-                    Ok(framed) if framed != e.len() => violations.push(format!(
-                        "entry {k:?} frames {framed} rows for {} epochs",
-                        e.len
-                    )),
+                    Ok(framed) if framed != len => violations
+                        .push(format!("entry {k:?} frames {framed} rows for {len} epochs")),
                     Ok(_) => {}
                     Err(err) => {
                         violations.push(format!("entry rows misframed for {k:?}: {err}"));
@@ -1000,24 +1126,31 @@ impl PmvStore {
                     }
                 }
                 // Misplaced, an entry is one no lookup finds.
-                if *hash != Self::hash_of(&k) || self.table.chunk_of(*hash) != ci {
+                if slot.tag != Self::hash_of(&k) || self.table.chunk_of(slot.tag) != ci {
                     violations.push(format!("entry {k:?} misplaced in chunk {ci}"));
                 }
-                if e.len == 0 {
+                if len == 0 {
                     violations.push(format!("empty entry for {k:?}"));
                 }
-                if e.len() > self.f {
+                if len > self.f {
                     violations.push(format!("entry over F for {k:?}"));
                 }
                 if !self.policy.contains(&k) {
                     violations.push(format!("entry {k:?} not resident in policy"));
                 }
-                if let Some(w) = e.complete.filter(|&w| w > self.inserts_seen) {
+                if let Some(w) = slot.complete().filter(|&w| w > self.inserts_seen) {
                     violations.push(format!(
                         "completeness stamp from the future for {k:?}: {w} > {}",
                         self.inserts_seen
                     ));
                 }
+            }
+            if start < chunk.bytes.len() {
+                violations.push(format!(
+                    "chunk {ci} holds {} bytes past its last entry",
+                    chunk.bytes.len() - start
+                ));
+                misframed = true;
             }
         }
         if counted != self.entries {
@@ -1125,19 +1258,30 @@ mod tests {
             .expect("some key is told apart")
     }
 
-    /// An entry of `k` holding the one row `(v)`, filled at epoch 0.
-    fn entry(k: &BcpKey, v: i64) -> Entry {
+    /// File an entry of `k` holding the one row `(v)`, filled at epoch 0,
+    /// under `hash` in chunk `ci`, counted and charged as the store
+    /// counts and charges one.
+    fn file_in(s: &mut PmvStore, ci: usize, hash: u64, k: &BcpKey, v: i64) {
         let mut rows = Staged::default();
         rows.push_values([Value::Int(v)].iter(), 0);
-        Entry::write(k.row(), &rows)
+        let len = entry_len(k.row(), &rows);
+        let write = |out: &mut [u8]| write_entry(out, k.row(), &rows);
+        s.table.insert_in(ci, hash, 1, len, write);
+        s.bytes += charge(len, 1);
+        s.entries += 1;
     }
 
-    /// The value of the one row an entry of [`entry`] holds.
-    fn value(e: &Entry) -> Value {
+    /// The value of the one row an entry of [`file_in`] holds.
+    fn value(e: EntryRef<'_>) -> Value {
         let mut row = Vec::new();
-        let mut rows = e.rows().iter(&mut row);
+        let mut rows = e.rows.iter(&mut row);
         let (row, _) = rows.next_row().expect("a row");
         row.field(0).to_value()
+    }
+
+    /// The bytes of the entry at `(ci, i)`: key frame, epochs, rows.
+    fn entry_bytes(t: &Table, (ci, i): At) -> &[u8] {
+        &t.0[ci].bytes[t.0[ci].range(i)]
     }
 
     /// Two keys filed under one hash are two entries: the key decides,
@@ -1152,16 +1296,14 @@ mod tests {
         let (one, two, three) = (bcp(1), bcp(2), bcp(3));
         for (k, v) in [(&one, 10), (&two, 20)] {
             assert_eq!(s.admit(k), Residency::Resident);
-            let e = entry(k, v);
-            s.bytes += e.charge();
-            s.entries += 1;
-            s.table.insert(FORCED, e);
+            let ci = s.table.chunk_of(FORCED);
+            file_in(&mut s, ci, FORCED, k, v);
         }
         assert_eq!(value(s.table.get(FORCED, &one).unwrap()), Value::Int(10));
         assert_eq!(value(s.table.get(FORCED, &two).unwrap()), Value::Int(20));
         assert!(s.table.get(FORCED, &three).is_none());
-        let at = s.table.find(FORCED, &two).unwrap();
-        assert_eq!(BcpKey::from_row(s.table.at(at).key()), two);
+        let (_, e) = s.table.find(FORCED, &two).unwrap();
+        assert_eq!(BcpKey::from_row(e.key), two);
         let violations = s.check();
         for k in [&one, &two] {
             let misplaced = format!("entry {k:?} misplaced");
@@ -1180,14 +1322,16 @@ mod tests {
             (s.entry_count(), s.evictions(), s.byte_size()),
             (1, 1, charge)
         );
-        let at = s.table.find(FORCED, &two).unwrap();
-        assert_eq!(BcpKey::from_row(s.table.remove(at).key()), two);
+        let (at, _) = s.table.find(FORCED, &two).unwrap();
+        s.table.remove(at);
         assert!(s.table.get(FORCED, &two).is_none());
+        assert!(s.table.chunks().iter().all(|c| c.bytes.is_empty()));
     }
 
-    /// `check()` walks an entry's key checked: a key frame that does not
-    /// decode is reported, not a panic, and so is an entry under its own
-    /// hash in another chunk than the hash names.
+    /// `check()` walks a chunk checked: an entry under its own hash in
+    /// another chunk than the hash names, a key frame that does not
+    /// decode, an end past the chunk's bytes and bytes past the last
+    /// entry are each reported, never a panic.
     #[test]
     fn check_reports_a_misframed_key_and_a_misplaced_chunk() {
         let mut s = PmvStore::new(&cfg(1, 2 * CHUNK_ENTRIES, PolicyKind::Clock));
@@ -1195,21 +1339,28 @@ mod tests {
         let k = bcp(7);
         assert_eq!(s.admit(&k), Residency::Resident);
         let hash = PmvStore::hash_of(&k);
-        let e = entry(&k, 70);
-        s.bytes += e.charge();
-        s.entries += 1;
         let other = 1 - s.table.chunk_of(hash);
-        s.table.chunk_mut(other, 1).push((hash, Arc::new(e)));
+        file_in(&mut s, other, hash, &k, 70);
         let misplaced = format!("entry {k:?} misplaced in chunk {other}");
         assert!(s.check().contains(&misplaced), "{:?}", s.check());
         // A key whose frame says 5 bytes and holds one.
-        let chunk = s.table.chunk_mut(other, 0);
-        Arc::get_mut(&mut chunk[0].1).unwrap().bytes = vec![5, 1].into_boxed_slice();
+        let chunk = s.table.splice(other, 0..0, 0, 0);
+        (chunk.bytes, chunk.slots[0].end) = (vec![5, 1], 2);
         let violations = s.check();
         assert!(
             violations.contains(&format!("entry key misframed in chunk {other}")),
             "{violations:?}"
         );
+        let chunk = s.table.splice(other, 0..0, 0, 0);
+        chunk.slots[0].end = 3;
+        let violations = s.check();
+        let outside = format!("entry in chunk {other} ends at 3, outside 0..=2");
+        assert!(violations.contains(&outside), "{violations:?}");
+        let chunk = s.table.splice(other, 0..0, 0, 0);
+        chunk.slots[0].end = 1;
+        let violations = s.check();
+        let past = format!("chunk {other} holds 1 bytes past its last entry");
+        assert!(violations.contains(&past), "{violations:?}");
     }
 
     /// `check()` walks an entry's front-coded rows checked, each fault
@@ -1226,9 +1377,9 @@ mod tests {
         assert!(s.push_arc(&k, Arc::new(row(2)), 0));
         assert!(s.push_arc(&k, Arc::new(row(3)), 0));
         let rows_at = k.as_bytes().len() + 1 + 2 * EPOCH_BYTES;
-        let at = s.table.find(PmvStore::hash_of(&k), &k).unwrap();
+        let (at, _) = s.table.find(PmvStore::hash_of(&k), &k).unwrap();
         assert_eq!(
-            s.table.at(at).bytes[rows_at..],
+            entry_bytes(&s.table, at)[rows_at..],
             [4 << 1, 1, 1, 1, 2, 1 << 1 | 1, 3, 3]
         );
         s.validate();
@@ -1246,10 +1397,10 @@ mod tests {
                 "a suffix cut short at entry offset 5",
             ),
         ] {
-            let e = s.table.at_mut(at);
-            let mut bytes = e.bytes[..rows_at].to_vec();
+            let mut bytes = entry_bytes(&s.table, at)[..rows_at].to_vec();
             bytes.extend_from_slice(rows);
-            e.bytes = bytes.into_boxed_slice();
+            s.table
+                .rewrite(at, 2, bytes.len(), |out| out.copy_from_slice(&bytes));
             let violations = s.check();
             let want = format!("entry rows misframed for {k:?}: undecodable bytes: {fault}");
             assert_eq!(violations, [want]);
@@ -1519,7 +1670,13 @@ mod tests {
         // out before a change still shows what it showed.
         let before = s.published();
         let entries = |t: &Table| {
-            let mut all: Vec<_> = t.entries().map(|e| (e.bytes.clone(), e.len())).collect();
+            let mut all: Vec<_> = t
+                .entries()
+                .map(|e| {
+                    let epochs: Vec<u64> = e.rows.epochs().collect();
+                    (e.key.as_bytes().to_vec(), e.rows.bytes().to_vec(), epochs)
+                })
+                .collect();
             all.sort();
             all
         };
@@ -1581,5 +1738,311 @@ mod tests {
         assert!(s.push_arc(&bcp(1), Arc::new(tuple![3i64]), 0));
         assert_eq!(s.rows(&bcp(1)).unwrap().len(), 2);
         s.validate();
+    }
+
+    /// Model-based runs of the chunk table: random scripts of the store's
+    /// calls against a `BTreeMap` of what each bcp's entry holds.
+    mod model {
+        use super::*;
+        use proptest::prelude::*;
+        use std::collections::BTreeMap;
+
+        /// What the model holds for one bcp: its rows' packed bytes with
+        /// their fill epochs, its completeness stamp and its hit count.
+        #[derive(Clone, Debug, Default, PartialEq)]
+        struct Modeled {
+            rows: Vec<(Vec<u8>, u64)>,
+            complete: Option<u64>,
+            hits: u64,
+        }
+
+        type Model = BTreeMap<i64, Modeled>;
+
+        const F: usize = 4;
+        /// Two chunks; more keys than entries, so admissions evict.
+        const L: usize = 40;
+        const KEYS: i64 = 56;
+
+        /// Row `r`: a few shared first values, so rows front-code against
+        /// each other and a removal re-bases the row after it.
+        fn row(r: u64) -> [Value; 3] {
+            let r = r as i64;
+            [Value::Int(r / 8), Value::Int(r % 8 * 300), Value::Int(r)]
+        }
+
+        /// `arg`'s rows: one to three of them.
+        fn rows_of(arg: u64) -> Vec<[Value; 3]> {
+            (0..1 + arg % 3).map(|j| row(arg / 3 + j * 5)).collect()
+        }
+
+        /// What the store charges the model's entry of `k`.
+        fn charge_of(k: i64, m: &Modeled) -> usize {
+            let framed: usize = (0..m.rows.len())
+                .map(|i| {
+                    let prev = i.checked_sub(1).map(|p| RowRef::new(&m.rows[p].0));
+                    packed::entry_row_len(RowRef::new(&m.rows[i].0), prev)
+                })
+                .sum();
+            HANDLE_BYTES + packed::framed_len(bcp(k).as_bytes().len()) + framed
+        }
+
+        /// The model's view of `table`: every entry's rows, stamp and hit
+        /// count, keyed by its bcp.
+        fn read(table: &Table) -> BTreeMap<BcpKey, Modeled> {
+            let mut buf = Vec::new();
+            table
+                .entries()
+                .map(|e| {
+                    let mut rows = Vec::new();
+                    let mut walk = e.rows.iter(&mut buf);
+                    while let Some((r, epoch)) = walk.next_row() {
+                        rows.push((r.as_bytes().to_vec(), epoch));
+                    }
+                    let hits = e.hits.load(Ordering::Acquire);
+                    let m = Modeled {
+                        rows,
+                        complete: e.complete,
+                        hits,
+                    };
+                    (BcpKey::from_row(e.key), m)
+                })
+                .collect()
+        }
+
+        fn keyed(model: &Model) -> BTreeMap<BcpKey, Modeled> {
+            model.iter().map(|(k, m)| (bcp(*k), m.clone())).collect()
+        }
+
+        /// After every step: `check()` is empty, the charge is the sum of
+        /// the model's, and every entry's rows, stamp and hit count are
+        /// the model's.
+        fn agree(s: &PmvStore, model: &Model) -> Result<(), TestCaseError> {
+            prop_assert_eq!(s.check(), Vec::<String>::new());
+            let charged: usize = model.iter().map(|(k, m)| charge_of(*k, m)).sum();
+            prop_assert_eq!(s.byte_size(), charged);
+            prop_assert_eq!(s.entry_count(), model.len());
+            let tuples: usize = model.values().map(|m| m.rows.len()).sum();
+            prop_assert_eq!(s.tuple_count(), tuples);
+            prop_assert_eq!(read(&s.table), keyed(model));
+            for k in 0..KEYS {
+                let m = model.get(&k);
+                prop_assert_eq!(s.rows(&bcp(k)).map(Rows::len), m.map(|m| m.rows.len()));
+                prop_assert_eq!(s.hit_count(&bcp(k)), m.map_or(0, |m| m.hits));
+            }
+            Ok(())
+        }
+
+        /// One script: `(op, key, arg)` triples, run against a store of
+        /// `policy` and the model, with a reader holding a published
+        /// table across some steps, whose version must stay whole.
+        fn run(policy: PolicyKind, script: &[(u8, i64, u64)]) -> Result<(), TestCaseError> {
+            let mut s = PmvStore::new(&cfg(F, L, policy));
+            let mut model = Model::new();
+            let mut held: Option<(Published, BTreeMap<BcpKey, Modeled>)> = None;
+            for (step, &(op, k, arg)) in script.iter().enumerate() {
+                let key = bcp(k);
+                let epoch = step as u64;
+                match op {
+                    // Admit behind `arg % 3` counted accesses, then fill,
+                    // as the serving path does.
+                    0..=2 => {
+                        for _ in 0..arg % 3 {
+                            s.note_access(&key);
+                        }
+                        let evictions = s.evictions();
+                        if s.admit(&key) == Residency::Resident {
+                            let rows = rows_of(arg);
+                            let n = s.fill(&key, rows.iter().map(|r| r.iter()), epoch);
+                            let m = model.entry(k).or_default();
+                            let room = F - m.rows.len();
+                            prop_assert_eq!(n, rows.len().min(room));
+                            for r in rows.iter().take(n) {
+                                m.rows.push((PackedRow::pack(r).as_bytes().to_vec(), epoch));
+                            }
+                        }
+                        // Exactly the entries the admission evicted are
+                        // gone; the model learns which.
+                        let gone: Vec<i64> = model
+                            .keys()
+                            .copied()
+                            .filter(|&m| s.rows(&bcp(m)).is_none())
+                            .collect();
+                        prop_assert_eq!(gone.len() as u64, s.evictions() - evictions);
+                        for m in gone {
+                            model.remove(&m);
+                        }
+                    }
+                    // A fill of a resident bcp appends up to F; of
+                    // another, nothing.
+                    3 => {
+                        let rows = rows_of(arg);
+                        let n = s.fill(&key, rows.iter().map(|r| r.iter()), epoch);
+                        match model.get_mut(&k) {
+                            Some(m) => {
+                                prop_assert_eq!(n, rows.len().min(F - m.rows.len()));
+                                for r in rows.iter().take(n) {
+                                    let packed = PackedRow::pack(r).as_bytes().to_vec();
+                                    m.rows.push((packed, epoch));
+                                }
+                            }
+                            None => prop_assert_eq!(n, 0),
+                        }
+                    }
+                    // Keep the rows whose bit in `arg` is set.
+                    4 => {
+                        let mut at = 0;
+                        let dropped = s.retain(&key, |_| {
+                            at += 1;
+                            arg >> (at - 1) & 1 == 1
+                        });
+                        let Some(m) = model.get_mut(&k) else {
+                            prop_assert_eq!(dropped, 0);
+                            continue;
+                        };
+                        let before = m.rows.len();
+                        let mut j = 0;
+                        m.rows.retain(|_| {
+                            j += 1;
+                            arg >> (j - 1) & 1 == 1
+                        });
+                        prop_assert_eq!(dropped, before - m.rows.len());
+                        if m.rows.is_empty() {
+                            model.remove(&k);
+                        } else if dropped > 0 {
+                            m.complete = None;
+                        }
+                    }
+                    // A stamp at the current watermark, or a stale one.
+                    5 => {
+                        let w = s.inserts_seen();
+                        let at = if arg % 4 == 0 { w.wrapping_sub(1) } else { w };
+                        let marked = s.mark_complete(&key, at);
+                        let m = model.get_mut(&k).filter(|_| at == w);
+                        prop_assert_eq!(marked, m.is_some());
+                        if let Some(m) = m {
+                            m.complete = Some(w);
+                        }
+                    }
+                    6 => {
+                        s.touch(&key, arg % 2 == 1);
+                        if let Some(m) = model.get_mut(&k).filter(|_| arg % 2 == 1) {
+                            m.hits += 1;
+                        }
+                    }
+                    7 => s.note_insert(),
+                    8 if arg % 8 == 0 => {
+                        s.quarantine();
+                        s.lift_quarantine();
+                        model.clear();
+                    }
+                    // A reader takes the table, or lets it go.
+                    8 => {
+                        held = (arg % 3 != 0).then(|| (s.published(), keyed(&model)));
+                    }
+                    _ => unreachable!(),
+                }
+                agree(&s, &model)?;
+                // Hit counts are counted in place, through a shared
+                // chunk; all else a reader holds stays as it was.
+                if let Some((reader, seen)) = &held {
+                    let unhit = |m: &BTreeMap<BcpKey, Modeled>| {
+                        let mut m = m.clone();
+                        m.values_mut().for_each(|e| e.hits = 0);
+                        m
+                    };
+                    prop_assert_eq!(
+                        unhit(&read(&reader.table)),
+                        unhit(seen),
+                        "a reader's table moved"
+                    );
+                }
+            }
+            Ok(())
+        }
+
+        fn script() -> impl Strategy<Value = Vec<(u8, i64, u64)>> {
+            proptest::collection::vec((0u8..9, 0..KEYS, 0u64..64), 0..160)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn the_chunk_table_follows_its_model(
+                script in script(),
+                two_q in any::<bool>(),
+            ) {
+                let policy = if two_q { PolicyKind::TwoQ } else { PolicyKind::Clock };
+                run(policy, &script)?;
+            }
+
+            /// Keys filed under one forced tag, among neighbours of the
+            /// tags on either side, through `Table::insert` with the
+            /// chosen hash: rewrites and removals each reach the entry of
+            /// the key they name, and `check()` reports every entry as
+            /// misplaced (no key hashes to its tag) and nothing else.
+            #[test]
+            fn keys_of_one_tag_stay_apart(
+                script in proptest::collection::vec((0u8..3, 0i64..6, 0u64..64), 1..40),
+            ) {
+                const FORCED: u64 = 0x5eed_0000_0000_0000;
+                let tag = |k: i64| FORCED - 1 + (k % 3) as u64;
+                let mut s = PmvStore::new(&cfg(F, 8, PolicyKind::Clock));
+                let mut model = Model::new();
+                let mut staged = Staged::default();
+                for &(op, k, arg) in &script {
+                    let key = bcp(k);
+                    let found = s.table.find(tag(k), &key).map(|(at, _)| at);
+                    prop_assert_eq!(found.is_some(), model.contains_key(&k));
+                    staged.clear();
+                    let rows = rows_of(arg);
+                    for r in &rows {
+                        staged.push_values(r.iter(), arg);
+                    }
+                    let len = entry_len(key.row(), &staged);
+                    let write = |out: &mut [u8]| write_entry(out, key.row(), &staged);
+                    let fresh = Modeled {
+                        rows: rows
+                            .iter()
+                            .map(|r| (PackedRow::pack(r).as_bytes().to_vec(), arg))
+                            .collect(),
+                        ..Modeled::default()
+                    };
+                    match (op, found) {
+                        (0, None) => {
+                            prop_assert_eq!(s.admit(&key), Residency::Resident);
+                            s.table.insert(tag(k), rows.len(), len, write);
+                            (s.entries, s.bytes) = (s.entries + 1, s.bytes + charge_of(k, &fresh));
+                            model.insert(k, fresh);
+                        }
+                        (1, Some(at)) => {
+                            s.bytes = s.bytes - charge_of(k, &model[&k]) + charge_of(k, &fresh);
+                            s.table.rewrite(at, rows.len(), len, write);
+                            model.insert(k, fresh);
+                        }
+                        (2, Some(at)) => {
+                            s.table.remove(at);
+                            s.policy.remove(&key);
+                            (s.entries, s.bytes) = (s.entries - 1, s.bytes - charge_of(k, &model[&k]));
+                            model.remove(&k);
+                        }
+                        _ => {}
+                    }
+                    prop_assert_eq!(read(&s.table), keyed(&model));
+                    for (k, m) in &model {
+                        let e = s.table.get(tag(*k), &bcp(*k));
+                        prop_assert_eq!(e.map(|e| e.rows.len()), Some(m.rows.len()));
+                    }
+                    let mut want: Vec<String> = model
+                        .keys()
+                        .map(|k| format!("entry {:?} misplaced in chunk 0", bcp(*k)))
+                        .collect();
+                    let mut got = s.check();
+                    want.sort();
+                    got.sort();
+                    prop_assert_eq!(got, want);
+                }
+            }
+        }
     }
 }

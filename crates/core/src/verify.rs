@@ -294,7 +294,7 @@ pub fn estimate_tuple_bytes(template: &QueryTemplate) -> usize {
 /// as [`estimate_tuple_bytes`] counts a field: an equality condition's
 /// by its column's type, an interval condition's basic-interval id as
 /// the `Int` it is written as. For T1's two integer conditions,
-/// `16 + 1 + 2·9 = 35` B against a charge of 21–23 B.
+/// `4 + 1 + 2·9 = 23` B against a charge of 9–11 B.
 pub fn estimate_entry_bytes(template: &QueryTemplate) -> usize {
     let key = template
         .cond_templates()
@@ -783,6 +783,6 @@ mod tests {
         // 71 B of fields take a two-byte header: 71 << 1 passes 127.
         assert_eq!(estimate_tuple_bytes(&t), 2 + 5 * 9 + 2 * (1 + INLINE_CAP));
         assert!(estimate_tuple_bytes(&t) >= charge);
-        assert_eq!((entry, estimate_entry_bytes(&t)), (21, 35));
+        assert_eq!((entry, estimate_entry_bytes(&t)), (9, 23));
     }
 }

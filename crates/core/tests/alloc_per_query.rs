@@ -176,9 +176,10 @@ fn single(pmv: &SharedPmv, date: i64, supplier: i64) -> QueryInstance {
 /// The slow path of the serving path: a miss on a full one-shard view
 /// whose bcp out-counts its victim admits it, evicts the victim, fills
 /// `F` tuples and publishes the shard: 58 allocations. The store copies
-/// only the spine, chunks and entry it changes, the publish is one
+/// only the spine and the chunk it changes — its slots and its bytes —
+/// and then grows that chunk's bytes in place, the publish is one
 /// pointer copy, the entry's key, the `F` tuples and their epochs are
-/// written into the entry in one allocation, the bcp key the policy and
+/// written straight into the chunk's bytes, the bcp key the policy and
 /// each delta-index posting hold is inline — cloning it allocates
 /// nothing — and a projection is keyed by the hash of its bytes, packed
 /// into the index's scratch, where filing or unfiling a tuple built a

@@ -27,10 +27,13 @@
 //!   unshared entry frame, `LEB128(len << 1)` and then its packed fields,
 //!   the most a row takes in an entry.
 //! * An entry's rows, front-coded, come back from the cursor byte for
-//!   byte and in order, however much of each row repeats the one before:
-//!   each row's frame takes no more than its unshared frame, the checked
-//!   walk counts them, and reports a cut inside any frame or a flipped
-//!   bit as an error or as rows that walk again, never a panic.
+//!   byte and in order, however much of each row repeats the one before,
+//!   as from a walk that copies every row out (a row that shares
+//!   nothing is lent straight from the entry's bytes; only a row that
+//!   shares is rebuilt); each row's frame takes no more than its
+//!   unshared frame, the checked walk counts them, and reports a cut
+//!   inside any frame or a flipped bit as an error or as rows that walk
+//!   again, never a panic.
 //! * A counting allocator shows that storing a tuple — projecting an
 //!   `Ls'` row and packing it — allocates exactly once; a stored `Tuple`
 //!   took two (its values and the `Arc` around them).
@@ -402,17 +405,7 @@ proptest! {
         base in proptest::collection::vec(Rows { max: 6 }, 1..4),
         picks in proptest::collection::vec((0usize..4, 0usize..7, Rows { max: 3 }), 0..10),
     ) {
-        // Each row is a base row cut short and given a new tail, so rows
-        // share prefixes of every length, whole rows included.
-        let rows: Vec<PackedRow> = picks
-            .iter()
-            .map(|(b, cut, tail)| {
-                let b = &base[b % base.len()];
-                let values: Vec<Value> =
-                    b[..*cut.min(&b.len())].iter().chain(tail).cloned().collect();
-                PackedRow::pack(&values)
-            })
-            .collect();
+        let rows = sharing_rows(&base, &picks);
         let prev = |i: usize| i.checked_sub(1).map(|p| rows[p].row());
         let mut bytes = Vec::new();
         let mut ends = vec![0];
@@ -456,6 +449,89 @@ proptest! {
             }
         }
     }
+}
+
+proptest! {
+    /// The cursor lends a row whose frame shares nothing straight from
+    /// the entry's bytes, rebuilds in its buffer only a row that shares,
+    /// and walks the same rows as a walk that copies every row out.
+    #[test]
+    fn the_lending_walk_matches_the_copying_walk(
+        base in proptest::collection::vec(Rows { max: 6 }, 1..4),
+        picks in proptest::collection::vec((0usize..4, 0usize..7, Rows { max: 3 }), 0..10),
+    ) {
+        let rows = sharing_rows(&base, &picks);
+        let mut bytes = Vec::new();
+        for (i, row) in rows.iter().enumerate() {
+            let prev = i.checked_sub(1).map(|p| rows[p].row());
+            let at = bytes.len();
+            bytes.resize(at + packed::entry_row_len(row.row(), prev), 0);
+            packed::put_entry_row(&mut bytes[at..], row.row(), prev);
+        }
+        let copied = copying_walk(&bytes);
+        prop_assert_eq!(copied.len(), rows.len());
+        let span = bytes.as_ptr_range();
+        let mut buf = Vec::new();
+        let mut cursor = packed::cursor(&bytes, &mut buf);
+        for (i, (want, shares)) in copied.iter().enumerate() {
+            let row = cursor.next_row().expect("as many rows as the copying walk");
+            prop_assert_eq!(row.as_bytes(), &want[..], "row {}", i);
+            prop_assert_eq!(row, rows[i].row());
+            let at = row.as_bytes().as_ptr();
+            let lent = span.start <= at && at <= span.end;
+            prop_assert_eq!(lent, !shares, "row {} lent: {}", i, lent);
+        }
+        prop_assert_eq!(cursor.next_row(), None);
+    }
+}
+
+/// Each row a base row cut short and given a new tail, so rows share
+/// prefixes of every length, whole rows included.
+fn sharing_rows(base: &[Vec<Value>], picks: &[(usize, usize, Vec<Value>)]) -> Vec<PackedRow> {
+    picks
+        .iter()
+        .map(|(b, cut, tail)| {
+            let b = &base[b % base.len()];
+            let values: Vec<Value> = b[..*cut.min(&b.len())]
+                .iter()
+                .chain(tail)
+                .cloned()
+                .collect();
+            PackedRow::pack(&values)
+        })
+        .collect()
+}
+
+/// The rows front-coded in `bytes`, each rebuilt by copying — its shared
+/// prefix from the row before, then its suffix — into a buffer, as the
+/// cursor once rebuilt every row; each with whether its frame shares.
+fn copying_walk(bytes: &[u8]) -> Vec<(Vec<u8>, bool)> {
+    fn leb128(bytes: &[u8], at: &mut usize) -> usize {
+        let (mut n, mut shift) = (0, 0);
+        loop {
+            let b = bytes[*at];
+            *at += 1;
+            n |= usize::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return n;
+            }
+            shift += 7;
+        }
+    }
+    let (mut at, mut row, mut out) = (0, Vec::new(), Vec::new());
+    while at < bytes.len() {
+        let header = leb128(bytes, &mut at);
+        let shared = if header & 1 == 1 {
+            leb128(bytes, &mut at)
+        } else {
+            0
+        };
+        row.truncate(shared);
+        row.extend_from_slice(&bytes[at..at + (header >> 1)]);
+        at += header >> 1;
+        out.push((row.clone(), shared > 0));
+    }
+    out
 }
 
 /// Strings of at most `INLINE_CAP` bytes: `é`, `€` and `𝄞` are 2, 3 and

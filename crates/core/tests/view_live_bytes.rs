@@ -12,11 +12,13 @@
 //! * Live bytes stand in a fixed ratio to the charge.
 //! * The split, exact, and printed under `--nocapture`: the entries'
 //!   bytes, each entry's key framed, its tuples' fill epochs and its
-//!   tuples front-coded in one byte string, as the store builds them; the
-//!   delta-key index's postings, filed afresh with the cached tuples;
+//!   tuples front-coded, as the store lays them in its chunks' bytes;
+//!   the delta-key index's postings, filed afresh with the cached tuples;
 //!   the replacement policies, admitting the bcps afresh; and the rest —
-//!   entries, chunks and the tables still held by readers. The admission
-//!   sketches are allocated with the view, before the fill.
+//!   the chunks' slots, the chunks, the spines, and the tables readers
+//!   still hold: each shard's previous publish, with the copies of the
+//!   chunks the last write-back touched. The admission sketches are
+//!   allocated with the view, before the fill.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -160,8 +162,8 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
     let charged = pmv.byte_size() as isize;
 
     // The split: what writing each entry's key, epochs and cached
-    // tuples into one byte string, as the store does — each tuple
-    // front-coded against the one before it in the entry's order —
+    // tuples out, as the store lays them in its chunk's bytes — each
+    // tuple front-coded against the one before it in the entry's order —
     // filing the tuples into a fresh index, and admitting the bcps into
     // fresh policies, leaves allocated.
     let layout = pmv.def().layout();
@@ -215,25 +217,25 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
         live - rows_bytes - index_bytes - policy_bytes,
     );
 
-    // 1 600 entries of the 16-byte handle of their bytes and a key
-    // framed in 5 B — a byte of length, then `orderdate` and `suppkey`
+    // 1 600 entries of the 4-byte handle of their bytes (the slot's end
+    // offset in its chunk's bytes) and a key framed in 5 B — a byte of length, then `orderdate` and `suppkey`
     // (< 128), each a tag and one byte — and 4 800 tuples of 7 framed
     // bytes: a byte of header, then `orderkey` (< 128), `custkey` and
     // `quantity`, each a tag and one byte — the rest derived. A tuple
     // after the first of its entry shares only `orderkey`'s tag, and
     // keeps it as a count: the same 7 bytes.
-    assert_eq!(charged, 67_200, "the charge");
+    assert_eq!(charged, 48_000, "the charge");
     // The fill also grows each shard's scratch once, to three 6-byte
     // rows (32 B) and their ends and epochs (4 × 16 B), and the serving
     // path's pooled scratch by the 24-byte handle of its row buffer.
     assert_eq!(
         live,
-        698_888 + 4 * (32 + 4 * 16) + 24,
+        674_384 + 4 * (32 + 4 * 16) + 24,
         "live bytes after the fill"
     );
-    assert_eq!(live * 100 / charged, 1_040, "live bytes per 100 B charged");
-    // Per entry, one allocation: its 5-byte key frame, three 8-byte
-    // epochs and its 21 framed bytes of rows. Two postings per tuple, 24
+    assert_eq!(live * 100 / charged, 1_405, "live bytes per 100 B charged");
+    // Per entry, in its chunk's bytes: its 5-byte key frame, three
+    // 8-byte epochs and its 21 framed bytes of rows. Two postings per tuple, 24
     // B each (an inline key and the row's hash) in its projection's list,
     // which holds no room to grow; a map slot per projection, its 8-byte
     // hash and the list's 16-byte handle and a control byte, in a table

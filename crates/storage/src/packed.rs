@@ -57,9 +57,9 @@
 //! order's half and keep only the lineitem's. The shared count is an
 //! in-memory frame only: the disk framing above is unchanged, and a row
 //! is hashed and compared over its full packed bytes wherever it lies.
-//! A [`Cursor`] rebuilds each row into a buffer the caller owns and
-//! lends it as a [`RowRef`]; [`check_entry_rows`] walks the same frames
-//! checked.
+//! A [`Cursor`] lends each row as a [`RowRef`]: one that shares nothing
+//! straight from the entry's bytes, one that shares rebuilt in a buffer
+//! the caller owns; [`check_entry_rows`] walks the same frames checked.
 
 use std::fmt;
 use std::sync::Arc;
@@ -311,7 +311,7 @@ impl PackedRow {
 }
 
 /// A packed row borrowed from where it lies: a [`PackedRow`], or the
-/// row an entry's [`Cursor`] rebuilt. Copying it copies a slice
+/// row an entry's [`Cursor`] lent. Copying it copies a slice
 /// reference; equality and hashing are the bytes'.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RowRef<'a>(&'a [u8]);
@@ -582,23 +582,35 @@ fn entry_frame_at(
     Ok((shared, start, end.ok_or("a suffix cut short")?))
 }
 
-/// A walk over an entry's front-coded rows: each row is rebuilt into a
-/// buffer the caller owns — its shared prefix is already there, from
-/// the row before — and lent as a [`RowRef`] until the next call. The
+/// A walk over an entry's front-coded rows, each lent as a [`RowRef`]
+/// until the next call: a row that shares nothing with the row before
+/// it is lent straight from the entry's bytes; a row that shares a
+/// prefix is rebuilt in a buffer the caller owns, from the row before —
+/// copied there first when that row was lent from the entry. So a row
+/// is copied only when it shares, or when the row after it does. The
 /// bytes hold only what [`put_entry_row`] wrote; a frame of other bytes
 /// panics ([`check_entry_rows`] walks them checked).
 pub struct Cursor<'a, 'b> {
     bytes: &'a [u8],
     at: usize,
+    /// Where the row before lies in `bytes` when it was lent from there;
+    /// `None` when it was rebuilt in `row`.
+    lent: Option<(usize, usize)>,
     row: &'b mut Vec<u8>,
 }
 
-/// The rows front-coded in `bytes`, rebuilt one at a time into `row`,
-/// whose contents the cursor replaces.
+/// The rows front-coded in `bytes`, lent one at a time; a row that
+/// shares a prefix is rebuilt in `row`, whose contents the cursor
+/// replaces.
 #[inline]
 pub fn cursor<'a, 'b>(bytes: &'a [u8], row: &'b mut Vec<u8>) -> Cursor<'a, 'b> {
     row.clear();
-    Cursor { bytes, at: 0, row }
+    Cursor {
+        bytes,
+        at: 0,
+        lent: None,
+        row,
+    }
 }
 
 impl Cursor<'_, '_> {
@@ -608,11 +620,22 @@ impl Cursor<'_, '_> {
         if self.at == self.bytes.len() {
             return None;
         }
+        let prev = self.lent.map_or(self.row.len(), |(start, end)| end - start);
         let (shared, start, end) =
-            entry_frame_at(self.bytes, self.at, self.row.len()).expect("a front-coded row");
-        self.row.truncate(shared);
-        self.row.extend_from_slice(&self.bytes[start..end]);
+            entry_frame_at(self.bytes, self.at, prev).expect("a front-coded row");
         self.at = end;
+        if shared == 0 {
+            self.lent = Some((start, end));
+            return Some(RowRef(&self.bytes[start..end]));
+        }
+        match self.lent.take() {
+            Some((prev, _)) => {
+                self.row.clear();
+                self.row.extend_from_slice(&self.bytes[prev..prev + shared]);
+            }
+            None => self.row.truncate(shared),
+        }
+        self.row.extend_from_slice(&self.bytes[start..end]);
         Some(RowRef(self.row.as_slice()))
     }
 }
@@ -749,7 +772,7 @@ mod tests {
 
     /// Rows front-coded in an entry: each keeps what it does not share
     /// with the row before, a one-byte share is written (it costs what
-    /// the unshared frame does), and the cursor rebuilds every row.
+    /// the unshared frame does), and the cursor lends every row back.
     #[test]
     fn entry_rows_keep_what_they_do_not_share() {
         let rows: Vec<PackedRow> = [

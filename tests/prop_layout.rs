@@ -9,7 +9,7 @@
 //!   byte of header, and a byte of count for the leading bytes it shares
 //!   with the row before, when it shares any — so at most 1 + 18 = 19 B
 //!   per tuple, which `estimate_tuple_bytes` bounds from above, and per
-//!   entry the 16-byte handle of its bytes and its key framed: a byte of
+//!   entry the 4-byte handle of its bytes and its key framed: a byte of
 //!   length and two integers, each its tag and the 1–2 bytes its value
 //!   needs;
 //! * a double is canonical once built (`-0.0` is `0.0`, every NaN one
@@ -112,7 +112,7 @@ fn t1_is_charged_at_most_34_bytes_per_tuple() {
     for (bcp, _) in pmv.dump() {
         let key = bcp.as_bytes().len();
         assert!((4..=6).contains(&key), "{bcp:?} packs to {key} B");
-        charged += 16 + 1 + key;
+        charged += 4 + 1 + key;
         let mut prev: Vec<u8> = Vec::new();
         for (row, _) in pmv.lookup(&bcp).unwrap() {
             assert_eq!(row.arity(), 10);
@@ -216,12 +216,12 @@ fn a_double_equality_column_is_derived() {
     assert_eq!(exact_sorted(&served(&out)), want);
     let dumped: Vec<Tuple> = pmv.dump().into_iter().flat_map(|(_, rows)| rows).collect();
     assert_eq!(exact_sorted(&dumped), want);
-    // One entry, the 16 B handle of its bytes and its key framed — a
+    // One entry, the 4 B handle of its bytes and its key framed — a
     // byte of length and the double's tag and 8 bytes — and three
     // tuples, each a byte of length and `a` (1, 2 or 3) in a tag and one
     // byte.
     assert_eq!(pmv.entry_count(), 1);
-    assert_eq!(pmv.byte_size(), 16 + (1 + 9) + 3 * (1 + 2));
+    assert_eq!(pmv.byte_size(), 4 + (1 + 9) + 3 * (1 + 2));
 }
 
 /// An update that only flips a zero's sign stores the same value: it is
