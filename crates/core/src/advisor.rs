@@ -294,12 +294,12 @@ mod tests {
 
     /// A recommended view fits its share: `L·(E + F·At) ≤ share`, with
     /// `E` and `At` the estimates of the store's charge per T1 entry (the
-    /// 16-byte handle and a key of two integers) and per T1 tuple (seven
+    /// 4-byte handle and a key of two integers) and per T1 tuple (seven
     /// of its ten values stored), which bound the charge from above.
     #[test]
     fn recommended_view_fits_its_share() {
         use crate::store::HANDLE_BYTES;
-        use pmv_storage::packed::{entry_frame_len, MAX_NUMBER_BYTES};
+        use pmv_storage::packed::{entry_frame_len, tag_bytes, MAX_NUMBER_BYTES};
         use pmv_storage::string::INLINE_CAP;
         use pmv_storage::{tuple, PackedRow};
         let mut db = Database::new();
@@ -339,19 +339,24 @@ mod tests {
         let recs = advisor.recommend(&cfg).unwrap();
         // Five integers at T1's widest (orderkey ≤ 30 000, custkey ≤
         // 3 000, totalprice < 500 000, quantity ≤ 50, price < 100 000)
-        // and two empty fillers are charged 1 + 18 B at most, behind a
-        // byte of header; the estimate counts each integer at 9 B and
-        // each filler at its inline bound, 71 B behind two bytes.
+        // and two empty fillers are charged 1 + 4 + 11 B at most: a byte
+        // of header, four tag bytes and the integers' payloads. The
+        // estimate counts the same tag bytes, each integer's payload at
+        // 8 B and each filler's at its inline bound, 70 B behind two
+        // bytes.
         let widest = tuple![30_000i64, 3_000i64, 499_999i64, "", 50i64, 99_999i64, ""];
         let charge = entry_frame_len(PackedRow::from(&widest).as_bytes().len());
         let at = estimate_tuple_bytes(&t1);
         assert_eq!(
             (charge, at),
-            (19, 2 + 5 * MAX_NUMBER_BYTES + 2 * (1 + INLINE_CAP))
+            (
+                16,
+                2 + tag_bytes(7) + 5 * MAX_NUMBER_BYTES + 2 * (1 + INLINE_CAP)
+            )
         );
         assert!(at >= charge);
         let e = estimate_entry_bytes(&t1);
-        assert_eq!(e, HANDLE_BYTES + 1 + 2 * MAX_NUMBER_BYTES);
+        assert_eq!(e, HANDLE_BYTES + 1 + tag_bytes(2) + 2 * MAX_NUMBER_BYTES);
         let c = &recs[0].config;
         let entry = e + c.f * at;
         assert!(

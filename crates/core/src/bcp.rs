@@ -45,7 +45,8 @@ impl fmt::Display for BcpDim {
 /// keys have equal bytes, and `Eq`, `Hash` and `Ord` are the bytes'.
 ///
 /// The bytes sit in a 16-byte [`ByteStr`]: a key of at most 12 bytes —
-/// every T1 key, two integers of 1–2 bytes each behind their tags — is
+/// every T1 key, two integers of 1–2 bytes each behind one byte of their
+/// two tags — is
 /// inline, owns no heap and allocates nothing when built or cloned.
 #[derive(Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BcpKey(ByteStr);
@@ -60,27 +61,24 @@ impl BcpKey {
     }
 
     /// The key whose fields are `fields`, in order: an equality
-    /// dimension's value, an interval dimension's id as an `Int`. A key
-    /// that fits inline — every T1 key — is written in one pass into a
-    /// stack buffer with room for an integer's 8-byte store; a longer one
-    /// starts again on the heap.
+    /// dimension's value, an interval dimension's id as an `Int`,
+    /// packed as a row is. A key that fits inline — every T1 key — is
+    /// written in one pass into a stack buffer with room for an
+    /// integer's 8-byte store; a longer one is sized and written again
+    /// into its heap bytes.
     pub(crate) fn pack<'a>(fields: impl Iterator<Item = Cow<'a, Value>> + Clone) -> Self {
         let mut buf = [0u8; INLINE_CAP + packed::MAX_NUMBER_BYTES];
-        let mut at = 0;
-        for v in fields.clone() {
-            if at + packed::encoded_len(&v) > INLINE_CAP {
-                let mut long = Vec::new();
-                for v in fields {
-                    let at = long.len();
-                    long.resize(at + packed::encoded_len(&v), 0);
-                    packed::encode(&v, &mut long[at..]);
-                }
-                return BcpKey(ByteStr::new(long));
+        match packed::pack_into(&mut buf, fields.clone()) {
+            Some(len) if len <= INLINE_CAP => {
+                let inline = buf[..INLINE_CAP].try_into().expect("INLINE_CAP bytes");
+                BcpKey(ByteStr::inline_prefix(inline, len))
             }
-            at += packed::encode(&v, &mut buf[at..]);
+            _ => {
+                let mut long = vec![0u8; packed::row_len(fields.clone())];
+                packed::pack_into(&mut long, fields).expect("a key fits its row_len");
+                BcpKey(ByteStr::new(long))
+            }
         }
-        let inline = buf[..INLINE_CAP].try_into().expect("INLINE_CAP bytes");
-        BcpKey(ByteStr::inline_prefix(inline, at))
     }
 
     /// The fields, one per dimension: an interval dimension reads as its
@@ -359,19 +357,20 @@ mod tests {
     #[test]
     fn a_bcp_key_is_sixteen_bytes_and_t1_keys_are_inline() {
         assert_eq!(std::mem::size_of::<BcpKey>(), 16);
-        // T1's widest key: date 2 405 and supplier 200, each a tag and
-        // two bytes.
+        // T1's widest key: date 2 405 and supplier 200, two bytes each
+        // behind one byte of their two tags.
         for (date, supp) in [(0, 1), (127, 127), (2_405, 200)] {
             let k = BcpKey::new(vec![BcpDim::Eq(v(date)), BcpDim::Eq(v(supp))]);
-            assert!(k.is_inline() && k.as_bytes().len() <= 6, "{k:?}");
+            assert!(k.is_inline() && k.as_bytes().len() <= 5, "{k:?}");
             assert_eq!(k.heap_size(), 0);
             assert_eq!(k.values().collect::<Vec<_>>(), [v(date), v(supp)]);
         }
-        // Past 12 bytes a key goes to the heap and is charged its bytes.
+        // Past 12 bytes a key goes to the heap and is charged its bytes:
+        // a tag byte, the string's length and 13 bytes, the id's byte.
         let long = BcpKey::new(vec![BcpDim::Eq(Value::str("thirteen byte")), BcpDim::Iv(7)]);
         assert!(!long.is_inline());
         assert_eq!(long.heap_size(), long.as_bytes().len());
-        assert_eq!(long.as_bytes().len(), 1 + 13 + 2);
+        assert_eq!(long.as_bytes().len(), 1 + 1 + 13 + 1);
     }
 
     #[test]

@@ -97,12 +97,10 @@ impl RelSpec {
     /// attributes, its values packed into `scratch`.
     fn base_key(&self, base_tuple: &Tuple, scratch: &mut Vec<u8>) -> u64 {
         scratch.clear();
-        for &c in &self.base_columns {
-            let v = base_tuple.get(c);
-            let at = scratch.len();
-            scratch.resize(at + packed::encoded_len(v), 0);
-            packed::encode(v, &mut scratch[at..]);
-        }
+        packed::append_row(
+            scratch,
+            self.base_columns.iter().map(|&c| base_tuple.get(c)),
+        );
         hash_bytes(scratch)
     }
 }

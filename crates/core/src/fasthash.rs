@@ -84,7 +84,7 @@ impl Hasher for FxHasher {
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// One 64-bit hash of a byte string, read in two (possibly overlapping)
-/// words, no copy: a key of at most 16 bytes — a T1 bcp key is 4–6 —
+/// words, no copy: a key of at most 16 bytes — a T1 bcp key is 3–5 —
 /// takes one folded multiply, a longer one one per 16 bytes more. The
 /// fold (the 128-bit product's halves xor-ed, as in foldhash) leaves
 /// every output bit depending on every input bit, so any bit range of

@@ -55,12 +55,13 @@
 //! before when `s = 1`, and the suffix. A row frames no more than alone:
 //! `LEB128(len << 1)` and its packed values. The fill epochs, the
 //! slot's tag, row count, stamp and hit count, and the scratch are not
-//! charged. A T1 key — two integers, each a tag and 1–2 bytes — is 4–6
-//! bytes behind a byte of length: 9–11 B per entry with the handle.
-//! T1's tuples store five integers, each its tag and the 1–3 bytes its
-//! value needs, and two empty strings of one tag byte each: at most 1 +
-//! 18 = 19 B per tuple, and a lineitem that follows another of its order
-//! repeats the order's four fields, which it keeps as a count.
+//! charged. A T1 key — two integers of 1–2 bytes behind one byte of
+//! their two 4-bit tags — is 3–5 bytes behind a byte of length: 8–10 B
+//! per entry with the handle. T1's tuples store five integers of the
+//! 1–3 bytes their values need and two empty strings, which are their
+//! tags alone, behind four tag bytes: at most 1 + 15 = 16 B per tuple,
+//! and a lineitem that follows another of its order repeats the order's
+//! leading bytes, which it keeps as a count.
 
 use std::num::NonZeroU64;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -226,13 +227,8 @@ impl Staged {
     /// Append `values`, packed. The iterator is walked twice: once to
     /// size the row, once to write it.
     fn push_values<'v>(&mut self, values: impl Iterator<Item = &'v Value> + Clone, epoch: u64) {
-        let mut at = self.bytes.len();
-        self.bytes.resize(at + packed::row_len(values.clone()), 0);
-        for v in values {
-            at += packed::encode(v, &mut self.bytes[at..]);
-        }
-        debug_assert_eq!(at, self.bytes.len());
-        self.rows.push((at, epoch));
+        packed::append_row(&mut self.bytes, values);
+        self.rows.push((self.bytes.len(), epoch));
     }
 
     /// The rows in order, each with the row before it (`None` for the
@@ -484,19 +480,18 @@ impl Table {
 
     /// The entry of `bcp`, filed under `hash`, and where it sits: the
     /// tags are searched in the chunk, and only an entry whose tag is
-    /// `hash` is read, its key compared with `bcp`'s bytes. The key
-    /// decides; two keys of one hash are two entries.
+    /// `hash` is read — its leading bytes compared with `bcp`'s key
+    /// frame in place — and only the one that matches is split into key,
+    /// epochs and rows. The key decides; two keys of one hash are two
+    /// entries.
     fn find(&self, hash: u64, bcp: &BcpKey) -> Option<(At, EntryRef<'_>)> {
         let ci = self.chunk_of(hash);
         let chunk = &self.0[ci];
         let first = chunk.slots.partition_point(|s| s.tag < hash);
-        chunk.slots[first..]
-            .iter()
-            .take_while(|s| s.tag == hash)
-            .enumerate()
-            .map(|(i, _)| (first + i, chunk.entry(first + i)))
-            .find(|(_, e)| e.key.as_bytes() == bcp.as_bytes())
-            .map(|(i, e)| ((ci, i), e))
+        let i = (first..chunk.slots.len())
+            .take_while(|&i| chunk.slots[i].tag == hash)
+            .find(|&i| packed::starts_with_frame(&chunk.bytes[chunk.range(i)], bcp.row()))?;
+        Some(((ci, i), chunk.entry(i)))
     }
 
     /// `bcp`'s entry; `hash` is its [`PmvStore::hash_of`].
@@ -1366,8 +1361,10 @@ mod tests {
     /// `check()` walks an entry's front-coded rows checked, each fault
     /// reported where it lies, never a panic: a shared prefix on the
     /// first row, a shared prefix longer than the row before, a suffix
-    /// cut short. The rows are `(1, 2)` and `(1, 3)`, packed `[1 1 1 2]`
-    /// and `[1 1 1 3]`: the second keeps a byte and shares three.
+    /// cut short, a row whose tags are not a row's. The rows are `(1, 2)`
+    /// and `(1, 3)`, packed `[0x11 1 2]` and `[0x11 1 3]` (two one-byte
+    /// integers' tags in one byte): the second keeps a byte and shares
+    /// two.
     #[test]
     fn check_reports_misframed_entry_rows() {
         let mut s = PmvStore::new(&cfg(2, 4, PolicyKind::Clock));
@@ -1380,21 +1377,25 @@ mod tests {
         let (at, _) = s.table.find(PmvStore::hash_of(&k), &k).unwrap();
         assert_eq!(
             entry_bytes(&s.table, at)[rows_at..],
-            [4 << 1, 1, 1, 1, 2, 1 << 1 | 1, 3, 3]
+            [3 << 1, 0x11, 1, 2, 1 << 1 | 1, 2, 3]
         );
         s.validate();
         for (rows, fault) in [
             (
-                &[1 << 1 | 1, 3, 3, 4 << 1, 1, 1, 1, 2][..],
+                &[1 << 1 | 1, 2, 3, 3 << 1, 0x11, 1, 2][..],
                 "a shared prefix on an entry's first row at entry offset 0",
             ),
             (
-                &[4 << 1, 1, 1, 1, 2, 1 << 1 | 1, 5, 3],
-                "a shared prefix longer than the previous row at entry offset 5",
+                &[3 << 1, 0x11, 1, 2, 1 << 1 | 1, 4, 3],
+                "a shared prefix longer than the previous row at entry offset 4",
             ),
             (
-                &[4 << 1, 1, 1, 1, 2, 2 << 1 | 1, 3, 3],
-                "a suffix cut short at entry offset 5",
+                &[3 << 1, 0x11, 1, 2, 2 << 1 | 1, 2, 3],
+                "a suffix cut short at entry offset 4",
+            ),
+            (
+                &[3 << 1, 0x1f, 1, 2, 1 << 1 | 1, 2, 3],
+                "no field in a low nibble at entry offset 0",
             ),
         ] {
             let mut bytes = entry_bytes(&s.table, at)[..rows_at].to_vec();

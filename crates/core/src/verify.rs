@@ -25,7 +25,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use pmv_query::{AttrRef, CondForm, QueryTemplate};
-use pmv_storage::packed::{entry_frame_len, framed_len, MAX_NUMBER_BYTES};
+use pmv_storage::packed::{entry_frame_len, framed_len, tag_bytes, MAX_NUMBER_BYTES};
 use pmv_storage::string::INLINE_CAP;
 use pmv_storage::{ColumnType, Value};
 
@@ -259,57 +259,59 @@ impl fmt::Display for VerifyReport {
 /// Estimate the average view-tuple size `At` in bytes: the most the
 /// view's store charges for one cached tuple — its unshared entry frame
 /// ([`entry_frame_len`]), the header `LEB128(len << 1)` (one byte below
-/// 64 B of fields), then the packed fields of its
+/// 64 B of fields), then the packed row of its
 /// [`crate::view::StoredLayout`], the `Ls'` positions its entry cannot
-/// derive. A tuple that shares a prefix with the one before it in its
+/// derive: a tag byte per two fields ([`tag_bytes`]) and each field's
+/// payload. A tuple that shares a prefix with the one before it in its
 /// entry is charged less, never more. An entry is charged
 /// [`estimate_entry_bytes`] besides its tuples, so a full view holds at
-/// most `L·(E + F·At)` bytes. An `Int` or `Double` field is counted at
-/// [`MAX_NUMBER_BYTES`] (its tag and 8 bytes); a `Str` field at
-/// `1 + INLINE_CAP` (its tag, which carries a short string's length, and
-/// up to [`INLINE_CAP`] bytes). A `Double` takes exactly that; an `Int`
-/// packs to the bytes its value needs, which the schema cannot know, so
-/// for rows without NULLs and strings of at most `INLINE_CAP` bytes the
-/// estimate bounds the charge from above and is conservative by at most
-/// 7 B per `Int`, and by the header byte a narrower row may not need
-/// (exact when every `Int` needs 8 bytes and the row shares nothing). A
-/// NULL is its tag alone; a longer string is charged its length, which
-/// the schema cannot tell either — pass [`VerifyOptions::avg_tuple_bytes`]
+/// most `L·(E + F·At)` bytes. An `Int` or `Double` payload is counted
+/// at [`MAX_NUMBER_BYTES`] (8); a `Str` payload at `1 + INLINE_CAP` (a
+/// length byte, which a string of at most 3 bytes carries in its tag
+/// instead, and up to [`INLINE_CAP`] bytes). A `Double` takes exactly
+/// that; an `Int` packs to the bytes its value needs, which the schema
+/// cannot know, so for rows without NULLs and strings of at most
+/// `INLINE_CAP` bytes the estimate bounds the charge from above and is
+/// conservative by at most 7 B per `Int`, and by the header byte a
+/// narrower row may not need (exact when every `Int` needs 8 bytes and
+/// the row shares nothing). The tags are counted exactly. A NULL is its
+/// nibble alone; a longer string is charged its length, which the
+/// schema cannot tell either — pass [`VerifyOptions::avg_tuple_bytes`]
 /// for views of long strings.
 pub fn estimate_tuple_bytes(template: &QueryTemplate) -> usize {
     let list = template.expanded_list();
     let layout = StoredLayout::for_template(template);
-    entry_frame_len(
-        layout
-            .stored_positions()
-            .iter()
-            .map(|&p| field_bytes(template, list[p]))
-            .sum(),
-    )
+    let stored = layout.stored_positions();
+    let payload: usize = stored
+        .iter()
+        .map(|&p| payload_bytes(template, list[p]))
+        .sum();
+    entry_frame_len(tag_bytes(stored.len()) + payload)
 }
 
 /// Estimate what the view's store charges an entry besides its tuples,
 /// `E`: the handle of the entry's bytes ([`HANDLE_BYTES`]) and its key's
-/// frame — a LEB128 length, then one packed field per condition, counted
-/// as [`estimate_tuple_bytes`] counts a field: an equality condition's
-/// by its column's type, an interval condition's basic-interval id as
-/// the `Int` it is written as. For T1's two integer conditions,
-/// `4 + 1 + 2·9 = 23` B against a charge of 9–11 B.
+/// frame — a LEB128 length, then the key packed as a row of one field
+/// per condition, its payload counted as [`estimate_tuple_bytes`]
+/// counts one: an equality condition's by its column's type, an
+/// interval condition's basic-interval id as the `Int` it is written
+/// as. For T1's two integer conditions, `4 + 1 + 1 + 2·8 = 22` B
+/// against a charge of 8–10 B.
 pub fn estimate_entry_bytes(template: &QueryTemplate) -> usize {
-    let key = template
-        .cond_templates()
+    let conds = template.cond_templates();
+    let payload: usize = conds
         .iter()
         .map(|ct| match ct.form {
-            CondForm::Equality => field_bytes(template, ct.attr),
+            CondForm::Equality => payload_bytes(template, ct.attr),
             CondForm::Interval => MAX_NUMBER_BYTES,
         })
         .sum();
-    HANDLE_BYTES + framed_len(key)
+    HANDLE_BYTES + framed_len(tag_bytes(conds.len()) + payload)
 }
 
-/// The bytes a packed field of `attr`'s column is counted at: a number's
-/// widest, a string's tag and inline bytes.
-fn field_bytes(template: &QueryTemplate, attr: AttrRef) -> usize {
+/// The payload bytes a packed field of `attr`'s column is counted at:
+/// a number's widest, a string's length byte and inline bytes.
+fn payload_bytes(template: &QueryTemplate, attr: AttrRef) -> usize {
     match template.schema(attr.relation).column(attr.column).ty {
         ColumnType::Int | ColumnType::Double => MAX_NUMBER_BYTES,
         ColumnType::Str => 1 + INLINE_CAP,
@@ -695,9 +697,10 @@ mod tests {
     /// bounds the bytes a full view is charged: for a template of
     /// numbers only and a row without NULLs whose integers need all 8
     /// bytes, the estimate equals the charge of the view's store for one
-    /// more tuple — two stored numbers, since the equality column `f` is
-    /// the bcp's. The key `(1)` is framed in 1 + 2 B behind the 16-byte
-    /// handle, where `E` counts its integer at 9 B.
+    /// more tuple — two stored numbers behind one tag byte, since the
+    /// equality column `f` is the bcp's. The key `(1)` is framed in 1 + 2
+    /// B (its tag byte and its integer's one byte) behind the 4-byte
+    /// handle, where `E` counts its integer at 8 B.
     #[test]
     fn estimate_equals_the_store_charge_for_full_width_numbers() {
         let t = TemplateBuilder::new("t")
@@ -726,18 +729,19 @@ mod tests {
             });
             Tuple::new(values.collect::<Vec<_>>())
         });
-        assert_eq!(charge, 1 + 2 * 9);
+        assert_eq!(charge, 1 + 1 + 2 * 8);
         assert_eq!(estimate_tuple_bytes(&t), charge);
         assert_eq!(entry, HANDLE_BYTES + 1 + 2);
-        assert_eq!(estimate_entry_bytes(&t), HANDLE_BYTES + 1 + 9);
+        assert_eq!(estimate_entry_bytes(&t), HANDLE_BYTES + 1 + 1 + 8);
     }
 
     /// T1 (`orders ⋈ lineitem`, `select *`, equality on `orderdate` and
-    /// `suppkey`) stores five integers and the two (empty) fillers. Small
-    /// integers take 1–2 payload bytes: charged 1 + 13 = 14 B, which the
-    /// estimate bounds from above by counting each integer at 9 B and
-    /// each filler at `1 + INLINE_CAP`. Its key `(1, 1)` is charged
-    /// 16 + 1 + 4 = 21 B, estimated at 16 + 1 + 18 = 35 B.
+    /// `suppkey`) stores five integers and the two (empty) fillers behind
+    /// four tag bytes. Small integers take 1–2 payload bytes: charged
+    /// 1 + 10 = 11 B, which the estimate bounds from above by counting
+    /// each integer at 8 B and each filler at `1 + INLINE_CAP`. Its key
+    /// `(1, 1)` is charged 4 + 1 + 3 = 8 B, estimated at 4 + 1 + 1 + 16 =
+    /// 22 B.
     #[test]
     fn estimate_bounds_the_store_charge_for_t1() {
         let int = |n: &str| Column::new(n, ColumnType::Int);
@@ -777,12 +781,15 @@ mod tests {
         let (entry, charge) = charges(&t, |k| {
             pmv_storage::tuple![k, 7i64, 1i64, 100i64, "", k, 1i64, 3i64, 300i64, ""]
         });
-        // k = 2, 7, 100, '', 3, 300, '': 2 + 2 + 2 + 1 + 2 + 3 + 1 B,
-        // behind one byte of length.
-        assert_eq!(charge, 1 + 13);
-        // 71 B of fields take a two-byte header: 71 << 1 passes 127.
-        assert_eq!(estimate_tuple_bytes(&t), 2 + 5 * 9 + 2 * (1 + INLINE_CAP));
+        // k = 2, 7, 100, '', 3, 300, '': four tag bytes and
+        // 1 + 1 + 1 + 0 + 1 + 2 + 0 B, behind one byte of length.
+        assert_eq!(charge, 1 + 4 + 6);
+        // 70 B of row take a two-byte header: 70 << 1 passes 127.
+        assert_eq!(
+            estimate_tuple_bytes(&t),
+            2 + 4 + 5 * 8 + 2 * (1 + INLINE_CAP)
+        );
         assert!(estimate_tuple_bytes(&t) >= charge);
-        assert_eq!((entry, estimate_entry_bytes(&t)), (9, 23));
+        assert_eq!((entry, estimate_entry_bytes(&t)), (8, 22));
     }
 }

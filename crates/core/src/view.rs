@@ -18,7 +18,8 @@ use std::time::Duration;
 
 use pmv_cache::PolicyKind;
 use pmv_query::{AttrRef, CondForm, QueryInstance, QueryTemplate};
-use pmv_storage::{packed, PackedRow, RowRef, Tuple, Value};
+use pmv_storage::packed::RowWriter;
+use pmv_storage::{PackedRow, RowRef, Tuple, Value};
 
 use crate::bcp::{BcpDim, BcpKey, Discretizer};
 use crate::{CoreError, Result};
@@ -249,11 +250,12 @@ impl StoredLayout {
         }
     }
 
-    /// Append to `out` the packed bytes of the values at `Ls'` positions
+    /// Append to `out` the row of the values at `Ls'` positions
     /// `positions` of the row that `stored`, filed under `bcp`, stands
-    /// for, in order: each value's one encoding, copied from the stored
-    /// field or the key's, or written for a fixed one. Ascending
-    /// positions walk the stored fields once.
+    /// for, in order: the bytes packing those values writes, each field
+    /// copied from the stored row or the key, or written for a fixed
+    /// one, by the one row writer. Ascending positions walk the stored
+    /// fields once.
     pub fn project(
         &self,
         stored: RowRef<'_>,
@@ -261,32 +263,33 @@ impl StoredLayout {
         positions: &[usize],
         out: &mut Vec<u8>,
     ) {
+        let mut w = RowWriter::new(out);
         let mut fields = stored.encoded_fields();
         // The index of the field `fields` yields next.
         let mut next = 0;
         for &p in positions {
-            match &self.sources[p] {
+            let (tag, payload) = match &self.sources[p] {
                 Source::Stored(j) => {
                     if *j < next {
                         (fields, next) = (stored.encoded_fields(), 0);
                     }
                     let field = fields.nth(j - next).expect("a field per stored position");
                     next = j + 1;
-                    out.extend_from_slice(field);
+                    field
                 }
-                Source::Bcp(i) => out.extend_from_slice(
-                    bcp.row()
-                        .encoded_fields()
-                        .nth(*i)
-                        .expect("a field per dimension"),
-                ),
+                Source::Bcp(i) => bcp
+                    .row()
+                    .encoded_fields()
+                    .nth(*i)
+                    .expect("a field per dimension"),
                 Source::Fixed(v) => {
-                    let at = out.len();
-                    out.resize(at + packed::encoded_len(v), 0);
-                    packed::encode(v, &mut out[at..]);
+                    w.push(v);
+                    continue;
                 }
-            }
+            };
+            w.push_field(tag, payload);
         }
+        w.finish();
     }
 
     /// The values an `Ls'` row stores, in stored order: what a store
@@ -586,12 +589,13 @@ mod tests {
     #[test]
     fn byte_budget_derives_l() {
         // The paper's 1 MB example: F = 2, At = 50 B gives 10 000 entries
-        // of 100 B each. T1's key of two integers is estimated at 16 B of
-        // handle and a frame of 1 + 2 × 9 B: 35 B more per entry leaves
-        // room for 7 407.
-        let c = PmvConfig::with_byte_budget(2, 1_000_000, 35, 50, PolicyKind::Clock);
-        assert_eq!(c.l, 7_407);
-        let c = PmvConfig::with_byte_budget(5, 100, 35, 50, PolicyKind::TwoQ);
+        // of 100 B each. T1's key of two integers is estimated at 4 B of
+        // handle and a frame of 1 + 1 + 2 × 8 B — its length, one tag
+        // byte and two integers at their widest: 22 B more per entry
+        // leaves room for 8 196.
+        let c = PmvConfig::with_byte_budget(2, 1_000_000, 22, 50, PolicyKind::Clock);
+        assert_eq!(c.l, 8_196);
+        let c = PmvConfig::with_byte_budget(5, 100, 22, 50, PolicyKind::TwoQ);
         assert_eq!(c.l, 1); // floor at 1
     }
 

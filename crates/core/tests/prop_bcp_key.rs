@@ -240,8 +240,8 @@ fn edge_values_make_keys_of_their_width() {
         (Value::from(f64::NAN), 9),
         (Value::from(nan(true, 1)), 9),
         (Value::str(""), 1),
-        (Value::str("a".repeat(12)), 13),
-        (Value::str("b".repeat(13)), 14),
+        (Value::str("a".repeat(12)), 14),
+        (Value::str("b".repeat(13)), 15),
         (Value::str("c".repeat(300)), 303),
     ] {
         for shape in [vec![false], vec![false, true]] {
@@ -250,8 +250,9 @@ fn edge_values_make_keys_of_their_width() {
                 dims.push(BcpDim::Iv(u32::MAX));
             }
             let key = check_one(&shape, &dims).unwrap();
-            // `u32::MAX` takes a tag and 5 bytes as a signed number.
-            let want = width + if shape.len() == 2 { 6 } else { 0 };
+            // `u32::MAX` takes 5 bytes as a signed number, its tag the
+            // high nibble of the first field's tag byte.
+            let want = width + if shape.len() == 2 { 5 } else { 0 };
             assert_eq!(key.as_bytes().len(), want, "{v:?} in {shape:?}");
         }
     }

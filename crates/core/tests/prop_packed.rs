@@ -1,20 +1,21 @@
-//! The packed-row codec a view stores its tuples in (`PackedRow`: one tag
-//! byte per value, integers in the bytes their value needs, 8-byte
-//! doubles, strings of up to 244 bytes with their length in the tag and
-//! longer ones LEB128-length-prefixed, one allocation), over every
+//! The packed-row codec a view stores its tuples in (`PackedRow`, format
+//! 4: a 4-bit tag per value, two to a byte, an odd row closed by the
+//! "no field" nibble 15; integers in the bytes their value needs, 8-byte
+//! doubles, strings of up to 3 bytes with their length in the tag and
+//! longer ones LEB128-length-prefixed; one allocation), over every
 //! `Value` shape: `Null` in every column type, every integer width edge
 //! (±2^(8w−1) and ±2^(8w−1)−1 for w = 1..=8, `0`, `-1`,
 //! `i64::MIN`/`i64::MAX`), `±0.0`, `±∞` and NaN payloads, strings of 0,
-//! 12, 13, 127, 128, 244, 245 and 300 bytes and multi-byte UTF-8 across
-//! the 12-byte inline edge.
+//! 1, 2, 3, 4, 12, 13, 127, 128, 244, 245 and 300 bytes and multi-byte
+//! UTF-8 across the 12-byte inline edge, in rows of odd and even arity.
 //!
 //! * Every row round-trips bit for bit, decoded field by field, unpacked
 //!   whole, and through a view's stored layout (store, then rebuild). A
 //!   double is canonical once it is a `Value`, so `==` is bit for bit.
-//! * A row's packed length is the sum of its fields' widths: 1 for
-//!   `Null`, 1 + w for an integer of w significant bytes, 9 for a double,
-//!   tag + bytes for a short string and tag + length + bytes for a long
-//!   one.
+//! * A row's packed length is a tag byte per two fields plus the sum of
+//!   its fields' payloads: 0 for `Null`, w for an integer of w
+//!   significant bytes, 8 for a double, the bytes of a string of at most
+//!   3 and length + bytes for a longer one.
 //! * Every value has one encoding: two packed rows are equal exactly
 //!   when their bytes are, exactly when the tuples they were packed from
 //!   are, and equal rows hash equal. A decoded field and a value, and the
@@ -42,7 +43,15 @@
 //!   bytes behind their length; every strict prefix is an error;
 //!   arbitrary bytes and a one-bit flip in each byte decode to an error
 //!   or to values (which write and read again to themselves), never a
-//!   panic.
+//!   panic. Re-framed at its new length, a row with a 15 in a low nibble
+//!   or in a high one before its last payload, or cut inside a payload
+//!   or after the first field of a pair, is an error.
+//! * A row with one field more or fewer is other bytes: an odd row's
+//!   closing nibble is no `Null`.
+//! * A stored layout's projection of a stored row — stored, key-derived
+//!   and fixed fields copied or written by the one row writer — is the
+//!   bytes packing the projected values writes: the delta-key index
+//!   hashes one against the other.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -53,9 +62,9 @@ use std::sync::Arc;
 use pmv_core::verify::estimate_tuple_bytes;
 use pmv_core::{BcpDim, BcpKey, PartialViewDef};
 use pmv_query::{QueryTemplate, TemplateBuilder};
-use pmv_storage::packed::{self, Field};
+use pmv_storage::packed::{self, tag_bytes, Field};
 use pmv_storage::string::INLINE_CAP;
-use pmv_storage::{Column, ColumnType, PackedRow, Schema, Tuple, Value};
+use pmv_storage::{Column, ColumnType, PackedRow, RowRef, Schema, Tuple, Value};
 use proptest::prelude::*;
 use proptest::TestRng;
 
@@ -137,6 +146,11 @@ fn double() -> impl Strategy<Value = f64> {
 fn string() -> impl Strategy<Value = String> {
     prop_oneof![
         Just(String::new()),
+        Just("a".to_string()),
+        Just("ab".to_string()),
+        Just("é".to_string()),
+        Just("€".to_string()),
+        Just("abcd".to_string()),
         Just("a".repeat(12)),
         Just("b".repeat(13)),
         Just("d".repeat(127)),
@@ -213,23 +227,31 @@ impl Strategy for Pairs {
     }
 }
 
-/// The bytes `v` packs to, by the codec's rule: the smallest w whose
-/// signed range −2^(8w−1) ..= 2^(8w−1)−1 holds an integer.
+/// The payload bytes `v` packs to after its tag's nibble, by the
+/// codec's rule: for an integer, the smallest w whose signed range
+/// −2^(8w−1) ..= 2^(8w−1)−1 holds it.
 fn width(v: &Value) -> usize {
     match v {
-        Value::Null => 1,
+        Value::Null => 0,
         Value::Int(x) => {
             let fits =
                 |w: u32| (-(1i128 << (8 * w - 1))..1i128 << (8 * w - 1)).contains(&(*x as i128));
-            1 + (1..=8).find(|&w| fits(w)).expect("8 bytes hold any i64") as usize
+            (1..=8).find(|&w| fits(w)).expect("8 bytes hold any i64") as usize
         }
-        Value::Double(_) => 9,
+        Value::Double(_) => 8,
         Value::Str(s) => match s.as_str().len() {
-            n @ 0..=244 => 1 + n,
-            n @ 245..=16_383 => 1 + 2 + n,
-            n => 1 + 3 + n,
+            n @ 0..=3 => n,
+            n @ 4..=127 => 1 + n,
+            n @ 128..=16_383 => 2 + n,
+            n => 3 + n,
         },
     }
+}
+
+/// The bytes a row of `values` packs to: a tag byte per two fields and
+/// each field's payload.
+fn row_width(values: &[Value]) -> usize {
+    tag_bytes(values.len()) + values.iter().map(width).sum::<usize>()
 }
 
 fn hash_of(v: &impl Hash) -> u64 {
@@ -270,7 +292,7 @@ proptest! {
         let tuple = Tuple::new(values.clone());
         let (packed, allocations) = counted(|| PackedRow::from(&tuple));
         prop_assert_eq!(allocations, 1, "one allocation per row");
-        prop_assert_eq!(packed.as_bytes().len(), values.iter().map(width).sum::<usize>());
+        prop_assert_eq!(packed.as_bytes().len(), row_width(&values));
         let decoded: Vec<Value> = packed.fields().map(Field::to_value).collect();
         prop_assert_eq!(&decoded, &values);
         prop_assert_eq!(packed.unpack(), tuple);
@@ -322,7 +344,7 @@ proptest! {
         let values: Vec<Value> = ints.iter().copied().map(Value::Int).collect();
         let (a, b) = (Tuple::new(values.clone()), Tuple::new(values.clone()));
         let packed = PackedRow::from(&a);
-        prop_assert_eq!(packed.as_bytes().len(), values.iter().map(width).sum::<usize>());
+        prop_assert_eq!(packed.as_bytes().len(), row_width(&values));
         for (i, x) in ints.iter().enumerate() {
             prop_assert!(matches!(packed.field(i), Field::Int(y) if y == *x), "field {}", i);
         }
@@ -375,15 +397,16 @@ proptest! {
         let charge = packed::entry_frame_len(stored.as_bytes().len());
         let estimate = estimate_tuple_bytes(&t);
         prop_assert!(charge <= estimate, "{:?}: {} > {}", row, charge, estimate);
-        // The slack is what each field leaves of its estimate — at most
-        // 7 B for a non-NULL integer, none for a double — and the estimate
-        // frames the fields at their estimated widths.
+        // The slack is what each field's payload leaves of its estimate —
+        // at most 7 B for a non-NULL integer, none for a double; the tag
+        // bytes are counted exactly — and the estimate frames the fields
+        // at their estimated widths.
         let slack: Vec<usize> = types
             .iter()
             .zip(&row)
             .map(|(ty, v)| match ty {
                 ColumnType::Str => 1 + INLINE_CAP - width(v),
-                _ => 9 - width(v),
+                _ => 8 - width(v),
             })
             .collect();
         let fields = stored.as_bytes().len() + slack.iter().sum::<usize>();
@@ -442,7 +465,7 @@ proptest! {
                 let mut cursor = packed::cursor(&flipped, &mut buf);
                 let mut walked = 0;
                 while let Some(row) = cursor.next_row() {
-                    prop_assert!(row.fields().count() <= row.as_bytes().len());
+                    prop_assert!(row.fields().count() <= 2 * row.as_bytes().len());
                     walked += 1;
                 }
                 prop_assert_eq!(walked, n);
@@ -580,7 +603,8 @@ fn template_of(types: &[ColumnType]) -> Arc<QueryTemplate> {
     b.cond_eq("r", "f").unwrap().build().unwrap()
 }
 
-/// NULL in every column type packs to its tag alone and decodes as NULL.
+/// NULL in every column type packs to one tag byte — its nibble and the
+/// "no field" that closes the odd row — and decodes as NULL.
 #[test]
 fn null_in_every_column_type() {
     for ty in TYPES {
@@ -592,7 +616,8 @@ fn null_in_every_column_type() {
     }
 }
 
-/// The edges named above, once each, with their exact widths.
+/// The edges named above, once each, with their exact widths as a row
+/// of one field: its tag byte and its payload.
 #[test]
 fn edge_values_have_their_widths() {
     let mut cases: Vec<(Value, usize)> = vec![
@@ -605,16 +630,20 @@ fn edge_values_have_their_widths() {
         (Value::from(f64::NEG_INFINITY), 9),
         (Value::from(nan(true, 1)), 9),
         (Value::str(""), 1),
-        (Value::str("a".repeat(12)), 13),
-        (Value::str("a".repeat(13)), 14),
-        (Value::str("a".repeat(127)), 128),
-        (Value::str("a".repeat(128)), 129),
-        (Value::str("a".repeat(244)), 245),
+        (Value::str("a"), 2),
+        (Value::str("abc"), 4),
+        (Value::str("€"), 4),
+        (Value::str("abcd"), 6),
+        (Value::str("a".repeat(12)), 14),
+        (Value::str("a".repeat(13)), 15),
+        (Value::str("a".repeat(127)), 129),
+        (Value::str("a".repeat(128)), 131),
+        (Value::str("a".repeat(244)), 247),
         (Value::str("a".repeat(245)), 248),
         (Value::str("c".repeat(300)), 303),
         (Value::str("c".repeat(16_383)), 16_386),
         (Value::str("c".repeat(16_384)), 16_388),
-        (Value::str("𝄞é"), 7),
+        (Value::str("𝄞é"), 8),
     ];
     // An integer takes 1 + w bytes from -2^(8w-1) to 2^(8w-1) - 1.
     for w in 1..=8u32 {
@@ -631,5 +660,157 @@ fn edge_values_have_their_widths() {
         let packed = PackedRow::from(&Tuple::new(vec![v.clone()]));
         assert_eq!(packed.as_bytes().len(), w, "{v:?}");
         assert_eq!(packed.field(0).to_value(), v);
+    }
+}
+
+/// `row` framed as on disk: its length in LEB128, then its bytes.
+fn framed(row: &[u8]) -> Vec<u8> {
+    let mut out = vec![0u8; packed::framed_len(row.len())];
+    packed::put_packed_frame(&mut out, RowRef::new(row));
+    out
+}
+
+/// Where each tag byte of `row` lies, and each field's payload.
+fn layout_of(row: &PackedRow) -> (Vec<usize>, Vec<std::ops::Range<usize>>) {
+    let (mut tags, mut payloads, mut at) = (Vec::new(), Vec::new(), 0);
+    for (i, (_, payload)) in row.row().encoded_fields().enumerate() {
+        if i % 2 == 0 {
+            tags.push(at);
+            at += 1;
+        }
+        payloads.push(at..at + payload.len());
+        at += payload.len();
+    }
+    assert_eq!(at, row.as_bytes().len());
+    (tags, payloads)
+}
+
+proptest! {
+    /// A row of each parity round-trips, and a row with one field more
+    /// — a NULL too — is other bytes: the closing nibble of an odd row
+    /// names no field.
+    #[test]
+    fn odd_and_even_rows_round_trip_and_differ(
+        values in Rows { max: 9 },
+        extra in value(ColumnType::Str),
+    ) {
+        let longer: Vec<Value> = values.iter().cloned().chain([extra]).collect();
+        for (row, other) in [(&values, &longer), (&longer, &values)] {
+            let (packed_row, packed_other) = (PackedRow::pack(row), PackedRow::pack(other));
+            prop_assert_eq!(packed_row.as_bytes().len(), row_width(row));
+            prop_assert_eq!(&packed_row.unpack().values().to_vec(), row);
+            let mut disk = Vec::new();
+            packed::put_row(&mut disk, row);
+            prop_assert_eq!(packed::take_row(&disk).unwrap(), (row.clone(), disk.len()));
+            prop_assert_ne!(packed_row.as_bytes(), packed_other.as_bytes());
+            let (tags, _) = layout_of(&packed_row);
+            if let (1, Some(&last)) = (row.len() % 2, tags.last()) {
+                prop_assert_eq!(packed_row.as_bytes()[last] >> 4, packed::NO_FIELD);
+            }
+        }
+    }
+
+    /// The checked decoder refuses, never panics on, a row — re-framed
+    /// at its new length — with a 15 in a tag byte's low nibble, a 15 in
+    /// a high nibble with payload bytes after it, a cut inside a payload,
+    /// or a cut after a pair's first field whose second has a payload.
+    #[test]
+    fn misplaced_no_field_and_cut_rows_are_errors(values in Rows { max: 9 }) {
+        let row = PackedRow::pack(&values);
+        let bytes = row.as_bytes();
+        let (tags, payloads) = layout_of(&row);
+        let refused = |b: &[u8]| packed::take_row(&framed(b)).is_err();
+        for &t in &tags {
+            let mut low = bytes.to_vec();
+            low[t] |= packed::NO_FIELD;
+            prop_assert!(refused(&low), "15 in the low nibble at {}", t);
+            // The pair's first payload ends where the high nibble's field
+            // would begin: a 15 there is an error unless the row ends.
+            let first = payloads[tags.iter().position(|&x| x == t).unwrap() * 2].end;
+            if first < bytes.len() {
+                let mut high = bytes.to_vec();
+                high[t] |= packed::NO_FIELD << 4;
+                prop_assert!(refused(&high), "15 in the high nibble at {}", t);
+            }
+        }
+        for (i, p) in payloads.iter().enumerate() {
+            for cut in p.start + 1..p.end {
+                prop_assert!(refused(&bytes[..cut]), "field {} cut at {}", i, cut);
+            }
+            // Cut after a pair's first field: the second has bytes to lose.
+            if i % 2 == 0 && payloads.get(i + 1).is_some_and(|q| !q.is_empty()) {
+                prop_assert!(refused(&bytes[..p.end]), "pair cut after field {}", i);
+            }
+        }
+        prop_assert_eq!(packed::take_row(&framed(bytes)).unwrap().0, values);
+    }
+}
+
+/// `r(a Int, d Double, s Str, g Str, f Int)` selecting `a, d, s, g` with
+/// `g` fixed to a 5-byte string and an equality condition on `f`: `a`,
+/// `d` and `s` are stored, `g` is the template's, `f` the bcp's.
+fn template_with_fixed() -> Arc<QueryTemplate> {
+    TemplateBuilder::new("projected")
+        .relation(Schema::new(
+            "r",
+            vec![
+                Column::new("a", ColumnType::Int),
+                Column::new("d", ColumnType::Double),
+                Column::new("s", ColumnType::Str),
+                Column::new("g", ColumnType::Str),
+                Column::new("f", ColumnType::Int),
+            ],
+        ))
+        .select("r", "a")
+        .unwrap()
+        .select("r", "d")
+        .unwrap()
+        .select("r", "s")
+        .unwrap()
+        .select("r", "g")
+        .unwrap()
+        .fixed("r", "g", "fixed")
+        .unwrap()
+        .cond_eq("r", "f")
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+proptest! {
+    /// `StoredLayout::project` of a stored row — any positions, in any
+    /// order, repeated — is the bytes packing the projected values of
+    /// the row it stands for writes: what the delta-key index's hash of
+    /// a cached tuple's projection and of a base tuple's rely on.
+    #[test]
+    fn project_equals_packing_the_projected_values(
+        (a, _) in Pairs {
+            types: Some(vec![ColumnType::Int, ColumnType::Double, ColumnType::Str, ColumnType::Int]),
+        },
+        picks in proptest::collection::vec(0usize..16, 0..7),
+    ) {
+        let def = PartialViewDef::all_equality("projected", template_with_fixed()).unwrap();
+        let layout = def.layout();
+        let arity = layout.arity();
+        let row: Vec<Value> = def
+            .template()
+            .expanded_list()
+            .iter()
+            .map(|attr| match attr.column {
+                0 => a[0].clone(),
+                1 => a[1].clone(),
+                2 => a[2].clone(),
+                3 => Value::str("fixed"),
+                _ => a[3].clone(),
+            })
+            .collect();
+        let bcp = BcpKey::new(vec![BcpDim::Eq(a[3].clone())]);
+        let stored = layout.store(&Tuple::new(row.clone()));
+        let positions: Vec<usize> = picks.iter().map(|p| p % arity).collect();
+        let mut out = vec![0xaa];
+        layout.project(stored.row(), &bcp, &positions, &mut out);
+        let want = PackedRow::pack(positions.iter().map(|&p| &row[p]));
+        prop_assert_eq!(&out[1..], want.as_bytes(), "positions {:?}", positions);
+        prop_assert_eq!(out[0], 0xaa);
     }
 }

@@ -218,24 +218,25 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
     );
 
     // 1 600 entries of the 4-byte handle of their bytes (the slot's end
-    // offset in its chunk's bytes) and a key framed in 5 B — a byte of length, then `orderdate` and `suppkey`
-    // (< 128), each a tag and one byte — and 4 800 tuples of 7 framed
-    // bytes: a byte of header, then `orderkey` (< 128), `custkey` and
-    // `quantity`, each a tag and one byte — the rest derived. A tuple
-    // after the first of its entry shares only `orderkey`'s tag, and
-    // keeps it as a count: the same 7 bytes.
-    assert_eq!(charged, 48_000, "the charge");
-    // The fill also grows each shard's scratch once, to three 6-byte
-    // rows (32 B) and their ends and epochs (4 × 16 B), and the serving
+    // offset in its chunk's bytes) and a key framed in 4 B — a byte of
+    // length, then `orderdate` and `suppkey` (< 128), one byte each
+    // behind one tag byte — and 4 800 tuples of 6 framed bytes: a byte
+    // of header, then `orderkey` (< 128) and `custkey` behind a tag
+    // byte, and `quantity` behind another, each one byte — the rest
+    // derived. A tuple after the first of its entry shares only the
+    // first tag byte, and keeps it as a count: the same 6 bytes.
+    assert_eq!(charged, 41_600, "the charge");
+    // The fill also grows each shard's scratch once, to three 5-byte
+    // rows (16 B) and their ends and epochs (4 × 16 B), and the serving
     // path's pooled scratch by the 24-byte handle of its row buffer.
     assert_eq!(
         live,
-        674_384 + 4 * (32 + 4 * 16) + 24,
+        662_532 + 4 * (16 + 4 * 16) + 24,
         "live bytes after the fill"
     );
-    assert_eq!(live * 100 / charged, 1_405, "live bytes per 100 B charged");
-    // Per entry, in its chunk's bytes: its 5-byte key frame, three
-    // 8-byte epochs and its 21 framed bytes of rows. Two postings per tuple, 24
+    assert_eq!(live * 100 / charged, 1_593, "live bytes per 100 B charged");
+    // Per entry, in its chunk's bytes: its 4-byte key frame, three
+    // 8-byte epochs and its 18 framed bytes of rows. Two postings per tuple, 24
     // B each (an inline key and the row's hash) in its projection's list,
     // which holds no room to grow; a map slot per projection, its 8-byte
     // hash and the list's 16-byte handle and a control byte, in a table
@@ -248,7 +249,7 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
     let maps = (8_192 * 25 + 16) + (256 * 25 + 16);
     assert_eq!(
         (rows_bytes, index_bytes, policy_bytes),
-        (1_600 * (5 + 3 * 8 + 21), postings + maps + 8, 0)
+        (1_600 * (4 + 3 * 8 + 18), postings + maps + 8, 0)
     );
     // The second pass is the first to serve from the view: the serving
     // path's per-thread scratch grows once, for the served rows (128 ×

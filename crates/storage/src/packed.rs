@@ -3,42 +3,62 @@
 //! §3.2 bounds a partial view by `UB ≤ L·F·At`, where `At` is the
 //! average cached-tuple size. A [`Tuple`] spends a 16-byte [`Value`] slot
 //! on every field and a second allocation on its `Arc`, however small the
-//! field. A packed row holds each value behind a one-byte tag — owned,
-//! a [`PackedRow`] is one `Arc<[u8]>` built in one allocation; borrowed
-//! from wherever it lies, a [`RowRef`]:
+//! field. A packed row names each value by a 4-bit tag and keeps only
+//! the payload its value needs — owned, a [`PackedRow`] is one
+//! `Arc<[u8]>` built in one allocation; borrowed from wherever it lies,
+//! a [`RowRef`].
 //!
-//! | value    | tag        | bytes after the tag                        |
-//! |----------|------------|--------------------------------------------|
-//! | `Null`   | 0          | none                                       |
-//! | `Int`    | `w` 1..=8  | `w`, little-endian, sign-extended on decode |
-//! | `Double` | 9          | 8, the canonical bits (see [`F64`])         |
-//! | `Str`    | 10         | LEB128 length, then the UTF-8 bytes        |
-//! | `Str`    | 11 + `n`   | the `n` ≤ [`SHORT_STR_MAX`] UTF-8 bytes    |
+//! **Format 4: two tags to a byte.** The fields are written in pairs:
+//! one tag byte — the first field's tag in its low nibble, the second's
+//! in its high nibble — then the first payload, then the second. A row
+//! of an odd number of fields ends with a tag byte whose high nibble is
+//! [`NO_FIELD`] (15), "no field"; a 15 anywhere else is not a row.
+//!
+//! | value    | tag          | payload                                     |
+//! |----------|--------------|---------------------------------------------|
+//! | `Null`   | 0            | none                                        |
+//! | `Int`    | `w` 1..=8    | `w` bytes, little-endian, sign-extended on decode |
+//! | `Double` | 9            | 8 bytes, the canonical bits (see [`F64`])    |
+//! | `Str`    | 10           | LEB128 length, then the UTF-8 bytes         |
+//! | `Str`    | 11 + `n`     | the `n` ≤ [`SHORT_STR_MAX`] (3) UTF-8 bytes  |
 //!
 //! An `Int` takes the fewest bytes that hold its value as a signed
 //! number — T1's keys, quantities and prices take 1–3 payload bytes
-//! instead of 8 — and the encoder always picks that width, so equal
-//! integers pack to equal bytes. A string of up to
-//! [`SHORT_STR_MAX`] bytes carries its length in the tag: an empty
-//! filler is one byte.
+//! instead of 8 — and the writer always picks that width, so equal
+//! integers pack to equal bytes. A string of up to [`SHORT_STR_MAX`]
+//! bytes carries its length in its tag: an empty filler is half a byte.
+//!
+//! Against a whole tag byte per value (format 3, whose tag carried a
+//! string's length up to 244 bytes), a `Null`, a number or a string of
+//! at most 3 or at least 245 bytes saves half a byte. A string of 4–127
+//! bytes pays half a byte more — its nibble and a length byte where its
+//! length used to ride in its tag — and one of 128–244 bytes a byte and
+//! a half more (its length takes two bytes). T1's stored rows hold only
+//! integers and empty strings: seven values, 4 tag bytes where they
+//! took 7, so its widest row is 4 + 11 = 15 B instead of 18.
 //!
 //! A row has no offset table, so it spends no bytes on offsets; a field
 //! is found by decoding the fields before it.
 //!
-//! Every value has exactly one encoding — an integer its fewest bytes, a
-//! double its canonical bits — so equality and hashing are the bytes': a
-//! packed row equals another exactly when the tuples they were packed
-//! from are equal.
+//! **One writer.** Every row is written by a [`RowWriter`] — a
+//! [`PackedRow`], a view's stored row ([`append_row`]), a bcp's key
+//! ([`pack_into`]), a projection of a stored row the writer copies
+//! field by field ([`RowWriter::push_field`], fed by
+//! [`RowRef::encoded_fields`]), a row on disk ([`put_row`]). Every value
+//! has exactly one encoding — an integer its fewest bytes, a double its
+//! canonical bits, a string its shortest form — and the pairing is
+//! fixed, so equality and hashing are the bytes': a packed row equals
+//! another exactly when the tuples they were packed from are equal.
 //!
 //! **One framing for a row on disk.** A row is framed as its packed
 //! byte length in LEB128, then its packed values ([`put_row`],
 //! [`put_packed_frame`]): the WAL and the checkpoint write a tuple so,
 //! and a view entry its bcp's key. [`take_row`] reads one back,
-//! checked: bytes cut short, a length that overflows or a string that
-//! is not UTF-8 are a [`DecodeError`], never a panic, and a double
-//! reads as its canonical [`F64`]. [`Fields`] runs the same per-tag
-//! code over a row in memory, which holds only what [`encode`] wrote,
-//! and panics there.
+//! checked: bytes cut short, a length that overflows, a string that is
+//! not UTF-8 or a misplaced [`NO_FIELD`] are a [`DecodeError`], never a
+//! panic, and a double reads as its canonical [`F64`]. [`Fields`] runs
+//! the same per-tag code over a row in memory, which holds only what a
+//! [`RowWriter`] wrote, and panics there.
 //!
 //! **An entry's rows are front-coded.** A view entry holds its cached
 //! rows back to back in one byte string, each framed as on disk plus a
@@ -61,6 +81,7 @@
 //! straight from the entry's bytes, one that shares rebuilt in a buffer
 //! the caller owns; [`check_entry_rows`] walks the same frames checked.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -73,17 +94,20 @@ const NULL: u8 = 0;
 const INT_WIDEST: u8 = 8;
 const DOUBLE: u8 = 9;
 const LONG_STR: u8 = 10;
-/// Tag of the empty short string; a short string of `n` bytes is
+/// Tag of the empty string; a short string of `n` bytes is
 /// `SHORT_STR + n`.
 const SHORT_STR: u8 = 11;
+/// The high nibble that closes a row of an odd number of fields: no
+/// field. Anywhere else it is not a row.
+pub const NO_FIELD: u8 = 15;
 
 /// The longest string whose length fits in its tag.
-pub const SHORT_STR_MAX: usize = (u8::MAX - SHORT_STR) as usize;
+pub const SHORT_STR_MAX: usize = 3;
 
-/// The most bytes a packed `Int` or `Double` takes: its tag and 8
-/// payload bytes. A `Double` always takes them; an `Int` takes fewer
+/// The most payload bytes a packed `Int` or `Double` takes after its
+/// tag's nibble: 8. A `Double` always takes them; an `Int` takes fewer
 /// unless its value needs all 8.
-pub const MAX_NUMBER_BYTES: usize = 9;
+pub const MAX_NUMBER_BYTES: usize = 8;
 
 /// An immutable row of values packed into one shared byte string; see
 /// the [module docs](self) for the encoding. Cloning copies a pointer.
@@ -132,22 +156,28 @@ impl PartialEq<Value> for Field<'_> {
     }
 }
 
-/// Bytes `v` takes packed.
+/// `v`'s tag and the bytes of its payload.
 #[inline]
-pub fn encoded_len(v: &Value) -> usize {
+fn tag_of(v: &Value) -> (u8, usize) {
     match v {
-        Value::Null => 1,
-        Value::Int(x) => 1 + int_width(*x),
-        Value::Double(_) => MAX_NUMBER_BYTES,
-        Value::Str(s) => {
-            let n = s.as_str().len();
-            if n <= SHORT_STR_MAX {
-                1 + n
-            } else {
-                1 + leb128_len(n) + n
-            }
+        Value::Null => (NULL, 0),
+        Value::Int(x) => {
+            let w = int_width(*x);
+            (w as u8, w)
         }
+        Value::Double(_) => (DOUBLE, MAX_NUMBER_BYTES),
+        Value::Str(s) => match s.as_str().len() {
+            n @ 0..=SHORT_STR_MAX => (SHORT_STR + n as u8, n),
+            n => (LONG_STR, leb128_len(n) + n),
+        },
     }
+}
+
+/// Tag bytes a row of `fields` fields takes: one per pair, the last
+/// closed by [`NO_FIELD`] when `fields` is odd.
+#[inline]
+pub fn tag_bytes(fields: usize) -> usize {
+    fields.div_ceil(2)
 }
 
 /// The fewest bytes, 1..=8, that hold `x` as a two's-complement number.
@@ -216,65 +246,238 @@ fn read_leb128(bytes: &[u8], at: usize) -> Option<(usize, usize)> {
     None
 }
 
-/// Write `v` packed at the start of `out`, which holds at least
-/// [`encoded_len`] bytes, returning the bytes written.
-#[inline]
-pub fn encode(v: &Value, out: &mut [u8]) -> usize {
-    match v {
-        Value::Null => {
-            out[0] = NULL;
-            1
-        }
-        Value::Int(x) => {
-            let w = int_width(*x);
-            out[0] = w as u8;
-            match out.get_mut(1..9) {
-                // Where 8 bytes follow the tag, one 8-byte store: the
-                // bytes past `w` lie in the fields written after this
-                // one, which overwrite them.
-                Some(word) => word.copy_from_slice(&x.to_le_bytes()),
-                None => out[1..=w].copy_from_slice(&x.to_le_bytes()[..w]),
-            }
-            1 + w
-        }
-        Value::Double(d) => {
-            out[0] = DOUBLE;
-            out[1..9].copy_from_slice(&d.to_bits().to_le_bytes());
-            MAX_NUMBER_BYTES
-        }
-        Value::Str(s) => {
-            let bytes = s.as_str().as_bytes();
-            if bytes.len() <= SHORT_STR_MAX {
-                out[0] = SHORT_STR + bytes.len() as u8;
-                out[1..=bytes.len()].copy_from_slice(bytes);
-                return 1 + bytes.len();
-            }
-            out[0] = LONG_STR;
-            let at = 1 + write_leb128(&mut out[1..], bytes.len());
-            out[at..at + bytes.len()].copy_from_slice(bytes);
-            at + bytes.len()
+/// What a [`RowWriter`] writes into: a `Vec` it appends to, or (inside
+/// [`pack_into`]) a slice sized to the row.
+pub trait RowOut {
+    /// Bytes written so far.
+    fn written(&self) -> usize;
+    /// Append `bytes`.
+    fn put(&mut self, bytes: &[u8]);
+    /// Append the low `w` bytes of `word`. Where 8 bytes fit, one 8-byte
+    /// store: the bytes past `w` are left for the fields after to
+    /// overwrite, so no copy has a variable length.
+    fn put_word(&mut self, word: [u8; 8], w: usize);
+    /// Set the high nibble of the byte written at `at`, whose high
+    /// nibble is 0.
+    fn set_high(&mut self, at: usize, nibble: u8);
+}
+
+impl RowOut for Vec<u8> {
+    #[inline]
+    fn written(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    #[inline]
+    fn put_word(&mut self, word: [u8; 8], w: usize) {
+        let len = self.len();
+        if self.capacity() - len >= 8 {
+            // Within the capacity already held: no reallocation.
+            self.extend_from_slice(&word);
+            self.truncate(len + w);
+        } else {
+            self.extend_from_slice(&word[..w]);
         }
     }
+
+    #[inline]
+    fn set_high(&mut self, at: usize, nibble: u8) {
+        self[at] |= nibble << 4;
+    }
+}
+
+/// A slice a [`RowWriter`] fills from its start. Bytes past its end are
+/// dropped and only counted, so a row that does not fit ends with `at`
+/// past the slice.
+struct Fill<'a> {
+    buf: &'a mut [u8],
+    at: usize,
+}
+
+impl RowOut for Fill<'_> {
+    #[inline]
+    fn written(&self) -> usize {
+        self.at
+    }
+
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        if let Some(room) = self.buf.get_mut(self.at..self.at + bytes.len()) {
+            room.copy_from_slice(bytes);
+        }
+        self.at += bytes.len();
+    }
+
+    #[inline]
+    fn put_word(&mut self, word: [u8; 8], w: usize) {
+        if let Some(room) = self.buf.get_mut(self.at..self.at + 8) {
+            room.copy_from_slice(&word);
+        } else if let Some(room) = self.buf.get_mut(self.at..self.at + w) {
+            room.copy_from_slice(&word[..w]);
+        }
+        self.at += w;
+    }
+
+    #[inline]
+    fn set_high(&mut self, at: usize, nibble: u8) {
+        if let Some(byte) = self.buf.get_mut(at) {
+            *byte |= nibble << 4;
+        }
+    }
+}
+
+/// The one writer of a packed row: fields pushed in order, each a value
+/// ([`Self::push`]) or a field already packed ([`Self::push_field`]),
+/// then [`Self::finish`], which closes an odd row. A field opens a tag
+/// byte or fills the one the field before it opened.
+pub struct RowWriter<'o, O: RowOut + ?Sized> {
+    out: &'o mut O,
+    /// Where the tag byte whose high nibble is still free lies.
+    open: Option<usize>,
+}
+
+impl<'o, O: RowOut + ?Sized> RowWriter<'o, O> {
+    /// A row written at the end of `out`.
+    #[inline]
+    pub fn new(out: &'o mut O) -> Self {
+        RowWriter { out, open: None }
+    }
+
+    /// Write a field's tag: into the open tag byte's high nibble, or as
+    /// a new tag byte's low one.
+    #[inline]
+    fn tag(&mut self, tag: u8) {
+        match self.open.take() {
+            Some(at) => self.out.set_high(at, tag),
+            None => {
+                self.open = Some(self.out.written());
+                self.out.put(&[tag]);
+            }
+        }
+    }
+
+    /// Append `v`, packed.
+    #[inline]
+    pub fn push(&mut self, v: &Value) {
+        let (tag, len) = tag_of(v);
+        self.tag(tag);
+        match v {
+            Value::Null => {}
+            Value::Int(x) => self.out.put_word(x.to_le_bytes(), len),
+            Value::Double(d) => self.out.put(&d.to_bits().to_le_bytes()),
+            Value::Str(s) => {
+                let bytes = s.as_str().as_bytes();
+                if tag == LONG_STR {
+                    let mut n = [0u8; 10];
+                    let w = write_leb128(&mut n, bytes.len());
+                    self.out.put(&n[..w]);
+                }
+                // An empty string — a filler column's usual value — is its
+                // tag alone.
+                if !bytes.is_empty() {
+                    self.out.put(bytes);
+                }
+            }
+        }
+    }
+
+    /// Append a field already packed: its tag and its payload, as
+    /// [`RowRef::encoded_fields`] yields them.
+    #[inline]
+    pub fn push_field(&mut self, tag: u8, payload: &[u8]) {
+        self.tag(tag);
+        self.out.put(payload);
+    }
+
+    /// Close the row: an odd one's last tag byte gets [`NO_FIELD`].
+    #[inline]
+    pub fn finish(mut self) {
+        if let Some(at) = self.open.take() {
+            self.out.set_high(at, NO_FIELD);
+        }
+    }
+}
+
+/// Bytes `values` take packed, as one row.
+#[inline]
+pub fn row_len<I>(values: I) -> usize
+where
+    I: IntoIterator,
+    I::Item: Borrow<Value>,
+{
+    let (mut fields, mut payload) = (0, 0);
+    for v in values {
+        fields += 1;
+        payload += tag_of(v.borrow()).1;
+    }
+    tag_bytes(fields) + payload
+}
+
+/// Write `values` as one row at the start of `out`, returning the bytes
+/// written; `None` when the row is longer than `out` (which then holds
+/// a prefix of it). A slice of their [`row_len`] bytes always holds it.
+#[inline]
+pub fn pack_into<I>(out: &mut [u8], values: I) -> Option<usize>
+where
+    I: IntoIterator,
+    I::Item: Borrow<Value>,
+{
+    let len = out.len();
+    let mut fill = Fill { buf: out, at: 0 };
+    write_row(&mut fill, values);
+    (fill.at <= len).then_some(fill.at)
+}
+
+/// Append `values` to `out` as one row, growing it once. The iterator
+/// is walked twice: once to size the row, once to write it.
+#[inline]
+pub fn append_row<I>(out: &mut Vec<u8>, values: I)
+where
+    I: IntoIterator,
+    I::IntoIter: Clone,
+    I::Item: Borrow<Value>,
+{
+    let values = values.into_iter();
+    out.reserve(row_len(values.clone()));
+    write_row(out, values);
+}
+
+/// Write `values` as one row at the end of `out`.
+#[inline]
+fn write_row<O, I>(out: &mut O, values: I)
+where
+    O: RowOut + ?Sized,
+    I: IntoIterator,
+    I::Item: Borrow<Value>,
+{
+    let mut w = RowWriter::new(out);
+    for v in values {
+        w.push(v.borrow());
+    }
+    w.finish();
 }
 
 impl PackedRow {
     /// Pack `values`, in order, into one allocation. The iterator is
     /// walked twice: once to size the row, once to write it.
-    pub fn pack<'a, I>(values: I) -> Self
+    pub fn pack<I>(values: I) -> Self
     where
-        I: IntoIterator<Item = &'a Value>,
+        I: IntoIterator,
         I::IntoIter: Clone,
+        I::Item: Borrow<Value>,
     {
         let values = values.into_iter();
-        let len = values.clone().map(encoded_len).sum();
+        let len = row_len(values.clone());
         // An exact-size iterator lets `Arc<[u8]>` allocate once, at its
         // final size; the row is then written in place.
         let mut bytes: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
         let out = Arc::get_mut(&mut bytes).expect("a fresh row is unshared");
-        let mut at = 0;
-        for v in values {
-            at += encode(v, &mut out[at..]);
-        }
+        let at = pack_into(out, values).expect("a row fits its row_len");
         debug_assert_eq!(at, len);
         PackedRow(bytes)
     }
@@ -317,8 +520,8 @@ impl PackedRow {
 pub struct RowRef<'a>(&'a [u8]);
 
 impl<'a> RowRef<'a> {
-    /// The row packed in `bytes`, which [`encode`] wrote value after
-    /// value — a row's own bytes, or a key packed the way a row is.
+    /// The row packed in `bytes`, which a [`RowWriter`] wrote — a row's
+    /// own bytes, or a key packed the way a row is.
     #[inline]
     pub fn new(bytes: &'a [u8]) -> Self {
         RowRef(bytes)
@@ -343,19 +546,19 @@ impl<'a> RowRef<'a> {
         self.0
     }
 
-    /// Each field's packed bytes, in order: what [`encode`] wrote for
-    /// it, so equal values yield equal bytes.
+    /// Each field's tag and payload, in order: what
+    /// [`RowWriter::push_field`] copies into another row, so equal
+    /// values yield equal fields.
     #[inline]
-    pub fn encoded_fields(self) -> impl Iterator<Item = &'a [u8]> + Clone + 'a {
-        let bytes = self.0;
-        let mut at = 0;
+    pub fn encoded_fields(self) -> impl Iterator<Item = (u8, &'a [u8])> + Clone + 'a {
+        let mut tags = Tags::new(self.0);
         std::iter::from_fn(move || {
-            (at < bytes.len()).then(|| {
-                let (_, next) = field_at(bytes, at).expect("a packed row decodes");
-                let field = &bytes[at..next];
-                at = next;
-                field
-            })
+            let tag = tags.next_tag()?;
+            let at = tags.at;
+            tags.at = field_at(tags.bytes, at, tag)
+                .expect("a packed row decodes")
+                .1;
+            Some((tag, &tags.bytes[at..tags.at]))
         })
     }
 
@@ -371,21 +574,56 @@ impl fmt::Debug for RowRef<'_> {
     }
 }
 
-/// Iterator over a [`PackedRow`]'s fields, or over any bytes written
-/// by [`encode`].
+/// A walk over a row's tags: where the next payload begins, and the
+/// high nibble of a tag byte whose low field was read.
 #[derive(Clone)]
-pub struct Fields<'a> {
+struct Tags<'a> {
     bytes: &'a [u8],
     at: usize,
+    high: Option<u8>,
+}
+
+impl<'a> Tags<'a> {
+    #[inline]
+    fn new(bytes: &'a [u8]) -> Self {
+        Tags {
+            bytes,
+            at: 0,
+            high: None,
+        }
+    }
+
+    /// The next field's tag, `at` left on its payload; `None` past the
+    /// last field. Only a high nibble may be [`NO_FIELD`] in a row a
+    /// [`RowWriter`] wrote; a low one is left to [`field_at`] to refuse.
+    #[inline]
+    fn next_tag(&mut self) -> Option<u8> {
+        if let Some(tag) = self.high.take() {
+            return (tag != NO_FIELD).then_some(tag);
+        }
+        let pair = *self.bytes.get(self.at)?;
+        self.at += 1;
+        self.high = Some(pair >> 4);
+        Some(pair & 0xf)
+    }
+}
+
+/// Iterator over a [`PackedRow`]'s fields, or over any bytes a
+/// [`RowWriter`] wrote.
+#[derive(Clone)]
+pub struct Fields<'a> {
+    tags: Tags<'a>,
 }
 
 impl<'a> Fields<'a> {
-    /// The fields packed in `bytes`, which [`encode`] wrote value after
-    /// value; a field of other bytes panics (bytes read from disk go
-    /// through [`take_row`]).
+    /// The fields packed in `bytes`, which a [`RowWriter`] wrote; a
+    /// field of other bytes panics (bytes read from disk go through
+    /// [`take_row`]).
     #[inline]
     pub fn new(bytes: &'a [u8]) -> Self {
-        Fields { bytes, at: 0 }
+        Fields {
+            tags: Tags::new(bytes),
+        }
     }
 }
 
@@ -394,11 +632,10 @@ impl<'a> Iterator for Fields<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<Field<'a>> {
-        if self.at == self.bytes.len() {
-            return None;
-        }
-        let (field, next) = field_at(self.bytes, self.at).expect("a packed row decodes");
-        self.at = next;
+        let tag = self.tags.next_tag()?;
+        let (field, next) =
+            field_at(self.tags.bytes, self.tags.at, tag).expect("a packed row decodes");
+        self.tags.at = next;
         Some(field)
     }
 }
@@ -415,28 +652,29 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// The field at `bytes[at..]`, `at < bytes.len()`, and the offset just
-/// past it; `None` when the bytes there are cut short or not UTF-8. The
-/// one per-tag decoder, behind [`Fields`] and [`take_row`].
+/// The field of tag `tag` whose payload begins at `bytes[at..]`, and
+/// the offset just past it; `None` when the payload is cut short or not
+/// UTF-8, or the tag is [`NO_FIELD`]. The one per-tag decoder, behind
+/// [`Fields`] and [`take_row`].
 #[inline]
-fn field_at(bytes: &[u8], at: usize) -> Option<(Field<'_>, usize)> {
-    let payload = at + 1;
-    match bytes[at] {
-        NULL => Some((Field::Null, payload)),
-        tag @ 1..=INT_WIDEST => {
-            let (w, end) = (usize::from(tag), payload + usize::from(tag));
-            (end <= bytes.len()).then(|| (Field::Int(read_int(bytes, payload, w)), end))
+fn field_at(bytes: &[u8], at: usize, tag: u8) -> Option<(Field<'_>, usize)> {
+    match tag {
+        NULL => Some((Field::Null, at)),
+        1..=INT_WIDEST => {
+            let (w, end) = (usize::from(tag), at + usize::from(tag));
+            (end <= bytes.len()).then(|| (Field::Int(read_int(bytes, at, w)), end))
         }
         DOUBLE => {
-            let bits = bytes.get(payload..payload + 8)?.try_into().ok()?;
+            let bits = bytes.get(at..at + 8)?.try_into().ok()?;
             let d = F64::new(f64::from_bits(u64::from_le_bytes(bits)));
-            Some((Field::Double(d), payload + 8))
+            Some((Field::Double(d), at + 8))
         }
         LONG_STR => {
-            let (n, start) = read_leb128(bytes, payload)?;
+            let (n, start) = read_leb128(bytes, at)?;
             str_at(bytes, start, n)
         }
-        short => str_at(bytes, payload, usize::from(short - SHORT_STR)),
+        NO_FIELD => None,
+        short => str_at(bytes, at, usize::from(short - SHORT_STR)),
     }
 }
 
@@ -453,10 +691,31 @@ fn str_at(bytes: &[u8], at: usize, n: usize) -> Option<(Field<'_>, usize)> {
     Some((Field::Str(s), end))
 }
 
-/// Bytes `values` take packed, as one row.
-#[inline]
-pub fn row_len<'a>(values: impl IntoIterator<Item = &'a Value>) -> usize {
-    values.into_iter().map(encoded_len).sum()
+/// Walk the row packed in `bytes`, checked, handing each field to `f`;
+/// on bytes a [`RowWriter`] does not write, what is wrong and where: a
+/// [`NO_FIELD`] in a low nibble, or in a high one before the row's end,
+/// or a payload cut short or not UTF-8.
+fn check_row<'a>(
+    bytes: &'a [u8],
+    mut f: impl FnMut(Field<'a>),
+) -> Result<(), (&'static str, usize)> {
+    let mut tags = Tags::new(bytes);
+    while let Some(tag) = tags.next_tag() {
+        if tag == NO_FIELD {
+            return Err(("no field in a low nibble", tags.at - 1));
+        }
+        let (field, next) =
+            field_at(bytes, tags.at, tag).ok_or(("a value cut short or not UTF-8", tags.at))?;
+        f(field);
+        tags.at = next;
+    }
+    // The walk ends at the bytes' end, or early at a high `NO_FIELD`,
+    // which must close the row.
+    if tags.at == bytes.len() {
+        Ok(())
+    } else {
+        Err(("no field before the row's end", tags.at))
+    }
 }
 
 /// Bytes the frame of a row of `len` packed bytes takes: the length in
@@ -477,17 +736,25 @@ pub fn put_packed_frame(out: &mut [u8], row: RowRef<'_>) -> usize {
     at + bytes.len()
 }
 
+/// Whether `bytes` begin with `row`'s frame, as [`put_packed_frame`]
+/// writes it: compared in place, nothing split or decoded.
+#[inline]
+pub fn starts_with_frame(bytes: &[u8], row: RowRef<'_>) -> bool {
+    let row = row.as_bytes();
+    let mut len = [0u8; 10];
+    let n = write_leb128(&mut len, row.len());
+    bytes.len() >= n + row.len() && bytes[..n] == len[..n] && bytes[n..n + row.len()] == *row
+}
+
 /// Append `values` to `out` as one framed row: the packed byte length
 /// in LEB128, then the packed values.
 pub fn put_row(out: &mut Vec<u8>, values: &[Value]) {
     let len = row_len(values);
     let start = out.len();
-    out.resize(start + framed_len(len), 0);
-    let mut at = start + write_leb128(&mut out[start..], len);
-    for v in values {
-        at += encode(v, &mut out[at..]);
-    }
-    debug_assert_eq!(at, out.len());
+    out.resize(start + leb128_len(len), 0);
+    write_leb128(&mut out[start..], len);
+    append_row(out, values);
+    debug_assert_eq!(out.len(), start + framed_len(len));
 }
 
 /// Where the row framed at `bytes[at..]` lies: its packed bytes run
@@ -644,7 +911,8 @@ impl Cursor<'_, '_> {
 /// disk are: returns how many there are, or what is wrong with the
 /// first frame that is not what [`put_entry_row`] writes — a shared
 /// prefix on the first row, a shared prefix longer than the row before
-/// it, a suffix cut short — or whose rebuilt row does not decode.
+/// it, a suffix cut short — or whose rebuilt row is not a row a
+/// [`RowWriter`] writes.
 pub fn check_entry_rows(bytes: &[u8]) -> Result<usize, DecodeError> {
     let (mut row, mut at, mut rows) = (Vec::new(), 0, 0);
     while at < bytes.len() {
@@ -652,12 +920,7 @@ pub fn check_entry_rows(bytes: &[u8]) -> Result<usize, DecodeError> {
         let (shared, start, end) = entry_frame_at(bytes, at, row.len()).map_err(fail)?;
         row.truncate(shared);
         row.extend_from_slice(&bytes[start..end]);
-        let mut field = 0;
-        while field < row.len() {
-            field = field_at(&row, field)
-                .ok_or_else(|| fail("a value cut short or not UTF-8"))?
-                .1;
-        }
+        check_row(&row, |_| {}).map_err(|(what, _)| fail(what))?;
         (at, rows) = (end, rows + 1);
     }
     Ok(rows)
@@ -677,14 +940,10 @@ pub fn split_frame(bytes: &[u8]) -> (RowRef<'_>, &[u8]) {
 /// bytes it took.
 pub fn take_row(bytes: &[u8]) -> Result<(Vec<Value>, usize), DecodeError> {
     let fail = |what: &str, at| DecodeError(format!("{what} at row offset {at}"));
-    let (mut at, end) = frame_at(bytes, 0).map_err(|what| fail(what, 0))?;
+    let (start, end) = frame_at(bytes, 0).map_err(|what| fail(what, 0))?;
     let mut values = Vec::new();
-    while at < end {
-        let (field, next) =
-            field_at(&bytes[..end], at).ok_or_else(|| fail("value cut short or not UTF-8", at))?;
-        values.push(field.to_value());
-        at = next;
-    }
+    check_row(&bytes[start..end], |field| values.push(field.to_value()))
+        .map_err(|(what, at)| fail(what, start + at))?;
     Ok((values, end))
 }
 
@@ -719,27 +978,41 @@ mod tests {
     use crate::tuple;
 
     #[test]
-    fn t1_shaped_row_is_18_bytes() {
+    fn t1_shaped_row_is_15_bytes() {
         // T1's stored fields at their widest: orderkey ≤ 30 000, custkey
         // ≤ 3 000, totalprice < 500 000, the filler, quantity ≤ 50,
-        // extendedprice < 100 000, the filler. An empty string is its
-        // tag alone.
+        // extendedprice < 100 000, the filler: four tag bytes, the last
+        // closing the odd row, and 2 + 2 + 3 + 1 + 3 payload bytes. An
+        // empty string is its nibble alone.
         let row = tuple![30_000i64, 3_000i64, 499_999i64, "", 50i64, 99_999i64, ""];
         let packed = PackedRow::from(&row);
-        assert_eq!(packed.as_bytes().len(), 3 + 3 + 4 + 1 + 2 + 4 + 1);
+        assert_eq!(packed.as_bytes().len(), 4 + 2 + 2 + 3 + 1 + 3);
         assert_eq!(std::mem::size_of::<PackedRow>(), 16);
         assert_eq!(packed.unpack(), row);
     }
 
+    /// Two tags to a byte, the first field's low: a NULL and a one-byte
+    /// integer, then a two-byte string and "no field".
     #[test]
-    fn strings_past_244_bytes_take_a_leb128_length() {
-        assert_eq!(SHORT_STR_MAX, 244);
+    fn tags_pair_in_nibbles() {
+        let packed = PackedRow::from(&tuple![Value::Null, 5i64, "ab"]);
+        assert_eq!(packed.as_bytes(), [0x10, 5, 0xfd, b'a', b'b']);
+        let fields: Vec<(u8, &[u8])> = packed.row().encoded_fields().collect();
+        assert_eq!(fields, [(0, &[][..]), (1, &[5][..]), (13, &b"ab"[..])]);
+        let even = PackedRow::from(&tuple![Value::Null, 5i64]);
+        assert_eq!(even.as_bytes(), [0x10, 5]);
+    }
+
+    #[test]
+    fn strings_past_3_bytes_take_a_leb128_length() {
+        assert_eq!(SHORT_STR_MAX, 3);
         for (n, len) in [
             (0, 1),
-            (127, 128),
-            (128, 129),
-            (244, 245),
-            (245, 248),
+            (1, 2),
+            (3, 4),
+            (4, 6),
+            (127, 129),
+            (128, 131),
             (300, 303),
             (16_383, 16_386),
             (16_384, 16_388),
@@ -779,7 +1052,7 @@ mod tests {
             tuple![30_000i64, 3_000i64, 499_999i64, "", 50i64, 99_999i64, ""],
             tuple![30_000i64, 3_000i64, 499_999i64, "", 7i64, 1_234i64, ""],
             tuple![30_000i64, 3_000i64, 499_999i64, "", 7i64, 1_234i64, ""],
-            tuple![300i64, 6i64],
+            tuple![300i64, 600i64],
             tuple![""],
         ]
         .iter()
@@ -788,10 +1061,11 @@ mod tests {
         let lens: Vec<usize> = (0..rows.len())
             .map(|i| entry_row_len(rows[i].row(), i.checked_sub(1).map(|p| rows[p].row())))
             .collect();
-        // Unshared; the order's 11 bytes and the quantity's tag shared
-        // of 17, behind a header and a count; all 17 shared; one tag byte
-        // shared, 2 + 4 = 1 + 5; no byte shared.
-        assert_eq!(lens, [19, 2 + 17 - 12, 2, 6, 2]);
+        // Unshared; the order's 9 bytes shared of 14, behind a header
+        // and a count (the quantity's tag byte holds the price's width,
+        // which differs); all 14 shared; one tag byte shared, 2 + 4 =
+        // 1 + 5; no byte shared.
+        assert_eq!(lens, [16, 2 + 14 - 9, 2, 6, 2]);
         let mut bytes = vec![0u8; lens.iter().sum()];
         let mut at = 0;
         for (i, row) in rows.iter().enumerate() {

@@ -211,14 +211,15 @@ mod tests {
     #[test]
     fn non_canonical_doubles_decode_to_canonical_values() {
         // One batch of `r`: an insert at row 5 of the one value `bits`,
-        // a 9-byte row of the `Double` tag (9) and the bits.
+        // a 9-byte row: a tag byte of the `Double` tag (9) and "no field"
+        // (15), then the bits.
         let payload = |bits: u64| {
             let mut out = 1u32.to_le_bytes().to_vec();
             put_str(&mut out, "r");
             out.extend_from_slice(&1u32.to_le_bytes());
             out.push(0x00);
             out.extend_from_slice(&5u32.to_le_bytes());
-            out.extend_from_slice(&[9, 9]);
+            out.extend_from_slice(&[9, 0xf9]);
             out.extend_from_slice(&bits.to_le_bytes());
             out
         };

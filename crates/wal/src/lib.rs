@@ -13,7 +13,7 @@
 //!   binary image of CRC-framed [`record`]s ([`checkpoint`] has the
 //!   grammar) and written to `ckpt.<lsn>.img` off the write path (temp
 //!   file `ckpt.<lsn>.img.tmp` + fsync + atomic rename), then the WAL
-//!   rotates to a fresh segment `wal.<lsn>.v3.log` and segments wholly
+//!   rotates to a fresh segment `wal.<lsn>.v4.log` and segments wholly
 //!   behind the checkpoint are deleted ([`Durability::checkpoint`]).
 //! * **One value format.** A tuple in a log record or an image row is
 //!   written as `pmv_storage::packed` writes a row, the bytes a view
@@ -66,9 +66,10 @@ use pmv_query::Database;
 use pmv_storage::DeltaBatch;
 
 /// The on-disk format this build writes and reads: a tuple is a row in
-/// `pmv_storage::packed`'s encoding. An image carries the number in its
-/// header, a WAL segment in its name (`wal.<lsn>.v3.log`).
-pub const FORMAT_VERSION: u32 = 3;
+/// `pmv_storage::packed`'s encoding (format 4: two 4-bit tags to a
+/// byte). An image carries the number in its header, a WAL segment in
+/// its name (`wal.<lsn>.v4.log`).
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Durability-layer failure.
 #[derive(Debug)]
@@ -1082,6 +1083,65 @@ mod tests {
         let info = rec.durability.recovery_info();
         assert_eq!((info.checkpoint_lsn, info.durable_lsn), (0, 1));
         assert!(!dir.join(format!("{}.tmp", ckpt_name(5))).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A directory of format 3 — one tag byte per value — beside a
+    /// format-4 image that loads: an image whose header says 3, or a
+    /// segment named `wal.<lsn>.v3.log`. Each refuses the open with
+    /// "reads format 4 only"; neither is skipped as corrupt, which would
+    /// have let the older image load, and every file stays as it was.
+    #[test]
+    fn format_3_image_or_segment_is_refused_not_skipped() {
+        let dir = tmp_dir("format_3");
+        let rec = Durability::open(&dir).unwrap();
+        let mut db = rec.db;
+        db.create_relation(schema()).unwrap();
+        let snap = db.snapshot();
+        rec.durability
+            .checkpoint(&snap, &meta_at(0, &snap))
+            .unwrap();
+        drop(rec.durability);
+
+        let image = checkpoint::encode(&snap, &meta_at(1, &snap)).unwrap();
+        let header = &record::scan(&image).records[0].payload;
+        let mut patched = header.clone();
+        patched[1..5].copy_from_slice(&3u32.to_le_bytes());
+        let mut v3_image = record::encode(1, &patched);
+        v3_image.extend_from_slice(&image[16 + header.len()..]);
+        let v3_log = record::encode(1, &codec::encode_batches(&[insert_batch(0, 10)]));
+
+        for (path, bytes, kind) in [
+            (dir.join(ckpt_name(1)), v3_image, "checkpoint"),
+            (dir.join(format!("wal.{:020}.v3.log", 1)), v3_log, "log"),
+        ] {
+            std::fs::write(&path, &bytes).unwrap();
+            let before = dir_state(&dir);
+            match Durability::open(&dir) {
+                Err(
+                    e @ WalError::Format {
+                        kind: k,
+                        version: 3,
+                        ..
+                    },
+                ) => {
+                    assert_eq!(k, kind);
+                    let message = e.to_string();
+                    assert!(message.contains("reads format 4 only"), "{message}");
+                    assert!(message.contains(&path.display().to_string()), "{message}");
+                }
+                Err(e) => panic!("wrong refusal: {e}"),
+                Ok(rec) => panic!(
+                    "{} must refuse the open (skipped {} image(s) as corrupt)",
+                    path.display(),
+                    rec.durability.recovery_info().checkpoints_skipped
+                ),
+            }
+            assert_eq!(dir_state(&dir), before);
+            std::fs::remove_file(&path).unwrap();
+        }
+        let rec = Durability::open(&dir).unwrap();
+        assert_eq!(rec.durability.recovery_info().checkpoints_skipped, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -4,17 +4,18 @@
 //! while every cached and served row stays the row the executor produced.
 //!
 //! * T1 stores 7 of its 10 values — five integers and two empty fillers —
-//!   packed into one row: each integer its tag and the 1–3 bytes its
-//!   value needs, each filler its tag, front-coded in its entry — a
+//!   packed into one row: four tag bytes, two 4-bit tags to a byte (the
+//!   last closing the odd row), each integer the 1–3 bytes its value
+//!   needs, each filler its tag alone; front-coded in its entry — a
 //!   byte of header, and a byte of count for the leading bytes it shares
-//!   with the row before, when it shares any — so at most 1 + 18 = 19 B
+//!   with the row before, when it shares any — so at most 1 + 15 = 16 B
 //!   per tuple, which `estimate_tuple_bytes` bounds from above, and per
 //!   entry the 4-byte handle of its bytes and its key framed: a byte of
-//!   length and two integers, each its tag and the 1–2 bytes its value
-//!   needs;
+//!   length, a tag byte and two integers of the 1–2 bytes their values
+//!   need;
 //! * a double is canonical once built (`-0.0` is `0.0`, every NaN one
 //!   NaN), so a `Double` equality column is derived from the bcp like any
-//!   other: 9 B less per cached tuple, in the charge and in the estimate;
+//!   other: 8 B less per cached tuple, in the charge and in the estimate;
 //! * a sign-only update of a zero is no change, and a row that reuses a
 //!   freed slot ahead of a cached twin leaves DS on the right row: the
 //!   answer is the executor's bit for bit;
@@ -69,11 +70,11 @@ fn t1_is_charged_at_most_34_bytes_per_tuple() {
     let t1 = template_t1(&db).unwrap();
     let def = PartialViewDef::all_equality("t1", Arc::clone(&t1)).unwrap();
     assert_eq!((def.layout().arity(), def.layout().stored_arity()), (10, 7));
-    // Each integer is counted at 9 bytes, each filler at its inline
-    // bound, 1 + 12 bytes: 71 bytes behind a header of two, 71 << 1
-    // being past 127.
-    assert_eq!(estimate_tuple_bytes(&t1), 2 + 5 * 9 + 2 * 13);
-    assert!(estimate_tuple_bytes(&t1) >= 19);
+    // Four tag bytes, each integer's payload counted at 8 bytes, each
+    // filler's at its inline bound, 1 + 12 bytes: 70 bytes behind a
+    // header of two, 70 << 1 being past 127.
+    assert_eq!(estimate_tuple_bytes(&t1), 2 + 4 + 5 * 8 + 2 * 13);
+    assert!(estimate_tuple_bytes(&t1) >= 16);
     let stored = def.layout().stored_positions().to_vec();
 
     // The (orderdate, suppkey) bcps of the first lineitems.
@@ -111,19 +112,19 @@ fn t1_is_charged_at_most_34_bytes_per_tuple() {
     let (mut charged, mut shared_rows) = (0, 0);
     for (bcp, _) in pmv.dump() {
         let key = bcp.as_bytes().len();
-        assert!((4..=6).contains(&key), "{bcp:?} packs to {key} B");
+        assert!((3..=5).contains(&key), "{bcp:?} packs to {key} B");
         charged += 4 + 1 + key;
         let mut prev: Vec<u8> = Vec::new();
         for (row, _) in pmv.lookup(&bcp).unwrap() {
             assert_eq!(row.arity(), 10);
-            let bytes: Vec<u8> = stored.iter().flat_map(|&p| packed(row.get(p))).collect();
+            let bytes = packed(stored.iter().map(|&p| row.get(p)));
             let shared = bytes.iter().zip(&prev).take_while(|(a, b)| a == b).count();
             let charge = match shared {
                 0 => 1 + bytes.len(),
                 n => 2 + bytes.len() - n,
             };
             assert!(
-                charge <= 1 + bytes.len() && charge <= 19,
+                charge <= 1 + bytes.len() && charge <= 16,
                 "{row:?} charged {charge} B"
             );
             charged += charge;
@@ -137,22 +138,37 @@ fn t1_is_charged_at_most_34_bytes_per_tuple() {
     assert_eq!(pmv.byte_size(), charged);
 }
 
-/// What `v` packs to in a T1 row: an integer its tag (its width) and the
-/// fewest little-endian bytes that hold it as a signed number, an empty
-/// filler its tag.
-fn packed(v: &Value) -> Vec<u8> {
-    match v {
-        Value::Int(x) => {
-            let w = (1..=8usize)
-                .find(|w| matches!(x >> (8 * w - 1), -1 | 0))
-                .unwrap();
-            let mut out = vec![w as u8];
-            out.extend_from_slice(&x.to_le_bytes()[..w]);
-            out
+/// What T1's stored values pack to: per two values a tag byte — the
+/// first's tag in its low nibble, the second's (or 15, "no field") in
+/// its high one — then their payloads. An integer's tag is its width,
+/// the fewest little-endian bytes that hold it as a signed number, its
+/// payload; an empty filler is its tag (11) alone.
+fn packed<'a>(values: impl Iterator<Item = &'a Value>) -> Vec<u8> {
+    let values: Vec<&Value> = values.collect();
+    let mut out = Vec::new();
+    for pair in values.chunks(2) {
+        let (tag_at, mut high) = (out.len(), 15u8);
+        out.push(0);
+        for (i, v) in pair.iter().enumerate() {
+            let tag = match v {
+                Value::Int(x) => {
+                    let w = (1..=8usize)
+                        .find(|w| matches!(x >> (8 * w - 1), -1 | 0))
+                        .unwrap();
+                    out.extend_from_slice(&x.to_le_bytes()[..w]);
+                    w as u8
+                }
+                Value::Str(s) if s.as_str().is_empty() => 11,
+                other => panic!("not a T1 stored value: {other:?}"),
+            };
+            match i {
+                0 => out[tag_at] = tag,
+                _ => high = tag,
+            }
         }
-        Value::Str(s) if s.as_str().is_empty() => vec![11],
-        other => panic!("not a T1 stored value: {other:?}"),
+        out[tag_at] |= high << 4;
     }
+    out
 }
 
 /// `r(a Int, x Double)`.
@@ -193,12 +209,13 @@ fn a_double_equality_column_is_derived() {
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality("dbl", Arc::clone(&t)).unwrap();
-    // `x` comes from the bcp: one `Int` stored, estimated at 9 B behind
-    // a byte of length. Stored, the `Double` would add 9 B to both the
-    // estimate and the charge.
+    // `x` comes from the bcp: one `Int` stored, estimated at a tag byte
+    // and 8 B behind a byte of length. Stored, the `Double` would add
+    // its 8 B to both the estimate and the charge, its tag sharing the
+    // `Int`'s byte.
     let layout = def.layout();
     assert_eq!((layout.arity(), layout.stored_arity()), (2, 1));
-    assert_eq!(estimate_tuple_bytes(&t), 1 + 9);
+    assert_eq!(estimate_tuple_bytes(&t), 1 + 1 + 8);
     let pmv = SharedPmv::with_shards(def, PmvConfig::new(4, 8, PolicyKind::Clock), 1);
     let edb = EpochDb::new(db);
     let q = t
@@ -217,9 +234,9 @@ fn a_double_equality_column_is_derived() {
     let dumped: Vec<Tuple> = pmv.dump().into_iter().flat_map(|(_, rows)| rows).collect();
     assert_eq!(exact_sorted(&dumped), want);
     // One entry, the 4 B handle of its bytes and its key framed — a
-    // byte of length and the double's tag and 8 bytes — and three
-    // tuples, each a byte of length and `a` (1, 2 or 3) in a tag and one
-    // byte.
+    // byte of length, the double's tag byte and 8 bytes — and three
+    // tuples, each a byte of length and `a` (1, 2 or 3) in a tag byte
+    // and one byte.
     assert_eq!(pmv.entry_count(), 1);
     assert_eq!(pmv.byte_size(), 4 + (1 + 9) + 3 * (1 + 2));
 }

@@ -58,9 +58,10 @@ fn tpcr_snapshot_roundtrip_preserves_query_results() {
     // A bulk load bypasses the WAL: only the checkpoint carries it.
     let ckpt = edb.checkpoint(Vec::new()).unwrap();
     // The image is deterministic, so its size is exact: 15 300 rows of
-    // 182 764 packed bytes in all, each behind a one-byte length, and
-    // the frames, schemas and trailer around them.
-    assert_eq!(std::fs::metadata(&ckpt).unwrap().len(), 260_237);
+    // 152 164 packed bytes in all — five values each, behind three tag
+    // bytes — each behind a one-byte length, and the frames, schemas and
+    // trailer around them.
+    assert_eq!(std::fs::metadata(&ckpt).unwrap().len(), 229_637);
     let before = image(&edb.read());
     drop(edb);
     let hot = before.1.iter().position(|rows| !rows.is_empty());
