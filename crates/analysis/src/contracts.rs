@@ -41,8 +41,8 @@ use crate::graph::{
     comment_marker, find_all, matching_close, prev_is_ident, statement_around, Workspace,
 };
 use crate::summaries::{
-    call_sites, effect_name, Summaries, BLOCKING, DB_LOCK, EXEC, FSYNC, RAW_FS, RELAXED,
-    SHARD_LOCK, UNDO,
+    call_sites, effect_name, on_store_lock, Summaries, BLOCKING, DB_LOCK, EXEC, FSYNC, RAW_FS,
+    RELAXED, STORE_LOCK, UNDO,
 };
 
 /// Severity of a contract.
@@ -69,7 +69,7 @@ struct Region {
     start: usize,
     /// One past the last byte offset in the region.
     end: usize,
-    /// What the region is, for messages: ``the scope of shard write
+    /// What the region is, for messages: ``the scope of store write
     /// guard `store` (line 12)``.
     what: String,
 }
@@ -95,9 +95,9 @@ pub const CONTRACTS: [Contract; 7] = [
     Contract {
         id: "write_guard_across_exec",
         level: Level::Error,
-        short: "no shard write guard held across an executor entry point: executor work under \
-                a shard X-lock blocks the shard; compute first, lock second",
-        regions: |ws, fid| shard_guard_scopes(ws, fid, &[".write()"]),
+        short: "no store write guard held across an executor entry point: executor work under \
+                the store's X-lock blocks the view; compute first, lock second",
+        regions: |ws, fid| store_guard_scopes(ws, fid, &[".write()"]),
         direct: EXEC,
         transitive: EXEC,
     },
@@ -108,13 +108,13 @@ pub const CONTRACTS: [Contract; 7] = [
                 so the quarantine handler can reach the store after a panic",
         regions: catch_unwind_closures,
         direct: BLOCKING,
-        transitive: SHARD_LOCK,
+        transitive: STORE_LOCK,
     },
     Contract {
         id: "lock_order",
         level: Level::Error,
-        short: "DB master lock before shard locks, never the reverse",
-        regions: |ws, fid| shard_guard_scopes(ws, fid, &[".write()", ".read()"]),
+        short: "DB master lock before the store lock, never the reverse",
+        regions: |ws, fid| store_guard_scopes(ws, fid, &[".write()", ".read()"]),
         direct: DB_LOCK,
         transitive: DB_LOCK,
     },
@@ -370,7 +370,7 @@ fn scope_end(masked: &str, from: usize, var: &str) -> usize {
 
 /// The scope of every `let name = ….<method>()` binding in a file, as
 /// `(method offset, scope end, name)`. Values consumed inside the same
-/// expression (`shard.write().quarantine()`, closure-local
+/// expression (`store.write().quarantine()`, closure-local
 /// `s.read().x()`) are released at the statement's end; only named
 /// bindings hold.
 fn let_scopes<'a>(masked: &'a str, method: &str) -> Vec<(usize, usize, &'a str)> {
@@ -383,20 +383,20 @@ fn let_scopes<'a>(masked: &'a str, method: &str) -> Vec<(usize, usize, &'a str)>
         .collect()
 }
 
-/// Shard guard scopes: `let` bindings that mention `shard` and acquire
-/// one of `acquires`.
-fn shard_guard_scopes(ws: &Workspace, fid: usize, acquires: &[&str]) -> Vec<Region> {
+/// Store guard scopes: `let` bindings that acquire one of `acquires` on
+/// a view's store lock ([`on_store_lock`]).
+fn store_guard_scopes(ws: &Workspace, fid: usize, acquires: &[&str]) -> Vec<Region> {
     let masked = &ws.files[fid].masked;
     let mut out = Vec::new();
     for acquire in acquires {
         for (pos, end, var) in let_scopes(masked, acquire) {
-            if statement_around(masked, pos).contains("shard") {
+            if on_store_lock(masked, pos) {
                 let what = if *acquire == ".write()" { "write " } else { "" };
                 out.push(Region {
                     start: pos,
                     end,
                     what: format!(
-                        "the scope of shard {what}guard `{var}` (line {})",
+                        "the scope of store {what}guard `{var}` (line {})",
                         ws.line_at(fid, pos)
                     ),
                 });

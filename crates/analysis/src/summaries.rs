@@ -11,16 +11,16 @@
 //! dropped — dio is the sanctioned funnel, so reaching the filesystem
 //! through it is exactly the contract, not a violation.
 
-use crate::graph::{find_all, prev_is_ident, statement_around, Workspace};
+use crate::graph::{find_all, prev_is_ident, Workspace};
 
 /// Acquires a blocking lock (`.read()` / `.write()` / `.lock()`).
 /// `.try_write()` / `.try_read()` deliberately do not match (`_` before
 /// `write`): best-effort, non-blocking write-backs are the sanctioned
 /// pattern on the pinned path.
 pub const BLOCKING: u16 = 1 << 0;
-/// Acquires a *shard* lock (a `.read()` / `.write()` whose statement
-/// mentions `shard`).
-pub const SHARD_LOCK: u16 = 1 << 1;
+/// Acquires a view's *store* lock (a `.read()` / `.write()` on a
+/// receiver whose last segment is `store`: `inner.store.write()`).
+pub const STORE_LOCK: u16 = 1 << 1;
 /// Acquires the DB master lock (`db.read()` / `db.write()` with `db` as
 /// a standalone receiver).
 pub const DB_LOCK: u16 = 1 << 2;
@@ -36,7 +36,7 @@ pub const UNDO: u16 = 1 << 6;
 /// Names `Ordering::Relaxed`.
 pub const RELAXED: u16 = 1 << 7;
 
-/// Executor entry points a shard guard must not be held across. The
+/// Executor entry points a store guard must not be held across. The
 /// targeted-upquery refill (`upquery_fill`), the fixed-tuple delta join
 /// (`join_fixed`) and the containing-view join (`full_join`) are
 /// executor work like any other: a keyed refill still scans base
@@ -73,12 +73,22 @@ const FS_WRITE_APIS: [&str; 9] = [
 pub fn effect_name(effect: u16) -> &'static str {
     match effect {
         BLOCKING => "a blocking lock acquisition",
-        SHARD_LOCK => "a shard lock acquisition",
+        STORE_LOCK => "a store lock acquisition",
         DB_LOCK => "a DB master lock acquisition",
         EXEC => "an executor entry point",
         RAW_FS => "a raw filesystem write",
         _ => "a forbidden effect",
     }
+}
+
+/// Whether the `.read()` / `.write()` at `pos` acquires a view's store
+/// lock: the receiver's last segment is the identifier `store`
+/// (`inner.store.write()`, `self.store.read()`), the one lock a view
+/// has.
+pub(crate) fn on_store_lock(masked: &str, pos: usize) -> bool {
+    let receiver = masked[..pos].trim_end();
+    receiver.ends_with("store")
+        && !prev_is_ident(receiver.as_bytes(), receiver.len() - "store".len())
 }
 
 /// One textual occurrence of one effect.
@@ -102,8 +112,8 @@ fn effect_sites(masked: &str) -> Vec<Site> {
     for acquire in [".read()", ".write()", ".lock()"] {
         let at = find_all(masked, acquire);
         if acquire != ".lock()" {
-            let on_shard = |&p: &usize| statement_around(masked, p).contains("shard");
-            hit(SHARD_LOCK, at.iter().copied().filter(on_shard).collect());
+            let on_store = |&p: &usize| on_store_lock(masked, p);
+            hit(STORE_LOCK, at.iter().copied().filter(on_store).collect());
         }
         hit(BLOCKING, at);
     }

@@ -75,8 +75,8 @@ fn every_contract_fires_and_clears_on_its_corpus() {
 /// the design documents — four fault-injection/publish sites in the
 /// pin region (DESIGN.md §10: upquery refill and executor in
 /// `serve::query_with_scratch`, the write-back fault point
-/// `serve::write_back_fault`, and the shard-view publish in
-/// `concurrent::Inner::try_write_shard`) and the checkpoint-durable
+/// `serve::write_back_fault`, and the store's publish in
+/// `serve::write_back`) and the checkpoint-durable
 /// setup path (§16); no other rule carries an escape — real violations
 /// get fixed, not allow-listed. The declared pin regions are pinned
 /// too: a dropped `// pmv::pin_region` would otherwise read as "clean".
@@ -112,8 +112,6 @@ fn repo_is_clean() {
     assert_eq!(
         regions,
         [
-            "concurrent:Inner::probe_shard",
-            "concurrent:Inner::try_write_shard",
             "concurrent:SharedPmv::run_pinned",
             "serve:query",
             "serve:query_with_scratch",

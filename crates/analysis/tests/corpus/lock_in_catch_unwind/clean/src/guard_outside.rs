@@ -1,4 +1,4 @@
-// The shard guard is acquired *outside* the
+// The store guard is acquired *outside* the
 // `catch_unwind` closure, so a panic inside leaves the guard with the
 // caller and the quarantine handler can still reach the store.
 
@@ -6,7 +6,7 @@ struct Fx;
 
 impl Fx {
     fn fill(&self) {
-        let mut store = self.shard_slot.write();
+        let mut store = self.store.write();
         let fill = catch_unwind(AssertUnwindSafe(|| {
             store.clear();
         }));

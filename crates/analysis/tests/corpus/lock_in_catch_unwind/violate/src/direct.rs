@@ -1,9 +1,9 @@
 // Lock acquisitions *in* a `catch_unwind` closure. Directly, any
-// blocking acquire counts — shard lock or not.
+// blocking acquire counts — store lock or not.
 
 fn fx_bad(&self) {
     let r = catch_unwind(AssertUnwindSafe(|| {
-        let mut store = self.shards[si].write(); //~ lock_in_catch_unwind
+        let mut store = self.store.write(); //~ lock_in_catch_unwind
         store.insert(1);
     }));
 }

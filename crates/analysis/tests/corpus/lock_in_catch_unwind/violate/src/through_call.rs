@@ -1,5 +1,5 @@
 // The closure passed to `catch_unwind` calls a helper that acquires a
-// shard lock: textually the closure is lock-free, the violation is a
+// store lock: textually the closure is lock-free, the violation is a
 // call away.
 
 struct Fx;
@@ -14,6 +14,6 @@ impl Fx {
 }
 
 fn fx_touch_store(fx: &Fx) {
-    let mut store = fx.shard_slot.write();
+    let mut store = fx.store.write();
     store.clear();
 }

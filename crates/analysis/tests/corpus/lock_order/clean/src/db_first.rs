@@ -1,4 +1,4 @@
-// DB master lock first, shard guard second, and the
+// DB master lock first, store guard second, and the
 // helper called under both touches no lock at all.
 
 struct Fx;
@@ -6,7 +6,7 @@ struct Fx;
 impl Fx {
     fn ordered(&self) {
         let guard = self.db.read();
-        let store = self.shards[1].read();
+        let store = self.store.read();
         fx_stat(&guard, &store);
         drop(store);
         drop(guard);

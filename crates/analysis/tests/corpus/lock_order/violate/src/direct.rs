@@ -1,6 +1,6 @@
-// The DB master lock acquired *in* the scope of a live shard guard.
+// The DB master lock acquired *in* the scope of a live store guard.
 
 fn fx_bad(&self) {
-    let store = self.shards[si].read();
+    let store = self.store.read();
     let guard = self.db.read(); //~ lock_order
 }

@@ -1,12 +1,12 @@
-// A helper called under a live shard guard acquires the DB
-// master lock — the reverse of the sanctioned DB-then-shard order, one
+// A helper called under a live store guard acquires the DB
+// master lock — the reverse of the sanctioned DB-then-store order, one
 // call deep.
 
 struct Fx;
 
 impl Fx {
     fn reorder(&self) {
-        let store = self.shards[1].read();
+        let store = self.store.read();
         fx_master_sync(self); //~ lock_order
         drop(store);
     }

@@ -4,12 +4,12 @@
 // outside, and the callee's own body is checked where it lives.
 
 fn fx_test_inverts_directly(&self) {
-    let store = self.shards[si].write();
+    let store = self.store.write();
     let guard = self.db.write(); //~ lock_order
 }
 
 fn fx_test_calls_a_locker(&self) {
-    let store = self.shards[si].write();
+    let store = self.store.write();
     fx_test_master_sync(self);
 }
 

@@ -13,7 +13,7 @@ fn fx_good(&self) {
 // pmv::pin_region
 fn run_pinned(&self, view: &V) {
     let sv = inner.views[si].load();
-    let Some(mut store) = inner.shards[si].try_write() else {
+    let Some(mut store) = inner.store.try_write() else {
         return;
     };
     store.touch(&bcp, true);

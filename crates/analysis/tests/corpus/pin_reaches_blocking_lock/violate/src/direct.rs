@@ -8,7 +8,7 @@ fn fx_bad(&self) {
 
 // pmv::pin_region
 fn run_pinned(&self, view: &V) {
-    let mut store = inner.shards[si].write(); //~ pin_reaches_blocking_lock
+    let mut store = inner.store.write(); //~ pin_reaches_blocking_lock
     store.touch(&bcp, true);
 }
 

@@ -1,4 +1,4 @@
-// The query runs *before* the shard write guard is
+// The query runs *before* the store write guard is
 // taken — compute first, lock second. No rule should fire.
 
 struct Fx;
@@ -6,7 +6,7 @@ struct Fx;
 impl Fx {
     fn fill_precomputed(&self, db: &Db, q: &Query) {
         let rows = fx_run_query(db, q);
-        let mut store = self.shards[0].write();
+        let mut store = self.store.write();
         store.extend(rows);
     }
 }

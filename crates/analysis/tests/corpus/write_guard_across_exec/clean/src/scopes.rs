@@ -3,11 +3,11 @@
 
 fn fx_good(db: &Database) {
     {
-        let mut store = self.shards[si].write();
+        let mut store = self.store.write();
         store.insert(1);
     }
     let (rows, _) = execute(db, &q).unwrap();
-    let mut store = self.shards[si].write();
+    let mut store = self.store.write();
     drop(store);
     let (more, _) = execute_bounded(db, &q, budget).unwrap();
 }
@@ -17,23 +17,23 @@ fn fx_good(db: &Database) {
 // for the removal.
 fn fx_revalidate_two_phase(&self, db: &Database) {
     let keys: Vec<BcpKey> = {
-        let store = shard.read();
+        let store = inner.store.read();
         store.keys().cloned().collect()
     };
     let truths = bcp_truths(db, &inner.def, &keys).unwrap();
-    let mut store = shard.write();
+    let mut store = inner.store.write();
     for (bcp, mut budget) in truths {
         remove_stale(&mut store, &bcp, &mut budget);
     }
 }
 
 fn fx_not_code() {
-    // let g = shards[0].write(); execute(db, &q);
-    let msg = "shards[0].write() then execute(db)";
+    // let g = self.store.write(); execute(db, &q);
+    let msg = "self.store.write() then execute(db)";
 }
 
 fn fx_special(db: &Database) {
-    let mut store = self.shards[si].write();
+    let mut store = self.store.write();
     // pmv::allow(write_guard_across_exec): measured, see DESIGN.md
     let (rows, _) = execute(db, &q).unwrap();
 }

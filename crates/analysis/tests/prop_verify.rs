@@ -6,8 +6,8 @@
 //! unchecked):
 //!
 //! - a **clean** verdict means the definition registers, serves interval
-//!   queries through O1→O2→O3 without error, and passes the sharded
-//!   store's `debug_validate` invariant check;
+//!   queries through O1→O2→O3 without error, and passes the view's
+//!   `debug_validate` invariant check;
 //! - a **denied** verdict means `EpochDb::register` rejects the
 //!   definition *before* any store is built.
 //!
@@ -65,7 +65,7 @@ fn check_agreement(raw: Vec<i64>, lo: i64, width: i64) -> Result<(), TestCaseErr
     let report = verify_parts(&t, &[Some(d.clone())], &config, &VerifyOptions::default());
     let def = PartialViewDef::new("v", t.clone(), vec![Some(d)]).unwrap();
 
-    let res = edb.register(def.clone(), config.clone(), None);
+    let res = edb.register(def.clone(), config.clone());
 
     if report.denied() {
         prop_assert!(
@@ -99,8 +99,8 @@ fn check_agreement(raw: Vec<i64>, lo: i64, width: i64) -> Result<(), TestCaseErr
         prop_assert!(out.is_ok(), "clean def errored at runtime: {out:?}");
     }
 
-    // Same definition through the sharded store, then invariant check.
-    let shared = SharedPmv::with_shards(def, config, 4);
+    // Same definition through an unregistered view, then invariant check.
+    let shared = SharedPmv::new(def, config);
     let out = edb.query(&shared, &q);
     prop_assert!(out.is_ok(), "clean def errored in SharedPmv: {out:?}");
     shared.debug_validate();

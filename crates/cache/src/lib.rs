@@ -139,8 +139,8 @@ impl PolicyKind {
     /// For 2Q, `capacity` is the Am queue size N; the A1 probation queue
     /// gets the paper's N' = 50% × N additional key-only entries.
     ///
-    /// The box is `Send + Sync` so a store can live behind a shard's
-    /// `RwLock` in the sharded concurrent PMV.
+    /// The box is `Send + Sync` so a store can live behind its view's
+    /// `RwLock` in the concurrent PMV.
     pub fn build<K: Clone + Eq + Hash + Ord + Debug + Send + Sync + 'static>(
         &self,
         capacity: usize,

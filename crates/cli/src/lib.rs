@@ -282,13 +282,8 @@ impl Session {
     /// Register one view with the host — the verifier gate
     /// (PMV001–PMV006) and the one-PMV-per-template rule are its — and
     /// hook it to the session's flight recorder.
-    fn register(
-        &mut self,
-        def: PartialViewDef,
-        config: PmvConfig,
-        shards: Option<usize>,
-    ) -> Result<(), CliError> {
-        let view = self.db.register(def, config, shards)?;
+    fn register(&mut self, def: PartialViewDef, config: PmvConfig) -> Result<(), CliError> {
+        let view = self.db.register(def, config)?;
         if let Some(fr) = &self.flight {
             view.attach_flight(Arc::clone(fr));
         }
@@ -311,9 +306,9 @@ impl Session {
             .map(|d| d.as_ref().map(|vals| Discretizer::from_raw(vals.clone())))
             .collect();
         let def = PartialViewDef::new(format!("pmv_{}", spec.name), template, discretizers)?;
-        // `shards: 0` is a spec written before every view was sharded:
-        // it gets the default shard count.
-        self.register(def, config, (spec.shards > 0).then_some(spec.shards))
+        // `spec.shards` is ignored: the view is one store of `spec.l`
+        // entries, whatever count an older image carries.
+        self.register(def, config)
     }
 
     /// The re-creation recipe of every registered view, by template
@@ -330,7 +325,7 @@ impl Session {
                     f: v.config().f,
                     l: v.config().l,
                     policy: policy_spec_name(v.config().policy).to_string(),
-                    shards: v.shard_count(),
+                    shards: 1,
                     dividers: (0..template.cond_count())
                         .map(|i| v.def().discretizer(i).map(|d| d.dividers().to_vec()))
                         .collect(),
@@ -500,7 +495,7 @@ impl Session {
             config.l,
             config.policy.name(),
         );
-        self.register(def, config, None)?;
+        self.register(def, config)?;
         Ok(summary)
     }
 
@@ -613,7 +608,7 @@ impl Session {
             let _ = writeln!(
                 out,
                 "{}: {} (error rate {:.3}, trips {}, degraded queries {}, quarantine events {}, \
-                 last verified {}ms ago, {} shard(s) quarantined)",
+                 last verified {}ms ago, store {})",
                 v.name,
                 v.health,
                 v.error_rate,
@@ -621,7 +616,11 @@ impl Session {
                 v.counter("degraded_queries"),
                 v.counter("quarantine_events"),
                 v.last_verified_age_ms,
-                v.gauge("quarantined_shards"),
+                if v.gauge("store_quarantined") > 0.0 {
+                    "quarantined"
+                } else {
+                    "live"
+                },
             );
         }
         if out.is_empty() {
@@ -847,15 +846,15 @@ impl Session {
             let _ = writeln!(
                 out,
                 "{name}: {} queries, hit {:.1}%, {} tuples served early, \
-                 store {} entries / {} tuples / {} bytes, policy {}, {} shard(s)",
+                 store {} of {} entries / {} tuples / {} bytes, policy {}",
                 s.queries,
                 s.hit_probability() * 100.0,
                 s.partial_tuples_served,
                 v.entry_count(),
+                v.config().l,
                 v.tuple_count(),
                 v.byte_size(),
                 v.config().policy.name(),
-                v.shard_count(),
             );
             out.push_str(&maintenance_line(&s));
         }
@@ -1098,7 +1097,7 @@ mod tests {
         assert!(out.contains("hit=true"), "{out}");
         assert!(!out.starts_with("0 row(s)"), "hit must serve rows: {out}");
         let stats = s.execute("stats").unwrap();
-        assert!(stats.contains("shard(s)"), "{stats}");
+        assert!(stats.contains(" of 1000 entries / "), "{stats}");
         let health = s.execute("health").unwrap();
         assert!(health.contains("t1: healthy"), "{health}");
         let metrics = s.execute("metrics").unwrap();
@@ -1386,40 +1385,12 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A checkpointed view spec's `shards` field is ignored on reopen:
+    /// an image written with 0 (before views were sharded) or 4 (while
+    /// they were) re-registers one store of the spec's `l` entries, two
+    /// reopens report the same view, and it refills and then hits.
     #[test]
-    fn durable_epoch_session_restores_shard_count() {
-        let dir = scratch_dir("epoch_shards");
-        {
-            let (mut s, _) = Session::with_data_dir(&dir).unwrap();
-            s.execute("load tpcr 0.001").unwrap();
-            s.execute(
-                "template t1 SELECT * FROM orders, lineitem \
-                 WHERE orders.orderkey = lineitem.orderkey \
-                 AND orders.orderdate = ? AND lineitem.suppkey = ?",
-            )
-            .unwrap();
-            s.execute("pmv t1 f=3 l=1000").unwrap();
-            s.execute("checkpoint").unwrap();
-        }
-        let (mut s, _) = Session::with_data_dir(&dir).unwrap();
-        let before = s.execute("stats").unwrap();
-        let (mut s2, _) = Session::with_data_dir(&dir).unwrap();
-        assert_eq!(before, s2.execute("stats").unwrap(), "shard count drifted");
-        // The re-attached view is cold; it refills and then hits.
-        let (date, supp) = hot_binding(&s);
-        let query = format!("query t1 [{date}] [{supp}]");
-        s.execute(&query).unwrap();
-        let out = s.execute(&query).unwrap();
-        assert!(out.contains("hit=true"), "{out}");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// Data directories written before every view was sharded carry
-    /// `shards: 0` in their view specs (the old locked mode); epoch-mode
-    /// ones carry the shard count. Both reopen, re-register the view and
-    /// answer.
-    #[test]
-    fn view_specs_with_and_without_a_shard_count_reopen() {
+    fn view_specs_with_any_shard_count_reopen_and_serve() {
         for shards in [0usize, 4] {
             let dir = scratch_dir(&format!("spec_shards_{shards}"));
             {
@@ -1433,18 +1404,22 @@ mod tests {
                 .unwrap();
                 s.execute("pmv t1 f=3 l=1000").unwrap();
                 let mut specs = s.view_specs();
+                assert_eq!(specs[0].shards, 1, "the host writes 1");
                 specs[0].shards = shards;
                 s.db.checkpoint(specs).unwrap();
             }
             let (mut s, banner) = Session::with_data_dir(&dir).unwrap();
             assert!(banner.contains("1 view(s) re-registered"), "{banner}");
-            let out = s.execute("query t1 [100] [1]").unwrap();
-            assert!(out.contains("hit="), "{out}");
-            let stats = s.execute("stats").unwrap();
-            assert!(stats.contains("t1: 1 queries"), "{stats}");
-            if shards > 0 {
-                assert!(stats.contains(&format!("{shards} shard(s)")), "{stats}");
-            }
+            let before = s.execute("stats").unwrap();
+            assert!(before.contains("store 0 of 1000 entries"), "{before}");
+            let (mut s2, _) = Session::with_data_dir(&dir).unwrap();
+            assert_eq!(before, s2.execute("stats").unwrap(), "reopen drifted");
+            // The re-attached view is cold; it refills and then hits.
+            let (date, supp) = hot_binding(&s);
+            let query = format!("query t1 [{date}] [{supp}]");
+            s.execute(&query).unwrap();
+            let out = s.execute(&query).unwrap();
+            assert!(out.contains("hit=true"), "{shards}: {out}");
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -1658,7 +1633,7 @@ mod tests {
              quarantine events 0, "
         );
         assert!(age.parse::<u64>().is_ok(), "{out}");
-        assert_eq!(tail, ", 0 shard(s) quarantined)");
+        assert_eq!(tail, ", store live)");
         let out = s.execute("revalidate").unwrap();
         assert!(out.contains("t1: 0 stale tuple(s) removed"), "{out}");
         assert!(s

@@ -11,7 +11,7 @@
 //! `pmv_core::EpochDb`, which owns every view (see
 //! [`pmv_cli::Session`]). Every query is `EpochDb::query` — it pins the
 //! published copy-on-write snapshot through the per-thread pin cache and
-//! reads a sharded view wait-free. Without `--data-dir` the host is
+//! reads the view's published table wait-free. Without `--data-dir` the host is
 //! `EpochDb::new` (no WAL, no fsync, zero durability overhead). With it,
 //! `EpochDb::open_durable` recovers the newest checkpoint plus the WAL
 //! tail at startup, the checkpointed views are re-registered, and the
@@ -55,7 +55,7 @@ fn main() {
         } else if arg == "--snapshot-mode" || arg.starts_with("--snapshot-mode=") {
             eprintln!(
                 "unknown flag '{arg}': --snapshot-mode was removed; every session serves \
-                 pinned snapshots from sharded views (what 'epoch' selected)"
+                 pinned snapshots (what 'epoch' selected)"
             );
             std::process::exit(2);
         } else if arg.starts_with("--") {

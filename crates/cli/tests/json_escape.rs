@@ -51,7 +51,7 @@ fn hostile_names_render_as_legal_json_and_parse_back() {
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality(NAME, template.clone()).unwrap();
-    let view = SharedPmv::with_shards(def, PmvConfig::new(2, 8, PolicyKind::Clock), 1);
+    let view = SharedPmv::new(def, PmvConfig::new(2, 8, PolicyKind::Clock));
     let spool_dir = scratch("spool");
     let fr = Arc::new(FlightRecorder::new(
         Box::new(DiskSpool::open(&spool_dir, 1 << 20).unwrap()),

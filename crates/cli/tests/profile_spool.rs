@@ -1,7 +1,6 @@
 //! A real session's flight dumps parse back exactly, and `pmv-profile`
 //! derives from them the report the live assembly derives from the same
-//! views: two views (1 and 4 shards), a commit with a delete, and a
-//! degraded query.
+//! views: two views, a commit with a delete, and a degraded query.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -30,8 +29,8 @@ impl SpoolSink for Tee {
 
 struct Session {
     edb: EpochDb,
-    /// `pmv_t1` at 1 shard; `pmv_t4` at 4 shards, with a row budget that
-    /// a three-value query exceeds.
+    /// `pmv_t1`, and `pmv_t4` with a row budget that a three-value query
+    /// exceeds.
     views: [SharedPmv; 2],
     dumps: Arc<Mutex<Vec<FlightDump>>>,
 }
@@ -47,7 +46,7 @@ fn run_session(dir: &Path) -> Session {
         db.insert("p", tuple![i, i % 4]).unwrap();
     }
     db.create_index(IndexDef::btree("p", vec![1])).unwrap();
-    let view = |template: &str, config: PmvConfig, shards| {
+    let view = |template: &str, config: PmvConfig| {
         let template = TemplateBuilder::new(template)
             .relation(db.schema("p").unwrap())
             .select("p", "a")
@@ -58,12 +57,12 @@ fn run_session(dir: &Path) -> Session {
             .unwrap();
         let def =
             PartialViewDef::all_equality(format!("pmv_{}", template.name()), template).unwrap();
-        SharedPmv::with_shards(def, config, shards)
+        SharedPmv::new(def, config)
     };
     let config = PmvConfig::new(8, 16, PolicyKind::Clock);
     let views = [
-        view("t1", config.clone(), 1),
-        view("t4", config.with_row_budget(12), 4),
+        view("t1", config.clone()),
+        view("t4", config.with_row_budget(12)),
     ];
     let dumps = Arc::new(Mutex::new(Vec::new()));
     let spool = DiskSpool::open(dir, 1 << 20).unwrap();

@@ -1,33 +1,30 @@
-//! The PMV: one view's definition and its bounded, sharded store
-//! (Section 3.2), as a clonable thread-safe handle.
+//! The PMV: one view's definition and its bounded store (Section 3.2),
+//! as a clonable thread-safe handle.
 //!
-//! [`SharedPmv`] shards the store by bcp-key hash:
+//! [`SharedPmv`] holds the view's one [`PmvStore`] — at most `L` bcp
+//! entries, its replacement policy of `L` frames, its admission sketch
+//! and its delta-key index — behind one [`parking_lot::RwLock`], the
+//! paper's S/X lock on the PMV (Section 3.6):
 //!
-//! * The view's `L` entry budget is split over `N` shards (default: the
-//!   machine's available parallelism; `with_shards(_, _, 1)` is the
-//!   paper's single structure of exactly `L` entries), each with its own
-//!   [`PmvStore`] — its slice of the bcp entries, its own
-//!   replacement-policy instance of capacity `⌈L/N⌉`, and its own
-//!   delta-key index slice — behind its own [`parking_lot::RwLock`].
-//! * Each shard's store keeps its entries in one copy-on-write table,
-//!   and the shard publishes that table to readers through a
+//! * The store keeps its entries in one copy-on-write table, and the
+//!   view publishes that table to readers through one
 //!   [`pmv_sync::LeftRight`] cell: a pointer copy of the table plus the
 //!   store's insert watermark and quarantine flag. Mutators republish,
-//!   under the shard's write guard, after changing what the shard
-//!   serves; the store's first write after a publish copies only the
-//!   spine and the chunk it touches, and a store whose table is still
-//!   the published one has nothing to publish.
-//! * Maintenance ([`crate::maintenance`]) X-locks (write-locks) only the
-//!   shards its ΔR join rows hash to, in ascending index order; queries
-//!   over other shards are never affected.
+//!   under the store's write guard, after changing what the view serves;
+//!   the store's first write after a publish copies only the spine and
+//!   the chunk it touches, and a store whose table is still the
+//!   published one has nothing to publish.
+//! * Maintenance ([`crate::maintenance`]) X-locks (write-locks) the
+//!   store once per batch that removes anything; queries never wait on
+//!   it, because O2 reads the published table.
 //! * Statistics accumulate locally per call and publish via one relaxed
 //!   [`AtomicPmvStats::add`] — no lock is taken for bookkeeping.
 //!
 //! # Serving
 //!
 //! Queries run the one O1 → O2 → O3 implementation in `crate::serve`:
-//! O2 [`pmv_sync::LeftRight::load`]s the published shard views wait-free
-//! and never touches a shard `RwLock`; policy touches and fills are
+//! O2 [`pmv_sync::LeftRight::load`]s the published table wait-free and
+//! never touches the store's `RwLock`; policy touches and fills are
 //! deferred to a best-effort write-back that takes `try_write` and is
 //! skipped under contention (a single thread is never declined), so
 //! between pinning and the answer no lock is ever waited on
@@ -44,9 +41,8 @@
 //! the next snapshot publishes.
 //!
 //! Lock ordering is uniform — database access is always acquired before
-//! any shard lock, queries never wait on a shard lock at all, and
-//! maintenance acquires its affected shards in ascending index order — so
-//! the embedding is deadlock-free.
+//! the view's store lock, and queries never wait on the store lock at
+//! all — so the embedding is deadlock-free.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -63,12 +59,12 @@ use pmv_storage::{PackedRow, Tuple};
 use pmv_sync::LeftRight;
 
 use crate::bcp::BcpKey;
-use crate::health::{CircuitBreaker, ShardReport, ValidationReport, VerifiedClock, ViewHealth};
+use crate::health::{CircuitBreaker, ValidationReport, VerifiedClock, ViewHealth};
 use crate::o1::ConditionPart;
 use crate::pipeline::QueryOutcome;
-use crate::serve::{self, WriteBack};
+use crate::serve;
 use crate::stats::{AtomicPmvStats, PmvStats};
-use crate::store::{PmvStore, Published, Rows};
+use crate::store::{PmvStore, Published};
 use crate::view::{PartialViewDef, PmvConfig};
 use crate::Result;
 
@@ -82,12 +78,13 @@ const FLIGHT_TRACE_TAIL: usize = 16;
 pub(crate) struct Inner {
     pub(crate) def: PartialViewDef,
     pub(crate) config: PmvConfig,
-    pub(crate) shards: Vec<RwLock<PmvStore>>,
-    /// What each shard's readers see, for the wait-free O2 probe: its
-    /// store's table as of the last publish, republished (under the
-    /// shard's write guard) after every mutation that changes what the
-    /// shard serves.
-    views: Vec<LeftRight<Published>>,
+    /// The view's one store of at most `L` entries, behind the view's
+    /// one lock (§3.6's S/X lock; readers never take it).
+    pub(crate) store: RwLock<PmvStore>,
+    /// What readers see, for the wait-free O2 probe: the store's table
+    /// as of the last publish, republished (under the store's write
+    /// guard) after every mutation that changes what the view serves.
+    pub(crate) view: LeftRight<Published>,
     /// Epoch (database version) of the last completed maintenance, or
     /// of the view joining its host. Epoch-mode fills are gated on
     /// `pin_epoch >= maint_epoch`: a query pinned before the latest
@@ -119,131 +116,47 @@ pub(crate) struct Inner {
 }
 
 impl Inner {
-    /// Owning shard of the bcp whose [`PmvStore::hash_of`] is `hash`:
-    /// its low 32 bits scaled to the shard count. The chunk within the
-    /// shard comes from the high bits ([`crate::store`]'s `chunk_of`),
-    /// so the shard's bcps spread over all of its chunks.
-    pub(crate) fn shard_of(&self, hash: u64) -> usize {
-        ((u64::from(hash as u32) * self.shards.len() as u64) >> 32) as usize
-    }
-
-    /// Owning shard of `bcp`.
-    pub(crate) fn shard_of_bcp(&self, bcp: &BcpKey) -> usize {
-        self.shard_of(PmvStore::hash_of(bcp))
-    }
-
     /// Epoch of the last completed maintenance — the fill gate.
     pub(crate) fn maint_epoch(&self) -> u64 {
         // Acquire pairs with the Release in `maintain`.
         self.maint_epoch.load(Ordering::Acquire)
     }
 
-    /// Publish shard `si`'s store to its readers: a pointer copy of its
-    /// table, watermark and quarantine flag. Must be called while the
-    /// caller still holds the shard's write guard, so the published view
-    /// always reflects a consistent store state (and no other publisher
-    /// of this shard runs).
-    pub(crate) fn publish_shard(&self, si: usize, store: &PmvStore) {
+    /// Publish the store to its readers: a pointer copy of its table,
+    /// watermark and quarantine flag. Must be called while the caller
+    /// still holds the store's write guard, so the published view always
+    /// reflects a consistent store state (and no other publisher runs).
+    pub(crate) fn publish_store(&self, store: &PmvStore) {
         let t0 = Instant::now();
-        self.views[si].publish(Arc::new(store.published()));
+        self.view.publish(Arc::new(store.published()));
         self.obs.record(Phase::snapshot_swap, t0.elapsed());
-    }
-
-    /// O2 read side of shard `si`: call `each(part, rows, claimed)` for
-    /// every `(bcp hash, part number, bcp)`, with the bcp's cached tuples
-    /// (if resident: a byte range of the chunk, read past its slot) and
-    /// whether the entry carries a valid completeness claim. The hash is the bcp's [`PmvStore::hash_of`].
-    /// Returns `false`, calling nothing, when the shard is quarantined.
-    // pmv::pin_region
-    pub(crate) fn probe_shard<'p>(
-        &self,
-        si: usize,
-        parts: impl Iterator<Item = (u64, usize, &'p BcpKey)>,
-        mut each: impl FnMut(usize, Option<Rows<'_>>, bool),
-    ) -> bool {
-        // `load` is wait-free (bounded retry over the two left-right
-        // slots); a concurrent publish can at worst hand us the previous
-        // consistent view.
-        let sv = self.views[si].load();
-        if sv.quarantined {
-            return false;
-        }
-        for (hash, part, bcp) in parts {
-            let entry = sv.table.get(hash, bcp);
-            let claimed = entry.is_some_and(|e| e.complete == Some(sv.inserts_seen));
-            each(part, entry.map(|e| e.rows), claimed);
-        }
-        true
-    }
-
-    /// Run `apply(store, maint_epoch)` on shard `si`'s store under its
-    /// write guard — `maint_epoch` re-read once the guard is held — and
-    /// republish the shard if its store's table is no longer the one it
-    /// last published ([`PmvStore::unpublished`], read from the store
-    /// itself, not from the view): `apply` changed what it serves
-    /// (touches change only policy state and hit counts, in place; a
-    /// quarantine installs a fresh table). `None` when the guard was
-    /// contended or `apply` itself declined (quarantined store).
-    // pmv::pin_region
-    pub(crate) fn try_write_shard(
-        &self,
-        si: usize,
-        apply: impl FnOnce(&mut PmvStore, u64) -> Option<WriteBack>,
-    ) -> Option<WriteBack> {
-        let mut store = self.shards[si].try_write()?;
-        let done = apply(&mut store, self.maint_epoch())?;
-        if store.unpublished() {
-            // pmv::allow(pin_reaches_blocking_lock): LeftRight::publish
-            // takes the writer-side mutex, which only fills contend on —
-            // never the wait-free reader path. A cold-shard fill is
-            // already the slow path (DESIGN.md "Serving path").
-            self.publish_shard(si, &store);
-        }
-        Some(done)
     }
 }
 
-/// A clonable, thread-safe handle to one bcp-hash-sharded PMV.
+/// A clonable, thread-safe handle to one PMV.
 #[derive(Clone)]
 pub struct SharedPmv {
     pub(crate) inner: Arc<Inner>,
 }
 
 impl SharedPmv {
-    /// An (initially empty) PMV with one shard per available hardware
-    /// thread.
+    /// An (initially empty) PMV of exactly `config.l` entries, with its
+    /// Section 3.4 delta-key index.
     pub fn new(def: PartialViewDef, config: PmvConfig) -> Self {
-        let n = std::thread::available_parallelism().map_or(4, usize::from);
-        SharedPmv::with_shards(def, config, n)
-    }
-
-    /// Sharded PMV with an explicit shard count (≥ 1). Each shard's store
-    /// gets capacity `⌈L/N⌉`, so total capacity stays within one shard's
-    /// rounding of the configured `L`, and its Section 3.4 delta-key
-    /// index.
-    pub fn with_shards(def: PartialViewDef, config: PmvConfig, shards: usize) -> Self {
-        let n = shards.max(1);
-        let per_shard = config.l.div_ceil(n).max(1);
-        let (shards, views) = (0..n)
-            .map(|_| {
-                let mut store = PmvStore::with_capacity(&config, per_shard);
-                store.enable_index(crate::delta_index::DeltaKeyIndex::for_view(&def));
-                let view = LeftRight::new(Arc::new(store.published()));
-                (RwLock::new(store), view)
-            })
-            .unzip();
-        let breaker = CircuitBreaker::default();
+        let mut store = PmvStore::new(&config);
+        store.enable_index(crate::delta_index::DeltaKeyIndex::for_view(&def));
+        let view = LeftRight::new(Arc::new(store.published()));
         let trace_name: Arc<str> = Arc::from(def.name());
         SharedPmv {
             inner: Arc::new(Inner {
                 def,
                 config,
-                shards,
-                views,
+                store: RwLock::new(store),
+                view,
                 maint_epoch: AtomicU64::new(0),
                 host: AtomicU64::new(0),
                 stats: AtomicPmvStats::new(),
-                breaker,
+                breaker: CircuitBreaker::default(),
                 verified: VerifiedClock::new(),
                 obs: ObsRegistry::new(),
                 trace_name,
@@ -251,6 +164,12 @@ impl SharedPmv {
                 flight_trips_seen: AtomicU64::new(0),
             }),
         }
+    }
+
+    /// [`Self::new`]: the count is ignored, and the view holds exactly
+    /// `config.l` entries. Kept for the repository benchmark's fixture.
+    pub fn with_shards(def: PartialViewDef, config: PmvConfig, _shards: usize) -> Self {
+        SharedPmv::new(def, config)
     }
 
     /// The view definition.
@@ -263,31 +182,26 @@ impl SharedPmv {
         &self.inner.config
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.inner.shards.len()
-    }
-
     /// Run one query through O1/O2/O3 ([`crate::serve`]) against the
-    /// pinned snapshot `snap`: O2 reads the published shard views
-    /// wait-free, O3 executes against the snapshot, and every cache
-    /// write-back (fills *and* policy touches) is best-effort —
-    /// `try_write`, skipped under contention — so between pinning and the
-    /// answer no lock is ever waited on. [`crate::epoch::EpochDb::query`]
+    /// pinned snapshot `snap`: O2 reads the published table wait-free,
+    /// O3 executes against the snapshot, and every cache write-back
+    /// (fills *and* policy touches) is best-effort — `try_write`,
+    /// skipped under contention — so between pinning and the answer no
+    /// lock is ever waited on. [`crate::epoch::EpochDb::query`]
     /// and `query_at` call this once the view is attached.
     // pmv::pin_region
     pub(crate) fn run_pinned(&self, snap: &DbSnapshot, q: &QueryInstance) -> Result<QueryOutcome> {
         serve::query(&self.inner, snap, q)
     }
 
-    /// Re-execute each resident bcp's query shard by shard and drop any
-    /// cached tuple not in the current answer. Returns tuples removed.
+    /// Re-execute each resident bcp's query and drop any cached tuple
+    /// not in the current answer. Returns tuples removed.
     /// Useful after direct base mutations that bypassed maintenance, and
     /// the oracle the property tests use.
     ///
-    /// This is also the repair path: quarantined shards are empty, so
-    /// revalidation trivially verifies them, lifts their quarantine (they
-    /// refill lazily through O3), and resets the circuit breaker back to
+    /// This is also the repair path: a quarantined store is empty, so
+    /// revalidation trivially verifies it, lifts its quarantine (it
+    /// refills lazily through O3), and resets the circuit breaker back to
     /// Healthy.
     pub fn revalidate(&self, db: &Database) -> Result<usize> {
         let inner = &*self.inner;
@@ -295,34 +209,30 @@ impl SharedPmv {
         let mut trace = inner
             .obs
             .begin_trace_shared(TraceKind::Revalidate, &inner.trace_name);
+        // Phase 1: snapshot the resident bcps under a brief read guard,
+        // then re-derive each bcp's truth with NO store lock held: the
+        // write guard held across the executor would block the view for
+        // the whole sweep (`pmv-analyze`'s `write_guard_across_exec`).
+        let bcps: Vec<BcpKey> = {
+            let store = inner.store.read();
+            store.iter().map(|(k, _)| k.clone()).collect()
+        };
+        let truths = bcp_truths(db, &inner.def, &bcps)?;
+        // Phase 2: apply the diff under the write guard. Tuples filled
+        // concurrently between the phases came from O3 executions against
+        // the same database state (the caller holds the DB guard for the
+        // sweep), so the truth multisets are still current; removal-only
+        // keeps this sound either way.
+        let t_lock = Instant::now();
+        let mut store = inner.store.write();
+        inner.obs.record(Phase::lock_shard_maint, t_lock.elapsed());
         let mut removed = 0;
-        for (si, shard) in inner.shards.iter().enumerate() {
-            // Phase 1: snapshot the resident bcps under a brief read
-            // guard, then re-derive each bcp's truth with NO shard lock
-            // held. Holding the write guard across the executor (as this
-            // loop originally did) blocked the shard for the whole sweep
-            // and violated the `write_guard_across_exec` contract that
-            // `pmv-analyze` checks.
-            let bcps: Vec<BcpKey> = {
-                let store = shard.read();
-                store.iter().map(|(k, _)| k.clone()).collect()
-            };
-            let truths = bcp_truths(db, &inner.def, &bcps)?;
-            // Phase 2: apply the diff under the write guard. Tuples
-            // filled concurrently between the phases came from O3
-            // executions against the same database state (the caller
-            // holds the DB guard for the sweep), so the truth multisets
-            // are still current; removal-only keeps this sound either
-            // way.
-            let t_lock = Instant::now();
-            let mut store = shard.write();
-            inner.obs.record(Phase::lock_shard_maint, t_lock.elapsed());
-            for (bcp, mut budget) in truths {
-                removed += remove_stale(&mut store, &bcp, &mut budget);
-            }
-            store.lift_quarantine();
-            inner.publish_shard(si, &store);
+        for (bcp, mut budget) in truths {
+            removed += remove_stale(&mut store, &bcp, &mut budget);
         }
+        store.lift_quarantine();
+        inner.publish_store(&store);
+        drop(store);
         // The sweep closes the failure episode: clear transient
         // panic/quarantine tallies (counters AND `[transient]`-tagged
         // histograms — the `[keep]` latency series survive) with the
@@ -365,7 +275,7 @@ impl SharedPmv {
     /// (`breaker_trip`, or `quarantine` when the trip landed there), a
     /// degraded outcome, or end-to-end latency over the armed threshold.
     ///
-    /// Must not be called while an epoch snapshot is pinned or a shard
+    /// Must not be called while an epoch snapshot is pinned or the store
     /// guard is held — the dump locks the trace ring and writes to the
     /// spool sink.
     pub fn flight_check(&self, outcome: &QueryOutcome, total: Duration) -> Option<PathBuf> {
@@ -420,13 +330,10 @@ impl SharedPmv {
         self.inner.verified.staleness()
     }
 
-    /// Number of currently quarantined (drained) shards.
-    pub fn quarantined_shards(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .filter(|s| s.read().is_quarantined())
-            .count()
+    /// Whether the store is quarantined (drained): it serves and caches
+    /// nothing until [`Self::revalidate`] lifts it.
+    pub fn is_quarantined(&self) -> bool {
+        self.inner.store.read().is_quarantined()
     }
 
     /// Snapshot of the statistics.
@@ -439,48 +346,38 @@ impl SharedPmv {
         self.inner.stats.reset();
     }
 
-    /// Total bcp entries across all shards.
+    /// Bcp entries in the store: at most `L`.
     pub fn entry_count(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.read().entry_count())
-            .sum()
+        self.inner.store.read().entry_count()
     }
 
-    /// Total cached tuples across all shards.
+    /// Cached tuples in the store.
     pub fn tuple_count(&self) -> usize {
-        self.inner
-            .shards
-            .iter()
-            .map(|s| s.read().tuple_count())
-            .sum()
+        self.inner.store.read().tuple_count()
     }
 
-    /// Bytes cached across all shards, exactly as each store charges
-    /// them ([`PmvStore::byte_size`]).
+    /// Bytes cached, exactly as the store charges them
+    /// ([`PmvStore::byte_size`]).
     pub fn byte_size(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.read().byte_size()).sum()
+        self.inner.store.read().byte_size()
     }
 
-    /// Total entries evicted by the shard policies so far.
+    /// Entries evicted by the store's policy so far.
     pub fn evictions(&self) -> u64 {
-        self.inner.shards.iter().map(|s| s.read().evictions()).sum()
+        self.inner.store.read().evictions()
     }
 
-    /// Resident fraction of the policies' capacity in `[0, 1]`, averaged
-    /// over the shards — the `occupancy` telemetry gauge.
+    /// Resident fraction of the policy's capacity in `[0, 1]` — the
+    /// `occupancy` telemetry gauge.
     pub fn occupancy(&self) -> f64 {
-        let shards = &self.inner.shards;
-        shards.iter().map(|s| s.read().occupancy()).sum::<f64>() / shards.len() as f64
+        self.inner.store.read().occupancy()
     }
 
     /// Tuples cached for `bcp` as full `Ls'` rows (with their fill
-    /// epochs), if resident. Reads the owning shard's store; does not
-    /// touch the policy.
+    /// epochs), if resident. Does not touch the policy.
     pub fn lookup(&self, bcp: &BcpKey) -> Option<Vec<(Arc<Tuple>, u64)>> {
         let layout = self.inner.def.layout();
-        let store = self.inner.shards[self.inner.shard_of_bcp(bcp)].read();
+        let store = self.inner.store.read();
         let (dims, mut row): (Vec<_>, _) = (bcp.values().collect(), Vec::new());
         store.rows(bcp).map(|cached| {
             let (mut rows, mut out) = (cached.iter(&mut row), Vec::with_capacity(cached.len()));
@@ -496,7 +393,7 @@ impl SharedPmv {
     /// policy.
     pub(crate) fn has_witness(&self, part: &ConditionPart, q: &QueryInstance) -> bool {
         let def = &self.inner.def;
-        let store = self.inner.shards[self.inner.shard_of_bcp(&part.bcp)].read();
+        let store = self.inner.store.read();
         let (dims, mut row): (Vec<_>, _) = (part.bcp.values().collect(), Vec::new());
         store.rows(&part.bcp).is_some_and(|cached| {
             let mut rows = cached.iter(&mut row);
@@ -512,8 +409,7 @@ impl SharedPmv {
     /// Popularity of `bcp`: number of queries it served (ranking
     /// extension; see `ext::ranking`).
     pub fn hit_count(&self, bcp: &BcpKey) -> u64 {
-        let store = self.inner.shards[self.inner.shard_of_bcp(bcp)].read();
-        store.hit_count(bcp)
+        self.inner.store.read().hit_count(bcp)
     }
 
     /// Every cached `(bcp, tuples)` as full `Ls'` rows, bcps and each
@@ -522,16 +418,14 @@ impl SharedPmv {
     pub fn dump(&self) -> Vec<(BcpKey, Vec<Tuple>)> {
         let layout = self.inner.def.layout();
         let (mut out, mut row): (Vec<(BcpKey, Vec<Tuple>)>, _) = (Vec::new(), Vec::new());
-        for shard in &self.inner.shards {
-            for (bcp, cached) in shard.read().iter() {
-                let dims: Vec<_> = bcp.values().collect();
-                let (mut rows, mut tuples) = (cached.iter(&mut row), Vec::new());
-                while let Some((t, _)) = rows.next_row() {
-                    tuples.push(Arc::unwrap_or_clone(layout.rebuild_with(t, &dims)));
-                }
-                tuples.sort();
-                out.push((bcp.clone(), tuples));
+        for (bcp, cached) in self.inner.store.read().iter() {
+            let dims: Vec<_> = bcp.values().collect();
+            let (mut rows, mut tuples) = (cached.iter(&mut row), Vec::new());
+            while let Some((t, _)) = rows.next_row() {
+                tuples.push(Arc::unwrap_or_clone(layout.rebuild_with(t, &dims)));
             }
+            tuples.sort();
+            out.push((bcp.clone(), tuples));
         }
         out.sort();
         out
@@ -558,7 +452,10 @@ impl SharedPmv {
             ("degraded_query_rate", stats.degraded_query_rate()),
             ("store_bytes", self.byte_size() as f64),
             ("occupancy", self.occupancy()),
-            ("quarantined_shards", self.quarantined_shards() as f64),
+            (
+                "store_quarantined",
+                f64::from(u8::from(self.is_quarantined())),
+            ),
         ];
         ViewMetrics {
             name: self.def().name().to_string(),
@@ -579,24 +476,14 @@ impl SharedPmv {
         }
     }
 
-    /// Check every shard's structural invariants, returning a typed
+    /// Check the store's structural invariants, returning a typed
     /// report instead of panicking (safe to call in production).
     pub fn validate(&self) -> ValidationReport {
-        let shards = self
-            .inner
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let store = s.read();
-                ShardReport {
-                    shard: i,
-                    quarantined: store.is_quarantined(),
-                    violations: store.check(),
-                }
-            })
-            .collect();
-        ValidationReport { shards }
+        let store = self.inner.store.read();
+        ValidationReport {
+            quarantined: store.is_quarantined(),
+            violations: store.check(),
+        }
     }
 
     /// Panicking variant of [`Self::validate`] for tests.
@@ -604,7 +491,7 @@ impl SharedPmv {
         let report = self.validate();
         assert!(
             report.is_consistent(),
-            "shard invariants violated:\n{report}"
+            "store invariants violated:\n{report}"
         );
     }
 }
@@ -612,8 +499,8 @@ impl SharedPmv {
 /// Revalidation phase 1: for each cached bcp, re-derive the multiset of
 /// tuples its query produces from current base truth, in the view's
 /// stored layout. Pure executor reads — no store access — so this runs
-/// with no shard lock held (repo lock rule: never hold a shard guard
-/// across a call into `query::exec`).
+/// with no store lock held (repo lock rule: never hold the store's
+/// guard across a call into `query::exec`).
 fn bcp_truths(
     db: &Database,
     def: &PartialViewDef,
@@ -661,22 +548,21 @@ pub(crate) mod tests {
     use pmv_query::{Condition, TemplateBuilder, Transaction};
     use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
 
-    /// Plant `tuple` under `bcp` straight into its shard store, admitting
+    /// Plant `tuple` under `bcp` straight into the view's store, admitting
     /// the bcp first: a cached tuple no base row derives, which no
     /// maintained commit can leave behind — the stale tuple `revalidate`
     /// exists to find.
     pub(crate) fn seed_stale(view: &SharedPmv, bcp: &BcpKey, tuple: Tuple) {
         let inner = &view.inner;
-        let si = inner.shard_of_bcp(bcp);
         let stored = inner.def.layout().stored_values(&tuple);
-        let mut store = inner.shards[si].write();
+        let mut store = inner.store.write();
         store.admit(bcp);
         let filled = store.fill(bcp, std::iter::once(stored), 0);
         assert_eq!(filled, 1, "no room under {bcp:?}");
-        inner.publish_shard(si, &store);
+        inner.publish_store(&store);
     }
 
-    fn setup(shards: usize) -> (EpochDb, SharedPmv) {
+    fn setup() -> (EpochDb, SharedPmv) {
         let mut db = Database::new();
         db.create_relation(Schema::new(
             "r",
@@ -699,58 +585,89 @@ pub(crate) mod tests {
             .build()
             .unwrap();
         let def = PartialViewDef::all_equality("shared", t).unwrap();
-        let shared = SharedPmv::with_shards(def, PmvConfig::new(3, 16, PolicyKind::Clock), shards);
+        let shared = SharedPmv::new(def, PmvConfig::new(3, 16, PolicyKind::Clock));
         (EpochDb::new(db), shared)
     }
 
     /// `read_hot`'s bcp universe — dates `0..2406` × suppliers
-    /// `1..=200`, at the benchmark's L = 8 192 over 4 shards — placed by
-    /// the one hash: each shard gets a quarter of it within 5 %, and no
-    /// chunk holds more than twice its shard's mean.
+    /// `1..=200`, at the benchmark's L = 8 192 (120 chunks, the most a
+    /// table has) — placed by the one hash: no chunk holds more than
+    /// twice the mean.
     #[test]
-    fn read_hot_bcps_spread_over_shards_and_chunks() {
-        let (_, base) = setup(1);
+    fn read_hot_bcps_spread_over_chunks() {
+        let (_, base) = setup();
         let config = PmvConfig::new(3, 8_192, PolicyKind::Clock);
-        let shared = SharedPmv::with_shards(base.def().clone(), config, 4);
-        let inner = &shared.inner;
-        let tables: Vec<_> = inner
-            .shards
-            .iter()
-            .map(|s| s.read().table().clone())
-            .collect();
-        let chunks = tables[0].chunks().len();
-        assert_eq!(chunks, 64, "⌈2 048 / 32⌉ chunks per shard");
-        let mut per_chunk = vec![vec![0usize; chunks]; 4];
+        let shared = SharedPmv::new(base.def().clone(), config);
+        let table = shared.inner.store.read().table().clone();
+        let chunks = table.chunks().len();
+        assert_eq!(chunks, 120, "min(8 192 / 32, 120) chunks");
+        let mut per_chunk = vec![0usize; chunks];
         for date in 0..2_406i64 {
             for supp in 1..=200i64 {
                 let key = BcpKey::new(vec![
                     crate::bcp::BcpDim::Eq(Value::Int(date)),
                     crate::bcp::BcpDim::Eq(Value::Int(supp)),
                 ]);
-                let hash = PmvStore::hash_of(&key);
-                let si = inner.shard_of(hash);
-                per_chunk[si][tables[si].chunk_of(hash)] += 1;
+                per_chunk[table.chunk_of(PmvStore::hash_of(&key))] += 1;
             }
         }
-        let quarter = 2_406.0 * 200.0 / 4.0;
-        for (si, counts) in per_chunk.iter().enumerate() {
-            let n: usize = counts.iter().sum();
-            assert!(
-                (n as f64 - quarter).abs() <= 0.05 * quarter,
-                "shard {si} holds {n}"
-            );
-            let mean = n as f64 / chunks as f64;
-            let max = *counts.iter().max().unwrap();
-            assert!(
-                max as f64 <= 2.0 * mean,
-                "shard {si}: a chunk of {max}, mean {mean}"
-            );
+        let mean = 2_406.0 * 200.0 / chunks as f64;
+        let max = *per_chunk.iter().max().unwrap();
+        assert!(max as f64 <= 2.0 * mean, "a chunk of {max}, mean {mean}");
+    }
+
+    /// Section 3.2's bound: a view holds at most `L` bcp entries, however
+    /// many distinct bcps it admits and warms. The benchmark's
+    /// `with_shards(_, _, 4)` is `new` too: four stores of `⌈10/4⌉`
+    /// frames would hold 12.
+    #[test]
+    fn a_view_never_holds_more_than_l_entries() {
+        let mut db = Database::new();
+        db.create_relation(Schema::new(
+            "r",
+            vec![
+                Column::new("a", ColumnType::Int),
+                Column::new("f", ColumnType::Int),
+            ],
+        ))
+        .unwrap();
+        for i in 0..400i64 {
+            db.insert("r", tuple![i, i % 40]).unwrap();
+        }
+        db.create_index(IndexDef::btree("r", vec![1])).unwrap();
+        let t = TemplateBuilder::new("t")
+            .relation(db.schema("r").unwrap())
+            .select("r", "a")
+            .unwrap()
+            .cond_eq("r", "f")
+            .unwrap()
+            .build()
+            .unwrap();
+        let edb = EpochDb::new(db);
+        let config = PmvConfig::new(3, 10, PolicyKind::Clock);
+        let def = |name: &str| PartialViewDef::all_equality(name, t.clone()).unwrap();
+        let views = [
+            SharedPmv::new(def("new"), config.clone()),
+            SharedPmv::with_shards(def("with_shards"), config, 4),
+        ];
+        for view in &views {
+            for _ in 0..3 {
+                for f in 0..40i64 {
+                    let q = t
+                        .bind(vec![Condition::Equality(vec![Value::Int(f)])])
+                        .unwrap();
+                    edb.query(view, &q).unwrap();
+                }
+            }
+            assert!(view.entry_count() <= 10, "{} entries", view.entry_count());
+            assert_eq!(view.entry_count(), 10, "the view fills to L");
+            view.debug_validate();
         }
     }
 
     #[test]
     fn clones_share_state() {
-        let (edb, shared) = setup(4);
+        let (edb, shared) = setup();
         let clone = shared.clone();
         let t = shared.def().template().clone();
         let q = t
@@ -765,8 +682,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn sharded_matches_plain_execution() {
-        let (edb, shared) = setup(4);
+    fn matches_plain_execution() {
+        let (edb, shared) = setup();
         let t = shared.def().template().clone();
         for round in 0..3 {
             for f in 0..10i64 {
@@ -783,18 +700,16 @@ pub(crate) mod tests {
             }
         }
         shared.debug_validate();
-        // 10 distinct bcps over 4 shards of ⌈16/4⌉ = 4 entries; hash
-        // imbalance may evict a few, but warm entries must exist and
-        // later rounds must hit them.
-        assert!(shared.entry_count() >= 1 && shared.entry_count() <= 10);
+        // 10 distinct bcps in a view of L = 16: every one stays, and
+        // later rounds hit them.
+        assert_eq!(shared.entry_count(), 10);
         assert_eq!(shared.stats().queries, 30);
         assert!(shared.stats().bcp_hit_queries >= 1);
     }
 
     #[test]
-    fn single_shard_behaves_like_unsharded() {
-        let (edb, shared) = setup(1);
-        assert_eq!(shared.shard_count(), 1);
+    fn a_warm_bcp_serves_f_tuples() {
+        let (edb, shared) = setup();
         let t = shared.def().template().clone();
         let q = t
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
@@ -806,45 +721,38 @@ pub(crate) mod tests {
         shared.debug_validate();
     }
 
-    /// Every shard publishes its store's own table: the published spine
-    /// is the store's, with its watermark and quarantine flag, and every
-    /// entry sits in this shard and in the chunk, under the tag, its hash
-    /// names.
-    fn assert_views_current(shared: &SharedPmv, context: &str) {
+    /// The view publishes its store's own table: the published spine is
+    /// the store's, with its watermark and quarantine flag, and every
+    /// entry sits in the chunk, under the tag, its hash names.
+    fn assert_view_current(shared: &SharedPmv, context: &str) {
         let inner = &shared.inner;
-        for (si, shard) in inner.shards.iter().enumerate() {
-            let view = inner.views[si].load();
-            let store = shard.read();
-            assert!(
-                view.table.ptr_eq(store.table())
-                    && (view.inserts_seen, view.quarantined)
-                        == (store.inserts_seen(), store.is_quarantined()),
-                "{context}: shard {si}'s view is not its store"
-            );
-            for (ci, chunk) in view.table.chunks().iter().enumerate() {
-                for (hash, entry) in chunk.entries() {
-                    let bcp = &BcpKey::from_row(entry.key);
-                    assert_eq!(
-                        (
-                            inner.shard_of_bcp(bcp),
-                            PmvStore::hash_of(bcp),
-                            view.table.chunk_of(hash)
-                        ),
-                        (si, hash, ci),
-                        "{context}: misplaced {bcp:?}"
-                    );
-                }
+        let view = inner.view.load();
+        let store = inner.store.read();
+        assert!(
+            view.table.ptr_eq(store.table())
+                && (view.inserts_seen, view.quarantined)
+                    == (store.inserts_seen(), store.is_quarantined()),
+            "{context}: the view is not its store"
+        );
+        for (ci, chunk) in view.table.chunks().iter().enumerate() {
+            for (hash, entry) in chunk.entries() {
+                let bcp = &BcpKey::from_row(entry.key);
+                assert_eq!(
+                    (PmvStore::hash_of(bcp), view.table.chunk_of(hash)),
+                    (hash, ci),
+                    "{context}: misplaced {bcp:?}"
+                );
             }
-            assert_eq!(store.check(), Vec::<String>::new(), "{context}");
         }
+        assert_eq!(store.check(), Vec::<String>::new(), "{context}");
     }
 
     /// The view oracle: one script (one- and two-part queries, inserts,
     /// deletes, updates; 6 bcps over L = 4, so evictions too) against a
-    /// 1-shard and a 4-shard view. After every step each shard's
-    /// published view is its store's own table — across an insert-only
-    /// batch and a quarantine/`revalidate` cycle as well — and both views
-    /// answer like the plain executor.
+    /// CLOCK and a 2Q view. After every step each view's published table
+    /// is its store's own — across an insert-only batch and a
+    /// quarantine/`revalidate` cycle as well — and both views answer like
+    /// the plain executor.
     #[test]
     fn published_views_track_their_stores() {
         let mut db = Database::new();
@@ -870,11 +778,10 @@ pub(crate) mod tests {
             .unwrap()
             .build()
             .unwrap();
-        let config = PmvConfig::new(8, 4, PolicyKind::Clock);
         let def = |name: &str| PartialViewDef::all_equality(name, t.clone()).unwrap();
         let views = [
-            SharedPmv::with_shards(def("one_shard"), config.clone(), 1),
-            SharedPmv::with_shards(def("four_shards"), config, 4),
+            SharedPmv::new(def("clock"), PmvConfig::new(8, 4, PolicyKind::Clock)),
+            SharedPmv::new(def("two_q"), PmvConfig::new(8, 4, PolicyKind::TwoQ)),
         ];
         let edb = EpochDb::new(db);
 
@@ -889,17 +796,17 @@ pub(crate) mod tests {
             let f = next(6);
             let kind = next(20);
             if step == 200 {
-                // Drain a shard of each view the way a failed
-                // maintenance would, then repair.
+                // Drain each view's store the way a failed maintenance
+                // would, then repair.
                 for v in &views {
-                    let mut store = v.inner.shards[0].write();
+                    let mut store = v.inner.store.write();
                     store.quarantine();
-                    v.inner.publish_shard(0, &store);
+                    v.inner.publish_store(&store);
                     drop(store);
-                    assert_views_current(v, "quarantined");
-                    assert_eq!(v.quarantined_shards(), 1);
+                    assert_view_current(v, "quarantined");
+                    assert!(v.is_quarantined());
                     v.revalidate(&edb.read()).unwrap();
-                    assert_eq!(v.quarantined_shards(), 0);
+                    assert!(!v.is_quarantined());
                 }
             } else if kind < 17 {
                 let mut values = vec![Value::Int(f)];
@@ -941,7 +848,7 @@ pub(crate) mod tests {
                 .unwrap();
             }
             for v in &views {
-                assert_views_current(v, &format!("step {step}"));
+                assert_view_current(v, &format!("step {step}"));
             }
         }
         for v in &views {
@@ -957,7 +864,7 @@ pub(crate) mod tests {
     }
 
     /// Publication is O(|Δ|) by structure, no clock needed: a one-bcp
-    /// cold fill into a full shard copies the filled bcp's chunk and at
+    /// cold fill into a full store copies the filled bcp's chunk and at
     /// most one victim's; every other chunk `Arc` is the previous
     /// view's. An insert-only batch shares the whole spine.
     #[test]
@@ -984,7 +891,7 @@ pub(crate) mod tests {
             .build()
             .unwrap();
         let def = PartialViewDef::all_equality("big", t.clone()).unwrap();
-        let shared = SharedPmv::with_shards(def, PmvConfig::new(2, 640, PolicyKind::Clock), 1);
+        let shared = SharedPmv::new(def, PmvConfig::new(2, 640, PolicyKind::Clock));
         let edb = EpochDb::new(db);
         let run = |f: i64| {
             let q = t
@@ -1000,12 +907,12 @@ pub(crate) mod tests {
         // again below, it out-counts its victim.
         run(999);
         assert_eq!(shared.stats().admissions_declined, 1);
-        let before = shared.inner.views[0].load();
+        let before = shared.inner.view.load();
         let chunks = before.table.chunks().len();
         assert_eq!(chunks, 640 / crate::store::CHUNK_ENTRIES);
         run(999); // cold: admits, evicts one victim, fills
         assert_eq!((shared.entry_count(), shared.evictions()), (640, 1));
-        let after = shared.inner.views[0].load();
+        let after = shared.inner.view.load();
         let shared_chunks = (0..chunks)
             .filter(|&c| Arc::ptr_eq(&before.table.chunks()[c], &after.table.chunks()[c]))
             .count();
@@ -1013,7 +920,7 @@ pub(crate) mod tests {
             (chunks - 2..chunks).contains(&shared_chunks),
             "{shared_chunks} of {chunks} chunks shared"
         );
-        assert_views_current(&shared, "after the cold fill");
+        assert_view_current(&shared, "after the cold fill");
 
         edb.commit(&[&shared], |db| {
             let mut txn = Transaction::begin(db);
@@ -1021,17 +928,18 @@ pub(crate) mod tests {
             Ok(((), txn.commit()))
         })
         .unwrap();
-        let bumped = shared.inner.views[0].load();
+        let bumped = shared.inner.view.load();
         assert!(after.table.ptr_eq(&bumped.table), "spine shared");
         assert_eq!(bumped.inserts_seen, after.inserts_seen + 1);
     }
 
     /// A query every probed bcp serves changes only policy state and hit
     /// counts, which the store writes in place: its table stays the
-    /// published one and no shard publishes, however often it runs.
+    /// published one and the view does not publish, however often it
+    /// runs.
     #[test]
     fn an_all_hit_query_publishes_nothing() {
-        let (edb, shared) = setup(4);
+        let (edb, shared) = setup();
         let t = shared.def().template().clone();
         let q = t
             .bind(vec![Condition::Equality(vec![
@@ -1042,56 +950,38 @@ pub(crate) mod tests {
         edb.query(&shared, &q).unwrap();
         let bcps = [3, 6].map(|f| BcpKey::new(vec![crate::bcp::BcpDim::Eq(Value::Int(f))]));
         let hits = bcps.clone().map(|b| shared.hit_count(&b));
-        let versions = |v: &SharedPmv| -> Vec<usize> {
-            v.inner.views.iter().map(LeftRight::version_hint).collect()
-        };
-        let published = versions(&shared);
+        let published = shared.inner.view.version_hint();
         for _ in 0..100 {
             let out = edb.query(&shared, &q).unwrap();
             assert_eq!(out.partial.len(), 6, "F = 3 per bcp, all served");
         }
-        assert_eq!(versions(&shared), published);
+        assert_eq!(shared.inner.view.version_hint(), published);
         for (bcp, before) in bcps.iter().zip(hits) {
             assert_eq!(shared.hit_count(bcp), before + 100, "{bcp:?}");
         }
         shared.debug_validate();
     }
 
+    /// A batch that removes nothing and inserts nothing takes no write
+    /// lock on the store: a delete whose bcp is not cached commits while
+    /// a reader holds the store's read guard.
     #[test]
-    fn per_shard_capacity_splits_l() {
-        let (_edb, shared) = setup(4);
-        // L = 16 over 4 shards → 4 per shard.
-        for shard in &shared.inner.shards {
-            assert_eq!(shard.read().l(), 4);
-        }
-        let (_edb, one) = setup(1);
-        assert_eq!(one.inner.shards[0].read().l(), 16);
-    }
-
-    #[test]
-    fn maintenance_locks_only_affected_shards() {
-        let (edb, shared) = setup(4);
+    fn maintenance_that_removes_nothing_takes_no_write_lock() {
+        let (edb, shared) = setup();
         let t = shared.def().template().clone();
-        // Warm all ten bcps.
-        for f in 0..10i64 {
+        for f in 0..5i64 {
             let q = t
                 .bind(vec![Condition::Equality(vec![Value::Int(f)])])
                 .unwrap();
             edb.query(&shared, &q).unwrap();
         }
-        // Hold a read lock on a shard that f=3's bcp does NOT hash to;
-        // maintenance for a row with f=3 must not block on it.
-        let bcp3 = BcpKey::new(vec![crate::bcp::BcpDim::Eq(Value::Int(3))]);
-        let affected = shared.inner.shard_of_bcp(&bcp3);
-        let other = (affected + 1) % shared.shard_count();
-        let _outside_guard = shared.inner.shards[other].read();
-
+        let held = shared.inner.store.read();
         let row = edb
             .read()
             .relation("r")
             .unwrap()
             .iter()
-            .find(|(_, tu)| tu.get(1) == &Value::Int(3))
+            .find(|(_, tu)| tu.get(1) == &Value::Int(9))
             .map(|(r, _)| r)
             .unwrap();
         edb.commit(&[&shared], move |db| {
@@ -1100,14 +990,18 @@ pub(crate) mod tests {
             Ok(((), txn.commit()))
         })
         .unwrap();
-        assert_eq!(shared.stats().maint_deletes_joined, 1);
-        drop(_outside_guard);
+        drop(held);
+        let stats = shared.stats();
+        assert_eq!(
+            (stats.maint_deletes_joined, stats.maint_joins_avoided),
+            (1, 1)
+        );
         shared.debug_validate();
     }
 
     #[test]
     fn concurrent_queries_and_maintenance_stay_consistent() {
-        let (edb, shared) = setup(4);
+        let (edb, shared) = setup();
         let edb = Arc::new(edb);
         let t = shared.def().template().clone();
 
@@ -1148,7 +1042,7 @@ pub(crate) mod tests {
 
     #[test]
     fn queries_record_phases_and_traces() {
-        let (edb, shared) = setup(4);
+        let (edb, shared) = setup();
         let t = shared.def().template().clone();
         let q = t
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
@@ -1169,8 +1063,8 @@ pub(crate) mod tests {
         let ttfr = shared.obs().snapshot(Phase::ttfr);
         let full = shared.obs().snapshot(Phase::full);
         assert!(ttfr.sum_ns() <= full.sum_ns());
-        // Per-shard probes: at least one per query, each traced.
-        assert!(shared.obs().snapshot(Phase::o2_probe).count() >= 2);
+        // One probe per query, each traced.
+        assert_eq!(shared.obs().snapshot(Phase::o2_probe).count(), 2);
         let traces = shared.obs().trace().tail(10);
         assert_eq!(traces.len(), 2);
         let hit = &traces[1];
@@ -1196,7 +1090,7 @@ pub(crate) mod tests {
 
     #[test]
     fn revalidate_keeps_latency_history_but_resets_degraded() {
-        let (edb, shared) = setup(2);
+        let (edb, shared) = setup();
         let t = shared.def().template().clone();
         let q = t
             .bind(vec![Condition::Equality(vec![Value::Int(3)])])
@@ -1205,10 +1099,9 @@ pub(crate) mod tests {
         // A zero-budget view degrades every query, filling the
         // [transient] degraded histogram.
         let def = PartialViewDef::all_equality("tight", t.clone()).unwrap();
-        let tight = SharedPmv::with_shards(
+        let tight = SharedPmv::new(
             def,
             PmvConfig::new(3, 16, PolicyKind::Clock).with_row_budget(0),
-            2,
         );
         edb.query(&tight, &q).unwrap();
         assert_eq!(tight.obs().snapshot(Phase::degraded).count(), 1);
@@ -1241,7 +1134,7 @@ pub(crate) mod tests {
 
     #[test]
     fn disabling_obs_stops_recording() {
-        let (edb, shared) = setup(2);
+        let (edb, shared) = setup();
         shared.set_obs_enabled(false);
         let t = shared.def().template().clone();
         let q = t

@@ -25,8 +25,8 @@
 //! relations (the cross-relation case that trips sequential ΔR joins).
 //!
 //! The lookup is also the Section 3.4 filter: an absent projection means
-//! no cached tuple is affected, and the delete costs one hash probe per
-//! shard. Only a *bridge* relation, one projecting no `Ls'` column, gives
+//! no cached tuple is affected, and the delete costs one hash probe.
+//! Only a *bridge* relation, one projecting no `Ls'` column, gives
 //! the index nothing to key on; maintenance joins its deletes instead.
 //!
 //! A projection is keyed by one 64-bit hash of its packed bytes — each

@@ -41,7 +41,7 @@
 //!    ([`Database::publish_snapshot`]) — then release the lock.
 //!
 //! Because maintenance completes *before* the snapshot publishes, any
-//! reader pinned at epoch `e` sees shard views whose surviving tuples
+//! reader pinned at epoch `e` sees published tables whose surviving tuples
 //! with `fill_epoch ≤ e` are true results at `e`; maintenance is
 //! removal-only, so later commits can only make a pinned reader
 //! under-serve, never lie. That is the paper's Section 3.6 S-lock
@@ -356,7 +356,7 @@ impl EpochDb {
             }
         }
         // Maintenance cannot fail: a join it cannot compute drains the
-        // shards it may affect instead, so the commit always publishes.
+        // view's store instead, so the commit always publishes.
         for view in self.views.lock().iter() {
             view.maintain_all(db, &batches);
         }
@@ -451,7 +451,7 @@ impl EpochDb {
     /// snapshot republish on exit. Unlike [`EpochDb::commit`] this runs
     /// no maintenance, so it is only sound before the host owns a view:
     /// republishing after would pair a new database state with stale
-    /// PMV shards, silently breaking the maintain-before-publish
+    /// PMV stores, silently breaking the maintain-before-publish
     /// invariant.
     ///
     /// # Panics
@@ -463,7 +463,7 @@ impl EpochDb {
         assert!(
             self.views.lock().is_empty(),
             "EpochDb::with_write on a host that owns a view: republishing \
-             without maintenance pairs a new DB with stale PMV shards — \
+             without maintenance pairs a new DB with stale PMV stores — \
              route the change through EpochDb::commit instead"
         );
         let out = f(&mut guard);
@@ -602,9 +602,8 @@ impl EpochDb {
         Ok(())
     }
 
-    /// Create and attach a view for `def`'s template, with an explicit
-    /// shard count (a checkpointed [`ViewSpec`] restores its own) or the
-    /// default of [`SharedPmv::new`].
+    /// Create and attach a view for `def`'s template: one store of
+    /// exactly `config.l` entries ([`SharedPmv::new`]).
     ///
     /// The definition first passes through the static verifier
     /// ([`crate::verify::verify_def`]); any `PMV001..PMV006` diagnostic
@@ -612,12 +611,7 @@ impl EpochDb {
     /// store is allocated (deny-by-default, [`VerifyOptions::default`]).
     /// A template the host already has a view for is a
     /// [`CoreError::Definition`].
-    pub fn register(
-        &self,
-        def: PartialViewDef,
-        config: PmvConfig,
-        shards: Option<usize>,
-    ) -> Result<SharedPmv> {
+    pub fn register(&self, def: PartialViewDef, config: PmvConfig) -> Result<SharedPmv> {
         let report = verify::verify_def(&def, &config, &VerifyOptions::default());
         if report.denied() {
             return Err(CoreError::Analysis(report));
@@ -633,10 +627,7 @@ impl EpochDb {
                 def.template().name()
             )));
         }
-        let pmv = match shards {
-            Some(n) => SharedPmv::with_shards(def, config, n),
-            None => SharedPmv::new(def, config),
-        };
+        let pmv = SharedPmv::new(def, config);
         self.adopt(&db, &mut views, &pmv)?;
         Ok(pmv)
     }
@@ -705,7 +696,7 @@ mod tests {
     }
 
     /// `SELECT a FROM r WHERE f = ?` with F = 4, L = 16.
-    fn view(db: &Database, shards: usize) -> SharedPmv {
+    fn view(db: &Database) -> SharedPmv {
         let t = TemplateBuilder::new("t")
             .relation(db.schema("r").unwrap())
             .select("r", "a")
@@ -715,13 +706,13 @@ mod tests {
             .build()
             .unwrap();
         let def = PartialViewDef::all_equality("epoch", t).unwrap();
-        SharedPmv::with_shards(def, PmvConfig::new(4, 16, PolicyKind::Clock), shards)
+        SharedPmv::new(def, PmvConfig::new(4, 16, PolicyKind::Clock))
     }
 
-    fn setup(shards: usize) -> (EpochDb, SharedPmv) {
+    fn setup() -> (EpochDb, SharedPmv) {
         let mut db = Database::new();
         load(&mut db);
-        let pmv = view(&db, shards);
+        let pmv = view(&db);
         (EpochDb::new(db), pmv)
     }
 
@@ -747,7 +738,7 @@ mod tests {
 
     #[test]
     fn pinned_queries_match_plain_execution() {
-        let (edb, pmv) = setup(4);
+        let (edb, pmv) = setup();
         for round in 0..3 {
             for f in 0..10i64 {
                 let q = query_f(&pmv, f);
@@ -768,7 +759,7 @@ mod tests {
 
     #[test]
     fn pinned_reader_survives_commits() {
-        let (edb, pmv) = setup(4);
+        let (edb, pmv) = setup();
         let q = query_f(&pmv, 3);
         // Warm the cache, then pin BEFORE a delete commits.
         let row = row_with_f3(&edb);
@@ -794,7 +785,7 @@ mod tests {
 
     #[test]
     fn epoch_advances_on_commit() {
-        let (edb, pmv) = setup(4);
+        let (edb, pmv) = setup();
         let e0 = edb.epoch();
         edb.commit(&[&pmv], move |db| {
             let mut txn = Transaction::begin(db);
@@ -810,7 +801,7 @@ mod tests {
     /// thread, under the lock, and hands its output straight back.
     #[test]
     fn commit_closure_borrows_and_returns_local_values() {
-        let (edb, pmv) = setup(1);
+        let (edb, pmv) = setup();
         let rows = vec![tuple![900i64, 3i64], tuple![901i64, 3i64]];
         let inserted = edb
             .commit(&[&pmv], |db| {
@@ -849,7 +840,7 @@ mod tests {
     /// tuple and trip "DS must be empty after O3".)
     #[test]
     fn failed_commit_closure_publishes_nothing() {
-        let (edb, pmv) = setup(1);
+        let (edb, pmv) = setup();
         let q = query_f(&pmv, 3);
         edb.query(&pmv, &q).unwrap();
         let warm = edb.query(&pmv, &q).unwrap();
@@ -880,7 +871,7 @@ mod tests {
         let (edb, _) = EpochDb::open_durable(&dir, Arc::new(ObsRegistry::new())).unwrap();
         edb.with_write(load);
         edb.checkpoint(Vec::new()).unwrap();
-        let pmv = view(&edb.read(), 1);
+        let pmv = view(&edb.read());
         edb.commit(&[&pmv], |db| {
             let mut txn = Transaction::begin(db);
             txn.insert("r", tuple![500i64, 3i64])?;
@@ -996,7 +987,7 @@ mod tests {
 
     #[test]
     fn stale_pin_never_writes_back_past_maintenance() {
-        let (edb, pmv) = setup(4);
+        let (edb, pmv) = setup();
         let q = query_f(&pmv, 3);
         let row = row_with_f3(&edb);
         let pinned = edb.pin();
@@ -1023,7 +1014,7 @@ mod tests {
     /// the pin's, but it fills nothing, and the next query is exact.
     #[test]
     fn pin_older_than_the_attach_cannot_fill() {
-        let (edb, pmv) = setup(1);
+        let (edb, pmv) = setup();
         let q = query_f(&pmv, 3);
         let row = row_with_f3(&edb);
         {
@@ -1046,7 +1037,7 @@ mod tests {
 
     #[test]
     fn a_view_belongs_to_one_host() {
-        let (edb, pmv) = setup(1);
+        let (edb, pmv) = setup();
         let q = query_f(&pmv, 3);
         edb.query(&pmv, &q).unwrap();
         let mut db = Database::new();
@@ -1062,7 +1053,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "with_write on a host that owns a view")]
     fn with_write_refuses_once_the_host_owns_a_view() {
-        let (edb, pmv) = setup(1);
+        let (edb, pmv) = setup();
         edb.query(&pmv, &query_f(&pmv, 3)).unwrap();
         edb.with_write(|db| db.insert("r", tuple![900i64, 3i64]).unwrap());
     }
@@ -1088,7 +1079,7 @@ mod tests {
 
     fn register(edb: &EpochDb, name: &str, t: &Arc<QueryTemplate>, config: PmvConfig) {
         let def = PartialViewDef::all_equality(name, t.clone()).unwrap();
-        edb.register(def, config, None).unwrap();
+        edb.register(def, config).unwrap();
     }
 
     /// Registers `pmv_a` over `by_f` and `pmv_b` over `by_a`.
@@ -1125,15 +1116,14 @@ mod tests {
     }
 
     #[test]
-    fn register_keeps_the_shard_count_and_one_view_per_template() {
+    fn register_keeps_one_view_per_template() {
         let (edb, ta, tb) = two_templates();
         let def = PartialViewDef::all_equality("three", ta.clone()).unwrap();
-        let view = edb.register(def, PmvConfig::default(), Some(3)).unwrap();
-        assert_eq!(view.shard_count(), 3);
-        assert_eq!(edb.view_for(&ta).unwrap().shard_count(), 3);
+        let view = edb.register(def, PmvConfig::default()).unwrap();
+        assert_eq!(edb.view_for(&ta).unwrap().def().name(), view.def().name());
         assert!(edb.view_for(&tb).is_none());
         let again = PartialViewDef::all_equality("again", ta.clone()).unwrap();
-        let err = edb.register(again, PmvConfig::default(), Some(2));
+        let err = edb.register(again, PmvConfig::default());
         assert!(matches!(err, Err(CoreError::Definition(_))));
         assert_eq!(edb.views().len(), 1);
     }
@@ -1154,7 +1144,7 @@ mod tests {
         // Raw, unnormalized dividers: PMV002 must deny the registration.
         let bad = Discretizer::from_raw(vec![Value::Int(20), Value::Int(10)]);
         let def = PartialViewDef::new("bad_grid", t, vec![Some(bad)]).unwrap();
-        match edb.register(def, PmvConfig::default(), None) {
+        match edb.register(def, PmvConfig::default()) {
             Err(CoreError::Analysis(report)) => {
                 assert!(report.has(DiagCode::OverlappingBasicIntervals), "{report}")
             }
@@ -1290,7 +1280,7 @@ mod tests {
         // A weak handle to the snapshot a query on a fresh host left in
         // this thread's pin cache; the host is dropped.
         let queried_then_dropped = || {
-            let (edb, pmv) = setup(1);
+            let (edb, pmv) = setup();
             edb.query(&pmv, &query_f(&pmv, 3)).unwrap();
             Arc::downgrade(&edb.pin())
         };
@@ -1300,7 +1290,7 @@ mod tests {
             "the dropped host's snapshot lives on"
         );
         let weak = queried_then_dropped();
-        let (b, pmv_b) = setup(1);
+        let (b, pmv_b) = setup();
         b.query(&pmv_b, &query_f(&pmv_b, 3)).unwrap();
         assert!(
             weak.upgrade().is_none(),

@@ -88,8 +88,8 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// takes one folded multiply, a longer one one per 16 bytes more. The
 /// fold (the 128-bit product's halves xor-ed, as in foldhash) leaves
 /// every output bit depending on every input bit, so any bit range of
-/// the result can pick a bucket: a view picks its shard from the low
-/// half and its chunk from the high bits.
+/// the result can pick a bucket: a view's store picks its chunk from the
+/// high bits.
 #[inline]
 pub(crate) fn hash_bytes(bytes: &[u8]) -> u64 {
     let n = bytes.len();

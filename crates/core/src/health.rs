@@ -19,7 +19,7 @@
 //!   the degrade threshold; operators should look. Recovers on its own
 //!   when the rate falls back under the threshold.
 //! * **Quarantined** — the error rate crossed the quarantine threshold
-//!   (or a shard was drained after a panic). **No partial results are
+//!   (or the view's store was drained after a panic). **No partial results are
 //!   ever served from a quarantined view** and nothing is cached; queries
 //!   still get full, correct answers straight from O3. Quarantine is
 //!   sticky: only an explicit [`CircuitBreaker::reset`] — issued by the
@@ -35,7 +35,7 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
-/// Health of one view (or one shard group) as seen by the breaker.
+/// Health of one view as seen by the breaker.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ViewHealth {
     /// Normal operation.
@@ -131,7 +131,7 @@ impl CircuitBreaker {
         self.record(false);
     }
 
-    /// Jump straight to Quarantined (e.g. a shard was drained after a
+    /// Jump straight to Quarantined (e.g. the store was drained after a
     /// panic and the cached working set is gone).
     pub fn force_quarantine(&self) {
         if self.state.swap(STATE_QUARANTINED, Ordering::Relaxed) != STATE_QUARANTINED {
@@ -228,7 +228,7 @@ pub struct Degradation {
 /// When a view last completed maintenance or revalidation: the one source
 /// of the staleness bound a degraded answer declares
 /// ([`Degradation::staleness`]) and of the health reports' "last
-/// verified" age, for single-owner and sharded views alike.
+/// verified" age.
 pub(crate) struct VerifiedClock {
     created: Instant,
     /// Milliseconds after `created` of the last verification.
@@ -260,56 +260,35 @@ impl VerifiedClock {
     }
 }
 
-/// One shard's (or store's) invariant-check result.
-#[derive(Clone, Debug)]
-pub struct ShardReport {
-    /// Shard index (0 for an unsharded store).
-    pub shard: usize,
-    /// Whether the shard is currently quarantined (drained).
+/// Typed result of a non-panicking consistency check of a view's store.
+#[derive(Clone, Debug, Default)]
+pub struct ValidationReport {
+    /// Whether the store is currently quarantined (drained).
     pub quarantined: bool,
     /// Invariant violations found; empty means consistent.
     pub violations: Vec<String>,
 }
 
-/// Typed result of a non-panicking consistency check across a view.
-#[derive(Clone, Debug, Default)]
-pub struct ValidationReport {
-    /// Per-shard findings.
-    pub shards: Vec<ShardReport>,
-}
-
 impl ValidationReport {
-    /// True when no shard reported a violation.
+    /// True when the store reported no violation.
     pub fn is_consistent(&self) -> bool {
-        self.shards.iter().all(|s| s.violations.is_empty())
-    }
-
-    /// Total violations across shards.
-    pub fn violation_count(&self) -> usize {
-        self.shards.iter().map(|s| s.violations.len()).sum()
-    }
-
-    /// Shards currently quarantined.
-    pub fn quarantined_shards(&self) -> usize {
-        self.shards.iter().filter(|s| s.quarantined).count()
+        self.violations.is_empty()
     }
 }
 
 impl std::fmt::Display for ValidationReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.is_consistent() {
-            write!(
-                f,
-                "consistent ({} shards, {} quarantined)",
-                self.shards.len(),
-                self.quarantined_shards()
-            )
+            let state = if self.quarantined {
+                "quarantined"
+            } else {
+                "live"
+            };
+            write!(f, "consistent ({state} store)")
         } else {
-            writeln!(f, "{} violation(s):", self.violation_count())?;
-            for s in &self.shards {
-                for v in &s.violations {
-                    writeln!(f, "  shard {}: {}", s.shard, v)?;
-                }
+            writeln!(f, "{} violation(s):", self.violations.len())?;
+            for v in &self.violations {
+                writeln!(f, "  {v}")?;
             }
             Ok(())
         }
@@ -385,21 +364,11 @@ mod tests {
     #[test]
     fn report_formats() {
         let mut r = ValidationReport::default();
-        r.shards.push(ShardReport {
-            shard: 0,
-            quarantined: false,
-            violations: vec![],
-        });
         assert!(r.is_consistent());
-        assert!(r.to_string().contains("consistent"));
-        r.shards.push(ShardReport {
-            shard: 1,
-            quarantined: true,
-            violations: vec!["entry over F".into()],
-        });
+        assert_eq!(r.to_string(), "consistent (live store)");
+        r.quarantined = true;
+        r.violations.push("entry over F".into());
         assert!(!r.is_consistent());
-        assert_eq!(r.violation_count(), 1);
-        assert_eq!(r.quarantined_shards(), 1);
-        assert!(r.to_string().contains("shard 1"));
+        assert_eq!(r.to_string(), "1 violation(s):\n  entry over F\n");
     }
 }

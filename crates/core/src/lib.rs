@@ -23,7 +23,7 @@
 //! * [`store`] — the bounded, policy-managed result store (3.2, 3.5)
 //! * [`ds`] — the O2/O3 dedup multiset (3.3)
 //! * [`concurrent`] — the PMV itself: [`SharedPmv`], the one view type,
-//!   its sharded store and published shard views (3.2)
+//!   its one store of `L` entries and the table it publishes (3.2)
 //! * `serve` — the one O1/O2/O3 serving implementation, over a pinned
 //!   snapshot (3.3, 3.6)
 //! * [`epoch`] — [`EpochDb`], the one host: it registers and owns its
@@ -76,9 +76,7 @@ pub use delta_index::DeltaKeyIndex;
 pub use ds::Ds;
 pub use epoch::EpochDb;
 pub use fasthash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use health::{
-    CircuitBreaker, Degradation, DegradeReason, ShardReport, ValidationReport, ViewHealth,
-};
+pub use health::{CircuitBreaker, Degradation, DegradeReason, ValidationReport, ViewHealth};
 pub use mv::TraditionalMv;
 pub use o1::{decompose, ConditionPart};
 pub use pipeline::{run_plain, QueryOutcome, QueryTimings};

@@ -5,13 +5,13 @@
 //! * **Insert** — "existing tuples in V_PM are not affected by this
 //!   insert. Hence, V_PM is not maintained immediately." New result tuples
 //!   flow in later, for free, through Operation O3 (the `c_j < F` refill
-//!   path). Each shard's insert watermark is bumped so completeness
+//!   path). The store's insert watermark is bumped so completeness
 //!   claims ([`crate::store::PmvStore::entry_complete`]) lapse.
 //! * **Delete** — remove every cached view tuple the deleted base tuple
 //!   supports. "In many cases, we can avoid this join computation by
 //!   building indices on some attributes of V_PM": every delete from a
 //!   relation that projects an `Ls'` column is resolved through the
-//!   per-shard [`crate::delta_index::DeltaKeyIndex`], which yields the
+//!   store's [`crate::delta_index::DeltaKeyIndex`], which yields the
 //!   supported tuples directly — `O(|Δ| · fanout)`, no base-relation
 //!   join. Only a *bridge* relation, one projecting no `Ls'` column,
 //!   leaves the index nothing to key on; its deletes join
@@ -23,7 +23,7 @@
 //!
 //! A bridge join that keeps failing — transient faults past the retry
 //! budget, or a permanent error at once — never leaves a stale tuple
-//! behind: the view's shards are drained (quarantined) instead, the rest
+//! behind: the view's store is drained (quarantined) instead, the rest
 //! of the batch still runs, and `revalidate` lifts the quarantine.
 //!
 //! # The X side of Section 3.6
@@ -32,13 +32,13 @@
 //! calls `SharedPmv::maintain_all` under the database write lock, after
 //! the transaction's deltas are applied and *before* the new
 //! snapshot publishes. Every pinned query therefore observes (database
-//! state, shard contents) pairs where the cached tuples are a subset of
+//! state, store contents) pairs where the cached tuples are a subset of
 //! the true bcp answers, so O3 re-derives every served tuple and the
 //! end-of-O3 invariant `ds_leftover == 0` holds. Maintenance write-locks
-//! only the shards its removals hash to, in ascending index order, and
-//! publishes `maint_epoch` first so a query pinned before it cannot write
-//! back what it evicts (`crate::serve`, "fill gate"). What it did is
-//! counted in the view's `maint_*` [`PmvStats`] counters.
+//! the store once per batch that removes anything — the paper's X lock —
+//! and publishes `maint_epoch` first so a query pinned before it cannot
+//! write back what it evicts (`crate::serve`, "fill gate"). What it did
+//! is counted in the view's `maint_*` [`PmvStats`] counters.
 //!
 //! **Cross-relation transactions.** The indexed path consults only the
 //! cached view side, never base state, so a transaction deleting
@@ -73,34 +73,26 @@ use crate::serve::flush_faults;
 use crate::stats::PmvStats;
 
 /// Retries for a maintenance join that failed transiently, before the
-/// affected shards are drained instead.
+/// store is drained instead.
 const MAINT_RETRIES: u32 = 3;
 /// Backoff before the first retry; doubled per attempt.
 const MAINT_BACKOFF: Duration = Duration::from_micros(50);
 
-/// What maintenance must evict from one shard, and how it was found.
+/// What maintenance must evict from the store, and how it was found.
 enum Removal {
     /// A delta-key index posting: every tuple of the bcp whose packed
     /// bytes hash to the posting's.
-    Filed(usize, Supported),
+    Filed(Supported),
     /// One occurrence of a bridge join's result row under its bcp,
     /// packed in the view's stored layout and compared byte for byte.
-    Joined(usize, BcpKey, PackedRow),
-}
-
-impl Removal {
-    /// The shard the removal write-locks.
-    fn shard(&self) -> usize {
-        match self {
-            Removal::Filed(si, _) | Removal::Joined(si, _, _) => *si,
-        }
-    }
+    Joined(BcpKey, PackedRow),
 }
 
 impl SharedPmv {
-    /// Apply one relation's delta batch, write-locking only the shards
-    /// the removals hash to. Called only through [`Self::maintain_all`],
-    /// before the delta's new database state is visible to queries.
+    /// Apply one relation's delta batch, write-locking the store only
+    /// when there is something to remove or an insert to note. Called
+    /// only through [`Self::maintain_all`], before the delta's new
+    /// database state is visible to queries.
     fn maintain(&self, db: &Database, batch: &DeltaBatch) {
         let inner = &*self.inner;
         let mut local = PmvStats::default();
@@ -120,20 +112,20 @@ impl SharedPmv {
         let relevant = relevant_columns(&template, rel_idx);
 
         // Epoch fence for pinned fills — stored BEFORE this maintenance
-        // touches any shard lock. A query pinned before this Δ may hold
+        // takes the store's lock. A query pinned before this Δ may hold
         // results the Δ evicts; its fill gate re-checks `maint_epoch`
-        // under the shard write lock, so either (a) it sees this store
-        // (the lock handoff orders it after one of our shard accesses)
-        // and skips the fill, or (b) it filled before we looked at the
-        // shard, in which case the index lookup and phase-2 eviction
-        // below see the fill and remove it. Release pairs with
-        // the Acquire in `Inner::maint_epoch`.
+        // under the store's write lock, so either (a) it sees this
+        // store (the lock handoff orders it after one of our store
+        // accesses) and skips the fill, or (b) it filled before we
+        // looked at the store, in which case the index lookup and
+        // phase-2 eviction below see the fill and remove it. Release
+        // pairs with the Acquire in `Inner::maint_epoch`.
         inner.maint_epoch.store(db.version(), Ordering::Release);
 
         // Phase 1: resolve each delta. The delta-key index yields its
-        // affected view tuples straight from the per-shard indexes (read
-        // locks only, O(fanout) per shard); a bridge relation's deltas
-        // coalesce into one ΔR join per distinct tuple. The removal's
+        // affected view tuples straight from the store's index (a read
+        // lock only, O(fanout)); a bridge relation's deltas coalesce
+        // into one ΔR join per distinct tuple. The removal's
         // kind distinguishes index hits for the `index_removals`
         // counters.
         let mut removals: Vec<Removal> = Vec::new();
@@ -168,22 +160,13 @@ impl SharedPmv {
                 }
             };
             let t0 = Instant::now();
-            let before = removals.len();
-            let mut indexed = true;
-            for (si, s) in inner.shards.iter().enumerate() {
-                // Every shard shares the template: shard 0 answers for
-                // all of them, and a bridge breaks out before any push.
-                let Some(sup) = s.read().supported(rel_idx, tuple) else {
-                    indexed = false;
-                    break;
-                };
-                removals.extend(sup.into_iter().map(|posting| Removal::Filed(si, posting)));
-            }
+            let supported = inner.store.read().supported(rel_idx, tuple);
             t_index += t0.elapsed();
-            if indexed {
-                if removals.len() == before {
+            if let Some(sup) = supported {
+                if sup.is_empty() {
                     local.maint_joins_avoided += 1;
                 }
+                removals.extend(sup.into_iter().map(Removal::Filed));
                 continue;
             }
             let n = bridge_counts.entry(tuple).or_insert(0);
@@ -211,26 +194,24 @@ impl SharedPmv {
             local.maint_join_rows += (rows.len() * n) as u64;
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
-                let (si, row) = (inner.shard_of_bcp(&bcp), inner.def.layout().store(&row));
-                removals.extend((0..n).map(|_| Removal::Joined(si, bcp.clone(), row.clone())));
+                let row = inner.def.layout().store(&row);
+                removals.extend((0..n).map(|_| Removal::Joined(bcp.clone(), row.clone())));
             }
         }
 
         // Phase 2: evict the joined/indexed view tuples.
-        for si in self.evict(&removals, &mut local) {
-            trace.event(EventKind::Quarantine { shard: si });
+        if self.evict(&removals, &mut local) {
+            trace.event(EventKind::Quarantine);
         }
 
-        // Insert watermark: bump every shard so stale completeness
-        // claims lapse (the bcp's truth may have grown), and republish —
-        // the unchanged table is a pointer copy, so an insert-heavy batch
-        // stays O(shards).
+        // Insert watermark: bump it so stale completeness claims lapse
+        // (the bcp's truth may have grown), and republish — the
+        // unchanged table is a pointer copy, so an insert-heavy batch
+        // stays O(1).
         if any_insert {
-            for (si, s) in inner.shards.iter().enumerate() {
-                let mut store = s.write();
-                store.note_insert();
-                inner.publish_shard(si, &store);
-            }
+            let mut store = inner.store.write();
+            store.note_insert();
+            inner.publish_store(&store);
         }
         inner.verified.mark();
         inner.stats.add(&local);
@@ -248,8 +229,7 @@ impl SharedPmv {
 
     /// One ΔR join with the transient-retry/backoff loop. `None` means
     /// the join cannot be had — retries exhausted, or a permanent error,
-    /// which no retry would cure — and the caller drains the affected
-    /// shards.
+    /// which no retry would cure — and the caller drains the store.
     fn join_with_retry(
         &self,
         db: &Database,
@@ -274,69 +254,62 @@ impl SharedPmv {
         }
     }
 
-    /// Failed-join fallback: drain (quarantine) every shard, removal-only,
+    /// Failed-join fallback: drain (quarantine) the store, removal-only,
     /// so the view under-serves until revalidated but never serves a
     /// tuple the delete should have evicted. Which cached rows the join
-    /// would have found is unknowable without it, and a bridge relation
-    /// gives the delta-key index no key to narrow the shards by.
+    /// would have found is unknowable without it.
     fn drain(&self, local: &mut PmvStats) {
         let inner = &*self.inner;
         local.maint_fallbacks += 1;
         inner.breaker.record_error();
-        for (si, s) in inner.shards.iter().enumerate() {
-            let mut store = s.write();
-            if !store.is_quarantined() {
-                store.quarantine();
-                local.quarantine_events += 1;
-                inner.publish_shard(si, &store);
-            }
+        let mut store = inner.store.write();
+        if !store.is_quarantined() {
+            store.quarantine();
+            local.quarantine_events += 1;
+            inner.publish_store(&store);
         }
     }
 
-    /// X-lock only the shards `removals` name, in ascending index order,
-    /// evict the tuples and republish. Returns the shards a mid-eviction
-    /// panic forced to drain.
-    fn evict(&self, removals: &[Removal], local: &mut PmvStats) -> Vec<usize> {
+    /// X-lock the store, evict `removals` and republish; nothing to do
+    /// when `removals` is empty. Returns whether a mid-eviction panic
+    /// forced the store to drain.
+    fn evict(&self, removals: &[Removal], local: &mut PmvStats) -> bool {
+        if removals.is_empty() {
+            return false;
+        }
         let inner = &*self.inner;
-        let mut affected_shards: Vec<usize> = removals.iter().map(Removal::shard).collect();
-        affected_shards.sort_unstable();
-        affected_shards.dedup();
-        let mut drained = Vec::new();
-        for si in affected_shards {
-            let t_lock = Instant::now();
-            let mut store = inner.shards[si].write();
-            inner.obs.record(Phase::lock_shard_maint, t_lock.elapsed());
-            if store.is_quarantined() {
-                continue; // already drained: nothing cached to evict
-            }
-            let evict = catch_unwind(AssertUnwindSafe(|| {
-                pmv_faultinject::fire_soft(Site::ShardMaint);
-                for removal in removals.iter().filter(|r| r.shard() == si) {
-                    match removal {
-                        Removal::Filed(_, posting) => {
-                            let removed = store.remove_filed(posting) as u64;
-                            local.maint_tuples_removed += removed;
-                            local.maint_index_removals += removed;
-                        }
-                        Removal::Joined(_, bcp, row) => {
-                            if store.remove_tuple(bcp, row.row()) {
-                                local.maint_tuples_removed += 1;
-                            }
+        let t_lock = Instant::now();
+        let mut store = inner.store.write();
+        inner.obs.record(Phase::lock_shard_maint, t_lock.elapsed());
+        if store.is_quarantined() {
+            return false; // already drained: nothing cached to evict
+        }
+        let evict = catch_unwind(AssertUnwindSafe(|| {
+            pmv_faultinject::fire_soft(Site::ShardMaint);
+            for removal in removals {
+                match removal {
+                    Removal::Filed(posting) => {
+                        let removed = store.remove_filed(posting) as u64;
+                        local.maint_tuples_removed += removed;
+                        local.maint_index_removals += removed;
+                    }
+                    Removal::Joined(bcp, row) => {
+                        if store.remove_tuple(bcp, row.row()) {
+                            local.maint_tuples_removed += 1;
                         }
                     }
                 }
-            }));
-            if evict.is_err() {
-                // Mid-eviction panic: some of this shard's removals may
-                // not have been applied, so its cache can no longer be
-                // trusted. Drain it.
-                store.quarantine();
-                local.quarantine_events += 1;
-                inner.breaker.record_error();
-                drained.push(si);
             }
-            inner.publish_shard(si, &store);
+        }));
+        let drained = evict.is_err();
+        if drained {
+            // Mid-eviction panic: some removals may not have been
+            // applied, so the cache can no longer be trusted. Drain it.
+            store.quarantine();
+            local.quarantine_events += 1;
+            inner.breaker.record_error();
         }
+        inner.publish_store(&store);
         drained
     }
 
@@ -355,7 +328,7 @@ impl SharedPmv {
         }
         let template = inner.def.template().clone();
         let bridges: Vec<bool> = {
-            let store = inner.shards[0].read();
+            let store = inner.store.read();
             (0..template.relations().len())
                 .map(|rel| !store.indexed(rel))
                 .collect()
@@ -366,9 +339,9 @@ impl SharedPmv {
         }
         let t0 = Instant::now();
         let mut local = PmvStats::default();
-        // No shard lock is held during the joins (the
+        // No store lock is held during the joins (the
         // `write_guard_across_exec` contract: never an executor call
-        // under a shard guard).
+        // under the store's guard).
         let mut removals: Vec<Removal> = Vec::new();
         for combo in &combos {
             let Ok(rows) = join_fixed(db, &template, combo) else {
@@ -379,7 +352,7 @@ impl SharedPmv {
             for row in rows {
                 let bcp = inner.def.bcp_of_tuple(&row);
                 let row = inner.def.layout().store(&row);
-                removals.push(Removal::Joined(inner.shard_of_bcp(&bcp), bcp, row));
+                removals.push(Removal::Joined(bcp, row));
             }
         }
         self.evict(&removals, &mut local);
@@ -536,7 +509,7 @@ mod tests {
 
     /// A bridge relation's ΔR join that fails permanently (here: the
     /// other relation cannot be read) must not end the batch with later
-    /// work unapplied and the view unrepaired: the view's shards are
+    /// work unapplied and the view unrepaired: the view's store is
     /// drained like after exhausted retries, every later batch still
     /// runs, and nothing stale is served once the deltas become visible.
     #[test]
@@ -556,7 +529,7 @@ mod tests {
             .unwrap();
         let config = PmvConfig::new(3, 16, PolicyKind::Clock);
         let def = PartialViewDef::all_equality("bridge_pmv", t.clone()).unwrap();
-        let view = SharedPmv::with_shards(def, config, 4);
+        let view = SharedPmv::new(def, config);
         let queries: Vec<_> = (0..4i64)
             .map(|f| {
                 t.bind(vec![Condition::Equality(vec![Value::Int(f)])])
@@ -589,8 +562,7 @@ mod tests {
         assert_eq!(stats.maint_deletes_joined, 2, "the second batch still ran");
         let report = view.validate();
         assert!(report.is_consistent(), "{report}");
-        let drained = report.shards.iter().filter(|s| s.quarantined).count();
-        assert!(drained == 4 && drained == view.quarantined_shards());
+        assert!(report.quarantined && view.is_quarantined());
         assert!(view.tuple_count() < cached);
 
         // The real post-delta database: nothing stale is served.
@@ -604,7 +576,7 @@ mod tests {
             assert_eq!(got, want);
         }
         assert_eq!(view.revalidate(&db).unwrap(), 0);
-        assert_eq!(view.quarantined_shards(), 0);
+        assert!(!view.is_quarantined());
         assert_eq!(view.health(), ViewHealth::Healthy);
         assert_eq!(view.stats().maint_fallbacks, 0, "transient tally reset");
     }

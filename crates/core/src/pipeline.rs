@@ -109,8 +109,8 @@ mod tests {
     use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
 
     /// R(a, c, f) ⋈ S(d, e, g) on c = d, conditions on f (eq) and g (eq),
-    /// the paper's Eqt with the Figure 3 data plus extras. One shard: the
-    /// tests below count exact entries and evictions against L.
+    /// the paper's Eqt with the Figure 3 data plus extras. The tests
+    /// below count exact entries and evictions against L.
     fn setup() -> (EpochDb, SharedPmv) {
         let mut db = Database::new();
         db.create_relation(Schema::new(
@@ -170,7 +170,7 @@ mod tests {
             .build()
             .unwrap();
         let def = PartialViewDef::all_equality("pmv_eqt", t).unwrap();
-        let pmv = SharedPmv::with_shards(def, PmvConfig::new(2, 8, PolicyKind::Clock), 1);
+        let pmv = SharedPmv::new(def, PmvConfig::new(2, 8, PolicyKind::Clock));
         (EpochDb::new(db), pmv)
     }
 
@@ -238,11 +238,7 @@ mod tests {
     fn f_caps_cached_tuples_per_bcp() {
         let (edb, pmv) = setup();
         // (f=1, g=7) has 2 result tuples; with F = 1 only one is cached.
-        let pmv1 = SharedPmv::with_shards(
-            pmv.def().clone(),
-            PmvConfig::new(1, 8, PolicyKind::Clock),
-            1,
-        );
+        let pmv1 = SharedPmv::new(pmv.def().clone(), PmvConfig::new(1, 8, PolicyKind::Clock));
         let q = q_eq(&pmv, &[1], &[7]);
         edb.query(&pmv1, &q).unwrap();
         let bcp = BcpKey::new(vec![BcpDim::Eq(Value::Int(1)), BcpDim::Eq(Value::Int(7))]);
@@ -305,7 +301,7 @@ mod tests {
             vec![Some(Discretizer::int_grid(0, 2, 4)), None], // dividers 0,2,4,6
         )
         .unwrap();
-        let pmv = SharedPmv::with_shards(def, PmvConfig::default(), 1);
+        let pmv = SharedPmv::new(def, PmvConfig::default());
         let q = pmv
             .def()
             .template()
@@ -369,8 +365,7 @@ mod tests {
     #[test]
     fn two_q_policy_requires_second_query_to_cache() {
         let (edb, pmv) = setup();
-        let pmv2 =
-            SharedPmv::with_shards(pmv.def().clone(), PmvConfig::new(2, 8, PolicyKind::TwoQ), 1);
+        let pmv2 = SharedPmv::new(pmv.def().clone(), PmvConfig::new(2, 8, PolicyKind::TwoQ));
         let q = q_eq(&pmv, &[1], &[7]);
         edb.query(&pmv2, &q).unwrap();
         // First query: bcp went to A1, nothing cached.
@@ -387,11 +382,7 @@ mod tests {
     #[test]
     fn eviction_under_small_l() {
         let (edb, pmv) = setup();
-        let small = SharedPmv::with_shards(
-            pmv.def().clone(),
-            PmvConfig::new(2, 1, PolicyKind::Clock),
-            1,
-        );
+        let small = SharedPmv::new(pmv.def().clone(), PmvConfig::new(2, 1, PolicyKind::Clock));
         edb.query(&small, &q_eq(&pmv, &[1], &[7])).unwrap();
         // Asked twice, (3, 9) out-counts the once-asked (1, 7) it evicts.
         edb.query(&small, &q_eq(&pmv, &[3], &[9])).unwrap();

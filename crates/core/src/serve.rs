@@ -14,12 +14,11 @@
 //!
 //! [`query`] executes against one pinned [`DbSnapshot`], whose
 //! `epoch()` is the pin epoch the gates below compare against. The
-//! store it reaches is the sharded one of
-//! [`crate::concurrent::SharedPmv`]: O2 loads each shard's published
-//! table through its `LeftRight` cell wait-free, write-back takes
-//! `try_write` and may be declined, and a shard is republished only when
-//! the write-back replaced its store's table, that is, changed what it
-//! serves.
+//! store it reaches is the one of [`crate::concurrent::SharedPmv`]: O2
+//! loads the published table through its `LeftRight` cell wait-free,
+//! write-back takes `try_write` and may be declined, and the view is
+//! republished only when the write-back replaced its store's table,
+//! that is, changed what it serves.
 //!
 //! # What replaces the paper's S lock (Section 3.6)
 //!
@@ -33,15 +32,14 @@
 //!   state the pinned O3 execution cannot re-derive;
 //! * **fill gate** — results are written back (and completeness claims
 //!   trusted or made) only when `pin_epoch ≥ maint_epoch`, re-checked
-//!   under the shard write guard, so a query pinned before a maintenance
+//!   under the store's write guard, so a query pinned before a maintenance
 //!   pass cannot resurrect what that pass evicted.
 //!
 //! Between O2 and the answer nothing here waits on a lock: probes are
 //! reads, policy touches and fills are deferred to one best-effort
 //! write-back. The `pmv-analyze` contract checker enforces that on every
 //! function declared with a `// pmv::pin_region` comment above its `fn`:
-//! this module's query path and the `Inner` probe and write-back it
-//! calls.
+//! this module's query path, its write-back and its fault point.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -64,20 +62,13 @@ use crate::store::{Hashed, PmvStore, Residency, Rows};
 use crate::view::PartialViewDef;
 use crate::Result;
 
-/// What one shard's write-back did.
-pub(crate) struct WriteBack {
-    admitted: u64,
-    evicted: u64,
-    poisoned: bool,
-}
-
 /// What one query knows about one distinct bcp it probes. Kept under the
 /// number of the first condition part inside that bcp
 /// ([`ConditionPart::bcp_part`]), so nothing on the serving path hashes
 /// or clones a `BcpKey` per part, let alone per result row.
 #[derive(Clone, Copy, Default)]
 struct PartState {
-    /// O2 probed the bcp on a live shard: `Some(served anything)`. The
+    /// O2 probed the bcp on a live store: `Some(served anything)`. The
     /// deferred policy touch.
     touch: Option<bool>,
     /// Served whole from a completeness claim, and so exempt from O3.
@@ -90,9 +81,8 @@ struct PartState {
     truth: usize,
 }
 
-/// `(shard, bcp hash within the shard, part number)` of one distinct
-/// probed bcp.
-type Slot = (usize, u64, usize);
+/// `(bcp hash, part number)` of one distinct probed bcp.
+type Slot = (u64, usize);
 
 /// A fill candidate: `(part number, tuple, copies of it the bcp's entry
 /// holds)`. The copies are pushed as 0 and counted by the write-back.
@@ -105,8 +95,8 @@ type Cand = (usize, Arc<Tuple>, usize);
 #[derive(Default)]
 struct QueryScratch {
     ds: Ds,
-    /// Every distinct probed bcp, sorted by shard and in part order
-    /// within one: O2 and the write-back both walk it shard by shard.
+    /// Every distinct probed bcp, in part order: O2 and the write-back
+    /// both walk it.
     slots: Vec<Slot>,
     /// Indexed by part number; only the entries `slots` names are used.
     state: Vec<PartState>,
@@ -184,7 +174,7 @@ fn write_back_fault(site: Site) {
 }
 
 /// Run one query through O1/O2/O3 against `snap`, serving from and
-/// writing back to `inner`'s shards, over this thread's pooled scratch
+/// writing back to `inner`'s store, over this thread's pooled scratch
 /// buffers.
 ///
 /// Every cache write-back (fills *and* policy touches) is deferred past
@@ -247,7 +237,7 @@ fn query_with_scratch(
         us: o1.as_micros() as u64,
     });
 
-    // ---- Operation O2: probe shard by shard, never locking ----
+    // ---- Operation O2: probe the published table, never locking ----
     // A quarantined view skips O2/fill entirely: the query still gets a
     // full, correct answer straight from O3, just without cache
     // acceleration ("never serve from Quarantined").
@@ -264,107 +254,97 @@ fn query_with_scratch(
     // nothing re-produces them; if a targeted upquery later falls back
     // to the full O3, they are re-seeded into DS first.
     let mut complete_served: Vec<Arc<Tuple>> = Vec::new();
-    // The distinct bcps, each with its owning shard and the hash that
-    // places it in that shard's table, grouped by shard so the probe
-    // cost scales with the query's bcp count, not the shard count.
-    // (Several condition parts can share one containing bcp — two query
-    // intervals inside one basic interval; the full Cselect check below
-    // already covers its tuples.)
+    // The distinct bcps, each with the hash that places it in the
+    // store's table. (Several condition parts can share one containing
+    // bcp — two query intervals inside one basic interval; the full
+    // Cselect check below already covers its tuples.)
     state.resize(parts.len(), PartState::default());
     slots.extend(
         parts
             .iter()
             .enumerate()
             .filter(|(pi, part)| part.bcp_part == *pi)
-            .map(|(pi, part)| {
-                // The one hash of the bcp: its shard, chunk and tag.
-                let hash = PmvStore::hash_of(&part.bcp);
-                (inner.shard_of(hash), hash, pi)
-            }),
+            // The one hash of the bcp: its chunk and tag.
+            .map(|(pi, part)| (PmvStore::hash_of(&part.bcp), pi)),
     );
-    slots.sort_by_key(|&(si, _, _)| si);
-    if serving {
-        for group in slots.chunk_by(|a, b| a.0 == b.0) {
-            let si = group[0].0;
-            let t_shard = Instant::now();
-            // Completeness gate, evaluated AFTER the shard's view was
-            // loaded (first `each` call): a reader pinned after a
-            // maintenance pass also observes that pass's republished
-            // views (maintain stores the fence before touching any
-            // shard, and the commit publishes the new epoch only after
-            // maintain returns), so a claim seen together with
-            // `pin_epoch >= maint_epoch` reflects every change up to the
-            // pin.
-            let mut maint_ok: Option<bool> = None;
-            let probes = group
-                .iter()
-                .map(|&(_, hash, pi)| (hash, pi, &parts[pi].bcp));
-            let live = inner.probe_shard(si, probes, |pi, entries, claimed| {
-                // Policy touches observed during the probe are deferred
-                // to the best-effort write-back below.
-                let st = &mut state[pi];
-                let Some(entries) = entries else {
-                    st.touch = Some(false);
-                    return;
-                };
-                bcp_hit = true;
-                // A complete slice (claim valid, no tuple filled after
-                // the pin) IS the bcp's entire answer at the pin: serve
-                // its matching tuples and exempt the bcp from O3.
-                st.complete = claimed
-                    && *maint_ok.get_or_insert_with(|| pin_epoch >= inner.maint_epoch())
-                    && entries.epochs().all(|fe| fe <= pin_epoch);
-                st.full = !st.complete && entries.len() >= config.f;
-                let mut served = false;
-                let is_basic = parts[pi].is_basic;
-                // The key's fields, decoded once for the entry's tuples.
-                dims.clear();
-                dims.extend(parts[pi].bcp.values());
-                let mut rows = entries.iter(row);
-                while let Some((t, fill_epoch)) = rows.next_row() {
-                    // Serve gate: never serve a tuple filled after this
-                    // query's pin — it may reflect database state the
-                    // pinned O3 execution cannot see.
-                    if fill_epoch > pin_epoch {
-                        continue;
-                    }
-                    // A basic part contains every tuple of its bcp; a
-                    // contained part requires the full Cselect check —
-                    // "this is equivalent to checking whether t satisfies
-                    // the Cselect of query Q" — read through the layout.
-                    // Only a served tuple is decoded into its `Ls'` row,
-                    // once: DS, the candidates and the outcome share it.
-                    if is_basic || def.stored_matches_select(q, t, dims) {
-                        let row = layout.rebuild_with(t, dims);
-                        if st.complete {
-                            complete_served.push(Arc::clone(&row));
-                        } else {
-                            ds.insert_arc(Arc::clone(&row));
-                            if !st.full {
-                                cands.push((pi, Arc::clone(&row), 0));
-                            }
-                        }
-                        partial_expanded.push(row);
-                        served = true;
-                    }
-                }
-                if st.complete {
-                    local.complete_serves += 1;
-                }
-                st.touch = Some(served);
-            });
-            if !live {
+    let t_probe = Instant::now();
+    // `load` is wait-free (bounded retry over the two left-right slots);
+    // a concurrent publish can at worst hand us the previous consistent
+    // table. A drained store serves nothing.
+    if let Some(published) = serving
+        .then(|| inner.view.load())
+        .filter(|p| !p.quarantined && !slots.is_empty())
+    {
+        // Completeness gate, evaluated AFTER the published table was
+        // loaded: a reader pinned after a maintenance pass also observes
+        // that pass's republished table (maintain stores the fence
+        // before touching the store, and the commit publishes the new
+        // epoch only after maintain returns), so a claim seen together
+        // with `pin_epoch >= maint_epoch` reflects every change up to
+        // the pin.
+        let mut maint_ok: Option<bool> = None;
+        for &(hash, pi) in slots.iter() {
+            // Policy touches observed during the probe are deferred to
+            // the best-effort write-back below.
+            let st = &mut state[pi];
+            let Some(entry) = published.table.get(hash, &parts[pi].bcp) else {
+                st.touch = Some(false);
                 continue;
+            };
+            let entries = entry.rows;
+            bcp_hit = true;
+            // A complete slice (claim valid, no tuple filled after the
+            // pin) IS the bcp's entire answer at the pin: serve its
+            // matching tuples and exempt the bcp from O3.
+            st.complete = entry.complete == Some(published.inserts_seen)
+                && *maint_ok.get_or_insert_with(|| pin_epoch >= inner.maint_epoch())
+                && entries.epochs().all(|fe| fe <= pin_epoch);
+            st.full = !st.complete && entries.len() >= config.f;
+            let mut served = false;
+            let is_basic = parts[pi].is_basic;
+            // The key's fields, decoded once for the entry's tuples.
+            dims.clear();
+            dims.extend(parts[pi].bcp.values());
+            let mut rows = entries.iter(row);
+            while let Some((t, fill_epoch)) = rows.next_row() {
+                // Serve gate: never serve a tuple filled after this
+                // query's pin — it may reflect database state the pinned
+                // O3 execution cannot see.
+                if fill_epoch > pin_epoch {
+                    continue;
+                }
+                // A basic part contains every tuple of its bcp; a
+                // contained part requires the full Cselect check — "this
+                // is equivalent to checking whether t satisfies the
+                // Cselect of query Q" — read through the layout. Only a
+                // served tuple is decoded into its `Ls'` row, once: DS,
+                // the candidates and the outcome share it.
+                if is_basic || def.stored_matches_select(q, t, dims) {
+                    let row = layout.rebuild_with(t, dims);
+                    if st.complete {
+                        complete_served.push(Arc::clone(&row));
+                    } else {
+                        ds.insert_arc(Arc::clone(&row));
+                        if !st.full {
+                            cands.push((pi, Arc::clone(&row), 0));
+                        }
+                    }
+                    partial_expanded.push(row);
+                    served = true;
+                }
             }
-            let shard_probe = t_shard.elapsed();
-            obs.record(Phase::o2_probe, shard_probe);
-            trace.event(EventKind::ShardProbe {
-                shard: si,
-                parts: group.len(),
-                served: partial_expanded.len(),
-                us: shard_probe.as_micros() as u64,
-            });
+            if st.complete {
+                local.complete_serves += 1;
+            }
+            st.touch = Some(served);
         }
+        let probe = t_probe.elapsed();
+        obs.record(Phase::o2_probe, probe);
+        trace.event(EventKind::ShardProbe {
+            parts: slots.len(),
+            served: partial_expanded.len(),
+            us: probe.as_micros() as u64,
+        });
     }
     let o2 = t_o2.elapsed();
     // Time-to-first-result, the paper's headline quantity (§3.3 "within
@@ -393,7 +373,7 @@ fn query_with_scratch(
     // Every probed slice was served from a completeness claim: the
     // partials already ARE the full answer. No execution, no dedup —
     // only the deferred best-effort policy touches.
-    if !slots.is_empty() && slots.iter().all(|&(_, _, pi)| state[pi].complete) {
+    if !slots.is_empty() && slots.iter().all(|&(_, pi)| state[pi].complete) {
         debug_assert_eq!(ds.len(), 0, "complete slices never enter DS");
         write_back(
             inner,
@@ -433,7 +413,7 @@ fn query_with_scratch(
     // complete-served partials re-seeded into DS so its dedup drains
     // them.
     let mut upq: Option<(Vec<Slice>, ExecStats, Duration)> = None;
-    if slots.iter().any(|&(_, _, pi)| state[pi].complete) {
+    if slots.iter().any(|&(_, pi)| state[pi].complete) {
         let t_upq = Instant::now();
         let mut slices: Vec<Slice> = Vec::new();
         let mut total = ExecStats::default();
@@ -588,7 +568,7 @@ fn query_with_scratch(
             }
         }
     }
-    // Shard write-back is timed apart from the dedup bookkeeping: it
+    // The write-back is timed apart from the dedup bookkeeping: it
     // lands under `lock_shard_fill` and is subtracted from `o3_dedup`,
     // so that phase measures dedup/provenance work — not lock waits and
     // view publishes.
@@ -629,25 +609,26 @@ fn part_of_row(
     row: &Tuple,
 ) -> Option<usize> {
     match slots {
-        [(_, _, only)] => Some(*only),
+        [(_, only)] => Some(*only),
         _ => {
             let key = def.bcp_of_tuple(row);
             let hash = PmvStore::hash_of(&key);
             slots
                 .iter()
-                .find(|&&(_, h, pi)| h == hash && parts[pi].bcp == key)
-                .map(|&(_, _, pi)| pi)
+                .find(|&&(h, pi)| h == hash && parts[pi].bcp == key)
+                .map(|&(_, pi)| pi)
         }
     }
 }
 
-/// Apply one query's deferred policy touches and fills, shard by shard.
-/// Best-effort: the serving path never *waits* on a shard — a declined
-/// shard loses one policy hit, and a skipped fill just means the next
-/// identical query re-derives through O3. `fills` is `None` when the
-/// fill gate is closed, else whether O3 ran as targeted upqueries (every
-/// slice then is its bcp's whole truth, not only a basic part's).
-/// Returns the time spent, so the caller can keep it out of `o3_dedup`.
+/// Apply one query's deferred policy touches and fills to the store.
+/// Best-effort: the serving path never *waits* on the store — a declined
+/// write-back loses one query's policy hits, and a skipped fill just
+/// means the next identical query re-derives through O3. `fills` is
+/// `None` when the fill gate is closed, else whether O3 ran as targeted
+/// upqueries (every slice then is its bcp's whole truth, not only a basic
+/// part's). Returns the time spent, so the caller can keep it out of
+/// `o3_dedup`.
 // pmv::pin_region
 fn write_back(
     inner: &Inner,
@@ -666,173 +647,169 @@ fn write_back(
     let admits = |st: &PartState| fills.is_some() && (st.touch == Some(true) || st.truth > 0);
     let cap_f = inner.config.f;
     let layout = inner.def.layout();
-    let mut fill_total = Duration::ZERO;
-    for group in slots.chunk_by(|a, b| a.0 == b.0) {
-        let si = group[0].0;
-        // Each bcp with the hash O2 placed it by, which the store's
-        // methods take instead of hashing it again.
-        let members = || {
-            group
-                .iter()
-                .map(|&(_, hash, pi)| (pi, Hashed::new(&parts[pi].bcp, hash), &state[pi]))
-        };
-        let touches = members().any(|(_, _, st)| st.touch.is_some());
-        let fills_here = members().any(|(_, _, st)| admits(st));
-        if !touches && !fills_here {
-            continue;
-        }
-        let t_fill = Instant::now();
-        let done = inner.try_write_shard(si, |store, maint_epoch| {
-            if store.is_quarantined() {
-                return None;
-            }
-            let admitted_before = local.tuples_admitted;
-            let evicted_before = store.evictions();
-            // A panic mid-mutation may leave the shard's policy or entry
-            // bookkeeping torn: catch it and drain the shard below
-            // (removal-only, so nothing stale can ever be served from it
-            // later).
-            let fill = catch_unwind(AssertUnwindSafe(|| {
-                if touches {
-                    write_back_fault(Site::ShardProbe);
-                }
-                for (_, bcp, st) in members() {
-                    if let Some(served) = st.touch {
-                        store.touch(bcp, served);
-                    }
-                    // The admission sketch counts a bcp once per query, and
-                    // only when it has rows: it served a partial, or O3
-                    // produced some. Empty bcps are not counted.
-                    if st.touch == Some(true) || st.truth > 0 {
-                        store.note_access(bcp);
-                    }
-                }
-                // Re-check the fill gate UNDER exclusive access: a
-                // maintenance pass racing this query stores `maint_epoch`
-                // before touching any shard lock, so if it already
-                // scanned this shard the lock handoff makes that store
-                // visible here and the stale fill is skipped; if this
-                // check still passes, the fill lands before the scan and
-                // maintenance will evict it. (The caller's pre-check is
-                // just the fast path.)
-                if !fills_here || pin_epoch < maint_epoch {
-                    return;
-                }
-                write_back_fault(Site::ShardFill);
-                for (pi, bcp, st) in members() {
-                    // An entry that was full (or complete) at O2 was
-                    // offered nothing, and O2's touch already referenced
-                    // it: no admit, which — should an earlier admit here
-                    // have evicted it — would take a frame with no entry
-                    // behind it. If it lost tuples since, the next query
-                    // finds it open and refills it.
-                    if !admits(st) || st.full || st.complete {
-                        continue;
-                    }
-                    match store.admit(bcp) {
-                        Residency::Resident => {}
-                        Residency::Probation => {
-                            local.probations += 1;
-                            continue;
-                        }
-                        Residency::Declined => {
-                            local.admissions_declined += 1;
-                            continue;
-                        }
-                    }
-                    let lo = cands.partition_point(|&(p, _, _)| p < pi);
-                    let hi = lo + cands[lo..].partition_point(|&(p, _, _)| p == pi);
-                    let offered = &mut cands[lo..hi];
-                    // One walk over the entry counts, for every candidate,
-                    // the copies of it already cached, each compared with
-                    // the row through the layout.
-                    let cached = store.rows(bcp).map_or(0, |rows| {
-                        let mut walk = rows.iter(row);
-                        while let Some((x, _)) = walk.next_row() {
-                            for (_, t, held) in offered.iter_mut() {
-                                *held += usize::from(layout.holds(x, t));
-                            }
-                        }
-                        rows.len()
-                    });
-                    // The admitted candidates are swapped to the front of
-                    // `offered`, in the order they were proven; the first
-                    // `k` candidates stay the first `k` proven, in some
-                    // order, which is all the count below reads.
-                    let mut taken = 0;
-                    for k in 0..offered.len() {
-                        // One length check gates the rest of the group:
-                        // an entry at its cap F admits nothing more.
-                        if cached + taken >= cap_f {
-                            break;
-                        }
-                        // Up to the proven multiplicity: equal `Ls'`
-                        // tuples are distinct rows of the answer, and the
-                        // entry may hold as many copies of `t` as this
-                        // query has proved so far, no more.
-                        let (_, t, held) = &offered[k];
-                        let proven = 1 + offered[..k].iter().filter(|(_, x, _)| x == t).count();
-                        let have =
-                            held + offered[..taken].iter().filter(|(_, x, _)| x == t).count();
-                        if have < proven {
-                            offered.swap(taken, k);
-                            taken += 1;
-                        }
-                    }
-                    // Packed straight into the entry, in one go.
-                    let admitted = offered[..taken]
-                        .iter()
-                        .map(|(_, t, _)| layout.stored_values(t));
-                    local.tuples_admitted += store.fill(bcp, admitted, pin_epoch) as u64;
-                }
-                // Completeness claims: observed-in-full bcps on this
-                // shard whose entry now holds exactly the proven truth —
-                // with no eviction racing the fill, and the fill gate
-                // re-checked under this exclusive access, so the pin
-                // reflects every change the claim must cover. A full
-                // execution shows all of a bcp only through a basic
-                // part, which covers it.
-                if store.evictions() == evicted_before {
-                    let at = store.inserts_seen();
-                    for (pi, bcp, st) in members() {
-                        if (fills == Some(true) || parts[pi].is_basic)
-                            && st.truth > 0
-                            && store.rows(bcp).map_or(0, Rows::len) == st.truth
-                        {
-                            store.mark_complete(bcp, at);
-                        }
-                    }
-                }
-            }));
-            let poisoned = fill.is_err();
-            if poisoned {
-                store.quarantine();
-                local.quarantine_events += 1;
-                inner.breaker.record_error();
-            }
-            Some(WriteBack {
-                admitted: local.tuples_admitted - admitted_before,
-                evicted: store.evictions().saturating_sub(evicted_before),
-                poisoned,
-            })
-        });
-        let Some(done) = done else {
-            continue;
-        };
-        let fill_elapsed = t_fill.elapsed();
-        fill_total += fill_elapsed;
-        inner.obs.record(Phase::lock_shard_fill, fill_elapsed);
-        trace.event(EventKind::Fill {
-            shard: si,
-            admitted: done.admitted,
-            evicted: done.evicted,
-            us: fill_elapsed.as_micros() as u64,
-        });
-        if done.poisoned {
-            trace.event(EventKind::Quarantine { shard: si });
-        }
+    // Each bcp with the hash O2 placed it by, which the store's methods
+    // take instead of hashing it again.
+    let members = || {
+        slots
+            .iter()
+            .map(|&(hash, pi)| (pi, Hashed::new(&parts[pi].bcp, hash), &state[pi]))
+    };
+    let touches = members().any(|(_, _, st)| st.touch.is_some());
+    let fills_here = members().any(|(_, _, st)| admits(st));
+    if !touches && !fills_here {
+        return Duration::ZERO;
     }
-    fill_total
+    let t_fill = Instant::now();
+    // The store's write guard, never waited for: a contended or drained
+    // store skips this query's write-back.
+    let Some(mut store) = inner.store.try_write().filter(|s| !s.is_quarantined()) else {
+        return Duration::ZERO;
+    };
+    // Re-read once the guard is held: the fill gate below compares it.
+    let maint_epoch = inner.maint_epoch();
+    let admitted_before = local.tuples_admitted;
+    let evicted_before = store.evictions();
+    // A panic mid-mutation may leave the store's policy or entry
+    // bookkeeping torn: catch it and drain the store below
+    // (removal-only, so nothing stale can ever be served from it later).
+    let fill = catch_unwind(AssertUnwindSafe(|| {
+        if touches {
+            write_back_fault(Site::ShardProbe);
+        }
+        for (_, bcp, st) in members() {
+            if let Some(served) = st.touch {
+                store.touch(bcp, served);
+            }
+            // The admission sketch counts a bcp once per query, and
+            // only when it has rows: it served a partial, or O3
+            // produced some. Empty bcps are not counted.
+            if st.touch == Some(true) || st.truth > 0 {
+                store.note_access(bcp);
+            }
+        }
+        // Re-check the fill gate UNDER exclusive access: a
+        // maintenance pass racing this query stores `maint_epoch`
+        // before taking the store's lock, so if it already scanned
+        // the store the lock handoff makes that store visible here
+        // and the stale fill is skipped; if this check still passes,
+        // the fill lands before the scan and maintenance will evict
+        // it. (The caller's pre-check is just the fast path.)
+        if !fills_here || pin_epoch < maint_epoch {
+            return;
+        }
+        write_back_fault(Site::ShardFill);
+        for (pi, bcp, st) in members() {
+            // An entry that was full (or complete) at O2 was offered
+            // nothing, and O2's touch already referenced it: no
+            // admit, which — should an earlier admit here have
+            // evicted it — would take a frame with no entry behind
+            // it. If it lost tuples since, the next query finds it
+            // open and refills it.
+            if !admits(st) || st.full || st.complete {
+                continue;
+            }
+            match store.admit(bcp) {
+                Residency::Resident => {}
+                Residency::Probation => {
+                    local.probations += 1;
+                    continue;
+                }
+                Residency::Declined => {
+                    local.admissions_declined += 1;
+                    continue;
+                }
+            }
+            let lo = cands.partition_point(|&(p, _, _)| p < pi);
+            let hi = lo + cands[lo..].partition_point(|&(p, _, _)| p == pi);
+            let offered = &mut cands[lo..hi];
+            // One walk over the entry counts, for every candidate,
+            // the copies of it already cached, each compared with the
+            // row through the layout.
+            let cached = store.rows(bcp).map_or(0, |rows| {
+                let mut walk = rows.iter(row);
+                while let Some((x, _)) = walk.next_row() {
+                    for (_, t, held) in offered.iter_mut() {
+                        *held += usize::from(layout.holds(x, t));
+                    }
+                }
+                rows.len()
+            });
+            // The admitted candidates are swapped to the front of
+            // `offered`, in the order they were proven; the first `k`
+            // candidates stay the first `k` proven, in some order,
+            // which is all the count below reads.
+            let mut taken = 0;
+            for k in 0..offered.len() {
+                // One length check gates the rest of the group: an
+                // entry at its cap F admits nothing more.
+                if cached + taken >= cap_f {
+                    break;
+                }
+                // Up to the proven multiplicity: equal `Ls'` tuples
+                // are distinct rows of the answer, and the entry may
+                // hold as many copies of `t` as this query has proved
+                // so far, no more.
+                let (_, t, held) = &offered[k];
+                let proven = 1 + offered[..k].iter().filter(|(_, x, _)| x == t).count();
+                let have = held + offered[..taken].iter().filter(|(_, x, _)| x == t).count();
+                if have < proven {
+                    offered.swap(taken, k);
+                    taken += 1;
+                }
+            }
+            // Packed straight into the entry, in one go.
+            let admitted = offered[..taken]
+                .iter()
+                .map(|(_, t, _)| layout.stored_values(t));
+            local.tuples_admitted += store.fill(bcp, admitted, pin_epoch) as u64;
+        }
+        // Completeness claims: observed-in-full bcps whose entry now
+        // holds exactly the proven truth — with no eviction racing
+        // the fill, and the fill gate re-checked under this exclusive
+        // access, so the pin reflects every change the claim must
+        // cover. A full execution shows all of a bcp only through a
+        // basic part, which covers it.
+        if store.evictions() == evicted_before {
+            let at = store.inserts_seen();
+            for (pi, bcp, st) in members() {
+                if (fills == Some(true) || parts[pi].is_basic)
+                    && st.truth > 0
+                    && store.rows(bcp).map_or(0, Rows::len) == st.truth
+                {
+                    store.mark_complete(bcp, at);
+                }
+            }
+        }
+    }));
+    let poisoned = fill.is_err();
+    if poisoned {
+        store.quarantine();
+        local.quarantine_events += 1;
+        inner.breaker.record_error();
+    }
+    let evicted = store.evictions().saturating_sub(evicted_before);
+    // Republish only if the write-back replaced the table readers hold
+    // (`PmvStore::unpublished`): touches change only policy state and
+    // hit counts, in place; a quarantine installs a fresh table.
+    if store.unpublished() {
+        // pmv::allow(pin_reaches_blocking_lock): LeftRight::publish
+        // takes the writer-side mutex, which only fills contend on —
+        // never the wait-free reader path. A cold fill is already the
+        // slow path (DESIGN.md "Serving path").
+        inner.publish_store(&store);
+    }
+    drop(store);
+    let fill_elapsed = t_fill.elapsed();
+    inner.obs.record(Phase::lock_shard_fill, fill_elapsed);
+    trace.event(EventKind::Fill {
+        admitted: local.tuples_admitted - admitted_before,
+        evicted,
+        us: fill_elapsed.as_micros() as u64,
+    });
+    if poisoned {
+        trace.event(EventKind::Quarantine);
+    }
+    fill_elapsed
 }
 
 /// The one `QueryOutcome` builder, shared by the complete-serve, full

@@ -2,7 +2,7 @@
 //!
 //! The counter list is declared once in `for_each_stat_field!` and
 //! expanded into both the plain [`PmvStats`] block and the lock-free
-//! [`AtomicPmvStats`] used by the sharded embedding — adding a counter is
+//! [`AtomicPmvStats`] used by the concurrent embedding — adding a counter is
 //! a one-line change instead of six hand-synchronized edit sites.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -93,8 +93,8 @@ macro_rules! for_each_stat_field {
             [transient] quarantine_events,
             /// Maintenance join retries after transient failures.
             [transient] maint_retries,
-            /// Maintenance fallbacks: retries exhausted, affected shards
-            /// invalidated instead of repaired.
+            /// Maintenance fallbacks: retries exhausted, the store
+            /// drained instead of repaired.
             [transient] maint_fallbacks,
             /// Revalidation sweeps completed (each lifts quarantine).
             [keep] revalidations,
@@ -179,7 +179,7 @@ impl PmvStats {
 macro_rules! define_atomic_stats {
     ($($(#[$doc:meta])* [$class:ident] $field:ident),+ $(,)?) => {
         /// Shared-counter variant of [`PmvStats`] for concurrent
-        /// embeddings (notably the sharded
+        /// embeddings (notably
         /// [`crate::concurrent::SharedPmv`]): queries and maintainers
         /// accumulate a local [`PmvStats`] and publish it with one
         /// [`AtomicPmvStats::add`], so no lock is ever taken for

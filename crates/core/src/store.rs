@@ -25,9 +25,10 @@
 //! touches — the bytes before the entry, the entry's new bytes, the bytes
 //! after, so no old byte is copied only to be dropped — and leaves the
 //! reader's version whole; a chunk nobody shares is edited in place. A
-//! [`crate::concurrent::SharedPmv`] publishes a shard by handing its
-//! readers a pointer copy of the store's table; a store whose table is
-//! still the published one has nothing new to publish.
+//! [`crate::concurrent::SharedPmv`] holds one store per view and
+//! publishes it by handing its readers a pointer copy of the store's
+//! table; a store whose table is still the published one has nothing
+//! new to publish.
 //!
 //! A view's store holds each entry's tuples in the view's
 //! [`crate::view::StoredLayout`] — only the `Ls'` values its entry cannot
@@ -97,7 +98,7 @@ pub const HANDLE_BYTES: usize = std::mem::size_of::<u32>();
 const EPOCH_BYTES: usize = std::mem::size_of::<u64>();
 
 /// A bcp and the one hash of its packed bytes, which places it in a
-/// view: shard, chunk, tag and sketch counters. Every store method that
+/// view: chunk, tag and sketch counters. Every store method that
 /// finds an entry takes one, so a caller that hashed the key already —
 /// O2, which placed the bcp by that hash — does not hash it again; a
 /// bare `&BcpKey` converts by hashing.
@@ -243,15 +244,26 @@ impl Staged {
     }
 }
 
-/// Store entries per table chunk, from which the chunk count is derived.
-/// The first change after a publish copies the spine (one `Arc` per
-/// chunk) and each chunk it touches (a slot and the bytes per entry; a
-/// cold fill into a full store touches two), so its cost
-/// `chunks + 2·L/chunks` is flattest around `√(2·L)` chunks: 35–70
-/// entries each at the paper's L of 10–20 K, where 16, 32 and 64 measure
-/// the same (DESIGN.md §10), and irrelevant for small stores. Derived,
-/// not configurable: it trades nothing a user could want differently.
+/// A table's chunk count is `min(⌈L / CHUNK_ENTRIES⌉, MAX_CHUNKS)`: one
+/// chunk per 32 entries of capacity, and never more than 120. The first
+/// change after a publish copies the spine (8 B per chunk) and each chunk
+/// it touches (a 32-B slot and the bytes of each of its entries; a cold
+/// fill into a full store touches two). The cap keeps the spine's
+/// allocation under 1 KiB (976 B): at the benchmark's L = 8 192 a
+/// 256-chunk spine (2 KiB) cost `write_wal` a fifth to a third of its
+/// query rate, and a 64-chunk table, some of whose chunks grew past
+/// 1 KiB of bytes at `write_wal`'s ~790 entries, raised its
+/// `query_p99_us` by 40–65 % (EXPERIMENTS.md, "One store per view"). That a copy of 1 KiB or
+/// more is what costs — a request the allocator's per-thread cache does
+/// not serve — is read off a per-query allocation count, not profiled
+/// inside the allocator. Past `120 × 32` entries of capacity chunks
+/// hold more than 32 entries: 83–167 at the paper's L of 10–20 K when
+/// full, which no benchmark workload measures (`read_hot`'s view holds
+/// 1 381 entries, about 12 per chunk). Derived, not configurable.
 pub(crate) const CHUNK_ENTRIES: usize = 32;
+
+/// The most chunks a table holds ([`CHUNK_ENTRIES`] gives the rule).
+const MAX_CHUNKS: usize = 120;
 
 /// One entry's place in its chunk. Readers of a published table share
 /// it; the store copies it, with its chunk, before changing it.
@@ -277,7 +289,7 @@ pub(crate) struct Slot {
     /// Times this bcp produced partial results (popularity ranking
     /// extension). Policy metadata no reader looks at, so it is counted
     /// in place, through a shared chunk, and copied along with one. Every
-    /// access holds the shard's lock: the atomic is what lets a shared
+    /// access holds the store's lock: the atomic is what lets a shared
     /// slot be counted, not what orders it.
     hits: AtomicU64,
 }
@@ -465,9 +477,7 @@ impl Table {
 
     /// The chunk entries of hash `hash` sit in: the hash scaled to the
     /// chunk count by its high bits, with a multiply where a modulo would
-    /// divide. A shard is chosen from the low half
-    /// ([`crate::concurrent::Inner::shard_of`]), so every chunk of a
-    /// shard gets its share.
+    /// divide.
     pub(crate) fn chunk_of(&self, hash: u64) -> usize {
         ((u128::from(hash) * self.0.len() as u128) >> 64) as usize
     }
@@ -629,7 +639,7 @@ pub struct PmvStore {
     /// Spine address of the table [`Self::published`] last handed out.
     /// The readers it went to keep that spine alive, so no later table
     /// can sit at the address while it is recorded here. Written only
-    /// under the shard's write guard; atomic so `published` takes
+    /// under the store's write guard; atomic so `published` takes
     /// `&self`.
     published_spine: AtomicUsize,
     /// The rows a write lays out before front-coding them.
@@ -640,19 +650,12 @@ pub struct PmvStore {
 }
 
 impl PmvStore {
-    /// Empty store per the config ("Initially, V_PM is empty").
+    /// Empty store of at most `config.l` entries ("Initially, V_PM is
+    /// empty").
     pub fn new(config: &PmvConfig) -> Self {
-        PmvStore::with_capacity(config, config.l)
-    }
-
-    /// Empty store whose entry budget is `l` instead of `config.l`. The
-    /// sharded [`crate::concurrent::SharedPmv`] builds one store per shard
-    /// with capacity `⌈L/N⌉` so the shards together respect the view's
-    /// global `L`.
-    pub fn with_capacity(config: &PmvConfig, l: usize) -> Self {
-        let l = l.max(1);
+        let l = config.l.max(1);
         PmvStore {
-            table: Table::new(l.div_ceil(CHUNK_ENTRIES)),
+            table: Table::new(l.div_ceil(CHUNK_ENTRIES).min(MAX_CHUNKS)),
             entries: 0,
             policy: config.policy.build(l),
             policy_kind: config.policy,
@@ -683,14 +686,14 @@ impl PmvStore {
     }
 
     /// Whether the table changed since [`Self::published`] last handed
-    /// it out: what a shard must republish.
+    /// it out: what the view must republish.
     pub(crate) fn unpublished(&self) -> bool {
         self.table.addr() != self.published_spine.load(Ordering::Acquire)
     }
 
-    /// The one hash of `bcp`, over its packed bytes: it picks the shard
-    /// (from its low half), the chunk (from its high bits), the tag a
-    /// chunk is ordered by, and the admission sketch's counters.
+    /// The one hash of `bcp`, over its packed bytes: it picks the chunk
+    /// (from its high bits), the tag a chunk is ordered by, and the
+    /// admission sketch's counters.
     #[inline]
     pub(crate) fn hash_of(bcp: &BcpKey) -> u64 {
         hash_bytes(bcp.as_bytes())
@@ -765,11 +768,6 @@ impl PmvStore {
     /// Max tuples per bcp (`F`).
     pub fn f(&self) -> usize {
         self.f
-    }
-
-    /// Max bcp entries (`L`).
-    pub fn l(&self) -> usize {
-        self.policy.capacity()
     }
 
     /// Resident fraction of the policy's capacity in `[0, 1]` — the

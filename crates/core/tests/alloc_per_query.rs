@@ -57,9 +57,8 @@ const ORDERS: [i64; 4] = [6, 6, 12, 12];
 /// T1's shape: `orders ⋈ lineitem` on `orderkey`, `select *`, equality
 /// conditions on `orders.orderdate` and `lineitem.suppkey`. Every order
 /// has one `lineitem` per supplier, so bcp `(date, supplier)` holds
-/// `ORDERS[date]` rows — always more than `F`. The view holds `l` bcps
-/// over `shards` shards.
-fn fixture(l: usize, shards: usize) -> (EpochDb, SharedPmv) {
+/// `ORDERS[date]` rows — always more than `F`. The view holds `l` bcps.
+fn fixture(l: usize) -> (EpochDb, SharedPmv) {
     let mut db = Database::new();
     db.create_relation(Schema::new(
         "orders",
@@ -107,7 +106,7 @@ fn fixture(l: usize, shards: usize) -> (EpochDb, SharedPmv) {
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality("pmv_t1", template).unwrap();
-    let pmv = SharedPmv::with_shards(def, PmvConfig::new(F, l, PolicyKind::Clock), shards);
+    let pmv = SharedPmv::new(def, PmvConfig::new(F, l, PolicyKind::Clock));
     let edb = EpochDb::new(db);
     // As in the benchmark's end-to-end runs: tracing would count too.
     pmv.set_obs_enabled(false);
@@ -140,7 +139,7 @@ fn steady_state(edb: &EpochDb, pmv: &SharedPmv, q: &QueryInstance) -> (usize, us
 
 #[test]
 fn a_steady_state_query_allocates_per_query_not_per_row() {
-    let (edb, pmv) = fixture(64, 4);
+    let (edb, pmv) = fixture(64);
     let (light_rows, light) = steady_state(&edb, &pmv, &query(&pmv, [0, 1]));
     let (heavy_rows, heavy) = steady_state(&edb, &pmv, &query(&pmv, [2, 3]));
     assert_eq!((light_rows, heavy_rows), (24, 48));
@@ -173,9 +172,9 @@ fn single(pmv: &SharedPmv, date: i64, supplier: i64) -> QueryInstance {
         .unwrap()
 }
 
-/// The slow path of the serving path: a miss on a full one-shard view
-/// whose bcp out-counts its victim admits it, evicts the victim, fills
-/// `F` tuples and publishes the shard: 58 allocations. The store copies
+/// The slow path of the serving path: a miss on a full view whose bcp
+/// out-counts its victim admits it, evicts the victim, fills `F` tuples
+/// and publishes the store: 58 allocations. The store copies
 /// only the spine and the chunk it changes — its slots and its bytes —
 /// and then grows that chunk's bytes in place, the publish is one
 /// pointer copy, the entry's key, the `F` tuples and their epochs are
@@ -186,7 +185,7 @@ fn single(pmv: &SharedPmv, date: i64, supplier: i64) -> QueryInstance {
 /// boxed key per relation before.
 #[test]
 fn a_cold_fill_that_evicts_allocates_a_bounded_count() {
-    let (edb, pmv) = fixture(4, 1);
+    let (edb, pmv) = fixture(4);
     for supplier in 0..4 {
         edb.query(&pmv, &single(&pmv, 0, supplier)).unwrap();
     }

@@ -184,7 +184,7 @@ fn assert_serving_clean(edb: &EpochDb) {
             .unwrap()
     };
     let def = PartialViewDef::all_equality("recovered", template.clone()).unwrap();
-    let pmv = SharedPmv::with_shards(def, PmvConfig::new(4, 16, PolicyKind::Clock), 4);
+    let pmv = SharedPmv::new(def, PmvConfig::new(4, 16, PolicyKind::Clock));
     for f in 0..10i64 {
         let q = template
             .bind(vec![Condition::Equality(vec![Value::Int(f)])])

@@ -1,8 +1,10 @@
-//! Fault-injection stress suite for the sharded PMV serving path.
+//! Fault-injection stress suite for the PMV serving path.
 //!
 //! A seeded [`pmv_faultinject::FaultPlan`] mixes injected errors, panics
-//! and latency into the probe/exec/fill/maintenance sites while 8 threads
-//! hammer a [`SharedPmv`] through one [`EpochDb`]. The consistency oracle
+//! and latency into the executor and the maintenance join while 8 threads
+//! hammer a warmed [`SharedPmv`] through one [`EpochDb`], and drains the
+//! view once, past the middle of the run, with one panic in a write-back
+//! or an eviction. The consistency oracle
 //! asserts, per query, against a fresh fault-suppressed execution under
 //! the *same* pinned snapshot:
 //!
@@ -11,9 +13,9 @@
 //! * a degraded outcome's partials are a sub-multiset of the true answer
 //!   (the cache under-serves, it never lies);
 //! * no panic ever escapes a query or a commit's maintenance (no
-//!   poisoned shard, no aborted thread);
-//! * after `revalidate`, zero stale tuples are found, every quarantined
-//!   shard is lifted, and the breaker returns to Healthy.
+//!   poisoned lock, no aborted thread);
+//! * after `revalidate`, zero stale tuples are found, a quarantined
+//!   store is lifted, and the breaker returns to Healthy.
 //!
 //! The plan is process-global, so every test here serializes on one
 //! mutex. The two `#[ignore]`d entries — the seed matrix and the
@@ -68,7 +70,7 @@ fn install_quiet_panic_hook() {
 /// view selects `r.a` under an equality condition on `r.f`; with
 /// `bridge` it joins `r.a = b.k`, so `b` projects no `Ls'` column and
 /// every delete from it is maintained by a ΔR join.
-fn setup_view(shards: usize, config: PmvConfig, bridge: bool) -> (EpochDb, SharedPmv) {
+fn setup_view(config: PmvConfig, bridge: bool) -> (EpochDb, SharedPmv) {
     let mut db = Database::new();
     let int = |name: &str| Column::new(name, ColumnType::Int);
     db.create_relation(Schema::new("r", vec![int("a"), int("f")]))
@@ -98,14 +100,11 @@ fn setup_view(shards: usize, config: PmvConfig, bridge: bool) -> (EpochDb, Share
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality("stress", t).unwrap();
-    (
-        EpochDb::new(db),
-        SharedPmv::with_shards(def, config, shards),
-    )
+    (EpochDb::new(db), SharedPmv::new(def, config))
 }
 
-fn setup(shards: usize, config: PmvConfig) -> (EpochDb, SharedPmv) {
-    setup_view(shards, config, false)
+fn setup(config: PmvConfig) -> (EpochDb, SharedPmv) {
+    setup_view(config, false)
 }
 
 fn multiset<T: std::borrow::Borrow<Tuple>>(tuples: &[T]) -> HashMap<Tuple, usize> {
@@ -114,6 +113,15 @@ fn multiset<T: std::borrow::Borrow<Tuple>>(tuples: &[T]) -> HashMap<Tuple, usize
         *m.entry(t.borrow().clone()).or_insert(0) += 1;
     }
     m
+}
+
+/// The site whose one-shot panic drains the view in a seed's run: the
+/// view's one store is the unit of quarantine, so the first panic in a
+/// write-back or in maintenance's eviction leaves nothing cached until
+/// `revalidate`, and a second could not land. The matrix seeds rotate
+/// over all three sites.
+fn drain_site(seed: u64) -> Site {
+    [Site::ShardProbe, Site::ShardFill, Site::ShardMaint][(seed % 3) as usize]
 }
 
 /// One full stress round under the given seed, with the maintenance
@@ -127,7 +135,17 @@ fn run_stress(seed: u64, iters: i64, join_error_rate: f64) -> PmvStats {
     // Over a bridge template: every delete from `b` runs a ΔR join, so
     // the `MaintJoin` rule reaches its retries and, once they run out,
     // the drain-on-failed-join fallback.
-    let (edb, shared) = setup_view(8, PmvConfig::new(3, 16, PolicyKind::Clock), true);
+    let (edb, shared) = setup_view(PmvConfig::new(3, 16, PolicyKind::Clock), true);
+    // The drain lands past the middle of the run: a whole run reaches
+    // the probe site 5 to 7 times per iteration, the fill site 4 to 6
+    // times, and the maintainer's eviction at about every second commit
+    // (7 times in 60 iterations).
+    let site = drain_site(seed);
+    let nth = match site {
+        Site::ShardProbe => 3 * iters as u64,
+        Site::ShardFill => 2 * iters as u64,
+        _ => iters as u64 / 20,
+    };
     let plan = Arc::new(
         FaultPlan::new(seed)
             // The acceptance scenario: panics injected into O3 at 10%.
@@ -138,15 +156,25 @@ fn run_stress(seed: u64, iters: i64, join_error_rate: f64) -> PmvStats {
                 FaultKind::Latency(Duration::from_micros(20)),
                 0.001,
             )
-            .with_rule(Site::ShardProbe, FaultKind::Panic, 0.03)
-            .with_rule(Site::ShardFill, FaultKind::Panic, 0.03)
-            .with_rule(Site::ShardMaint, FaultKind::Panic, 0.05)
+            .with_rule_at(site, FaultKind::Panic, nth)
+            // Counted, never fired: the reach checks below read them.
+            .with_rule(Site::ShardProbe, FaultKind::Panic, 0.0)
+            .with_rule(Site::ShardFill, FaultKind::Panic, 0.0)
             .with_rule(Site::MaintJoin, FaultKind::Error, join_error_rate),
     );
+    let t = shared.def().template().clone();
+    // Warm every bcp fault-free: the cache serves from the first query,
+    // and the breaker's window opens on ten successes, so an early burst
+    // of O3 faults cannot trip it.
+    for f in 0..10 {
+        let q = t
+            .bind(vec![Condition::Equality(vec![Value::Int(f)])])
+            .unwrap();
+        edb.query(&shared, &q).unwrap();
+    }
     let _guard = pmv_faultinject::install(Arc::clone(&plan));
 
     let edb = Arc::new(edb);
-    let t = shared.def().template().clone();
 
     let mut handles = Vec::new();
     for thread in 0..8i64 {
@@ -241,9 +269,9 @@ fn run_stress(seed: u64, iters: i64, join_error_rate: f64) -> PmvStats {
     let counts = plan.counts();
     assert!(counts.panics > 0, "no panics delivered (seed {seed})");
     assert!(counts.errors > 0, "no errors delivered (seed {seed})");
-    // ... and both serving-path shard sites and the maintenance join
-    // must still sit on a path that runs: a site no path reaches any
-    // more would stop injecting silently.
+    // ... and both write-back sites and the maintenance join must still
+    // sit on a path that runs: a site no path reaches any more would
+    // stop injecting silently.
     for site in [Site::ShardProbe, Site::ShardFill, Site::MaintJoin] {
         assert!(
             plan.invocations(site) > 0,
@@ -251,12 +279,27 @@ fn run_stress(seed: u64, iters: i64, join_error_rate: f64) -> PmvStats {
         );
     }
 
-    // Structural invariants hold even with quarantined shards.
+    // Structural invariants hold even with a quarantined store.
     let report = shared.validate();
     assert!(report.is_consistent(), "{report}");
 
     let stats = shared.stats();
     assert!(stats.degraded_queries > 0, "expected degraded outcomes");
+    // Unless a failed join drained the view first, the cache served
+    // until the planned drain, and the drain landed. A view drained from
+    // the start would serve next to no query.
+    if stats.maint_fallbacks == 0 {
+        assert!(
+            plan.invocations(site) > nth && shared.is_quarantined(),
+            "the planned {site} drain never landed (seed {seed})"
+        );
+        assert!(
+            stats.serving_queries * 5 >= stats.queries,
+            "the cache served {} of {} queries (seed {seed})",
+            stats.serving_queries,
+            stats.queries
+        );
+    }
     assert_eq!(
         stats.degraded_queries,
         stats.exec_panics + stats.exec_errors + stats.budget_exceeded,
@@ -270,7 +313,7 @@ fn run_stress(seed: u64, iters: i64, join_error_rate: f64) -> PmvStats {
         removed, 0,
         "stale tuples survived until revalidate (seed {seed})"
     );
-    assert_eq!(shared.quarantined_shards(), 0);
+    assert!(!shared.is_quarantined());
     assert_eq!(shared.health(), ViewHealth::Healthy);
     shared.debug_validate();
 
@@ -348,10 +391,7 @@ fn fault_stress_failed_joins_drain() {
 #[test]
 fn row_budget_degrades_instead_of_blocking() {
     let _lock = TEST_LOCK.lock().unwrap();
-    let (edb, shared) = setup(
-        4,
-        PmvConfig::new(3, 16, PolicyKind::Clock).with_row_budget(1),
-    );
+    let (edb, shared) = setup(PmvConfig::new(3, 16, PolicyKind::Clock).with_row_budget(1));
     let t = shared.def().template().clone();
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
@@ -369,7 +409,7 @@ fn row_budget_degrades_instead_of_blocking() {
 #[test]
 fn zero_deadline_degrades_with_partials() {
     let _lock = TEST_LOCK.lock().unwrap();
-    let (edb, warm) = setup(4, PmvConfig::new(3, 16, PolicyKind::Clock));
+    let (edb, warm) = setup(PmvConfig::new(3, 16, PolicyKind::Clock));
     let t = warm.def().template().clone();
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
@@ -383,10 +423,8 @@ fn zero_deadline_degrades_with_partials() {
     let out = edb.query(&warm, &q).unwrap();
     assert!(out.bcp_hit);
 
-    let (edb2, cold) = setup(
-        4,
-        PmvConfig::new(3, 16, PolicyKind::Clock).with_deadline(Duration::ZERO),
-    );
+    let (edb2, cold) =
+        setup(PmvConfig::new(3, 16, PolicyKind::Clock).with_deadline(Duration::ZERO));
     let q = cold
         .def()
         .template()
@@ -398,14 +436,13 @@ fn zero_deadline_degrades_with_partials() {
     assert!(out.partial.is_empty(), "cold cache has nothing to serve");
 }
 
-/// A one-shard view driven by one thread (exactly L entries, write-back
-/// never declined) must also catch executor panics and degrade instead
-/// of unwinding through the caller.
+/// A view driven by one thread (write-back never declined) must also catch
+/// executor panics and degrade instead of unwinding through the caller.
 #[test]
 fn pipeline_exec_panic_degrades() {
     let _lock = TEST_LOCK.lock().unwrap();
     install_quiet_panic_hook();
-    let (edb, pmv) = setup(1, PmvConfig::new(3, 16, PolicyKind::Clock));
+    let (edb, pmv) = setup(PmvConfig::new(3, 16, PolicyKind::Clock));
     let t = pmv.def().template().clone();
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
@@ -453,7 +490,7 @@ fn pipeline_exec_panic_degrades() {
 fn injected_latency_is_visible_in_histograms_and_traces() {
     use pmv_core::{EventKind, Phase};
     let _lock = TEST_LOCK.lock().unwrap();
-    let (edb, shared) = setup(4, PmvConfig::new(3, 16, PolicyKind::Clock));
+    let (edb, shared) = setup(PmvConfig::new(3, 16, PolicyKind::Clock));
     let t = shared.def().template().clone();
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])
@@ -517,12 +554,66 @@ fn injected_latency_is_visible_in_histograms_and_traces() {
     );
 }
 
+/// Both write-back fault sites sit on the path a cold query runs, and a
+/// panic at either drains the whole view — the view's one store is the
+/// unit of quarantine: later queries serve no partials and reach neither
+/// site, every answer stays complete, and `revalidate` lifts the
+/// quarantine.
+#[test]
+fn a_write_back_panic_drains_the_view() {
+    use pmv_core::EventKind;
+    let _lock = TEST_LOCK.lock().unwrap();
+    install_quiet_panic_hook();
+    for site in [Site::ShardProbe, Site::ShardFill] {
+        let (edb, shared) = setup(PmvConfig::new(3, 16, PolicyKind::Clock));
+        let t = shared.def().template().clone();
+        let q = |f: i64| {
+            t.bind(vec![Condition::Equality(vec![Value::Int(f)])])
+                .unwrap()
+        };
+        edb.query(&shared, &q(1)).unwrap();
+        assert_eq!(shared.entry_count(), 1, "{site}");
+        let plan = Arc::new(FaultPlan::new(5).with_rule_at(site, FaultKind::Panic, 0));
+        let guard = pmv_faultinject::install(Arc::clone(&plan));
+        for f in [3, 3, 1] {
+            let out = edb.query(&shared, &q(f)).unwrap();
+            assert!(out.partial.is_empty(), "{site}: a drained view served");
+            assert!(out.degraded.is_none() && out.ds_leftover == 0, "{site}");
+            let truth = pmv_query::execute(&*edb.read(), &q(f)).unwrap().0;
+            assert_eq!(multiset(&out.remaining_expanded), multiset(&truth));
+        }
+        drop(guard);
+        assert_eq!(
+            plan.invocations(site),
+            1,
+            "{site}: reached once, then drained"
+        );
+        assert!(shared.is_quarantined(), "{site}");
+        assert_eq!(
+            (shared.entry_count(), shared.stats().quarantine_events),
+            (0, 1)
+        );
+        let traces = shared.obs().trace().tail(4);
+        let drained = traces.iter().flat_map(|tr| &tr.events);
+        assert_eq!(
+            drained.filter(|e| e.kind == EventKind::Quarantine).count(),
+            1,
+            "{site}"
+        );
+
+        assert_eq!(shared.revalidate(&edb.read()).unwrap(), 0);
+        assert!(!shared.is_quarantined(), "{site}");
+        edb.query(&shared, &q(3)).unwrap();
+        assert!(edb.query(&shared, &q(3)).unwrap().bcp_hit, "{site}");
+    }
+}
+
 /// A quarantined view never serves partials, but queries still get full
 /// correct answers from O3.
 #[test]
 fn quarantined_view_serves_full_results_only() {
     let _lock = TEST_LOCK.lock().unwrap();
-    let (edb, shared) = setup(4, PmvConfig::new(3, 16, PolicyKind::Clock));
+    let (edb, shared) = setup(PmvConfig::new(3, 16, PolicyKind::Clock));
     let t = shared.def().template().clone();
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(3)])])

@@ -5,7 +5,7 @@
 //! pinned queries; whatever order the master lock admits them in, each
 //! call returns its own closure's result, the final relation must equal
 //! the serial oracle's, every post-storm pinned query must match the
-//! plain executor, and no view shard may hold a stale tuple.
+//! plain executor, and the view's store may hold no stale tuple.
 
 use pmv_cache::PolicyKind;
 use pmv_core::{EpochDb, PartialViewDef, PmvConfig, SharedPmv};
@@ -43,7 +43,7 @@ fn make_view(db: &Database, name: &str) -> SharedPmv {
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality(name, t).unwrap();
-    SharedPmv::with_shards(def, PmvConfig::new(3, 8, PolicyKind::Clock), 4)
+    SharedPmv::new(def, PmvConfig::new(3, 8, PolicyKind::Clock))
 }
 
 /// Sorted debug renderings of every tuple in `r` — a multiset fingerprint
@@ -81,8 +81,8 @@ proptest! {
         let edb = EpochDb::new(db);
         let t = view.def().template().clone();
 
-        // Warm the cache so commits exercise maintenance over populated
-        // shards, not just cold fills.
+        // Warm the cache so commits exercise maintenance over a populated
+        // store, not just cold fills.
         for f in 0..8i64 {
             let q = t.bind(vec![Condition::Equality(vec![Value::Int(f)])]).unwrap();
             edb.query(&view, &q).unwrap();
@@ -172,7 +172,7 @@ proptest! {
             prop_assert_eq!(&a, &b, "pinned query diverged from oracle on f={}", f);
         }
 
-        // No view shard may hold a stale tuple after the storm.
+        // The store may hold no stale tuple after the storm.
         let guard = edb.read();
         prop_assert_eq!(view.revalidate(&guard).unwrap(), 0);
         view.debug_validate();

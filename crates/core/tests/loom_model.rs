@@ -1,7 +1,8 @@
 #![cfg(loom)]
-//! Race-detector models of the sharded PMV's two concurrency protocols:
-//! shard quarantine/drain and circuit-breaker transitions (ISSUE 3
-//! tentpole, layer 3). Compiled only under `RUSTFLAGS="--cfg loom"` —
+//! Race-detector models of the PMV's concurrency protocols: store
+//! quarantine/drain, circuit-breaker transitions, the left-right
+//! handoff, maintain-before-publish, attach and upquery refills, each
+//! over a view's one store. Compiled only under `RUSTFLAGS="--cfg loom"` —
 //! CI's loom job; `cargo test` skips this file entirely.
 //!
 //! The workspace's offline `loom` shim is a randomized-interleaving
@@ -43,7 +44,7 @@ fn quiet_injected_panics() {
     }));
 }
 
-fn setup(shards: usize) -> (Database, SharedPmv) {
+fn setup() -> (Database, SharedPmv) {
     let mut db = Database::new();
     db.create_relation(Schema::new(
         "r",
@@ -66,19 +67,19 @@ fn setup(shards: usize) -> (Database, SharedPmv) {
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality("model", t).unwrap();
-    let shared = SharedPmv::with_shards(def, PmvConfig::new(3, 8, PolicyKind::Clock), shards);
+    let shared = SharedPmv::new(def, PmvConfig::new(3, 8, PolicyKind::Clock));
     (db, shared)
 }
 
-/// Quarantine/drain: injected probe/fill panics quarantine shards while
-/// reader threads keep serving; a fault-free revalidate then drains and
-/// lifts every quarantine, restoring full health. The shard invariants
-/// must hold at every schedule the scheduler explores.
+/// Quarantine/drain: injected probe/fill panics quarantine the store
+/// while reader threads keep serving; a fault-free revalidate then
+/// drains and lifts the quarantine, restoring full health. The store
+/// invariants must hold at every schedule the scheduler explores.
 #[test]
 fn quarantine_drain_protocol() {
     quiet_injected_panics();
     loom::model(|| {
-        let (db, shared) = setup(4);
+        let (db, shared) = setup();
         let plan = std::sync::Arc::new(
             FaultPlan::new(7)
                 .with_rule(Site::ShardProbe, FaultKind::Panic, 0.20)
@@ -115,7 +116,7 @@ fn quarantine_drain_protocol() {
         // never landed).
         let removed = pmv_faultinject::suppress(|| shared.revalidate(&edb.read())).unwrap();
         assert_eq!(removed, 0, "drain found stale tuples");
-        assert_eq!(shared.quarantined_shards(), 0);
+        assert!(!shared.is_quarantined());
         shared.debug_validate();
     });
 }
@@ -211,11 +212,11 @@ fn left_right_pin_swap_handoff() {
 /// plus the fill/serve epoch gates must preserve the end-of-O3
 /// `ds_leftover == 0` invariant (every served partial re-derived by the
 /// pinned execution) under every explored schedule, and a final
-/// revalidation must find nothing stale in the shards.
+/// revalidation must find nothing stale in the store.
 #[test]
 fn epoch_pin_maintain_before_publish() {
     loom::model(|| {
-        let (db, shared) = setup(4);
+        let (db, shared) = setup();
         let edb = std::sync::Arc::new(EpochDb::new(db));
         let t = shared.def().template().clone();
 
@@ -271,7 +272,7 @@ fn epoch_pin_maintain_before_publish() {
 
         let guard = edb.read();
         let removed = shared.revalidate(&guard).unwrap();
-        assert_eq!(removed, 0, "epoch serving left stale tuples in shards");
+        assert_eq!(removed, 0, "epoch serving left stale tuples in the store");
         shared.debug_validate();
     });
 }
@@ -288,7 +289,7 @@ fn epoch_pin_maintain_before_publish() {
 fn attach_races_commit() {
     loom::model(|| {
         for held_pin in [false, true] {
-            let (db, shared) = setup(2);
+            let (db, shared) = setup();
             let edb = std::sync::Arc::new(EpochDb::new(db));
             let t = shared.def().template().clone();
             let q = t
@@ -347,15 +348,15 @@ fn attach_races_commit() {
     });
 }
 
-/// Targeted upqueries racing maintenance eviction on a drained shard
-/// (ISSUE 10). Readers issue two-part queries whose complete part
-/// short-circuits and whose drained part triggers a bounded keyed
+/// Targeted upqueries racing maintenance eviction on a drained bcp.
+/// Readers issue two-part queries whose complete part short-circuits
+/// and whose drained part triggers a bounded keyed
 /// upquery refill, while a committer keeps deleting rows out of the
 /// queried bcps — each delete drains the supported view tuples and
 /// bumps `maint_epoch`, so any refill derived at an older pin must be
 /// discarded by the fill gate. Under every explored schedule: no query
 /// serves a stale tuple (`ds_leftover == 0`), nothing stale survives in
-/// the shards, and the store invariants hold.
+/// the store, and the store invariants hold.
 #[test]
 fn upquery_vs_eviction_on_drained_shard() {
     loom::model(|| {
@@ -384,7 +385,7 @@ fn upquery_vs_eviction_on_drained_shard() {
         // F = 16 > 10 rows per bcp, so a first full execution caches the
         // whole slice and marks the bcp complete — the precondition for
         // the targeted-upquery path on later mixed probes.
-        let shared = SharedPmv::with_shards(def, PmvConfig::new(16, 8, PolicyKind::Clock), 4);
+        let shared = SharedPmv::new(def, PmvConfig::new(16, 8, PolicyKind::Clock));
         let edb = std::sync::Arc::new(EpochDb::new(db));
 
         // Warm every bcp to completeness, then drain bcp f=3 with a
@@ -464,7 +465,7 @@ fn upquery_vs_eviction_on_drained_shard() {
         }
 
         // The epoch fill gate must have kept every refill coherent: a
-        // ground-truth sweep finds nothing stale in any shard.
+        // ground-truth sweep finds nothing stale in the store.
         let guard = edb.read();
         let removed = shared.revalidate(&guard).unwrap();
         assert_eq!(removed, 0, "upquery refill resurrected an evicted tuple");

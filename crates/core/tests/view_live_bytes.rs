@@ -4,7 +4,7 @@
 //! while T1's shape — `orders ⋈ lineitem`, `select *` over six columns,
 //! equality conditions on `orderdate` and `suppkey` — fills all
 //! 40 dates × 40 suppliers = 1 600 bcps with F = 3 tuples each, in a
-//! view of L = 2 000 over 4 shards.
+//! view of L = 2 000.
 //!
 //! * The fill leaves an exact number of live bytes, and passes of the
 //!   same queries (every bcp resident and full) leave none more in the
@@ -14,10 +14,10 @@
 //!   bytes, each entry's key framed, its tuples' fill epochs and its
 //!   tuples front-coded, as the store lays them in its chunks' bytes;
 //!   the delta-key index's postings, filed afresh with the cached tuples;
-//!   the replacement policies, admitting the bcps afresh; and the rest —
-//!   the chunks' slots, the chunks, the spines, and the tables readers
-//!   still hold: each shard's previous publish, with the copies of the
-//!   chunks the last write-back touched. The admission sketches are
+//!   the replacement policy, admitting the bcps afresh; and the rest —
+//!   the chunks' slots, the chunks, the spine, and the table readers
+//!   still hold: the store's previous publish, with the copies of the
+//!   chunks the last write-back touched. The admission sketch is
 //!   allocated with the view, before the fill.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -65,7 +65,6 @@ fn grown<T>(f: impl FnOnce() -> T) -> (T, isize) {
 
 const F: usize = 3;
 const L: usize = 2_000;
-const SHARDS: usize = 4;
 const DATES: i64 = 40;
 const SUPPLIERS: i64 = 40;
 /// Orders per date: each bcp `(date, supplier)` then holds exactly `F`
@@ -120,7 +119,7 @@ fn fixture() -> (EpochDb, SharedPmv) {
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality("pmv_t1", template).unwrap();
-    let pmv = SharedPmv::with_shards(def, PmvConfig::new(F, L, PolicyKind::Clock), SHARDS);
+    let pmv = SharedPmv::new(def, PmvConfig::new(F, L, PolicyKind::Clock));
     let edb = EpochDb::new(db);
     pmv.set_obs_enabled(false);
     edb.obs().set_enabled(false);
@@ -165,7 +164,7 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
     // tuples out, as the store lays them in its chunk's bytes — each
     // tuple front-coded against the one before it in the entry's order —
     // filing the tuples into a fresh index, and admitting the bcps into
-    // fresh policies, leaves allocated.
+    // a fresh policy, leaves allocated.
     let layout = pmv.def().layout();
     let cached: Vec<(BcpKey, Vec<PackedRow>)> = pmv
         .dump()
@@ -201,17 +200,15 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
             }
         }
     });
-    let mut policies: Vec<_> = (0..SHARDS)
-        .map(|_| PolicyKind::Clock.build::<BcpKey>(L.div_ceil(SHARDS)))
-        .collect();
+    let mut policy = PolicyKind::Clock.build::<BcpKey>(L);
     let ((), policy_bytes) = grown(|| {
-        for (i, (bcp, _)) in cached.iter().enumerate() {
-            policies[i % SHARDS].admit(bcp.clone());
+        for (bcp, _) in &cached {
+            policy.admit(bcp.clone());
         }
     });
     println!(
         "live {live} B, charged {charged} B, ratio {:.3}; entry rows {rows_bytes} B, \
-         index postings {index_bytes} B, policies {policy_bytes} B, entries, chunks \
+         index postings {index_bytes} B, policy {policy_bytes} B, entries, chunks \
          and the rest {} B; passes 2 and 3 {again} B and {third} B",
         live as f64 / charged as f64,
         live - rows_bytes - index_bytes - policy_bytes,
@@ -226,15 +223,15 @@ fn a_full_view_holds_an_exact_count_of_live_bytes() {
     // derived. A tuple after the first of its entry shares only the
     // first tag byte, and keeps it as a count: the same 6 bytes.
     assert_eq!(charged, 41_600, "the charge");
-    // The fill also grows each shard's scratch once, to three 5-byte
+    // The fill also grows the store's scratch once, to three 5-byte
     // rows (16 B) and their ends and epochs (4 × 16 B), and the serving
     // path's pooled scratch by the 24-byte handle of its row buffer.
     assert_eq!(
         live,
-        662_532 + 4 * (16 + 4 * 16) + 24,
+        634_508 + (16 + 4 * 16) + 24,
         "live bytes after the fill"
     );
-    assert_eq!(live * 100 / charged, 1_593, "live bytes per 100 B charged");
+    assert_eq!(live * 100 / charged, 1_525, "live bytes per 100 B charged");
     // Per entry, in its chunk's bytes: its 4-byte key frame, three
     // 8-byte epochs and its 18 framed bytes of rows. Two postings per tuple, 24
     // B each (an inline key and the row's hash) in its projection's list,

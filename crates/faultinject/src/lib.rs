@@ -5,7 +5,7 @@
 //! exercised *under* failure, not just under load. This crate provides
 //! that failure model: a seeded [`FaultPlan`] of [`FaultRule`]s, each
 //! binding a [`Site`] (a named point in storage, index, query execution,
-//! or the sharded PMV's critical sections) to a [`FaultKind`]
+//! or the PMV store's critical sections) to a [`FaultKind`]
 //! (error/latency/panic) at a given rate.
 //!
 //! Design constraints, in order:
@@ -71,13 +71,16 @@ pub enum Site {
     MaintJoin,
     /// A targeted per-bcp upquery refill (`upquery_fill`) — the bounded
     /// keyed O3 re-execution that repairs one bcp's slice after a miss
-    /// or a drained shard.
+    /// or a drained store.
     Upquery,
-    /// Inside a shard's O2 probe critical section. Soft site.
+    /// Inside the write-back's policy touches (O2's deferred probe
+    /// bookkeeping), under the store's write guard. Soft site.
     ShardProbe,
-    /// Inside a shard's O3 fill critical section. Soft site.
+    /// Inside the write-back's O3 fills, under the store's write guard.
+    /// Soft site.
     ShardFill,
-    /// Inside a shard's maintenance removal critical section. Soft site.
+    /// Inside maintenance's removals, under the store's write guard.
+    /// Soft site.
     ShardMaint,
     /// `Dio::append` — the WAL record write (before the bytes reach the
     /// file). Disk site: supports `Io`/`TornWrite`/`CrashPoint`.

@@ -17,7 +17,7 @@
 //!   `pmv_core::stats::AtomicPmvStats`).
 //! * [`HistSnapshot`] is the plain (non-atomic) image: mergeable by
 //!   bucket-wise addition — which is exactly associative and commutative,
-//!   so per-shard or per-thread histograms fold into one — with
+//!   so per-thread histograms fold into one — with
 //!   nearest-rank quantiles read off the bucket upper bounds.
 
 use std::sync::atomic::{AtomicU64, Ordering};

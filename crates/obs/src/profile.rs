@@ -29,7 +29,7 @@ pub const CONTENTION_PHASES: [&str; 3] =
 
 /// Phases whose span contains other phases: `ttfr`, `full` and
 /// `degraded` time a whole query, `maint_join` a maintenance batch
-/// (`maint_index`, shard lock waits, `snapshot_swap`), `revalidate` a
+/// (`maint_index`, store lock waits, `snapshot_swap`), `revalidate` a
 /// sweep, and `commit_drain` a commit round (WAL, every view's
 /// maintenance, `snapshot_publish`). They are listed without a share:
 /// a share over them would count their children twice.

@@ -59,7 +59,7 @@ pub enum TriggerReason {
     LatencyThreshold,
     /// The circuit breaker tripped.
     BreakerTrip,
-    /// A shard was drained into quarantine.
+    /// A view's store was drained into quarantine.
     Quarantine,
     /// A query degraded (O3 did not complete).
     Degraded,

@@ -2,7 +2,7 @@
 //!
 //! Aggregate histograms answer "how slow", traces answer "why": one
 //! [`QueryTrace`] records the ordered [`TraceEvent`]s of a single pass
-//! through the serving path — decomposition, per-shard probes, the
+//! through the serving path — decomposition, the O2 probe, the
 //! first-results point, execution, fill/eviction, degradation and
 //! breaker decisions, and any fault-injection site that fired. The
 //! recorder keeps the last `capacity` traces in a [`VecDeque`] ring
@@ -27,7 +27,7 @@ use std::time::Instant;
 pub enum TraceKind {
     /// One query through O1/O2/O3.
     Query,
-    /// One maintenance delta batch (ΔR join + shard eviction).
+    /// One maintenance delta batch (ΔR join + store eviction).
     Maintenance,
     /// One revalidation sweep.
     Revalidate,
@@ -64,13 +64,11 @@ pub enum EventKind {
         /// allocate).
         state: &'static str,
     },
-    /// One shard's O2 probe critical section completed.
+    /// The O2 probe of the published table completed.
     ShardProbe {
-        /// Shard index probed.
-        shard: usize,
-        /// Distinct bcps probed on this shard.
+        /// Distinct bcps probed.
         parts: usize,
-        /// Cumulative partial tuples served after this shard.
+        /// Partial tuples served.
         served: usize,
         /// Probe duration in microseconds.
         us: u64,
@@ -96,11 +94,9 @@ pub enum EventKind {
         /// Execution duration in microseconds.
         us: u64,
     },
-    /// One shard's O3 fill critical section completed (cache
+    /// The O3 write-back under the store's write guard completed (cache
     /// admission/eviction events).
     Fill {
-        /// Shard index filled.
-        shard: usize,
         /// Tuples admitted into the store.
         admitted: u64,
         /// Entries evicted by the replacement policy during the fill.
@@ -115,11 +111,8 @@ pub enum EventKind {
         /// Staleness upper bound in microseconds.
         staleness_us: u64,
     },
-    /// A shard was drained into quarantine during this pass.
-    Quarantine {
-        /// Shard index drained.
-        shard: usize,
-    },
+    /// The view's store was drained into quarantine during this pass.
+    Quarantine,
     /// An injected fault fired during this pass (site + kind; latency
     /// carries its duration in microseconds).
     FaultFired {
@@ -161,7 +154,7 @@ impl EventKind {
             EventKind::Exec { .. } => "exec",
             EventKind::Fill { .. } => "fill",
             EventKind::Degraded { .. } => "degraded",
-            EventKind::Quarantine { .. } => "quarantine",
+            EventKind::Quarantine => "quarantine",
             EventKind::FaultFired { .. } => "fault_fired",
             EventKind::MaintBatch { .. } => "maint_batch",
             EventKind::Revalidated { .. } => "revalidated",

@@ -152,7 +152,7 @@ impl ExecStats {
     }
 
     /// Fold another execution's counters into this one (used when
-    /// aggregating across retries or shards).
+    /// aggregating across retries or upqueries).
     pub fn merge(&mut self, other: &ExecStats) {
         self.index_probes += other.index_probes;
         self.range_scans += other.range_scans;

@@ -99,10 +99,10 @@ proptest! {
     }
 }
 
-/// What bcps hash to. A view's shard (SipHash), its store chunk and its
-/// admission sketch (both Fx) are chosen by `Value`'s hash: a variant
-/// byte, then the payload. Changing it moves entries between shards and
-/// changes hit ratios. A `-0.0` or a NaN payload hashes as the canonical
+/// What bcps hash to. A view's store chunk and its admission sketch
+/// (both Fx) are chosen by `Value`'s hash: a variant byte, then the
+/// payload. Changing it moves entries between chunks and changes hit
+/// ratios. A `-0.0` or a NaN payload hashes as the canonical
 /// value it is built as.
 #[test]
 fn value_hashes_are_pinned() {

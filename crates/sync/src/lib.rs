@@ -18,7 +18,7 @@
 //!   the inactive slot to drain before overwriting it.
 //!
 //! The serving path uses this twice: the database snapshot pointer
-//! (`EpochDb` in `pmv-core`) and the per-shard O2 read views, which is
+//! (`EpochDb` in `pmv-core`) and each view's published O2 table, which is
 //! what lets O2 probes and O3 execution run with no `RwLock` in sight.
 //!
 //! Memory ordering: the four operations that order readers against the

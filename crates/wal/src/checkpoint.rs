@@ -92,7 +92,9 @@ pub struct ViewSpec {
     /// so a name the host no longer knows fails the view's
     /// re-registration after recovery, not the checkpoint load.
     pub policy: String,
-    /// Shard count (0 = implementation default).
+    /// Ignored on load: a view is one store of exactly `l` entries.
+    /// The host writes 1; the field stays in the image (format 4)
+    /// because the repository benchmark's fixture sets it.
     pub shards: usize,
     /// Divider points per condition slot; `None` for equality slots.
     pub dividers: Vec<Option<Vec<Value>>>,

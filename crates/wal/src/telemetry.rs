@@ -79,13 +79,7 @@ fn event_json(e: &TraceEvent) -> Value {
         EventKind::Breaker { serving, state } => {
             vec![("serving", (*serving).into()), ("state", (*state).into())]
         }
-        EventKind::ShardProbe {
-            shard,
-            parts,
-            served,
-            us,
-        } => vec![
-            ("shard", n(*shard)),
+        EventKind::ShardProbe { parts, served, us } => vec![
             ("parts", n(*parts)),
             ("served", n(*served)),
             ("us", (*us).into()),
@@ -111,12 +105,10 @@ fn event_json(e: &TraceEvent) -> Value {
             ("us", (*us).into()),
         ],
         EventKind::Fill {
-            shard,
             admitted,
             evicted,
             us,
         } => vec![
-            ("shard", n(*shard)),
             ("admitted", (*admitted).into()),
             ("evicted", (*evicted).into()),
             ("us", (*us).into()),
@@ -128,7 +120,7 @@ fn event_json(e: &TraceEvent) -> Value {
             ("reason", reason.as_str().into()),
             ("staleness_us", (*staleness_us).into()),
         ],
-        EventKind::Quarantine { shard } => vec![("shard", n(*shard))],
+        EventKind::Quarantine => vec![],
         EventKind::FaultFired { site, kind } => {
             vec![
                 ("site", site.as_str().into()),

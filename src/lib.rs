@@ -52,7 +52,7 @@
 //! // next snapshot publishes.
 //! let edb = EpochDb::new(db);
 //! let def = PartialViewDef::all_equality("items_pmv", template.clone())?;
-//! let pmv = edb.register(def, PmvConfig::default(), None)?;
+//! let pmv = edb.register(def, PmvConfig::default())?;
 //!
 //! let q = template.bind(vec![Condition::Equality(vec![Value::Int(3)])])?;
 //! let cold = edb.query(&pmv, &q)?; // fills the PMV

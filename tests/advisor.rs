@@ -41,7 +41,7 @@ fn recommended_pmv_serves_the_observed_workload() {
     assert_eq!(recs.len(), 1);
     let rec = &recs[0];
     assert!(rec.config.l >= 1);
-    let pmv = SharedPmv::with_shards(rec.def.clone(), rec.config.clone(), 1);
+    let pmv = SharedPmv::new(rec.def.clone(), rec.config.clone());
     let edb = EpochDb::new(fx.db);
 
     // Phase 3: replay the workload; the recommended PMV gets warm and

@@ -37,7 +37,7 @@ fn queries_and_maintenance_interleave_consistently() {
     let edb = Arc::new(EpochDb::new(fx.db));
     let template = fx.template;
     let def = PartialViewDef::all_equality("shared_pmv", template.clone()).unwrap();
-    let pmv = SharedPmv::with_shards(def, PmvConfig::default(), 1);
+    let pmv = SharedPmv::new(def, PmvConfig::default());
 
     let stop = Arc::new(AtomicBool::new(false));
     let inconsistencies = Arc::new(AtomicUsize::new(0));
@@ -94,20 +94,19 @@ fn queries_and_maintenance_interleave_consistently() {
     assert_eq!(removed, 0, "stale tuples survived maintenance");
 }
 
-/// Sharded-PMV stress test: 8 threads hammer one `SharedPmv` through one
-/// `EpochDb` — six run queries over mixed hot/cold bcps, two commit
-/// insert+delete transactions (each commit maintains the shards before
-/// publishing). Every query must satisfy the end-of-O3 invariant
-/// (`ds_leftover == 0`: every partial tuple served in O2 was re-derived
-/// by the full execution), and a final revalidation must find nothing
-/// stale.
+/// Stress test: 8 threads hammer one `SharedPmv` through one `EpochDb` —
+/// six run queries over mixed hot/cold bcps, two commit insert+delete
+/// transactions (each commit maintains the view before publishing). Every
+/// query must satisfy the end-of-O3 invariant (`ds_leftover == 0`: every
+/// partial tuple served in O2 was re-derived by the full execution), and a
+/// final revalidation must find nothing stale.
 #[test]
-fn sharded_pmv_eight_thread_stress() {
+fn shared_pmv_eight_thread_stress() {
     let fx = eqt_fixture(150);
     let edb = Arc::new(EpochDb::new(fx.db));
     let template = fx.template;
-    let def = PartialViewDef::all_equality("sharded_pmv", template.clone()).unwrap();
-    let shared = SharedPmv::with_shards(def, PmvConfig::default(), 8);
+    let def = PartialViewDef::all_equality("shared_pmv", template.clone()).unwrap();
+    let shared = SharedPmv::new(def, PmvConfig::default());
 
     let stop = Arc::new(AtomicBool::new(false));
     let inconsistencies = Arc::new(AtomicUsize::new(0));
@@ -123,7 +122,7 @@ fn sharded_pmv_eight_thread_stress() {
             let mut ops = 0i64;
             if thread < 6 {
                 // Query thread: each starts on a different slice of the
-                // bcp grid so probes hit different shards in parallel.
+                // bcp grid so probes and write-backs race on the store.
                 let mut i = thread as i64;
                 while !stop.load(Ordering::SeqCst) {
                     let q = eqt_query(&template, &[i % 7], &[(i / 7) % 5]);
@@ -136,9 +135,8 @@ fn sharded_pmv_eight_thread_stress() {
                 }
             } else {
                 // Maintainer thread: commit a small transaction; the
-                // commit repairs the affected shards before publishing, so
-                // no reader ever sees the new database paired with stale
-                // shards.
+                // commit repairs the view before publishing, so no reader
+                // ever sees the new database paired with a stale store.
                 let mut round = thread as i64 * 1000;
                 while !stop.load(Ordering::SeqCst) {
                     insert_and_delete(&edb, &shared, 100_000 + round, round);
@@ -164,10 +162,10 @@ fn sharded_pmv_eight_thread_stress() {
         "a query saw a stale partial result (ds_leftover != 0)"
     );
 
-    // Final state: shard invariants hold and revalidation removes nothing.
+    // Final state: store invariants hold and revalidation removes nothing.
     shared.debug_validate();
     let removed = shared.revalidate(&edb.read()).unwrap();
-    assert_eq!(removed, 0, "stale tuples survived sharded maintenance");
+    assert_eq!(removed, 0, "stale tuples survived maintenance");
     let stats = shared.stats();
     assert!(stats.queries > 50, "query throughput: {stats:?}");
     assert!(stats.maint_deletes_joined > 0, "maintenance ran: {stats:?}");

@@ -12,10 +12,10 @@ use pmv::workload::tpcr::{self, TpcrConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One shard: these tests count entries and tuples against `l` and `f`.
+/// These tests count entries and tuples against `l` and `f`.
 fn new_pmv(template: &std::sync::Arc<pmv::query::QueryTemplate>, f: usize, l: usize) -> SharedPmv {
     let def = PartialViewDef::all_equality("it_pmv", template.clone()).unwrap();
-    SharedPmv::with_shards(def, PmvConfig::new(f, l, pmv::cache::PolicyKind::Clock), 1)
+    SharedPmv::new(def, PmvConfig::new(f, l, pmv::cache::PolicyKind::Clock))
 }
 
 #[test]
@@ -164,10 +164,9 @@ fn tpcr_t1_t2_end_to_end() {
     tpcr::standard_indexes(&mut db).unwrap();
 
     let t1 = template_t1(&db).unwrap();
-    let pmv1 = SharedPmv::with_shards(
+    let pmv1 = SharedPmv::new(
         PartialViewDef::all_equality("t1", t1.clone()).unwrap(),
         PmvConfig::default(),
-        1,
     );
     // Pick a real (date, supp).
     let (_, order) = db.relation("orders").unwrap().iter().next().unwrap();
@@ -187,10 +186,9 @@ fn tpcr_t1_t2_end_to_end() {
     assert!(warm.bcp_hit);
 
     let t2 = template_t2(&edb.read()).unwrap();
-    let pmv2 = SharedPmv::with_shards(
+    let pmv2 = SharedPmv::new(
         PartialViewDef::all_equality("t2", t2.clone()).unwrap(),
         PmvConfig::default(),
-        1,
     );
     let q2 = t2_query(
         &t2,
@@ -235,10 +233,9 @@ fn hit_probability_grows_with_h_on_real_engine() {
 fn maint_filter_skips_unaffected_joins() {
     let fx = eqt_fixture(80);
     let (edb, template) = (EpochDb::new(fx.db), fx.template);
-    let pmv = SharedPmv::with_shards(
+    let pmv = SharedPmv::new(
         PartialViewDef::all_equality("filt", template.clone()).unwrap(),
         PmvConfig::new(3, 32, pmv::cache::PolicyKind::Clock),
-        1,
     );
     let mut rng = StdRng::seed_from_u64(77);
     for round in 0..20 {

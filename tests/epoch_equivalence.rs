@@ -1,15 +1,15 @@
 //! Property test: the one serving path (`pmv_core::serve`, hosted by
-//! [`EpochDb::query`]) is equivalent to plain execution at every shard
-//! count. Under an arbitrary script of queries, inserts, deletes and
-//! updates, the same query answered from a 1-shard view (exactly `L`
-//! entries, one owner) and from a 4-shard view must return exactly the
-//! multiset the plain executor returns, with the end-of-O3 invariant
-//! `ds_leftover == 0`. Each view's cache state evolves independently;
-//! equivalence therefore exercises fills, hits, complete-serves,
-//! upqueries, evictions and the epoch gates, not just cold execution.
-//! With `unique` set the relation enforces a key on `a`, so answers are
-//! duplicate-free and a colliding insert fails its commit; without it
-//! equal rows occur and fills are held to their proven multiplicity.
+//! [`EpochDb::query`]) is equivalent to plain execution. Under an arbitrary
+//! script of queries, inserts, deletes and updates, the same query answered
+//! from a view of L = 8 and from one of L = 4 (more evictions) must return
+//! exactly the multiset the plain executor returns, with the end-of-O3
+//! invariant `ds_leftover == 0`. Each view's cache state evolves
+//! independently; equivalence therefore exercises fills, hits,
+//! complete-serves, upqueries, evictions and the epoch gates, not just cold
+//! execution. With `unique` set the relation enforces a key on `a`, so
+//! answers are duplicate-free and a colliding insert fails its commit;
+//! without it equal rows occur and fills are held to their proven
+//! multiplicity.
 
 use pmv::cache::PolicyKind;
 use pmv::index::IndexDef;
@@ -18,11 +18,12 @@ use pmv::query::execute;
 use pmv::storage::RowId;
 use proptest::prelude::*;
 
-const SHARD_COUNTS: [usize; 2] = [1, 4];
+/// The entry budget of each view.
+const LS: [usize; 2] = [8, 4];
 
 struct Fixture {
     edb: EpochDb,
-    /// Served through `EpochDb::query`, one view per shard count.
+    /// Served through `EpochDb::query`, one view per entry budget.
     views: Vec<SharedPmv>,
 }
 
@@ -54,11 +55,11 @@ fn setup(unique: bool) -> Fixture {
         .unwrap();
     // F = 6 exceeds the 5 rows an untouched f holds, so entries can
     // become complete and the complete-serve/upquery paths are reached.
-    let views = SHARD_COUNTS
+    let views = LS
         .iter()
-        .map(|&n| {
-            let def = PartialViewDef::all_equality(format!("epoch{n}"), t.clone()).unwrap();
-            SharedPmv::with_shards(def, PmvConfig::new(6, 8, PolicyKind::Clock), n)
+        .map(|&l| {
+            let def = PartialViewDef::all_equality(format!("epoch_l{l}"), t.clone()).unwrap();
+            SharedPmv::new(def, PmvConfig::new(6, l, PolicyKind::Clock))
         })
         .collect();
     Fixture {
@@ -119,7 +120,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn query_equals_plain_execution_at_each_shard_count(
+    fn query_equals_plain_execution(
         ops in ops(),
         unique in any::<bool>(),
     ) {
@@ -174,8 +175,8 @@ proptest! {
     }
 }
 
-/// The serving path serves from completeness claims at every shard
-/// count: a repeated basic query whose bcp fits under `F` needs no
+/// The serving path serves from completeness claims in every view: a
+/// repeated basic query whose bcp fits under `F` needs no
 /// execution at all.
 #[test]
 fn query_serves_complete_entries() {
@@ -213,18 +214,18 @@ fn f3_after_delete() -> Vec<Tuple> {
 /// because a complete-serve never reaches DS.
 #[test]
 fn unlisted_commit_maintains_a_served_view() {
-    for (i, shards) in SHARD_COUNTS.into_iter().enumerate() {
+    for (i, l) in LS.into_iter().enumerate() {
         let fx = setup(false);
         let (view, q) = (&fx.views[i], query_f3(&fx));
         fx.edb.query(view, &q).unwrap();
         let warm = fx.edb.query(view, &q).unwrap();
-        assert_eq!(warm.partial.len(), 5, "{shards} shard(s): complete entry");
+        assert_eq!(warm.partial.len(), 5, "L = {l}: complete entry");
         fx.delete_a3_unlisted();
         let after = fx.edb.query(view, &q).unwrap();
         let mut got = after.all_results();
         got.sort();
-        assert_eq!(got, f3_after_delete(), "{shards} shard(s)");
-        assert_eq!(after.ds_leftover, 0, "{shards} shard(s)");
+        assert_eq!(got, f3_after_delete(), "L = {l}");
+        assert_eq!(after.ds_leftover, 0, "L = {l}");
     }
 }
 

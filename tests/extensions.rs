@@ -12,10 +12,9 @@ use pmv::prelude::*;
 use std::collections::HashSet;
 
 fn new_pmv(template: &std::sync::Arc<pmv::query::QueryTemplate>) -> SharedPmv {
-    SharedPmv::with_shards(
+    SharedPmv::new(
         PartialViewDef::all_equality("ext_pmv", template.clone()).unwrap(),
         PmvConfig::new(3, 32, pmv::cache::PolicyKind::Clock),
-        1,
     )
 }
 
@@ -192,7 +191,7 @@ fn host_routes_and_sheds() {
     let fx = eqt_fixture(120);
     let edb = EpochDb::new(fx.db);
     let def = PartialViewDef::all_equality("host_pmv", fx.template.clone()).unwrap();
-    edb.register(def, PmvConfig::new(2, 4, PolicyKind::Clock), Some(1))
+    edb.register(def, PmvConfig::new(2, 4, PolicyKind::Clock))
         .unwrap();
     for f in 0..7i64 {
         for g in 0..5i64 {

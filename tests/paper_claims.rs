@@ -7,7 +7,7 @@
 //!
 //! The overhead procedure: one PMV per template with 20 K entries, queries
 //! whose `Cselect` breaks into exactly `h` basic condition parts of which
-//! exactly one is resident. A run here builds a fresh one-shard CLOCK view
+//! exactly one is resident. A run here builds a fresh CLOCK view
 //! and warms it with the hot bcp alone, so "exactly one is resident" holds
 //! by construction. Wall-clock times are printed (`--nocapture`), not
 //! gated, except the paper's "partial results within a millisecond".
@@ -136,7 +136,7 @@ fn measure_cell(
     let (mut probes, mut overheads, mut execs) = (Vec::new(), Vec::new(), Vec::new());
     for _ in 0..RUNS {
         let config = PmvConfig::new(f_cap, ENTRIES, PolicyKind::Clock);
-        let pmv = SharedPmv::with_shards(def.clone(), config, 1);
+        let pmv = SharedPmv::new(def.clone(), config);
         let [date, supp, nation] = sample_hot(db, &mut rng);
         let warm = bind(&t, which, &[date], &[supp], nation);
         cell.hot_results.push(run_plain(db, &warm).unwrap().0.len());
@@ -259,7 +259,7 @@ struct MaintCell {
 }
 
 /// Transaction T at `inserts` of `T_SIZE` on `orders` against a
-/// materialized T1 view and a PMV: a one-shard CLOCK view with F = 3,
+/// materialized T1 view and a PMV: a CLOCK view with F = 3,
 /// L = 1 000, warmed by 1 000 sampled hot bcps. The deletes are a
 /// seeded-shuffle prefix of the orders; the inserts copy the next orders
 /// under a new `orderdate`. One commit maintains the PMV; the MV is
@@ -270,7 +270,7 @@ fn maintenance_cell(inserts: usize) -> MaintCell {
     let db = edb.read();
     let t = template_t1(&db).unwrap();
     let def = PartialViewDef::all_equality("maint", t.clone()).unwrap();
-    let view = SharedPmv::with_shards(def, PmvConfig::new(3, 1_000, PolicyKind::Clock), 1);
+    let view = SharedPmv::new(def, PmvConfig::new(3, 1_000, PolicyKind::Clock));
     let mut rng = StdRng::seed_from_u64(0x11);
     for _ in 0..1_000 {
         let [date, supp, _] = sample_hot(&db, &mut rng);

@@ -1,11 +1,11 @@
 //! The store's frequency admission (DESIGN.md "The store") under constant
-//! eviction pressure: views of L = 1, 2 and 4 bcps at 1 and 4 shards over
-//! a 16-bcp space, so nearly every miss goes through the rule — admitted
-//! over a victim it out-counts, or declined.
+//! eviction pressure: views of L = 1, 2 and 4 bcps over a 16-bcp space, so
+//! nearly every miss goes through the rule — admitted over a victim it
+//! out-counts, or declined.
 //!
 //! Over random query, insert, delete and update scripts:
 //! * every answer equals the plain executor's;
-//! * every shard's invariants hold after every step (`PmvStore::check`:
+//! * every view's invariants hold after every step (`PmvStore::check`:
 //!   policy resident count equals entry count, tracked bytes equal the
 //!   sum of charges, no entry over `F`) and `revalidate` finds nothing
 //!   stale after a commit;
@@ -53,21 +53,14 @@ fn fixture() -> (Database, Arc<QueryTemplate>) {
     (db, t)
 }
 
-/// One view per `(L, shards)` pair, all `F = 2`, CLOCK.
+/// One view per `L`, all `F = 2`, CLOCK.
 fn views(t: &Arc<QueryTemplate>) -> Vec<SharedPmv> {
-    let mut out = Vec::new();
-    for l in [1, 2, 4] {
-        for shards in [1, 4] {
-            let def =
-                PartialViewDef::all_equality(format!("adm_l{l}_n{shards}"), Arc::clone(t)).unwrap();
-            out.push(SharedPmv::with_shards(
-                def,
-                PmvConfig::new(2, l, PolicyKind::Clock),
-                shards,
-            ));
-        }
-    }
-    out
+    [1, 2, 4]
+        .map(|l| {
+            let def = PartialViewDef::all_equality(format!("adm_l{l}"), Arc::clone(t)).unwrap();
+            SharedPmv::new(def, PmvConfig::new(2, l, PolicyKind::Clock))
+        })
+        .into()
 }
 
 #[derive(Clone, Debug)]

@@ -19,13 +19,12 @@
 //! * a sign-only update of a zero is no change, and a row that reuses a
 //!   freed slot ahead of a cached twin leaves DS on the right row: the
 //!   answer is the executor's bit for bit;
-//! * over random query, insert, delete and update scripts at 1 and 4
-//!   shards — a template with a bcp-derived, a join-derived, a fixed and a
-//!   `Double` column, fed `±0.0` and a NaN with a payload — every answer
-//!   equals the plain executor's bit for bit, every executor row survives
-//!   its stored form bit for bit, every dumped row is full width and lies
-//!   in its bcp, the shards' invariants hold, and `revalidate` finds
-//!   nothing stale.
+//! * over random query, insert, delete and update scripts — a template with
+//!   a bcp-derived, a join-derived, a fixed and a `Double` column, fed
+//!   `±0.0` and a NaN with a payload — every answer equals the plain
+//!   executor's bit for bit, every executor row survives its stored form
+//!   bit for bit, every dumped row is full width and lies in its bcp, the
+//!   view's invariants hold, and `revalidate` finds nothing stale.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -94,7 +93,7 @@ fn t1_is_charged_at_most_34_bytes_per_tuple() {
             (dates[&orderkey], l.get(1).as_int().unwrap())
         })
         .collect();
-    let pmv = SharedPmv::with_shards(def, PmvConfig::new(3, 1_000, PolicyKind::Clock), 1);
+    let pmv = SharedPmv::new(def, PmvConfig::new(3, 1_000, PolicyKind::Clock));
     let edb = EpochDb::new(db);
     for &(date, supp) in &bcps {
         let q = t1_query(&t1, &[date], &[supp]).unwrap();
@@ -216,7 +215,7 @@ fn a_double_equality_column_is_derived() {
     let layout = def.layout();
     assert_eq!((layout.arity(), layout.stored_arity()), (2, 1));
     assert_eq!(estimate_tuple_bytes(&t), 1 + 1 + 8);
-    let pmv = SharedPmv::with_shards(def, PmvConfig::new(4, 8, PolicyKind::Clock), 1);
+    let pmv = SharedPmv::new(def, PmvConfig::new(4, 8, PolicyKind::Clock));
     let edb = EpochDb::new(db);
     let q = t
         .bind(vec![Condition::Equality(vec![Value::from(-0.0)])])
@@ -257,7 +256,7 @@ fn a_sign_only_update_is_no_change() {
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality("sign", Arc::clone(&t)).unwrap();
-    let pmv = SharedPmv::with_shards(def, PmvConfig::new(4, 8, PolicyKind::Clock), 1);
+    let pmv = SharedPmv::new(def, PmvConfig::new(4, 8, PolicyKind::Clock));
     let edb = EpochDb::new(db);
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(1)])])
@@ -298,7 +297,7 @@ fn a_reused_slot_ahead_of_a_cached_zero_is_served_exactly() {
         .build()
         .unwrap();
     let def = PartialViewDef::all_equality("reuse", Arc::clone(&t)).unwrap();
-    let pmv = SharedPmv::with_shards(def, PmvConfig::new(4, 8, PolicyKind::Clock), 1);
+    let pmv = SharedPmv::new(def, PmvConfig::new(4, 8, PolicyKind::Clock));
     let edb = EpochDb::new(db);
     let q = t
         .bind(vec![Condition::Equality(vec![Value::Int(1)])])
@@ -427,7 +426,7 @@ fn nth_row(edb: &EpochDb, relation: &str, nth: usize) -> Option<(pmv::storage::R
 }
 
 /// Every dumped row of `view` is a full `Ls'` row inside its bcp that
-/// satisfies `Cjoin`, and the shards' invariants hold.
+/// satisfies `Cjoin`, and the view's invariants hold.
 fn check_view(view: &SharedPmv) -> Result<(), TestCaseError> {
     view.debug_validate();
     for (bcp, rows) in view.dump() {
@@ -447,19 +446,14 @@ fn in_bcp(view: &SharedPmv, row: &Tuple, bcp: &BcpKey) -> bool {
 
 fn run_script(steps: Vec<Step>) -> Result<(), TestCaseError> {
     let (db, t) = fixture();
-    let views: Vec<SharedPmv> = [1, 4]
-        .iter()
-        .map(|&shards| {
-            let def = PartialViewDef::new(
-                format!("layout_{shards}"),
-                Arc::clone(&t),
-                vec![None, Some(Discretizer::int_grid(0, 10, 4))],
-            )
-            .unwrap();
-            assert_eq!(def.layout().stored_arity(), 5);
-            SharedPmv::with_shards(def, PmvConfig::new(3, 8, PolicyKind::Clock), shards)
-        })
-        .collect();
+    let def = PartialViewDef::new(
+        "layout",
+        Arc::clone(&t),
+        vec![None, Some(Discretizer::int_grid(0, 10, 4))],
+    )
+    .unwrap();
+    assert_eq!(def.layout().stored_arity(), 5);
+    let view = SharedPmv::new(def, PmvConfig::new(3, 8, PolicyKind::Clock));
     let edb = EpochDb::new(db);
     for step in steps {
         let change: Option<Change> = match step {
@@ -476,13 +470,11 @@ fn run_script(steps: Vec<Step>) -> Result<(), TestCaseError> {
                     .unwrap();
                 let (plain, _) = pmv::query::execute(&*edb.read(), &q).unwrap();
                 let want = exact_sorted(&plain);
-                for v in &views {
-                    let out = edb.query(v, &q).unwrap();
-                    prop_assert_eq!(out.ds_leftover, 0);
-                    prop_assert_eq!(exact_sorted(&served(&out)), want.clone());
-                }
+                let out = edb.query(&view, &q).unwrap();
+                prop_assert_eq!(out.ds_leftover, 0);
+                prop_assert_eq!(exact_sorted(&served(&out)), want);
                 // What a fill stores and a hit rebuilds is the row.
-                let (def, layout) = (views[0].def(), views[0].def().layout());
+                let (def, layout) = (view.def(), view.def().layout());
                 for row in plain {
                     let bcp = def.bcp_of_tuple(&row);
                     let row = Arc::new(row);
@@ -515,19 +507,15 @@ fn run_script(steps: Vec<Step>) -> Result<(), TestCaseError> {
             }),
         };
         if let Some(change) = change {
-            edb.commit(&[&views[0], &views[1]], |db| {
+            edb.commit(&[&view], |db| {
                 let mut txn = Transaction::begin(db);
                 change(&mut txn)?;
                 Ok(((), txn.commit()))
             })
             .unwrap();
-            for v in &views {
-                prop_assert_eq!(v.revalidate(&edb.read()).unwrap(), 0, "stale tuple kept");
-            }
+            prop_assert_eq!(view.revalidate(&edb.read()).unwrap(), 0, "stale tuple kept");
         }
-        for v in &views {
-            check_view(v)?;
-        }
+        check_view(&view)?;
     }
     Ok(())
 }

@@ -8,7 +8,7 @@
 //! including transactions that delete *matching* tuples from both base
 //! relations at once — every cached row the join derives is gone after
 //! the commit, and every other removed row carries a deleted tuple's
-//! `Ls'` projection (the index's sound over-removal), at 1 and 4 shards.
+//! `Ls'` projection (the index's sound over-removal).
 //! A fixed `r ⋈ b1 ⋈ b2 ⋈ s` case pins the union pass over two bridge
 //! relations, and a fixed Zipfian delete stream pins what the index buys:
 //! ≥ 10× fewer rows touched per delete than the join.
@@ -102,40 +102,32 @@ fn cached(view: &SharedPmv) -> HashMap<Tuple, usize> {
     m
 }
 
-/// The Eqt fixture driven through one step script by a one-shard and a
-/// four-shard view, each checked against the join reference after every
-/// delete or update.
+/// The Eqt fixture driven through one step script by a view, checked
+/// against the join reference after every delete or update.
 struct Script {
     edb: EpochDb,
     template: std::sync::Arc<QueryTemplate>,
     spec: FilterSpec,
-    views: Vec<SharedPmv>,
+    view: SharedPmv,
 }
 
 impl Script {
     fn new(f_cap: usize, l: usize) -> Self {
         let fx = eqt_fixture(40);
-        let views = [1, 4]
-            .iter()
-            .map(|&shards| {
-                let def =
-                    PartialViewDef::all_equality(format!("eq_pmv_{shards}"), fx.template.clone())
-                        .unwrap();
-                SharedPmv::with_shards(def, PmvConfig::new(f_cap, l, PolicyKind::Clock), shards)
-            })
-            .collect();
+        let def = PartialViewDef::all_equality("eq_pmv", fx.template.clone()).unwrap();
+        let view = SharedPmv::new(def, PmvConfig::new(f_cap, l, PolicyKind::Clock));
         Script {
             spec: FilterSpec::for_template(&fx.template),
             edb: EpochDb::new(fx.db),
             template: fx.template,
-            views,
+            view,
         }
     }
 
     /// Commit one transaction deleting `deleted` (relation name, row;
-    /// an update's old image counts as a delete) and check each view
+    /// an update's old image counts as a delete) and check the view
     /// against the join reference. Returns the rows removed beyond the
-    /// join's, summed over the views.
+    /// join's.
     fn commit_checked<T>(
         &self,
         deleted: &[(&str, RowId)],
@@ -155,39 +147,34 @@ impl Script {
             }
             (rows, images)
         };
-        let before: Vec<_> = self.views.iter().map(cached).collect();
-        let all: Vec<&SharedPmv> = self.views.iter().collect();
-        commit(&self.edb, &all, f);
+        let (view, before) = (&self.view, cached(&self.view));
+        commit(&self.edb, &[view], f);
+        let after = cached(view);
+        for row in join_rows.keys() {
+            assert!(
+                !(before.contains_key(row) && after.contains_key(row)),
+                "joined row {row} still cached"
+            );
+        }
         let mut over = 0;
-        for (view, before) in self.views.iter().zip(before) {
-            let after = cached(view);
-            for row in join_rows.keys() {
-                assert!(
-                    !(before.contains_key(row) && after.contains_key(row)),
-                    "{}: joined row {row} still cached",
-                    view.def().name()
-                );
+        for (row, n) in before {
+            let removed = n - after.get(&row).copied().unwrap_or(0);
+            if removed == 0 || join_rows.contains_key(&row) {
+                continue;
             }
-            for (row, n) in before {
-                let removed = n - after.get(&row).copied().unwrap_or(0);
-                if removed == 0 || join_rows.contains_key(&row) {
-                    continue;
-                }
-                let carries = images.iter().any(|(rel, image)| {
-                    let (positions, columns) = &self.spec.per_relation[*rel];
-                    positions
-                        .iter()
-                        .zip(columns)
-                        .all(|(&p, &c)| row.get(p) == image.get(c))
-                });
-                assert!(
-                    carries,
-                    "{}: removed {row}, which no join derives and no deleted tuple's \
-                     projection covers",
-                    view.def().name()
-                );
-                over += removed;
-            }
+            let carries = images.iter().any(|(rel, image)| {
+                let (positions, columns) = &self.spec.per_relation[*rel];
+                positions
+                    .iter()
+                    .zip(columns)
+                    .all(|(&p, &c)| row.get(p) == image.get(c))
+            });
+            assert!(
+                carries,
+                "removed {row}, which no join derives and no deleted tuple's projection \
+                 covers"
+            );
+            over += removed;
         }
         over
     }
@@ -206,18 +193,16 @@ impl Script {
     /// Apply one step; returns its over-removal count.
     fn apply(&self, step: Step) -> usize {
         let edb = &self.edb;
-        let all: Vec<&SharedPmv> = self.views.iter().collect();
+        let all = [&self.view];
         let over = match step {
             Step::Query { fs, gs } => {
                 let q = eqt_query(&self.template, &fs, &gs);
                 let expect = oracle(&edb.read(), &q);
-                for v in &self.views {
-                    let out = edb.query(v, &q).unwrap();
-                    let mut got = out.all_results();
-                    got.sort();
-                    assert_eq!(got, expect, "pipeline diverged from executor");
-                    assert_eq!(out.ds_leftover, 0, "stale tuple served");
-                }
+                let out = edb.query(&self.view, &q).unwrap();
+                let mut got = out.all_results();
+                got.sort();
+                assert_eq!(got, expect, "pipeline diverged from executor");
+                assert_eq!(out.ds_leftover, 0, "stale tuple served");
                 0
             }
             Step::InsertR { a, c, f } => {
@@ -271,9 +256,7 @@ impl Script {
                 None => 0,
             },
         };
-        for v in &self.views {
-            v.debug_validate();
-        }
+        self.view.debug_validate();
         over
     }
 }
@@ -281,10 +264,10 @@ impl Script {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Drive a one-shard and a four-shard view through the same step
-    /// sequence: after every delete or update, the rows the join derives
-    /// are gone and every other removed row carries a deleted tuple's
-    /// projection, and query answers match the plain executor throughout.
+    /// Drive a view through a step sequence: after every delete or update,
+    /// the rows the join derives are gone and every other removed row
+    /// carries a deleted tuple's projection, and query answers match the
+    /// plain executor throughout.
     #[test]
     fn delta_index_equals_join_oracle(
         steps in proptest::collection::vec(step_strategy(), 1..40),
@@ -317,7 +300,7 @@ fn twin_projection_over_removes_soundly() {
     assert_eq!(script.apply(Step::InsertTwinR(0)), 0);
     warm();
     let over = script.apply(Step::DeleteNthR(0));
-    println!("over-removed by the twin delete: {over} rows over 2 views");
+    println!("over-removed by the twin delete: {over} rows");
     assert!(over > 0, "the twin's rows were not over-removed");
     warm();
 }
@@ -333,7 +316,7 @@ fn union_pass_removes_joint_bridge_derivations() {
     let fx = bridge_fixture();
     let (edb, template) = (EpochDb::new(fx.db), fx.template);
     let def = PartialViewDef::all_equality("bridge_pmv", template.clone()).unwrap();
-    let view = SharedPmv::with_shards(def, PmvConfig::new(64, 32, PolicyKind::Clock), 2);
+    let view = SharedPmv::new(def, PmvConfig::new(64, 32, PolicyKind::Clock));
     let queries: Vec<QueryInstance> = (0..5)
         .flat_map(|f| (0..3).map(move |g| (f, g)))
         .map(|(f, g)| eqt_query(&template, &[f], &[g]))
@@ -429,7 +412,7 @@ fn indexed_delete_touches_ten_times_fewer_rows_than_delta_join() {
     let spec = FilterSpec::for_template(&template);
 
     let def = PartialViewDef::all_equality("maint_pmv", template.clone()).unwrap();
-    let shared = SharedPmv::with_shards(def, PmvConfig::new(8, 4096, PolicyKind::Clock), 16);
+    let shared = SharedPmv::new(def, PmvConfig::new(8, 4096, PolicyKind::Clock));
     // Both bcps of key `k`, optionally checked against the executor.
     let probe = |k: usize, check: bool| {
         for g in 0..GVALS {

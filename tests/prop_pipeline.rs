@@ -79,7 +79,7 @@ proptest! {
         let fx = eqt_fixture(60);
         let (edb, template) = (EpochDb::new(fx.db), fx.template);
         let def = PartialViewDef::all_equality("prop_pmv", template.clone()).unwrap();
-        let pmv = SharedPmv::with_shards(def, PmvConfig::new(f_cap, l, policy), 1);
+        let pmv = SharedPmv::new(def, PmvConfig::new(f_cap, l, policy));
 
         for step in steps {
             if let Step::Query { fs, gs } = &step {
@@ -105,7 +105,7 @@ proptest! {
         let fx = eqt_fixture(40);
         let (edb, template) = (EpochDb::new(fx.db), fx.template);
         let def = PartialViewDef::all_equality("prop_pmv2", template.clone()).unwrap();
-        let pmv = SharedPmv::with_shards(def, PmvConfig::new(3, 16, PolicyKind::Clock), 1);
+        let pmv = SharedPmv::new(def, PmvConfig::new(3, 16, PolicyKind::Clock));
 
         for step in steps {
             if let Step::Query { fs, gs } = &step {

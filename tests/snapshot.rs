@@ -80,7 +80,7 @@ fn tpcr_snapshot_roundtrip_preserves_query_results() {
     // serves partials on the second, with nothing stale.
     let t1 = template_t1(&edb.read()).unwrap();
     let def = PartialViewDef::all_equality("ckpt_pmv", t1.clone()).unwrap();
-    let pmv = SharedPmv::with_shards(def, PmvConfig::default(), 1);
+    let pmv = SharedPmv::new(def, PmvConfig::default());
     let date = DATES[hot];
     let q = t1_query(&t1, &[date], &[supplier_for(date)]).unwrap();
     let cold = edb.query(&pmv, &q).unwrap();
