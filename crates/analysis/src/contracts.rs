@@ -105,7 +105,7 @@ pub const CONTRACTS: [Contract; 7] = [
         id: "lock_in_catch_unwind",
         level: Level::Error,
         short: "no lock acquisition inside a catch_unwind closure: acquire the guard outside \
-                so the quarantine handler can reach the store after a panic",
+                so the drain handler can reach the store after a panic",
         regions: catch_unwind_closures,
         direct: BLOCKING,
         transitive: STORE_LOCK,
@@ -370,7 +370,7 @@ fn scope_end(masked: &str, from: usize, var: &str) -> usize {
 
 /// The scope of every `let name = ….<method>()` binding in a file, as
 /// `(method offset, scope end, name)`. Values consumed inside the same
-/// expression (`store.write().quarantine()`, closure-local
+/// expression (`store.write().clear()`, closure-local
 /// `s.read().x()`) are released at the statement's end; only named
 /// bindings hold.
 fn let_scopes<'a>(masked: &'a str, method: &str) -> Vec<(usize, usize, &'a str)> {

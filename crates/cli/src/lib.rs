@@ -224,7 +224,7 @@ impl Session {
         // `<data-dir>/flight/` (bounded; oldest dumps evicted first).
         // Diagnostics only: if the spool cannot open, the session still
         // serves. `PMV_FLIGHT_LATENCY_MS` arms the latency trigger;
-        // breaker/quarantine/degradation triggers are always armed.
+        // the quarantine and degradation triggers are always armed.
         if let Ok(spool) = pmv_wal::DiskSpool::open(&data_dir.join("flight"), 256 * 1024) {
             let fr = Arc::new(pmv_obs::FlightRecorder::new(Box::new(spool), 16));
             if let Some(ms) = std::env::var("PMV_FLIGHT_LATENCY_MS")
@@ -608,7 +608,7 @@ impl Session {
             let _ = writeln!(
                 out,
                 "{}: {} (error rate {:.3}, trips {}, degraded queries {}, quarantine events {}, \
-                 last verified {}ms ago, store {})",
+                 last verified {}ms ago)",
                 v.name,
                 v.health,
                 v.error_rate,
@@ -616,11 +616,6 @@ impl Session {
                 v.counter("degraded_queries"),
                 v.counter("quarantine_events"),
                 v.last_verified_age_ms,
-                if v.gauge("store_quarantined") > 0.0 {
-                    "quarantined"
-                } else {
-                    "live"
-                },
             );
         }
         if out.is_empty() {
@@ -1633,7 +1628,7 @@ mod tests {
              quarantine events 0, "
         );
         assert!(age.parse::<u64>().is_ok(), "{out}");
-        assert_eq!(tail, ", store live)");
+        assert_eq!(tail, ")");
         let out = s.execute("revalidate").unwrap();
         assert!(out.contains("t1: 0 stale tuple(s) removed"), "{out}");
         assert!(s

@@ -9,8 +9,8 @@
 //! * The store keeps its entries in one copy-on-write table, and the
 //!   view publishes that table to readers through one
 //!   [`pmv_sync::LeftRight`] cell: a pointer copy of the table plus the
-//!   store's insert watermark and quarantine flag. Mutators republish,
-//!   under the store's write guard, after changing what the view serves;
+//!   store's insert watermark. Mutators republish, under the store's
+//!   write guard, after changing what the view serves;
 //!   the store's first write after a publish copies only the spine and
 //!   the chunk it touches, and a store whose table is still the
 //!   published one has nothing to publish.
@@ -19,6 +19,11 @@
 //!   it, because O2 reads the published table.
 //! * Statistics accumulate locally per call and publish via one relaxed
 //!   [`AtomicPmvStats::add`] — no lock is taken for bookkeeping.
+//! * The view's [`CircuitBreaker`] is its one quarantine. A drain — a
+//!   panic mid-mutation, or maintenance that cannot repair the store —
+//!   empties the store and trips the breaker under the store's write
+//!   guard; a view in quarantine serves and fills nothing until
+//!   [`SharedPmv::revalidate`] resets it.
 //!
 //! # Serving
 //!
@@ -95,7 +100,8 @@ pub(crate) struct Inner {
     /// it joins one, `u64::MAX` while a host attaches it.
     pub(crate) host: AtomicU64,
     pub(crate) stats: AtomicPmvStats,
-    /// Per-view health state machine; Quarantined disables all serving.
+    /// Per-view health state machine and the view's one quarantine:
+    /// Quarantined disables all serving and filling.
     pub(crate) breaker: CircuitBreaker,
     /// When the view last completed maintenance or revalidation
     /// (staleness reference point).
@@ -111,7 +117,7 @@ pub(crate) struct Inner {
     /// *after* the pin is released — never inside a pin region.
     flight: OnceLock<Arc<FlightRecorder>>,
     /// Breaker trip count already seen by [`SharedPmv::flight_check`],
-    /// so each trip produces one `breaker_trip` dump, not one per query.
+    /// so each trip produces one `quarantine` dump, not one per query.
     flight_trips_seen: AtomicU64,
 }
 
@@ -122,14 +128,28 @@ impl Inner {
         self.maint_epoch.load(Ordering::Acquire)
     }
 
-    /// Publish the store to its readers: a pointer copy of its table,
-    /// watermark and quarantine flag. Must be called while the caller
-    /// still holds the store's write guard, so the published view always
-    /// reflects a consistent store state (and no other publisher runs).
+    /// Publish the store to its readers: a pointer copy of its table
+    /// and watermark. Must be called while the caller still holds the
+    /// store's write guard, so the published view always reflects a
+    /// consistent store state (and no other publisher runs).
     pub(crate) fn publish_store(&self, store: &PmvStore) {
         let t0 = Instant::now();
         self.view.publish(Arc::new(store.published()));
         self.obs.record(Phase::snapshot_swap, t0.elapsed());
+    }
+
+    /// Drain the view after its store's contents became untrustworthy:
+    /// empty the store ([`PmvStore::clear`]) and quarantine the breaker,
+    /// both under `store`, the store's write guard the caller holds — a
+    /// write-back re-checks the breaker under that guard, so no query
+    /// that passed O2 before the drain refills the view before
+    /// `revalidate` — then count the drain and republish.
+    pub(crate) fn drain(&self, store: &mut PmvStore, local: &mut PmvStats) {
+        store.clear();
+        self.breaker.force_quarantine();
+        self.breaker.record_error();
+        local.quarantine_events += 1;
+        self.publish_store(store);
     }
 }
 
@@ -199,10 +219,12 @@ impl SharedPmv {
     /// Useful after direct base mutations that bypassed maintenance, and
     /// the oracle the property tests use.
     ///
-    /// This is also the repair path: a quarantined store is empty, so
-    /// revalidation trivially verifies it, lifts its quarantine (it
-    /// refills lazily through O3), and resets the circuit breaker back to
-    /// Healthy.
+    /// This is also the repair path: it resets the circuit breaker to
+    /// Healthy, under the store's write guard after the sweep, so a
+    /// view in quarantine serves and fills again. A drained store is
+    /// empty and refills lazily through O3; a view whose breaker tripped
+    /// on its error rate kept its entries, which maintenance kept
+    /// current and the sweep re-derives like any other.
     pub fn revalidate(&self, db: &Database) -> Result<usize> {
         let inner = &*self.inner;
         let t_start = Instant::now();
@@ -230,13 +252,15 @@ impl SharedPmv {
         for (bcp, mut budget) in truths {
             removed += remove_stale(&mut store, &bcp, &mut budget);
         }
-        store.lift_quarantine();
         inner.publish_store(&store);
+        // A drain that lands after this guard is released keeps its
+        // quarantine.
+        inner.breaker.reset();
         drop(store);
         // The sweep closes the failure episode: clear transient
         // panic/quarantine tallies (counters AND `[transient]`-tagged
-        // histograms — the `[keep]` latency series survive) with the
-        // breaker, then record it.
+        // histograms — the `[keep]` latency series survive), then record
+        // it.
         inner.stats.reset_transient();
         inner.obs.reset_transient();
         let local = PmvStats {
@@ -244,7 +268,6 @@ impl SharedPmv {
             ..Default::default()
         };
         inner.stats.add(&local);
-        inner.breaker.reset();
         inner.verified.mark();
         inner.obs.record(Phase::revalidate, t_start.elapsed());
         trace.event(EventKind::Revalidated { removed });
@@ -271,8 +294,8 @@ impl SharedPmv {
     }
 
     /// Inspect one finished query for anomalies and dump the flight
-    /// recorder if one fired: a breaker trip since the last check
-    /// (`breaker_trip`, or `quarantine` when the trip landed there), a
+    /// recorder if one fired: a trip of the breaker into Quarantined
+    /// since the last check (`quarantine`: a drain, or the error rate), a
     /// degraded outcome, or end-to-end latency over the armed threshold.
     ///
     /// Must not be called while an epoch snapshot is pinned or the store
@@ -285,10 +308,8 @@ impl SharedPmv {
         // `swap` claims the trip for this thread: racing queries see the
         // updated count and dump nothing (trip counts are monotonic).
         let tripped = trips > inner.flight_trips_seen.swap(trips, Ordering::AcqRel);
-        let reason = if tripped && inner.breaker.state() == ViewHealth::Quarantined {
+        let reason = if tripped {
             TriggerReason::Quarantine
-        } else if tripped {
-            TriggerReason::BreakerTrip
         } else if outcome.degraded.is_some() {
             TriggerReason::Degraded
         } else if fr.armed() && total.as_nanos() as u64 >= fr.latency_threshold_ns() {
@@ -328,12 +349,6 @@ impl SharedPmv {
     /// completed maintenance or revalidation.
     pub fn staleness(&self) -> Duration {
         self.inner.verified.staleness()
-    }
-
-    /// Whether the store is quarantined (drained): it serves and caches
-    /// nothing until [`Self::revalidate`] lifts it.
-    pub fn is_quarantined(&self) -> bool {
-        self.inner.store.read().is_quarantined()
     }
 
     /// Snapshot of the statistics.
@@ -452,10 +467,6 @@ impl SharedPmv {
             ("degraded_query_rate", stats.degraded_query_rate()),
             ("store_bytes", self.byte_size() as f64),
             ("occupancy", self.occupancy()),
-            (
-                "store_quarantined",
-                f64::from(u8::from(self.is_quarantined())),
-            ),
         ];
         ViewMetrics {
             name: self.def().name().to_string(),
@@ -479,10 +490,8 @@ impl SharedPmv {
     /// Check the store's structural invariants, returning a typed
     /// report instead of panicking (safe to call in production).
     pub fn validate(&self) -> ValidationReport {
-        let store = self.inner.store.read();
         ValidationReport {
-            quarantined: store.is_quarantined(),
-            violations: store.check(),
+            violations: self.inner.store.read().check(),
         }
     }
 
@@ -722,16 +731,14 @@ pub(crate) mod tests {
     }
 
     /// The view publishes its store's own table: the published spine is
-    /// the store's, with its watermark and quarantine flag, and every
-    /// entry sits in the chunk, under the tag, its hash names.
+    /// the store's, with its watermark, and every entry sits in the
+    /// chunk, under the tag, its hash names.
     fn assert_view_current(shared: &SharedPmv, context: &str) {
         let inner = &shared.inner;
         let view = inner.view.load();
         let store = inner.store.read();
         assert!(
-            view.table.ptr_eq(store.table())
-                && (view.inserts_seen, view.quarantined)
-                    == (store.inserts_seen(), store.is_quarantined()),
+            view.table.ptr_eq(store.table()) && view.inserts_seen == store.inserts_seen(),
             "{context}: the view is not its store"
         );
         for (ci, chunk) in view.table.chunks().iter().enumerate() {
@@ -751,7 +758,7 @@ pub(crate) mod tests {
     /// deletes, updates; 6 bcps over L = 4, so evictions too) against a
     /// CLOCK and a 2Q view. After every step each view's published table
     /// is its store's own — across an insert-only batch and a
-    /// quarantine/`revalidate` cycle as well — and both views answer like
+    /// drain/`revalidate` cycle as well — and both views answer like
     /// the plain executor.
     #[test]
     fn published_views_track_their_stores() {
@@ -800,13 +807,12 @@ pub(crate) mod tests {
                 // would, then repair.
                 for v in &views {
                     let mut store = v.inner.store.write();
-                    store.quarantine();
-                    v.inner.publish_store(&store);
+                    v.inner.drain(&mut store, &mut PmvStats::default());
                     drop(store);
-                    assert_view_current(v, "quarantined");
-                    assert!(v.is_quarantined());
+                    assert_view_current(v, "drained");
+                    assert_eq!(v.health(), ViewHealth::Quarantined);
                     v.revalidate(&edb.read()).unwrap();
-                    assert!(!v.is_quarantined());
+                    assert_eq!(v.health(), ViewHealth::Healthy);
                 }
             } else if kind < 17 {
                 let mut values = vec![Value::Int(f)];

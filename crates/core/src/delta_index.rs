@@ -253,7 +253,7 @@ impl DeltaKeyIndex {
         !self.specs[rel].view_positions.is_empty()
     }
 
-    /// Drop every tracked projection (store drained, e.g. quarantine).
+    /// Drop every tracked projection (the store was drained).
     pub fn clear(&mut self) {
         for m in &mut self.maps {
             m.clear();

@@ -18,13 +18,18 @@
 //! * **Degraded** — still serving, but the windowed error rate crossed
 //!   the degrade threshold; operators should look. Recovers on its own
 //!   when the rate falls back under the threshold.
-//! * **Quarantined** — the error rate crossed the quarantine threshold
-//!   (or the view's store was drained after a panic). **No partial results are
-//!   ever served from a quarantined view** and nothing is cached; queries
-//!   still get full, correct answers straight from O3. Quarantine is
-//!   sticky: only an explicit [`CircuitBreaker::reset`] — issued by the
-//!   `revalidate` repair path once the cache is known-consistent again —
-//!   returns the view to Healthy.
+//! * **Quarantined** — the error rate crossed the quarantine threshold,
+//!   or the view was drained: a panic mid-mutation, or maintenance that
+//!   could not repair the store, emptied the store and forced this state
+//!   under the store's write guard. This is the view's one quarantine.
+//!   **No partial results are ever served from a view in quarantine** and
+//!   nothing is cached; queries still get full, correct answers straight
+//!   from O3, and maintenance keeps whatever the store still holds
+//!   current. Quarantine is sticky: only an explicit
+//!   [`CircuitBreaker::reset`] — issued by the `revalidate` repair path
+//!   once the cache is known-consistent again — returns the view to
+//!   Healthy. Every entry into it counts as a trip, and the next query's
+//!   flight check dumps once with reason `quarantine`.
 //!
 //! The breaker is driven by per-query success/failure events recorded
 //! with relaxed atomics; it is statistics, not synchronization, so a
@@ -131,8 +136,9 @@ impl CircuitBreaker {
         self.record(false);
     }
 
-    /// Jump straight to Quarantined (e.g. the store was drained after a
-    /// panic and the cached working set is gone).
+    /// Jump straight to Quarantined: the view was drained (its store
+    /// emptied after a panic mid-mutation or a failed maintenance join).
+    /// Counts a trip unless already Quarantined.
     pub fn force_quarantine(&self) {
         if self.state.swap(STATE_QUARANTINED, Ordering::Relaxed) != STATE_QUARANTINED {
             self.trips.fetch_add(1, Ordering::Relaxed);
@@ -263,8 +269,6 @@ impl VerifiedClock {
 /// Typed result of a non-panicking consistency check of a view's store.
 #[derive(Clone, Debug, Default)]
 pub struct ValidationReport {
-    /// Whether the store is currently quarantined (drained).
-    pub quarantined: bool,
     /// Invariant violations found; empty means consistent.
     pub violations: Vec<String>,
 }
@@ -279,12 +283,7 @@ impl ValidationReport {
 impl std::fmt::Display for ValidationReport {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         if self.is_consistent() {
-            let state = if self.quarantined {
-                "quarantined"
-            } else {
-                "live"
-            };
-            write!(f, "consistent ({state} store)")
+            f.write_str("consistent")
         } else {
             writeln!(f, "{} violation(s):", self.violations.len())?;
             for v in &self.violations {
@@ -365,8 +364,7 @@ mod tests {
     fn report_formats() {
         let mut r = ValidationReport::default();
         assert!(r.is_consistent());
-        assert_eq!(r.to_string(), "consistent (live store)");
-        r.quarantined = true;
+        assert_eq!(r.to_string(), "consistent");
         r.violations.push("entry over F".into());
         assert!(!r.is_consistent());
         assert_eq!(r.to_string(), "1 violation(s):\n  entry over F\n");

@@ -23,8 +23,10 @@
 //!
 //! A bridge join that keeps failing — transient faults past the retry
 //! budget, or a permanent error at once — never leaves a stale tuple
-//! behind: the view's store is drained (quarantined) instead, the rest
-//! of the batch still runs, and `revalidate` lifts the quarantine.
+//! behind: the view is drained instead (its store emptied, its breaker
+//! put in quarantine), the rest of the batch still runs, and
+//! `revalidate` lifts the quarantine. A view whose breaker tripped on
+//! its error rate keeps its entries and is maintained like any other.
 //!
 //! # The X side of Section 3.6
 //!
@@ -187,6 +189,7 @@ impl SharedPmv {
         for tuple in bridge_order {
             let Some(rows) = self.join_with_retry(db, &template, rel_idx, tuple, &mut local) else {
                 self.drain(&mut local);
+                trace.event(EventKind::Quarantine);
                 continue;
             };
             let n = bridge_counts[tuple];
@@ -254,20 +257,14 @@ impl SharedPmv {
         }
     }
 
-    /// Failed-join fallback: drain (quarantine) the store, removal-only,
-    /// so the view under-serves until revalidated but never serves a
-    /// tuple the delete should have evicted. Which cached rows the join
-    /// would have found is unknowable without it.
+    /// Failed-join fallback: drain the view, removal-only, so it
+    /// under-serves until revalidated but never serves a tuple the
+    /// delete should have evicted. Which cached rows the join would have
+    /// found is unknowable without it.
     fn drain(&self, local: &mut PmvStats) {
-        let inner = &*self.inner;
         local.maint_fallbacks += 1;
-        inner.breaker.record_error();
-        let mut store = inner.store.write();
-        if !store.is_quarantined() {
-            store.quarantine();
-            local.quarantine_events += 1;
-            inner.publish_store(&store);
-        }
+        let inner = &*self.inner;
+        inner.drain(&mut inner.store.write(), local);
     }
 
     /// X-lock the store, evict `removals` and republish; nothing to do
@@ -281,9 +278,6 @@ impl SharedPmv {
         let t_lock = Instant::now();
         let mut store = inner.store.write();
         inner.obs.record(Phase::lock_shard_maint, t_lock.elapsed());
-        if store.is_quarantined() {
-            return false; // already drained: nothing cached to evict
-        }
         let evict = catch_unwind(AssertUnwindSafe(|| {
             pmv_faultinject::fire_soft(Site::ShardMaint);
             for removal in removals {
@@ -304,12 +298,11 @@ impl SharedPmv {
         let drained = evict.is_err();
         if drained {
             // Mid-eviction panic: some removals may not have been
-            // applied, so the cache can no longer be trusted. Drain it.
-            store.quarantine();
-            local.quarantine_events += 1;
-            inner.breaker.record_error();
+            // applied, so the cache can no longer be trusted.
+            inner.drain(&mut store, local);
+        } else {
+            inner.publish_store(&store);
         }
-        inner.publish_store(&store);
         drained
     }
 
@@ -562,7 +555,7 @@ mod tests {
         assert_eq!(stats.maint_deletes_joined, 2, "the second batch still ran");
         let report = view.validate();
         assert!(report.is_consistent(), "{report}");
-        assert!(report.quarantined && view.is_quarantined());
+        assert_eq!(view.health(), ViewHealth::Quarantined);
         assert!(view.tuple_count() < cached);
 
         // The real post-delta database: nothing stale is served.
@@ -576,7 +569,6 @@ mod tests {
             assert_eq!(got, want);
         }
         assert_eq!(view.revalidate(&db).unwrap(), 0);
-        assert!(!view.is_quarantined());
         assert_eq!(view.health(), ViewHealth::Healthy);
         assert_eq!(view.stats().maint_fallbacks, 0, "transient tally reset");
     }

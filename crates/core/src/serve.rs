@@ -238,7 +238,7 @@ fn query_with_scratch(
     });
 
     // ---- Operation O2: probe the published table, never locking ----
-    // A quarantined view skips O2/fill entirely: the query still gets a
+    // A view in quarantine skips O2/fill entirely: the query still gets a
     // full, correct answer straight from O3, just without cache
     // acceleration ("never serve from Quarantined").
     let serving = breaker.allow_serve();
@@ -270,11 +270,8 @@ fn query_with_scratch(
     let t_probe = Instant::now();
     // `load` is wait-free (bounded retry over the two left-right slots);
     // a concurrent publish can at worst hand us the previous consistent
-    // table. A drained store serves nothing.
-    if let Some(published) = serving
-        .then(|| inner.view.load())
-        .filter(|p| !p.quarantined && !slots.is_empty())
-    {
+    // table.
+    if let Some(published) = (serving && !slots.is_empty()).then(|| inner.view.load()) {
         // Completeness gate, evaluated AFTER the published table was
         // loaded: a reader pinned after a maintenance pass also observes
         // that pass's republished table (maintain stores the fence
@@ -660,9 +657,14 @@ fn write_back(
         return Duration::ZERO;
     }
     let t_fill = Instant::now();
-    // The store's write guard, never waited for: a contended or drained
-    // store skips this query's write-back.
-    let Some(mut store) = inner.store.try_write().filter(|s| !s.is_quarantined()) else {
+    // The store's write guard, never waited for: a contended store, or
+    // a view put in quarantine since O2 (a drain trips the breaker under
+    // this guard), skips this query's write-back.
+    let Some(mut store) = inner
+        .store
+        .try_write()
+        .filter(|_| inner.breaker.allow_serve())
+    else {
         return Duration::ZERO;
     };
     // Re-read once the guard is held: the fill gate below compares it.
@@ -670,7 +672,7 @@ fn write_back(
     let admitted_before = local.tuples_admitted;
     let evicted_before = store.evictions();
     // A panic mid-mutation may leave the store's policy or entry
-    // bookkeeping torn: catch it and drain the store below
+    // bookkeeping torn: catch it and drain the view below
     // (removal-only, so nothing stale can ever be served from it later).
     let fill = catch_unwind(AssertUnwindSafe(|| {
         if touches {
@@ -783,14 +785,12 @@ fn write_back(
     }));
     let poisoned = fill.is_err();
     if poisoned {
-        store.quarantine();
-        local.quarantine_events += 1;
-        inner.breaker.record_error();
+        inner.drain(&mut store, local);
     }
     let evicted = store.evictions().saturating_sub(evicted_before);
     // Republish only if the write-back replaced the table readers hold
     // (`PmvStore::unpublished`): touches change only policy state and
-    // hit counts, in place; a quarantine installs a fresh table.
+    // hit counts, in place; a drain has published its empty table.
     if store.unpublished() {
         // pmv::allow(pin_reaches_blocking_lock): LeftRight::publish
         // takes the writer-side mutex, which only fills contend on —

@@ -88,15 +88,16 @@ macro_rules! for_each_stat_field {
             [transient] exec_errors,
             /// O3 executions cut short by a deadline or row budget.
             [transient] budget_exceeded,
-            /// Shards drained into quarantine (panic mid-mutation or
-            /// maintenance fallback).
+            /// Drains: the view's store emptied and its breaker put in
+            /// quarantine (a panic mid-mutation or a maintenance
+            /// fallback).
             [transient] quarantine_events,
             /// Maintenance join retries after transient failures.
             [transient] maint_retries,
             /// Maintenance fallbacks: retries exhausted, the store
             /// drained instead of repaired.
             [transient] maint_fallbacks,
-            /// Revalidation sweeps completed (each lifts quarantine).
+            /// Revalidation sweeps completed (each resets the breaker).
             [keep] revalidations,
         }
     };

@@ -606,11 +606,10 @@ impl Table {
 }
 
 /// What readers of a store see: a pointer copy of its table, and the
-/// insert watermark and quarantine flag that go with it.
+/// insert watermark that goes with it.
 pub(crate) struct Published {
     pub(crate) table: Table,
     pub(crate) inserts_seen: u64,
-    pub(crate) quarantined: bool,
 }
 
 /// Bounded store of hot query results, keyed by basic condition part.
@@ -619,7 +618,7 @@ pub struct PmvStore {
     /// Entries in `table`.
     entries: usize,
     policy: Box<dyn ReplacementPolicy<BcpKey> + Send + Sync>,
-    /// Which policy `policy` was built from, kept so a quarantine drain
+    /// Which policy `policy` was built from, kept so [`Self::clear`]
     /// can rebuild a fresh instance of the same kind.
     policy_kind: PolicyKind,
     /// Recent access counts behind the admission rule.
@@ -632,10 +631,6 @@ pub struct PmvStore {
     /// Completeness stamps compare against this; bumping it lazily
     /// invalidates every complete entry without scanning them.
     inserts_seen: u64,
-    /// Drained after a panic mid-mutation (or a maintenance fallback):
-    /// serves nothing and caches nothing until quarantine is lifted by
-    /// revalidation.
-    quarantined: bool,
     /// Spine address of the table [`Self::published`] last handed out.
     /// The readers it went to keep that spine alive, so no later table
     /// can sit at the address while it is recorded here. Written only
@@ -665,23 +660,21 @@ impl PmvStore {
             evictions: 0,
             index: None,
             inserts_seen: 0,
-            quarantined: false,
             published_spine: AtomicUsize::new(0),
             staged: Staged::default(),
             row: Vec::new(),
         }
     }
 
-    /// What a reader of this store sees now: its table (a pointer copy),
-    /// insert watermark and quarantine flag. Records the table as handed
-    /// out; the caller gives it to readers.
+    /// What a reader of this store sees now: its table (a pointer copy)
+    /// and insert watermark. Records the table as handed out; the caller
+    /// gives it to readers.
     pub(crate) fn published(&self) -> Published {
         self.published_spine
             .store(self.table.addr(), Ordering::Release);
         Published {
             table: self.table.clone(),
             inserts_seen: self.inserts_seen,
-            quarantined: self.quarantined,
         }
     }
 
@@ -743,7 +736,7 @@ impl PmvStore {
     /// a relevant insert and completeness cannot be claimed.
     pub fn mark_complete<'k>(&mut self, bcp: impl Into<Hashed<'k>>, inserts_at: u64) -> bool {
         let bcp = bcp.into();
-        if self.quarantined || inserts_at != self.inserts_seen {
+        if inserts_at != self.inserts_seen {
             return false;
         }
         let Some((at, entry)) = self.table.find(bcp.hash, bcp.bcp) else {
@@ -758,11 +751,9 @@ impl PmvStore {
     /// Whether `bcp`'s entry currently holds the bcp's entire truth:
     /// marked complete and no relevant insert has landed since.
     pub fn entry_complete(&self, bcp: &BcpKey) -> bool {
-        !self.quarantined
-            && self
-                .table
-                .get(Self::hash_of(bcp), bcp)
-                .is_some_and(|e| e.complete == Some(self.inserts_seen))
+        self.table
+            .get(Self::hash_of(bcp), bcp)
+            .is_some_and(|e| e.complete == Some(self.inserts_seen))
     }
 
     /// Max tuples per bcp (`F`).
@@ -776,19 +767,14 @@ impl PmvStore {
         self.policy.occupancy()
     }
 
-    /// Whether the store is quarantined (drained, serving nothing).
-    pub fn is_quarantined(&self) -> bool {
-        self.quarantined
-    }
-
-    /// Drain the store after its contents became untrustworthy (a panic
-    /// mid-mutation, or maintenance that could not repair it): every
-    /// entry is dropped, the policy and index are rebuilt empty, and the
-    /// store stops serving and caching until [`Self::lift_quarantine`].
-    /// Removal-only, so it can never cause a stale tuple to be served.
-    /// The admission sketch keeps its counts: they describe the
-    /// workload, not the drained contents.
-    pub fn quarantine(&mut self) {
+    /// Drop every entry after the store's contents became untrustworthy
+    /// (a panic mid-mutation, or maintenance that could not repair it):
+    /// the policy and index are rebuilt empty. Removal-only, so it can
+    /// never cause a stale tuple to be served. The admission sketch
+    /// keeps its counts: they describe the workload, not the dropped
+    /// contents. What stops the view serving and filling afterwards is
+    /// its circuit breaker, which the caller trips.
+    pub fn clear(&mut self) {
         self.table = Table::new(self.table.chunks().len());
         self.entries = 0;
         self.bytes = 0;
@@ -796,13 +782,6 @@ impl PmvStore {
         if let Some(ix) = &mut self.index {
             ix.clear();
         }
-        self.quarantined = true;
-    }
-
-    /// Resume serving after revalidation confirmed (or re-established)
-    /// consistency.
-    pub fn lift_quarantine(&mut self) {
-        self.quarantined = false;
     }
 
     /// The tuples cached for `bcp`, if resident, front-coded back to back
@@ -817,9 +796,6 @@ impl PmvStore {
     /// Does not touch the policy.
     pub fn rows<'k>(&self, bcp: impl Into<Hashed<'k>>) -> Option<Rows<'_>> {
         let bcp = bcp.into();
-        if self.quarantined {
-            return None;
-        }
         Some(self.table.get(bcp.hash, bcp.bcp)?.rows)
     }
 
@@ -848,9 +824,6 @@ impl PmvStore {
     /// when `bcp` out-counts the victim. Evicted entries are purged.
     pub fn admit<'k>(&mut self, bcp: impl Into<Hashed<'k>>) -> Residency {
         let bcp = bcp.into();
-        if self.quarantined {
-            return Residency::Probation;
-        }
         let policy = &mut *self.policy;
         match admit_if_warmer(policy, &self.sketch, bcp.bcp, bcp.hash, Self::hash_of) {
             None => Residency::Declined,
@@ -912,7 +885,7 @@ impl PmvStore {
         V: Iterator<Item = &'v Value> + Clone,
     {
         let bcp = bcp.into();
-        if self.quarantined || !self.policy.contains(bcp.bcp) {
+        if !self.policy.contains(bcp.bcp) {
             return 0;
         }
         let found = self.table.find(bcp.hash, bcp.bcp);
@@ -1930,8 +1903,7 @@ mod tests {
                     }
                     7 => s.note_insert(),
                     8 if arg % 8 == 0 => {
-                        s.quarantine();
-                        s.lift_quarantine();
+                        s.clear();
                         model.clear();
                     }
                     // A reader takes the table, or lets it go.

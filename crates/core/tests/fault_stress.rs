@@ -14,8 +14,8 @@
 //!   (the cache under-serves, it never lies);
 //! * no panic ever escapes a query or a commit's maintenance (no
 //!   poisoned lock, no aborted thread);
-//! * after `revalidate`, zero stale tuples are found, a quarantined
-//!   store is lifted, and the breaker returns to Healthy.
+//! * after `revalidate`, zero stale tuples are found and the breaker —
+//!   the view's one quarantine — returns to Healthy.
 //!
 //! The plan is process-global, so every test here serializes on one
 //! mutex. The two `#[ignore]`d entries — the seed matrix and the
@@ -24,6 +24,8 @@
 //! `PMV_FAULT_SEED=<u64>` for reproducing a single seed.
 
 use std::collections::HashMap;
+use std::io;
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, Once};
 use std::time::Duration;
 
@@ -34,6 +36,7 @@ use pmv_core::{
 };
 use pmv_faultinject::{FaultKind, FaultPlan, Site, PANIC_PREFIX};
 use pmv_index::IndexDef;
+use pmv_obs::{FlightDump, FlightRecorder, SpoolSink, TriggerReason};
 use pmv_query::{Condition, Database, TemplateBuilder, Transaction};
 use pmv_storage::{tuple, Column, ColumnType, RowId, Schema, Tuple, Value};
 use proptest::prelude::*;
@@ -107,6 +110,30 @@ fn setup(config: PmvConfig) -> (EpochDb, SharedPmv) {
     setup_view(config, false)
 }
 
+/// The reasons of the flight dumps a view's recorder wrote.
+#[derive(Clone, Default)]
+struct DumpLog(Arc<Mutex<Vec<TriggerReason>>>);
+
+impl SpoolSink for DumpLog {
+    fn spool_dump(&self, dump: &FlightDump) -> io::Result<PathBuf> {
+        self.0.lock().unwrap().push(dump.reason);
+        Ok(PathBuf::from(format!("dump-{}", dump.seq)))
+    }
+}
+
+impl DumpLog {
+    /// Attach a recorder spooling into a fresh log to `view`.
+    fn attach(view: &SharedPmv) -> Self {
+        let log = DumpLog::default();
+        view.attach_flight(Arc::new(FlightRecorder::new(Box::new(log.clone()), 16)));
+        log
+    }
+
+    fn reasons(&self) -> Vec<TriggerReason> {
+        self.0.lock().unwrap().clone()
+    }
+}
+
 fn multiset<T: std::borrow::Borrow<Tuple>>(tuples: &[T]) -> HashMap<Tuple, usize> {
     let mut m = HashMap::new();
     for t in tuples {
@@ -115,8 +142,8 @@ fn multiset<T: std::borrow::Borrow<Tuple>>(tuples: &[T]) -> HashMap<Tuple, usize
     m
 }
 
-/// The site whose one-shot panic drains the view in a seed's run: the
-/// view's one store is the unit of quarantine, so the first panic in a
+/// The site whose one-shot panic drains the view in a seed's run: a
+/// drain quarantines the whole view, so the first panic in a
 /// write-back or in maintenance's eviction leaves nothing cached until
 /// `revalidate`, and a second could not land. The matrix seeds rotate
 /// over all three sites.
@@ -279,7 +306,7 @@ fn run_stress(seed: u64, iters: i64, join_error_rate: f64) -> PmvStats {
         );
     }
 
-    // Structural invariants hold even with a quarantined store.
+    // Structural invariants hold even with a drained store.
     let report = shared.validate();
     assert!(report.is_consistent(), "{report}");
 
@@ -290,7 +317,7 @@ fn run_stress(seed: u64, iters: i64, join_error_rate: f64) -> PmvStats {
     // the start would serve next to no query.
     if stats.maint_fallbacks == 0 {
         assert!(
-            plan.invocations(site) > nth && shared.is_quarantined(),
+            plan.invocations(site) > nth && shared.health() == ViewHealth::Quarantined,
             "the planned {site} drain never landed (seed {seed})"
         );
         assert!(
@@ -306,14 +333,13 @@ fn run_stress(seed: u64, iters: i64, join_error_rate: f64) -> PmvStats {
         "every degraded query must carry a reason"
     );
 
-    // Self-healing: revalidate (fault-free) lifts quarantine, finds zero
-    // stale tuples, and resets the breaker.
+    // Self-healing: revalidate (fault-free) finds zero stale tuples and
+    // resets the breaker, lifting the quarantine.
     let removed = pmv_faultinject::suppress(|| shared.revalidate(&edb.read())).unwrap();
     assert_eq!(
         removed, 0,
         "stale tuples survived until revalidate (seed {seed})"
     );
-    assert!(!shared.is_quarantined());
     assert_eq!(shared.health(), ViewHealth::Healthy);
     shared.debug_validate();
 
@@ -555,9 +581,10 @@ fn injected_latency_is_visible_in_histograms_and_traces() {
 }
 
 /// Both write-back fault sites sit on the path a cold query runs, and a
-/// panic at either drains the whole view — the view's one store is the
-/// unit of quarantine: later queries serve no partials and reach neither
-/// site, every answer stays complete, and `revalidate` lifts the
+/// panic at either drains the view: its store is emptied and its breaker
+/// — the view's one quarantine — trips, which the next flight check
+/// dumps once. Later queries serve no partials, fill nothing and reach
+/// neither site, every answer stays complete, and `revalidate` lifts the
 /// quarantine.
 #[test]
 fn a_write_back_panic_drains_the_view() {
@@ -566,6 +593,7 @@ fn a_write_back_panic_drains_the_view() {
     install_quiet_panic_hook();
     for site in [Site::ShardProbe, Site::ShardFill] {
         let (edb, shared) = setup(PmvConfig::new(3, 16, PolicyKind::Clock));
+        let dumps = DumpLog::attach(&shared);
         let t = shared.def().template().clone();
         let q = |f: i64| {
             t.bind(vec![Condition::Equality(vec![Value::Int(f)])])
@@ -575,12 +603,15 @@ fn a_write_back_panic_drains_the_view() {
         assert_eq!(shared.entry_count(), 1, "{site}");
         let plan = Arc::new(FaultPlan::new(5).with_rule_at(site, FaultKind::Panic, 0));
         let guard = pmv_faultinject::install(Arc::clone(&plan));
-        for f in [3, 3, 1] {
+        for f in [3, 3, 1, 4] {
             let out = edb.query(&shared, &q(f)).unwrap();
             assert!(out.partial.is_empty(), "{site}: a drained view served");
             assert!(out.degraded.is_none() && out.ds_leftover == 0, "{site}");
             let truth = pmv_query::execute(&*edb.read(), &q(f)).unwrap().0;
             assert_eq!(multiset(&out.remaining_expanded), multiset(&truth));
+            assert_eq!(shared.entry_count(), 0, "{site}: a drained view filled");
+            assert_eq!(shared.health(), ViewHealth::Quarantined, "{site}");
+            assert_eq!(shared.breaker().trip_count(), 1, "{site}");
         }
         drop(guard);
         assert_eq!(
@@ -588,12 +619,9 @@ fn a_write_back_panic_drains_the_view() {
             1,
             "{site}: reached once, then drained"
         );
-        assert!(shared.is_quarantined(), "{site}");
-        assert_eq!(
-            (shared.entry_count(), shared.stats().quarantine_events),
-            (0, 1)
-        );
-        let traces = shared.obs().trace().tail(4);
+        assert_eq!(shared.stats().quarantine_events, 1, "{site}");
+        assert_eq!(dumps.reasons(), [TriggerReason::Quarantine], "{site}");
+        let traces = shared.obs().trace().tail(5);
         let drained = traces.iter().flat_map(|tr| &tr.events);
         assert_eq!(
             drained.filter(|e| e.kind == EventKind::Quarantine).count(),
@@ -602,10 +630,115 @@ fn a_write_back_panic_drains_the_view() {
         );
 
         assert_eq!(shared.revalidate(&edb.read()).unwrap(), 0);
-        assert!(!shared.is_quarantined(), "{site}");
+        assert_eq!(shared.health(), ViewHealth::Healthy, "{site}");
         edb.query(&shared, &q(3)).unwrap();
         assert!(edb.query(&shared, &q(3)).unwrap().bcp_hit, "{site}");
+        assert_eq!(dumps.reasons().len(), 1, "{site}");
     }
+}
+
+/// A bridge join that cannot be computed drains the view from inside
+/// `EpochDb::commit`: the store is emptied, the breaker trips once, and
+/// the next query's flight check dumps once with reason `quarantine`.
+#[test]
+fn a_failed_bridge_join_drains_the_view() {
+    let _lock = TEST_LOCK.lock().unwrap();
+    let (edb, shared) = setup_view(PmvConfig::new(3, 16, PolicyKind::Clock), true);
+    let dumps = DumpLog::attach(&shared);
+    let t = shared.def().template().clone();
+    let q = |f: i64| {
+        t.bind(vec![Condition::Equality(vec![Value::Int(f)])])
+            .unwrap()
+    };
+    for f in 0..4 {
+        edb.query(&shared, &q(f)).unwrap();
+    }
+    assert!(shared.tuple_count() > 0);
+    // Every attempt of every join fails: retries run out.
+    let plan = FaultPlan::new(3).with_rule(Site::MaintJoin, FaultKind::Error, 1.0);
+    let guard = pmv_faultinject::install(Arc::new(plan));
+    edb.commit(&[&shared], |db| {
+        let row = db.relation("b")?.iter().next().unwrap().0;
+        let mut txn = Transaction::begin(db);
+        txn.delete("b", row)?;
+        Ok(((), txn.commit()))
+    })
+    .expect("a failed join drains, it does not fail the commit");
+    drop(guard);
+    let stats = shared.stats();
+    assert_eq!((stats.maint_fallbacks, stats.quarantine_events), (1, 1));
+    assert_eq!(shared.entry_count(), 0);
+    assert_eq!(shared.health(), ViewHealth::Quarantined);
+    assert_eq!(shared.breaker().trip_count(), 1);
+    assert!(dumps.reasons().is_empty(), "dumps fire from queries only");
+    let traces = shared.obs().trace().tail(8);
+    let drained = traces.iter().flat_map(|tr| &tr.events);
+    assert_eq!(
+        drained
+            .filter(|e| e.kind == pmv_core::EventKind::Quarantine)
+            .count(),
+        1
+    );
+
+    for f in [0, 0, 5] {
+        let out = edb.query(&shared, &q(f)).unwrap();
+        assert!(out.partial.is_empty() && out.ds_leftover == 0);
+        let truth = pmv_query::execute(&*edb.read(), &q(f)).unwrap().0;
+        assert_eq!(multiset(&out.remaining_expanded), multiset(&truth));
+    }
+    assert_eq!(shared.entry_count(), 0);
+    assert_eq!(dumps.reasons(), [TriggerReason::Quarantine]);
+    assert_eq!(shared.revalidate(&edb.read()).unwrap(), 0);
+    assert_eq!(shared.health(), ViewHealth::Healthy);
+}
+
+/// A view the breaker put in quarantine on its error rate keeps its
+/// entries, and maintenance keeps them current: a commit deleting a
+/// cached row removes it while the view serves and fills nothing, so
+/// `revalidate` finds nothing stale.
+#[test]
+fn a_tripped_view_keeps_its_entries_and_is_maintained() {
+    let _lock = TEST_LOCK.lock().unwrap();
+    let (edb, shared) = setup(PmvConfig::new(3, 16, PolicyKind::Clock));
+    let t = shared.def().template().clone();
+    let q = |f: i64| {
+        t.bind(vec![Condition::Equality(vec![Value::Int(f)])])
+            .unwrap()
+    };
+    edb.query(&shared, &q(3)).unwrap();
+    assert_eq!((shared.entry_count(), shared.tuple_count()), (1, 3));
+    shared.breaker().force_quarantine();
+    assert_eq!(shared.health(), ViewHealth::Quarantined);
+    // No fill while in quarantine.
+    edb.query(&shared, &q(4)).unwrap();
+    assert_eq!((shared.entry_count(), shared.tuple_count()), (1, 3));
+
+    let cached = shared.dump()[0].1[0].clone();
+    let doomed = cached.get(0).clone();
+    edb.commit(&[&shared], |db| {
+        let row = db
+            .relation("r")?
+            .iter()
+            .find(|(_, tu)| tu.get(0) == &doomed)
+            .unwrap()
+            .0;
+        let mut txn = Transaction::begin(db);
+        txn.delete("r", row)?;
+        Ok(((), txn.commit()))
+    })
+    .unwrap();
+    assert_eq!(shared.stats().maint_tuples_removed, 1);
+    assert_eq!((shared.entry_count(), shared.tuple_count()), (1, 2));
+    assert!(
+        !shared.dump()[0].1.contains(&cached),
+        "the deleted row stayed"
+    );
+    assert_eq!(shared.health(), ViewHealth::Quarantined);
+
+    assert_eq!(shared.revalidate(&edb.read()).unwrap(), 0);
+    assert_eq!(shared.health(), ViewHealth::Healthy);
+    edb.query(&shared, &q(3)).unwrap();
+    assert!(edb.query(&shared, &q(3)).unwrap().bcp_hit);
 }
 
 /// A quarantined view never serves partials, but queries still get full

@@ -1,6 +1,6 @@
 #![cfg(loom)]
-//! Race-detector models of the PMV's concurrency protocols: store
-//! quarantine/drain, circuit-breaker transitions, the left-right
+//! Race-detector models of the PMV's concurrency protocols: the drain
+//! and its quarantine, circuit-breaker transitions, the left-right
 //! handoff, maintain-before-publish, attach and upquery refills, each
 //! over a view's one store. Compiled only under `RUSTFLAGS="--cfg loom"` —
 //! CI's loom job; `cargo test` skips this file entirely.
@@ -24,6 +24,16 @@ use pmv_index::IndexDef;
 use pmv_query::{Condition, Database, TemplateBuilder, Transaction};
 use pmv_storage::{tuple, Column, ColumnType, Schema, Value};
 use pmv_sync::LeftRight;
+
+/// The fault plan `quarantine_drain_protocol` installs is process-wide:
+/// every model that serves or maintains a view holds this lock, so
+/// another model's queries never meet its panics.
+static FAULT_PLAN: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+/// Hold [`FAULT_PLAN`], whether or not an earlier holder panicked.
+fn fault_plan_lock() -> std::sync::MutexGuard<'static, ()> {
+    FAULT_PLAN.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn quiet_injected_panics() {
     let default = std::panic::take_hook();
@@ -71,12 +81,16 @@ fn setup() -> (Database, SharedPmv) {
     (db, shared)
 }
 
-/// Quarantine/drain: injected probe/fill panics quarantine the store
-/// while reader threads keep serving; a fault-free revalidate then
-/// drains and lifts the quarantine, restoring full health. The store
+/// Drain and quarantine: an injected probe or fill panic drains the
+/// view — empties its store and trips its breaker, the view's one
+/// quarantine — while reader threads keep serving. A query that passed
+/// O2 before the drain re-checks the breaker under the store's write
+/// guard, so none refills the view: it stays empty and Quarantined
+/// until a fault-free revalidate restores full health. The store
 /// invariants must hold at every schedule the scheduler explores.
 #[test]
 fn quarantine_drain_protocol() {
+    let _plan = fault_plan_lock();
     quiet_injected_panics();
     loom::model(|| {
         let (db, shared) = setup();
@@ -110,13 +124,16 @@ fn quarantine_drain_protocol() {
             h.join().expect("no panic may escape the serving path");
         }
         shared.debug_validate();
+        assert!(plan.counts().panics > 0, "no write-back panicked");
+        assert_eq!(shared.entry_count(), 0, "a drained view was refilled");
+        assert_eq!(shared.health(), ViewHealth::Quarantined);
+        assert_eq!(shared.breaker().trip_count(), 1);
 
-        // Fault-free drain: lifts every quarantine, removes nothing
-        // stale (readers never wrote under faults — fills that panicked
-        // never landed).
+        // Fault-free repair: lifts the quarantine, removes nothing
+        // stale (fills that panicked never landed).
         let removed = pmv_faultinject::suppress(|| shared.revalidate(&edb.read())).unwrap();
         assert_eq!(removed, 0, "drain found stale tuples");
-        assert!(!shared.is_quarantined());
+        assert_eq!(shared.health(), ViewHealth::Healthy);
         shared.debug_validate();
     });
 }
@@ -215,6 +232,7 @@ fn left_right_pin_swap_handoff() {
 /// revalidation must find nothing stale in the store.
 #[test]
 fn epoch_pin_maintain_before_publish() {
+    let _plan = fault_plan_lock();
     loom::model(|| {
         let (db, shared) = setup();
         let edb = std::sync::Arc::new(EpochDb::new(db));
@@ -287,6 +305,7 @@ fn epoch_pin_maintain_before_publish() {
 /// served, DS ends empty and a ground-truth sweep removes nothing.
 #[test]
 fn attach_races_commit() {
+    let _plan = fault_plan_lock();
     loom::model(|| {
         for held_pin in [false, true] {
             let (db, shared) = setup();
@@ -348,17 +367,19 @@ fn attach_races_commit() {
     });
 }
 
-/// Targeted upqueries racing maintenance eviction on a drained bcp.
+/// Targeted upqueries racing maintenance eviction on an open bcp.
 /// Readers issue two-part queries whose complete part short-circuits
-/// and whose drained part triggers a bounded keyed
-/// upquery refill, while a committer keeps deleting rows out of the
-/// queried bcps — each delete drains the supported view tuples and
+/// and whose open part (a delete took a tuple of it) triggers a bounded
+/// keyed upquery refill, while a committer keeps deleting rows out of the
+/// queried bcps — each delete removes the supported view tuples and
 /// bumps `maint_epoch`, so any refill derived at an older pin must be
 /// discarded by the fill gate. Under every explored schedule: no query
 /// serves a stale tuple (`ds_leftover == 0`), nothing stale survives in
-/// the store, and the store invariants hold.
+/// the store, the store invariants hold, and — no fault being
+/// injected — the view is never drained: it stays Healthy throughout.
 #[test]
-fn upquery_vs_eviction_on_drained_shard() {
+fn upquery_vs_eviction_on_an_open_bcp() {
+    let _plan = fault_plan_lock();
     loom::model(|| {
         let mut db = Database::new();
         db.create_relation(Schema::new(
@@ -388,7 +409,7 @@ fn upquery_vs_eviction_on_drained_shard() {
         let shared = SharedPmv::new(def, PmvConfig::new(16, 8, PolicyKind::Clock));
         let edb = std::sync::Arc::new(EpochDb::new(db));
 
-        // Warm every bcp to completeness, then drain bcp f=3 with a
+        // Warm every bcp to completeness, then open bcp f=3 with a
         // committed delete: the next [3, x] probe finds x complete and 3
         // open, which is exactly the upquery shape.
         for f in 0..6i64 {
@@ -420,9 +441,9 @@ fn upquery_vs_eviction_on_drained_shard() {
             handles.push(thread::spawn(move || {
                 for i in 0..4i64 {
                     thread::yield_now();
-                    // Two parts: the drained bcp (f=3) plus a distinct
+                    // Two parts: the open bcp (f=3) plus a distinct
                     // second value, some warmed-complete and one (f=4)
-                    // being drained by the committer.
+                    // being opened by the committer.
                     let second = [0i64, 1, 4, 5][((tid * 2 + i) % 4) as usize];
                     let q = t
                         .bind(vec![Condition::Equality(vec![
@@ -442,7 +463,7 @@ fn upquery_vs_eviction_on_drained_shard() {
                 for i in 0..3i64 {
                     thread::yield_now();
                     edb.commit(&[&shared], move |db| {
-                        // Keep draining the bcps the readers refill.
+                        // Keep deleting from the bcps the readers refill.
                         let f = if i % 2 == 0 { 3 } else { 4 };
                         let row = db
                             .relation("r")
@@ -467,6 +488,8 @@ fn upquery_vs_eviction_on_drained_shard() {
         // The epoch fill gate must have kept every refill coherent: a
         // ground-truth sweep finds nothing stale in the store.
         let guard = edb.read();
+        assert_eq!(shared.health(), ViewHealth::Healthy);
+        assert_eq!(shared.stats().quarantine_events, 0);
         let removed = shared.revalidate(&guard).unwrap();
         assert_eq!(removed, 0, "upquery refill resurrected an evicted tuple");
         shared.debug_validate();

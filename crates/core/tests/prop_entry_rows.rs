@@ -4,7 +4,7 @@
 //! shares with the row before when `s = 1`, and the rest of its packed
 //! bytes. Random scripts of fills, delta-key index removals, bridge-join
 //! removals of an entry's first, middle or last row, evictions,
-//! revalidations and quarantines run against a `PmvStore` of full rows
+//! revalidations and clears (a drain empties the store) run against a `PmvStore` of full rows
 //! with its `DeltaKeyIndex` and against a model holding, per bcp, a
 //! `Vec<(row values, fill epoch)>`. After every step:
 //!
@@ -115,10 +115,7 @@ enum Op {
     },
     /// Remove one occurrence of the row of `b` at `at`, as a bridge
     /// join's result.
-    JoinRemove {
-        b: i64,
-        at: Pos,
-    },
+    JoinRemove { b: i64, at: Pos },
     /// Revalidate `b` against a truth holding the cached rows `keep`
     /// names, plus one row that is not cached.
     Revalidate {
@@ -126,8 +123,8 @@ enum Op {
         keep: Vec<bool>,
         extra: (i64, usize),
     },
-    Quarantine,
-    Lift,
+    /// Empty the store, as a drain does.
+    Clear,
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -139,8 +136,7 @@ fn op() -> impl Strategy<Value = Op> {
             .prop_map(|(b, at)| Op::JoinRemove { b, at }),
         1 => (0..BCPS, proptest::collection::vec(any::<bool>(), F), shape())
             .prop_map(|(b, keep, extra)| Op::Revalidate { b, keep, extra }),
-        1 => Just(Op::Quarantine),
-        1 => Just(Op::Lift),
+        1 => Just(Op::Clear),
     ]
 }
 
@@ -177,8 +173,7 @@ fn rows_charge(rows: &[(Vec<Value>, u64)]) -> usize {
 
 /// The store against the model: same entries, rows, order and epochs;
 /// the charge by the rule; no invariant violated.
-fn agrees(store: &PmvStore, model: &Model, quarantined: bool) -> Result<(), TestCaseError> {
-    prop_assert_eq!(store.is_quarantined(), quarantined);
+fn agrees(store: &PmvStore, model: &Model) -> Result<(), TestCaseError> {
     let mut charge = 0;
     for b in 0..BCPS {
         let key = bcp(b);
@@ -248,7 +243,6 @@ proptest! {
         let mut store = PmvStore::new(&PmvConfig::new(F, L, PolicyKind::Clock));
         store.enable_index(DeltaKeyIndex::new(&t));
         let mut model = Model::new();
-        let mut quarantined = false;
         for op in ops {
             match op {
                 Op::Fill { b, seen, rows, epoch } => {
@@ -262,7 +256,7 @@ proptest! {
                     let gone: Vec<i64> = model
                         .keys()
                         .copied()
-                        .filter(|&m| store.rows(&bcp(m)).is_none() && !quarantined)
+                        .filter(|&m| store.rows(&bcp(m)).is_none())
                         .collect();
                     prop_assert_eq!(store.evictions() - evictions, gone.len() as u64);
                     prop_assert!(gone.len() <= 1);
@@ -271,7 +265,7 @@ proptest! {
                     }
                     let rows: Vec<Tuple> = rows.into_iter().map(|r| Tuple::new(row(b, r))).collect();
                     let filled = store.fill(&key, rows.iter().map(|r| r.values().iter()), epoch);
-                    let room = if quarantined || residency != Residency::Resident {
+                    let room = if residency != Residency::Resident {
                         0
                     } else {
                         F - model.get(&b).map_or(0, Vec::len)
@@ -344,17 +338,12 @@ proptest! {
                     prop_assert_eq!(removed, before - model.get(&b).map_or(0, Vec::len));
                     prune(&mut model, b);
                 }
-                Op::Quarantine => {
-                    store.quarantine();
+                Op::Clear => {
+                    store.clear();
                     model.clear();
-                    quarantined = true;
-                }
-                Op::Lift => {
-                    store.lift_quarantine();
-                    quarantined = false;
                 }
             }
-            agrees(&store, &model, quarantined)?;
+            agrees(&store, &model)?;
         }
     }
 }

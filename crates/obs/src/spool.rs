@@ -3,7 +3,7 @@
 //! Histograms tell you a p99 got worse; by the time a human looks, the
 //! traces that *caused* it have rotated out of the ring. The
 //! [`FlightRecorder`] closes that gap: when a pass exceeds a latency
-//! threshold, or a breaker/quarantine/degradation event fires, it hands
+//! threshold, or a quarantine or degradation event fires, it hands
 //! the trace-ring tail plus the view's [`ViewMetrics`] to a [`SpoolSink`]
 //! as one [`FlightDump`].
 //!
@@ -57,9 +57,8 @@ pub trait SpoolSink: Send + Sync {
 pub enum TriggerReason {
     /// A pass exceeded the latency threshold.
     LatencyThreshold,
-    /// The circuit breaker tripped.
-    BreakerTrip,
-    /// A view's store was drained into quarantine.
+    /// A view's circuit breaker tripped into Quarantined: its store was
+    /// drained, or its error rate crossed the quarantine threshold.
     Quarantine,
     /// A query degraded (O3 did not complete).
     Degraded,
@@ -70,7 +69,6 @@ impl TriggerReason {
     pub fn as_str(self) -> &'static str {
         match self {
             TriggerReason::LatencyThreshold => "latency_threshold",
-            TriggerReason::BreakerTrip => "breaker_trip",
             TriggerReason::Quarantine => "quarantine",
             TriggerReason::Degraded => "degraded",
         }
@@ -259,7 +257,7 @@ mod tests {
                 let mut wrote = 0u64;
                 for _ in 0..4 {
                     if fr
-                        .trigger(TriggerReason::BreakerTrip, 1, Vec::new(), metrics())
+                        .trigger(TriggerReason::Quarantine, 1, Vec::new(), metrics())
                         .is_some()
                     {
                         wrote += 1;

@@ -111,7 +111,8 @@ pub enum EventKind {
         /// Staleness upper bound in microseconds.
         staleness_us: u64,
     },
-    /// The view's store was drained into quarantine during this pass.
+    /// The view was drained during this pass: its store emptied, its
+    /// breaker tripped into quarantine.
     Quarantine,
     /// An injected fault fired during this pass (site + kind; latency
     /// carries its duration in microseconds).

@@ -122,9 +122,12 @@ impl Value {
 }
 
 impl Hash for Value {
-    /// The variant's position (one byte), then the payload. Shards,
-    /// store chunks and the admission sketch are chosen by this hash, so
-    /// it is pinned by a golden test.
+    /// The variant's position (one byte), then the payload. It keys hash
+    /// indexes and the maps and multisets of tuples (DS among them),
+    /// which need only that it agrees with `Eq`: a `-0.0` hashes as the
+    /// `0.0` it is built as, every NaN as the canonical NaN. A golden
+    /// test pins it. (A store places a bcp by the hash of its packed
+    /// key bytes, not by this.)
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {
             Value::Null => 0u8.hash(state),

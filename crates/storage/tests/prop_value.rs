@@ -1,6 +1,6 @@
 //! Property tests for the `Value` total order and tuple operations —
 //! every PMV structure (B-trees, bcp keys, DS) relies on `Ord`/`Eq`/
-//! `Hash` agreeing — and the pinned hashes bcps are placed by.
+//! `Hash` agreeing — and `Value`'s pinned hashes.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -99,11 +99,11 @@ proptest! {
     }
 }
 
-/// What bcps hash to. A view's store chunk and its admission sketch
-/// (both Fx) are chosen by `Value`'s hash: a variant byte, then the
-/// payload. Changing it moves entries between chunks and changes hit
-/// ratios. A `-0.0` or a NaN payload hashes as the canonical
-/// value it is built as.
+/// `Value`'s hash: a variant byte, then the payload. What this guards
+/// is that `Hash` agrees with `Eq`: a `-0.0` or a NaN payload hashes as
+/// the canonical value it is built as, so hash indexes and DS find
+/// equal values. (A store places a bcp by the hash of its packed key
+/// bytes, not by this one.)
 #[test]
 fn value_hashes_are_pinned() {
     let golden = [
